@@ -62,11 +62,12 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.collection import chunkformat
 from repro.collection.chunkformat import ChunkFormatError
-from repro.common import faults
+from repro.common import faults, kernels
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, TxFrame
 from repro.common.compression import (
     CompressionStats,
@@ -358,11 +359,29 @@ def _payload_heights(payload: Dict) -> Dict[str, List[int]]:
 def _payload_chain_stats(
     payload: Dict,
 ) -> Tuple[Dict[str, List[int]], Dict[str, List[float]], Dict[str, int]]:
-    """Per-chain height bounds, timestamp bounds and row counts of a payload."""
+    """Per-chain height bounds, timestamp bounds and row counts of a payload.
+
+    Chains are keyed in first-seen row order (the manifest and the chunk
+    header serialise these dicts, so the order is part of the store bytes).
+    """
     heights: Dict[str, List[int]] = {}
     times: Dict[str, List[float]] = {}
     chain_rows: Dict[str, int] = {}
     columns = payload["columns"]
+    if kernels.use_numpy() and len(columns["chain_code"]):
+        np = kernels.numpy_module()
+        chain_codes = np.asarray(columns["chain_code"])
+        block_heights = np.asarray(columns["block_height"])
+        timestamps = np.asarray(columns["timestamp"])
+        present, first_seen = np.unique(chain_codes, return_index=True)
+        for chain_code in present[np.argsort(first_seen)].tolist():
+            mask = chain_codes == chain_code
+            chain = CHAIN_ORDER[chain_code].value
+            chain_heights, chain_times = block_heights[mask], timestamps[mask]
+            heights[chain] = [int(chain_heights.min()), int(chain_heights.max())]
+            times[chain] = [float(chain_times.min()), float(chain_times.max())]
+            chain_rows[chain] = len(chain_heights)
+        return heights, times, chain_rows
     for chain_code, height, timestamp in zip(
         columns["chain_code"], columns["block_height"], columns["timestamp"]
     ):
@@ -799,12 +818,15 @@ class FrameStore:
 
     def add_records(self, records: Iterable[TransactionRecord]) -> None:
         """Buffer a record stream, flushing a chunk whenever one fills up."""
-        staging = self._staging
-        for record in records:
-            staging.append(record)
-            if len(staging) >= self.chunk_rows:
+        source = iter(records)
+        while True:
+            # An over-full staging frame (see stage_records) still takes one
+            # row before it is cut, as when rows were appended one at a time.
+            room = max(1, self.chunk_rows - len(self._staging))
+            if not self._staging.extend(islice(source, room)):
+                return
+            if len(self._staging) >= self.chunk_rows:
                 self.flush()
-                staging = self._staging
 
     def stage_records(self, records: Iterable[TransactionRecord]) -> None:
         """Buffer records **without** auto-flushing mid-stream.
@@ -818,9 +840,7 @@ class FrameStore:
         lost (the resumed crawl would skip the block, silently dropping
         rows).  Chunks may run slightly past ``chunk_rows`` as a result.
         """
-        staging = self._staging
-        for record in records:
-            staging.append(record)
+        self._staging.extend(records)
 
     @property
     def staged_rows(self) -> int:

@@ -12,11 +12,13 @@ from __future__ import annotations
 import calendar
 import datetime as _dt
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 SECONDS_PER_DAY = 86_400
 SECONDS_PER_HOUR = 3_600
 
 
+@lru_cache(maxsize=1024)
 def timestamp_from_iso(iso_date: str) -> float:
     """Convert ``YYYY-MM-DD`` or ``YYYY-MM-DDTHH:MM:SS`` to epoch seconds (UTC)."""
     if "T" in iso_date:

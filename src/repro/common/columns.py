@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import chain as flatten, groupby, islice
+from operator import le
 from typing import (
     Any,
     Dict,
@@ -51,6 +53,11 @@ CHAIN_ORDER: Tuple[ChainId, ...] = (ChainId.EOS, ChainId.TEZOS, ChainId.XRP)
 #: ChainId → integer code used by the ``chain_code`` column.
 CHAIN_CODES: Dict[ChainId, int] = {chain: index for index, chain in enumerate(CHAIN_ORDER)}
 _CHAIN_CODES = CHAIN_CODES
+
+#: Rows :meth:`TxFrame.extend` draws from its source per column append: large
+#: enough that the per-batch list building dominates the fixed cost, small
+#: enough that the batch (a list of record references) stays cache-resident.
+EXTEND_BATCH_ROWS = 4096
 
 #: Canonical numeric columns of a :class:`TxFrame` and their ``array``
 #: typecodes, in frame order.  The binary chunk format
@@ -98,6 +105,17 @@ class StringPool:
             self._codes[value] = code
             self._values.append(value)
         return code
+
+    def intern_many(self, values: Sequence[str]) -> List[int]:
+        """Codes of ``values``; unseen strings get codes in sequence order."""
+        codes = list(map(self._codes.get, values))
+        index = -1
+        try:
+            while True:  # hop from one not-yet-coded position to the next
+                index = codes.index(None, index + 1)
+                codes[index] = self.intern(values[index])
+        except ValueError:
+            return codes
 
     def code(self, value: str) -> Optional[int]:
         """Code of ``value`` if already interned, else ``None`` (no insert)."""
@@ -464,29 +482,96 @@ class TxFrame:
         self.error_code.append(self.errors.intern(record.error_code))
         self.metadata.append(dict(record.metadata) if record.metadata else None)
 
+    def _append_batch(self, batch: List[TransactionRecord]) -> None:
+        """Append ``batch`` column by column; row for row what :meth:`append` does.
+
+        Records are tuples, so the batch transposes into its fifteen columns
+        with one flattening pass and one strided slice per field, and a column
+        grows by one ``array`` built from a whole list (which, unlike
+        ``array.extend`` of a list, sizes itself once).  The four account
+        roles are interned through one interleaved pass so the pool assigns
+        codes in the row-major order per-row appends would (sender, receiver,
+        contract, issuer of row 0, then of row 1, ...).
+        """
+        width = len(TransactionRecord._fields)
+        cells = list(flatten.from_iterable(batch))
+        if len(cells) != width * len(batch):
+            raise ValueError("TxFrame.extend takes TransactionRecord tuples")
+        (
+            chains, transaction_ids, block_heights, timestamps, types,
+            senders, receivers, contracts, amounts, currencies, issuers,
+            fees, successes, error_codes, metadata,
+        ) = (cells[field::width] for field in range(width))  # fmt: skip
+        if self._timestamps_sorted and (
+            (len(self.timestamp) and timestamps[0] < self.timestamp[-1])
+            or not all(map(le, timestamps, islice(timestamps, 1, None)))
+        ):
+            self._timestamps_sorted = False
+        # Per-chain row indexes and time bounds, one single-chain run at a time.
+        start = len(self.timestamp)
+        offset = 0
+        for chain, run in groupby(chains):
+            chain_code = _CHAIN_CODES[chain]
+            size = len(list(run))
+            self.chain_code.frombytes(bytes((chain_code,)) * size)
+            rows = self._chain_rows.get(chain_code)
+            if rows is None:
+                rows = self._chain_rows[chain_code] = array("q")
+            rows.extend(range(start + offset, start + offset + size))
+            run_timestamps = timestamps[offset : offset + size]
+            low, high = min(run_timestamps), max(run_timestamps)
+            bounds = self._chain_bounds.get(chain_code)
+            if bounds is not None:
+                low, high = min(bounds[0], low), max(bounds[1], high)
+            self._chain_bounds[chain_code] = (low, high)
+            offset += size
+        accounts: List[str] = [""] * (4 * len(batch))
+        accounts[0::4], accounts[1::4] = senders, receivers
+        accounts[2::4], accounts[3::4] = contracts, issuers
+        account_codes = self.accounts.intern_many(accounts)
+        self.transaction_id.extend(transaction_ids)
+        self.metadata.extend([dict(meta) if meta else None for meta in metadata])
+        for column, values in (
+            (self.block_height, block_heights),
+            (self.timestamp, timestamps),
+            (self.type_code, self.types.intern_many(types)),
+            (self.sender_code, account_codes[0::4]),
+            (self.receiver_code, account_codes[1::4]),
+            (self.contract_code, account_codes[2::4]),
+            (self.amount, amounts),
+            (self.currency_code, self.currencies.intern_many(currencies)),
+            (self.issuer_code, account_codes[3::4]),
+            (self.fee, fees),
+            (self.success, list(map(bool, successes))),
+            (self.error_code, self.errors.intern_many(error_codes)),
+        ):
+            column.extend(array(column.typecode, values))
+
     def extend(self, records: Iterable[TransactionRecord]) -> int:
         """Append a stream of records; returns the number appended.
 
         This is the ingest entry point for the workload generators'
         ``stream_records()`` output — nothing is materialised besides the
-        columns themselves.
+        columns themselves and one :data:`EXTEND_BATCH_ROWS` batch of record
+        references.  Rows drawn before a failing source raised are kept, as
+        they were when every record was appended on its own.
         """
-        append = self.append
+        source = iter(records)
         count = 0
-        for record in records:
-            append(record)
-            count += 1
-        return count
+        while True:
+            batch: List[TransactionRecord] = []
+            try:
+                batch.extend(islice(source, EXTEND_BATCH_ROWS))
+            finally:
+                if batch:
+                    self._append_batch(batch)
+                    count += len(batch)
+            if len(batch) < EXTEND_BATCH_ROWS:
+                return count
 
     def extend_from_blocks(self, blocks: Iterable[BlockRecord]) -> int:
         """Append every transaction carried by an iterable of blocks."""
-        append = self.append
-        count = 0
-        for block in blocks:
-            for record in block.transactions:
-                append(record)
-                count += 1
-        return count
+        return self.extend(flatten.from_iterable(block.transactions for block in blocks))
 
     @classmethod
     def from_records(cls, records: Iterable[TransactionRecord]) -> "TxFrame":

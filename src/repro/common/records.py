@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple
 
 
 class ChainId(str, enum.Enum):
@@ -28,14 +28,39 @@ class ChainId(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TransactionRecord:
+class _EmptyMapping(Mapping):
+    """The read-only empty mapping that stands in for ``default_factory=dict``.
+
+    A ``NamedTuple`` default is one shared object, so it must not be a dict
+    an instance's owner could write to; unlike ``MappingProxyType`` this one
+    still pickles and deep-copies.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, key: Any) -> Any:
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+
+EMPTY_MAPPING: Mapping[str, Any] = _EmptyMapping()
+
+
+class TransactionRecord(NamedTuple):
     """One transaction (EOS action, Tezos operation, XRP transaction).
 
     The paper counts EOS *actions* when building the type distribution
     (Figure 1) but *transactions* when characterising the dataset (Figure 2);
     ``transaction_id`` groups actions that were carried by the same on-chain
     transaction so that both views can be derived from one stream of records.
+
+    A tuple rather than a frozen dataclass: generation builds one of these
+    per row, and a frozen dataclass pays one ``object.__setattr__`` per field.
     """
 
     chain: ChainId
@@ -52,49 +77,15 @@ class TransactionRecord:
     fee: float = 0.0
     success: bool = True
     error_code: str = ""
-    metadata: Mapping[str, Any] = field(default_factory=dict)
+    metadata: Mapping[str, Any] = EMPTY_MAPPING
 
     def with_metadata(self, **extra: Any) -> "TransactionRecord":
         """Return a copy with additional metadata entries."""
-        merged: Dict[str, Any] = dict(self.metadata)
-        merged.update(extra)
-        return TransactionRecord(
-            chain=self.chain,
-            transaction_id=self.transaction_id,
-            block_height=self.block_height,
-            timestamp=self.timestamp,
-            type=self.type,
-            sender=self.sender,
-            receiver=self.receiver,
-            contract=self.contract,
-            amount=self.amount,
-            currency=self.currency,
-            issuer=self.issuer,
-            fee=self.fee,
-            success=self.success,
-            error_code=self.error_code,
-            metadata=merged,
-        )
+        return self._replace(metadata={**self.metadata, **extra})
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialise to a JSON-compatible dictionary."""
-        return {
-            "chain": self.chain.value,
-            "transaction_id": self.transaction_id,
-            "block_height": self.block_height,
-            "timestamp": self.timestamp,
-            "type": self.type,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "contract": self.contract,
-            "amount": self.amount,
-            "currency": self.currency,
-            "issuer": self.issuer,
-            "fee": self.fee,
-            "success": self.success,
-            "error_code": self.error_code,
-            "metadata": dict(self.metadata),
-        }
+        return {**self._asdict(), "chain": self.chain.value, "metadata": dict(self.metadata)}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "TransactionRecord":

@@ -11,9 +11,53 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
+from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
+
+_HEX_DIGITS = "0123456789abcdef"
+
+
+@lru_cache(maxsize=64)
+def _zipf_table(population: int, exponent: float) -> Tuple[float, Tuple[float, ...]]:
+    """``(total, prefix sums)`` of the truncated Zipf weights, built once.
+
+    ``total`` stays ``sum(weights)`` rather than the last prefix sum: the two
+    can differ in the last bit (``sum`` is compensated on Python >= 3.12, the
+    running sum is not) and the draw point is scaled by ``total``.
+    """
+    weights = [1.0 / math.pow(rank + 1, exponent) for rank in range(population)]
+    return sum(weights), tuple(accumulate(weights))
+
+
+#: ``id(weights)`` -> ``(weights, keys, prefix sums, total)``.  The entry holds
+#: the mapping itself, so its id cannot be recycled while the entry lives.
+_CATEGORICAL_TABLES: Dict[int, tuple] = {}
+
+
+def _categorical_table(weights: Dict[T, float]) -> tuple:
+    """Keys, prefix sums and total of a weight mapping, built on first draw.
+
+    A mapping is summed once, when it is first drawn from; callers treat
+    their weight tables as constants and build a new dict to change one.
+    """
+    entry = _CATEGORICAL_TABLES.get(id(weights))
+    if entry is None or entry[0] is not weights or len(entry[1]) != len(weights):
+        if not weights:
+            raise ValueError("categorical draw requires at least one outcome")
+        total = float(sum(weights.values()))
+        if total <= 0:
+            raise ValueError("categorical weights must sum to a positive value")
+        if min(weights.values()) < 0:
+            raise ValueError("categorical weights must be non-negative")
+        if len(_CATEGORICAL_TABLES) >= 256:
+            _CATEGORICAL_TABLES.clear()
+        prefix = tuple(accumulate(weights.values(), initial=0.0))[1:]
+        entry = _CATEGORICAL_TABLES[id(weights)] = (weights, tuple(weights), prefix, total)
+    return entry
 
 
 class DeterministicRng:
@@ -61,22 +105,14 @@ class DeterministicRng:
 
     # -- distributions ---------------------------------------------------
     def categorical(self, weights: Dict[T, float]) -> T:
-        """Draw a key from ``weights`` proportionally to its weight."""
-        if not weights:
-            raise ValueError("categorical draw requires at least one outcome")
-        total = float(sum(weights.values()))
-        if total <= 0:
-            raise ValueError("categorical weights must sum to a positive value")
-        point = self._random.random() * total
-        cumulative = 0.0
-        last_key = None
-        for key, weight in weights.items():
-            cumulative += weight
-            last_key = key
-            if point < cumulative:
-                return key
-        # Floating point slack: return the final key.
-        return last_key  # type: ignore[return-value]
+        """Draw a key from ``weights`` proportionally to its weight.
+
+        The mapping is read once, on its first draw (see
+        :func:`_categorical_table`): build a new dict to change a weight.
+        """
+        _, keys, prefix, total = _categorical_table(weights)
+        # Floating point slack past the last prefix sum returns the final key.
+        return keys[min(bisect_right(prefix, self._random.random() * total), len(keys) - 1)]
 
     def zipf_index(self, population: int, exponent: float = 1.1) -> int:
         """Draw an index in ``[0, population)`` following a Zipf-like law.
@@ -89,15 +125,8 @@ class DeterministicRng:
             raise ValueError("population must be positive")
         if population == 1:
             return 0
-        weights = [1.0 / math.pow(rank + 1, exponent) for rank in range(population)]
-        total = sum(weights)
-        point = self._random.random() * total
-        cumulative = 0.0
-        for index, weight in enumerate(weights):
-            cumulative += weight
-            if point < cumulative:
-                return index
-        return population - 1
+        total, prefix = _zipf_table(population, exponent)
+        return min(bisect_right(prefix, self._random.random() * total), population - 1)
 
     def lognormal(self, mean: float, sigma: float) -> float:
         """Draw from a log-normal distribution (used for payment amounts)."""
@@ -145,4 +174,12 @@ class DeterministicRng:
 
     def hex_string(self, length: int = 64) -> str:
         """Produce a deterministic pseudo-hash hex string of ``length`` chars."""
-        return "".join(self._random.choice("0123456789abcdef") for _ in range(length))
+        # ``random.choice`` over 16 items draws ``getrandbits(5)`` until the
+        # value is below 16; drawing the same way keeps the stream identical.
+        getrandbits = self._random.getrandbits
+        digits: List[str] = []
+        while len(digits) < length:
+            value = getrandbits(5)
+            if value < 16:
+                digits.append(_HEX_DIGITS[value])
+        return "".join(digits)

@@ -15,8 +15,9 @@ account actions / other actions).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, NamedTuple
+
+from repro.common.records import EMPTY_MAPPING
 
 
 class SystemActionGroup(str, enum.Enum):
@@ -69,15 +70,14 @@ def classify_system_action(action_name: str, contract: str) -> SystemActionGroup
     return SystemActionGroup.USER_DEFINED
 
 
-@dataclass(frozen=True)
-class EosAction:
-    """One action within an EOS transaction."""
+class EosAction(NamedTuple):
+    """One action within an EOS transaction (a tuple: one is built per row)."""
 
     contract: str
     name: str
     actor: str
     receiver: str
-    data: Mapping[str, Any] = field(default_factory=dict)
+    data: Mapping[str, Any] = EMPTY_MAPPING
 
     @property
     def is_system(self) -> bool:
@@ -113,11 +113,11 @@ def make_transfer(
     to ``eosio.token`` in Figure 4.
     """
     return EosAction(
-        contract=token_contract,
-        name="transfer",
-        actor=sender,
-        receiver=token_contract,
-        data={"from": sender, "to": receiver, "quantity": amount, "symbol": symbol, "memo": memo},
+        token_contract,
+        "transfer",
+        sender,
+        token_contract,
+        {"from": sender, "to": receiver, "quantity": amount, "symbol": symbol, "memo": memo},
     )
 
 

@@ -11,6 +11,7 @@ collection and analysis layers consume.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -130,16 +131,13 @@ class EosChain:
         account.is_contract = True
         account.contract_name = type(contract).__name__
 
-    def _apply_action(
-        self, action: EosAction, timestamp: float
-    ) -> Tuple[ContractResult, List[EosAction]]:
+    def _apply_action(self, action: EosAction, timestamp: float) -> ContractResult:
         contract = self.contracts.get(action.contract)
         if contract is None or not contract.handles(action.name):
             # Unknown contracts still record the action (the chain stores it);
             # there is simply no state transition beyond the record itself.
-            return ContractResult(applied=True, notes={"unhandled": True}), []
-        result = contract.apply(action, self.accounts, timestamp)
-        return result, list(result.inline_actions)
+            return ContractResult(applied=True, notes={"unhandled": True})
+        return contract.apply(action, self.accounts, timestamp)
 
     def _record_for_action(
         self,
@@ -150,29 +148,31 @@ class EosChain:
         result: ContractResult,
         inline: bool,
     ) -> TransactionRecord:
-        amount = float(action.data.get("quantity", action.data.get("amount", 0.0)) or 0.0)
-        symbol = str(action.data.get("symbol", ""))
-        metadata = dict(result.notes)
+        data = action.data
+        amount = float(data.get("quantity", data.get("amount", 0.0)) or 0.0)
+        symbol = str(data.get("symbol", ""))
+        # The result is this action's own and is dropped after the record is
+        # built, so its notes become the record's metadata without a copy.
+        metadata = result.notes
         if inline:
             metadata["inline"] = True
-        transfer_to = action.data.get("to")
+        transfer_to = data.get("to")
         if transfer_to is not None:
             # The canonical "receiver" for EOS is the account the action is
             # delivered to (the contract), matching the paper's Figure 4/5
             # accounting; the token recipient is preserved in metadata.
             metadata["transfer_to"] = str(transfer_to)
         return TransactionRecord(
-            chain=ChainId.EOS,
-            transaction_id=transaction.transaction_id,
-            block_height=height,
-            timestamp=timestamp,
-            type=action.name,
-            sender=action.actor,
-            receiver=action.receiver,
+            ChainId.EOS,
+            transaction.transaction_id,
+            height,
+            timestamp,
+            action.name,
+            action.actor,
+            action.receiver,
             contract=action.contract,
             amount=amount,
             currency=symbol,
-            fee=0.0,
             success=result.applied,
             metadata=metadata,
         )
@@ -188,22 +188,24 @@ class EosChain:
             if not self.resources.charge(payer, transaction.cpu_us, transaction.net_bytes):
                 self._rejected_count += 1
                 continue
-            pending: List[Tuple[EosAction, bool]] = [
-                (action, False) for action in transaction.actions
-            ]
+            # Breadth first: the submitted actions, then whatever they queued
+            # inline, so every action past the submitted count is an inline one.
+            pending = deque(transaction.actions)
+            submitted = len(pending)
+            applied = 0
             while pending:
-                action, is_inline = pending.pop(0)
+                action = pending.popleft()
                 try:
-                    result, inline_actions = self._apply_action(action, timestamp)
+                    result = self._apply_action(action, timestamp)
                 except ChainError as exc:
                     result = ContractResult(applied=False, notes={"error": str(exc)})
-                    inline_actions = []
                 records.append(
                     self._record_for_action(
-                        transaction, action, height, timestamp, result, is_inline
+                        transaction, action, height, timestamp, result, applied >= submitted
                     )
                 )
-                pending.extend((inline, True) for inline in inline_actions)
+                applied += 1
+                pending.extend(result.inline_actions)
         block = BlockRecord(
             chain=ChainId.EOS,
             height=height,

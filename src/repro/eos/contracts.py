@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import ChainError
 from repro.eos.accounts import EosAccountRegistry
-from repro.eos.actions import EosAction
+from repro.eos.actions import EosAction, make_transfer
 
 
 @dataclass
@@ -147,32 +147,8 @@ class EidosContract(EosContract):
             # The boomerang: the EOS comes straight back to the sender.  The
             # actions are delivered to the token contracts (their receiver
             # scope), exactly like user-submitted transfers.
-            EosAction(
-                contract="eosio.token",
-                name="transfer",
-                actor=self.account,
-                receiver="eosio.token",
-                data={
-                    "from": self.account,
-                    "to": sender,
-                    "quantity": amount,
-                    "symbol": "EOS",
-                    "memo": "refund",
-                },
-            ),
-            EosAction(
-                contract=self.account,
-                name="transfer",
-                actor=self.account,
-                receiver=self.account,
-                data={
-                    "from": self.account,
-                    "to": sender,
-                    "quantity": payout,
-                    "symbol": self.symbol,
-                    "memo": "mining",
-                },
-            ),
+            make_transfer("eosio.token", self.account, sender, amount, "EOS", memo="refund"),
+            make_transfer(self.account, self.account, sender, payout, self.symbol, memo="mining"),
         ]
         return ContractResult(
             applied=True,

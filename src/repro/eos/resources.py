@@ -13,7 +13,7 @@ forced casual users (who stake little) off the chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass
@@ -69,6 +69,8 @@ class EosResourceMarket:
         self.leniency_multiplier = leniency_multiplier
         self.base_cpu_price = base_cpu_price
         self._stakes: Dict[str, float] = {}
+        #: ``sum(self._stakes.values())``, summed again after a stake changes.
+        self._total_staked: Optional[float] = None
         self._usage: Dict[str, ResourceUsage] = {}
         self._block_cpu_used = 0.0
         self._congested = False
@@ -80,17 +82,21 @@ class EosResourceMarket:
         if amount < 0:
             raise ValueError("stake must be non-negative")
         self._stakes[account] = self._stakes.get(account, 0.0) + amount
+        self._total_staked = None
 
     def unstake_cpu(self, account: str, amount: float) -> None:
         """Remove up to ``amount`` of CPU stake from ``account``."""
         current = self._stakes.get(account, 0.0)
         self._stakes[account] = max(0.0, current - amount)
+        self._total_staked = None
 
     def staked(self, account: str) -> float:
         return self._stakes.get(account, 0.0)
 
     def total_staked(self) -> float:
-        return sum(self._stakes.values())
+        if self._total_staked is None:
+            self._total_staked = sum(self._stakes.values())
+        return self._total_staked
 
     # -- per-block accounting ------------------------------------------------
     def cpu_entitlement_us(self, account: str) -> float:
@@ -106,7 +112,8 @@ class EosResourceMarket:
 
     def can_execute(self, account: str, cpu_us: float) -> bool:
         """Whether ``account`` has CPU headroom for an action costing ``cpu_us``."""
-        used = self._usage.get(account, ResourceUsage()).cpu_us
+        usage = self._usage.get(account)
+        used = usage.cpu_us if usage is not None else 0.0
         return used + cpu_us <= self.cpu_entitlement_us(account) + 1e-9
 
     def charge(self, account: str, cpu_us: float, net_bytes: float = 0.0) -> bool:

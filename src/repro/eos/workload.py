@@ -113,6 +113,20 @@ GAME_ACTION_MIX: Dict[str, float] = {
 #: Action-name mix for the content site (Figure 4, pornhashbaby row).
 CONTENT_ACTION_MIX: Dict[str, float] = {"record": 0.9986, "login": 0.0014}
 
+#: System-contract action mix of the "Others" category (Figure 1, EOS column).
+SYSTEM_ACTION_MIX: Dict[str, float] = {
+    "delegatebw": 0.2,
+    "buyrambytes": 0.1,
+    "undelegatebw": 0.1,
+    "rentcpu": 0.1,
+    "voteproducer": 0.05,
+    "buyram": 0.3,
+    "bidname": 0.05,
+    "newaccount": 0.05,
+    "updateauth": 0.03,
+    "linkauth": 0.02,
+}
+
 
 @dataclass
 class EosWorkloadConfig:
@@ -369,20 +383,7 @@ class EosWorkloadGenerator:
         return EosTransaction(transaction_id=self._next_tx_id(), actions=(action,))
 
     def _other_transaction(self) -> EosTransaction:
-        name = self.rng.categorical(
-            {
-                "delegatebw": 0.2,
-                "buyrambytes": 0.1,
-                "undelegatebw": 0.1,
-                "rentcpu": 0.1,
-                "voteproducer": 0.05,
-                "buyram": 0.3,
-                "bidname": 0.05,
-                "newaccount": 0.05,
-                "updateauth": 0.03,
-                "linkauth": 0.02,
-            }
-        )
+        name = self.rng.categorical(SYSTEM_ACTION_MIX)
         action = EosAction(
             contract="eosio",
             name=name,

@@ -11,6 +11,7 @@ which the analysis layer computes from the structures defined here.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -89,35 +90,33 @@ class OrderBook:
         self._offers: Dict[int, Offer] = {}
         self._next_id = 1
         self.executions: List[ExchangeExecution] = []
-        # Per-(gets, pays) index of offer ids so crossing only scans the
-        # opposite side of the relevant pair, not every offer ever placed.
-        self._by_pair: Dict[Tuple[tuple, tuple], List[int]] = {}
-        self._recent: Deque[int] = deque(maxlen=self.RECENT_WINDOW)
+        # Per-(gets, pays) book of the *open* offers as ``(price, offer_id,
+        # offer)``, kept sorted: best price first, equal prices in placement
+        # order.  An offer leaves its book the moment it closes (cancelled or
+        # filled), so crossing walks live offers only and reads never prune.
+        self._by_pair: Dict[Tuple[tuple, tuple], List[Tuple[float, int, Offer]]] = {}
+        self._open_count = 0
+        self._recent: Deque[Offer] = deque(maxlen=self.RECENT_WINDOW)
 
     def __len__(self) -> int:
-        return len([offer for offer in self._offers.values() if offer.is_open])
+        return self._open_count
 
     def all_offers(self) -> List[Offer]:
         return list(self._offers.values())
 
     def recent_open_offers(self) -> List[Offer]:
         """The most recently placed offers that are still open (cheap lookup)."""
-        return [
-            self._offers[offer_id]
-            for offer_id in self._recent
-            if self._offers[offer_id].is_open
-        ]
+        return [offer for offer in self._recent if offer.is_open]
 
     def open_offers(self, gets_asset: tuple, pays_asset: tuple) -> List[Offer]:
         """Open offers selling ``gets_asset`` for ``pays_asset``, best price first."""
-        pair = (gets_asset, pays_asset)
-        offer_ids = self._by_pair.get(pair, [])
-        live_ids = [offer_id for offer_id in offer_ids if self._offers[offer_id].is_open]
-        # Prune closed offers so the index does not grow without bound.
-        if len(live_ids) != len(offer_ids):
-            self._by_pair[pair] = live_ids
-        book = [self._offers[offer_id] for offer_id in live_ids]
-        return sorted(book, key=lambda offer: offer.price)
+        return [offer for _, _, offer in self._by_pair.get((gets_asset, pays_asset), ())]
+
+    def _drop(self, offer: Offer) -> None:
+        """Take a just-closed offer off its pair's book."""
+        book = self._by_pair[offer.pair]
+        del book[bisect_left(book, (offer.price, offer.offer_id))]
+        self._open_count -= 1
 
     def get(self, offer_id: int) -> Offer:
         offer = self._offers.get(offer_id)
@@ -151,24 +150,30 @@ class OrderBook:
         self._next_id += 1
         executions = self._cross(offer, timestamp)
         self._offers[offer.offer_id] = offer
-        self._by_pair.setdefault(offer.pair, []).append(offer.offer_id)
-        self._recent.append(offer.offer_id)
+        self._recent.append(offer)
+        if offer.is_open:
+            insort(
+                self._by_pair.setdefault(offer.pair, []),
+                (offer.price, offer.offer_id, offer),
+            )
+            self._open_count += 1
         return offer, executions
 
     def _cross(self, incoming: Offer, timestamp: float) -> List[ExchangeExecution]:
         """Match ``incoming`` against resting offers on the opposite side."""
         executions: List[ExchangeExecution] = []
         # The opposite side sells what the incoming offer wants to receive.
-        opposite = self.open_offers(
-            incoming.taker_pays.asset_key, incoming.taker_gets.asset_key
+        opposite = self._by_pair.get(
+            (incoming.taker_pays.asset_key, incoming.taker_gets.asset_key), ()
         )
         incoming_price = incoming.price
-        for resting in opposite:
+        filled: List[Offer] = []
+        for resting_price, _, resting in opposite:
             if incoming.remaining_gets <= 1e-12:
                 break
             # The resting offer's price is expressed in the incoming offer's
             # "gets" units; a trade happens when the combined prices cross.
-            if resting.price * incoming_price > 1.0 + 1e-9:
+            if resting_price * incoming_price > 1.0 + 1e-9:
                 break
             # Trade size limited by both sides, measured in the incoming
             # offer's "gets" asset (what the incoming owner is selling).
@@ -190,6 +195,10 @@ class OrderBook:
                     bought=incoming.taker_pays.with_value(trade_pays),
                 )
             )
+            if not resting.is_open:
+                filled.append(resting)
+        for resting in filled:
+            self._drop(resting)
         self.executions.extend(executions)
         return executions
 
@@ -198,6 +207,8 @@ class OrderBook:
         offer = self.get(offer_id)
         if offer.owner != owner:
             raise ChainError("only the offer owner may cancel it")
+        if offer.is_open:
+            self._drop(offer)
         offer.cancelled = True
         return offer
 

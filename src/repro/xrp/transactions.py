@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.common.errors import ChainError
+from repro.common.records import EMPTY_MAPPING
 from repro.xrp.accounts import XrpAccountRegistry, is_special_address
 from repro.xrp.amounts import (
     ACCOUNT_RESERVE_XRP,
@@ -63,9 +64,8 @@ class ResultCode(str, enum.Enum):
         return self is ResultCode.SUCCESS
 
 
-@dataclass(frozen=True)
-class XrpTransaction:
-    """One submitted XRP ledger transaction."""
+class XrpTransaction(NamedTuple):
+    """One submitted XRP ledger transaction (a tuple: one is built per row)."""
 
     type: TransactionType
     account: str
@@ -79,7 +79,7 @@ class XrpTransaction:
     fee_drops: int = STANDARD_FEE_DROPS
     finish_after: float = 0.0
     escrow_id: int = 0
-    data: Mapping[str, Any] = field(default_factory=dict)
+    data: Mapping[str, Any] = EMPTY_MAPPING
 
 
 @dataclass
@@ -150,16 +150,8 @@ class XrpTransactionEngine:
         if transaction.account not in self.accounts:
             raise ChainError(f"sender account does not exist: {transaction.account}")
         fee_xrp = self._charge_fee(transaction)
-        handler = {
-            TransactionType.PAYMENT: self._apply_payment,
-            TransactionType.OFFER_CREATE: self._apply_offer_create,
-            TransactionType.OFFER_CANCEL: self._apply_offer_cancel,
-            TransactionType.TRUST_SET: self._apply_trust_set,
-            TransactionType.ESCROW_CREATE: self._apply_escrow_create,
-            TransactionType.ESCROW_FINISH: self._apply_escrow_finish,
-            TransactionType.ESCROW_CANCEL: self._apply_escrow_cancel,
-        }.get(transaction.type, self._apply_noop)
-        result, executions, offer_id, delivered = handler(transaction, timestamp)
+        handler = self._HANDLERS.get(transaction.type, XrpTransactionEngine._apply_noop)
+        result, executions, offer_id, delivered = handler(self, transaction, timestamp)
         self.accounts.get(transaction.account).next_sequence()
         return AppliedTransaction(
             transaction=transaction,
@@ -310,3 +302,14 @@ class XrpTransactionEngine:
         escrow.cancelled = True
         self.accounts.get(escrow.owner).credit_xrp(escrow.amount_xrp)
         return ResultCode.SUCCESS, [], escrow.escrow_id, None
+
+    #: Handler per transaction type; every other type is a no-op that succeeds.
+    _HANDLERS = {
+        TransactionType.PAYMENT: _apply_payment,
+        TransactionType.OFFER_CREATE: _apply_offer_create,
+        TransactionType.OFFER_CANCEL: _apply_offer_cancel,
+        TransactionType.TRUST_SET: _apply_trust_set,
+        TransactionType.ESCROW_CREATE: _apply_escrow_create,
+        TransactionType.ESCROW_FINISH: _apply_escrow_finish,
+        TransactionType.ESCROW_CANCEL: _apply_escrow_cancel,
+    }

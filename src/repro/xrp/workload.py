@@ -74,6 +74,15 @@ TYPE_MIX: Dict[str, float] = {
     "other": 0.001,
 }
 
+#: Mix of the rare transaction types behind ``TYPE_MIX["other"]``.
+OTHER_TYPE_MIX: Dict[TransactionType, float] = {
+    TransactionType.SIGNER_LIST_SET: 0.5,
+    TransactionType.SET_REGULAR_KEY: 0.2,
+    TransactionType.ESCROW_CREATE: 0.2,
+    TransactionType.PAYMENT_CHANNEL_CREATE: 0.05,
+    TransactionType.PAYMENT_CHANNEL_CLAIM: 0.05,
+}
+
 #: Typical IOU payment sizes per currency, chosen so the XRP-denominated
 #: fiat/BTC flows stay an order of magnitude below the native XRP flows, as
 #: in Figure 12 (43 billion XRP vs ~0.8 billion XRP-equivalent of USD).
@@ -510,15 +519,7 @@ class XrpWorkloadGenerator:
         )
 
     def _other_transaction(self, timestamp: float) -> XrpTransaction:
-        kind = self.rng.categorical(
-            {
-                TransactionType.SIGNER_LIST_SET: 0.5,
-                TransactionType.SET_REGULAR_KEY: 0.2,
-                TransactionType.ESCROW_CREATE: 0.2,
-                TransactionType.PAYMENT_CHANNEL_CREATE: 0.05,
-                TransactionType.PAYMENT_CHANNEL_CLAIM: 0.05,
-            }
-        )
+        kind = self.rng.categorical(OTHER_TYPE_MIX)
         if kind is TransactionType.ESCROW_CREATE:
             return XrpTransaction(
                 type=kind,

@@ -56,6 +56,53 @@ class TestFrameStore:
         store.flush()
         assert store.compression_stats().chunk_count == 3
 
+    @pytest.mark.parametrize("count", [4, 5, 6, 9, 10, 11, 23])
+    def test_add_records_cuts_chunks_at_exactly_chunk_rows(self, count):
+        store = FrameStore(chunk_rows=5)
+        store.add_records(iter(_records(count)))
+        full, staged = divmod(count, 5)
+        assert store.chunk_row_counts() == [5] * full
+        assert store.staged_rows == staged
+        assert list(store.to_frame()) == _records(count)
+
+    def test_add_records_resumes_a_partly_filled_staging_frame(self):
+        store = FrameStore(chunk_rows=5)
+        store.add_records(_records(3))
+        store.add_records(_records(10)[3:])
+        assert store.chunk_row_counts() == [5, 5]
+        assert store.staged_rows == 0
+
+    def test_add_records_cuts_an_over_full_staging_frame_after_one_more_row(self):
+        # stage_records may run past chunk_rows (block-aligned commits); the
+        # next streamed row joins that chunk and the cut follows it.
+        records = _records(12)
+        store = FrameStore(chunk_rows=5)
+        store.stage_records(records[:7])
+        store.add_records(iter(records[7:]))
+        assert store.chunk_row_counts() == [8]
+        assert store.staged_rows == 4
+        assert list(store.to_frame()) == records
+
+    def test_chunk_chain_stats_agree_between_kernel_backends(self):
+        from repro.collection.store import _payload_chain_stats
+        from repro.common import kernels
+
+        records = _records(4, ChainId.XRP) + _records(9) + _records(3, ChainId.XRP)
+        payload = TxFrame.from_records(records).to_payload(arrays=True)
+        with kernels.use_backend(kernels.PYTHON):
+            reference = _payload_chain_stats(payload)
+        with kernels.use_backend(kernels.NUMPY):
+            vectorized = _payload_chain_stats(payload)
+        heights, times, chain_rows = vectorized
+        assert vectorized == reference
+        # First-seen chain order: the dicts are serialised into the manifest.
+        assert list(heights) == list(times) == list(chain_rows) == ["xrp", "eos"]
+        assert chain_rows == {"xrp": 7, "eos": 9}
+        assert all(type(bound) is int for bounds in heights.values() for bound in bounds)
+        assert all(type(bound) is float for bounds in times.values() for bound in bounds)
+        empty = TxFrame().to_payload(arrays=True)
+        assert _payload_chain_stats(empty) == ({}, {}, {})
+
     def test_compression_accounting(self):
         store = FrameStore(chunk_rows=50)
         store.add_frame(TxFrame.from_records(_records(50)))

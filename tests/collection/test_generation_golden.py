@@ -21,6 +21,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src"
 )
@@ -59,6 +61,11 @@ def store_digest(store_dir: str) -> str:
     return digest.hexdigest()
 
 
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="digests were recorded under CPython 3.11: str hashing (which seeds "
+    "DeterministicRng.fork) changed in 3.11 and float sum() in 3.12",
+)
 def test_live_tail_store_and_report_match_the_pinned_digests(tmp_path):
     report = build(str(tmp_path))
     assert hashlib.sha256(report).hexdigest() == GOLDEN_REPORT_SHA256

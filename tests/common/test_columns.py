@@ -1,8 +1,12 @@
 """Tests for the columnar transaction frame (the analysis substrate)."""
 
-import pytest
+from unittest import mock
 
-from repro.common import kernels
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common import columns, kernels
 from repro.common.columns import (
     StringPool,
     TxFrame,
@@ -12,7 +16,7 @@ from repro.common.columns import (
     gather_array,
     gather_np,
 )
-from repro.common.records import ChainId, TransactionRecord
+from repro.common.records import EMPTY_MAPPING, BlockRecord, ChainId, TransactionRecord
 
 
 def _record(chain=ChainId.EOS, tx="tx1", ts=100.0, **overrides):
@@ -395,3 +399,138 @@ class TestNdarrayViews:
                     view.max_timestamp(),
                 )
         assert results[kernels.PYTHON] == results[kernels.NUMPY]
+
+
+# -- append parity: batched extend == extend_from_blocks == per-row append ------------
+#
+# ``TxFrame.extend`` appends column by column, one batch at a time; whatever the
+# stream looks like it must leave the frame exactly as per-row ``append`` does,
+# or stores stop being byte-identical per seed.  The batch size is patched
+# down so short generated streams cross several batch boundaries.
+
+SMALL_BATCH = 8
+
+_NAMES = st.sampled_from(["alice", "bob", "carol", "dave", "eosio.token", ""])
+
+_RECORDS = st.builds(
+    TransactionRecord,
+    chain=st.sampled_from(list(ChainId)),
+    transaction_id=st.text(alphabet="abc123", max_size=6),
+    block_height=st.integers(0, 2**40),
+    timestamp=st.floats(0.0, 1e9),
+    type=st.sampled_from(["transfer", "Payment", "endorsement", ""]),
+    sender=_NAMES,
+    receiver=_NAMES,
+    contract=_NAMES,
+    amount=st.floats(0.0, 1e12),
+    currency=st.sampled_from(["EOS", "XRP", "BTC", ""]),
+    issuer=_NAMES,
+    fee=st.floats(0.0, 10.0),
+    success=st.booleans(),
+    error_code=st.sampled_from(["", "tecPATH_DRY"]),
+    metadata=st.one_of(
+        st.none(),
+        st.just({}),
+        st.dictionaries(st.sampled_from(["memo", "inline", "n"]), st.integers(0, 9), max_size=3),
+    ),
+)
+
+
+def _fingerprint(frame):
+    payload = frame.to_payload(arrays=True)
+    return {
+        "columns": {name: column.tobytes() for name, column in payload["columns"].items()},
+        "transaction_id": payload["transaction_id"],
+        "metadata": payload["metadata"],
+        "pools": {name: list(values) for name, values in payload["pools"].items()},
+        "sorted": frame.timestamps_sorted,
+        "chain_rows": [(code, rows.tobytes()) for code, rows in frame._chain_rows.items()],
+        "chain_bounds": list(frame._chain_bounds.items()),
+    }
+
+
+def _blocks_of(records, sizes):
+    blocks, start = [], 0
+    for size in list(sizes) + [len(records)]:
+        chunk = records[start : start + size]
+        start += size
+        blocks.append(
+            BlockRecord(
+                chain=chunk[0].chain if chunk else ChainId.EOS,
+                height=len(blocks),
+                timestamp=0.0,
+                producer="p",
+                transactions=tuple(chunk),
+            )
+        )
+    return blocks
+
+
+class TestAppendParity:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=st.lists(_RECORDS, max_size=3 * SMALL_BATCH + 2),
+        sizes=st.lists(st.integers(0, SMALL_BATCH + 1), max_size=6),
+        default_metadata=st.booleans(),
+    )
+    def test_extend_and_blocks_match_per_row_append(self, records, sizes, default_metadata):
+        if default_metadata:  # the record type's own (shared, read-only) default
+            records = [record._replace(metadata=EMPTY_MAPPING) for record in records]
+        appended = TxFrame()
+        for record in records:
+            appended.append(record)
+        with mock.patch.object(columns, "EXTEND_BATCH_ROWS", SMALL_BATCH):
+            extended = TxFrame()
+            assert extended.extend(iter(records)) == len(records)
+            from_blocks = TxFrame()
+            assert from_blocks.extend_from_blocks(_blocks_of(records, sizes)) == len(records)
+        assert _fingerprint(extended) == _fingerprint(appended)
+        assert _fingerprint(from_blocks) == _fingerprint(appended)
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, SMALL_BATCH - 1, SMALL_BATCH, SMALL_BATCH + 1, 2 * SMALL_BATCH]
+    )
+    def test_batch_boundaries(self, count):
+        # Out of order across the boundary, two chains, a pool entry first
+        # seen in every role.
+        records = [
+            _record(
+                chain=ChainId.XRP if i % 3 == 0 else ChainId.EOS,
+                tx=f"tx{i}",
+                ts=float(100 - i if i == SMALL_BATCH else i),
+                sender=f"account{i % 5}",
+                issuer=f"account{(i + 1) % 7}",
+            )
+            for i in range(count)
+        ]
+        appended = TxFrame()
+        for record in records:
+            appended.append(record)
+        with mock.patch.object(columns, "EXTEND_BATCH_ROWS", SMALL_BATCH):
+            extended = TxFrame.from_records(iter(records))
+        assert _fingerprint(extended) == _fingerprint(appended)
+
+    def test_extend_on_top_of_existing_rows_keeps_sortedness_and_bounds(self):
+        frame = TxFrame.from_records([_record(tx="a", ts=50.0)])
+        frame.extend([_record(tx="b", ts=60.0), _record(tx="c", ts=70.0)])
+        assert frame.timestamps_sorted
+        frame.extend([_record(tx="d", ts=65.0)])
+        assert not frame.timestamps_sorted
+        assert frame.chain_bounds(ChainId.EOS) == (50.0, 70.0)
+
+    def test_rows_drawn_before_a_failing_source_raised_are_kept(self):
+        def source():
+            yield _record(tx="a")
+            yield _record(tx="b")
+            raise RuntimeError("source died")
+
+        frame = TxFrame()
+        with pytest.raises(RuntimeError):
+            frame.extend(source())
+        assert frame.transaction_id == ["a", "b"]
+
+    def test_intern_many_assigns_codes_in_sequence_order(self):
+        pool = StringPool(["seen"])
+        assert pool.intern_many(["new", "seen", "newer", "new"]) == [1, 0, 2, 1]
+        assert pool.values == ["seen", "new", "newer"]
+        assert pool.intern_many([]) == []

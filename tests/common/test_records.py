@@ -1,5 +1,9 @@
 """Tests for the canonical block / transaction records."""
 
+import copy
+import json
+import pickle
+
 import pytest
 
 from repro.common.records import (
@@ -56,6 +60,45 @@ class TestTransactionRecord:
         assert record.success is True
         assert record.error_code == ""
         assert record.fee == 0.0
+
+    def test_default_metadata_is_not_a_dict_shared_between_records(self):
+        # A NamedTuple default is one object for every instance: it must be
+        # read-only, or a write through one record would show up on all.
+        first, second = make_record("tx1"), make_record("tx2")
+        assert first.metadata == {} and not first.metadata
+        with pytest.raises(TypeError):
+            first.metadata["leak"] = 1
+        assert second.metadata == {}
+        assert first == make_record("tx1", metadata={})
+        updated = first.with_metadata(note="x")
+        assert updated.metadata == {"note": "x"}
+        assert first.metadata == {} and second.metadata == {}
+
+    def test_default_metadata_round_trips_and_copies(self):
+        record = make_record()
+        payload = record.to_dict()
+        assert payload["metadata"] == {} and type(payload["metadata"]) is dict
+        payload["metadata"]["mine"] = True  # the caller's copy, not the default
+        assert make_record().to_dict()["metadata"] == {}
+        assert json.loads(json.dumps(record.to_dict())) == record.to_dict()
+        assert TransactionRecord.from_dict(record.to_dict()) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.deepcopy(record) == record
+
+    def test_frame_stores_no_metadata_for_a_default_record(self):
+        from repro.common.columns import TxFrame
+
+        appended, extended = TxFrame(), TxFrame()
+        appended.append(make_record())
+        extended.extend([make_record()])
+        assert appended.metadata == extended.metadata == [None]
+        assert appended.record(0) == make_record()
+
+    def test_is_immutable_and_keeps_field_order(self):
+        record = make_record()
+        with pytest.raises(AttributeError):
+            record.amount = 2.0
+        assert list(record.to_dict()) == list(TransactionRecord._fields)
 
 
 class TestBlockRecord:

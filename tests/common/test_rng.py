@@ -1,6 +1,11 @@
 """Tests for the deterministic RNG helpers."""
 
+import math
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.rng import DeterministicRng
 
@@ -121,3 +126,122 @@ class TestDistributions:
         pairs = rng.pick_weighted_pairs({"x": 1.0, "y": 2.0}, 7)
         assert len(pairs) == 7
         assert all(left in ("x", "y") and right in ("x", "y") for left, right in pairs)
+
+
+# -- draw parity with the pre-table implementations ----------------------------------
+#
+# The table-driven draws must consume the random stream exactly as the linear
+# scans they replaced and return the same values, or every generated store
+# changes.  The reference functions below are those scans, kept verbatim.
+
+
+def reference_zipf_index(random_source, population, exponent):
+    if population == 1:
+        return 0
+    weights = [1.0 / math.pow(rank + 1, exponent) for rank in range(population)]
+    total = sum(weights)
+    point = random_source.random() * total
+    cumulative = 0.0
+    for index, weight in enumerate(weights):
+        cumulative += weight
+        if point < cumulative:
+            return index
+    return population - 1
+
+
+def reference_categorical(random_source, weights):
+    total = float(sum(weights.values()))
+    point = random_source.random() * total
+    cumulative = 0.0
+    last_key = None
+    for key, weight in weights.items():
+        cumulative += weight
+        last_key = key
+        if point < cumulative:
+            return key
+    return last_key
+
+
+def reference_hex_string(random_source, length):
+    return "".join(random_source.choice("0123456789abcdef") for _ in range(length))
+
+
+DRAWS = 200
+
+
+class TestDrawParity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        population=st.integers(1, 5000),
+        exponent=st.floats(0.5, 2.5),
+    )
+    def test_zipf_index_matches_the_linear_scan(self, seed, population, exponent):
+        rng, reference = DeterministicRng(seed), random.Random(seed)
+        assert [rng.zipf_index(population, exponent) for _ in range(DRAWS)] == [
+            reference_zipf_index(reference, population, exponent) for _ in range(DRAWS)
+        ]
+        # Both consumed the same number of variates (none when population == 1).
+        assert rng.random() == reference.random()
+
+    def test_zipf_table_is_shared_between_rng_instances(self):
+        first, second = DeterministicRng(5), DeterministicRng(6)
+        reference_first, reference_second = random.Random(5), random.Random(6)
+        drawn, expected = [], []
+        for _ in range(DRAWS):  # interleaved: both instances read one cached table
+            drawn += [first.zipf_index(300, 1.2), second.zipf_index(300, 1.2)]
+            expected += [
+                reference_zipf_index(reference_first, 300, 1.2),
+                reference_zipf_index(reference_second, 300, 1.2),
+            ]
+        assert drawn == expected
+
+    @pytest.mark.parametrize("point", [1.0 - 2**-53, 0.0])
+    def test_zipf_edge_points_stay_in_range(self, point):
+        # The largest variate random() can return lands in the last bucket or
+        # in the float slack past it; either way the last index comes back.
+        class Pinned(random.Random):
+            def random(self):
+                return point
+
+        for population, exponent in [(2, 0.5), (200, 1.2), (5000, 2.5)]:
+            rng = DeterministicRng(0)
+            rng._random = Pinned(0)
+            assert rng.zipf_index(population, exponent) == reference_zipf_index(
+                Pinned(0), population, exponent
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        weights=st.dictionaries(
+            st.text(max_size=4),
+            st.one_of(st.just(0.0), st.floats(1e-9, 1e6), st.integers(0, 50)),
+            min_size=1,
+            max_size=12,
+        ).filter(lambda weights: sum(weights.values()) > 0),
+    )
+    def test_categorical_matches_the_resumming_scan(self, seed, weights):
+        rng, reference = DeterministicRng(seed), random.Random(seed)
+        assert [rng.categorical(weights) for _ in range(DRAWS)] == [
+            reference_categorical(reference, weights) for _ in range(DRAWS)
+        ]
+
+    def test_categorical_sees_a_key_added_or_removed(self):
+        weights = {"a": 1.0}
+        rng = DeterministicRng(1)
+        assert rng.categorical(weights) == "a"
+        weights["b"] = 1e12
+        assert [rng.categorical(weights) for _ in range(20)] == ["b"] * 20
+        del weights["a"]
+        assert rng.categorical(weights) == "b"
+
+    def test_categorical_rejects_negative_weights(self):
+        with pytest.raises(ValueError):
+            DeterministicRng(1).categorical({"a": 2.0, "b": -1.0})
+
+    @given(seed=st.integers(0, 2**31 - 1), length=st.integers(0, 80))
+    def test_hex_string_matches_choice_per_character(self, seed, length):
+        rng, reference = DeterministicRng(seed), random.Random(seed)
+        assert rng.hex_string(length) == reference_hex_string(reference, length)
+        assert rng.random() == reference.random()

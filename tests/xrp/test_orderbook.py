@@ -127,3 +127,84 @@ class TestPriceOracle:
         book.place("rBuyer", taker_gets=xrp(30_000.0), taker_pays=btc(1.0))
         book.place("rResting", taker_gets=btc(1.0), taker_pays=xrp(90_000.0))
         assert book.fill_fraction() == pytest.approx(2.0 / 3.0)
+
+
+class TestIncrementalBook:
+    """The book keeps each pair's open offers sorted; reads never prune."""
+
+    def test_best_price_first_with_ties_in_placement_order(self):
+        book = OrderBook()
+        first, _ = book.place("rFirst", taker_gets=btc(1.0), taker_pays=xrp(30_000.0))
+        cheap, _ = book.place("rCheap", taker_gets=btc(2.0), taker_pays=xrp(50_000.0))
+        second, _ = book.place("rSecond", taker_gets=btc(1.0), taker_pays=xrp(30_000.0))
+        dear, _ = book.place("rDear", taker_gets=btc(1.0), taker_pays=xrp(40_000.0))
+        asset = (btc(0).asset_key, xrp(0).asset_key)
+        assert book.open_offers(*asset) == [cheap, first, second, dear]
+        # A taker wide enough for everything at 30,000 and below sweeps the
+        # cheap offer, then the equal-priced pair in the order it was placed.
+        _, executions = book.place("rTaker", taker_gets=xrp(120_000.0), taker_pays=btc(4.0))
+        assert [execution.buyer for execution in executions] == ["rCheap", "rFirst", "rSecond"]
+
+    def test_partial_fill_stays_on_the_book_and_full_fill_leaves_it(self):
+        book = OrderBook()
+        resting, _ = book.place("rSeller", taker_gets=btc(2.0), taker_pays=xrp(60_000.0))
+        asset = (btc(0).asset_key, xrp(0).asset_key)
+        taker, _ = book.place("rBuyer", taker_gets=xrp(30_000.0), taker_pays=btc(1.0))
+        assert not taker.is_open and resting.is_open
+        assert book.open_offers(*asset) == [resting]
+        assert len(book) == 1  # the filled taker never rested
+        book.place("rBuyer", taker_gets=xrp(30_000.0), taker_pays=btc(1.0))
+        assert not resting.is_open
+        assert book.open_offers(*asset) == []
+        assert len(book) == 0
+        assert len(book.all_offers()) == 3
+
+    def test_cancel_then_cross_skips_the_cancelled_offer(self):
+        book = OrderBook()
+        cancelled, _ = book.place("rGone", taker_gets=btc(1.0), taker_pays=xrp(20_000.0))
+        kept, _ = book.place("rKept", taker_gets=btc(1.0), taker_pays=xrp(30_000.0))
+        book.cancel(cancelled.offer_id, "rGone")
+        assert len(book) == 1
+        buyer, executions = book.place("rBuyer", taker_gets=xrp(30_000.0), taker_pays=btc(1.0))
+        assert [execution.buyer for execution in executions] == ["rKept"]
+        assert not cancelled.was_filled
+        assert not kept.is_open and not buyer.is_open and len(book) == 0
+        # Cancelling an offer that is already closed (cancelled or filled) is
+        # not a second removal.
+        book.cancel(cancelled.offer_id, "rGone")
+        book.cancel(kept.offer_id, "rKept")
+        assert len(book) == 0
+
+    def test_reading_the_book_does_not_change_it(self):
+        book = OrderBook()
+        offer, _ = book.place("rSeller", taker_gets=btc(1.0), taker_pays=xrp(30_000.0))
+        book.cancel(offer.offer_id, "rSeller")
+        before = {pair: list(entries) for pair, entries in book._by_pair.items()}
+        book.open_offers(btc(0).asset_key, xrp(0).asset_key)
+        book.open_offers(xrp(0).asset_key, btc(0).asset_key)  # a pair never traded
+        assert {pair: list(entries) for pair, entries in book._by_pair.items()} == before
+
+    def test_len_matches_a_recount_after_a_random_session(self):
+        import random
+
+        rng = random.Random(11)
+        book = OrderBook()
+        for step in range(400):
+            roll = rng.random()
+            if roll < 0.45:
+                book.place(f"rS{step}", btc(rng.uniform(0.5, 2.0)), xrp(rng.uniform(20_000, 40_000)))
+            elif roll < 0.9:
+                book.place(f"rB{step}", xrp(rng.uniform(20_000, 40_000)), btc(rng.uniform(0.5, 2.0)))
+            elif book.all_offers():
+                target = rng.choice(book.all_offers())
+                book.cancel(target.offer_id, target.owner)
+        open_offers = [offer for offer in book.all_offers() if offer.is_open]
+        assert len(book) == len(open_offers)
+        for gets, pays in [(btc(0), xrp(0)), (xrp(0), btc(0))]:
+            side = book.open_offers(gets.asset_key, pays.asset_key)
+            expected = sorted(
+                (offer for offer in open_offers if offer.pair == (gets.asset_key, pays.asset_key)),
+                key=lambda offer: offer.price,
+            )
+            assert side == expected  # sorted() is stable: ties stay in placement order
+        assert book.recent_open_offers() == open_offers[-len(book.recent_open_offers()):]

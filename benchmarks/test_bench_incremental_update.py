@@ -1,20 +1,10 @@
-"""Incremental update vs full re-scan at stress scale, plus the checkpoint
-codec gates.
+"""Incremental update vs full re-scan at stress scale.
 
-The incremental pipeline's acceptance bars:
-
-* after a small batch of fresh rows lands on a large archive, ``update``
-  (restore the checkpointed accumulator states, scan only the delta,
-  re-finalize) must beat a full serial re-scan of the archive by ≥ 5× at
-  ``medium_scenario`` scale — while remaining figure-for-figure identical
-  to the from-scratch report;
-* the versioned snapshot codec's checkpoint round-trip (export + encode +
-  atomic save, then load + decode + restore) must beat the version-1
-  pickle format by ≥ 3× on the same state — the optimisation ROADMAP
-  flagged after the NumPy kernels collapsed the scan cost;
-* migrating a version-1 pickle checkpoint must leave ``update`` figures
-  result-identical — bit-for-bit for the serial Figure 12 float sums —
-  under both kernel backends.
+The incremental pipeline's acceptance bar: after a small batch of fresh
+rows lands on a large archive, ``update`` (restore the checkpointed
+accumulator states, scan only the delta, re-finalize) must beat a full
+serial re-scan of the archive by ≥ 5× at ``medium_scenario`` scale — while
+remaining figure-for-figure identical to the from-scratch report.
 
 The timed incremental path includes its real overheads: restoring the
 snapshot payloads, scanning the delta, snapshotting the new checkpoint and
@@ -30,17 +20,14 @@ path still wins there too.
 
 from __future__ import annotations
 
-import pickle
 import time
 
 import pytest
 
-from repro.analysis.report import figure_accumulators, full_report
-from repro.cli import bench_checkpoint_roundtrip
+from repro.analysis.report import full_report
 from repro.common import kernels
 from repro.common.columns import TxFrame
 from repro.pipeline import incremental_report
-from repro.pipeline.checkpoint import CheckpointStore, PipelineCheckpoint
 
 #: Number of timed rounds; the minimum is reported (steady-state cost).
 ROUNDS = 3
@@ -52,10 +39,6 @@ REQUIRED_SPEEDUP = 5.0
 #: Acceptance bar under the vectorized backend (the checkpoint round-trip
 #: used to dominate here; the snapshot codec removed that ceiling).
 REQUIRED_SPEEDUP_NUMPY = 1.2
-
-#: Acceptance bar for the snapshot codec round-trip vs the version-1
-#: pickle checkpoint format, on identical scanned state.
-REQUIRED_CHECKPOINT_SPEEDUP = 3.0
 
 #: Fraction of each chain's rows arriving as the "fresh" batch.
 DELTA_FRACTION = 0.02
@@ -167,86 +150,3 @@ def test_incremental_update_still_wins_under_numpy_kernels(staged_workload):
         f"incremental update must stay >= {REQUIRED_SPEEDUP_NUMPY}x faster "
         f"than a vectorized full re-scan, got {speedup:.2f}x"
     )
-
-
-# -- checkpoint codec gates -------------------------------------------------------------
-def _bound_figure_accumulators(frame, oracle, clusterer):
-    """Freshly bound full figure slates per chain value."""
-    by_chain = {}
-    for chain in frame.chains():
-        if not len(frame.chain_view(chain)):
-            continue
-        accumulators = figure_accumulators(
-            chain, frame.chain_bounds(chain), oracle, clusterer
-        )
-        for accumulator in accumulators:
-            accumulator.bind_batch(frame)
-        by_chain[chain.value] = accumulators
-    return by_chain
-
-
-def test_checkpoint_roundtrip_speedup_over_pickle(staged_workload, tmp_path):
-    """Snapshot + restore must beat the v1 pickle format ≥ 3× on the same
-    state — the per-update overhead ROADMAP flagged as the latency floor.
-
-    Uses the exact measurement ``repro bench --json`` records (live-scanned
-    state, so the snapshot side pays the full export cost), keeping the CI
-    gate and the trajectory points on one definition.
-    """
-    frame, _, _, oracle, clusterer = staged_workload
-    timings = bench_checkpoint_roundtrip(
-        frame, oracle, clusterer, ROUNDS, str(tmp_path)
-    )
-    speedup = timings["speedup_vs_pickle"]
-    print(
-        f"\nCheckpoint round-trip over {len(frame):,} rows: snapshot "
-        f"{timings['snapshot_seconds'] * 1000:.1f}ms + restore "
-        f"{timings['restore_seconds'] * 1000:.1f}ms "
-        f"({timings['snapshot_bytes']:,} bytes) vs pickle "
-        f"{timings['pickle_snapshot_seconds'] * 1000:.1f}ms + "
-        f"{timings['pickle_restore_seconds'] * 1000:.1f}ms "
-        f"({timings['pickle_bytes']:,} bytes) → {speedup:.2f}x"
-    )
-    assert speedup >= REQUIRED_CHECKPOINT_SPEEDUP, (
-        f"checkpoint snapshot+restore must be >= {REQUIRED_CHECKPOINT_SPEEDUP}x "
-        f"faster than the pickle format, got {speedup:.2f}x"
-    )
-
-
-@pytest.mark.parametrize(
-    "backend",
-    [kernels.PYTHON]
-    + ([kernels.NUMPY] if kernels.numpy_available() else []),
-)
-def test_update_identical_across_legacy_migration(
-    staged_workload, tmp_path, backend
-):
-    """v1 pickle checkpoint → migrate → update == from-scratch figures,
-    bit-for-bit (serial Figure 12) under both kernel backends."""
-    frame, checkpoint, _, oracle, clusterer = staged_workload
-    # Materialise the prefix state and write it exactly as version 1 did.
-    scanned = _bound_figure_accumulators(frame, oracle, clusterer)
-    legacy = PipelineCheckpoint(watermark_rows=checkpoint.watermark_rows)
-    for chain_value, accumulators in scanned.items():
-        for accumulator, payload in zip(
-            accumulators, checkpoint.restore_payloads(chain_value)
-        ):
-            accumulator.restore_state(payload)
-        legacy.chain_states[chain_value] = pickle.dumps(list(accumulators))
-        legacy.signatures[chain_value] = list(checkpoint.signatures[chain_value])
-    legacy.version = 1
-    store = CheckpointStore(str(tmp_path / backend))
-    with open(store.legacy_path, "wb") as handle:
-        pickle.dump(legacy, handle)
-
-    migrated = store.load()
-    assert migrated is not None
-    assert migrated.version == PipelineCheckpoint.capture(0, {}).version
-    with kernels.use_backend(backend):
-        report, _, stats = incremental_report(
-            frame, migrated, oracle=oracle, clusterer=clusterer
-        )
-        assert not stats.chains_rescanned
-        assert stats.rows_scanned < stats.rows_total
-        expected = full_report(frame, oracle=oracle, clusterer=clusterer)
-    _assert_figures_identical(report, expected, exact_flows=True)

@@ -1,8 +1,8 @@
 """Sketch statistics mode: kernel speedup, memory and error gates.
 
-Runs the same measurement as the ``sketch`` stanza of ``repro bench``
-(:func:`repro.cli.bench_sketch_mode`) at ``medium_scenario`` scale and
-turns the ROADMAP acceptance bars into assertions:
+Measures the sketch statistics mode (:func:`bench_sketch_mode`) at
+``medium_scenario`` scale and turns the ROADMAP acceptance bars into
+assertions:
 
 * **speedup** — the vectorized ``tx_stats`` kernel must clear ≥ 4× over
   the pure-python reference backend in sketch mode (the reference keeps
@@ -20,11 +20,15 @@ turns the ROADMAP acceptance bars into assertions:
 from __future__ import annotations
 
 import math
+import time
+from typing import Callable, Dict, List
 
 import pytest
 
-from repro.cli import Dataset, bench_sketch_mode
-from repro.common import kernels
+from repro.analysis.engine import TxStatsAccumulator
+from repro.analysis.report import FullReport, full_report
+from repro.cli import Dataset
+from repro.common import kernels, statsmode
 from repro.common.columns import TxFrame
 
 pytestmark = pytest.mark.skipif(
@@ -39,6 +43,119 @@ HLL_ENVELOPE = 3 * 1.04 / math.sqrt(1 << 14)
 
 #: Sketch state is O(1): registers + bookkeeping, never per-key entries.
 MAX_STATE_BYTES = 64 * 1024
+
+
+def _best_of(fn: Callable[[], object], repeat: int) -> float:
+    best = float("inf")
+    for _ in range(max(repeat, 1)):
+        started = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def bench_sketch_mode(dataset: Dataset, repeat: int) -> Dict[str, object]:
+    """Time, size and error-check the sketch statistics mode.
+
+    Three measurements, independent of the ambient ``REPRO_STATS``:
+
+    * ``tx_stats`` timings per kernel backend under sketch mode, plus the
+      speedup of the best sketch pass over the exact pure-python reference
+      (the ROADMAP's ``tx_stats`` kernel target is measured against that
+      reference, and the exact set is its scaling ceiling);
+    * memory — the tracemalloc peak of one sketch-mode ``tx_stats`` pass
+      (the frame's id-hash cache is prewarmed outside the trace: it is
+      one-time frame state, not accumulator state) and the encoded
+      checkpoint size of the resulting sketch;
+    * figure-level error vs an exact full report: distinct-count relative
+      error per chain, top-senders membership overlap, and payment-value
+      quantile relative error.  The bounds documented in
+      ``docs/architecture.md`` (and enforced by ``tests/sketches``) should
+      comfortably cover what this stanza records.
+    """
+    import tracemalloc
+
+    from repro.common import statecodec
+
+    frame = dataset.frame
+    frame.transaction_id_hashes()  # prewarm: shared frame state, not per-pass
+    backend_names = [kernels.PYTHON]
+    if kernels.numpy_available():
+        backend_names.append(kernels.NUMPY)
+    timings: Dict[str, object] = {}
+    with statsmode.use_mode(statsmode.SKETCH):
+        for name in backend_names:
+            with kernels.use_backend(name):
+                timings[name] = round(
+                    _best_of(lambda: TxStatsAccumulator().run(frame), repeat), 6
+                )
+    if kernels.NUMPY in timings and timings[kernels.NUMPY]:
+        timings["speedup"] = round(
+            timings[kernels.PYTHON] / timings[kernels.NUMPY], 3
+        )
+    with statsmode.use_mode(statsmode.EXACT), kernels.use_backend(kernels.PYTHON):
+        exact_reference = _best_of(lambda: TxStatsAccumulator().run(frame), repeat)
+    best_sketch = min(
+        timings[name] for name in backend_names if timings[name]
+    )
+
+    with statsmode.use_mode(statsmode.SKETCH):
+        tracemalloc.start()
+        accumulator = TxStatsAccumulator()
+        accumulator.run(frame)
+        _, traced_peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        state_bytes = len(statecodec.encode(accumulator.export_state()))
+
+    def report_in(mode: str) -> FullReport:
+        with statsmode.use_mode(mode):
+            return full_report(
+                frame, oracle=dataset.oracle, clusterer=dataset.clusterer
+            )
+
+    exact_report = report_in(statsmode.EXACT)
+    sketch_report = report_in(statsmode.SKETCH)
+    count_errors: List[float] = []
+    overlaps: List[float] = []
+    quantile_errors: List[float] = []
+    for chain, exact_figures in exact_report.chains.items():
+        sketch_figures = sketch_report.chains[chain]
+        count = exact_figures.stats.transaction_count
+        if count:
+            count_errors.append(
+                abs(sketch_figures.stats.transaction_count - count) / count
+            )
+        exact_top = [activity.account for activity in exact_figures.top_senders]
+        sketch_top = {activity.account for activity in sketch_figures.top_senders}
+        if exact_top:
+            overlaps.append(len(sketch_top.intersection(exact_top)) / len(exact_top))
+        exact_dist = exact_figures.value_distribution
+        sketch_dist = sketch_figures.value_distribution
+        if exact_dist is not None and sketch_dist is not None and exact_dist.count:
+            for attribute in ("p50", "p90", "p99"):
+                reference = getattr(exact_dist, attribute)
+                if reference:
+                    quantile_errors.append(
+                        abs(getattr(sketch_dist, attribute) - reference) / reference
+                    )
+    return {
+        "tx_stats": timings,
+        "exact_reference_seconds": round(exact_reference, 6),
+        "speedup_vs_exact_reference": round(exact_reference / best_sketch, 3)
+        if best_sketch
+        else None,
+        "tx_stats_state_bytes": state_bytes,
+        "tx_stats_traced_peak_kb": round(traced_peak / 1024, 1),
+        "error_vs_exact": {
+            "transaction_count_rel_error_max": round(max(count_errors), 6)
+            if count_errors
+            else None,
+            "top_senders_overlap_min": round(min(overlaps), 6) if overlaps else None,
+            "value_quantile_rel_error_max": round(max(quantile_errors), 6)
+            if quantile_errors
+            else None,
+        },
+    }
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,7 @@ history.  Four layers, at ``medium_scenario`` scale:
 
 * **warm speedup gate** — a warm cached out-of-core ``full_report`` must
   beat the cold *uncached* scan of the same store by ≥ 5×.  Both sides run
-  in-process (``workers=1``) through the shared ``bench_report_cache``
-  stanza, so ``repro bench --json`` and this gate always measure the same
-  thing;
+  in-process (``workers=1``), see :func:`bench_report_cache`;
 * **O(new data)** — after appending rows to a warmed store, a cached
   report hits every pre-existing chunk and misses exactly the appended
   ones (hit/miss counters asserted), i.e. only new data is scanned;
@@ -24,13 +22,14 @@ history.  Four layers, at ``medium_scenario`` scale:
 from __future__ import annotations
 
 import os
+import time
+from typing import Callable, Dict
 
 import pytest
 
 from repro.analysis.parallel import parallel_report_from_store
 from repro.analysis.report import full_report
 from repro.analysis.statecache import ChunkStateCache, parse_entry_name
-from repro.cli import bench_report_cache
 from repro.collection.store import FrameStore
 from repro.common import faults, kernels
 from repro.common.columns import TxFrame
@@ -64,6 +63,76 @@ def store_dir(tmp_path, combined_frame):
     store = FrameStore(chunk_rows=CHUNK_ROWS, directory=str(directory))
     store.add_frame(combined_frame)
     return str(directory)
+
+
+def _best_of(fn: Callable[[], object], repeat: int) -> float:
+    best = float("inf")
+    for _ in range(max(repeat, 1)):
+        started = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def bench_report_cache(
+    directory: str,
+    oracle,
+    clusterer,
+    repeat: int,
+) -> Dict[str, object]:
+    """Time the chunk-state aggregate cache: cold populate vs warm report.
+
+    Three in-process (``workers=1``) out-of-core passes over the same
+    store, so the comparison isolates the cache effect from pool
+    scheduling: an *uncached* reference scan, the *cold* cache-populating
+    scan (every chunk misses, scans, and persists its states), and the
+    *warm* memoized pass (every chunk hits; no chunk is decompressed at
+    all).  Hit/miss counters come from the passes themselves, cache bytes
+    from the directory afterwards.  The store's cache is cleared first and
+    left warm after.
+    """
+    store = FrameStore.open(directory)
+    counters = {"hits": 0, "misses": 0}
+
+    def run(with_cache: bool) -> None:
+        cache = ChunkStateCache.for_store(directory) if with_cache else None
+        parallel_report_from_store(
+            directory,
+            oracle=oracle,
+            clusterer=clusterer,
+            workers=1,
+            cache=cache,
+            store=store,
+        )
+        if cache is not None:
+            counters["hits"], counters["misses"] = cache.hits, cache.misses
+
+    uncached_seconds = _best_of(lambda: run(False), repeat)
+    ChunkStateCache.for_store(directory).clear()
+    started = time.perf_counter()
+    run(True)
+    cold_seconds = time.perf_counter() - started
+    cold_hits, cold_misses = counters["hits"], counters["misses"]
+    warm_seconds = _best_of(lambda: run(True), repeat)
+    stat = ChunkStateCache.for_store(directory).stat()
+    return {
+        "chunks": store.committed_chunk_count,
+        "uncached_seconds": round(uncached_seconds, 6),
+        "cold_seconds": round(cold_seconds, 6),
+        "warm_seconds": round(warm_seconds, 6),
+        "cold_hits": cold_hits,
+        "cold_misses": cold_misses,
+        "warm_hits": counters["hits"],
+        "warm_misses": counters["misses"],
+        "cache_entries": stat["entries"],
+        "cache_bytes": stat["bytes"],
+        "speedup_warm_vs_cold": round(cold_seconds / warm_seconds, 3)
+        if warm_seconds
+        else None,
+        "speedup_warm_vs_uncached": round(uncached_seconds / warm_seconds, 3)
+        if warm_seconds
+        else None,
+    }
 
 
 def _cached_report(store_dir, oracle, clusterer, cache):

@@ -1,20 +1,22 @@
-"""Parallel tour: shard the frame, fan out workers, merge — same figures.
+"""Parallel tour: store the frame, fan chunk tasks out to workers — same figures.
 
 The analysis workload is embarrassingly parallel: chains are independent
 and, within a chain, every accumulator's state is mergeable across disjoint
-row ranges.  This example builds the ``small`` scenario's dataset once and
-computes the full figure report twice:
+row ranges.  This example builds the ``small`` scenario's dataset once,
+persists it as a chunked on-disk ``FrameStore``, and computes the full
+figure report twice:
 
-1. with the serial single-pass engine (``full_report``), and
-2. with the parallel sharded engine (``parallel_full_report``): the frame is
-   split into contiguous shards per chain, worker processes rehydrate their
-   shards from columnar payloads, and the scanned accumulator states merge
-   back in shard order before one finalisation.
+1. with the serial single-pass engine over the resident frame
+   (``full_report``), and
+2. with the out-of-core chunk engine (``parallel_report_from_store``):
+   worker processes each stream a contiguous range of the store's chunks —
+   no process holds the whole frame — and the scanned accumulator states
+   fold back in chunk order before one finalisation.
 
 The two reports must agree — that is the merge protocol's contract — so the
 script ends by asserting the summaries match.  The command-line equivalent:
 
-    python -m repro report --scale small --workers 2
+    python -m repro report --scale small --cache DIR --workers 2
 
 Run with:  python examples/parallel_report.py [scenario-name] [workers]
 """
@@ -23,12 +25,14 @@ from __future__ import annotations
 
 import os
 import sys
+import tempfile
 import time
 
-from repro.analysis.clustering import AccountClusterer
-from repro.analysis.parallel import parallel_full_report
+from repro.analysis.clustering import AccountClusterer, StaticAccountClusterer
+from repro.analysis.parallel import parallel_report_from_store
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
+from repro.collection.store import FrameStore
 from repro.common.columns import TxFrame
 from repro.eos.workload import EosWorkloadGenerator
 from repro.scenarios import get_scenario
@@ -50,7 +54,11 @@ def main() -> None:
     for generator in generators.values():
         frame.extend(generator.stream_records())
     oracle = ExchangeRateOracle.from_orderbook(generators["xrp"].ledger.orderbook)
-    clusterer = AccountClusterer(generators["xrp"].ledger.accounts)
+    # Workers receive the analysis companions by value: freeze the live
+    # clusterer into a plain address → cluster map over the frame's accounts.
+    clusterer = StaticAccountClusterer.from_clusterer(
+        AccountClusterer(generators["xrp"].ledger.accounts), frame.accounts.values
+    )
     print(f"Scenario {name!r}: {len(frame):,} rows across {len(frame.chains())} chains")
 
     started = time.perf_counter()
@@ -58,13 +66,17 @@ def main() -> None:
     serial_seconds = time.perf_counter() - started
     print(f"Serial single-pass engine:  {serial_seconds:.2f}s")
 
-    started = time.perf_counter()
-    parallel = parallel_full_report(
-        frame, oracle=oracle, clusterer=clusterer, workers=workers
-    )
-    parallel_seconds = time.perf_counter() - started
+    with tempfile.TemporaryDirectory(prefix="repro-parallel-") as directory:
+        store = FrameStore(chunk_rows=10_000, directory=directory)
+        store.add_frame(frame)
+        print(f"Stored as {store.chunk_count} chunks in {directory}")
+        started = time.perf_counter()
+        parallel = parallel_report_from_store(
+            directory, oracle=oracle, clusterer=clusterer, workers=workers
+        )
+        parallel_seconds = time.perf_counter() - started
     print(
-        f"Parallel sharded engine:    {parallel_seconds:.2f}s "
+        f"Out-of-core chunk engine:   {parallel_seconds:.2f}s "
         f"({workers} workers on {os.cpu_count()} cores)"
     )
 

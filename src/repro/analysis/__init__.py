@@ -30,8 +30,9 @@ available as a thin wrapper.
   currencies (Figure 12).
 * :mod:`repro.analysis.report` — the end-to-end summary report and the
   single-pass full figure set.
-* :mod:`repro.analysis.parallel` — sharded multi-process execution: shards
-  rehydrate in workers, accumulator states merge deterministically.
+* :mod:`repro.analysis.parallel` — out-of-core chunk-task execution over an
+  on-disk store: workers stream chunk ranges, accumulator states merge
+  deterministically in chunk order.
 * :mod:`repro.analysis.legacy` — frozen seed implementations, kept only as
   the equivalence/benchmark baseline.
 """
@@ -50,7 +51,6 @@ from repro.analysis.engine import (
 )
 from repro.analysis.throughput import ThroughputSeries, bin_throughput, transactions_per_second
 from repro.analysis.value import XrpValueAnalyzer
-from repro.analysis.parallel import parallel_full_report, parallel_run, run_sharded
 from repro.analysis.report import (
     build_summary_report,
     compute_chain_figures,
@@ -71,9 +71,6 @@ __all__ = [
     "compute_chain_figures",
     "figure_accumulators",
     "full_report",
-    "parallel_full_report",
-    "parallel_run",
-    "run_sharded",
     "run_single_pass",
     "top_receivers",
     "top_sender_receiver_pairs",

@@ -49,7 +49,7 @@ class _HeavyHitterSupport:
     installed by :meth:`_bounded` drains the scratch into a
     :class:`~repro.common.sketches.SpaceSaving` summary whenever it exceeds
     :data:`_SCRATCH_LIMIT` (and at every observation point — merge, export,
-    pickle, finalize).  Below the sketch capacity nothing is ever evicted,
+    finalize).  Below the sketch capacity nothing is ever evicted,
     so sketch-mode figures are identical to exact mode on the paper
     workloads; beyond it, state stays bounded and every retained estimate
     carries its documented over-count error.
@@ -224,8 +224,8 @@ class AccountActivityAccumulator(_HeavyHitterSupport, Accumulator):
 
         The hot loop is one ``np.bincount`` accumulated into a per-bind
         ``int64`` vector — no Counter, no ``np.unique`` sort, no per-key
-        Python work until the state is first observed (merge, export,
-        pickle or finalize), when :meth:`_flush_dense` materialises the
+        Python work until the state is first observed (merge, export or
+        finalize), when :meth:`_flush_dense` materialises the
         Counter.  The dense kernel is licensed here because
         :meth:`finalize` is insertion-order independent (type breakdowns
         sort by count/name, accounts heap-select with name tie-breaks);
@@ -290,11 +290,6 @@ class AccountActivityAccumulator(_HeavyHitterSupport, Accumulator):
             return self._export_sketch()
         self._flush_dense()
         return {"pairs": pack_code_table(self._pair_counts, 2)}
-
-    def __getstate__(self) -> Dict:
-        # Scanned-state pickling ships the Counter, never the dense vector.
-        self._flush_dense()
-        return super().__getstate__()
 
     def restore_state(self, payload: Dict) -> None:
         if self._sketch is not None:

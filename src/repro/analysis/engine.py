@@ -32,14 +32,14 @@ The accumulator protocol:
 
 ``merge(other) -> None``
     Folds another accumulator's scanned (post-bind, pre-finalize) state
-    into this one.  This is what makes sharded and multi-process execution
-    possible: disjoint row ranges are scanned independently and their
-    states merged before a single ``finalize``.  Both accumulators must
-    have identical configuration and be bound to frames with **identical
-    string pools** (the guarantee :meth:`TxFrame.from_payload` provides for
-    rehydrated shards), and shards must be merged in row order — under
-    those conditions the merged state replays the serial scan and the
-    finalised result is deterministic.
+    into this one.  This is what makes chunk-wise and multi-process
+    execution possible: disjoint row ranges are scanned independently and
+    their states merged before a single ``finalize``.  Both accumulators
+    must have identical configuration and be bound to frames with
+    **identical string pools** (the guarantee :meth:`TxFrame.with_pools`
+    provides for chunks rehydrated against a store's global pools), and the
+    ranges must be merged in row order — under those conditions the merged
+    state replays the serial scan and the finalised result is deterministic.
 
 ``finalize() -> result``
     Called once after the scan; returns the analysis result (the same
@@ -47,11 +47,6 @@ The accumulator protocol:
 
 Accumulators are one-shot: binding resets state, so an instance can be
 reused across engine runs but not shared between concurrent passes.
-
-Scanned accumulators are picklable: :meth:`Accumulator.__getstate__` drops
-the attributes named by ``_TRANSIENT`` (the bound frame reference and any
-closure helpers), which is how worker processes ship their shard states
-back to the parent for merging — see :mod:`repro.analysis.parallel`.
 
 **State snapshot / restore contract.**  Durable checkpoints and worker
 hand-offs do not pickle accumulator objects; they move **state payloads**:
@@ -179,11 +174,6 @@ class Accumulator:
     #: Key under which the accumulator's result appears in the engine output.
     name: str = "accumulator"
 
-    #: Attributes dropped when a scanned accumulator crosses a process
-    #: boundary: the bound frame is large and the merging side keeps its own
-    #: (pool-identical) frame reference, and closure helpers cannot pickle.
-    _TRANSIENT: tuple = ("_frame",)
-
     def bind(self, frame: TxFrame) -> Step:
         """Capture column references and return the per-row step callable."""
         raise NotImplementedError
@@ -251,12 +241,6 @@ class Accumulator:
         end) are deliberately left out by the override.
         """
         return (type(self).__qualname__, self.name)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        for name in self._TRANSIENT:
-            state.pop(name, None)
-        return state
 
     # -- convenience ----------------------------------------------------------------
     def run(self, source: FrameLike) -> Any:
@@ -621,12 +605,6 @@ class TxStatsAccumulator(Accumulator):
             if extra is not None:
                 self._seen.update(unpack_strings(extra))
         self._merge_window([payload["rows"], payload["first"], payload["last"]])
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # Scanned-state pickling (the in-process shard tests) expects the
-        # live set; fold any stashed restored column in first.
-        self._materialize_frozen()
-        return super().__getstate__()
 
     def config_signature(self) -> tuple:
         base = super().config_signature()

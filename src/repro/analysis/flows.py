@@ -257,17 +257,6 @@ class ValueFlowAccumulator(Accumulator):
             clusterer_signature() if clusterer_signature else type(self.clusterer).__qualname__,
         )
 
-    def __getstate__(self):
-        # The flow table's default factory is a lambda; snapshot the
-        # aggregates as plain dicts so scanned state pickles cleanly.
-        state = super().__getstate__()
-        if "_flows" in state:
-            state["_flows"] = {key: list(value) for key, value in state["_flows"].items()}
-        for name in ("_by_sender", "_by_receiver", "_by_currency", "_face_value"):
-            if name in state:
-                state[name] = dict(state[name])
-        return state
-
     @staticmethod
     def _pack_float_table(table) -> Dict:
         return {"keys": pack_strings(table.keys()), "values": array("d", table.values())}

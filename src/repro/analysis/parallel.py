@@ -1,64 +1,39 @@
-"""Parallel sharded execution of the single-pass analysis engine.
+"""Out-of-core parallel execution of the single-pass analysis engine.
 
 The workload is embarrassingly parallel: chains are independent, and within
 a chain the accumulators' per-row state is mergeable across disjoint row
 ranges (every accumulator implements ``merge`` — see
-:mod:`repro.analysis.engine`).  This module exploits both axes:
+:mod:`repro.analysis.engine`).  The unit of work is a **chunk task**:
+``(tag, directory, chunk_start, chunk_stop, factories, block_rows, cache
+context)`` — a pointer into an on-disk
+:class:`~repro.collection.store.FrameStore`, not data.  Each worker reopens
+the store lazily (manifest only — version-2 manifests carry the global
+string pools as per-chunk deltas, so no chunk is decompressed to learn the
+code space), rehydrates **one chunk at a time** into a frame sharing the
+store's global pools (:meth:`~repro.common.columns.TxFrame.with_pools`),
+scans each chain's rows of that chunk with fresh accumulators, and merges
+them into per-chain carry accumulators before dropping the chunk frame.
+Peak memory per process is one decompressed chunk plus accumulator state —
+flat in the dataset's row count, and no process ever holds the full frame.
 
-1. the source frame is split into contiguous shards
-   (:meth:`~repro.common.columns.TxFrame.shard`), per chain for the full
-   report;
-2. each shard is shipped to a worker process as a columnar payload — the
-   exact format :class:`~repro.collection.store.FrameStore` chunks use, with
-   ``array`` columns so pickling moves raw machine bytes; under the numpy
-   kernel backend the shard gather itself is one C fancy-indexing call per
-   column (see :meth:`~repro.common.columns.TxFrame.to_payload`) — and the
-   worker **rehydrates** it with
-   :meth:`~repro.common.columns.TxFrame.from_payload` (bulk column load
-   straight into ndarray-viewable buffers with vectorized bookkeeping —
-   no per-element list copies; string-pool codes are preserved, so shard
-   state stays code-compatible with the parent frame);
-3. the worker runs a normal engine pass over its shard and returns each
-   accumulator's :meth:`~repro.analysis.engine.Accumulator.export_state`
-   payload — compact columnar state (packed int64/float64/string-blob
-   columns), not a pickled accumulator object, so the return trip moves
-   machine bytes instead of per-element Python state;
-4. the parent applies shard payloads **in shard order** with
-   :meth:`~repro.analysis.engine.Accumulator.restore_state` on accumulators
-   bound to the parent frame, then finalises once.
-
-Because shards are contiguous and merged in order, the merged state replays
-the serial scan order: counts, rankings, series and orderings are identical
-to a serial engine run.  The one caveat is floating-point accumulation —
-``ValueFlowAccumulator`` adds shard subtotals, which may differ from the
+The carry state is exported once per task as each accumulator's
+:meth:`~repro.analysis.engine.Accumulator.export_state` payload — compact
+columnar state, not a pickled accumulator object — and the parent applies
+task results **in chunk order** with
+:meth:`~repro.analysis.engine.Accumulator.restore_state` on accumulators
+bound to the store's pools, then finalises once.  Because tasks are
+contiguous chunk ranges folded in order, the merged state replays the
+serial scan order: counts, rankings, series and orderings are identical to
+a serial engine run.  The one caveat is floating-point accumulation —
+``ValueFlowAccumulator`` adds chunk subtotals, which may differ from the
 serial row-order sum in the last few ulps (documented in
 ``docs/architecture.md``).
 
-``workers <= 1`` runs the same shard-and-merge pipeline in-process (no
-payloads, no processes), which is how the shard/merge equivalence tests
-exercise every accumulator on single-core machines.
-
-Out-of-core scanning
---------------------
-
-The payload path above still requires the *parent* to hold the full frame
-(it gathers each shard with ``to_payload``), so its memory ceiling is the
-dataset size.  The chunk-task path removes that ceiling: a task is just
-``(tag, directory, chunk_start, chunk_stop, factories, block_rows)`` — a
-pointer into an on-disk :class:`~repro.collection.store.FrameStore`, not
-data.  Each worker reopens the store lazily (manifest only — version-2
-manifests carry the global string pools as per-chunk deltas, so no chunk
-is decompressed to learn the code space), rehydrates **one chunk at a
-time** into a frame sharing the store's global pools
-(:meth:`~repro.common.columns.TxFrame.with_pools`), scans each chain's
-rows of that chunk with fresh accumulators, and merges them into per-chain
-carry accumulators before dropping the chunk frame.  Peak memory per
-process is one decompressed chunk plus accumulator state — flat in the
-dataset's row count.  The carry state is exported once per task, and the
-parent folds task results in chunk order, so the serial replay guarantee
-is the same as the payload path's.  :func:`parallel_report_from_store` is
-the full-report entry point; the incremental pipeline's cold catch-up
-reuses the same tasks via :func:`chunk_scan_tasks` + :func:`run_chunk_tasks`.
+``workers <= 1`` streams the same tasks in-process (no pool), still
+out-of-core: serial versus pooled is only a scheduling choice over one task
+list.  :func:`parallel_report_from_store` is the full-report entry point;
+the incremental pipeline's cold catch-up reuses the same tasks via
+:func:`chunk_scan_states`.
 """
 
 from __future__ import annotations
@@ -68,14 +43,7 @@ import os
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.columns import (
-    FrameLike,
-    StringPool,
-    TxFrame,
-    TxView,
-    as_frame,
-    view_of,
-)
+from repro.common.columns import StringPool, TxFrame
 from repro.common import faults, statsmode
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
@@ -87,7 +55,6 @@ from repro.analysis.engine import (
 )
 from repro.analysis.report import (
     FullReport,
-    chain_window,
     figure_accumulators,
     figures_from_result,
 )
@@ -101,13 +68,9 @@ from repro.analysis.statecache import (
 from repro.analysis.throughput import DEFAULT_BIN_SECONDS
 
 #: A factory producing a fresh, unbound accumulator set.  It is invoked once
-#: per shard (in the worker) and once in the parent, so it must be picklable:
+#: per chunk (in the worker) and once in the parent, so it must be picklable:
 #: a module-level function, a ``functools.partial`` over one, or a class.
 AccumulatorFactory = Callable[[], Sequence[Accumulator]]
-
-#: One unit of worker work: (tag, payload, factory, block_rows).  The tag is
-#: opaque to the worker and routes the result back to its merge target.
-_ShardTask = Tuple[object, Dict, AccumulatorFactory, int]
 
 #: One unit of out-of-core work: (tag, store directory, chunk_start,
 #: chunk_stop, per-chain factories keyed by chain value string, block_rows,
@@ -124,26 +87,6 @@ ChunkScanTask = Tuple[
 def default_workers() -> int:
     """Worker count used when none is given: one per available core."""
     return os.cpu_count() or 1
-
-
-def _scan_shard(task: _ShardTask):
-    """Worker entry point: rehydrate one shard, scan it, ship the state.
-
-    The return value is ``(tag, [(accumulator qualname, state payload),
-    ...])`` — the type names let the merging side verify the shard ran the
-    factory it expected before any state is folded in.
-    """
-    tag, payload, factory, block_rows = task
-    action = faults.check("worker.chunk_task")
-    if action is not None and action.mode == faults.MODE_KILL:
-        os._exit(17)  # hard worker death: no exception, no cleanup
-    shard = TxFrame.from_payload(payload)
-    accumulators = list(factory())
-    AnalysisEngine(accumulators).run(shard, block_rows)
-    return tag, [
-        (type(accumulator).__qualname__, accumulator.export_state())
-        for accumulator in accumulators
-    ]
 
 
 def _merge_into(base: Sequence[Accumulator], scanned: Sequence[Accumulator]) -> None:
@@ -182,82 +125,6 @@ def _bound_base(factory: AccumulatorFactory, frame: TxFrame) -> List[Accumulator
     for accumulator in base:
         accumulator.bind_batch(frame)
     return base
-
-
-def run_sharded(
-    source: FrameLike,
-    factory: AccumulatorFactory,
-    shards: int = 2,
-    block_rows: int = BLOCK_ROWS,
-) -> EngineResult:
-    """Shard ``source``, scan each shard in-process, merge, finalise.
-
-    Semantically identical to ``AnalysisEngine(factory()).run(source)`` —
-    this is the merge path without any multiprocessing, useful for tests and
-    as the ``workers <= 1`` fallback of :func:`parallel_run`.
-    """
-    view = view_of(as_frame(source))
-    base = _bound_base(factory, view.frame)
-    for shard_view in view.shard(shards):
-        if not len(shard_view):
-            continue
-        accumulators = list(factory())
-        AnalysisEngine(accumulators).run(shard_view, block_rows)
-        _merge_into(base, accumulators)
-    return EngineResult(
-        {accumulator.name: accumulator.finalize() for accumulator in base},
-        rows_processed=len(view),
-    )
-
-
-def parallel_run(
-    source: FrameLike,
-    factory: AccumulatorFactory,
-    workers: Optional[int] = None,
-    shards: Optional[int] = None,
-    block_rows: int = BLOCK_ROWS,
-) -> EngineResult:
-    """Run one accumulator set over ``source`` across worker processes.
-
-    The source is split into ``shards`` contiguous shards (default: one per
-    worker); each worker rehydrates its shard from a columnar payload and
-    scans it; the parent merges in shard order and finalises.  With
-    ``workers <= 1`` the scan happens in-process via :func:`run_sharded`.
-    """
-    workers = default_workers() if workers is None else workers
-    shard_count = shards if shards is not None else max(workers, 1)
-    if workers <= 1:
-        return run_sharded(source, factory, shards=shard_count, block_rows=block_rows)
-    view = view_of(as_frame(source))
-    frame = view.frame
-    base = _bound_base(factory, frame)
-    tasks: List[_ShardTask] = [
-        (index, frame.to_payload(shard_view.rows, arrays=True), factory, block_rows)
-        for index, shard_view in enumerate(view.shard(shard_count))
-        if len(shard_view)
-    ]
-    run_tasks(tasks, workers, {index: base for index, _, _, _ in tasks})
-    return EngineResult(
-        {accumulator.name: accumulator.finalize() for accumulator in base},
-        rows_processed=len(view),
-    )
-
-
-def shard_task(
-    tag: object,
-    frame: TxFrame,
-    rows,
-    factory: AccumulatorFactory,
-    block_rows: int = BLOCK_ROWS,
-) -> _ShardTask:
-    """One unit of worker work over ``rows`` of ``frame``.
-
-    The payload carries the frame's full string pools, which is what keeps
-    the worker's shard codes identical to the parent frame's (subsetting
-    pools would renumber codes and break the merge contract).  Feed the
-    tasks to :func:`run_tasks` with merge targets keyed by ``tag``.
-    """
-    return (tag, frame.to_payload(rows, arrays=True), factory, block_rows)
 
 
 #: How long :func:`_drain_imap` lets every pending result stall with all
@@ -302,103 +169,6 @@ def _drain_imap(pool, results):
                     f"worker pool produced no result for {stalled:.0f}s "
                     "with all workers alive; assuming a wedged pool"
                 )
-
-
-def run_tasks(
-    tasks: List[_ShardTask],
-    workers: int,
-    targets: Dict[object, Sequence[Accumulator]],
-) -> None:
-    """Scan tasks across a process pool; merge results in task order.
-
-    Each task's scanned accumulators merge into ``targets[tag]`` — which
-    may already hold state (the incremental pipeline seeds the targets with
-    checkpointed prefix state before fanning a catch-up scan out here), so
-    merging strictly in task order is what preserves the serial replay
-    guarantee.
-    """
-    if not tasks:
-        return
-    processes = min(workers, len(tasks))
-    context = multiprocessing.get_context()
-    with context.Pool(processes=processes) as pool:
-        # ``imap`` yields in task order regardless of completion order, so
-        # merging here preserves shard order — the determinism requirement.
-        for tag, shipped in _drain_imap(pool, pool.imap(_scan_shard, tasks)):
-            _restore_into(targets[tag], shipped)
-
-
-
-def parallel_full_report(
-    source: FrameLike,
-    oracle=None,
-    clusterer=None,
-    workers: Optional[int] = None,
-    shards: Optional[int] = None,
-    bin_seconds: float = DEFAULT_BIN_SECONDS,
-    top_limit: int = 10,
-    block_rows: int = BLOCK_ROWS,
-) -> FullReport:
-    """The full figure set for every chain, fanned out over a process pool.
-
-    Produces the same :class:`~repro.analysis.report.FullReport` as
-    :func:`~repro.analysis.report.full_report`: chains × shards are scanned
-    concurrently by one shared pool, then each chain's shard states merge in
-    shard order and finalise against the parent frame.  ``shards`` counts
-    shards *per chain* (default: one per worker).
-    """
-    workers = default_workers() if workers is None else workers
-    shard_count = shards if shards is not None else max(workers, 1)
-    coerced = as_frame(source)
-    frame = coerced.frame if isinstance(coerced, TxView) else coerced
-    report = FullReport()
-    bases: Dict[ChainId, Tuple[List[Accumulator], int]] = {}
-    tasks: List[_ShardTask] = []
-    for chain in frame.chains():
-        view = coerced.chain_view(chain)
-        if not len(view):
-            continue
-        factory = partial(
-            figure_accumulators,
-            chain,
-            chain_window(coerced, view, chain),
-            oracle,
-            clusterer,
-            bin_seconds,
-            top_limit,
-            stats=statsmode.active_mode(),
-        )
-        if workers <= 1:
-            result = run_sharded(
-                view, factory, shards=shard_count, block_rows=block_rows
-            )
-            report.chains[chain] = figures_from_result(chain, result)
-            continue
-        bases[chain] = (_bound_base(factory, frame), len(view))
-        for shard_view in view.shard(shard_count):
-            if not len(shard_view):
-                continue
-            # Each payload carries the frame's full string pools: shipping
-            # them whole is what keeps shard codes identical to the parent
-            # frame's (subsetting pools would renumber codes and break the
-            # merge contract).
-            tasks.append(
-                (
-                    chain,
-                    frame.to_payload(shard_view.rows, arrays=True),
-                    factory,
-                    block_rows,
-                )
-            )
-    if tasks:
-        run_tasks(tasks, workers, {chain: base for chain, (base, _) in bases.items()})
-    for chain, (base, row_count) in bases.items():
-        result = EngineResult(
-            {accumulator.name: accumulator.finalize() for accumulator in base},
-            rows_processed=row_count,
-        )
-        report.chains[chain] = figures_from_result(chain, result)
-    return report
 
 
 # -- out-of-core chunk scanning --------------------------------------------------------

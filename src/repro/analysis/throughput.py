@@ -178,10 +178,6 @@ class ThroughputSeriesAccumulator(Accumulator):
 
     name = "throughput_series"
 
-    #: ``_labeler`` is a closure over the bound frame's columns; the merging
-    #: side resolves labels with its own frame-derived labeler instead.
-    _TRANSIENT = ("_frame", "_labeler")
-
     def __init__(
         self,
         categorizer: Optional[RowCategorizerFactory] = None,

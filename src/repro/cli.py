@@ -6,15 +6,11 @@ The CLI is the operational front door to the reproduction pipeline:
 * ``scenario NAME`` — one scenario's per-chain configuration and scale
   factors;
 * ``report`` — generate (or load from cache) a scenario's dataset and print
-  the paper's full figure report, serially or across worker processes;
-* ``bench`` — time the kernel backends (pure-python reference vs vectorized
-  NumPy) and the parallel sharded engine on the same dataset; ``--json``
-  writes a machine-readable ``BENCH_<rev>.json`` trajectory point (figure
-  timings, rows/sec, speedup vs the reference kernels) for regression
-  tracking across revisions;
-* ``migrate-store`` — rewrite a frame store's chunks (or a pipeline's
-  ``frames/`` store) to another chunk serialisation format in place,
-  behind the store's atomic-manifest commit point;
+  the paper's full figure report — over the resident frame, or with
+  ``--out-of-core`` / ``--workers N`` by streaming the cached store's chunks;
+* ``migrate-store`` — rewrite every legacy-format chunk of a frame store (or
+  a pipeline's ``frames/`` store) to the current format in place, behind the
+  store's atomic-manifest commit point;
 * ``cache`` — inspect (``stat``) or drop (``clear``) a store's chunk-state
   aggregate cache, the memoized per-chunk accumulator states that make
   repeat ``report --out-of-core`` runs O(new data)
@@ -23,7 +19,7 @@ The CLI is the operational front door to the reproduction pipeline:
   to a durable pipeline directory (resumable; nothing is recomputed);
 * ``update`` — refresh every figure incrementally: merge the checkpointed
   accumulator state and scan only the rows past the watermark (``--workers``
-  shards a large catch-up across processes);
+  fans a cold catch-up with no usable checkpoint out across processes);
 * ``watch`` — the live loop: ingest a batch, update, print the moving
   headline figures, repeat — driven by the simulation clock.
 
@@ -44,51 +40,27 @@ import argparse
 import glob
 import json
 import os
-import pickle
-import subprocess
 import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.accounts import AccountActivityAccumulator
-from repro.analysis.classify import TypeDistributionAccumulator
 from repro.analysis.clustering import AccountClusterer, StaticAccountClusterer
-from repro.analysis.engine import TxStatsAccumulator
-from repro.analysis.parallel import (
-    default_workers,
-    parallel_full_report,
-    parallel_report_from_store,
-)
+from repro.analysis.parallel import default_workers, parallel_report_from_store
 from repro.analysis.statecache import ChunkStateCache
-from repro.analysis.report import (
-    FullReport,
-    figure_accumulators,
-    full_report,
-    tezos_figure3_key_columns,
-)
-from repro.analysis.throughput import ThroughputSeriesAccumulator
+from repro.analysis.report import FullReport, full_report
 from repro.analysis.value import ExchangeRateOracle
-from repro.collection.store import (
-    CHUNK_FORMAT_V1,
-    CHUNK_FORMAT_V2,
-    CHUNK_FORMATS,
-    DEFAULT_CHUNK_FORMAT,
-    MANIFEST_NAME,
-    FrameStore,
-)
-from repro.common import faults, kernels, statsmode
+from repro.collection.store import CHUNK_FORMAT_V2, MANIFEST_NAME, FrameStore
+from repro.common import faults, statsmode
 from repro.common.clock import SECONDS_PER_HOUR, SimulationClock, iso_from_timestamp
 from repro.common.columns import TxFrame
 from repro.common.errors import ReproError
 from repro.common.records import ChainId
 from repro.eos.workload import EosWorkloadGenerator
 from repro.pipeline import (
-    CheckpointStore,
     LiveTailRunner,
     Pipeline,
-    PipelineCheckpoint,
     frozen_analysis_config,
     pending_batches,
     run_fsck,
@@ -385,20 +357,6 @@ def load_or_generate(
     )
 
 
-def _run_report(dataset: Dataset, workers: int, shards: Optional[int]) -> FullReport:
-    if workers > 1:
-        return parallel_full_report(
-            dataset.frame,
-            oracle=dataset.oracle,
-            clusterer=dataset.clusterer,
-            workers=workers,
-            shards=shards,
-        )
-    return full_report(
-        dataset.frame, oracle=dataset.oracle, clusterer=dataset.clusterer
-    )
-
-
 def _report_to_dict(report: FullReport) -> Dict[str, object]:
     payload: Dict[str, object] = {}
     for chain, figures in report.chains.items():
@@ -516,9 +474,14 @@ def cmd_report(args: argparse.Namespace, out) -> int:
     # In JSON mode only the payload goes to ``out`` (pipe-friendly); the
     # progress lines move to stderr.
     info = sys.stderr if args.json else out
-    if args.out_of_core:
+    # More than one worker *means* the chunk engine: workers stream chunk
+    # ranges of the cached store, so the same rule about --cache applies.
+    if args.out_of_core or args.workers > 1:
         if not args.cache:
-            raise ReproError("--out-of-core requires --cache DIR (the store lives there)")
+            raise ReproError(
+                "--out-of-core / --workers N requires --cache DIR "
+                "(the store lives there)"
+            )
         stored = ensure_store(
             args.scale, args.seed, args.cache, gen_workers=args.gen_workers
         )
@@ -538,7 +501,6 @@ def cmd_report(args: argparse.Namespace, out) -> int:
             oracle=stored.oracle,
             clusterer=stored.clusterer,
             workers=workers,
-            tasks=args.shards,
             cache=cache,
             store=stored.store,
         )
@@ -553,32 +515,25 @@ def cmd_report(args: argparse.Namespace, out) -> int:
             f"({workers} workers) in {elapsed:.2f}s{cache_text}",
             file=info,
         )
-        if args.json:
-            print(
-                json.dumps(_report_to_dict(report), indent=2, sort_keys=True),
-                file=out,
-            )
-        else:
-            _print_report(report, out)
-        return 0
-    dataset = load_or_generate(
-        args.scale, args.seed, cache_root=args.cache, gen_workers=args.gen_workers
-    )
-    source = "cache" if dataset.from_cache else "generated"
-    print(
-        f"Dataset {args.scale!r} seed {args.seed}: {len(dataset.frame):,} rows "
-        f"({source} in {dataset.build_seconds:.2f}s)",
-        file=info,
-    )
-    started = time.perf_counter()
-    report = _run_report(dataset, args.workers, args.shards)
-    elapsed = time.perf_counter() - started
-    engine = (
-        f"parallel engine ({args.workers} workers)"
-        if args.workers > 1
-        else "serial single-pass engine"
-    )
-    print(f"Report computed by the {engine} in {elapsed:.2f}s", file=info)
+    else:
+        dataset = load_or_generate(
+            args.scale, args.seed, cache_root=args.cache, gen_workers=args.gen_workers
+        )
+        source = "cache" if dataset.from_cache else "generated"
+        print(
+            f"Dataset {args.scale!r} seed {args.seed}: {len(dataset.frame):,} rows "
+            f"({source} in {dataset.build_seconds:.2f}s)",
+            file=info,
+        )
+        started = time.perf_counter()
+        report = full_report(
+            dataset.frame, oracle=dataset.oracle, clusterer=dataset.clusterer
+        )
+        elapsed = time.perf_counter() - started
+        print(
+            f"Report computed by the serial single-pass engine in {elapsed:.2f}s",
+            file=info,
+        )
     if args.json:
         print(json.dumps(_report_to_dict(report), indent=2, sort_keys=True), file=out)
     else:
@@ -586,787 +541,8 @@ def cmd_report(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _git_revision() -> str:
-    """Short revision of the repro checkout, or ``unknown`` when installed.
-
-    Anchored to this module's directory (not the invoking shell's cwd), so
-    a trajectory point is never stamped with some unrelated repository's
-    revision.
-    """
-    try:
-        result = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return result.stdout.strip() if result.returncode == 0 else "unknown"
-
-
-def _best_of(fn: Callable[[], object], repeat: int) -> float:
-    best = float("inf")
-    for _ in range(max(repeat, 1)):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def _figure_benches(dataset: Dataset) -> List[Tuple[str, Callable[[], object]]]:
-    """The heaviest per-accumulator kernels, as standalone engine passes."""
-    frame = dataset.frame
-    bounds = (frame.min_timestamp() or 0.0, frame.max_timestamp() or 0.0)
-    return [
-        ("type_distribution", lambda: TypeDistributionAccumulator().run(frame)),
-        ("top_senders", lambda: AccountActivityAccumulator("sender").run(frame)),
-        (
-            "throughput_series",
-            lambda: ThroughputSeriesAccumulator(
-                key_columns=tezos_figure3_key_columns,
-                start=bounds[0],
-                end=bounds[1],
-            ).run(frame),
-        ),
-        ("tx_stats", lambda: TxStatsAccumulator().run(frame)),
-    ]
-
-
-def bench_checkpoint_roundtrip(
-    frame: TxFrame,
-    oracle,
-    clusterer,
-    repeat: int,
-    workdir: str,
-    delta_fraction: float = 0.02,
-) -> Dict[str, object]:
-    """Time the snapshot codec round-trip against the legacy pickle baseline.
-
-    Measures the real checkpoint cost of one steady-state ``repro update``
-    tick: each chain's figure accumulators restore the previous snapshot
-    and scan a small fresh batch (``delta_fraction`` of the chain's rows),
-    then the persistence round-trip is timed — export + encode + atomic
-    save of that state, and load + decode + restore into freshly bound
-    accumulators.  The delta-aware layering means the codec side persists
-    O(delta); the version-1 baseline (pickled accumulator lists per chain,
-    exactly as the old ``capture_chain`` + ``save`` wrote them) re-pickles
-    the full state, exactly as it did every update.
-
-    Shared by ``repro bench`` and the ≥3x CI gate in
-    ``benchmarks/test_bench_incremental_update.py`` so both always measure
-    the same scenario.
-    """
-    from repro.analysis.engine import BLOCK_ROWS, scan_blocks
-
-    def fresh_accumulators() -> Dict[str, List]:
-        by_chain: Dict[str, List] = {}
-        for chain in frame.chains():
-            if not len(frame.chain_view(chain)):
-                continue
-            accumulators = figure_accumulators(
-                chain, frame.chain_bounds(chain), oracle, clusterer
-            )
-            by_chain[chain.value] = accumulators
-        return by_chain
-
-    def bound_accumulators() -> Dict[str, List]:
-        by_chain = fresh_accumulators()
-        for accumulators in by_chain.values():
-            for accumulator in accumulators:
-                accumulator.bind_batch(frame)
-        return by_chain
-
-    # The previous tick's snapshot: every chain scanned up to a watermark
-    # leaving ``delta_fraction`` of its rows as the fresh batch.
-    delta_rows: Dict[str, object] = {}
-    prefix_state: Dict[str, List] = {}
-    for chain in frame.chains():
-        view = frame.chain_view(chain)
-        if not len(view):
-            continue
-        rows = view.rows
-        split = int(len(rows) * (1.0 - delta_fraction))
-        accumulators = figure_accumulators(
-            chain, frame.chain_bounds(chain), oracle, clusterer
-        )
-        consumers = [accumulator.bind_batch(frame) for accumulator in accumulators]
-        for block in scan_blocks(rows[:split], BLOCK_ROWS):
-            for consume in consumers:
-                consume(block)
-        prefix_state[chain.value] = accumulators
-        delta_rows[chain.value] = rows[split:]
-    previous = PipelineCheckpoint.capture(len(frame), prefix_state)
-
-    def restored_plus_delta() -> Dict[str, List]:
-        """Accumulator state exactly as an update holds it at capture time."""
-        by_chain = fresh_accumulators()
-        for chain_value, accumulators in by_chain.items():
-            consumers = [
-                accumulator.bind_batch(frame) for accumulator in accumulators
-            ]
-            for accumulator, payload in zip(
-                accumulators, previous.restore_payloads(chain_value)
-            ):
-                accumulator.restore_state(payload)
-            for block in scan_blocks(delta_rows[chain_value], BLOCK_ROWS):
-                for consume in consumers:
-                    consume(block)
-        return by_chain
-
-    # Independent instances of the same logical state for each format, so
-    # pickle's full-set materialisation never flattens the codec side's
-    # layered columns.
-    scanned = restored_plus_delta()
-    pickle_scanned = restored_plus_delta()
-    store = CheckpointStore(workdir)
-    targets = bound_accumulators()
-    legacy_path = os.path.join(workdir, "legacy-checkpoint.pkl")
-
-    def snapshot() -> None:
-        store.save(PipelineCheckpoint.capture(len(frame), scanned))
-
-    def restore() -> None:
-        loaded = store.load()
-        for chain_value, accumulators in targets.items():
-            payloads = loaded.restore_payloads(chain_value)
-            for accumulator, payload in zip(accumulators, payloads):
-                accumulator.bind_batch(frame)  # reset state between rounds
-                accumulator.restore_state(payload)
-
-    def pickle_snapshot() -> None:
-        # Exactly what v1's capture_chain + save produced per update:
-        # pickled accumulator lists plus the config-signature gate.
-        blob = {
-            chain_value: pickle.dumps(list(accumulators))
-            for chain_value, accumulators in pickle_scanned.items()
-        }
-        signatures = {
-            chain_value: [
-                accumulator.config_signature() for accumulator in accumulators
-            ]
-            for chain_value, accumulators in pickle_scanned.items()
-        }
-        with open(legacy_path, "wb") as handle:
-            pickle.dump(
-                {
-                    "watermark_rows": len(frame),
-                    "chains": blob,
-                    "signatures": signatures,
-                },
-                handle,
-            )
-
-    def pickle_restore() -> None:
-        with open(legacy_path, "rb") as handle:
-            payload = pickle.load(handle)
-        for chain_value, accumulators in targets.items():
-            restored = pickle.loads(payload["chains"][chain_value])
-            for accumulator, part in zip(accumulators, restored):
-                accumulator.bind_batch(frame)
-                accumulator.merge(part)
-
-    # Interleave the four stages round by round, so machine noise (another
-    # process stealing a core, a slow disk window) lands on both formats
-    # rather than skewing one side's best-of; minima are taken per stage.
-    stages = [snapshot, pickle_snapshot, restore, pickle_restore]
-    best = [float("inf")] * len(stages)
-    for _ in range(max(repeat, 5)):
-        for index, stage in enumerate(stages):
-            started = time.perf_counter()
-            stage()
-            best[index] = min(best[index], time.perf_counter() - started)
-    snapshot_seconds, pickle_snapshot_seconds, restore_seconds, pickle_restore_seconds = best
-    snapshot_bytes = os.path.getsize(store.path)
-    pickle_bytes = os.path.getsize(legacy_path)
-    round_trip = snapshot_seconds + restore_seconds
-    pickle_round_trip = pickle_snapshot_seconds + pickle_restore_seconds
-    return {
-        "snapshot_seconds": round(snapshot_seconds, 6),
-        "restore_seconds": round(restore_seconds, 6),
-        "round_trip_seconds": round(round_trip, 6),
-        "snapshot_bytes": snapshot_bytes,
-        "pickle_snapshot_seconds": round(pickle_snapshot_seconds, 6),
-        "pickle_restore_seconds": round(pickle_restore_seconds, 6),
-        "pickle_round_trip_seconds": round(pickle_round_trip, 6),
-        "pickle_bytes": pickle_bytes,
-        "speedup_vs_pickle": round(pickle_round_trip / round_trip, 3)
-        if round_trip
-        else None,
-    }
-
-
-def _peak_rss_kb(who: int) -> int:
-    """Peak resident set size in KiB (Linux ``ru_maxrss`` unit)."""
-    import resource
-
-    return int(resource.getrusage(who).ru_maxrss)
-
-
-def bench_out_of_core(
-    directory: str,
-    oracle,
-    clusterer,
-    workers: int,
-    shards: Optional[int],
-    repeat: int,
-    serial_seconds: float,
-    rows: int,
-) -> Dict[str, object]:
-    """Time the out-of-core chunk engine against the serial in-memory pass.
-
-    ``workers_peak_rss_kb`` is ``getrusage(RUSAGE_CHILDREN)``'s high-water
-    mark, so this must run before anything else forks workers (the legacy
-    payload-shipping pool would otherwise pollute the reading).  Within a
-    bench run the workers fork from a parent that already holds the
-    in-memory frame for the kernel benches, so their RSS inherits those
-    pages; the clean bounded-memory demonstration is ``repro report
-    --out-of-core`` (parent never materialises the frame) and the RSS
-    tests under ``tests/analysis``.  On a single-core host the pool cannot
-    beat the serial scan on wall-clock; the stanza says so explicitly
-    instead of reporting a meaningless speedup, and the ``>= 2x at large
-    tier`` gate applies to multi-core hosts (see ``benchmarks/``).
-    """
-    import resource
-
-    store = FrameStore.open(directory)
-    chunk_count = store.committed_chunk_count
-    task_count = shards if shards is not None else max(workers, 1)
-    task_count = max(1, min(task_count, chunk_count)) if chunk_count else 0
-    processes = min(workers, task_count) if workers > 1 else 0
-    seconds = _best_of(
-        lambda: parallel_report_from_store(
-            directory, oracle=oracle, clusterer=clusterer, workers=workers, tasks=shards
-        ),
-        repeat,
-    )
-    cpu_count = os.cpu_count() or 1
-    stanza: Dict[str, object] = {
-        "workers": workers,
-        "processes": processes,
-        "mode": "pool" if processes else "in-process",
-        "cpu_count": cpu_count,
-        "rows": rows,
-        "chunks": chunk_count,
-        "tasks": task_count,
-        "seconds": round(seconds, 6),
-        "rows_per_second": round(rows / seconds) if seconds else None,
-        "serial_seconds": round(serial_seconds, 6),
-        "speedup_vs_serial": round(serial_seconds / seconds, 3) if seconds else None,
-        "parent_peak_rss_kb": _peak_rss_kb(resource.RUSAGE_SELF),
-        "workers_peak_rss_kb": _peak_rss_kb(resource.RUSAGE_CHILDREN),
-    }
-    if cpu_count == 1:
-        stanza["note"] = (
-            "single-core host: pool wall-clock cannot beat serial; "
-            "speedup_vs_serial reflects process overhead, not the engine"
-        )
-    return stanza
-
-
-def bench_report_cache(
-    directory: str,
-    oracle,
-    clusterer,
-    repeat: int,
-) -> Dict[str, object]:
-    """Time the chunk-state aggregate cache: cold populate vs warm report.
-
-    Three in-process (``workers=1``) out-of-core passes over the same
-    store, so the comparison isolates the cache effect from pool
-    scheduling: an *uncached* reference scan, the *cold* cache-populating
-    scan (every chunk misses, scans, and persists its states), and the
-    *warm* memoized pass (every chunk hits; no chunk is decompressed at
-    all).  Hit/miss counters come from the passes themselves, cache bytes
-    from the directory afterwards.  The store's cache is cleared first and
-    left warm after — which is exactly what a subsequent ``repro report
-    --out-of-core`` wants.
-
-    Shared by ``repro bench`` and the ≥5x CI gate in
-    ``benchmarks/test_bench_state_cache.py`` so both measure the same
-    scenario.
-    """
-    store = FrameStore.open(directory)
-    counters = {"hits": 0, "misses": 0}
-
-    def run(with_cache: bool) -> None:
-        cache = ChunkStateCache.for_store(directory) if with_cache else None
-        parallel_report_from_store(
-            directory,
-            oracle=oracle,
-            clusterer=clusterer,
-            workers=1,
-            cache=cache,
-            store=store,
-        )
-        if cache is not None:
-            counters["hits"], counters["misses"] = cache.hits, cache.misses
-
-    uncached_seconds = _best_of(lambda: run(False), repeat)
-    ChunkStateCache.for_store(directory).clear()
-    started = time.perf_counter()
-    run(True)
-    cold_seconds = time.perf_counter() - started
-    cold_hits, cold_misses = counters["hits"], counters["misses"]
-    warm_seconds = _best_of(lambda: run(True), repeat)
-    stat = ChunkStateCache.for_store(directory).stat()
-    return {
-        "chunks": store.committed_chunk_count,
-        "uncached_seconds": round(uncached_seconds, 6),
-        "cold_seconds": round(cold_seconds, 6),
-        "warm_seconds": round(warm_seconds, 6),
-        "cold_hits": cold_hits,
-        "cold_misses": cold_misses,
-        "warm_hits": counters["hits"],
-        "warm_misses": counters["misses"],
-        "cache_entries": stat["entries"],
-        "cache_bytes": stat["bytes"],
-        "speedup_warm_vs_cold": round(cold_seconds / warm_seconds, 3)
-        if warm_seconds
-        else None,
-        "speedup_warm_vs_uncached": round(uncached_seconds / warm_seconds, 3)
-        if warm_seconds
-        else None,
-    }
-
-
-def bench_sketch_mode(dataset: Dataset, repeat: int) -> Dict[str, object]:
-    """Time, size and error-check the sketch statistics mode.
-
-    Three measurements, independent of the ambient ``REPRO_STATS``:
-
-    * ``tx_stats`` timings per kernel backend under sketch mode, plus the
-      speedup of the best sketch pass over the exact pure-python reference
-      (the ROADMAP's ``tx_stats`` kernel target is measured against that
-      reference, and the exact set is its scaling ceiling);
-    * memory — the tracemalloc peak of one sketch-mode ``tx_stats`` pass
-      (the frame's id-hash cache is prewarmed outside the trace: it is
-      one-time frame state, not accumulator state) and the encoded
-      checkpoint size of the resulting sketch;
-    * figure-level error vs an exact full report: distinct-count relative
-      error per chain, top-senders membership overlap, and payment-value
-      quantile relative error.  The bounds documented in
-      ``docs/architecture.md`` (and enforced by ``tests/sketches``) should
-      comfortably cover what this stanza records.
-
-    Shared by ``repro bench`` and the CI gate in
-    ``benchmarks/test_bench_sketch.py`` so both measure the same scenario.
-    """
-    import tracemalloc
-
-    from repro.common import statecodec
-
-    frame = dataset.frame
-    frame.transaction_id_hashes()  # prewarm: shared frame state, not per-pass
-    backend_names = [kernels.PYTHON]
-    if kernels.numpy_available():
-        backend_names.append(kernels.NUMPY)
-    timings: Dict[str, object] = {}
-    with statsmode.use_mode(statsmode.SKETCH):
-        for name in backend_names:
-            with kernels.use_backend(name):
-                timings[name] = round(
-                    _best_of(lambda: TxStatsAccumulator().run(frame), repeat), 6
-                )
-    if kernels.NUMPY in timings and timings[kernels.NUMPY]:
-        timings["speedup"] = round(
-            timings[kernels.PYTHON] / timings[kernels.NUMPY], 3
-        )
-    with statsmode.use_mode(statsmode.EXACT), kernels.use_backend(kernels.PYTHON):
-        exact_reference = _best_of(lambda: TxStatsAccumulator().run(frame), repeat)
-    best_sketch = min(
-        timings[name] for name in backend_names if timings[name]
-    )
-
-    with statsmode.use_mode(statsmode.SKETCH):
-        tracemalloc.start()
-        accumulator = TxStatsAccumulator()
-        accumulator.run(frame)
-        _, traced_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        state_bytes = len(statecodec.encode(accumulator.export_state()))
-
-    def report_in(mode: str) -> FullReport:
-        with statsmode.use_mode(mode):
-            return full_report(
-                frame, oracle=dataset.oracle, clusterer=dataset.clusterer
-            )
-
-    exact_report = report_in(statsmode.EXACT)
-    sketch_report = report_in(statsmode.SKETCH)
-    count_errors: List[float] = []
-    overlaps: List[float] = []
-    quantile_errors: List[float] = []
-    for chain, exact_figures in exact_report.chains.items():
-        sketch_figures = sketch_report.chains[chain]
-        count = exact_figures.stats.transaction_count
-        if count:
-            count_errors.append(
-                abs(sketch_figures.stats.transaction_count - count) / count
-            )
-        exact_top = [activity.account for activity in exact_figures.top_senders]
-        sketch_top = {activity.account for activity in sketch_figures.top_senders}
-        if exact_top:
-            overlaps.append(len(sketch_top.intersection(exact_top)) / len(exact_top))
-        exact_dist = exact_figures.value_distribution
-        sketch_dist = sketch_figures.value_distribution
-        if exact_dist is not None and sketch_dist is not None and exact_dist.count:
-            for attribute in ("p50", "p90", "p99"):
-                reference = getattr(exact_dist, attribute)
-                if reference:
-                    quantile_errors.append(
-                        abs(getattr(sketch_dist, attribute) - reference) / reference
-                    )
-    return {
-        "tx_stats": timings,
-        "exact_reference_seconds": round(exact_reference, 6),
-        "speedup_vs_exact_reference": round(exact_reference / best_sketch, 3)
-        if best_sketch
-        else None,
-        "tx_stats_state_bytes": state_bytes,
-        "tx_stats_traced_peak_kb": round(traced_peak / 1024, 1),
-        "error_vs_exact": {
-            "transaction_count_rel_error_max": round(max(count_errors), 6)
-            if count_errors
-            else None,
-            "top_senders_overlap_min": round(min(overlaps), 6) if overlaps else None,
-            "value_quantile_rel_error_max": round(max(quantile_errors), 6)
-            if quantile_errors
-            else None,
-        },
-    }
-
-
-def bench_chunk_io(
-    frame: TxFrame, repeat: int, chunk_rows: int = 50_000
-) -> Dict[str, object]:
-    """Time chunk encode/decode for each chunk serialisation format.
-
-    Encode is a full in-memory :meth:`FrameStore.add_frame` (slice the
-    frame, serialise, compress); decode is a full :meth:`FrameStore.to_frame`
-    rehydration — the exact path out-of-core workers, pipeline catch-up and
-    cache reloads pay per chunk.  The stanza also records the on-disk byte
-    footprint per format, so the trajectory shows what the decode speedup
-    costs (or saves) in storage.
-
-    Shared by ``repro bench`` and the CI gate in
-    ``benchmarks/test_bench_chunk_format.py`` so both measure the same
-    scenario.
-    """
-    rows = len(frame)
-    formats: Dict[str, Dict[str, object]] = {}
-    for chunk_format in CHUNK_FORMATS:
-
-        def build(chunk_format: str = chunk_format) -> FrameStore:
-            store = FrameStore(chunk_rows=chunk_rows, chunk_format=chunk_format)
-            store.add_frame(frame)
-            return store
-
-        encode_seconds = _best_of(build, repeat)
-        store = build()
-        decode_seconds = _best_of(store.to_frame, repeat)
-        stats = store.compression_stats()
-        formats[chunk_format] = {
-            "encode_seconds": round(encode_seconds, 6),
-            "decode_seconds": round(decode_seconds, 6),
-            "encode_rows_per_second": round(rows / encode_seconds)
-            if encode_seconds
-            else None,
-            "decode_rows_per_second": round(rows / decode_seconds)
-            if decode_seconds
-            else None,
-            "bytes": stats.compressed_bytes,
-            "raw_bytes": stats.raw_bytes,
-            "chunks": stats.chunk_count,
-        }
-    v1 = formats[CHUNK_FORMAT_V1]
-    v2 = formats[CHUNK_FORMAT_V2]
-    return {
-        "rows": rows,
-        "chunk_rows": chunk_rows,
-        "backend": kernels.active_backend(),
-        "formats": formats,
-        "decode_speedup_v2_vs_v1": round(
-            v1["decode_seconds"] / v2["decode_seconds"], 3
-        )
-        if v2["decode_seconds"]
-        else None,
-        "encode_speedup_v2_vs_v1": round(
-            v1["encode_seconds"] / v2["encode_seconds"], 3
-        )
-        if v2["encode_seconds"]
-        else None,
-        "bytes_ratio_v2_vs_v1": round(v2["bytes"] / v1["bytes"], 3)
-        if v1["bytes"]
-        else None,
-    }
-
-
-#: Pinned fault plan for the bench soak stanza: deterministic endpoint
-#: flaps, one torn chunk write and one corrupted checkpoint per run, so the
-#: measured cycles/sec includes representative recovery work.
-BENCH_SOAK_FAULTS = (
-    "seed=11;"
-    "crawler.fetch:mode=rate_limit:p=0.02:times=10:retry_after=5;"
-    "store.chunk_write:mode=torn:nth=3;"
-    "checkpoint.save:mode=bitflip:nth=2"
-)
-
-
-def bench_soak(days: int = 4) -> Dict[str, object]:
-    """Time a short pinned-fault soak (see :mod:`repro.pipeline.soak`)."""
-    plan = faults.FaultPlan.parse(BENCH_SOAK_FAULTS)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-soak-") as scratch:
-        result = run_soak(
-            os.path.join(scratch, "pipeline"),
-            days=days,
-            scale="small",
-            seed=7,
-            plan=plan,
-            oracle=False,
-        )
-    return {
-        "days": len(result.cycles),
-        "rows": result.rows_total,
-        "seconds": round(result.elapsed_seconds, 6),
-        "cycles_per_second": round(result.cycles_per_second, 3),
-        "retries": result.retries,
-        "rate_limit_hits": result.rate_limit_hits,
-        "rescans": result.rescans,
-        "crashes": result.crashes,
-        "injected_fires": result.injected_fires,
-        "peak_rss_kb": result.peak_rss_kb,
-        "memory_flat": result.memory_flat,
-        "fsck_clean": result.fsck_clean,
-    }
-
-
-def cmd_bench(args: argparse.Namespace, out) -> int:
-    info = sys.stderr if args.json else out
-    dataset = load_or_generate(
-        args.scale, args.seed, cache_root=args.cache, gen_workers=args.gen_workers
-    )
-    # An explicit --workers is honoured (1 measures the in-process sharded
-    # path); only the unset default (0) falls back to one per core.
-    workers = args.workers if args.workers >= 1 else default_workers()
-    rows = len(dataset.frame)
-    backend_names = [kernels.PYTHON]
-    if kernels.numpy_available():
-        backend_names.append(kernels.NUMPY)
-    print(
-        f"Benchmarking {args.scale!r} ({rows:,} rows): "
-        f"kernel backends {', '.join(backend_names)}; "
-        f"parallel engine with {workers} workers",
-        file=info,
-    )
-
-    def serial_report() -> FullReport:
-        return full_report(
-            dataset.frame, oracle=dataset.oracle, clusterer=dataset.clusterer
-        )
-
-    backends: Dict[str, Dict[str, object]] = {}
-    figures: Dict[str, Dict[str, float]] = {}
-    for name in backend_names:
-        with kernels.use_backend(name):
-            seconds = _best_of(serial_report, args.repeat)
-            backends[name] = {
-                "full_report_seconds": round(seconds, 6),
-                "rows_per_second": round(rows / seconds) if seconds else None,
-            }
-            for label, bench in _figure_benches(dataset):
-                figures.setdefault(label, {})[name] = round(
-                    _best_of(bench, args.repeat), 6
-                )
-    reference = backends[kernels.PYTHON]["full_report_seconds"]
-    for label, timings in figures.items():
-        if kernels.NUMPY in timings and timings[kernels.NUMPY]:
-            timings["speedup"] = round(
-                timings[kernels.PYTHON] / timings[kernels.NUMPY], 3
-            )
-    active = backends[kernels.active_backend()]["full_report_seconds"]
-    # Checkpoint round-trips are ~10ms measurements: take them before the
-    # pool benches below add process-churn noise to the box.
-    with tempfile.TemporaryDirectory(prefix="repro-bench-ckpt-") as checkpoint_dir:
-        checkpoint_timings = bench_checkpoint_roundtrip(
-            dataset.frame, dataset.oracle, dataset.clusterer, args.repeat, checkpoint_dir
-        )
-    sketch_stanza = bench_sketch_mode(dataset, args.repeat)
-    io_stanza = bench_chunk_io(dataset.frame, args.repeat)
-    soak_stanza = bench_soak()
-    # Out-of-core before the payload-shipping pool: its workers_peak_rss_kb
-    # reads the RUSAGE_CHILDREN high-water mark, which any earlier fork
-    # would pollute.
-    scratch_store = None
-    if args.cache:
-        store_dir = _cache_directory(args.cache, args.scale, args.seed)
-    else:
-        scratch_store = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
-        store_dir = scratch_store.name
-        FrameStore(directory=store_dir).add_frame(dataset.frame)
-    try:
-        out_of_core = bench_out_of_core(
-            store_dir,
-            dataset.oracle,
-            dataset.clusterer,
-            workers,
-            args.shards,
-            args.repeat,
-            serial_seconds=active,
-            rows=rows,
-        )
-        report_cache = bench_report_cache(
-            store_dir, dataset.oracle, dataset.clusterer, args.repeat
-        )
-    finally:
-        if scratch_store is not None:
-            scratch_store.cleanup()
-    parallel_seconds = _best_of(
-        lambda: parallel_full_report(
-            dataset.frame,
-            oracle=dataset.oracle,
-            clusterer=dataset.clusterer,
-            workers=workers,
-            shards=args.shards,
-        ),
-        args.repeat,
-    )
-    cpu_count = os.cpu_count() or 1
-    payload: Dict[str, object] = {
-        "schema": 1,
-        "revision": _git_revision(),
-        "generated_at": time.time(),
-        "scenario": args.scale,
-        "seed": args.seed,
-        "rows": rows,
-        "repeat": args.repeat,
-        "active_backend": kernels.active_backend(),
-        "backends": backends,
-        "figures": figures,
-        "parallel": {
-            # The real execution shape, not just the requested count: with
-            # workers <= 1 the sharded engine runs in-process (no pool), so
-            # recording ``workers: 1`` as if a pool ran was misleading —
-            # especially on single-core hosts where default_workers() is 1.
-            "workers": workers,
-            "processes": workers if workers > 1 else 0,
-            "mode": "pool" if workers > 1 else "in-process",
-            "cpu_count": cpu_count,
-            "seconds": round(parallel_seconds, 6),
-            "speedup_vs_serial": round(active / parallel_seconds, 3)
-            if parallel_seconds
-            else None,
-        },
-        "out_of_core": out_of_core,
-        "report_cache": report_cache,
-        "checkpoint": checkpoint_timings,
-        "sketch": sketch_stanza,
-        "io": io_stanza,
-        "soak": soak_stanza,
-        "stats_mode": statsmode.active_mode(),
-    }
-    if cpu_count == 1:
-        payload["parallel"]["note"] = (
-            "single-core host: pool wall-clock cannot beat serial"
-        )
-    if kernels.NUMPY in backends:
-        vectorized = backends[kernels.NUMPY]["full_report_seconds"]
-        payload["speedup_numpy_vs_python"] = (
-            round(reference / vectorized, 3) if vectorized else None
-        )
-    for name in backend_names:
-        timing = backends[name]
-        print(
-            f"  {name:7s} backend: full_report {timing['full_report_seconds']:.3f}s "
-            f"({timing['rows_per_second']:,} rows/s)",
-            file=info,
-        )
-    if "speedup_numpy_vs_python" in payload:
-        print(
-            f"  numpy kernels are {payload['speedup_numpy_vs_python']:.2f}x the "
-            "reference kernels",
-            file=info,
-        )
-    print(
-        f"  parallel ({workers} workers, {payload['parallel']['mode']}): "
-        f"{parallel_seconds:.3f}s | "
-        f"speedup {payload['parallel']['speedup_vs_serial']:.2f}x over the "
-        f"{kernels.active_backend()} serial engine on {cpu_count} cores",
-        file=info,
-    )
-    print(
-        f"  out-of-core ({out_of_core['workers']} workers, "
-        f"{out_of_core['mode']}, {out_of_core['chunks']} chunks): "
-        f"{out_of_core['seconds']:.3f}s | "
-        f"speedup {out_of_core['speedup_vs_serial']:.2f}x vs serial | "
-        f"peak RSS parent {out_of_core['parent_peak_rss_kb']:,} KiB / "
-        f"workers {out_of_core['workers_peak_rss_kb']:,} KiB",
-        file=info,
-    )
-    print(
-        f"  report cache ({report_cache['chunks']} chunks): cold "
-        f"{report_cache['cold_seconds']:.3f}s -> warm "
-        f"{report_cache['warm_seconds']:.3f}s "
-        f"({report_cache['speedup_warm_vs_cold']:.2f}x) | warm hits "
-        f"{report_cache['warm_hits']}/{report_cache['chunks']} | "
-        f"{report_cache['cache_bytes']:,} bytes",
-        file=info,
-    )
-    print(
-        f"  checkpoint: snapshot {checkpoint_timings['snapshot_seconds']:.3f}s + "
-        f"restore {checkpoint_timings['restore_seconds']:.3f}s "
-        f"({checkpoint_timings['snapshot_bytes']:,} bytes) | "
-        f"{checkpoint_timings['speedup_vs_pickle']:.2f}x faster than the "
-        "pickle checkpoint format",
-        file=info,
-    )
-    v1_io = io_stanza["formats"][CHUNK_FORMAT_V1]
-    v2_io = io_stanza["formats"][CHUNK_FORMAT_V2]
-    print(
-        f"  chunk io ({io_stanza['backend']} backend): v2 decode "
-        f"{v2_io['decode_seconds']:.3f}s vs v1 {v1_io['decode_seconds']:.3f}s "
-        f"({io_stanza['decode_speedup_v2_vs_v1']:.2f}x) | "
-        f"encode {io_stanza['encode_speedup_v2_vs_v1']:.2f}x | "
-        f"bytes {v2_io['bytes']:,} vs {v1_io['bytes']:,} "
-        f"({io_stanza['bytes_ratio_v2_vs_v1']:.2f}x)",
-        file=info,
-    )
-    count_error = sketch_stanza["error_vs_exact"]["transaction_count_rel_error_max"]
-    error_text = (
-        f"distinct-count error {count_error:.2%}"
-        if count_error is not None
-        else "no per-chain counts to compare"
-    )
-    print(
-        f"  sketch mode: tx_stats "
-        f"{sketch_stanza['speedup_vs_exact_reference']:.2f}x vs exact reference | "
-        f"state {sketch_stanza['tx_stats_state_bytes']:,} bytes, traced peak "
-        f"{sketch_stanza['tx_stats_traced_peak_kb']:,.0f} KiB | {error_text}",
-        file=info,
-    )
-    print(
-        f"  soak ({soak_stanza['days']} faulted days): "
-        f"{soak_stanza['cycles_per_second']:.2f} cycles/s | "
-        f"{soak_stanza['retries']} retries, {soak_stanza['rescans']} rescans, "
-        f"{soak_stanza['crashes']} crashes recovered | "
-        f"peak RSS {soak_stanza['peak_rss_kb']:,} KiB",
-        file=info,
-    )
-    if args.json:
-        out_dir = args.out or "."
-        os.makedirs(out_dir, exist_ok=True)
-        trajectory = os.path.join(out_dir, f"BENCH_{payload['revision']}.json")
-        with open(trajectory, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"Wrote benchmark trajectory point to {trajectory}", file=info)
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-    return 0
-
-
 def cmd_migrate_store(args: argparse.Namespace, out) -> int:
-    """Rewrite a frame store's chunks to another serialisation format."""
+    """Rewrite a frame store's legacy-format chunks to the current format."""
     directory = args.directory
     if not os.path.isdir(directory):
         raise ReproError(f"{directory!r} is not a directory")
@@ -1381,18 +557,18 @@ def cmd_migrate_store(args: argparse.Namespace, out) -> int:
         print(f"Nothing to migrate: {directory} has no committed chunks", file=out)
         return 0
     before = store.compression_stats()
-    migrated = store.migrate_format(args.format)
+    migrated = store.migrate_format()
     after = store.compression_stats()
     if migrated == 0:
         print(
             f"Nothing to migrate: all {store.committed_chunk_count} chunk(s) "
-            f"in {directory} are already {args.format}",
+            f"in {directory} are already {CHUNK_FORMAT_V2}",
             file=out,
         )
         return 0
     print(
         f"Migrated {migrated} of {store.committed_chunk_count} chunk(s) in "
-        f"{directory} to {args.format}; on-disk bytes "
+        f"{directory} to {CHUNK_FORMAT_V2}; on-disk bytes "
         f"{before.compressed_bytes:,} -> {after.compressed_bytes:,}",
         file=out,
     )
@@ -1494,7 +670,7 @@ def cmd_update(args: argparse.Namespace, out) -> int:
             f"{args.data!r} is not an initialised pipeline "
             "(no rows, no pinned scenario); run ingest or watch first"
         )
-    report, stats = pipeline.update(workers=args.workers, shards=args.shards)
+    report, stats = pipeline.update(workers=args.workers)
     _print_update(stats, info)
     if args.json:
         payload = _report_to_dict(report)
@@ -1524,7 +700,6 @@ def cmd_watch(args: argparse.Namespace, out) -> int:
         batch_seconds=batch_seconds,
         clock=SimulationClock(0.0),
         workers=args.workers,
-        shards=args.shards,
     )
     print(
         f"Watching scenario {scale!r} (seed {seed}, {batch_seconds / 3600:.0f}h "
@@ -1717,13 +892,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=0,
-            help="worker processes (0/1 = serial engine; default 0)",
-        )
-        sub.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            help="shards per chain (default: one per worker)",
+            help=(
+                "worker processes; more than 1 selects the out-of-core chunk "
+                "engine over the cached store (requires --cache; default 0 = "
+                "serial engine over the resident frame)"
+            ),
         )
         sub.add_argument(
             "--gen-workers",
@@ -1773,24 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    bench = commands.add_parser(
-        "bench",
-        help="time the kernel backends and the parallel engine",
-    )
-    dataset_flags(bench)
-    bench.add_argument("--repeat", type=int, default=3, help="timed rounds (best-of)")
-    bench.add_argument(
-        "--json",
-        action="store_true",
-        help="write BENCH_<rev>.json and emit the summary as JSON on stdout",
-    )
-    bench.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="directory for the BENCH_<rev>.json trajectory point (default: .)",
-    )
-
     def pipeline_flags(sub: argparse.ArgumentParser, with_stream: bool) -> None:
         sub.add_argument(
             "--data",
@@ -1802,13 +957,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=0,
-            help="worker processes for the catch-up scan (0/1 = serial)",
-        )
-        sub.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            help="shards for the catch-up scan (default: one per worker)",
+            help=(
+                "worker processes for a cold catch-up scan with no usable "
+                "checkpoint (0/1 = serial; a delta is always scanned serially)"
+            ),
         )
         stats_flag(sub)
         if with_stream:
@@ -1833,17 +985,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     migrate = commands.add_parser(
         "migrate-store",
-        help="rewrite a frame store's chunks to another serialisation format",
+        help="rewrite a frame store's legacy-format chunks to the current format",
     )
     migrate.add_argument(
         "directory",
         help="frame-store directory (or a pipeline --data directory)",
-    )
-    migrate.add_argument(
-        "--format",
-        choices=CHUNK_FORMATS,
-        default=DEFAULT_CHUNK_FORMAT,
-        help=f"target chunk format (default: {DEFAULT_CHUNK_FORMAT})",
     )
 
     ingest = commands.add_parser(
@@ -1966,7 +1112,6 @@ _COMMANDS = {
     "list": cmd_list,
     "scenario": cmd_scenario,
     "report": cmd_report,
-    "bench": cmd_bench,
     "migrate-store": cmd_migrate_store,
     "ingest": cmd_ingest,
     "update": cmd_update,

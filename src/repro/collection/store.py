@@ -47,12 +47,12 @@ manifest is rewritten at version 2.
 Frame chunks themselves come in two **serialisation formats**: the legacy
 ``v1`` gzip-JSON files (``frame-chunk-*.json.gz``) and the binary columnar
 ``v2`` files (``frame-chunk-*.bin``, see
-:mod:`repro.collection.chunkformat`).  New chunks are written in
-:data:`DEFAULT_CHUNK_FORMAT` (overridable per store or via the
-``REPRO_CHUNK_FORMAT`` environment variable); reads dispatch on each blob's
-magic bytes, so a store may freely mix formats — e.g. a v1 archive that
-keeps growing v2 chunks after an upgrade.  :meth:`FrameStore.migrate_format`
-rewrites a store in place behind the same atomic-manifest commit point.
+:mod:`repro.collection.chunkformat`).  New chunks are always written as v2;
+v1 is read-only input from archives written by older versions.  Reads
+dispatch on each blob's magic bytes, so a store may freely mix formats —
+e.g. a v1 archive that keeps growing v2 chunks after an upgrade.
+:meth:`FrameStore.migrate_format` rewrites the v1 chunks of a store in place
+behind the same atomic-manifest commit point.
 """
 
 from __future__ import annotations
@@ -92,19 +92,13 @@ MANIFEST_NAME = "manifest.json"
 #: The string pools every frame payload carries, in canonical order.
 POOL_NAMES = ("types", "accounts", "currencies", "errors")
 
-#: Chunk serialisation formats a :class:`FrameStore` can write.  ``v1`` is
-#: gzip-compressed JSON; ``v2`` is the binary columnar format of
-#: :mod:`repro.collection.chunkformat`.  Reads dispatch per chunk file, so
-#: mixed-format stores work regardless of the writing format.
+#: Chunk serialisation formats a :class:`FrameStore` can read.  ``v1`` is
+#: gzip-compressed JSON (legacy archives only — never written); ``v2`` is the
+#: binary columnar format of :mod:`repro.collection.chunkformat`, the one
+#: format written.  Reads dispatch per chunk file, so mixed-format stores
+#: work.
 CHUNK_FORMAT_V1 = "v1"
 CHUNK_FORMAT_V2 = "v2"
-CHUNK_FORMATS = (CHUNK_FORMAT_V1, CHUNK_FORMAT_V2)
-DEFAULT_CHUNK_FORMAT = CHUNK_FORMAT_V2
-
-#: Environment override for the default write format (``v1`` or ``v2``) —
-#: how CI pins a job to the legacy format without threading a parameter
-#: through every entry point.
-CHUNK_FORMAT_ENV = "REPRO_CHUNK_FORMAT"
 
 #: Per-format chunk file extensions.  The extension is what makes mixed
 #: stores and in-place migration safe: a chunk's format is visible in the
@@ -150,17 +144,6 @@ def invalidate_state_cache(directory: str) -> int:
     return removed
 
 
-def resolve_chunk_format(chunk_format: Optional[str] = None) -> str:
-    """The effective write format: explicit arg > environment > default."""
-    value = chunk_format or os.environ.get(CHUNK_FORMAT_ENV) or DEFAULT_CHUNK_FORMAT
-    value = value.strip().lower()
-    if value not in CHUNK_FORMATS:
-        raise CollectionError(
-            f"unknown chunk format {value!r}; expected one of {CHUNK_FORMATS}"
-        )
-    return value
-
-
 def _chunk_format_of(path: str) -> str:
     """A chunk file's format, read off its extension."""
     return CHUNK_FORMAT_V1 if path.endswith(".json.gz") else CHUNK_FORMAT_V2
@@ -186,9 +169,10 @@ def _decode_chunk_blob(blob: bytes, chunk_id: int) -> Dict:
         return chunkformat.decode_chunk(blob)
     try:
         return decompress_json(blob)
-    except (OSError, EOFError, ValueError) as error:
+    except (OSError, EOFError, ValueError, zlib.error) as error:
         # gzip.BadGzipFile is an OSError; truncated streams raise EOFError;
-        # json/unicode failures are ValueErrors.
+        # a damaged deflate stream raises zlib.error; json/unicode failures
+        # are ValueErrors.
         raise CollectionError(
             f"frame chunk {chunk_id} is corrupt: {error}"
         ) from None
@@ -469,14 +453,10 @@ class FrameStore:
         self,
         chunk_rows: int = 50_000,
         directory: Optional[str] = None,
-        chunk_format: Optional[str] = None,
     ):
         if chunk_rows <= 0:
             raise CollectionError("chunk_rows must be positive")
         self.chunk_rows = chunk_rows
-        #: Serialisation format for chunks *this store writes*.  Reading is
-        #: always format-agnostic (per-chunk dispatch on the blob magic).
-        self.chunk_format = resolve_chunk_format(chunk_format)
         self.directory = directory
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
@@ -498,12 +478,7 @@ class FrameStore:
         self.cleaned_paths: List[str] = []
 
     @classmethod
-    def open(
-        cls,
-        directory: str,
-        chunk_rows: int = 50_000,
-        chunk_format: Optional[str] = None,
-    ) -> "FrameStore":
+    def open(cls, directory: str, chunk_rows: int = 50_000) -> "FrameStore":
         """Reopen a directory-backed store written by an earlier process.
 
         With a manifest present (every store written by this version has
@@ -529,7 +504,7 @@ class FrameStore:
         the manifest; legacy reopened chunks report zero raw bytes, which
         only affects the compression-ratio statistic.
         """
-        store = cls(chunk_rows=chunk_rows, directory=directory, chunk_format=chunk_format)
+        store = cls(chunk_rows=chunk_rows, directory=directory)
         manifest_path = os.path.join(directory, MANIFEST_NAME)
         if os.path.exists(manifest_path):
             store._open_from_manifest(manifest_path)
@@ -861,15 +836,11 @@ class FrameStore:
         # first so the running pools (and therefore this chunk's deltas) are
         # computed against the full committed prefix.
         self.ensure_chunk_stats()
-        binary = self.chunk_format == CHUNK_FORMAT_V2
-        payload = frame.to_payload(rows, arrays=binary)
+        payload = frame.to_payload(rows, arrays=True)
         heights, times, chain_rows = _payload_chain_stats(payload)
-        if binary:
-            blob, raw_size = chunkformat.encode_chunk(
-                payload, chain_stats=(heights, times, chain_rows)
-            )
-        else:
-            blob, raw_size = compress_json_measured(payload)
+        blob, raw_size = chunkformat.encode_chunk(
+            payload, chain_stats=(heights, times, chain_rows)
+        )
         row_count = len(rows) if rows is not None else len(frame)
         chunk = StoredFrameChunk(
             chunk_id=len(self._chunks),
@@ -886,7 +857,7 @@ class FrameStore:
             chunk.path = os.path.join(
                 self.directory,
                 f"frame-chunk-{chunk.chunk_id:06d}"
-                f"{CHUNK_EXTENSIONS[self.chunk_format]}",
+                f"{CHUNK_EXTENSIONS[CHUNK_FORMAT_V2]}",
             )
             action = faults.check("store.chunk_write")
             disk_blob = blob
@@ -1125,8 +1096,8 @@ class FrameStore:
         return accumulate(chunk.stats for chunk in self._chunks)
 
     # -- migration ----------------------------------------------------------------
-    def migrate_format(self, chunk_format: str = DEFAULT_CHUNK_FORMAT) -> int:
-        """Rewrite every chunk not already in ``chunk_format``; returns how many.
+    def migrate_format(self) -> int:
+        """Rewrite every legacy (v1) chunk as v2; returns how many.
 
         The rewrite rides the store's normal commit protocol: new chunk
         files are written beside the old ones (a different extension, so no
@@ -1136,74 +1107,37 @@ class FrameStore:
         a crash after it leaves unreferenced old files (same cleanup) — at
         no point does the manifest reference a chunk that is not durable.
         """
-        target = resolve_chunk_format(chunk_format)
         self.ensure_chunk_stats()
         superseded: List[str] = []
-        migrated = 0
         for chunk in self._chunks:
             source_path = chunk.path
-            current = (
-                _chunk_format_of(source_path)
-                if source_path is not None
-                else (
-                    CHUNK_FORMAT_V2
-                    if chunk.blob is not None and chunkformat.is_v2_chunk(chunk.blob)
-                    else CHUNK_FORMAT_V1
-                )
-            )
-            if current == target:
+            # Only a file on disk can be legacy: a chunk held in memory was
+            # written by this process, and this process writes v2.
+            if source_path is None or _chunk_format_of(source_path) == CHUNK_FORMAT_V2:
                 continue
-            payload = chunk.payload()
-            if target == CHUNK_FORMAT_V2:
-                blob, raw_size = chunkformat.encode_chunk(
-                    payload,
-                    chain_stats=(chunk.heights, chunk.times, chunk.chain_rows),
-                )
-            else:
-                blob, raw_size = compress_json_measured(_jsonable_payload(payload))
+            blob, raw_size = chunkformat.encode_chunk(
+                chunk.payload(),
+                chain_stats=(chunk.heights, chunk.times, chunk.chain_rows),
+            )
             chunk.stats = CompressionStats(
                 raw_bytes=raw_size, compressed_bytes=len(blob), chunk_count=1
             )
-            migrated += 1
-            if self.directory is None:
-                chunk.blob = blob
-                continue
             path = os.path.join(
                 self.directory,
-                f"frame-chunk-{chunk.chunk_id:06d}{CHUNK_EXTENSIONS[target]}",
+                f"frame-chunk-{chunk.chunk_id:06d}{CHUNK_EXTENSIONS[CHUNK_FORMAT_V2]}",
             )
             with open(path, "wb") as handle:
                 handle.write(blob)
             chunk.path = path
             superseded.append(source_path)
-        self.chunk_format = target
-        if self.directory is not None and superseded:
+        if superseded:
             self._write_manifest()  # the commit point for the whole migration
             for path in superseded:
                 os.remove(path)
-        if self.directory is not None and migrated:
             # Rewritten chunk bytes orphan every keyed state-cache entry;
             # clear them instead of leaving stale files for fsck to flag.
             invalidate_state_cache(self.directory)
-        return migrated
-
-
-def _jsonable_payload(payload: Dict) -> Dict:
-    """A decoded payload reduced to its JSON-serialisable v1 shape."""
-    columns = {}
-    for name, data in payload["columns"].items():
-        if isinstance(data, list):
-            columns[name] = data
-        elif hasattr(data, "tolist"):
-            columns[name] = data.tolist()
-        else:
-            columns[name] = list(data)
-    return {
-        "columns": columns,
-        "transaction_id": list(payload["transaction_id"]),
-        "metadata": [meta if meta else None for meta in payload["metadata"]],
-        "pools": {name: list(values) for name, values in payload["pools"].items()},
-    }
+        return len(superseded)
 
 
 class FrameSink:

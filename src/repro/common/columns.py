@@ -726,11 +726,10 @@ class TxFrame:
         """Split (a row subset of) the frame into contiguous views.
 
         The shards partition ``rows`` (default: every row) in row order into
-        at most ``count`` near-equal contiguous chunks — the unit of work for
-        parallel analysis.  Contiguity matters: merging shard results in
-        shard order then replays the serial scan order, which is what keeps
-        shard-merged accumulator output deterministic.  An empty frame yields
-        a single empty shard.
+        at most ``count`` near-equal contiguous chunks.  Contiguity matters:
+        merging shard results in shard order then replays the serial scan
+        order, which is what keeps shard-merged accumulator output
+        deterministic.  An empty frame yields a single empty shard.
         """
         if count <= 0:
             raise ValueError("shard count must be positive")
@@ -842,10 +841,9 @@ class TxFrame:
 
         With ``arrays=True`` the numeric columns are copied as ``array.array``
         buffers instead of plain lists.  Array payloads are not JSON-
-        serialisable, but they pickle as raw machine bytes — the fast
-        transport the parallel execution layer uses to ship shards to worker
-        processes.  Both forms are accepted by :meth:`from_payload` /
-        :meth:`extend_from_payload`.
+        serialisable; they are what the binary chunk encoder consumes (raw
+        machine bytes per column).  Both forms are accepted by
+        :meth:`from_payload` / :meth:`extend_from_payload`.
         """
         contiguous = (
             range(0, len(self))
@@ -861,9 +859,8 @@ class TxFrame:
             transaction_ids = self.transaction_id[lo:hi]
             metadata = [meta if meta else None for meta in self.metadata[lo:hi]]
         elif kernels.use_numpy():
-            # Index-array gather: one C fancy-indexing call per column (the
-            # shard-shipping path of the parallel execution layer), never a
-            # per-element Python copy.
+            # Index-array gather: one C fancy-indexing call per column, never
+            # a per-element Python copy.
             columns = {}
             for name in self._NUMERIC_COLUMNS:
                 column = getattr(self, name)

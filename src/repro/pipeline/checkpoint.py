@@ -28,19 +28,15 @@ Persistence is a single file written atomically (temp file + rename), so a
 crash can never leave a torn checkpoint: either the previous checkpoint
 survives intact or the new one is fully committed.  An unreadable,
 corrupt or version-skewed snapshot degrades to ``None`` — the reporter then
-falls back to a full rescan, which is always correct.
-
-**Legacy migration.**  Version-1 checkpoints (``checkpoint.pkl``, a pickle
-of per-chain pickled accumulator lists) are migrated on first load: the
-pickle is trusted one final time, each chain's accumulators are re-exported
-through the codec, the new-format snapshot is written and the old file is
-removed.  A corrupt legacy file simply degrades to a full rescan.
+falls back to a full rescan, which is always correct.  The same holds for a
+directory that still carries a version-1 ``checkpoint.pkl`` from an earlier
+life of this pipeline: the file is never opened, the first update rescans
+and commits a ``checkpoint.snap`` beside it.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -54,9 +50,6 @@ CHECKPOINT_VERSION = 2
 
 #: File name of the durable snapshot inside a pipeline directory.
 CHECKPOINT_NAME = "checkpoint.snap"
-
-#: File name of the version-1 pickle checkpoint (migrated on first load).
-LEGACY_CHECKPOINT_NAME = "checkpoint.pkl"
 
 #: Top-level format marker inside the snapshot payload.
 SNAPSHOT_FORMAT = "repro-checkpoint"
@@ -194,10 +187,6 @@ class CheckpointStore:
     def path(self) -> str:
         return os.path.join(self.directory, CHECKPOINT_NAME)
 
-    @property
-    def legacy_path(self) -> str:
-        return os.path.join(self.directory, LEGACY_CHECKPOINT_NAME)
-
     def save(self, checkpoint: PipelineCheckpoint) -> None:
         """Commit ``checkpoint`` atomically (write-temp + rename).
 
@@ -241,28 +230,11 @@ class CheckpointStore:
 
         Unreadable includes a truncated or corrupt file and a version
         mismatch: both degrade to a full rescan instead of failing the
-        update.  A version-1 pickle checkpoint found at the legacy path is
-        migrated in place (see the module docstring).
+        update.
         """
         started = time.perf_counter()
-        migrated = False
-        try:
-            if os.path.exists(self.path):
-                checkpoint = self._load_snapshot()
-            elif os.path.exists(self.legacy_path):
-                self.last_save_seconds = 0.0
-                checkpoint = self._migrate_legacy()
-                migrated = True
-            else:
-                checkpoint = None
-        finally:
-            elapsed = time.perf_counter() - started
-            if migrated:
-                # The one-time migration re-exports everything and commits
-                # a snapshot inside this call; keep the embedded save out
-                # of the steady-state load figure.
-                elapsed = max(0.0, elapsed - self.last_save_seconds)
-            self.last_load_seconds = elapsed
+        checkpoint = self._load_snapshot() if os.path.exists(self.path) else None
+        self.last_load_seconds = time.perf_counter() - started
         return checkpoint
 
     def _load_snapshot(self) -> Optional[PipelineCheckpoint]:
@@ -299,41 +271,6 @@ class CheckpointStore:
         except Exception:
             return None
 
-    def _migrate_legacy(self) -> Optional[PipelineCheckpoint]:
-        """Convert a version-1 pickle checkpoint to the snapshot format.
-
-        The legacy pickle (written by this pipeline in an earlier life) is
-        loaded one final time; every chain's accumulator list is re-exported
-        through the state codec, the new snapshot is committed, and the old
-        file is removed so no later load touches pickle again.  Any failure
-        — corruption, version skew, an accumulator that cannot re-export —
-        degrades to ``None`` (full rescan) and leaves the legacy file to be
-        shadowed by the next saved snapshot.
-        """
-        try:
-            with open(self.legacy_path, "rb") as handle:
-                legacy = pickle.load(handle)
-            if getattr(legacy, "version", None) != 1:
-                return None
-            migrated = PipelineCheckpoint(watermark_rows=legacy.watermark_rows)
-            for chain_value, blob in legacy.chain_states.items():
-                accumulators = pickle.loads(blob)
-                migrated.capture_chain(chain_value, accumulators)
-                # Preserve the signatures the legacy checkpoint recorded:
-                # they gate compatibility exactly as they did before.
-                migrated.signatures[chain_value] = list(
-                    legacy.signatures[chain_value]
-                )
-            self.save(migrated)
-        except Exception:
-            return None
-        try:
-            os.remove(self.legacy_path)
-        except OSError:  # pragma: no cover - racing cleanup is harmless
-            pass
-        return migrated
-
     def clear(self) -> None:
-        for path in (self.path, self.legacy_path):
-            if os.path.exists(path):
-                os.remove(path)
+        if os.path.exists(self.path):
+            os.remove(self.path)

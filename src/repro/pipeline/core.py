@@ -24,10 +24,11 @@ per accumulator and figure-for-figure.  It rests on three mechanisms:
   anchor caused by out-of-order history) forces a full rescan of the
   affected chain rather than a silently wrong merge.
 
-A cold ``update`` over a large backlog can shard the catch-up scan across
-worker processes (the :mod:`repro.analysis.parallel` machinery); the shard
-states merge into the same base accumulators in shard order, preserving
-the identity guarantee.
+A cold ``update`` with no usable checkpoint can fan the catch-up scan out
+across worker processes as out-of-core chunk tasks (the
+:mod:`repro.analysis.parallel` machinery); the task states fold into the
+base accumulators in chunk order, preserving the identity guarantee.  A
+delta past a watermark is always scanned in-process.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.clustering import StaticAccountClusterer
 from repro.analysis.engine import BLOCK_ROWS, Accumulator, EngineResult, scan_blocks
-from repro.analysis.parallel import chunk_scan_states, run_tasks, shard_task
+from repro.analysis.parallel import chunk_scan_states
 from repro.analysis.statecache import ChunkStateCache
 from repro.analysis.report import (
     FullReport,
@@ -52,7 +53,7 @@ from repro.analysis.report import (
 from repro.analysis.throughput import DEFAULT_BIN_SECONDS
 from repro.analysis.value import ExchangeRateOracle
 from repro.collection.store import FrameSink, FrameStore
-from repro.common.columns import TxFrame, TxView
+from repro.common.columns import TxFrame
 from repro.common import faults, statsmode
 from repro.common.errors import AnalysisError, CollectionError
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
@@ -120,8 +121,6 @@ def incremental_report(
     clusterer=None,
     bin_seconds: float = DEFAULT_BIN_SECONDS,
     top_limit: int = 10,
-    workers: int = 0,
-    shards: Optional[int] = None,
     block_rows: int = BLOCK_ROWS,
 ) -> Tuple[FullReport, PipelineCheckpoint, UpdateStats]:
     """Refresh every figure, scanning only rows past the checkpoint watermark.
@@ -130,12 +129,6 @@ def incremental_report(
     ``frame``), and the update statistics.  With no (or an incompatible)
     checkpoint the affected chains are rescanned from row zero — the result
     is identical either way; only the work differs.
-
-    ``workers > 1`` fans the catch-up scan out across worker processes:
-    the delta rows are split into contiguous shards, scanned concurrently,
-    and the shard states merged into the checkpoint-seeded base in shard
-    order — exactly the :mod:`repro.analysis.parallel` execution model, so
-    the parallel catch-up stays result-identical too.
     """
     started = time.perf_counter()
     watermark = checkpoint.watermark_rows if checkpoint is not None else 0
@@ -144,14 +137,11 @@ def incremental_report(
             f"checkpoint watermark {watermark} exceeds frame rows {len(frame)}; "
             "the store shrank underneath the checkpoint"
         )
-    shard_count = shards if shards is not None else max(workers, 1)
     report = FullReport()
     new_checkpoint = PipelineCheckpoint(watermark_rows=len(frame))
     chains_rescanned: List[str] = []
     chains_carried: List[str] = []
     rows_scanned = 0
-    tasks: List[tuple] = []
-    pending: Dict[ChainId, tuple] = {}
 
     def rescan_chain(chain: ChainId, factory, view) -> EngineResult:
         """Last-resort serial rescan of one chain from row zero."""
@@ -181,8 +171,7 @@ def incremental_report(
         )
         accumulators = list(factory())
         # bind_batch initialises state on every accumulator — required before
-        # the saved-state restore in *both* execution paths; only the serial
-        # branch also drives the returned consumers.
+        # the saved-state restore below.
         consumers = [accumulator.bind_batch(frame) for accumulator in accumulators]
         saved = None
         if checkpoint is not None and checkpoint.compatible_with(
@@ -228,16 +217,6 @@ def incremental_report(
                 # has nothing saved and nothing to rescan.
                 chains_rescanned.append(chain.value)
         rows_scanned += len(delta_rows)
-        if workers > 1 and len(delta_rows):
-            delta_view = TxView(frame, delta_rows)
-            for shard_view in delta_view.shard(shard_count):
-                if not len(shard_view):
-                    continue
-                tasks.append(
-                    shard_task(chain, frame, shard_view.rows, factory, block_rows)
-                )
-            pending[chain] = (accumulators, view, factory, saved is not None, len(delta_rows))
-            continue
         # scan_blocks normalises the delta rows once (index ndarrays under
         # the numpy backend), exactly like the engine's own scan loop.
         for block in scan_blocks(delta_rows, block_rows):
@@ -262,24 +241,6 @@ def incremental_report(
             chains_rescanned.append(chain.value)
             result = rescan_chain(chain, factory, view)
         report.chains[chain] = figures_from_result(chain, result)
-    if tasks:
-        run_tasks(
-            tasks, workers, {chain: base for chain, (base, *_rest) in pending.items()}
-        )
-    for chain, (accumulators, view, factory, had_saved, delta_len) in pending.items():
-        try:
-            new_checkpoint.capture_chain(chain.value, accumulators)
-            result = EngineResult(
-                {acc.name: acc.finalize() for acc in accumulators},
-                rows_processed=len(view),
-            )
-        except Exception:
-            if not had_saved:
-                raise
-            rows_scanned += len(view) - delta_len
-            chains_rescanned.append(chain.value)
-            result = rescan_chain(chain, factory, view)
-        report.chains[chain] = figures_from_result(chain, result)
     stats = UpdateStats(
         rows_total=len(frame),
         rows_scanned=rows_scanned,
@@ -287,7 +248,6 @@ def incremental_report(
         watermark_after=len(frame),
         used_checkpoint=checkpoint is not None,
         chains_rescanned=chains_rescanned,
-        workers=workers,
         elapsed_seconds=time.perf_counter() - started,
         chains_carried=chains_carried,
     )
@@ -303,10 +263,6 @@ class Pipeline:
           frames/           chunk-compressed columnar rows + manifest.json
           checkpoint.snap   codec-encoded accumulator states + row watermark
           meta.json         analysis configuration (oracle rates, clusters)
-
-    A directory created by an earlier (pickle-checkpoint) version is
-    adopted transparently: the first ``update`` migrates ``checkpoint.pkl``
-    into the snapshot format and removes it.
 
     The pipeline keeps a resident :class:`TxFrame` mirroring the store, so a
     long-lived process (the ``watch`` loop) ingests and updates without ever
@@ -516,17 +472,17 @@ class Pipeline:
     def update(
         self,
         workers: int = 0,
-        shards: Optional[int] = None,
         bin_seconds: float = DEFAULT_BIN_SECONDS,
         top_limit: int = 10,
     ) -> Tuple[FullReport, UpdateStats]:
         """Bring every figure up to date with the rows ingested so far.
 
         Loads the durable checkpoint, scans only the rows past its
-        watermark (sharded across ``workers`` processes when the backlog
-        warrants it), persists the refreshed checkpoint, and returns the
-        full figure report — identical to a batch ``full_report`` over the
-        same rows.
+        watermark, persists the refreshed checkpoint, and returns the full
+        figure report — identical to a batch ``full_report`` over the same
+        rows.  ``workers > 1`` matters only to a cold catch-up (no usable
+        checkpoint, no resident frame): that scan fans out as chunk tasks;
+        ``stats.workers`` reports what actually ran.
         """
         self.store.flush()
         faults.maybe_crash("pipeline.update")
@@ -539,12 +495,11 @@ class Pipeline:
             and self.store.committed_chunk_count
         ):
             # Cold catch-up: no checkpoint to seed from and no resident
-            # frame yet, so scanning is the whole job.  Reuse the
-            # out-of-core chunk tasks instead of rehydrating the frame and
-            # shipping pickled row payloads to workers — the parent reads
-            # only the manifest, workers stream their chunk ranges, and
-            # the folded accumulator states checkpoint exactly like a
-            # serial scan's.  Memory stays bounded in every process.
+            # frame yet, so scanning is the whole job.  Run it as
+            # out-of-core chunk tasks instead of rehydrating the frame — the
+            # parent reads only the manifest, workers stream their chunk
+            # ranges, and the folded accumulator states checkpoint exactly
+            # like a serial scan's.  Memory stays bounded in every process.
             started = time.perf_counter()
             # The chunk-state cache turns a *repeated* cold catch-up (a
             # process that keeps restarting before its first checkpoint
@@ -555,7 +510,6 @@ class Pipeline:
                 oracle=oracle,
                 clusterer=clusterer,
                 workers=workers,
-                tasks=shards,
                 bin_seconds=bin_seconds,
                 top_limit=top_limit,
                 cache=ChunkStateCache.for_store(self.frames_dir),
@@ -603,8 +557,6 @@ class Pipeline:
             clusterer=clusterer,
             bin_seconds=bin_seconds,
             top_limit=top_limit,
-            workers=workers,
-            shards=shards,
         )
         self.checkpoints.save(new_checkpoint)
         stats.checkpoint_load_seconds = self.checkpoints.last_load_seconds

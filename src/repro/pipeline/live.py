@@ -164,14 +164,12 @@ class LiveTailRunner:
         batch_seconds: float = DEFAULT_BATCH_SECONDS,
         clock: Optional[SimulationClock] = None,
         workers: int = 0,
-        shards: Optional[int] = None,
     ):
         self.pipeline = pipeline
         self.scenario = scenario
         self.batch_seconds = batch_seconds
         self.clock = clock or SimulationClock(0.0)
         self.workers = workers
-        self.shards = shards
         self.generators = scenario_generators(scenario)
 
     def run(self, max_batches: Optional[int] = None) -> Iterator[LiveUpdate]:
@@ -199,9 +197,7 @@ class LiveTailRunner:
             faults.maybe_crash("live.batch", now=batch_end)
             self.clock.advance_to(batch_end)
             rows = self.pipeline.ingest_blocks(blocks, skip_rows=skip_rows)
-            report, stats = self.pipeline.update(
-                workers=self.workers, shards=self.shards
-            )
+            report, stats = self.pipeline.update(workers=self.workers)
             self.pipeline.set_meta(next_batch_index=index + 1)
             emitted += 1
             yield LiveUpdate(

@@ -1,11 +1,11 @@
-"""Shard/merge equivalence: parallel execution reproduces the serial engine.
+"""Shard/merge equivalence: merged shard states reproduce the serial engine.
 
 Every accumulator implements ``merge``; these tests require that scanning a
 frame in contiguous shards and merging the shard states (in shard order)
 produces exactly the result of one serial pass — for every accumulator in
-all nine analysis modules — and that the multiprocessing path (workers
-rehydrating shards from columnar payloads) matches the serial
-:func:`~repro.analysis.report.full_report` on all three chains.
+all nine analysis modules, at arbitrary cut points.  (The cross-process
+identity of the chunk engine, which cuts only at chunk boundaries, lives in
+``tests/analysis/test_out_of_core.py``.)
 
 Floating-point caveat: ``ValueFlowAccumulator`` sums XRP values, and merging
 adds shard subtotals; counts, keys and orderings must match exactly, while
@@ -14,8 +14,6 @@ row-order sum and the shard-subtotal sum may differ in the last ulps).
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -36,16 +34,16 @@ from repro.analysis.clustering import (
     ClusterCountsAccumulator,
     StaticAccountClusterer,
 )
-from repro.analysis.engine import Accumulator, AnalysisEngine, TxStatsAccumulator
+from repro.analysis.engine import (
+    Accumulator,
+    AnalysisEngine,
+    EngineResult,
+    TxStatsAccumulator,
+)
 from repro.analysis.flows import ValueFlowAccumulator
 from repro.analysis.governance import GovernanceOpsAccumulator
-from repro.analysis.parallel import (
-    _scan_shard,
-    parallel_full_report,
-    parallel_run,
-    run_sharded,
-)
-from repro.analysis.report import FIGURE3_CATEGORIZERS, full_report
+from repro.analysis.parallel import _bound_base, _merge_into
+from repro.analysis.report import FIGURE3_CATEGORIZERS
 from repro.analysis.throughput import ThroughputSeriesAccumulator
 from repro.analysis.value import (
     ExchangeRateOracle,
@@ -53,7 +51,7 @@ from repro.analysis.value import (
     XrpDecompositionAccumulator,
 )
 from repro.analysis.washtrading import TradeExtractionAccumulator, WashTradeAccumulator
-from repro.common.columns import TxFrame
+from repro.common.columns import TxFrame, as_frame, view_of
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
 
@@ -77,6 +75,22 @@ def _serial(factory, source):
     return AnalysisEngine(list(factory())).run(source)
 
 
+def run_sharded(source, factory, shards):
+    """Scan ``source`` in contiguous shards, merge in shard order, finalise."""
+    view = view_of(as_frame(source))
+    base = _bound_base(factory, view.frame)
+    for shard_view in view.shard(shards):
+        if not len(shard_view):
+            continue
+        accumulators = list(factory())
+        AnalysisEngine(accumulators).run(shard_view)
+        _merge_into(base, accumulators)
+    return EngineResult(
+        {accumulator.name: accumulator.finalize() for accumulator in base},
+        rows_processed=len(view),
+    )
+
+
 def _assert_results_equal(serial, sharded):
     assert serial.rows_processed == sharded.rows_processed
     assert set(serial.keys()) == set(sharded.keys())
@@ -85,7 +99,7 @@ def _assert_results_equal(serial, sharded):
 
 
 class TestShardMergeEquivalence:
-    """run_sharded == one serial pass, for every accumulator."""
+    """Merged shard scans == one serial pass, for every accumulator."""
 
     SHARD_COUNTS = (2, 3, 7)
 
@@ -205,93 +219,12 @@ class TestShardMergeEquivalence:
             )
 
 
-class TestParallelProcesses:
-    """Multiprocessing path: payload rehydration + cross-process merge."""
-
-    def test_parallel_run_matches_serial(self, combined_frame):
-        factory = lambda: [TxStatsAccumulator(), TypeDistributionAccumulator()]
-        serial = _serial(factory, combined_frame)
-        parallel = parallel_run(
-            combined_frame, _stats_and_types_factory, workers=2, shards=3
-        )
-        _assert_results_equal(serial, parallel)
-
-    def test_parallel_full_report_matches_serial(
-        self, combined_frame, xrp_oracle, xrp_clusterer
-    ):
-        serial = full_report(
-            combined_frame, oracle=xrp_oracle, clusterer=xrp_clusterer
-        )
-        parallel = parallel_full_report(
-            combined_frame,
-            oracle=xrp_oracle,
-            clusterer=xrp_clusterer,
-            workers=2,
-            shards=3,
-        )
-        assert set(parallel.chains) == set(serial.chains) == {
-            ChainId.EOS,
-            ChainId.TEZOS,
-            ChainId.XRP,
-        }
-        for chain, expected in serial.chains.items():
-            actual = parallel.chains[chain]
-            assert actual.type_rows == expected.type_rows
-            assert actual.stats == expected.stats
-            assert actual.throughput == expected.throughput
-            assert actual.top_senders == expected.top_senders
-            assert actual.categories == expected.categories
-            assert actual.top_receivers == expected.top_receivers
-            assert actual.wash_trading == expected.wash_trading
-            assert actual.decomposition == expected.decomposition
-            if expected.value_flows is not None:
-                assert actual.value_flows.total_xrp_value == pytest.approx(
-                    expected.value_flows.total_xrp_value, rel=1e-9
-                )
-        assert parallel.summary().to_rows() == serial.summary().to_rows()
-
-    def test_worker_rehydrates_payload(self, combined_frame):
-        """The worker entry point rebuilds a code-compatible shard frame."""
-        view = combined_frame.chain_view(ChainId.XRP)
-        shard_view = view.shard(2)[0]
-        payload = combined_frame.to_payload(shard_view.rows, arrays=True)
-        tag, shipped = _scan_shard((0, payload, _stats_and_types_factory, 65_536))
-        assert tag == 0
-        # Workers ship (qualname, state payload) pairs, not accumulators.
-        assert [qualname for qualname, _ in shipped] == [
-            "TxStatsAccumulator",
-            "TypeDistributionAccumulator",
-        ]
-        direct = _serial(_stats_and_types_factory, shard_view)
-        base = _stats_and_types_factory()
-        for accumulator in base:
-            accumulator.bind_batch(combined_frame)
-        for target, (_, state) in zip(base, shipped):
-            target.restore_state(state)
-        assert base[0].finalize() == direct["tx_stats"]
-        assert base[1].finalize() == direct["type_distribution"]
-
-    def test_scanned_accumulator_pickles_without_frame(self, combined_frame):
-        accumulator = TypeDistributionAccumulator()
-        AnalysisEngine([accumulator]).run(combined_frame)
-        clone = pickle.loads(pickle.dumps(accumulator))
-        assert "_frame" not in vars(clone)
-        assert clone._counts == accumulator._counts
-
-
-def _stats_and_types_factory():
-    """Module-level factory: picklable across process start methods."""
-    return [TxStatsAccumulator(), TypeDistributionAccumulator()]
-
-
 class TestMergeProtocol:
     def test_base_merge_unimplemented(self):
         with pytest.raises(NotImplementedError):
             Accumulator().merge(Accumulator())
 
     def test_mismatched_accumulator_sets_rejected(self, combined_frame):
-        from repro.analysis.parallel import _merge_into
-
         bound = TxStatsAccumulator()
         bound.bind_batch(combined_frame)
         with pytest.raises(AnalysisError):

@@ -285,36 +285,35 @@ def test_stats_mode_keys_entries_separately(store_dir, xrp_oracle, xrp_clusterer
         assert (rewarm.hits, rewarm.misses) == (chunks, 0)
 
 
-def test_migrate_format_invalidates_cache(store_dir, xrp_oracle, xrp_clusterer):
-    store = FrameStore.open(store_dir)
-    cache = ChunkStateCache.for_store(store_dir)
-    _report(store_dir, xrp_oracle, xrp_clusterer, cache=cache)
-    assert cache.stat()["entries"] == store.committed_chunk_count
+def test_migrate_format_invalidates_cache(v1_store_dir):
+    store = FrameStore.open(v1_store_dir)
+    chunks = store.committed_chunk_count
+    cache = ChunkStateCache.for_store(v1_store_dir)
+    before = _report(v1_store_dir, None, None, cache=cache)
+    assert cache.stat()["entries"] == chunks
+    # The legacy-format archive serves warm reports like any other store.
+    warm = ChunkStateCache.for_store(v1_store_dir)
+    _report(v1_store_dir, None, None, cache=warm)
+    assert (warm.hits, warm.misses) == (chunks, 0)
 
-    target = (
-        CHUNK_FORMAT_V1
-        if store.chunk_format == CHUNK_FORMAT_V2
-        else CHUNK_FORMAT_V2
-    )
-    assert store.migrate_format(target) > 0
-    assert ChunkStateCache.for_store(store_dir).stat()["entries"] == 0
+    assert store.migrate_format() == chunks
+    assert ChunkStateCache.for_store(v1_store_dir).stat()["entries"] == 0
 
     # Post-migration reports rebuild the cache under the new format's keys.
-    rebuilt = ChunkStateCache.for_store(store_dir)
-    report = _report(store_dir, xrp_oracle, xrp_clusterer, cache=rebuilt)
-    assert rebuilt.misses == store.committed_chunk_count
-    assert_reports_identical(
-        report, _report(store_dir, xrp_oracle, xrp_clusterer), exact_flows=True
-    )
+    rebuilt = ChunkStateCache.for_store(v1_store_dir)
+    report = _report(v1_store_dir, None, None, cache=rebuilt)
+    assert rebuilt.misses == chunks
+    assert_reports_identical(report, before, exact_flows=True)
 
 
-def test_chunk_identity_tracks_bytes_and_format(store_dir):
+def test_chunk_identity_tracks_bytes_and_format(store_dir, v1_store_dir):
     store = FrameStore.open(store_dir)
     checksum, fmt = store.chunk_identity(0)
-    assert len(checksum) == 8 and fmt == store.chunk_format
+    assert len(checksum) == 8 and fmt == CHUNK_FORMAT_V2
     assert store.chunk_identity(0) == (checksum, fmt)  # stable
     other_checksum, _ = store.chunk_identity(1)
     assert other_checksum != checksum  # different bytes, different key
+    assert FrameStore.open(v1_store_dir).chunk_identity(0)[1] == CHUNK_FORMAT_V1
 
 
 def test_state_cache_dir_is_outside_chunk_globs(store_dir, xrp_oracle):

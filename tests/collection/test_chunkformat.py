@@ -1,7 +1,8 @@
-"""Tests for the v2 binary columnar chunk format."""
+"""Tests for the v2 binary columnar chunk format (written) and v1 (read)."""
 
 import json
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -13,16 +14,18 @@ from repro.collection.chunkformat import (
     encode_chunk,
     is_v2_chunk,
 )
-from repro.collection.store import (
-    CHUNK_FORMAT_V1,
-    CHUNK_FORMAT_V2,
-    FrameStore,
-    resolve_chunk_format,
-)
+from repro.analysis.parallel import parallel_report_from_store
+from repro.analysis.report import full_report
+from repro.analysis.statecache import ChunkStateCache
+from repro.cli import _report_to_dict
+from repro.collection.store import FrameStore, _decode_chunk_blob
 from repro.common import kernels
 from repro.common.columns import LazyMetadata, TxFrame
 from repro.common.errors import CollectionError
 from repro.common.records import ChainId, TransactionRecord
+from repro.pipeline import run_fsck
+
+from tests.fixtures import V1_STORE_CHUNKS, V1_STORE_ROWS
 
 
 def _records(count, chain=ChainId.EOS, start_height=0):
@@ -222,21 +225,18 @@ class TestCorruption:
 
 
 class TestStoreIntegration:
-    def test_mixed_format_store_reads_both(self, tmp_path):
-        records = _records(20)
-        v1 = FrameStore(
-            chunk_rows=10, directory=str(tmp_path), chunk_format=CHUNK_FORMAT_V1
-        )
-        v1.add_frame(TxFrame.from_records(records))
-        # Reopen with the v2 default and append more: old chunks stay v1.
-        reopened = FrameStore.open(str(tmp_path))
-        assert reopened.chunk_format == CHUNK_FORMAT_V2
+    def test_mixed_format_store_reads_both(self, v1_store_dir):
+        v1 = FrameStore.open(v1_store_dir)
+        assert v1.chunk_count == V1_STORE_CHUNKS
+        archived = list(v1.to_frame())
+        assert len(archived) == V1_STORE_ROWS
+        # Appending to a v1 archive writes v2 beside it: old chunks stay v1.
         more = _records(10, start_height=100)
-        reopened.add_records(iter(more))
-        reopened.flush()
-        assert sorted(p.suffix for p in tmp_path.glob("frame-chunk-*.bin")) == [".bin"]
-        assert len(list(tmp_path.glob("frame-chunk-*.json.gz"))) == 2
-        assert list(FrameStore.open(str(tmp_path)).to_frame()) == records + more
+        v1.add_records(iter(more))
+        v1.flush()
+        names = sorted(path.name for path in Path(v1_store_dir).glob("frame-chunk-*"))
+        assert [name.rsplit(".", 1)[-1] for name in names] == ["gz", "gz", "gz", "bin"]
+        assert list(FrameStore.open(v1_store_dir).to_frame()) == archived + more
 
     def test_corrupt_v2_chunk_degrades_like_corrupt_checkpoint(self, tmp_path):
         store = FrameStore(chunk_rows=10, directory=str(tmp_path))
@@ -251,40 +251,59 @@ class TestStoreIntegration:
         with pytest.raises(CollectionError, match="corrupt"):
             reopened.to_frame()
 
-    def test_migrate_store_round_trips(self, tmp_path):
-        records = _records(25)
-        store = FrameStore(
-            chunk_rows=10, directory=str(tmp_path), chunk_format=CHUNK_FORMAT_V1
+    def test_migrate_store_round_trips(self, v1_store_dir, monkeypatch):
+        """v1 → v2 in place: same rows, same figures, one commit, clean fsck."""
+        assert run_fsck(v1_store_dir).clean
+        store = FrameStore.open(v1_store_dir)
+        payload = store.to_frame().to_payload()
+        figures = json.dumps(_report_to_dict(full_report(store.to_frame())))
+        cache = ChunkStateCache.for_store(v1_store_dir)
+        parallel_report_from_store(v1_store_dir, workers=1, cache=cache)
+        assert cache.stat()["entries"] == V1_STORE_CHUNKS
+        commits = []
+        write_manifest = FrameStore._write_manifest
+        monkeypatch.setattr(
+            FrameStore,
+            "_write_manifest",
+            lambda self: (commits.append(1), write_manifest(self))[1],
         )
-        store.add_frame(TxFrame.from_records(records))
-        migrated = store.migrate_format(CHUNK_FORMAT_V2)
-        assert migrated == 3
-        assert not list(tmp_path.glob("frame-chunk-*.json.gz"))
-        assert list(FrameStore.open(str(tmp_path)).to_frame()) == records
-        # And back again: v1 rewrite restores gzip-JSON chunks.
-        back = FrameStore.open(str(tmp_path))
-        assert back.migrate_format(CHUNK_FORMAT_V1) == 3
-        assert not list(tmp_path.glob("frame-chunk-*.bin"))
-        assert list(FrameStore.open(str(tmp_path)).to_frame()) == records
+
+        assert store.migrate_format() == V1_STORE_CHUNKS
+        assert len(commits) == 1  # the whole migration is one manifest rename
+        assert not list(Path(v1_store_dir).glob("frame-chunk-*.json.gz"))
+        assert ChunkStateCache.for_store(v1_store_dir).stat()["entries"] == 0
+        migrated = FrameStore.open(v1_store_dir)
+        assert migrated.to_frame().to_payload() == payload
+        assert (
+            json.dumps(_report_to_dict(full_report(migrated.to_frame()))) == figures
+        )
+        assert run_fsck(v1_store_dir).clean
+        assert migrated.migrate_format() == 0
 
     def test_migrate_is_a_noop_on_matching_format(self, tmp_path):
         store = FrameStore(chunk_rows=10, directory=str(tmp_path))
         store.add_frame(TxFrame.from_records(_records(10)))
-        assert store.migrate_format(CHUNK_FORMAT_V2) == 0
+        assert store.migrate_format() == 0
 
-    def test_env_var_selects_write_format(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_FORMAT", "v1")
-        assert resolve_chunk_format() == CHUNK_FORMAT_V1
-        store = FrameStore(chunk_rows=10, directory=str(tmp_path))
-        store.add_frame(TxFrame.from_records(_records(10)))
-        assert len(list(tmp_path.glob("frame-chunk-*.json.gz"))) == 1
-        monkeypatch.setenv("REPRO_CHUNK_FORMAT", "bogus")
-        with pytest.raises(CollectionError):
-            resolve_chunk_format()
-
-    def test_explicit_format_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_FORMAT", "v1")
-        assert resolve_chunk_format(CHUNK_FORMAT_V2) == CHUNK_FORMAT_V2
+    @pytest.mark.parametrize("bit", [0x01, 0x40, 0xFF])
+    def test_damaged_v1_blob_raises_collection_error(self, v1_store_dir, bit):
+        """Never a crash, never a silent mis-decode — only ``CollectionError``."""
+        blob = next(Path(v1_store_dir).glob("frame-chunk-*.json.gz")).read_bytes()
+        intact = _decode_chunk_blob(blob, 0)
+        for cut in (1, 10, len(blob) // 2, len(blob) - 1):
+            with pytest.raises(CollectionError, match="corrupt"):
+                _decode_chunk_blob(blob[:cut], 0)
+        rejected = 0
+        for index in range(0, len(blob), 7):
+            damaged = blob[:index] + bytes([blob[index] ^ bit]) + blob[index + 1 :]
+            try:
+                # A flip gzip cannot see (header mtime/OS bytes, deflate
+                # padding, unused Huffman codes) must leave the rows intact.
+                assert _decode_chunk_blob(damaged, 0) == intact
+            except CollectionError as error:
+                assert "corrupt" in str(error)
+                rejected += 1
+        assert rejected > len(blob) // 7 * 0.9
 
     def test_byte_accounting_matches_disk(self, tmp_path):
         store = FrameStore(chunk_rows=10, directory=str(tmp_path))

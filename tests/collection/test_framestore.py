@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from repro.common.columns import TxFrame
 from repro.common.errors import CollectionError
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
 from repro.collection.store import MANIFEST_NAME, FrameSink, FrameStore
+
+from tests.fixtures import V1_STORE_CHUNKS, V1_STORE_ROWS
 
 
 def _records(count, chain=ChainId.EOS):
@@ -118,28 +121,25 @@ class TestFrameStore:
         assert len(stored_files) == 2
         assert list(store.to_frame()) == records
 
-    def test_disk_spill_v1(self, tmp_path):
-        records = _records(8)
-        store = FrameStore(chunk_rows=4, directory=str(tmp_path), chunk_format="v1")
-        store.add_frame(TxFrame.from_records(records))
-        stored_files = list(tmp_path.glob("frame-chunk-*.json.gz"))
-        assert len(stored_files) == 2
-        assert list(store.to_frame()) == records
+    def test_disk_spill_v1(self, v1_store_dir):
+        """A v1 (gzip-JSON) archive written by an older version still reads."""
+        store = FrameStore.open(v1_store_dir)
+        stored_files = list(Path(v1_store_dir).glob("frame-chunk-*.json.gz"))
+        assert len(stored_files) == store.chunk_count == V1_STORE_CHUNKS
+        assert len(store.to_frame()) == store.row_count == V1_STORE_ROWS
+        assert store.chain_row_counts() == {"eos": 150, "tezos": 100, "xrp": 130}
 
     def test_columnar_beats_per_record_compression(self):
         """The columnar payload compresses tighter than per-record dicts.
 
-        Pinned to the v1 chunk format: the claim is about the columnar
-        *layout* vs per-record dicts under the same gzip-JSON serialiser
-        (the v2 binary format trades a little size for decode speed).
+        The claim is about the columnar *layout* vs per-record dicts under
+        the same gzip-JSON serialiser (the v2 binary chunk format trades a
+        little size for decode speed).
         """
-        from repro.common.compression import compress_records
+        from repro.common.compression import compress_json, compress_records
 
         records = _records(200)
-        frame = TxFrame.from_records(records)
-        store = FrameStore(chunk_rows=200, chunk_format="v1")
-        store.add_frame(frame)
-        columnar = store.compression_stats().compressed_bytes
+        columnar = len(compress_json(TxFrame.from_records(records).to_payload()))
         per_record = len(compress_records([record.to_dict() for record in records]))
         assert columnar < per_record
 

@@ -28,13 +28,15 @@ from repro.collection.generate import (
     generate_sharded,
     window_day_offsets,
 )
-from repro.collection.store import CHUNK_FORMATS, FrameStore
+from repro.collection.store import CHUNK_FORMAT_V1, CHUNK_FORMAT_V2, FrameStore
 from repro.common import faults
 from repro.common.errors import CollectionError
 from repro.eos.workload import EosWorkloadConfig
 from repro.scenarios import PaperScenario
 from repro.tezos.workload import TezosWorkloadConfig
 from repro.xrp.workload import XrpWorkloadConfig
+
+from tests.fixtures import V1_STORE_ROWS, copy_v1_store
 
 
 def _windowed_scenario(seed: int = 7, windows: int = 2) -> PaperScenario:
@@ -177,6 +179,13 @@ class TestAssemble:
         store.flush()
         return store
 
+    def _shard_in(self, chunk_format, directory, records_frame) -> str:
+        """A flushed shard: the v1 fixture archive, or the frame written (v2)."""
+        if chunk_format == CHUNK_FORMAT_V1:
+            return copy_v1_store(directory)
+        self._shard(directory, records_frame)
+        return str(directory)
+
     def test_rejects_crashed_shard_without_manifest(self, tmp_path, eos_records):
         from repro.common.columns import TxFrame
 
@@ -188,7 +197,7 @@ class TestAssemble:
         with pytest.raises(CollectionError):
             FrameStore.assemble(str(tmp_path / "out"), [str(shard_dir)])
 
-    @pytest.mark.parametrize("chunk_format", CHUNK_FORMATS)
+    @pytest.mark.parametrize("chunk_format", [CHUNK_FORMAT_V1, CHUNK_FORMAT_V2])
     def test_crash_mid_assemble_leaves_a_rejected_target(
         self, tmp_path, eos_records, tezos_records, chunk_format
     ):
@@ -196,17 +205,12 @@ class TestAssemble:
         for a complete store — for either chunk serialisation format."""
         from repro.common.columns import TxFrame
 
-        shard_dirs = []
-        for index, rows in enumerate([eos_records[:200], tezos_records[:200]]):
-            shard_dir = tmp_path / f"in-{index}"
-            store = FrameStore(
-                chunk_rows=40,
-                directory=str(shard_dir),
-                chunk_format=chunk_format,
+        shard_dirs = [
+            self._shard_in(
+                chunk_format, tmp_path / f"in-{index}", TxFrame.from_records(rows)
             )
-            store.add_frame(TxFrame.from_records(rows))
-            store.flush()
-            shard_dirs.append(str(shard_dir))
+            for index, rows in enumerate([eos_records[:200], tezos_records[:200]])
+        ]
         target = str(tmp_path / "out")
         plan = faults.FaultPlan.parse("store.assemble:mode=crash:nth=3")
         with faults.use_plan(plan):
@@ -219,20 +223,18 @@ class TestAssemble:
         with pytest.raises(CollectionError, match="partial assembly"):
             FrameStore.open(target)
 
-    @pytest.mark.parametrize("chunk_format", CHUNK_FORMATS)
+    @pytest.mark.parametrize("chunk_format", [CHUNK_FORMAT_V1, CHUNK_FORMAT_V2])
     def test_completed_assembly_opens_clean(self, tmp_path, eos_records, chunk_format):
         from repro.common.columns import TxFrame
 
-        shard_dir = tmp_path / "in"
-        store = FrameStore(
-            chunk_rows=40, directory=str(shard_dir), chunk_format=chunk_format
+        shard_dir = self._shard_in(
+            chunk_format, tmp_path / "in", TxFrame.from_records(eos_records[:120])
         )
-        store.add_frame(TxFrame.from_records(eos_records[:120]))
-        store.flush()
+        rows = V1_STORE_ROWS if chunk_format == CHUNK_FORMAT_V1 else 120
         target = str(tmp_path / "out")
-        FrameStore.assemble(target, [str(shard_dir)], chunk_rows=40)
+        FrameStore.assemble(target, [shard_dir], chunk_rows=40)
         reopened = FrameStore.open(target)
-        assert reopened.row_count == 120
+        assert reopened.row_count == len(reopened.to_frame()) == rows
 
     def test_assembled_store_equals_concatenated_frames(
         self, tmp_path, eos_records, tezos_records, xrp_records

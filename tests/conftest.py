@@ -16,6 +16,8 @@ from repro.scenarios import small_scenario
 from repro.tezos.workload import TezosWorkloadGenerator
 from repro.xrp.workload import XrpWorkloadGenerator
 
+from tests.fixtures import copy_v1_store
+
 
 @pytest.fixture(scope="session")
 def scenario():
@@ -72,3 +74,9 @@ def xrp_blocks(xrp_generator):
 @pytest.fixture(scope="session")
 def xrp_records(xrp_blocks):
     return list(iter_transactions(xrp_blocks))
+
+
+@pytest.fixture
+def v1_store_dir(tmp_path):
+    """A writable copy of the checked-in v1 (gzip-JSON) fixture store."""
+    return copy_v1_store(tmp_path / "store_v1")

@@ -5,7 +5,7 @@ Two layers are covered:
 * :class:`CheckpointStore` / :class:`PipelineCheckpoint` — the versioned
   codec snapshot format: atomic durable persistence, corruption /
   truncation / version-skew degradation, signature gating, delta-aware
-  blob carry-forward, and migration of legacy pickle checkpoints;
+  blob carry-forward, and the inertness of a leftover pickle checkpoint;
 * the snapshot/restore contract of **every** accumulator across all nine
   analysis modules: scanning a row prefix, exporting the pre-finalize
   state through the codec, restoring it in a "new session" into freshly
@@ -14,6 +14,7 @@ Two layers are covered:
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 
@@ -47,10 +48,11 @@ from repro.analysis.value import (
     XrpDecompositionAccumulator,
 )
 from repro.analysis.washtrading import TradeExtractionAccumulator, WashTradeAccumulator
+from repro.cli import main as cli_main
 from repro.common import statecodec, statsmode
 from repro.common.columns import TxFrame
 from repro.common.records import ChainId
-from repro.pipeline import incremental_report
+from repro.pipeline import Pipeline, incremental_report
 from repro.pipeline.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointStore,
@@ -402,79 +404,71 @@ class TestCarryForward:
         assert "eos" not in fresh.chain_states
 
 
+#: Where PR-3-era pipelines pickled their checkpoint.  Nothing in ``src/``
+#: knows the name any more: a leftover is outside input and must stay inert.
+LEGACY_PICKLE_NAME = "checkpoint.pkl"
+
+
+class _CreatesFileWhenUnpickled:
+    """Unpickling an instance creates ``marker`` — proof the bytes were loaded."""
+
+    def __init__(self, marker: str):
+        self.marker = marker
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
+
+
 class TestLegacyMigration:
-    def _legacy_pickle(self, combined_frame, watermark=None):
-        """A version-1 checkpoint exactly as the old code wrote it."""
-        accumulators = _scanned_accumulators(combined_frame)
-        legacy = PipelineCheckpoint(
-            watermark_rows=watermark if watermark is not None else len(combined_frame)
-        )
-        legacy.chain_states["eos"] = pickle.dumps(accumulators)
-        legacy.signatures["eos"] = [
-            accumulator.config_signature() for accumulator in accumulators
-        ]
-        legacy.version = 1
-        return legacy
-
-    def test_legacy_checkpoint_migrates_on_first_load(self, tmp_path, combined_frame):
-        store = CheckpointStore(str(tmp_path))
-        with open(store.legacy_path, "wb") as handle:
-            pickle.dump(self._legacy_pickle(combined_frame), handle)
-        loaded = store.load()
-        assert loaded is not None
-        assert loaded.version == CHECKPOINT_VERSION
-        assert loaded.watermark_rows == len(combined_frame)
-        # Old file removed, new snapshot committed.
-        assert not os.path.exists(store.legacy_path)
-        assert os.path.exists(store.path)
-        # The migrated state restores to the same figures.
-        expected = [
-            accumulator.finalize()
-            for accumulator in _scanned_accumulators(combined_frame)
-        ]
-        assert _restored_results(loaded, "eos", combined_frame) == expected
-        # Second load reads the snapshot path (no pickle left to touch).
-        again = store.load()
-        assert again is not None
-        assert again.signatures == loaded.signatures
-
-    def test_legacy_signatures_survive_migration(self, tmp_path, combined_frame):
-        store = CheckpointStore(str(tmp_path))
-        legacy = self._legacy_pickle(combined_frame)
-        with open(store.legacy_path, "wb") as handle:
-            pickle.dump(legacy, handle)
-        loaded = store.load()
-        assert loaded.signatures["eos"] == legacy.signatures["eos"]
-        assert loaded.compatible_with(
-            "eos", [TxStatsAccumulator(), TypeDistributionAccumulator()]
-        )
+    """A version-1 ``checkpoint.pkl`` left in the directory is never opened."""
 
     def test_corrupt_legacy_degrades_to_none(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
-        with open(store.legacy_path, "wb") as handle:
-            handle.write(b"\x80\x04 definitely not a checkpoint")
-        assert store.load() is None
-
-    def test_version_skewed_legacy_degrades_to_none(self, tmp_path, combined_frame):
-        store = CheckpointStore(str(tmp_path))
-        legacy = self._legacy_pickle(combined_frame)
-        legacy.version = 99
-        with open(store.legacy_path, "wb") as handle:
-            pickle.dump(legacy, handle)
+        (tmp_path / LEGACY_PICKLE_NAME).write_bytes(
+            b"\x80\x04 definitely not a checkpoint"
+        )
         assert store.load() is None
 
     def test_snapshot_shadows_a_stale_legacy_file(self, tmp_path, combined_frame):
-        """Once a snapshot exists, a leftover pickle is never read again."""
+        """A leftover pickle beside a snapshot changes nothing and is kept."""
         store = CheckpointStore(str(tmp_path))
         checkpoint = PipelineCheckpoint.capture(
             len(combined_frame), {"eos": _scanned_accumulators(combined_frame)}
         )
         store.save(checkpoint)
-        with open(store.legacy_path, "wb") as handle:
-            handle.write(b"stale garbage that would fail to unpickle")
+        stale = tmp_path / LEGACY_PICKLE_NAME
+        stale.write_bytes(b"stale garbage that would fail to unpickle")
         loaded = store.load()
         assert loaded is not None
         assert loaded.signatures == checkpoint.signatures
+        assert stale.exists()
+
+    def test_hostile_legacy_pickle_is_inert(self, tmp_path, eos_records):
+        """update() rescans past a booby-trapped pickle; fsck tolerates it."""
+        data = tmp_path / "pipe"
+        marker = tmp_path / "unpickled.marker"
+        pipeline = Pipeline(str(data), chunk_rows=1_000)
+        pipeline.ingest_records(iter(eos_records[:2_500]))
+        (data / LEGACY_PICKLE_NAME).write_bytes(
+            pickle.dumps(_CreatesFileWhenUnpickled(str(marker)))
+        )
+        assert not os.path.exists(pipeline.checkpoints.path)
+
+        expected = full_report(pipeline.frame)
+        report, stats = Pipeline(str(data)).update()
+        assert not stats.used_checkpoint
+        assert stats.rows_scanned == stats.rows_total == 2_500
+        assert_reports_identical(report, expected)
+        # The rescan committed a snapshot; the leftover is shadowed for good.
+        assert os.path.exists(pipeline.checkpoints.path)
+        follow_up, follow_stats = Pipeline(str(data)).update()
+        assert follow_stats.incremental and follow_stats.rows_scanned == 0
+        assert_reports_identical(follow_up, expected)
+        assert cli_main(["fsck", str(data)], out=io.StringIO()) == 0
+        assert not marker.exists()
+        # The trap is armed: loading the leftover *would* have fired it.
+        pickle.loads((data / LEGACY_PICKLE_NAME).read_bytes()).close()
+        assert marker.exists()
 
 
 class TestStatsModeCheckpoints:

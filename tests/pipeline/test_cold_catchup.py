@@ -92,12 +92,12 @@ class TestColdCatchUp:
     def test_cold_path_skipped_when_frame_resident(
         self, tmp_path, sample_records, frozen_oracle, frozen_clusterer
     ):
-        """Same-session ingest keeps the classic sharded catch-up path."""
+        """Same-session ingest scans the resident frame in-process."""
         pipeline = _configured(tmp_path, frozen_oracle, frozen_clusterer)
         pipeline.ingest_records(iter(sample_records))
         assert pipeline.frame is not None  # materialise before updating
-        report, stats = pipeline.update(workers=2, shards=2)
-        assert stats.workers == 2
+        report, stats = pipeline.update(workers=2)
+        assert stats.workers == 0
         oracle, clusterer = pipeline.analysis_config()
         expected = full_report(pipeline.frame, oracle=oracle, clusterer=clusterer)
-        assert_reports_identical(report, expected, exact_flows=False)
+        assert_reports_identical(report, expected, exact_flows=True)

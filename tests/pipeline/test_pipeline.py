@@ -79,12 +79,19 @@ class TestPipelineSessions:
     def test_update_with_workers_matches(
         self, tmp_path, sample_records, frozen_oracle, frozen_clusterer
     ):
-        pipeline = _configured(tmp_path, frozen_oracle, frozen_clusterer)
-        pipeline.ingest_records(iter(sample_records))
-        report, stats = pipeline.update(workers=2, shards=2)
+        """No checkpoint: chunk tasks; with one: a serial delta; same figures."""
+        split = len(sample_records) // 2
+        ingest = _configured(tmp_path, frozen_oracle, frozen_clusterer)
+        ingest.ingest_records(iter(sample_records[:split]))
+        cold = _configured(tmp_path, frozen_oracle, frozen_clusterer)
+        _, stats = cold.update(workers=2)
         assert stats.workers == 2
-        oracle, clusterer = pipeline.analysis_config()
-        expected = full_report(pipeline.frame, oracle=oracle, clusterer=clusterer)
+        cold.ingest_records(iter(sample_records[split:]))
+        report, stats = cold.update(workers=2)
+        assert stats.workers == 0
+        assert stats.incremental
+        oracle, clusterer = cold.analysis_config()
+        expected = full_report(cold.frame, oracle=oracle, clusterer=clusterer)
         assert_reports_identical(report, expected, exact_flows=False)
 
     def test_watermark_tracks_checkpoint(

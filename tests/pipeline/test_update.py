@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.clustering import AccountClusterer
+from repro.analysis.clustering import AccountClusterer, StaticAccountClusterer
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
 from repro.common.columns import TxFrame
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
-from repro.pipeline import incremental_report
+from repro.pipeline import Pipeline, incremental_report
 
 from tests.pipeline.util import assert_reports_identical
 
@@ -49,7 +49,7 @@ def _splits(total, count):
     return boundaries
 
 
-def _ingest_in_batches(records, boundaries, oracle, clusterer, workers=0):
+def _ingest_in_batches(records, boundaries, oracle, clusterer):
     """Grow a frame batch by batch, updating the checkpoint after each."""
     frame = TxFrame()
     checkpoint = None
@@ -59,7 +59,7 @@ def _ingest_in_batches(records, boundaries, oracle, clusterer, workers=0):
         frame.extend(records[position:boundary])
         position = boundary
         report, checkpoint, stats = incremental_report(
-            frame, checkpoint, oracle=oracle, clusterer=clusterer, workers=workers
+            frame, checkpoint, oracle=oracle, clusterer=clusterer
         )
     return frame, report, stats
 
@@ -167,33 +167,53 @@ class TestBatchIdentity:
 
 
 class TestParallelCatchUp:
+    """``update(workers=2)`` fans out only a catch-up with no checkpoint."""
+
+    @staticmethod
+    def _session(root, oracle, clusterer, records) -> Pipeline:
+        pipeline = Pipeline(str(root), chunk_rows=5_000)
+        if not pipeline.has_analysis_config():
+            addresses = {r.sender for r in records} | {r.receiver for r in records}
+            pipeline.set_analysis_config(
+                oracle, StaticAccountClusterer.from_clusterer(clusterer, sorted(addresses))
+            )
+        return pipeline
+
     def test_sharded_catch_up_matches_serial(
-        self, all_records, xrp_oracle, xrp_clusterer
+        self, tmp_path, all_records, xrp_oracle, xrp_clusterer
     ):
-        """A cold update over a large backlog shards across processes."""
-        boundaries = _splits(len(all_records), 3)
-        frame, report, stats = _ingest_in_batches(
-            all_records, boundaries, xrp_oracle, xrp_clusterer, workers=2
-        )
-        expected = full_report(frame, oracle=xrp_oracle, clusterer=xrp_clusterer)
+        """A cold update with no checkpoint fans out as chunk tasks."""
+        position = 0
+        for boundary in _splits(len(all_records), 3):
+            session = self._session(tmp_path, xrp_oracle, xrp_clusterer, all_records)
+            session.ingest_records(iter(all_records[position:boundary]))
+            position = boundary
+        cold = self._session(tmp_path, xrp_oracle, xrp_clusterer, all_records)
+        report, stats = cold.update(workers=2)
         assert stats.workers == 2
+        assert not stats.used_checkpoint
+        expected = full_report(cold.frame, *cold.analysis_config())
         assert_reports_identical(report, expected, exact_flows=False)
 
     def test_parallel_then_serial_updates_compose(
-        self, all_records, xrp_oracle, xrp_clusterer
+        self, tmp_path, all_records, xrp_oracle, xrp_clusterer
     ):
-        """A parallel catch-up's checkpoint feeds later serial updates."""
+        """A parallel catch-up's checkpoint feeds later (serial) deltas."""
         split = len(all_records) * 2 // 3
-        frame = TxFrame.from_records(all_records[:split])
-        _, checkpoint, _ = incremental_report(
-            frame, None, oracle=xrp_oracle, clusterer=xrp_clusterer, workers=2
-        )
-        frame.extend(all_records[split:])
-        report, _, stats = incremental_report(
-            frame, checkpoint, oracle=xrp_oracle, clusterer=xrp_clusterer
-        )
+        first = self._session(tmp_path, xrp_oracle, xrp_clusterer, all_records)
+        first.ingest_records(iter(all_records[:split]))
+        cold = self._session(tmp_path, xrp_oracle, xrp_clusterer, all_records)
+        _, cold_stats = cold.update(workers=2)
+        assert cold_stats.workers == 2
+        resumed = self._session(tmp_path, xrp_oracle, xrp_clusterer, all_records)
+        resumed.ingest_records(iter(all_records[split:]))
+        # With a usable checkpoint the delta is scanned in-process, whatever
+        # worker count was asked for.
+        report, stats = resumed.update(workers=2)
+        assert stats.workers == 0
+        assert stats.incremental
         assert stats.rows_scanned == len(all_records) - split
-        expected = full_report(frame, oracle=xrp_oracle, clusterer=xrp_clusterer)
+        expected = full_report(resumed.frame, *resumed.analysis_config())
         assert_reports_identical(report, expected, exact_flows=False)
 
 

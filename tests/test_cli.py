@@ -8,11 +8,12 @@ import json
 import pytest
 
 from repro.cli import load_or_generate, main
-from repro.common import kernels
 from repro.eos.workload import EosWorkloadConfig
 from repro.scenarios import PaperScenario, register_scenario
 from repro.tezos.workload import TezosWorkloadConfig
 from repro.xrp.workload import XrpWorkloadConfig
+
+from tests.fixtures import V1_STORE_CHUNKS
 
 TINY_SCENARIO = "cli-tiny"
 
@@ -84,14 +85,28 @@ class TestReport:
         assert "Summary of findings" in output
         assert "serial single-pass engine" in output
 
-    def test_parallel_report_matches_serial_summary(self):
-        code_serial, serial = _run(["report", "--scale", TINY_SCENARIO])
-        code_parallel, parallel = _run(
-            ["report", "--scale", TINY_SCENARIO, "--workers", "2"]
-        )
+    def test_parallel_report_matches_serial_summary(self, tmp_path, capsys):
+        """``--workers 2`` *is* ``--out-of-core --workers 2``: the chunk engine."""
+        base = ["report", "--scale", TINY_SCENARIO, "--cache", str(tmp_path)]
+        code_serial, serial = _run(base)
+        code_parallel, parallel = _run(base + ["--workers", "2"])
         assert code_serial == code_parallel == 0
         assert _summary_lines(serial) == _summary_lines(parallel)
-        assert "parallel engine (2 workers)" in parallel
+        assert "out-of-core chunk engine (2 workers)" in parallel
+        capsys.readouterr()
+        code_workers, workers_json = _run(base + ["--workers", "2", "--json"])
+        workers_info = capsys.readouterr().err
+        code_ooc, ooc_json = _run(base + ["--workers", "2", "--out-of-core", "--json"])
+        ooc_info = capsys.readouterr().err
+        assert code_workers == code_ooc == 0
+        assert workers_json == ooc_json
+        for info in (workers_info, ooc_info):
+            assert "out-of-core chunk engine (2 workers)" in info
+
+    def test_workers_without_cache_is_an_error(self, capsys):
+        code = main(["report", "--scale", TINY_SCENARIO, "--workers", "2"])
+        assert code == 2
+        assert "--cache" in capsys.readouterr().err
 
     def test_json_output_is_pure_json(self):
         """In --json mode stdout carries only the payload (pipe-friendly)."""
@@ -145,68 +160,41 @@ class TestReport:
             )
 
 
-class TestBench:
-    def test_bench_reports_speedup(self, tmp_path):
-        code, output = _run(
-            [
-                "bench",
-                "--scale",
-                TINY_SCENARIO,
-                "--cache",
-                str(tmp_path),
-                "--workers",
-                "2",
-                "--repeat",
-                "1",
-            ]
-        )
-        assert code == 0
-        assert "speedup" in output
-        assert "python" in output  # the reference backend is always timed
+class TestRetiredSurface:
+    """Sub-commands and flags that no longer exist are argparse errors."""
 
-    def test_bench_json_writes_trajectory_point(self, tmp_path):
-        code, output = _run(
-            [
-                "bench",
-                "--scale",
-                TINY_SCENARIO,
-                "--cache",
-                str(tmp_path),
-                "--repeat",
-                "1",
-                "--json",
-                "--out",
-                str(tmp_path),
-            ]
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--scale", TINY_SCENARIO],
+            ["report", "--scale", TINY_SCENARIO, "--shards", "2"],
+            ["ingest", "--data", "unused", "--shards", "2"],
+            ["update", "--data", "unused", "--shards", "2"],
+            ["watch", "--data", "unused", "--shards", "2"],
+            ["migrate-store", "unused", "--format", "v1"],
+        ],
+        ids=[
+            "bench",
+            "report--shards",
+            "ingest--shards",
+            "update--shards",
+            "watch--shards",
+            "migrate-store--format",
+        ],
+    )
+    def test_retired_arguments_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+
+    def test_migrate_store_rewrites_v1_chunks_once(self, v1_store_dir):
+        code, out = _run(["migrate-store", v1_store_dir])
         assert code == 0
-        payload = json.loads(output)
-        assert payload["schema"] == 1
-        assert payload["rows"] > 0
-        assert payload["scenario"] == TINY_SCENARIO
-        assert set(payload["figures"]) == {
-            "type_distribution",
-            "top_senders",
-            "throughput_series",
-            "tx_stats",
-        }
-        reference = payload["backends"][kernels.PYTHON]
-        assert reference["full_report_seconds"] > 0
-        assert reference["rows_per_second"] > 0
-        checkpoint = payload["checkpoint"]
-        assert checkpoint["snapshot_seconds"] > 0
-        assert checkpoint["restore_seconds"] > 0
-        assert checkpoint["snapshot_bytes"] > 0
-        assert checkpoint["pickle_round_trip_seconds"] > 0
-        assert checkpoint["speedup_vs_pickle"] > 0
-        if kernels.numpy_available():
-            assert kernels.NUMPY in payload["backends"]
-            assert payload["speedup_numpy_vs_python"] > 0
-        trajectory_files = sorted(tmp_path.glob("BENCH_*.json"))
-        assert len(trajectory_files) == 1
-        on_disk = json.loads(trajectory_files[0].read_text())
-        assert on_disk == payload
-        assert trajectory_files[0].name == f"BENCH_{payload['revision']}.json"
+        assert f"Migrated {V1_STORE_CHUNKS} of {V1_STORE_CHUNKS} chunk(s)" in out
+        code, out = _run(["migrate-store", v1_store_dir])
+        assert code == 0
+        assert "Nothing to migrate" in out and "already v2" in out
 
 
 def _summary_lines(output: str):
@@ -318,7 +306,7 @@ register_scenario(TINY_WINDOWED, _tiny_windowed_scenario, overwrite=True)
 
 
 class TestOutOfCore:
-    """The chunk engine's CLI front door: report --out-of-core + bench."""
+    """The chunk engine's CLI front door: report --out-of-core."""
 
     def test_report_out_of_core_requires_cache(self, capsys):
         code = main(["report", "--scale", TINY_SCENARIO, "--out-of-core"])
@@ -370,33 +358,3 @@ class TestOutOfCore:
             assert cached.oracle.rate(currency, issuer) == built.oracle.rate(
                 currency, issuer
             )
-
-    def test_bench_stanzas_report_real_workers(self, tmp_path):
-        import os as _os
-
-        code, output = _run(
-            [
-                "bench", "--scale", TINY_SCENARIO, "--cache", str(tmp_path),
-                "--workers", "2", "--repeat", "1", "--json", "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(output)
-        parallel = payload["parallel"]
-        # The satellite fix: the stanza reports the real pool fan-out, not
-        # a hardcoded 1.
-        assert parallel["workers"] == 2
-        assert parallel["processes"] == 2
-        assert parallel["mode"] == "pool"
-        assert parallel["cpu_count"] == (_os.cpu_count() or 1)
-        assert parallel["speedup_vs_serial"] > 0
-        if parallel["cpu_count"] == 1:
-            assert "note" in parallel
-        out_of_core = payload["out_of_core"]
-        assert out_of_core["workers"] == 2
-        assert out_of_core["rows"] == payload["rows"]
-        assert out_of_core["chunks"] >= 1
-        assert out_of_core["speedup_vs_serial"] > 0
-        assert out_of_core["parent_peak_rss_kb"] > 0
-        assert out_of_core["workers_peak_rss_kb"] > 0

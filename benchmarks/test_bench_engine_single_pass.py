@@ -3,7 +3,7 @@
 The seed computed each figure with its own full iteration over the record
 list.  This benchmark measures, at ``medium_scenario`` scale, the seed's
 **sum of individual analysis passes** (the frozen implementations in
-:mod:`repro.analysis.legacy`) against the streaming engine's combined
+:mod:`tests.support.legacy`) against the streaming engine's combined
 report (:func:`repro.analysis.report.full_report`, one iteration per chain
 over the columnar frame) producing the same figure set — Figure 1 types,
 Figure 2 counts/window/TPS, Figure 3 throughput series, top accounts and
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 
-from repro.analysis import legacy
+from tests.support import legacy
 from repro.analysis.classify import classify_eos_category
 from repro.analysis.report import full_report
 from repro.common.records import ChainId

@@ -137,10 +137,7 @@ def test_pooled_chunk_scan_beats_in_process_scan(
 )
 def test_large_tier_out_of_core_beats_serial_numpy(tmp_path_factory):
     from repro.cli import ensure_store
-    from repro.common import kernels
 
-    if not kernels.numpy_available():  # pragma: no cover - numpy is baked in
-        pytest.skip("the large-tier gate compares against the numpy serial engine")
     cores = os.cpu_count() or 1
     cache = tmp_path_factory.mktemp("large-tier-cache")
     stored = ensure_store("large", 7, str(cache), gen_workers=cores)

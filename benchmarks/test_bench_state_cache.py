@@ -12,7 +12,7 @@ history.  Four layers, at ``medium_scenario`` scale:
   ones (hit/miss counters asserted), i.e. only new data is scanned;
 * **result identity** — the cached report (cold populating pass and warm
   memoized pass alike) is figure-for-figure identical to the serial
-  in-memory ``full_report`` on every available kernel backend;
+  in-memory ``full_report``;
 * **corruption degradation** — with the ``store.cache_read`` faultpoint
   flipping bits in every entry read (and with entries truncated or made
   stale on disk), the report silently degrades to a per-chunk rescan:
@@ -31,7 +31,7 @@ from repro.analysis.parallel import parallel_report_from_store
 from repro.analysis.report import full_report
 from repro.analysis.statecache import ChunkStateCache, parse_entry_name
 from repro.collection.store import FrameStore
-from repro.common import faults, kernels
+from repro.common import faults
 from repro.common.columns import TxFrame
 
 from tests.pipeline.util import assert_reports_identical
@@ -43,8 +43,6 @@ REQUIRED_WARM_SPEEDUP = 5.0
 
 #: Matches the out-of-core benchmark's partitioning headroom.
 CHUNK_ROWS = 25_000
-
-BACKENDS = ["python"] + (["numpy"] if kernels.numpy_available() else [])
 
 
 @pytest.fixture(scope="module")
@@ -186,18 +184,14 @@ def test_append_scans_only_new_chunks(
     assert (rewarmed.hits, rewarmed.misses) == (chunks_after, 0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cached_report_identity(
-    store_dir, serial_report, xrp_oracle, xrp_clusterer, backend
-):
-    with kernels.use_backend(backend):
-        uncached = parallel_report_from_store(
-            store_dir, oracle=xrp_oracle, clusterer=xrp_clusterer, workers=1
-        )
-        cold = ChunkStateCache.for_store(store_dir)
-        cold_report = _cached_report(store_dir, xrp_oracle, xrp_clusterer, cold)
-        warm = ChunkStateCache.for_store(store_dir)
-        warm_report = _cached_report(store_dir, xrp_oracle, xrp_clusterer, warm)
+def test_cached_report_identity(store_dir, serial_report, xrp_oracle, xrp_clusterer):
+    uncached = parallel_report_from_store(
+        store_dir, oracle=xrp_oracle, clusterer=xrp_clusterer, workers=1
+    )
+    cold = ChunkStateCache.for_store(store_dir)
+    cold_report = _cached_report(store_dir, xrp_oracle, xrp_clusterer, cold)
+    warm = ChunkStateCache.for_store(store_dir)
+    warm_report = _cached_report(store_dir, xrp_oracle, xrp_clusterer, warm)
     assert cold.misses > 0 and warm.hits == cold.misses and warm.misses == 0
     # Bit-for-bit against the uncached chunk engine (same fold order); the
     # serial in-memory engine differs only in the Figure 12 float sum order

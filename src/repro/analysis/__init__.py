@@ -33,8 +33,6 @@ available as a thin wrapper.
 * :mod:`repro.analysis.parallel` — out-of-core chunk-task execution over an
   on-disk store: workers stream chunk ranges, accumulator states merge
   deterministically in chunk order.
-* :mod:`repro.analysis.legacy` — frozen seed implementations, kept only as
-  the equivalence/benchmark baseline.
 """
 
 from repro.analysis.accounts import top_receivers, top_senders, top_sender_receiver_pairs

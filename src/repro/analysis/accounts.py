@@ -19,12 +19,14 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.common import kernels, statsmode
+import numpy as np
+
+from repro.common import statsmode
 from repro.common.columns import FrameLike, TxFrame, as_frame
 from repro.common.errors import AnalysisError
 from repro.common.records import TransactionRecord
 from repro.common.sketches import DEFAULT_HEAVY_HITTERS, SpaceSaving
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, gather
+from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
 from repro.analysis.vectorized import (
     DENSE_KEYSPACE_MAX,
     block_columns,
@@ -44,8 +46,8 @@ _SCRATCH_LIMIT = 3 * DEFAULT_HEAVY_HITTERS
 class _HeavyHitterSupport:
     """Shared sketch-mode plumbing of the account accumulators.
 
-    The exact kernels are untouched in sketch mode: every backend keeps
-    folding blocks into its exact scratch ``Counter``, and the wrapper
+    The exact kernels are untouched in sketch mode: both kernels keep
+    folding rows into the exact scratch ``Counter``, and the wrapper
     installed by :meth:`_bounded` drains the scratch into a
     :class:`~repro.common.sketches.SpaceSaving` summary whenever it exceeds
     :data:`_SCRATCH_LIMIT` (and at every observation point — merge, export,
@@ -72,7 +74,7 @@ class _HeavyHitterSupport:
             return ()
         return (("sketch", "ss", self.capacity),)
 
-    def _bind_sketch(self, frame: TxFrame, scratch, tuple_keys: bool) -> None:
+    def _reset_sketch(self, frame: TxFrame, scratch, tuple_keys: bool) -> None:
         """Reset sketch-side state at bind time (no-op in exact mode)."""
         if self.stats_mode != statsmode.SKETCH:
             self._sketch: Optional[SpaceSaving] = None
@@ -114,11 +116,12 @@ class _HeavyHitterSupport:
                     add(key, count)
         scratch.clear()
 
+    def _flush_dense(self) -> None:
+        """Fold a pending dense histogram into the scratch (none by default)."""
+
     def _drain(self) -> None:
         """Flush every pending exact tally into the sketch."""
-        flush_dense = getattr(self, "_flush_dense", None)
-        if flush_dense is not None:
-            flush_dense()
+        self._flush_dense()
         self._fold_scratch()
 
     def _check_merge_mode(self, other) -> None:
@@ -191,11 +194,16 @@ class AccountActivityAccumulator(_HeavyHitterSupport, Accumulator):
         self.name = f"top_{side}s"
         self._configure_stats(stats)
 
-    def bind(self, frame: TxFrame) -> Step:
+    def _reset(self, frame: TxFrame) -> None:
         self._frame = frame
-        counts = self._pair_counts = Counter()
-        self._dense = None
-        self._bind_sketch(frame, counts, tuple_keys=True)
+        self._pair_counts: Counter = Counter()
+        #: Pending (dense count vector, column bounds) of the block kernel.
+        self._dense: Optional[tuple] = None
+        self._reset_sketch(frame, self._pair_counts, tuple_keys=True)
+
+    def bind(self, frame: TxFrame) -> Step:
+        self._reset(frame)
+        counts = self._pair_counts
         codes = frame.sender_code if self.side == "sender" else frame.receiver_code
         type_codes = frame.type_code
 
@@ -205,21 +213,6 @@ class AccountActivityAccumulator(_HeavyHitterSupport, Accumulator):
         return self._bounded(step)
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        self._frame = frame
-        counts = self._pair_counts = Counter()
-        self._dense = None
-        self._bind_sketch(frame, counts, tuple_keys=True)
-        codes = frame.sender_code if self.side == "sender" else frame.receiver_code
-        type_codes = frame.type_code
-
-        def consume(rows: RowIndices) -> None:
-            counts.update(zip(gather(codes, rows), gather(type_codes, rows)))
-
-        return self._bounded(consume)
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: (account, type) dense packed-code histogram.
 
         The hot loop is one ``np.bincount`` accumulated into a per-bind
@@ -233,10 +226,8 @@ class AccountActivityAccumulator(_HeavyHitterSupport, Accumulator):
         first-seen-ordered :func:`~repro.analysis.vectorized.count_codes`
         path.
         """
-        self._frame = frame
-        counts = self._pair_counts = Counter()
-        self._dense = None
-        self._bind_sketch(frame, counts, tuple_keys=True)
+        self._reset(frame)
+        counts = self._pair_counts
         codes = frame.ndarray(
             "sender_code" if self.side == "sender" else "receiver_code"
         )
@@ -252,7 +243,6 @@ class AccountActivityAccumulator(_HeavyHitterSupport, Accumulator):
 
             return self._bounded(consume)
 
-        np = kernels.numpy_module()
         dense = np.zeros(space, dtype=np.int64)
         self._dense = (dense, sizes)
         radix = max(len(frame.types), 1)
@@ -268,7 +258,7 @@ class AccountActivityAccumulator(_HeavyHitterSupport, Accumulator):
 
     def _flush_dense(self) -> None:
         """Fold any pending dense histogram into the Counter state."""
-        pending = getattr(self, "_dense", None)
+        pending = self._dense
         if pending is None:
             return
         self._dense = None
@@ -441,10 +431,14 @@ class SenderReceiverPairsAccumulator(_HeavyHitterSupport, Accumulator):
         self.limit_receivers_per_sender = limit_receivers_per_sender
         self._configure_stats(stats)
 
-    def bind(self, frame: TxFrame) -> Step:
+    def _reset(self, frame: TxFrame) -> None:
         self._frame = frame
-        counts = self._pair_counts = Counter()
-        self._bind_sketch(frame, counts, tuple_keys=True)
+        self._pair_counts: Counter = Counter()
+        self._reset_sketch(frame, self._pair_counts, tuple_keys=True)
+
+    def bind(self, frame: TxFrame) -> Step:
+        self._reset(frame)
+        counts = self._pair_counts
         sender_codes = frame.sender_code
         receiver_codes = frame.receiver_code
 
@@ -454,28 +448,13 @@ class SenderReceiverPairsAccumulator(_HeavyHitterSupport, Accumulator):
         return self._bounded(step)
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        self._frame = frame
-        counts = self._pair_counts = Counter()
-        self._bind_sketch(frame, counts, tuple_keys=True)
-        sender_codes = frame.sender_code
-        receiver_codes = frame.receiver_code
-
-        def consume(rows: RowIndices) -> None:
-            counts.update(zip(gather(sender_codes, rows), gather(receiver_codes, rows)))
-
-        return self._bounded(consume)
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: (sender, receiver) packed-code histogram.
 
         First-seen replay matters here: ``finalize`` breaks equal-count
         receiver ties by ``Counter.most_common`` insertion order.
         """
-        self._frame = frame
-        counts = self._pair_counts = Counter()
-        self._bind_sketch(frame, counts, tuple_keys=True)
+        self._reset(frame)
+        counts = self._pair_counts
         sender_codes = frame.ndarray("sender_code")
         receiver_codes = frame.ndarray("receiver_code")
         sizes = (len(frame.accounts), len(frame.accounts))
@@ -599,10 +578,14 @@ class SenderCountsAccumulator(_HeavyHitterSupport, Accumulator):
     def __init__(self, stats: Optional[str] = None):
         self._configure_stats(stats)
 
-    def bind(self, frame: TxFrame) -> Step:
+    def _reset(self, frame: TxFrame) -> None:
         self._frame = frame
-        counts = self._counts = Counter()
-        self._bind_sketch(frame, counts, tuple_keys=False)
+        self._counts: Counter = Counter()
+        self._reset_sketch(frame, self._counts, tuple_keys=False)
+
+    def bind(self, frame: TxFrame) -> Step:
+        self._reset(frame)
+        counts = self._counts
         sender_codes = frame.sender_code
 
         def step(row: int) -> None:
@@ -611,23 +594,9 @@ class SenderCountsAccumulator(_HeavyHitterSupport, Accumulator):
         return self._bounded(step)
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        self._frame = frame
-        counts = self._counts = Counter()
-        self._bind_sketch(frame, counts, tuple_keys=False)
-        sender_codes = frame.sender_code
-
-        def consume(rows: RowIndices) -> None:
-            counts.update(gather(sender_codes, rows))
-
-        return self._bounded(consume)
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: per-sender histogram via one unique per block."""
-        self._frame = frame
-        counts = self._counts = Counter()
-        self._bind_sketch(frame, counts, tuple_keys=False)
+        self._reset(frame)
+        counts = self._counts
         sender_codes = frame.ndarray("sender_code")
 
         def consume(rows: RowIndices) -> None:

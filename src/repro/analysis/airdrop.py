@@ -21,11 +21,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.common import kernels
 from repro.common.clock import timestamp_from_iso
 from repro.common.columns import CHAIN_CODES, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, gather
+from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
 from repro.analysis.vectorized import block_columns, matched_rows
 from repro.common.statecodec import pack_str_table, pack_strings, restore_str_table, unpack_strings
 from repro.eos.resources import CongestionSample
@@ -107,8 +106,12 @@ class BoomerangClaimsAccumulator(Accumulator):
     def __init__(self, contract: str = EIDOS_CONTRACT):
         self.contract = contract
 
+    def _reset(self, frame: TxFrame) -> None:
+        self._groups = defaultdict(list)
+
     def bind(self, frame: TxFrame) -> Step:
-        groups = self._groups = defaultdict(list)
+        self._reset(frame)
+        groups = self._groups
         chain_codes = frame.chain_code
         type_codes = frame.type_code
         sender_codes = frame.sender_code
@@ -146,26 +149,6 @@ class BoomerangClaimsAccumulator(Accumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        step = self.bind(frame)
-        chain_codes = frame.chain_code
-        type_codes = frame.type_code
-        eos = CHAIN_CODES[ChainId.EOS]
-        transfer_code = frame.types.code("transfer")
-        if transfer_code is None:
-            return lambda rows: None
-
-        def consume(rows: RowIndices) -> None:
-            for row, chain, type_code in zip(
-                rows, gather(chain_codes, rows), gather(type_codes, rows)
-            ):
-                if chain == eos and type_code == transfer_code:
-                    step(row)
-
-        return consume
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Boolean-mask kernel: only EOS transfer rows pay the grouping."""
         step = self.bind(frame)
         transfer_code = frame.types.code("transfer")
@@ -257,15 +240,21 @@ class AirdropAccumulator(BoomerangClaimsAccumulator):
         super().__init__(contract)
         self.launch_timestamp = timestamp_from_iso(launch_date)
 
-    def bind(self, frame: TxFrame) -> Step:
-        inner = super().bind(frame)
+    def _reset(self, frame: TxFrame) -> None:
+        super()._reset(frame)
         # [count, min_ts, max_ts] for the pre- and post-launch EOS slices.
-        pre = self._pre = [0, None, None]
-        post = self._post = [0, None, None]
+        self._pre = [0, None, None]
+        self._post = [0, None, None]
         # Post-launch rows of *any* type per transaction id: a claim
         # transaction may carry non-transfer actions, and the paper's share
         # counts those rows too.
-        post_counts = self._post_counts = {}
+        self._post_counts: Dict[str, int] = {}
+
+    def bind(self, frame: TxFrame) -> Step:
+        inner = super().bind(frame)
+        pre = self._pre
+        post = self._post
+        post_counts = self._post_counts
         chain_codes = frame.chain_code
         timestamps = frame.timestamp
         transaction_ids = frame.transaction_id
@@ -294,60 +283,18 @@ class AirdropAccumulator(BoomerangClaimsAccumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        # The pre/post-launch statistics cover every EOS row, so this cannot
-        # reuse the parent's transfers-only pre-filter.
-        inner = BoomerangClaimsAccumulator.bind(self, frame)
-        pre = self._pre = [0, None, None]
-        post = self._post = [0, None, None]
-        post_counts = self._post_counts = {}
-        chain_codes = frame.chain_code
-        timestamps = frame.timestamp
-        type_codes = frame.type_code
-        transaction_ids = frame.transaction_id
-        eos = CHAIN_CODES[ChainId.EOS]
-        transfer_code = frame.types.code("transfer")
-        launch = self.launch_timestamp
-
-        def consume(rows: RowIndices) -> None:
-            for row, chain, timestamp, type_code in zip(
-                rows,
-                gather(chain_codes, rows),
-                gather(timestamps, rows),
-                gather(type_codes, rows),
-            ):
-                if chain != eos:
-                    continue
-                if timestamp >= launch:
-                    side = post
-                    transaction_id = transaction_ids[row]
-                    post_counts[transaction_id] = post_counts.get(transaction_id, 0) + 1
-                else:
-                    side = pre
-                side[0] += 1
-                if side[1] is None:
-                    side[1] = side[2] = timestamp
-                elif timestamp < side[1]:
-                    side[1] = timestamp
-                elif timestamp > side[2]:
-                    side[2] = timestamp
-                if type_code == transfer_code:
-                    inner(row)
-
-        return consume
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Vectorized pre/post-launch statistics over every EOS row.
 
         Counts and timestamp bounds are mask reductions; only the
         transaction-id tally of post-launch rows and the transfer grouping
         (both object-column work) stay per-row, over their masked slices.
+        The statistics cover every EOS row, so this cannot reuse the
+        parent's transfers-only pre-filter.
         """
         inner = BoomerangClaimsAccumulator.bind(self, frame)
-        pre = self._pre = [0, None, None]
-        post = self._post = [0, None, None]
-        post_counts = self._post_counts = {}
+        pre = self._pre
+        post = self._post
+        post_counts = self._post_counts
         chain_codes = frame.ndarray("chain_code")
         timestamps = frame.ndarray("timestamp")
         type_codes = frame.ndarray("type_code")

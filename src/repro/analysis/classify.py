@@ -24,10 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.common import kernels
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, config_digest, gather
+from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, config_digest
 from repro.analysis.vectorized import block_columns, count_codes, matched_rows
 from repro.common.statecodec import (
     pack_code_table,
@@ -106,17 +105,21 @@ def figure1_group(record: TransactionRecord) -> str:
 class TypeDistributionAccumulator(Accumulator):
     """Single-pass Figure 1: counts by (chain, group, type).
 
-    The scan counts integer (chain, type, contract) triples with one bulk
-    ``Counter.update`` per block (a C-level loop); classification into
-    Figure 1 groups and string materialisation happen once per *distinct*
-    triple at :meth:`finalize` — not once per row.
+    The scan counts integer (chain, type, contract) triples with one
+    packed-code histogram per block; classification into Figure 1 groups
+    and string materialisation happen once per *distinct* triple at
+    :meth:`finalize` — not once per row.
     """
 
     name = "type_distribution"
 
-    def bind(self, frame: TxFrame) -> Step:
+    def _reset(self, frame: TxFrame) -> None:
         self._frame = frame
-        counts = self._counts = Counter()
+        self._counts: Counter = Counter()
+
+    def bind(self, frame: TxFrame) -> Step:
+        self._reset(frame)
+        counts = self._counts
         chain_codes = frame.chain_code
         type_codes = frame.type_code
         contract_codes = frame.contract_code
@@ -127,29 +130,9 @@ class TypeDistributionAccumulator(Accumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        self._frame = frame
-        counts = self._counts = Counter()
-        chain_codes = frame.chain_code
-        type_codes = frame.type_code
-        contract_codes = frame.contract_code
-
-        def consume(rows: RowIndices) -> None:
-            counts.update(
-                zip(
-                    gather(chain_codes, rows),
-                    gather(type_codes, rows),
-                    gather(contract_codes, rows),
-                )
-            )
-
-        return consume
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: packed-code histogram per block."""
-        self._frame = frame
-        counts = self._counts = Counter()
+        self._reset(frame)
+        counts = self._counts
         chain_codes = frame.ndarray("chain_code")
         type_codes = frame.ndarray("type_code")
         contract_codes = frame.ndarray("contract_code")
@@ -276,9 +259,13 @@ class CategoryDistributionAccumulator(Accumulator):
     def __init__(self, label_table: Optional[Mapping[str, str]] = None):
         self.label_table = label_table
 
-    def bind(self, frame: TxFrame) -> Step:
+    def _reset(self, frame: TxFrame) -> None:
         self._frame = frame
-        counts = self._counts = Counter()
+        self._counts: Counter = Counter()
+
+    def bind(self, frame: TxFrame) -> Step:
+        self._reset(frame)
+        counts = self._counts
         chain_codes = frame.chain_code
         contract_codes = frame.contract_code
 
@@ -288,22 +275,9 @@ class CategoryDistributionAccumulator(Accumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        self._frame = frame
-        counts = self._counts = Counter()
-        chain_codes = frame.chain_code
-        contract_codes = frame.contract_code
-
-        def consume(rows: RowIndices) -> None:
-            counts.update(zip(gather(chain_codes, rows), gather(contract_codes, rows)))
-
-        return consume
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: (chain, contract) packed-code histogram."""
-        self._frame = frame
-        counts = self._counts = Counter()
+        self._reset(frame)
+        counts = self._counts
         chain_codes = frame.ndarray("chain_code")
         contract_codes = frame.ndarray("contract_code")
         sizes = (len(CHAIN_ORDER), len(frame.accounts))
@@ -366,9 +340,13 @@ class ContractBreakdownAccumulator(Accumulator):
     def __init__(self, contract: str):
         self.contract = contract
 
-    def bind(self, frame: TxFrame) -> Step:
-        counts = self._counts = {}
+    def _reset(self, frame: TxFrame) -> None:
         self._frame = frame
+        self._counts: Dict[int, int] = {}
+
+    def bind(self, frame: TxFrame) -> Step:
+        self._reset(frame)
+        counts = self._counts
         chain_codes = frame.chain_code
         receiver_codes = frame.receiver_code
         type_codes = frame.type_code
@@ -387,34 +365,9 @@ class ContractBreakdownAccumulator(Accumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        counts = self._counts = {}
-        self._frame = frame
-        chain_codes = frame.chain_code
-        receiver_codes = frame.receiver_code
-        type_codes = frame.type_code
-        contract_code = frame.accounts.code(self.contract)
-        eos = _EOS_CODE
-
-        if contract_code is None:
-            return lambda rows: None
-
-        def consume(rows: RowIndices) -> None:
-            for chain, receiver, type_code in zip(
-                gather(chain_codes, rows),
-                gather(receiver_codes, rows),
-                gather(type_codes, rows),
-            ):
-                if chain == eos and receiver == contract_code:
-                    counts[type_code] = counts.get(type_code, 0) + 1
-
-        return consume
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: mask the contract's rows, histogram the types."""
-        counts = self._counts = {}
-        self._frame = frame
+        self._reset(frame)
+        counts = self._counts
         chain_codes = frame.ndarray("chain_code")
         receiver_codes = frame.ndarray("receiver_code")
         type_codes = frame.ndarray("type_code")
@@ -477,8 +430,12 @@ class TezosCategoryAccumulator(Accumulator):
 
     name = "tezos_category_distribution"
 
+    def _reset(self, frame: TxFrame) -> None:
+        self._counts: Dict[str, int] = {}
+
     def bind(self, frame: TxFrame) -> Step:
-        counts = self._counts = {}
+        self._reset(frame)
+        counts = self._counts
         chain_codes = frame.chain_code
         metadata = frame.metadata
         tezos = _TEZOS_CODE
@@ -493,32 +450,14 @@ class TezosCategoryAccumulator(Accumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        counts = self._counts = {}
-        chain_codes = frame.chain_code
-        metadata = frame.metadata
-        tezos = _TEZOS_CODE
-
-        def consume(rows: RowIndices) -> None:
-            for chain, meta in zip(gather(chain_codes, rows), gather(metadata, rows)):
-                if chain != tezos:
-                    continue
-                category = str(meta.get("category", "manager")) if meta else "manager"
-                counts[category] = counts.get(category, 0) + 1
-
-        return consume
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
-        """Mask-prefiltered kernel: only Tezos rows pay the metadata lookup.
+        """Mask-prefiltered kernel: only Tezos rows reach :meth:`bind`'s step.
 
         The category lives in the free-form metadata mapping (an object
         column), so the tail stays per-row by construction; the win is the
         C-speed chain filter in front of it.
         """
-        counts = self._counts = {}
+        step = self.bind(frame)
         chain_codes = frame.ndarray("chain_code")
-        metadata = frame.metadata
         tezos = _TEZOS_CODE
 
         def consume(rows: RowIndices) -> None:
@@ -529,9 +468,7 @@ class TezosCategoryAccumulator(Accumulator):
             if not mask.any():
                 return
             for row in matched_rows(rows, mask).tolist():
-                meta = metadata[row]
-                category = str(meta.get("category", "manager")) if meta else "manager"
-                counts[category] = counts.get(category, 0) + 1
+                step(row)
 
         return consume
 

@@ -14,10 +14,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.common import kernels
 from repro.common.columns import FrameLike, TxFrame, as_frame
 from repro.common.records import TransactionRecord
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, config_digest, gather
+from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, config_digest
 from repro.analysis.vectorized import block_columns, count_codes
 from repro.common.statecodec import pack_code_table, restore_code_table
 from repro.xrp.accounts import XrpAccountRegistry
@@ -132,9 +131,13 @@ class ClusterCountsAccumulator(Accumulator):
         self.clusterer = clusterer
         self.side = side
 
-    def bind(self, frame: TxFrame) -> Step:
+    def _reset(self, frame: TxFrame) -> None:
         self._frame = frame
-        counts = self._code_counts = Counter()
+        self._code_counts: Counter = Counter()
+
+    def bind(self, frame: TxFrame) -> Step:
+        self._reset(frame)
+        counts = self._code_counts
         codes = frame.sender_code if self.side == "sender" else frame.receiver_code
 
         def step(row: int) -> None:
@@ -143,21 +146,9 @@ class ClusterCountsAccumulator(Accumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        self._frame = frame
-        counts = self._code_counts = Counter()
-        codes = frame.sender_code if self.side == "sender" else frame.receiver_code
-
-        def consume(rows: RowIndices) -> None:
-            counts.update(gather(codes, rows))
-
-        return consume
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: per-account histogram via one unique per block."""
-        self._frame = frame
-        counts = self._code_counts = Counter()
+        self._reset(frame)
+        counts = self._code_counts
         codes = frame.ndarray(
             "sender_code" if self.side == "sender" else "receiver_code"
         )

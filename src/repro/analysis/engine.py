@@ -11,24 +11,34 @@ Execution is *block-at-a-time*, the standard design for columnar engines:
 the scan advances in bounded row blocks, and every accumulator consumes the
 current block before the scan moves on.  Data is read once, stays
 cache-hot across accumulators, and memory stays bounded regardless of frame
-size.  Inside a block, accumulators are free to use C-level bulk primitives
-(``Counter.update`` over zipped column slices, ``set.update``, bisection on
-sorted timestamps) instead of per-row Python dispatch — that is where the
-engine's speed over the seed's per-figure passes comes from.
+size.  Inside a block, accumulators use vectorized NumPy primitives over
+zero-copy ndarray views of the columns (packed-code histograms, boolean
+masks, min/max reductions — see :mod:`repro.analysis.vectorized`) instead
+of per-row Python dispatch — that is where the engine's speed over the
+seed's per-figure passes comes from.
 
-The accumulator protocol:
+The accumulator protocol — every accumulator has at most two scan kernels:
 
 ``bind(frame) -> step``
-    Row-at-a-time mode.  Called once before the pass; the accumulator
-    captures the column buffers it needs and returns a ``step(row)``
-    callable.  This is the simplest way to write a new accumulator.
+    The row-step **reference**.  Called once before the pass; the
+    accumulator resets its state (``_reset(frame)``), captures the column
+    buffers it needs and returns a ``step(row)`` callable.  This is the
+    simplest way to write a new accumulator, and the definition of what its
+    figure means.
 
 ``bind_batch(frame) -> consume``
-    Block-at-a-time mode.  Returns a ``consume(rows)`` callable invoked
-    with each block (a ``range`` for contiguous scans, an integer array for
-    filtered views).  The default implementation drives ``bind``'s step row
-    by row, so implementing ``bind`` alone is always enough; override
-    ``bind_batch`` with bulk column operations to make an accumulator fast.
+    The kernel the engine runs.  Returns a ``consume(rows)`` callable
+    invoked with each block (a ``range`` for contiguous scans, an ``int64``
+    index ndarray for filtered views).  The default implementation drives
+    ``bind``'s step row by row, so implementing ``bind`` alone is always
+    enough; override ``bind_batch`` with NumPy block operations only when
+    the figure is hot.  An override must reset through the same
+    ``_reset(frame)`` as ``bind`` — one state shape, so ``merge`` /
+    ``export_state`` / ``restore_state`` / ``finalize`` never ask which
+    kernel ran — and must be result-identical to the reference:
+    ``tests/properties/test_kernel_parity.py`` compares
+    ``acc.bind_batch(frame)`` with ``Accumulator.bind_batch(acc, frame)``
+    for every registered accumulator.
 
 ``merge(other) -> None``
     Folds another accumulator's scanned (post-bind, pre-finalize) state
@@ -72,9 +82,13 @@ hand-offs do not pickle accumulator objects; they move **state payloads**:
 
 The surrounding contract has three legs:
 
-1. snapshots are taken **before** ``finalize`` — several accumulators fold
-   bulk state into their counters at finalisation, so a post-finalize
-   snapshot would double count when restored;
+1. snapshots are taken **before** ``finalize``; the two accumulators that
+   derive state at finalisation (``xrp_decomposition`` folds its histogram
+   into its counters, ``throughput_series`` labels its raw bins) do so in
+   place and idempotently, because the chunk engine memoizes per-chunk
+   states *after* the engine pass finalized them — such a snapshot must
+   restore without double counting
+   (``tests/properties/test_state_roundtrip.py`` sweeps both shapes);
 2. state that references interned string codes stays valid because frame
    rehydration (:meth:`TxFrame.from_payload` and
    :meth:`~repro.collection.store.FrameStore.to_frame`) re-interns pools
@@ -91,11 +105,12 @@ The surrounding contract has three legs:
 from __future__ import annotations
 
 import hashlib
-from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.common import kernels, statsmode
+import numpy as np
+
+from repro.common import statsmode
 from repro.common.sketches import HyperLogLog, hash64
 from repro.common.statecodec import pack_strings, unpack_strings
 from repro.common.columns import (
@@ -103,7 +118,6 @@ from repro.common.columns import (
     RowIndices,
     TxFrame,
     as_index_rows,
-    gather_array,
     gather_np,
     view_of,
 )
@@ -132,37 +146,17 @@ def config_digest(items: Any) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def gather(column: Sequence, rows: RowIndices) -> Sequence:
-    """Values of ``column`` at ``rows`` as a C-materialised sequence.
-
-    Contiguous ranges become slices (a single C memcpy for array columns).
-    Index arrays over buffer-backed columns route through the NumPy
-    index-array gather when the numpy backend is active (one fancy-indexing
-    call, returned as a same-typecode ``array``); object columns — and the
-    pure-python reference backend — fall back to a C ``map`` of
-    ``__getitem__``, never a Python-level loop.
-    """
-    if isinstance(rows, range):
-        if rows.step == 1:
-            return column[rows.start : rows.stop]
-        return column[rows.start : rows.stop : rows.step]
-    if isinstance(column, array) and kernels.use_numpy():
-        return gather_array(column, rows)
-    return list(map(column.__getitem__, rows))
-
-
 def scan_blocks(rows: RowIndices, block_rows: int) -> Iterator[RowIndices]:
     """Split a row sequence into engine scan blocks.
 
-    Under the numpy backend the sequence is normalised once through
+    The sequence is normalised once through
     :func:`~repro.common.columns.as_index_rows`, so every non-contiguous
     block the consumers see is an ``int64`` index ndarray (sliced zero-copy
     from the full sequence) instead of a per-block ``array`` copy; ranges
-    stay ranges on both backends.  This is the shared block iterator of the
-    engine and the incremental pipeline's catch-up scan.
+    stay ranges.  This is the shared block iterator of the engine and the
+    incremental pipeline's catch-up scan.
     """
-    if kernels.use_numpy():
-        rows = as_index_rows(rows)
+    rows = as_index_rows(rows)
     total = len(rows)
     for start in range(0, total, block_rows):
         yield rows[start : start + block_rows]
@@ -402,51 +396,15 @@ class TxStatsAccumulator(Accumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        self._reset(frame)
-        state = self._state
-        timestamps = frame.timestamp
-        if self._hll is not None:
-            hll = self._hll
-            transaction_ids = frame.transaction_id
-
-            def dedup(rows: RowIndices) -> None:
-                hll.update(map(hash64, gather(transaction_ids, rows)))
-
-        else:
-            seen = self._seen
-            transaction_ids = frame.transaction_id
-
-            def dedup(rows: RowIndices) -> None:
-                seen.update(gather(transaction_ids, rows))
-
-        def consume(rows: RowIndices) -> None:
-            if not len(rows):
-                return
-            state[0] += len(rows)
-            dedup(rows)
-            block_timestamps = gather(timestamps, rows)
-            low = min(block_timestamps)
-            high = max(block_timestamps)
-            if state[1] is None or low < state[1]:
-                state[1] = low
-            if state[2] is None or high > state[2]:
-                state[2] = high
-
-        return consume
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: ndarray min/max over the block's timestamps.
 
         The transaction-id dedup stays a C-level ``set.update`` — the id
-        column is an object list by design (high cardinality) — so both
-        backends pay that identical cost and the set contents match exactly.
-        Index-row blocks (filtered chain views) gather ids with one object
-        fancy-indexing call over the frame's cached id ndarray instead of a
-        per-row ``__getitem__`` loop; the distinct-count semantics make the
-        ``set`` itself the irreducible cost on both backends (measured in
-        ``docs/architecture.md``).
+        column is an object list by design (high cardinality), and the
+        distinct-count semantics make the ``set`` itself the irreducible
+        cost (measured in ``docs/architecture.md``).  Index-row blocks
+        (filtered chain views) gather ids with one object fancy-indexing
+        call over the frame's cached id ndarray instead of a per-row
+        ``__getitem__`` loop.
         """
         self._reset(frame)
         state = self._state
@@ -457,7 +415,6 @@ class TxStatsAccumulator(Accumulator):
             # straight into the HyperLogLog — the per-block cost is a uint64
             # gather plus a register fold, with no per-id Python work.
             hll = self._hll
-            np = kernels.numpy_module()
             hashes_nd = np.frombuffer(
                 frame.transaction_id_hashes(), dtype=np.uint64
             )
@@ -523,7 +480,7 @@ class TxStatsAccumulator(Accumulator):
 
     def _materialize_frozen(self) -> None:
         """Fold a stashed restored id column into the live set."""
-        frozen = getattr(self, "_frozen_ids", None)
+        frozen = self._frozen_ids
         if frozen is not None:
             self._seen.update(unpack_strings(frozen))
             self._frozen_ids = None
@@ -550,7 +507,7 @@ class TxStatsAccumulator(Accumulator):
                 "last": self._state[2],
                 "hll": self._hll.export_state(),
             }
-        frozen = getattr(self, "_frozen_ids", None)
+        frozen = self._frozen_ids
         if frozen is not None and self._seen and (
             2 * len(self._seen) >= self._frozen_count
         ):
@@ -590,7 +547,7 @@ class TxStatsAccumulator(Accumulator):
             )
         seen = payload["seen"]
         extra = payload.get("extra")
-        if getattr(self, "_frozen_ids", None) is None and not self._seen:
+        if self._frozen_ids is None and not self._seen:
             # Defer the base-column set build: the delta scan may never
             # touch this chain.  The stashed count is only trusted while
             # the live set stays empty — a non-empty ``extra`` layer (or

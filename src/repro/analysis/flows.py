@@ -17,11 +17,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.common import kernels
 from repro.common.columns import CHAIN_CODES, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.clustering import AccountClusterer
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, gather
+from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
 from repro.analysis.vectorized import block_columns, matched_rows
 from repro.common.statecodec import pack_strings, unpack_strings
 from repro.analysis.value import ExchangeRateOracle
@@ -87,13 +86,22 @@ class ValueFlowAccumulator(Accumulator):
         self.oracle = oracle
         self.include_valueless = include_valueless
 
+    def _reset(self, frame: TxFrame) -> None:
+        self._flows = defaultdict(lambda: [0.0, 0])
+        self._by_sender = defaultdict(float)
+        self._by_receiver = defaultdict(float)
+        self._by_currency = defaultdict(float)
+        self._face_value = defaultdict(float)
+        self._totals = [0.0]
+
     def bind(self, frame: TxFrame) -> Step:
-        flows = self._flows = defaultdict(lambda: [0.0, 0])
-        by_sender = self._by_sender = defaultdict(float)
-        by_receiver = self._by_receiver = defaultdict(float)
-        by_currency = self._by_currency = defaultdict(float)
-        face_value = self._face_value = defaultdict(float)
-        totals = self._totals = [0.0]
+        self._reset(frame)
+        flows = self._flows
+        by_sender = self._by_sender
+        by_receiver = self._by_receiver
+        by_currency = self._by_currency
+        face_value = self._face_value
+        totals = self._totals
         chain_codes = frame.chain_code
         type_codes = frame.type_code
         success = frame.success
@@ -161,37 +169,13 @@ class ValueFlowAccumulator(Accumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        step = self.bind(frame)
-        chain_codes = frame.chain_code
-        type_codes = frame.type_code
-        success = frame.success
-        xrp = CHAIN_CODES[ChainId.XRP]
-        payment_code = frame.types.code("Payment")
-
-        def consume(rows: RowIndices) -> None:
-            # Cheap vectorised pre-filter: only successful XRP payments reach
-            # the per-row aggregation.
-            for row, chain, type_code, ok in zip(
-                rows,
-                gather(chain_codes, rows),
-                gather(type_codes, rows),
-                gather(success, rows),
-            ):
-                if chain == xrp and ok and type_code == payment_code:
-                    step(row)
-
-        return consume
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Boolean-mask kernel in front of the ordered per-row aggregation.
 
         The prefilter (chain, type, success, positive amount) is one mask
         per block; the surviving value payments then flow through the exact
         per-row float accumulation of :meth:`bind` **in row order**, which
         is what keeps the Figure 12 sums bit-for-bit identical to the
-        reference backend on the serial path.
+        row-step reference on the serial path.
         """
         step = self.bind(frame)
         chain_codes = frame.ndarray("chain_code")

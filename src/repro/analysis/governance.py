@@ -14,10 +14,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.common import kernels
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, gather
+from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
 from repro.analysis.vectorized import block_columns, count_codes
 from repro.common.statecodec import pack_code_table, restore_code_table
 from repro.tezos.governance import (
@@ -95,46 +94,32 @@ class GovernanceOpsAccumulator(Accumulator):
 
     name = "governance_ops"
 
+    def _reset(self, frame: TxFrame) -> None:
+        self._frame = frame
+        #: (chain, type) histogram; the governance types are picked out of
+        #: it at :meth:`finalize`.
+        self._bulk: Counter = Counter()
+        #: Already-tallied operations carried by restored payloads.
+        self._count = 0
+
     def bind(self, frame: TxFrame) -> Step:
-        count = self._count = [0]
+        self._reset(frame)
+        bulk = self._bulk
         chain_codes = frame.chain_code
         type_codes = frame.type_code
-        tezos = CHAIN_CODES[ChainId.TEZOS]
-        governance_codes = {
-            code
-            for code in (frame.types.code("Ballot"), frame.types.code("Proposals"))
-            if code is not None
-        }
 
         def step(row: int) -> None:
-            if chain_codes[row] == tezos and type_codes[row] in governance_codes:
-                count[0] += 1
+            bulk[(chain_codes[row], type_codes[row])] += 1
 
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        self._count = [0]
-        self._bulk = Counter()
-        bulk = self._bulk
-        chain_codes = frame.chain_code
-        type_codes = frame.type_code
-        self._frame = frame
-
-        def consume(rows: RowIndices) -> None:
-            bulk.update(zip(gather(chain_codes, rows), gather(type_codes, rows)))
-
-        return consume
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: (chain, type) packed-code histogram."""
-        self._count = [0]
-        bulk = self._bulk = Counter()
+        self._reset(frame)
+        bulk = self._bulk
         chain_codes = frame.ndarray("chain_code")
         type_codes = frame.ndarray("type_code")
         sizes = (len(CHAIN_ORDER), len(frame.types))
-        self._frame = frame
 
         def consume(rows: RowIndices) -> None:
             if not len(rows):
@@ -144,47 +129,29 @@ class GovernanceOpsAccumulator(Accumulator):
         return consume
 
     def merge(self, other: "GovernanceOpsAccumulator") -> None:
-        self._count[0] += other._count[0]
-        other_bulk = getattr(other, "_bulk", None)
-        if other_bulk:
-            mine = getattr(self, "_bulk", None)
-            if mine is None:
-                mine = self._bulk = Counter()
-            mine.update(other_bulk)
+        self._count += other._count
+        self._bulk.update(other._bulk)
 
     def export_state(self) -> Dict:
-        bulk = getattr(self, "_bulk", None)
         return {
-            "count": self._count[0],
-            "bulk": pack_code_table(bulk, 2) if bulk else None,
+            "count": self._count,
+            "bulk": pack_code_table(self._bulk, 2) if self._bulk else None,
         }
 
     def restore_state(self, payload: Dict) -> None:
-        self._count[0] += payload["count"]
-        bulk = payload["bulk"]
-        if bulk is not None:
-            mine = getattr(self, "_bulk", None)
-            if mine is None:
-                mine = self._bulk = Counter()
-            restore_code_table(mine, bulk)
+        self._count += payload["count"]
+        if payload["bulk"] is not None:
+            restore_code_table(self._bulk, payload["bulk"])
 
     def finalize(self) -> int:
-        bulk = getattr(self, "_bulk", None)
-        if bulk is not None:
-            frame = self._frame
-            tezos = CHAIN_CODES[ChainId.TEZOS]
-            governance_codes = {
-                code
-                for code in (frame.types.code("Ballot"), frame.types.code("Proposals"))
-                if code is not None
-            }
-            self._count[0] = sum(
-                count
-                for (chain, type_code), count in bulk.items()
-                if chain == tezos and type_code in governance_codes
-            )
-            self._bulk = None
-        return self._count[0]
+        types = self._frame.types
+        tezos = CHAIN_CODES[ChainId.TEZOS]
+        governance_codes = {types.code("Ballot"), types.code("Proposals")} - {None}
+        return self._count + sum(
+            count
+            for (chain, type_code), count in self._bulk.items()
+            if chain == tezos and type_code in governance_codes
+        )
 
 
 def count_governance_operations(

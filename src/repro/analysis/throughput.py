@@ -13,20 +13,26 @@ from __future__ import annotations
 
 import functools
 import uuid
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from array import array
 
-from repro.common import kernels
+import numpy as np
+
 from repro.common.clock import SECONDS_PER_HOUR
 from repro.common.columns import FrameLike, TxFrame, as_frame, as_ndarray, view_of
 from repro.common.errors import AnalysisError
 from repro.common.records import TransactionRecord
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, gather
-from repro.analysis.vectorized import block_columns, pack_codes, unique_counts_ordered
+from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
+from repro.analysis.vectorized import (
+    block_columns,
+    dense_space,
+    pack_codes,
+    unique_counts_ordered,
+    unpack_codes,
+)
 from repro.common.statecodec import pack_str_table, restore_str_table
 
 #: Figure 3 uses 6-hour bins.
@@ -40,8 +46,8 @@ RowCategorizerFactory = Callable[[TxFrame], Callable[[int], str]]
 #: A key-column categorizer factory: given the bound frame, returns the
 #: integer column(s) whose values identify a category plus a labeler mapping
 #: a column value (or tuple of values) to its display label.  This is the
-#: vectorised form — bins are counted with bulk ``Counter.update`` over
-#: column slices and labels are resolved once per distinct key.
+#: vectorised form — bins are counted with one packed (bin, key) histogram
+#: per block and labels are resolved once per distinct key.
 KeyColumnsFactory = Callable[[TxFrame], Tuple[Tuple[Sequence, ...], Callable]]
 
 
@@ -170,10 +176,11 @@ class ThroughputSeriesAccumulator(Accumulator):
     Two categorizer forms are accepted: a ``categorizer`` factory producing
     a row → label callable (the flexible form, used by the
     :func:`bin_throughput` compatibility wrapper) or ``key_columns``
-    producing integer key column(s) plus a labeler.  With key columns the
-    batch path is vectorised: on a sorted contiguous scan the bin
-    boundaries are located by bisection and each bin's categories counted
-    with one bulk ``Counter.update`` over the column slice.
+    producing integer key column(s) plus a labeler.  With buffer-backed
+    key columns the batch kernel is vectorised (see :meth:`bind_batch`).
+
+    ``ThroughputSeries.categories`` lists labels in first-seen order over
+    the bins in *time* order, whatever order the scan visited rows in.
     """
 
     name = "throughput_series"
@@ -198,132 +205,81 @@ class ThroughputSeriesAccumulator(Accumulator):
         self.start = start
         self.end = end
 
+    def _reset(self, frame: TxFrame) -> None:
+        #: Labelled bins: bin index → {label: count}.  Filled by the scan in
+        #: categorizer mode and by :meth:`finalize` in key-columns mode.
+        self._bins: Dict[int, Dict[str, int]] = {}
+        #: Raw bins (key-columns mode): bin index → Counter of unresolved
+        #: keys; labels resolve once per distinct key at :meth:`finalize`.
+        self._raw_bins: Dict[int, Counter] = {}
+        #: The category tuple the last :meth:`finalize` derived.
+        self._categories: Dict[str, None] = {}
+        # The factory may build per-frame lookups (e.g. the EOS category
+        # table), so it runs once per bind and feeds whichever kernel binds.
+        self._columns, self._labeler = (
+            self.key_columns(frame) if self.key_columns is not None else ((), None)
+        )
+
     def bind(self, frame: TxFrame) -> Step:
-        bins = self._bins = {}
-        categories = self._categories = {}
-        self._raw_bins = None
-        if self.categorizer is not None:
-            categorize = self.categorizer(frame)
-        else:
-            columns, labeler = self.key_columns(frame)
-            if len(columns) == 1:
-                column = columns[0]
-                categorize = lambda row: labeler(column[row])
-            else:
-                categorize = lambda row: labeler(
-                    tuple(column[row] for column in columns)
-                )
+        self._reset(frame)
         timestamps = frame.timestamp
         start = self.start
         end = self.end
         bin_seconds = self.bin_seconds
+        if self.key_columns is None:
+            categorize = self.categorizer(frame)
+            bins = self._bins
+
+            def count(index: int, row: int) -> None:
+                category = categorize(row)
+                bin_counts = bins.get(index)
+                if bin_counts is None:
+                    bin_counts = bins[index] = {}
+                bin_counts[category] = bin_counts.get(category, 0) + 1
+
+        else:
+            columns = self._columns
+            single = columns[0] if len(columns) == 1 else None
+            raw_bins = self._raw_bins
+
+            def count(index: int, row: int) -> None:
+                counter = raw_bins.get(index)
+                if counter is None:
+                    counter = raw_bins[index] = Counter()
+                if single is not None:
+                    counter[single[row]] += 1
+                else:
+                    counter[tuple(column[row] for column in columns)] += 1
 
         def step(row: int) -> None:
             timestamp = timestamps[row]
             if timestamp < start or (end is not None and timestamp > end):
                 return
-            index = int((timestamp - start) // bin_seconds)
-            category = categorize(row)
-            categories[category] = None
-            bin_counts = bins.get(index)
-            if bin_counts is None:
-                bin_counts = bins[index] = {}
-            bin_counts[category] = bin_counts.get(category, 0) + 1
+            count(int((timestamp - start) // bin_seconds), row)
 
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if self.key_columns is None:
-            return super().bind_batch(frame)
-        # The factory may build per-frame lookups (e.g. the EOS category
-        # table), so it runs once and feeds whichever kernel binds.
-        columns, labeler = self.key_columns(frame)
-        if kernels.use_numpy():
-            consume = self._bind_batch_numpy(frame, columns, labeler)
-            if consume is not None:
-                return consume
-        self._bins = {}
-        self._categories = {}
-        raw_bins = self._raw_bins = {}
-        self._labeler = labeler
-        single = columns[0] if len(columns) == 1 else None
-        timestamps = frame.timestamp
-        sorted_scan = frame.timestamps_sorted
-        start = self.start
-        end = self.end
-        bin_seconds = self.bin_seconds
-
-        def consume(rows: RowIndices) -> None:
-            if (
-                sorted_scan
-                and isinstance(rows, range)
-                and rows.step == 1
-                and len(rows)
-            ):
-                # Sorted contiguous scan: locate each bin boundary by
-                # bisection and count the bin's slice in one C call.
-                lo = bisect_left(timestamps, start, rows.start, rows.stop)
-                hi = (
-                    bisect_right(timestamps, end, lo, rows.stop)
-                    if end is not None
-                    else rows.stop
-                )
-                while lo < hi:
-                    index = int((timestamps[lo] - start) // bin_seconds)
-                    boundary = start + (index + 1) * bin_seconds
-                    split = bisect_left(timestamps, boundary, lo, hi)
-                    counter = raw_bins.get(index)
-                    if counter is None:
-                        counter = raw_bins[index] = Counter()
-                    if single is not None:
-                        counter.update(single[lo:split])
-                    else:
-                        counter.update(
-                            zip(*(column[lo:split] for column in columns))
-                        )
-                    lo = split
-                return
-            # Unsorted or filtered rows: per-row binning over gathered slices.
-            gathered_ts = gather(timestamps, rows)
-            if single is not None:
-                keys = gather(single, rows)
-            else:
-                keys = list(zip(*(gather(column, rows) for column in columns)))
-            for timestamp, key in zip(gathered_ts, keys):
-                if timestamp < start or (end is not None and timestamp > end):
-                    continue
-                index = int((timestamp - start) // bin_seconds)
-                counter = raw_bins.get(index)
-                if counter is None:
-                    counter = raw_bins[index] = Counter()
-                counter[key] += 1
-
-        return consume
-
-    def _bind_batch_numpy(
-        self, frame: TxFrame, columns, labeler
-    ) -> Optional[BatchStep]:
         """Vectorized binning: one packed (bin, key) histogram per block.
 
         The bin index, the window mask and the key packing are all ndarray
         operations; labels still resolve once per *distinct* key at
-        finalisation.  Returns ``None`` when a key column is not
-        buffer-backed (a custom factory yielding a plain list) — the python
-        block kernel handles that case.
+        finalisation.  Row categorizers, and key columns that are not
+        buffer-backed (a custom factory yielding a plain list), take the
+        row-step default instead.
         """
-        np = kernels.numpy_module()
+        if self.key_columns is None:
+            return super().bind_batch(frame)
+        self._reset(frame)
         nd_columns = []
-        for column in columns:
+        for column in self._columns:
             if isinstance(column, np.ndarray):
                 nd_columns.append(column)
             elif isinstance(column, array):
                 nd_columns.append(as_ndarray(column))
             else:
-                return None
-        self._bins = {}
-        self._categories = {}
-        raw_bins = self._raw_bins = {}
-        self._labeler = labeler
+                return super().bind_batch(frame)
+        raw_bins = self._raw_bins
         single = len(nd_columns) == 1
         timestamps = frame.ndarray("timestamp")
         start = self.start
@@ -357,19 +313,11 @@ class ThroughputSeriesAccumulator(Accumulator):
                     counter[key] += 1
                 return
             uniques, counts = unique_counts_ordered(packed)
-            # Decode (bin index, key columns) back out of the packed key.
-            parts: list = []
-            rest = uniques
-            for size in reversed(sizes[1:]):
-                rest, part = np.divmod(rest, max(size, 1))
-                parts.append(part)
-            parts.reverse()
-            if single:
-                decoded = parts[0].tolist()
-            else:
-                decoded = list(zip(*(part.tolist() for part in parts)))
+            # Split the bin index off the packed key; the rest decodes to
+            # the key shape the factory fixed (int, or tuple of ints).
+            bin_part, key_part = np.divmod(uniques, dense_space(sizes[1:]))
             for bin_index, key, count in zip(
-                rest.tolist(), decoded, counts.tolist()
+                bin_part.tolist(), unpack_codes(key_part, sizes[1:]), counts.tolist()
             ):
                 counter = raw_bins.get(bin_index)
                 if counter is None:
@@ -379,27 +327,19 @@ class ThroughputSeriesAccumulator(Accumulator):
         return consume
 
     def merge(self, other: "ThroughputSeriesAccumulator") -> None:
-        # Raw (key-columns) state: per-bin Counters of unresolved keys.
-        other_raw = getattr(other, "_raw_bins", None)
-        if other_raw:
-            mine = self._raw_bins
-            if mine is None:
-                mine = self._raw_bins = {}
-            for index, counter in other_raw.items():
-                target = mine.get(index)
-                if target is None:
-                    mine[index] = counter.copy()
-                else:
-                    target.update(counter)
-        # Labelled (row-mode) state.
+        mine = self._raw_bins
+        for index, counter in other._raw_bins.items():
+            target = mine.get(index)
+            if target is None:
+                mine[index] = counter.copy()
+            else:
+                target.update(counter)
         for index, counts in other._bins.items():
             target = self._bins.get(index)
             if target is None:
                 target = self._bins[index] = {}
             for category, count in counts.items():
                 target[category] = target.get(category, 0) + count
-        for category in other._categories:
-            self._categories[category] = None
 
     def export_state(self) -> Dict:
         """Columnar snapshot of the binning state.
@@ -407,24 +347,22 @@ class ThroughputSeriesAccumulator(Accumulator):
         The raw (key-columns) bins flatten into whole int64 columns — bin
         indices and per-bin entry counts plus the concatenated key/count
         columns — so export cost is a handful of C ``extend`` calls per
-        bin, not per entry.  Labelled (row-mode) bins export as string
-        tables.  Both keep insertion order, because :meth:`finalize`
+        bin, not per entry.  Labelled (categorizer-mode) bins export as
+        string tables.  Both keep insertion order, because :meth:`finalize`
         derives the category tuple from first-seen order within
-        time-sorted bins.
+        time-sorted bins.  A state exported *after* finalize (what the chunk
+        engine memoizes per chunk) also carries the labelled bins and the
+        category tuple finalize derived; restoring it is safe because
+        finalize re-derives both from the raw bins.
         """
-        raw = getattr(self, "_raw_bins", None)
         raw_payload = None
-        if raw is not None:
+        if self.key_columns is not None:
+            raw = self._raw_bins
             # Key shape is fixed by the key-columns factory: scalar ints
-            # for a single column, tuples of a fixed width otherwise.
-            width = 1
-            for counter in raw.values():
-                for key in counter:
-                    width = len(key) if isinstance(key, tuple) else 1
-                    break
-                else:
-                    continue
-                break
+            # for a single column, tuples of a fixed width otherwise (and
+            # width 1 while no key has been seen).
+            first = next((key for counter in raw.values() for key in counter), None)
+            width = len(first) if isinstance(first, tuple) else 1
             key_columns = [array("q") for _ in range(width)]
             counts = array("q")
             if width == 1:
@@ -456,8 +394,6 @@ class ThroughputSeriesAccumulator(Accumulator):
         raw_payload = payload["raw"]
         if raw_payload is not None:
             mine = self._raw_bins
-            if mine is None:
-                mine = self._raw_bins = {}
             width = raw_payload["w"]
             key_columns = raw_payload["keys"]
             counts = raw_payload["counts"]
@@ -484,8 +420,6 @@ class ThroughputSeriesAccumulator(Accumulator):
             if target is None:
                 target = self._bins[index] = {}
             restore_str_table(target, table)
-        for category in payload["categories"]:
-            self._categories[category] = None
 
     def config_signature(self) -> tuple:
         """Bin geometry plus the categorizer identity.
@@ -508,22 +442,25 @@ class ThroughputSeriesAccumulator(Accumulator):
 
     def finalize(self) -> ThroughputSeries:
         bins = self._bins
-        categories = self._categories
-        if self._raw_bins is not None:
-            # Resolve raw keys to labels once per distinct key per bin,
-            # scanning bins in time order so the category tuple keeps the
-            # first-seen order a row-at-a-time pass would produce.
-            labeler = self._labeler
-            label_cache: Dict = {}
-            for index in sorted(self._raw_bins):
-                merged: Dict[str, int] = {}
-                for key, count in self._raw_bins[index].items():
-                    label = label_cache.get(key)
-                    if label is None:
-                        label = label_cache[key] = labeler(key)
-                    merged[label] = merged.get(label, 0) + count
-                    categories[label] = None
-                bins[index] = merged
+        # Resolve raw keys to labels once per distinct key.  The raw bins
+        # are the truth in key-columns mode: a labelled bin restored from a
+        # post-finalize snapshot is replaced here, never added to.
+        labeler = self._labeler
+        label_cache: Dict = {}
+        for index in sorted(self._raw_bins):
+            merged: Dict[str, int] = {}
+            for key, count in self._raw_bins[index].items():
+                label = label_cache.get(key)
+                if label is None:
+                    label = label_cache[key] = labeler(key)
+                merged[label] = merged.get(label, 0) + count
+            bins[index] = merged
+        # The category tuple is first-seen order over bins in *time* order
+        # (and insertion order within a bin): independent of how the scan
+        # or the shard merges interleaved the bins.
+        categories = self._categories = {}
+        for index in sorted(bins):
+            categories.update(dict.fromkeys(bins[index]))
         if self.end is not None:
             bin_count = int((self.end - self.start) // self.bin_seconds) + 1
         else:

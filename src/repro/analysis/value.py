@@ -21,11 +21,13 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.common import kernels, statsmode
+import numpy as np
+
+from repro.common import statsmode
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
 from repro.common.sketches import DEFAULT_QUANTILE_ALPHA, QuantileSketch
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, config_digest, gather
+from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, config_digest
 from repro.analysis.vectorized import block_columns, count_codes, matched_rows
 from repro.common.errors import AnalysisError
 from repro.common.statecodec import pack_code_table, restore_code_table
@@ -125,6 +127,25 @@ class ThroughputDecomposition:
         return self.offers_exchanged / self.offers if self.offers else 0.0
 
 
+def _cached_by_asset(frame: TxFrame, lookup):
+    """``lookup(currency, issuer)`` by interned (currency code, issuer code),
+    consulted once per distinct pair of the bound frame."""
+    currency_values = frame.currencies.values
+    account_values = frame.accounts.values
+    cache: Dict[Tuple[int, int], object] = {}
+
+    def cached(currency_code: int, issuer_code: int):
+        key = (currency_code, issuer_code)
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = lookup(
+                currency_values[currency_code], account_values[issuer_code]
+            )
+        return value
+
+    return cached
+
+
 class XrpDecompositionAccumulator(Accumulator):
     """Single-pass Figure 7 decomposition, including the zero-value counters.
 
@@ -138,9 +159,23 @@ class XrpDecompositionAccumulator(Accumulator):
     def __init__(self, oracle: ExchangeRateOracle):
         self.oracle = oracle
 
+    def _reset(self, frame: TxFrame) -> None:
+        #: (chain, success, type) histogram: total / failed / payments /
+        #: offers / others all fall out of it at :meth:`finalize`.
+        self._bulk: Counter = Counter()
+        #: total, failed, payments, payments_value, offers, offers_exchanged,
+        #: others.  The scan only touches the two tallies the histogram
+        #: cannot give: payments_value (oracle check) and offers_exchanged
+        #: (metadata flag); the rest are filled by :meth:`finalize` (or by
+        #: restoring an already folded state).
+        self._counters = [0, 0, 0, 0, 0, 0, 0]
+        self._payment_code = frame.types.code("Payment")
+        self._offer_code = frame.types.code("OfferCreate")
+
     def bind(self, frame: TxFrame) -> Step:
-        # total, failed, payments, payments_value, offers, offers_exchanged, others
-        counters = self._counters = [0, 0, 0, 0, 0, 0, 0]
+        self._reset(frame)
+        bulk = self._bulk
+        counters = self._counters
         chain_codes = frame.chain_code
         type_codes = frame.type_code
         success = frame.success
@@ -148,98 +183,29 @@ class XrpDecompositionAccumulator(Accumulator):
         currency_codes = frame.currency_code
         issuer_codes = frame.issuer_code
         metadata = frame.metadata
-        currency_values = frame.currencies.values
-        account_values = frame.accounts.values
         xrp = CHAIN_CODES[ChainId.XRP]
-        payment_code = frame.types.code("Payment")
-        offer_code = frame.types.code("OfferCreate")
-        has_value = self.oracle.has_value
-        value_cache: Dict[Tuple[int, int], bool] = {}
+        payment_code = self._payment_code
+        offer_code = self._offer_code
+        valued = _cached_by_asset(frame, self.oracle.has_value)
 
         def step(row: int) -> None:
-            if chain_codes[row] != xrp:
-                return
-            counters[0] += 1
-            if not success[row]:
-                counters[1] += 1
-                return
+            chain = chain_codes[row]
+            ok = success[row]
             type_code = type_codes[row]
+            bulk[(chain, ok, type_code)] += 1
+            if chain != xrp or not ok:
+                return
             if type_code == payment_code:
-                counters[2] += 1
-                if amounts[row] > 0:
-                    key = (currency_codes[row], issuer_codes[row])
-                    valued = value_cache.get(key)
-                    if valued is None:
-                        valued = value_cache[key] = has_value(
-                            currency_values[key[0]], account_values[key[1]]
-                        )
-                    if valued:
-                        counters[3] += 1
+                if amounts[row] > 0 and valued(currency_codes[row], issuer_codes[row]):
+                    counters[3] += 1
             elif type_code == offer_code:
-                counters[4] += 1
                 meta = metadata[row]
                 if meta and meta.get("executed"):
                     counters[5] += 1
-            else:
-                counters[6] += 1
 
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        counters = self._counters = [0, 0, 0, 0, 0, 0, 0]
-        chain_codes = frame.chain_code
-        type_codes = frame.type_code
-        success = frame.success
-        amounts = frame.amount
-        currency_codes = frame.currency_code
-        issuer_codes = frame.issuer_code
-        metadata = frame.metadata
-        currency_values = frame.currencies.values
-        account_values = frame.accounts.values
-        xrp = CHAIN_CODES[ChainId.XRP]
-        payment_code = frame.types.code("Payment")
-        offer_code = frame.types.code("OfferCreate")
-        has_value = self.oracle.has_value
-        value_cache: Dict[Tuple[int, int], bool] = {}
-        # The bulk of the decomposition (total/failed/payments/offers/others)
-        # is a Counter over (chain, success, type) triples — one C call per
-        # block; only the oracle check for successful payments and the
-        # "executed" metadata flag for offers need a per-row sub-loop.
-        bulk = self._bulk = Counter()
-        self._payment_code = payment_code
-        self._offer_code = offer_code
-        self._xrp_code = xrp
-
-        def consume(rows: RowIndices) -> None:
-            block_chains = gather(chain_codes, rows)
-            block_success = gather(success, rows)
-            block_types = gather(type_codes, rows)
-            bulk.update(zip(block_chains, block_success, block_types))
-            for row, chain, ok, type_code in zip(
-                rows, block_chains, block_success, block_types
-            ):
-                if chain != xrp or not ok:
-                    continue
-                if type_code == payment_code:
-                    if amounts[row] > 0:
-                        key = (currency_codes[row], issuer_codes[row])
-                        valued = value_cache.get(key)
-                        if valued is None:
-                            valued = value_cache[key] = has_value(
-                                currency_values[key[0]], account_values[key[1]]
-                            )
-                        if valued:
-                            counters[3] += 1
-                elif type_code == offer_code:
-                    meta = metadata[row]
-                    if meta and meta.get("executed"):
-                        counters[5] += 1
-
-        return consume
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: packed (chain, success, type) histogram plus
         boolean-mask reductions for the value and executed-offer counters.
 
@@ -247,7 +213,9 @@ class XrpDecompositionAccumulator(Accumulator):
         *distinct* (currency, issuer) pair, and the ``executed`` metadata
         flag is read only on the (thin) successful-offer slice.
         """
-        counters = self._counters = [0, 0, 0, 0, 0, 0, 0]
+        self._reset(frame)
+        bulk = self._bulk
+        counters = self._counters
         chain_codes = frame.ndarray("chain_code")
         type_codes = frame.ndarray("type_code")
         success = frame.ndarray("success")
@@ -255,21 +223,11 @@ class XrpDecompositionAccumulator(Accumulator):
         currency_codes = frame.ndarray("currency_code")
         issuer_codes = frame.ndarray("issuer_code")
         metadata = frame.metadata
-        currency_values = frame.currencies.values
-        account_values = frame.accounts.values
         xrp = CHAIN_CODES[ChainId.XRP]
-        payment_code = frame.types.code("Payment")
-        offer_code = frame.types.code("OfferCreate")
-        has_value = self.oracle.has_value
-        value_cache: Dict[Tuple[int, int], bool] = {}
-        bulk = self._bulk = Counter()
-        self._payment_code = payment_code
-        self._offer_code = offer_code
-        self._xrp_code = xrp
-        payment = -1 if payment_code is None else payment_code
-        offer = -1 if offer_code is None else offer_code
+        payment = -1 if self._payment_code is None else self._payment_code
+        offer = -1 if self._offer_code is None else self._offer_code
+        valued = _cached_by_asset(frame, self.oracle.has_value)
         sizes = (len(CHAIN_ORDER), 2, len(frame.types))
-        np = kernels.numpy_module()
         account_count = max(len(frame.accounts), 1)
 
         def consume(rows: RowIndices) -> None:
@@ -292,17 +250,11 @@ class XrpDecompositionAccumulator(Accumulator):
                         + block_issuers[payment_mask]
                     )
                     uniques, counts = np.unique(pairs, return_counts=True)
-                    valued_rows = 0
-                    for pair, count in zip(uniques.tolist(), counts.tolist()):
-                        key = divmod(pair, account_count)
-                        valued = value_cache.get(key)
-                        if valued is None:
-                            valued = value_cache[key] = has_value(
-                                currency_values[key[0]], account_values[key[1]]
-                            )
-                        if valued:
-                            valued_rows += count
-                    counters[3] += valued_rows
+                    counters[3] += sum(
+                        count
+                        for pair, count in zip(uniques.tolist(), counts.tolist())
+                        if valued(*divmod(pair, account_count))
+                    )
             offer_mask = successful_xrp & (types == offer)
             if offer_mask.any():
                 executed = 0
@@ -321,64 +273,43 @@ class XrpDecompositionAccumulator(Accumulator):
         counters = self._counters
         for index, value in enumerate(other._counters):
             counters[index] += value
-        other_bulk = getattr(other, "_bulk", None)
-        if other_bulk:
-            mine = getattr(self, "_bulk", None)
-            if mine is None:
-                mine = self._bulk = Counter()
-                for attr in ("_payment_code", "_offer_code", "_xrp_code"):
-                    if not hasattr(self, attr):
-                        setattr(self, attr, getattr(other, attr))
-            mine.update(other_bulk)
+        self._bulk.update(other._bulk)
 
     def export_state(self) -> Dict:
-        bulk = getattr(self, "_bulk", None)
         return {
             "counters": list(self._counters),
-            "bulk": pack_code_table(bulk, 3) if bulk else None,
+            "bulk": pack_code_table(self._bulk, 3) if self._bulk else None,
         }
 
     def restore_state(self, payload: Dict) -> None:
         counters = self._counters
         for index, value in enumerate(payload["counters"]):
             counters[index] += value
-        bulk = payload["bulk"]
-        if bulk is not None:
-            mine = getattr(self, "_bulk", None)
-            if mine is None:
-                # The bulk histogram is decoded against the binding frame's
-                # type codes, so a restore target must be batch-bound (a
-                # payload, unlike a merge source, carries no codes).
-                if not hasattr(self, "_payment_code"):
-                    raise AnalysisError(
-                        "XrpDecompositionAccumulator.restore_state requires "
-                        "a batch-bound accumulator"
-                    )
-                mine = self._bulk = Counter()
-            restore_code_table(mine, bulk)
+        if payload["bulk"] is not None:
+            restore_code_table(self._bulk, payload["bulk"])
 
     def finalize(self) -> ThroughputDecomposition:
-        bulk = getattr(self, "_bulk", None)
-        if bulk is not None:
-            counters = self._counters
-            for (chain, ok, type_code), count in bulk.items():
-                if chain != self._xrp_code:
-                    continue
-                counters[0] += count
-                if not ok:
-                    counters[1] += count
-                elif type_code == self._payment_code:
-                    counters[2] += count
-                elif type_code == self._offer_code:
-                    counters[4] += count
-                else:
-                    counters[6] += count
-            self._bulk = None
-        return self._finalize_counters()
-
-    def _finalize_counters(self) -> ThroughputDecomposition:
+        # The histogram folds into the counters *in place* and empties: the
+        # chunk engine exports per-chunk states after the engine pass has
+        # finalized them, and a folded state restores without double
+        # counting (both forms of the payload are additive).
+        counters = self._counters
+        xrp = CHAIN_CODES[ChainId.XRP]
+        for (chain, ok, type_code), count in self._bulk.items():
+            if chain != xrp:
+                continue
+            counters[0] += count
+            if not ok:
+                counters[1] += count
+            elif type_code == self._payment_code:
+                counters[2] += count
+            elif type_code == self._offer_code:
+                counters[4] += count
+            else:
+                counters[6] += count
+        self._bulk.clear()
         total, failed, payments, payments_value, offers, offers_exchanged, others = (
-            self._counters
+            counters
         )
         return ThroughputDecomposition(
             total=total,
@@ -450,23 +381,6 @@ class ValueDistributionAccumulator(Accumulator):
             self._values = array("d")
             self._sketch = None
 
-    def _rate_cache(self, frame: TxFrame):
-        currency_values = frame.currencies.values
-        account_values = frame.accounts.values
-        oracle_rate = self.oracle.rate
-        cache: Dict[Tuple[int, int], float] = {}
-
-        def rate(currency_code: int, issuer_code: int) -> float:
-            key = (currency_code, issuer_code)
-            value = cache.get(key)
-            if value is None:
-                value = cache[key] = oracle_rate(
-                    currency_values[currency_code], account_values[issuer_code]
-                )
-            return value
-
-        return rate
-
     def _add_value(self, value: float) -> None:
         if self._sketch is not None:
             self._sketch.add(value)
@@ -484,7 +398,7 @@ class ValueDistributionAccumulator(Accumulator):
         issuer_codes = frame.issuer_code
         xrp = CHAIN_CODES[ChainId.XRP]
         payment_code = frame.types.code("Payment")
-        rate = self._rate_cache(frame)
+        rate = _cached_by_asset(frame, self.oracle.rate)
 
         def step(row: int) -> None:
             if (
@@ -503,28 +417,16 @@ class ValueDistributionAccumulator(Accumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        step = self.bind(frame)
-
-        def consume(rows: RowIndices) -> None:
-            for row in rows:
-                step(row)
-
-        return consume
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: mask value-bearing payments, rate per distinct
         asset pair, one multiply for the whole block.
 
         The oracle is consulted once per distinct (currency, issuer) pair;
         row values come from a vectorized gather of the block's pair rates.
         The per-value Python work that remains in sketch mode is the
-        ``math.log`` binning — kept scalar deliberately so both backends
+        ``math.log`` binning — kept scalar deliberately so both kernels
         bin bit-identically.
         """
         self._reset(frame)
-        np = kernels.numpy_module()
         chain_codes = frame.ndarray("chain_code")
         type_codes = frame.ndarray("type_code")
         success = frame.ndarray("success")
@@ -534,7 +436,7 @@ class ValueDistributionAccumulator(Accumulator):
         xrp = CHAIN_CODES[ChainId.XRP]
         payment_code = frame.types.code("Payment")
         payment = -1 if payment_code is None else payment_code
-        rate = self._rate_cache(frame)
+        rate = _cached_by_asset(frame, self.oracle.rate)
         account_count = max(len(frame.accounts), 1)
         sketch = self._sketch
         values_column = self._values
@@ -664,9 +566,13 @@ class FailureCodeAccumulator(Accumulator):
 
     name = "xrp_failure_codes"
 
-    def bind(self, frame: TxFrame) -> Step:
-        table = self._table = {}
+    def _reset(self, frame: TxFrame) -> None:
         self._frame = frame
+        self._table: Dict[Tuple[int, int], int] = {}
+
+    def bind(self, frame: TxFrame) -> Step:
+        self._reset(frame)
+        table = self._table
         chain_codes = frame.chain_code
         success = frame.success
         type_codes = frame.type_code
@@ -686,26 +592,9 @@ class FailureCodeAccumulator(Accumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        step = self.bind(frame)
-        chain_codes = frame.chain_code
-        success = frame.success
-        xrp = CHAIN_CODES[ChainId.XRP]
-
-        def consume(rows: RowIndices) -> None:
-            for row, chain, ok in zip(
-                rows, gather(chain_codes, rows), gather(success, rows)
-            ):
-                if chain == xrp and not ok:
-                    step(row)
-
-        return consume
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: mask failed XRP rows, histogram (type, error)."""
-        table = self._table = {}
-        self._frame = frame
+        self._reset(frame)
+        table = self._table
         chain_codes = frame.ndarray("chain_code")
         success = frame.ndarray("success")
         type_codes = frame.ndarray("type_code")

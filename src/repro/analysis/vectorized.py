@@ -1,10 +1,10 @@
-"""Shared NumPy kernel primitives for the vectorized accumulator backend.
+"""Shared NumPy primitives of the accumulators' ``bind_batch`` kernels.
 
 Every hot accumulator counts small-integer code tuples — (chain, type,
 contract) triples, (sender, receiver) pairs, single account codes — or
 filters rows with boolean masks before a thin per-row tail.  This module
 factors those patterns into a handful of primitives so each accumulator's
-``_bind_batch_numpy`` stays a few lines:
+``bind_batch`` stays a few lines:
 
 * :func:`block_columns` — slice or fancy-index a block out of zero-copy
   column views (ranges slice for free; index ndarrays gather in one C call);
@@ -17,20 +17,22 @@ factors those patterns into a handful of primitives so each accumulator's
 * :func:`matched_rows` — boolean mask → global row indices, for kernels
   whose tail work (metadata lookups, oracle checks) is inherently per-row.
 
-The first-seen replay is the load-bearing subtlety: the reference python
-kernels insert counter keys in row order, and several finalizers resolve
-ties by insertion order (``Counter.most_common``, the throughput category
-tuple).  ``np.unique`` returns keys sorted by value, so :func:`count_codes`
+The first-seen replay is the load-bearing subtlety: the row-step reference
+kernels (each accumulator's ``bind``) insert counter keys in row order, and
+several finalizers resolve ties by insertion order
+(``Counter.most_common``, the per-bin category order of the throughput
+series).  ``np.unique`` returns keys sorted by value, so :func:`count_codes`
 re-orders them by each key's first block position before touching the
-counter — making the numpy backend's counter state (content *and*
-iteration order) indistinguishable from the reference backend's.
+counter — making the block kernel's counter state (content *and* iteration
+order) indistinguishable from the reference's.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple, Union
 
-from repro.common import kernels
+import numpy as np
+
 from repro.common.columns import RowIndices, as_index_rows
 
 Counts = Union[Dict, "Counter"]  # noqa: F821 - Counter duck-typed via .get
@@ -59,26 +61,10 @@ def fold_dense(target: Counts, dense, sizes: Sequence[int]) -> None:
     that tie-breaks via ``Counter.most_common`` must stay on
     :func:`count_codes`.
     """
-    np = kernels.numpy_module()
     keys = np.nonzero(dense)[0]
     if not len(keys):
         return
-    counts = dense[keys].tolist()
-    if len(sizes) == 1:
-        add_counts(target, keys.tolist(), counts)
-        return
-    parts = []
-    rest = keys
-    for size in reversed([max(int(size), 1) for size in sizes[1:]]):
-        rest, part = np.divmod(rest, size)
-        parts.append(part)
-    parts.append(rest)
-    parts.reverse()
-    add_counts(
-        target,
-        list(zip(*(part.tolist() for part in parts))),
-        counts,
-    )
+    add_counts(target, unpack_codes(keys, sizes), dense[keys].tolist())
 
 
 def block_columns(rows: RowIndices, *views) -> Tuple:
@@ -96,7 +82,6 @@ def block_columns(rows: RowIndices, *views) -> Tuple:
 
 def matched_rows(rows: RowIndices, mask):
     """Global row indices of the block positions where ``mask`` is true."""
-    np = kernels.numpy_module()
     positions = np.nonzero(mask)[0]
     if isinstance(rows, range):
         if rows.step == 1:
@@ -113,11 +98,7 @@ def pack_codes(blocks: Sequence, sizes: Sequence[int]):
     Returns ``None`` when the key space cannot fit an ``int64`` — callers
     fall back to per-row counting in that (pathological) case.
     """
-    np = kernels.numpy_module()
-    space = 1
-    for size in sizes:
-        space *= max(int(size), 1)
-    if space >= 2**62:  # pragma: no cover - needs >2^62 distinct keys
+    if dense_space(sizes) >= 2**62:  # pragma: no cover - needs >2^62 distinct keys
         return None
     key = blocks[0].astype(np.int64)
     for block, size in zip(blocks[1:], sizes[1:]):
@@ -126,9 +107,22 @@ def pack_codes(blocks: Sequence, sizes: Sequence[int]):
     return key
 
 
+def unpack_codes(keys, sizes: Sequence[int]) -> List:
+    """Inverse of :func:`pack_codes`: plain ints for one column, else tuples."""
+    if len(sizes) == 1:
+        return keys.tolist()
+    parts = []
+    rest = keys
+    for size in reversed(sizes[1:]):
+        rest, part = np.divmod(rest, max(int(size), 1))
+        parts.append(part.tolist())
+    parts.append(rest.tolist())
+    parts.reverse()
+    return list(zip(*parts))
+
+
 def unique_counts_ordered(keys) -> Tuple:
     """Distinct keys and their counts, in first-seen (row) order."""
-    np = kernels.numpy_module()
     uniques, first_index, counts = np.unique(
         keys, return_index=True, return_counts=True
     )
@@ -151,7 +145,7 @@ def count_codes(target: Counts, blocks: Sequence, sizes: Sequence[int]) -> None:
     """One block's packed-key histogram, folded into ``target``.
 
     ``target`` keys are plain ints for a single column and tuples of ints
-    for several — identical to what the reference python kernels produce.
+    for several — identical to what the row-step reference kernels produce.
     """
     if len(blocks) == 1:
         uniques, counts = unique_counts_ordered(blocks[0])
@@ -163,17 +157,5 @@ def count_codes(target: Counts, blocks: Sequence, sizes: Sequence[int]) -> None:
         for key in zip(*(block.tolist() for block in blocks)):
             target[key] = get(key, 0) + 1
         return
-    np = kernels.numpy_module()
     uniques, counts = unique_counts_ordered(keys)
-    parts = []
-    rest = uniques
-    for size in reversed([max(int(size), 1) for size in sizes[1:]]):
-        rest, part = np.divmod(rest, size)
-        parts.append(part)
-    parts.append(rest)
-    parts.reverse()
-    add_counts(
-        target,
-        list(zip(*(part.tolist() for part in parts))),
-        counts.tolist(),
-    )
+    add_counts(target, unpack_codes(uniques, sizes), counts.tolist())

@@ -17,10 +17,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.common import kernels
 from repro.common.columns import CHAIN_CODES, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, gather
+from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
 from repro.analysis.vectorized import block_columns, matched_rows
 from repro.common.statecodec import pack_strings, unpack_strings
 
@@ -80,8 +79,12 @@ class TradeExtractionAccumulator(Accumulator):
     def __init__(self, contract: str = WHALEEX_CONTRACT):
         self.contract = contract
 
+    def _reset(self, frame: TxFrame) -> None:
+        self._trades: List[TradeObservation] = []
+
     def bind(self, frame: TxFrame) -> Step:
-        trades = self._trades = []
+        self._reset(frame)
+        trades = self._trades
         chain_codes = frame.chain_code
         receiver_codes = frame.receiver_code
         type_codes = frame.type_code
@@ -127,28 +130,6 @@ class TradeExtractionAccumulator(Accumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        if kernels.use_numpy():
-            return self._bind_batch_numpy(frame)
-        step = self.bind(frame)
-        chain_codes = frame.chain_code
-        receiver_codes = frame.receiver_code
-        contract_code = frame.accounts.code(self.contract)
-        eos = CHAIN_CODES[ChainId.EOS]
-        if contract_code is None or frame.types.code(TRADE_ACTION) is None:
-            return lambda rows: None
-
-        def consume(rows: RowIndices) -> None:
-            # Vectorised pre-filter: the DEX contract's rows are a thin
-            # slice of the stream, so only they pay the extraction cost.
-            for row, chain, receiver in zip(
-                rows, gather(chain_codes, rows), gather(receiver_codes, rows)
-            ):
-                if chain == eos and receiver == contract_code:
-                    step(row)
-
-        return consume
-
-    def _bind_batch_numpy(self, frame: TxFrame) -> BatchStep:
         """Boolean-mask kernel: only the contract's trade rows pay extraction."""
         step = self.bind(frame)
         contract_code = frame.accounts.code(self.contract)

@@ -32,11 +32,10 @@ of crashing or silently mis-decoding.
 The decoded payload has the same shape :meth:`TxFrame.to_payload` produces
 (``columns`` / ``transaction_id`` / ``metadata`` / ``pools``), so every
 existing consumer — bulk load, payload extend, the resident-frame tail
-slice, out-of-core workers — works unchanged.  Under the numpy kernel
-backend the numeric columns come back as **zero-copy read-only ndarrays**
-wrapping the decoded bytes (one ``np.frombuffer`` per column); under the
-pure-python backend they come back as ``array.array`` via one C-level
-``frombytes`` each.  Per-row ``metadata`` dicts are stored as one zlib'd
+slice, out-of-core workers — works unchanged.  The numeric columns come
+back as **zero-copy read-only ndarrays** wrapping the decoded bytes (one
+``np.frombuffer`` per column; a foreign-endian chunk is byte-swapped into
+``array.array`` columns instead).  Per-row ``metadata`` dicts are stored as one zlib'd
 JSON sub-blob and decode to a :class:`~repro.common.columns.LazyMetadata`
 block: the parse is deferred until a consumer reads the column, so purely
 numeric scans never pay it.  The payload additionally carries the chunk's
@@ -53,7 +52,8 @@ import zlib
 from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.common import kernels
+import numpy as np
+
 from repro.common import statecodec
 from repro.common.columns import NUMERIC_TYPECODES, LazyMetadata
 from repro.common.errors import CollectionError
@@ -128,8 +128,7 @@ def _column_raw_bytes(data: Any, typecode: str) -> bytes:
         if data.typecode == typecode:
             return data.tobytes()
         return array(typecode, data).tobytes()
-    np = kernels.numpy_module()
-    if np is not None and isinstance(data, np.ndarray):
+    if isinstance(data, np.ndarray):
         return data.astype(np.dtype(typecode), copy=False).tobytes()
     return array(typecode, data).tobytes()
 
@@ -293,24 +292,14 @@ def _decode_column(entry: Any, name: str, swap: bool):
             ) from None
         column.byteswap()
         return column
-    np = kernels.numpy_module()
-    if kernels.use_numpy() and np is not None:
-        dtype = np.dtype(typecode)
-        if len(raw) % dtype.itemsize:
-            raise ChunkFormatError(
-                f"chunk column {name!r} has a torn payload "
-                f"({len(raw)} bytes, itemsize {dtype.itemsize})"
-            )
-        # Zero-copy: the ndarray aliases the decoded bytes (read-only).
-        return np.frombuffer(raw, dtype=dtype)
-    column = array(typecode)
-    try:
-        column.frombytes(raw)
-    except ValueError as error:
+    dtype = np.dtype(typecode)
+    if len(raw) % dtype.itemsize:
         raise ChunkFormatError(
-            f"chunk column {name!r} has a torn payload: {error}"
-        ) from None
-    return column
+            f"chunk column {name!r} has a torn payload "
+            f"({len(raw)} bytes, itemsize {dtype.itemsize})"
+        )
+    # Zero-copy: the ndarray aliases the decoded bytes (read-only).
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def decode_chunk(blob: bytes) -> Dict[str, Any]:

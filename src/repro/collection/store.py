@@ -65,9 +65,11 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.collection import chunkformat
 from repro.collection.chunkformat import ChunkFormatError
-from repro.common import faults, kernels
+from repro.common import faults
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, TxFrame
 from repro.common.compression import (
     CompressionStats,
@@ -352,40 +354,17 @@ def _payload_chain_stats(
     times: Dict[str, List[float]] = {}
     chain_rows: Dict[str, int] = {}
     columns = payload["columns"]
-    if kernels.use_numpy() and len(columns["chain_code"]):
-        np = kernels.numpy_module()
-        chain_codes = np.asarray(columns["chain_code"])
-        block_heights = np.asarray(columns["block_height"])
-        timestamps = np.asarray(columns["timestamp"])
-        present, first_seen = np.unique(chain_codes, return_index=True)
-        for chain_code in present[np.argsort(first_seen)].tolist():
-            mask = chain_codes == chain_code
-            chain = CHAIN_ORDER[chain_code].value
-            chain_heights, chain_times = block_heights[mask], timestamps[mask]
-            heights[chain] = [int(chain_heights.min()), int(chain_heights.max())]
-            times[chain] = [float(chain_times.min()), float(chain_times.max())]
-            chain_rows[chain] = len(chain_heights)
-        return heights, times, chain_rows
-    for chain_code, height, timestamp in zip(
-        columns["chain_code"], columns["block_height"], columns["timestamp"]
-    ):
+    chain_codes = np.asarray(columns["chain_code"])
+    block_heights = np.asarray(columns["block_height"])
+    timestamps = np.asarray(columns["timestamp"])
+    present, first_seen = np.unique(chain_codes, return_index=True)
+    for chain_code in present[np.argsort(first_seen)].tolist():
+        mask = chain_codes == chain_code
         chain = CHAIN_ORDER[chain_code].value
-        bounds = heights.get(chain)
-        if bounds is None:
-            heights[chain] = [height, height]
-            times[chain] = [timestamp, timestamp]
-            chain_rows[chain] = 1
-            continue
-        if height < bounds[0]:
-            bounds[0] = height
-        elif height > bounds[1]:
-            bounds[1] = height
-        window = times[chain]
-        if timestamp < window[0]:
-            window[0] = timestamp
-        elif timestamp > window[1]:
-            window[1] = timestamp
-        chain_rows[chain] += 1
+        chain_heights, chain_times = block_heights[mask], timestamps[mask]
+        heights[chain] = [int(chain_heights.min()), int(chain_heights.max())]
+        times[chain] = [float(chain_times.min()), float(chain_times.max())]
+        chain_rows[chain] = len(chain_heights)
     return heights, times, chain_rows
 
 

@@ -44,7 +44,8 @@ from typing import (
     Union,
 )
 
-from repro.common import kernels
+import numpy as np
+
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
 
 #: Fixed chain-code order; ``chain_code`` column stores indexes into this.
@@ -186,14 +187,13 @@ RowIndices = Union[range, Sequence[int]]
 # -- ndarray views ---------------------------------------------------------------------
 #
 # The numeric columns are stdlib ``array.array`` buffers — that stays the
-# append path (amortised O(1) per record, no NumPy dependency for ingestion
-# or checkpoints).  For the vectorized kernel backend the same buffers are
-# exposed as **zero-copy ndarray views** through the buffer protocol: no
-# bytes move, the ndarray simply aliases the array's memory.  Views are
-# snapshots of the buffer at creation time — appending to the frame may
-# reallocate the underlying buffer, so a view must not outlive the pass it
-# was created for (accumulators take views at bind time; frames never grow
-# during a scan).
+# append path (amortised O(1) per record).  For the vectorized scan kernels
+# the same buffers are exposed as **zero-copy ndarray views** through the
+# buffer protocol: no bytes move, the ndarray simply aliases the array's
+# memory.  Views are snapshots of the buffer at creation time — appending to
+# the frame may reallocate the underlying buffer, so a view must not outlive
+# the pass it was created for (accumulators take views at bind time; frames
+# never grow during a scan).
 
 
 def as_ndarray(column: array):
@@ -203,7 +203,6 @@ def as_ndarray(column: array):
     that typecode does not match the array's item size (exotic platforms)
     the data is copied instead of aliased — same values either way.
     """
-    np = kernels.numpy_module()
     dtype = np.dtype(column.typecode)
     if dtype.itemsize != column.itemsize:  # pragma: no cover - platform skew
         view = np.array(column, dtype=dtype)
@@ -221,7 +220,6 @@ def as_index_rows(rows: RowIndices):
     materialised.  The engine funnels every scan block through this, so the
     vectorized kernels always see either a ``range`` or an index ndarray.
     """
-    np = kernels.numpy_module()
     if isinstance(rows, range) or isinstance(rows, np.ndarray):
         return rows
     if isinstance(rows, array) and rows.itemsize == np.dtype(np.int64).itemsize:
@@ -236,25 +234,17 @@ def gather_np(column, rows: RowIndices):
     index arrays gather with one C fancy-indexing call.  ``column`` may be
     an ``array.array`` or an ndarray.
     """
-    np = kernels.numpy_module()
     view = column if isinstance(column, np.ndarray) else as_ndarray(column)
     if isinstance(rows, range):
         return view[rows.start : rows.stop : rows.step]
     return view[as_index_rows(rows)]
 
 
-def gather_array(column: array, rows: RowIndices) -> array:
-    """Values of ``column`` at ``rows`` as a fresh ``array.array``.
-
-    The index-array gather for callers that need stdlib-array output (the
-    python-protocol ``gather`` in the engine): the gather itself runs as one
-    C fancy-indexing call, and the result round-trips through raw machine
-    bytes — never a per-element Python loop.
-    """
-    gathered = gather_np(column, rows)
-    out = array(column.typecode)
-    out.frombytes(gathered.tobytes())
-    return out
+def _index_ndarray(rows: RowIndices):
+    """Row indices as an ``int64`` ndarray, ranges materialised too."""
+    if isinstance(rows, range):
+        return np.arange(rows.start, rows.stop, rows.step, dtype=np.int64)
+    return as_index_rows(rows)
 
 
 class TxView:
@@ -302,34 +292,22 @@ class TxView:
         chain_codes = self.frame.chain_code
         if isinstance(self.rows, range) and len(self.rows) == len(self.frame):
             return self.frame.chain_view(chain)
-        if kernels.use_numpy() and len(self.rows):
-            np = kernels.numpy_module()
-            indices = as_index_rows(self.rows)
-            if isinstance(indices, range):
-                indices = np.arange(
-                    indices.start, indices.stop, indices.step, dtype=np.int64
-                )
-            matched = indices[gather_np(chain_codes, indices) == code]
-            selected = array("q")
-            selected.frombytes(matched.tobytes())
-            return TxView(self.frame, selected)
         selected = array("q")
-        for index in self.rows:
-            if chain_codes[index] == code:
-                selected.append(index)
+        if len(self.rows):
+            indices = _index_ndarray(self.rows)
+            matched = indices[gather_np(chain_codes, indices) == code]
+            selected.frombytes(matched.tobytes())
         return TxView(self.frame, selected)
 
     def min_timestamp(self) -> Optional[float]:
-        timestamps = self.frame.timestamp
-        if kernels.use_numpy() and len(self.rows):
-            return float(gather_np(timestamps, self.rows).min())
-        return min((timestamps[i] for i in self.rows), default=None)
+        if not len(self.rows):
+            return None
+        return float(gather_np(self.frame.timestamp, self.rows).min())
 
     def max_timestamp(self) -> Optional[float]:
-        timestamps = self.frame.timestamp
-        if kernels.use_numpy() and len(self.rows):
-            return float(gather_np(timestamps, self.rows).max())
-        return max((timestamps[i] for i in self.rows), default=None)
+        if not len(self.rows):
+            return None
+        return float(gather_np(self.frame.timestamp, self.rows).max())
 
 
 class TxFrame:
@@ -629,7 +607,7 @@ class TxFrame:
         ``name`` is any column in ``_NUMERIC_COLUMNS``.  The view aliases
         the column's current buffer; appending to the frame may reallocate
         that buffer, so take views at bind time and never across appends
-        (see :func:`as_ndarray`).  Requires the NumPy kernel backend.
+        (see :func:`as_ndarray`).
         """
         if name not in self._NUMERIC_COLUMNS:
             raise KeyError(f"{name!r} is not a numeric column")
@@ -645,15 +623,13 @@ class TxFrame:
         per-row ``__getitem__`` loop.  The copy is built lazily on first
         use and cached per frame length, so every accumulator scanning the
         same frame — and every chain of an out-of-core chunk — shares one
-        build.  Requires the NumPy kernel backend.
+        build.
         """
-        from repro.common import kernels
-
         cached = self._tx_ids_nd
         length = len(self.transaction_id)
         if cached is not None and cached[0] == length:
             return cached[1]
-        ids = kernels.numpy_module().empty(length, dtype=object)
+        ids = np.empty(length, dtype=object)
         ids[:] = self.transaction_id
         self._tx_ids_nd = (length, ids)
         return ids
@@ -808,22 +784,12 @@ class TxFrame:
                 hi = bisect_left(timestamps, end, lo=lo)
                 return TxView(self, range(lo, hi))
             rows = range(len(self))
-        if kernels.use_numpy() and len(rows):
-            np = kernels.numpy_module()
-            indices = as_index_rows(rows)
-            if isinstance(indices, range):
-                indices = np.arange(
-                    indices.start, indices.stop, indices.step, dtype=np.int64
-                )
+        selected = array("q")
+        if len(rows):
+            indices = _index_ndarray(rows)
             block = gather_np(timestamps, indices)
             matched = indices[(block >= start) & (block < end)]
-            selected = array("q")
             selected.frombytes(matched.tobytes())
-            return TxView(self, selected)
-        selected = array("q")
-        for index in rows:
-            if start <= timestamps[index] < end:
-                selected.append(index)
         return TxView(self, selected)
 
     # -- serialisation -------------------------------------------------------------
@@ -858,7 +824,7 @@ class TxFrame:
                 columns[name] = sliced if arrays else list(sliced)
             transaction_ids = self.transaction_id[lo:hi]
             metadata = [meta if meta else None for meta in self.metadata[lo:hi]]
-        elif kernels.use_numpy():
+        else:
             # Index-array gather: one C fancy-indexing call per column, never
             # a per-element Python copy.
             columns = {}
@@ -873,16 +839,6 @@ class TxFrame:
                     columns[name] = gathered.tolist()
             transaction_ids = list(map(self.transaction_id.__getitem__, rows))
             metadata = list(map(self.metadata.__getitem__, rows))
-        else:
-            columns = {}
-            for name in self._NUMERIC_COLUMNS:
-                column = getattr(self, name)
-                gathered = [column[i] for i in rows]
-                columns[name] = (
-                    array(column.typecode, gathered) if arrays else gathered
-                )
-            transaction_ids = [self.transaction_id[i] for i in rows]
-            metadata = [self.metadata[i] for i in rows]
         return {
             "columns": columns,
             "transaction_id": transaction_ids,
@@ -914,8 +870,7 @@ class TxFrame:
     def _column_bytes(data: Any, typecode: str) -> Optional[bytes]:
         """Raw machine bytes of a payload column, or ``None`` when the data
         needs the generic ``array.extend`` element path."""
-        np = kernels.numpy_module()
-        if np is None or not isinstance(data, np.ndarray):
+        if not isinstance(data, np.ndarray):
             return None
         return data.astype(np.dtype(typecode), copy=False).tobytes()
 
@@ -940,46 +895,12 @@ class TxFrame:
                 target.extend(columns[name])
         self.transaction_id.extend(payload["transaction_id"])
         self._extend_metadata(payload["metadata"])
-        # Rebuild the append-time bookkeeping (sortedness, per-chain row
-        # indexes and timestamp bounds) from the loaded columns.
-        timestamps = self.timestamp
-        if kernels.use_numpy() and len(timestamps):
-            self._rebuild_bookkeeping_np()
-            return
-        sorted_flag = True
-        previous = None
-        for value in timestamps:
-            if previous is not None and value < previous:
-                sorted_flag = False
-                break
-            previous = value
-        self._timestamps_sorted = sorted_flag
-        chain_codes = self.chain_code
-        distinct = set(chain_codes)
-        if len(distinct) == 1:
-            code = distinct.pop()
-            self._chain_rows[code] = array("q", range(len(self)))
-            self._chain_bounds[code] = (min(timestamps), max(timestamps))
-        else:
-            for row, (code, timestamp) in enumerate(zip(chain_codes, timestamps)):
-                rows = self._chain_rows.get(code)
-                if rows is None:
-                    rows = self._chain_rows[code] = array("q")
-                rows.append(row)
-                bounds = self._chain_bounds.get(code)
-                if bounds is None:
-                    self._chain_bounds[code] = (timestamp, timestamp)
-                else:
-                    low, high = bounds
-                    if timestamp < low or timestamp > high:
-                        self._chain_bounds[code] = (
-                            min(low, timestamp),
-                            max(high, timestamp),
-                        )
+        if len(self.timestamp):
+            self._rebuild_bookkeeping()
 
-    def _rebuild_bookkeeping_np(self) -> None:
-        """Vectorized rebuild of sortedness + per-chain rows and bounds."""
-        np = kernels.numpy_module()
+    def _rebuild_bookkeeping(self) -> None:
+        """Rebuild the append-time bookkeeping (sortedness, per-chain row
+        indexes and timestamp bounds) from the loaded columns."""
         timestamps = as_ndarray(self.timestamp)
         self._timestamps_sorted = bool(
             len(timestamps) < 2 or np.all(timestamps[1:] >= timestamps[:-1])
@@ -995,55 +916,20 @@ class TxFrame:
             self._chain_bounds[code] = (float(chain_ts.min()), float(chain_ts.max()))
 
     def extend_from_payload(self, payload: Mapping[str, Any]) -> int:
-        """Append a payload's rows, remapping pool codes into this frame."""
+        """Append a payload's rows, remapping pool codes into this frame.
+
+        Bulk column appends with C-level code remapping, then incremental
+        bookkeeping — no per-row Python loop over the numeric columns.
+        """
         pools = payload["pools"]
-        columns = payload["columns"]
         type_map = [self.types.intern(value) for value in pools["types"]]
         account_map = [self.accounts.intern(value) for value in pools["accounts"]]
         currency_map = [self.currencies.intern(value) for value in pools["currencies"]]
         error_map = [self.errors.intern(value) for value in pools["errors"]]
         count = len(payload["transaction_id"])
-        if count and kernels.use_numpy():
-            return self._extend_from_payload_np(
-                payload, type_map, account_map, currency_map, error_map
-            )
-        chain_codes = columns["chain_code"]
-        timestamps = columns["timestamp"]
-        for i in range(count):
-            chain_code = chain_codes[i]
-            timestamp = float(timestamps[i])
-            self._register_row(chain_code, timestamp, len(self.timestamp))
-            self.chain_code.append(chain_code)
-            self.transaction_id.append(payload["transaction_id"][i])
-            self.block_height.append(int(columns["block_height"][i]))
-            self.timestamp.append(timestamp)
-            self.type_code.append(type_map[columns["type_code"][i]])
-            self.sender_code.append(account_map[columns["sender_code"][i]])
-            self.receiver_code.append(account_map[columns["receiver_code"][i]])
-            self.contract_code.append(account_map[columns["contract_code"][i]])
-            self.amount.append(float(columns["amount"][i]))
-            self.currency_code.append(currency_map[columns["currency_code"][i]])
-            self.issuer_code.append(account_map[columns["issuer_code"][i]])
-            self.fee.append(float(columns["fee"][i]))
-            self.success.append(columns["success"][i])
-            self.error_code.append(error_map[columns["error_code"][i]])
-        self._extend_metadata(payload["metadata"])
-        return count
-
-    def _extend_from_payload_np(
-        self,
-        payload: Mapping[str, Any],
-        type_map: List[int],
-        account_map: List[int],
-        currency_map: List[int],
-        error_map: List[int],
-    ) -> int:
-        """Vectorized :meth:`extend_from_payload`: bulk column appends with
-        C-level code remapping, then incremental bookkeeping — no per-row
-        Python loop over the numeric columns."""
-        np = kernels.numpy_module()
+        if not count:
+            return 0
         columns = payload["columns"]
-        count = len(payload["transaction_id"])
         offset = len(self)
         previous_last = self.timestamp[-1] if offset else None
 

@@ -1,118 +1,19 @@
-"""Kernel backend selection: pure-Python reference vs vectorized NumPy.
+"""The name of the scan-kernel backend, for run metadata.
 
-The analysis layer ships every hot ``bind_batch`` in two implementations:
-
-* the **python** backend — the original per-block Python kernels (bulk
-  ``Counter.update`` over zipped column slices, bisection, per-row loops).
-  It depends on nothing outside the standard library and is the reference
-  implementation every other backend is differentially tested against;
-* the **numpy** backend — vectorized array kernels over zero-copy ndarray
-  views of the columnar frame (``np.bincount``-style packed-code counting,
-  vectorized bin indexing, boolean-mask reductions).  It is selected by
-  default whenever NumPy imports.
-
-Both backends are **result-identical**, figure for figure — including the
-bit-for-bit float sums of the serial Figure 12 path — because the numpy
-kernels replay the reference kernels' insertion order and per-row float
-accumulation order (see ``docs/architecture.md``).
-
-Selection order:
-
-1. an in-process override installed with :func:`set_backend` /
-   :func:`use_backend` (what the differential tests use);
-2. the ``REPRO_KERNELS`` environment variable (``python`` or ``numpy``) —
-   the operational escape hatch;
-3. ``numpy`` when NumPy is importable, ``python`` otherwise.
-
-The resolution is re-evaluated at every accumulator bind, so flipping the
-backend between engine passes is safe; flipping it *during* a pass is not
-(an accumulator's consume callable is built for one backend).
+There is one backend.  Every accumulator's ``bind_batch`` is a vectorized
+NumPy kernel over zero-copy ndarray views of the columnar frame, and its
+row-step ``bind`` is the reference the parity suite compares it against
+(``tests/properties/test_kernel_parity.py``) — no switch selects between
+them.  What remains here is the name benchmark harnesses record in their
+``env`` stanza.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, Optional
-
-from repro.common.errors import ReproError
-
-#: Canonical backend names.
-PYTHON = "python"
+#: The only backend name.
 NUMPY = "numpy"
-
-_BACKENDS = (PYTHON, NUMPY)
-
-#: Environment variable selecting the backend (``python`` or ``numpy``).
-ENV_VAR = "REPRO_KERNELS"
-
-try:  # NumPy is optional: its absence simply pins the python backend.
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised via the env escape hatch
-    _numpy = None
-
-#: In-process override; takes precedence over the environment variable.
-_override: Optional[str] = None
-
-
-def numpy_available() -> bool:
-    """Whether NumPy imported successfully in this process."""
-    return _numpy is not None
-
-
-def numpy_module():
-    """The imported ``numpy`` module, or ``None`` when unavailable."""
-    return _numpy
-
-
-def _validated(name: str, source: str) -> str:
-    value = name.strip().lower()
-    if value not in _BACKENDS:
-        raise ReproError(
-            f"unknown kernel backend {name!r} from {source}; "
-            f"expected one of {', '.join(_BACKENDS)}"
-        )
-    if value == NUMPY and _numpy is None:
-        raise ReproError(
-            f"kernel backend 'numpy' requested via {source}, "
-            "but numpy is not importable in this environment"
-        )
-    return value
 
 
 def active_backend() -> str:
-    """The backend name the next accumulator bind will use."""
-    if _override is not None:
-        return _override
-    env = os.environ.get(ENV_VAR)
-    if env:
-        return _validated(env, f"${ENV_VAR}")
-    return NUMPY if _numpy is not None else PYTHON
-
-
-def use_numpy() -> bool:
-    """Whether the vectorized NumPy kernels are active."""
-    return active_backend() == NUMPY
-
-
-def set_backend(name: Optional[str]) -> Optional[str]:
-    """Install (or with ``None`` clear) the in-process backend override.
-
-    Returns the previous override so callers can restore it; prefer the
-    :func:`use_backend` context manager.
-    """
-    global _override
-    previous = _override
-    _override = None if name is None else _validated(name, "set_backend()")
-    return previous
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[str]:
-    """Context manager pinning the kernel backend for a ``with`` block."""
-    previous = set_backend(name)
-    try:
-        yield active_backend()
-    finally:
-        global _override
-        _override = previous
+    """The backend every accumulator bind uses: always ``"numpy"``."""
+    return NUMPY

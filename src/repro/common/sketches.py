@@ -29,12 +29,12 @@ canonicalises only once compaction has made the order unobservable).
 Hashing
 -------
 
-Sketches must agree across processes, checkpoint restarts and kernel
-backends, so the 64-bit string hash is deterministic (built-in ``hash`` is
-salted per process) and ships in two bit-identical implementations:
-:func:`hash64` (pure Python, the reference) and :func:`hash64_batch`
-(vectorized: one NUL-joined buffer per slice, a precomputed power table
-and a prefix-sum — no per-string Python work).  The
+Sketches must agree across processes and checkpoint restarts, so the
+64-bit string hash is deterministic (built-in ``hash`` is salted per
+process) and ships in two bit-identical implementations: :func:`hash64`
+(pure Python, the reference and the row-step kernels' hash) and
+:func:`hash64_batch` (vectorized: one NUL-joined buffer per slice, a
+precomputed power table and a prefix-sum — no per-string Python work).  The
 :meth:`~repro.common.columns.TxFrame.transaction_id_hashes` column caches
 the batch hash per frame, so repeated sketch passes over the same frame
 hash each id once.
@@ -46,7 +46,8 @@ import math
 from array import array
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.common import kernels
+import numpy as np
+
 from repro.common.errors import ReproError
 from repro.common.statecodec import CodecError
 
@@ -115,7 +116,6 @@ def _power_tables(size: int) -> Tuple[Any, Any]:
     tables = _POWER_TABLES
     if tables is not None and len(tables[0]) >= size:
         return tables
-    np = kernels.numpy_module()
     grown = max(size, 1 << 16)
     powers = np.full(grown, _BASE, dtype=np.uint64)
     powers[0] = 1
@@ -135,7 +135,6 @@ def _hash64_batch_np(values: Sequence[str], out, start: int) -> None:
     power of its end position equals the reference Horner fold exactly,
     because the base is odd and therefore invertible modulo 2**64.
     """
-    np = kernels.numpy_module()
     uint64 = np.uint64
     for offset in range(0, len(values), _HASH_SLICE):
         chunk = values[offset : offset + _HASH_SLICE]
@@ -181,16 +180,13 @@ def _hash64_batch_np(values: Sequence[str], out, start: int) -> None:
 def hash64_batch(values: Sequence[str]) -> array:
     """Hash a string sequence into a ``uint64`` column (``array('Q')``).
 
-    Uses the vectorized slice hasher when NumPy is importable and the pure
-    reference loop otherwise; both produce identical values.
+    The vectorized twin of ``array("Q", map(hash64, values))``: identical
+    values, no per-string Python work.
     """
-    if kernels.numpy_available():
-        np = kernels.numpy_module()
-        column = array("Q", bytes(8 * len(values)))
-        out = np.frombuffer(column, dtype=np.uint64)
-        _hash64_batch_np(values, out, 0)
-        return column
-    return array("Q", map(hash64, values))
+    column = array("Q", bytes(8 * len(values)))
+    if len(values):
+        _hash64_batch_np(values, np.frombuffer(column, dtype=np.uint64), 0)
+    return column
 
 
 # -- HyperLogLog -----------------------------------------------------------------------
@@ -243,8 +239,8 @@ class HyperLogLog:
 
     The register for a hash is its low ``p`` bits; the rank is one plus the
     number of trailing zeros of the remaining bits (so the rank is exact in
-    integer arithmetic on both backends — no float log2 of a full-width
-    word).  Merging takes the element-wise register maximum, which makes
+    integer arithmetic in both the scalar and the vectorized fold — no float
+    log2 of a full-width word).  Merging takes the element-wise register maximum, which makes
     the dense state — and the estimate — exactly independent of insertion
     and merge order.
 
@@ -298,7 +294,6 @@ class HyperLogLog:
 
     def update_np(self, hashes) -> None:
         """Fold a ``uint64`` ndarray of hashes in (vectorized)."""
-        np = kernels.numpy_module()
         sparse = self._sparse
         if sparse is not None:
             sparse.frombytes(np.ascontiguousarray(hashes, dtype=np.uint64).tobytes())
@@ -339,8 +334,7 @@ class HyperLogLog:
         if sparse is None:
             return
         if not self._sorted:
-            if kernels.numpy_available() and len(sparse) > 1024:
-                np = kernels.numpy_module()
+            if len(sparse) > 1024:
                 unique = np.unique(np.frombuffer(sparse, dtype=np.uint64))
                 compacted = array("Q")
                 compacted.frombytes(unique.tobytes())
@@ -351,12 +345,7 @@ class HyperLogLog:
         if len(sparse) > self.sparse_limit:
             self._registers = array("B", bytes(self.m))
             self._sparse = None
-            if kernels.numpy_available():
-                np = kernels.numpy_module()
-                self.update_np(np.frombuffer(sparse, dtype=np.uint64))
-            else:
-                for value in sparse:
-                    self._add_dense(value)
+            self.update_np(np.frombuffer(sparse, dtype=np.uint64))
 
     # -- reading -----------------------------------------------------------------
     def count(self) -> int:
@@ -368,8 +357,7 @@ class HyperLogLog:
         their expected continuous contributions (``sigma`` / ``tau``),
         which removes the classic raw estimator's bias bump in the
         linear-counting crossover region without empirical correction
-        tables.  Pure python floats, so the estimate is bit-identical on
-        both kernel backends.
+        tables.  Pure python floats over the register histogram.
         """
         self._compact()
         sparse = self._sparse
@@ -512,11 +500,6 @@ class SpaceSaving:
             self._errors[key] = floor
         if len(counts) > 2 * self.capacity:
             self._evict()
-
-    def update_counts(self, tally: Dict[Any, int]) -> None:
-        """Fold a block-local exact tally in (the batch kernels' entry)."""
-        for key, count in tally.items():
-            self.add(key, count)
 
     def _evict(self) -> None:
         """One-pass batch eviction down to ``capacity`` entries.
@@ -682,8 +665,8 @@ class QuantileSketch:
     and the bucket's representative value is off by at most ``alpha``
     relative error.  Zero values count separately (exactly).  Merging adds
     bucket counts, so the state is exactly independent of insertion and
-    merge order, and bucket indices are computed with ``math.log`` on both
-    kernel backends so the binning is bit-identical everywhere.
+    merge order, and bucket indices are always computed with scalar
+    ``math.log`` so the binning is bit-identical everywhere.
     """
 
     __slots__ = ("alpha", "_gamma", "_log_gamma", "_buckets", "_zeros", "total")

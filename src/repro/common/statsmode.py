@@ -20,7 +20,7 @@ streaming sketches (:mod:`repro.common.sketches`):
   its capacity, so small workloads produce identical figures in both
   modes.
 
-Selection order mirrors :mod:`repro.common.kernels`:
+Selection order:
 
 1. an in-process override installed with :func:`set_mode` /
    :func:`use_mode` (what the differential tests use);

@@ -217,8 +217,8 @@ def incremental_report(
                 # has nothing saved and nothing to rescan.
                 chains_rescanned.append(chain.value)
         rows_scanned += len(delta_rows)
-        # scan_blocks normalises the delta rows once (index ndarrays under
-        # the numpy backend), exactly like the engine's own scan loop.
+        # scan_blocks normalises the delta rows once (index ndarrays),
+        # exactly like the engine's own scan loop.
         for block in scan_blocks(delta_rows, block_rows):
             for consume in consumers:
                 consume(block)

@@ -1,7 +1,7 @@
 """Equivalence: every accumulator matches its record-based seed predecessor.
 
 The public analysis functions are now thin wrappers over the single-pass
-engine; :mod:`repro.analysis.legacy` keeps the seed's dedicated-pass
+engine; :mod:`tests.support.legacy` keeps the seed's dedicated-pass
 implementations.  These tests drive both over the same generated small
 scenario (plus synthetic edge cases) and require identical results, which is
 what licenses the wrappers to keep their seed signatures and return values.
@@ -9,7 +9,7 @@ what licenses the wrappers to keep their seed signatures and return values.
 
 import pytest
 
-from repro.analysis import legacy
+from tests.support import legacy
 from repro.analysis.accounts import (
     single_transaction_account_share,
     top_receivers,

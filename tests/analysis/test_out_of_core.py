@@ -6,7 +6,7 @@ ranges.  These tests pin the two properties the engine exists for:
 
 * **identity** — :func:`parallel_report_from_store` over a committed store
   equals the serial in-memory :func:`~repro.analysis.report.full_report`,
-  figure for figure, on both kernel backends, across ragged chunk sizes
+  figure for figure, across ragged chunk sizes
   that split chains mid-chunk, and for every task-partition count;
 * **bounded memory** — the in-process scan's allocation peak stays well
   below the materialised frame's footprint, and stays flat as chunk count
@@ -34,13 +34,11 @@ from repro.analysis.parallel import (
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
 from repro.collection.store import FrameStore
-from repro.common import kernels
 from repro.common.columns import TxFrame
 from repro.common.records import ChainId
 
 from tests.pipeline.util import assert_reports_identical
 
-BACKENDS = ["python"] + (["numpy"] if kernels.numpy_available() else [])
 
 #: Deliberately ragged: not a divisor of any chain's row count, so chunk
 #: boundaries fall mid-chain and chains straddle chunks.
@@ -102,18 +100,16 @@ def sliced_serial(sliced_records, xrp_oracle, xrp_clusterer):
 
 
 class TestStoreReportIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_serial_on_both_backends(
-        self, backend, ragged_store_dir, serial_report, xrp_oracle, xrp_clusterer
+    def test_matches_serial_with_worker_pool(
+        self, ragged_store_dir, serial_report, xrp_oracle, xrp_clusterer
     ):
-        with kernels.use_backend(backend):
-            report = parallel_report_from_store(
-                ragged_store_dir,
-                oracle=xrp_oracle,
-                clusterer=xrp_clusterer,
-                workers=2,
-                tasks=3,
-            )
+        report = parallel_report_from_store(
+            ragged_store_dir,
+            oracle=xrp_oracle,
+            clusterer=xrp_clusterer,
+            workers=2,
+            tasks=3,
+        )
         assert_reports_identical(report, serial_report, exact_flows=False)
 
     @pytest.mark.parametrize("tasks", [1, 2, 5, 64])

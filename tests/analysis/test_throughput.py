@@ -3,11 +3,14 @@
 import pytest
 
 from repro.common.clock import SECONDS_PER_HOUR, timestamp_from_iso
+from repro.common.columns import TxFrame
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.classify import classify_eos_category
+from repro.analysis.engine import Accumulator
 from repro.analysis.throughput import (
     DEFAULT_BIN_SECONDS,
+    ThroughputSeriesAccumulator,
     bin_throughput,
     scaled_tps,
     spike_ratio,
@@ -70,6 +73,72 @@ class TestBinning:
     def test_invalid_bin_size(self):
         with pytest.raises(AnalysisError):
             bin_throughput([record_at(0.0)], lambda record: "all", bin_seconds=0.0)
+
+
+class TestCategoryOrder:
+    """``categories`` is first-seen order over bins in *time* order.
+
+    Regression: the row-step kernel used to record categories in row order,
+    so on a scan that is not time-sorted it disagreed with the key-columns
+    kernel (and a shard merge could reorder the tuple).
+    """
+
+    # Rows arrive late-bin first: row order says (c, a, b), time order (a, b, c).
+    UNSORTED = [
+        record_at(7_300.0, "c"),
+        record_at(10.0, "a"),
+        record_at(3_700.0, "b"),
+        record_at(20.0, "b"),
+        record_at(7_400.0, "a"),
+    ]
+
+    def test_unsorted_records_list_categories_in_time_order(self):
+        series = bin_throughput(
+            self.UNSORTED, lambda record: record.type, bin_seconds=3_600.0
+        )
+        assert series.categories == ("a", "b", "c")
+        assert series.bins == [{"a": 1, "b": 1}, {"b": 1}, {"c": 1, "a": 1}]
+
+    def test_both_kernels_and_both_categorizer_forms_agree_when_unsorted(self):
+        frame = TxFrame.from_records(self.UNSORTED)
+        assert not frame.timestamps_sorted
+
+        def key_columns(frame):
+            return (frame.type_code,), frame.types.values.__getitem__
+
+        def row_categorizer(frame):
+            return lambda row: frame.types.values[frame.type_code[row]]
+
+        results = []
+        for form in ({"key_columns": key_columns}, {"categorizer": row_categorizer}):
+            for bind in (
+                ThroughputSeriesAccumulator.bind_batch,
+                Accumulator.bind_batch,  # the row-step reference
+            ):
+                accumulator = ThroughputSeriesAccumulator(
+                    bin_seconds=3_600.0, start=10.0, end=7_400.0, **form
+                )
+                bind(accumulator, frame)(range(len(frame)))
+                results.append(accumulator.finalize())
+        assert all(result == results[0] for result in results)
+        assert results[0].categories == ("a", "b", "c")
+
+    def test_merge_order_does_not_reorder_categories(self):
+        frame = TxFrame.from_records(self.UNSORTED)
+
+        def key_columns(frame):
+            return (frame.type_code,), frame.types.values.__getitem__
+
+        def scan(rows):
+            accumulator = ThroughputSeriesAccumulator(
+                key_columns=key_columns, bin_seconds=3_600.0, start=10.0, end=7_400.0
+            )
+            accumulator.bind_batch(frame)(rows)
+            return accumulator
+
+        head, tail = scan(range(0, 2)), scan(range(2, 5))
+        head.merge(tail)
+        assert head.finalize() == scan(range(5)).finalize()
 
 
 class TestTps:

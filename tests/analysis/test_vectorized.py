@@ -1,13 +1,13 @@
-"""Unit tests for the kernel backend switch and the vectorized primitives."""
+"""Unit tests for the vectorized kernel primitives and the block iterator."""
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
 
-import pytest
+import numpy as np
 
-from repro.analysis.engine import gather, scan_blocks
+from repro.analysis.engine import scan_blocks
 from repro.analysis.vectorized import (
     add_counts,
     block_columns,
@@ -15,68 +15,31 @@ from repro.analysis.vectorized import (
     matched_rows,
     pack_codes,
     unique_counts_ordered,
+    unpack_codes,
 )
 from repro.common import kernels
-from repro.common.errors import ReproError
-
-numpy_only = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy backend unavailable"
-)
 
 
 class TestBackendSelection:
-    def test_default_backend_matches_numpy_availability(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        expected = kernels.NUMPY if kernels.numpy_available() else kernels.PYTHON
-        assert kernels.active_backend() == expected
+    def test_default_backend_matches_numpy_availability(self):
+        assert kernels.active_backend() == "numpy"
 
-    def test_environment_variable_selects_python(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "python")
-        assert kernels.active_backend() == kernels.PYTHON
-        assert not kernels.use_numpy()
-
-    def test_environment_variable_rejects_unknown_backend(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "cuda")
-        with pytest.raises(ReproError):
-            kernels.active_backend()
-
-    def test_override_takes_precedence_over_environment(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "python")
-        with kernels.use_backend(kernels.PYTHON):
-            assert kernels.active_backend() == kernels.PYTHON
-        if kernels.numpy_available():
-            with kernels.use_backend(kernels.NUMPY):
-                assert kernels.active_backend() == kernels.NUMPY
-            # The override is cleared on context exit.
-            assert kernels.active_backend() == kernels.PYTHON
-
-    def test_numpy_request_fails_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_numpy", None)
-        with pytest.raises(ReproError):
-            kernels.set_backend("numpy")
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        with pytest.raises(ReproError):
-            kernels.active_backend()
-
-    def test_set_backend_returns_previous_override(self):
-        previous = kernels.set_backend("python")
-        try:
-            assert kernels.active_backend() == kernels.PYTHON
-        finally:
-            kernels.set_backend(previous)
+    def test_retired_switches_are_gone(self, monkeypatch):
+        """``REPRO_KERNELS`` is ignored; the in-process overrides do not exist."""
+        monkeypatch.setenv("REPRO_KERNELS", "python")
+        assert kernels.active_backend() == "numpy"
+        for name in ("set_backend", "use_backend", "use_numpy", "numpy_available"):
+            assert not hasattr(kernels, name), name
 
 
-@numpy_only
 class TestVectorizedPrimitives:
     def test_unique_counts_preserve_first_seen_order(self):
-        np = kernels.numpy_module()
         keys = np.asarray([7, 3, 7, 9, 3, 3, 1], dtype=np.int64)
         uniques, counts = unique_counts_ordered(keys)
         assert uniques.tolist() == [7, 3, 9, 1]
         assert counts.tolist() == [2, 3, 1, 1]
 
     def test_count_codes_matches_reference_counter_exactly(self):
-        np = kernels.numpy_module()
         first = [2, 0, 2, 1, 0, 2]
         second = [5, 5, 5, 3, 1, 5]
         reference = Counter(zip(first, second))
@@ -92,16 +55,28 @@ class TestVectorizedPrimitives:
         assert all(isinstance(key, tuple) for key in target)
 
     def test_count_codes_single_column_uses_int_keys(self):
-        np = kernels.numpy_module()
         target = {}
         count_codes(target, (np.asarray([4, 4, 2], dtype=np.int64),), (5,))
         assert target == {4: 2, 2: 1}
         assert list(target) == [4, 2]
 
     def test_pack_codes_overflow_returns_none(self):
-        np = kernels.numpy_module()
         blocks = (np.asarray([1], dtype=np.int64), np.asarray([1], dtype=np.int64))
         assert pack_codes(blocks, (2**40, 2**40)) is None
+
+    def test_unpack_codes_inverts_pack_codes(self):
+        blocks = (
+            np.asarray([2, 0, 1], dtype=np.int64),
+            np.asarray([5, 1, 3], dtype=np.int64),
+            np.asarray([0, 1, 1], dtype=np.int64),
+        )
+        sizes = (3, 6, 2)
+        assert unpack_codes(pack_codes(blocks, sizes), sizes) == [
+            (2, 5, 0),
+            (0, 1, 1),
+            (1, 3, 1),
+        ]
+        assert unpack_codes(blocks[0], (3,)) == [2, 0, 1]
 
     def test_add_counts_accumulates_into_existing_keys(self):
         target = {3: 1}
@@ -109,7 +84,6 @@ class TestVectorizedPrimitives:
         assert target == {3: 3, 5: 4}
 
     def test_block_columns_slices_ranges_and_gathers_indices(self):
-        np = kernels.numpy_module()
         view = np.asarray([10, 11, 12, 13, 14], dtype=np.int64)
         (sliced,) = block_columns(range(1, 4), view)
         assert sliced.tolist() == [11, 12, 13]
@@ -117,7 +91,6 @@ class TestVectorizedPrimitives:
         assert gathered.tolist() == [10, 14]
 
     def test_matched_rows_maps_back_to_global_indices(self):
-        np = kernels.numpy_module()
         mask = np.asarray([False, True, False, True])
         assert matched_rows(range(10, 14), mask).tolist() == [11, 13]
         assert matched_rows(array("q", [5, 8, 9, 20]), mask).tolist() == [8, 20]
@@ -125,38 +98,8 @@ class TestVectorizedPrimitives:
 
 
 class TestGatherAndBlocks:
-    def test_gather_range_slices_and_index_array_gathers(self):
-        column = array("i", [5, 6, 7, 8, 9])
-        assert list(gather(column, range(1, 4))) == [6, 7, 8]
-        rows = array("q", [0, 2, 4])
-        gathered = gather(column, rows)
-        assert list(gathered) == [5, 7, 9]
-
-    @numpy_only
-    def test_gather_index_array_returns_stdlib_array_under_numpy(self):
-        column = array("d", [0.5, 1.5, 2.5])
-        with kernels.use_backend(kernels.NUMPY):
-            gathered = gather(column, array("q", [2, 0]))
-        assert isinstance(gathered, array)
-        assert gathered.typecode == "d"
-        assert list(gathered) == [2.5, 0.5]
-
-    def test_gather_python_backend_stays_pure(self):
-        column = array("i", [5, 6, 7])
-        with kernels.use_backend(kernels.PYTHON):
-            gathered = gather(column, [2, 0])
-        assert gathered == [7, 5]
-
-    def test_gather_object_columns_use_map(self):
-        ids = ["a", "b", "c", "d"]
-        assert gather(ids, array("q", [3, 1])) == ["d", "b"]
-
-    @numpy_only
     def test_scan_blocks_yields_index_ndarrays_under_numpy(self):
-        np = kernels.numpy_module()
-        rows = array("q", range(10))
-        with kernels.use_backend(kernels.NUMPY):
-            blocks = list(scan_blocks(rows, 4))
+        blocks = list(scan_blocks(array("q", range(10)), 4))
         assert [type(block) for block in blocks] == [np.ndarray] * 3
         assert [block.tolist() for block in blocks] == [
             [0, 1, 2, 3],
@@ -164,11 +107,6 @@ class TestGatherAndBlocks:
             [8, 9],
         ]
 
-    def test_scan_blocks_python_backend_slices_arrays(self):
-        rows = array("q", range(5))
-        with kernels.use_backend(kernels.PYTHON):
-            blocks = list(scan_blocks(rows, 2))
-        assert all(isinstance(block, array) for block in blocks)
-        assert [list(block) for block in blocks] == [[0, 1], [2, 3], [4]]
-        range_blocks = list(scan_blocks(range(5), 3))
-        assert range_blocks == [range(0, 3), range(3, 5)]
+    def test_scan_blocks_keeps_ranges(self):
+        assert list(scan_blocks(range(5), 3)) == [range(0, 3), range(3, 5)]
+        assert list(scan_blocks(range(0), 3)) == []

@@ -19,7 +19,6 @@ from repro.analysis.report import full_report
 from repro.analysis.statecache import ChunkStateCache
 from repro.cli import _report_to_dict
 from repro.collection.store import FrameStore, _decode_chunk_blob
-from repro.common import kernels
 from repro.common.columns import LazyMetadata, TxFrame
 from repro.common.errors import CollectionError
 from repro.common.records import ChainId, TransactionRecord
@@ -146,22 +145,14 @@ class TestRoundTrip:
 
 class TestNumpyDecode:
     def test_numpy_columns_are_zero_copy_ndarrays(self):
-        np = pytest.importorskip("numpy")
+        import numpy as np
+
         frame = TxFrame.from_records(_records(25))
-        with kernels.use_backend(kernels.NUMPY):
-            payload, _, _ = _roundtrip(frame)
-            column = payload["columns"]["timestamp"]
+        payload, _, _ = _roundtrip(frame)
+        column = payload["columns"]["timestamp"]
         assert isinstance(column, np.ndarray)
         assert not column.flags.writeable  # aliases the decoded bytes
         assert column.tolist() == list(frame.timestamp)
-
-    def test_python_columns_are_arrays(self):
-        from array import array
-
-        frame = TxFrame.from_records(_records(25))
-        with kernels.use_backend(kernels.PYTHON):
-            payload, _, _ = _roundtrip(frame)
-        assert isinstance(payload["columns"]["timestamp"], array)
 
 
 class TestLazyMetadata:

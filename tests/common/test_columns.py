@@ -1,19 +1,20 @@
 """Tests for the columnar transaction frame (the analysis substrate)."""
 
+from array import array as stdarray
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import columns, kernels
+from repro.common import columns
 from repro.common.columns import (
     StringPool,
     TxFrame,
     TxView,
     as_frame,
     as_index_rows,
-    gather_array,
     gather_np,
 )
 from repro.common.records import EMPTY_MAPPING, BlockRecord, ChainId, TransactionRecord
@@ -263,11 +264,11 @@ class TestShardAndConcat:
 
 
 class TestNdarrayViews:
-    """Zero-copy ndarray views and the backend-gated columnar fast paths."""
+    """Zero-copy ndarray views and the vectorized columnar paths.
 
-    numpy_only = pytest.mark.skipif(
-        not kernels.numpy_available(), reason="numpy backend unavailable"
-    )
+    The payload / extend / filter tests compare the vectorized code against
+    a plain per-row loop written out here.
+    """
 
     def _frame(self, count=9):
         records = []
@@ -278,9 +279,7 @@ class TestNdarrayViews:
             )
         return TxFrame.from_records(records)
 
-    @numpy_only
     def test_ndarray_view_is_zero_copy_and_read_only(self):
-        np = kernels.numpy_module()
         frame = self._frame()
         view = frame.ndarray("timestamp")
         assert view.dtype == np.float64
@@ -292,18 +291,12 @@ class TestNdarrayViews:
         assert np.shares_memory(view, np.frombuffer(frame.timestamp))
 
     def test_ndarray_rejects_object_columns(self):
-        if not kernels.numpy_available():
-            pytest.skip("numpy backend unavailable")
         frame = self._frame()
         with pytest.raises(KeyError):
             frame.ndarray("transaction_id")
 
-    @numpy_only
     def test_as_index_rows_forms(self):
-        np = kernels.numpy_module()
         assert as_index_rows(range(3)) == range(3)
-        from array import array as stdarray
-
         rows = stdarray("q", [3, 1, 4])
         converted = as_index_rows(rows)
         assert converted.dtype == np.int64
@@ -311,38 +304,26 @@ class TestNdarrayViews:
         assert as_index_rows(converted) is converted
         assert as_index_rows([2, 0]).tolist() == [2, 0]
 
-    @numpy_only
-    def test_gather_np_and_gather_array(self):
-        from array import array as stdarray
-
+    def test_gather_np(self):
         frame = self._frame()
         sliced = gather_np(frame.timestamp, range(1, 4))
         assert sliced.tolist() == list(frame.timestamp[1:4])
         rows = stdarray("q", [0, 5, 2])
-        gathered = gather_array(frame.type_code, rows)
-        assert isinstance(gathered, stdarray)
-        assert gathered.typecode == frame.type_code.typecode
-        assert list(gathered) == [frame.type_code[i] for i in rows]
+        gathered = gather_np(frame.type_code, rows)
+        assert gathered.tolist() == [frame.type_code[i] for i in rows]
 
-    @numpy_only
-    def test_payloads_identical_across_backends(self):
-        from array import array as stdarray
-
+    def test_index_row_payload_matches_a_row_loop(self):
         frame = self._frame(11)
         rows = stdarray("q", [0, 3, 4, 8, 10])
         for arrays in (False, True):
-            with kernels.use_backend(kernels.PYTHON):
-                reference = frame.to_payload(rows, arrays=arrays)
-            with kernels.use_backend(kernels.NUMPY):
-                vectorized = frame.to_payload(rows, arrays=arrays)
-            assert vectorized["transaction_id"] == reference["transaction_id"]
-            assert vectorized["metadata"] == reference["metadata"]
-            for name, column in reference["columns"].items():
-                assert list(vectorized["columns"][name]) == list(column), name
+            payload = frame.to_payload(rows, arrays=arrays)
+            assert payload["transaction_id"] == [frame.transaction_id[i] for i in rows]
+            assert payload["metadata"] == [frame.metadata[i] for i in rows]
+            for name, column in payload["columns"].items():
+                assert isinstance(column, stdarray if arrays else list), name
+                assert list(column) == [getattr(frame, name)[i] for i in rows], name
 
-    @numpy_only
     def test_from_payload_accepts_ndarray_columns(self):
-        np = kernels.numpy_module()
         frame = self._frame(6)
         payload = frame.to_payload(arrays=True)
         payload["columns"] = {
@@ -355,50 +336,45 @@ class TestNdarrayViews:
         for chain in frame.chains():
             assert rebuilt.chain_bounds(chain) == frame.chain_bounds(chain)
 
-    @numpy_only
-    def test_extend_from_payload_identical_across_backends(self):
-        frame = self._frame(10)
+    def test_extend_from_payload_matches_per_row_append(self):
         # Unsorted tail exercises the sortedness bookkeeping.
-        extra = TxFrame.from_records(
-            [
-                _record(chain=ChainId.XRP, tx="late", ts=50.0),
-                _record(chain=ChainId.EOS, tx="later", ts=60.0),
-            ]
-        )
-        payload = extra.to_payload(arrays=True)
-        targets = {}
-        for backend in (kernels.PYTHON, kernels.NUMPY):
-            target = self._frame(10)
-            with kernels.use_backend(backend):
-                appended = target.extend_from_payload(payload)
-            assert appended == 2
-            targets[backend] = target
-        reference, vectorized = targets[kernels.PYTHON], targets[kernels.NUMPY]
-        assert list(vectorized) == list(reference)
-        assert vectorized.timestamps_sorted == reference.timestamps_sorted
+        late = [
+            _record(chain=ChainId.XRP, tx="late", ts=50.0),
+            _record(chain=ChainId.EOS, tx="later", ts=60.0),
+        ]
+        payload = TxFrame.from_records(late).to_payload(arrays=True)
+        extended, reference = self._frame(10), self._frame(10)
+        assert extended.extend_from_payload(payload) == 2
+        for record in late:
+            reference.append(record)
+        assert list(extended) == list(reference)
+        assert extended.timestamps_sorted == reference.timestamps_sorted is False
         for chain in reference.chains():
-            assert list(vectorized.chain_view(chain).rows) == list(
+            assert list(extended.chain_view(chain).rows) == list(
                 reference.chain_view(chain).rows
             )
-            assert vectorized.chain_bounds(chain) == reference.chain_bounds(chain)
+            assert extended.chain_bounds(chain) == reference.chain_bounds(chain)
+        # The empty payload is a no-op (its own arm, not the vectorized one).
+        assert extended.extend_from_payload(TxFrame().to_payload(arrays=True)) == 0
+        assert list(extended) == list(reference)
 
-    @numpy_only
-    def test_view_filters_identical_across_backends(self):
-        from array import array as stdarray
-
+    def test_view_filters_match_a_row_loop(self):
         frame = self._frame(12)
         rows = stdarray("q", [0, 2, 3, 7, 9, 11])
         view = TxView(frame, rows)
-        results = {}
-        for backend in (kernels.PYTHON, kernels.NUMPY):
-            with kernels.use_backend(backend):
-                results[backend] = (
-                    list(view.chain_view(ChainId.EOS).rows),
-                    list(frame.time_window(102.0, 108.0, rows=rows).rows),
-                    view.min_timestamp(),
-                    view.max_timestamp(),
-                )
-        assert results[kernels.PYTHON] == results[kernels.NUMPY]
+        assert list(view.chain_view(ChainId.EOS).rows) == [
+            i for i in rows if frame.chain(i) is ChainId.EOS
+        ]
+        assert list(frame.time_window(102.0, 108.0, rows=rows).rows) == [
+            i for i in rows if 102.0 <= frame.timestamp[i] < 108.0
+        ]
+        assert view.min_timestamp() == min(frame.timestamp[i] for i in rows)
+        assert view.max_timestamp() == max(frame.timestamp[i] for i in rows)
+        # Empty selections take the explicit empty guards.
+        empty = TxView(frame, stdarray("q"))
+        assert list(empty.chain_view(ChainId.EOS).rows) == []
+        assert list(frame.time_window(0.0, 1e9, rows=stdarray("q")).rows) == []
+        assert empty.min_timestamp() is None and empty.max_timestamp() is None
 
 
 # -- append parity: batched extend == extend_from_blocks == per-row append ------------

@@ -1,17 +1,27 @@
-"""Differential property tests: numpy kernels ≡ pure-python reference kernels.
+"""Differential property tests: every ``bind_batch`` kernel ≡ its row-step ``bind``.
 
-Every accumulator ships two ``bind_batch`` implementations — the reference
-python block kernels and the vectorized numpy kernels — and the contract is
-figure-for-figure identity on the serial path, bit-for-bit for the float
-sums.  Hypothesis drives both backends over random slices of a generated
-multi-chain scenario frame: full scans, contiguous windows, filtered
-``TxView`` row arrays, single-chain views (which leave the other chains
-empty for the chain-specific accumulators), fully empty selections, and
-ragged block sizes down to one row per block.
+Each accumulator has at most two scan kernels: ``bind``, the row-step
+reference, and ``bind_batch``, the vectorized kernel the engine runs.  No
+switch in ``src/`` selects between them — the reference is reached here
+through the unbound base-class default, ``Accumulator.bind_batch(acc,
+frame)``, which drives ``acc.bind``'s step row by row.  The contract is
+figure-for-figure identity, bit-for-bit for the float sums.
+
+The sweep is built from :func:`repro.analysis.report.figure_accumulators`
+(every chain's slate, so a newly registered figure is compared against its
+own ``bind`` automatically) plus the accumulators no slate names, in exact
+and in sketch mode.  Hypothesis drives both kernels over random slices of a
+generated multi-chain frame whose rows are **not** time-sorted (the chains
+are concatenated): full scans, contiguous windows, filtered ``TxView`` row
+arrays, single-chain views (which leave the other chains empty for the
+chain-specific accumulators), fully empty selections, and ragged block sizes
+down to one row per block.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from array import array
 from random import Random
 
@@ -19,38 +29,26 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.analysis
 from repro.analysis.accounts import (
-    AccountActivityAccumulator,
     SenderCountsAccumulator,
     SenderReceiverPairsAccumulator,
 )
 from repro.analysis.airdrop import AirdropAccumulator, BoomerangClaimsAccumulator
-from repro.analysis.classify import (
-    CategoryDistributionAccumulator,
-    ContractBreakdownAccumulator,
-    TezosCategoryAccumulator,
-    TypeDistributionAccumulator,
-)
+from repro.analysis.classify import ContractBreakdownAccumulator
 from repro.analysis.clustering import AccountClusterer, ClusterCountsAccumulator
-from repro.analysis.engine import AnalysisEngine, TxStatsAccumulator
-from repro.analysis.flows import ValueFlowAccumulator
+from repro.analysis.engine import Accumulator, scan_blocks
 from repro.analysis.governance import GovernanceOpsAccumulator
-from repro.analysis.report import FIGURE3_CATEGORIZERS
-from repro.analysis.throughput import ThroughputSeriesAccumulator
-from repro.analysis.value import (
-    ExchangeRateOracle,
-    FailureCodeAccumulator,
-    ValueDistributionAccumulator,
-    XrpDecompositionAccumulator,
+from repro.analysis.report import figure_accumulators
+from repro.analysis.throughput import (
+    ThroughputSeriesAccumulator,
+    type_name_categorizer,
 )
-from repro.analysis.washtrading import TradeExtractionAccumulator, WashTradeAccumulator
-from repro.common import kernels
+from repro.analysis.value import ExchangeRateOracle, FailureCodeAccumulator
+from repro.analysis.washtrading import TradeExtractionAccumulator
+from repro.common import statsmode
 from repro.common.columns import TxFrame, TxView
 from repro.common.records import ChainId
-
-pytestmark = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy backend unavailable"
-)
 
 PARITY_SETTINGS = settings(
     max_examples=25,
@@ -65,7 +63,9 @@ def parity_frame(eos_records, tezos_records, xrp_records):
     enough to hit every accumulator's interesting rows (trades, claims,
     failed transactions, valueless payments)."""
     records = eos_records[::40] + tezos_records[::10] + xrp_records[::20]
-    return TxFrame.from_records(records)
+    frame = TxFrame.from_records(records)
+    assert not frame.timestamps_sorted
+    return frame
 
 
 @pytest.fixture(scope="module")
@@ -78,37 +78,70 @@ def parity_clusterer(xrp_generator):
     return AccountClusterer(xrp_generator.ledger.accounts)
 
 
-def _all_accumulators(frame, oracle, clusterer):
-    """One instance of every accumulator across the analysis modules."""
-    start = frame.min_timestamp() or 0.0
-    end = frame.max_timestamp()
-    return [
-        TxStatsAccumulator(),
-        TypeDistributionAccumulator(),
-        CategoryDistributionAccumulator(),
-        ContractBreakdownAccumulator("eosio.token"),
-        TezosCategoryAccumulator(),
-        ThroughputSeriesAccumulator(
-            key_columns=FIGURE3_CATEGORIZERS[ChainId.XRP],
-            bin_seconds=6 * 3600.0,
-            start=start,
-            end=end,
-        ),
-        AccountActivityAccumulator("sender", 10),
-        AccountActivityAccumulator("receiver", 10),
-        SenderReceiverPairsAccumulator(),
-        SenderCountsAccumulator(),
-        ClusterCountsAccumulator(clusterer, "sender"),
-        XrpDecompositionAccumulator(oracle),
-        ValueDistributionAccumulator(oracle),
-        FailureCodeAccumulator(),
-        ValueFlowAccumulator(clusterer, oracle),
-        TradeExtractionAccumulator(),
-        WashTradeAccumulator(),
-        BoomerangClaimsAccumulator(),
-        AirdropAccumulator(),
-        GovernanceOpsAccumulator(),
-    ]
+def _list_key_columns(frame):
+    """Key columns that are not buffer-backed: takes the row-step default."""
+    return (list(frame.type_code),), frame.types.values.__getitem__
+
+
+def _all_accumulators(frame, oracle, clusterer, stats):
+    """A fresh instance of every accumulator: each chain's figure slate
+    plus the accumulators no slate names."""
+    bounds = (frame.min_timestamp() or 0.0, frame.max_timestamp())
+    accumulators = []
+    for chain in ChainId:
+        accumulators.extend(
+            figure_accumulators(chain, bounds, oracle, clusterer, stats=stats)
+        )
+    series = {"bin_seconds": 6 * 3600.0, "start": bounds[0], "end": bounds[1]}
+    accumulators.extend(
+        [
+            ContractBreakdownAccumulator("eosio.token"),
+            ThroughputSeriesAccumulator(type_name_categorizer, **series),
+            ThroughputSeriesAccumulator(key_columns=_list_key_columns, **series),
+            SenderReceiverPairsAccumulator(stats=stats),
+            SenderCountsAccumulator(stats=stats),
+            ClusterCountsAccumulator(clusterer, "sender"),
+            FailureCodeAccumulator(),
+            TradeExtractionAccumulator(),
+            BoomerangClaimsAccumulator(),
+            AirdropAccumulator(),
+            GovernanceOpsAccumulator(),
+        ]
+    )
+    return accumulators
+
+
+def _accumulator_classes():
+    """Every Accumulator subclass defined under ``repro.analysis``."""
+    for module in pkgutil.iter_modules(repro.analysis.__path__):
+        importlib.import_module(f"repro.analysis.{module.name}")
+    found, stack = set(), [Accumulator]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            if cls.__module__.startswith("repro.analysis.") and cls not in found:
+                found.add(cls)
+                stack.append(cls)
+    return found
+
+
+def test_sweep_names_every_accumulator_with_two_kernels(
+    parity_frame, parity_oracle, parity_clusterer
+):
+    """The sweep below covers every accumulator class in ``src/``, and none
+    defines a scan kernel other than ``bind`` and ``bind_batch``."""
+    classes = _accumulator_classes()
+    swept = {
+        type(accumulator)
+        for accumulator in _all_accumulators(
+            parity_frame, parity_oracle, parity_clusterer, statsmode.EXACT
+        )
+    }
+    assert classes - swept == set()
+    assert len(classes) == 19
+    for cls in classes:
+        kernels = {name for name in vars(cls) if "bind" in name}
+        assert kernels <= {"bind", "bind_batch"}, cls
+        assert hasattr(cls, "_reset"), cls
 
 
 @st.composite
@@ -144,47 +177,55 @@ def _select_view(frame: TxFrame, params) -> TxView:
     return TxView(frame, array("q"))
 
 
+def _scan(view: TxView, consumers, block_rows: int) -> None:
+    for block in scan_blocks(view.rows, block_rows):
+        for consume in consumers:
+            consume(block)
+
+
 @PARITY_SETTINGS
 @given(params=selections())
 def test_every_accumulator_parity_on_random_slices(
     parity_frame, parity_oracle, parity_clusterer, params
 ):
     view = _select_view(parity_frame, params)
-    results = {}
-    for backend in (kernels.PYTHON, kernels.NUMPY):
-        with kernels.use_backend(backend):
-            accumulators = _all_accumulators(
-                parity_frame, parity_oracle, parity_clusterer
+    for stats in (statsmode.EXACT, statsmode.SKETCH):
+        shipped = _all_accumulators(parity_frame, parity_oracle, parity_clusterer, stats)
+        reference = _all_accumulators(parity_frame, parity_oracle, parity_clusterer, stats)
+        if stats == statsmode.SKETCH:
+            # Only the mode-aware accumulators differ from the exact pass.
+            shipped = [acc for acc in shipped if hasattr(acc, "stats_mode")]
+            reference = [acc for acc in reference if hasattr(acc, "stats_mode")]
+        consumers = [acc.bind_batch(parity_frame) for acc in shipped]
+        consumers += [Accumulator.bind_batch(acc, parity_frame) for acc in reference]
+        _scan(view, consumers, params["block_rows"])
+        for vectorized, rowstep in zip(shipped, reference):
+            # Exact equality — for the float-summing figures (value_flows,
+            # airdrop rates) this asserts bit-for-bit serial-path identity.
+            assert vectorized.finalize() == rowstep.finalize(), (
+                vectorized.name,
+                stats,
+                params,
             )
-            results[backend] = AnalysisEngine(accumulators).run(
-                view, block_rows=params["block_rows"]
-            )
-    reference = results[kernels.PYTHON]
-    vectorized = results[kernels.NUMPY]
-    assert set(reference.keys()) == set(vectorized.keys())
-    for name in reference.keys():
-        # Exact equality — for the float-summing figures (value_flows,
-        # airdrop rates) this asserts bit-for-bit serial-path identity.
-        assert vectorized[name] == reference[name], (name, params)
 
 
 @PARITY_SETTINGS
 @given(params=selections())
 def test_view_helpers_parity_on_random_slices(parity_frame, params):
-    """chain_view / time_window / min-max agree between both backends."""
+    """chain_view / time_window / min-max agree with plain-Python oracles."""
     view = _select_view(parity_frame, params)
-    low = view.min_timestamp()
-    high = view.max_timestamp()
-    windows = {}
-    for backend in (kernels.PYTHON, kernels.NUMPY):
-        with kernels.use_backend(backend):
-            chained = view.chain_view(params["chain"])
-            assert view.min_timestamp() == low
-            assert view.max_timestamp() == high
-            if low is not None:
-                mid = low + (high - low) / 2
-                window = view.time_window(low, mid)
-            else:
-                window = view.time_window(0.0, 1.0)
-            windows[backend] = (list(chained.rows), list(window.rows))
-    assert windows[kernels.PYTHON] == windows[kernels.NUMPY]
+    frame = parity_frame
+    rows = list(view.rows)
+    stamps = [frame.timestamp[row] for row in rows]
+    low = min(stamps, default=None)
+    high = max(stamps, default=None)
+    assert view.min_timestamp() == low
+    assert view.max_timestamp() == high
+    chain = params["chain"]
+    assert list(view.chain_view(chain).rows) == [
+        row for row in rows if frame.chain(row) is chain
+    ]
+    start, end = (low, low + (high - low) / 2) if rows else (0.0, 1.0)
+    assert list(view.time_window(start, end).rows) == [
+        row for row, stamp in zip(rows, stamps) if start <= stamp < end
+    ]

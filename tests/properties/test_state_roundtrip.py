@@ -5,8 +5,10 @@ random row selections and split points: scanning the selection's prefix,
 round-tripping the pre-finalize state through the snapshot codec
 (:mod:`repro.common.statecodec`), restoring it into freshly bound
 accumulators and scanning the suffix must produce figures identical to one
-uninterrupted pass — under **both** kernel backends, bit-for-bit for the
-float-summing figures (the serial Figure 12 contract).
+uninterrupted pass — bit-for-bit for the float-summing figures (the serial
+Figure 12 contract).  Both scan kernels initialise one state shape, so the
+prefix may be scanned by either (the vectorized ``bind_batch`` or the
+row-step reference) and restore into the other.
 
 This is the end-to-end guarantee the versioned checkpoint format rests on;
 the checkpoint store tests cover the durable-file half.
@@ -19,9 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.clustering import AccountClusterer
-from repro.analysis.engine import BLOCK_ROWS, AnalysisEngine, scan_blocks
+from repro.analysis.engine import BLOCK_ROWS, Accumulator, scan_blocks
 from repro.analysis.value import ExchangeRateOracle
-from repro.common import kernels, statecodec
+from repro.common import statecodec, statsmode
 from repro.common.columns import TxFrame
 
 from tests.properties.test_kernel_parity import (
@@ -29,6 +31,13 @@ from tests.properties.test_kernel_parity import (
     _select_view,
     selections,
 )
+
+#: How a test binds an accumulator: the shipped kernel, or the reference
+#: reached through the unbound base-class default.
+KERNELS = {
+    "batch": lambda accumulator, frame: accumulator.bind_batch(frame),
+    "rowstep": lambda accumulator, frame: Accumulator.bind_batch(accumulator, frame),
+}
 
 
 @pytest.fixture(scope="module")
@@ -53,26 +62,35 @@ ROUNDTRIP_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-BACKENDS = [kernels.PYTHON] + (
-    [kernels.NUMPY] if kernels.numpy_available() else []
-)
-
-
 @st.composite
 def roundtrip_cases(draw):
     return {
         "selection": draw(selections()),
         "split": draw(st.floats(0.0, 1.0)),
-        "backend": draw(st.sampled_from(BACKENDS)),
+        "prefix_kernel": draw(st.sampled_from(sorted(KERNELS))),
+        "stats": draw(st.sampled_from([statsmode.EXACT, statsmode.SKETCH])),
+        # The chunk engine memoizes per-chunk states *after* the engine pass
+        # finalized them; such a snapshot must restore like any other.
+        "finalized_snapshot": draw(st.booleans()),
     }
 
 
-def _scan(accumulators, frame, rows) -> None:
+def _scan(accumulators, frame, rows, kernel="batch") -> None:
     """Scan ``rows`` without finalizing — snapshots must be pre-finalize."""
-    consumers = [accumulator.bind_batch(frame) for accumulator in accumulators]
+    consumers = [KERNELS[kernel](accumulator, frame) for accumulator in accumulators]
     for block in scan_blocks(rows, BLOCK_ROWS):
         for consume in consumers:
             consume(block)
+
+
+def _snapshot(accumulators, finalized=False):
+    """Export every state through the full codec: export → bytes → decode."""
+    if finalized:
+        for accumulator in accumulators:
+            accumulator.finalize()
+    return statecodec.decode(
+        statecodec.encode([accumulator.export_state() for accumulator in accumulators])
+    )
 
 
 @ROUNDTRIP_SETTINGS
@@ -80,33 +98,26 @@ def _scan(accumulators, frame, rows) -> None:
 def test_codec_roundtrip_equals_serial_pass(
     parity_frame, parity_oracle, parity_clusterer, case
 ):
-    view = _select_view(parity_frame, case["selection"])
-    rows = view.rows
-    split = int(len(rows) * case["split"])
-    with kernels.use_backend(case["backend"]):
-        serial = AnalysisEngine(
-            _all_accumulators(parity_frame, parity_oracle, parity_clusterer)
-        ).run(view)
-        prefix = _all_accumulators(parity_frame, parity_oracle, parity_clusterer)
-        _scan(prefix, parity_frame, rows[:split])
-        # Snapshot through the full codec: export → bytes → decode.
-        payloads = statecodec.decode(
-            statecodec.encode(
-                [accumulator.export_state() for accumulator in prefix]
-            )
+    def fresh():
+        return _all_accumulators(
+            parity_frame, parity_oracle, parity_clusterer, case["stats"]
         )
-        base = _all_accumulators(parity_frame, parity_oracle, parity_clusterer)
-        consumers = [accumulator.bind_batch(parity_frame) for accumulator in base]
-        for target, payload in zip(base, payloads):
-            target.restore_state(payload)
-        suffix = rows[split:]
+
+    rows = _select_view(parity_frame, case["selection"]).rows
+    split = int(len(rows) * case["split"])
+    serial = fresh()
+    _scan(serial, parity_frame, rows)
+    prefix = fresh()
+    _scan(prefix, parity_frame, rows[:split], case["prefix_kernel"])
+    base = fresh()
+    consumers = [accumulator.bind_batch(parity_frame) for accumulator in base]
+    for target, payload in zip(base, _snapshot(prefix, case["finalized_snapshot"])):
+        target.restore_state(payload)
+    for block in scan_blocks(rows[split:], BLOCK_ROWS):
         for consume in consumers:
-            consume(suffix)
-        for accumulator in base:
-            assert accumulator.finalize() == serial[accumulator.name], (
-                accumulator.name,
-                case,
-            )
+            consume(block)
+    for accumulator, expected in zip(base, serial):
+        assert accumulator.finalize() == expected.finalize(), (accumulator.name, case)
 
 
 @ROUNDTRIP_SETTINGS
@@ -115,51 +126,48 @@ def test_double_restore_equals_serial_pass(
     parity_frame, parity_oracle, parity_clusterer, case
 ):
     """Two restored segments (the parallel catch-up shape) replay serially."""
-    view = _select_view(parity_frame, case["selection"])
-    rows = view.rows
+
+    def fresh():
+        return _all_accumulators(
+            parity_frame, parity_oracle, parity_clusterer, case["stats"]
+        )
+
+    rows = _select_view(parity_frame, case["selection"]).rows
     split = int(len(rows) * case["split"])
-    with kernels.use_backend(case["backend"]):
-        serial = AnalysisEngine(
-            _all_accumulators(parity_frame, parity_oracle, parity_clusterer)
-        ).run(view)
-        segments = []
-        for segment_rows in (rows[:split], rows[split:]):
-            scanned = _all_accumulators(parity_frame, parity_oracle, parity_clusterer)
-            _scan(scanned, parity_frame, segment_rows)
-            segments.append(
-                statecodec.decode(
-                    statecodec.encode(
-                        [accumulator.export_state() for accumulator in scanned]
-                    )
-                )
+    serial = fresh()
+    _scan(serial, parity_frame, rows)
+    segments = []
+    for segment_rows in (rows[:split], rows[split:]):
+        scanned = fresh()
+        _scan(scanned, parity_frame, segment_rows, case["prefix_kernel"])
+        segments.append(_snapshot(scanned, case["finalized_snapshot"]))
+    base = fresh()
+    for accumulator in base:
+        accumulator.bind_batch(parity_frame)
+    for payloads in segments:  # restore strictly in row order
+        for target, payload in zip(base, payloads):
+            target.restore_state(payload)
+    for accumulator, reference in zip(base, serial):
+        result = accumulator.finalize()
+        expected = reference.finalize()
+        if accumulator.name == "value_flows":
+            # Restoring two independently scanned segments adds segment
+            # subtotals — the documented shard-merge float caveat.
+            assert [
+                (f.sender_cluster, f.receiver_cluster, f.currency, f.payment_count)
+                for f in result.flows
+            ] == [
+                (f.sender_cluster, f.receiver_cluster, f.currency, f.payment_count)
+                for f in expected.flows
+            ]
+            assert result.total_xrp_value == pytest.approx(
+                expected.total_xrp_value, rel=1e-9
             )
-        base = _all_accumulators(parity_frame, parity_oracle, parity_clusterer)
-        for accumulator in base:
-            accumulator.bind_batch(parity_frame)
-        for payloads in segments:  # restore strictly in row order
-            for target, payload in zip(base, payloads):
-                target.restore_state(payload)
-        for accumulator in base:
-            result = accumulator.finalize()
-            expected = serial[accumulator.name]
-            if accumulator.name == "value_flows":
-                # Restoring two independently scanned segments adds segment
-                # subtotals — the documented shard-merge float caveat.
-                assert [
-                    (f.sender_cluster, f.receiver_cluster, f.currency, f.payment_count)
-                    for f in result.flows
-                ] == [
-                    (f.sender_cluster, f.receiver_cluster, f.currency, f.payment_count)
-                    for f in expected.flows
-                ]
-                assert result.total_xrp_value == pytest.approx(
-                    expected.total_xrp_value, rel=1e-9
-                )
-            elif accumulator.name == "airdrop":
-                # Rates divide float sums; compare the exact integer parts.
-                assert result.claim_count == expected.claim_count
-                assert result.total_actions == expected.total_actions
-                assert result.post_launch_actions == expected.post_launch_actions
-                assert result.unique_claimers == expected.unique_claimers
-            else:
-                assert result == expected, (accumulator.name, case)
+        elif accumulator.name == "airdrop":
+            # Rates divide float sums; compare the exact integer parts.
+            assert result.claim_count == expected.claim_count
+            assert result.total_actions == expected.total_actions
+            assert result.post_launch_actions == expected.post_launch_actions
+            assert result.unique_claimers == expected.unique_claimers
+        else:
+            assert result == expected, (accumulator.name, case)

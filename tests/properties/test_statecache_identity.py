@@ -1,10 +1,9 @@
 """Property-based identity of cached vs uncached out-of-core reports.
 
 The chunk-state aggregate cache is a pure memoization layer: for *any*
-chunk partitioning of *any* record mix, under either kernel backend and
-either statistics mode, a report folded from cached per-chunk states
-must be bit-for-bit identical to the same chunked report computed
-without a cache.  A mid-run analysis-config change must key every chunk
+chunk partitioning of *any* record mix, under either statistics mode, a
+report folded from cached per-chunk states must be bit-for-bit identical
+to the same chunked report computed without a cache.  A mid-run analysis-config change must key every chunk
 to a fresh entry (all misses) and still produce the uncached figures —
 never a figure computed from the stale configuration's states.
 """
@@ -20,20 +19,13 @@ from repro.analysis.parallel import parallel_report_from_store
 from repro.analysis.statecache import ChunkStateCache
 from repro.analysis.value import ExchangeRateOracle
 from repro.collection.store import FrameStore
-from repro.common import kernels, statsmode
+from repro.common import statsmode
 
 from tests.pipeline.util import assert_reports_identical
 
 DEFAULT_SETTINGS = settings(
     max_examples=15, suppress_health_check=[HealthCheck.too_slow], deadline=None
 )
-
-
-def _backends():
-    names = [kernels.PYTHON]
-    if kernels.numpy_available():
-        names.append(kernels.NUMPY)
-    return names
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +58,6 @@ def _report(directory, oracle, clusterer, cache=None):
     eos_take=st.integers(min_value=0, max_value=2_500),
     xrp_take=st.integers(min_value=200, max_value=2_500),
     mode=st.sampled_from([statsmode.EXACT, statsmode.SKETCH]),
-    backend=st.sampled_from(_backends()),
 )
 def test_cached_report_identical_under_random_partitions(
     tmp_path_factory,
@@ -78,11 +69,10 @@ def test_cached_report_identical_under_random_partitions(
     eos_take,
     xrp_take,
     mode,
-    backend,
 ):
     records = eos_records[:eos_take] + xrp_records[:xrp_take]
     directory, chunks = _build_store(tmp_path_factory, records, chunk_rows)
-    with kernels.use_backend(backend), statsmode.use_mode(mode):
+    with statsmode.use_mode(mode):
         uncached = _report(directory, xrp_oracle, xrp_clusterer)
         cold = ChunkStateCache.for_store(directory)
         cold_report = _report(directory, xrp_oracle, xrp_clusterer, cache=cold)

@@ -22,15 +22,11 @@ from repro.analysis.accounts import AccountActivityAccumulator
 from repro.analysis.clustering import AccountClusterer
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
-from repro.common import kernels, statsmode
+from repro.common import statsmode
 from repro.common.columns import TxFrame
 from repro.common.sketches import HyperLogLog
 
 from tests.sketches.test_error_bounds import HLL_ENVELOPE, QUANTILE_ENVELOPE
-
-BACKENDS = [kernels.PYTHON] + (
-    [kernels.NUMPY] if kernels.numpy_available() else []
-)
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +44,8 @@ def tolerance_clusterer(xrp_generator):
     return AccountClusterer(xrp_generator.ledger.accounts)
 
 
-def _report(frame, oracle, clusterer, mode, backend):
-    with kernels.use_backend(backend), statsmode.use_mode(mode):
+def _report(frame, oracle, clusterer, mode):
+    with statsmode.use_mode(mode):
         return full_report(frame, oracle=oracle, clusterer=clusterer)
 
 
@@ -66,16 +62,15 @@ def _assert_distribution_within_envelope(sketch_dist, exact_dist):
         ), attribute
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_paper_scale_sketch_report_matches_exact(
-    tolerance_frame, tolerance_oracle, tolerance_clusterer, backend
+    tolerance_frame, tolerance_oracle, tolerance_clusterer
 ):
     """Below every sketch capacity the figures are identical, not just close."""
     exact = _report(
-        tolerance_frame, tolerance_oracle, tolerance_clusterer, statsmode.EXACT, backend
+        tolerance_frame, tolerance_oracle, tolerance_clusterer, statsmode.EXACT
     )
     sketch = _report(
-        tolerance_frame, tolerance_oracle, tolerance_clusterer, statsmode.SKETCH, backend
+        tolerance_frame, tolerance_oracle, tolerance_clusterer, statsmode.SKETCH
     )
     assert set(sketch.chains) == set(exact.chains)
     for chain, exact_figures in exact.chains.items():
@@ -95,12 +90,10 @@ def test_paper_scale_sketch_report_matches_exact(
     assert sketch.summary().to_rows() == exact.summary().to_rows()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_dense_hll_counts_within_envelope(
     tolerance_frame,
     tolerance_oracle,
     tolerance_clusterer,
-    backend,
     monkeypatch,
 ):
     """Past the sparse limit the distinct counts are estimates — bounded ones."""
@@ -108,10 +101,10 @@ def test_dense_hll_counts_within_envelope(
         engine_module, "HyperLogLog", partial(HyperLogLog, sparse_limit=512)
     )
     exact = _report(
-        tolerance_frame, tolerance_oracle, tolerance_clusterer, statsmode.EXACT, backend
+        tolerance_frame, tolerance_oracle, tolerance_clusterer, statsmode.EXACT
     )
     sketch = _report(
-        tolerance_frame, tolerance_oracle, tolerance_clusterer, statsmode.SKETCH, backend
+        tolerance_frame, tolerance_oracle, tolerance_clusterer, statsmode.SKETCH
     )
     for chain, exact_figures in exact.chains.items():
         sketch_figures = sketch.chains[chain]
@@ -127,10 +120,7 @@ def test_dense_hll_counts_within_envelope(
         assert sketch_figures.top_senders == exact_figures.top_senders, chain
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_evicting_top_k_stays_inside_certificates(
-    tolerance_frame, backend
-):
+def test_evicting_top_k_stays_inside_certificates(tolerance_frame):
     """A capacity far below the distinct-pair count still ranks the head.
 
     The accumulators' production capacity keeps paper workloads exact; this
@@ -140,14 +130,13 @@ def test_evicting_top_k_stays_inside_certificates(
     (per-pair over-count certificates) or under (an evicted minor-type
     pair) — never by unbounded garbage.
     """
-    with kernels.use_backend(backend):
-        with statsmode.use_mode(statsmode.EXACT):
-            exact = AccountActivityAccumulator("sender", 10).run(tolerance_frame)
-        with statsmode.use_mode(statsmode.SKETCH):
-            accumulator = AccountActivityAccumulator("sender", 10)
-            accumulator.capacity = 64  # force eviction at test scale
-            approximate = accumulator.run(tolerance_frame)
-            floor = accumulator._sketch.floor
+    with statsmode.use_mode(statsmode.EXACT):
+        exact = AccountActivityAccumulator("sender", 10).run(tolerance_frame)
+    with statsmode.use_mode(statsmode.SKETCH):
+        accumulator = AccountActivityAccumulator("sender", 10)
+        accumulator.capacity = 64  # force eviction at test scale
+        approximate = accumulator.run(tolerance_frame)
+        floor = accumulator._sketch.floor
     assert floor > 0  # the capacity squeeze actually evicted something
     exact_figures = {activity.account: activity for activity in exact}
     # The heaviest senders dominate the stream; estimates may reorder

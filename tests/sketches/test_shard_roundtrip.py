@@ -5,7 +5,7 @@ into random shards, scans each shard independently, round-trips every
 shard's pre-finalize state through the snapshot codec
 (:mod:`repro.common.statecodec`), and restores the shards into one fresh
 accumulator in a *shuffled* order — the figures must equal a single
-uninterrupted pass, under both kernel backends and in both stats modes.
+uninterrupted pass, in both stats modes.
 
 This is the process-sharding contract the parallel engine and the
 out-of-core chunk folds rely on: sketch state is a pure function of the
@@ -31,12 +31,8 @@ from repro.analysis.accounts import (
 )
 from repro.analysis.engine import BLOCK_ROWS, TxStatsAccumulator, scan_blocks
 from repro.analysis.value import ExchangeRateOracle, ValueDistributionAccumulator
-from repro.common import kernels, statecodec, statsmode
+from repro.common import statecodec, statsmode
 from repro.common.columns import TxFrame
-
-BACKENDS = [kernels.PYTHON] + (
-    [kernels.NUMPY] if kernels.numpy_available() else []
-)
 
 SHARD_SETTINGS = settings(
     max_examples=15,
@@ -108,46 +104,43 @@ def _scan(accumulators, frame, rows):
 @given(
     seed=st.integers(0, 2**31 - 1),
     shard_count=st.integers(1, 5),
-    backend=st.sampled_from(BACKENDS),
     mode=st.sampled_from([statsmode.EXACT, statsmode.SKETCH]),
 )
 def test_random_shard_order_roundtrip_equals_serial(
-    shard_frame, shard_oracle, seed, shard_count, backend, mode
+    shard_frame, shard_oracle, seed, shard_count, mode
 ):
     rng = Random(seed)
     total = len(shard_frame)
     shard_rows = [[] for _ in range(shard_count)]
     for row in range(total):
         shard_rows[rng.randrange(shard_count)].append(row)
-    with kernels.use_backend(backend):
-        serial = _sketch_backed_accumulators(shard_oracle, mode)
-        _scan(serial, shard_frame, range(total))
-        expected = [
-            _canonical(accumulator, accumulator.finalize())
-            for accumulator in serial
-        ]
+    serial = _sketch_backed_accumulators(shard_oracle, mode)
+    _scan(serial, shard_frame, range(total))
+    expected = [
+        _canonical(accumulator, accumulator.finalize())
+        for accumulator in serial
+    ]
 
-        payload_sets = []
-        for rows in shard_rows:
-            shard = _sketch_backed_accumulators(shard_oracle, mode)
-            _scan(shard, shard_frame, array("q", rows))
-            payload_sets.append(
-                statecodec.decode(
-                    statecodec.encode(
-                        [accumulator.export_state() for accumulator in shard]
-                    )
+    payload_sets = []
+    for rows in shard_rows:
+        shard = _sketch_backed_accumulators(shard_oracle, mode)
+        _scan(shard, shard_frame, array("q", rows))
+        payload_sets.append(
+            statecodec.decode(
+                statecodec.encode(
+                    [accumulator.export_state() for accumulator in shard]
                 )
             )
-        rng.shuffle(payload_sets)  # restore order must not matter
-        merged = _sketch_backed_accumulators(shard_oracle, mode)
-        for accumulator in merged:
-            accumulator.bind_batch(shard_frame)
-        for payloads in payload_sets:
-            for accumulator, payload in zip(merged, payloads):
-                accumulator.restore_state(payload)
-        for accumulator, expect in zip(merged, expected):
-            assert _canonical(accumulator, accumulator.finalize()) == expect, (
-                accumulator.name,
-                mode,
-                backend,
-            )
+        )
+    rng.shuffle(payload_sets)  # restore order must not matter
+    merged = _sketch_backed_accumulators(shard_oracle, mode)
+    for accumulator in merged:
+        accumulator.bind_batch(shard_frame)
+    for payloads in payload_sets:
+        for accumulator, payload in zip(merged, payloads):
+            accumulator.restore_state(payload)
+    for accumulator, expect in zip(merged, expected):
+        assert _canonical(accumulator, accumulator.finalize()) == expect, (
+            accumulator.name,
+            mode,
+        )

@@ -9,9 +9,10 @@ here, verbatim, for two purposes:
 * the **engine benchmark** measures the seed's sum-of-individual-passes cost
   as the baseline the combined single-pass report must beat.
 
-Nothing in the production pipeline imports this module; its only consumers
-are ``tests/`` and ``benchmarks/``.  Do not "optimise" these functions —
-their value is being a faithful copy of the seed behaviour.
+This module lives under ``tests/`` because its only consumers are
+``tests/analysis/test_equivalence.py`` and
+``benchmarks/test_bench_engine_single_pass.py``.  Do not "optimise" these
+functions — their value is being a faithful copy of the seed behaviour.
 """
 
 from __future__ import annotations

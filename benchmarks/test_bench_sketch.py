@@ -109,9 +109,8 @@ def bench_sketch_mode(dataset: Dataset) -> Dict[str, object]:
 
 
 @pytest.fixture(scope="module")
-def sketch_dataset(bench_scenario, eos_frame, tezos_frame, xrp_frame, xrp_oracle, xrp_clusterer):
+def sketch_dataset(eos_frame, tezos_frame, xrp_frame, xrp_oracle, xrp_clusterer):
     return Dataset(
-        scenario=bench_scenario,
         frame=TxFrame.concat([eos_frame, tezos_frame, xrp_frame]),
         oracle=xrp_oracle,
         clusterer=xrp_clusterer,

@@ -12,18 +12,8 @@ The library is organised in four layers:
   computes every table and figure in the paper's evaluation;
 * scenario configurations (:mod:`repro.scenarios`) tie the three workloads
   together at test, benchmark and paper scale.
+
+Packages re-export nothing: import a name from the module that defines it
+(``from repro.analysis.report import full_report``), so a process loads only
+the modules it runs.
 """
-
-from repro.common import BlockRecord, ChainId, TransactionRecord
-from repro.scenarios import paper_scenario, small_scenario
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "BlockRecord",
-    "ChainId",
-    "TransactionRecord",
-    "__version__",
-    "paper_scenario",
-    "small_scenario",
-]

@@ -34,45 +34,3 @@ available as a thin wrapper.
   on-disk store: workers stream chunk ranges, accumulator states merge
   deterministically in chunk order.
 """
-
-from repro.analysis.accounts import top_receivers, top_senders, top_sender_receiver_pairs
-from repro.analysis.classify import (
-    classify_eos_category,
-    type_distribution,
-)
-from repro.analysis.engine import (
-    Accumulator,
-    AnalysisEngine,
-    EngineResult,
-    TxStatsAccumulator,
-    run_single_pass,
-)
-from repro.analysis.throughput import ThroughputSeries, bin_throughput, transactions_per_second
-from repro.analysis.value import XrpValueAnalyzer
-from repro.analysis.report import (
-    build_summary_report,
-    compute_chain_figures,
-    figure_accumulators,
-    full_report,
-)
-
-__all__ = [
-    "Accumulator",
-    "AnalysisEngine",
-    "EngineResult",
-    "ThroughputSeries",
-    "TxStatsAccumulator",
-    "XrpValueAnalyzer",
-    "bin_throughput",
-    "build_summary_report",
-    "classify_eos_category",
-    "compute_chain_figures",
-    "figure_accumulators",
-    "full_report",
-    "run_single_pass",
-    "top_receivers",
-    "top_sender_receiver_pairs",
-    "top_senders",
-    "transactions_per_second",
-    "type_distribution",
-]

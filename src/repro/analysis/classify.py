@@ -34,8 +34,12 @@ from repro.common.statecodec import (
     restore_code_table,
     restore_str_table,
 )
-from repro.eos.actions import SystemActionGroup, classify_system_action
-from repro.eos.workload import APPLICATION_CATEGORIES, CATEGORY_OTHERS, CATEGORY_TOKENS
+from repro.eos.actions import (
+    APPLICATION_CATEGORIES,
+    CATEGORY_OTHERS,
+    SystemActionGroup,
+    classify_system_action,
+)
 
 #: Figure 1 group labels keyed by the EOS system-action group.
 EOS_FIGURE1_GROUPS: Dict[SystemActionGroup, str] = {

@@ -38,7 +38,6 @@ the incremental pipeline's cold catch-up reuses the same tasks via
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -148,6 +147,8 @@ def _drain_imap(pool, results):
     worker raises :class:`AnalysisError`, which consumers treat as a failed
     (retryable, e.g. serially) scan rather than a hang.
     """
+    import multiprocessing  # loaded already: only a pooled scan gets here
+
     procs = list(pool._pool)
     stalled = 0.0
     while True:
@@ -435,6 +436,10 @@ def run_chunk_tasks(
     if workers <= 1:
         fold(map(_scan_chunk_range, tasks))
     else:
+        # Imported here, not at the top: an in-process scan (a warm
+        # ``report``, every ``update`` delta) never needs it.
+        import multiprocessing
+
         processes = min(workers, len(tasks))
         context = multiprocessing.get_context()
         with context.Pool(processes=processes) as pool:

@@ -1,0 +1,174 @@
+"""The dataset cache behind ``report``: look a scenario + seed up, rehydrate a hit.
+
+With ``--cache DIR`` a generated dataset is chunk-compressed into a
+:class:`~repro.collection.store.FrameStore` directory together with a
+``meta.json`` carrying the exchange-rate oracle and the frozen account
+cluster map.  Repeat runs with the same scenario + seed rehydrate the frame
+from the store and skip workload generation entirely.
+
+A hit is decided from the directory alone — the meta names the scenario, the
+seed and the row count, and the row count must match the store's manifest —
+so this module imports the store and the two analysis companions and
+nothing else.  Everything a *miss* needs (the scenario registry, the three
+chain simulators, sharded generation) lives in :mod:`repro.cli.build`, which
+is imported only when a dataset actually has to be built.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import time
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
+
+from repro.analysis.clustering import StaticAccountClusterer
+from repro.analysis.value import ExchangeRateOracle
+from repro.collection.store import FrameStore
+from repro.common.columns import TxFrame
+
+#: Cache layout version; bump when the payload or meta schema changes.
+CACHE_VERSION = 1
+
+META_NAME = "meta.json"
+
+
+@dataclass
+class Dataset:
+    """A ready-to-analyse dataset: the frame plus its analysis companions."""
+
+    frame: TxFrame
+    oracle: ExchangeRateOracle
+    clusterer: object
+    from_cache: bool
+    build_seconds: float
+
+
+@dataclass
+class StoredDataset:
+    """An on-disk dataset: the store directory plus analysis companions.
+
+    The out-of-core analysis path: no process ever holds the full frame,
+    so the only materialised state here is the metadata.  ``store`` is the
+    already-validated open handle — consumers reuse it instead of
+    re-running ``FrameStore.open``'s manifest validation per report path.
+    """
+
+    directory: str
+    rows: int
+    oracle: ExchangeRateOracle
+    clusterer: object
+    from_cache: bool
+    build_seconds: float
+    store: FrameStore
+
+
+def _cache_directory(cache_root: str, scale: str, seed: int) -> str:
+    return os.path.join(cache_root, f"{scale}-seed{seed}")
+
+
+def _load_cache_meta(meta_path: str) -> Optional[Dict]:
+    """The meta document at ``meta_path``, or ``None`` when it cannot be used.
+
+    Missing, torn (a crash mid-write under an older writer), not a JSON
+    object or of another layout version: each is a cache miss, never an
+    error — the dataset is regenerated and the meta rewritten.
+    """
+    try:
+        with open(meta_path, "r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(meta, dict) or meta.get("version") != CACHE_VERSION:
+        return None
+    return meta
+
+
+def _meta_companions(meta: Dict) -> Tuple[ExchangeRateOracle, StaticAccountClusterer]:
+    oracle = ExchangeRateOracle(
+        {
+            (currency, issuer): rate
+            for currency, issuer, rate in meta["oracle_rates"]
+        }
+    )
+    return oracle, StaticAccountClusterer(meta["clusters"])
+
+
+def _cache_hit(cache_root: str, scale: str, seed: int) -> Optional[StoredDataset]:
+    """The dataset cached under ``cache_root``, or ``None`` when it must be built.
+
+    The meta must have been written for this scenario and seed (a directory
+    copied or renamed from another run is not trusted) and agree with the
+    store's manifest on the row count (stale or missing chunk files).
+    """
+    started = time.perf_counter()
+    directory = _cache_directory(cache_root, scale, seed)
+    meta = _load_cache_meta(os.path.join(directory, META_NAME))
+    if meta is None or meta.get("scenario") != scale or meta.get("seed") != seed:
+        return None
+    store = FrameStore.open(directory)
+    if store.row_count != meta.get("rows"):
+        return None
+    oracle, clusterer = _meta_companions(meta)
+    return StoredDataset(
+        directory=directory,
+        rows=store.row_count,
+        oracle=oracle,
+        clusterer=clusterer,
+        from_cache=True,
+        build_seconds=time.perf_counter() - started,
+        store=store,
+    )
+
+
+def ensure_store(
+    scale: str,
+    seed: int,
+    cache_root: str,
+    gen_workers: Optional[int] = None,
+) -> StoredDataset:
+    """Materialise (or reuse) a scenario's dataset as an on-disk FrameStore.
+
+    The out-of-core complement of :func:`load_or_generate`: the result is a
+    store *directory*, never a resident frame.  Scenarios with
+    ``generation_windows > 1`` generate shard-parallel across
+    ``gen_workers`` processes (content is worker-count independent); cache
+    hits validate against the manifest only, so reusing a tens-of-millions
+    row dataset costs one small JSON read.
+    """
+    stored = _cache_hit(cache_root, scale, seed)
+    if stored is None:
+        from repro.cli import build
+
+        stored = build.build_store(scale, seed, cache_root, gen_workers)
+    return stored
+
+
+def load_or_generate(
+    scale: str,
+    seed: int,
+    cache_root: Optional[str] = None,
+    gen_workers: Optional[int] = None,
+) -> Dataset:
+    """Build the dataset for a registered scenario, cache-aware.
+
+    With ``cache_root`` set, the first build persists the frame (FrameStore
+    chunks) and its analysis companions (``meta.json``); later calls with
+    the same scale + seed rehydrate from disk and skip generation.
+    Scenarios with ``generation_windows > 1`` generate shard-parallel into a
+    store before rehydrating.
+    """
+    if cache_root:
+        started = time.perf_counter()
+        stored = _cache_hit(cache_root, scale, seed)
+        if stored is not None:
+            return Dataset(
+                frame=stored.store.to_frame(),
+                oracle=stored.oracle,
+                clusterer=stored.clusterer,
+                from_cache=True,
+                build_seconds=time.perf_counter() - started,
+            )
+    from repro.cli import build
+
+    return build.build_dataset(scale, seed, cache_root, gen_workers)

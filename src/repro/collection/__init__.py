@@ -5,19 +5,3 @@ endpoints, crawl blocks in reverse chronological order from the head down to
 the start of the observation window, store the raw blocks gzip-compressed,
 and characterise the resulting dataset (Figure 2).
 """
-
-from repro.collection.crawler import BlockCrawler, CrawlReport
-from repro.collection.dataset import DatasetCharacterization, characterize_dataset
-from repro.collection.endpoints import EndpointPool, shortlist_endpoints
-from repro.collection.store import BlockStore, FrameStore
-
-__all__ = [
-    "BlockCrawler",
-    "BlockStore",
-    "CrawlReport",
-    "DatasetCharacterization",
-    "EndpointPool",
-    "FrameStore",
-    "characterize_dataset",
-    "shortlist_endpoints",
-]

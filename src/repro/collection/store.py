@@ -125,6 +125,20 @@ def state_cache_dir(directory: str) -> str:
     return os.path.join(directory, STATE_CACHE_DIR)
 
 
+#: Sub-directory of a pipeline (``--data``) directory holding its frame store.
+FRAMES_DIR = "frames"
+
+
+def resolve_store_dir(root: str) -> str:
+    """The frame-store directory for ``root`` (bare store or pipeline dir)."""
+    if os.path.exists(os.path.join(root, MANIFEST_NAME)):
+        return root
+    nested = os.path.join(root, FRAMES_DIR)
+    if os.path.isdir(nested):
+        return nested
+    return root
+
+
 def invalidate_state_cache(directory: str) -> int:
     """Drop every chunk-state cache entry under ``directory``'s store.
 

@@ -14,33 +14,3 @@ The common package provides the vocabulary the rest of the library speaks:
 * :mod:`repro.common.compression` — gzip size accounting for the block store.
 * :mod:`repro.common.errors` — the exception hierarchy.
 """
-
-from repro.common.clock import SimulationClock
-from repro.common.errors import (
-    ChainError,
-    CollectionError,
-    ConfigurationError,
-    RateLimitExceeded,
-    ReproError,
-    RpcError,
-)
-from repro.common.records import (
-    BlockRecord,
-    ChainId,
-    TransactionRecord,
-)
-from repro.common.rng import DeterministicRng
-
-__all__ = [
-    "BlockRecord",
-    "ChainError",
-    "ChainId",
-    "CollectionError",
-    "ConfigurationError",
-    "DeterministicRng",
-    "RateLimitExceeded",
-    "ReproError",
-    "RpcError",
-    "SimulationClock",
-    "TransactionRecord",
-]

@@ -18,22 +18,3 @@ which are implemented here:
   4 and 5, including the WhaleEx wash trading and the EIDOS boomerang
   transactions (:mod:`repro.eos.workload`).
 """
-
-from repro.eos.accounts import EosAccount, EosAccountRegistry, is_valid_eos_name
-from repro.eos.chain import EosChain, EosChainConfig
-from repro.eos.resources import EosResourceMarket, ResourceUsage
-from repro.eos.rpc import EosRpcEndpoint
-from repro.eos.workload import EosWorkloadConfig, EosWorkloadGenerator
-
-__all__ = [
-    "EosAccount",
-    "EosAccountRegistry",
-    "EosChain",
-    "EosChainConfig",
-    "EosResourceMarket",
-    "EosRpcEndpoint",
-    "EosWorkloadConfig",
-    "EosWorkloadGenerator",
-    "ResourceUsage",
-    "is_valid_eos_name",
-]

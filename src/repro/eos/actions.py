@@ -9,7 +9,8 @@ labels the top contracts manually (§3.2).
 
 This module defines the action record the simulator emits plus the canonical
 system-action catalogue with the paper's Figure 1 grouping (P2P transaction /
-account actions / other actions).
+account actions / other actions) and the application-category label table of
+Figure 3a — pure data, so the analysis layer can import it without a simulator.
 """
 
 from __future__ import annotations
@@ -54,6 +55,37 @@ SYSTEM_ACTION_GROUPS: Dict[str, SystemActionGroup] = {
 #: includes token contracts in the "known" set because the interface is
 #: standardised even though the contracts are user-deployed.
 TOKEN_INTERFACE_ACTIONS = ("transfer", "issue", "create", "open", "close", "retire")
+
+#: Category labels used by Figure 3a.
+CATEGORY_EXCHANGE = "Exchange"
+CATEGORY_BETTING = "Betting"
+CATEGORY_GAMES = "Games"
+CATEGORY_PORNOGRAPHY = "Pornography"
+CATEGORY_TOKENS = "Tokens"
+CATEGORY_OTHERS = "Others"
+
+#: Well-known application accounts and their category (the paper labels the
+#: top-100 contracts by hand; this is the equivalent label table).
+APPLICATION_CATEGORIES: Dict[str, str] = {
+    "eosio.token": CATEGORY_TOKENS,
+    "eidosonecoin": CATEGORY_TOKENS,
+    "pornhashbaby": CATEGORY_PORNOGRAPHY,
+    "betdicetasks": CATEGORY_BETTING,
+    "betdicegroup": CATEGORY_BETTING,
+    "betdicebacca": CATEGORY_BETTING,
+    "betdicesicbo": CATEGORY_BETTING,
+    "betdiceadmin": CATEGORY_BETTING,
+    "bluebetproxy": CATEGORY_BETTING,
+    "bluebettexas": CATEGORY_BETTING,
+    "bluebetjacks": CATEGORY_BETTING,
+    "bluebetbcrat": CATEGORY_BETTING,
+    "bluebet2user": CATEGORY_BETTING,
+    "whaleextrust": CATEGORY_EXCHANGE,
+    "eossanguoone": CATEGORY_GAMES,
+    "mykeypostman": CATEGORY_OTHERS,
+    "mykeylogica1": CATEGORY_OTHERS,
+    "lynxtoken123": CATEGORY_TOKENS,
+}
 
 
 def classify_system_action(action_name: str, contract: str) -> SystemActionGroup:

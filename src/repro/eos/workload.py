@@ -30,7 +30,17 @@ from repro.common.clock import SECONDS_PER_DAY, timestamp_from_iso
 from repro.common.records import BlockRecord, TransactionRecord
 from repro.common.rng import DeterministicRng
 from repro.eos.accounts import EosAccountKind
-from repro.eos.actions import EosAction, make_transfer
+from repro.eos.actions import (
+    APPLICATION_CATEGORIES,
+    CATEGORY_BETTING,
+    CATEGORY_EXCHANGE,
+    CATEGORY_GAMES,
+    CATEGORY_OTHERS,
+    CATEGORY_PORNOGRAPHY,
+    CATEGORY_TOKENS,
+    EosAction,
+    make_transfer,
+)
 from repro.eos.chain import EosChain, EosChainConfig, EosTransaction
 from repro.eos.contracts import (
     BettingContract,
@@ -40,37 +50,6 @@ from repro.eos.contracts import (
     GameContract,
     TokenContract,
 )
-
-#: Category labels used by Figure 3a.
-CATEGORY_EXCHANGE = "Exchange"
-CATEGORY_BETTING = "Betting"
-CATEGORY_GAMES = "Games"
-CATEGORY_PORNOGRAPHY = "Pornography"
-CATEGORY_TOKENS = "Tokens"
-CATEGORY_OTHERS = "Others"
-
-#: Well-known application accounts and their category (the paper labels the
-#: top-100 contracts by hand; this is the equivalent label table).
-APPLICATION_CATEGORIES: Dict[str, str] = {
-    "eosio.token": CATEGORY_TOKENS,
-    "eidosonecoin": CATEGORY_TOKENS,
-    "pornhashbaby": CATEGORY_PORNOGRAPHY,
-    "betdicetasks": CATEGORY_BETTING,
-    "betdicegroup": CATEGORY_BETTING,
-    "betdicebacca": CATEGORY_BETTING,
-    "betdicesicbo": CATEGORY_BETTING,
-    "betdiceadmin": CATEGORY_BETTING,
-    "bluebetproxy": CATEGORY_BETTING,
-    "bluebettexas": CATEGORY_BETTING,
-    "bluebetjacks": CATEGORY_BETTING,
-    "bluebetbcrat": CATEGORY_BETTING,
-    "bluebet2user": CATEGORY_BETTING,
-    "whaleextrust": CATEGORY_EXCHANGE,
-    "eossanguoone": CATEGORY_GAMES,
-    "mykeypostman": CATEGORY_OTHERS,
-    "mykeylogica1": CATEGORY_OTHERS,
-    "lynxtoken123": CATEGORY_TOKENS,
-}
 
 #: Per-category share of daily actions before the EIDOS launch (Figure 3a).
 PRE_EIDOS_CATEGORY_MIX: Dict[str, float] = {

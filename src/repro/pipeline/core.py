@@ -52,7 +52,7 @@ from repro.analysis.report import (
 )
 from repro.analysis.throughput import DEFAULT_BIN_SECONDS
 from repro.analysis.value import ExchangeRateOracle
-from repro.collection.store import FrameSink, FrameStore
+from repro.collection.store import FRAMES_DIR, FrameSink, FrameStore
 from repro.common.columns import TxFrame
 from repro.common import faults, statsmode
 from repro.common.errors import AnalysisError, CollectionError
@@ -64,9 +64,6 @@ PIPELINE_META_VERSION = 1
 
 #: Meta file name inside a pipeline directory.
 PIPELINE_META_NAME = "meta.json"
-
-#: Sub-directory holding the FrameStore chunks.
-FRAMES_DIR = "frames"
 
 
 @dataclass

@@ -52,6 +52,7 @@ from repro.collection.store import (
     SUPPORTED_MANIFEST_VERSIONS,
     _decode_chunk_blob,
     _glob_chunk_files,
+    resolve_store_dir,
 )
 from repro.common import statecodec
 from repro.common.errors import CollectionError
@@ -60,7 +61,7 @@ from repro.pipeline.checkpoint import (
     CHECKPOINT_VERSION,
     SNAPSHOT_FORMAT,
 )
-from repro.pipeline.core import FRAMES_DIR, PIPELINE_META_NAME
+from repro.pipeline.core import PIPELINE_META_NAME
 
 #: Sub-directory (inside the store directory) corrupt files move into.
 #: Deliberately outside the ``frame-chunk-*`` glob patterns: neither
@@ -131,16 +132,6 @@ class FsckReport:
             "degraded_rows": dict(self.degraded_rows),
             "repaired": self.repaired,
         }
-
-
-def resolve_store_dir(root: str) -> str:
-    """The frame-store directory for ``root`` (bare store or pipeline dir)."""
-    if os.path.exists(os.path.join(root, MANIFEST_NAME)):
-        return root
-    nested = os.path.join(root, FRAMES_DIR)
-    if os.path.isdir(nested):
-        return nested
-    return root
 
 
 def _entry_chain_rows(entry: Dict) -> Dict[str, int]:

@@ -17,25 +17,3 @@ The paper's Tezos measurement depends on the following behaviours:
   calibrated workload where ~82 % of operations are endorsements
   (:mod:`repro.tezos.rpc`, :mod:`repro.tezos.workload`).
 """
-
-from repro.tezos.accounts import TezosAccount, TezosAccountRegistry
-from repro.tezos.baking import BakerSet, ENDORSEMENTS_PER_BLOCK, ROLL_SIZE_XTZ
-from repro.tezos.chain import TezosChain, TezosChainConfig
-from repro.tezos.governance import AmendmentProcess, VotingPeriodKind
-from repro.tezos.rpc import TezosRpcEndpoint
-from repro.tezos.workload import TezosWorkloadConfig, TezosWorkloadGenerator
-
-__all__ = [
-    "AmendmentProcess",
-    "BakerSet",
-    "ENDORSEMENTS_PER_BLOCK",
-    "ROLL_SIZE_XTZ",
-    "TezosAccount",
-    "TezosAccountRegistry",
-    "TezosChain",
-    "TezosChainConfig",
-    "TezosRpcEndpoint",
-    "TezosWorkloadConfig",
-    "TezosWorkloadGenerator",
-    "VotingPeriodKind",
-]

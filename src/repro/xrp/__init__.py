@@ -20,29 +20,3 @@ The paper's XRP measurement depends on:
   offer bots, the payment-spam waves and the self-dealt BTC IOU trades
   (:mod:`repro.xrp.workload`).
 """
-
-from repro.xrp.accounts import XrpAccount, XrpAccountRegistry
-from repro.xrp.amounts import IouAmount, XRP_CURRENCY, drops_to_xrp, xrp_to_drops
-from repro.xrp.ledger import XrpLedger, XrpLedgerConfig
-from repro.xrp.orderbook import Offer, OrderBook
-from repro.xrp.rpc import XrpRpcEndpoint
-from repro.xrp.transactions import TransactionType, XrpTransaction
-from repro.xrp.workload import XrpWorkloadConfig, XrpWorkloadGenerator
-
-__all__ = [
-    "IouAmount",
-    "Offer",
-    "OrderBook",
-    "TransactionType",
-    "XRP_CURRENCY",
-    "XrpAccount",
-    "XrpAccountRegistry",
-    "XrpLedger",
-    "XrpLedgerConfig",
-    "XrpRpcEndpoint",
-    "XrpTransaction",
-    "XrpWorkloadConfig",
-    "XrpWorkloadGenerator",
-    "drops_to_xrp",
-    "xrp_to_drops",
-]

@@ -17,6 +17,7 @@ from repro.tezos.workload import TezosWorkloadGenerator
 from repro.xrp.workload import XrpWorkloadGenerator
 
 from tests.fixtures import copy_v1_store
+from tests.support import run_child
 
 
 @pytest.fixture(scope="session")
@@ -80,3 +81,19 @@ def xrp_records(xrp_blocks):
 def v1_store_dir(tmp_path):
     """A writable copy of the checked-in v1 (gzip-JSON) fixture store."""
     return copy_v1_store(tmp_path / "store_v1")
+
+
+@pytest.fixture(scope="session")
+def live_tail_cache(tmp_path_factory):
+    """A ``--cache`` root holding ``live_tail`` seed 7, built by a cold CLI child.
+
+    The warm-path tests (import graph, per-command smoke) run children over
+    it; they may add chunk-state cache entries but must not rewrite the store.
+    """
+    root = str(tmp_path_factory.mktemp("live-tail-cache"))
+    built = run_child(
+        ["-m", "repro", "report", "--scale", "live_tail", "--cache", root, "--json"]
+    )
+    assert built.returncode == 0, built.stderr
+    assert "(generated in" in built.stderr
+    return root

@@ -14,6 +14,7 @@ from repro.tezos.workload import TezosWorkloadConfig
 from repro.xrp.workload import XrpWorkloadConfig
 
 from tests.fixtures import V1_STORE_CHUNKS
+from tests.support import run_child
 
 TINY_SCENARIO = "cli-tiny"
 
@@ -158,6 +159,38 @@ class TestReport:
             assert cached.oracle.rate(currency, issuer) == generated.oracle.rate(
                 currency, issuer
             )
+
+
+class TestUnusableCacheMeta:
+    """A ``meta.json`` the cache cannot trust is a miss, never a crash."""
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_an_object", "another_seed"])
+    @pytest.mark.parametrize("flags", [[], ["--out-of-core"]], ids=["resident", "ooc"])
+    def test_damaged_meta_regenerates_the_same_report(
+        self, tmp_path, capsys, damage, flags
+    ):
+        base = ["report", "--scale", TINY_SCENARIO, "--cache", str(tmp_path), "--json"]
+        code, fresh = _run(base + flags)
+        assert code == 0
+        meta_path = tmp_path / f"{TINY_SCENARIO}-seed7" / "meta.json"
+        if damage == "truncated":  # what an in-place writer leaves when it dies
+            meta_path.write_bytes(meta_path.read_bytes()[:100])
+        elif damage == "not_an_object":
+            meta_path.write_text("[1]")
+        else:  # a directory copied from another run, row count and all
+            rows = json.loads(meta_path.read_text())["rows"]
+            assert _run(base + ["--seed", "8"])[0] == 0
+            other = json.loads((tmp_path / f"{TINY_SCENARIO}-seed8" / "meta.json").read_text())
+            assert other["seed"] == 8
+            meta_path.write_text(json.dumps(dict(other, rows=rows)))
+        capsys.readouterr()
+        code, again = _run(base + flags)
+        assert code == 0 and again == fresh
+        assert "(generated in" in capsys.readouterr().err
+        code, third = _run(base + flags)
+        assert code == 0 and third == fresh
+        assert "(cache in" in capsys.readouterr().err
+        assert not meta_path.with_name("meta.json.tmp").exists()
 
 
 class TestRetiredSurface:
@@ -358,3 +391,82 @@ class TestOutOfCore:
             assert cached.oracle.rate(currency, issuer) == built.oracle.rate(
                 currency, issuer
             )
+
+
+class TestEveryCommandFromAColdInterpreter:
+    """One ``python -m repro`` child per sub-command, on ``live_tail``.
+
+    Each command's module imports its own layers, so a forgotten import is
+    a ``NameError`` on that command alone — invisible to the in-process
+    tests above, which share one ``sys.modules`` that some earlier test has
+    already filled.
+    """
+
+    @pytest.fixture(scope="class")
+    def pipeline_dir(self, tmp_path_factory):
+        data = str(tmp_path_factory.mktemp("smoke") / "pipeline")
+        done = run_child(
+            ["-m", "repro", "ingest", "--data", data, "--scale", "live_tail", "--batches", "2"]
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Ingested 2 batch(es)" in done.stdout
+        return data
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            pytest.param(["list"], "live_tail", id="list"),
+            pytest.param(["scenario", "live_tail"], "scale factors", id="scenario"),
+            pytest.param(
+                ["report", "--scale", "live_tail", "--cache", "CACHE"],
+                "(cache in",
+                id="report",
+            ),
+            pytest.param(
+                ["report", "--scale", "live_tail", "--cache", "CACHE", "--out-of-core"],
+                "out-of-core chunk engine",
+                id="report-out-of-core",
+            ),
+            pytest.param(
+                ["migrate-store", "CACHE/live_tail-seed7"],
+                "Nothing to migrate",
+                id="migrate-store",
+            ),
+            pytest.param(
+                ["cache", "stat", "CACHE/live_tail-seed7"],
+                "Chunk-state cache at",
+                id="cache-stat",
+            ),
+            pytest.param(
+                ["cache", "clear", "CACHE/live_tail-seed7"],
+                "chunk-state cache file(s)",
+                id="cache-clear",
+            ),
+            pytest.param(
+                ["ingest", "--data", "DATA", "--batches", "1"],
+                "Ingested 1 batch(es)",
+                id="ingest",
+            ),
+            pytest.param(["update", "--data", "DATA"], "Update scanned", id="update"),
+            pytest.param(
+                ["watch", "--data", "DATA", "--batches", "1"],
+                "Watching scenario 'live_tail'",
+                id="watch",
+            ),
+            pytest.param(
+                ["soak", "--data", "SOAK", "--scale", "live_tail", "--days", "1", "--no-oracle"],
+                "gates: fsck=clean",
+                id="soak",
+            ),
+            pytest.param(["fsck", "DATA"], "clean: no damage found", id="fsck"),
+        ],
+    )
+    def test_command_exits_zero_and_prints(
+        self, live_tail_cache, pipeline_dir, tmp_path, argv, expected
+    ):
+        places = {"CACHE": live_tail_cache, "DATA": pipeline_dir, "SOAK": str(tmp_path)}
+        for name, path in places.items():
+            argv = [arg.replace(name, path) for arg in argv]
+        done = run_child(["-m", "repro", *argv])
+        assert done.returncode == 0, done.stderr
+        assert expected in done.stdout

@@ -1,0 +1,128 @@
+"""What a command imports follows from what it runs.
+
+A ``python -m repro`` child over a populated cache is interpreter start-up
+around a few hundred milliseconds of work, so every module it loads without
+running is time a user waits for.  Each dynamic case runs
+:func:`repro.cli.main` in a fresh interpreter and inspects ``sys.modules``;
+the static case walks the analysis layer's sources so the layering rule that
+keeps the simulators off its import graph cannot rot.
+"""
+
+from __future__ import annotations
+
+import ast
+import glob
+import json
+import os
+import re
+from typing import Iterable, List
+
+import pytest
+
+from tests.support import SRC, run_child
+
+#: The simulators proper: analysis and store code may import a chain
+#: package's leaf *data* modules (``eos.actions``, ``xrp.amounts``, …) but
+#: never one of these.
+SIMULATORS = (
+    "repro.eos.chain", "repro.eos.workload", "repro.eos.contracts", "repro.eos.rpc",
+    "repro.tezos.chain", "repro.tezos.workload", "repro.tezos.rpc",
+    "repro.xrp.ledger", "repro.xrp.workload", "repro.xrp.rpc",
+)  # fmt: skip
+
+#: What a report over a cached store has no use for.
+NOT_FOR_A_WARM_REPORT = SIMULATORS + (
+    "repro.scenarios",
+    "repro.pipeline",
+    "repro.cli.build",
+    "repro.collection.generate",
+    "repro.collection.crawler",
+    "repro.collection.endpoints",
+    "multiprocessing",
+)
+
+NOT_FOR_THE_REGISTRY = ("numpy", "repro.analysis", "repro.collection", "repro.pipeline")
+
+_CHILD = """
+import io, json, sys
+from repro.cli import main
+code = main({argv!r}, out=io.StringIO())
+print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
+"""
+
+
+def modules_after(argv: List[str]) -> List[str]:
+    """``sys.modules`` of a fresh interpreter after ``repro.cli.main(argv)``."""
+    done = run_child(["-c", _CHILD.format(argv=argv)])
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["code"] == 0, done.stderr
+    return result["modules"]
+
+
+def loaded(modules: Iterable[str], forbidden: Iterable[str]) -> List[str]:
+    """The loaded modules that are, or live under, a forbidden package."""
+    forbidden = tuple(forbidden)
+    return [
+        name
+        for name in modules
+        if any(name == root or name.startswith(root + ".") for root in forbidden)
+    ]
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--out-of-core", "--workers", "1"]], ids=["resident", "out-of-core"]
+)
+def test_warm_report_loads_no_simulator_and_no_generation_layer(live_tail_cache, flags):
+    argv = ["report", "--scale", "live_tail", "--cache", live_tail_cache, "--json"]
+    modules = modules_after(argv + flags)
+    assert "repro.cli.report" in modules and "repro.collection.store" in modules
+    assert loaded(modules, NOT_FOR_A_WARM_REPORT) == []
+
+
+@pytest.mark.parametrize("argv", [["list"], ["scenario", "live_tail"]], ids=["list", "scenario"])
+def test_registry_commands_load_no_numpy_and_no_data_layer(argv):
+    assert loaded(modules_after(argv), NOT_FOR_THE_REGISTRY) == []
+
+
+def test_cache_stat_loads_no_simulator_scenario_or_pipeline(live_tail_cache):
+    store_dir = os.path.join(live_tail_cache, "live_tail-seed7")
+    modules = modules_after(["cache", "stat", store_dir])
+    assert loaded(modules, SIMULATORS + ("repro.scenarios", "repro.pipeline")) == []
+
+
+def test_bare_package_imports_load_nothing_else():
+    """``import repro`` is the docstring; ``import repro.cli`` parser + dispatch."""
+    snapshot = "print(sorted(m for m in sys.modules if m.startswith('repro')))"
+    done = run_child(["-c", f"import sys, repro; {snapshot}; import repro.cli; {snapshot}"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        str(["repro"]),
+        str(["repro", "repro.cli", "repro.common", "repro.common.errors", "repro.common.statsmode"]),
+    ]
+
+
+def test_analysis_and_store_sources_import_no_simulator():
+    """Static twin of the rule: leaf data modules yes, simulators never."""
+    simulator = re.compile(r"^repro\.(eos|tezos|xrp)\.(chain|ledger|workload|rpc)(\.|$)")
+    package = os.path.join(SRC, "repro")
+    paths = sorted(glob.glob(os.path.join(package, "analysis", "*.py")))
+    paths += [os.path.join(package, "collection", name) for name in ("store.py", "chunkformat.py")]
+    offenders = []
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                targets = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{os.path.relpath(path, SRC)}:{node.lineno} imports {target}"
+                for target in targets
+                if simulator.match(target)
+            ]
+    assert len(paths) > 10
+    assert offenders == []

@@ -31,16 +31,18 @@ GOLDEN_STORE_SHA256 = "192b64519fc1abc983634a75f4bee7c239092c539a84efb0df6cce976
 GOLDEN_REPORT_SHA256 = "a7ea27a28d0fe1d8c3283b3360f88c6b3fb5a2ec3cf1cdda32a0d8a65c17776a"
 
 
-def build(cache_root: str, scale: str = "live_tail", seed: int = 7) -> bytes:
-    """Cold ``repro report --json`` in a hash-pinned child; returns its stdout."""
+def build(
+    cache_root: str, scale: str = "live_tail", seed: int = 7, extra: tuple = ()
+) -> bytes:
+    """``repro report --json`` in a hash-pinned child; returns its stdout."""
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=SRC)
-    for name in ("REPRO_KERNELS", "REPRO_STATS", "REPRO_FAULTS", "REPRO_CHUNK_FORMAT"):
+    for name in ("REPRO_STATS", "REPRO_FAULTS"):
         env.pop(name, None)
     done = subprocess.run(
         [
             sys.executable, "-m", "repro", "report",
             "--scale", scale, "--seed", str(seed), "--cache", cache_root,
-            "--workers", "1", "--gen-workers", "1", "--json",
+            "--workers", "1", "--gen-workers", "1", "--json", *extra,
         ],  # fmt: skip
         env=env,
         capture_output=True,

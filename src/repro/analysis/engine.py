@@ -108,11 +108,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
-import numpy as np
-
-from repro.common import statsmode
-from repro.common.sketches import HyperLogLog, hash64
-from repro.common.statecodec import pack_strings, unpack_strings
 from repro.common.columns import (
     FrameLike,
     RowIndices,
@@ -122,6 +117,7 @@ from repro.common.columns import (
     view_of,
 )
 from repro.common.errors import AnalysisError
+from repro.analysis.containers import distinct
 
 Step = Callable[[int], None]
 BatchStep = Callable[[RowIndices], None]
@@ -335,55 +331,31 @@ class TxStatsAccumulator(Accumulator):
     """Row/transaction counts and the time window, in the shared pass.
 
     The transaction-id dedup is the one piece of per-row state that grows
-    with the distinct count.  In ``exact`` mode (the default) it is a
-    Python ``set`` of id strings — exact, and the measured kernel floor.
-    In :mod:`~repro.common.statsmode` ``sketch`` mode the set is replaced
-    by a :class:`~repro.common.sketches.HyperLogLog` over the frame's
-    cached deterministic id hashes: state is O(1) in the row count and the
-    distinct count is exact until the sketch's sparse limit, ~0.81 %
-    standard error beyond it.
+    with the distinct count; it lives in a
+    :func:`~repro.analysis.containers.distinct` container — a ``set`` of id
+    strings (exact, and the measured kernel floor; see
+    ``docs/architecture.md``) or a HyperLogLog, by stats mode.
     """
 
     name = "tx_stats"
 
     def __init__(self, stats: Optional[str] = None):
-        self.stats_mode = statsmode.resolve(stats)
+        self.ids = distinct(stats)
 
     def _reset(self, frame: TxFrame) -> None:
-        self._seen: set = set()
         # [row count, min timestamp, max timestamp]
         self._state: List = [0, None, None]
-        # Restored-but-unmaterialised id column (packed-strings payload +
-        # its cardinality).  The set it represents is only built when the
-        # scan actually adds ids — an idle chain's checkpoint round-trip
-        # never pays the per-id hashing.
-        self._frozen_ids: Optional[Dict[str, Any]] = None
-        self._frozen_count: int = 0
-        self._hll: Optional[HyperLogLog] = (
-            HyperLogLog() if self.stats_mode == statsmode.SKETCH else None
-        )
-        self._frame = frame
+        self.ids = self.ids.fresh(frame)
 
     def bind(self, frame: TxFrame) -> Step:
         self._reset(frame)
         state = self._state
         timestamps = frame.timestamp
-        transaction_ids = frame.transaction_id
-        if self._hll is not None:
-            add_hash = self._hll.add_hash
-
-            def dedup(row: int) -> None:
-                add_hash(hash64(transaction_ids[row]))
-
-        else:
-            seen_add = self._seen.add
-
-            def dedup(row: int) -> None:
-                seen_add(transaction_ids[row])
+        add_id = self.ids.row_adder()
 
         def step(row: int) -> None:
             state[0] += 1
-            dedup(row)
+            add_id(row)
             timestamp = timestamps[row]
             low = state[1]
             if low is None:
@@ -396,54 +368,17 @@ class TxStatsAccumulator(Accumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        """Vectorized kernel: ndarray min/max over the block's timestamps.
-
-        The transaction-id dedup stays a C-level ``set.update`` — the id
-        column is an object list by design (high cardinality), and the
-        distinct-count semantics make the ``set`` itself the irreducible
-        cost (measured in ``docs/architecture.md``).  Index-row blocks
-        (filtered chain views) gather ids with one object fancy-indexing
-        call over the frame's cached id ndarray instead of a per-row
-        ``__getitem__`` loop.
-        """
+        """Vectorized kernel: ndarray min/max over the block's timestamps."""
         self._reset(frame)
         state = self._state
         timestamps = frame.ndarray("timestamp")
-        if self._hll is not None:
-            # Sketch kernel: feed the frame's cached deterministic hash
-            # column (one vectorized build per frame, shared across passes)
-            # straight into the HyperLogLog — the per-block cost is a uint64
-            # gather plus a register fold, with no per-id Python work.
-            hll = self._hll
-            hashes_nd = np.frombuffer(
-                frame.transaction_id_hashes(), dtype=np.uint64
-            )
-
-            def dedup(rows: RowIndices) -> None:
-                if isinstance(rows, range):
-                    hll.update_np(hashes_nd[rows.start : rows.stop : rows.step])
-                else:
-                    hll.update_np(hashes_nd[as_index_rows(rows)])
-
-        else:
-            seen = self._seen
-            transaction_ids = frame.transaction_id
-            ids_nd = None
-
-            def dedup(rows: RowIndices) -> None:
-                nonlocal ids_nd
-                if isinstance(rows, range):
-                    seen.update(transaction_ids[rows.start : rows.stop : rows.step])
-                else:
-                    if ids_nd is None:
-                        ids_nd = frame.transaction_ids_ndarray()
-                    seen.update(ids_nd[as_index_rows(rows)].tolist())
+        add_ids = self.ids.block_adder()
 
         def consume(rows: RowIndices) -> None:
             if not len(rows):
                 return
             state[0] += len(rows)
-            dedup(rows)
+            add_ids(rows)
             block = gather_np(timestamps, rows)
             low = float(block.min())
             high = float(block.max())
@@ -455,18 +390,7 @@ class TxStatsAccumulator(Accumulator):
         return consume
 
     def merge(self, other: "TxStatsAccumulator") -> None:
-        if self.stats_mode != other.stats_mode:
-            raise AnalysisError(
-                f"cannot merge {other.stats_mode!r}-mode tx_stats state into "
-                f"an {self.stats_mode!r}-mode accumulator"
-            )
-        if self._hll is not None:
-            self._hll.merge(other._hll)
-            self._merge_window(other._state)
-            return
-        self._materialize_frozen()
-        other._materialize_frozen()
-        self._seen.update(other._seen)
+        self.ids.merge(other.ids)
         self._merge_window(other._state)
 
     def _merge_window(self, theirs: List) -> None:
@@ -478,113 +402,25 @@ class TxStatsAccumulator(Accumulator):
             if state[2] is None or theirs[2] > state[2]:
                 state[2] = theirs[2]
 
-    def _materialize_frozen(self) -> None:
-        """Fold a stashed restored id column into the live set."""
-        frozen = self._frozen_ids
-        if frozen is not None:
-            self._seen.update(unpack_strings(frozen))
-            self._frozen_ids = None
-            self._frozen_count = 0
-
     def export_state(self) -> Dict[str, Any]:
-        # The transaction-id set is the single largest collection any
-        # checkpoint carries; packing it as one joined blob is what makes
-        # snapshotting O(bytes) instead of O(ids).  The export is
-        # log-structured: a restored base column re-exports as-is (zero
-        # joins, zero hashing) with the ids seen *since* the restore as a
-        # small ``extra`` layer — so a steady-state update persists
-        # O(delta), not O(history).  Once the live layer grows to a
-        # meaningful fraction of the base, the layers compact into one
-        # flat column (amortised O(1) per id; the layers may overlap on
-        # transactions that straddled the watermark, and compaction —
-        # like every count — goes through the set, which dedups exactly).
-        if self._hll is not None:
-            # Sketch-mode payloads are tiny (the register file or the
-            # deduplicated sparse hash column) and need no layering.
-            return {
-                "rows": self._state[0],
-                "first": self._state[1],
-                "last": self._state[2],
-                "hll": self._hll.export_state(),
-            }
-        frozen = self._frozen_ids
-        if frozen is not None and self._seen and (
-            2 * len(self._seen) >= self._frozen_count
-        ):
-            self._materialize_frozen()
-            frozen = None
-        if frozen is not None:
-            seen = frozen
-            extra = pack_strings(self._seen) if self._seen else None
-        else:
-            seen = pack_strings(self._seen)
-            extra = None
         return {
             "rows": self._state[0],
             "first": self._state[1],
             "last": self._state[2],
-            "seen": seen,
-            "extra": extra,
+            **self.ids.export_state(),
         }
 
     def restore_state(self, payload: Dict[str, Any]) -> None:
-        # Mode mismatches are normally caught upstream by the
-        # ``config_signature`` gate; the payload-shape check here is
-        # defense-in-depth so a cross-mode restore can never half-apply.
-        if self._hll is not None:
-            if "hll" not in payload:
-                raise AnalysisError(
-                    "tx_stats payload has exact-mode state; sketch-mode "
-                    "restore requires a rescan"
-                )
-            self._hll.restore_state(payload["hll"])
-            self._merge_window([payload["rows"], payload["first"], payload["last"]])
-            return
-        if "hll" in payload:
-            raise AnalysisError(
-                "tx_stats payload has sketch-mode state; exact-mode "
-                "restore requires a rescan"
-            )
-        seen = payload["seen"]
-        extra = payload.get("extra")
-        if self._frozen_ids is None and not self._seen:
-            # Defer the base-column set build: the delta scan may never
-            # touch this chain.  The stashed count is only trusted while
-            # the live set stays empty — a non-empty ``extra`` layer (or
-            # any scanned delta) forces exact set arithmetic at finalize.
-            self._frozen_ids = seen
-            self._frozen_count = seen["n"]
-            if extra is not None:
-                self._seen.update(unpack_strings(extra))
-        else:
-            self._materialize_frozen()
-            self._seen.update(unpack_strings(seen))
-            if extra is not None:
-                self._seen.update(unpack_strings(extra))
+        self.ids.restore_state(payload)
         self._merge_window([payload["rows"], payload["first"], payload["last"]])
 
     def config_signature(self) -> tuple:
-        base = super().config_signature()
-        if self.stats_mode == statsmode.SKETCH:
-            hll = getattr(self, "_hll", None) or HyperLogLog()
-            return base + (("sketch", "hll", hll.p, hll.sparse_limit),)
-        # Exact mode keeps the historical signature, so pre-sketch
-        # checkpoints stay restorable.
-        return base
+        return super().config_signature() + self.ids.signature()
 
     def finalize(self) -> TxStats:
-        if self._hll is not None:
-            return TxStats(
-                action_count=self._state[0],
-                transaction_count=self._hll.count(),
-                first_timestamp=self._state[1],
-                last_timestamp=self._state[2],
-            )
-        if self._seen:
-            self._materialize_frozen()
         return TxStats(
             action_count=self._state[0],
-            transaction_count=len(self._seen) + self._frozen_count,
+            transaction_count=self.ids.count(),
             first_timestamp=self._state[1],
             last_timestamp=self._state[2],
         )

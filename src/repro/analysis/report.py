@@ -369,10 +369,10 @@ def figure_accumulators(
     worker processes (everything it closes over is picklable), so serial and
     sharded runs are guaranteed to configure identical accumulators.
     ``stats`` pins the statistics mode (exact vs sketch) for every
-    mode-aware accumulator; ``None`` resolves the constructing process's
-    active mode — callers shipping this factory across a process boundary
-    pass :func:`repro.common.statsmode.active_mode` explicitly so an
-    in-process override survives the hop.
+    container-backed accumulator; ``None`` resolves the constructing
+    process's active mode — callers shipping this factory across a process
+    boundary pass their own resolved mode explicitly so an in-process
+    override survives the hop.
     """
     start = bounds[0] if bounds else 0.0
     end = bounds[1] if bounds else None

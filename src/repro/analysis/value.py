@@ -15,21 +15,17 @@ implemented here:
 
 from __future__ import annotations
 
-import math
-from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.common import statsmode
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
-from repro.common.sketches import DEFAULT_QUANTILE_ALPHA, QuantileSketch
+from repro.analysis.containers import quantiles
 from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, config_digest
 from repro.analysis.vectorized import block_columns, count_codes, matched_rows
-from repro.common.errors import AnalysisError
 from repro.common.statecodec import pack_code_table, restore_code_table
 from repro.xrp.amounts import XRP_CURRENCY
 from repro.xrp.orderbook import OrderBook
@@ -354,13 +350,10 @@ class ValueDistribution:
 class ValueDistributionAccumulator(Accumulator):
     """Single-pass distribution of XRP-denominated payment values (§4.3).
 
-    In exact mode every value lands in a flat ``array('d')`` and the
-    distribution is computed from the sorted column at finalize — O(values)
-    state.  In sketch mode the column is replaced by a
-    :class:`~repro.common.sketches.QuantileSketch` whose quantiles carry a
-    1 % relative error — O(1) state.  Both finalizers are functions of the
-    value *multiset* (sorted fold, exact float summation), so shard order
-    never changes the figure.
+    The values land in a :func:`~repro.analysis.containers.quantiles`
+    container — every value, sorted at finalize, or a 1 % relative-error
+    sketch, by stats mode.  Both summarise the value *multiset*, so shard
+    order never changes the figure.
     """
 
     name = "value_distribution"
@@ -370,26 +363,14 @@ class ValueDistributionAccumulator(Accumulator):
 
     def __init__(self, oracle: ExchangeRateOracle, stats: Optional[str] = None):
         self.oracle = oracle
-        self.stats_mode = statsmode.resolve(stats)
+        self.values = quantiles(stats)
 
     def _reset(self, frame: TxFrame) -> None:
-        self._frame = frame
-        if self.stats_mode == statsmode.SKETCH:
-            self._values: Optional[array] = None
-            self._sketch: Optional[QuantileSketch] = QuantileSketch()
-        else:
-            self._values = array("d")
-            self._sketch = None
-
-    def _add_value(self, value: float) -> None:
-        if self._sketch is not None:
-            self._sketch.add(value)
-        else:
-            self._values.append(value)
+        self.values = self.values.fresh(frame)
 
     def bind(self, frame: TxFrame) -> Step:
         self._reset(frame)
-        add_value = self._add_value
+        add_value = self.values.row_adder()
         chain_codes = frame.chain_code
         type_codes = frame.type_code
         success = frame.success
@@ -422,11 +403,9 @@ class ValueDistributionAccumulator(Accumulator):
 
         The oracle is consulted once per distinct (currency, issuer) pair;
         row values come from a vectorized gather of the block's pair rates.
-        The per-value Python work that remains in sketch mode is the
-        ``math.log`` binning — kept scalar deliberately so both kernels
-        bin bit-identically.
         """
         self._reset(frame)
+        add_values = self.values.block_adder()
         chain_codes = frame.ndarray("chain_code")
         type_codes = frame.ndarray("type_code")
         success = frame.ndarray("success")
@@ -438,8 +417,6 @@ class ValueDistributionAccumulator(Accumulator):
         payment = -1 if payment_code is None else payment_code
         rate = _cached_by_asset(frame, self.oracle.rate)
         account_count = max(len(frame.accounts), 1)
-        sketch = self._sketch
-        values_column = self._values
 
         def consume(rows: RowIndices) -> None:
             if not len(rows):
@@ -465,91 +442,28 @@ class ValueDistributionAccumulator(Accumulator):
             )
             row_rates = pair_rates[np.searchsorted(uniques, pairs)]
             valued = row_rates > 0.0
-            if not valued.any():
-                return
-            block_values = block_amounts[mask][valued] * row_rates[valued]
-            if sketch is not None:
-                sketch.extend(block_values.tolist())
-            else:
-                values_column.frombytes(
-                    np.ascontiguousarray(block_values, dtype=np.float64).tobytes()
-                )
+            if valued.any():
+                add_values(block_amounts[mask][valued] * row_rates[valued])
 
         return consume
 
     def merge(self, other: "ValueDistributionAccumulator") -> None:
-        if self.stats_mode != other.stats_mode:
-            raise AnalysisError(
-                f"cannot merge {other.stats_mode!r}-mode value_distribution "
-                f"state into an {self.stats_mode!r}-mode accumulator"
-            )
-        if self._sketch is not None:
-            self._sketch.merge(other._sketch)
-        else:
-            self._values.extend(other._values)
+        self.values.merge(other.values)
 
     def export_state(self) -> Dict:
-        if self._sketch is not None:
-            return {"qs": self._sketch.export_state()}
-        return {"values": self._values}
+        return self.values.export_state()
 
     def restore_state(self, payload: Dict) -> None:
-        if self._sketch is not None:
-            if "qs" not in payload:
-                raise AnalysisError(
-                    "value_distribution payload has exact-mode state; "
-                    "sketch-mode restore requires a rescan"
-                )
-            self._sketch.restore_state(payload["qs"])
-            return
-        if "qs" in payload:
-            raise AnalysisError(
-                "value_distribution payload has sketch-mode state; "
-                "exact-mode restore requires a rescan"
-            )
-        values = payload["values"]
-        if not isinstance(values, array) or values.typecode != "d":
-            raise AnalysisError("value_distribution payload is malformed")
-        self._values.extend(values)
+        self.values.restore_state(payload)
 
     def config_signature(self) -> tuple:
         base = (type(self).__qualname__, self.name, self.oracle.signature())
-        if self.stats_mode == statsmode.SKETCH:
-            sketch = getattr(self, "_sketch", None) or QuantileSketch()
-            return base + (("sketch", "qs", sketch.alpha),)
-        return base
+        return base + self.values.signature()
 
     def finalize(self) -> ValueDistribution:
-        q50, q90, q99 = self.QUANTILES
-        if self._sketch is not None:
-            sketch = self._sketch
-            return ValueDistribution(
-                count=sketch.total,
-                total_xrp=sketch.sum(),
-                minimum=sketch.min_value(),
-                maximum=sketch.max_value(),
-                p50=sketch.quantile(q50),
-                p90=sketch.quantile(q90),
-                p99=sketch.quantile(q99),
-                approximate=True,
-            )
-        values = sorted(self._values)
-        count = len(values)
-        if not count:
-            return ValueDistribution(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False)
-
-        def quantile(q: float) -> float:
-            return values[min(count - 1, int(q * (count - 1)))]
-
+        count, total, minimum, maximum, ranked = self.values.summary(self.QUANTILES)
         return ValueDistribution(
-            count=count,
-            total_xrp=math.fsum(values),
-            minimum=values[0],
-            maximum=values[-1],
-            p50=quantile(q50),
-            p90=quantile(q90),
-            p99=quantile(q99),
-            approximate=False,
+            count, total, minimum, maximum, *ranked, self.values.approximate
         )
 
 

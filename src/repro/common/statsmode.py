@@ -22,8 +22,8 @@ streaming sketches (:mod:`repro.common.sketches`):
 
 Selection order:
 
-1. an in-process override installed with :func:`set_mode` /
-   :func:`use_mode` (what the differential tests use);
+1. an in-process override installed with :func:`use_mode` (what the CLI's
+   ``--stats`` and the differential tests use);
 2. the ``REPRO_STATS`` environment variable (``exact`` or ``sketch``);
 3. ``exact``.
 
@@ -89,29 +89,13 @@ def resolve(mode: Optional[str]) -> str:
     return _validated(mode, "stats argument")
 
 
-def use_sketches() -> bool:
-    """Whether newly constructed accumulators will use sketch state."""
-    return active_mode() == SKETCH
-
-
-def set_mode(name: Optional[str]) -> Optional[str]:
-    """Install (or with ``None`` clear) the in-process mode override.
-
-    Returns the previous override so callers can restore it; prefer the
-    :func:`use_mode` context manager.
-    """
-    global _override
-    previous = _override
-    _override = None if name is None else _validated(name, "set_mode()")
-    return previous
-
-
 @contextmanager
 def use_mode(name: str) -> Iterator[str]:
     """Context manager pinning the stats mode for a ``with`` block."""
-    previous = set_mode(name)
+    global _override
+    previous = _override
+    _override = _validated(name, "use_mode()")
     try:
-        yield active_mode()
+        yield _override
     finally:
-        global _override
         _override = previous

@@ -48,10 +48,6 @@ class TestTopReceivers:
         assert count == 8
         assert share == 1.0
 
-    def test_custom_key(self):
-        receivers = top_receivers(SIMPLE, limit=1, key=lambda record: record.receiver.upper())
-        assert receivers[0].account == "TOKEN"
-
     def test_empty(self):
         assert top_receivers([]) == []
 

@@ -189,13 +189,27 @@ def test_every_accumulator_parity_on_random_slices(
     parity_frame, parity_oracle, parity_clusterer, params
 ):
     view = _select_view(parity_frame, params)
+    exact_signatures = set()
     for stats in (statsmode.EXACT, statsmode.SKETCH):
         shipped = _all_accumulators(parity_frame, parity_oracle, parity_clusterer, stats)
         reference = _all_accumulators(parity_frame, parity_oracle, parity_clusterer, stats)
-        if stats == statsmode.SKETCH:
-            # Only the mode-aware accumulators differ from the exact pass.
-            shipped = [acc for acc in shipped if hasattr(acc, "stats_mode")]
-            reference = [acc for acc in reference if hasattr(acc, "stats_mode")]
+        if stats == statsmode.EXACT:
+            exact_signatures = {acc.config_signature() for acc in shipped}
+        else:
+            # Only the mode-aware accumulators (the ones whose container puts
+            # the sketch in their signature) differ from the exact pass.
+            shipped, reference = (
+                [acc for acc in accs if acc.config_signature() not in exact_signatures]
+                for accs in (shipped, reference)
+            )
+            assert {acc.name for acc in shipped} == {
+                "tx_stats",
+                "top_senders",
+                "top_receivers",
+                "top_sender_receiver_pairs",
+                "sender_counts",
+                "value_distribution",
+            }
         consumers = [acc.bind_batch(parity_frame) for acc in shipped]
         consumers += [Accumulator.bind_batch(acc, parity_frame) for acc in reference]
         _scan(view, consumers, params["block_rows"])

@@ -7,7 +7,7 @@ Two regimes, matching the documented contract:
   distribution, whose quantile sketch has no exact phase and instead
   carries its alpha relative-error bound;
 * forced past capacity (a tiny HLL sparse limit injected into the
-  engine), the approximate figures must stay inside the documented
+  container module), the approximate figures must stay inside the documented
   envelopes while everything the sketches don't touch remains identical.
 """
 
@@ -17,14 +17,14 @@ from functools import partial
 
 import pytest
 
-from repro.analysis import engine as engine_module
+from repro.analysis import containers as containers_module
 from repro.analysis.accounts import AccountActivityAccumulator
 from repro.analysis.clustering import AccountClusterer
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
 from repro.common import statsmode
 from repro.common.columns import TxFrame
-from repro.common.sketches import HyperLogLog
+from repro.common.sketches import HyperLogLog, SpaceSaving
 
 from tests.sketches.test_error_bounds import HLL_ENVELOPE, QUANTILE_ENVELOPE
 
@@ -98,7 +98,7 @@ def test_dense_hll_counts_within_envelope(
 ):
     """Past the sparse limit the distinct counts are estimates — bounded ones."""
     monkeypatch.setattr(
-        engine_module, "HyperLogLog", partial(HyperLogLog, sparse_limit=512)
+        containers_module, "HyperLogLog", partial(HyperLogLog, sparse_limit=512)
     )
     exact = _report(
         tolerance_frame, tolerance_oracle, tolerance_clusterer, statsmode.EXACT
@@ -120,7 +120,7 @@ def test_dense_hll_counts_within_envelope(
         assert sketch_figures.top_senders == exact_figures.top_senders, chain
 
 
-def test_evicting_top_k_stays_inside_certificates(tolerance_frame):
+def test_evicting_top_k_stays_inside_certificates(tolerance_frame, monkeypatch):
     """A capacity far below the distinct-pair count still ranks the head.
 
     The accumulators' production capacity keeps paper workloads exact; this
@@ -132,11 +132,12 @@ def test_evicting_top_k_stays_inside_certificates(tolerance_frame):
     """
     with statsmode.use_mode(statsmode.EXACT):
         exact = AccountActivityAccumulator("sender", 10).run(tolerance_frame)
+    # Force eviction at test scale.
+    monkeypatch.setattr(containers_module, "SpaceSaving", partial(SpaceSaving, 64))
     with statsmode.use_mode(statsmode.SKETCH):
         accumulator = AccountActivityAccumulator("sender", 10)
-        accumulator.capacity = 64  # force eviction at test scale
         approximate = accumulator.run(tolerance_frame)
-        floor = accumulator._sketch.floor
+        floor = accumulator.tally.sketch.floor
     assert floor > 0  # the capacity squeeze actually evicted something
     exact_figures = {activity.account: activity for activity in exact}
     # The heaviest senders dominate the stream; estimates may reorder

@@ -29,7 +29,7 @@ from repro.pipeline.core import FRAMES_DIR, Pipeline
 
 from tests.collection.test_generate import _directory_bytes, _windowed_scenario
 from tests.fixtures import V1_STORE_CHUNKS, copy_v1_store
-from tests.pipeline.util import assert_reports_identical
+from tests.support.reports import assert_reports_identical
 
 
 @pytest.fixture

@@ -123,19 +123,23 @@ def test_engine_report_matches_legacy_figures(
 ):
     """The one-pass report reproduces the seed's per-figure results."""
     eos = full_report(eos_frame).chains[ChainId.EOS]
-    assert eos.type_rows == legacy.type_distribution(eos_records)
-    assert eos.categories == legacy.category_distribution(eos_records)
-    assert eos.top_senders == legacy.top_senders(eos_records, 10)
-    assert eos.top_receivers == legacy.top_receivers(eos_records, 10)
-    assert eos.wash_trading == legacy.analyze_wash_trading(eos_records)
-    assert eos.throughput == legacy.bin_throughput(eos_records, classify_eos_category)
+    assert eos["type_distribution"] == legacy.type_distribution(eos_records)
+    assert eos["category_distribution"] == legacy.category_distribution(eos_records)
+    assert eos["top_senders"] == legacy.top_senders(eos_records, 10)
+    assert eos["top_receivers"] == legacy.top_receivers(eos_records, 10)
+    assert eos["wash_trading"] == legacy.analyze_wash_trading(eos_records)
+    assert eos["throughput_series"] == legacy.bin_throughput(
+        eos_records, classify_eos_category
+    )
     duration, transactions = _seed_stats_scans(eos_records)
-    assert eos.stats.duration_seconds == duration
-    assert eos.stats.transaction_count == transactions
+    assert eos["tx_stats"].duration_seconds == duration
+    assert eos["tx_stats"].transaction_count == transactions
 
     xrp = full_report(xrp_frame, oracle=xrp_oracle).chains[ChainId.XRP]
-    assert xrp.decomposition == legacy.decompose(xrp_records, xrp_oracle)
-    assert xrp.throughput == legacy.bin_throughput(xrp_records, _xrp_categorizer)
+    assert xrp["xrp_decomposition"] == legacy.decompose(xrp_records, xrp_oracle)
+    assert xrp["throughput_series"] == legacy.bin_throughput(
+        xrp_records, _xrp_categorizer
+    )
 
 
 def test_engine_combined_report_benchmark(

@@ -22,6 +22,7 @@ import pytest
 from repro.analysis.report import full_report
 from repro.common.columns import TxFrame
 from repro.pipeline import incremental_report
+from tests.support.reports import assert_reports_identical
 
 #: Number of timed rounds; the minimum is reported (steady-state cost).
 ROUNDS = 3
@@ -62,25 +63,6 @@ def _time(fn) -> float:
     return best
 
 
-def _assert_figures_identical(actual, expected, exact_flows: bool = True) -> None:
-    assert set(actual.chains) == set(expected.chains)
-    for chain, exp in expected.chains.items():
-        act = actual.chains[chain]
-        assert act.type_rows == exp.type_rows
-        assert act.stats == exp.stats
-        assert act.throughput == exp.throughput
-        assert act.top_senders == exp.top_senders
-        assert act.categories == exp.categories
-        assert act.top_receivers == exp.top_receivers
-        assert act.wash_trading == exp.wash_trading
-        assert act.decomposition == exp.decomposition
-        if exact_flows:
-            # Bit-for-bit Figure 12: the serial restore path replays the
-            # serial float accumulation order exactly.
-            assert act.value_flows == exp.value_flows
-    assert actual.summary().to_rows() == expected.summary().to_rows()
-
-
 def test_incremental_update_identical_to_full_rescan(staged_workload):
     frame, checkpoint, _, oracle, clusterer = staged_workload
     report, _, stats = incremental_report(
@@ -89,7 +71,7 @@ def test_incremental_update_identical_to_full_rescan(staged_workload):
     assert stats.rows_scanned < stats.rows_total
     assert not stats.chains_rescanned
     expected = full_report(frame, oracle=oracle, clusterer=clusterer)
-    _assert_figures_identical(report, expected)
+    assert_reports_identical(report, expected)
 
 
 def _measure(frame, checkpoint, oracle, clusterer):

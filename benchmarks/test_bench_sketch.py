@@ -75,17 +75,17 @@ def bench_sketch_mode(dataset: Dataset) -> Dict[str, object]:
     quantile_errors: List[float] = []
     for chain, exact_figures in exact_report.chains.items():
         sketch_figures = sketch_report.chains[chain]
-        count = exact_figures.stats.transaction_count
+        count = exact_figures["tx_stats"].transaction_count
         if count:
             count_errors.append(
-                abs(sketch_figures.stats.transaction_count - count) / count
+                abs(sketch_figures["tx_stats"].transaction_count - count) / count
             )
-        exact_top = [activity.account for activity in exact_figures.top_senders]
-        sketch_top = {activity.account for activity in sketch_figures.top_senders}
+        exact_top = [activity.account for activity in exact_figures["top_senders"]]
+        sketch_top = {activity.account for activity in sketch_figures["top_senders"]}
         if exact_top:
             overlaps.append(len(sketch_top.intersection(exact_top)) / len(exact_top))
-        exact_dist = exact_figures.value_distribution
-        sketch_dist = sketch_figures.value_distribution
+        exact_dist = exact_figures.get("value_distribution")
+        sketch_dist = sketch_figures.get("value_distribution")
         if exact_dist is not None and sketch_dist is not None and exact_dist.count:
             for attribute in ("p50", "p90", "p99"):
                 reference = getattr(exact_dist, attribute)

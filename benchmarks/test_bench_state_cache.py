@@ -34,7 +34,7 @@ from repro.collection.store import FrameStore
 from repro.common import faults
 from repro.common.columns import TxFrame
 
-from tests.pipeline.util import assert_reports_identical
+from tests.support.reports import assert_reports_identical
 
 ROUNDS = 3
 

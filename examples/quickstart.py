@@ -17,12 +17,14 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro.analysis.report import build_summary_report
+from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
 from repro.collection.crawler import BlockCrawler
 from repro.collection.dataset import characterize_dataset
 from repro.collection.endpoints import EndpointPool
 from repro.collection.store import BlockStore
+from repro.common.columns import TxFrame
+from repro.common.records import ChainId
 from repro.eos.rpc import EosRpcEndpoint
 from repro.eos.workload import EosWorkloadGenerator
 from repro.scenarios import small_scenario
@@ -73,16 +75,21 @@ def main() -> None:
 
     print("\nRunning the single-pass analysis engine (one scan per chain)...")
     oracle = ExchangeRateOracle.from_orderbook(xrp.ledger.orderbook)
-    # Each store decompresses straight into a columnar frame; the summary is
+    # Each store decompresses straight into a columnar frame; the report is
     # then a single engine pass per chain — no per-figure re-iteration.
-    report = build_summary_report(
-        eos_records=eos_store.to_frame(),
-        tezos_records=tezos_store.to_frame(),
-        xrp_records=xrp_store.to_frame(),
-        xrp_oracle=oracle,
+    frame = TxFrame.concat(
+        [store.to_frame() for store in (eos_store, tezos_store, xrp_store)]
     )
+    report = full_report(frame, oracle=oracle)
     print()
-    print(report.format_text())
+    print(report.summary().format_text())
+    # Every figure behind the summary is there by name.
+    decomposition = report.chains[ChainId.XRP]["xrp_decomposition"]
+    print(
+        f"\nXRP, Figure 7: {decomposition.failed_share:.1%} of transactions failed, "
+        f"{decomposition.payments_with_value:,} of {decomposition.payments:,} "
+        f"successful payments carried value."
+    )
     print(
         "\nPaper headlines for comparison: 95% of EOS actions are EIDOS-driven token\n"
         "transfers, 82% of Tezos operations are consensus endorsements, and only ~2%\n"

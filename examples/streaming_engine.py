@@ -61,24 +61,18 @@ def main() -> None:
     elapsed = time.perf_counter() - started
     print(f"\nSingle-pass engine: every figure for every chain in {elapsed:.2f}s")
 
-    for chain, figures in report.chains.items():
-        print(f"\n[{chain.value.upper()}]  {figures.stats.action_count:,} rows, "
-              f"{figures.tps:.3f} TPS, {figures.throughput.bin_count} throughput bins")
-        for row in figures.type_rows[:4]:
-            print(f"    {row.group:18s} {row.type_name:22s} {row.share:6.1%}")
-        if figures.wash_trading is not None and figures.wash_trading.trade_count:
-            wash = figures.wash_trading
-            print(
-                f"    wash trading: top-5 involved in {wash.top_accounts_trade_share:.0%} "
-                f"of {wash.trade_count} trades, {wash.self_trade_share_overall:.0%} self-trades"
-            )
-        if figures.decomposition is not None:
-            print(
-                f"    economic value share: {figures.decomposition.economic_value_share:.2%}"
-                f" (paper: ~2.3%)"
-            )
+    # One block per chain (each figure's own text form), then the summary.
+    print(report.format_text())
 
-    print("\n" + report.summary().format_text())
+    # Any figure is also there by name, as the object its accumulator returns.
+    print("\nFigures by name (top_senders, throughput_series):")
+    for chain, figures in report.chains.items():
+        busiest = figures["top_senders"][0]
+        print(
+            f"  {chain.value}: busiest sender {busiest.account} "
+            f"({busiest.share_of_chain:.1%} of rows), "
+            f"{figures['throughput_series'].bin_count} throughput bins"
+        )
 
     store = FrameStore(chunk_rows=50_000)
     store.add_frame(frame)

@@ -19,10 +19,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.common.columns import FrameLike, TxFrame, as_frame
-from repro.common.records import TransactionRecord
+from repro.common.columns import CHAIN_ORDER, FrameLike, TxFrame, as_frame
+from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.containers import top_k
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
+from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step
 from repro.analysis.vectorized import block_columns
 
 
@@ -160,6 +160,23 @@ class AccountActivityAccumulator(_TallyState, Accumulator):
                 )
             )
         return result
+
+
+TOP_SENDERS_FIGURE = FigureSpec(
+    name="top_senders",
+    chains=CHAIN_ORDER,
+    factory=lambda chain, config: AccountActivityAccumulator(
+        "sender", config.top_limit, stats=config.stats
+    ),
+)
+
+TOP_RECEIVERS_FIGURE = FigureSpec(
+    name="top_receivers",
+    chains=(ChainId.EOS,),
+    factory=lambda chain, config: AccountActivityAccumulator(
+        "receiver", config.top_limit, stats=config.stats
+    ),
+)
 
 
 def top_receivers(

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, config_digest
+from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step, config_digest
 from repro.analysis.vectorized import block_columns, count_codes, matched_rows
 from repro.common.statecodec import (
     pack_code_table,
@@ -199,6 +199,33 @@ class TypeDistributionAccumulator(Accumulator):
         return rows
 
 
+def _type_rows_json(rows: List[TypeDistributionRow]) -> List[Dict[str, object]]:
+    return [
+        {
+            "group": row.group,
+            "type": row.type_name,
+            "count": row.count,
+            "share": round(row.share, 6),
+        }
+        for row in rows
+    ]
+
+
+def _type_rows_text(rows: List[TypeDistributionRow]) -> List[str]:
+    return [
+        f"{row.group:18s} {row.type_name:22s} {row.share:6.1%}" for row in rows[:4]
+    ]
+
+
+TYPE_DISTRIBUTION_FIGURE = FigureSpec(
+    name=TypeDistributionAccumulator.name,
+    chains=CHAIN_ORDER,
+    factory=lambda chain, config: TypeDistributionAccumulator(),
+    to_json=_type_rows_json,
+    render=_type_rows_text,
+)
+
+
 def type_distribution(
     records: Union[FrameLike, Iterable[TransactionRecord]]
 ) -> List[TypeDistributionRow]:
@@ -326,6 +353,13 @@ class CategoryDistributionAccumulator(Accumulator):
         if total == 0:
             return {}
         return {category: count / total for category, count in sorted(merged.items())}
+
+
+CATEGORY_DISTRIBUTION_FIGURE = FigureSpec(
+    name=CategoryDistributionAccumulator.name,
+    chains=(ChainId.EOS,),
+    factory=lambda chain, config: CategoryDistributionAccumulator(),
+)
 
 
 def category_distribution(
@@ -493,6 +527,13 @@ class TezosCategoryAccumulator(Accumulator):
         if total == 0:
             return {}
         return {category: count / total for category, count in sorted(counts.items())}
+
+
+TEZOS_CATEGORY_FIGURE = FigureSpec(
+    name=TezosCategoryAccumulator.name,
+    chains=(ChainId.TEZOS,),
+    factory=lambda chain, config: TezosCategoryAccumulator(),
+)
 
 
 def tezos_category_distribution(

@@ -106,9 +106,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.columns import (
+    CHAIN_ORDER,
     FrameLike,
     RowIndices,
     TxFrame,
@@ -117,6 +118,7 @@ from repro.common.columns import (
     view_of,
 )
 from repro.common.errors import AnalysisError
+from repro.common.records import ChainId
 from repro.analysis.containers import distinct
 
 Step = Callable[[int], None]
@@ -238,6 +240,32 @@ class Accumulator:
         return AnalysisEngine([self]).run(source)[self.name]
 
 
+@dataclass(frozen=True)
+class FigureSpec:
+    """One figure of the report, declared once beside its accumulator.
+
+    ``repro.analysis.report.FIGURES`` lists the specs in order; building the
+    accumulators, assembling :class:`~repro.analysis.report.ChainFigures` and
+    rendering JSON and text all walk that table, so nothing else names a
+    figure.  ``name`` is the accumulator's ``name`` (the result key);
+    ``factory(chain, config)`` takes the report's
+    :class:`~repro.analysis.report.FigureConfig` and returns a fresh
+    accumulator, or ``None`` when ``config`` lacks an input the figure needs
+    (an oracle, a clusterer).
+    ``to_json(value)`` is the figure's ``--json`` form under ``json_key``
+    (default: ``name``) and ``render(value)`` its text-report lines; both are
+    optional, and ``None`` / no lines means "nothing to show" (a case study
+    that found nothing).
+    """
+
+    name: str
+    chains: Tuple[ChainId, ...]
+    factory: Callable[[ChainId, Any], Optional[Accumulator]]
+    json_key: Optional[str] = None
+    to_json: Optional[Callable[[Any], Any]] = None
+    render: Optional[Callable[[Any], Sequence[str]]] = None
+
+
 class EngineResult:
     """Mapping of accumulator name → finalised result for one pass."""
 
@@ -246,6 +274,14 @@ class EngineResult:
     def __init__(self, results: Dict[str, Any], rows_processed: int):
         self.results = results
         self.rows_processed = rows_processed
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EngineResult):
+            return NotImplemented
+        return (self.results, self.rows_processed) == (
+            other.results,
+            other.rows_processed,
+        )
 
     def __getitem__(self, name: str) -> Any:
         return self.results[name]
@@ -424,6 +460,13 @@ class TxStatsAccumulator(Accumulator):
             first_timestamp=self._state[1],
             last_timestamp=self._state[2],
         )
+
+
+TX_STATS_FIGURE = FigureSpec(
+    name=TxStatsAccumulator.name,
+    chains=CHAIN_ORDER,
+    factory=lambda chain, config: TxStatsAccumulator(stats=config.stats),
+)
 
 
 def run_single_pass(

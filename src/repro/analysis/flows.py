@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from repro.common.columns import CHAIN_CODES, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.clustering import AccountClusterer
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
+from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step
 from repro.analysis.vectorized import block_columns, matched_rows
 from repro.common.statecodec import pack_strings, unpack_strings
 from repro.analysis.value import ExchangeRateOracle
@@ -305,6 +305,17 @@ class ValueFlowAccumulator(Accumulator):
             by_currency=dict(self._by_currency),
             currency_face_value=dict(self._face_value),
         )
+
+
+VALUE_FLOWS_FIGURE = FigureSpec(
+    name=ValueFlowAccumulator.name,
+    chains=(ChainId.XRP,),
+    factory=lambda chain, config: (
+        ValueFlowAccumulator(config.clusterer, config.oracle)
+        if config.oracle is not None and config.clusterer is not None
+        else None
+    ),
+)
 
 
 def aggregate_value_flows(

@@ -39,24 +39,14 @@ the incremental pipeline's cold catch-up reuses the same tasks via
 from __future__ import annotations
 
 import os
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.columns import StringPool, TxFrame
 from repro.common import faults, statsmode
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
-from repro.analysis.engine import (
-    BLOCK_ROWS,
-    Accumulator,
-    AnalysisEngine,
-    EngineResult,
-)
-from repro.analysis.report import (
-    FullReport,
-    figure_accumulators,
-    figures_from_result,
-)
+from repro.analysis.engine import BLOCK_ROWS, Accumulator, AnalysisEngine
+from repro.analysis.report import ChainFigures, FullReport, figure_factory
 from repro.analysis.statecache import (
     CacheContext,
     ChainStates,
@@ -309,8 +299,7 @@ def _scan_chunk_range(task: ChunkScanTask):
     """
     from repro.collection.store import FrameStore
 
-    tag, directory, start, stop, factories, block_rows = task[:6]
-    context: Optional[CacheContext] = task[6] if len(task) > 6 else None
+    tag, directory, start, stop, factories, block_rows, context = task
     action = faults.check("worker.chunk_task")
     if action is not None and action.mode == faults.MODE_KILL:
         os._exit(17)  # hard worker death: no exception, no cleanup
@@ -370,29 +359,24 @@ def _scan_chunk_range(task: ChunkScanTask):
 
 def chunk_scan_tasks(
     directory: str,
-    chunk_count: int,
+    row_counts: Sequence[int],
     factories: Dict[str, AccumulatorFactory],
     parts: int,
     block_rows: int = BLOCK_ROWS,
-    row_counts: Optional[Sequence[int]] = None,
     cache: Optional[CacheContext] = None,
 ) -> List[ChunkScanTask]:
     """Partition a store's committed chunks into ``parts`` contiguous tasks.
 
     Task tags are the partition indices, so feeding the list to
-    :func:`run_chunk_tasks` folds results in chunk order.  With
-    ``row_counts`` (one entry per committed chunk, from the manifest) the
-    cut points balance cumulative *rows* instead of chunk counts — see
+    :func:`run_chunk_tasks` folds results in chunk order.  ``row_counts``
+    (one entry per committed chunk, from the manifest) places the cut
+    points so that cumulative *rows*, not chunk counts, balance — see
     :func:`row_balanced_ranges`.  ``cache`` attaches a chunk-state cache
     context every worker consults before scanning.
     """
-    if row_counts is not None and len(row_counts) == chunk_count:
-        ranges = row_balanced_ranges(row_counts, parts)
-    else:
-        ranges = chunk_ranges(chunk_count, parts)
     return [
         (index, directory, start, stop, factories, block_rows, cache)
-        for index, (start, stop) in enumerate(ranges)
+        for index, (start, stop) in enumerate(row_balanced_ranges(row_counts, parts))
         if stop > start
     ]
 
@@ -490,19 +474,11 @@ def chunk_scan_states(
     store.ensure_chunk_stats()
     totals = store.chain_row_counts()
     chains = [chain for chain in ChainId if chain.value in totals]
-    chunk_count = store.committed_chunk_count
-    if not chunk_count or not chains:
+    if not store.committed_chunk_count or not chains:
         return totals, {}
     factories: Dict[str, AccumulatorFactory] = {
-        chain.value: partial(
-            figure_accumulators,
-            chain,
-            store.time_bounds(chain),
-            oracle,
-            clusterer,
-            bin_seconds,
-            top_limit,
-            stats=statsmode.active_mode(),
+        chain.value: figure_factory(
+            chain, store.time_bounds(chain), oracle, clusterer, bin_seconds, top_limit
         )
         for chain in chains
     }
@@ -516,11 +492,10 @@ def chunk_scan_states(
     task_count = tasks if tasks is not None else max(workers, 1)
     chunk_tasks = chunk_scan_tasks(
         directory,
-        chunk_count,
+        store.chunk_row_counts(),
         factories,
         task_count,
         block_rows,
-        row_counts=store.chunk_row_counts(),
         cache=context,
     )
     skeleton = _store_skeleton(store)
@@ -567,15 +542,8 @@ def parallel_report_from_store(
     )
     report = FullReport()
     for chain in ChainId:
-        accumulators = bases.get(chain.value)
-        if accumulators is None:
-            continue
-        result = EngineResult(
-            {
-                accumulator.name: accumulator.finalize()
-                for accumulator in accumulators
-            },
-            rows_processed=totals[chain.value],
-        )
-        report.chains[chain] = figures_from_result(chain, result)
+        if chain.value in bases:
+            report.chains[chain] = ChainFigures.from_accumulators(
+                chain, bases[chain.value], totals[chain.value]
+            )
     return report

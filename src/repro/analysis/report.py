@@ -1,63 +1,50 @@
-"""End-to-end summary report, computed in one pass per chain.
+"""The full report: every figure of every chain, one pass per chain.
 
-Pulls together the headline findings of the paper for a set of crawled
-record streams: per-chain TPS, the dominant category share (EIDOS transfers
-on EOS, endorsements on Tezos, zero-value traffic on XRP), and the
-value-bearing share of XRP throughput.  This is what the quickstart example
-prints and what the integration tests assert on.
-
-Two entry points:
-
-* :func:`build_summary_report` — the seed-compatible builder.  It now runs
-  the analysis engine with exactly the accumulators each summary needs, so
-  every chain costs **one** iteration instead of one per statistic.
-* :func:`full_report` / :func:`compute_chain_figures` — the engine
-  showcase: Figure 1 (type distribution), Figure 2 statistics (counts,
-  window, headline TPS), Figure 3 (binned throughput), the top-account
-  tables, the Figure 7 decomposition, the Figure 12 value flows and the
-  wash-trading case study, all from a single pass per chain.
+A figure is declared once, beside its accumulator, as a
+:class:`~repro.analysis.engine.FigureSpec`.  :data:`FIGURES` lists the specs
+in order and everything else walks that table: the accumulator set
+(:func:`figure_factory`, all the execution, caching and checkpoint layers
+see), the per-chain result (:class:`ChainFigures`, read by figure name) and
+the JSON and text renderings.  :meth:`FullReport.summary` is the paper's
+"Summary of Findings" table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.common.columns import FrameLike, TxFrame, TxView, as_frame, view_of
+from repro.common import statsmode
+from repro.common.columns import CHAIN_ORDER, FrameLike, TxFrame, TxView, as_frame
 from repro.common.records import ChainId, TransactionRecord
-from repro.analysis.accounts import AccountActivity, AccountActivityAccumulator
+from repro.analysis.accounts import TOP_RECEIVERS_FIGURE, TOP_SENDERS_FIGURE
 from repro.analysis.classify import (
-    CategoryDistributionAccumulator,
-    TezosCategoryAccumulator,
-    TypeDistributionAccumulator,
-    TypeDistributionRow,
+    CATEGORY_DISTRIBUTION_FIGURE,
+    TEZOS_CATEGORY_FIGURE,
+    TYPE_DISTRIBUTION_FIGURE,
     eos_category_lookup,
 )
 from repro.analysis.clustering import AccountClusterer
 from repro.analysis.engine import (
+    TX_STATS_FIGURE,
     Accumulator,
     AnalysisEngine,
-    TxStats,
-    TxStatsAccumulator,
+    EngineResult,
+    FigureSpec,
 )
-from repro.analysis.flows import ValueFlowAccumulator, ValueFlowReport
+from repro.analysis.flows import VALUE_FLOWS_FIGURE
 from repro.analysis.throughput import (
     DEFAULT_BIN_SECONDS,
-    ThroughputSeries,
     ThroughputSeriesAccumulator,
     transactions_per_second,
 )
 from repro.analysis.value import (
+    VALUE_DISTRIBUTION_FIGURE,
+    XRP_DECOMPOSITION_FIGURE,
     ExchangeRateOracle,
-    ThroughputDecomposition,
-    ValueDistribution,
-    ValueDistributionAccumulator,
-    XrpDecompositionAccumulator,
 )
-from repro.analysis.washtrading import WashTradeAccumulator, WashTradingReport
-
-RecordSource = Union[FrameLike, Iterable[TransactionRecord]]
-
+from repro.analysis.washtrading import WASH_TRADING_FIGURE
 
 @dataclass(frozen=True)
 class ChainSummary:
@@ -111,122 +98,10 @@ class SummaryReport:
         return "\n".join(lines)
 
 
-def _chain_view(source: RecordSource, chain: ChainId) -> TxView:
-    return as_frame(source).chain_view(chain)
-
-
-def summarize_eos(
-    records: RecordSource, eidos_launch_date: str = "2019-11-01"
-) -> ChainSummary:
-    """Headline EOS summary: transfer dominance driven by the EIDOS airdrop."""
-    view = _chain_view(records, ChainId.EOS)
-    result = AnalysisEngine(
-        [CategoryDistributionAccumulator(), TxStatsAccumulator()]
-    ).run(view)
-    categories: Dict[str, float] = result["category_distribution"]
-    stats: TxStats = result["tx_stats"]
-    dominant = max(categories.items(), key=lambda item: item[1]) if categories else ("", 0.0)
-    duration = stats.duration_seconds
-    return ChainSummary(
-        chain=ChainId.EOS,
-        transaction_count=stats.transaction_count,
-        action_count=stats.action_count,
-        duration_seconds=duration,
-        tps=transactions_per_second(stats.transaction_count, duration) if duration else 0.0,
-        dominant_label=f"category:{dominant[0]}",
-        dominant_share=dominant[1],
-    )
-
-
-def summarize_tezos(records: RecordSource) -> ChainSummary:
-    """Headline Tezos summary: endorsement (consensus) dominance."""
-    view = _chain_view(records, ChainId.TEZOS)
-    result = AnalysisEngine(
-        [TezosCategoryAccumulator(), TxStatsAccumulator()]
-    ).run(view)
-    categories: Dict[str, float] = result["tezos_category_distribution"]
-    stats: TxStats = result["tx_stats"]
-    dominant = max(categories.items(), key=lambda item: item[1]) if categories else ("", 0.0)
-    duration = stats.duration_seconds
-    tx_count = stats.action_count
-    return ChainSummary(
-        chain=ChainId.TEZOS,
-        transaction_count=tx_count,
-        action_count=tx_count,
-        duration_seconds=duration,
-        tps=transactions_per_second(tx_count, duration) if duration else 0.0,
-        dominant_label=f"category:{dominant[0]}",
-        dominant_share=dominant[1],
-    )
-
-
-def _dominant_xrp_type(rows: Sequence[TypeDistributionRow]) -> tuple:
-    dominant_type = ""
-    dominant_share = 0.0
-    for row in rows:
-        if row.chain is ChainId.XRP and row.share > dominant_share:
-            dominant_type, dominant_share = row.type_name, row.share
-    return dominant_type, dominant_share
-
-
-def summarize_xrp(
-    records: RecordSource, oracle: ExchangeRateOracle
-) -> ChainSummary:
-    """Headline XRP summary: the ~2 % economic-value share."""
-    view = _chain_view(records, ChainId.XRP)
-    result = AnalysisEngine(
-        [
-            XrpDecompositionAccumulator(oracle),
-            TypeDistributionAccumulator(),
-            TxStatsAccumulator(),
-        ]
-    ).run(view)
-    decomposition: ThroughputDecomposition = result["xrp_decomposition"]
-    stats: TxStats = result["tx_stats"]
-    dominant_type, dominant_share = _dominant_xrp_type(result["type_distribution"])
-    duration = stats.duration_seconds
-    tx_count = stats.action_count
-    return ChainSummary(
-        chain=ChainId.XRP,
-        transaction_count=tx_count,
-        action_count=tx_count,
-        duration_seconds=duration,
-        tps=transactions_per_second(tx_count, duration) if duration else 0.0,
-        dominant_label=f"type:{dominant_type}",
-        dominant_share=dominant_share,
-        value_share=decomposition.economic_value_share,
-    )
-
-
-def build_summary_report(
-    eos_records: Optional[RecordSource] = None,
-    tezos_records: Optional[RecordSource] = None,
-    xrp_records: Optional[RecordSource] = None,
-    xrp_oracle: Optional[ExchangeRateOracle] = None,
-) -> SummaryReport:
-    """Build the cross-chain summary from whichever record streams are given.
-
-    Each stream is coerced into a columnar frame (no-op when already a frame
-    or view) and summarised in a single engine pass per chain.
-    """
-    report = SummaryReport()
-    if eos_records is not None:
-        eos_frame = as_frame(eos_records)
-        if len(view_of(eos_frame)):
-            report.chains[ChainId.EOS] = summarize_eos(eos_frame)
-    if tezos_records is not None:
-        tezos_frame = as_frame(tezos_records)
-        if len(view_of(tezos_frame)):
-            report.chains[ChainId.TEZOS] = summarize_tezos(tezos_frame)
-    if xrp_records is not None:
-        xrp_frame = as_frame(xrp_records)
-        if len(view_of(xrp_frame)):
-            oracle = xrp_oracle or ExchangeRateOracle()
-            report.chains[ChainId.XRP] = summarize_xrp(xrp_frame, oracle)
-    return report
-
-
-# -- the full single-pass figure set ---------------------------------------------------
+# -- the figure table ------------------------------------------------------------------
+# The Figure 3 categorizers stay in this module under these names: their
+# module-qualified name is part of the series' ``config_signature``, so a move
+# or rename would turn every state-cache entry and checkpoint into a miss.
 def eos_figure3_key_columns(frame: TxFrame):
     """Key-column categorizer for Figure 3a: EOS application categories."""
     lookup = eos_category_lookup(frame)
@@ -263,62 +138,142 @@ FIGURE3_CATEGORIZERS = {
 }
 
 
+@dataclass(frozen=True)
+class FigureConfig:
+    """What a report hands every :attr:`FigureSpec.factory`.
+
+    ``bounds`` is the chain's (min, max) timestamp window anchoring Figure 3;
+    ``stats`` pins exact vs sketch (``None``: the process's active mode).
+    """
+
+    bounds: Optional[tuple] = None
+    oracle: Optional[ExchangeRateOracle] = None
+    clusterer: Optional[AccountClusterer] = None
+    bin_seconds: float = DEFAULT_BIN_SECONDS
+    top_limit: int = 10
+    stats: Optional[str] = None
+
+
+THROUGHPUT_SERIES_FIGURE = FigureSpec(
+    name=ThroughputSeriesAccumulator.name,
+    chains=CHAIN_ORDER,
+    factory=lambda chain, config: ThroughputSeriesAccumulator(
+        key_columns=FIGURE3_CATEGORIZERS[chain],
+        bin_seconds=config.bin_seconds,
+        start=config.bounds[0] if config.bounds else 0.0,
+        end=config.bounds[1] if config.bounds else None,
+    ),
+    json_key="throughput_bins",
+    to_json=lambda series: series.bin_count,
+)
+
+#: Every figure of the report.  The order is the accumulator order of each
+#: chain's pass — and so the payload order of every state-cache entry and
+#: checkpoint blob: append, never reorder.
+FIGURES: Tuple[FigureSpec, ...] = (
+    TYPE_DISTRIBUTION_FIGURE,
+    TX_STATS_FIGURE,
+    THROUGHPUT_SERIES_FIGURE,
+    TOP_SENDERS_FIGURE,
+    CATEGORY_DISTRIBUTION_FIGURE,
+    TOP_RECEIVERS_FIGURE,
+    WASH_TRADING_FIGURE,
+    TEZOS_CATEGORY_FIGURE,
+    XRP_DECOMPOSITION_FIGURE,
+    VALUE_DISTRIBUTION_FIGURE,
+    VALUE_FLOWS_FIGURE,
+)
+
+
+def figure_accumulators(chain: ChainId, config: FigureConfig) -> List[Accumulator]:
+    """Fresh accumulator set producing one chain's full figure slate."""
+    built = [spec.factory(chain, config) for spec in FIGURES if chain in spec.chains]
+    return [accumulator for accumulator in built if accumulator is not None]
+
+
+def figure_factory(
+    chain: ChainId,
+    bounds: Optional[tuple],
+    oracle: Optional[ExchangeRateOracle] = None,
+    clusterer: Optional[AccountClusterer] = None,
+    bin_seconds: float = DEFAULT_BIN_SECONDS,
+    top_limit: int = 10,
+) -> Callable[[], List[Accumulator]]:
+    """Picklable zero-argument factory of one chain's accumulator set.
+
+    Every execution path builds its accumulators from this (the parallel
+    layer ships it to workers), so all configure identical accumulators; the
+    caller's resolved stats mode is pinned so an override survives the hop.
+    """
+    config = FigureConfig(
+        bounds, oracle, clusterer, bin_seconds, top_limit, statsmode.active_mode()
+    )
+    return partial(figure_accumulators, chain, config)
+
+
 @dataclass
 class ChainFigures:
-    """Every figure statistic of one chain, produced by a single pass."""
+    """Every figure of one chain, read by figure name (``figures["tx_stats"]``)."""
 
     chain: ChainId
-    type_rows: List[TypeDistributionRow]
-    stats: TxStats
-    throughput: ThroughputSeries
-    top_senders: List[AccountActivity]
-    categories: Optional[Dict[str, float]] = None
-    top_receivers: Optional[List[AccountActivity]] = None
-    wash_trading: Optional[WashTradingReport] = None
-    decomposition: Optional[ThroughputDecomposition] = None
-    value_flows: Optional[ValueFlowReport] = None
-    value_distribution: Optional[ValueDistribution] = None
+    result: EngineResult
+
+    @classmethod
+    def from_accumulators(
+        cls, chain: ChainId, accumulators: Sequence[Accumulator], rows_processed: int
+    ) -> "ChainFigures":
+        """Finalize scanned (folded, restored) accumulators into figures."""
+        results = {accumulator.name: accumulator.finalize() for accumulator in accumulators}
+        return cls(chain, EngineResult(results, rows_processed))
+
+    def __getitem__(self, name: str) -> Any:
+        return self.result[name]
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.result
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.result)
+
+    def get(self, name: str, default: Any = None) -> Any:
+        return self.result.get(name, default)
 
     @property
     def tps(self) -> float:
         """Headline TPS (distinct transactions for EOS, rows otherwise)."""
-        return self.stats.tps(count_actions=self.chain is not ChainId.EOS)
+        return self["tx_stats"].tps(count_actions=self.chain is not ChainId.EOS)
 
     def to_summary(self) -> ChainSummary:
-        duration = self.stats.duration_seconds
+        """The chain's row of the Summary-of-Findings table."""
+        stats = self["tx_stats"]
         if self.chain is ChainId.XRP:
-            dominant_type, dominant_share = _dominant_xrp_type(self.type_rows)
-            label, share = f"type:{dominant_type}", dominant_share
+            kind = "type"
+            shares = [(row.type_name, row.share) for row in self["type_distribution"]]
         else:
-            categories = self.categories or {}
-            dominant = (
-                max(categories.items(), key=lambda item: item[1])
-                if categories
-                else ("", 0.0)
-            )
-            label, share = f"category:{dominant[0]}", dominant[1]
-        count = (
-            self.stats.transaction_count
-            if self.chain is ChainId.EOS
-            else self.stats.action_count
-        )
+            kind = "category"
+            shares = (
+                self.get("category_distribution")
+                or self.get("tezos_category_distribution")
+                or {}
+            ).items()
+        label, share = max(shares, key=lambda item: item[1], default=("", 0.0))
+        eos = self.chain is ChainId.EOS
+        count = stats.transaction_count if eos else stats.action_count
+        duration = stats.duration_seconds
+        decomposition = self.get("xrp_decomposition")
         return ChainSummary(
             chain=self.chain,
             transaction_count=count,
-            action_count=self.stats.action_count,
+            action_count=stats.action_count,
             duration_seconds=duration,
             tps=transactions_per_second(count, duration) if duration else 0.0,
-            dominant_label=label,
+            dominant_label=f"{kind}:{label}",
             dominant_share=share,
-            value_share=(
-                self.decomposition.economic_value_share if self.decomposition else None
-            ),
+            value_share=decomposition.economic_value_share if decomposition else None,
         )
 
 
-def chain_window(
-    coerced: FrameLike, view: TxView, chain: ChainId
-) -> Optional[tuple]:
+def chain_window(coerced: FrameLike, view: TxView, chain: ChainId) -> Optional[tuple]:
     """(min, max) timestamp of the chain's rows within ``coerced``."""
     if isinstance(coerced, TxFrame):
         # Whole-frame source: the per-chain bounds are tracked at append
@@ -330,114 +285,6 @@ def chain_window(
     return (low, view.max_timestamp()) if low is not None else None
 
 
-def compute_chain_figures(
-    source: RecordSource,
-    chain: ChainId,
-    oracle: Optional[ExchangeRateOracle] = None,
-    clusterer: Optional[AccountClusterer] = None,
-    bin_seconds: float = DEFAULT_BIN_SECONDS,
-    top_limit: int = 10,
-) -> ChainFigures:
-    """Compute Figure 1/2/3 statistics, headline TPS and the chain's case
-    studies in **one** iteration over the chain's rows."""
-    coerced = as_frame(source)
-    view = coerced.chain_view(chain)
-    return _figures_for_view(
-        view,
-        chain,
-        chain_window(coerced, view, chain),
-        oracle=oracle,
-        clusterer=clusterer,
-        bin_seconds=bin_seconds,
-        top_limit=top_limit,
-    )
-
-
-def figure_accumulators(
-    chain: ChainId,
-    bounds: Optional[tuple],
-    oracle: Optional[ExchangeRateOracle] = None,
-    clusterer: Optional[AccountClusterer] = None,
-    bin_seconds: float = DEFAULT_BIN_SECONDS,
-    top_limit: int = 10,
-    stats: Optional[str] = None,
-) -> List[Accumulator]:
-    """Fresh accumulator set producing one chain's full figure slate.
-
-    ``bounds`` is the (min, max) timestamp window anchoring the Figure 3
-    series.  This factory is what the parallel execution layer ships to
-    worker processes (everything it closes over is picklable), so serial and
-    sharded runs are guaranteed to configure identical accumulators.
-    ``stats`` pins the statistics mode (exact vs sketch) for every
-    container-backed accumulator; ``None`` resolves the constructing
-    process's active mode — callers shipping this factory across a process
-    boundary pass their own resolved mode explicitly so an in-process
-    override survives the hop.
-    """
-    start = bounds[0] if bounds else 0.0
-    end = bounds[1] if bounds else None
-    accumulators: List[Accumulator] = [
-        TypeDistributionAccumulator(),
-        TxStatsAccumulator(stats=stats),
-        ThroughputSeriesAccumulator(
-            key_columns=FIGURE3_CATEGORIZERS[chain],
-            bin_seconds=bin_seconds,
-            start=start,
-            end=end,
-        ),
-        AccountActivityAccumulator("sender", top_limit, stats=stats),
-    ]
-    if chain is ChainId.EOS:
-        accumulators.append(CategoryDistributionAccumulator())
-        accumulators.append(
-            AccountActivityAccumulator("receiver", top_limit, stats=stats)
-        )
-        accumulators.append(WashTradeAccumulator())
-    elif chain is ChainId.TEZOS:
-        accumulators.append(TezosCategoryAccumulator())
-    else:
-        if oracle is not None:
-            accumulators.append(XrpDecompositionAccumulator(oracle))
-            accumulators.append(ValueDistributionAccumulator(oracle, stats=stats))
-            if clusterer is not None:
-                accumulators.append(ValueFlowAccumulator(clusterer, oracle))
-    return accumulators
-
-
-def figures_from_result(chain: ChainId, result) -> ChainFigures:
-    """Assemble one chain's :class:`ChainFigures` from an engine result."""
-    return ChainFigures(
-        chain=chain,
-        type_rows=result["type_distribution"],
-        stats=result["tx_stats"],
-        throughput=result["throughput_series"],
-        top_senders=result["top_senders"],
-        categories=result.get("category_distribution")
-        or result.get("tezos_category_distribution"),
-        top_receivers=result.get("top_receivers"),
-        wash_trading=result.get("wash_trading"),
-        decomposition=result.get("xrp_decomposition"),
-        value_flows=result.get("value_flows"),
-        value_distribution=result.get("value_distribution"),
-    )
-
-
-def _figures_for_view(
-    view: TxView,
-    chain: ChainId,
-    bounds: Optional[tuple],
-    oracle: Optional[ExchangeRateOracle],
-    clusterer: Optional[AccountClusterer],
-    bin_seconds: float,
-    top_limit: int,
-) -> ChainFigures:
-    accumulators = figure_accumulators(
-        chain, bounds, oracle, clusterer, bin_seconds, top_limit
-    )
-    result = AnalysisEngine(accumulators).run(view)
-    return figures_from_result(chain, result)
-
-
 @dataclass
 class FullReport:
     """The complete figure set for every chain present in a frame."""
@@ -445,14 +292,42 @@ class FullReport:
     chains: Dict[ChainId, ChainFigures] = field(default_factory=dict)
 
     def summary(self) -> SummaryReport:
-        report = SummaryReport()
+        return SummaryReport(
+            {chain: figures.to_summary() for chain, figures in self.chains.items()}
+        )
+
+    def to_dict(self) -> Dict[str, object]:
+        """The ``--json`` payload: per chain, the summary row plus every
+        figure's ``to_json`` form."""
+        payload: Dict[str, object] = {}
         for chain, figures in self.chains.items():
-            report.chains[chain] = figures.to_summary()
-        return report
+            entry = payload[chain.value] = figures.to_summary().to_dict()
+            for spec in FIGURES:
+                if spec.to_json is not None and spec.name in figures:
+                    value = spec.to_json(figures[spec.name])
+                    if value is not None:
+                        entry[spec.json_key or spec.name] = value
+        return payload
+
+    def format_text(self) -> str:
+        """The text report: per chain, a headline and every figure's
+        ``render`` lines; then the summary table."""
+        lines: List[str] = []
+        for chain, figures in self.chains.items():
+            lines.append(
+                f"\n[{chain.value.upper()}]  {figures['tx_stats'].action_count:,} rows, "
+                f"{figures.tps:.3f} TPS, "
+                f"{figures['throughput_series'].bin_count} throughput bins"
+            )
+            for spec in FIGURES:
+                if spec.render is not None and spec.name in figures:
+                    lines.extend(f"    {line}" for line in spec.render(figures[spec.name]))
+        lines.append("\n" + self.summary().format_text())
+        return "\n".join(lines)
 
 
 def full_report(
-    source: RecordSource,
+    source: Union[FrameLike, Iterable[TransactionRecord]],
     oracle: Optional[ExchangeRateOracle] = None,
     clusterer: Optional[AccountClusterer] = None,
     bin_seconds: float = DEFAULT_BIN_SECONDS,
@@ -468,13 +343,13 @@ def full_report(
         # deliberately exclude chains the underlying frame contains.
         if not len(view):
             continue
-        report.chains[chain] = _figures_for_view(
-            view,
+        factory = figure_factory(
             chain,
             chain_window(coerced, view, chain),
-            oracle=oracle,
-            clusterer=clusterer,
-            bin_seconds=bin_seconds,
-            top_limit=top_limit,
+            oracle,
+            clusterer,
+            bin_seconds,
+            top_limit,
         )
+        report.chains[chain] = ChainFigures(chain, AnalysisEngine(factory()).run(view))
     return report

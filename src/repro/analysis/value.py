@@ -24,7 +24,7 @@ import numpy as np
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.containers import quantiles
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, config_digest
+from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step, config_digest
 from repro.analysis.vectorized import block_columns, count_codes, matched_rows
 from repro.common.statecodec import pack_code_table, restore_code_table
 from repro.xrp.amounts import XRP_CURRENCY
@@ -321,6 +321,33 @@ class XrpDecompositionAccumulator(Accumulator):
         )
 
 
+def _decomposition_json(decomposition: ThroughputDecomposition) -> Dict[str, object]:
+    return {
+        "total": decomposition.total,
+        "failed": decomposition.failed,
+        "payments_with_value": decomposition.payments_with_value,
+        "offers_exchanged": decomposition.offers_exchanged,
+        "economic_value_share": round(decomposition.economic_value_share, 6),
+    }
+
+
+XRP_DECOMPOSITION_FIGURE = FigureSpec(
+    name=XrpDecompositionAccumulator.name,
+    chains=(ChainId.XRP,),
+    factory=lambda chain, config: (
+        XrpDecompositionAccumulator(config.oracle)
+        if config.oracle is not None
+        else None
+    ),
+    json_key="decomposition",
+    to_json=_decomposition_json,
+    render=lambda decomposition: [
+        f"economic value share: "
+        f"{decomposition.economic_value_share:.2%} (paper: ~2.3%)"
+    ],
+)
+
+
 @dataclass(frozen=True)
 class ValueDistribution:
     """§4.3 summary of the XRP value actually moved by payments.
@@ -465,6 +492,45 @@ class ValueDistributionAccumulator(Accumulator):
         return ValueDistribution(
             count, total, minimum, maximum, *ranked, self.values.approximate
         )
+
+
+def _value_distribution_json(dist: ValueDistribution) -> Optional[Dict[str, object]]:
+    if not dist.count:
+        return None
+    return {
+        "count": dist.count,
+        "total_xrp": round(dist.total_xrp, 6),
+        "mean": round(dist.mean, 6),
+        "min": round(dist.minimum, 6),
+        "max": round(dist.maximum, 6),
+        "p50": round(dist.p50, 6),
+        "p90": round(dist.p90, 6),
+        "p99": round(dist.p99, 6),
+        "approximate": dist.approximate,
+    }
+
+
+def _value_distribution_text(dist: ValueDistribution) -> List[str]:
+    if not dist.count:
+        return []
+    approx = "~" if dist.approximate else ""
+    return [
+        f"payment values: {dist.count:,} payments, median "
+        f"{approx}{dist.p50:,.2f} XRP, p99 {approx}{dist.p99:,.2f} XRP"
+    ]
+
+
+VALUE_DISTRIBUTION_FIGURE = FigureSpec(
+    name=ValueDistributionAccumulator.name,
+    chains=(ChainId.XRP,),
+    factory=lambda chain, config: (
+        ValueDistributionAccumulator(config.oracle, stats=config.stats)
+        if config.oracle is not None
+        else None
+    ),
+    to_json=_value_distribution_json,
+    render=_value_distribution_text,
+)
 
 
 def value_distribution(

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.common.columns import CHAIN_CODES, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
+from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step
 from repro.analysis.vectorized import block_columns, matched_rows
 from repro.common.statecodec import pack_strings, unpack_strings
 
@@ -201,6 +201,34 @@ class WashTradeAccumulator(TradeExtractionAccumulator):
 
     def finalize(self) -> WashTradingReport:
         return _report_from_trades(self._trades, self.contract, self.top_n)
+
+
+def _wash_json(wash: WashTradingReport) -> Optional[Dict[str, object]]:
+    if not wash.trade_count:
+        return None
+    return {
+        "trade_count": wash.trade_count,
+        "top_accounts_trade_share": round(wash.top_accounts_trade_share, 6),
+        "self_trade_share_overall": round(wash.self_trade_share_overall, 6),
+    }
+
+
+def _wash_text(wash: WashTradingReport) -> List[str]:
+    if not wash.trade_count:
+        return []
+    return [
+        f"wash trading: top-5 involved in "
+        f"{wash.top_accounts_trade_share:.0%} of {wash.trade_count} trades"
+    ]
+
+
+WASH_TRADING_FIGURE = FigureSpec(
+    name=WashTradeAccumulator.name,
+    chains=(ChainId.EOS,),
+    factory=lambda chain, config: WashTradeAccumulator(),
+    to_json=_wash_json,
+    render=_wash_text,
+)
 
 
 def extract_trades(

@@ -14,7 +14,6 @@ import sys
 from typing import Optional, Tuple
 
 from repro.analysis.report import FullReport
-from repro.cli.report import _print_report, _report_to_dict
 from repro.common import faults
 from repro.common.clock import SECONDS_PER_HOUR, SimulationClock, iso_from_timestamp
 from repro.common.errors import ReproError
@@ -128,7 +127,7 @@ def cmd_update(args: argparse.Namespace, out) -> int:
     report, stats = pipeline.update(workers=args.workers)
     _print_update(stats, info)
     if args.json:
-        payload = _report_to_dict(report)
+        payload = report.to_dict()
         payload["_update"] = {
             "rows_total": stats.rows_total,
             "rows_scanned": stats.rows_scanned,
@@ -140,7 +139,7 @@ def cmd_update(args: argparse.Namespace, out) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
     else:
-        _print_report(report, out)
+        print(report.format_text(), file=out)
     return 0
 
 

@@ -38,23 +38,18 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.clustering import StaticAccountClusterer
-from repro.analysis.engine import BLOCK_ROWS, Accumulator, EngineResult, scan_blocks
+from repro.analysis.engine import BLOCK_ROWS, scan_blocks
 from repro.analysis.parallel import chunk_scan_states
 from repro.analysis.statecache import ChunkStateCache
-from repro.analysis.report import (
-    FullReport,
-    figure_accumulators,
-    figures_from_result,
-)
+from repro.analysis.report import ChainFigures, FullReport, figure_factory
 from repro.analysis.throughput import DEFAULT_BIN_SECONDS
 from repro.analysis.value import ExchangeRateOracle
 from repro.collection.store import FRAMES_DIR, FrameSink, FrameStore
 from repro.common.columns import TxFrame
-from repro.common import faults, statsmode
+from repro.common import faults
 from repro.common.errors import AnalysisError, CollectionError
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
 from repro.pipeline.checkpoint import CheckpointStore, PipelineCheckpoint
@@ -140,7 +135,7 @@ def incremental_report(
     chains_carried: List[str] = []
     rows_scanned = 0
 
-    def rescan_chain(chain: ChainId, factory, view) -> EngineResult:
+    def rescan_chain(chain: ChainId, factory, view) -> ChainFigures:
         """Last-resort serial rescan of one chain from row zero."""
         accumulators = list(factory())
         consumers = [accumulator.bind_batch(frame) for accumulator in accumulators]
@@ -148,23 +143,13 @@ def incremental_report(
             for consume in consumers:
                 consume(block)
         new_checkpoint.capture_chain(chain.value, accumulators)
-        return EngineResult(
-            {acc.name: acc.finalize() for acc in accumulators},
-            rows_processed=len(view),
-        )
+        return ChainFigures.from_accumulators(chain, accumulators, len(view))
     for chain in frame.chains():
         view = frame.chain_view(chain)
         if not len(view):
             continue
-        factory = partial(
-            figure_accumulators,
-            chain,
-            frame.chain_bounds(chain),
-            oracle,
-            clusterer,
-            bin_seconds,
-            top_limit,
-            stats=statsmode.active_mode(),
+        factory = figure_factory(
+            chain, frame.chain_bounds(chain), oracle, clusterer, bin_seconds, top_limit
         )
         accumulators = list(factory())
         # bind_batch initialises state on every accumulator — required before
@@ -222,10 +207,7 @@ def incremental_report(
         try:
             if not carried:
                 new_checkpoint.capture_chain(chain.value, accumulators)
-            result = EngineResult(
-                {acc.name: acc.finalize() for acc in accumulators},
-                rows_processed=len(view),
-            )
+            figures = ChainFigures.from_accumulators(chain, accumulators, len(view))
         except Exception:
             if saved is None:
                 raise  # not checkpoint state — a genuine bug; surface it
@@ -236,8 +218,8 @@ def incremental_report(
             if chain.value in chains_carried:
                 chains_carried.remove(chain.value)
             chains_rescanned.append(chain.value)
-            result = rescan_chain(chain, factory, view)
-        report.chains[chain] = figures_from_result(chain, result)
+            figures = rescan_chain(chain, factory, view)
+        report.chains[chain] = figures
     stats = UpdateStats(
         rows_total=len(frame),
         rows_scanned=rows_scanned,
@@ -520,11 +502,9 @@ class Pipeline:
                 if accumulators is None:
                     continue
                 new_checkpoint.capture_chain(chain.value, accumulators)
-                result = EngineResult(
-                    {acc.name: acc.finalize() for acc in accumulators},
-                    rows_processed=totals[chain.value],
+                report.chains[chain] = ChainFigures.from_accumulators(
+                    chain, accumulators, totals[chain.value]
                 )
-                report.chains[chain] = figures_from_result(chain, result)
             stats = UpdateStats(
                 rows_total=rows_total,
                 rows_scanned=rows_total,

@@ -37,7 +37,7 @@ from repro.collection.store import FrameStore
 from repro.common.columns import TxFrame
 from repro.common.records import ChainId
 
-from tests.pipeline.util import assert_reports_identical
+from tests.support.reports import assert_reports_identical
 
 
 #: Deliberately ragged: not a divisor of any chain's row count, so chunk
@@ -159,7 +159,7 @@ class TestStoreReportIdentity:
         store.add_records(all_records[2000:2100])  # staged, not flushed
         report = parallel_report_from_store(str(tmp_path), oracle=xrp_oracle)
         rows = sum(
-            figures.stats.action_count for figures in report.chains.values()
+            figures["tx_stats"].action_count for figures in report.chains.values()
         )
         committed = full_report(
             TxFrame.from_records(all_records[:2000]), oracle=xrp_oracle

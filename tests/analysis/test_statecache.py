@@ -50,7 +50,7 @@ from repro.collection.store import (
 )
 from repro.common import faults, statsmode
 
-from tests.pipeline.util import assert_reports_identical
+from tests.support.reports import assert_reports_identical
 
 CHUNK_ROWS = 977
 

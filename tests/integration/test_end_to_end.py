@@ -16,7 +16,7 @@ from repro.collection.dataset import characterize_dataset
 from repro.collection.endpoints import EndpointPool, shortlist_endpoints
 from repro.collection.store import BlockStore
 from repro.analysis.classify import category_distribution, tezos_category_distribution
-from repro.analysis.report import build_summary_report
+from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle, XrpValueAnalyzer
 from repro.eos.rpc import EndpointProfile, EosRpcEndpoint
 from repro.eos.workload import EosWorkloadConfig, EosWorkloadGenerator
@@ -109,12 +109,9 @@ class TestCrossChainSummary:
         xrp = XrpWorkloadGenerator(pipeline_scenario.xrp)
         eos_blocks, tezos_blocks, xrp_blocks = eos.generate(), tezos.generate(), xrp.generate()
         oracle = ExchangeRateOracle.from_orderbook(xrp.ledger.orderbook)
-        report = build_summary_report(
-            eos_records=iter_transactions(eos_blocks),
-            tezos_records=iter_transactions(tezos_blocks),
-            xrp_records=iter_transactions(xrp_blocks),
-            xrp_oracle=oracle,
-        )
+        report = full_report(
+            iter_transactions(eos_blocks + tezos_blocks + xrp_blocks), oracle=oracle
+        ).summary()
         assert len(report.chains) == 3
         text = report.format_text()
         assert "EOS" in text and "TEZOS" in text and "XRP" in text

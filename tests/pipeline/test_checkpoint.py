@@ -59,7 +59,7 @@ from repro.pipeline.checkpoint import (
     PipelineCheckpoint,
 )
 
-from tests.pipeline.util import assert_reports_identical
+from tests.support.reports import assert_reports_identical
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
 from repro.pipeline import Pipeline
 
-from tests.pipeline.util import assert_reports_identical
+from tests.support.reports import assert_reports_identical
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,7 @@ from repro.scenarios.registry import scenario_names
 from repro.tezos.workload import TezosWorkloadConfig
 from repro.xrp.workload import XrpWorkloadConfig
 
-from tests.pipeline.util import assert_reports_identical
+from tests.support.reports import assert_reports_identical
 
 BATCH_SECONDS = 6 * 3600.0
 

@@ -22,7 +22,7 @@ from repro.common.rng import DeterministicRng
 from repro.eos.rpc import EndpointProfile, EosRpcEndpoint
 from repro.pipeline import Pipeline, tail_crawl
 
-from tests.pipeline.util import assert_reports_identical
+from tests.support.reports import assert_reports_identical
 
 
 @pytest.fixture(scope="module")

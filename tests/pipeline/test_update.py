@@ -19,7 +19,7 @@ from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
 from repro.pipeline import Pipeline, incremental_report
 
-from tests.pipeline.util import assert_reports_identical
+from tests.support.reports import assert_reports_identical
 
 
 @pytest.fixture(scope="module")

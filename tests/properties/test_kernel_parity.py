@@ -7,9 +7,9 @@ through the unbound base-class default, ``Accumulator.bind_batch(acc,
 frame)``, which drives ``acc.bind``'s step row by row.  The contract is
 figure-for-figure identity, bit-for-bit for the float sums.
 
-The sweep is built from :func:`repro.analysis.report.figure_accumulators`
-(every chain's slate, so a newly registered figure is compared against its
-own ``bind`` automatically) plus the accumulators no slate names, in exact
+The sweep is built from :data:`repro.analysis.report.FIGURES` (every spec's
+factory on every chain it declares, so a newly listed figure is compared
+against its own ``bind`` automatically) plus the accumulators no spec names, in exact
 and in sketch mode.  Hypothesis drives both kernels over random slices of a
 generated multi-chain frame whose rows are **not** time-sorted (the chains
 are concatenated): full scans, contiguous windows, filtered ``TxView`` row
@@ -39,7 +39,7 @@ from repro.analysis.classify import ContractBreakdownAccumulator
 from repro.analysis.clustering import AccountClusterer, ClusterCountsAccumulator
 from repro.analysis.engine import Accumulator, scan_blocks
 from repro.analysis.governance import GovernanceOpsAccumulator
-from repro.analysis.report import figure_accumulators
+from repro.analysis.report import FIGURES, FigureConfig
 from repro.analysis.throughput import (
     ThroughputSeriesAccumulator,
     type_name_categorizer,
@@ -84,14 +84,13 @@ def _list_key_columns(frame):
 
 
 def _all_accumulators(frame, oracle, clusterer, stats):
-    """A fresh instance of every accumulator: each chain's figure slate
-    plus the accumulators no slate names."""
+    """A fresh instance of every accumulator: every figure spec on each of
+    its chains, plus the accumulators no spec names."""
     bounds = (frame.min_timestamp() or 0.0, frame.max_timestamp())
-    accumulators = []
-    for chain in ChainId:
-        accumulators.extend(
-            figure_accumulators(chain, bounds, oracle, clusterer, stats=stats)
-        )
+    config = FigureConfig(bounds, oracle, clusterer, stats=stats)
+    accumulators = [
+        spec.factory(chain, config) for spec in FIGURES for chain in spec.chains
+    ]
     series = {"bin_seconds": 6 * 3600.0, "start": bounds[0], "end": bounds[1]}
     accumulators.extend(
         [

@@ -21,7 +21,7 @@ from repro.analysis.value import ExchangeRateOracle
 from repro.collection.store import FrameStore
 from repro.common import statsmode
 
-from tests.pipeline.util import assert_reports_identical
+from tests.support.reports import assert_reports_identical
 
 DEFAULT_SETTINGS = settings(
     max_examples=15, suppress_health_check=[HealthCheck.too_slow], deadline=None

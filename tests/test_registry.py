@@ -122,7 +122,7 @@ class TestSpamStorm:
         assert generator._in_spam_wave(timestamp_from_iso("2019-10-16")) is None
 
     def test_storm_shows_up_in_throughput(self):
-        from repro.analysis.report import compute_chain_figures
+        from repro.analysis.report import full_report
         from repro.xrp.workload import XrpWorkloadGenerator, XrpWorkloadConfig
 
         config = spam_storm(seed=5).xrp
@@ -140,10 +140,10 @@ class TestSpamStorm:
         )
         frame = TxFrame()
         frame.extend(generator.stream_records())
-        figures = compute_chain_figures(frame, ChainId.XRP)
-        payments = figures.throughput.series_for("Payment")
+        throughput = full_report(frame).chains[ChainId.XRP]["throughput_series"]
+        payments = throughput.series_for("Payment")
         peak_index = max(range(len(payments)), key=payments.__getitem__)
-        peak_time = figures.throughput.bin_start(peak_index)
+        peak_time = throughput.bin_start(peak_index)
         in_wave = any(
             timestamp_from_iso(start) <= peak_time < timestamp_from_iso(end)
             for start, end, _ in config.spam_waves

@@ -212,9 +212,10 @@ def _type_rows_json(rows: List[TypeDistributionRow]) -> List[Dict[str, object]]:
 
 
 def _type_rows_text(rows: List[TypeDistributionRow]) -> List[str]:
-    return [
-        f"{row.group:18s} {row.type_name:22s} {row.share:6.1%}" for row in rows[:4]
-    ]
+    """The four largest shares (ties in table order): the rows are sorted by
+    group, so a plain ``[:4]`` would show the first group, not the headline."""
+    largest = sorted(rows, key=lambda row: -row.share)[:4]
+    return [f"{row.group:18s} {row.type_name:22s} {row.share:6.1%}" for row in largest]
 
 
 TYPE_DISTRIBUTION_FIGURE = FigureSpec(

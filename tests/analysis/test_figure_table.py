@@ -175,3 +175,18 @@ def test_without_the_spec_nothing_mentions_the_toy(sample_records, oracle):
     report = full_report(sample_records, oracle=oracle)
     assert all("failed_rows" not in figures for figures in report.chains.values())
     assert "failed" not in report.format_text()
+
+
+def test_type_distribution_text_lists_the_four_largest_shares():
+    """Largest first, ties in table order — not the first (alphabetical) group."""
+    from repro.analysis.classify import TYPE_DISTRIBUTION_FIGURE, TypeDistributionRow
+
+    shares = [("A", "a1", 0.01), ("A", "a2", 0.0), ("B", "b1", 0.9), ("B", "b2", 0.01),
+              ("C", "c1", 0.07), ("C", "c2", 0.01)]  # fmt: skip
+    rows = [
+        TypeDistributionRow(ChainId.EOS, group, name, int(share * 100), share)
+        for group, name, share in shares
+    ]
+    lines = TYPE_DISTRIBUTION_FIGURE.render(rows)
+    assert [line.split()[1] for line in lines] == ["b1", "c1", "a1", "b2"]
+    assert lines[0].endswith(" 90.0%")

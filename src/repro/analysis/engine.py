@@ -251,11 +251,10 @@ class FigureSpec:
     ``factory(chain, config)`` takes the report's
     :class:`~repro.analysis.report.FigureConfig` and returns a fresh
     accumulator, or ``None`` when ``config`` lacks an input the figure needs
-    (an oracle, a clusterer).
-    ``to_json(value)`` is the figure's ``--json`` form under ``json_key``
-    (default: ``name``) and ``render(value)`` its text-report lines; both are
-    optional, and ``None`` / no lines means "nothing to show" (a case study
-    that found nothing).
+    (an oracle, a clusterer).  ``to_json(value)`` is the figure's ``--json``
+    form under ``json_key`` (default: ``name``) and ``render(value)`` its
+    text-report lines; both are optional, and ``None`` / no lines means
+    "nothing to show" (a case study that found nothing).
     """
 
     name: str

@@ -257,8 +257,8 @@ class ChainFigures:
                 or {}
             ).items()
         label, share = max(shares, key=lambda item: item[1], default=("", 0.0))
-        eos = self.chain is ChainId.EOS
-        count = stats.transaction_count if eos else stats.action_count
+        # Figure 2 counts EOS by distinct transaction, the others by row.
+        count = stats.transaction_count if self.chain is ChainId.EOS else stats.action_count
         duration = stats.duration_seconds
         decomposition = self.get("xrp_decomposition")
         return ChainSummary(

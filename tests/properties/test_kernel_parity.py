@@ -9,13 +9,13 @@ figure-for-figure identity, bit-for-bit for the float sums.
 
 The sweep is built from :data:`repro.analysis.report.FIGURES` (every spec's
 factory on every chain it declares, so a newly listed figure is compared
-against its own ``bind`` automatically) plus the accumulators no spec names, in exact
-and in sketch mode.  Hypothesis drives both kernels over random slices of a
-generated multi-chain frame whose rows are **not** time-sorted (the chains
-are concatenated): full scans, contiguous windows, filtered ``TxView`` row
-arrays, single-chain views (which leave the other chains empty for the
-chain-specific accumulators), fully empty selections, and ragged block sizes
-down to one row per block.
+against its own ``bind`` automatically) plus the accumulators no spec
+names, in exact and in sketch mode.  Hypothesis drives both kernels over
+random slices of a generated multi-chain frame whose rows are **not**
+time-sorted (the chains are concatenated): full scans, contiguous windows,
+filtered ``TxView`` row arrays, single-chain views (which leave the other
+chains empty for the chain-specific accumulators), fully empty selections,
+and ragged block sizes down to one row per block.
 """
 
 from __future__ import annotations

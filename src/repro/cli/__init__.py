@@ -7,9 +7,9 @@ drives at its top:
   registry;
 * :mod:`~repro.cli.report` — ``report``: load a scenario's dataset from the
   dataset cache (:mod:`~repro.cli.dataset`; built on a miss by
-  :mod:`~repro.cli.build`) and print the paper's figures — over the resident
-  frame, or with ``--out-of-core`` / ``--workers N`` by streaming the cached
-  store's chunks;
+  :mod:`~repro.cli.build`) and print the paper's figures — a hit folds the
+  cached store's chunks through the chunk engine, a miss scans the resident
+  frame unless ``--out-of-core`` / ``--workers N`` build into the store;
 * :mod:`~repro.cli.store` — ``migrate-store`` (rewrite a frame store's
   legacy-format chunks in place) and ``cache stat|clear`` (its chunk-state
   aggregate cache, :mod:`repro.analysis.statecache`);
@@ -103,9 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=0,
             help=(
-                "worker processes; more than 1 selects the out-of-core chunk "
-                "engine over the cached store (requires --cache; default 0 = "
-                "serial engine over the resident frame)"
+                "worker processes; more than 1 runs the chunk engine over the "
+                "cached store in a pool (requires --cache; default 0 = "
+                "in-process: the chunk engine on a dataset-cache hit, the "
+                "serial engine over the generated frame on a miss)"
             ),
         )
         sub.add_argument(
@@ -141,18 +142,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-of-core",
         action="store_true",
         help=(
-            "compute the report by streaming the cached store's chunks "
-            "(requires --cache; no process materialises the full frame)"
+            "on a dataset-cache miss, build straight into the store and "
+            "stream its chunks so no process materialises the full frame "
+            "(a hit is streamed anyway; requires --cache)"
         ),
     )
     report.add_argument(
         "--no-cache",
         action="store_true",
         help=(
-            "disable the chunk-state aggregate cache for --out-of-core "
-            "reports (by default memoized per-chunk states in cache/ beside "
-            "the store's chunks are consulted and populated, making repeat "
-            "reports O(new data))"
+            "disable the chunk-state aggregate cache for reports over a "
+            "cached dataset (by default memoized per-chunk states in cache/ "
+            "beside the store's chunks are consulted and populated, making "
+            "repeat reports O(new data))"
         ),
     )
 

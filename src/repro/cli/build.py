@@ -28,7 +28,7 @@ from repro.cli.dataset import (
     _meta_companions,
 )
 from repro.collection.generate import generate_sharded
-from repro.collection.store import FrameStore
+from repro.collection.store import FrameStore, invalidate_state_cache
 from repro.common.columns import TxFrame
 from repro.common.records import ChainId
 from repro.eos.workload import EosWorkloadGenerator
@@ -73,14 +73,18 @@ def _xrp_addresses(frame: TxFrame) -> List[str]:
 
 
 def _clear_stale_store(directory: str) -> None:
-    """Clear chunks (and shard leftovers) before rewriting a cache directory.
+    """Clear chunks, their memoized states and shard leftovers before a rewrite.
 
     FrameStore.open globs every chunk file (any format), so leftovers from
     a previous layout would silently append rows to later rehydrations; a
     crashed sharded generation can also leave shard sub-directories behind.
+    State-cache entries are keyed to the chunk bytes being replaced: a
+    rebuilt directory starts with an empty cache, as a fresh one does, and
+    leaves ``fsck`` no stale entry to report.
     """
     if not os.path.isdir(directory):
         return
+    invalidate_state_cache(directory)
     for pattern in ("frame-chunk-*.json.gz", "frame-chunk-*.bin"):
         for stale in glob.glob(os.path.join(directory, pattern)):
             os.remove(stale)

@@ -1,10 +1,14 @@
-"""The dataset cache behind ``report``: look a scenario + seed up, rehydrate a hit.
+"""The dataset cache behind ``report``: look a scenario + seed up, open a hit.
 
 With ``--cache DIR`` a generated dataset is chunk-compressed into a
 :class:`~repro.collection.store.FrameStore` directory together with a
 ``meta.json`` carrying the exchange-rate oracle and the frozen account
-cluster map.  Repeat runs with the same scenario + seed rehydrate the frame
-from the store and skip workload generation entirely.
+cluster map.  Repeat runs with the same scenario + seed skip workload
+generation entirely: ``report`` takes the open store from
+:func:`cached_store` and folds it through the chunk engine, never decoding
+a chunk whose state is memoized in ``cache/`` beside it;
+:func:`load_or_generate` (library callers, the benchmark's set-up) still
+rehydrates the resident frame.
 
 A hit is decided from the directory alone — the meta names the scenario, the
 seed and the row count, and the row count must match the store's manifest —
@@ -26,6 +30,7 @@ from repro.analysis.clustering import StaticAccountClusterer
 from repro.analysis.value import ExchangeRateOracle
 from repro.collection.store import FrameStore
 from repro.common.columns import TxFrame
+from repro.common.errors import CollectionError
 
 #: Cache layout version; bump when the payload or meta schema changes.
 CACHE_VERSION = 1
@@ -94,19 +99,29 @@ def _meta_companions(meta: Dict) -> Tuple[ExchangeRateOracle, StaticAccountClust
     return oracle, StaticAccountClusterer(meta["clusters"])
 
 
-def _cache_hit(cache_root: str, scale: str, seed: int) -> Optional[StoredDataset]:
+def cached_store(
+    scale: str, seed: int, cache_root: Optional[str]
+) -> Optional[StoredDataset]:
     """The dataset cached under ``cache_root``, or ``None`` when it must be built.
 
-    The meta must have been written for this scenario and seed (a directory
-    copied or renamed from another run is not trusted) and agree with the
-    store's manifest on the row count (stale or missing chunk files).
+    The one hit-or-miss decision of a run: meta and manifest are read, no
+    chunk is touched.  The meta must have been written for this scenario and
+    seed (a directory copied or renamed from another run is not trusted) and
+    agree with the store's manifest on the row count (stale or missing chunk
+    files); a manifest the store refuses to open is a miss like a torn meta —
+    the dataset is regenerated over it.
     """
+    if not cache_root:
+        return None
     started = time.perf_counter()
     directory = _cache_directory(cache_root, scale, seed)
     meta = _load_cache_meta(os.path.join(directory, META_NAME))
     if meta is None or meta.get("scenario") != scale or meta.get("seed") != seed:
         return None
-    store = FrameStore.open(directory)
+    try:
+        store = FrameStore.open(directory)
+    except CollectionError:
+        return None
     if store.row_count != meta.get("rows"):
         return None
     oracle, clusterer = _meta_companions(meta)
@@ -136,7 +151,7 @@ def ensure_store(
     hits validate against the manifest only, so reusing a tens-of-millions
     row dataset costs one small JSON read.
     """
-    stored = _cache_hit(cache_root, scale, seed)
+    stored = cached_store(scale, seed, cache_root)
     if stored is None:
         from repro.cli import build
 
@@ -158,17 +173,16 @@ def load_or_generate(
     Scenarios with ``generation_windows > 1`` generate shard-parallel into a
     store before rehydrating.
     """
-    if cache_root:
-        started = time.perf_counter()
-        stored = _cache_hit(cache_root, scale, seed)
-        if stored is not None:
-            return Dataset(
-                frame=stored.store.to_frame(),
-                oracle=stored.oracle,
-                clusterer=stored.clusterer,
-                from_cache=True,
-                build_seconds=time.perf_counter() - started,
-            )
+    started = time.perf_counter()
+    stored = cached_store(scale, seed, cache_root)
+    if stored is not None:
+        return Dataset(
+            frame=stored.store.to_frame(),
+            oracle=stored.oracle,
+            clusterer=stored.clusterer,
+            from_cache=True,
+            build_seconds=time.perf_counter() - started,
+        )
     from repro.cli import build
 
     return build.build_dataset(scale, seed, cache_root, gen_workers)

@@ -619,8 +619,17 @@ class FrameStore:
 
     # -- manifest ----------------------------------------------------------------
     def _open_from_manifest(self, manifest_path: str) -> None:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        try:
+            with open(manifest_path, "r", encoding="utf-8") as handle:
+                manifest = json.load(handle)
+        except ValueError as error:
+            raise CollectionError(
+                f"frame-store manifest {manifest_path!r} is unreadable: {error}"
+            ) from error
+        if not isinstance(manifest, dict):
+            raise CollectionError(
+                f"frame-store manifest {manifest_path!r} is not a JSON object"
+            )
         if manifest.get("version") not in SUPPORTED_MANIFEST_VERSIONS:
             raise CollectionError(
                 f"unsupported frame-store manifest version {manifest.get('version')!r}"

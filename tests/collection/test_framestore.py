@@ -203,6 +203,21 @@ class TestManifest:
             assert os.path.getsize(path) == entry["compressed_bytes"]
         assert manifest["chunks"][0]["heights"]["eos"] == [0, 4]
 
+    @pytest.mark.parametrize("damage", ["truncated", "not_an_object", "not_utf8"])
+    def test_unparsable_manifest_is_a_collection_error(self, tmp_path, damage):
+        store = FrameStore(chunk_rows=5, directory=str(tmp_path))
+        store.add_frame(TxFrame.from_records(_records(12)))
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest_path.write_bytes(
+            {
+                "truncated": manifest_path.read_bytes()[:100],
+                "not_an_object": b"[1]",
+                "not_utf8": b'{"version": "\xff"}',
+            }[damage]
+        )
+        with pytest.raises(CollectionError, match="manifest"):
+            FrameStore.open(str(tmp_path))
+
     def test_open_is_lazy_and_preserves_byte_accounting(self, tmp_path):
         writer = FrameStore(chunk_rows=5, directory=str(tmp_path))
         writer.add_frame(TxFrame.from_records(_records(12)))

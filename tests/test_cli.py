@@ -162,9 +162,18 @@ class TestReport:
 
 
 class TestUnusableCacheMeta:
-    """A ``meta.json`` the cache cannot trust is a miss, never a crash."""
+    """A ``meta.json`` or manifest the cache cannot trust is a miss, never a crash."""
 
-    @pytest.mark.parametrize("damage", ["truncated", "not_an_object", "another_seed"])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "truncated",
+            "not_an_object",
+            "another_seed",
+            "manifest_truncated",
+            "manifest_not_an_object",
+        ],
+    )
     @pytest.mark.parametrize("flags", [[], ["--out-of-core"]], ids=["resident", "ooc"])
     def test_damaged_meta_regenerates_the_same_report(
         self, tmp_path, capsys, damage, flags
@@ -173,10 +182,15 @@ class TestUnusableCacheMeta:
         code, fresh = _run(base + flags)
         assert code == 0
         meta_path = tmp_path / f"{TINY_SCENARIO}-seed7" / "meta.json"
+        manifest_path = meta_path.with_name("manifest.json")
         if damage == "truncated":  # what an in-place writer leaves when it dies
             meta_path.write_bytes(meta_path.read_bytes()[:100])
         elif damage == "not_an_object":
             meta_path.write_text("[1]")
+        elif damage == "manifest_truncated":
+            manifest_path.write_bytes(manifest_path.read_bytes()[:100])
+        elif damage == "manifest_not_an_object":
+            manifest_path.write_text("[1]")
         else:  # a directory copied from another run, row count and all
             rows = json.loads(meta_path.read_text())["rows"]
             assert _run(base + ["--seed", "8"])[0] == 0
@@ -191,6 +205,102 @@ class TestUnusableCacheMeta:
         assert code == 0 and third == fresh
         assert "(cache in" in capsys.readouterr().err
         assert not meta_path.with_name("meta.json.tmp").exists()
+
+    def test_rebuild_starts_from_an_empty_state_cache(self, tmp_path, capsys):
+        """Entries keyed to the replaced chunks must not outlive a rebuild."""
+        base = ["report", "--scale", TINY_SCENARIO, "--cache", str(tmp_path), "--json"]
+        directory = tmp_path / f"{TINY_SCENARIO}-seed7"
+        assert _run(base)[0] == 0 and _run(base)[0] == 0  # build, then warm
+        chunks = len(list(directory.glob("frame-chunk-*.bin")))
+        assert len(list((directory / "cache").iterdir())) == chunks > 0
+        meta_path = directory / "meta.json"
+        meta_path.write_bytes(meta_path.read_bytes()[:100])
+        capsys.readouterr()
+        assert _run(base)[0] == 0
+        assert "(generated in" in capsys.readouterr().err
+        code, fsck = _run(["fsck", str(directory)])
+        assert code == 0 and "clean: no damage found" in fsck
+        for tally in (
+            f"state cache 0 hit(s) / {chunks} miss(es)",
+            f"state cache {chunks} hit(s) / 0 miss(es)",
+        ):
+            assert _run(base)[0] == 0
+            assert tally in capsys.readouterr().err
+
+
+def _entry_mtimes(cache_dir) -> dict:
+    return {path.name: path.stat().st_mtime_ns for path in cache_dir.iterdir()}
+
+
+class TestCacheHitSelectsTheChunkEngine:
+    """A dataset-cache hit is folded by the chunk engine whatever the flags."""
+
+    def test_every_route_prints_the_same_report(self, tmp_path, capsys):
+        # Cold (one stream) against warm (folded chunk states) is an
+        # exact-mode identity; sketches agree within their envelopes only.
+        root = tmp_path / "default"
+        directory = root / "small-seed7"
+
+        def run(*flags, cache=root):
+            code, payload = _run(
+                [
+                    "report", "--scale", "small", "--cache", str(cache), "--json",
+                    "--stats", "exact", *flags,
+                ]  # fmt: skip
+            )
+            assert code == 0
+            return payload, capsys.readouterr().err
+
+        cold, info = run()
+        assert "(generated in" in info and "serial single-pass engine" in info
+        assert "state cache" not in info
+        assert not (directory / "cache").exists()
+        chunks = len(list(directory.glob("frame-chunk-*.bin")))
+        assert chunks > 1
+
+        first, info = run()
+        assert first == cold
+        assert "(cache in" in info and "chunk engine (in-process)" in info
+        assert f"state cache 0 hit(s) / {chunks} miss(es)" in info
+        written = _entry_mtimes(directory / "cache")
+        assert len(written) == chunks
+
+        second, info = run()
+        assert second == cold
+        assert f"state cache {chunks} hit(s) / 0 miss(es)" in info
+        assert _entry_mtimes(directory / "cache") == written
+
+        uncached, info = run("--no-cache")
+        assert uncached == cold and "state cache" not in info
+        pooled, info = run("--out-of-core", "--workers", "2")
+        assert pooled == cold
+        assert "out-of-core chunk engine (2 workers)" in info
+        assert f"state cache {chunks} hit(s) / 0 miss(es)" in info
+        single, info = run("--out-of-core", "--workers", "1")
+        assert single == cold and "out-of-core chunk engine (1 worker)" in info
+        assert _entry_mtimes(directory / "cache") == written
+
+        streamed, info = run("--out-of-core", "--workers", "1", cache=tmp_path / "ooc")
+        assert streamed == cold
+        assert "(generated in" in info
+        assert f"state cache 0 hit(s) / {chunks} miss(es)" in info
+
+    def test_a_warm_hit_decodes_no_chunk(self, tmp_path, monkeypatch):
+        from repro.collection.store import FrameStore
+
+        base = ["report", "--scale", TINY_SCENARIO, "--cache", str(tmp_path), "--json"]
+        assert _run(base)[0] == 0
+        code, folded = _run(base)  # populates the state cache
+        assert code == 0
+
+        def decoded(self, *args, **kwargs):
+            raise AssertionError("a chunk was decoded")
+
+        monkeypatch.setattr(FrameStore, "chunk_payload", decoded)
+        monkeypatch.setattr(FrameStore, "to_frame", decoded)
+        assert _run(base) == (0, folded)
+        with pytest.raises(AssertionError, match="a chunk was decoded"):
+            _run(base + ["--no-cache"])
 
 
 class TestRetiredSurface:

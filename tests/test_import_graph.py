@@ -71,7 +71,7 @@ def loaded(modules: Iterable[str], forbidden: Iterable[str]) -> List[str]:
 
 
 @pytest.mark.parametrize(
-    "flags", [[], ["--out-of-core", "--workers", "1"]], ids=["resident", "out-of-core"]
+    "flags", [[], ["--out-of-core", "--workers", "1"]], ids=["default", "out-of-core"]
 )
 def test_warm_report_loads_no_simulator_and_no_generation_layer(live_tail_cache, flags):
     argv = ["report", "--scale", "live_tail", "--cache", live_tail_cache, "--json"]

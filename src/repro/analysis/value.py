@@ -462,12 +462,14 @@ class ValueDistributionAccumulator(Accumulator):
                 block_currencies[mask].astype(np.int64) * account_count
                 + block_issuers[mask]
             )
-            uniques = np.unique(pairs)
+            # ``return_inverse`` is the searchsorted of pairs in uniques, and
+            # keeps plain ``np.unique``'s ``numpy.ma`` import out of the scan.
+            uniques, positions = np.unique(pairs, return_inverse=True)
             pair_rates = np.array(
                 [rate(*divmod(pair, account_count)) for pair in uniques.tolist()],
                 dtype=np.float64,
             )
-            row_rates = pair_rates[np.searchsorted(uniques, pairs)]
+            row_rates = pair_rates[positions]
             valued = row_rates > 0.0
             if valued.any():
                 add_values(block_amounts[mask][valued] * row_rates[valued])

@@ -31,7 +31,7 @@ of crashing or silently mis-decoding.
 
 The decoded payload has the same shape :meth:`TxFrame.to_payload` produces
 (``columns`` / ``transaction_id`` / ``metadata`` / ``pools``), so every
-existing consumer — bulk load, payload extend, the resident-frame tail
+existing consumer — payload extend, the resident-frame tail
 slice, out-of-core workers — works unchanged.  The numeric columns come
 back as **zero-copy read-only ndarrays** wrapping the decoded bytes (one
 ``np.frombuffer`` per column; a foreign-endian chunk is byte-swapped into

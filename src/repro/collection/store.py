@@ -30,8 +30,8 @@ chunk payload:
 * ``pools`` — the chunk's *string-pool deltas*: the strings this chunk
   introduced that no earlier chunk had, in first-seen order.  Concatenating
   the deltas in chunk order reproduces exactly the pools
-  :meth:`FrameStore.to_frame` would build (chunk 0 bulk-loads its payload
-  pools; later chunks re-intern in payload order), so any process can build
+  :meth:`FrameStore.to_frame` would build (every chunk re-interns its
+  payload pools in payload order), so any process can build
   the store's *global* code space from the manifest alone — which is what
   lets worker processes scan disjoint chunk ranges and still return
   accumulator state in one shared code space.
@@ -61,6 +61,7 @@ import glob
 import json
 import os
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -779,7 +780,9 @@ class FrameStore:
         path = os.path.join(self.directory, MANIFEST_NAME)
         temp_path = path + ".tmp"
         with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
+            # dumps, not dump: one C-encoder call instead of the pure-Python
+            # streaming encoder over a document that grows with every chunk.
+            handle.write(json.dumps(manifest))
         # A crash here (temp written, rename pending) must leave the previous
         # manifest authoritative — exactly what the atomic replace guarantees.
         faults.maybe_crash("store.manifest_commit")
@@ -795,6 +798,15 @@ class FrameStore:
 
     def add_records(self, records: Iterable[TransactionRecord]) -> None:
         """Buffer a record stream, flushing a chunk whenever one fills up."""
+        deque(self.iter_commits(records), maxlen=0)
+
+    def iter_commits(self, records: Iterable[TransactionRecord]) -> Iterator[Dict]:
+        """:meth:`add_records` as a generator of what it committed.
+
+        Yields the columnar payload of each chunk the stream fills, right
+        after that chunk's manifest commit (see :meth:`flush`); the store
+        keeps no reference, so a caller that drops a payload frees it.
+        """
         source = iter(records)
         while True:
             # An over-full staging frame (see stage_records) still takes one
@@ -803,7 +815,7 @@ class FrameStore:
             if not self._staging.extend(islice(source, room)):
                 return
             if len(self._staging) >= self.chunk_rows:
-                self.flush()
+                yield self.flush()
 
     def stage_records(self, records: Iterable[TransactionRecord]) -> None:
         """Buffer records **without** auto-flushing mid-stream.
@@ -824,15 +836,21 @@ class FrameStore:
         """Rows buffered in staging, not yet committed to a chunk."""
         return len(self._staging)
 
-    def flush(self) -> Optional[StoredFrameChunk]:
-        """Compress the staging buffer into a chunk (no-op when empty)."""
+    def flush(self) -> Optional[Dict]:
+        """Compress the staging buffer into a chunk (no-op when empty).
+
+        Returns the columnar payload the committed chunk was encoded from,
+        so a resident frame can follow the store without re-reading the
+        chunk (:meth:`TxFrame.extend_from_payload`); ``None`` when nothing
+        was staged.  Returning means the manifest commit happened.
+        """
         if not len(self._staging):
             return None
-        chunk = self._write_chunk(self._staging, None)
+        payload = self._write_chunk(self._staging, None)
         self._staging = TxFrame()
-        return chunk
+        return payload
 
-    def _write_chunk(self, frame: TxFrame, rows: Optional[range]) -> StoredFrameChunk:
+    def _write_chunk(self, frame: TxFrame, rows: Optional[range]) -> Dict:
         # New chunks always commit with out-of-core metadata; appending to a
         # store reopened from a version-1 manifest backfills the old chunks
         # first so the running pools (and therefore this chunk's deltas) are
@@ -896,7 +914,7 @@ class FrameStore:
                 # loss.  open() detects the size mismatch and truncates the
                 # store at this chunk.
                 raise faults.InjectedCrash("injected torn write at store.chunk_write")
-        return chunk
+        return payload
 
     # -- reading ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -1048,12 +1066,7 @@ class FrameStore:
         """Decompress every chunk back into one columnar frame."""
         frame = TxFrame()
         for chunk in self._chunks:
-            if not len(frame):
-                # First chunk into an empty frame: codes pass through, so
-                # the bulk column load applies (no per-row append loop).
-                frame._load_payload_bulk(chunk.payload())
-            else:
-                frame.extend_from_payload(chunk.payload())
+            frame.extend_from_payload(chunk.payload())
         if len(self._staging):
             frame.extend_from_payload(self._staging.to_payload())
         return frame

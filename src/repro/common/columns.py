@@ -109,14 +109,16 @@ class StringPool:
 
     def intern_many(self, values: Sequence[str]) -> List[int]:
         """Codes of ``values``; unseen strings get codes in sequence order."""
-        codes = list(map(self._codes.get, values))
-        index = -1
-        try:
-            while True:  # hop from one not-yet-coded position to the next
-                index = codes.index(None, index + 1)
-                codes[index] = self.intern(values[index])
-        except ValueError:
-            return codes
+        lookup = self._codes.get
+        codes = list(map(lookup, values))
+        if None in codes:
+            # Intern each *distinct* string once, in first-seen order (known
+            # ones are no-ops), then map every position again in one C pass:
+            # a fresh pool pays per distinct string, not per occurrence.
+            for value in dict.fromkeys(values):
+                self.intern(value)
+            codes = list(map(lookup, values))
+        return codes
 
     def code(self, value: str) -> Optional[int]:
         """Code of ``value`` if already interned, else ``None`` (no insert)."""
@@ -361,8 +363,8 @@ class TxFrame:
         self.fee = array("d")
         self.success = array("b")
         self.error_code = array("i")
-        #: Metadata storage: a list of runs, each either a plain list or an
-        #: unparsed :class:`LazyMetadata` block (see the ``metadata`` property).
+        #: Metadata storage: the plain list, then any still-unparsed
+        #: :class:`LazyMetadata` blocks (see the ``metadata`` property).
         self._meta_runs: List[Any] = [[]]
         #: ``type`` strings (action names, operation kinds, transaction types).
         self.types = StringPool()
@@ -382,27 +384,30 @@ class TxFrame:
     def metadata(self) -> List[Optional[Mapping[str, Any]]]:
         """Per-row metadata as one plain list.
 
-        Internally the column is a sequence of runs: plain lists (record
-        appends, eager payload extends) interleaved with unparsed
+        Internally the column is a plain list followed by the runs extended
+        onto the frame since it was last read: unparsed
         :class:`LazyMetadata` blocks from the binary chunk decoder.  The
-        common case — a single plain run — returns that list directly, so
-        every existing consumer keeps C-level list indexing.  The first
-        access after a lazy extend flattens all runs (parsing the lazy
-        blocks) into a single plain run and returns it; a frame whose
-        metadata is never read never pays the parse.
+        common case — no pending run — returns the list directly, so every
+        existing consumer keeps C-level list indexing.  The first access
+        after a lazy extend parses the pending blocks onto the end of that
+        same list (O(new rows), never a re-copy of the rows already there);
+        a frame whose metadata is never read never pays the parse.
 
-        The returned list is the frame's own storage: callers may append
-        through it, but a later lazy extend starts a new run, after which
-        previously captured references are stale — capture at use time
-        (accumulators re-bind per scan, which already guarantees this).
+        The returned list is the frame's own storage for the frame's whole
+        lifetime: callers may append through it, but rows of a later lazy
+        extend only reach a captured reference at the next read of this
+        property — capture at use time (accumulators re-bind per scan, which
+        already guarantees this).
         """
         runs = self._meta_runs
-        if len(runs) == 1 and type(runs[0]) is list:
-            return runs[0]
-        flat: List[Optional[Mapping[str, Any]]] = []
-        for run in runs:
-            flat.extend(run if type(run) is list else run.materialise())
-        self._meta_runs = [flat]
+        flat = runs[0]
+        if len(runs) > 1:
+            # Parse every pending block before touching the list: a malformed
+            # block raises here and leaves the column as it was.
+            parsed = [run.materialise() for run in runs[1:]]
+            for items in parsed:
+                flat.extend(items)
+            del runs[1:]
         return flat
 
     def _extend_metadata(self, values: Any) -> None:
@@ -416,7 +421,7 @@ class TxFrame:
         if isinstance(values, LazyMetadata) and not values.loaded:
             self._meta_runs.append(values)
             return
-        self.metadata.extend(dict(meta) if meta else None for meta in values)
+        self.metadata.extend([dict(meta) if meta else None for meta in values])
 
     # -- writing -------------------------------------------------------------------
     def _register_row(self, chain_code: int, timestamp: float, row: int) -> None:
@@ -621,18 +626,24 @@ class TxFrame:
         *copy*, not a view.  It exists for kernels that gather ids by index
         array (filtered chain views): one fancy-indexing call replaces a
         per-row ``__getitem__`` loop.  The copy is built lazily on first
-        use and cached per frame length, so every accumulator scanning the
-        same frame — and every chain of an out-of-core chunk — shares one
-        build.
+        use, so every accumulator scanning the same frame — and every chain
+        of an out-of-core chunk — shares one build.  The column is
+        append-only, so growing the frame fills only the new tail of a
+        buffer that grows amortised (like :meth:`transaction_id_hashes`);
+        the result is a frame-length view of that buffer.
         """
-        cached = self._tx_ids_nd
         length = len(self.transaction_id)
-        if cached is not None and cached[0] == length:
-            return cached[1]
-        ids = np.empty(length, dtype=object)
-        ids[:] = self.transaction_id
-        self._tx_ids_nd = (length, ids)
-        return ids
+        filled, buffer = self._tx_ids_nd or (0, np.empty(0, dtype=object))
+        if filled < length:
+            if len(buffer) < length:
+                # A first build is sized exactly; regrowth over-allocates.
+                grown = np.empty(max(length, len(buffer) * 3 // 2), dtype=object)
+                grown[:filled] = buffer[:filled]
+                buffer = grown
+            ids = self.transaction_id
+            buffer[filled:length] = ids[filled:] if filled else ids  # no list copy
+            self._tx_ids_nd = (length, buffer)
+        return buffer[:length]
 
     def transaction_id_hashes(self) -> array:
         """Deterministic 64-bit hash column of the transaction ids (cached).
@@ -855,65 +866,43 @@ class TxFrame:
     def from_payload(cls, payload: Mapping[str, Any]) -> "TxFrame":
         """Rebuild a frame from :meth:`to_payload` output.
 
-        Rebuilding into a *fresh* frame re-interns the payload's pools in
-        order, so every code maps to itself; that makes a bulk column load
-        possible (one C-level ``array.extend`` per column instead of a
-        per-row Python loop) and — crucially for the parallel execution
-        layer — guarantees the rebuilt frame's string pools are
+        Extending a *fresh* frame re-interns the payload's pools in order,
+        so every code maps to itself — which, crucially for the parallel
+        execution layer, guarantees the rebuilt frame's string pools are
         code-compatible with the frame the payload was taken from.
         """
         frame = cls()
-        frame._load_payload_bulk(payload)
+        frame.extend_from_payload(payload)
         return frame
 
-    @staticmethod
-    def _column_bytes(data: Any, typecode: str) -> Optional[bytes]:
-        """Raw machine bytes of a payload column, or ``None`` when the data
-        needs the generic ``array.extend`` element path."""
-        if not isinstance(data, np.ndarray):
-            return None
-        return data.astype(np.dtype(typecode), copy=False).tobytes()
-
-    def _load_payload_bulk(self, payload: Mapping[str, Any]) -> None:
-        """Bulk-load a payload into this (empty) frame; codes pass through."""
-        for pool, values in (
-            (self.types, payload["pools"]["types"]),
-            (self.accounts, payload["pools"]["accounts"]),
-            (self.currencies, payload["pools"]["currencies"]),
-            (self.errors, payload["pools"]["errors"]),
-        ):
-            for value in values:
-                pool.intern(value)
-        columns = payload["columns"]
-        for name in self._NUMERIC_COLUMNS:
-            target = getattr(self, name)
-            # ndarray-native payloads load as raw machine bytes.
-            raw = self._column_bytes(columns[name], target.typecode)
-            if raw is not None:
-                target.frombytes(raw)
-            else:
-                target.extend(columns[name])
-        self.transaction_id.extend(payload["transaction_id"])
-        self._extend_metadata(payload["metadata"])
-        if len(self.timestamp):
-            self._rebuild_bookkeeping()
-
-    def _rebuild_bookkeeping(self) -> None:
-        """Rebuild the append-time bookkeeping (sortedness, per-chain row
-        indexes and timestamp bounds) from the loaded columns."""
-        timestamps = as_ndarray(self.timestamp)
-        self._timestamps_sorted = bool(
-            len(timestamps) < 2 or np.all(timestamps[1:] >= timestamps[:-1])
-        )
-        chain_codes = as_ndarray(self.chain_code)
-        for code in np.unique(chain_codes).tolist():
-            code = int(code)
+    def _register_rows(self, chain_codes, timestamps, offset: int) -> None:
+        """Bulk twin of :meth:`_register_row` for rows appended at ``offset``:
+        sort flag, per-chain row indexes and timestamp bounds, from the
+        appended rows' own ``chain_codes`` / ``timestamps`` ndarrays."""
+        if self._timestamps_sorted:
+            self._timestamps_sorted = bool(
+                (not offset or timestamps[0] >= self.timestamp[offset - 1])
+                and np.all(timestamps[1:] >= timestamps[:-1])
+            )
+        # One mask per known chain, not ``np.unique``: without an index or
+        # count output that imports ``numpy.ma`` (numpy 2.x) for three codes.
+        for code in range(len(CHAIN_ORDER)):
             mask = chain_codes == code
-            rows = array("q")
-            rows.frombytes(np.nonzero(mask)[0].astype(np.int64).tobytes())
-            self._chain_rows[code] = rows
+            if not mask.any():
+                continue
+            indices = np.nonzero(mask)[0].astype(np.int64)
+            if offset:
+                indices = indices + offset
+            rows = self._chain_rows.get(code)
+            if rows is None:
+                rows = self._chain_rows[code] = array("q")
+            rows.frombytes(indices.tobytes())
             chain_ts = timestamps[mask]
-            self._chain_bounds[code] = (float(chain_ts.min()), float(chain_ts.max()))
+            low, high = float(chain_ts.min()), float(chain_ts.max())
+            bounds = self._chain_bounds.get(code)
+            if bounds is not None:
+                low, high = min(bounds[0], low), max(bounds[1], high)
+            self._chain_bounds[code] = (low, high)
 
     def extend_from_payload(self, payload: Mapping[str, Any]) -> int:
         """Append a payload's rows, remapping pool codes into this frame.
@@ -921,17 +910,21 @@ class TxFrame:
         Bulk column appends with C-level code remapping, then incremental
         bookkeeping — no per-row Python loop over the numeric columns.
         """
+
+        def code_table(pool: StringPool, values: Sequence[str]):
+            codes = [pool.intern(value) for value in values]
+            return np.asarray(codes, dtype=np.int64)
+
         pools = payload["pools"]
-        type_map = [self.types.intern(value) for value in pools["types"]]
-        account_map = [self.accounts.intern(value) for value in pools["accounts"]]
-        currency_map = [self.currencies.intern(value) for value in pools["currencies"]]
-        error_map = [self.errors.intern(value) for value in pools["errors"]]
+        type_map = code_table(self.types, pools["types"])
+        account_map = code_table(self.accounts, pools["accounts"])
+        currency_map = code_table(self.currencies, pools["currencies"])
+        error_map = code_table(self.errors, pools["errors"])
         count = len(payload["transaction_id"])
         if not count:
             return 0
         columns = payload["columns"]
         offset = len(self)
-        previous_last = self.timestamp[-1] if offset else None
 
         def column_nd(name: str):
             data = columns[name]
@@ -949,50 +942,24 @@ class TxFrame:
                 values.astype(np.dtype(column.typecode), copy=False).tobytes()
             )
 
-        def remap(name: str, mapping: List[int]):
-            table = np.asarray(mapping, dtype=np.int64)
-            return table[column_nd(name)]
-
         chain_codes = column_nd("chain_code")
         timestamps = column_nd("timestamp")
         append_nd("chain_code", chain_codes)
         append_nd("block_height", column_nd("block_height"))
         append_nd("timestamp", timestamps)
-        append_nd("type_code", remap("type_code", type_map))
-        append_nd("sender_code", remap("sender_code", account_map))
-        append_nd("receiver_code", remap("receiver_code", account_map))
-        append_nd("contract_code", remap("contract_code", account_map))
+        append_nd("type_code", type_map[column_nd("type_code")])
+        append_nd("sender_code", account_map[column_nd("sender_code")])
+        append_nd("receiver_code", account_map[column_nd("receiver_code")])
+        append_nd("contract_code", account_map[column_nd("contract_code")])
         append_nd("amount", column_nd("amount"))
-        append_nd("currency_code", remap("currency_code", currency_map))
-        append_nd("issuer_code", remap("issuer_code", account_map))
+        append_nd("currency_code", currency_map[column_nd("currency_code")])
+        append_nd("issuer_code", account_map[column_nd("issuer_code")])
         append_nd("fee", column_nd("fee"))
         append_nd("success", column_nd("success"))
-        append_nd("error_code", remap("error_code", error_map))
+        append_nd("error_code", error_map[column_nd("error_code")])
         self.transaction_id.extend(payload["transaction_id"])
         self._extend_metadata(payload["metadata"])
-        # Incremental bookkeeping for the appended suffix only.
-        if self._timestamps_sorted:
-            batch_sorted = count < 2 or bool(
-                np.all(timestamps[1:] >= timestamps[:-1])
-            )
-            joins_sorted = previous_last is None or timestamps[0] >= previous_last
-            self._timestamps_sorted = batch_sorted and joins_sorted
-        for code in np.unique(chain_codes).tolist():
-            code = int(code)
-            mask = chain_codes == code
-            indices = np.nonzero(mask)[0].astype(np.int64)
-            if offset:
-                indices = indices + offset
-            rows = self._chain_rows.get(code)
-            if rows is None:
-                rows = self._chain_rows[code] = array("q")
-            rows.frombytes(indices.tobytes())
-            chain_ts = timestamps[mask]
-            low, high = float(chain_ts.min()), float(chain_ts.max())
-            bounds = self._chain_bounds.get(code)
-            if bounds is not None:
-                low, high = min(bounds[0], low), max(bounds[1], high)
-            self._chain_bounds[code] = (low, high)
+        self._register_rows(chain_codes, timestamps, offset)
         return count
 
 

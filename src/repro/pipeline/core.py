@@ -243,10 +243,11 @@ class Pipeline:
           checkpoint.snap   codec-encoded accumulator states + row watermark
           meta.json         analysis configuration (oracle rates, clusters)
 
-    The pipeline keeps a resident :class:`TxFrame` mirroring the store, so a
-    long-lived process (the ``watch`` loop) ingests and updates without ever
-    rehydrating; a cold process rehydrates once on first use and is
-    incremental from then on.  All writes are append-only and every commit
+    The pipeline keeps a resident :class:`TxFrame` that *follows* the store's
+    committed chunks, so a long-lived process (the ``watch`` loop) ingests
+    and updates without ever rehydrating; a cold process rehydrates once on
+    first use of :attr:`frame` and is incremental from then on (one that
+    only ingests never does).  All writes are append-only and every commit
     point (chunk manifest, checkpoint, meta) is atomic, so the pipeline
     reopens cleanly after a crash at any instant — at worst re-ingesting the
     rows of one uncommitted chunk.
@@ -366,48 +367,54 @@ class Pipeline:
     # -- the resident frame ----------------------------------------------------------
     @property
     def frame(self) -> TxFrame:
-        """The resident columnar frame mirroring the store.
+        """The resident columnar frame: a follower of the store's committed chunks.
 
-        First access rehydrates once; afterwards the frame is kept in sync
-        incrementally — rows the store committed behind the frame's back
-        (a crawler writing through a :meth:`sink`) are appended from only
-        the new chunks' payloads, so a long-lived loop never pays
-        O(history) per tick.  The resident frame is always a row-prefix
-        mirror of the store: ingest paths append to both in the same
-        order, and this property extends the frame to the store's
-        committed row count before returning it.
+        The frame only ever grows by whole committed chunks.
+        :meth:`ingest_records` hands it each chunk's in-memory payload right
+        after the manifest commit; this property reads from disk the chunks
+        it was *not* handed — all of them on first access (the one
+        rehydration), later only rows a crawler committed through a
+        :meth:`sink` or a commit whose hand-off a failure interrupted — so a
+        long-lived loop never pays O(history) per tick.  Invariant:
+        ``len(frame) <= store.flushed_rows`` at all times (the frame never
+        runs ahead of the durable store), with equality on return from this
+        property.
         """
         if self._frame is None:
-            self._frame = self.store.to_frame()
-            return self._frame
+            self._frame = TxFrame()
         frame = self._frame
         if len(frame) < self.store.flushed_rows:
             for payload in self.store.payload_tail(len(frame)):
                 frame.extend_from_payload(payload)
         return frame
 
-    def invalidate_frame(self) -> None:
-        """Drop the resident frame (next access rehydrates from the store)."""
-        self._frame = None
-
     # -- ingest -----------------------------------------------------------------------
-    def _mirror(self, records: Iterable[TransactionRecord]):
-        """Tee a record stream into the resident frame on its way to the store."""
-        append = self.frame.append
-        for record in records:
-            append(record)
-            yield record
+    def _follow(self, payload: Optional[Dict]) -> None:
+        """Hand a just-committed chunk payload to the resident frame, if any.
+
+        Skipped when no frame is resident, and when the frame is not exactly
+        one chunk behind (it still owes a disk catch-up, which then covers
+        this chunk too).
+        """
+        frame = self._frame
+        if (
+            frame is not None
+            and payload is not None
+            and len(frame) + len(payload["transaction_id"]) == self.store.flushed_rows
+        ):
+            frame.extend_from_payload(payload)
 
     def ingest_records(self, records: Iterable[TransactionRecord]) -> int:
-        """Append a record stream to the store and the resident frame.
+        """Append a record stream to the store; the resident frame follows.
 
         Rows are staged into the store's chunking as they arrive and
         committed with one flush at the end, so a completed ingest call is
         always durable.  Returns the number of rows ingested.
         """
         before = self.store.row_count
-        self.store.add_records(self._mirror(records))
-        self.store.flush()
+        for payload in self.store.iter_commits(records):
+            self._follow(payload)
+        self._follow(self.store.flush())
         return self.store.row_count - before
 
     def ingest_blocks(self, blocks: Iterable[BlockRecord], skip_rows: int = 0) -> int:

@@ -175,6 +175,35 @@ class TestLazyMetadata:
         assert rebuilt.metadata[1] == {"memo": "note 1", "inline": True}
         assert block.loaded
 
+    def test_lazy_extends_grow_one_list_in_place(self):
+        """N catch-ups and reads: one list object, never a re-copy of history."""
+        records = _records(40)
+        follower, eager = TxFrame(), TxFrame()
+        column = follower.metadata
+        for start in range(0, 40, 10):
+            batch = records[start : start + 10]
+            payload, _, _ = _roundtrip(TxFrame.from_records(batch))
+            assert isinstance(payload["metadata"], LazyMetadata)
+            follower.extend_from_payload(payload)
+            eager.extend(batch)
+            assert len(column) == start  # the tail waits for the next read
+            assert follower.metadata is column
+            assert column == eager.metadata
+
+    def test_malformed_lazy_block_leaves_the_column_as_it_was(self):
+        def broken():
+            raise chunkformat.ChunkFormatError("metadata segment is not JSON")
+
+        frame = TxFrame.from_records(_records(5))
+        before = list(frame.metadata)
+        good, _, _ = _roundtrip(TxFrame.from_records(_records(3)))
+        frame._extend_metadata(good["metadata"])
+        frame._extend_metadata(LazyMetadata(2, broken))
+        for _attempt in range(2):
+            with pytest.raises(chunkformat.ChunkFormatError):
+                frame.metadata
+        assert frame._meta_runs[0] == before
+
     def test_empty_metadata_stored_as_none(self):
         frame = TxFrame.from_records(_records(4))
         payload, _, _ = _roundtrip(frame)

@@ -86,6 +86,25 @@ class TestFrameStore:
         assert store.staged_rows == 4
         assert list(store.to_frame()) == records
 
+    def test_commits_are_reported_after_the_manifest_has_them(self, tmp_path):
+        """``iter_commits`` / ``flush`` hand out each chunk's payload once it is
+        durable; a frame extended with them is the rehydrated store."""
+        records = _records(23)
+        store = FrameStore(chunk_rows=5, directory=str(tmp_path))
+        follower = TxFrame()
+        for payload in store.iter_commits(iter(records)):
+            follower.extend_from_payload(payload)
+            # The commit came first: a reopened store already has these rows.
+            assert FrameStore.open(str(tmp_path)).row_count == len(follower)
+            assert len(follower) == store.flushed_rows
+        assert len(follower) == 20 and store.staged_rows == 3
+        follower.extend_from_payload(store.flush())
+        assert store.flush() is None  # nothing staged: nothing committed
+        rehydrated = FrameStore.open(str(tmp_path)).to_frame()
+        assert list(follower) == list(rehydrated) == records
+        for pool in ("types", "accounts", "currencies", "errors"):
+            assert getattr(follower, pool).values == getattr(rehydrated, pool).values
+
     def test_chunk_chain_stats_match_a_row_loop(self):
         from repro.collection.store import _payload_chain_stats
 
@@ -202,6 +221,17 @@ class TestManifest:
             assert path.exists()
             assert os.path.getsize(path) == entry["compressed_bytes"]
         assert manifest["chunks"][0]["heights"]["eos"] == [0, 4]
+
+    def test_manifest_bytes_are_the_streaming_encoder_s(self, tmp_path):
+        """``json.dumps`` (one C call) writes what ``json.dump`` used to."""
+        store = FrameStore(chunk_rows=5, directory=str(tmp_path))
+        store.add_records(iter(_records(200)))
+        assert store.committed_chunk_count == 40
+        written = (tmp_path / MANIFEST_NAME).read_text(encoding="utf-8")
+        reference = tmp_path / "reference.json"
+        with open(reference, "w", encoding="utf-8") as handle:
+            json.dump(json.loads(written), handle)
+        assert written == reference.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("damage", ["truncated", "not_an_object", "not_utf8"])
     def test_unparsable_manifest_is_a_collection_error(self, tmp_path, damage):

@@ -56,6 +56,24 @@ class TestStringPool:
         assert len(pool) == 0
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seeded=st.lists(st.sampled_from("abcdef"), max_size=6),
+        values=st.lists(
+            st.one_of(st.none(), st.sampled_from("abcdefghij"), st.text(max_size=3)),
+            max_size=60,
+        ),
+    )
+    def test_intern_many_equals_interning_one_by_one(self, seeded, values):
+        """Codes and pool order match ``intern`` per value — on a partly
+        pre-seeded pool, with heavy repeats of unseen strings and ``None``."""
+        pool, twin = StringPool(seeded), StringPool(seeded)
+        assert pool.intern_many(values) == [twin.intern(value) for value in values]
+        assert pool.values == twin.values
+        assert pool.intern_many(values) == [twin.intern(value) for value in values]
+        assert pool.values == twin.values
+
+
 class TestTxFrame:
     def test_round_trips_records(self):
         records = [
@@ -289,6 +307,32 @@ class TestNdarrayViews:
             view[0] = 0.0
         # Aliases the column buffer: no bytes were copied.
         assert np.shares_memory(view, np.frombuffer(frame.timestamp))
+
+    @settings(max_examples=50, deadline=None)
+    @given(steps=st.lists(st.integers(min_value=0, max_value=40), max_size=8))
+    def test_transaction_ids_ndarray_follows_growth(self, steps):
+        """After every growth step: the id column, frame-long, one shared buffer."""
+        frame = TxFrame()
+        assert frame.transaction_ids_ndarray().tolist() == []
+        for step, count in enumerate(steps):
+            frame.extend(_record(tx=f"tx{step}-{index}") for index in range(count))
+            ids = frame.transaction_ids_ndarray()
+            assert ids.dtype == object
+            assert len(ids) == len(frame)
+            assert ids.tolist() == list(frame.transaction_id)
+            assert all(type(value) is str for value in ids.tolist())
+            again = frame.transaction_ids_ndarray()
+            assert len(again) == len(frame)
+            if len(frame):
+                assert np.shares_memory(ids, again)
+
+    def test_transaction_ids_ndarray_fills_only_the_new_tail(self):
+        frame = self._frame(6)
+        first = frame.transaction_ids_ndarray()
+        first[0] = "sentinel"  # lives in the cached buffer, not in the frame
+        frame.extend([_record(tx="tx-late")])
+        grown = frame.transaction_ids_ndarray()
+        assert grown.tolist() == ["sentinel"] + frame.transaction_id[1:]
 
     def test_ndarray_rejects_object_columns(self):
         frame = self._frame()

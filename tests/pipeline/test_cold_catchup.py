@@ -89,6 +89,22 @@ class TestColdCatchUp:
         expected = full_report(resumed.frame, oracle=oracle, clusterer=clusterer)
         assert_reports_identical(report, expected, exact_flows=False)
 
+    def test_same_session_ingest_leaves_no_frame_so_update_takes_the_cold_path(
+        self, tmp_path, sample_records, frozen_oracle, frozen_clusterer
+    ):
+        """Ingest alone rehydrates nothing: a first ``update(workers=2)`` in the
+        same session (a ``watch --workers 2`` first tick) fans out as chunk
+        tasks — same figures as the resident scan, ``stats.workers`` says which."""
+        pipeline = _configured(tmp_path, frozen_oracle, frozen_clusterer)
+        pipeline.ingest_records(iter(sample_records))
+        assert pipeline._frame is None
+        report, stats = pipeline.update(workers=2)
+        assert stats.workers == 2
+        assert pipeline._frame is None
+        oracle, clusterer = pipeline.analysis_config()
+        expected = full_report(pipeline.frame, oracle=oracle, clusterer=clusterer)
+        assert_reports_identical(report, expected, exact_flows=False)
+
     def test_cold_path_skipped_when_frame_resident(
         self, tmp_path, sample_records, frozen_oracle, frozen_clusterer
     ):

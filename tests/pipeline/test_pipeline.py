@@ -16,11 +16,22 @@ import pytest
 from repro.analysis.clustering import AccountClusterer, StaticAccountClusterer
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
+from repro.collection import chunkformat
 from repro.collection.endpoints import EndpointPool
+from repro.collection.store import FrameStore
+from repro.common import faults
+from repro.common.columns import NUMERIC_TYPECODES, TxFrame
 from repro.common.records import ChainId
 from repro.common.rng import DeterministicRng
 from repro.eos.rpc import EndpointProfile, EosRpcEndpoint
-from repro.pipeline import Pipeline, tail_crawl
+from repro.pipeline import (
+    Pipeline,
+    frozen_analysis_config,
+    pending_batches,
+    scenario_generators,
+    tail_crawl,
+)
+from repro.scenarios import get_scenario
 
 from tests.support.reports import assert_reports_identical
 
@@ -307,3 +318,167 @@ class TestCrawlIngest:
         assert_reports_identical(report, expected, exact_flows=True)
         # The sink stored every generated transaction, in block order.
         assert pipeline.store.row_count == len(eos_records)
+
+
+# -- the resident frame follows committed chunks ---------------------------------------
+
+LIVE_BATCH_SECONDS = 6 * 3600.0
+
+
+def _live_tail_pipeline(root) -> tuple:
+    """A fresh ``live_tail`` pipeline and its pending six-hour batches."""
+    pipeline = Pipeline(str(root))
+    generators = scenario_generators(get_scenario("live_tail", seed=7))
+    pipeline.set_analysis_config(*frozen_analysis_config(generators))
+    return pipeline, pending_batches(pipeline, generators, LIVE_BATCH_SECONDS)
+
+
+def _assert_frames_equal(actual: TxFrame, expected: TxFrame) -> None:
+    for name in NUMERIC_TYPECODES:
+        assert getattr(actual, name) == getattr(expected, name), name
+    assert actual.transaction_id == expected.transaction_id
+    assert actual.metadata == expected.metadata
+    for pool in ("types", "accounts", "currencies", "errors"):
+        assert getattr(actual, pool).values == getattr(expected, pool).values, pool
+    assert actual.chains() == expected.chains()
+    for chain in expected.chains():
+        assert actual.chain_bounds(chain) == expected.chain_bounds(chain)
+        assert list(actual.chain_view(chain).rows) == list(expected.chain_view(chain).rows)
+    assert actual.timestamps_sorted == expected.timestamps_sorted
+
+
+def _failing_after(records, count):
+    yield from records[:count]
+    raise RuntimeError("record source died")
+
+
+class TestResidentFrameFollowsStore:
+    def test_follower_equals_per_row_append_and_rehydration(self, tmp_path):
+        """Forty live_tail batches: handed-off payloads == append == disk."""
+        pipeline, batches = _live_tail_pipeline(tmp_path)
+        reference = TxFrame()
+        cycles = 0
+        for _index, _end, blocks, skip_rows in batches:
+            for block in blocks:
+                for record in block.transactions:
+                    reference.append(record)
+            pipeline.ingest_blocks(blocks, skip_rows=skip_rows)
+            _assert_frames_equal(pipeline.frame, reference)
+            _assert_frames_equal(
+                FrameStore.open(pipeline.frames_dir).to_frame(), reference
+            )
+            cycles += 1
+        assert cycles == 40
+
+    def test_happy_path_appends_no_row_and_rereads_no_chunk(self, tmp_path, monkeypatch):
+        """Each cycle touches the new rows once: no per-row append, no decode."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the ingest→update cycle left its one path")
+
+        monkeypatch.setattr(TxFrame, "append", forbidden)
+        pipeline, batches = _live_tail_pipeline(tmp_path)
+        cycles = 0
+        for _index, _end, blocks, skip_rows in batches:
+            pipeline.ingest_blocks(blocks, skip_rows=skip_rows)
+            report, _stats = pipeline.update()
+            if cycles == 0:
+                # The first update rehydrated the one chunk there was; from
+                # here on the frame is resident and is handed every payload.
+                monkeypatch.setattr(chunkformat, "decode_chunk", forbidden)
+            assert len(pipeline.frame) == pipeline.store.flushed_rows
+            expected = full_report(pipeline.frame, *pipeline.analysis_config())
+            assert_reports_identical(report, expected, exact_flows=True)
+            cycles += 1
+        assert cycles == 40
+
+    @pytest.mark.parametrize("resident", [True, False], ids=["resident", "cold"])
+    def test_failing_record_source_never_runs_the_frame_ahead(
+        self, tmp_path, sample_records, frozen_oracle, frozen_clusterer, resident
+    ):
+        pipeline = _configured(tmp_path, frozen_oracle, frozen_clusterer)
+        pipeline.ingest_records(iter(sample_records[:1500]))
+        if resident:
+            assert len(pipeline.frame) == 1500
+        with pytest.raises(RuntimeError, match="record source died"):
+            pipeline.ingest_records(_failing_after(sample_records[1500:], 2700))
+        # Two chunks were committed (and handed over); 700 rows stay staged.
+        assert pipeline.store.flushed_rows == 3500
+        assert pipeline.store.staged_rows == 700
+        if resident:
+            assert len(pipeline._frame) == 3500
+        assert len(pipeline.frame) == pipeline.store.flushed_rows
+        report, _stats = pipeline.update()  # commits the staged tail first
+        assert len(pipeline.frame) == pipeline.store.flushed_rows == 4200
+        oracle, clusterer = pipeline.analysis_config()
+        rehydrated = FrameStore.open(pipeline.frames_dir).to_frame()
+        _assert_frames_equal(pipeline.frame, rehydrated)
+        assert_reports_identical(
+            report, full_report(rehydrated, oracle=oracle, clusterer=clusterer)
+        )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "store.chunk_write:mode=crash:nth=2",
+            "store.chunk_write:mode=truncate:nth=2",
+            "store.chunk_write:mode=torn:nth=2",
+            "store.manifest_commit:mode=crash:nth=2",
+        ],
+    )
+    def test_crash_between_commit_and_hand_off_keeps_the_invariant(
+        self, tmp_path, sample_records, frozen_oracle, frozen_clusterer, spec
+    ):
+        pipeline = _configured(tmp_path, frozen_oracle, frozen_clusterer)
+        pipeline.ingest_records(iter(sample_records[:1000]))
+        assert len(pipeline.frame) == 1000
+        with faults.use_plan(faults.FaultPlan.parse(spec)):
+            with pytest.raises(faults.InjectedCrash):
+                pipeline.ingest_records(iter(sample_records[1000:]))
+        # One chunk went through whole; the faulted one was never handed over.
+        assert len(pipeline._frame) == 2000
+        assert len(pipeline._frame) <= pipeline.store.flushed_rows
+        del pipeline  # the process "died": only the directory survives
+
+        reopened = Pipeline(str(tmp_path), chunk_rows=1000)
+        assert reopened.store.flushed_rows == 2000
+        reopened.ingest_records(iter(sample_records[2000:]))
+        report, _stats = reopened.update()
+        assert len(reopened.frame) == reopened.store.flushed_rows == len(sample_records)
+        oracle, clusterer = reopened.analysis_config()
+        rehydrated = FrameStore.open(reopened.frames_dir).to_frame()
+        _assert_frames_equal(reopened.frame, rehydrated)
+        assert_reports_identical(
+            report, full_report(rehydrated, oracle=oracle, clusterer=clusterer)
+        )
+
+    def test_silently_corrupted_chunk_write_still_follows_in_memory(
+        self, tmp_path, sample_records, frozen_oracle, frozen_clusterer
+    ):
+        """``bitflip`` damages the file, not the commit: the hand-off is whole."""
+        pipeline = _configured(tmp_path, frozen_oracle, frozen_clusterer)
+        pipeline.ingest_records(iter(sample_records[:1000]))
+        assert len(pipeline.frame) == 1000
+        with faults.use_plan(
+            faults.FaultPlan.parse("store.chunk_write:mode=bitflip:nth=2")
+        ):
+            pipeline.ingest_records(iter(sample_records[1000:]))
+        assert len(pipeline._frame) == pipeline.store.flushed_rows == len(sample_records)
+        report, _stats = pipeline.update()
+        oracle, clusterer = pipeline.analysis_config()
+        expected = full_report(
+            TxFrame.from_records(sample_records), oracle=oracle, clusterer=clusterer
+        )
+        assert_reports_identical(report, expected)
+
+    def test_sink_commits_are_caught_up_from_disk_before_a_hand_off(
+        self, tmp_path, sample_records, frozen_oracle, frozen_clusterer
+    ):
+        """A frame that is further behind than the chunk in hand skips it."""
+        pipeline = _configured(tmp_path, frozen_oracle, frozen_clusterer)
+        pipeline.ingest_records(iter(sample_records[:1000]))
+        assert len(pipeline.frame) == 1000
+        pipeline.store.add_records(iter(sample_records[1000:2000]))  # behind its back
+        pipeline.ingest_records(iter(sample_records[2000:3000]))
+        assert len(pipeline._frame) == 1000
+        _assert_frames_equal(pipeline.frame, TxFrame.from_records(sample_records[:3000]))

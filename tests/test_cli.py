@@ -370,6 +370,29 @@ class TestPipelineCommands:
         assert code == 0
         assert "(incremental)" in out
 
+    def test_ingest_on_a_non_empty_pipeline_decodes_no_committed_chunk(
+        self, tmp_path, monkeypatch
+    ):
+        """``ingest`` never reads the frame, so it must not rehydrate one."""
+        from repro.collection.store import FrameStore, StoredFrameChunk
+
+        data = str(tmp_path / "pipe")
+        assert _run(
+            ["ingest", "--data", data, "--scale", TINY_SCENARIO, "--batches", "3"]
+        )[0] == 0
+
+        def decoded(self, *args, **kwargs):
+            raise AssertionError("ingest decoded a committed chunk")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(FrameStore, "to_frame", decoded)
+            patched.setattr(StoredFrameChunk, "payload", decoded)
+            code, out = _run(["ingest", "--data", data, "--batches", "1"])
+        assert code == 0
+        assert "Ingested 1 batch(es)" in out
+        code, out = _run(["fsck", data])
+        assert code == 0 and "clean: no damage found" in out
+
     def test_update_json_payload(self, tmp_path):
         data = str(tmp_path / "pipe")
         assert _run(["ingest", "--data", data, "--scale", TINY_SCENARIO])[0] == 0

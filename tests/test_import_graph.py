@@ -80,6 +80,16 @@ def test_warm_report_loads_no_simulator_and_no_generation_layer(live_tail_cache,
     assert loaded(modules, NOT_FOR_A_WARM_REPORT) == []
 
 
+def test_a_decoding_scan_loads_no_numpy_ma(live_tail_cache):
+    """Plain ``np.unique(x)`` imports ``numpy.ma`` on numpy 2.x (≈14 CPU-ms):
+    every miss leg — decode, remap, scan — must get by without it."""
+    argv = ["report", "--scale", "live_tail", "--cache", live_tail_cache, "--json"]
+    # ``--workers 1`` keeps the scan in this process (a pool would hide it).
+    modules = modules_after(argv + ["--out-of-core", "--no-cache", "--workers", "1"])
+    assert "repro.collection.chunkformat" in modules
+    assert loaded(modules, ["numpy.ma"]) == []
+
+
 @pytest.mark.parametrize("argv", [["list"], ["scenario", "live_tail"]], ids=["list", "scenario"])
 def test_registry_commands_load_no_numpy_and_no_data_layer(argv):
     assert loaded(modules_after(argv), NOT_FOR_THE_REGISTRY) == []

@@ -1,8 +1,8 @@
 """Parallel tour: store the frame, fan chunk tasks out to workers — same figures.
 
 The analysis workload is embarrassingly parallel: chains are independent
-and, within a chain, every accumulator's state is mergeable across disjoint
-row ranges.  This example builds the ``small`` scenario's dataset once,
+and, within a chain, every accumulator's exported state folds across
+disjoint row ranges.  This example builds the ``small`` scenario's dataset once,
 persists it as a chunked on-disk ``FrameStore``, and computes the full
 figure report twice:
 
@@ -13,7 +13,8 @@ figure report twice:
    no process holds the whole frame — and the scanned accumulator states
    fold back in chunk order before one finalisation.
 
-The two reports must agree — that is the merge protocol's contract — so the
+The two reports must agree — that is the contract of the one fold,
+``export_state`` → ``restore_state`` in row order — so the
 script ends by asserting the summaries match.  The command-line equivalent:
 
     python -m repro report --scale small --cache DIR --workers 2

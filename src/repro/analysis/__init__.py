@@ -31,6 +31,6 @@ available as a thin wrapper.
 * :mod:`repro.analysis.report` — the end-to-end summary report and the
   single-pass full figure set.
 * :mod:`repro.analysis.parallel` — out-of-core chunk-task execution over an
-  on-disk store: workers stream chunk ranges, accumulator states merge
-  deterministically in chunk order.
+  on-disk store: workers stream chunk ranges, accumulator states fold by
+  payload, deterministically, in chunk order.
 """

@@ -56,9 +56,6 @@ class _TallyState:
         self._frame = frame
         self.tally = self.tally.fresh(frame)
 
-    def merge(self, other: "_TallyState") -> None:
-        self.tally.merge(other.tally)
-
     def export_state(self) -> Dict:
         return self.tally.export_state()
 

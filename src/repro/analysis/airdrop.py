@@ -173,11 +173,6 @@ class BoomerangClaimsAccumulator(Accumulator):
     def config_signature(self) -> tuple:
         return (type(self).__qualname__, self.name, self.contract)
 
-    def merge(self, other: "BoomerangClaimsAccumulator") -> None:
-        groups = self._groups
-        for transaction_id, transfers in other._groups.items():
-            groups[transaction_id].extend(transfers)
-
     def export_state(self) -> Dict:
         """Flatten the per-transaction transfer groups into parallel columns.
 
@@ -346,22 +341,6 @@ class AirdropAccumulator(BoomerangClaimsAccumulator):
     def config_signature(self) -> tuple:
         return (type(self).__qualname__, self.name, self.contract, self.launch_timestamp)
 
-    def merge(self, other: "AirdropAccumulator") -> None:
-        super().merge(other)
-        self._merge_sides(other._pre, other._post)
-        post_counts = self._post_counts
-        for transaction_id, count in other._post_counts.items():
-            post_counts[transaction_id] = post_counts.get(transaction_id, 0) + count
-
-    def _merge_sides(self, pre, post) -> None:
-        for mine, theirs in ((self._pre, pre), (self._post, post)):
-            mine[0] += theirs[0]
-            if theirs[1] is not None:
-                if mine[1] is None or theirs[1] < mine[1]:
-                    mine[1] = theirs[1]
-                if mine[2] is None or theirs[2] > mine[2]:
-                    mine[2] = theirs[2]
-
     def export_state(self) -> Dict:
         payload = super().export_state()
         payload["pre"] = list(self._pre)
@@ -373,7 +352,16 @@ class AirdropAccumulator(BoomerangClaimsAccumulator):
 
     def restore_state(self, payload: Dict) -> None:
         super().restore_state(payload)
-        self._merge_sides(payload["pre"], payload["post"])
+        for mine, theirs in (
+            (self._pre, payload["pre"]),
+            (self._post, payload["post"]),
+        ):
+            mine[0] += theirs[0]
+            if theirs[1] is not None:
+                if mine[1] is None or theirs[1] < mine[1]:
+                    mine[1] = theirs[1]
+                if mine[2] is None or theirs[2] > mine[2]:
+                    mine[2] = theirs[2]
         restore_str_table(self._post_counts, payload["post_counts"])
 
     def finalize(self) -> AirdropReport:

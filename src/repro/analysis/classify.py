@@ -153,9 +153,6 @@ class TypeDistributionAccumulator(Accumulator):
 
         return consume
 
-    def merge(self, other: "TypeDistributionAccumulator") -> None:
-        self._counts.update(other._counts)
-
     def export_state(self) -> Dict:
         return {"counts": pack_code_table(self._counts, 3)}
 
@@ -323,9 +320,6 @@ class CategoryDistributionAccumulator(Accumulator):
 
         return consume
 
-    def merge(self, other: "CategoryDistributionAccumulator") -> None:
-        self._counts.update(other._counts)
-
     def export_state(self) -> Dict:
         return {"counts": pack_code_table(self._counts, 2)}
 
@@ -428,11 +422,6 @@ class ContractBreakdownAccumulator(Accumulator):
 
         return consume
 
-    def merge(self, other: "ContractBreakdownAccumulator") -> None:
-        counts = self._counts
-        for type_code, count in other._counts.items():
-            counts[type_code] = counts.get(type_code, 0) + count
-
     def export_state(self) -> Dict:
         return {"counts": pack_code_table(self._counts, 1)}
 
@@ -510,11 +499,6 @@ class TezosCategoryAccumulator(Accumulator):
                 step(row)
 
         return consume
-
-    def merge(self, other: "TezosCategoryAccumulator") -> None:
-        counts = self._counts
-        for category, count in other._counts.items():
-            counts[category] = counts.get(category, 0) + count
 
     def export_state(self) -> Dict:
         return {"counts": pack_str_table(self._counts)}

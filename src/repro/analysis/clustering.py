@@ -160,9 +160,6 @@ class ClusterCountsAccumulator(Accumulator):
 
         return consume
 
-    def merge(self, other: "ClusterCountsAccumulator") -> None:
-        self._code_counts.update(other._code_counts)
-
     def export_state(self) -> Dict:
         return {"counts": pack_code_table(self._code_counts, 1)}
 

@@ -22,12 +22,13 @@ otherwise mode-blind.  Every container offers:
     an empty twin bound to ``frame`` (what ``Accumulator._reset`` installs);
 ``row_adder()`` / ``block_adder(...)``
     the adders of the row-step reference and of the NumPy block kernel;
-``merge(other)`` / ``export_state()`` / ``restore_state(payload)``
-    the accumulator contract of :mod:`repro.analysis.engine`, delegated.
-    ``export_state`` returns the payload *fields* this representation owns
-    and ``restore_state`` picks them out of the accumulator's payload;
-    merging the other representation, or restoring a payload it wrote, is
-    an :class:`AnalysisError` raised before any state changes;
+``export_state()`` / ``restore_state(payload)``
+    the accumulator contract of :mod:`repro.analysis.engine`, delegated —
+    the one way two containers' states combine.  ``export_state`` returns
+    the payload *fields* this representation owns and ``restore_state``
+    picks them out of the accumulator's payload; restoring a payload the
+    other representation wrote is an :class:`AnalysisError` raised before
+    any state changes;
 ``signature()``
     what the container adds to ``Accumulator.config_signature()``: nothing
     when exact (pre-sketch checkpoints stay restorable), the sketch's
@@ -92,14 +93,6 @@ class _Container:
 
     def signature(self) -> tuple:
         return ()
-
-    def merge(self, other: "_Container") -> None:
-        if type(other) is not type(self):
-            raise AnalysisError(
-                f"cannot merge {type(other).__name__} state into "
-                f"{type(self).__name__} state"
-            )
-        self._merge(other)
 
     def restore_state(self, payload: Dict[str, Any]) -> None:
         # Mode mismatches are normally caught upstream by the
@@ -168,11 +161,6 @@ class ExactIdSet(_Container):
             self._seen.update(unpack_strings(self._frozen))
             self._frozen = None
             self._frozen_count = 0
-
-    def _merge(self, other: "ExactIdSet") -> None:
-        self._thaw()
-        other._thaw()
-        self._seen.update(other._seen)
 
     def export_state(self) -> Dict[str, Any]:
         # Once the live layer grows to a meaningful fraction of the base,
@@ -248,9 +236,6 @@ class HllDistinct(_Container):
     def signature(self) -> tuple:
         return (("sketch", "hll", self.sketch.p, self.sketch.sparse_limit),)
 
-    def _merge(self, other: "HllDistinct") -> None:
-        self.sketch.merge(other.sketch)
-
     def export_state(self) -> Dict[str, Any]:
         return {"hll": self.sketch.export_state()}
 
@@ -325,12 +310,14 @@ class ExactCounts(_TopK):
         space = dense_space(sizes)
         if ordered or space > DENSE_KEYSPACE_MAX:
             return lambda blocks: count_codes(counts, blocks, sizes)
-        dense = np.zeros(space, dtype=np.int64)
-        self._dense = (dense, sizes)
 
         def add(blocks: Sequence) -> None:
+            # Allocated by the first block: a container that is bound only
+            # to be restored into (a fold target) never holds the vector.
+            if self._dense is None:
+                self._dense = (np.zeros(space, dtype=np.int64), sizes)
             block = np.bincount(pack_codes(blocks, sizes))
-            dense[: len(block)] += block
+            self._dense[0][: len(block)] += block
 
         return add
 
@@ -340,11 +327,6 @@ class ExactCounts(_TopK):
         if pending is not None:
             self._dense = None
             fold_dense(self._counts, *pending)
-
-    def _merge(self, other: "ExactCounts") -> None:
-        self._flush()
-        other._flush()
-        self._counts.update(other._counts)
 
     def export_state(self) -> Dict[str, Any]:
         self._flush()
@@ -420,11 +402,6 @@ class SpaceSavingCounts(_TopK):
     def signature(self) -> tuple:
         return (("sketch", "ss", self.sketch.capacity),)
 
-    def _merge(self, other: "SpaceSavingCounts") -> None:
-        self._fold()
-        other._fold()
-        self.sketch.merge(other.sketch)
-
     def export_state(self) -> Dict[str, Any]:
         self._fold()
         return {"ss": self.sketch.export_state()}
@@ -472,9 +449,6 @@ class SortedColumn(_Container):
             np.ascontiguousarray(block, dtype=np.float64).tobytes()
         )
 
-    def _merge(self, other: "SortedColumn") -> None:
-        self._values.extend(other._values)
-
     def export_state(self) -> Dict[str, Any]:
         return {"values": self._values}
 
@@ -521,9 +495,6 @@ class SketchQuantiles(_Container):
 
     def signature(self) -> tuple:
         return (("sketch", "qs", self.sketch.alpha),)
-
-    def _merge(self, other: "SketchQuantiles") -> None:
-        self.sketch.merge(other.sketch)
 
     def export_state(self) -> Dict[str, Any]:
         return {"qs": self.sketch.export_state()}

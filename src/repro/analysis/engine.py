@@ -33,23 +33,12 @@ The accumulator protocol — every accumulator has at most two scan kernels:
     ``bind``'s step row by row, so implementing ``bind`` alone is always
     enough; override ``bind_batch`` with NumPy block operations only when
     the figure is hot.  An override must reset through the same
-    ``_reset(frame)`` as ``bind`` — one state shape, so ``merge`` /
-    ``export_state`` / ``restore_state`` / ``finalize`` never ask which
-    kernel ran — and must be result-identical to the reference:
+    ``_reset(frame)`` as ``bind`` — one state shape, so ``export_state`` /
+    ``restore_state`` / ``finalize`` never ask which kernel ran — and must
+    be result-identical to the reference:
     ``tests/properties/test_kernel_parity.py`` compares
     ``acc.bind_batch(frame)`` with ``Accumulator.bind_batch(acc, frame)``
     for every registered accumulator.
-
-``merge(other) -> None``
-    Folds another accumulator's scanned (post-bind, pre-finalize) state
-    into this one.  This is what makes chunk-wise and multi-process
-    execution possible: disjoint row ranges are scanned independently and
-    their states merged before a single ``finalize``.  Both accumulators
-    must have identical configuration and be bound to frames with
-    **identical string pools** (the guarantee :meth:`TxFrame.with_pools`
-    provides for chunks rehydrated against a store's global pools), and the
-    ranges must be merged in row order — under those conditions the merged
-    state replays the serial scan and the finalised result is deterministic.
 
 ``finalize() -> result``
     Called once after the scan; returns the analysis result (the same
@@ -58,8 +47,12 @@ The accumulator protocol — every accumulator has at most two scan kernels:
 Accumulators are one-shot: binding resets state, so an instance can be
 reused across engine runs but not shared between concurrent passes.
 
-**State snapshot / restore contract.**  Durable checkpoints and worker
-hand-offs do not pickle accumulator objects; they move **state payloads**:
+**State payloads are the one fold.**  Chunk-wise and multi-process
+execution, the chunk-state cache and durable checkpoints all combine
+partial results the same way: disjoint row ranges are scanned
+independently, each range's state is exported as a **payload** (never a
+pickled accumulator object), and the payloads are folded in row order into
+one accumulator before a single ``finalize``:
 
 ``export_state() -> payload``
     Returns the scanned (post-bind, *pre-finalize*) state as a typed,
@@ -71,14 +64,18 @@ hand-offs do not pickle accumulator objects; they move **state payloads**:
     not O(elements).
 
 ``restore_state(payload) -> None``
-    Folds an exported payload into this accumulator — the payload-shaped
-    twin of ``merge``, with the same preconditions: the target must be
-    freshly bound (``bind_batch``) against a pool-compatible frame, the
-    exporting side must have had an equal
+    Folds an exported payload into this accumulator, leaving the payload
+    untouched (the same payload may be folded elsewhere and persisted).
+    The target must be bound (``bind_batch``) against a frame with
+    **identical string pools** to the exporting side's (the guarantee
+    :meth:`TxFrame.with_pools` provides for chunks rehydrated against a
+    store's global pools), the exporting side must have had an equal
     :meth:`Accumulator.config_signature`, and payloads must be restored in
-    row order ahead of any delta scan.  Restoring a serial snapshot and
-    scanning the remaining rows replays the serial pass exactly —
-    including the bit-for-bit Figure 12 float sums.
+    row order ahead of any delta scan — under those conditions the folded
+    state replays the serial scan and the finalised result is
+    deterministic.  Restoring a serial snapshot and scanning the remaining
+    rows replays the serial pass exactly — including the bit-for-bit
+    Figure 12 float sums.
 
 The surrounding contract has three legs:
 
@@ -95,8 +92,8 @@ The surrounding contract has three legs:
    append-only and in a deterministic order, so a code assigned at
    checkpoint time maps to the same string in every later rehydration of a
    grown store;
-3. ``config_signature()`` is the compatibility gate: restore-and-merge is
-   only defined between accumulators whose signatures are equal.  Fields
+3. ``config_signature()`` is the compatibility gate: a restore is only
+   defined between accumulators whose signatures are equal.  Fields
    that legitimately advance between incremental updates (for example a
    throughput series' window *end*) are excluded from the signature by the
    overriding accumulator.
@@ -180,17 +177,6 @@ class Accumulator:
 
         return consume
 
-    def merge(self, other: "Accumulator") -> None:
-        """Fold ``other``'s scanned state into this accumulator.
-
-        Both sides must be post-bind / pre-finalize, share configuration,
-        and be bound to frames with identical string pools; merge shards in
-        row order for deterministic results (see the module docstring).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement merge()"
-        )
-
     def finalize(self) -> Any:
         """Return the analysis result after the pass completes."""
         raise NotImplementedError
@@ -212,11 +198,12 @@ class Accumulator:
     def restore_state(self, payload: Dict[str, Any]) -> None:
         """Fold an :meth:`export_state` payload into this accumulator.
 
-        Same preconditions as :meth:`merge`: this side must be post-bind /
-        pre-finalize on a pool-compatible frame, the exporting side must
-        have carried an equal :meth:`config_signature`, and payloads must
-        be applied in row order (checkpointed prefix before the delta
-        scan).
+        This side must be post-bind / pre-finalize on a frame whose string
+        pools are identical to the exporting side's, the exporting side
+        must have carried an equal :meth:`config_signature`, and payloads
+        must be applied in row order (checkpointed prefix before the delta
+        scan); the payload itself is read, never modified (see the module
+        docstring).
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement restore_state()"
@@ -225,9 +212,9 @@ class Accumulator:
     def config_signature(self) -> tuple:
         """Hashable identity of this accumulator's configuration.
 
-        Merging two accumulators — and restoring a checkpointed state into
-        a freshly bound instance — is only defined when their signatures
-        are equal.  Accumulators with configuration (a column side, a label
+        Restoring one accumulator's exported state into another is only
+        defined when their signatures are equal.  Accumulators with
+        configuration (a column side, a label
         table, an oracle) override this to include it; fields that may
         legitimately advance between incremental updates (a growing window
         end) are deliberately left out by the override.
@@ -317,14 +304,12 @@ class AnalysisEngine:
             raise AnalysisError(f"duplicate accumulator names: {sorted(names)}")
         self.accumulators = list(accumulators)
 
-    def run(self, source: FrameLike, block_rows: int = BLOCK_ROWS) -> EngineResult:
+    def run(self, source: FrameLike) -> EngineResult:
         """One streaming scan over ``source``; returns every accumulator's result."""
-        if block_rows <= 0:
-            raise AnalysisError("block_rows must be positive")
         view = view_of(source)
         frame, rows = view.frame, view.rows
         consumers = [accumulator.bind_batch(frame) for accumulator in self.accumulators]
-        for block in scan_blocks(rows, block_rows):
+        for block in scan_blocks(rows, BLOCK_ROWS):
             for consume in consumers:
                 consume(block)
         return EngineResult(
@@ -424,19 +409,6 @@ class TxStatsAccumulator(Accumulator):
 
         return consume
 
-    def merge(self, other: "TxStatsAccumulator") -> None:
-        self.ids.merge(other.ids)
-        self._merge_window(other._state)
-
-    def _merge_window(self, theirs: List) -> None:
-        state = self._state
-        state[0] += theirs[0]
-        if theirs[1] is not None:
-            if state[1] is None or theirs[1] < state[1]:
-                state[1] = theirs[1]
-            if state[2] is None or theirs[2] > state[2]:
-                state[2] = theirs[2]
-
     def export_state(self) -> Dict[str, Any]:
         return {
             "rows": self._state[0],
@@ -447,7 +419,14 @@ class TxStatsAccumulator(Accumulator):
 
     def restore_state(self, payload: Dict[str, Any]) -> None:
         self.ids.restore_state(payload)
-        self._merge_window([payload["rows"], payload["first"], payload["last"]])
+        state = self._state
+        state[0] += payload["rows"]
+        first, last = payload["first"], payload["last"]
+        if first is not None:
+            if state[1] is None or first < state[1]:
+                state[1] = first
+            if state[2] is None or last > state[2]:
+                state[2] = last
 
     def config_signature(self) -> tuple:
         return super().config_signature() + self.ids.signature()
@@ -466,10 +445,3 @@ TX_STATS_FIGURE = FigureSpec(
     chains=CHAIN_ORDER,
     factory=lambda chain, config: TxStatsAccumulator(stats=config.stats),
 )
-
-
-def run_single_pass(
-    source: FrameLike, accumulators: Sequence[Accumulator]
-) -> EngineResult:
-    """Convenience wrapper: one engine pass over ``source``."""
-    return AnalysisEngine(accumulators).run(source)

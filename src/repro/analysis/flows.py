@@ -205,32 +205,6 @@ class ValueFlowAccumulator(Accumulator):
 
         return consume
 
-    def merge(self, other: "ValueFlowAccumulator") -> None:
-        """Fold another shard's flow aggregates into this accumulator.
-
-        Counts, keys and their order merge exactly; the XRP-value sums add
-        shard subtotals, so they can differ from a strictly serial scan by
-        floating-point rounding in the last few ulps (see
-        ``docs/architecture.md``).
-        """
-        flows = self._flows
-        for key, (value, count) in other._flows.items():
-            flow = flows.get(key)
-            if flow is None:
-                flows[key] = [value, count]
-            else:
-                flow[0] += value
-                flow[1] += count
-        for mine, theirs in (
-            (self._by_sender, other._by_sender),
-            (self._by_receiver, other._by_receiver),
-            (self._by_currency, other._by_currency),
-            (self._face_value, other._face_value),
-        ):
-            for key, value in theirs.items():
-                mine[key] = mine.get(key, 0.0) + value
-        self._totals[0] += other._totals[0]
-
     def config_signature(self) -> tuple:
         clusterer_signature = getattr(self.clusterer, "signature", None)
         return (
@@ -267,9 +241,15 @@ class ValueFlowAccumulator(Accumulator):
         }
 
     def restore_state(self, payload: Dict) -> None:
-        """Payload twin of :meth:`merge` — same float caveat on shard sums;
-        restoring a *serial* snapshot into zeroed state replays the serial
-        sums bit-for-bit (the float64 columns are exact)."""
+        """Fold another range's flow aggregates into this accumulator.
+
+        Counts, keys and their order fold exactly; the XRP-value sums add
+        range subtotals, so they can differ from a strictly serial scan by
+        floating-point rounding in the last few ulps (see
+        ``docs/architecture.md``).  Restoring a *serial* snapshot into
+        zeroed state replays the serial sums bit-for-bit (the float64
+        columns are exact).
+        """
         flows = self._flows
         for sender, receiver, currency, value, count in zip(
             unpack_strings(payload["flow_senders"]),

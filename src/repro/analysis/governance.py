@@ -128,10 +128,6 @@ class GovernanceOpsAccumulator(Accumulator):
 
         return consume
 
-    def merge(self, other: "GovernanceOpsAccumulator") -> None:
-        self._count += other._count
-        self._bulk.update(other._bulk)
-
     def export_state(self) -> Dict:
         return {
             "count": self._count,

@@ -1,29 +1,31 @@
 """Out-of-core parallel execution of the single-pass analysis engine.
 
 The workload is embarrassingly parallel: chains are independent, and within
-a chain the accumulators' per-row state is mergeable across disjoint row
-ranges (every accumulator implements ``merge`` — see
+a chain the accumulators' scanned state folds across disjoint row ranges by
+payload (``export_state`` → ``restore_state`` — see
 :mod:`repro.analysis.engine`).  The unit of work is a **chunk task**:
-``(tag, directory, chunk_start, chunk_stop, factories, block_rows, cache
-context)`` — a pointer into an on-disk
-:class:`~repro.collection.store.FrameStore`, not data.  Each worker reopens
-the store lazily (manifest only — version-2 manifests carry the global
-string pools as per-chunk deltas, so no chunk is decompressed to learn the
-code space), rehydrates **one chunk at a time** into a frame sharing the
-store's global pools (:meth:`~repro.common.columns.TxFrame.with_pools`),
-scans each chain's rows of that chunk with fresh accumulators, and merges
-them into per-chain carry accumulators before dropping the chunk frame.
-Peak memory per process is one decompressed chunk plus accumulator state —
-flat in the dataset's row count, and no process ever holds the full frame.
+``(tag, directory, chunk_start, chunk_stop, factories, cache context)`` — a
+pointer into an on-disk :class:`~repro.collection.store.FrameStore`, not
+data.  Each worker reopens the store lazily (manifest only — version-2
+manifests carry the global string pools as per-chunk deltas, so no chunk is
+decompressed to learn the code space), rehydrates **one chunk at a time**
+into a frame sharing the store's global pools
+(:meth:`~repro.common.columns.TxFrame.with_pools`), scans each chain's rows
+of that chunk with fresh accumulators, exports their states and folds those
+into per-chain carry accumulators before dropping the chunk frame.  Peak
+memory per process is one decompressed chunk plus accumulator state — flat
+in the dataset's row count, and no process ever holds the full frame.
 
-The carry state is exported once per task as each accumulator's
-:meth:`~repro.analysis.engine.Accumulator.export_state` payload — compact
-columnar state, not a pickled accumulator object — and the parent applies
-task results **in chunk order** with
-:meth:`~repro.analysis.engine.Accumulator.restore_state` on accumulators
-bound to the store's pools, then finalises once.  Because tasks are
-contiguous chunk ranges folded in order, the merged state replays the
-serial scan order: counts, rankings, series and orderings are identical to
+There is **one fold**, :func:`fold_states`: a chunk's freshly scanned
+states, a chunk's cached states and a task's shipped carry states are all
+``(qualname, payload)`` lists per chain, validated against the accumulators
+they fold into and applied with
+:meth:`~repro.analysis.engine.Accumulator.restore_state`.  The carry state
+is exported once per task — compact columnar payloads, not pickled
+accumulator objects — and the parent folds task results **in chunk order**
+into accumulators bound to the store's pools, then finalises once.  Because
+tasks are contiguous chunk ranges folded in order, the folded state replays
+the serial scan order: counts, rankings, series and orderings are identical to
 a serial engine run.  The one caveat is floating-point accumulation —
 ``ValueFlowAccumulator`` adds chunk subtotals, which may differ from the
 serial row-order sum in the last few ulps (documented in
@@ -45,7 +47,7 @@ from repro.common.columns import StringPool, TxFrame
 from repro.common import faults, statsmode
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
-from repro.analysis.engine import BLOCK_ROWS, Accumulator, AnalysisEngine
+from repro.analysis.engine import Accumulator, AnalysisEngine
 from repro.analysis.report import ChainFigures, FullReport, figure_factory
 from repro.analysis.statecache import (
     CacheContext,
@@ -62,14 +64,13 @@ from repro.analysis.throughput import DEFAULT_BIN_SECONDS
 AccumulatorFactory = Callable[[], Sequence[Accumulator]]
 
 #: One unit of out-of-core work: (tag, store directory, chunk_start,
-#: chunk_stop, per-chain factories keyed by chain value string, block_rows,
-#: optional chunk-state cache context).  No row data crosses the process
+#: chunk_stop, per-chain factories keyed by chain value string, optional
+#: chunk-state cache context).  No row data crosses the process
 #: boundary — the worker reopens the store and streams the half-open chunk
 #: range ``[chunk_start, chunk_stop)``; with a cache context it first
 #: consults the chunk-state cache per chunk and only scans the misses.
 ChunkScanTask = Tuple[
-    object, str, int, int, Dict[str, AccumulatorFactory], int,
-    Optional[CacheContext],
+    object, str, int, int, Dict[str, AccumulatorFactory], Optional[CacheContext]
 ]
 
 
@@ -78,34 +79,55 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _merge_into(base: Sequence[Accumulator], scanned: Sequence[Accumulator]) -> None:
-    """Fold one shard's scanned accumulators into the parent set."""
-    if len(base) != len(scanned):
-        raise AnalysisError(
-            f"shard returned {len(scanned)} accumulators, expected {len(base)}"
-        )
-    for target, part in zip(base, scanned):
-        if type(target) is not type(part):
-            raise AnalysisError(
-                f"shard accumulator {type(part).__name__} does not match "
-                f"{type(target).__name__}"
-            )
-        target.merge(part)
+class StateMismatch(AnalysisError):
+    """States do not line up with the accumulators they would fold into."""
 
 
-def _restore_into(base: Sequence[Accumulator], shipped: Sequence[tuple]) -> None:
-    """Apply one shard's ``(qualname, payload)`` states to the parent set."""
-    if len(base) != len(shipped):
-        raise AnalysisError(
-            f"shard returned {len(shipped)} state payloads, expected {len(base)}"
-        )
-    for target, (qualname, payload) in zip(base, shipped):
-        if type(target).__qualname__ != qualname:
-            raise AnalysisError(
-                f"shard state for {qualname} does not match "
-                f"{type(target).__qualname__}"
+def export_states(accumulators: Sequence[Accumulator]) -> List[Tuple[str, dict]]:
+    """One chain's scanned state as ``(qualname, payload)`` pairs, in order."""
+    return [
+        (type(accumulator).__qualname__, accumulator.export_state())
+        for accumulator in accumulators
+    ]
+
+
+def fold_states(
+    states: ChainStates, targets: Dict[str, Sequence[Accumulator]]
+) -> None:
+    """Fold one row range's exported states into ``targets``, chain by chain.
+
+    This is the only fold of the chunk engine: a scanned chunk, a cached
+    chunk and a worker's shipped carry all arrive here as
+    ``{chain value: [(qualname, payload), ...]}``.  Every chain is validated
+    (a target set exists, same length, same qualname sequence) before *any*
+    state is touched, so states that do not fit raise :class:`StateMismatch`
+    with ``targets`` unchanged — a worker reading a cache entry treats that
+    as a miss and rescans the chunk; everywhere else it is the
+    :class:`AnalysisError` it subclasses.  A payload that passes this
+    validation (and, for a cached entry, the entry checksum) and still makes
+    ``restore_state`` raise is a code bug (a payload schema change without
+    an :data:`~repro.analysis.statecache.ENTRY_MAGIC` bump), not disk
+    corruption, and propagates as such.  Payloads are only read, so the
+    same states can be folded here and persisted by the caller.
+    """
+    for chain_key, shipped in states.items():
+        base = targets.get(chain_key)
+        if base is None:
+            raise StateMismatch(f"no accumulators to fold {chain_key!r} states into")
+        if len(base) != len(shipped):
+            raise StateMismatch(
+                f"{chain_key!r} carries {len(shipped)} state payloads, "
+                f"expected {len(base)}"
             )
-        target.restore_state(payload)
+        for target, (qualname, _payload) in zip(base, shipped):
+            if type(target).__qualname__ != qualname:
+                raise StateMismatch(
+                    f"{chain_key!r} state for {qualname} does not match "
+                    f"{type(target).__qualname__}"
+                )
+    for chain_key, shipped in states.items():
+        for target, (_qualname, payload) in zip(targets[chain_key], shipped):
+            target.restore_state(payload)
 
 
 def _bound_base(factory: AccumulatorFactory, frame: TxFrame) -> List[Accumulator]:
@@ -222,7 +244,7 @@ def row_balanced_ranges(
 def _store_skeleton(store) -> TxFrame:
     """Empty frame adopting the store's global string pools.
 
-    Every chunk frame a worker rehydrates — and the parent's merge-target
+    Every chunk frame a worker rehydrates — and the parent's fold-target
     accumulators — bind against pools built from the same
     :meth:`~repro.collection.store.FrameStore.pool_values`, so interned
     codes in exported accumulator state mean the same strings in every
@@ -237,47 +259,6 @@ def _store_skeleton(store) -> TxFrame:
     )
 
 
-def _fold_cached_states(
-    loaded: ChainStates,
-    factories: Dict[str, AccumulatorFactory],
-    skeleton: TxFrame,
-    carry: Dict[str, List[Accumulator]],
-) -> bool:
-    """Validate one cached entry, then fold it straight into the carry.
-
-    ``restore_state`` is a delta-apply (the parent fold restores successive
-    shipped worker states into the same targets), so a cached chunk's
-    payloads fold directly into the carry accumulators — no intermediate
-    fresh set, no extra ``merge`` pass.  Every chain is validated (length
-    and qualname sequence against the factory's accumulators) before *any*
-    state is touched, so a mismatched entry is rejected whole — ``False``
-    means miss, rescan the chunk, and the carry is untouched.  A payload
-    that passes the entry checksum and this validation and still makes
-    ``restore_state`` raise is a code bug (a payload schema change without
-    an :data:`~repro.analysis.statecache.ENTRY_MAGIC` bump), not disk
-    corruption, and propagates as such.
-    """
-    prepared = []
-    for chain_key, shipped in loaded.items():
-        factory = factories.get(chain_key)
-        if factory is None:
-            continue
-        base = carry.get(chain_key)
-        if base is None:
-            base = _bound_base(factory, skeleton)
-        if len(base) != len(shipped) or any(
-            type(target).__qualname__ != qualname
-            for target, (qualname, _payload) in zip(base, shipped)
-        ):
-            return False
-        prepared.append((chain_key, base, shipped))
-    for chain_key, base, shipped in prepared:
-        carry[chain_key] = base
-        for target, (_qualname, payload) in zip(base, shipped):
-            target.restore_state(payload)
-    return True
-
-
 def _scan_chunk_range(task: ChunkScanTask):
     """Worker entry point: stream one chunk range from disk, ship the state.
 
@@ -285,28 +266,31 @@ def _scan_chunk_range(task: ChunkScanTask):
     cache info)`` for each chain the range contained.  Memory high-water
     mark is one decompressed chunk plus carry accumulator state: each chunk
     is rehydrated into a throwaway frame (sharing the store's pools),
-    scanned per chain with fresh accumulators, merged into the per-chain
-    carry set, and dropped before the next chunk is touched.
+    scanned per chain with fresh accumulators whose exported states are
+    folded into the per-chain carry set, and dropped before the next chunk
+    is touched.
 
     With a cache context, each chunk is first looked up in the chunk-state
-    cache: a hit folds the memoized states (restored into fresh
-    accumulators, then merged — still in chunk order) and skips the
-    rehydrate-and-scan entirely; a miss (absent, corrupt, or unrestorable
-    entry) degrades to the plain scan, and the freshly exported per-chunk
-    states travel back in the cache info for the parent to persist.
-    ``cache info`` is ``None`` without a context, else ``{"hits", "misses",
-    "fresh"}`` where ``fresh`` is ``[(EntryKey, chain states), ...]``.
+    cache, and a hit skips the rehydrate-and-scan entirely.  Hit or miss,
+    the chunk's states reach the carry through the same :func:`fold_states`
+    — still in chunk order — so the two differ only in where the states
+    came from; a miss (absent, corrupt, or mismatched entry) is the plain
+    scan, and its states also travel back in the cache info for the parent
+    to persist.  ``cache info`` is ``None`` without a context, else
+    ``{"hits", "misses", "fresh"}`` where ``fresh`` is
+    ``[(EntryKey, chain states), ...]``.
     """
     from repro.collection.store import FrameStore
 
-    tag, directory, start, stop, factories, block_rows, context = task
+    tag, directory, start, stop, factories, context = task
     action = faults.check("worker.chunk_task")
     if action is not None and action.mode == faults.MODE_KILL:
         os._exit(17)  # hard worker death: no exception, no cleanup
     store = FrameStore.open(directory)
     skeleton = _store_skeleton(store)
     cache = ChunkStateCache(context.directory) if context is not None else None
-    carry: Dict[str, List[Accumulator]] = {}
+    carry = {key: _bound_base(factory, skeleton) for key, factory in factories.items()}
+    present = set()  # the chains this range actually held
     hits = misses = 0
     fresh: List[Tuple[EntryKey, ChainStates]] = []
     for index in range(start, stop):
@@ -315,11 +299,15 @@ def _scan_chunk_range(task: ChunkScanTask):
             checksum, chunk_format = store.chunk_identity(index)
             key = context.key(checksum, chunk_format)
             loaded = cache.load(key)
-            if loaded is not None and _fold_cached_states(
-                loaded, factories, skeleton, carry
-            ):
-                hits += 1
-                continue
+            if loaded is not None:
+                try:
+                    fold_states(loaded, carry)
+                except StateMismatch:
+                    pass  # not an entry of these factories: rescan the chunk
+                else:
+                    present.update(loaded)
+                    hits += 1
+                    continue
             misses += 1
         chunk = TxFrame.with_pools(
             skeleton.types, skeleton.accounts, skeleton.currencies, skeleton.errors
@@ -331,16 +319,10 @@ def _scan_chunk_range(task: ChunkScanTask):
             if factory is None:
                 continue
             scanned = list(factory())
-            AnalysisEngine(scanned).run(chunk.chain_view(chain), block_rows)
-            if key is not None:
-                chunk_states[chain.value] = [
-                    (type(accumulator).__qualname__, accumulator.export_state())
-                    for accumulator in scanned
-                ]
-            base = carry.get(chain.value)
-            if base is None:
-                carry[chain.value] = base = _bound_base(factory, skeleton)
-            _merge_into(base, scanned)
+            AnalysisEngine(scanned).run(chunk.chain_view(chain))
+            chunk_states[chain.value] = export_states(scanned)
+        fold_states(chunk_states, carry)
+        present.update(chunk_states)
         if key is not None:
             fresh.append((key, chunk_states))
     cache_info = (
@@ -349,11 +331,7 @@ def _scan_chunk_range(task: ChunkScanTask):
         else None
     )
     return tag, {
-        key: [
-            (type(accumulator).__qualname__, accumulator.export_state())
-            for accumulator in base
-        ]
-        for key, base in carry.items()
+        key: export_states(base) for key, base in carry.items() if key in present
     }, cache_info
 
 
@@ -362,7 +340,6 @@ def chunk_scan_tasks(
     row_counts: Sequence[int],
     factories: Dict[str, AccumulatorFactory],
     parts: int,
-    block_rows: int = BLOCK_ROWS,
     cache: Optional[CacheContext] = None,
 ) -> List[ChunkScanTask]:
     """Partition a store's committed chunks into ``parts`` contiguous tasks.
@@ -375,7 +352,7 @@ def chunk_scan_tasks(
     context every worker consults before scanning.
     """
     return [
-        (index, directory, start, stop, factories, block_rows, cache)
+        (index, directory, start, stop, factories, cache)
         for index, (start, stop) in enumerate(row_balanced_ranges(row_counts, parts))
         if stop > start
     ]
@@ -389,7 +366,7 @@ def run_chunk_tasks(
 ) -> Dict[str, int]:
     """Scan chunk tasks (a pool when ``workers > 1``), fold in chunk order.
 
-    ``targets`` maps chain value strings to merge-target accumulator sets;
+    ``targets`` maps chain value strings to fold-target accumulator sets;
     they may already hold state (the pipeline's cold catch-up seeds them
     before fanning out).  ``imap`` yields in task order regardless of
     completion order, and tasks are contiguous chunk ranges, so each
@@ -408,8 +385,7 @@ def run_chunk_tasks(
 
     def fold(results) -> None:
         for _tag, shipped_by_chain, cache_info in results:
-            for key, shipped in shipped_by_chain.items():
-                _restore_into(targets[key], shipped)
+            fold_states(shipped_by_chain, targets)
             if cache_info is not None:
                 stats["hits"] += cache_info["hits"]
                 stats["misses"] += cache_info["misses"]
@@ -442,7 +418,6 @@ def chunk_scan_states(
     tasks: Optional[int] = None,
     bin_seconds: float = DEFAULT_BIN_SECONDS,
     top_limit: int = 10,
-    block_rows: int = BLOCK_ROWS,
     cache: Optional[ChunkStateCache] = None,
     store=None,
 ) -> Tuple[Dict[str, int], Dict[str, List[Accumulator]]]:
@@ -495,7 +470,6 @@ def chunk_scan_states(
         store.chunk_row_counts(),
         factories,
         task_count,
-        block_rows,
         cache=context,
     )
     skeleton = _store_skeleton(store)
@@ -515,7 +489,6 @@ def parallel_report_from_store(
     tasks: Optional[int] = None,
     bin_seconds: float = DEFAULT_BIN_SECONDS,
     top_limit: int = 10,
-    block_rows: int = BLOCK_ROWS,
     cache: Optional[ChunkStateCache] = None,
     store=None,
 ) -> FullReport:
@@ -536,7 +509,6 @@ def parallel_report_from_store(
         tasks=tasks,
         bin_seconds=bin_seconds,
         top_limit=top_limit,
-        block_rows=block_rows,
         cache=cache,
         store=store,
     )

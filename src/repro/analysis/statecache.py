@@ -2,7 +2,7 @@
 
 Every committed :class:`~repro.collection.store.FrameStore` chunk is
 immutable and checksummed, and every figure accumulator speaks
-``export_state`` / ``restore_state`` / ``merge`` — which makes a chunk's
+``export_state`` / ``restore_state`` — which makes a chunk's
 folded accumulator state a *materialized partial aggregate*: computed once,
 reusable by every later report over the same chunk.  This module is that
 cache.  A report over an unchanged store folds cached states instead of
@@ -23,7 +23,7 @@ a lookup is one ``open`` — is the tuple:
 
 Any drift — a rewritten chunk, a different oracle or clusterer, a mode or
 format switch — changes the key, so incompatible state can never be
-*found*, let alone merged.  Invalidation is therefore mostly free: stale
+*found*, let alone folded.  Invalidation is therefore mostly free: stale
 entries are dead files, cleared wholesale by format migration
 (:func:`~repro.collection.store.invalidate_state_cache`), quarantined by
 ``fsck --repair``, or simply left to miss.
@@ -120,8 +120,8 @@ def factories_digest(factories: Dict) -> str:
     """Digest of every chain factory's accumulator configuration.
 
     Instantiates each factory once and digests the sorted per-chain
-    ``config_signature`` tuples — the exact compatibility gate ``merge`` /
-    ``restore_state`` define, so two runs share cache entries if and only
+    ``config_signature`` tuples — the exact compatibility gate
+    ``restore_state`` defines, so two runs share cache entries if and only
     if folding state between them would be well-defined.
     """
     signatures = []

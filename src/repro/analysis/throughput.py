@@ -326,21 +326,6 @@ class ThroughputSeriesAccumulator(Accumulator):
 
         return consume
 
-    def merge(self, other: "ThroughputSeriesAccumulator") -> None:
-        mine = self._raw_bins
-        for index, counter in other._raw_bins.items():
-            target = mine.get(index)
-            if target is None:
-                mine[index] = counter.copy()
-            else:
-                target.update(counter)
-        for index, counts in other._bins.items():
-            target = self._bins.get(index)
-            if target is None:
-                target = self._bins[index] = {}
-            for category, count in counts.items():
-                target[category] = target.get(category, 0) + count
-
     def export_state(self) -> Dict:
         """Columnar snapshot of the binning state.
 
@@ -457,7 +442,7 @@ class ThroughputSeriesAccumulator(Accumulator):
             bins[index] = merged
         # The category tuple is first-seen order over bins in *time* order
         # (and insertion order within a bin): independent of how the scan
-        # or the shard merges interleaved the bins.
+        # or the shard folds interleaved the bins.
         categories = self._categories = {}
         for index in sorted(bins):
             categories.update(dict.fromkeys(bins[index]))

@@ -265,12 +265,6 @@ class XrpDecompositionAccumulator(Accumulator):
     def config_signature(self) -> tuple:
         return (type(self).__qualname__, self.name, self.oracle.signature())
 
-    def merge(self, other: "XrpDecompositionAccumulator") -> None:
-        counters = self._counters
-        for index, value in enumerate(other._counters):
-            counters[index] += value
-        self._bulk.update(other._bulk)
-
     def export_state(self) -> Dict:
         return {
             "counters": list(self._counters),
@@ -476,9 +470,6 @@ class ValueDistributionAccumulator(Accumulator):
 
         return consume
 
-    def merge(self, other: "ValueDistributionAccumulator") -> None:
-        self.values.merge(other.values)
-
     def export_state(self) -> Dict:
         return self.values.export_state()
 
@@ -598,11 +589,6 @@ class FailureCodeAccumulator(Accumulator):
                 count_codes(table, (types[mask], errors[mask]), sizes)
 
         return consume
-
-    def merge(self, other: "FailureCodeAccumulator") -> None:
-        table = self._table
-        for key, count in other._table.items():
-            table[key] = table.get(key, 0) + count
 
     def export_state(self) -> Dict:
         return {"table": pack_code_table(self._table, 2)}

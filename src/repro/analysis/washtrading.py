@@ -155,9 +155,6 @@ class TradeExtractionAccumulator(Accumulator):
 
         return consume
 
-    def merge(self, other: "TradeExtractionAccumulator") -> None:
-        self._trades.extend(other._trades)
-
     def export_state(self) -> Dict:
         trades = self._trades
         return {

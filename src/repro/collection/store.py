@@ -340,23 +340,6 @@ class BlockStore:
         return frame
 
 
-def _payload_heights(payload: Dict) -> Dict[str, List[int]]:
-    """Per-chain ``[min, max]`` block-height bounds of one chunk payload."""
-    heights: Dict[str, List[int]] = {}
-    columns = payload["columns"]
-    for chain_code, height in zip(columns["chain_code"], columns["block_height"]):
-        chain = CHAIN_ORDER[chain_code].value
-        bounds = heights.get(chain)
-        if bounds is None:
-            heights[chain] = [height, height]
-        else:
-            if height < bounds[0]:
-                bounds[0] = height
-            elif height > bounds[1]:
-                bounds[1] = height
-    return heights
-
-
 def _payload_chain_stats(
     payload: Dict,
 ) -> Tuple[Dict[str, List[int]], Dict[str, List[float]], Dict[str, int]]:

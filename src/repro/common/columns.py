@@ -280,14 +280,6 @@ class TxView:
         """Sub-view of rows with ``start <= timestamp < end`` (zero-copy)."""
         return self.frame.time_window(start, end, rows=self.rows)
 
-    def shard(self, count: int) -> List["TxView"]:
-        """Split this view into ``count`` contiguous sub-views (zero-copy).
-
-        See :meth:`TxFrame.shard`; shards partition the view's rows in row
-        order, which is what makes shard-merged analysis deterministic.
-        """
-        return self.frame.shard(count, rows=self.rows)
-
     def chain_view(self, chain: ChainId) -> "TxView":
         """Sub-view of this view's rows that belong to ``chain``."""
         code = _CHAIN_CODES[chain]
@@ -708,30 +700,6 @@ class TxFrame:
 
     def all_rows(self) -> TxView:
         return TxView(self, range(len(self)))
-
-    def shard(self, count: int, rows: Optional[RowIndices] = None) -> List[TxView]:
-        """Split (a row subset of) the frame into contiguous views.
-
-        The shards partition ``rows`` (default: every row) in row order into
-        at most ``count`` near-equal contiguous chunks.  Contiguity matters:
-        merging shard results in shard order then replays the serial scan
-        order, which is what keeps shard-merged accumulator output
-        deterministic.  An empty frame yields a single empty shard.
-        """
-        if count <= 0:
-            raise ValueError("shard count must be positive")
-        if rows is None:
-            rows = range(len(self))
-        total = len(rows)
-        shard_count = min(count, total) or 1
-        base, extra = divmod(total, shard_count)
-        views: List[TxView] = []
-        start = 0
-        for index in range(shard_count):
-            size = base + (1 if index < extra else 0)
-            views.append(TxView(self, rows[start : start + size]))
-            start += size
-        return views
 
     def chains(self) -> List[ChainId]:
         """The chains present in the frame, in canonical order."""

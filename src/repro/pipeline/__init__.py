@@ -6,7 +6,7 @@ Public surface:
 * :class:`~repro.pipeline.core.Pipeline` — a durable pipeline directory
   (columnar frame store + checkpoint + analysis config) with append-only
   ingest and incremental :meth:`~repro.pipeline.core.Pipeline.update`;
-* :func:`~repro.pipeline.core.incremental_report` — the checkpoint-merge +
+* :func:`~repro.pipeline.core.incremental_report` — the checkpoint-restore +
   delta-scan reporter (usable on any frame, no directory required);
 * :class:`~repro.pipeline.checkpoint.CheckpointStore` /
   :class:`~repro.pipeline.checkpoint.PipelineCheckpoint` — durable

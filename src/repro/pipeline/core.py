@@ -13,16 +13,15 @@ the report produced after the last ``update`` equals the report of a single
 serial :func:`~repro.analysis.report.full_report` over the same rows —
 per accumulator and figure-for-figure.  It rests on three mechanisms:
 
-* accumulator ``restore_state`` (the payload twin of ``merge``) replays the
-  serial scan when saved states are folded in row order (checkpointed
-  prefix first, then the delta scan);
+* accumulator ``restore_state`` replays the serial scan when saved states
+  are folded in row order (checkpointed prefix first, then the delta scan);
 * frame rehydration re-interns string pools append-only and in
   deterministic order, so interned codes inside checkpointed states stay
   valid as the store grows;
 * :meth:`~repro.analysis.engine.Accumulator.config_signature` gates every
   restore — a configuration drift (new oracle rates, an earlier series
   anchor caused by out-of-order history) forces a full rescan of the
-  affected chain rather than a silently wrong merge.
+  affected chain rather than a silently wrong fold.
 
 A cold ``update`` with no usable checkpoint can fan the catch-up scan out
 across worker processes as out-of-core chunk tasks (the
@@ -113,7 +112,6 @@ def incremental_report(
     clusterer=None,
     bin_seconds: float = DEFAULT_BIN_SECONDS,
     top_limit: int = 10,
-    block_rows: int = BLOCK_ROWS,
 ) -> Tuple[FullReport, PipelineCheckpoint, UpdateStats]:
     """Refresh every figure, scanning only rows past the checkpoint watermark.
 
@@ -139,7 +137,7 @@ def incremental_report(
         """Last-resort serial rescan of one chain from row zero."""
         accumulators = list(factory())
         consumers = [accumulator.bind_batch(frame) for accumulator in accumulators]
-        for block in scan_blocks(view.rows, block_rows):
+        for block in scan_blocks(view.rows, BLOCK_ROWS):
             for consume in consumers:
                 consume(block)
         new_checkpoint.capture_chain(chain.value, accumulators)
@@ -201,7 +199,7 @@ def incremental_report(
         rows_scanned += len(delta_rows)
         # scan_blocks normalises the delta rows once (index ndarrays),
         # exactly like the engine's own scan loop.
-        for block in scan_blocks(delta_rows, block_rows):
+        for block in scan_blocks(delta_rows, BLOCK_ROWS):
             for consume in consumers:
                 consume(block)
         try:
@@ -305,8 +303,19 @@ class Pipeline:
     def _load_meta(self) -> Dict:
         if not os.path.exists(self.meta_path):
             return {"version": PIPELINE_META_VERSION}
-        with open(self.meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
+        # Never reset an unreadable meta silently: it holds the frozen
+        # oracle / cluster configuration and the crawl's missing heights.
+        try:
+            with open(self.meta_path, "r", encoding="utf-8") as handle:
+                meta = json.load(handle)
+        except ValueError as error:
+            raise CollectionError(
+                f"pipeline meta {self.meta_path!r} is unreadable: {error}"
+            ) from error
+        if not isinstance(meta, dict):
+            raise CollectionError(
+                f"pipeline meta {self.meta_path!r} is not a JSON object"
+            )
         if meta.get("version") != PIPELINE_META_VERSION:
             raise CollectionError(
                 f"unsupported pipeline meta version {meta.get('version')!r}"

@@ -1,8 +1,8 @@
 """The container contract, once over all six representations.
 
 Whatever the kind and whichever representation holds it, a container must
-round-trip through its payload, merge associatively over disjoint row
-ranges, agree between its row adder and its block adder, and refuse the
+round-trip through its payload, fold payloads associatively over disjoint
+row ranges, agree between its row adder and its block adder, and refuse the
 other representation's state before touching its own.
 """
 
@@ -151,11 +151,11 @@ def test_row_adder_and_block_adder_agree(kind, mode, frame):
 def test_merge_is_associative_over_disjoint_ranges(kind, mode, frame):
     cuts = (range(0, 150), range(150, 410), range(410, ROWS))
     left = [_filled(kind, mode, frame, rows) for rows in cuts]
-    left[0].merge(left[1])
-    left[0].merge(left[2])
+    left[0].restore_state(left[1].export_state())
+    left[0].restore_state(left[2].export_state())
     right = [_filled(kind, mode, frame, rows) for rows in cuts]
-    right[1].merge(right[2])
-    right[0].merge(right[1])
+    right[1].restore_state(right[2].export_state())
+    right[0].restore_state(right[1].export_state())
     whole = _filled(kind, mode, frame, range(ROWS))
     assert kind.query(left[0]) == kind.query(right[0]) == kind.query(whole)
 
@@ -166,8 +166,6 @@ def test_the_other_representation_is_rejected_untouched(kind, mode, frame):
     container = _filled(kind, mode, frame, range(0, 300))
     other = _filled(kind, other_mode, frame, range(300, ROWS))
     before = encode(container.export_state())
-    with pytest.raises(AnalysisError):
-        container.merge(other)
     with pytest.raises(AnalysisError):
         container.restore_state(other.export_state())
     assert encode(container.export_state()) == before

@@ -9,12 +9,7 @@ from repro.analysis.classify import (
     CategoryDistributionAccumulator,
     TypeDistributionAccumulator,
 )
-from repro.analysis.engine import (
-    Accumulator,
-    AnalysisEngine,
-    TxStatsAccumulator,
-    run_single_pass,
-)
+from repro.analysis.engine import Accumulator, AnalysisEngine, TxStatsAccumulator
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
 
@@ -77,7 +72,8 @@ class TestAnalysisEngine:
             for i in range(3)
         ]
         frame = TxFrame.from_records(records)
-        result = run_single_pass(frame.chain_view(ChainId.XRP), [TxStatsAccumulator()])
+        engine = AnalysisEngine([TxStatsAccumulator()])
+        result = engine.run(frame.chain_view(ChainId.XRP))
         assert result["tx_stats"].action_count == 3
 
     def test_combined_result_matches_individual_runs(self):

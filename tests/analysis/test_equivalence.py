@@ -27,9 +27,12 @@ from repro.analysis.classify import (
 )
 from repro.analysis.clustering import AccountClusterer
 from repro.analysis.flows import aggregate_value_flows
+from repro.analysis.report import full_report
 from repro.analysis.throughput import DEFAULT_BIN_SECONDS, bin_throughput
 from repro.analysis.value import ExchangeRateOracle, XrpValueAnalyzer
 from repro.analysis.washtrading import analyze_wash_trading
+from repro.common.columns import TxFrame
+from repro.common.records import ChainId
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +162,47 @@ class TestCaseStudyEquivalence:
         assert analyze_wash_trading(
             eos_records, contract="nonexistent11"
         ) == legacy.analyze_wash_trading(eos_records, contract="nonexistent11")
+
+
+def _seed_stats_scans(records):
+    """The seed report's dedicated scans: window bounds + distinct tx ids."""
+    timestamps = [record.timestamp for record in records]
+    duration = (max(timestamps) - min(timestamps)) if timestamps else 0.0
+    transactions = len({record.transaction_id for record in records})
+    return duration, transactions
+
+
+def _xrp_categorizer(record):
+    if not record.success:
+        return "Unsuccessful"
+    if record.type in ("Payment", "OfferCreate"):
+        return record.type
+    return "Others"
+
+
+class TestFullReportEquivalence:
+    """The one-pass report reproduces the seed's per-figure passes."""
+
+    def test_eos_figures(self, eos_records):
+        eos = full_report(TxFrame.from_records(eos_records)).chains[ChainId.EOS]
+        assert eos["type_distribution"] == legacy.type_distribution(eos_records)
+        assert eos["category_distribution"] == legacy.category_distribution(
+            eos_records
+        )
+        assert eos["top_senders"] == legacy.top_senders(eos_records, 10)
+        assert eos["top_receivers"] == legacy.top_receivers(eos_records, 10)
+        assert eos["wash_trading"] == legacy.analyze_wash_trading(eos_records)
+        assert eos["throughput_series"] == legacy.bin_throughput(
+            eos_records, classify_eos_category
+        )
+        duration, transactions = _seed_stats_scans(eos_records)
+        assert eos["tx_stats"].duration_seconds == duration
+        assert eos["tx_stats"].transaction_count == transactions
+
+    def test_xrp_figures(self, xrp_records, xrp_oracle):
+        frame = TxFrame.from_records(xrp_records)
+        xrp = full_report(frame, oracle=xrp_oracle).chains[ChainId.XRP]
+        assert xrp["xrp_decomposition"] == legacy.decompose(xrp_records, xrp_oracle)
+        assert xrp["throughput_series"] == legacy.bin_throughput(
+            xrp_records, _xrp_categorizer
+        )

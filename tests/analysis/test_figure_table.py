@@ -45,9 +45,6 @@ class FailedRowsAccumulator(Accumulator):
 
         return step
 
-    def merge(self, other: "FailedRowsAccumulator") -> None:
-        self._failed += other._failed
-
     def export_state(self):
         return {"failed": self._failed}
 

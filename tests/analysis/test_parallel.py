@@ -1,13 +1,14 @@
-"""Shard/merge equivalence: merged shard states reproduce the serial engine.
+"""Shard/fold equivalence: folded shard states reproduce the serial engine.
 
-Every accumulator implements ``merge``; these tests require that scanning a
-frame in contiguous shards and merging the shard states (in shard order)
-produces exactly the result of one serial pass — for every accumulator in
-all nine analysis modules, at arbitrary cut points.  (The cross-process
-identity of the chunk engine, which cuts only at chunk boundaries, lives in
-``tests/analysis/test_out_of_core.py``.)
+Partial states combine one way — ``export_state`` payloads folded by
+``restore_state`` through :func:`repro.analysis.parallel.fold_states`; these
+tests require that scanning a frame in contiguous shards and folding the
+shard states (in shard order) produces exactly the result of one serial
+pass — for every accumulator in all nine analysis modules, at arbitrary cut
+points.  (The cross-process identity of the chunk engine, which cuts only at
+chunk boundaries, lives in ``tests/analysis/test_out_of_core.py``.)
 
-Floating-point caveat: ``ValueFlowAccumulator`` sums XRP values, and merging
+Floating-point caveat: ``ValueFlowAccumulator`` sums XRP values, and folding
 adds shard subtotals; counts, keys and orderings must match exactly, while
 the value sums are compared to within strict relative tolerance (the serial
 row-order sum and the shard-subtotal sum may differ in the last ulps).
@@ -34,15 +35,10 @@ from repro.analysis.clustering import (
     ClusterCountsAccumulator,
     StaticAccountClusterer,
 )
-from repro.analysis.engine import (
-    Accumulator,
-    AnalysisEngine,
-    EngineResult,
-    TxStatsAccumulator,
-)
+from repro.analysis.engine import AnalysisEngine, EngineResult, TxStatsAccumulator
 from repro.analysis.flows import ValueFlowAccumulator
 from repro.analysis.governance import GovernanceOpsAccumulator
-from repro.analysis.parallel import _bound_base, _merge_into
+from repro.analysis.parallel import _bound_base, export_states, fold_states
 from repro.analysis.report import FIGURE3_CATEGORIZERS
 from repro.analysis.throughput import ThroughputSeriesAccumulator
 from repro.analysis.value import (
@@ -51,7 +47,7 @@ from repro.analysis.value import (
     XrpDecompositionAccumulator,
 )
 from repro.analysis.washtrading import TradeExtractionAccumulator, WashTradeAccumulator
-from repro.common.columns import TxFrame, as_frame, view_of
+from repro.common.columns import TxFrame, TxView, as_frame, view_of
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
 
@@ -76,15 +72,18 @@ def _serial(factory, source):
 
 
 def run_sharded(source, factory, shards):
-    """Scan ``source`` in contiguous shards, merge in shard order, finalise."""
+    """Scan ``source`` in contiguous shards, fold in shard order, finalise."""
     view = view_of(as_frame(source))
+    rows = view.rows
     base = _bound_base(factory, view.frame)
-    for shard_view in view.shard(shards):
-        if not len(shard_view):
+    # ``shards`` near-equal contiguous cuts of the view's rows, in row order.
+    cuts = [len(rows) * index // shards for index in range(shards + 1)]
+    for start, stop in zip(cuts, cuts[1:]):
+        if stop == start:
             continue
         accumulators = list(factory())
-        AnalysisEngine(accumulators).run(shard_view)
-        _merge_into(base, accumulators)
+        AnalysisEngine(accumulators).run(TxView(view.frame, rows[start:stop]))
+        fold_states({"shard": export_states(accumulators)}, {"shard": base})
     return EngineResult(
         {accumulator.name: accumulator.finalize() for accumulator in base},
         rows_processed=len(view),
@@ -99,7 +98,7 @@ def _assert_results_equal(serial, sharded):
 
 
 class TestShardMergeEquivalence:
-    """Merged shard scans == one serial pass, for every accumulator."""
+    """Folded shard scans == one serial pass, for every accumulator."""
 
     SHARD_COUNTS = (2, 3, 7)
 
@@ -198,7 +197,7 @@ class TestShardMergeEquivalence:
         factory = lambda: [ValueFlowAccumulator(xrp_clusterer, xrp_oracle)]
         serial = _serial(factory, combined_frame)["value_flows"]
         sharded = run_sharded(combined_frame, factory, shards=3)["value_flows"]
-        # Counts, keys and orderings merge exactly.
+        # Counts, keys and orderings fold exactly.
         assert [
             (flow.sender_cluster, flow.receiver_cluster, flow.currency, flow.payment_count)
             for flow in sharded.flows
@@ -220,19 +219,29 @@ class TestShardMergeEquivalence:
 
 
 class TestMergeProtocol:
-    def test_base_merge_unimplemented(self):
-        with pytest.raises(NotImplementedError):
-            Accumulator().merge(Accumulator())
-
     def test_mismatched_accumulator_sets_rejected(self, combined_frame):
-        bound = TxStatsAccumulator()
-        bound.bind_batch(combined_frame)
-        with pytest.raises(AnalysisError):
-            _merge_into([bound], [])
-        other = TypeDistributionAccumulator()
-        other.bind_batch(combined_frame)
-        with pytest.raises(AnalysisError):
-            _merge_into([bound], [other])
+        """States that do not fit are rejected whole, before any restore."""
+        scanned = [TxStatsAccumulator(), TypeDistributionAccumulator()]
+        AnalysisEngine(scanned).run(combined_frame)
+        stats_state, types_state = export_states(scanned)
+        targets = {
+            "eos": _bound_base(lambda: [TxStatsAccumulator()], combined_frame),
+            "xrp": _bound_base(lambda: [TxStatsAccumulator()], combined_frame),
+        }
+        for states in (
+            {"eos": []},  # wrong length
+            {"eos": [stats_state, types_state]},
+            {"eos": [types_state]},  # wrong accumulator class
+            {"tezos": [stats_state]},  # no target for the chain
+            # a fitting chain ahead of a mismatched one is not applied either
+            {"eos": [stats_state], "xrp": [types_state]},
+        ):
+            with pytest.raises(AnalysisError):
+                fold_states(states, targets)
+        for (target,) in targets.values():
+            assert target.finalize().action_count == 0
+        fold_states({"eos": [stats_state]}, targets)
+        assert targets["eos"][0].finalize() == scanned[0].finalize()
 
     def test_run_sharded_empty_frame(self):
         result = run_sharded(TxFrame(), lambda: [TxStatsAccumulator()], shards=4)

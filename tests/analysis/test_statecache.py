@@ -15,8 +15,9 @@ The cache contract under test, layer by layer:
   committing the entry;
 * **consumers** — cached and uncached out-of-core reports are
   figure-for-figure identical, hit/miss counters account for exactly the
-  chunks skipped and rescanned, appends rescan only appended chunks, and
-  ``migrate_format`` drops the whole cache;
+  chunks skipped and rescanned, appends rescan only appended chunks,
+  ``migrate_format`` drops the whole cache, and a task ships the same
+  bytes whether its chunks hit or missed;
 * **partitioning** — ``row_balanced_ranges`` always covers the chunk index
   space exactly while cutting at cumulative-row boundaries.
 """
@@ -29,16 +30,20 @@ import pytest
 
 from repro.analysis.clustering import AccountClusterer
 from repro.analysis.parallel import (
+    _scan_chunk_range,
     chunk_ranges,
+    chunk_scan_tasks,
     parallel_report_from_store,
     row_balanced_ranges,
 )
+from repro.analysis.report import figure_factory
 from repro.analysis.statecache import (
     ENTRY_MAGIC,
     ChunkStateCache,
     EntryKey,
     decode_entry,
     encode_entry,
+    factories_digest,
     parse_entry_name,
 )
 from repro.analysis.value import ExchangeRateOracle
@@ -48,7 +53,10 @@ from repro.collection.store import (
     FrameStore,
     state_cache_dir,
 )
+from repro.cli.dataset import cached_store
 from repro.common import faults, statsmode
+from repro.common.records import ChainId
+from repro.common.statecodec import encode
 
 from tests.support.reports import assert_reports_identical
 
@@ -208,6 +216,42 @@ def test_cached_report_identity_and_counters(store_dir, xrp_oracle, xrp_clustere
 
     assert_reports_identical(cold_report, uncached, exact_flows=True)
     assert_reports_identical(warm_report, uncached, exact_flows=True)
+
+
+def test_a_task_ships_the_same_bytes_from_a_cold_and_a_warm_cache(
+    live_tail_cache, tmp_path
+):
+    """Hit or miss, a chunk's states reach the carry through one fold.
+
+    With a second fold (accumulator ``merge`` on the miss leg) the id sets of
+    EOS and Tezos ``tx_stats`` grew in a different order and the shipped
+    payloads differed in bytes, though never in figures.
+    """
+    stored = cached_store("live_tail", 7, live_tail_cache)
+    store = stored.store
+    factories = {
+        chain.value: figure_factory(
+            chain, store.time_bounds(chain), stored.oracle, stored.clusterer
+        )
+        for chain in ChainId
+    }
+    # A private cache directory: the shared dataset's own stays untouched.
+    cache = ChunkStateCache(str(tmp_path / "cache"))
+    context = cache.context(factories_digest(factories), statsmode.active_mode())
+    (task,) = chunk_scan_tasks(
+        stored.directory, store.chunk_row_counts(), factories, 1, cache=context
+    )
+    _tag, cold, info = _scan_chunk_range(task)
+    assert (info["hits"], info["misses"]) == (0, 3)
+    for key, states in info["fresh"]:
+        cache.store(key, states)
+    _tag, warm, info = _scan_chunk_range(task)
+    assert (info["hits"], info["misses"]) == (3, 0)
+    assert list(cold) == list(warm) == [chain.value for chain in ChainId]
+    for chain, shipped in cold.items():
+        assert [(name, encode(payload)) for name, payload in shipped] == [
+            (name, encode(payload)) for name, payload in warm[chain]
+        ], chain
 
 
 def test_append_rescans_only_new_chunks(

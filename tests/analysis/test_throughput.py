@@ -137,7 +137,7 @@ class TestCategoryOrder:
             return accumulator
 
         head, tail = scan(range(0, 2)), scan(range(2, 5))
-        head.merge(tail)
+        head.restore_state(tail.export_state())
         assert head.finalize() == scan(range(5)).finalize()
 
 

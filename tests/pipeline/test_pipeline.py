@@ -21,6 +21,7 @@ from repro.collection.endpoints import EndpointPool
 from repro.collection.store import FrameStore
 from repro.common import faults
 from repro.common.columns import NUMERIC_TYPECODES, TxFrame
+from repro.common.errors import CollectionError
 from repro.common.records import ChainId
 from repro.common.rng import DeterministicRng
 from repro.eos.rpc import EndpointProfile, EosRpcEndpoint
@@ -34,6 +35,9 @@ from repro.pipeline import (
 from repro.scenarios import get_scenario
 
 from tests.support.reports import assert_reports_identical
+
+#: A torn write and a foreign file: what ``fsck`` calls ``meta_unreadable``.
+UNREADABLE_METAS = ('{"version": 1, "oracle', "[]")
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +206,22 @@ class TestCrashRecovery:
         oracle, clusterer = reopened.analysis_config()
         expected = full_report(reopened.frame, oracle=oracle, clusterer=clusterer)
         assert_reports_identical(report, expected, exact_flows=True)
+
+    @pytest.mark.parametrize("content", UNREADABLE_METAS)
+    def test_unreadable_meta_is_a_collection_error_and_is_kept(
+        self, tmp_path, sample_records, frozen_oracle, frozen_clusterer, content
+    ):
+        """The meta holds the frozen config and crawl holes: never reset it."""
+        pipeline = self._seed(
+            tmp_path, sample_records[:1500], frozen_oracle, frozen_clusterer
+        )
+        with open(pipeline.meta_path, "w", encoding="utf-8") as handle:
+            handle.write(content)
+        del pipeline
+        with pytest.raises(CollectionError, match="pipeline meta .*meta.json"):
+            Pipeline(str(tmp_path))
+        with open(os.path.join(tmp_path, "meta.json"), encoding="utf-8") as handle:
+            assert handle.read() == content
 
 
 class TestCrawlIngest:

@@ -417,6 +417,28 @@ class TestPipelineCommands:
         code, _ = _run(["ingest", "--data", data, "--scale", "small"])
         assert code == 2  # pinned settings mismatch is a clean CLI error
 
+    @pytest.mark.parametrize("content", ['{"version": 1, "oracle', "[]"])
+    def test_unreadable_pipeline_meta_is_a_clean_error(
+        self, tmp_path, capsys, content
+    ):
+        data = str(tmp_path / "pipe")
+        assert _run(
+            ["ingest", "--data", data, "--scale", TINY_SCENARIO, "--batches", "1"]
+        )[0] == 0
+        meta_path = tmp_path / "pipe" / "meta.json"
+        meta_path.write_text(content)
+        capsys.readouterr()
+        for command, extra in (
+            ("ingest", ["--batches", "1"]),
+            ("update", []),
+            ("watch", ["--batches", "1"]),
+        ):
+            code, _ = _run([command, "--data", data, *extra])
+            assert code == 2
+            error = capsys.readouterr().err
+            assert error.startswith("error: pipeline meta") and str(meta_path) in error
+        assert meta_path.read_text() == content  # never reset silently
+
     def test_watch_prints_live_updates_and_resumes(self, tmp_path):
         data = str(tmp_path / "pipe")
         code, out = _run(

@@ -14,3 +14,15 @@ V1_STORE_CHUNKS = 3
 def copy_v1_store(destination) -> str:
     """A private, writable copy of the v1 fixture store; returns its path."""
     return shutil.copytree(V1_STORE, str(destination))
+
+
+#: A pipeline directory whose checkpoint and chunk-state cache entries were
+#: written by the last state-epoch-1 commit: 356 rows in two chunks.
+STATE_EPOCH1 = os.path.join(os.path.dirname(__file__), "state_epoch1")
+STATE_EPOCH1_ROWS = 356
+STATE_EPOCH1_CHUNKS = 2
+
+
+def copy_state_epoch1(destination) -> str:
+    """A private, writable copy of the epoch-1 pipeline directory."""
+    return shutil.copytree(STATE_EPOCH1, str(destination))

@@ -2,14 +2,14 @@
 
 Every figure the paper draws is a distinct count (Figure 2), a top-k table
 (Figures 4-6 and 8) or a distribution (§4.3), and each kind is held in
-exactly two ways: complete per-key state, or a bounded-memory sketch from
+exactly two ways: exact state, or a bounded-memory sketch from
 :mod:`repro.common.sketches`.  This module is the only place under
 :mod:`repro.analysis` that knows two representations exist:
 
 =================  =====================  ==========================
 factory            exact                  sketch
 =================  =====================  ==========================
-:func:`distinct`   :class:`ExactIdSet`    :class:`HllDistinct`
+:func:`distinct`   :class:`IdRuns`        :class:`HllDistinct`
 :func:`top_k`      :class:`ExactCounts`   :class:`SpaceSavingCounts`
 :func:`quantiles`  :class:`SortedColumn`  :class:`SketchQuantiles`
 =================  =====================  ==========================
@@ -48,7 +48,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, 
 import numpy as np
 
 from repro.common import statsmode
-from repro.common.columns import RowIndices, TxFrame, as_index_rows
+from repro.common.columns import RowIndices, TxFrame, gather_np
 from repro.common.errors import AnalysisError
 from repro.common.sketches import (
     DEFAULT_HEAVY_HITTERS,
@@ -57,12 +57,7 @@ from repro.common.sketches import (
     SpaceSaving,
     hash64,
 )
-from repro.common.statecodec import (
-    pack_code_table,
-    pack_strings,
-    restore_code_table,
-    unpack_strings,
-)
+from repro.common.statecodec import pack_code_table, restore_code_table
 from repro.analysis.vectorized import (
     DENSE_KEYSPACE_MAX,
     count_codes,
@@ -109,94 +104,75 @@ class _Container:
 # -- distinct transaction ids -----------------------------------------------------------
 
 
-class ExactIdSet(_Container):
-    """A Python ``set`` of the id strings — exact, O(distinct) state.
+class IdRuns(_Container):
+    """The number of id *runs* in row order — exact, O(1) state.
 
-    The set is the single largest collection any checkpoint carries, so the
-    export is log-structured: a restored base column is stashed unopened
-    (packed-strings payload + its cardinality) and re-exports as-is — zero
-    joins, zero hashing — with the ids seen *since* the restore as a small
-    ``extra`` layer, so a steady-state update persists O(delta), not
-    O(history), and an idle chain's checkpoint round-trip never pays the
-    per-id hashing.
+    A transaction occupies one position of one block and committed history
+    is append-only, so in a chain's row order a transaction's rows are one
+    contiguous run and the distinct count is the number of runs (rows that
+    interleave two ids would over-count; the stores this program writes
+    refuse them — see :class:`~repro.collection.store.FrameStore`).  State
+    is ``(runs, first id, last id)`` and every addition — a row, a block, a
+    restored payload — is the same **ordered** fold: a range whose first id
+    continues this side's last run brings one run fewer.
     """
 
-    field = "seen"
+    field = "runs"
 
     def __init__(self, frame: Optional[TxFrame] = None):
         self._frame = frame
-        self._seen: set = set()
-        self._frozen: Optional[Dict[str, Any]] = None
-        self._frozen_count = 0
+        self._runs = 0
+        self._first: Optional[str] = None
+        self._last: Optional[str] = None
+
+    def _append(self, runs: int, first: str, last: str) -> None:
+        """Fold the next row range's ``runs`` id runs, ``first`` … ``last``."""
+        if not self._runs:
+            self._first = first
+        self._runs += runs - (self._last == first)
+        self._last = last
 
     def row_adder(self) -> Callable[[int], None]:
-        add = self._seen.add
         transaction_ids = self._frame.transaction_id
-        return lambda row: add(transaction_ids[row])
+        append = self._append
 
-    def block_adder(self) -> Callable[[RowIndices], None]:
-        # The id column is an object list by design (high cardinality), so
-        # the dedup is a C-level ``set.update``; index-row blocks gather ids
-        # with one object fancy-indexing call over the frame's cached id
-        # ndarray instead of a per-row ``__getitem__`` loop.
-        frame = self._frame
-        seen = self._seen
-        transaction_ids = frame.transaction_id
-        ids_nd = None
-
-        def add(rows: RowIndices) -> None:
-            nonlocal ids_nd
-            if isinstance(rows, range):
-                seen.update(transaction_ids[rows.start : rows.stop : rows.step])
-            else:
-                if ids_nd is None:
-                    ids_nd = frame.transaction_ids_ndarray()
-                seen.update(ids_nd[as_index_rows(rows)].tolist())
+        def add(row: int) -> None:
+            append(1, transaction_ids[row], transaction_ids[row])
 
         return add
 
-    def _thaw(self) -> None:
-        """Fold a stashed restored id column into the live set."""
-        if self._frozen is not None:
-            self._seen.update(unpack_strings(self._frozen))
-            self._frozen = None
-            self._frozen_count = 0
+    def block_adder(self) -> Callable[[RowIndices], None]:
+        # One slice (or fancy index) of the frame's cached id ndarray per
+        # block, built on first use; run boundaries are one elementwise !=.
+        frame = self._frame
+        append = self._append
+        ids = None
+
+        def add(rows: RowIndices) -> None:
+            nonlocal ids
+            if ids is None:
+                ids = frame.transaction_ids_ndarray()
+            block = gather_np(ids, rows)
+            if len(block):
+                breaks = int(np.count_nonzero(block[1:] != block[:-1]))
+                append(1 + breaks, block[0], block[-1])
+
+        return add
 
     def export_state(self) -> Dict[str, Any]:
-        # Once the live layer grows to a meaningful fraction of the base,
-        # the layers compact into one flat column (amortised O(1) per id;
-        # the layers may overlap on transactions that straddled the
-        # watermark, and compaction — like every count — goes through the
-        # set, which dedups exactly).
-        if self._frozen is not None and self._seen and (
-            2 * len(self._seen) >= self._frozen_count
-        ):
-            self._thaw()
-        if self._frozen is not None:
-            extra = pack_strings(self._seen) if self._seen else None
-            return {"seen": self._frozen, "extra": extra}
-        return {"seen": pack_strings(self._seen), "extra": None}
+        return {"runs": self._runs, "first_id": self._first, "last_id": self._last}
 
     def _restore(self, payload: Dict[str, Any]) -> None:
-        seen = payload["seen"]
-        extra = payload.get("extra")
-        if self._frozen is None and not self._seen:
-            # Defer the base-column set build: the delta scan may never
-            # touch this chain.  The stashed count is only trusted while
-            # the live set stays empty — a non-empty ``extra`` layer (or
-            # any scanned delta) forces exact set arithmetic in ``count``.
-            self._frozen = seen
-            self._frozen_count = seen["n"]
-        else:
-            self._thaw()
-            self._seen.update(unpack_strings(seen))
-        if extra is not None:
-            self._seen.update(unpack_strings(extra))
+        runs = payload["runs"]
+        first, last = payload.get("first_id"), payload.get("last_id")
+        named = isinstance(first, str) and isinstance(last, str)
+        if type(runs) is not int or runs < 0 or (runs and not named):
+            raise AnalysisError("IdRuns payload is malformed")
+        if runs:
+            self._append(runs, first, last)
 
     def count(self) -> int:
-        if self._seen:
-            self._thaw()
-        return len(self._seen) + self._frozen_count
+        return self._runs
 
 
 class HllDistinct(_Container):
@@ -204,8 +180,7 @@ class HllDistinct(_Container):
 
     State is O(1) in the row count; the count is exact until the sketch's
     sparse limit and carries ~0.81 % standard error beyond it.  The payload
-    is tiny (the register file or the deduplicated sparse hash column) and
-    needs no layering.
+    is the register file or the deduplicated sparse hash column.
     """
 
     field = "hll"
@@ -224,14 +199,7 @@ class HllDistinct(_Container):
         # the per-block cost is a uint64 gather plus a register fold.
         update = self.sketch.update_np
         hashes = np.frombuffer(self._frame.transaction_id_hashes(), dtype=np.uint64)
-
-        def add(rows: RowIndices) -> None:
-            if isinstance(rows, range):
-                update(hashes[rows.start : rows.stop : rows.step])
-            else:
-                update(hashes[as_index_rows(rows)])
-
-        return add
+        return lambda rows: update(gather_np(hashes, rows))
 
     def signature(self) -> tuple:
         return (("sketch", "hll", self.sketch.p, self.sketch.sparse_limit),)
@@ -248,7 +216,7 @@ class HllDistinct(_Container):
 
 def distinct(stats: Optional[str] = None) -> _Container:
     """The distinct-transaction-id container of the (resolved) stats mode."""
-    return HllDistinct() if _sketching(stats) else ExactIdSet()
+    return HllDistinct() if _sketching(stats) else IdRuns()
 
 
 # -- top-k tallies of interned account-code keys ----------------------------------------

@@ -75,17 +75,18 @@ one accumulator before a single ``finalize``:
     state replays the serial scan and the finalised result is
     deterministic.  Restoring a serial snapshot and scanning the remaining
     rows replays the serial pass exactly — including the bit-for-bit
-    Figure 12 float sums.
+    Figure 12 float sums.  Row order is load-bearing for ``tx_stats``: it
+    counts transaction-id *runs*
+    (:class:`~repro.analysis.containers.IdRuns`), so a source whose rows
+    interleave two transactions' ids over-counts.  Stores check that where
+    they encode a chunk; ``full_report(records)`` over caller-ordered
+    records takes it as a precondition.
 
 The surrounding contract has three legs:
 
-1. snapshots are taken **before** ``finalize``; the two accumulators that
-   derive state at finalisation (``xrp_decomposition`` folds its histogram
-   into its counters, ``throughput_series`` labels its raw bins) do so in
-   place and idempotently, because the chunk engine memoizes per-chunk
-   states *after* the engine pass finalized them — such a snapshot must
-   restore without double counting
-   (``tests/properties/test_state_roundtrip.py`` sweeps both shapes);
+1. snapshots are taken **before** ``finalize``, and ``finalize`` does not
+   modify state — a payload has one shape, and ``export_state()`` returns
+   equal bytes on either side of it (``tests/test_one_fold.py``);
 2. state that references interned string codes stays valid because frame
    rehydration (:meth:`TxFrame.from_payload` and
    :meth:`~repro.collection.store.FrameStore.to_frame`) re-interns pools
@@ -148,13 +149,34 @@ def scan_blocks(rows: RowIndices, block_rows: int) -> Iterator[RowIndices]:
     :func:`~repro.common.columns.as_index_rows`, so every non-contiguous
     block the consumers see is an ``int64`` index ndarray (sliced zero-copy
     from the full sequence) instead of a per-block ``array`` copy; ranges
-    stay ranges.  This is the shared block iterator of the engine and the
-    incremental pipeline's catch-up scan.
+    stay ranges.
     """
     rows = as_index_rows(rows)
     total = len(rows)
     for start in range(0, total, block_rows):
         yield rows[start : start + block_rows]
+
+
+def bind_scan(accumulators: Sequence["Accumulator"], frame: TxFrame) -> BatchStep:
+    """Bind every accumulator to ``frame``; returns ``drive(rows)``, the one
+    block loop: every accumulator consumes a block before the scan moves on.
+    (The incremental pipeline restores saved state between bind and drive.)
+    """
+    consumers = [accumulator.bind_batch(frame) for accumulator in accumulators]
+
+    def drive(rows: RowIndices) -> None:
+        for block in scan_blocks(rows, BLOCK_ROWS):
+            for consume in consumers:
+                consume(block)
+
+    return drive
+
+
+def scan(
+    accumulators: Sequence["Accumulator"], frame: TxFrame, rows: RowIndices
+) -> None:
+    """Bind and drive: the accumulators end up scanned over ``rows``, not finalized."""
+    bind_scan(accumulators, frame)(rows)
 
 
 class Accumulator:
@@ -307,14 +329,10 @@ class AnalysisEngine:
     def run(self, source: FrameLike) -> EngineResult:
         """One streaming scan over ``source``; returns every accumulator's result."""
         view = view_of(source)
-        frame, rows = view.frame, view.rows
-        consumers = [accumulator.bind_batch(frame) for accumulator in self.accumulators]
-        for block in scan_blocks(rows, BLOCK_ROWS):
-            for consume in consumers:
-                consume(block)
+        scan(self.accumulators, view.frame, view.rows)
         return EngineResult(
             {acc.name: acc.finalize() for acc in self.accumulators},
-            rows_processed=len(rows),
+            rows_processed=len(view),
         )
 
 
@@ -350,11 +368,10 @@ class TxStats:
 class TxStatsAccumulator(Accumulator):
     """Row/transaction counts and the time window, in the shared pass.
 
-    The transaction-id dedup is the one piece of per-row state that grows
-    with the distinct count; it lives in a
-    :func:`~repro.analysis.containers.distinct` container — a ``set`` of id
-    strings (exact, and the measured kernel floor; see
-    ``docs/architecture.md``) or a HyperLogLog, by stats mode.
+    The transaction count lives in a
+    :func:`~repro.analysis.containers.distinct` container — a counter of
+    id runs in row order (exact; see the module docstring for the
+    precondition) or a HyperLogLog, by stats mode.
     """
 
     name = "tx_stats"
@@ -367,45 +384,38 @@ class TxStatsAccumulator(Accumulator):
         self._state: List = [0, None, None]
         self.ids = self.ids.fresh(frame)
 
+    def _widen(self, rows: int, low: float, high: float) -> None:
+        """Fold a non-empty range's row count and timestamp span in."""
+        state = self._state
+        state[0] += rows
+        if state[1] is None or low < state[1]:
+            state[1] = low
+        if state[2] is None or high > state[2]:
+            state[2] = high
+
     def bind(self, frame: TxFrame) -> Step:
         self._reset(frame)
-        state = self._state
         timestamps = frame.timestamp
         add_id = self.ids.row_adder()
+        widen = self._widen
 
         def step(row: int) -> None:
-            state[0] += 1
             add_id(row)
-            timestamp = timestamps[row]
-            low = state[1]
-            if low is None:
-                state[1] = state[2] = timestamp
-            elif timestamp < low:
-                state[1] = timestamp
-            elif timestamp > state[2]:
-                state[2] = timestamp
+            widen(1, timestamps[row], timestamps[row])
 
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: ndarray min/max over the block's timestamps."""
         self._reset(frame)
-        state = self._state
         timestamps = frame.ndarray("timestamp")
         add_ids = self.ids.block_adder()
 
         def consume(rows: RowIndices) -> None:
-            if not len(rows):
-                return
-            state[0] += len(rows)
-            add_ids(rows)
-            block = gather_np(timestamps, rows)
-            low = float(block.min())
-            high = float(block.max())
-            if state[1] is None or low < state[1]:
-                state[1] = low
-            if state[2] is None or high > state[2]:
-                state[2] = high
+            if len(rows):
+                add_ids(rows)
+                block = gather_np(timestamps, rows)
+                self._widen(len(rows), float(block.min()), float(block.max()))
 
         return consume
 
@@ -419,14 +429,10 @@ class TxStatsAccumulator(Accumulator):
 
     def restore_state(self, payload: Dict[str, Any]) -> None:
         self.ids.restore_state(payload)
-        state = self._state
-        state[0] += payload["rows"]
-        first, last = payload["first"], payload["last"]
-        if first is not None:
-            if state[1] is None or first < state[1]:
-                state[1] = first
-            if state[2] is None or last > state[2]:
-                state[2] = last
+        if payload["first"] is None:
+            self._state[0] += payload["rows"]
+        else:
+            self._widen(payload["rows"], payload["first"], payload["last"])
 
     def config_signature(self) -> tuple:
         return super().config_signature() + self.ids.signature()

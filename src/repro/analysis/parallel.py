@@ -47,7 +47,7 @@ from repro.common.columns import StringPool, TxFrame
 from repro.common import faults, statsmode
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
-from repro.analysis.engine import Accumulator, AnalysisEngine
+from repro.analysis.engine import Accumulator, scan
 from repro.analysis.report import ChainFigures, FullReport, figure_factory
 from repro.analysis.statecache import (
     CacheContext,
@@ -319,7 +319,7 @@ def _scan_chunk_range(task: ChunkScanTask):
             if factory is None:
                 continue
             scanned = list(factory())
-            AnalysisEngine(scanned).run(chunk.chain_view(chain))
+            scan(scanned, chunk, chunk.chain_view(chain).rows)
             chunk_states[chain.value] = export_states(scanned)
         fold_states(chunk_states, carry)
         present.update(chunk_states)

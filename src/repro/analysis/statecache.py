@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -51,9 +50,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.engine import config_digest
 from repro.common import faults, statecodec
 
-#: Entry framing magic; bump the trailing byte when the body layout changes
-#: (old entries then fail the shape check and degrade to misses).
-ENTRY_MAGIC = b"RCS\x01"
+#: Entry framing magic; bump the trailing byte, together with
+#: :data:`~repro.pipeline.checkpoint.CHECKPOINT_VERSION`, when the body layout
+#: or a payload's shape changes: old entries then miss and are overwritten in
+#: place.  ``\x01`` carried the transaction-id set, ``\x02`` its run counter.
+ENTRY_MAGIC = b"RCS\x02"
 
 #: Body schema version inside the codec payload.
 ENTRY_VERSION = 1
@@ -230,11 +231,12 @@ class ChunkStateCache:
     def store(self, key: EntryKey, states: ChainStates) -> None:
         """Atomically persist one chunk's states; best-effort, never raises.
 
-        Rides the manifest-commit idiom: full write to a unique temp file,
-        then one ``os.replace`` — a reader sees either the old entry or the
-        new one, never a torn half.  Real I/O errors are swallowed (the
-        cache is an optimisation; a read-only disk must not fail the
-        report).  An injected ``crash`` propagates as
+        Rides the manifest-commit idiom: full write to this process's own
+        temp file (a plain ``open``, so an entry gets the umask-derived mode
+        of the chunks beside it), then one ``os.replace`` — a reader sees
+        the old entry or the new one, never a torn half.  Real I/O errors
+        are swallowed (the cache is an optimisation; a read-only disk must
+        not fail the report).  An injected ``crash`` propagates as
         :class:`~repro.common.faults.InjectedCrash` — the simulated process
         death the soak harness recovers from.
         """
@@ -247,30 +249,19 @@ class ChunkStateCache:
             faults.MODE_TRUNCATE,
         ):
             disk_blob = action.corrupt(blob)
+        temp_path = f"{self.entry_path(key)}.{os.getpid()}.tmp"
         try:
             os.makedirs(self.directory, exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(
-                prefix=key.filename() + ".", suffix=".tmp", dir=self.directory
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(disk_blob)
-                if action is not None and action.mode == faults.MODE_CRASH:
-                    raise faults.InjectedCrash(
-                        "injected crash before cache entry rename"
-                    )
-                os.replace(temp_path, self.entry_path(key))
-            except faults.InjectedCrash:
-                raise
-            except OSError:
-                try:
-                    os.remove(temp_path)
-                except OSError:
-                    pass
-        except faults.InjectedCrash:
-            raise
+            with open(temp_path, "wb") as handle:
+                handle.write(disk_blob)
+            if action is not None and action.mode == faults.MODE_CRASH:
+                raise faults.InjectedCrash("injected crash before cache entry rename")
+            os.replace(temp_path, self.entry_path(key))
         except OSError:
-            return
+            try:
+                os.remove(temp_path)
+            except OSError:
+                pass
 
     def clear(self) -> int:
         """Remove every entry (and temp leftover); returns files removed."""

@@ -206,14 +206,11 @@ class ThroughputSeriesAccumulator(Accumulator):
         self.end = end
 
     def _reset(self, frame: TxFrame) -> None:
-        #: Labelled bins: bin index → {label: count}.  Filled by the scan in
-        #: categorizer mode and by :meth:`finalize` in key-columns mode.
+        #: Labelled bins (categorizer mode): bin index → {label: count}.
         self._bins: Dict[int, Dict[str, int]] = {}
         #: Raw bins (key-columns mode): bin index → Counter of unresolved
         #: keys; labels resolve once per distinct key at :meth:`finalize`.
         self._raw_bins: Dict[int, Counter] = {}
-        #: The category tuple the last :meth:`finalize` derived.
-        self._categories: Dict[str, None] = {}
         # The factory may build per-frame lookups (e.g. the EOS category
         # table), so it runs once per bind and feeds whichever kernel binds.
         self._columns, self._labeler = (
@@ -335,10 +332,7 @@ class ThroughputSeriesAccumulator(Accumulator):
         bin, not per entry.  Labelled (categorizer-mode) bins export as
         string tables.  Both keep insertion order, because :meth:`finalize`
         derives the category tuple from first-seen order within
-        time-sorted bins.  A state exported *after* finalize (what the chunk
-        engine memoizes per chunk) also carries the labelled bins and the
-        category tuple finalize derived; restoring it is safe because
-        finalize re-derives both from the raw bins.
+        time-sorted bins.
         """
         raw_payload = None
         if self.key_columns is not None:
@@ -372,7 +366,6 @@ class ThroughputSeriesAccumulator(Accumulator):
             "bins": [
                 [index, pack_str_table(counts)] for index, counts in self._bins.items()
             ],
-            "categories": list(self._categories),
         }
 
     def restore_state(self, payload: Dict) -> None:
@@ -426,10 +419,9 @@ class ThroughputSeriesAccumulator(Accumulator):
         )
 
     def finalize(self) -> ThroughputSeries:
-        bins = self._bins
-        # Resolve raw keys to labels once per distinct key.  The raw bins
-        # are the truth in key-columns mode: a labelled bin restored from a
-        # post-finalize snapshot is replaced here, never added to.
+        # Resolve raw keys to labels once per distinct key, into a local
+        # copy: finalize reads state, it never writes it.
+        bins = dict(self._bins)
         labeler = self._labeler
         label_cache: Dict = {}
         for index in sorted(self._raw_bins):
@@ -443,7 +435,7 @@ class ThroughputSeriesAccumulator(Accumulator):
         # The category tuple is first-seen order over bins in *time* order
         # (and insertion order within a bin): independent of how the scan
         # or the shard folds interleaved the bins.
-        categories = self._categories = {}
+        categories: Dict[str, None] = {}
         for index in sorted(bins):
             categories.update(dict.fromkeys(bins[index]))
         if self.end is not None:

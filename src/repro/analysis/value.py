@@ -159,12 +159,9 @@ class XrpDecompositionAccumulator(Accumulator):
         #: (chain, success, type) histogram: total / failed / payments /
         #: offers / others all fall out of it at :meth:`finalize`.
         self._bulk: Counter = Counter()
-        #: total, failed, payments, payments_value, offers, offers_exchanged,
-        #: others.  The scan only touches the two tallies the histogram
-        #: cannot give: payments_value (oracle check) and offers_exchanged
-        #: (metadata flag); the rest are filled by :meth:`finalize` (or by
-        #: restoring an already folded state).
-        self._counters = [0, 0, 0, 0, 0, 0, 0]
+        #: The two tallies the histogram cannot give: payments_value (oracle
+        #: check) and offers_exchanged (metadata flag).
+        self._counters = [0, 0]
         self._payment_code = frame.types.code("Payment")
         self._offer_code = frame.types.code("OfferCreate")
 
@@ -193,11 +190,11 @@ class XrpDecompositionAccumulator(Accumulator):
                 return
             if type_code == payment_code:
                 if amounts[row] > 0 and valued(currency_codes[row], issuer_codes[row]):
-                    counters[3] += 1
+                    counters[0] += 1
             elif type_code == offer_code:
                 meta = metadata[row]
                 if meta and meta.get("executed"):
-                    counters[5] += 1
+                    counters[1] += 1
 
         return step
 
@@ -246,7 +243,7 @@ class XrpDecompositionAccumulator(Accumulator):
                         + block_issuers[payment_mask]
                     )
                     uniques, counts = np.unique(pairs, return_counts=True)
-                    counters[3] += sum(
+                    counters[0] += sum(
                         count
                         for pair, count in zip(uniques.tolist(), counts.tolist())
                         if valued(*divmod(pair, account_count))
@@ -258,7 +255,7 @@ class XrpDecompositionAccumulator(Accumulator):
                     meta = metadata[row]
                     if meta and meta.get("executed"):
                         executed += 1
-                counters[5] += executed
+                counters[1] += executed
 
         return consume
 
@@ -272,35 +269,27 @@ class XrpDecompositionAccumulator(Accumulator):
         }
 
     def restore_state(self, payload: Dict) -> None:
-        counters = self._counters
         for index, value in enumerate(payload["counters"]):
-            counters[index] += value
+            self._counters[index] += value
         if payload["bulk"] is not None:
             restore_code_table(self._bulk, payload["bulk"])
 
     def finalize(self) -> ThroughputDecomposition:
-        # The histogram folds into the counters *in place* and empties: the
-        # chunk engine exports per-chunk states after the engine pass has
-        # finalized them, and a folded state restores without double
-        # counting (both forms of the payload are additive).
-        counters = self._counters
+        total = failed = payments = offers = others = 0
         xrp = CHAIN_CODES[ChainId.XRP]
         for (chain, ok, type_code), count in self._bulk.items():
             if chain != xrp:
                 continue
-            counters[0] += count
+            total += count
             if not ok:
-                counters[1] += count
+                failed += count
             elif type_code == self._payment_code:
-                counters[2] += count
+                payments += count
             elif type_code == self._offer_code:
-                counters[4] += count
+                offers += count
             else:
-                counters[6] += count
-        self._bulk.clear()
-        total, failed, payments, payments_value, offers, offers_exchanged, others = (
-            counters
-        )
+                others += count
+        payments_value, offers_exchanged = self._counters
         return ThroughputDecomposition(
             total=total,
             failed=failed,
@@ -625,11 +614,6 @@ class XrpValueAnalyzer:
         if not self.payment_has_value(record):
             return 0.0
         return self.oracle.xrp_value(record.currency, record.issuer, record.amount)
-
-    @staticmethod
-    def offer_was_exchanged(record: TransactionRecord) -> bool:
-        """Whether an OfferCreate led to at least a partial execution."""
-        return record.type == "OfferCreate" and bool(record.metadata.get("executed"))
 
     # -- Figure 7 --------------------------------------------------------------------
     def decompose(

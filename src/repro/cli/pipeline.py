@@ -117,6 +117,10 @@ def cmd_ingest(args: argparse.Namespace, out) -> int:
 
 def cmd_update(args: argparse.Namespace, out) -> int:
     info = sys.stderr if args.json else out
+    if not os.path.isdir(args.data):
+        # Before Pipeline(), which creates what it does not find: a typo
+        # leaves nothing behind.
+        raise ReproError(f"{args.data!r} is not a directory; run ingest or watch first")
     pipeline = Pipeline(args.data)
     if pipeline.store.row_count == 0 and "scenario" not in pipeline.meta:
         # A mistyped --data would otherwise "succeed" with an empty report.

@@ -366,6 +366,26 @@ def _payload_chain_stats(
     return heights, times, chain_rows
 
 
+def _check_id_runs(payload: Dict) -> None:
+    """The store invariant: per chain, a transaction's rows are contiguous.
+
+    ``tx_stats`` counts transactions as id *runs* in O(1) state
+    (:class:`~repro.analysis.containers.IdRuns`), so rows that interleave
+    two transactions' ids are refused here, before anything is written.
+    """
+    ids = np.asarray(payload["transaction_id"], dtype=object)
+    chain_codes = np.asarray(payload["columns"]["chain_code"])
+    for code, chain in enumerate(CHAIN_ORDER):
+        chain_ids = ids[chain_codes == code]
+        runs = int(np.count_nonzero(chain_ids[1:] != chain_ids[:-1])) + 1
+        distinct = len(set(chain_ids.tolist()))
+        if distinct and runs != distinct:
+            raise CollectionError(
+                f"{chain.value} rows interleave transaction ids ({runs} id runs, "
+                f"{distinct} distinct ids): a transaction's rows must be contiguous"
+            )
+
+
 def _payload_stats(
     payload: Dict,
 ) -> Tuple[Dict[str, List[int]], Dict[str, List[float]], Dict[str, int]]:
@@ -840,6 +860,7 @@ class FrameStore:
         # computed against the full committed prefix.
         self.ensure_chunk_stats()
         payload = frame.to_payload(rows, arrays=True)
+        _check_id_runs(payload)
         heights, times, chain_rows = _payload_chain_stats(payload)
         blob, raw_size = chunkformat.encode_chunk(
             payload, chain_stats=(heights, times, chain_rows)
@@ -1001,11 +1022,6 @@ class FrameStore:
     def committed_chunk_count(self) -> int:
         """Durable chunks on disk — the unit of out-of-core task partitioning."""
         return len(self._chunks)
-
-    def chunk_chain_rows(self, index: int) -> Dict[str, int]:
-        """Per-chain row counts of one committed chunk (metadata only)."""
-        self.ensure_chunk_stats()
-        return dict(self._chunks[index].chain_rows or {})
 
     def chunk_row_counts(self) -> List[int]:
         """Row count of every committed chunk, in chunk order (manifest only).

@@ -615,11 +615,11 @@ class TxFrame:
 
         The id column is a plain Python list (high cardinality — interning
         would be pure overhead), so unlike :meth:`ndarray` this is a pointer
-        *copy*, not a view.  It exists for kernels that gather ids by index
-        array (filtered chain views): one fancy-indexing call replaces a
-        per-row ``__getitem__`` loop.  The copy is built lazily on first
-        use, so every accumulator scanning the same frame — and every chain
-        of an out-of-core chunk — shares one build.  The column is
+        *copy*, not a view.  It exists for kernels that compare or gather
+        ids a block at a time (the ``tx_stats`` run counter): one slice or
+        fancy-indexing call replaces a per-row loop.  The copy is built
+        lazily on first use, so every accumulator scanning the same frame —
+        and every chain of an out-of-core chunk — shares one build.  The column is
         append-only, so growing the frame fills only the new tail of a
         buffer that grows amortised (like :meth:`transaction_id_hashes`);
         the result is a frame-length view of that buffer.

@@ -3,7 +3,7 @@
 Checkpoints used to persist accumulator state with :mod:`pickle`, which has
 two costs: unpickling executes an open-ended instruction stream (anything on
 disk at the checkpoint path gets to construct arbitrary objects), and big
-Python collections — the transaction-id set, account/pair tallies — pay a
+Python collections — account/pair tallies, flow tables — pay a
 per-element serialisation price both ways.  This module replaces that with a
 closed, versioned value codec:
 
@@ -145,24 +145,11 @@ def _encode_value(parts: List[bytes], value: Any) -> None:
         )
 
 
-def encode_parts(value: Any) -> List[bytes]:
-    """The snapshot buffer as its raw segment list (header first).
-
-    Lets writers stream a large snapshot straight to a file
-    (``handle.writelines``) without first re-joining multi-megabyte chain
-    blobs into one intermediate ``bytes``.
-    """
-    parts: List[bytes] = [
-        MAGIC,
-        _LITTLE if sys.byteorder == "little" else _BIG,
-    ]
-    _encode_value(parts, value)
-    return parts
-
-
 def encode(value: Any) -> bytes:
     """Serialise ``value`` into a self-contained snapshot buffer."""
-    return b"".join(encode_parts(value))
+    parts: List[bytes] = [MAGIC, _LITTLE if sys.byteorder == "little" else _BIG]
+    _encode_value(parts, value)
+    return b"".join(parts)
 
 
 class _Reader:
@@ -286,8 +273,8 @@ def pack_strings(values: Iterable[str]) -> Dict[str, Any]:
     """Pack a string collection into one UTF-8 blob (order-preserving).
 
     The hot path is two C calls — ``str.join`` and one ``encode`` — instead
-    of a per-string loop, which is what lets the transaction-id set snapshot
-    in O(bytes) rather than O(strings).
+    of a per-string loop, so a string column snapshots in O(bytes) rather
+    than O(strings).
     """
     items = values if isinstance(values, list) else list(values)
     count = len(items)

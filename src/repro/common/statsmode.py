@@ -1,11 +1,9 @@
 """Statistics mode selection: exact accumulators vs bounded-memory sketches.
 
 The analysis layer computes the paper's distinct-count, top-k and
-distribution statistics with exact per-key state by default: a Python
-``set`` of transaction ids, full ``(account, type)`` tallies, every
-successful payment value.  That state is O(distinct keys), which is the
-measured floor on the ``tx_stats`` kernel and the single-process scale
-ceiling the ROADMAP names.
+distribution statistics with exact state by default: a run counter over
+the transaction ids, full ``(account, type)`` tallies, every successful
+payment value.  That state is O(distinct accounts + values).
 
 ``REPRO_STATS=sketch`` switches the affected accumulators to bounded-memory
 streaming sketches (:mod:`repro.common.sketches`):

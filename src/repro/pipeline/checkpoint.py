@@ -8,7 +8,7 @@ config_signature`.  An incremental update restores the states into freshly
 bound accumulators, scans only the rows past the watermark and re-finalizes
 — producing figures identical to a from-scratch batch run.
 
-**Snapshot format (version 2).**  Accumulator state is serialised with the
+**Snapshot format (version 3).**  Accumulator state is serialised with the
 :mod:`repro.common.statecodec` value codec, not pickle: each chain's blob is
 the codec encoding of its accumulators' :meth:`~repro.analysis.engine.
 Accumulator.export_state` payloads — typed columnar data (packed int64 /
@@ -16,7 +16,10 @@ float64 / joined-string columns for the big collections), never code.  That
 removes ``pickle.load`` of accumulator state from the checkpoint trust
 boundary (decoding a hostile snapshot can yield garbage values, but cannot
 instantiate objects or execute anything) and makes the round-trip cost scale
-with column bytes instead of Python objects.
+with column bytes instead of Python objects.  The version moves together
+with :data:`~repro.analysis.statecache.ENTRY_MAGIC` whenever a payload's
+shape does (version 2 carried the transaction-id *set*, 3 its run counter),
+so an older snapshot loads as ``None``, never as the wrong shape.
 
 **Delta-aware writes.**  Per-chain blobs are immutable byte strings, so a
 chain whose watermark did not advance carries its stored blob forward
@@ -46,7 +49,7 @@ from repro.analysis.engine import Accumulator
 from repro.common import faults, statecodec
 
 #: Checkpoint schema version; bump when the layout changes.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: File name of the durable snapshot inside a pipeline directory.
 CHECKPOINT_NAME = "checkpoint.snap"
@@ -67,9 +70,8 @@ class PipelineCheckpoint:
     #: separately so compatibility is checked before any state is decoded.
     signatures: Dict[str, List[tuple]] = field(default_factory=dict)
     #: chain value → adler32 of the stored blob.  Restores verify it before
-    #: decoding, so bit-rot anywhere in a blob — including inside lazily
-    #: stashed columns whose bytes are only consumed much later — degrades
-    #: to a chain rescan instead of a late crash or a silently wrong count.
+    #: decoding, so bit-rot anywhere in a blob degrades to a chain rescan
+    #: instead of a crash or a silently wrong count.
     checksums: Dict[str, int] = field(default_factory=dict)
     version: int = CHECKPOINT_VERSION
 
@@ -77,12 +79,7 @@ class PipelineCheckpoint:
     def capture(
         cls, watermark_rows: int, chain_accumulators: Dict[str, Sequence[Accumulator]]
     ) -> "PipelineCheckpoint":
-        """Snapshot scanned (pre-finalize!) accumulators per chain.
-
-        Must be called before ``finalize``: several accumulators fold bulk
-        state into their counters at finalisation, and a post-finalize
-        snapshot would double count when restored later.
-        """
+        """Snapshot scanned accumulators per chain."""
         checkpoint = cls(watermark_rows=watermark_rows)
         for chain_value, accumulators in chain_accumulators.items():
             checkpoint.capture_chain(chain_value, accumulators)
@@ -91,7 +88,7 @@ class PipelineCheckpoint:
     def capture_chain(
         self, chain_value: str, accumulators: Sequence[Accumulator]
     ) -> None:
-        """Snapshot one chain's scanned, **pre-finalize** accumulators."""
+        """Snapshot one chain's scanned accumulators."""
         accumulators = list(accumulators)
         blob = statecodec.encode(
             [accumulator.export_state() for accumulator in accumulators]
@@ -115,10 +112,7 @@ class PipelineCheckpoint:
             return False
         self.chain_states[chain_value] = blob
         self.signatures[chain_value] = previous.signatures[chain_value]
-        checksum = previous.checksums.get(chain_value)
-        self.checksums[chain_value] = (
-            checksum if checksum is not None else zlib.adler32(blob)
-        )
+        self.checksums[chain_value] = previous.checksums[chain_value]
         return True
 
     def restore_payloads(self, chain_value: str) -> Optional[List[dict]]:
@@ -137,8 +131,7 @@ class PipelineCheckpoint:
             # Corrupt this one chain's blob: the adler32 below must catch
             # it and degrade the chain — and only this chain — to a rescan.
             blob = action.corrupt(blob)
-        checksum = self.checksums.get(chain_value)
-        if checksum is not None and zlib.adler32(blob) != checksum:
+        if zlib.adler32(blob) != self.checksums.get(chain_value):
             return None
         try:
             payloads = statecodec.decode(blob)
@@ -190,12 +183,11 @@ class CheckpointStore:
     def save(self, checkpoint: PipelineCheckpoint) -> None:
         """Commit ``checkpoint`` atomically (write-temp + rename).
 
-        Chain blobs are already codec-encoded bytes, so the outer encode is
-        a cheap header-plus-memcpy — carried-forward chains cost their
-        length, not their element count.
+        Chain blobs are already codec-encoded bytes, so carried-forward
+        chains cost their length, not their element count.
         """
         started = time.perf_counter()
-        parts = statecodec.encode_parts(
+        blob = statecodec.encode(
             {
                 "format": SNAPSHOT_FORMAT,
                 "version": checkpoint.version,
@@ -213,12 +205,9 @@ class CheckpointStore:
         if action is not None and action.mode == faults.MODE_BITFLIP:
             # Flip a byte inside the committed snapshot: the next load must
             # reject it and degrade to a rescan, never crash.
-            joined = b"".join(parts)
-            parts = [action.corrupt(joined)]
+            blob = action.corrupt(blob)
         with open(temp_path, "wb") as handle:
-            # Chain blobs are already single segments; streaming them skips
-            # one multi-megabyte intermediate join.
-            handle.writelines(parts)
+            handle.write(blob)
         if action is not None and action.mode == faults.MODE_CRASH:
             # Death before the rename: the previous snapshot stays committed.
             raise faults.InjectedCrash("injected crash at checkpoint.save")
@@ -253,7 +242,7 @@ class CheckpointStore:
                 return None
             chains = payload["chains"]
             signatures = payload["signatures"]
-            checksums = payload.get("checksums", {})
+            checksums = payload["checksums"]
             watermark = payload["watermark_rows"]
             if not isinstance(chains, dict) or not isinstance(signatures, dict):
                 return None

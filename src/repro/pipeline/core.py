@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.clustering import StaticAccountClusterer
-from repro.analysis.engine import BLOCK_ROWS, scan_blocks
+from repro.analysis.engine import bind_scan
 from repro.analysis.parallel import chunk_scan_states
 from repro.analysis.statecache import ChunkStateCache
 from repro.analysis.report import ChainFigures, FullReport, figure_factory
@@ -133,15 +133,6 @@ def incremental_report(
     chains_carried: List[str] = []
     rows_scanned = 0
 
-    def rescan_chain(chain: ChainId, factory, view) -> ChainFigures:
-        """Last-resort serial rescan of one chain from row zero."""
-        accumulators = list(factory())
-        consumers = [accumulator.bind_batch(frame) for accumulator in accumulators]
-        for block in scan_blocks(view.rows, BLOCK_ROWS):
-            for consume in consumers:
-                consume(block)
-        new_checkpoint.capture_chain(chain.value, accumulators)
-        return ChainFigures.from_accumulators(chain, accumulators, len(view))
     for chain in frame.chains():
         view = frame.chain_view(chain)
         if not len(view):
@@ -150,9 +141,9 @@ def incremental_report(
             chain, frame.chain_bounds(chain), oracle, clusterer, bin_seconds, top_limit
         )
         accumulators = list(factory())
-        # bind_batch initialises state on every accumulator — required before
+        # Binding initialises state on every accumulator — required before
         # the saved-state restore below.
-        consumers = [accumulator.bind_batch(frame) for accumulator in accumulators]
+        drive = bind_scan(accumulators, frame)
         saved = None
         if checkpoint is not None and checkpoint.compatible_with(
             chain.value, accumulators
@@ -173,9 +164,7 @@ def incremental_report(
                 # rebuild the accumulators and rescan the chain instead.
                 saved = None
                 accumulators = list(factory())
-                consumers = [
-                    accumulator.bind_batch(frame) for accumulator in accumulators
-                ]
+                drive = bind_scan(accumulators, frame)
         if saved is not None:
             delta_rows = _rows_past_watermark(view.rows, watermark)
             if not len(delta_rows):
@@ -197,27 +186,14 @@ def incremental_report(
                 # has nothing saved and nothing to rescan.
                 chains_rescanned.append(chain.value)
         rows_scanned += len(delta_rows)
-        # scan_blocks normalises the delta rows once (index ndarrays),
-        # exactly like the engine's own scan loop.
-        for block in scan_blocks(delta_rows, BLOCK_ROWS):
-            for consume in consumers:
-                consume(block)
-        try:
-            if not carried:
-                new_checkpoint.capture_chain(chain.value, accumulators)
-            figures = ChainFigures.from_accumulators(chain, accumulators, len(view))
-        except Exception:
-            if saved is None:
-                raise  # not checkpoint state — a genuine bug; surface it
-            # Restored state that decoded cleanly can still be garbage
-            # (lazily stashed columns are only consumed here, at capture /
-            # finalize time): discard it and rescan the chain from scratch.
-            rows_scanned += len(view) - len(delta_rows)
-            if chain.value in chains_carried:
-                chains_carried.remove(chain.value)
-            chains_rescanned.append(chain.value)
-            figures = rescan_chain(chain, factory, view)
-        report.chains[chain] = figures
+        drive(delta_rows)
+        # No payload is consumed later than its restore, so a failure from
+        # here on is a bug, not bad checkpoint state: it surfaces.
+        if not carried:
+            new_checkpoint.capture_chain(chain.value, accumulators)
+        report.chains[chain] = ChainFigures.from_accumulators(
+            chain, accumulators, len(view)
+        )
     stats = UpdateStats(
         rows_total=len(frame),
         rows_scanned=rows_scanned,
@@ -531,26 +507,23 @@ class Pipeline:
                 workers=workers,
                 elapsed_seconds=time.perf_counter() - started,
             )
-            self.checkpoints.save(new_checkpoint)
-            stats.checkpoint_load_seconds = self.checkpoints.last_load_seconds
-            stats.checkpoint_save_seconds = self.checkpoints.last_save_seconds
-            return report, stats
-        # The frame property catches up with any rows the store committed
-        # behind the resident frame's back (e.g. via a crawler sink).
-        frame = self.frame
-        if checkpoint is not None and checkpoint.watermark_rows > len(frame):
-            # A crash truncated the store behind the checkpoint: the saved
-            # states cover rows that no longer exist.  Discard them and fall
-            # back to a full rescan — still result-identical, just slower.
-            checkpoint = None
-        report, new_checkpoint, stats = incremental_report(
-            frame,
-            checkpoint,
-            oracle=oracle,
-            clusterer=clusterer,
-            bin_seconds=bin_seconds,
-            top_limit=top_limit,
-        )
+        else:
+            # The frame property catches up with any rows the store committed
+            # behind the resident frame's back (e.g. via a crawler sink).
+            frame = self.frame
+            if checkpoint is not None and checkpoint.watermark_rows > len(frame):
+                # A crash truncated the store behind the checkpoint: the saved
+                # states cover rows that no longer exist.  Discard them and
+                # fall back to a full rescan — result-identical, just slower.
+                checkpoint = None
+            report, new_checkpoint, stats = incremental_report(
+                frame,
+                checkpoint,
+                oracle=oracle,
+                clusterer=clusterer,
+                bin_seconds=bin_seconds,
+                top_limit=top_limit,
+            )
         self.checkpoints.save(new_checkpoint)
         stats.checkpoint_load_seconds = self.checkpoints.last_load_seconds
         stats.checkpoint_save_seconds = self.checkpoints.last_save_seconds

@@ -8,7 +8,10 @@ other representation's state before touching its own.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import containers
 from repro.analysis.vectorized import block_columns
@@ -121,7 +124,7 @@ def _filled(kind, mode, frame, rows, adder="add_block"):
 def test_the_factories_cover_the_six_classes():
     made = {type(kind.make(mode)) for kind, mode in (case.values for case in CASES)}
     assert made == {
-        containers.ExactIdSet, containers.HllDistinct,
+        containers.IdRuns, containers.HllDistinct,
         containers.ExactCounts, containers.SpaceSavingCounts,
         containers.SortedColumn, containers.SketchQuantiles,
     }  # fmt: skip
@@ -168,4 +171,87 @@ def test_the_other_representation_is_rejected_untouched(kind, mode, frame):
     before = encode(container.export_state())
     with pytest.raises(AnalysisError):
         container.restore_state(other.export_state())
+    assert encode(container.export_state()) == before
+
+
+# -- the run counter -------------------------------------------------------------------
+
+
+def _id_frame(ids) -> TxFrame:
+    return TxFrame.from_records(
+        TransactionRecord(
+            chain=ChainId.EOS,
+            transaction_id=transaction_id,
+            block_height=index,
+            timestamp=1.5e9 + index,
+            type="transfer",
+            sender="a",
+            receiver="b",
+        )
+        for index, transaction_id in enumerate(ids)
+    )
+
+
+def _id_runs(frame, rows, adder="add_block"):
+    return _filled(Distinct, statsmode.EXACT, frame, rows, adder)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    run_lengths=st.lists(st.integers(min_value=1, max_value=5), max_size=30),
+    data=st.data(),
+)
+def test_id_runs_fold_counts_distinct_ids_however_the_rows_are_cut(run_lengths, data):
+    ids = [f"tx{run}" for run, length in enumerate(run_lengths) for _ in range(length)]
+    frame = _id_frame(ids)
+    # Arbitrary cut positions: inside runs, repeated (empty pieces), at the ends.
+    cuts = sorted(
+        data.draw(st.lists(st.integers(min_value=0, max_value=len(ids)), max_size=8))
+    )
+    bounds = [0, *cuts, len(ids)]
+    folded = containers.distinct(statsmode.EXACT).fresh(frame)
+    for start, stop in zip(bounds, bounds[1:]):
+        folded.restore_state(_id_runs(frame, range(start, stop)).export_state())
+    assert folded.count() == len(set(ids)) == len(run_lengths)
+    whole = _id_runs(frame, range(len(ids)))
+    assert encode(folded.export_state()) == encode(whole.export_state())
+
+
+def test_id_runs_adders_agree_on_ranges_and_index_arrays(frame):
+    index_rows = np.flatnonzero(np.arange(ROWS) % 5 != 1)  # drops rows inside runs
+    for rows in (range(ROWS), range(7, 431), index_rows):
+        by_row = _id_runs(frame, rows, adder="add_rows")
+        by_block = _id_runs(frame, rows)
+        expected = len({frame.transaction_id[row] for row in rows})
+        assert by_row.count() == by_block.count() == expected
+        assert encode(by_row.export_state()) == encode(by_block.export_state())
+
+
+def test_id_runs_restored_prefix_then_delta_scan_is_one_scan(frame):
+    split = 410  # rows 409 and 410 share an id: the run straddles the watermark
+    assert frame.transaction_id[split - 1] == frame.transaction_id[split]
+    resumed = containers.distinct(statsmode.EXACT).fresh(frame)
+    resumed.restore_state(_id_runs(frame, range(split)).export_state())
+    Distinct.add_block(resumed, frame, range(split, ROWS))
+    whole = _id_runs(frame, range(ROWS))
+    assert resumed.count() == whole.count()
+    assert encode(resumed.export_state()) == encode(whole.export_state())
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"runs": -1, "first_id": "a", "last_id": "b"},
+        {"runs": 2, "first_id": 7, "last_id": "b"},
+        {"runs": 2, "first_id": "a", "last_id": None},
+        {"runs": "2", "first_id": "a", "last_id": "b"},
+        {"hll": {"mode": "sparse"}},
+    ],
+    ids=["negative-runs", "non-string-first", "missing-last", "non-int-runs", "hll"],
+)
+def test_id_runs_rejects_a_malformed_payload_untouched(payload, frame):
+    container = _id_runs(frame, range(0, 300))
+    before = encode(container.export_state())
+    with pytest.raises(AnalysisError):
+        container.restore_state(payload)
     assert encode(container.export_state()) == before

@@ -405,3 +405,80 @@ class TestFrameSink:
         assert 10 in reopened_sink
         assert 11 in reopened_sink
         assert 12 not in reopened_sink
+
+
+class TestTransactionContiguity:
+    """The store invariant ``tx_stats`` counts on: per chain, in row order,
+    a transaction's rows are one contiguous run.  Checked where a chunk is
+    encoded, before anything is written."""
+
+    @staticmethod
+    def _actions(ids, height=1, chain=ChainId.EOS):
+        return [
+            TransactionRecord(
+                chain=chain,
+                transaction_id=transaction_id,
+                block_height=height,
+                timestamp=float(height),
+                type="transfer",
+                sender="alice",
+                receiver="bob",
+            )
+            for transaction_id in ids
+        ]
+
+    def _assert_nothing_committed(self, directory, rows):
+        from repro.pipeline import run_fsck
+
+        assert FrameStore.open(directory).row_count == rows
+        assert run_fsck(directory).issues == []
+
+    def test_a_sink_refuses_a_block_that_interleaves_two_ids(self, tmp_path):
+        directory = str(tmp_path)
+        store = FrameStore(chunk_rows=100, directory=directory)
+        store.add_records(self._actions(["a", "a", "b"]))
+        store.flush()
+        sink = FrameSink(store, chain=ChainId.EOS)
+        sink.add(
+            BlockRecord(
+                chain=ChainId.EOS,
+                height=2,
+                timestamp=2.0,
+                producer="prod",
+                transactions=tuple(self._actions(["c", "d", "c"], height=2)),
+            )
+        )
+        with pytest.raises(CollectionError, match="interleave"):
+            sink.flush()
+        self._assert_nothing_committed(directory, rows=3)
+
+    def test_add_records_refuses_an_interleaved_stream(self, tmp_path):
+        directory = str(tmp_path)
+        store = FrameStore(chunk_rows=4, directory=directory)
+        stream = self._actions(["a", "a", "b", "c"]) + self._actions(["d", "e", "d", "f"])
+        with pytest.raises(CollectionError, match="interleave"):
+            store.add_records(stream)
+        self._assert_nothing_committed(directory, rows=4)  # the clean first chunk
+
+    def test_other_chains_rows_between_a_transactions_rows_are_fine(self):
+        store = FrameStore(chunk_rows=100)
+        store.add_records(
+            self._actions(["a"])
+            + self._actions(["a"], chain=ChainId.XRP)  # ids are per chain
+            + self._actions(["a", "b"])
+        )
+        store.flush()
+        assert store.chain_row_counts() == {"eos": 3, "xrp": 1}
+
+    def test_a_transaction_split_across_chunks_is_counted_once(self, tmp_path):
+        from repro.analysis.parallel import parallel_report_from_store
+
+        directory = str(tmp_path)
+        store = FrameStore(chunk_rows=3, directory=directory)
+        store.add_records(self._actions(["a", "b", "b", "b", "b", "c", "c"]))
+        store.flush()
+        assert store.chunk_row_counts() == [3, 3, 1]  # "b" and "c" straddle cuts
+        for tasks in (1, 3):
+            report = parallel_report_from_store(directory, workers=0, tasks=tasks)
+            stats = report.chains[ChainId.EOS]["tx_stats"]
+            assert (stats.action_count, stats.transaction_count) == (7, 3)

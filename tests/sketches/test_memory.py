@@ -17,9 +17,9 @@ from random import Random
 import pytest
 
 from repro.analysis.accounts import AccountActivityAccumulator, SenderCountsAccumulator
-from repro.analysis.engine import BLOCK_ROWS, TxStatsAccumulator, scan_blocks
+from repro.analysis.engine import TxStatsAccumulator, scan
 from repro.analysis.value import ExchangeRateOracle, ValueDistributionAccumulator
-from repro.common import statsmode
+from repro.common import statecodec, statsmode
 from repro.common.columns import TxFrame
 from repro.common.records import ChainId, TransactionRecord
 
@@ -82,10 +82,7 @@ def _scan(frame: TxFrame, oracle, mode: str) -> None:
     """
     with statsmode.use_mode(mode):
         accumulators = _accumulators(oracle)
-        consumers = [accumulator.bind_batch(frame) for accumulator in accumulators]
-        for block in scan_blocks(range(len(frame)), BLOCK_ROWS):
-            for consume in consumers:
-                consume(block)
+        scan(accumulators, frame, range(len(frame)))
         for accumulator in accumulators:
             accumulator.export_state()
             accumulator.finalize()
@@ -144,3 +141,19 @@ def test_sketch_peak_beats_exact_at_scale(memory_frames):
     exact = _traced_peak(frames[LARGE_ROWS], oracle, statsmode.EXACT)
     sketch = _traced_peak(frames[LARGE_ROWS], oracle, statsmode.SKETCH)
     assert sketch <= exact / 2, (sketch, exact)
+
+
+def test_exact_tx_stats_state_does_not_grow_with_rows(memory_frames):
+    """The transaction count is a run counter: O(1) state at any row count."""
+    frames, _ = memory_frames
+    sizes = {}
+    for rows, frame in frames.items():
+        accumulator = TxStatsAccumulator(stats=statsmode.EXACT)
+        scan([accumulator], frame, range(rows))
+        assert accumulator.finalize().transaction_count == rows
+        payload = accumulator.export_state()
+        # The only row-dependent bytes are the digits of the ids it quotes.
+        quoted = len(payload["first_id"]) + len(payload["last_id"])
+        sizes[rows] = len(statecodec.encode(payload)) - quoted
+        assert sizes[rows] + quoted <= 256
+    assert sizes[SMALL_ROWS] == sizes[LARGE_ROWS]

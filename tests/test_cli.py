@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 
 import pytest
 
@@ -438,6 +439,19 @@ class TestPipelineCommands:
             error = capsys.readouterr().err
             assert error.startswith("error: pipeline meta") and str(meta_path) in error
         assert meta_path.read_text() == content  # never reset silently
+
+    def test_update_on_a_mistyped_data_path_creates_nothing(self, tmp_path, capsys):
+        typo = str(tmp_path / "TYPO")
+        code, _ = _run(["update", "--data", typo])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not os.path.exists(typo)
+        # An existing but never-ingested directory is still the old error.
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, _ = _run(["update", "--data", str(empty)])
+        assert code == 2
+        assert "not an initialised pipeline" in capsys.readouterr().err
 
     def test_watch_prints_live_updates_and_resumes(self, tmp_path):
         data = str(tmp_path / "pipe")

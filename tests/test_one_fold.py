@@ -6,6 +6,9 @@ sources so a second fold (an accumulator or container ``merge`` twin, or a
 second driver in the chunk engine) cannot creep back.  The sketches under
 ``repro.common.sketches`` keep their ``merge`` — mergeability is their own
 property, with its own suite, and they are not accumulators.
+
+And a payload has one shape: ``finalize`` reads state, it never writes it,
+so ``export_state()`` is byte-equal on either side of it for every figure.
 """
 
 from __future__ import annotations
@@ -13,6 +16,15 @@ from __future__ import annotations
 import ast
 import glob
 import os
+
+import pytest
+
+from repro.analysis.clustering import AccountClusterer
+from repro.analysis.engine import scan
+from repro.analysis.report import FIGURES, FigureConfig
+from repro.analysis.value import ExchangeRateOracle
+from repro.common import statecodec, statsmode
+from repro.common.columns import TxFrame
 
 from tests.support import SRC
 
@@ -47,3 +59,31 @@ def test_the_chunk_engine_restores_state_in_one_function():
         and node.func.attr == "restore_state"
     ]
     assert callers == ["fold_states"]
+
+
+@pytest.mark.parametrize("stats", [statsmode.EXACT, statsmode.SKETCH])
+def test_finalize_leaves_every_figure_state_alone(
+    stats, eos_records, tezos_records, xrp_records, xrp_generator
+):
+    frame = TxFrame.from_records(
+        eos_records[::40] + tezos_records[::10] + xrp_records[::20]
+    )
+    ledger = xrp_generator.ledger
+    oracle = ExchangeRateOracle.from_orderbook(ledger.orderbook)
+    clusterer = AccountClusterer(ledger.accounts)
+    moved = []
+    for chain in frame.chains():
+        config = FigureConfig(frame.chain_bounds(chain), oracle, clusterer, stats=stats)
+        accumulators = [
+            spec.factory(chain, config) for spec in FIGURES if chain in spec.chains
+        ]
+        scan(accumulators, frame, frame.chain_view(chain).rows)
+        for accumulator in accumulators:
+            before = statecodec.encode(accumulator.export_state())
+            first = accumulator.finalize()
+            if (
+                statecodec.encode(accumulator.export_state()) != before
+                or accumulator.finalize() != first
+            ):
+                moved.append((chain.value, accumulator.name))
+    assert moved == []

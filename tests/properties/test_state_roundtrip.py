@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.clustering import AccountClusterer
-from repro.analysis.engine import BLOCK_ROWS, Accumulator, scan_blocks
+from repro.analysis.engine import BLOCK_ROWS, Accumulator, bind_scan, scan_blocks
 from repro.analysis.value import ExchangeRateOracle
 from repro.common import statecodec, statsmode
 from repro.common.columns import TxFrame
@@ -108,12 +108,10 @@ def test_codec_roundtrip_equals_serial_pass(
     prefix = fresh()
     _scan(prefix, parity_frame, rows[:split], case["prefix_kernel"])
     base = fresh()
-    consumers = [accumulator.bind_batch(parity_frame) for accumulator in base]
+    drive = bind_scan(base, parity_frame)
     for target, payload in zip(base, _snapshot(prefix)):
         target.restore_state(payload)
-    for block in scan_blocks(rows[split:], BLOCK_ROWS):
-        for consume in consumers:
-            consume(block)
+    drive(rows[split:])
     for accumulator, expected in zip(base, serial):
         assert accumulator.finalize() == expected.finalize(), (accumulator.name, case)
 

@@ -1,8 +1,17 @@
 """``python -m repro`` entry point — see :mod:`repro.cli`."""
 
+import os
 import sys
 
 from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head -1``).  Point stdout at
+        # devnull so the interpreter's exit flush stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -28,7 +28,8 @@ entries are dead files, cleared wholesale by format migration
 (:func:`~repro.collection.store.invalidate_state_cache`), quarantined by
 ``fsck --repair``, or simply left to miss.
 
-Entry encoding mirrors the checkpoint snapshot idiom: a
+Entry encoding is the one framing of persisted accumulator state (the
+pipeline's ``checkpoint.snap`` is an entry too): a
 :mod:`~repro.common.statecodec` body carrying each chain's
 ``(qualname, export_state())`` pairs, framed by magic bytes and an adler32
 of the body, written atomically (temp file + ``os.replace``).  A failed
@@ -50,10 +51,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.engine import config_digest
 from repro.common import faults, statecodec
 
-#: Entry framing magic; bump the trailing byte, together with
-#: :data:`~repro.pipeline.checkpoint.CHECKPOINT_VERSION`, when the body layout
-#: or a payload's shape changes: old entries then miss and are overwritten in
-#: place.  ``\x01`` carried the transaction-id set, ``\x02`` its run counter.
+#: Entry framing magic — the one epoch marker of persisted accumulator state
+#: (chunk entries here, the pipeline's ``checkpoint.snap``).  Bump the trailing
+#: byte when the body layout or a payload's shape changes: old entries then
+#: miss and are overwritten in place.  ``\x01`` carried the transaction-id
+#: set, ``\x02`` its run counter.
 ENTRY_MAGIC = b"RCS\x02"
 
 #: Body schema version inside the codec payload.
@@ -140,18 +142,24 @@ def factories_digest(factories: Dict) -> str:
     return config_digest(signatures)
 
 
-def encode_entry(states: ChainStates) -> bytes:
-    """Frame one chunk's per-chain states as a durable cache entry blob."""
-    body = statecodec.encode({"version": ENTRY_VERSION, "chains": states})
+def encode_entry(states: ChainStates, **header) -> bytes:
+    """Frame per-chain states as a durable entry blob.
+
+    ``header`` fields ride in the body beside the states, under the same
+    checksum (a checkpoint's ``watermark_rows`` and ``signatures``); a chunk
+    entry has none.
+    """
+    body = statecodec.encode({"version": ENTRY_VERSION, "chains": states, **header})
     return ENTRY_MAGIC + _CHECKSUM.pack(zlib.adler32(body) & 0xFFFFFFFF) + body
 
 
-def decode_entry(blob: bytes) -> Optional[ChainStates]:
-    """The per-chain states inside an entry blob, or ``None`` if unusable.
+def decode_body(blob: bytes) -> Optional[dict]:
+    """The validated body of an entry blob, or ``None`` if unusable.
 
     Every failure mode — short blob, wrong magic, checksum mismatch, codec
-    error, unexpected shape — returns ``None``: the cache contract is that
-    a bad entry is indistinguishable from an absent one.
+    error, unexpected shape — returns ``None``: a bad entry is
+    indistinguishable from an absent one.  ``body["chains"]`` holds the
+    :data:`ChainStates`; any header fields are returned as written.
     """
     prefix = len(ENTRY_MAGIC) + _CHECKSUM.size
     if len(blob) < prefix or not blob.startswith(ENTRY_MAGIC):
@@ -182,7 +190,16 @@ def decode_entry(blob: bytes) -> Optional[ChainStates]:
                 and isinstance(pair[1], dict)
             ):
                 return None
-    return {key: [tuple(pair) for pair in shipped] for key, shipped in chains.items()}
+    payload["chains"] = {
+        key: [tuple(pair) for pair in shipped] for key, shipped in chains.items()
+    }
+    return payload
+
+
+def decode_entry(blob: bytes) -> Optional[ChainStates]:
+    """The per-chain states inside an entry blob, or ``None`` (see :func:`decode_body`)."""
+    body = decode_body(blob)
+    return None if body is None else body["chains"]
 
 
 class ChunkStateCache:

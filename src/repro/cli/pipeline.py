@@ -63,14 +63,9 @@ def _print_update(stats, out) -> None:
         if stats.chains_rescanned
         else ""
     )
-    carried = (
-        f" (carried: {', '.join(stats.chains_carried)})"
-        if stats.chains_carried
-        else ""
-    )
     print(
         f"Update scanned {stats.rows_scanned:,} of {stats.rows_total:,} rows "
-        f"({mode}){rescans}{carried} in {stats.elapsed_seconds:.2f}s; "
+        f"({mode}){rescans} in {stats.elapsed_seconds:.2f}s; "
         f"checkpoint load {stats.checkpoint_load_seconds:.3f}s / "
         f"save {stats.checkpoint_save_seconds:.3f}s; "
         f"watermark {stats.watermark_before:,} -> {stats.watermark_after:,}",
@@ -137,7 +132,6 @@ def cmd_update(args: argparse.Namespace, out) -> int:
             "rows_scanned": stats.rows_scanned,
             "incremental": stats.incremental,
             "chains_rescanned": stats.chains_rescanned,
-            "chains_carried": stats.chains_carried,
             "checkpoint_load_seconds": round(stats.checkpoint_load_seconds, 6),
             "checkpoint_save_seconds": round(stats.checkpoint_save_seconds, 6),
         }

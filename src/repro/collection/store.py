@@ -140,6 +140,18 @@ def resolve_store_dir(root: str) -> str:
     return root
 
 
+def ensure_directory(path: str) -> None:
+    """Create ``path`` if missing; a path that cannot be a directory is an error.
+
+    ``os.makedirs`` on a regular file (or under one) is a raw ``OSError``;
+    every durable directory this package opens goes through here instead.
+    """
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as error:
+        raise CollectionError(f"{path!r} cannot be used as a directory: {error}") from error
+
+
 def invalidate_state_cache(directory: str) -> int:
     """Drop every chunk-state cache entry under ``directory``'s store.
 
@@ -228,7 +240,7 @@ class BlockStore:
         self.chunk_size = chunk_size
         self.directory = directory
         if directory is not None:
-            os.makedirs(directory, exist_ok=True)
+            ensure_directory(directory)
         self._chunks: List[StoredChunk] = []
         self._pending: List[BlockRecord] = []
         self._heights: Dict[int, int] = {}
@@ -456,7 +468,7 @@ class FrameStore:
         self.chunk_rows = chunk_rows
         self.directory = directory
         if directory is not None:
-            os.makedirs(directory, exist_ok=True)
+            ensure_directory(directory)
         self._chunks: List[StoredFrameChunk] = []
         self._staging = TxFrame()
         self._row_count = 0

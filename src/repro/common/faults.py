@@ -129,11 +129,8 @@ FAULTPOINTS: Dict[str, Tuple[str, ...]] = {
     # Checkpoint persistence: crash before the atomic rename, or flip a
     # byte in the committed snapshot (load then degrades to a rescan).
     "checkpoint.save": (MODE_CRASH, MODE_BITFLIP),
-    # Snapshot file read: corrupt the bytes before the statecodec decode.
+    # Snapshot file read: corrupt the bytes before the entry decode.
     "checkpoint.load": (MODE_BITFLIP,),
-    # One chain's state blob inside a structurally intact snapshot: the
-    # per-chain checksum must catch it and rescan only that chain.
-    "checkpoint.decode": (MODE_BITFLIP,),
     # Endpoint fetches, as the crawler sees them.
     "crawler.head": _ENDPOINT_MODES,
     "crawler.fetch": _ENDPOINT_MODES,

@@ -18,11 +18,7 @@ Public surface:
   — the fault-schedule soak harness and the store/pipeline doctor.
 """
 
-from repro.pipeline.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointStore,
-    PipelineCheckpoint,
-)
+from repro.pipeline.checkpoint import CheckpointStore, PipelineCheckpoint
 from repro.pipeline.core import (
     Pipeline,
     UpdateStats,
@@ -42,7 +38,6 @@ from repro.pipeline.live import (
 from repro.pipeline.soak import SoakError, SoakResult, run_soak
 
 __all__ = [
-    "CHECKPOINT_VERSION",
     "CheckpointStore",
     "DEFAULT_BATCH_SECONDS",
     "FsckIssue",

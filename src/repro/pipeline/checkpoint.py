@@ -4,58 +4,44 @@ A checkpoint freezes the analysis layer's position in the append-only row
 stream: for every chain it stores the **pre-finalize** scanned state of the
 full figure accumulator set together with the row watermark those states
 cover and each accumulator's :meth:`~repro.analysis.engine.Accumulator.
-config_signature`.  An incremental update restores the states into freshly
+config_signature`.  An incremental update folds the states into freshly
 bound accumulators, scans only the rows past the watermark and re-finalizes
 — producing figures identical to a from-scratch batch run.
 
-**Snapshot format (version 3).**  Accumulator state is serialised with the
-:mod:`repro.common.statecodec` value codec, not pickle: each chain's blob is
-the codec encoding of its accumulators' :meth:`~repro.analysis.engine.
-Accumulator.export_state` payloads — typed columnar data (packed int64 /
-float64 / joined-string columns for the big collections), never code.  That
-removes ``pickle.load`` of accumulator state from the checkpoint trust
-boundary (decoding a hostile snapshot can yield garbage values, but cannot
-instantiate objects or execute anything) and makes the round-trip cost scale
-with column bytes instead of Python objects.  The version moves together
-with :data:`~repro.analysis.statecache.ENTRY_MAGIC` whenever a payload's
-shape does (version 2 carried the transaction-id *set*, 3 its run counter),
-so an older snapshot loads as ``None``, never as the wrong shape.
-
-**Delta-aware writes.**  Per-chain blobs are immutable byte strings, so a
-chain whose watermark did not advance carries its stored blob forward
-(:meth:`PipelineCheckpoint.carry_chain`) instead of being re-exported and
-re-encoded; saving then just re-writes the file from already-encoded
-segments.
+**A checkpoint is a state entry.**  The folded state of the row prefix
+``[0, watermark)`` is one more row range's :data:`~repro.analysis.statecache.
+ChainStates`, so ``checkpoint.snap`` is written by
+:func:`~repro.analysis.statecache.encode_entry` and read by
+:func:`~repro.analysis.statecache.decode_body` like any chunk entry, with
+``watermark_rows`` and ``signatures`` beside the states in the body.  One
+magic (:data:`~repro.analysis.statecache.ENTRY_MAGIC`, the one epoch marker
+of persisted state) and one adler32 cover every byte of the file.  State is
+codec data — typed columns, never pickle — so decoding a hostile snapshot
+can yield garbage values but cannot instantiate objects or execute anything.
 
 Persistence is a single file written atomically (temp file + rename), so a
 crash can never leave a torn checkpoint: either the previous checkpoint
-survives intact or the new one is fully committed.  An unreadable,
-corrupt or version-skewed snapshot degrades to ``None`` — the reporter then
-falls back to a full rescan, which is always correct.  The same holds for a
-directory that still carries a version-1 ``checkpoint.pkl`` from an earlier
-life of this pipeline: the file is never opened, the first update rescans
-and commits a ``checkpoint.snap`` beside it.
+survives intact or the new one is fully committed.  An unreadable, corrupt
+or foreign-format snapshot (any earlier life of this file included) loads
+as ``None`` — the reporter then falls back to a full rescan, which is
+always correct, and overwrites it in place.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.engine import Accumulator
-from repro.common import faults, statecodec
-
-#: Checkpoint schema version; bump when the layout changes.
-CHECKPOINT_VERSION = 3
+from repro.analysis.parallel import export_states
+from repro.analysis.statecache import ChainStates, decode_body, encode_entry
+from repro.collection.store import ensure_directory
+from repro.common import faults
 
 #: File name of the durable snapshot inside a pipeline directory.
 CHECKPOINT_NAME = "checkpoint.snap"
-
-#: Top-level format marker inside the snapshot payload.
-SNAPSHOT_FORMAT = "repro-checkpoint"
 
 
 @dataclass
@@ -64,16 +50,12 @@ class PipelineCheckpoint:
 
     #: Number of frame rows the saved states cover (rows ``[0, watermark)``).
     watermark_rows: int
-    #: chain value → codec-encoded list of per-accumulator state payloads.
-    chain_states: Dict[str, bytes] = field(default_factory=dict)
-    #: chain value → the saved accumulators' config signatures, stored
-    #: separately so compatibility is checked before any state is decoded.
+    #: chain value → ``(qualname, export_state())`` per accumulator: what
+    #: :func:`~repro.analysis.parallel.fold_states` folds.
+    states: ChainStates = field(default_factory=dict)
+    #: chain value → the saved accumulators' config signatures: compatibility
+    #: is checked before any state is folded.
     signatures: Dict[str, List[tuple]] = field(default_factory=dict)
-    #: chain value → adler32 of the stored blob.  Restores verify it before
-    #: decoding, so bit-rot anywhere in a blob degrades to a chain rescan
-    #: instead of a crash or a silently wrong count.
-    checksums: Dict[str, int] = field(default_factory=dict)
-    version: int = CHECKPOINT_VERSION
 
     @classmethod
     def capture(
@@ -89,64 +71,15 @@ class PipelineCheckpoint:
         self, chain_value: str, accumulators: Sequence[Accumulator]
     ) -> None:
         """Snapshot one chain's scanned accumulators."""
-        accumulators = list(accumulators)
-        blob = statecodec.encode(
-            [accumulator.export_state() for accumulator in accumulators]
-        )
-        self.chain_states[chain_value] = blob
-        self.checksums[chain_value] = zlib.adler32(blob)
+        self.states[chain_value] = export_states(accumulators)
         self.signatures[chain_value] = [
             accumulator.config_signature() for accumulator in accumulators
         ]
 
-    def carry_chain(self, chain_value: str, previous: "PipelineCheckpoint") -> bool:
-        """Carry one chain's stored blob forward from ``previous`` unchanged.
-
-        The delta-aware write path: a chain that received no rows since the
-        previous checkpoint re-uses its already-encoded state segment — no
-        export, no encode.  Returns ``False`` (caller must capture) when
-        ``previous`` has nothing stored for the chain.
-        """
-        blob = previous.chain_states.get(chain_value)
-        if blob is None:
-            return False
-        self.chain_states[chain_value] = blob
-        self.signatures[chain_value] = previous.signatures[chain_value]
-        self.checksums[chain_value] = previous.checksums[chain_value]
-        return True
-
-    def restore_payloads(self, chain_value: str) -> Optional[List[dict]]:
-        """Decode one chain's saved state payloads (``None`` if unusable).
-
-        Returns one :meth:`~repro.analysis.engine.Accumulator.export_state`
-        payload per saved accumulator, in capture order.  A corrupt or
-        truncated blob degrades to ``None`` — the incremental reporter then
-        rescans the chain.
-        """
-        blob = self.chain_states.get(chain_value)
-        if blob is None:
-            return None
-        action = faults.check("checkpoint.decode")
-        if action is not None:
-            # Corrupt this one chain's blob: the adler32 below must catch
-            # it and degrade the chain — and only this chain — to a rescan.
-            blob = action.corrupt(blob)
-        if zlib.adler32(blob) != self.checksums.get(chain_value):
-            return None
-        try:
-            payloads = statecodec.decode(blob)
-        except Exception:
-            # CodecError is the designed signal, but any failure mode of a
-            # corrupt blob must degrade to a rescan, never crash an update.
-            return None
-        if not isinstance(payloads, list):
-            return None
-        return payloads
-
     def compatible_with(
         self, chain_value: str, accumulators: Sequence[Accumulator]
     ) -> bool:
-        """Whether the saved chain state may restore into ``accumulators``.
+        """Whether the saved chain state may fold into ``accumulators``.
 
         Requires the same accumulator sequence with equal config signatures.
         Signature fields that legitimately advance between updates (a
@@ -162,6 +95,23 @@ class PipelineCheckpoint:
         return saved == current
 
 
+def decode_snapshot(blob: bytes) -> Optional[PipelineCheckpoint]:
+    """The checkpoint inside ``checkpoint.snap`` bytes, or ``None`` if unusable.
+
+    The one reader of the file (:meth:`CheckpointStore.load`, ``fsck``):
+    anything that is not an intact entry carrying a watermark and signatures
+    is ``None``, never an error and never a partly trusted snapshot.
+    """
+    body = decode_body(blob)
+    if body is None:
+        return None
+    watermark = body.get("watermark_rows")
+    signatures = body.get("signatures")
+    if not (isinstance(watermark, int) and watermark >= 0 and isinstance(signatures, dict)):
+        return None
+    return PipelineCheckpoint(watermark, body["chains"], signatures)
+
+
 class CheckpointStore:
     """Atomic persistence of one :class:`PipelineCheckpoint` in a directory.
 
@@ -172,7 +122,7 @@ class CheckpointStore:
 
     def __init__(self, directory: str):
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
+        ensure_directory(directory)
         self.last_save_seconds = 0.0
         self.last_load_seconds = 0.0
 
@@ -181,24 +131,12 @@ class CheckpointStore:
         return os.path.join(self.directory, CHECKPOINT_NAME)
 
     def save(self, checkpoint: PipelineCheckpoint) -> None:
-        """Commit ``checkpoint`` atomically (write-temp + rename).
-
-        Chain blobs are already codec-encoded bytes, so carried-forward
-        chains cost their length, not their element count.
-        """
+        """Commit ``checkpoint`` atomically (write-temp + rename)."""
         started = time.perf_counter()
-        blob = statecodec.encode(
-            {
-                "format": SNAPSHOT_FORMAT,
-                "version": checkpoint.version,
-                "watermark_rows": checkpoint.watermark_rows,
-                "chains": checkpoint.chain_states,
-                "checksums": dict(checkpoint.checksums),
-                "signatures": {
-                    chain: list(signatures)
-                    for chain, signatures in checkpoint.signatures.items()
-                },
-            }
+        blob = encode_entry(
+            checkpoint.states,
+            watermark_rows=checkpoint.watermark_rows,
+            signatures=checkpoint.signatures,
         )
         temp_path = self.path + ".tmp"
         action = faults.check("checkpoint.save")
@@ -217,48 +155,22 @@ class CheckpointStore:
     def load(self) -> Optional[PipelineCheckpoint]:
         """The committed checkpoint, or ``None`` when absent or unreadable.
 
-        Unreadable includes a truncated or corrupt file and a version
-        mismatch: both degrade to a full rescan instead of failing the
-        update.
+        Unreadable — truncated, bit-rotted, written in another format —
+        degrades to a full rescan instead of failing the update.
         """
         started = time.perf_counter()
-        checkpoint = self._load_snapshot() if os.path.exists(self.path) else None
-        self.last_load_seconds = time.perf_counter() - started
-        return checkpoint
-
-    def _load_snapshot(self) -> Optional[PipelineCheckpoint]:
         try:
             with open(self.path, "rb") as handle:
                 raw = handle.read()
+        except OSError:
+            checkpoint = None
+        else:
             action = faults.check("checkpoint.load")
             if action is not None:
                 raw = action.corrupt(raw)
-            payload = statecodec.decode(raw)
-            if (
-                not isinstance(payload, dict)
-                or payload.get("format") != SNAPSHOT_FORMAT
-                or payload.get("version") != CHECKPOINT_VERSION
-            ):
-                return None
-            chains = payload["chains"]
-            signatures = payload["signatures"]
-            checksums = payload["checksums"]
-            watermark = payload["watermark_rows"]
-            if not isinstance(chains, dict) or not isinstance(signatures, dict):
-                return None
-            if not isinstance(checksums, dict):
-                return None
-            if not isinstance(watermark, int) or watermark < 0:
-                return None
-            return PipelineCheckpoint(
-                watermark_rows=watermark,
-                chain_states=chains,
-                signatures=signatures,
-                checksums=checksums,
-                version=CHECKPOINT_VERSION,
-            )
-        except Exception:
-            return None
+            checkpoint = decode_snapshot(raw)
+        self.last_load_seconds = time.perf_counter() - started
+        return checkpoint
 
     def clear(self) -> None:
         if os.path.exists(self.path):

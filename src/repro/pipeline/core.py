@@ -41,12 +41,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.clustering import StaticAccountClusterer
 from repro.analysis.engine import bind_scan
-from repro.analysis.parallel import chunk_scan_states
+from repro.analysis.parallel import chunk_scan_states, fold_states
 from repro.analysis.statecache import ChunkStateCache
 from repro.analysis.report import ChainFigures, FullReport, figure_factory
 from repro.analysis.throughput import DEFAULT_BIN_SECONDS
 from repro.analysis.value import ExchangeRateOracle
-from repro.collection.store import FRAMES_DIR, FrameSink, FrameStore
+from repro.collection.store import FRAMES_DIR, FrameSink, FrameStore, ensure_directory
 from repro.common.columns import TxFrame
 from repro.common import faults
 from repro.common.errors import AnalysisError, CollectionError
@@ -72,9 +72,6 @@ class UpdateStats:
     chains_rescanned: List[str] = field(default_factory=list)
     workers: int = 0
     elapsed_seconds: float = 0.0
-    #: Chains whose stored snapshot blob was carried forward unchanged
-    #: (no rows past the watermark landed on them — the delta-aware write).
-    chains_carried: List[str] = field(default_factory=list)
     #: Wall-clock cost of loading / saving the durable snapshot (set by
     #: :meth:`Pipeline.update`; zero for direct ``incremental_report`` use).
     checkpoint_load_seconds: float = 0.0
@@ -130,7 +127,6 @@ def incremental_report(
     report = FullReport()
     new_checkpoint = PipelineCheckpoint(watermark_rows=len(frame))
     chains_rescanned: List[str] = []
-    chains_carried: List[str] = []
     rows_scanned = 0
 
     for chain in frame.chains():
@@ -144,36 +140,27 @@ def incremental_report(
         # Binding initialises state on every accumulator — required before
         # the saved-state restore below.
         drive = bind_scan(accumulators, frame)
-        saved = None
-        if checkpoint is not None and checkpoint.compatible_with(
+        restored = checkpoint is not None and checkpoint.compatible_with(
             chain.value, accumulators
-        ):
-            saved = checkpoint.restore_payloads(chain.value)
-            if saved is not None and len(saved) != len(accumulators):
-                saved = None  # torn blob: rescan the chain instead
-        carried = False
-        if saved is not None:
-            # The checkpointed prefix restores first, then the delta rows
+        )
+        if restored:
+            # The checkpointed prefix folds in first, then the delta rows
             # are scanned — state mutates in place, replaying serial order.
             try:
-                for target, payload in zip(accumulators, saved):
-                    target.restore_state(payload)
+                fold_states(
+                    {chain.value: checkpoint.states[chain.value]},
+                    {chain.value: accumulators},
+                )
             except Exception:
-                # A blob that decoded but carries garbage values (hostile
-                # or bit-rotted state) leaves partial restores behind:
-                # rebuild the accumulators and rescan the chain instead.
-                saved = None
+                # States that do not line up (StateMismatch, nothing touched)
+                # or that carry garbage values (hostile or bit-rotted state,
+                # partial restores left behind): rebuild the accumulators and
+                # rescan the chain instead.
+                restored = False
                 accumulators = list(factory())
                 drive = bind_scan(accumulators, frame)
-        if saved is not None:
+        if restored:
             delta_rows = _rows_past_watermark(view.rows, watermark)
-            if not len(delta_rows):
-                # Delta-aware write: nothing past the watermark landed on
-                # this chain, so its stored blob is byte-for-byte current —
-                # carry it forward instead of re-exporting and re-encoding.
-                carried = new_checkpoint.carry_chain(chain.value, checkpoint)
-                if carried:
-                    chains_carried.append(chain.value)
         else:
             delta_rows = view.rows
             if (
@@ -189,8 +176,7 @@ def incremental_report(
         drive(delta_rows)
         # No payload is consumed later than its restore, so a failure from
         # here on is a bug, not bad checkpoint state: it surfaces.
-        if not carried:
-            new_checkpoint.capture_chain(chain.value, accumulators)
+        new_checkpoint.capture_chain(chain.value, accumulators)
         report.chains[chain] = ChainFigures.from_accumulators(
             chain, accumulators, len(view)
         )
@@ -202,7 +188,6 @@ def incremental_report(
         used_checkpoint=checkpoint is not None,
         chains_rescanned=chains_rescanned,
         elapsed_seconds=time.perf_counter() - started,
-        chains_carried=chains_carried,
     )
     return report, new_checkpoint, stats
 
@@ -214,7 +199,7 @@ class Pipeline:
 
         <root>/
           frames/           chunk-compressed columnar rows + manifest.json
-          checkpoint.snap   codec-encoded accumulator states + row watermark
+          checkpoint.snap   one state entry: prefix states + row watermark
           meta.json         analysis configuration (oracle rates, clusters)
 
     The pipeline keeps a resident :class:`TxFrame` that *follows* the store's
@@ -229,7 +214,7 @@ class Pipeline:
 
     def __init__(self, root: str, chunk_rows: int = 50_000):
         self.root = root
-        os.makedirs(root, exist_ok=True)
+        ensure_directory(root)
         self.frames_dir = os.path.join(root, FRAMES_DIR)
         self.store = FrameStore.open(self.frames_dir, chunk_rows=chunk_rows)
         self.checkpoints = CheckpointStore(root)

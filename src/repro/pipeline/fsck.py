@@ -12,8 +12,8 @@ it byte-for-byte, and report exactly what is damaged:
   count, blob decodes — v2 magic + adler32, v1 gzip/JSON — and the decoded
   row count matches the manifest);
 * uncommitted chunk files on disk that the manifest never references;
-* the checkpoint snapshot (decodes, format/version valid, every chain
-  blob's adler32 matches, watermark within the store's committed rows);
+* the checkpoint snapshot (an intact state entry — magic, adler32, shape —
+  whose watermark is within the store's committed rows);
 * the pipeline meta file (readable JSON).
 
 With ``repair=True`` the doctor makes the surviving data usable instead of
@@ -54,13 +54,8 @@ from repro.collection.store import (
     _glob_chunk_files,
     resolve_store_dir,
 )
-from repro.common import statecodec
 from repro.common.errors import CollectionError
-from repro.pipeline.checkpoint import (
-    CHECKPOINT_NAME,
-    CHECKPOINT_VERSION,
-    SNAPSHOT_FORMAT,
-)
+from repro.pipeline.checkpoint import CHECKPOINT_NAME, decode_snapshot
 from repro.pipeline.core import PIPELINE_META_NAME
 
 #: Sub-directory (inside the store directory) corrupt files move into.
@@ -76,8 +71,7 @@ class FsckIssue:
 
     #: Machine-readable kind: ``manifest_unreadable``, ``partial_assembly``,
     #: ``chunk_missing``, ``chunk_size_mismatch``, ``chunk_corrupt``,
-    #: ``chunk_uncommitted``, ``checkpoint_unreadable``,
-    #: ``checkpoint_chain_corrupt``, ``checkpoint_stale``,
+    #: ``chunk_uncommitted``, ``checkpoint_unreadable``, ``checkpoint_stale``,
     #: ``meta_unreadable``, ``cache_entry_corrupt``, ``cache_entry_stale``,
     #: ``cache_entry_orphaned``.
     kind: str
@@ -314,7 +308,7 @@ def _committed_rows(store_dir: str) -> Optional[int]:
 
 
 def _check_checkpoint(report: FsckReport, root: str, repair: bool) -> None:
-    """Verify the checkpoint snapshot, per-chain checksums and watermark."""
+    """Verify the checkpoint snapshot decodes and its watermark is in range."""
     path = os.path.join(root, CHECKPOINT_NAME)
     if not os.path.exists(path):
         return
@@ -322,46 +316,26 @@ def _check_checkpoint(report: FsckReport, root: str, repair: bool) -> None:
     issue: Optional[FsckIssue] = None
     try:
         with open(path, "rb") as handle:
-            payload = statecodec.decode(handle.read())
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != SNAPSHOT_FORMAT
-            or payload.get("version") != CHECKPOINT_VERSION
-            or not isinstance(payload.get("chains"), dict)
-        ):
-            raise ValueError("snapshot payload has an unexpected shape")
-    except Exception as error:
+            checkpoint = decode_snapshot(handle.read())
+    except OSError:
+        checkpoint = None
+    committed = _committed_rows(report.store_dir)
+    if checkpoint is None:
         issue = FsckIssue(
             kind="checkpoint_unreadable",
-            detail=f"checkpoint snapshot does not decode: {error}",
+            detail="checkpoint snapshot is not an intact state entry (bad magic, "
+            "checksum or shape; the next update would rescan every chain)",
             path=path,
         )
-    if issue is None:
-        checksums = payload.get("checksums", {})
-        for chain_value, blob in payload["chains"].items():
-            expected = checksums.get(chain_value)
-            if expected is not None and zlib.adler32(blob) != expected:
-                issue = FsckIssue(
-                    kind="checkpoint_chain_corrupt",
-                    detail=(
-                        f"chain {chain_value!r} state blob fails its adler32 "
-                        "(the next update would rescan that chain)"
-                    ),
-                    path=path,
-                )
-                break
-    if issue is None:
-        committed = _committed_rows(report.store_dir)
-        watermark = payload.get("watermark_rows", 0)
-        if committed is not None and watermark > committed:
-            issue = FsckIssue(
-                kind="checkpoint_stale",
-                detail=(
-                    f"checkpoint watermark {watermark} exceeds the store's "
-                    f"{committed} committed rows (store shrank underneath it)"
-                ),
-                path=path,
-            )
+    elif committed is not None and checkpoint.watermark_rows > committed:
+        issue = FsckIssue(
+            kind="checkpoint_stale",
+            detail=(
+                f"checkpoint watermark {checkpoint.watermark_rows} exceeds the "
+                f"store's {committed} committed rows (store shrank underneath it)"
+            ),
+            path=path,
+        )
     if issue is None:
         return
     report.issues.append(issue)

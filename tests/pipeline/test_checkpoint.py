@@ -2,10 +2,10 @@
 
 Two layers are covered:
 
-* :class:`CheckpointStore` / :class:`PipelineCheckpoint` — the versioned
-  codec snapshot format: atomic durable persistence, corruption /
-  truncation / version-skew degradation, signature gating, delta-aware
-  blob carry-forward, and the inertness of a leftover pickle checkpoint;
+* :class:`CheckpointStore` / :class:`PipelineCheckpoint` — the snapshot is
+  one state entry: atomic durable persistence, corruption / truncation /
+  foreign-format degradation (every single-bit flip of the file included),
+  signature gating, and the inertness of a leftover pickle checkpoint;
 * the snapshot/restore contract of **every** accumulator across all nine
   analysis modules: scanning a row prefix, exporting the pre-finalize
   state through the codec, restoring it in a "new session" into freshly
@@ -38,6 +38,8 @@ from repro.analysis.clustering import (
     StaticAccountClusterer,
 )
 from repro.analysis.engine import AnalysisEngine, TxStatsAccumulator
+from repro.analysis.parallel import fold_states
+from repro.analysis.statecache import ENTRY_MAGIC, decode_entry, encode_entry
 from repro.analysis.flows import ValueFlowAccumulator
 from repro.analysis.governance import GovernanceOpsAccumulator
 from repro.analysis.report import FIGURE3_CATEGORIZERS, full_report
@@ -54,9 +56,9 @@ from repro.common.columns import TxFrame
 from repro.common.records import ChainId
 from repro.pipeline import Pipeline, incremental_report
 from repro.pipeline.checkpoint import (
-    CHECKPOINT_VERSION,
     CheckpointStore,
     PipelineCheckpoint,
+    decode_snapshot,
 )
 
 from tests.support.reports import assert_reports_identical
@@ -259,15 +261,19 @@ def _scanned_accumulators(frame):
 
 
 def _restored_results(checkpoint, chain_value, frame):
-    """Restore one chain's payloads into fresh bound accumulators."""
+    """Fold one chain's saved states into fresh bound accumulators."""
     accumulators = [TxStatsAccumulator(), TypeDistributionAccumulator()]
     for accumulator in accumulators:
         accumulator.bind_batch(frame)
-    payloads = checkpoint.restore_payloads(chain_value)
-    assert payloads is not None
-    for accumulator, payload in zip(accumulators, payloads):
-        accumulator.restore_state(payload)
+    fold_states(
+        {chain_value: checkpoint.states[chain_value]}, {chain_value: accumulators}
+    )
     return [accumulator.finalize() for accumulator in accumulators]
+
+
+def _snapshot_bytes(store):
+    with open(store.path, "rb") as handle:
+        return handle.read()
 
 
 class TestCheckpointStore:
@@ -284,22 +290,19 @@ class TestCheckpointStore:
         assert loaded is not None
         assert loaded.watermark_rows == len(combined_frame)
         assert loaded.signatures == checkpoint.signatures
-        assert loaded.chain_states == checkpoint.chain_states
+        assert loaded.states == checkpoint.states
         assert _restored_results(loaded, "eos", combined_frame) == _restored_results(
             checkpoint, "eos", combined_frame
         )
 
     def test_snapshot_contains_no_pickle(self, tmp_path, combined_frame):
-        """The durable format is the closed codec, never a pickle stream."""
+        """The durable format is a state entry over the closed codec."""
         store = CheckpointStore(str(tmp_path))
         store.save(self._capture(combined_frame))
-        with open(store.path, "rb") as handle:
-            blob = handle.read()
-        assert blob.startswith(statecodec.MAGIC)
-        # Decoding with the strict codec succeeds without unpickling.
-        payload = statecodec.decode(blob)
-        assert payload["format"] == "repro-checkpoint"
-        assert payload["version"] == CHECKPOINT_VERSION
+        blob = _snapshot_bytes(store)
+        assert blob.startswith(ENTRY_MAGIC)
+        # The chunk-entry reader sees the same states the snapshot reader does.
+        assert decode_entry(blob) == decode_snapshot(blob).states
 
     def test_load_missing_returns_none(self, tmp_path):
         assert CheckpointStore(str(tmp_path)).load() is None
@@ -320,33 +323,67 @@ class TestCheckpointStore:
             handle.write(blob[: len(blob) // 2])
         assert store.load() is None
 
-    def test_flipped_byte_degrades_to_none_or_mismatch(self, tmp_path, combined_frame):
-        """Arbitrary corruption mid-file never crashes the loader."""
+    def test_flipped_byte_degrades_to_none(self, tmp_path, combined_frame):
+        """Arbitrary corruption mid-file is ``None``, always."""
         store = CheckpointStore(str(tmp_path))
         store.save(self._capture(combined_frame))
-        with open(store.path, "rb") as handle:
-            blob = bytearray(handle.read())
+        blob = bytearray(_snapshot_bytes(store))
         blob[len(blob) // 3] ^= 0xFF
         with open(store.path, "wb") as handle:
             handle.write(bytes(blob))
-        loaded = store.load()  # must not raise; None is the common outcome
-        if loaded is not None:
-            # If the header survived, the chain blob may still be torn:
-            # restore_payloads degrades to None rather than raising.
-            loaded.restore_payloads("eos")
-
-    def test_version_skew_degrades_to_none(self, tmp_path, combined_frame):
-        store = CheckpointStore(str(tmp_path))
-        checkpoint = self._capture(combined_frame)
-        checkpoint.version = CHECKPOINT_VERSION + 1
-        store.save(checkpoint)
         assert store.load() is None
 
-    def test_corrupt_chain_blob_degrades_to_rescan(self, combined_frame):
+    def test_every_single_bit_flip_and_truncation_is_none(
+        self, tmp_path, combined_frame
+    ):
+        """Exhaustive, not sampled: one checksum covers every byte.
+
+        ``load`` is a file read plus :func:`decode_snapshot`, so the sweep
+        drives the decoder directly; the private format this replaced let
+        flips of the watermark integer through with wrong figures.
+        """
+        store = CheckpointStore(str(tmp_path))
+        store.save(self._capture(combined_frame))
+        blob = _snapshot_bytes(store)
+        assert decode_snapshot(blob) is not None
+        damaged = bytearray(blob)
+        for offset in range(len(blob)):
+            for bit in range(8):
+                damaged[offset] ^= 1 << bit
+                assert decode_snapshot(bytes(damaged)) is None, (offset, bit)
+                damaged[offset] ^= 1 << bit
+        for length in range(len(blob)):
+            assert decode_snapshot(blob[:length]) is None, length
+        assert decode_snapshot(blob + b"\x00") is None
+        with open(store.path, "wb") as handle:
+            handle.write(blob + b"\x00")
+        assert store.load() is None
+
+    def test_version_skew_degrades_to_none(self, tmp_path, combined_frame):
+        """The parent's private format and a foreign entry magic are misses."""
+        store = CheckpointStore(str(tmp_path))
         checkpoint = self._capture(combined_frame)
-        checkpoint.chain_states["eos"] = checkpoint.chain_states["eos"][:-7]
-        assert checkpoint.restore_payloads("eos") is None
-        assert checkpoint.restore_payloads("missing") is None
+        payloads = [payload for _qualname, payload in checkpoint.states["eos"]]
+        old_format = statecodec.encode(
+            {
+                "format": "repro-checkpoint",
+                "version": 3,
+                "watermark_rows": checkpoint.watermark_rows,
+                "chains": {"eos": statecodec.encode(payloads)},
+                "checksums": {"eos": 0},
+                "signatures": {"eos": list(checkpoint.signatures["eos"])},
+            }
+        )
+        assert old_format.startswith(statecodec.MAGIC)
+        store.save(checkpoint)
+        current = _snapshot_bytes(store)
+        foreign_magic = ENTRY_MAGIC[:-1] + b"\x7f" + current[len(ENTRY_MAGIC) :]
+        for blob in (old_format, foreign_magic):
+            with open(store.path, "wb") as handle:
+                handle.write(blob)
+            assert store.load() is None
+        # And a chunk entry (no watermark beside the states) is no checkpoint.
+        assert decode_snapshot(encode_entry(checkpoint.states)) is None
 
     def test_save_is_atomic(self, tmp_path, combined_frame):
         store = CheckpointStore(str(tmp_path))
@@ -384,24 +421,6 @@ class TestCheckpointStore:
         fresh = [TxStatsAccumulator(), TypeDistributionAccumulator()]
         assert loaded.compatible_with("eos", fresh)
         assert not loaded.compatible_with("eos", list(reversed(fresh)))
-
-
-class TestCarryForward:
-    def test_carry_chain_reuses_the_stored_blob(self, combined_frame):
-        previous = PipelineCheckpoint.capture(
-            len(combined_frame), {"eos": _scanned_accumulators(combined_frame)}
-        )
-        fresh = PipelineCheckpoint(watermark_rows=len(combined_frame) + 10)
-        assert fresh.carry_chain("eos", previous)
-        # The blob is carried by reference: no re-export, no re-encode.
-        assert fresh.chain_states["eos"] is previous.chain_states["eos"]
-        assert fresh.signatures["eos"] == previous.signatures["eos"]
-
-    def test_carry_chain_without_stored_state_declines(self, combined_frame):
-        previous = PipelineCheckpoint(watermark_rows=0)
-        fresh = PipelineCheckpoint(watermark_rows=len(combined_frame))
-        assert not fresh.carry_chain("eos", previous)
-        assert "eos" not in fresh.chain_states
 
 
 #: Where PR-3-era pipelines pickled their checkpoint.  Nothing in ``src/``
@@ -513,11 +532,12 @@ class TestStatsModeCheckpoints:
             _, checkpoint, _ = incremental_report(
                 frame, None, oracle=xrp_oracle, clusterer=xrp_clusterer
             )
-            # Tear the EOS sketch blob mid-stream: signatures still match,
-            # but the payloads no longer decode.
-            checkpoint.chain_states[ChainId.EOS.value] = checkpoint.chain_states[
-                ChainId.EOS.value
-            ][:-7]
+            # Garble the EOS sketch payloads: signatures and qualnames
+            # still match, but no payload restores.
+            checkpoint.states[ChainId.EOS.value] = [
+                (qualname, {"torn": True})
+                for qualname, _ in checkpoint.states[ChainId.EOS.value]
+            ]
             frame.extend(stream[split:])
             report, _, stats = incremental_report(
                 frame, checkpoint, oracle=xrp_oracle, clusterer=xrp_clusterer

@@ -107,11 +107,7 @@ class TestDetection:
     def test_corrupt_checkpoint(self, pipeline_dir):
         _flip_byte(os.path.join(pipeline_dir, "checkpoint.snap"), offset=4)
         report = run_fsck(pipeline_dir)
-        assert len(report.issues) == 1
-        assert report.issues[0].kind in (
-            "checkpoint_unreadable",
-            "checkpoint_chain_corrupt",
-        )
+        assert [issue.kind for issue in report.issues] == ["checkpoint_unreadable"]
 
     def test_partial_assembly_manifest(self, pipeline_dir):
         store_dir, manifest = _manifest(pipeline_dir)
@@ -143,8 +139,12 @@ class TestDetection:
         _flip_byte(os.path.join(pipeline_dir, "checkpoint.snap"), offset=4)
         report = run_fsck(pipeline_dir)
         kinds = sorted(issue.kind for issue in report.issues)
-        assert kinds[0] in ("checkpoint_chain_corrupt", "checkpoint_unreadable")
-        assert kinds[1:] == ["chunk_corrupt", "chunk_missing", "chunk_uncommitted"]
+        assert kinds == [
+            "checkpoint_unreadable",
+            "chunk_corrupt",
+            "chunk_missing",
+            "chunk_uncommitted",
+        ]
 
     def test_verification_never_mutates(self, pipeline_dir):
         _flip_byte(_chunk_path(pipeline_dir, 1))

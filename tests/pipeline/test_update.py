@@ -116,27 +116,17 @@ class TestBatchIdentity:
         report1, checkpoint, _ = incremental_report(
             frame, None, oracle=xrp_oracle, clusterer=xrp_clusterer
         )
-        report2, new_checkpoint, stats = incremental_report(
+        report2, _, stats = incremental_report(
             frame, checkpoint, oracle=xrp_oracle, clusterer=xrp_clusterer
         )
         assert stats.rows_scanned == 0
         assert stats.incremental
         assert_reports_identical(report2, report1, exact_flows=True)
-        # Every chain's blob was carried forward — by reference, not by a
-        # re-serialisation of identical state.
-        assert sorted(stats.chains_carried) == sorted(
-            chain.value for chain in report1.chains
-        )
-        for chain_value in stats.chains_carried:
-            assert (
-                new_checkpoint.chain_states[chain_value]
-                is checkpoint.chain_states[chain_value]
-            )
 
-    def test_unchanged_chains_carry_their_blob_forward(
+    def test_rows_on_one_chain_scan_only_that_delta(
         self, eos_records, tezos_records, xrp_records, xrp_oracle, xrp_clusterer
     ):
-        """Rows landing on one chain must not re-snapshot the other two."""
+        """Rows landing on one chain must not re-scan the other two."""
         split = len(xrp_records) // 2
         frame = TxFrame.from_records(
             eos_records + tezos_records + xrp_records[:split]
@@ -149,24 +139,10 @@ class TestBatchIdentity:
             frame, checkpoint, oracle=xrp_oracle, clusterer=xrp_clusterer
         )
         assert stats.rows_scanned == len(xrp_records) - split
-        assert sorted(stats.chains_carried) == [
-            ChainId.EOS.value,
-            ChainId.TEZOS.value,
-        ]
         assert not stats.chains_rescanned
-        for chain_value in stats.chains_carried:
-            assert (
-                new_checkpoint.chain_states[chain_value]
-                is checkpoint.chain_states[chain_value]
-            )
-        # The advanced chain was re-captured (fresh, different blob).
-        assert (
-            new_checkpoint.chain_states[ChainId.XRP.value]
-            is not checkpoint.chain_states[ChainId.XRP.value]
-        )
         expected = full_report(frame, oracle=xrp_oracle, clusterer=xrp_clusterer)
         assert_reports_identical(report, expected, exact_flows=True)
-        # And the carried checkpoint still drives later updates correctly.
+        # And the new checkpoint drives later updates correctly.
         follow_up, _, follow_stats = incremental_report(
             frame, new_checkpoint, oracle=xrp_oracle, clusterer=xrp_clusterer
         )
@@ -263,39 +239,46 @@ class TestFallbacks:
         assert_reports_identical(report, expected, exact_flows=True)
 
     def test_garbage_chain_payloads_degrade_to_chain_rescan(self, eos_records):
-        """A blob that decodes but carries nonsense state must rescan.
+        """States that line up but carry nonsense payloads must rescan.
 
-        Signatures can match while the per-accumulator payloads are
-        bit-rotted (or hostile): restore_state raises, the reporter
-        rebuilds the chain's accumulators, and the figures still come out
-        identical to a batch run.
+        Signatures and qualnames can match while the per-accumulator
+        payloads are hostile: restore_state raises, the reporter rebuilds
+        the chain's accumulators, and the figures still come out identical
+        to a batch run.
         """
-        from repro.common import statecodec
-
         frame = TxFrame.from_records(eos_records)
         _, checkpoint, _ = incremental_report(frame, None)
         chain = ChainId.EOS.value
-        payload_count = len(checkpoint.restore_payloads(chain))
-        checkpoint.chain_states[chain] = statecodec.encode(
-            [{"wrong": "shape"}] * payload_count
-        )
+        checkpoint.states[chain] = [
+            (qualname, {"wrong": "shape"}) for qualname, _ in checkpoint.states[chain]
+        ]
         report, _, stats = incremental_report(frame, checkpoint)
         assert stats.chains_rescanned == [chain]
         assert stats.rows_scanned == len(frame)
         expected = full_report(frame)
         assert_reports_identical(report, expected, exact_flows=True)
 
-    def test_bit_flipped_chain_blob_degrades_to_chain_rescan(self, eos_records):
-        """A single flipped byte is caught by the blob checksum."""
-        frame = TxFrame.from_records(eos_records)
+    @pytest.mark.parametrize("damage", ["wrong_qualname", "one_payload_short"])
+    def test_states_that_do_not_line_up_rescan_that_chain_and_no_other(
+        self, eos_records, tezos_records, damage
+    ):
+        """``StateMismatch`` (raised before any state is touched) is a rescan.
+
+        File-level rot never gets this far — the entry checksum covers every
+        byte of ``checkpoint.snap`` (``TestSnapshotRot`` below, and the
+        exhaustive sweep in ``test_checkpoint.py``).
+        """
+        frame = TxFrame.from_records(eos_records + tezos_records)
         _, checkpoint, _ = incremental_report(frame, None)
         chain = ChainId.EOS.value
-        blob = bytearray(checkpoint.chain_states[chain])
-        blob[len(blob) // 2] ^= 0x01
-        checkpoint.chain_states[chain] = bytes(blob)
-        assert checkpoint.restore_payloads(chain) is None
+        if damage == "wrong_qualname":
+            _, payload = checkpoint.states[chain][0]
+            checkpoint.states[chain][0] = ("SomeOtherAccumulator", payload)
+        else:
+            checkpoint.states[chain].pop()
         report, _, stats = incremental_report(frame, checkpoint)
         assert stats.chains_rescanned == [chain]
+        assert stats.rows_scanned == len(eos_records)
         assert_reports_identical(report, full_report(frame), exact_flows=True)
 
     def test_a_finalize_bug_surfaces_from_a_restored_checkpoint_too(
@@ -361,16 +344,6 @@ class TestFallbacks:
         assert stats.incremental and stats.rows_scanned == len(eos_records) - split
         assert report.chains[ChainId.EOS]["broken"] == len(eos_records)
 
-    def test_undecodable_chain_blob_degrades_to_chain_rescan(self, eos_records):
-        frame = TxFrame.from_records(eos_records)
-        _, checkpoint, _ = incremental_report(frame, None)
-        chain = ChainId.EOS.value
-        checkpoint.chain_states[chain] = b"RSC\x01<" + b"\xff" * 16
-        report, _, stats = incremental_report(frame, checkpoint)
-        assert stats.chains_rescanned == [chain]
-        expected = full_report(frame)
-        assert_reports_identical(report, expected, exact_flows=True)
-
     def test_shrunken_frame_rejected(self, eos_records):
         frame = TxFrame.from_records(eos_records)
         _, checkpoint, _ = incremental_report(frame, None)
@@ -400,14 +373,6 @@ def _lower_stored_watermark(path):
 
 
 class TestSnapshotRot:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="measured on 578f125: the per-chain adler32s skip the snapshot "
-        "header, so watermark 2382 -> 2126 loads; the next update reports "
-        "incremental with chains_rescanned == [], scans 896 of 3022 rows (256 "
-        "of them a second time, on top of the restored state), its figures "
-        "differ from full_report and fsck calls the directory clean",
-    )
     def test_a_flipped_watermark_bit_never_changes_a_figure(self, tmp_path):
         pipeline = Pipeline(str(tmp_path / "pipe"))
         generators = scenario_generators(get_scenario("live_tail", seed=7))

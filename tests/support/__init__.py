@@ -12,18 +12,23 @@ SRC = os.path.join(
 )
 
 
+def child_env() -> dict:
+    """The environment of a test child: this checkout, pinned hash seed."""
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=SRC)
+    for name in ("REPRO_STATS", "REPRO_FAULTS"):
+        env.pop(name, None)
+    return env
+
+
 def run_child(argv: Sequence[str], timeout: float = 120) -> subprocess.CompletedProcess:
     """``python ARGV`` in a fresh interpreter: cold ``sys.modules``, pinned hash seed.
 
     In-process CLI tests share one warmed ``sys.modules``, so they cannot see
     what a command imports — or forgot to import — when it runs alone.
     """
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=SRC)
-    for name in ("REPRO_STATS", "REPRO_FAULTS"):
-        env.pop(name, None)
     return subprocess.run(
         [sys.executable, *argv],
-        env=env,
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=timeout,

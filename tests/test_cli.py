@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,7 +17,7 @@ from repro.tezos.workload import TezosWorkloadConfig
 from repro.xrp.workload import XrpWorkloadConfig
 
 from tests.fixtures import V1_STORE_CHUNKS
-from tests.support import run_child
+from tests.support import child_env, run_child
 
 TINY_SCENARIO = "cli-tiny"
 
@@ -453,6 +455,29 @@ class TestPipelineCommands:
         assert code == 2
         assert "not an initialised pipeline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest", "watch"])
+    @pytest.mark.parametrize("blocked", ["data", "frames"])
+    def test_a_data_path_that_is_a_file_is_an_error_not_a_traceback(
+        self, tmp_path, capsys, command, blocked
+    ):
+        """``--data FILE``, or a directory whose ``frames`` is a file: exit 2."""
+        data = tmp_path / "pipe"
+        if blocked == "frames":
+            data.mkdir()
+        in_the_way = data if blocked == "data" else data / "frames"
+        in_the_way.write_text("not a directory")
+        code, _ = _run(
+            [command, "--data", str(data), "--scale", TINY_SCENARIO, "--batches", "1"]
+        )
+        assert code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error:") and str(in_the_way) in error
+        assert "Traceback" not in error
+        assert in_the_way.read_text() == "not a directory"
+        assert os.listdir(tmp_path) == ["pipe"]
+        if blocked == "frames":
+            assert os.listdir(data) == ["frames"]
+
     def test_watch_prints_live_updates_and_resumes(self, tmp_path):
         data = str(tmp_path / "pipe")
         code, out = _run(
@@ -639,3 +664,37 @@ class TestEveryCommandFromAColdInterpreter:
         done = run_child(["-m", "repro", *argv])
         assert done.returncode == 0, done.stderr
         assert expected in done.stdout
+
+    @pytest.mark.parametrize("argv", [["list"], ["update", "--data", "DATA"]], ids=["list", "update"])
+    def test_a_reader_closing_the_pipe_is_no_traceback(self, pipeline_dir, argv):
+        """``repro … | head -1``: handled once, in ``repro/__main__.py``."""
+        argv = [arg.replace("DATA", pipeline_dir) for arg in argv]
+        child = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", *argv],
+            env=child_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first_line = child.stdout.readline()
+        child.stdout.close()
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) in (0, 1)  # 0: all written before the close
+        assert first_line and b"Traceback" not in stderr
+
+    def test_a_pipe_nobody_reads_is_exit_one_and_silence(self):
+        """The deterministic form: the read end is gone before the first write."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "list"],
+                env=child_env(),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == b""

@@ -323,8 +323,8 @@ class TestCheckpointStore:
             handle.write(blob[: len(blob) // 2])
         assert store.load() is None
 
-    def test_flipped_byte_degrades_to_none(self, tmp_path, combined_frame):
-        """Arbitrary corruption mid-file is ``None``, always."""
+    def test_flipped_byte_degrades_to_none_or_mismatch(self, tmp_path, combined_frame):
+        """Arbitrary corruption mid-file is ``None``, always — no "or mismatch"."""
         store = CheckpointStore(str(tmp_path))
         store.save(self._capture(combined_frame))
         blob = bytearray(_snapshot_bytes(store))
@@ -333,9 +333,7 @@ class TestCheckpointStore:
             handle.write(bytes(blob))
         assert store.load() is None
 
-    def test_every_single_bit_flip_and_truncation_is_none(
-        self, tmp_path, combined_frame
-    ):
+    def test_every_bit_flip_and_truncation_is_none(self, tmp_path, combined_frame):
         """Exhaustive, not sampled: one checksum covers every byte.
 
         ``load`` is a file read plus :func:`decode_snapshot`, so the sweep

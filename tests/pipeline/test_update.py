@@ -123,10 +123,14 @@ class TestBatchIdentity:
         assert stats.incremental
         assert_reports_identical(report2, report1, exact_flows=True)
 
-    def test_rows_on_one_chain_scan_only_that_delta(
+    def test_unchanged_chains_carry_their_blob_forward(
         self, eos_records, tezos_records, xrp_records, xrp_oracle, xrp_clusterer
     ):
-        """Rows landing on one chain must not re-scan the other two."""
+        """Rows landing on one chain must not re-scan the other two.
+
+        (The name predates the one state format: nothing is carried as a
+        blob any more; the identity half of the test is what stays.)
+        """
         split = len(xrp_records) // 2
         frame = TxFrame.from_records(
             eos_records + tezos_records + xrp_records[:split]
@@ -258,8 +262,8 @@ class TestFallbacks:
         expected = full_report(frame)
         assert_reports_identical(report, expected, exact_flows=True)
 
-    @pytest.mark.parametrize("damage", ["wrong_qualname", "one_payload_short"])
-    def test_states_that_do_not_line_up_rescan_that_chain_and_no_other(
+    @pytest.mark.parametrize("damage", ["qualname", "length"])
+    def test_states_that_do_not_fit_rescan_one_chain(
         self, eos_records, tezos_records, damage
     ):
         """``StateMismatch`` (raised before any state is touched) is a rescan.
@@ -271,7 +275,7 @@ class TestFallbacks:
         frame = TxFrame.from_records(eos_records + tezos_records)
         _, checkpoint, _ = incremental_report(frame, None)
         chain = ChainId.EOS.value
-        if damage == "wrong_qualname":
+        if damage == "qualname":
             _, payload = checkpoint.states[chain][0]
             checkpoint.states[chain][0] = ("SomeOtherAccumulator", payload)
         else:

@@ -457,7 +457,7 @@ class TestPipelineCommands:
 
     @pytest.mark.parametrize("command", ["ingest", "watch"])
     @pytest.mark.parametrize("blocked", ["data", "frames"])
-    def test_a_data_path_that_is_a_file_is_an_error_not_a_traceback(
+    def test_data_path_that_is_a_file_is_an_error(
         self, tmp_path, capsys, command, blocked
     ):
         """``--data FILE``, or a directory whose ``frames`` is a file: exit 2."""
@@ -666,7 +666,7 @@ class TestEveryCommandFromAColdInterpreter:
         assert expected in done.stdout
 
     @pytest.mark.parametrize("argv", [["list"], ["update", "--data", "DATA"]], ids=["list", "update"])
-    def test_a_reader_closing_the_pipe_is_no_traceback(self, pipeline_dir, argv):
+    def test_closed_pipe_is_no_traceback(self, pipeline_dir, argv):
         """``repro … | head -1``: handled once, in ``repro/__main__.py``."""
         argv = [arg.replace("DATA", pipeline_dir) for arg in argv]
         child = subprocess.Popen(
@@ -682,7 +682,7 @@ class TestEveryCommandFromAColdInterpreter:
         assert child.wait(timeout=120) in (0, 1)  # 0: all written before the close
         assert first_line and b"Traceback" not in stderr
 
-    def test_a_pipe_nobody_reads_is_exit_one_and_silence(self):
+    def test_unread_pipe_exits_one_silently(self):
         """The deterministic form: the read end is gone before the first write."""
         read_end, write_end = os.pipe()
         os.close(read_end)

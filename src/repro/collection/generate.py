@@ -163,7 +163,8 @@ def _generate_shard(task: Tuple[ShardSpec, str, int]) -> Tuple[int, Dict]:
 
     Rows stream from the generator into chunk compression; the only
     retained state is the store's staging buffer (≤ ``chunk_rows`` rows)
-    plus the simulated chain itself.  XRP shards also report their
+    plus the simulated chain's ledger state and head block
+    (``stream_records`` prunes the history).  XRP shards also report their
     window's oracle rates and account-cluster mapping, which the parent
     merges in window order.
     """

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.common.blocklog import BlockLog
 from repro.common.clock import SimulationClock
 from repro.common.errors import ChainError
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
@@ -63,7 +64,7 @@ class EosChainConfig:
             )
 
 
-class EosChain:
+class EosChain(BlockLog):
     """The simulated EOS blockchain."""
 
     def __init__(
@@ -77,7 +78,7 @@ class EosChain:
         self.accounts = EosAccountRegistry()
         self.contracts = ContractRegistry()
         self.resources = EosResourceMarket()
-        self.blocks: List[BlockRecord] = []
+        super().__init__(self.config.start_height, "EOS block {} has not been produced")
         self._height = self.config.start_height - 1
         self._producer_votes: Dict[str, float] = {
             name: 0.0 for name in self.config.producers
@@ -224,13 +225,3 @@ class EosChain:
         self._height = height
         self.clock.advance(self.config.block_interval)
         return block
-
-    def block_at(self, height: int) -> BlockRecord:
-        """Fetch a produced block by height."""
-        index = height - self.config.start_height
-        if index < 0 or index >= len(self.blocks):
-            raise ChainError(f"EOS block {height} has not been produced")
-        return self.blocks[index]
-
-    def head(self) -> Optional[BlockRecord]:
-        return self.blocks[-1] if self.blocks else None

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from repro.common.errors import BlockNotFound, EndpointUnavailable
+from repro.common.errors import BlockNotFound, ChainError, EndpointUnavailable
 from repro.common.jsonrpc import RpcDispatcher, RpcRequest, RpcResponse
 from repro.common.ratelimit import TokenBucket
 from repro.common.records import BlockRecord
@@ -110,6 +110,6 @@ class EosRpcEndpoint:
         height = int(params.get("block_num_or_id", -1))
         try:
             block = self.chain.block_at(height)
-        except Exception as exc:
+        except ChainError as exc:
             raise BlockNotFound(height) from exc
         return block.to_dict()

@@ -435,14 +435,17 @@ class EosWorkloadGenerator:
         return list(self.generate_blocks())
 
     def stream_records(self) -> Iterator[TransactionRecord]:
-        """Stream canonical records without materialising block lists.
+        """Stream canonical records; the chain keeps only its head meanwhile.
 
         This is the ingest path for the columnar analysis substrate: feed it
         straight into :meth:`repro.common.columns.TxFrame.extend`, and the
-        only per-window allocation is the frame's own columns.
+        only per-window allocation is the frame's own columns.  Each block
+        is pruned once its records are handed on; :meth:`generate` is the
+        call for a chain that will be served over RPC afterwards.
         """
         for block in self.generate_blocks():
             yield from block.transactions
+            self.chain.prune()
 
     # -- ground truth the tests compare against --------------------------------------
     def expected_category(self, contract: str) -> str:

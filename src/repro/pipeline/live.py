@@ -100,13 +100,18 @@ def pending_batches(
     crash at any instant (even between a chunk commit and a meta write, or
     mid-batch) can therefore neither double-ingest rows nor lose them.
     This single helper carries that invariant for both ``ingest`` and the
-    watch loop.
+    watch loop.  A batch is handed on (or skipped) and never read back from
+    its chain, so the chains are pruned to their heads batch by batch.
     """
     durable = pipeline.store.row_count
     covered = 0
     for index, (batch_end, blocks) in enumerate(
         stream_block_batches(generators, batch_seconds)
     ):
+        for generator in generators.values():
+            # The XRP generator calls its chain a ledger.
+            chain = getattr(generator, "ledger", None) or generator.chain
+            chain.prune()
         batch_rows = sum(len(block.transactions) for block in blocks)
         if covered + batch_rows <= durable:
             covered += batch_rows

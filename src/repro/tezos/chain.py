@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.common.blocklog import BlockLog
 from repro.common.clock import SimulationClock
 from repro.common.errors import ChainError
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
@@ -40,7 +41,7 @@ class TezosChainConfig:
     operation_id_offset: int = 0
 
 
-class TezosChain:
+class TezosChain(BlockLog):
     """The simulated Tezos blockchain."""
 
     def __init__(
@@ -53,7 +54,7 @@ class TezosChain:
         self.clock = SimulationClock(self.config.chain_start)
         self.accounts = TezosAccountRegistry(rng=self.rng.fork("accounts"))
         self.bakers = BakerSet(self.accounts, rng=self.rng.fork("baking"))
-        self.blocks: List[BlockRecord] = []
+        super().__init__(self.config.start_level, "Tezos block {} has not been baked")
         self._level = self.config.start_level - 1
         self._operation_counter = self.config.operation_id_offset
 
@@ -175,12 +176,3 @@ class TezosChain:
         self._level = level
         self.clock.advance(self.config.block_interval)
         return block
-
-    def block_at(self, level: int) -> BlockRecord:
-        index = level - self.config.start_level
-        if index < 0 or index >= len(self.blocks):
-            raise ChainError(f"Tezos block {level} has not been baked")
-        return self.blocks[index]
-
-    def head(self) -> Optional[BlockRecord]:
-        return self.blocks[-1] if self.blocks else None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
-from repro.common.errors import BlockNotFound, EndpointUnavailable
+from repro.common.errors import BlockNotFound, ChainError, EndpointUnavailable
 from repro.common.jsonrpc import RpcDispatcher, RpcRequest
 from repro.common.ratelimit import TokenBucket
 from repro.common.records import BlockRecord
@@ -81,6 +81,6 @@ class TezosRpcEndpoint:
         level = int(params.get("level", -1))
         try:
             block = self.chain.block_at(level)
-        except Exception as exc:
+        except ChainError as exc:
             raise BlockNotFound(level) from exc
         return block.to_dict()

@@ -227,12 +227,15 @@ class TezosWorkloadGenerator:
         return list(self.generate_blocks())
 
     def stream_records(self) -> Iterator[TransactionRecord]:
-        """Stream canonical records without materialising block lists.
+        """Stream canonical records; the chain keeps only its head meanwhile.
 
-        Feed straight into :meth:`repro.common.columns.TxFrame.extend`.
+        Feed straight into :meth:`repro.common.columns.TxFrame.extend`.  Each
+        block is pruned once its records are handed on; :meth:`generate` is
+        the call for a chain that will be served over RPC afterwards.
         """
         for block in self.generate_blocks():
             yield from block.transactions
+            self.chain.prune()
 
     # -- Babylon 2.0 governance series (Figure 9) ---------------------------------------
     def generate_babylon_votes(

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
+from repro.common.blocklog import BlockLog
 from repro.common.clock import SimulationClock
 from repro.common.errors import ChainError
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
@@ -74,7 +75,7 @@ class XrpLedgerConfig:
     transaction_id_offset: int = 0
 
 
-class XrpLedger:
+class XrpLedger(BlockLog):
     """The simulated XRP ledger: state + close loop producing block records."""
 
     def __init__(
@@ -90,7 +91,7 @@ class XrpLedger:
         self.orderbook = OrderBook()
         self.engine = XrpTransactionEngine(self.accounts, self.trustlines, self.orderbook)
         self.validators = self._build_validators(self.config.validator_count)
-        self.blocks: List[BlockRecord] = []
+        super().__init__(self.config.start_index, "XRP ledger {} has not been closed")
         self._ledger_index = self.config.start_index - 1
         self._tx_counter = self.config.transaction_id_offset
 
@@ -176,12 +177,3 @@ class XrpLedger:
         self._ledger_index = index
         self.clock.advance(self.config.close_interval)
         return block
-
-    def block_at(self, index: int) -> BlockRecord:
-        offset = index - self.config.start_index
-        if offset < 0 or offset >= len(self.blocks):
-            raise ChainError(f"XRP ledger {index} has not been closed")
-        return self.blocks[offset]
-
-    def head(self) -> Optional[BlockRecord]:
-        return self.blocks[-1] if self.blocks else None

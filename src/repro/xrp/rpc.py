@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
-from repro.common.errors import BlockNotFound, EndpointUnavailable
+from repro.common.errors import BlockNotFound, ChainError, EndpointUnavailable
 from repro.common.jsonrpc import RpcDispatcher, RpcRequest
 from repro.common.ratelimit import TokenBucket
 from repro.common.records import BlockRecord
@@ -93,7 +93,7 @@ class XrpRpcEndpoint:
         index = int(params.get("ledger_index", -1))
         try:
             block = self.ledger.block_at(index)
-        except Exception as exc:
+        except ChainError as exc:
             raise BlockNotFound(index) from exc
         return block.to_dict()
 

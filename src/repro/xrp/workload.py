@@ -609,12 +609,15 @@ class XrpWorkloadGenerator:
         return list(self.generate_blocks())
 
     def stream_records(self) -> Iterator[TransactionRecord]:
-        """Stream canonical records without materialising ledger lists.
+        """Stream canonical records; the ledger keeps only its head meanwhile.
 
-        Feed straight into :meth:`repro.common.columns.TxFrame.extend`.
+        Feed straight into :meth:`repro.common.columns.TxFrame.extend`.  Each
+        ledger is pruned once its records are handed on; :meth:`generate` is
+        the call for a ledger that will be served over RPC afterwards.
         """
         for block in self.generate_blocks():
             yield from block.transactions
+            self.ledger.prune()
 
     # -- ground truth for tests ------------------------------------------------------
     def valued_assets(self) -> List[Tuple[str, str]]:

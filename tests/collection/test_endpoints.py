@@ -7,6 +7,7 @@ interface the crawler uses.
 import pytest
 
 from repro.common.errors import CollectionError, RateLimitExceeded, RpcError
+from repro.common.jsonrpc import INTERNAL_ERROR
 from repro.common.rng import DeterministicRng
 from repro.collection.endpoints import (
     EndpointPool,
@@ -155,6 +156,49 @@ class TestEndpointPool:
         health = pool.health("one")
         assert (health.successes, health.failures, health.throttles) == (3, 1, 2)
         assert health.retry_after_until == 0.0
+
+
+def _eos_served():
+    chain = EosChain()
+    return chain, EosRpcEndpoint(chain), lambda: chain.produce_block([])
+
+
+def _tezos_served():
+    chain = TezosChain()
+    chain.accounts.create_implicit(balance=5 * ROLL_SIZE_XTZ)
+    return chain, TezosRpcEndpoint(chain), lambda: chain.bake_block([])
+
+
+def _xrp_served():
+    ledger = XrpLedger()
+    return ledger, XrpRpcEndpoint(ledger), lambda: ledger.close_ledger([])
+
+
+class TestBlockLookupErrors:
+    """Only a chain's own refusal is a 404; a bug in the lookup is not."""
+
+    @pytest.mark.parametrize("served", [_eos_served, _tezos_served, _xrp_served])
+    def test_unproduced_and_pruned_are_not_found_a_bug_is_internal(self, served, monkeypatch):
+        chain, endpoint, produce = served()
+        first = produce().height
+        head = produce().height
+        with pytest.raises(RpcError) as unproduced:
+            endpoint.fetch_block(head + 1, 0.0)
+        assert unproduced.value.code == 404
+        chain.prune()
+        assert endpoint.fetch_block(head, 0.0).height == endpoint.head_height(0.0) == head
+        with pytest.raises(RpcError) as pruned:
+            endpoint.fetch_block(first, 0.0)
+        assert pruned.value.code == 404
+
+        def broken(height):
+            raise TypeError("list indices must be integers")
+
+        monkeypatch.setattr(chain, "block_at", broken)
+        with pytest.raises(RpcError) as bug:
+            endpoint.fetch_block(head, 0.0)
+        assert bug.value.code == INTERNAL_ERROR
+        assert "list indices" in bug.value.message
 
 
 class TestChainEndpoints:

@@ -14,17 +14,22 @@ from repro.eos.chain import (
     EosTransaction,
 )
 from repro.eos.contracts import EidosContract, TokenContract
+from tests.support.pruning import check_prune_contract
 
 
-@pytest.fixture
-def chain():
-    instance = EosChain()
+def make_chain(config=None):
+    instance = EosChain(config)
     instance.deploy_contract(TokenContract("eosio.token", symbol="EOS"))
     instance.accounts.create("alice", initial_balance=100.0)
     instance.accounts.create("bob", initial_balance=10.0)
     instance.resources.stake_cpu("alice", 100.0)
     instance.resources.stake_cpu("bob", 100.0)
     return instance
+
+
+@pytest.fixture
+def chain():
+    return make_chain()
 
 
 def transfer_tx(tx_id, sender="alice", receiver="bob", amount=1.0):
@@ -141,6 +146,12 @@ class TestBlockProduction:
 
     def test_head_of_empty_chain(self):
         assert EosChain().head() is None
+
+    def test_prune_keeps_the_head_and_the_heights(self):
+        check_prune_contract(
+            lambda: make_chain(EosChainConfig(start_height=82_152_667)),
+            lambda chain, number: chain.produce_block([transfer_tx(f"tx{number}")]),
+        )
 
     def test_block_links_previous_id(self, chain):
         first = chain.produce_block([transfer_tx("tx1")])

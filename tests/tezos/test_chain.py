@@ -13,16 +13,21 @@ from repro.tezos.operations import (
     make_reveal,
     make_transaction,
 )
+from tests.support.pruning import check_prune_contract
 
 
-@pytest.fixture
-def chain():
-    instance = TezosChain(rng=DeterministicRng(5))
+def make_chain(config=None):
+    instance = TezosChain(config, rng=DeterministicRng(5))
     for _ in range(3):
         instance.accounts.create_implicit(balance=5 * ROLL_SIZE_XTZ)
     instance.accounts.create_implicit(balance=500.0, address="tz1alicealicealice")
     instance.accounts.create_implicit(balance=100.0, address="tz1bobbobbobbobbob")
     return instance
+
+
+@pytest.fixture
+def chain():
+    return make_chain()
 
 
 class TestBaking:
@@ -105,3 +110,11 @@ class TestOperations:
         chain = TezosChain()
         assert chain.head() is None
         assert chain.head_level == chain.config.start_level - 1
+
+    def test_prune_keeps_the_head_and_the_levels(self):
+        check_prune_contract(
+            lambda: make_chain(TezosChainConfig(start_level=628_951)),
+            lambda chain, number: chain.bake_block(
+                [make_transaction("tz1alicealicealice", "tz1bobbobbobbobbob", 1.0 + number)]
+            ),
+        )

@@ -13,14 +13,19 @@ from repro.xrp.ledger import (
     check_unl_convergence,
 )
 from repro.xrp.transactions import TransactionType, XrpTransaction
+from tests.support.pruning import check_prune_contract
+
+
+def make_ledger(config=None):
+    instance = XrpLedger(config, rng=DeterministicRng(6))
+    instance.accounts.create_genesis(address="rAlice", balance=1_000.0)
+    instance.accounts.create_genesis(address="rBob", balance=500.0)
+    return instance
 
 
 @pytest.fixture
 def ledger():
-    instance = XrpLedger(rng=DeterministicRng(6))
-    instance.accounts.create_genesis(address="rAlice", balance=1_000.0)
-    instance.accounts.create_genesis(address="rBob", balance=500.0)
-    return instance
+    return make_ledger()
 
 
 def payment(sender="rAlice", receiver="rBob", amount=10.0, tag=None):
@@ -98,6 +103,12 @@ class TestLedgerClose:
         assert ledger.block_at(block.height) == block
         with pytest.raises(ChainError):
             ledger.block_at(block.height + 10)
+
+    def test_prune_keeps_the_head_and_the_indices(self):
+        check_prune_contract(
+            lambda: make_ledger(XrpLedgerConfig(start_index=50_400_001)),
+            lambda ledger, number: ledger.close_ledger([payment(amount=1.0 + number)]),
+        )
 
     def test_non_converging_validators_block_consensus(self):
         ledger = XrpLedger(XrpLedgerConfig(validator_count=2))

@@ -45,8 +45,6 @@ from array import array
 from collections import Counter
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.common import statsmode
 from repro.common.columns import RowIndices, TxFrame, gather_np
 from repro.common.errors import AnalysisError
@@ -144,6 +142,8 @@ class IdRuns(_Container):
     def block_adder(self) -> Callable[[RowIndices], None]:
         # One slice (or fancy index) of the frame's cached id ndarray per
         # block, built on first use; run boundaries are one elementwise !=.
+        import numpy as np
+
         frame = self._frame
         append = self._append
         ids = None
@@ -197,6 +197,8 @@ class HllDistinct(_Container):
     def block_adder(self) -> Callable[[RowIndices], None]:
         # One vectorized hash-column build per frame, shared across passes:
         # the per-block cost is a uint64 gather plus a register fold.
+        import numpy as np
+
         update = self.sketch.update_np
         hashes = np.frombuffer(self._frame.transaction_id_hashes(), dtype=np.uint64)
         return lambda rows: update(gather_np(hashes, rows))
@@ -274,6 +276,8 @@ class ExactCounts(_TopK):
         independent: the dense vector folds in packed-key, not first-seen,
         order.  Key spaces too large for it take :func:`count_codes`.
         """
+        import numpy as np
+
         counts = self._counts
         space = dense_space(sizes)
         if ordered or space > DENSE_KEYSPACE_MAX:
@@ -412,6 +416,8 @@ class SortedColumn(_Container):
         return self._values.append
 
     def block_adder(self) -> Callable[[Any], None]:
+        import numpy as np
+
         values = self._values
         return lambda block: values.frombytes(
             np.ascontiguousarray(block, dtype=np.float64).tobytes()

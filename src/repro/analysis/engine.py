@@ -66,11 +66,12 @@ one accumulator before a single ``finalize``:
 ``restore_state(payload) -> None``
     Folds an exported payload into this accumulator, leaving the payload
     untouched (the same payload may be folded elsewhere and persisted).
-    The target must be bound (``bind_batch``) against a frame with
-    **identical string pools** to the exporting side's (the guarantee
-    :meth:`TxFrame.with_pools` provides for chunks rehydrated against a
-    store's global pools), the exporting side must have had an equal
-    :meth:`Accumulator.config_signature`, and payloads must be restored in
+    The target must be initialised (``_reset``, or either kernel's bind)
+    against a frame with **identical string pools** to the exporting
+    side's (the guarantee :meth:`TxFrame.with_pools` provides for chunks
+    rehydrated against a store's global pools), the exporting side must
+    have had an equal :meth:`Accumulator.config_signature`, and payloads
+    must be restored in
     row order ahead of any delta scan — under those conditions the folded
     state replays the serial scan and the finalised result is
     deterministic.  Restoring a serial snapshot and scanning the remaining
@@ -184,6 +185,14 @@ class Accumulator:
 
     #: Key under which the accumulator's result appears in the engine output.
     name: str = "accumulator"
+
+    def _reset(self, frame: TxFrame) -> None:
+        """Initialise empty state against ``frame``: what :meth:`bind` and
+        :meth:`bind_batch` start with, and all a fold target needs before
+        :meth:`restore_state`.  Overrides must not touch a scan kernel (so
+        folding cached states never imports numpy); the default binds, so
+        an accumulator that implements :meth:`bind` alone still folds."""
+        self.bind(frame)
 
     def bind(self, frame: TxFrame) -> Step:
         """Capture column references and return the per-row step callable."""

@@ -131,10 +131,11 @@ def fold_states(
 
 
 def _bound_base(factory: AccumulatorFactory, frame: TxFrame) -> List[Accumulator]:
-    """Fresh accumulators bound (state-initialised) against the parent frame."""
+    """Fresh fold targets, state-initialised against ``frame`` through
+    ``_reset`` — never a scan kernel: they are only ever restored into."""
     base = list(factory())
     for accumulator in base:
-        accumulator.bind_batch(frame)
+        accumulator._reset(frame)
     return base
 
 

@@ -19,8 +19,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from array import array
 
-import numpy as np
-
 from repro.common.clock import SECONDS_PER_HOUR
 from repro.common.columns import FrameLike, TxFrame, as_frame, as_ndarray, view_of
 from repro.common.errors import AnalysisError
@@ -265,6 +263,8 @@ class ThroughputSeriesAccumulator(Accumulator):
         buffer-backed (a custom factory yielding a plain list), take the
         row-step default instead.
         """
+        import numpy as np
+
         if self.key_columns is None:
             return super().bind_batch(frame)
         self._reset(frame)

@@ -19,10 +19,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, as_frame
+from repro.common.errors import CollectionError
 from repro.common.records import ChainId, TransactionRecord
+from repro.analysis.clustering import StaticAccountClusterer
 from repro.analysis.containers import quantiles
 from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step, config_digest
 from repro.analysis.vectorized import block_columns, count_codes, matched_rows
@@ -76,6 +76,38 @@ class ExchangeRateOracle:
     def signature(self) -> str:
         """Stable digest of the rate table (checkpoint compatibility key)."""
         return config_digest(self._rates)
+
+
+def decode_analysis_config(
+    meta: Mapping[str, object]
+) -> Optional[Tuple[ExchangeRateOracle, StaticAccountClusterer]]:
+    """The frozen oracle and cluster map a ``meta.json`` carries.
+
+    The one decoder of the ``oracle_rates`` (``[[currency, issuer, rate],
+    ...]``) and ``clusters`` (``{address: label}``) fields, shared by the
+    dataset cache, the pipeline and fsck.  ``None`` when the meta has
+    neither; a missing or malformed field raises
+    :class:`~repro.common.errors.CollectionError` — the dataset cache treats
+    that as a miss, the pipeline refuses to open.
+    """
+    if "oracle_rates" not in meta and "clusters" not in meta:
+        return None
+    rows, clusters = meta.get("oracle_rates"), meta.get("clusters")
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list)
+        and len(row) == 3
+        and isinstance(row[0], str)
+        and isinstance(row[1], str)
+        and type(row[2]) in (int, float)
+        for row in rows
+    ):
+        raise CollectionError("oracle_rates is not a list of [currency, issuer, rate]")
+    if not isinstance(clusters, dict) or not all(
+        isinstance(label, str) for label in clusters.values()
+    ):
+        raise CollectionError("clusters is not an address → label mapping")
+    rates = {(currency, issuer): rate for currency, issuer, rate in rows}
+    return ExchangeRateOracle(rates), StaticAccountClusterer(clusters)
 
 
 @dataclass(frozen=True)
@@ -206,6 +238,8 @@ class XrpDecompositionAccumulator(Accumulator):
         *distinct* (currency, issuer) pair, and the ``executed`` metadata
         flag is read only on the (thin) successful-offer slice.
         """
+        import numpy as np
+
         self._reset(frame)
         bulk = self._bulk
         counters = self._counters
@@ -414,6 +448,8 @@ class ValueDistributionAccumulator(Accumulator):
         The oracle is consulted once per distinct (currency, issuer) pair;
         row values come from a vectorized gather of the block's pair rates.
         """
+        import numpy as np
+
         self._reset(frame)
         add_values = self.values.block_adder()
         chain_codes = frame.ndarray("chain_code")

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.common.columns import RowIndices, as_index_rows
 
 Counts = Union[Dict, "Counter"]  # noqa: F821 - Counter duck-typed via .get
@@ -61,6 +59,8 @@ def fold_dense(target: Counts, dense, sizes: Sequence[int]) -> None:
     that tie-breaks via ``Counter.most_common`` must stay on
     :func:`count_codes`.
     """
+    import numpy as np
+
     keys = np.nonzero(dense)[0]
     if not len(keys):
         return
@@ -82,6 +82,8 @@ def block_columns(rows: RowIndices, *views) -> Tuple:
 
 def matched_rows(rows: RowIndices, mask):
     """Global row indices of the block positions where ``mask`` is true."""
+    import numpy as np
+
     positions = np.nonzero(mask)[0]
     if isinstance(rows, range):
         if rows.step == 1:
@@ -98,6 +100,8 @@ def pack_codes(blocks: Sequence, sizes: Sequence[int]):
     Returns ``None`` when the key space cannot fit an ``int64`` — callers
     fall back to per-row counting in that (pathological) case.
     """
+    import numpy as np
+
     if dense_space(sizes) >= 2**62:  # pragma: no cover - needs >2^62 distinct keys
         return None
     key = blocks[0].astype(np.int64)
@@ -109,6 +113,8 @@ def pack_codes(blocks: Sequence, sizes: Sequence[int]):
 
 def unpack_codes(keys, sizes: Sequence[int]) -> List:
     """Inverse of :func:`pack_codes`: plain ints for one column, else tuples."""
+    import numpy as np
+
     if len(sizes) == 1:
         return keys.tolist()
     parts = []
@@ -123,6 +129,8 @@ def unpack_codes(keys, sizes: Sequence[int]) -> List:
 
 def unique_counts_ordered(keys) -> Tuple:
     """Distinct keys and their counts, in first-seen (row) order."""
+    import numpy as np
+
     uniques, first_index, counts = np.unique(
         keys, return_index=True, return_counts=True
     )

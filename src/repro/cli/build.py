@@ -18,14 +18,13 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.clustering import AccountClusterer, StaticAccountClusterer
-from repro.analysis.value import ExchangeRateOracle
+from repro.analysis.value import ExchangeRateOracle, decode_analysis_config
 from repro.cli.dataset import (
     CACHE_VERSION,
     META_NAME,
     Dataset,
     StoredDataset,
     _cache_directory,
-    _meta_companions,
 )
 from repro.collection.generate import generate_sharded
 from repro.collection.store import FrameStore, invalidate_state_cache
@@ -159,7 +158,7 @@ def build_store(
     else:
         frame, oracle, clusterer = generate_dataset(scenario)
         store, meta = _persist(directory, scale, seed, frame, oracle, clusterer)
-    oracle, clusterer = _meta_companions(meta)
+    oracle, clusterer = decode_analysis_config(meta)
     return StoredDataset(
         directory=directory,
         rows=meta["rows"],

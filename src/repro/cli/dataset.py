@@ -24,10 +24,9 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.analysis.clustering import StaticAccountClusterer
-from repro.analysis.value import ExchangeRateOracle
+from repro.analysis.value import ExchangeRateOracle, decode_analysis_config
 from repro.collection.store import FrameStore
 from repro.common.columns import TxFrame
 from repro.common.errors import CollectionError
@@ -89,16 +88,6 @@ def _load_cache_meta(meta_path: str) -> Optional[Dict]:
     return meta
 
 
-def _meta_companions(meta: Dict) -> Tuple[ExchangeRateOracle, StaticAccountClusterer]:
-    oracle = ExchangeRateOracle(
-        {
-            (currency, issuer): rate
-            for currency, issuer, rate in meta["oracle_rates"]
-        }
-    )
-    return oracle, StaticAccountClusterer(meta["clusters"])
-
-
 def cached_store(
     scale: str, seed: int, cache_root: Optional[str]
 ) -> Optional[StoredDataset]:
@@ -108,8 +97,9 @@ def cached_store(
     chunk is touched.  The meta must have been written for this scenario and
     seed (a directory copied or renamed from another run is not trusted) and
     agree with the store's manifest on the row count (stale or missing chunk
-    files); a manifest the store refuses to open is a miss like a torn meta —
-    the dataset is regenerated over it.
+    files); a manifest the store refuses to open, or an oracle / cluster map
+    that does not decode, is a miss like a torn meta — the dataset is
+    regenerated over it.
     """
     if not cache_root:
         return None
@@ -119,12 +109,13 @@ def cached_store(
     if meta is None or meta.get("scenario") != scale or meta.get("seed") != seed:
         return None
     try:
+        companions = decode_analysis_config(meta)
         store = FrameStore.open(directory)
     except CollectionError:
         return None
-    if store.row_count != meta.get("rows"):
+    if companions is None or store.row_count != meta.get("rows"):
         return None
-    oracle, clusterer = _meta_companions(meta)
+    oracle, clusterer = companions
     return StoredDataset(
         directory=directory,
         rows=store.row_count,

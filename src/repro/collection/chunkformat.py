@@ -52,8 +52,6 @@ import zlib
 from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.common import statecodec
 from repro.common.columns import NUMERIC_TYPECODES, LazyMetadata
 from repro.common.errors import CollectionError
@@ -124,6 +122,8 @@ def _unpack_blob(flag: Any, raw_len: Any, stored: Any, what: str) -> bytes:
 
 def _column_raw_bytes(data: Any, typecode: str) -> bytes:
     """A payload column as raw machine bytes in the frame's typecode."""
+    import numpy as np
+
     if isinstance(data, array):
         if data.typecode == typecode:
             return data.tobytes()
@@ -274,6 +274,8 @@ def encode_chunk(
 
 
 def _decode_column(entry: Any, name: str, swap: bool):
+    import numpy as np
+
     if not (isinstance(entry, list) and len(entry) == 4):
         raise ChunkFormatError(f"chunk column {name!r} is malformed")
     typecode, flag, raw_len, stored = entry

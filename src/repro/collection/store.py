@@ -66,8 +66,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.collection import chunkformat
 from repro.collection.chunkformat import ChunkFormatError
 from repro.common import faults
@@ -360,6 +358,8 @@ def _payload_chain_stats(
     Chains are keyed in first-seen row order (the manifest and the chunk
     header serialise these dicts, so the order is part of the store bytes).
     """
+    import numpy as np
+
     heights: Dict[str, List[int]] = {}
     times: Dict[str, List[float]] = {}
     chain_rows: Dict[str, int] = {}
@@ -385,6 +385,8 @@ def _check_id_runs(payload: Dict) -> None:
     (:class:`~repro.analysis.containers.IdRuns`), so rows that interleave
     two transactions' ids are refused here, before anything is written.
     """
+    import numpy as np
+
     ids = np.asarray(payload["transaction_id"], dtype=object)
     chain_codes = np.asarray(payload["columns"]["chain_code"])
     for code, chain in enumerate(CHAIN_ORDER):

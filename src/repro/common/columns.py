@@ -44,8 +44,6 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
 
 #: Fixed chain-code order; ``chain_code`` column stores indexes into this.
@@ -196,6 +194,9 @@ RowIndices = Union[range, Sequence[int]]
 # the frame may reallocate the underlying buffer, so a view must not outlive
 # the pass it was created for (accumulators take views at bind time; frames
 # never grow during a scan).
+#
+# numpy is imported by each function that uses it, at the call, never at
+# module level: a report that only folds cached states never loads it.
 
 
 def as_ndarray(column: array):
@@ -205,6 +206,8 @@ def as_ndarray(column: array):
     that typecode does not match the array's item size (exotic platforms)
     the data is copied instead of aliased — same values either way.
     """
+    import numpy as np
+
     dtype = np.dtype(column.typecode)
     if dtype.itemsize != column.itemsize:  # pragma: no cover - platform skew
         view = np.array(column, dtype=dtype)
@@ -222,6 +225,8 @@ def as_index_rows(rows: RowIndices):
     materialised.  The engine funnels every scan block through this, so the
     vectorized kernels always see either a ``range`` or an index ndarray.
     """
+    import numpy as np
+
     if isinstance(rows, range) or isinstance(rows, np.ndarray):
         return rows
     if isinstance(rows, array) and rows.itemsize == np.dtype(np.int64).itemsize:
@@ -236,6 +241,8 @@ def gather_np(column, rows: RowIndices):
     index arrays gather with one C fancy-indexing call.  ``column`` may be
     an ``array.array`` or an ndarray.
     """
+    import numpy as np
+
     view = column if isinstance(column, np.ndarray) else as_ndarray(column)
     if isinstance(rows, range):
         return view[rows.start : rows.stop : rows.step]
@@ -244,6 +251,8 @@ def gather_np(column, rows: RowIndices):
 
 def _index_ndarray(rows: RowIndices):
     """Row indices as an ``int64`` ndarray, ranges materialised too."""
+    import numpy as np
+
     if isinstance(rows, range):
         return np.arange(rows.start, rows.stop, rows.step, dtype=np.int64)
     return as_index_rows(rows)
@@ -624,6 +633,8 @@ class TxFrame:
         buffer that grows amortised (like :meth:`transaction_id_hashes`);
         the result is a frame-length view of that buffer.
         """
+        import numpy as np
+
         length = len(self.transaction_id)
         filled, buffer = self._tx_ids_nd or (0, np.empty(0, dtype=object))
         if filled < length:
@@ -847,6 +858,8 @@ class TxFrame:
         """Bulk twin of :meth:`_register_row` for rows appended at ``offset``:
         sort flag, per-chain row indexes and timestamp bounds, from the
         appended rows' own ``chain_codes`` / ``timestamps`` ndarrays."""
+        import numpy as np
+
         if self._timestamps_sorted:
             self._timestamps_sorted = bool(
                 (not offset or timestamps[0] >= self.timestamp[offset - 1])
@@ -878,6 +891,7 @@ class TxFrame:
         Bulk column appends with C-level code remapping, then incremental
         bookkeeping — no per-row Python loop over the numeric columns.
         """
+        import numpy as np
 
         def code_table(pool: StringPool, values: Sequence[str]):
             codes = [pool.intern(value) for value in values]

@@ -46,8 +46,6 @@ import math
 from array import array
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.common.errors import ReproError
 from repro.common.statecodec import CodecError
 
@@ -113,6 +111,8 @@ _POWER_TABLES: Optional[Tuple[Any, Any]] = None
 
 def _power_tables(size: int) -> Tuple[Any, Any]:
     global _POWER_TABLES
+    import numpy as np
+
     tables = _POWER_TABLES
     if tables is not None and len(tables[0]) >= size:
         return tables
@@ -135,6 +135,8 @@ def _hash64_batch_np(values: Sequence[str], out, start: int) -> None:
     power of its end position equals the reference Horner fold exactly,
     because the base is odd and therefore invertible modulo 2**64.
     """
+    import numpy as np
+
     uint64 = np.uint64
     for offset in range(0, len(values), _HASH_SLICE):
         chunk = values[offset : offset + _HASH_SLICE]
@@ -183,6 +185,8 @@ def hash64_batch(values: Sequence[str]) -> array:
     The vectorized twin of ``array("Q", map(hash64, values))``: identical
     values, no per-string Python work.
     """
+    import numpy as np
+
     column = array("Q", bytes(8 * len(values)))
     if len(values):
         _hash64_batch_np(values, np.frombuffer(column, dtype=np.uint64), 0)
@@ -294,6 +298,8 @@ class HyperLogLog:
 
     def update_np(self, hashes) -> None:
         """Fold a ``uint64`` ndarray of hashes in (vectorized)."""
+        import numpy as np
+
         sparse = self._sparse
         if sparse is not None:
             sparse.frombytes(np.ascontiguousarray(hashes, dtype=np.uint64).tobytes())
@@ -330,6 +336,8 @@ class HyperLogLog:
     # -- representation management -------------------------------------------------
     def _compact(self) -> None:
         """Deduplicate the sparse buffer; convert to dense past the limit."""
+        import numpy as np
+
         sparse = self._sparse
         if sparse is None:
             return

@@ -45,7 +45,7 @@ from repro.analysis.parallel import chunk_scan_states, fold_states
 from repro.analysis.statecache import ChunkStateCache
 from repro.analysis.report import ChainFigures, FullReport, figure_factory
 from repro.analysis.throughput import DEFAULT_BIN_SECONDS
-from repro.analysis.value import ExchangeRateOracle
+from repro.analysis.value import ExchangeRateOracle, decode_analysis_config
 from repro.collection.store import FRAMES_DIR, FrameSink, FrameStore, ensure_directory
 from repro.common.columns import TxFrame
 from repro.common import faults
@@ -281,6 +281,12 @@ class Pipeline:
             raise CollectionError(
                 f"unsupported pipeline meta version {meta.get('version')!r}"
             )
+        try:
+            decode_analysis_config(meta)
+        except CollectionError as error:
+            raise CollectionError(
+                f"pipeline meta {self.meta_path!r} is unreadable: {error}"
+            ) from None
         return meta
 
     def _save_meta(self) -> None:
@@ -323,16 +329,7 @@ class Pipeline:
         self,
     ) -> Tuple[Optional[ExchangeRateOracle], Optional[StaticAccountClusterer]]:
         """The frozen oracle and clusterer, or ``(None, None)`` if unset."""
-        if not self.has_analysis_config():
-            return None, None
-        oracle = ExchangeRateOracle(
-            {
-                (currency, issuer): rate
-                for currency, issuer, rate in self._meta["oracle_rates"]
-            }
-        )
-        clusterer = StaticAccountClusterer(self._meta.get("clusters", {}))
-        return oracle, clusterer
+        return decode_analysis_config(self._meta) or (None, None)
 
     # -- the resident frame ----------------------------------------------------------
     @property

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.statecache import decode_entry, parse_entry_name
+from repro.analysis.value import decode_analysis_config
 from repro.collection.store import (
     MANIFEST_NAME,
     STATE_CACHE_DIR,
@@ -439,7 +440,8 @@ def _check_meta(report: FsckReport, root: str) -> None:
             meta = json.load(handle)
         if not isinstance(meta, dict):
             raise ValueError("meta is not a mapping")
-    except (OSError, ValueError) as error:
+        decode_analysis_config(meta)
+    except (OSError, ValueError, CollectionError) as error:
         report.issues.append(
             FsckIssue(
                 kind="meta_unreadable",

@@ -28,15 +28,14 @@ from tests.support.reports import assert_reports_identical
 
 
 class FailedRowsAccumulator(Accumulator):
-    """Toy figure: how many of the chain's rows failed (row-step kernel only)."""
+    """Toy figure: how many of the chain's rows failed, written as ``bind``
+    alone — the chunk engine's fold targets reach it through the base
+    ``_reset``."""
 
     name = "failed_rows"
 
-    def _reset(self, frame: TxFrame) -> None:
-        self._failed = 0
-
     def bind(self, frame: TxFrame):
-        self._reset(frame)
+        self._failed = 0
         success = frame.success
 
         def step(row: int) -> None:

@@ -127,6 +127,16 @@ class TestDetection:
         report = run_fsck(pipeline_dir)
         assert any(issue.kind == "meta_unreadable" for issue in report.issues)
 
+    def test_meta_with_a_malformed_cluster_map(self, pipeline_dir):
+        path = os.path.join(pipeline_dir, "meta.json")
+        with open(path, "r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+        meta["clusters"] = [1, 2]
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(meta, handle)
+        report = run_fsck(pipeline_dir)
+        assert [issue.kind for issue in report.issues] == ["meta_unreadable"]
+
     def test_detects_every_injected_corruption(self, pipeline_dir):
         """Several simultaneous corruptions: nothing masks anything else."""
         _flip_byte(_chunk_path(pipeline_dir, 1))

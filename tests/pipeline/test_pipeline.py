@@ -9,6 +9,7 @@ misadventure, ``update`` converges to the batch-identical report.
 from __future__ import annotations
 
 import glob
+import json
 import os
 
 import pytest
@@ -219,6 +220,32 @@ class TestCrashRecovery:
             handle.write(content)
         del pipeline
         with pytest.raises(CollectionError, match="pipeline meta .*meta.json"):
+            Pipeline(str(tmp_path))
+        with open(os.path.join(tmp_path, "meta.json"), encoding="utf-8") as handle:
+            assert handle.read() == content
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("oracle_rates", [["XRP"]]), ("clusters", [1, 2]), ("clusters", None)],
+        ids=["oracle_malformed", "clusters_malformed", "clusters_missing"],
+    )
+    def test_malformed_analysis_config_is_a_collection_error_and_is_kept(
+        self, tmp_path, sample_records, frozen_oracle, frozen_clusterer, field, value
+    ):
+        """The frozen oracle / cluster map decodes at open, or nothing runs."""
+        pipeline = self._seed(
+            tmp_path, sample_records[:1500], frozen_oracle, frozen_clusterer
+        )
+        meta = dict(pipeline.meta)
+        if value is None:
+            del meta[field]
+        else:
+            meta[field] = value
+        content = json.dumps(meta)
+        with open(pipeline.meta_path, "w", encoding="utf-8") as handle:
+            handle.write(content)
+        del pipeline
+        with pytest.raises(CollectionError, match=f"pipeline meta .*meta.json.*{field}"):
             Pipeline(str(tmp_path))
         with open(os.path.join(tmp_path, "meta.json"), encoding="utf-8") as handle:
             assert handle.read() == content

@@ -175,6 +175,10 @@ class TestUnusableCacheMeta:
             "another_seed",
             "manifest_truncated",
             "manifest_not_an_object",
+            "oracle_missing",
+            "oracle_malformed",
+            "clusters_missing",
+            "clusters_malformed",
         ],
     )
     @pytest.mark.parametrize("flags", [[], ["--out-of-core"]], ids=["resident", "ooc"])
@@ -194,6 +198,16 @@ class TestUnusableCacheMeta:
             manifest_path.write_bytes(manifest_path.read_bytes()[:100])
         elif damage == "manifest_not_an_object":
             manifest_path.write_text("[1]")
+        elif damage.startswith(("oracle_", "clusters_")):
+            # Version, scenario, seed and rows still match: only the frozen
+            # analysis companions are unusable.
+            meta = json.loads(meta_path.read_text())
+            field = "oracle_rates" if damage.startswith("oracle_") else "clusters"
+            if damage.endswith("_missing"):
+                del meta[field]
+            else:
+                meta[field] = [["XRP"]] if field == "oracle_rates" else [1, 2]
+            meta_path.write_text(json.dumps(meta))
         else:  # a directory copied from another run, row count and all
             rows = json.loads(meta_path.read_text())["rows"]
             assert _run(base + ["--seed", "8"])[0] == 0
@@ -440,6 +454,37 @@ class TestPipelineCommands:
             assert code == 2
             error = capsys.readouterr().err
             assert error.startswith("error: pipeline meta") and str(meta_path) in error
+        assert meta_path.read_text() == content  # never reset silently
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("oracle_rates", [["XRP"]]), ("clusters", [1, 2]), ("oracle_rates", None)],
+        ids=["oracle_malformed", "clusters_malformed", "oracle_missing"],
+    )
+    def test_malformed_analysis_config_is_a_clean_error(
+        self, tmp_path, capsys, field, value
+    ):
+        """A parsable meta whose frozen oracle or cluster map does not decode."""
+        data = str(tmp_path / "pipe")
+        assert _run(
+            ["ingest", "--data", data, "--scale", TINY_SCENARIO, "--batches", "1"]
+        )[0] == 0
+        meta_path = tmp_path / "pipe" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert "oracle_rates" in meta and "clusters" in meta
+        if value is None:
+            del meta[field]
+        else:
+            meta[field] = value
+        content = json.dumps(meta)
+        meta_path.write_text(content)
+        capsys.readouterr()
+        for command, extra in (("update", []), ("ingest", ["--batches", "1"])):
+            code, _ = _run([command, "--data", data, *extra])
+            assert code == 2
+            error = capsys.readouterr().err
+            assert error.startswith("error: pipeline meta") and str(meta_path) in error
+            assert field in error
         assert meta_path.read_text() == content  # never reset silently
 
     def test_update_on_a_mistyped_data_path_creates_nothing(self, tmp_path, capsys):

@@ -15,7 +15,7 @@ import glob
 import json
 import os
 import re
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 import pytest
 
@@ -51,13 +51,19 @@ print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
 """
 
 
-def modules_after(argv: List[str]) -> List[str]:
-    """``sys.modules`` of a fresh interpreter after ``repro.cli.main(argv)``."""
+def run_main(argv: List[str]) -> Tuple[List[str], str]:
+    """``sys.modules`` of a fresh interpreter after ``repro.cli.main(argv)``,
+    and what the command printed on stderr."""
     done = run_child(["-c", _CHILD.format(argv=argv)])
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["code"] == 0, done.stderr
-    return result["modules"]
+    return result["modules"], done.stderr
+
+
+def modules_after(argv: List[str]) -> List[str]:
+    """``sys.modules`` of a fresh interpreter after ``repro.cli.main(argv)``."""
+    return run_main(argv)[0]
 
 
 def loaded(modules: Iterable[str], forbidden: Iterable[str]) -> List[str]:
@@ -78,6 +84,19 @@ def test_warm_report_loads_no_simulator_and_no_generation_layer(live_tail_cache,
     modules = modules_after(argv + flags)
     assert "repro.cli.report" in modules and "repro.collection.store" in modules
     assert loaded(modules, NOT_FOR_A_WARM_REPORT) == []
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--out-of-core", "--workers", "1"]], ids=["default", "out-of-core"]
+)
+def test_all_hit_report_loads_no_numpy(live_tail_cache, flags):
+    """Folding cached chunk states restores into fold targets and renders:
+    nothing on that path calls a scan kernel, so numpy must stay unloaded."""
+    argv = ["report", "--scale", "live_tail", "--cache", live_tail_cache, "--json"]
+    run_main(argv + flags)  # populates the state cache if no test did yet
+    modules, stderr = run_main(argv + flags)
+    assert "3 hit(s) / 0 miss(es)" in stderr
+    assert loaded(modules, ["numpy"]) == []
 
 
 def test_a_decoding_scan_loads_no_numpy_ma(live_tail_cache):
@@ -135,4 +154,31 @@ def test_analysis_and_store_sources_import_no_simulator():
                 if simulator.match(target)
             ]
     assert len(paths) > 10
+    assert offenders == []
+
+
+def test_no_source_imports_numpy_at_module_level():
+    """Static twin of the all-hit rule: numpy is imported by the function that
+    scans, decodes or encodes rows, at the call — never when a module loads."""
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(SRC, "repro", "**", "*.py"), recursive=True)):
+        with open(path, "r", encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        pending = list(tree.body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue  # a function body runs at its call, not at import
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                targets = [node.module]
+            else:
+                pending.extend(ast.iter_child_nodes(node))
+                continue
+            offenders += [
+                f"{os.path.relpath(path, SRC)}:{node.lineno} imports {target}"
+                for target in targets
+                if target == "numpy" or target.startswith("numpy.")
+            ]
     assert offenders == []

@@ -9,6 +9,12 @@ property, with its own suite, and they are not accumulators.
 
 And a payload has one shape: ``finalize`` reads state, it never writes it,
 so ``export_state()`` is byte-equal on either side of it for every figure.
+
+A fold target is initialised by ``_reset`` alone — no scan kernel, so an
+all-hit report never loads numpy — and must fold states exactly as a target
+bound by ``bind_batch`` does (an accumulator that implements ``bind`` alone
+gets its fold target through the base ``_reset``: the toy figure of
+``tests/analysis/test_figure_table.py`` is one).
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import pytest
 
 from repro.analysis.clustering import AccountClusterer
 from repro.analysis.engine import scan
+from repro.analysis.parallel import export_states, fold_states
 from repro.analysis.report import FIGURES, FigureConfig
 from repro.analysis.value import ExchangeRateOracle
 from repro.common import statecodec, statsmode
@@ -87,3 +94,47 @@ def test_finalize_leaves_every_figure_state_alone(
             ):
                 moved.append((chain.value, accumulator.name))
     assert moved == []
+
+
+@pytest.mark.parametrize("stats", [statsmode.EXACT, statsmode.SKETCH])
+def test_reset_targets_fold_states_like_bound_targets(
+    stats, eos_records, tezos_records, xrp_records, xrp_generator
+):
+    """Two row ranges' states, folded into ``_reset`` and ``bind_batch`` targets."""
+    frame = TxFrame.from_records(
+        eos_records[::40] + tezos_records[::10] + xrp_records[::20]
+    )
+    # Fold targets bind to an empty frame sharing the pools, as in the engine.
+    skeleton = TxFrame.with_pools(
+        frame.types, frame.accounts, frame.currencies, frame.errors
+    )
+    ledger = xrp_generator.ledger
+    oracle = ExchangeRateOracle.from_orderbook(ledger.orderbook)
+    clusterer = AccountClusterer(ledger.accounts)
+    for chain in frame.chains():
+        config = FigureConfig(frame.chain_bounds(chain), oracle, clusterer, stats=stats)
+
+        def accumulators():
+            return [spec.factory(chain, config) for spec in FIGURES if chain in spec.chains]
+
+        rows = frame.chain_view(chain).rows
+        halves = (rows[: len(rows) // 2], rows[len(rows) // 2 :])
+        states = []
+        for half in halves:
+            scanned = accumulators()
+            scan(scanned, frame, half)
+            states.append({chain.value: export_states(scanned)})
+        reset, bound = accumulators(), accumulators()
+        for accumulator in reset:
+            accumulator._reset(skeleton)
+        for accumulator in bound:
+            accumulator.bind_batch(skeleton)
+        for shipped in states:
+            fold_states(shipped, {chain.value: reset})
+            fold_states(shipped, {chain.value: bound})
+        assert len(reset) == sum(chain in spec.chains for spec in FIGURES)
+        for by_reset, by_bind in zip(reset, bound):
+            assert statecodec.encode(by_reset.export_state()) == statecodec.encode(
+                by_bind.export_state()
+            ), (chain.value, by_reset.name)
+            assert by_reset.finalize() == by_bind.finalize(), (chain.value, by_reset.name)

@@ -17,11 +17,11 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from repro.common.columns import CHAIN_ORDER, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
-from repro.analysis.containers import top_k
+from repro.analysis.containers import ExactCounts
 from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step
 from repro.analysis.vectorized import block_columns
 
@@ -50,7 +50,7 @@ def _breakdown(counter: Counter) -> Tuple[Tuple[str, int, float], ...]:
 
 
 class _TallyState:
-    """Accumulator contract of a scanned state that is one ``top_k`` container."""
+    """Accumulator contract of a scanned state that is one ``ExactCounts`` tally."""
 
     def _reset(self, frame: TxFrame) -> None:
         self._frame = frame
@@ -68,20 +68,18 @@ class AccountActivityAccumulator(_TallyState, Accumulator):
 
     ``side`` selects the sender or receiver column.  Counts are kept per
     (account code, type code) pair in a
-    :func:`~repro.analysis.containers.top_k` container, so the hot loop never
+    :class:`~repro.analysis.containers.ExactCounts` tally, so the hot loop never
     touches a string; the ``limit`` busiest accounts are selected with a
     heap at finalise time.
     """
 
-    def __init__(
-        self, side: str = "sender", limit: int = 10, stats: Optional[str] = None
-    ):
+    def __init__(self, side: str = "sender", limit: int = 10):
         if side not in ("sender", "receiver"):
             raise ValueError("side must be 'sender' or 'receiver'")
         self.side = side
         self.limit = limit
         self.name = f"top_{side}s"
-        self.tally = top_k(stats, "pairs", 2)
+        self.tally = ExactCounts("pairs", 2)
 
     def bind(self, frame: TxFrame) -> Step:
         self._reset(frame)
@@ -122,7 +120,7 @@ class AccountActivityAccumulator(_TallyState, Accumulator):
             self.name,
             self.side,
             self.limit,
-        ) + self.tally.signature()
+        )
 
     def finalize(self) -> List[AccountActivity]:
         frame = self._frame
@@ -162,17 +160,13 @@ class AccountActivityAccumulator(_TallyState, Accumulator):
 TOP_SENDERS_FIGURE = FigureSpec(
     name="top_senders",
     chains=CHAIN_ORDER,
-    factory=lambda chain, config: AccountActivityAccumulator(
-        "sender", config.top_limit, stats=config.stats
-    ),
+    factory=lambda chain, config: AccountActivityAccumulator("sender", config.top_limit),
 )
 
 TOP_RECEIVERS_FIGURE = FigureSpec(
     name="top_receivers",
     chains=(ChainId.EOS,),
-    factory=lambda chain, config: AccountActivityAccumulator(
-        "receiver", config.top_limit, stats=config.stats
-    ),
+    factory=lambda chain, config: AccountActivityAccumulator("receiver", config.top_limit),
 )
 
 
@@ -211,11 +205,10 @@ class SenderReceiverPairsAccumulator(_TallyState, Accumulator):
         self,
         limit_senders: int = 5,
         limit_receivers_per_sender: int = 5,
-        stats: Optional[str] = None,
     ):
         self.limit_senders = limit_senders
         self.limit_receivers_per_sender = limit_receivers_per_sender
-        self.tally = top_k(stats, "pairs", 2)
+        self.tally = ExactCounts("pairs", 2)
 
     def bind(self, frame: TxFrame) -> Step:
         self._reset(frame)
@@ -251,7 +244,7 @@ class SenderReceiverPairsAccumulator(_TallyState, Accumulator):
             self.name,
             self.limit_senders,
             self.limit_receivers_per_sender,
-        ) + self.tally.signature()
+        )
 
     def finalize(self) -> List[SenderProfile]:
         frame = self._frame
@@ -322,8 +315,8 @@ class SenderCountsAccumulator(_TallyState, Accumulator):
 
     name = "sender_counts"
 
-    def __init__(self, stats: Optional[str] = None):
-        self.tally = top_k(stats, "counts", 1)
+    def __init__(self):
+        self.tally = ExactCounts("counts", 1)
 
     def bind(self, frame: TxFrame) -> Step:
         self._reset(frame)
@@ -346,9 +339,6 @@ class SenderCountsAccumulator(_TallyState, Accumulator):
                 add(block_columns(rows, sender_codes))
 
         return consume
-
-    def config_signature(self) -> tuple:
-        return (type(self).__qualname__, self.name) + self.tally.signature()
 
     def finalize(self) -> Dict[str, int]:
         account_values = self._frame.accounts.values

@@ -118,7 +118,7 @@ from repro.common.columns import (
 )
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
-from repro.analysis.containers import distinct
+from repro.analysis.containers import IdRuns
 
 Step = Callable[[int], None]
 BatchStep = Callable[[RowIndices], None]
@@ -377,16 +377,15 @@ class TxStats:
 class TxStatsAccumulator(Accumulator):
     """Row/transaction counts and the time window, in the shared pass.
 
-    The transaction count lives in a
-    :func:`~repro.analysis.containers.distinct` container — a counter of
-    id runs in row order (exact; see the module docstring for the
-    precondition) or a HyperLogLog, by stats mode.
+    The transaction count lives in an
+    :class:`~repro.analysis.containers.IdRuns` container — a counter of id
+    runs in row order (see the module docstring for the precondition).
     """
 
     name = "tx_stats"
 
-    def __init__(self, stats: Optional[str] = None):
-        self.ids = distinct(stats)
+    def __init__(self):
+        self.ids = IdRuns()
 
     def _reset(self, frame: TxFrame) -> None:
         # [row count, min timestamp, max timestamp]
@@ -443,9 +442,6 @@ class TxStatsAccumulator(Accumulator):
         else:
             self._widen(payload["rows"], payload["first"], payload["last"])
 
-    def config_signature(self) -> tuple:
-        return super().config_signature() + self.ids.signature()
-
     def finalize(self) -> TxStats:
         return TxStats(
             action_count=self._state[0],
@@ -458,5 +454,5 @@ class TxStatsAccumulator(Accumulator):
 TX_STATS_FIGURE = FigureSpec(
     name=TxStatsAccumulator.name,
     chains=CHAIN_ORDER,
-    factory=lambda chain, config: TxStatsAccumulator(stats=config.stats),
+    factory=lambda chain, config: TxStatsAccumulator(),
 )

@@ -44,7 +44,7 @@ import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.columns import StringPool, TxFrame
-from repro.common import faults, statsmode
+from repro.common import faults
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
 from repro.analysis.engine import Accumulator, scan
@@ -460,11 +460,9 @@ def chunk_scan_states(
     }
     context = None
     if cache is not None:
-        # Digest + mode are pinned here in the parent: the key must match
-        # the factories actually shipped, not a worker's ambient mode.
-        context = cache.context(
-            factories_digest(factories), statsmode.active_mode()
-        )
+        # The digest is pinned here in the parent: the key must match the
+        # factories actually shipped.
+        context = cache.context(factories_digest(factories))
     task_count = tasks if tasks is not None else max(workers, 1)
     chunk_tasks = chunk_scan_tasks(
         directory,

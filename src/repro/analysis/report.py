@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.common import statsmode
 from repro.common.columns import CHAIN_ORDER, FrameLike, TxFrame, TxView, as_frame
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.accounts import TOP_RECEIVERS_FIGURE, TOP_SENDERS_FIGURE
@@ -142,8 +141,7 @@ FIGURE3_CATEGORIZERS = {
 class FigureConfig:
     """What a report hands every :attr:`FigureSpec.factory`.
 
-    ``bounds`` is the chain's (min, max) timestamp window anchoring Figure 3;
-    ``stats`` pins exact vs sketch (``None``: the process's active mode).
+    ``bounds`` is the chain's (min, max) timestamp window anchoring Figure 3.
     """
 
     bounds: Optional[tuple] = None
@@ -151,7 +149,6 @@ class FigureConfig:
     clusterer: Optional[AccountClusterer] = None
     bin_seconds: float = DEFAULT_BIN_SECONDS
     top_limit: int = 10
-    stats: Optional[str] = None
 
 
 THROUGHPUT_SERIES_FIGURE = FigureSpec(
@@ -202,12 +199,9 @@ def figure_factory(
     """Picklable zero-argument factory of one chain's accumulator set.
 
     Every execution path builds its accumulators from this (the parallel
-    layer ships it to workers), so all configure identical accumulators; the
-    caller's resolved stats mode is pinned so an override survives the hop.
+    layer ships it to workers), so all configure identical accumulators.
     """
-    config = FigureConfig(
-        bounds, oracle, clusterer, bin_seconds, top_limit, statsmode.active_mode()
-    )
+    config = FigureConfig(bounds, oracle, clusterer, bin_seconds, top_limit)
     return partial(figure_accumulators, chain, config)
 
 

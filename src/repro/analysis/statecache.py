@@ -18,11 +18,11 @@ a lookup is one ``open`` — is the tuple:
 
 * the chunk's content checksum (adler32 of the raw on-disk blob);
 * a digest of every chain's accumulator ``config_signature`` tuples;
-* the statistics mode (``exact`` / ``sketch``);
+* the constant :data:`ENTRY_MODE` token;
 * the chunk's serialisation format (``v1`` / ``v2``).
 
-Any drift — a rewritten chunk, a different oracle or clusterer, a mode or
-format switch — changes the key, so incompatible state can never be
+Any drift — a rewritten chunk, a different oracle or clusterer, a format
+switch — changes the key, so incompatible state can never be
 *found*, let alone folded.  Invalidation is therefore mostly free: stale
 entries are dead files, cleared wholesale by format migration
 (:func:`~repro.collection.store.invalidate_state_cache`), quarantined by
@@ -64,6 +64,10 @@ ENTRY_VERSION = 1
 #: Cache entry file extension.
 ENTRY_SUFFIX = ".state"
 
+#: The third token of every entry name.  Entries written under any other
+#: token can never be read, so fsck reports them as stale.
+ENTRY_MODE = "exact"
+
 _CHECKSUM = struct.Struct(">I")
 
 #: Per-chain shipped accumulator states, exactly as the out-of-core workers
@@ -77,13 +81,13 @@ class EntryKey:
 
     chunk_checksum: str
     config: str
-    stats: str
+    mode: str
     chunk_format: str
 
     def filename(self) -> str:
         return (
             f"state-{self.chunk_checksum}-{self.config}"
-            f"-{self.stats}-{self.chunk_format}{ENTRY_SUFFIX}"
+            f"-{self.mode}-{self.chunk_format}{ENTRY_SUFFIX}"
         )
 
 
@@ -91,18 +95,15 @@ class EntryKey:
 class CacheContext:
     """The chunk-independent half of a key, shipped to worker processes.
 
-    The config digest and stats mode are captured once in the parent (the
-    worker's ambient mode may differ from the factories it was handed —
-    ``--stats`` is a parent-side context, not an environment variable), so
-    every process keys entries identically.
+    The config digest is captured once in the parent, so every process keys
+    entries identically.
     """
 
     directory: str
     config: str
-    stats: str
 
     def key(self, chunk_checksum: str, chunk_format: str) -> EntryKey:
-        return EntryKey(chunk_checksum, self.config, self.stats, chunk_format)
+        return EntryKey(chunk_checksum, self.config, ENTRY_MODE, chunk_format)
 
 
 def parse_entry_name(name: str) -> Optional[EntryKey]:
@@ -221,8 +222,8 @@ class ChunkStateCache:
 
         return cls(state_cache_dir(store_directory))
 
-    def context(self, config: str, stats: str) -> CacheContext:
-        return CacheContext(self.directory, config, stats)
+    def context(self, config: str) -> CacheContext:
+        return CacheContext(self.directory, config)
 
     def entry_path(self, key: EntryKey) -> str:
         return os.path.join(self.directory, key.filename())

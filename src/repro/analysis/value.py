@@ -23,7 +23,7 @@ from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, a
 from repro.common.errors import CollectionError
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.clustering import StaticAccountClusterer
-from repro.analysis.containers import quantiles
+from repro.analysis.containers import SortedColumn
 from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step, config_digest
 from repro.analysis.vectorized import block_columns, count_codes, matched_rows
 from repro.common.statecodec import pack_code_table, restore_code_table
@@ -372,9 +372,6 @@ class ValueDistribution:
     Values are XRP-denominated (IOU amounts convert through the oracle
     rate); only successful payments of positively-rated assets count, the
     same population Figure 7's ``payments_with_value`` slice tallies.
-    ``approximate`` is ``True`` when the numbers come from the sketch-mode
-    quantile summary, in which case every field except ``count`` carries
-    the sketch's relative error bound (``alpha``, 1 % by default).
     """
 
     count: int
@@ -384,7 +381,6 @@ class ValueDistribution:
     p50: float
     p90: float
     p99: float
-    approximate: bool
 
     @property
     def mean(self) -> float:
@@ -394,10 +390,9 @@ class ValueDistribution:
 class ValueDistributionAccumulator(Accumulator):
     """Single-pass distribution of XRP-denominated payment values (§4.3).
 
-    The values land in a :func:`~repro.analysis.containers.quantiles`
-    container — every value, sorted at finalize, or a 1 % relative-error
-    sketch, by stats mode.  Both summarise the value *multiset*, so shard
-    order never changes the figure.
+    The values land in a :class:`~repro.analysis.containers.SortedColumn`
+    — every value, sorted at finalize.  It summarises the value *multiset*,
+    so shard order never changes the figure.
     """
 
     name = "value_distribution"
@@ -405,9 +400,9 @@ class ValueDistributionAccumulator(Accumulator):
     #: Quantiles the finalized distribution reports.
     QUANTILES = (0.5, 0.9, 0.99)
 
-    def __init__(self, oracle: ExchangeRateOracle, stats: Optional[str] = None):
+    def __init__(self, oracle: ExchangeRateOracle):
         self.oracle = oracle
-        self.values = quantiles(stats)
+        self.values = SortedColumn()
 
     def _reset(self, frame: TxFrame) -> None:
         self.values = self.values.fresh(frame)
@@ -502,14 +497,11 @@ class ValueDistributionAccumulator(Accumulator):
         self.values.restore_state(payload)
 
     def config_signature(self) -> tuple:
-        base = (type(self).__qualname__, self.name, self.oracle.signature())
-        return base + self.values.signature()
+        return (type(self).__qualname__, self.name, self.oracle.signature())
 
     def finalize(self) -> ValueDistribution:
         count, total, minimum, maximum, ranked = self.values.summary(self.QUANTILES)
-        return ValueDistribution(
-            count, total, minimum, maximum, *ranked, self.values.approximate
-        )
+        return ValueDistribution(count, total, minimum, maximum, *ranked)
 
 
 def _value_distribution_json(dist: ValueDistribution) -> Optional[Dict[str, object]]:
@@ -524,17 +516,17 @@ def _value_distribution_json(dist: ValueDistribution) -> Optional[Dict[str, obje
         "p50": round(dist.p50, 6),
         "p90": round(dist.p90, 6),
         "p99": round(dist.p99, 6),
-        "approximate": dist.approximate,
+        # Always false; GOLDEN_REPORT_SHA256 pins the key.
+        "approximate": False,
     }
 
 
 def _value_distribution_text(dist: ValueDistribution) -> List[str]:
     if not dist.count:
         return []
-    approx = "~" if dist.approximate else ""
     return [
         f"payment values: {dist.count:,} payments, median "
-        f"{approx}{dist.p50:,.2f} XRP, p99 {approx}{dist.p99:,.2f} XRP"
+        f"{dist.p50:,.2f} XRP, p99 {dist.p99:,.2f} XRP"
     ]
 
 
@@ -542,7 +534,7 @@ VALUE_DISTRIBUTION_FIGURE = FigureSpec(
     name=ValueDistributionAccumulator.name,
     chains=(ChainId.XRP,),
     factory=lambda chain, config: (
-        ValueDistributionAccumulator(config.oracle, stats=config.stats)
+        ValueDistributionAccumulator(config.oracle)
         if config.oracle is not None
         else None
     ),

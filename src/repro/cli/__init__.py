@@ -29,7 +29,6 @@ import importlib
 import sys
 from typing import Optional, Sequence
 
-from repro.common import statsmode
 from repro.common.errors import ReproError
 
 #: The module under :mod:`repro.cli` that defines ``cmd_<command>``.
@@ -117,18 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "(default: one per core; content is worker-count independent)"
             ),
         )
-        stats_flag(sub)
-
-    def stats_flag(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--stats",
-            choices=(statsmode.EXACT, statsmode.SKETCH),
-            default=None,
-            help=(
-                "statistics mode: 'exact' per-key state or bounded-memory "
-                "'sketch' summaries (default: $REPRO_STATS or exact)"
-            ),
-        )
 
     report = commands.add_parser(
         "report", help="generate (or load) a dataset and print the paper report"
@@ -173,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "checkpoint (0/1 = serial; a delta is always scanned serially)"
             ),
         )
-        stats_flag(sub)
         if with_stream:
             sub.add_argument(
                 "--scale",
@@ -280,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument(
         "--json", action="store_true", help="emit the soak result as JSON"
     )
-    stats_flag(soak)
 
     cache = commands.add_parser(
         "cache",
@@ -327,11 +312,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     module = importlib.import_module(f"{__name__}.{_COMMANDS[args.command]}")
     command = getattr(module, "cmd_" + args.command.replace("-", "_"))
     try:
-        # An explicit --stats pins the mode for the whole command (and is
-        # inherited by accumulator factories shipped to worker processes);
-        # without the flag the $REPRO_STATS environment selection applies.
-        with statsmode.use_mode(statsmode.resolve(getattr(args, "stats", None))):
-            return command(args, out)
+        return command(args, out)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -346,7 +346,6 @@ class TxFrame:
         "_chain_bounds",
         "_timestamps_sorted",
         "_tx_ids_nd",
-        "_tx_id_hashes",
     )
 
     def __init__(self) -> None:
@@ -378,7 +377,6 @@ class TxFrame:
         self._chain_bounds: Dict[int, Tuple[float, float]] = {}
         self._timestamps_sorted = True
         self._tx_ids_nd: Optional[Tuple[int, Any]] = None
-        self._tx_id_hashes: Optional[array] = None
 
     # -- metadata ------------------------------------------------------------------
     @property
@@ -630,8 +628,7 @@ class TxFrame:
         lazily on first use, so every accumulator scanning the same frame —
         and every chain of an out-of-core chunk — shares one build.  The column is
         append-only, so growing the frame fills only the new tail of a
-        buffer that grows amortised (like :meth:`transaction_id_hashes`);
-        the result is a frame-length view of that buffer.
+        buffer that grows amortised; the result is a frame-length view of that buffer.
         """
         import numpy as np
 
@@ -647,27 +644,6 @@ class TxFrame:
             buffer[filled:length] = ids[filled:] if filled else ids  # no list copy
             self._tx_ids_nd = (length, buffer)
         return buffer[:length]
-
-    def transaction_id_hashes(self) -> array:
-        """Deterministic 64-bit hash column of the transaction ids (cached).
-
-        A ``uint64`` ``array('Q')`` aligned with :attr:`transaction_id`,
-        computed with :func:`repro.common.sketches.hash64_batch` — the hash
-        the sketch-mode accumulators feed their HyperLogLogs.  The column
-        is append-only (rows are never rewritten), so the cache extends
-        incrementally: growing the frame hashes only the new tail, and every
-        sketch pass over the same frame shares one build.
-        """
-        from repro.common.sketches import hash64_batch
-
-        cached = self._tx_id_hashes
-        length = len(self.transaction_id)
-        if cached is None:
-            cached = array("Q")
-            self._tx_id_hashes = cached
-        if len(cached) < length:
-            cached.extend(hash64_batch(self.transaction_id[len(cached) : length]))
-        return cached
 
     @property
     def timestamps_sorted(self) -> bool:

@@ -45,7 +45,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analysis.statecache import decode_entry, parse_entry_name
+from repro.analysis.statecache import ENTRY_MODE, decode_entry, parse_entry_name
 from repro.analysis.value import decode_analysis_config
 from repro.collection.store import (
     MANIFEST_NAME,
@@ -369,7 +369,8 @@ def _check_state_cache(report: FsckReport, repair: bool) -> None:
     """Verify every chunk-state cache entry against the committed chunks.
 
     An entry is *stale* when its keyed chunk checksum matches no committed
-    chunk (the chunk was rewritten, quarantined, or regenerated), *corrupt*
+    chunk (the chunk was rewritten, quarantined, or regenerated) or its mode
+    token is not :data:`~repro.analysis.statecache.ENTRY_MODE`, *corrupt*
     when its blob fails the entry checksum or decode, and *orphaned* when
     the file in ``cache/`` is not a recognisable entry at all (a crashed
     write's ``.tmp``).  None of these can ever corrupt a figure — the
@@ -409,6 +410,16 @@ def _check_state_cache(report: FsckReport, repair: bool) -> None:
                     detail=(
                         f"cache entry {name!r} fails its checksum or does "
                         "not decode (reads degrade to a chunk rescan)"
+                    ),
+                    path=path,
+                )
+            elif key.mode != ENTRY_MODE:
+                issue = FsckIssue(
+                    kind="cache_entry_stale",
+                    detail=(
+                        f"cache entry {name!r} is keyed to statistics mode "
+                        f"{key.mode!r}, which nothing reads (the entry can "
+                        "never hit)"
                     ),
                     path=path,
                 )

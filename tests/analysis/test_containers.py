@@ -1,9 +1,9 @@
-"""The container contract, once over all six representations.
+"""The container contract, once over the three kinds of statistic.
 
-Whatever the kind and whichever representation holds it, a container must
-round-trip through its payload, fold payloads associatively over disjoint
-row ranges, agree between its row adder and its block adder, and refuse the
-other representation's state before touching its own.
+Whatever the kind, a container must round-trip through its payload, fold
+payloads associatively over disjoint row ranges, agree between its row
+adder and its block adder, and refuse a payload without its field before
+touching its own state.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import containers
 from repro.analysis.vectorized import block_columns
-from repro.common import statsmode
 from repro.common.columns import TxFrame
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId, TransactionRecord
@@ -45,8 +44,8 @@ def frame() -> TxFrame:
 
 class Distinct:
     @staticmethod
-    def make(mode):
-        return containers.distinct(mode)
+    def make():
+        return containers.IdRuns()
 
     @staticmethod
     def add_rows(container, frame, rows):
@@ -65,8 +64,8 @@ class Distinct:
 
 class TopK:
     @staticmethod
-    def make(mode):
-        return containers.top_k(mode, "pairs", 2)
+    def make():
+        return containers.ExactCounts("pairs", 2)
 
     @staticmethod
     def add_rows(container, frame, rows):
@@ -90,8 +89,8 @@ class TopK:
 
 class Quantiles:
     @staticmethod
-    def make(mode):
-        return containers.quantiles(mode)
+    def make():
+        return containers.SortedColumn()
 
     @staticmethod
     def add_rows(container, frame, rows):
@@ -105,69 +104,53 @@ class Quantiles:
 
     @staticmethod
     def query(container):
-        return container.summary((0.5, 0.9, 0.99)), container.approximate
+        return container.summary((0.5, 0.9, 0.99))
 
 
-CASES = [
-    pytest.param(kind, mode, id=f"{kind.__name__}-{mode}")
-    for kind in (Distinct, TopK, Quantiles)
-    for mode in (statsmode.EXACT, statsmode.SKETCH)
-]
+CASES = [pytest.param(kind, id=kind.__name__) for kind in (Distinct, TopK, Quantiles)]
 
 
-def _filled(kind, mode, frame, rows, adder="add_block"):
-    container = kind.make(mode).fresh(frame)
+def _filled(kind, frame, rows, adder="add_block"):
+    container = kind.make().fresh(frame)
     getattr(kind, adder)(container, frame, rows)
     return container
 
 
-def test_the_factories_cover_the_six_classes():
-    made = {type(kind.make(mode)) for kind, mode in (case.values for case in CASES)}
-    assert made == {
-        containers.IdRuns, containers.HllDistinct,
-        containers.ExactCounts, containers.SpaceSavingCounts,
-        containers.SortedColumn, containers.SketchQuantiles,
-    }  # fmt: skip
-    for kind, mode in (case.values for case in CASES):
-        exact = mode == statsmode.EXACT
-        assert (kind.make(mode).signature() == ()) == exact
-
-
-@pytest.mark.parametrize("kind, mode", CASES)
-def test_payload_round_trips_into_a_fresh_twin(kind, mode, frame):
-    source = _filled(kind, mode, frame, range(ROWS))
-    twin = kind.make(mode).fresh(frame)
+@pytest.mark.parametrize("kind", CASES)
+def test_payload_round_trips_into_a_fresh_twin(kind, frame):
+    source = _filled(kind, frame, range(ROWS))
+    twin = kind.make().fresh(frame)
     twin.restore_state(source.export_state())
     assert kind.query(twin) == kind.query(source)
     # ... and the twin writes the bytes it read.
     assert encode(twin.export_state()) == encode(source.export_state())
 
 
-@pytest.mark.parametrize("kind, mode", CASES)
-def test_row_adder_and_block_adder_agree(kind, mode, frame):
-    by_row = _filled(kind, mode, frame, range(ROWS), adder="add_rows")
-    by_block = _filled(kind, mode, frame, range(ROWS))
+@pytest.mark.parametrize("kind", CASES)
+def test_row_adder_and_block_adder_agree(kind, frame):
+    by_row = _filled(kind, frame, range(ROWS), adder="add_rows")
+    by_block = _filled(kind, frame, range(ROWS))
     assert kind.query(by_row) == kind.query(by_block)
 
 
-@pytest.mark.parametrize("kind, mode", CASES)
-def test_merge_is_associative_over_disjoint_ranges(kind, mode, frame):
+@pytest.mark.parametrize("kind", CASES)
+def test_merge_is_associative_over_disjoint_ranges(kind, frame):
     cuts = (range(0, 150), range(150, 410), range(410, ROWS))
-    left = [_filled(kind, mode, frame, rows) for rows in cuts]
+    left = [_filled(kind, frame, rows) for rows in cuts]
     left[0].restore_state(left[1].export_state())
     left[0].restore_state(left[2].export_state())
-    right = [_filled(kind, mode, frame, rows) for rows in cuts]
+    right = [_filled(kind, frame, rows) for rows in cuts]
     right[1].restore_state(right[2].export_state())
     right[0].restore_state(right[1].export_state())
-    whole = _filled(kind, mode, frame, range(ROWS))
+    whole = _filled(kind, frame, range(ROWS))
     assert kind.query(left[0]) == kind.query(right[0]) == kind.query(whole)
 
 
-@pytest.mark.parametrize("kind, mode", CASES)
-def test_the_other_representation_is_rejected_untouched(kind, mode, frame):
-    other_mode = statsmode.SKETCH if mode == statsmode.EXACT else statsmode.EXACT
-    container = _filled(kind, mode, frame, range(0, 300))
-    other = _filled(kind, other_mode, frame, range(300, ROWS))
+@pytest.mark.parametrize("kind", CASES)
+def test_a_payload_without_the_field_is_rejected_untouched(kind, frame):
+    container = _filled(kind, frame, range(0, 300))
+    # Another kind's payload: well-formed, but not this container's field.
+    other = _filled(TopK if kind is Distinct else Distinct, frame, range(300, ROWS))
     before = encode(container.export_state())
     with pytest.raises(AnalysisError):
         container.restore_state(other.export_state())
@@ -193,7 +176,7 @@ def _id_frame(ids) -> TxFrame:
 
 
 def _id_runs(frame, rows, adder="add_block"):
-    return _filled(Distinct, statsmode.EXACT, frame, rows, adder)
+    return _filled(Distinct, frame, rows, adder)
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,7 +192,7 @@ def test_id_runs_fold_counts_distinct_ids_however_the_rows_are_cut(run_lengths, 
         data.draw(st.lists(st.integers(min_value=0, max_value=len(ids)), max_size=8))
     )
     bounds = [0, *cuts, len(ids)]
-    folded = containers.distinct(statsmode.EXACT).fresh(frame)
+    folded = containers.IdRuns().fresh(frame)
     for start, stop in zip(bounds, bounds[1:]):
         folded.restore_state(_id_runs(frame, range(start, stop)).export_state())
     assert folded.count() == len(set(ids)) == len(run_lengths)
@@ -230,7 +213,7 @@ def test_id_runs_adders_agree_on_ranges_and_index_arrays(frame):
 def test_id_runs_restored_prefix_then_delta_scan_is_one_scan(frame):
     split = 410  # rows 409 and 410 share an id: the run straddles the watermark
     assert frame.transaction_id[split - 1] == frame.transaction_id[split]
-    resumed = containers.distinct(statsmode.EXACT).fresh(frame)
+    resumed = containers.IdRuns().fresh(frame)
     resumed.restore_state(_id_runs(frame, range(split)).export_state())
     Distinct.add_block(resumed, frame, range(split, ROWS))
     whole = _id_runs(frame, range(ROWS))
@@ -245,9 +228,9 @@ def test_id_runs_restored_prefix_then_delta_scan_is_one_scan(frame):
         {"runs": 2, "first_id": 7, "last_id": "b"},
         {"runs": 2, "first_id": "a", "last_id": None},
         {"runs": "2", "first_id": "a", "last_id": "b"},
-        {"hll": {"mode": "sparse"}},
+        {"first_id": "a", "last_id": "b"},
     ],
-    ids=["negative-runs", "non-string-first", "missing-last", "non-int-runs", "hll"],
+    ids=["negative-runs", "non-string-first", "missing-last", "non-int-runs", "no-runs"],
 )
 def test_id_runs_rejects_a_malformed_payload_untouched(payload, frame):
     container = _id_runs(frame, range(0, 300))

@@ -7,8 +7,8 @@ The cache contract under test, layer by layer:
   codec garbage, wrong shape or version) decodes to ``None``, never
   raises;
 * **keying** — the file-name key misses cleanly on any drift: a different
-  accumulator configuration (oracle, clusterer), a different stats mode,
-  rewritten chunk bytes, a migrated chunk format;
+  accumulator configuration (oracle, clusterer), rewritten chunk bytes, a
+  migrated chunk format;
 * **writes** — entries commit atomically; injected ``store.cache_write``
   faults (torn, bitflip, truncate) leave only undecodable entries — which
   read back as misses — and an injected crash propagates without
@@ -39,6 +39,7 @@ from repro.analysis.parallel import (
 from repro.analysis.report import figure_factory
 from repro.analysis.statecache import (
     ENTRY_MAGIC,
+    ENTRY_MODE,
     ChunkStateCache,
     EntryKey,
     decode_entry,
@@ -54,7 +55,7 @@ from repro.collection.store import (
     state_cache_dir,
 )
 from repro.cli.dataset import cached_store
-from repro.common import faults, statsmode
+from repro.common import faults
 from repro.common.records import ChainId
 from repro.common.statecodec import encode
 
@@ -251,7 +252,7 @@ def test_a_task_ships_the_same_bytes_from_a_cold_and_a_warm_cache(
     }
     # A private cache directory: the shared dataset's own stays untouched.
     cache = ChunkStateCache(str(tmp_path / "cache"))
-    context = cache.context(factories_digest(factories), statsmode.active_mode())
+    context = cache.context(factories_digest(factories))
     (task,) = chunk_scan_tasks(
         stored.directory, store.chunk_row_counts(), factories, 1, cache=context
     )
@@ -259,10 +260,8 @@ def test_a_task_ships_the_same_bytes_from_a_cold_and_a_warm_cache(
     assert (info["hits"], info["misses"]) == (0, 3)
     for key, states in info["fresh"]:
         cache.store(key, states)
-    if statsmode.active_mode() == statsmode.EXACT:
-        # O(accounts + bins), not O(rows): 938,921 B with the id set.  (The
-        # sketches trade a larger fixed size for the same property.)
-        assert cache.stat()["bytes"] <= 150_000
+    # O(accounts + bins), not O(rows): 938,921 B with the id set.
+    assert cache.stat()["bytes"] <= 150_000
     _tag, warm, info = _scan_chunk_range(task)
     assert (info["hits"], info["misses"]) == (3, 0)
     assert list(cold) == list(warm) == [chain.value for chain in ChainId]
@@ -333,18 +332,34 @@ def test_config_drift_misses_cleanly(store_dir, xrp_oracle, xrp_clusterer):
     assert (original.hits, original.misses) == (chunks, 0)
 
 
-def test_stats_mode_keys_entries_separately(store_dir, xrp_oracle, xrp_clusterer):
+def test_an_entry_under_another_mode_token_is_never_read(
+    store_dir, xrp_oracle, xrp_clusterer
+):
+    """What an earlier build's sketch statistics mode left in ``cache/``.
+
+    Entries are read only under :data:`ENTRY_MODE`: a well-formed entry filed
+    under another token misses, the chunk is rescanned into its ``-exact-``
+    twin, and the foreign file is left for fsck to report.
+    """
     chunks = FrameStore.open(store_dir).committed_chunk_count
-    with statsmode.use_mode(statsmode.EXACT):
-        exact = ChunkStateCache.for_store(store_dir)
-        _report(store_dir, xrp_oracle, xrp_clusterer, cache=exact)
-    with statsmode.use_mode(statsmode.SKETCH):
-        sketch = ChunkStateCache.for_store(store_dir)
-        _report(store_dir, xrp_oracle, xrp_clusterer, cache=sketch)
-        assert (sketch.hits, sketch.misses) == (0, chunks)
-        rewarm = ChunkStateCache.for_store(store_dir)
-        _report(store_dir, xrp_oracle, xrp_clusterer, cache=rewarm)
-        assert (rewarm.hits, rewarm.misses) == (chunks, 0)
+    written = ChunkStateCache.for_store(store_dir)
+    expected = _report(store_dir, xrp_oracle, xrp_clusterer, cache=written)
+    names = sorted(os.listdir(written.directory))
+    assert len(names) == chunks and all(f"-{ENTRY_MODE}-" in name for name in names)
+    foreign = [name.replace(f"-{ENTRY_MODE}-", "-sketch-") for name in names]
+    for name, renamed in zip(names, foreign):
+        os.rename(
+            os.path.join(written.directory, name), os.path.join(written.directory, renamed)
+        )
+
+    cold = ChunkStateCache.for_store(store_dir)
+    report = _report(store_dir, xrp_oracle, xrp_clusterer, cache=cold)
+    assert (cold.hits, cold.misses) == (0, chunks)
+    assert_reports_identical(report, expected, exact_flows=True)
+    assert sorted(os.listdir(written.directory)) == sorted(names + foreign)
+    warm = ChunkStateCache.for_store(store_dir)
+    _report(store_dir, xrp_oracle, xrp_clusterer, cache=warm)
+    assert (warm.hits, warm.misses) == (chunks, 0)
 
 
 def test_migrate_format_invalidates_cache(v1_store_dir):

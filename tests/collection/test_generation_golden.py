@@ -36,8 +36,7 @@ def build(
 ) -> bytes:
     """``repro report --json`` in a hash-pinned child; returns its stdout."""
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=SRC)
-    for name in ("REPRO_STATS", "REPRO_FAULTS"):
-        env.pop(name, None)
+    env.pop("REPRO_FAULTS", None)
     done = subprocess.run(
         [
             sys.executable, "-m", "repro", "report",

@@ -15,6 +15,7 @@ Two layers are covered:
 from __future__ import annotations
 
 import io
+import json
 import os
 import pickle
 
@@ -51,10 +52,10 @@ from repro.analysis.value import (
 )
 from repro.analysis.washtrading import TradeExtractionAccumulator, WashTradeAccumulator
 from repro.cli import main as cli_main
-from repro.common import statecodec, statsmode
+from repro.common import statecodec
 from repro.common.columns import TxFrame
 from repro.common.records import ChainId
-from repro.pipeline import Pipeline, incremental_report
+from repro.pipeline import Pipeline
 from repro.pipeline.checkpoint import (
     CheckpointStore,
     PipelineCheckpoint,
@@ -488,131 +489,41 @@ class TestLegacyMigration:
         assert marker.exists()
 
 
-class TestStatsModeCheckpoints:
-    """Sketch-mode checkpoints: warm updates, corruption, cross-mode gating.
+class TestSketchModeCheckpoint:
+    """A checkpoint written in the removed sketch statistics mode never folds.
 
-    Sketch state is a pure function of the scanned multiset, so a warm
-    ``ingest → checkpoint → update`` cycle must reproduce a cold
-    sketch-mode rescan figure-for-figure — the error envelope never widens
-    through a checkpoint.  And because ``config_signature`` carries the
-    stats mode, a checkpoint written in one mode can never silently merge
-    into the other: the reporter falls back to a full chain rescan.
+    A sketch-mode pipeline directory from before the mode was removed holds
+    a ``("sketch", "hll", …)`` term in every chain's ``tx_stats`` signature.
+    No accumulator's signature carries one now, so ``update`` rescans every
+    chain from row zero and prints exact figures.
     """
 
-    @pytest.fixture(scope="class")
-    def stream(self, eos_records, tezos_records, xrp_records):
-        return eos_records + tezos_records + xrp_records
-
-    def test_sketch_warm_update_equals_cold_sketch_rescan(
-        self, stream, xrp_oracle, xrp_clusterer
+    def test_sketch_signature_forces_full_rescan_with_exact_figures(
+        self, tmp_path, eos_records, tezos_records, xrp_records
     ):
-        split = len(stream) * 2 // 3
-        with statsmode.use_mode(statsmode.SKETCH):
-            frame = TxFrame.from_records(stream[:split])
-            _, checkpoint, _ = incremental_report(
-                frame, None, oracle=xrp_oracle, clusterer=xrp_clusterer
-            )
-            frame.extend(stream[split:])
-            warm, _, stats = incremental_report(
-                frame, checkpoint, oracle=xrp_oracle, clusterer=xrp_clusterer
-            )
-            cold = full_report(frame, oracle=xrp_oracle, clusterer=xrp_clusterer)
-        assert stats.incremental
-        assert stats.rows_scanned == len(stream) - split
-        assert_reports_identical(warm, cold, exact_flows=True)
-
-    def test_corrupt_sketch_blob_degrades_to_chain_rescan(
-        self, stream, xrp_oracle, xrp_clusterer
-    ):
-        split = len(stream) * 2 // 3
-        with statsmode.use_mode(statsmode.SKETCH):
-            frame = TxFrame.from_records(stream[:split])
-            _, checkpoint, _ = incremental_report(
-                frame, None, oracle=xrp_oracle, clusterer=xrp_clusterer
-            )
-            # Garble the EOS sketch payloads: signatures and qualnames
-            # still match, but no payload restores.
-            checkpoint.states[ChainId.EOS.value] = [
-                (qualname, {"torn": True})
-                for qualname, _ in checkpoint.states[ChainId.EOS.value]
-            ]
-            frame.extend(stream[split:])
-            report, _, stats = incremental_report(
-                frame, checkpoint, oracle=xrp_oracle, clusterer=xrp_clusterer
-            )
-            expected = full_report(
-                frame, oracle=xrp_oracle, clusterer=xrp_clusterer
-            )
-        assert ChainId.EOS.value in stats.chains_rescanned
-        assert_reports_identical(report, expected, exact_flows=True)
-
-    @pytest.mark.parametrize(
-        "written_in, loaded_under",
-        [
-            (statsmode.EXACT, statsmode.SKETCH),
-            (statsmode.SKETCH, statsmode.EXACT),
-        ],
-    )
-    def test_cross_mode_checkpoint_forces_full_rescan(
-        self,
-        eos_records,
-        tezos_records,
-        xrp_records,
-        xrp_oracle,
-        xrp_clusterer,
-        written_in,
-        loaded_under,
-    ):
-        # Split each chain so the checkpoint covers all three (the combined
-        # stream is chain-contiguous; a flat split would checkpoint EOS only
-        # and the others would be first-seen scans, not cross-mode rescans).
-        prefix, suffix = [], []
-        for records in (eos_records, tezos_records, xrp_records):
-            half = len(records) // 2
-            prefix.extend(records[:half])
-            suffix.extend(records[half:])
-        frame = TxFrame.from_records(prefix)
-        with statsmode.use_mode(written_in):
-            _, checkpoint, _ = incremental_report(
-                frame, None, oracle=xrp_oracle, clusterer=xrp_clusterer
-            )
-        frame.extend(suffix)
-        with statsmode.use_mode(loaded_under):
-            report, _, stats = incremental_report(
-                frame, checkpoint, oracle=xrp_oracle, clusterer=xrp_clusterer
-            )
-            expected = full_report(
-                frame, oracle=xrp_oracle, clusterer=xrp_clusterer
-            )
-        # Never a silent cross-mode merge: every checkpointed chain is
-        # rescanned from row zero under the new mode.
-        assert sorted(stats.chains_rescanned) == sorted(
-            chain.value for chain in report.chains
+        data = str(tmp_path / "pipe")
+        pipeline = Pipeline(data, chunk_rows=1_000)
+        pipeline.ingest_records(
+            iter(eos_records[:1_500] + tezos_records[:1_500] + xrp_records[:1_500])
         )
-        assert stats.rows_scanned == len(frame)
-        assert_reports_identical(report, expected, exact_flows=True)
+        pipeline.update()
+        saved = pipeline.checkpoints.load()
+        for chain, signatures in saved.signatures.items():
+            saved.signatures[chain] = [
+                signature + (("sketch", "hll", 14, 65_536),)
+                if signature[1] == TxStatsAccumulator.name
+                else signature
+                for signature in signatures
+            ]
+        pipeline.checkpoints.save(saved)
+        expected = full_report(pipeline.frame)
 
-    def test_stats_mode_is_part_of_every_sketch_backed_signature(self, xrp_oracle):
-        from repro.analysis.value import ValueDistributionAccumulator
+        out = io.StringIO()
+        assert cli_main(["update", "--data", data, "--json"], out=out) == 0
+        printed = json.loads(out.getvalue())
+        stanza = printed.pop("_update")
+        assert not stanza["incremental"]
+        assert sorted(stanza["chains_rescanned"]) == sorted(saved.signatures)
+        assert stanza["rows_scanned"] == stanza["rows_total"] == 4_500
+        assert printed == json.loads(json.dumps(expected.to_dict(), sort_keys=True))
 
-        factories = [
-            lambda stats: TxStatsAccumulator(stats=stats),
-            lambda stats: AccountActivityAccumulator("sender", 10, stats=stats),
-            lambda stats: SenderReceiverPairsAccumulator(stats=stats),
-            lambda stats: SenderCountsAccumulator(stats=stats),
-            lambda stats: ValueDistributionAccumulator(xrp_oracle, stats=stats),
-        ]
-        for factory in factories:
-            exact_signature = factory(statsmode.EXACT).config_signature()
-            sketch_signature = factory(statsmode.SKETCH).config_signature()
-            assert exact_signature != sketch_signature
-
-    def test_cross_mode_capture_is_incompatible(self, combined_frame):
-        with statsmode.use_mode(statsmode.SKETCH):
-            accumulators = _scanned_accumulators(combined_frame)
-            checkpoint = PipelineCheckpoint.capture(
-                len(combined_frame), {"eos": accumulators}
-            )
-        with statsmode.use_mode(statsmode.EXACT):
-            fresh = [TxStatsAccumulator(), TypeDistributionAccumulator()]
-        assert not checkpoint.compatible_with("eos", fresh)

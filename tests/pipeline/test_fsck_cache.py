@@ -1,7 +1,8 @@
 """fsck awareness of the chunk-state aggregate cache.
 
 The doctor must classify every kind of cache damage — corrupt entries,
-entries keyed to superseded chunk bytes (stale), unrecognisable files in
+entries keyed to superseded chunk bytes or to a mode token nothing reads
+(stale), unrecognisable files in
 ``cache/`` (orphaned) — report them without mutating anything, and
 quarantine them under ``--repair``.  Chunk repair and cache checking
 compose: quarantining a damaged chunk in the same walk must turn that
@@ -98,6 +99,28 @@ def test_stale_entry_detected_and_quarantined(warm_store):
 
     repaired = run_fsck(warm_store, repair=True)
     assert _issues_of(repaired, "cache_entry_stale")[0].repair == "quarantined"
+    assert run_fsck(warm_store).clean
+
+
+def test_sketch_mode_entry_detected_as_stale_and_quarantined(warm_store):
+    """An entry an earlier build wrote in its sketch statistics mode.
+
+    It decodes and its chunk is committed, but nothing reads its mode token.
+    """
+    cache_dir, entries = _entries(warm_store)
+    dead = entries[0].replace("-exact-", "-sketch-")
+    dead_path = os.path.join(cache_dir, dead)
+    os.rename(os.path.join(cache_dir, entries[0]), dead_path)
+
+    report = run_fsck(warm_store)
+    stale_issues = _issues_of(report, "cache_entry_stale")
+    assert len(stale_issues) == 1
+    assert "'sketch'" in stale_issues[0].detail
+    assert os.path.exists(dead_path)  # detection never mutates
+
+    repaired = run_fsck(warm_store, repair=True)
+    assert _issues_of(repaired, "cache_entry_stale")[0].repair == "quarantined"
+    assert not os.path.exists(dead_path)
     assert run_fsck(warm_store).clean
 
 

@@ -2,7 +2,7 @@
 
 The fixture is a pipeline directory whose ``checkpoint.snap`` and
 ``frames/cache/*.state`` entries were written by the last state-epoch-1
-commit (exact-mode ``tx_stats`` state = the packed transaction-id set).
+commit (``tx_stats`` state = the packed transaction-id set).
 Old state is a clean miss: the snapshot loads as ``None`` (one full rescan),
 every entry fails the magic check and is overwritten under its own name —
 never decoded as the wrong shape, never a traceback — and the figures equal
@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
 from repro.analysis.parallel import parallel_report_from_store
 from repro.analysis.report import full_report
 from repro.analysis.statecache import ChunkStateCache, decode_entry
 from repro.cli import main
-from repro.common import statsmode
 from repro.pipeline import Pipeline, run_fsck
 
 from tests.fixtures import STATE_EPOCH1_CHUNKS, STATE_EPOCH1_ROWS, copy_state_epoch1
@@ -60,14 +57,7 @@ def test_update_over_old_state_equals_full_report(tmp_path):
     assert_reports_identical(report, expected, exact_flows=True)
 
 
-@pytest.fixture
-def exact_mode():
-    """The fixture's entries are keyed ``exact``: look them up in that mode."""
-    with statsmode.use_mode(statsmode.EXACT):
-        yield
-
-
-def test_old_cache_entries_miss_once_and_are_overwritten_in_place(tmp_path, exact_mode):
+def test_old_cache_entries_miss_once_and_are_overwritten_in_place(tmp_path):
     root = copy_state_epoch1(tmp_path / "pipe")
     pipeline = Pipeline(root)
     oracle, clusterer = pipeline.analysis_config()

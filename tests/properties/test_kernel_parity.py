@@ -10,7 +10,7 @@ figure-for-figure identity, bit-for-bit for the float sums.
 The sweep is built from :data:`repro.analysis.report.FIGURES` (every spec's
 factory on every chain it declares, so a newly listed figure is compared
 against its own ``bind`` automatically) plus the accumulators no spec
-names, in exact and in sketch mode.  Hypothesis drives both kernels over
+names.  Hypothesis drives both kernels over
 random slices of a generated multi-chain frame whose rows are **not**
 time-sorted (the chains are concatenated): full scans, contiguous windows,
 filtered ``TxView`` row arrays, single-chain views (which leave the other
@@ -46,7 +46,6 @@ from repro.analysis.throughput import (
 )
 from repro.analysis.value import ExchangeRateOracle, FailureCodeAccumulator
 from repro.analysis.washtrading import TradeExtractionAccumulator
-from repro.common import statsmode
 from repro.common.columns import TxFrame, TxView
 from repro.common.records import ChainId
 
@@ -83,11 +82,11 @@ def _list_key_columns(frame):
     return (list(frame.type_code),), frame.types.values.__getitem__
 
 
-def _all_accumulators(frame, oracle, clusterer, stats):
+def _all_accumulators(frame, oracle, clusterer):
     """A fresh instance of every accumulator: every figure spec on each of
     its chains, plus the accumulators no spec names."""
     bounds = (frame.min_timestamp() or 0.0, frame.max_timestamp())
-    config = FigureConfig(bounds, oracle, clusterer, stats=stats)
+    config = FigureConfig(bounds, oracle, clusterer)
     accumulators = [
         spec.factory(chain, config) for spec in FIGURES for chain in spec.chains
     ]
@@ -97,8 +96,8 @@ def _all_accumulators(frame, oracle, clusterer, stats):
             ContractBreakdownAccumulator("eosio.token"),
             ThroughputSeriesAccumulator(type_name_categorizer, **series),
             ThroughputSeriesAccumulator(key_columns=_list_key_columns, **series),
-            SenderReceiverPairsAccumulator(stats=stats),
-            SenderCountsAccumulator(stats=stats),
+            SenderReceiverPairsAccumulator(),
+            SenderCountsAccumulator(),
             ClusterCountsAccumulator(clusterer, "sender"),
             FailureCodeAccumulator(),
             TradeExtractionAccumulator(),
@@ -131,9 +130,7 @@ def test_sweep_names_every_accumulator_with_two_kernels(
     classes = _accumulator_classes()
     swept = {
         type(accumulator)
-        for accumulator in _all_accumulators(
-            parity_frame, parity_oracle, parity_clusterer, statsmode.EXACT
-        )
+        for accumulator in _all_accumulators(parity_frame, parity_oracle, parity_clusterer)
     }
     assert classes - swept == set()
     assert len(classes) == 19
@@ -188,38 +185,15 @@ def test_every_accumulator_parity_on_random_slices(
     parity_frame, parity_oracle, parity_clusterer, params
 ):
     view = _select_view(parity_frame, params)
-    exact_signatures = set()
-    for stats in (statsmode.EXACT, statsmode.SKETCH):
-        shipped = _all_accumulators(parity_frame, parity_oracle, parity_clusterer, stats)
-        reference = _all_accumulators(parity_frame, parity_oracle, parity_clusterer, stats)
-        if stats == statsmode.EXACT:
-            exact_signatures = {acc.config_signature() for acc in shipped}
-        else:
-            # Only the mode-aware accumulators (the ones whose container puts
-            # the sketch in their signature) differ from the exact pass.
-            shipped, reference = (
-                [acc for acc in accs if acc.config_signature() not in exact_signatures]
-                for accs in (shipped, reference)
-            )
-            assert {acc.name for acc in shipped} == {
-                "tx_stats",
-                "top_senders",
-                "top_receivers",
-                "top_sender_receiver_pairs",
-                "sender_counts",
-                "value_distribution",
-            }
-        consumers = [acc.bind_batch(parity_frame) for acc in shipped]
-        consumers += [Accumulator.bind_batch(acc, parity_frame) for acc in reference]
-        _scan(view, consumers, params["block_rows"])
-        for vectorized, rowstep in zip(shipped, reference):
-            # Exact equality — for the float-summing figures (value_flows,
-            # airdrop rates) this asserts bit-for-bit serial-path identity.
-            assert vectorized.finalize() == rowstep.finalize(), (
-                vectorized.name,
-                stats,
-                params,
-            )
+    shipped = _all_accumulators(parity_frame, parity_oracle, parity_clusterer)
+    reference = _all_accumulators(parity_frame, parity_oracle, parity_clusterer)
+    consumers = [acc.bind_batch(parity_frame) for acc in shipped]
+    consumers += [Accumulator.bind_batch(acc, parity_frame) for acc in reference]
+    _scan(view, consumers, params["block_rows"])
+    for vectorized, rowstep in zip(shipped, reference):
+        # Exact equality — for the float-summing figures (value_flows,
+        # airdrop rates) this asserts bit-for-bit serial-path identity.
+        assert vectorized.finalize() == rowstep.finalize(), (vectorized.name, params)
 
 
 @PARITY_SETTINGS

@@ -1,9 +1,10 @@
 """Golden accumulator state: no payload, key or signature moves unnoticed.
 
 A state-cache entry's *name* carries the chunk digest, the digest of every
-accumulator's ``config_signature()`` and the stats mode; its *bytes* are the
-encoded ``export_state()`` payloads of the whole ``full_report`` accumulator
-set behind the entry magic.  Pinning both per mode shows whether a cache
+accumulator's ``config_signature()`` and the constant ``exact`` token; its
+*bytes* are the encoded ``export_state()`` payloads of the whole
+``full_report`` accumulator set behind the entry magic.  Pinning both shows
+whether a cache
 written by one commit is a hit on the next: the names have not moved since
 they were first recorded (the commit before ``repro.analysis.containers``
 existed), and the bytes moved exactly once since — state epoch 2, quoted
@@ -29,34 +30,21 @@ import pytest
 
 from tests.collection.test_generation_golden import GOLDEN_REPORT_SHA256, build
 
-GOLDEN = {
-    "exact": {
-        "report": GOLDEN_REPORT_SHA256,
-        # State epoch 2 — re-pinned once, by the change itself (epoch 1:
-        # 464cddda…44df0851, 938,921 B of entries; now 63,027 B):
-        # ``tx_stats`` carries ``runs`` / ``first_id`` / ``last_id`` instead
-        # of the packed id set, states are exported before ``finalize`` (no
-        # labelled ``bins`` / ``categories`` echo in ``throughput_series``,
-        # ``xrp_decomposition`` keeps its histogram and only the two tallies
-        # the histogram cannot give), and the entry magic is ``RCS\x02``.
-        # Entry names and the report did not move.
-        "states": "4037bcd4292eed9dc815823b05359530a2363d514210f10cb496c22188d1a8aa",
-    },
-    "sketch": {
-        "report": "85150552907e751565834a6d2e9935887d14359d5ada80d47c10a4c0af1a537c",
-        # Same re-pin (epoch 1: a74533cd…e3469b5e): ``HllDistinct`` and the
-        # other sketch payloads are byte-for-byte what they were; only the
-        # export-before-finalize payloads and the magic moved.
-        "states": "3d6c4143f506129fc85c7b6f77a95d8d0448894ea93c950563e3045a293e85e3",
-    },
-}
+#: State epoch 2 — re-pinned once, by the change itself (epoch 1:
+#: 464cddda…44df0851, 938,921 B of entries; now 63,027 B): ``tx_stats``
+#: carries ``runs`` / ``first_id`` / ``last_id`` instead of the packed id
+#: set, states are exported before ``finalize`` (no labelled ``bins`` /
+#: ``categories`` echo in ``throughput_series``, ``xrp_decomposition`` keeps
+#: its histogram and only the two tallies the histogram cannot give), and
+#: the entry magic is ``RCS\x02``.  Entry names and the report did not move.
+GOLDEN_STATES_SHA256 = "4037bcd4292eed9dc815823b05359530a2363d514210f10cb496c22188d1a8aa"
 
 
-def state_cache_digest(store_dir: str, mode: str) -> str:
-    """sha-256 over the sorted ``mode`` entry names and their bytes."""
+def state_cache_digest(store_dir: str) -> str:
+    """sha-256 over the sorted entry names and their bytes."""
     digest = hashlib.sha256()
-    paths = sorted(glob.glob(os.path.join(store_dir, "cache", f"state-*-{mode}-*")))
-    assert paths, f"no {mode} state-cache entries in {store_dir}"
+    paths = sorted(glob.glob(os.path.join(store_dir, "cache", "state-*-exact-*")))
+    assert paths, f"no state-cache entries in {store_dir}"
     for path in paths:
         digest.update(os.path.basename(path).encode("ascii"))
         with open(path, "rb") as handle:
@@ -69,9 +57,7 @@ def state_cache_digest(store_dir: str, mode: str) -> str:
     reason="digests were recorded under CPython 3.11 (see test_generation_golden)",
 )
 def test_live_tail_state_cache_and_reports_match_the_pinned_digests(tmp_path):
-    # One dataset cache serves both modes: entries are keyed by mode.
-    for mode, golden in GOLDEN.items():
-        report = build(str(tmp_path), extra=("--out-of-core", "--stats", mode))
-        assert hashlib.sha256(report).hexdigest() == golden["report"], mode
-        store_dir = str(tmp_path / "live_tail-seed7")
-        assert state_cache_digest(store_dir, mode) == golden["states"], mode
+    report = build(str(tmp_path), extra=("--out-of-core",))
+    assert hashlib.sha256(report).hexdigest() == GOLDEN_REPORT_SHA256
+    store_dir = str(tmp_path / "live_tail-seed7")
+    assert state_cache_digest(store_dir) == GOLDEN_STATES_SHA256

@@ -11,19 +11,38 @@ prefix may be scanned by either (the vectorized ``bind_batch`` or the
 row-step reference) and restore into the other.
 
 This is the end-to-end guarantee the versioned checkpoint format rests on;
-the checkpoint store tests cover the durable-file half.
+the checkpoint store tests cover the durable-file half.  The accumulators
+whose state is a function of the scanned multiset are also dealt into
+random shards and restored in *shuffled* order — the process-sharding
+contract of the parallel engine and the out-of-core chunk folds.
 """
 
 from __future__ import annotations
+
+import math
+from array import array
+from dataclasses import replace
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.accounts import (
+    AccountActivityAccumulator,
+    SenderCountsAccumulator,
+    SenderReceiverPairsAccumulator,
+)
 from repro.analysis.clustering import AccountClusterer
-from repro.analysis.engine import BLOCK_ROWS, Accumulator, bind_scan, scan_blocks
-from repro.analysis.value import ExchangeRateOracle
-from repro.common import statecodec, statsmode
+from repro.analysis.engine import (
+    BLOCK_ROWS,
+    Accumulator,
+    TxStatsAccumulator,
+    bind_scan,
+    scan_blocks,
+)
+from repro.analysis.value import ExchangeRateOracle, ValueDistributionAccumulator
+from repro.common import statecodec
 from repro.common.columns import TxFrame
 
 from tests.properties.test_kernel_parity import (
@@ -68,7 +87,6 @@ def roundtrip_cases(draw):
         "selection": draw(selections()),
         "split": draw(st.floats(0.0, 1.0)),
         "prefix_kernel": draw(st.sampled_from(sorted(KERNELS))),
-        "stats": draw(st.sampled_from([statsmode.EXACT, statsmode.SKETCH])),
     }
 
 
@@ -97,9 +115,7 @@ def test_codec_roundtrip_equals_serial_pass(
     parity_frame, parity_oracle, parity_clusterer, case
 ):
     def fresh():
-        return _all_accumulators(
-            parity_frame, parity_oracle, parity_clusterer, case["stats"]
-        )
+        return _all_accumulators(parity_frame, parity_oracle, parity_clusterer)
 
     rows = _select_view(parity_frame, case["selection"]).rows
     split = int(len(rows) * case["split"])
@@ -124,9 +140,7 @@ def test_double_restore_equals_serial_pass(
     """Two restored segments (the parallel catch-up shape) replay serially."""
 
     def fresh():
-        return _all_accumulators(
-            parity_frame, parity_oracle, parity_clusterer, case["stats"]
-        )
+        return _all_accumulators(parity_frame, parity_oracle, parity_clusterer)
 
     rows = _select_view(parity_frame, case["selection"]).rows
     split = int(len(rows) * case["split"])
@@ -167,3 +181,85 @@ def test_double_restore_equals_serial_pass(
             assert result.unique_claimers == expected.unique_claimers
         else:
             assert result == expected, (accumulator.name, case)
+
+
+SHARD_SETTINGS = settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _multiset_accumulators(oracle):
+    # The pair profiler keeps every receiver (no top-k cut): equal-count
+    # receivers rank by first-seen scan order, which random sharding is
+    # free to permute, so the cut boundary is the one shard-order-sensitive
+    # output here.  With no cut, ``_canonical`` sorting makes the profiles
+    # a pure function of the pair multiset.
+    return [
+        TxStatsAccumulator(),
+        AccountActivityAccumulator("sender", 10),
+        AccountActivityAccumulator("receiver", 10),
+        SenderReceiverPairsAccumulator(5, 1 << 20),
+        SenderCountsAccumulator(),
+        ValueDistributionAccumulator(oracle),
+    ]
+
+
+def _canonical(accumulator, figures):
+    if isinstance(accumulator, SenderReceiverPairsAccumulator):
+        # Recompute the fan-out stdev over *sorted* counts: the production
+        # finalizer sums squared deviations in dict-iteration order, which
+        # sharding permutes, moving the float result by an ULP.
+        canonical = []
+        for profile in figures:
+            counts = sorted(count for _, count, _ in profile.top_receivers)
+            mean = profile.mean_per_receiver
+            variance = (
+                sum((count - mean) ** 2 for count in counts) / len(counts)
+                if counts
+                else 0.0
+            )
+            canonical.append(
+                replace(
+                    profile,
+                    stdev_per_receiver=math.sqrt(variance),
+                    top_receivers=tuple(sorted(profile.top_receivers)),
+                )
+            )
+        return canonical
+    return figures
+
+
+@SHARD_SETTINGS
+@given(seed=st.integers(0, 2**31 - 1), shard_count=st.integers(1, 5))
+def test_random_shards_restored_in_shuffled_order_equal_serial_pass(
+    parity_frame, parity_oracle, seed, shard_count
+):
+    rng = Random(seed)
+    total = len(parity_frame)
+    shard_rows = [[] for _ in range(shard_count)]
+    for row in range(total):
+        shard_rows[rng.randrange(shard_count)].append(row)
+    serial = _multiset_accumulators(parity_oracle)
+    _scan(serial, parity_frame, range(total))
+    expected = [
+        _canonical(accumulator, accumulator.finalize()) for accumulator in serial
+    ]
+
+    payload_sets = []
+    for rows in shard_rows:
+        shard = _multiset_accumulators(parity_oracle)
+        _scan(shard, parity_frame, array("q", rows))
+        payload_sets.append(_snapshot(shard))
+    rng.shuffle(payload_sets)  # restore order must not matter
+    merged = _multiset_accumulators(parity_oracle)
+    for accumulator in merged:
+        accumulator.bind_batch(parity_frame)
+    for payloads in payload_sets:
+        for accumulator, payload in zip(merged, payloads):
+            accumulator.restore_state(payload)
+    for accumulator, expect in zip(merged, expected):
+        assert _canonical(accumulator, accumulator.finalize()) == expect, (
+            accumulator.name
+        )

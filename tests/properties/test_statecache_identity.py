@@ -1,9 +1,9 @@
 """Property-based identity of cached vs uncached out-of-core reports.
 
 The chunk-state aggregate cache is a pure memoization layer: for *any*
-chunk partitioning of *any* record mix, under either statistics mode, a
-report folded from cached per-chunk states must be bit-for-bit identical
-to the same chunked report computed without a cache.  A mid-run analysis-config change must key every chunk
+chunk partitioning of *any* record mix, a report folded from cached
+per-chunk states must be bit-for-bit identical to the same chunked report
+computed without a cache.  A mid-run analysis-config change must key every chunk
 to a fresh entry (all misses) and still produce the uncached figures —
 never a figure computed from the stale configuration's states.
 """
@@ -19,7 +19,6 @@ from repro.analysis.parallel import parallel_report_from_store
 from repro.analysis.statecache import ChunkStateCache
 from repro.analysis.value import ExchangeRateOracle
 from repro.collection.store import FrameStore
-from repro.common import statsmode
 
 from tests.support.reports import assert_reports_identical
 
@@ -57,7 +56,6 @@ def _report(directory, oracle, clusterer, cache=None):
     chunk_rows=st.integers(min_value=311, max_value=2_111),
     eos_take=st.integers(min_value=0, max_value=2_500),
     xrp_take=st.integers(min_value=200, max_value=2_500),
-    mode=st.sampled_from([statsmode.EXACT, statsmode.SKETCH]),
 )
 def test_cached_report_identical_under_random_partitions(
     tmp_path_factory,
@@ -68,16 +66,14 @@ def test_cached_report_identical_under_random_partitions(
     chunk_rows,
     eos_take,
     xrp_take,
-    mode,
 ):
     records = eos_records[:eos_take] + xrp_records[:xrp_take]
     directory, chunks = _build_store(tmp_path_factory, records, chunk_rows)
-    with statsmode.use_mode(mode):
-        uncached = _report(directory, xrp_oracle, xrp_clusterer)
-        cold = ChunkStateCache.for_store(directory)
-        cold_report = _report(directory, xrp_oracle, xrp_clusterer, cache=cold)
-        warm = ChunkStateCache.for_store(directory)
-        warm_report = _report(directory, xrp_oracle, xrp_clusterer, cache=warm)
+    uncached = _report(directory, xrp_oracle, xrp_clusterer)
+    cold = ChunkStateCache.for_store(directory)
+    cold_report = _report(directory, xrp_oracle, xrp_clusterer, cache=cold)
+    warm = ChunkStateCache.for_store(directory)
+    warm_report = _report(directory, xrp_oracle, xrp_clusterer, cache=warm)
     assert (cold.hits, cold.misses) == (0, chunks)
     assert (warm.hits, warm.misses) == (chunks, 0)
     assert_reports_identical(cold_report, uncached, exact_flows=True)

@@ -15,8 +15,7 @@ SRC = os.path.join(
 def child_env() -> dict:
     """The environment of a test child: this checkout, pinned hash seed."""
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=SRC)
-    for name in ("REPRO_STATS", "REPRO_FAULTS"):
-        env.pop(name, None)
+    env.pop("REPRO_FAULTS", None)
     return env
 
 

@@ -11,9 +11,8 @@ def assert_reports_identical(actual, expected, exact_flows: bool = True):
     Walks the union of both reports' figure names, so a figure added to
     ``repro.analysis.report.FIGURES`` is compared on every execution path
     with no edit here (one missing from either side fails by name).
-    Equality is exact in both stats modes: the exact finalizers are sorted
-    folds and the sketch finalizers pure functions of bucket sums, so
-    neither depends on scan or merge order.
+    Equality is exact: the finalizers are sorted folds, so none depends on
+    scan or merge order.
 
     ``exact_flows=True`` asserts the Figure 12 value sums bit-for-bit —
     valid for the serial incremental path, which replays the serial scan

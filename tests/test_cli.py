@@ -253,8 +253,7 @@ class TestCacheHitSelectsTheChunkEngine:
     """A dataset-cache hit is folded by the chunk engine whatever the flags."""
 
     def test_every_route_prints_the_same_report(self, tmp_path, capsys):
-        # Cold (one stream) against warm (folded chunk states) is an
-        # exact-mode identity; sketches agree within their envelopes only.
+        # Cold (one stream) against warm (folded chunk states) is an identity.
         root = tmp_path / "default"
         directory = root / "small-seed7"
 
@@ -262,7 +261,7 @@ class TestCacheHitSelectsTheChunkEngine:
             code, payload = _run(
                 [
                     "report", "--scale", "small", "--cache", str(cache), "--json",
-                    "--stats", "exact", *flags,
+                    *flags,
                 ]  # fmt: skip
             )
             assert code == 0
@@ -332,6 +331,11 @@ class TestRetiredSurface:
             ["update", "--data", "unused", "--shards", "2"],
             ["watch", "--data", "unused", "--shards", "2"],
             ["migrate-store", "unused", "--format", "v1"],
+            ["report", "--scale", TINY_SCENARIO, "--stats", "sketch"],
+            ["ingest", "--data", "unused", "--stats", "exact"],
+            ["update", "--data", "unused", "--stats", "sketch"],
+            ["watch", "--data", "unused", "--stats", "sketch"],
+            ["soak", "--data", "unused", "--stats", "sketch"],
         ],
         ids=[
             "bench",
@@ -340,13 +344,19 @@ class TestRetiredSurface:
             "update--shards",
             "watch--shards",
             "migrate-store--format",
+            "report--stats",
+            "ingest--stats",
+            "update--stats",
+            "watch--stats",
+            "soak--stats",
         ],
     )
     def test_retired_arguments_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err
 
     def test_migrate_store_rewrites_v1_chunks_once(self, v1_store_dir):
         code, out = _run(["migrate-store", v1_store_dir])

@@ -3,9 +3,8 @@
 ``repro.analysis.report.FIGURES`` is the one place figures are listed; the
 execution, caching, checkpoint and CLI layers walk it (or the accumulators it
 built) and never spell a figure's name.  This walks the sources so a
-hand-wired seventh place cannot creep back in — the companion of
-``tests/test_mode_branches.py`` for north-star 2's "add a figure = add one
-module".
+hand-wired seventh place cannot creep back in — north-star 2's "add a
+figure = add one module".
 """
 
 from __future__ import annotations

@@ -97,6 +97,8 @@ def test_all_hit_report_loads_no_numpy(live_tail_cache, flags):
     modules, stderr = run_main(argv + flags)
     assert "3 hit(s) / 0 miss(es)" in stderr
     assert loaded(modules, ["numpy"]) == []
+    # The removed statistics-mode modules stay gone from the warm path.
+    assert loaded(modules, ["repro.common.sketches", "repro.common.statsmode"]) == []
 
 
 def test_a_decoding_scan_loads_no_numpy_ma(live_tail_cache):
@@ -127,7 +129,7 @@ def test_bare_package_imports_load_nothing_else():
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         str(["repro"]),
-        str(["repro", "repro.cli", "repro.common", "repro.common.errors", "repro.common.statsmode"]),
+        str(["repro", "repro.cli", "repro.common", "repro.common.errors"]),
     ]
 
 

@@ -3,9 +3,7 @@
 A figure's scanned state folds across row ranges with
 ``export_state`` → ``restore_state`` and nothing else; this walks the
 sources so a second fold (an accumulator or container ``merge`` twin, or a
-second driver in the chunk engine) cannot creep back.  The sketches under
-``repro.common.sketches`` keep their ``merge`` — mergeability is their own
-property, with its own suite, and they are not accumulators.
+second driver in the chunk engine) cannot creep back.
 
 And a payload has one shape: ``finalize`` reads state, it never writes it,
 so ``export_state()`` is byte-equal on either side of it for every figure.
@@ -23,14 +21,12 @@ import ast
 import glob
 import os
 
-import pytest
-
 from repro.analysis.clustering import AccountClusterer
 from repro.analysis.engine import scan
 from repro.analysis.parallel import export_states, fold_states
 from repro.analysis.report import FIGURES, FigureConfig
 from repro.analysis.value import ExchangeRateOracle
-from repro.common import statecodec, statsmode
+from repro.common import statecodec
 from repro.common.columns import TxFrame
 
 from tests.support import SRC
@@ -68,9 +64,8 @@ def test_the_chunk_engine_restores_state_in_one_function():
     assert callers == ["fold_states"]
 
 
-@pytest.mark.parametrize("stats", [statsmode.EXACT, statsmode.SKETCH])
 def test_finalize_leaves_every_figure_state_alone(
-    stats, eos_records, tezos_records, xrp_records, xrp_generator
+    eos_records, tezos_records, xrp_records, xrp_generator
 ):
     frame = TxFrame.from_records(
         eos_records[::40] + tezos_records[::10] + xrp_records[::20]
@@ -80,7 +75,7 @@ def test_finalize_leaves_every_figure_state_alone(
     clusterer = AccountClusterer(ledger.accounts)
     moved = []
     for chain in frame.chains():
-        config = FigureConfig(frame.chain_bounds(chain), oracle, clusterer, stats=stats)
+        config = FigureConfig(frame.chain_bounds(chain), oracle, clusterer)
         accumulators = [
             spec.factory(chain, config) for spec in FIGURES if chain in spec.chains
         ]
@@ -96,9 +91,8 @@ def test_finalize_leaves_every_figure_state_alone(
     assert moved == []
 
 
-@pytest.mark.parametrize("stats", [statsmode.EXACT, statsmode.SKETCH])
 def test_reset_targets_fold_states_like_bound_targets(
-    stats, eos_records, tezos_records, xrp_records, xrp_generator
+    eos_records, tezos_records, xrp_records, xrp_generator
 ):
     """Two row ranges' states, folded into ``_reset`` and ``bind_batch`` targets."""
     frame = TxFrame.from_records(
@@ -112,7 +106,7 @@ def test_reset_targets_fold_states_like_bound_targets(
     oracle = ExchangeRateOracle.from_orderbook(ledger.orderbook)
     clusterer = AccountClusterer(ledger.accounts)
     for chain in frame.chains():
-        config = FigureConfig(frame.chain_bounds(chain), oracle, clusterer, stats=stats)
+        config = FigureConfig(frame.chain_bounds(chain), oracle, clusterer)
 
         def accumulators():
             return [spec.factory(chain, config) for spec in FIGURES if chain in spec.chains]

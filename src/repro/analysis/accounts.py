@@ -16,8 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Tuple, Union
 
 from repro.common.columns import CHAIN_ORDER, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
@@ -26,8 +25,7 @@ from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices
 from repro.analysis.vectorized import block_columns
 
 
-@dataclass(frozen=True)
-class AccountActivity:
+class AccountActivity(NamedTuple):
     """Activity of one account with its per-type breakdown."""
 
     account: str
@@ -184,8 +182,7 @@ def top_senders(
     return AccountActivityAccumulator("sender", limit).run(as_frame(records))
 
 
-@dataclass(frozen=True)
-class SenderProfile:
+class SenderProfile(NamedTuple):
     """One row of Figure 6: fan-out statistics of a top sender."""
 
     sender: str

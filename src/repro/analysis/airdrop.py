@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.common.clock import timestamp_from_iso
 from repro.common.columns import CHAIN_CODES, FrameLike, TxFrame, as_frame
@@ -27,14 +26,15 @@ from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
 from repro.analysis.vectorized import block_columns, matched_rows
 from repro.common.statecodec import pack_str_table, pack_strings, restore_str_table, unpack_strings
-from repro.eos.resources import CongestionSample
+
+if TYPE_CHECKING:
+    from repro.eos.resources import CongestionSample
 
 #: Account hosting the EIDOS airdrop contract in the simulated workload.
 EIDOS_CONTRACT = "eidosonecoin"
 
 
-@dataclass(frozen=True)
-class BoomerangClaim:
+class BoomerangClaim(NamedTuple):
     """One detected EIDOS claim (deposit + refund within one transaction)."""
 
     transaction_id: str
@@ -44,8 +44,7 @@ class BoomerangClaim:
     eidos_granted: float
 
 
-@dataclass(frozen=True)
-class AirdropReport:
+class AirdropReport(NamedTuple):
     """Findings of the EIDOS airdrop case study."""
 
     launch_timestamp: float
@@ -420,8 +419,7 @@ def analyze_airdrop(
     return AirdropAccumulator(launch_date, contract).run(as_frame(records))
 
 
-@dataclass(frozen=True)
-class CongestionReport:
+class CongestionReport(NamedTuple):
     """Congestion-mode impact of the airdrop on the resource market."""
 
     samples: int

@@ -21,8 +21,7 @@ of canonical records.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
@@ -85,8 +84,7 @@ _TEZOS_CODE = CHAIN_CODES[ChainId.TEZOS]
 _XRP_CODE = CHAIN_CODES[ChainId.XRP]
 
 
-@dataclass(frozen=True)
-class TypeDistributionRow:
+class TypeDistributionRow(NamedTuple):
     """One row of the Figure 1 table."""
 
     chain: ChainId

@@ -11,19 +11,19 @@ Figure 12 value-flow aggregation.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro.common.columns import FrameLike, TxFrame, as_frame
 from repro.common.records import TransactionRecord
 from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, config_digest
 from repro.analysis.vectorized import block_columns, count_codes
 from repro.common.statecodec import pack_code_table, restore_code_table
-from repro.xrp.accounts import XrpAccountRegistry
+
+if TYPE_CHECKING:
+    from repro.xrp.accounts import XrpAccountRegistry
 
 
-@dataclass(frozen=True)
-class AccountCluster:
+class AccountCluster(NamedTuple):
     """A named cluster of addresses controlled by one entity."""
 
     name: str

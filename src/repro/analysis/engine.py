@@ -104,8 +104,7 @@ The surrounding contract has three legs:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.columns import (
     CHAIN_ORDER,
@@ -258,8 +257,7 @@ class Accumulator:
         return AnalysisEngine([self]).run(source)[self.name]
 
 
-@dataclass(frozen=True)
-class FigureSpec:
+class FigureSpec(NamedTuple):
     """One figure of the report, declared once beside its accumulator.
 
     ``repro.analysis.report.FIGURES`` lists the specs in order; building the
@@ -345,8 +343,7 @@ class AnalysisEngine:
         )
 
 
-@dataclass(frozen=True)
-class TxStats:
+class TxStats(NamedTuple):
     """Dataset-characterisation statistics of one pass (Figure 2 counts).
 
     ``action_count`` counts rows (EOS actions / Tezos operations / XRP

@@ -14,21 +14,18 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.common.columns import CHAIN_CODES, FrameLike, TxFrame, as_frame
-from repro.common.records import ChainId, TransactionRecord
+from repro.common.records import XRP_CURRENCY, ChainId, TransactionRecord
 from repro.analysis.clustering import AccountClusterer
 from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step
 from repro.analysis.vectorized import block_columns, matched_rows
 from repro.common.statecodec import pack_strings, unpack_strings
 from repro.analysis.value import ExchangeRateOracle
-from repro.xrp.amounts import XRP_CURRENCY
 
 
-@dataclass(frozen=True)
-class ValueFlow:
+class ValueFlow(NamedTuple):
     """One aggregated band of the Figure 12 diagram."""
 
     sender_cluster: str
@@ -38,8 +35,7 @@ class ValueFlow:
     payment_count: int
 
 
-@dataclass
-class ValueFlowReport:
+class ValueFlowReport(NamedTuple):
     """The full Figure 12 aggregation."""
 
     flows: List[ValueFlow]

@@ -11,24 +11,21 @@ that the proposal and exploration periods could be merged.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
 from repro.analysis.vectorized import block_columns, count_codes
 from repro.common.statecodec import pack_code_table, restore_code_table
-from repro.tezos.governance import (
-    BallotChoice,
-    VoteEvent,
-    VotingPeriodKind,
-    cumulative_vote_series,
-)
+
+# The vote-event model is the Tezos simulator's: the functions that walk it
+# import it at the call, so loading this module loads no simulator.
+if TYPE_CHECKING:
+    from repro.tezos.governance import VoteEvent, VotingPeriodKind
 
 
-@dataclass(frozen=True)
-class PeriodSummary:
+class PeriodSummary(NamedTuple):
     """Vote summary of one ballot period (exploration or promotion)."""
 
     period: VotingPeriodKind
@@ -51,8 +48,7 @@ class PeriodSummary:
         return self.nay / self.total if self.total else 0.0
 
 
-@dataclass(frozen=True)
-class GovernanceReport:
+class GovernanceReport(NamedTuple):
     """Findings of the governance case study."""
 
     proposal_votes: Dict[str, int]
@@ -163,6 +159,8 @@ def analyze_governance(
     electorate_rolls: int = 460,
 ) -> GovernanceReport:
     """Compute the §4.2 governance statistics."""
+    from repro.tezos.governance import VotingPeriodKind
+
     proposal_votes: Counter = Counter()
     proposal_voters = 0
     for event in events:
@@ -194,6 +192,8 @@ def figure9_series(
     panels (b) and (c) plot the yay / nay / pass ballots during exploration
     and promotion.
     """
+    from repro.tezos.governance import BallotChoice, VotingPeriodKind, cumulative_vote_series
+
     proposals = sorted(
         {event.proposal for event in events if event.period is VotingPeriodKind.PROPOSAL and event.proposal}
     )

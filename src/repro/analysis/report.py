@@ -11,9 +11,9 @@ the JSON and text renderings.  :meth:`FullReport.summary` is the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional
+from typing import Sequence, Tuple, Union
 
 from repro.common.columns import CHAIN_ORDER, FrameLike, TxFrame, TxView, as_frame
 from repro.common.records import ChainId, TransactionRecord
@@ -45,8 +45,7 @@ from repro.analysis.value import (
 )
 from repro.analysis.washtrading import WASH_TRADING_FIGURE
 
-@dataclass(frozen=True)
-class ChainSummary:
+class ChainSummary(NamedTuple):
     """Headline statistics for one chain."""
 
     chain: ChainId
@@ -72,11 +71,19 @@ class ChainSummary:
         return row
 
 
-@dataclass
 class SummaryReport:
     """The cross-chain summary (the paper's "Summary of Findings")."""
 
-    chains: Dict[ChainId, ChainSummary] = field(default_factory=dict)
+    def __init__(self, chains: Optional[Dict[ChainId, ChainSummary]] = None):
+        self.chains: Dict[ChainId, ChainSummary] = {} if chains is None else chains
+
+    def __repr__(self) -> str:
+        return f"SummaryReport(chains={self.chains!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.chains == other.chains
 
     def to_rows(self) -> List[Dict[str, object]]:
         return [summary.to_dict() for summary in self.chains.values()]
@@ -137,8 +144,7 @@ FIGURE3_CATEGORIZERS = {
 }
 
 
-@dataclass(frozen=True)
-class FigureConfig:
+class FigureConfig(NamedTuple):
     """What a report hands every :attr:`FigureSpec.factory`.
 
     ``bounds`` is the chain's (min, max) timestamp window anchoring Figure 3.
@@ -205,12 +211,23 @@ def figure_factory(
     return partial(figure_accumulators, chain, config)
 
 
-@dataclass
 class ChainFigures:
-    """Every figure of one chain, read by figure name (``figures["tx_stats"]``)."""
+    """Every figure of one chain, read by figure name (``figures["tx_stats"]``;
+    a plain class because a tuple's ``__getitem__`` / ``__iter__`` are not)."""
 
-    chain: ChainId
-    result: EngineResult
+    __slots__ = ("chain", "result")
+
+    def __init__(self, chain: ChainId, result: EngineResult):
+        self.chain = chain
+        self.result = result
+
+    def __repr__(self) -> str:
+        return f"ChainFigures(chain={self.chain!r}, result={self.result!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.chain, self.result) == (other.chain, other.result)
 
     @classmethod
     def from_accumulators(
@@ -279,11 +296,19 @@ def chain_window(coerced: FrameLike, view: TxView, chain: ChainId) -> Optional[t
     return (low, view.max_timestamp()) if low is not None else None
 
 
-@dataclass
 class FullReport:
     """The complete figure set for every chain present in a frame."""
 
-    chains: Dict[ChainId, ChainFigures] = field(default_factory=dict)
+    def __init__(self, chains: Optional[Dict[ChainId, ChainFigures]] = None):
+        self.chains: Dict[ChainId, ChainFigures] = {} if chains is None else chains
+
+    def __repr__(self) -> str:
+        return f"FullReport(chains={self.chains!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.chains == other.chains
 
     def summary(self) -> SummaryReport:
         return SummaryReport(

@@ -45,8 +45,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.engine import config_digest
 from repro.common import faults, statecodec
@@ -75,8 +74,7 @@ _CHECKSUM = struct.Struct(">I")
 ChainStates = Dict[str, List[Tuple[str, dict]]]
 
 
-@dataclass(frozen=True)
-class EntryKey:
+class EntryKey(NamedTuple):
     """The full cache key of one chunk's folded state (all filename-safe)."""
 
     chunk_checksum: str
@@ -91,8 +89,7 @@ class EntryKey:
         )
 
 
-@dataclass(frozen=True)
-class CacheContext:
+class CacheContext(NamedTuple):
     """The chunk-independent half of a key, shipped to worker processes.
 
     The config digest is captured once in the parent, so every process keys

@@ -12,14 +12,12 @@ engine's one iteration with every other figure, and the public
 from __future__ import annotations
 
 import functools
-import uuid
+import os
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from array import array
 
-from repro.common.clock import SECONDS_PER_HOUR
 from repro.common.columns import FrameLike, TxFrame, as_frame, as_ndarray, view_of
 from repro.common.errors import AnalysisError
 from repro.common.records import TransactionRecord
@@ -33,8 +31,9 @@ from repro.analysis.vectorized import (
 )
 from repro.common.statecodec import pack_str_table, restore_str_table
 
-#: Figure 3 uses 6-hour bins.
-DEFAULT_BIN_SECONDS = 6 * SECONDS_PER_HOUR
+#: Figure 3 uses 6-hour bins.  An int: it is part of every series'
+#: ``config_signature``, so a float here would miss every state-cache entry.
+DEFAULT_BIN_SECONDS = 6 * 3600
 
 #: A categorizer factory: given the bound frame, returns a row → category
 #: label function.  Working on row indexes (codes) instead of materialised
@@ -49,14 +48,29 @@ RowCategorizerFactory = Callable[[TxFrame], Callable[[int], str]]
 KeyColumnsFactory = Callable[[TxFrame], Tuple[Tuple[Sequence, ...], Callable]]
 
 
-@dataclass
 class ThroughputSeries:
     """Per-category transaction counts over consecutive time bins."""
 
-    bin_seconds: float
-    start: float
-    categories: Tuple[str, ...]
-    bins: List[Dict[str, int]] = field(default_factory=list)
+    def __init__(
+        self,
+        bin_seconds: float,
+        start: float,
+        categories: Tuple[str, ...],
+        bins: Optional[List[Dict[str, int]]] = None,
+    ):
+        self.bin_seconds = bin_seconds
+        self.start = start
+        self.categories = categories
+        self.bins: List[Dict[str, int]] = [] if bins is None else bins
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"ThroughputSeries({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def bin_count(self) -> int:
@@ -100,7 +114,7 @@ class ThroughputSeries:
 
 #: Session-unique token embedded in unprovable factory identities, so a
 #: checkpoint written by another process can never accidentally match one.
-_SESSION_TOKEN = uuid.uuid4().hex
+_SESSION_TOKEN = os.urandom(16).hex()
 
 
 def _categorizer_id(factory) -> str:

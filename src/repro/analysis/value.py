@@ -16,19 +16,19 @@ implemented here:
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, as_frame
 from repro.common.errors import CollectionError
-from repro.common.records import ChainId, TransactionRecord
+from repro.common.records import XRP_CURRENCY, ChainId, TransactionRecord
 from repro.analysis.clustering import StaticAccountClusterer
 from repro.analysis.containers import SortedColumn
 from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step, config_digest
 from repro.analysis.vectorized import block_columns, count_codes, matched_rows
 from repro.common.statecodec import pack_code_table, restore_code_table
-from repro.xrp.amounts import XRP_CURRENCY
-from repro.xrp.orderbook import OrderBook
+
+if TYPE_CHECKING:
+    from repro.xrp.orderbook import OrderBook
 
 
 class ExchangeRateOracle:
@@ -110,8 +110,7 @@ def decode_analysis_config(
     return ExchangeRateOracle(rates), StaticAccountClusterer(clusters)
 
 
-@dataclass(frozen=True)
-class ThroughputDecomposition:
+class ThroughputDecomposition(NamedTuple):
     """Figure 7: the full decomposition of XRP ledger throughput."""
 
     total: int
@@ -365,8 +364,7 @@ XRP_DECOMPOSITION_FIGURE = FigureSpec(
 )
 
 
-@dataclass(frozen=True)
-class ValueDistribution:
+class ValueDistribution(NamedTuple):
     """§4.3 summary of the XRP value actually moved by payments.
 
     Values are XRP-denominated (IOU amounts convert through the oracle
@@ -659,8 +657,7 @@ class XrpValueAnalyzer:
         return FailureCodeAccumulator().run(as_frame(records))
 
 
-@dataclass(frozen=True)
-class IouRateRow:
+class IouRateRow(NamedTuple):
     """One row of Figure 11a: an issuer and its average IOU rate vs XRP."""
 
     currency: str

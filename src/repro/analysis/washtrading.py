@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.common.columns import CHAIN_CODES, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
@@ -28,8 +27,7 @@ WHALEEX_CONTRACT = "whaleextrust"
 TRADE_ACTION = "verifytrade2"
 
 
-@dataclass(frozen=True)
-class TradeObservation:
+class TradeObservation(NamedTuple):
     """One settled DEX trade extracted from the record stream."""
 
     buyer: str
@@ -43,8 +41,7 @@ class TradeObservation:
         return self.buyer == self.seller
 
 
-@dataclass(frozen=True)
-class WashTradingReport:
+class WashTradingReport(NamedTuple):
     """Findings of the wash-trading analysis for one DEX contract."""
 
     contract: str

@@ -13,8 +13,10 @@ drives at its top:
 * :mod:`~repro.cli.store` — ``migrate-store`` (rewrite a frame store's
   legacy-format chunks in place) and ``cache stat|clear`` (its chunk-state
   aggregate cache, :mod:`repro.analysis.statecache`);
-* :mod:`~repro.cli.pipeline` — ``ingest``, ``update``, ``watch``, ``soak``
-  and ``fsck`` over a durable, resumable pipeline directory.
+* :mod:`~repro.cli.ingest` — ``ingest``, ``watch`` and ``soak``: stream a
+  scenario's blocks into a durable, resumable pipeline directory;
+* :mod:`~repro.cli.pipeline` — ``update`` and ``fsck``: read one (no
+  simulator, no scenario registry).
 
 :func:`main` imports only the module of the command it was given, so what a
 ``python -m repro`` child loads follows from what it runs: ``list`` never
@@ -38,10 +40,10 @@ _COMMANDS = {
     "report": "report",
     "migrate-store": "store",
     "cache": "store",
-    "ingest": "pipeline",
+    "ingest": "ingest",
     "update": "pipeline",
-    "watch": "pipeline",
-    "soak": "pipeline",
+    "watch": "ingest",
+    "soak": "ingest",
     "fsck": "pipeline",
 }
 

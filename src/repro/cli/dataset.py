@@ -23,8 +23,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.analysis.value import ExchangeRateOracle, decode_analysis_config
 from repro.collection.store import FrameStore
@@ -37,8 +36,7 @@ CACHE_VERSION = 1
 META_NAME = "meta.json"
 
 
-@dataclass
-class Dataset:
+class Dataset(NamedTuple):
     """A ready-to-analyse dataset: the frame plus its analysis companions."""
 
     frame: TxFrame
@@ -48,8 +46,7 @@ class Dataset:
     build_seconds: float
 
 
-@dataclass
-class StoredDataset:
+class StoredDataset(NamedTuple):
     """An on-disk dataset: the store directory plus analysis companions.
 
     The out-of-core analysis path: no process ever holds the full frame,

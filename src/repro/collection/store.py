@@ -62,12 +62,9 @@ import json
 import os
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.collection import chunkformat
-from repro.collection.chunkformat import ChunkFormatError
 from repro.common import faults
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, TxFrame
 from repro.common.compression import (
@@ -192,6 +189,8 @@ def _decode_chunk_blob(blob: bytes, chunk_id: int) -> Dict:
     "no usable snapshot"), so callers can treat a damaged chunk as a
     recoverable condition instead of a crash.
     """
+    from repro.collection import chunkformat
+
     if chunkformat.is_v2_chunk(blob):
         return chunkformat.decode_chunk(blob)
     try:
@@ -205,8 +204,7 @@ def _decode_chunk_blob(blob: bytes, chunk_id: int) -> Dict:
         ) from None
 
 
-@dataclass
-class StoredChunk:
+class StoredChunk(NamedTuple):
     """One compressed chunk of consecutive blocks."""
 
     chunk_id: int
@@ -272,19 +270,21 @@ class BlockStore:
         stats = CompressionStats(
             raw_bytes=raw_size, compressed_bytes=len(blob), chunk_count=1
         )
+        chunk_id = len(self._chunks)
+        path = None
+        if self.directory is not None:
+            path = os.path.join(self.directory, f"chunk-{chunk_id:06d}.json.gz")
+            with open(path, "wb") as handle:
+                handle.write(blob)
         chunk = StoredChunk(
-            chunk_id=len(self._chunks),
+            chunk_id=chunk_id,
             min_height=min(block.height for block in self._pending),
             max_height=max(block.height for block in self._pending),
             block_count=len(self._pending),
             stats=stats,
+            blob=None if path is not None else blob,
+            path=path,
         )
-        if self.directory is not None:
-            chunk.path = os.path.join(self.directory, f"chunk-{chunk.chunk_id:06d}.json.gz")
-            with open(chunk.path, "wb") as handle:
-                handle.write(blob)
-        else:
-            chunk.blob = blob
         for block in self._pending:
             self._heights[block.height] = chunk.chunk_id
         self._chunks.append(chunk)
@@ -416,28 +416,49 @@ def _payload_stats(
     return _payload_chain_stats(payload)
 
 
-@dataclass
 class StoredFrameChunk:
-    """One compressed chunk of consecutive frame rows."""
+    """One compressed chunk of consecutive frame rows (a plain class: a
+    store fills in ``path``, ``stats`` and the per-chain fields later)."""
 
-    chunk_id: int
-    row_count: int
-    stats: CompressionStats
-    blob: Optional[bytes] = None
-    path: Optional[str] = None
-    #: Per-chain ``[min_height, max_height]`` of the chunk's rows, keyed by
-    #: the chain value string.  Recorded in the manifest so a reopened store
-    #: knows its crawl watermark without decompressing anything.
-    heights: Dict[str, List[int]] = field(default_factory=dict)
-    #: Per-chain ``[min_timestamp, max_timestamp]`` of the chunk's rows.
-    #: ``None`` until computed (version-1 manifests lack it).
-    times: Optional[Dict[str, List[float]]] = None
-    #: Per-chain row counts.  ``None`` until computed.
-    chain_rows: Optional[Dict[str, int]] = None
-    #: String-pool deltas: the strings this chunk's payload pools introduce
-    #: that no earlier chunk did, in first-seen order, keyed by pool name.
-    #: ``None`` until computed.
-    pool_deltas: Optional[Dict[str, List[str]]] = None
+    def __init__(
+        self,
+        chunk_id: int,
+        row_count: int,
+        stats: CompressionStats,
+        blob: Optional[bytes] = None,
+        path: Optional[str] = None,
+        heights: Optional[Dict[str, List[int]]] = None,
+        times: Optional[Dict[str, List[float]]] = None,
+        chain_rows: Optional[Dict[str, int]] = None,
+        pool_deltas: Optional[Dict[str, List[str]]] = None,
+    ):
+        self.chunk_id = chunk_id
+        self.row_count = row_count
+        self.stats = stats
+        self.blob = blob
+        self.path = path
+        #: Per-chain ``[min_height, max_height]`` of the chunk's rows, keyed by
+        #: the chain value string.  Recorded in the manifest so a reopened store
+        #: knows its crawl watermark without decompressing anything.
+        self.heights: Dict[str, List[int]] = {} if heights is None else heights
+        #: Per-chain ``[min_timestamp, max_timestamp]`` of the chunk's rows.
+        #: ``None`` until computed (version-1 manifests lack it).
+        self.times = times
+        #: Per-chain row counts.  ``None`` until computed.
+        self.chain_rows = chain_rows
+        #: String-pool deltas: the strings this chunk's payload pools introduce
+        #: that no earlier chunk did, in first-seen order, keyed by pool name.
+        #: ``None`` until computed.
+        self.pool_deltas = pool_deltas
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"StoredFrameChunk({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def payload(self) -> Dict:
         """Decode the chunk's columnar payload (format read off the blob)."""
@@ -872,6 +893,8 @@ class FrameStore:
         # store reopened from a version-1 manifest backfills the old chunks
         # first so the running pools (and therefore this chunk's deltas) are
         # computed against the full committed prefix.
+        from repro.collection import chunkformat
+
         self.ensure_chunk_stats()
         payload = frame.to_payload(rows, arrays=True)
         _check_id_runs(payload)
@@ -1059,6 +1082,8 @@ class FrameStore:
                 blob = handle.read()
             fmt = _chunk_format_of(chunk.path)
         elif chunk.blob is not None:
+            from repro.collection import chunkformat
+
             blob = chunk.blob
             fmt = (
                 CHUNK_FORMAT_V2
@@ -1135,6 +1160,8 @@ class FrameStore:
         a crash after it leaves unreferenced old files (same cleanup) — at
         no point does the manifest reference a chunk that is not durable.
         """
+        from repro.collection import chunkformat
+
         self.ensure_chunk_stats()
         superseded: List[str] = []
         for chunk in self._chunks:

@@ -9,16 +9,13 @@ dataset characterisation can reproduce the table's storage column.
 
 from __future__ import annotations
 
-import gzip
 import json
-from dataclasses import dataclass
-from typing import Any, Iterable, List, Mapping
+from typing import Any, Iterable, List, Mapping, NamedTuple
 
 GIGABYTE = 1_000_000_000
 
 
-@dataclass(frozen=True)
-class CompressionStats:
+class CompressionStats(NamedTuple):
     """Byte accounting for a set of compressed chunks."""
 
     raw_bytes: int = 0
@@ -51,6 +48,8 @@ def compress_json(payload: Any, level: int = 6) -> bytes:
     to equal bytes — sharded dataset generation relies on this to make its
     output byte-for-byte independent of worker count.
     """
+    import gzip
+
     raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return gzip.compress(raw, compresslevel=level, mtime=0)
 
@@ -63,12 +62,16 @@ def compress_json_measured(payload: Any, level: int = 6) -> "tuple[bytes, int]":
     replaces the old trick of gzip-compressing the payload a *second* time
     at level 0 just to read off its length.
     """
+    import gzip
+
     raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return gzip.compress(raw, compresslevel=level, mtime=0), len(raw)
 
 
 def decompress_json(blob: bytes) -> Any:
     """Inverse of :func:`compress_json`."""
+    import gzip
+
     return json.loads(gzip.decompress(blob).decode("utf-8"))
 
 
@@ -79,6 +82,8 @@ def compress_records(records: Iterable[Mapping[str, Any]], level: int = 6) -> by
 
 def measure_chunk(payload: Any, level: int = 6) -> CompressionStats:
     """Return byte accounting for ``payload`` without keeping the blob."""
+    import gzip
+
     raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blob = gzip.compress(raw, compresslevel=level)
     return CompressionStats(raw_bytes=len(raw), compressed_bytes=len(blob), chunk_count=1)

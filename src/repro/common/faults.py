@@ -60,8 +60,7 @@ import os
 import random
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import (
     ConfigurationError,
@@ -157,22 +156,36 @@ def _stable_hash(*parts: object) -> int:
     return digest & 0xFFFF_FFFF
 
 
-@dataclass
 class FaultRule:
-    """One parsed spec rule: a faultpoint, a trigger, and an action."""
+    """One parsed spec rule: a faultpoint, a trigger, and an action.
 
-    point: str
-    mode: str
-    nth: Optional[int] = None
-    every: Optional[int] = None
-    probability: Optional[float] = None
-    window: Optional[Tuple[float, float]] = None
-    times: Optional[int] = None
-    params: Dict[str, str] = field(default_factory=dict)
-    # -- runtime state (reset by FaultPlan.reset) --------------------------------
-    hits: int = 0
-    fires: int = 0
-    _rng: Optional[random.Random] = None
+    A plain class: parsing fills the trigger in field by field, and firing
+    counts ``hits`` / ``fires`` on the rule itself.
+    """
+
+    def __init__(self, point: str, mode: str):
+        self.point = point
+        self.mode = mode
+        # -- trigger and parameters (filled in by FaultPlan.parse) ---------------
+        self.nth: Optional[int] = None
+        self.every: Optional[int] = None
+        self.probability: Optional[float] = None
+        self.window: Optional[Tuple[float, float]] = None
+        self.times: Optional[int] = None
+        self.params: Dict[str, str] = {}
+        # -- runtime state (reset by FaultPlan.reset) ----------------------------
+        self.hits = 0
+        self.fires = 0
+        self._rng: Optional[random.Random] = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"FaultRule({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def bind(self, seed: int, index: int) -> None:
         """Seed the rule's private RNG from the plan seed and rule identity."""
@@ -214,8 +227,7 @@ class FaultRule:
         return True
 
 
-@dataclass
-class FaultAction:
+class FaultAction(NamedTuple):
     """What a fired faultpoint should do, interpreted by the call site."""
 
     point: str

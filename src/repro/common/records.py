@@ -13,7 +13,6 @@ extras (destination tags, wash-trade markers, vote choices, ...).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple
 
 
@@ -28,12 +27,18 @@ class ChainId(str, enum.Enum):
         return self.value
 
 
+#: Currency code of the XRP ledger's native asset, shared by the ledger
+#: simulator and the value analyses without either importing the other.
+XRP_CURRENCY = "XRP"
+
+
 class _EmptyMapping(Mapping):
     """The read-only empty mapping that stands in for ``default_factory=dict``.
 
     A ``NamedTuple`` default is one shared object, so it must not be a dict
     an instance's owner could write to; unlike ``MappingProxyType`` this one
-    still pickles and deep-copies.
+    still pickles and deep-copies.  It prints as the empty dict it stands for,
+    so a record's ``repr`` reads the same with either.
     """
 
     __slots__ = ()
@@ -46,6 +51,9 @@ class _EmptyMapping(Mapping):
 
     def __len__(self) -> int:
         return 0
+
+    def __repr__(self) -> str:
+        return "{}"
 
 
 EMPTY_MAPPING: Mapping[str, Any] = _EmptyMapping()
@@ -109,10 +117,7 @@ class TransactionRecord(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class BlockRecord:
-    """One block (EOS block, Tezos block, XRP ledger version)."""
-
+class _BlockFields(NamedTuple):
     chain: ChainId
     height: int
     timestamp: float
@@ -120,12 +125,19 @@ class BlockRecord:
     transactions: tuple
     block_id: str = ""
     previous_id: str = ""
-    metadata: Mapping[str, Any] = field(default_factory=dict)
+    metadata: Mapping[str, Any] = EMPTY_MAPPING
 
-    def __post_init__(self) -> None:
-        # Normalise list inputs so blocks are hashable / immutable in tests.
-        if not isinstance(self.transactions, tuple):
-            object.__setattr__(self, "transactions", tuple(self.transactions))
+
+class BlockRecord(_BlockFields):
+    """One block (EOS block, Tezos block, XRP ledger version)."""
+
+    __slots__ = ()
+
+    def __new__(cls, chain, height, timestamp, producer, transactions, *rest, **named):
+        # Normalise list inputs so a block's transactions are immutable.
+        return super().__new__(
+            cls, chain, height, timestamp, producer, tuple(transactions), *rest, **named
+        )
 
     @property
     def transaction_count(self) -> int:

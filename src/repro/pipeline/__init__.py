@@ -18,6 +18,8 @@ Public surface:
   — the fault-schedule soak harness and the store/pipeline doctor.
 """
 
+import importlib
+
 from repro.pipeline.checkpoint import CheckpointStore, PipelineCheckpoint
 from repro.pipeline.core import (
     Pipeline,
@@ -25,17 +27,24 @@ from repro.pipeline.core import (
     incremental_report,
 )
 from repro.pipeline.fsck import FsckIssue, FsckReport, run_fsck
-from repro.pipeline.live import (
-    DEFAULT_BATCH_SECONDS,
-    LiveTailRunner,
-    LiveUpdate,
-    frozen_analysis_config,
-    pending_batches,
-    scenario_generators,
-    stream_block_batches,
-    tail_crawl,
-)
-from repro.pipeline.soak import SoakError, SoakResult, run_soak
+
+#: The live-tail and soak names, with the module that defines each: they are
+#: resolved on first use, because those modules load the chain simulators and
+#: the scenario registry, which ``update`` and ``fsck`` never need.
+_ON_FIRST_USE = dict.fromkeys(
+    ("DEFAULT_BATCH_SECONDS", "LiveTailRunner", "LiveUpdate", "frozen_analysis_config",
+     "pending_batches", "scenario_generators", "stream_block_batches", "tail_crawl"),
+    "live",
+)  # fmt: skip
+_ON_FIRST_USE.update(dict.fromkeys(("SoakError", "SoakResult", "run_soak"), "soak"))
+
+
+def __getattr__(name: str):
+    module = _ON_FIRST_USE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "CheckpointStore",

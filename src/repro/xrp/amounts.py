@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ChainError
-
-#: Currency code of the native asset.
-XRP_CURRENCY = "XRP"
+from repro.common.records import XRP_CURRENCY
 
 #: Number of drops per XRP.
 DROPS_PER_XRP = 1_000_000

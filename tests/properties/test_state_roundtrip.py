@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -221,8 +220,7 @@ def _canonical(accumulator, figures):
                 else 0.0
             )
             canonical.append(
-                replace(
-                    profile,
+                profile._replace(
                     stdev_per_receiver=math.sqrt(variance),
                     top_receivers=tuple(sorted(profile.top_receivers)),
                 )

@@ -10,7 +10,6 @@ figure = add one module".
 from __future__ import annotations
 
 import ast
-import dataclasses
 import glob
 import inspect
 import os
@@ -61,7 +60,7 @@ def test_engine_results_are_built_in_exactly_two_places():
 
 def test_the_report_types_carry_no_per_figure_wiring():
     # No per-figure field: a chain's figures are ``chain`` + the result map.
-    assert [field.name for field in dataclasses.fields(ChainFigures)] == [
+    assert list(ChainFigures.__slots__) == [
         "chain",
         "result",
     ]

@@ -21,9 +21,7 @@ import pytest
 
 from tests.support import SRC, run_child
 
-#: The simulators proper: analysis and store code may import a chain
-#: package's leaf *data* modules (``eos.actions``, ``xrp.amounts``, …) but
-#: never one of these.
+#: The simulators proper: no analysis or store code imports one of these.
 SIMULATORS = (
     "repro.eos.chain", "repro.eos.workload", "repro.eos.contracts", "repro.eos.rpc",
     "repro.tezos.chain", "repro.tezos.workload", "repro.tezos.rpc",
@@ -40,6 +38,27 @@ NOT_FOR_A_WARM_REPORT = SIMULATORS + (
     "repro.collection.endpoints",
     "multiprocessing",
 )
+
+#: What a report that folds only cached states loads none of: its record
+#: types are tuples or plain classes (no ``dataclasses``, which pulls in
+#: ``inspect``), the throughput session token comes from ``os.urandom`` (no
+#: ``uuid``), and the chunk codec is imported where a chunk is coded.
+NOT_FOR_AN_ALL_HIT_REPORT = (
+    "numpy",
+    "dataclasses",
+    "uuid",
+    "repro.collection.chunkformat",
+    "repro.common.rng",
+    "repro.common.clock",
+)
+
+#: The chain packages, and the only modules under them the report path loads:
+#: the package ``__init__``s (docstrings) and the EOS action taxonomy.
+CHAIN_PACKAGES = ("repro.eos", "repro.tezos", "repro.xrp")
+CHAIN_MODULES_ALLOWED = CHAIN_PACKAGES + ("repro.eos.actions",)
+
+#: What ``update`` and ``fsck`` read a pipeline directory without.
+NOT_FOR_A_PIPELINE_READ = SIMULATORS + ("repro.scenarios", "repro.collection.generate")
 
 NOT_FOR_THE_REGISTRY = ("numpy", "repro.analysis", "repro.collection", "repro.pipeline")
 
@@ -101,6 +120,43 @@ def test_all_hit_report_loads_no_numpy(live_tail_cache, flags):
     assert loaded(modules, ["repro.common.sketches", "repro.common.statsmode"]) == []
 
 
+@pytest.mark.parametrize(
+    "flags", [[], ["--out-of-core", "--workers", "1"]], ids=["default", "out-of-core"]
+)
+def test_all_hit_report_loads_no_dataclasses_codec_or_chain_module(live_tail_cache, flags):
+    """An all-hit report's cost is interpreter start-up plus module bodies:
+    it creates no dataclass and loads no simulator module for a constant."""
+    argv = ["report", "--scale", "live_tail", "--cache", live_tail_cache, "--json"]
+    run_main(argv + flags)  # populates the state cache if no test did yet
+    modules, stderr = run_main(argv + flags)
+    assert "3 hit(s) / 0 miss(es)" in stderr
+    assert loaded(modules, NOT_FOR_AN_ALL_HIT_REPORT) == []
+    chain_modules = loaded(modules, CHAIN_PACKAGES)
+    assert "repro.eos.actions" in chain_modules
+    assert [name for name in chain_modules if name not in CHAIN_MODULES_ALLOWED] == []
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    """A ``live_tail`` pipeline directory with two ingested batches."""
+    data = str(tmp_path_factory.mktemp("import-graph") / "pipeline")
+    done = run_child(
+        ["-m", "repro", "ingest", "--data", data, "--scale", "live_tail", "--batches", "2"]
+    )
+    assert done.returncode == 0, done.stderr
+    return data
+
+
+@pytest.mark.parametrize("command", [["update", "--data"], ["fsck"]], ids=["update", "fsck"])
+def test_pipeline_reads_load_no_simulator_and_no_scenario_registry(pipeline_dir, command):
+    """``update`` and ``fsck`` read what ``ingest`` wrote: the live-tail and
+    soak modules behind ``repro.pipeline`` resolve only when a name is used."""
+    modules = modules_after(command + [pipeline_dir])
+    assert "repro.pipeline.core" in modules
+    assert loaded(modules, NOT_FOR_A_PIPELINE_READ) == []
+    assert loaded(modules, ["repro.pipeline.live", "repro.pipeline.soak"]) == []
+
+
 def test_a_decoding_scan_loads_no_numpy_ma(live_tail_cache):
     """Plain ``np.unique(x)`` imports ``numpy.ma`` on numpy 2.x (≈14 CPU-ms):
     every miss leg — decode, remap, scan — must get by without it."""
@@ -133,8 +189,23 @@ def test_bare_package_imports_load_nothing_else():
     ]
 
 
+def _is_type_checking_block(node: ast.AST) -> bool:
+    test = getattr(node, "test", None)
+    return isinstance(node, ast.If) and (
+        (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING")
+        or (isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+    )
+
+
 def test_analysis_and_store_sources_import_no_simulator():
-    """Static twin of the rule: leaf data modules yes, simulators never."""
+    """Static twin of the rule: loading an analysis or store module loads
+    nothing under a chain package but its ``__init__`` and ``eos.actions``.
+
+    An import under ``if TYPE_CHECKING:`` is an annotation, never run.  A
+    function that walks a simulator's own output (the Tezos vote events) may
+    import that chain's data module at its call; a simulator proper is never
+    imported, at module level or in a function."""
+    chain_module = re.compile(r"^repro\.(eos|tezos|xrp)\.")
     simulator = re.compile(r"^repro\.(eos|tezos|xrp)\.(chain|ledger|workload|rpc)(\.|$)")
     package = os.path.join(SRC, "repro")
     paths = sorted(glob.glob(os.path.join(package, "analysis", "*.py")))
@@ -143,17 +214,27 @@ def test_analysis_and_store_sources_import_no_simulator():
     for path in paths:
         with open(path, "r", encoding="utf-8") as handle:
             tree = ast.parse(handle.read(), filename=path)
-        for node in ast.walk(tree):
+        pending = [(node, False) for node in tree.body]
+        while pending:
+            node, in_function = pending.pop()
+            if _is_type_checking_block(node):
+                pending.extend((child, in_function) for child in node.orelse)
+                continue
             if isinstance(node, ast.Import):
                 targets = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
                 targets = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
             else:
+                inside = in_function or isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+                )
+                pending.extend((child, inside) for child in ast.iter_child_nodes(node))
                 continue
+            rule = simulator if in_function else chain_module
             offenders += [
                 f"{os.path.relpath(path, SRC)}:{node.lineno} imports {target}"
                 for target in targets
-                if simulator.match(target)
+                if rule.match(target) and not target.startswith("repro.eos.actions")
             ]
     assert len(paths) > 10
     assert offenders == []

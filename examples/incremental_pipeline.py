@@ -2,9 +2,11 @@
 
 Builds a durable pipeline directory, tails the ``live_tail`` scenario's
 block stream in timed batches, and refreshes the full figure report after
-every batch — scanning only the rows that arrived, never recomputing
-history.  Finishes by proving the incremental report identical to a
-from-scratch batch run over the same rows.
+every batch — folding the checkpoint and scanning only the chunk that
+arrived, never recomputing history.  Finishes by proving the incremental
+report identical to a from-scratch batch run over the same rows, and by
+updating from a freshly opened pipeline, as a new process would: it folds
+the checkpoint and scans nothing.
 
 Run with ``PYTHONPATH=src python examples/incremental_pipeline.py``.
 """
@@ -50,6 +52,11 @@ def main() -> None:
             for name in expected:
                 assert figures[name] == expected[name], (chain, name)
         print("\nIncremental report == batch report, figure for figure.")
+
+        cold_report, cold_stats = Pipeline(root).update()
+        assert cold_stats.incremental and cold_stats.rows_scanned == 0
+        assert cold_report.to_dict() == last.report.to_dict()
+        print("A fresh process's update folds the checkpoint and scans 0 rows.")
         print(last.report.summary().format_text())
 
 

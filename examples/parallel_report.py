@@ -15,7 +15,9 @@ figure report twice:
 
 The two reports must agree — that is the contract of the one fold,
 ``export_state`` → ``restore_state`` in row order — so the
-script ends by asserting the summaries match.  The command-line equivalent:
+script ends by asserting the summaries match.  Every ``repro report`` takes
+the second route (``--workers N`` only decides whether a pool runs it); the
+command-line equivalent:
 
     python -m repro report --scale small --cache DIR --workers 2
 

@@ -1,49 +1,39 @@
-"""Out-of-core parallel execution of the single-pass analysis engine.
+"""Out-of-core execution of the single-pass analysis engine.
 
-The workload is embarrassingly parallel: chains are independent, and within
-a chain the accumulators' scanned state folds across disjoint row ranges by
-payload (``export_state`` → ``restore_state`` — see
-:mod:`repro.analysis.engine`).  The unit of work is a **chunk task**:
-``(tag, directory, chunk_start, chunk_stop, factories, cache context)`` — a
-pointer into an on-disk :class:`~repro.collection.store.FrameStore`, not
-data.  Each worker reopens the store lazily (manifest only — version-2
-manifests carry the global string pools as per-chunk deltas, so no chunk is
-decompressed to learn the code space), rehydrates **one chunk at a time**
-into a frame sharing the store's global pools
-(:meth:`~repro.common.columns.TxFrame.with_pools`), scans each chain's rows
-of that chunk with fresh accumulators, exports their states and folds those
-into per-chain carry accumulators before dropping the chunk frame.  Peak
-memory per process is one decompressed chunk plus accumulator state — flat
-in the dataset's row count, and no process ever holds the full frame.
+Chains are independent, and within a chain the accumulators' scanned state
+folds across disjoint row ranges by payload (``export_state`` →
+``restore_state``, :mod:`repro.analysis.engine`).  The unit of work is a
+**chunk task**, ``(tag, directory, chunk_start, chunk_stop, factories,
+cache context)``: a pointer into an on-disk
+:class:`~repro.collection.store.FrameStore`, not data.  A chunk is
+rehydrated **one at a time** into a frame sharing the store's global pools
+(version-2 manifests carry them as per-chunk deltas, so no chunk is decoded
+to learn the code space) and scanned per chain with fresh accumulators.
+Peak memory is one decompressed chunk plus accumulator state, and no
+process ever holds the full frame.
 
-There is **one fold**, :func:`fold_states`: a chunk's freshly scanned
-states, a chunk's cached states and a task's shipped carry states are all
-``(qualname, payload)`` lists per chain, validated against the accumulators
-they fold into and applied with
-:meth:`~repro.analysis.engine.Accumulator.restore_state`.  The carry state
-is exported once per task — compact columnar payloads, not pickled
-accumulator objects — and the parent folds task results **in chunk order**
-into accumulators bound to the store's pools, then finalises once.  Because
-tasks are contiguous chunk ranges folded in order, the folded state replays
-the serial scan order: counts, rankings, series and orderings are identical to
-a serial engine run.  The one caveat is floating-point accumulation —
+There is **one fold**, :func:`fold_states`: a scanned chunk's states, a
+cached chunk's states, a worker's shipped carry and a pipeline checkpoint
+are all ``(qualname, payload)`` lists per chain, validated against the
+accumulators they fold into.  Folded in chunk order they replay the serial
+scan: counts, rankings, series and orderings are identical to a serial
+engine run.  The one caveat is floating-point accumulation —
 ``ValueFlowAccumulator`` adds chunk subtotals, which may differ from the
-serial row-order sum in the last few ulps (documented in
-``docs/architecture.md``).
+serial row-order sum in the last few ulps (``docs/architecture.md``).
 
-``workers <= 1`` streams the same tasks in-process (no pool), still
-out-of-core: serial versus pooled is only a scheduling choice over one task
-list.  :func:`parallel_report_from_store` is the full-report entry point;
-the incremental pipeline's cold catch-up reuses the same tasks via
-:func:`chunk_scan_states`.
+There is **one route**, :func:`fold_store`: every report and every pipeline
+update folds the state entries it has and scans only the chunks no entry
+covers, writing their entries as it goes.  Serial versus pooled is only a
+scheduling choice over one task list.  :func:`parallel_report_from_store`
+is the full-report entry point.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.common.columns import StringPool, TxFrame
+from repro.common.columns import LazyMetadata, StringPool, TxFrame
 from repro.common import faults
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
@@ -65,18 +55,10 @@ AccumulatorFactory = Callable[[], Sequence[Accumulator]]
 
 #: One unit of out-of-core work: (tag, store directory, chunk_start,
 #: chunk_stop, per-chain factories keyed by chain value string, optional
-#: chunk-state cache context).  No row data crosses the process
-#: boundary — the worker reopens the store and streams the half-open chunk
-#: range ``[chunk_start, chunk_stop)``; with a cache context it first
-#: consults the chunk-state cache per chunk and only scans the misses.
+#: chunk-state cache context).  No row data crosses the process boundary.
 ChunkScanTask = Tuple[
     object, str, int, int, Dict[str, AccumulatorFactory], Optional[CacheContext]
 ]
-
-
-def default_workers() -> int:
-    """Worker count used when none is given: one per available core."""
-    return os.cpu_count() or 1
 
 
 class StateMismatch(AnalysisError):
@@ -214,7 +196,7 @@ def row_balanced_ranges(
     least half of it fits under the target.  Every part gets at least one
     chunk; concatenating the ranges always reproduces ``range(len(row_counts))``
     exactly, so the fold-order (and therefore figure) guarantees of
-    :func:`run_chunk_tasks` are untouched — only the cut points move.
+    :func:`fold_store` are untouched — only the cut points move.
     """
     chunk_count = len(row_counts)
     parts = max(1, min(parts, chunk_count))
@@ -242,98 +224,127 @@ def row_balanced_ranges(
     return ranges
 
 
-def _store_skeleton(store) -> TxFrame:
+_POOLS = ("types", "accounts", "currencies", "errors")
+
+
+def _store_skeleton(store, skeleton: Optional[TxFrame] = None) -> TxFrame:
     """Empty frame adopting the store's global string pools.
 
-    Every chunk frame a worker rehydrates — and the parent's fold-target
-    accumulators — bind against pools built from the same
-    :meth:`~repro.collection.store.FrameStore.pool_values`, so interned
-    codes in exported accumulator state mean the same strings in every
-    process without shipping pools per chunk.
+    Every chunk frame and every fold target binds against pools built from
+    the same :meth:`~repro.collection.store.FrameStore.pool_values`, so
+    interned codes in exported state mean the same strings in every process
+    without shipping pools per chunk.  Given a ``skeleton`` built from the
+    same store earlier, its pools are extended in place with the strings
+    committed since (pools are append-only).
     """
     pools = store.pool_values()
-    return TxFrame.with_pools(
-        StringPool(pools["types"]),
-        StringPool(pools["accounts"]),
-        StringPool(pools["currencies"]),
-        StringPool(pools["errors"]),
-    )
+    if skeleton is None:
+        return TxFrame.with_pools(*(StringPool(pools[name]) for name in _POOLS))
+    for name in _POOLS:
+        pool = getattr(skeleton, name)
+        pool.intern_many(pools[name][len(pool):])
+    return skeleton
 
 
-def _scan_chunk_range(task: ChunkScanTask):
-    """Worker entry point: stream one chunk range from disk, ship the state.
+def scan_payload(
+    payload: Dict, skeleton: TxFrame, factories: Dict[str, AccumulatorFactory]
+) -> ChainStates:
+    """One committed chunk's states: each chain's rows scanned by fresh
+    accumulators in a throwaway frame sharing ``skeleton``'s pools."""
+    metadata = payload["metadata"]
+    if not isinstance(metadata, LazyMetadata):
+        # A held payload's dicts: the frame only reads them, so it adopts
+        # them instead of copying each one.
+        payload = dict(payload, metadata=LazyMetadata(len(metadata), lambda: metadata))
+    chunk = TxFrame.with_pools(*(getattr(skeleton, name) for name in _POOLS))
+    chunk.extend_from_payload(payload)
+    states: ChainStates = {}
+    for chain in chunk.chains():
+        factory = factories.get(chain.value)
+        if factory is not None:
+            scanned = list(factory())
+            scan(scanned, chunk, chunk.chain_view(chain).rows)
+            states[chain.value] = export_states(scanned)
+    return states
 
-    Returns ``(tag, {chain value: [(qualname, state payload), ...]},
-    cache info)`` for each chain the range contained.  Memory high-water
-    mark is one decompressed chunk plus carry accumulator state: each chunk
-    is rehydrated into a throwaway frame (sharing the store's pools),
-    scanned per chain with fresh accumulators whose exported states are
-    folded into the per-chain carry set, and dropped before the next chunk
-    is touched.
 
-    With a cache context, each chunk is first looked up in the chunk-state
-    cache, and a hit skips the rehydrate-and-scan entirely.  Hit or miss,
-    the chunk's states reach the carry through the same :func:`fold_states`
-    — still in chunk order — so the two differ only in where the states
-    came from; a miss (absent, corrupt, or mismatched entry) is the plain
-    scan, and its states also travel back in the cache info for the parent
-    to persist.  ``cache info`` is ``None`` without a context, else
-    ``{"hits", "misses", "fresh"}`` where ``fresh`` is
-    ``[(EntryKey, chain states), ...]``.
+def _fold_chunk_range(
+    task: ChunkScanTask,
+    targets: Dict[str, Sequence[Accumulator]],
+    store,
+    skeleton: TxFrame,
+    payloads: Optional[Dict[int, Dict]] = None,
+    chains: Optional[Sequence[str]] = None,
+) -> Dict[str, object]:
+    """Fold one task's chunks into ``targets``, in chunk order.
+
+    A chunk folds its chunk-state entry when the task's cache context finds
+    one that fits; otherwise its payload (``payloads[index]`` when the
+    caller still holds it, else decoded) is scanned, and the states come
+    back in ``info["fresh"]`` as ``[(EntryKey, chain states), ...]`` for the
+    caller to persist.  Hit or miss, the states go through the same
+    :func:`fold_states`.  ``chains`` limits what is folded, never what is
+    scanned: an entry holds every chain of its chunk.  ``info`` also counts
+    cache ``hits`` / ``misses``, the ``rows`` actually scanned and the
+    chains ``present`` in the range.
     """
-    from repro.collection.store import FrameStore
-
-    tag, directory, start, stop, factories, context = task
-    action = faults.check("worker.chunk_task")
-    if action is not None and action.mode == faults.MODE_KILL:
-        os._exit(17)  # hard worker death: no exception, no cleanup
-    store = FrameStore.open(directory)
-    skeleton = _store_skeleton(store)
+    _tag, _directory, start, stop, factories, context = task
     cache = ChunkStateCache(context.directory) if context is not None else None
-    carry = {key: _bound_base(factory, skeleton) for key, factory in factories.items()}
-    present = set()  # the chains this range actually held
-    hits = misses = 0
-    fresh: List[Tuple[EntryKey, ChainStates]] = []
+    info = {"hits": 0, "misses": 0, "rows": 0, "fresh": [], "present": set()}
+
+    def fold(states: ChainStates) -> None:
+        if chains is not None:
+            states = {key: value for key, value in states.items() if key in chains}
+        fold_states(states, targets)
+        info["present"].update(states)
+
     for index in range(start, stop):
         key: Optional[EntryKey] = None
         if cache is not None:
-            checksum, chunk_format = store.chunk_identity(index)
-            key = context.key(checksum, chunk_format)
+            key = context.key(*store.chunk_identity(index))
             loaded = cache.load(key)
             if loaded is not None:
                 try:
-                    fold_states(loaded, carry)
+                    fold(loaded)
                 except StateMismatch:
                     pass  # not an entry of these factories: rescan the chunk
                 else:
-                    present.update(loaded)
-                    hits += 1
+                    info["hits"] += 1
                     continue
-            misses += 1
-        chunk = TxFrame.with_pools(
-            skeleton.types, skeleton.accounts, skeleton.currencies, skeleton.errors
-        )
-        chunk.extend_from_payload(store.chunk_payload(index))
-        chunk_states: ChainStates = {}
-        for chain in chunk.chains():
-            factory = factories.get(chain.value)
-            if factory is None:
-                continue
-            scanned = list(factory())
-            scan(scanned, chunk, chunk.chain_view(chain).rows)
-            chunk_states[chain.value] = export_states(scanned)
-        fold_states(chunk_states, carry)
-        present.update(chunk_states)
+            info["misses"] += 1
+        payload = payloads.get(index) if payloads else None
+        if payload is None:
+            payload = store.chunk_payload(index)
+        chunk_states = scan_payload(payload, skeleton, factories)
+        info["rows"] += len(payload["transaction_id"])
+        fold(chunk_states)
         if key is not None:
-            fresh.append((key, chunk_states))
-    cache_info = (
-        {"hits": hits, "misses": misses, "fresh": fresh}
-        if context is not None
-        else None
-    )
+            info["fresh"].append((key, chunk_states))
+    return info
+
+
+def _scan_chunk_range(task: ChunkScanTask):
+    """Pool worker entry point: fold one task's range into a carry, ship it.
+
+    Returns ``(tag, {chain value: [(qualname, state payload), ...]}, info)``
+    for each chain the range held (``info`` as :func:`_fold_chunk_range`).
+    The store is reopened from the task's directory, manifest only.  The
+    ``worker.chunk_task`` faultpoint lives here, so its ``kill`` ends a
+    worker process, never a parent that folds in-process.
+    """
+    from repro.collection.store import FrameStore
+
+    action = faults.check("worker.chunk_task")
+    if action is not None and action.mode == faults.MODE_KILL:
+        os._exit(17)  # hard worker death: no exception, no cleanup
+    tag, directory, _start, _stop, factories, _context = task
+    store = FrameStore.open(directory)
+    skeleton = _store_skeleton(store)
+    carry = {key: _bound_base(factory, skeleton) for key, factory in factories.items()}
+    info = _fold_chunk_range(task, carry, store, skeleton)
     return tag, {
-        key: export_states(base) for key, base in carry.items() if key in present
-    }, cache_info
+        key: export_states(base) for key, base in carry.items() if key in info["present"]
+    }, info
 
 
 def chunk_scan_tasks(
@@ -342,73 +353,126 @@ def chunk_scan_tasks(
     factories: Dict[str, AccumulatorFactory],
     parts: int,
     cache: Optional[CacheContext] = None,
+    first: int = 0,
 ) -> List[ChunkScanTask]:
-    """Partition a store's committed chunks into ``parts`` contiguous tasks.
-
-    Task tags are the partition indices, so feeding the list to
-    :func:`run_chunk_tasks` folds results in chunk order.  ``row_counts``
-    (one entry per committed chunk, from the manifest) places the cut
-    points so that cumulative *rows*, not chunk counts, balance — see
-    :func:`row_balanced_ranges`.  ``cache`` attaches a chunk-state cache
-    context every worker consults before scanning.
-    """
+    """Partition chunks ``[first, first + len(row_counts))`` into ``parts``
+    contiguous tasks, tagged in chunk order and balanced by the manifest's
+    per-chunk ``row_counts`` (:func:`row_balanced_ranges`)."""
     return [
-        (index, directory, start, stop, factories, cache)
+        (index, directory, first + start, first + stop, factories, cache)
         for index, (start, stop) in enumerate(row_balanced_ranges(row_counts, parts))
         if stop > start
     ]
 
 
-def run_chunk_tasks(
-    tasks: List[ChunkScanTask],
-    workers: int,
+def store_factories(
+    store,
+    oracle=None,
+    clusterer=None,
+    bin_seconds: float = DEFAULT_BIN_SECONDS,
+    top_limit: int = 10,
+) -> Dict[str, AccumulatorFactory]:
+    """One figure factory per chain in the store's committed chunks,
+    configured from the manifest alone (no chunk is decoded)."""
+    totals = store.chain_row_counts()
+    return {
+        chain.value: figure_factory(
+            chain, store.time_bounds(chain), oracle, clusterer, bin_seconds, top_limit
+        )
+        for chain in ChainId
+        if chain.value in totals
+    }
+
+
+def fold_store(
+    store,
+    factories: Dict[str, AccumulatorFactory],
     targets: Dict[str, Sequence[Accumulator]],
+    workers: int = 1,
+    tasks: Optional[int] = None,
     cache: Optional[ChunkStateCache] = None,
+    first: int = 0,
+    stop: Optional[int] = None,
+    skeleton: Optional[TxFrame] = None,
+    payloads: Optional[Dict[int, Dict]] = None,
+    chains: Optional[Sequence[str]] = None,
 ) -> Dict[str, int]:
-    """Scan chunk tasks (a pool when ``workers > 1``), fold in chunk order.
+    """The one route: fold committed chunks ``[first, stop)`` into ``targets``.
 
-    ``targets`` maps chain value strings to fold-target accumulator sets;
-    they may already hold state (the pipeline's cold catch-up seeds them
-    before fanning out).  ``imap`` yields in task order regardless of
-    completion order, and tasks are contiguous chunk ranges, so each
-    chain's state is folded in exact chunk — i.e. row — order.
-
-    ``cache`` is the parent-side :class:`ChunkStateCache`: workers consult
-    (and report on) the cache via the context inside each task, but only
-    the parent *persists* — freshly scanned per-chunk states travel back in
-    the task results and are written here, single-writer, behind the atomic
-    entry commit.  Returns the aggregated ``{"hits", "misses"}`` counters
-    (also folded into ``cache``'s own counters when given).
+    Each chunk folds its state entry where ``cache`` has one, else is
+    scanned and its entry written — by this (the parent) process only — so
+    no later command scans it again.  ``targets`` may already hold state (a
+    pipeline update folds its checkpoint first).  More than one task with
+    ``workers > 1`` runs in a pool (``tasks`` sets the partition count,
+    default one per worker); ``imap`` yields carries in task order and the
+    tasks are contiguous ranges, so each chain still folds in row order.
+    Anything else folds in-process, each chunk straight into ``targets``,
+    scanning the ``payloads`` the caller still holds instead of decoding
+    them.  Returns ``{"hits", "misses", "rows", "workers"}``: cache lookups
+    (also added to ``cache``'s counters), rows scanned, pool size.
     """
-    stats = {"hits": 0, "misses": 0}
-    if not tasks:
-        return stats
+    # The digest is pinned here in the parent: the key must match the
+    # factories actually shipped.
+    context = cache.context(factories_digest(factories)) if cache is not None else None
+    chunk_tasks = chunk_scan_tasks(
+        store.directory,
+        store.chunk_row_counts()[first:stop],
+        factories,
+        tasks if tasks is not None else max(workers, 1),
+        cache=context,
+        first=first,
+    )
+    stats = {"hits": 0, "misses": 0, "rows": 0, "workers": 0}
 
-    def fold(results) -> None:
-        for _tag, shipped_by_chain, cache_info in results:
-            fold_states(shipped_by_chain, targets)
-            if cache_info is not None:
-                stats["hits"] += cache_info["hits"]
-                stats["misses"] += cache_info["misses"]
-                if cache is not None:
-                    for entry_key, states in cache_info["fresh"]:
-                        cache.store(entry_key, states)
+    def absorb(info) -> None:
+        for name in ("hits", "misses", "rows"):
+            stats[name] += info[name]
+        for entry_key, states in info["fresh"]:
+            cache.store(entry_key, states)
 
-    if workers <= 1:
-        fold(map(_scan_chunk_range, tasks))
-    else:
+    if workers > 1 and len(chunk_tasks) > 1:
         # Imported here, not at the top: an in-process scan (a warm
-        # ``report``, every ``update`` delta) never needs it.
+        # ``report``, every one-chunk ``update``) never needs it.
         import multiprocessing
 
-        processes = min(workers, len(tasks))
+        stats["workers"] = min(workers, len(chunk_tasks))
         context = multiprocessing.get_context()
-        with context.Pool(processes=processes) as pool:
-            fold(_drain_imap(pool, pool.imap(_scan_chunk_range, tasks)))
+        with context.Pool(processes=stats["workers"]) as pool:
+            results = pool.imap(_scan_chunk_range, chunk_tasks)
+            for _tag, shipped, info in _drain_imap(pool, results):
+                if chains is not None:
+                    shipped = {key: value for key, value in shipped.items() if key in chains}
+                fold_states(shipped, targets)
+                absorb(info)
+    elif chunk_tasks:
+        skeleton = _store_skeleton(store) if skeleton is None else skeleton
+        for task in chunk_tasks:
+            absorb(_fold_chunk_range(task, targets, store, skeleton, payloads, chains))
     if cache is not None:
         cache.hits += stats["hits"]
         cache.misses += stats["misses"]
     return stats
+
+
+def cache_commits(
+    store,
+    commits: Iterable[Dict],
+    factories: Dict[str, AccumulatorFactory],
+    cache: ChunkStateCache,
+) -> None:
+    """Scan each payload ``commits`` yields, right after its chunk's commit,
+    and write the chunk's state entry: a build scans every chunk once, and
+    the first report over the new store folds states and decodes nothing.
+
+    ``factories`` must configure what a report over the finished store
+    builds (:func:`store_factories`), or the entries miss.
+    """
+    context = cache.context(factories_digest(factories))
+    skeleton = None
+    for payload in commits:
+        skeleton = _store_skeleton(store, skeleton)
+        key = context.key(*store.chunk_identity(store.committed_chunk_count - 1))
+        cache.store(key, scan_payload(payload, skeleton, factories))
 
 
 def chunk_scan_states(
@@ -422,99 +486,47 @@ def chunk_scan_states(
     cache: Optional[ChunkStateCache] = None,
     store=None,
 ) -> Tuple[Dict[str, int], Dict[str, List[Accumulator]]]:
-    """Scan a store's committed chunks out-of-core into accumulator state.
+    """A store's committed chunks folded by :func:`fold_store` from zero.
 
-    Returns ``(chain_row_totals, bases)`` where ``bases`` maps each chain
-    value to its fully-folded figure accumulators — not yet finalized, so
-    callers can also checkpoint the state (the pipeline's cold catch-up
-    does exactly that).  No process ever materialises the full frame: the
-    parent reads only the manifest, workers stream contiguous chunk
-    ranges.  ``tasks`` sets the partition count (default: one per worker);
-    ``workers <= 1`` streams the same tasks in-process, still out-of-core.
-
-    ``cache`` enables the chunk-state aggregate cache: already-memoized
-    chunks fold their cached states instead of being rescanned, fresh
-    chunks populate the cache, and the instance's hit/miss counters say
-    which happened.  ``store`` reuses an already-open
-    :class:`~repro.collection.store.FrameStore` for ``directory`` instead
-    of re-validating the manifest (callers that just opened the store —
-    the CLI's single-validation path — pass it straight through).
+    Returns ``(chain_row_totals, bases)``: each chain's fully folded figure
+    accumulators, not yet finalized.  ``workers`` defaults to one per core;
+    ``cache`` enables the chunk-state cache (its counters say what hit);
+    ``store`` reuses an already-open store for ``directory``.
     """
     from repro.collection.store import FrameStore
 
-    workers = default_workers() if workers is None else workers
+    workers = (os.cpu_count() or 1) if workers is None else workers
     if store is None:
         store = FrameStore.open(directory)
-    # Backfill + commit chunk metadata once in the parent so every worker's
-    # reopen is manifest-only.
-    store.ensure_chunk_stats()
+    # Backfills and commits chunk metadata once, in the parent, so every
+    # worker's reopen is manifest-only.
     totals = store.chain_row_counts()
-    chains = [chain for chain in ChainId if chain.value in totals]
-    if not store.committed_chunk_count or not chains:
+    factories = store_factories(store, oracle, clusterer, bin_seconds, top_limit)
+    if not store.committed_chunk_count or not factories:
         return totals, {}
-    factories: Dict[str, AccumulatorFactory] = {
-        chain.value: figure_factory(
-            chain, store.time_bounds(chain), oracle, clusterer, bin_seconds, top_limit
-        )
-        for chain in chains
-    }
-    context = None
-    if cache is not None:
-        # The digest is pinned here in the parent: the key must match the
-        # factories actually shipped.
-        context = cache.context(factories_digest(factories))
-    task_count = tasks if tasks is not None else max(workers, 1)
-    chunk_tasks = chunk_scan_tasks(
-        directory,
-        store.chunk_row_counts(),
-        factories,
-        task_count,
-        cache=context,
-    )
     skeleton = _store_skeleton(store)
-    bases: Dict[str, List[Accumulator]] = {
-        chain.value: _bound_base(factories[chain.value], skeleton)
-        for chain in chains
-    }
-    run_chunk_tasks(chunk_tasks, workers, bases, cache=cache)
+    bases = {key: _bound_base(factory, skeleton) for key, factory in factories.items()}
+    fold_store(store, factories, bases, workers, tasks, cache, skeleton=skeleton)
     return totals, bases
 
 
 def parallel_report_from_store(
-    directory: str,
-    oracle=None,
-    clusterer=None,
-    workers: Optional[int] = None,
-    tasks: Optional[int] = None,
-    bin_seconds: float = DEFAULT_BIN_SECONDS,
-    top_limit: int = 10,
-    cache: Optional[ChunkStateCache] = None,
-    store=None,
+    directory: str, oracle=None, clusterer=None, **options
 ) -> FullReport:
     """The full figure set computed out-of-core from an on-disk store.
 
-    Produces the same :class:`~repro.analysis.report.FullReport` as
+    The same :class:`~repro.analysis.report.FullReport` as
     :func:`~repro.analysis.report.full_report` over the store's committed
-    rows (staged, unflushed rows are excluded) — see
-    :func:`chunk_scan_states` for the execution model and the ``cache`` /
-    ``store`` parameters.  With a warm cache and an unchanged store this is
-    the O(new-data) report path: no chunk is decompressed at all.
+    rows; the keyword ``options`` are :func:`chunk_scan_states`'.  With a
+    warm cache and an unchanged store no chunk is decompressed at all.
     """
-    totals, bases = chunk_scan_states(
-        directory,
-        oracle=oracle,
-        clusterer=clusterer,
-        workers=workers,
-        tasks=tasks,
-        bin_seconds=bin_seconds,
-        top_limit=top_limit,
-        cache=cache,
-        store=store,
-    )
-    report = FullReport()
-    for chain in ChainId:
-        if chain.value in bases:
-            report.chains[chain] = ChainFigures.from_accumulators(
+    totals, bases = chunk_scan_states(directory, oracle, clusterer, **options)
+    return FullReport(
+        {
+            chain: ChainFigures.from_accumulators(
                 chain, bases[chain.value], totals[chain.value]
             )
-    return report
+            for chain in ChainId
+            if chain.value in bases
+        }
+    )

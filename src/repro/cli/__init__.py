@@ -7,9 +7,8 @@ drives at its top:
   registry;
 * :mod:`~repro.cli.report` — ``report``: load a scenario's dataset from the
   dataset cache (:mod:`~repro.cli.dataset`; built on a miss by
-  :mod:`~repro.cli.build`) and print the paper's figures — a hit folds the
-  cached store's chunks through the chunk engine, a miss scans the resident
-  frame unless ``--out-of-core`` / ``--workers N`` build into the store;
+  :mod:`~repro.cli.build`) and print the paper's figures, folded from the
+  store's chunks by the chunk engine;
 * :mod:`~repro.cli.store` — ``migrate-store`` (rewrite a frame store's
   legacy-format chunks in place) and ``cache stat|clear`` (its chunk-state
   aggregate cache, :mod:`repro.analysis.statecache`);
@@ -103,10 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=0,
             help=(
-                "worker processes; more than 1 runs the chunk engine over the "
-                "cached store in a pool (requires --cache; default 0 = "
-                "in-process: the chunk engine on a dataset-cache hit, the "
-                "serial engine over the generated frame on a miss)"
+                "worker processes; more than 1 runs a chunk scan of more than "
+                "one chunk in a pool (default 0 = in-process)"
             ),
         )
         sub.add_argument(
@@ -126,23 +123,17 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
-    report.add_argument(
-        "--out-of-core",
-        action="store_true",
-        help=(
-            "on a dataset-cache miss, build straight into the store and "
-            "stream its chunks so no process materialises the full frame "
-            "(a hit is streamed anyway; requires --cache)"
-        ),
-    )
+    # Every report is out-of-core now; the flag is still accepted (and does
+    # nothing) because existing scripts pass it.
+    report.add_argument("--out-of-core", action="store_true", help=argparse.SUPPRESS)
     report.add_argument(
         "--no-cache",
         action="store_true",
         help=(
-            "disable the chunk-state aggregate cache for reports over a "
-            "cached dataset (by default memoized per-chunk states in cache/ "
-            "beside the store's chunks are consulted and populated, making "
-            "repeat reports O(new data))"
+            "this report neither reads nor writes the chunk-state aggregate "
+            "cache (by default memoized per-chunk states in cache/ beside the "
+            "store's chunks — written by the build or a chunk's first scan — "
+            "are folded, making repeat reports O(new data))"
         ),
     )
 
@@ -158,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=0,
             help=(
-                "worker processes for a cold catch-up scan with no usable "
-                "checkpoint (0/1 = serial; a delta is always scanned serially)"
+                "worker processes; more than 1 runs an update scan of more "
+                "than one chunk in a pool (0/1 = in-process)"
             ),
         )
         if with_stream:

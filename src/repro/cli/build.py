@@ -18,6 +18,9 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.clustering import AccountClusterer, StaticAccountClusterer
+from repro.analysis.parallel import cache_commits
+from repro.analysis.report import figure_factory
+from repro.analysis.statecache import ChunkStateCache
 from repro.analysis.value import ExchangeRateOracle, decode_analysis_config
 from repro.cli.dataset import (
     CACHE_VERSION,
@@ -119,10 +122,13 @@ def _write_cache_meta(
 def _persist(
     directory: str, scale: str, seed: int, frame: TxFrame, oracle, clusterer
 ) -> Tuple[FrameStore, Dict]:
-    """Write a resident dataset into its cache directory: chunks, then meta."""
+    """Write a resident dataset into its cache directory: chunks, then meta.
+
+    Each chunk is scanned as it is committed and its state entry written
+    beside it, keyed to the configuration a report reads back from the meta.
+    """
     _clear_stale_store(directory)
     store = FrameStore(directory=directory)
-    store.add_frame(frame)
     oracle_rates = [
         [currency, issuer, oracle.rate(currency, issuer)]
         for currency, issuer in oracle.known_assets()
@@ -130,6 +136,14 @@ def _persist(
     clusters = StaticAccountClusterer.from_clusterer(
         clusterer, _xrp_addresses(frame)
     ).to_mapping()
+    companions = decode_analysis_config({"oracle_rates": oracle_rates, "clusters": clusters})
+    factories = {
+        chain.value: figure_factory(chain, frame.chain_bounds(chain), *companions)
+        for chain in frame.chains()
+    }
+    cache_commits(
+        store, store.iter_frame_commits(frame), factories, ChunkStateCache.for_store(directory)
+    )
     meta = _write_cache_meta(
         directory, scale, seed, len(frame), oracle_rates, clusters
     )
@@ -139,7 +153,8 @@ def _persist(
 def build_store(
     scale: str, seed: int, cache_root: str, gen_workers: Optional[int] = None
 ) -> StoredDataset:
-    """Generate ``scale`` at ``seed`` into its cache directory (store + meta)."""
+    """Generate ``scale`` at ``seed`` into its cache directory (store + meta),
+    with each chunk's state entry unless the scenario is window-sharded."""
     scenario = get_scenario(scale, seed=seed)
     directory = _cache_directory(cache_root, scale, seed)
     started = time.perf_counter()
@@ -158,6 +173,7 @@ def build_store(
     else:
         frame, oracle, clusterer = generate_dataset(scenario)
         store, meta = _persist(directory, scale, seed, frame, oracle, clusterer)
+        del frame  # the report that follows folds states: free the rows first
     oracle, clusterer = decode_analysis_config(meta)
     return StoredDataset(
         directory=directory,

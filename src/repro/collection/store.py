@@ -62,11 +62,12 @@ import json
 import os
 import zlib
 from collections import deque
+from functools import partial
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common import faults
-from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, TxFrame
+from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, LazyMetadata, TxFrame
 from repro.common.compression import (
     CompressionStats,
     accumulate,
@@ -348,6 +349,13 @@ class BlockStore:
         frame = TxFrame()
         frame.extend_from_blocks(self.iter_blocks())
         return frame
+
+
+def _shared_dicts(metadata: LazyMetadata) -> List[Optional[Dict]]:
+    """A chunk's parsed metadata with equal dicts replaced by the first one."""
+    items = metadata.materialise()
+    memo: Dict[str, Optional[Dict]] = {}
+    return list(map(memo.setdefault, map(repr, items), items))
 
 
 def _payload_chain_stats(
@@ -829,10 +837,15 @@ class FrameStore:
     # -- writing -----------------------------------------------------------------
     def add_frame(self, frame: TxFrame) -> None:
         """Chunk-compress every row of ``frame`` directly from its columns."""
+        deque(self.iter_frame_commits(frame), maxlen=0)
+
+    def iter_frame_commits(self, frame: TxFrame) -> Iterator[Dict]:
+        """:meth:`add_frame` as a generator of what it committed: each
+        chunk's columnar payload, right after that chunk's manifest commit."""
         total = len(frame)
         for start in range(0, total, self.chunk_rows):
             stop = min(start + self.chunk_rows, total)
-            self._write_chunk(frame, range(start, stop))
+            yield self._write_chunk(frame, range(start, stop))
 
     def add_records(self, records: Iterable[TransactionRecord]) -> None:
         """Buffer a record stream, flushing a chunk whenever one fills up."""
@@ -878,9 +891,8 @@ class FrameStore:
         """Compress the staging buffer into a chunk (no-op when empty).
 
         Returns the columnar payload the committed chunk was encoded from,
-        so a resident frame can follow the store without re-reading the
-        chunk (:meth:`TxFrame.extend_from_payload`); ``None`` when nothing
-        was staged.  Returning means the manifest commit happened.
+        so the committer can scan it without decoding the chunk again;
+        ``None`` when nothing was staged.  Returning means the manifest commit happened.
         """
         if not len(self._staging):
             return None
@@ -1046,11 +1058,12 @@ class FrameStore:
             return None
         return low, high
 
-    def chain_row_counts(self) -> Dict[str, int]:
-        """Committed row totals per chain value string."""
+    def chain_row_counts(self, stop: Optional[int] = None) -> Dict[str, int]:
+        """Committed row totals per chain value string (of the chunks before
+        ``stop`` when given)."""
         self.ensure_chunk_stats()
         totals: Dict[str, int] = {}
-        for chunk in self._chunks:
+        for chunk in self._chunks[:stop]:
             for chain, count in (chunk.chain_rows or {}).items():
                 totals[chain] = totals.get(chain, 0) + count
         return totals
@@ -1101,41 +1114,25 @@ class FrameStore:
         return self._chunks[index].payload()
 
     def to_frame(self) -> TxFrame:
-        """Decompress every chunk back into one columnar frame."""
+        """Decompress every chunk back into one columnar frame.
+
+        Every row is resident at once here, so within a chunk equal metadata
+        dicts become one shared object (read-only, as every frame's metadata
+        is): about half of a ``live_tail`` archive's rows repeat a dict an
+        earlier row of their chunk holds.
+        """
         frame = TxFrame()
         for chunk in self._chunks:
-            frame.extend_from_payload(chunk.payload())
+            payload = chunk.payload()
+            metadata = payload["metadata"]
+            if isinstance(metadata, LazyMetadata):
+                payload["metadata"] = LazyMetadata(
+                    len(metadata), partial(_shared_dicts, metadata)
+                )
+            frame.extend_from_payload(payload)
         if len(self._staging):
             frame.extend_from_payload(self._staging.to_payload())
         return frame
-
-    def payload_tail(self, start_row: int) -> Iterator[Dict]:
-        """Committed-row payloads at or past ``start_row``, in row order.
-
-        The first yielded payload is sliced so its rows begin exactly at
-        ``start_row`` even when that row falls mid-chunk.  This is the
-        resident-frame catch-up path: a long-lived process extends its
-        in-memory frame with only the chunks committed since it last
-        looked, instead of rehydrating the whole archive.
-        """
-        covered = 0
-        for chunk in self._chunks:
-            end = covered + chunk.row_count
-            if end > start_row:
-                payload = chunk.payload()
-                skip = start_row - covered
-                if skip > 0:
-                    payload = {
-                        "columns": {
-                            name: column[skip:]
-                            for name, column in payload["columns"].items()
-                        },
-                        "transaction_id": payload["transaction_id"][skip:],
-                        "metadata": payload["metadata"][skip:],
-                        "pools": payload["pools"],
-                    }
-                yield payload
-            covered = end
 
     def iter_records(self) -> Iterator[TransactionRecord]:
         """Materialise the stored rows as canonical records (compat path)."""

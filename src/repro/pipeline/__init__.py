@@ -6,8 +6,6 @@ Public surface:
 * :class:`~repro.pipeline.core.Pipeline` — a durable pipeline directory
   (columnar frame store + checkpoint + analysis config) with append-only
   ingest and incremental :meth:`~repro.pipeline.core.Pipeline.update`;
-* :func:`~repro.pipeline.core.incremental_report` — the checkpoint-restore +
-  delta-scan reporter (usable on any frame, no directory required);
 * :class:`~repro.pipeline.checkpoint.CheckpointStore` /
   :class:`~repro.pipeline.checkpoint.PipelineCheckpoint` — durable
   accumulator state behind a row watermark;
@@ -21,11 +19,7 @@ Public surface:
 import importlib
 
 from repro.pipeline.checkpoint import CheckpointStore, PipelineCheckpoint
-from repro.pipeline.core import (
-    Pipeline,
-    UpdateStats,
-    incremental_report,
-)
+from repro.pipeline.core import Pipeline, UpdateStats
 from repro.pipeline.fsck import FsckIssue, FsckReport, run_fsck
 
 #: The live-tail and soak names, with the module that defines each: they are
@@ -59,7 +53,6 @@ __all__ = [
     "SoakResult",
     "UpdateStats",
     "frozen_analysis_config",
-    "incremental_report",
     "pending_batches",
     "run_fsck",
     "run_soak",

@@ -43,7 +43,7 @@ import os
 import shutil
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.statecache import ENTRY_MODE, decode_entry, parse_entry_name
 from repro.analysis.value import decode_analysis_config
@@ -156,8 +156,12 @@ def _quarantine(store_dir: str, path: str) -> str:
     return target
 
 
-def _check_chunks(report: FsckReport, repair: bool) -> None:
-    """Verify the manifest and every committed chunk; repair by quarantine."""
+def _check_chunks(report: FsckReport, repair: bool) -> Set[str]:
+    """Verify the manifest and every committed chunk; repair by quarantine.
+
+    Returns the paths of the chunks a repair kept *after* one it dropped:
+    their string codes moved, so their cache entries are stale.
+    """
     store_dir = report.store_dir
     manifest_path = os.path.join(store_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
@@ -169,7 +173,7 @@ def _check_chunks(report: FsckReport, repair: bool) -> None:
                     path=manifest_path,
                 )
             )
-        return
+        return set()
     try:
         with open(manifest_path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -185,7 +189,7 @@ def _check_chunks(report: FsckReport, repair: bool) -> None:
                 path=manifest_path,
             )
         )
-        return
+        return set()
     if manifest.get("version") not in SUPPORTED_MANIFEST_VERSIONS:
         report.issues.append(
             FsckIssue(
@@ -194,7 +198,7 @@ def _check_chunks(report: FsckReport, repair: bool) -> None:
                 path=manifest_path,
             )
         )
-        return
+        return set()
     if manifest.get("assembling"):
         report.issues.append(
             FsckIssue(
@@ -204,9 +208,10 @@ def _check_chunks(report: FsckReport, repair: bool) -> None:
                 path=manifest_path,
             )
         )
-        return
+        return set()
 
     kept_entries: List[Dict] = []
+    recoded: Set[str] = set()
     dropped_any = False
     for index, entry in enumerate(manifest["chunks"]):
         report.chunks_checked += 1
@@ -255,6 +260,7 @@ def _check_chunks(report: FsckReport, repair: bool) -> None:
                 entry = {
                     key: value for key, value in entry.items() if key != "pools"
                 }
+                recoded.add(path)
             kept_entries.append(entry)
             continue
         report.issues.append(issue)
@@ -295,6 +301,8 @@ def _check_chunks(report: FsckReport, repair: bool) -> None:
         with open(temp_path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle)
         os.replace(temp_path, manifest_path)
+        return recoded
+    return set()
 
 
 def _committed_rows(store_dir: str) -> Optional[int]:
@@ -345,6 +353,11 @@ def _check_checkpoint(report: FsckReport, root: str, repair: bool) -> None:
         issue.repair = "quarantined"
 
 
+def _checksum(path: str) -> str:
+    with open(path, "rb") as handle:
+        return f"{zlib.adler32(handle.read()) & 0xFFFFFFFF:08x}"
+
+
 def _committed_chunk_checksums(store_dir: str) -> Optional[set]:
     """adler32 hex digests of every committed chunk's bytes, or ``None``.
 
@@ -356,16 +369,12 @@ def _committed_chunk_checksums(store_dir: str) -> Optional[set]:
     try:
         with open(manifest_path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
-        checksums = set()
-        for entry in manifest["chunks"]:
-            with open(os.path.join(store_dir, entry["file"]), "rb") as handle:
-                checksums.add(f"{zlib.adler32(handle.read()) & 0xFFFFFFFF:08x}")
-        return checksums
+        return {_checksum(os.path.join(store_dir, entry["file"])) for entry in manifest["chunks"]}
     except Exception:
         return None
 
 
-def _check_state_cache(report: FsckReport, repair: bool) -> None:
+def _check_state_cache(report: FsckReport, repair: bool, recoded: Set[str]) -> None:
     """Verify every chunk-state cache entry against the committed chunks.
 
     An entry is *stale* when its keyed chunk checksum matches no committed
@@ -381,7 +390,11 @@ def _check_state_cache(report: FsckReport, repair: bool) -> None:
     cache_dir = os.path.join(report.store_dir, STATE_CACHE_DIR)
     if not os.path.isdir(cache_dir):
         return
-    checksums = _committed_chunk_checksums(report.store_dir)
+    # A damaged chunk's entry is keyed to its undamaged bytes: the damage
+    # already reported, not a second issue — until repair quarantines it.
+    damaged = {"chunk_size_mismatch", "chunk_corrupt"} & {i.kind for i in report.issues}
+    checksums = None if damaged and not repair else _committed_chunk_checksums(report.store_dir)
+    moved = {_checksum(path) for path in recoded}
     for name in sorted(os.listdir(cache_dir)):
         path = os.path.join(cache_dir, name)
         if not os.path.isfile(path):
@@ -420,6 +433,15 @@ def _check_state_cache(report: FsckReport, repair: bool) -> None:
                         f"cache entry {name!r} is keyed to statistics mode "
                         f"{key.mode!r}, which nothing reads (the entry can "
                         "never hit)"
+                    ),
+                    path=path,
+                )
+            elif key.chunk_checksum in moved:
+                issue = FsckIssue(
+                    kind="cache_entry_stale",
+                    detail=(
+                        f"cache entry {name!r} holds string codes of a chunk "
+                        "kept after a quarantined one (the codes moved)"
                     ),
                     path=path,
                 )
@@ -476,10 +498,10 @@ def run_fsck(root: str, repair: bool = False) -> FsckReport:
         raise CollectionError(f"{root!r} is not a directory")
     store_dir = resolve_store_dir(root)
     report = FsckReport(root=root, store_dir=store_dir, repaired=repair)
-    _check_chunks(report, repair)
+    recoded = _check_chunks(report, repair)
     # After the chunk pass: a chunk quarantined above turns its cache
-    # entries stale in this same walk.
-    _check_state_cache(report, repair)
+    # entries, and those of every chunk after it, stale in this same walk.
+    _check_state_cache(report, repair, recoded)
     _check_checkpoint(report, root, repair)
     _check_meta(report, root)
     return report

@@ -157,9 +157,9 @@ class LiveTailRunner:
     Each tick advances the simulation clock to the batch boundary, ingests
     the batch's blocks (append-only, straight into the columnar store),
     runs an incremental update, and yields the refreshed report.  The
-    pipeline's resident frame keeps ticks cheap: no rehydration, no
-    re-scan of history — per tick the analysis cost is proportional to the
-    batch, not the archive.
+    update folds the checkpoint and scans the payload the ingest just
+    committed: no rehydration, no re-scan of history — per tick the
+    analysis cost is proportional to the batch, not the archive.
     """
 
     def __init__(

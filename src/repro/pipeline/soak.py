@@ -21,8 +21,10 @@ An :class:`~repro.common.faults.InjectedCrash` anywhere in the cycle is
 treated as process death: the in-memory pipeline is discarded and a fresh
 :class:`~repro.pipeline.core.Pipeline` reopens the directory from disk,
 exactly like a restarted operator session.  A dead scan worker
-(:class:`~repro.common.errors.AnalysisError`) downgrades the cycle to a
-serial update.  Recovery attempts per cycle are bounded.
+(:class:`~repro.common.errors.AnalysisError`) downgrades the rest of the run
+to serial updates (every pool's workers fork with the plan's counters, so a
+``kill`` rule would fire in each later pool too).  Recovery attempts per
+cycle are bounded.
 
 After the last cycle the harness gates the run:
 
@@ -269,6 +271,7 @@ def _run_loop(
     clock = SimulationClock(0.0)
     pipeline = Pipeline(root, chunk_rows=chunk_rows)
     report = FullReport()
+    scan_workers = workers
     for day in range(days):
         batch = next(batches, None)
         if batch is None:
@@ -280,7 +283,6 @@ def _run_loop(
         cycle_crashes = 0
         cycle_worker_deaths = 0
         recoveries = 0
-        attempt_workers = workers
         while True:
             try:
                 for chain, pool, head_fn in pools:
@@ -296,7 +298,7 @@ def _run_loop(
                     )
                     cycle_retries += crawl.retries
                     cycle_rate_limits += crawl.rate_limit_hits
-                report, stats = pipeline.update(workers=attempt_workers)
+                report, stats = pipeline.update(workers=scan_workers)
                 if stats.chains_rescanned:
                     cycle_rescans += len(stats.chains_rescanned)
                 elif day > 0 and rows_before > 0 and not stats.used_checkpoint:
@@ -329,7 +331,7 @@ def _run_loop(
                 if plan is not None:
                     plan.note(f"recovered day={day} worker death; serial retry")
                 pipeline = Pipeline(root, chunk_rows=chunk_rows)
-                attempt_workers = 0
+                scan_workers = 0
             except ReproError as exc:
                 # Damage beyond the crash-recovery contract — e.g. a silently
                 # bit-flipped chunk failing its checksum on read.  Reopening
@@ -376,9 +378,9 @@ def _peak_rss_kb() -> int:
 def _check_memory_flat(result: SoakResult) -> bool:
     """True when traced memory grows no faster than the stored rows.
 
-    The pipeline legitimately holds a resident frame, so absolute
-    allocation grows linearly with the data over a long soak; a *leak*
-    is memory outgrowing the rows — recovery state, caches or fault
+    Some allocation legitimately grows with the data over a long soak (the
+    store's manifest and string pools, the simulated chains' accounts); a
+    *leak* is memory outgrowing the rows — recovery state, caches or fault
     bookkeeping surviving the reopens.
     """
     if len(result.cycles) < 4:

@@ -19,6 +19,8 @@ value sums, so those compare to within strict relative tolerance (see
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -37,6 +39,7 @@ from repro.collection.store import FrameStore
 from repro.common.columns import TxFrame
 from repro.common.records import ChainId
 
+from tests.support import child_env
 from tests.support.reports import assert_reports_identical
 
 
@@ -214,6 +217,31 @@ class TestChunkScanStates:
         totals, bases = chunk_scan_states(str(tmp_path))
         assert totals == {}
         assert bases == {}
+
+    def test_a_worker_kill_never_fires_in_the_parent(self, ragged_store_dir):
+        """``worker.chunk_task`` is checked where a pool worker starts a task:
+        an in-process scan under a kill plan finishes, a pooled one loses
+        its worker and says so."""
+        script = (
+            "import sys\n"
+            "from repro.analysis.parallel import parallel_report_from_store\n"
+            "from repro.common.errors import AnalysisError\n"
+            "try:\n"
+            "    parallel_report_from_store(sys.argv[1], workers=int(sys.argv[2]))\n"
+            "except AnalysisError as error:\n"
+            "    print(error)\n"
+            "    sys.exit(3)\n"
+        )
+        env = dict(child_env(), REPRO_FAULTS="worker.chunk_task:mode=kill:nth=1")
+        runs = {
+            workers: subprocess.run(
+                [sys.executable, "-c", script, ragged_store_dir, str(workers)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            for workers in (1, 2)
+        }  # fmt: skip
+        assert runs[1].returncode == 0, runs[1].stderr
+        assert runs[2].returncode == 3 and "died mid-scan" in runs[2].stdout
 
     def test_chunk_ranges_partition_exactly(self):
         for chunks in (1, 5, 17):

@@ -1,11 +1,10 @@
 """Cold catch-up: a fresh session fans out over committed chunks.
 
-When ``update(workers>1)`` runs in a session with no checkpoint and no
-resident frame, the pipeline reuses the out-of-core chunk engine: workers
-stream the store's committed chunks and the parent folds their states —
-the full frame is never materialised in any process.  The resulting
-checkpoint must be indistinguishable from one written by the serial path,
-so later incremental updates compose on top of it.
+``update(workers>1)`` with no checkpoint takes the ordinary route with more
+than one task: workers stream the store's committed chunks and the parent
+folds their states — the full frame is never materialised in any process.
+The resulting checkpoint must be indistinguishable from one written by the
+serial path, so later incremental updates compose on top of it.
 """
 
 from __future__ import annotations
@@ -59,8 +58,6 @@ class TestColdCatchUp:
         assert stats.workers == 2
         assert not stats.used_checkpoint
         assert stats.rows_scanned == len(sample_records)
-        # The out-of-core engine never pulled the frame into this process.
-        assert cold._frame is None
 
         serial_root = tmp_path / "serial"
         serial = _configured(serial_root, frozen_oracle, frozen_clusterer)
@@ -92,28 +89,31 @@ class TestColdCatchUp:
     def test_same_session_ingest_leaves_no_frame_so_update_takes_the_cold_path(
         self, tmp_path, sample_records, frozen_oracle, frozen_clusterer
     ):
-        """Ingest alone rehydrates nothing: a first ``update(workers=2)`` in the
-        same session (a ``watch --workers 2`` first tick) fans out as chunk
-        tasks — same figures as the resident scan, ``stats.workers`` says which."""
+        """A first ``update(workers=2)`` in the ingesting session (a ``watch
+        --workers 2`` first tick) fans out as chunk tasks — same figures as
+        the serial route, ``stats.workers`` says which ran."""
         pipeline = _configured(tmp_path, frozen_oracle, frozen_clusterer)
         pipeline.ingest_records(iter(sample_records))
-        assert pipeline._frame is None
         report, stats = pipeline.update(workers=2)
         assert stats.workers == 2
-        assert pipeline._frame is None
         oracle, clusterer = pipeline.analysis_config()
         expected = full_report(pipeline.frame, oracle=oracle, clusterer=clusterer)
         assert_reports_identical(report, expected, exact_flows=False)
 
-    def test_cold_path_skipped_when_frame_resident(
+    def test_rows_scanned_counts_only_rows_actually_scanned(
         self, tmp_path, sample_records, frozen_oracle, frozen_clusterer
     ):
-        """Same-session ingest scans the resident frame in-process."""
+        """A cold catch-up whose every chunk folds from its state entry
+        scans nothing, and says so (it once reported every row)."""
         pipeline = _configured(tmp_path, frozen_oracle, frozen_clusterer)
         pipeline.ingest_records(iter(sample_records))
-        assert pipeline.frame is not None  # materialise before updating
-        report, stats = pipeline.update(workers=2)
-        assert stats.workers == 0
-        oracle, clusterer = pipeline.analysis_config()
-        expected = full_report(pipeline.frame, oracle=oracle, clusterer=clusterer)
-        assert_reports_identical(report, expected, exact_flows=True)
+        first, stats = pipeline.update(workers=2)
+        assert stats.rows_scanned == stats.rows_total == len(sample_records)
+        pipeline.checkpoints.clear()
+
+        cold = _configured(tmp_path, frozen_oracle, frozen_clusterer)
+        report, stats = cold.update(workers=2)
+        assert not stats.used_checkpoint and stats.workers == 2
+        assert stats.rows_total == len(sample_records)
+        assert stats.rows_scanned == 0
+        assert report.to_dict() == first.to_dict()

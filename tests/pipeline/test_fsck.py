@@ -13,10 +13,13 @@ import os
 import pytest
 
 from repro.analysis.clustering import AccountClusterer, StaticAccountClusterer
+from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
 from repro.collection.store import MANIFEST_NAME, FrameStore
 from repro.pipeline import Pipeline, run_fsck
 from repro.pipeline.fsck import QUARANTINE_DIR, resolve_store_dir
+
+from tests.support.reports import assert_reports_identical
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +201,27 @@ class TestRepair:
         pipeline = Pipeline(pipeline_dir, chunk_rows=1_000)
         report, stats = pipeline.update()
         assert stats.rows_total == pipeline.store.row_count
-        assert report.chains  # figures computed over the surviving rows
+        # The figures of the surviving rows: the later chunks' state entries
+        # held string codes that moved with the dropped chunk, so repair
+        # quarantined them rather than let the update fold them.
+        expected = full_report(pipeline.frame, *pipeline.analysis_config())
+        assert_reports_identical(report, expected, exact_flows=False)
+
+    def test_repair_of_a_middle_chunk_quarantines_the_entries_after_it(
+        self, pipeline_dir
+    ):
+        """Dropping a middle chunk moves the string codes of every chunk
+        after it; their entries still match their bytes and the series
+        anchor, so only repair stands between them and an update."""
+        _flip_byte(_chunk_path(pipeline_dir, 1))
+        report = run_fsck(pipeline_dir, repair=True)
+        moved = [issue for issue in report.issues if "codes moved" in issue.detail]
+        _, manifest = _manifest(pipeline_dir)
+        assert len(moved) == len(manifest["chunks"]) - 1
+        pipeline = Pipeline(pipeline_dir, chunk_rows=1_000)
+        report, _stats = pipeline.update()
+        expected = full_report(pipeline.frame, *pipeline.analysis_config())
+        assert_reports_identical(report, expected, exact_flows=False)
 
     def test_repair_also_quarantines_the_stale_checkpoint(self, pipeline_dir):
         """Dropping a chunk leaves the watermark past the store: both go."""

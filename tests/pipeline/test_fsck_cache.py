@@ -147,6 +147,7 @@ def test_chunk_repair_turns_entries_stale_in_same_walk(warm_store):
 
     with open(os.path.join(warm_store, MANIFEST_NAME)) as handle:
         manifest = json.load(handle)
+    _cache_dir, entries = _entries(warm_store)
     chunk_path = os.path.join(warm_store, manifest["chunks"][0]["file"])
     with open(chunk_path, "r+b") as handle:
         handle.truncate(max(os.path.getsize(chunk_path) // 2, 1))
@@ -156,9 +157,10 @@ def test_chunk_repair_turns_entries_stale_in_same_walk(warm_store):
         repaired, "chunk_corrupt"
     )
     # The truncated chunk was quarantined first, so its (now chunk-less)
-    # cache entry is stale within the same pass.
+    # cache entry is stale within the same pass — and so are the entries of
+    # every chunk after it, whose string codes moved with it.
     stale = _issues_of(repaired, "cache_entry_stale")
-    assert len(stale) == 1
+    assert len(stale) == len(entries) == len(manifest["chunks"])
     assert all(issue.repair == "quarantined" for issue in stale)
     assert run_fsck(warm_store).clean
 

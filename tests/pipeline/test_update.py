@@ -2,29 +2,31 @@
 
 The acceptance bar of the incremental pipeline: for every registered
 accumulator and the full figure report, the state after ingesting a
-workload in K batches (K ∈ {1, 2, 7, ragged}) equals a single-pass
-:func:`~repro.analysis.report.full_report` over the same rows — and the
-incremental path scans only the delta.
+workload in K batches (K ∈ {1, 2, 7, ragged}) and updating after each
+equals a single-pass :func:`~repro.analysis.report.full_report` over the
+same rows — and each update scans only the chunks past its checkpoint.
 """
 
 from __future__ import annotations
+
+import shutil
 
 import pytest
 
 from repro.analysis.clustering import AccountClusterer, StaticAccountClusterer
 from repro.analysis.report import full_report
+from repro.analysis.statecache import ChunkStateCache
 from repro.analysis.value import ExchangeRateOracle
 from repro.common.columns import TxFrame
-from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
 from repro.pipeline import (
     Pipeline,
     frozen_analysis_config,
-    incremental_report,
     pending_batches,
     run_fsck,
     scenario_generators,
 )
+from repro.pipeline.checkpoint import PipelineCheckpoint
 from repro.scenarios import get_scenario
 
 from tests.support.reports import assert_reports_identical
@@ -57,115 +59,121 @@ def _splits(total, count):
     return boundaries
 
 
-def _ingest_in_batches(records, boundaries, oracle, clusterer):
-    """Grow a frame batch by batch, updating the checkpoint after each."""
-    frame = TxFrame()
-    checkpoint = None
+def _pipeline(root, records, oracle=None, clusterer=None, chunk_rows=50_000):
+    """A pipeline at ``root`` whose analysis config is frozen from ``records``."""
+    pipeline = Pipeline(str(root), chunk_rows=chunk_rows)
+    if oracle is not None and not pipeline.has_analysis_config():
+        addresses = {r.sender for r in records} | {r.receiver for r in records}
+        pipeline.set_analysis_config(
+            oracle, StaticAccountClusterer.from_clusterer(clusterer, sorted(addresses))
+        )
+    return pipeline
+
+
+def _ingest_in_batches(root, records, boundaries, oracle, clusterer):
+    """Grow the store batch by batch, updating the checkpoint after each."""
+    pipeline = _pipeline(root, records, oracle, clusterer)
     report = stats = None
     position = 0
     for boundary in boundaries:
-        frame.extend(records[position:boundary])
+        pipeline.ingest_records(records[position:boundary])
         position = boundary
-        report, checkpoint, stats = incremental_report(
-            frame, checkpoint, oracle=oracle, clusterer=clusterer
-        )
-    return frame, report, stats
+        report, stats = pipeline.update()
+    return pipeline, report, stats
+
+
+def _expected(pipeline, records):
+    """The batch oracle.  An update adds one Figure 12 subtotal per chunk,
+    so its value sums are compared to it within rounding (``exact_flows``)."""
+    return full_report(TxFrame.from_records(records), *pipeline.analysis_config())
 
 
 class TestBatchIdentity:
     @pytest.mark.parametrize("batches", [1, 2, 7])
-    def test_equal_batches(self, all_records, xrp_oracle, xrp_clusterer, batches):
+    def test_equal_batches(
+        self, tmp_path, all_records, xrp_oracle, xrp_clusterer, batches
+    ):
         boundaries = _splits(len(all_records), batches)
-        frame, report, stats = _ingest_in_batches(
-            all_records, boundaries, xrp_oracle, xrp_clusterer
+        pipeline, report, stats = _ingest_in_batches(
+            tmp_path, all_records, boundaries, xrp_oracle, xrp_clusterer
         )
-        expected = full_report(frame, oracle=xrp_oracle, clusterer=xrp_clusterer)
-        assert_reports_identical(report, expected, exact_flows=True)
+        assert_reports_identical(
+            report, _expected(pipeline, all_records), exact_flows=False
+        )
         if batches > 1:
             assert stats.rows_scanned == boundaries[-1] - boundaries[-2]
             assert not stats.chains_rescanned
 
-    def test_ragged_batches(self, all_records, xrp_oracle, xrp_clusterer):
+    def test_ragged_batches(self, tmp_path, all_records, xrp_oracle, xrp_clusterer):
         total = len(all_records)
         # Deliberately uneven: a tiny batch, a huge one, single rows, a tail.
         boundaries = sorted(
             {1, 7, total // 2, total // 2 + 1, total - 3, total - 2, total}
         )
-        frame, report, _ = _ingest_in_batches(
-            all_records, boundaries, xrp_oracle, xrp_clusterer
+        pipeline, report, _ = _ingest_in_batches(
+            tmp_path, all_records, boundaries, xrp_oracle, xrp_clusterer
         )
-        expected = full_report(frame, oracle=xrp_oracle, clusterer=xrp_clusterer)
-        assert_reports_identical(report, expected, exact_flows=True)
+        assert_reports_identical(
+            report, _expected(pipeline, all_records), exact_flows=False
+        )
 
-    def test_chains_appearing_mid_stream(self, all_records, xrp_oracle, xrp_clusterer):
+    def test_chains_appearing_mid_stream(
+        self, tmp_path, all_records, xrp_oracle, xrp_clusterer
+    ):
         # The concatenated stream is per-chain contiguous, so early batches
         # are EOS-only and the other chains appear in later batches — a new
         # chain's first update must scan all of its rows, never less.
         boundaries = _splits(len(all_records), 5)
-        frame, report, _ = _ingest_in_batches(
-            all_records, boundaries, xrp_oracle, xrp_clusterer
+        pipeline, report, _ = _ingest_in_batches(
+            tmp_path, all_records, boundaries, xrp_oracle, xrp_clusterer
         )
-        expected = full_report(frame, oracle=xrp_oracle, clusterer=xrp_clusterer)
         assert set(report.chains) == {ChainId.EOS, ChainId.TEZOS, ChainId.XRP}
-        assert_reports_identical(report, expected, exact_flows=True)
+        assert_reports_identical(
+            report, _expected(pipeline, all_records), exact_flows=False
+        )
 
     def test_no_new_rows_is_cheap_and_identical(
-        self, all_records, xrp_oracle, xrp_clusterer
+        self, tmp_path, all_records, xrp_oracle, xrp_clusterer
     ):
-        frame = TxFrame.from_records(all_records)
-        report1, checkpoint, _ = incremental_report(
-            frame, None, oracle=xrp_oracle, clusterer=xrp_clusterer
-        )
-        report2, _, stats = incremental_report(
-            frame, checkpoint, oracle=xrp_oracle, clusterer=xrp_clusterer
-        )
+        pipeline = _pipeline(tmp_path, all_records, xrp_oracle, xrp_clusterer)
+        pipeline.ingest_records(all_records)
+        report1, _ = pipeline.update()
+        report2, stats = pipeline.update()
         assert stats.rows_scanned == 0
         assert stats.incremental
-        assert_reports_identical(report2, report1, exact_flows=True)
+        assert_reports_identical(report2, report1)
 
     def test_unchanged_chains_carry_their_blob_forward(
-        self, eos_records, tezos_records, xrp_records, xrp_oracle, xrp_clusterer
+        self, tmp_path, eos_records, tezos_records, xrp_records, xrp_oracle, xrp_clusterer
     ):
         """Rows landing on one chain must not re-scan the other two.
 
         (The name predates the one state format: nothing is carried as a
         blob any more; the identity half of the test is what stays.)
         """
+        records = eos_records + tezos_records + xrp_records
         split = len(xrp_records) // 2
-        frame = TxFrame.from_records(
-            eos_records + tezos_records + xrp_records[:split]
-        )
-        _, checkpoint, _ = incremental_report(
-            frame, None, oracle=xrp_oracle, clusterer=xrp_clusterer
-        )
-        frame.extend(xrp_records[split:])  # only XRP advances
-        report, new_checkpoint, stats = incremental_report(
-            frame, checkpoint, oracle=xrp_oracle, clusterer=xrp_clusterer
-        )
+        pipeline = _pipeline(tmp_path, records, xrp_oracle, xrp_clusterer)
+        pipeline.ingest_records(eos_records + tezos_records + xrp_records[:split])
+        pipeline.update()
+        pipeline.ingest_records(xrp_records[split:])  # only XRP advances
+        report, stats = pipeline.update()
         assert stats.rows_scanned == len(xrp_records) - split
         assert not stats.chains_rescanned
-        expected = full_report(frame, oracle=xrp_oracle, clusterer=xrp_clusterer)
-        assert_reports_identical(report, expected, exact_flows=True)
+        expected = _expected(pipeline, records)
+        assert_reports_identical(report, expected, exact_flows=False)
         # And the new checkpoint drives later updates correctly.
-        follow_up, _, follow_stats = incremental_report(
-            frame, new_checkpoint, oracle=xrp_oracle, clusterer=xrp_clusterer
-        )
+        follow_up, follow_stats = Pipeline(str(tmp_path)).update()
         assert follow_stats.rows_scanned == 0
-        assert_reports_identical(follow_up, expected, exact_flows=True)
+        assert_reports_identical(follow_up, expected, exact_flows=False)
 
 
 class TestParallelCatchUp:
-    """``update(workers=2)`` fans out only a catch-up with no checkpoint."""
+    """``update(workers=2)`` fans out any scan of more than one chunk."""
 
     @staticmethod
     def _session(root, oracle, clusterer, records) -> Pipeline:
-        pipeline = Pipeline(str(root), chunk_rows=5_000)
-        if not pipeline.has_analysis_config():
-            addresses = {r.sender for r in records} | {r.receiver for r in records}
-            pipeline.set_analysis_config(
-                oracle, StaticAccountClusterer.from_clusterer(clusterer, sorted(addresses))
-            )
-        return pipeline
+        return _pipeline(root, records, oracle, clusterer, chunk_rows=5_000)
 
     def test_sharded_catch_up_matches_serial(
         self, tmp_path, all_records, xrp_oracle, xrp_clusterer
@@ -186,7 +194,7 @@ class TestParallelCatchUp:
     def test_parallel_then_serial_updates_compose(
         self, tmp_path, all_records, xrp_oracle, xrp_clusterer
     ):
-        """A parallel catch-up's checkpoint feeds later (serial) deltas."""
+        """A parallel catch-up's checkpoint feeds later deltas."""
         split = len(all_records) * 2 // 3
         first = self._session(tmp_path, xrp_oracle, xrp_clusterer, all_records)
         first.ingest_records(iter(all_records[:split]))
@@ -195,95 +203,133 @@ class TestParallelCatchUp:
         assert cold_stats.workers == 2
         resumed = self._session(tmp_path, xrp_oracle, xrp_clusterer, all_records)
         resumed.ingest_records(iter(all_records[split:]))
-        # With a usable checkpoint the delta is scanned in-process, whatever
-        # worker count was asked for.
+        # The delta past the checkpoint is one chunk or more: one runs
+        # in-process, more fan out like any other scan.
+        delta_chunks = resumed.store.committed_chunk_count - cold.store.committed_chunk_count
         report, stats = resumed.update(workers=2)
-        assert stats.workers == 0
+        assert stats.workers == (2 if delta_chunks > 1 else 0)
         assert stats.incremental
         assert stats.rows_scanned == len(all_records) - split
         expected = full_report(resumed.frame, *resumed.analysis_config())
         assert_reports_identical(report, expected, exact_flows=False)
 
+        serial = self._session(tmp_path / "serial", xrp_oracle, xrp_clusterer, all_records)
+        serial.ingest_records(iter(all_records[:split]))
+        serial.update()
+        serial.ingest_records(iter(all_records[split:]))
+        serial_report, serial_stats = serial.update()
+        assert serial_stats.workers == 0
+        assert serial_report.to_dict() == report.to_dict()
+
+
+def _damage_checkpoint(pipeline, damage) -> None:
+    """Rewrite the committed checkpoint with ``damage(checkpoint)`` applied."""
+    checkpoint = pipeline.checkpoints.load()
+    damage(checkpoint)
+    pipeline.checkpoints.save(checkpoint)
+
 
 class TestFallbacks:
-    def test_out_of_order_history_forces_chain_rescan(self, eos_records):
+    def test_out_of_order_history_forces_chain_rescan(self, tmp_path, eos_records):
         """Rows older than the checkpointed series anchor trigger a rescan.
 
         The throughput accumulator's bin grid is anchored at the chain's
         minimum timestamp; ingesting even older history shifts the anchor,
-        the config signature changes, and the incremental reporter falls
-        back to a full rescan of the chain — still result-identical.
+        the config signature changes, and the update falls back to a full
+        rescan of the chain — still result-identical.  The chunk-state
+        entries are keyed to the old signature too, so they miss.
         """
         cutoff = eos_records[0].timestamp + 1
         later = [r for r in eos_records if r.timestamp > cutoff]
         earlier = [r for r in eos_records if r.timestamp <= cutoff]
         assert earlier and later
-        frame = TxFrame.from_records(later)
-        _, checkpoint, _ = incremental_report(frame, None)
-        frame.extend(earlier)  # older rows arrive late
-        report, _, stats = incremental_report(frame, checkpoint)
+        pipeline = Pipeline(str(tmp_path))
+        pipeline.ingest_records(later)
+        pipeline.update()
+        pipeline.ingest_records(earlier)  # older rows arrive late
+        report, stats = pipeline.update()
         assert stats.chains_rescanned == [ChainId.EOS.value]
-        assert stats.rows_scanned == len(frame)
-        expected = full_report(frame)
-        assert_reports_identical(report, expected, exact_flows=True)
+        assert stats.rows_scanned == len(eos_records)
+        expected = full_report(TxFrame.from_records(later + earlier))
+        assert_reports_identical(report, expected, exact_flows=False)
 
-    def test_oracle_drift_forces_xrp_rescan(self, xrp_records, xrp_clusterer):
-        frame = TxFrame.from_records(xrp_records[: len(xrp_records) // 2])
-        oracle_a = ExchangeRateOracle({("USD", "gate"): 1.5})
-        _, checkpoint, _ = incremental_report(
-            frame, checkpoint=None, oracle=oracle_a, clusterer=xrp_clusterer
+    def test_oracle_drift_forces_xrp_rescan(self, tmp_path, xrp_records, xrp_clusterer):
+        half = len(xrp_records) // 2
+        pipeline = _pipeline(
+            tmp_path, xrp_records, ExchangeRateOracle({("USD", "gate"): 1.5}), xrp_clusterer
         )
-        frame.extend(xrp_records[len(xrp_records) // 2 :])
+        pipeline.ingest_records(xrp_records[:half])
+        pipeline.update()
         oracle_b = ExchangeRateOracle({("USD", "gate"): 2.5})
-        report, _, stats = incremental_report(
-            frame, checkpoint, oracle=oracle_b, clusterer=xrp_clusterer
-        )
+        pipeline.set_analysis_config(oracle_b, pipeline.analysis_config()[1])
+        pipeline.ingest_records(xrp_records[half:])
+        report, stats = pipeline.update()
         assert stats.chains_rescanned == [ChainId.XRP.value]
-        expected = full_report(frame, oracle=oracle_b, clusterer=xrp_clusterer)
-        assert_reports_identical(report, expected, exact_flows=True)
+        assert stats.rows_scanned == len(xrp_records)
+        assert_reports_identical(
+            report, _expected(pipeline, xrp_records), exact_flows=False
+        )
 
-    def test_garbage_chain_payloads_degrade_to_chain_rescan(self, eos_records):
+    def test_garbage_chain_payloads_degrade_to_chain_rescan(self, tmp_path, eos_records):
         """States that line up but carry nonsense payloads must rescan.
 
         Signatures and qualnames can match while the per-accumulator
-        payloads are hostile: restore_state raises, the reporter rebuilds
-        the chain's accumulators, and the figures still come out identical
-        to a batch run.
+        payloads are hostile: restore_state raises, the update rebuilds the
+        chain's accumulators and folds it from chunk zero — here all from
+        the chunk-state entries the first update wrote, so nothing is
+        scanned — and the figures still come out identical to a batch run.
         """
-        frame = TxFrame.from_records(eos_records)
-        _, checkpoint, _ = incremental_report(frame, None)
+        pipeline = Pipeline(str(tmp_path), chunk_rows=2_000)
+        pipeline.ingest_records(eos_records)
+        pipeline.update()
         chain = ChainId.EOS.value
-        checkpoint.states[chain] = [
-            (qualname, {"wrong": "shape"}) for qualname, _ in checkpoint.states[chain]
-        ]
-        report, _, stats = incremental_report(frame, checkpoint)
+
+        def garbage(checkpoint):
+            checkpoint.states[chain] = [
+                (qualname, {"wrong": "shape"}) for qualname, _ in checkpoint.states[chain]
+            ]
+
+        _damage_checkpoint(pipeline, garbage)
+        report, stats = pipeline.update()
         assert stats.chains_rescanned == [chain]
-        assert stats.rows_scanned == len(frame)
-        expected = full_report(frame)
-        assert_reports_identical(report, expected, exact_flows=True)
+        assert stats.rows_scanned == 0
+        expected = full_report(TxFrame.from_records(eos_records))
+        assert_reports_identical(report, expected, exact_flows=False)
 
     @pytest.mark.parametrize("damage", ["qualname", "length"])
     def test_states_that_do_not_fit_rescan_one_chain(
-        self, eos_records, tezos_records, damage
+        self, tmp_path, eos_records, tezos_records, damage
     ):
         """``StateMismatch`` (raised before any state is touched) is a rescan.
 
         File-level rot never gets this far — the entry checksum covers every
         byte of ``checkpoint.snap`` (``TestSnapshotRot`` below, and the
-        exhaustive sweep in ``test_checkpoint.py``).
+        exhaustive sweep in ``test_checkpoint.py``).  With the chunk-state
+        cache cleared the rescan decodes every chunk below the watermark.
         """
-        frame = TxFrame.from_records(eos_records + tezos_records)
-        _, checkpoint, _ = incremental_report(frame, None)
+        records = eos_records + tezos_records
+        pipeline = Pipeline(str(tmp_path), chunk_rows=2_000)
+        pipeline.ingest_records(records)
+        pipeline.update()
         chain = ChainId.EOS.value
-        if damage == "qualname":
-            _, payload = checkpoint.states[chain][0]
-            checkpoint.states[chain][0] = ("SomeOtherAccumulator", payload)
-        else:
-            checkpoint.states[chain].pop()
-        report, _, stats = incremental_report(frame, checkpoint)
+
+        def mismatch(checkpoint):
+            if damage == "qualname":
+                _, payload = checkpoint.states[chain][0]
+                checkpoint.states[chain][0] = ("SomeOtherAccumulator", payload)
+            else:
+                checkpoint.states[chain].pop()
+
+        _damage_checkpoint(pipeline, mismatch)
+        ChunkStateCache.for_store(pipeline.frames_dir).clear()
+        report, stats = pipeline.update()
         assert stats.chains_rescanned == [chain]
-        assert stats.rows_scanned == len(eos_records)
-        assert_reports_identical(report, full_report(frame), exact_flows=True)
+        # A chunk is scanned whole (its entry holds every chain in it), and
+        # only EOS folds from the scan: TEZOS kept its restored state.
+        assert stats.rows_scanned == len(records)
+        assert_reports_identical(
+            report, full_report(TxFrame.from_records(records)), exact_flows=False
+        )
 
     def test_a_finalize_bug_surfaces_from_a_restored_checkpoint_too(
         self, tmp_path, eos_records, monkeypatch
@@ -341,19 +387,55 @@ class TestFallbacks:
         BrokenFigure.armed = True
         with pytest.raises(Boom):
             pipeline.update()  # restored checkpoint + delta scan
+        # And from scratch: no checkpoint, no chunk-state entry.
+        shutil.copytree(pipeline.root, tmp_path / "scratch")
+        scratch = Pipeline(str(tmp_path / "scratch"))
+        scratch.checkpoints.clear()
+        ChunkStateCache.for_store(scratch.frames_dir).clear()
         with pytest.raises(Boom):
-            incremental_report(pipeline.frame, None)  # and from scratch
+            scratch.update()
         BrokenFigure.armed = False
         report, stats = pipeline.update()
-        assert stats.incremental and stats.rows_scanned == len(eos_records) - split
+        # The failed update scanned the delta and wrote its entry before
+        # finalize raised: the retry folds it and scans nothing.
+        assert stats.incremental and stats.rows_scanned == 0
         assert report.chains[ChainId.EOS]["broken"] == len(eos_records)
 
-    def test_shrunken_frame_rejected(self, eos_records):
-        frame = TxFrame.from_records(eos_records)
-        _, checkpoint, _ = incremental_report(frame, None)
-        smaller = TxFrame.from_records(eos_records[: len(eos_records) // 2])
-        with pytest.raises(AnalysisError):
-            incremental_report(smaller, checkpoint)
+    def test_shrunken_store_discards_the_checkpoint(self, tmp_path, eos_records):
+        """A checkpoint whose watermark runs past the store is never folded."""
+        half = len(eos_records) // 2
+        pipeline = Pipeline(str(tmp_path / "full"))
+        pipeline.ingest_records(eos_records)
+        pipeline.update()
+        smaller = Pipeline(str(tmp_path / "half"))
+        smaller.ingest_records(eos_records[:half])
+        shutil.copy(pipeline.checkpoints.path, smaller.checkpoints.path)
+        report, stats = smaller.update()
+        assert not stats.used_checkpoint and stats.watermark_before == 0
+        assert stats.rows_scanned == half
+        expected = full_report(TxFrame.from_records(eos_records[:half]))
+        assert_reports_identical(report, expected, exact_flows=False)
+
+    def test_watermark_off_a_chunk_boundary_discards_the_checkpoint(
+        self, tmp_path, eos_records
+    ):
+        """States over rows ``[0, w)`` with ``w`` inside a chunk cannot be
+        followed by whole chunks: the update folds from chunk zero."""
+        pipeline = Pipeline(str(tmp_path), chunk_rows=2_000)
+        pipeline.ingest_records(eos_records[:3_000])
+        pipeline.update()
+        saved = pipeline.checkpoints.load()
+        pipeline.checkpoints.save(
+            PipelineCheckpoint(2_500, saved.states, saved.signatures)
+        )
+        pipeline.ingest_records(eos_records[3_000:])
+        report, stats = pipeline.update()
+        assert not stats.used_checkpoint and stats.watermark_before == 0
+        assert not stats.chains_rescanned
+        # The first update's entries still fold: only the new chunks scan.
+        assert stats.rows_scanned == len(eos_records) - 3_000
+        expected = full_report(TxFrame.from_records(eos_records))
+        assert_reports_identical(report, expected, exact_flows=False)
 
 
 def _lower_stored_watermark(path):
@@ -393,8 +475,11 @@ class TestSnapshotRot:
         pipeline.ingest_blocks(blocks, skip_rows=skip_rows)
         report, stats = pipeline.update()
         expected = full_report(pipeline.frame, *pipeline.analysis_config())
-        assert_reports_identical(report, expected, exact_flows=True)
-        assert not stats.incremental and stats.rows_scanned == stats.rows_total
+        assert_reports_identical(report, expected, exact_flows=False)
+        # Unreadable, so folded from chunk zero: the four earlier chunks
+        # from the entries their updates wrote, the new one from its scan.
+        assert not stats.used_checkpoint
+        assert stats.rows_scanned == stats.rows_total - stored
         assert [issue.kind for issue in fsck.issues] == ["checkpoint_unreadable"]
         # The rescan overwrote the rotted snapshot: incremental again.
         _, stats = Pipeline(pipeline.root).update()

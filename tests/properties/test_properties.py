@@ -284,13 +284,15 @@ def test_random_batch_splits_match_single_pass_report(data):
     """Incremental ``update`` == one-shot ``full_report``, figure for figure.
 
     For an arbitrary split of the record stream into ingestion batches —
-    any count, any (ragged) sizes, including empty batches — growing the
-    frame batch by batch with a checkpointed incremental report must end at
-    exactly the figures of a single serial pass over all rows.
+    any count, any (ragged) sizes, including empty batches — ingesting batch
+    by batch into a pipeline and updating after each must end at exactly the
+    figures of a single serial pass over all rows.
     """
+    import tempfile
+
     from repro.analysis.report import full_report
     from repro.common.columns import TxFrame
-    from repro.pipeline import incremental_report
+    from repro.pipeline import Pipeline
     from tests.support.reports import assert_reports_identical
 
     records, oracle, clusterer = _pipeline_workload()
@@ -301,18 +303,18 @@ def test_random_batch_splits_match_single_pass_report(data):
             label="split boundaries",
         )
     ) + [total]
-    frame = TxFrame()
-    checkpoint = None
     report = None
     position = 0
-    for boundary in boundaries:
-        frame.extend(records[position:boundary])
-        position = boundary
-        report, checkpoint, stats = incremental_report(
-            frame, checkpoint, oracle=oracle, clusterer=clusterer
-        )
-        assert stats.watermark_after == len(frame)
-    expected = full_report(frame, oracle=oracle, clusterer=clusterer)
-    # The serial incremental path replays the serial scan order, so even the
-    # Figure 12 float sums match exactly.
-    assert_reports_identical(report, expected)
+    with tempfile.TemporaryDirectory() as root:
+        pipeline = Pipeline(root)
+        pipeline.set_analysis_config(oracle, clusterer)
+        for boundary in boundaries:
+            pipeline.ingest_records(records[position:boundary])
+            position = boundary
+            report, stats = pipeline.update()
+            assert stats.watermark_after == position
+        frozen = pipeline.analysis_config()
+    expected = full_report(TxFrame.from_records(records), *frozen)
+    # Each update adds one Figure 12 subtotal per chunk: value sums agree
+    # within rounding, every other figure exactly.
+    assert_reports_identical(report, expected, exact_flows=False)

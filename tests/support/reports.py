@@ -15,8 +15,9 @@ def assert_reports_identical(actual, expected, exact_flows: bool = True):
     scan or merge order.
 
     ``exact_flows=True`` asserts the Figure 12 value sums bit-for-bit —
-    valid for the serial incremental path, which replays the serial scan
-    order exactly.  Parallel catch-up adds shard subtotals, so those tests
+    valid when both sides added the same row ranges in the same order.  The
+    chunk engine and a pipeline update add one subtotal per chunk (or
+    task), so tests comparing them with a serial scan over other ranges
     pass ``exact_flows=False`` and compare the sums to within rounding.
     """
     assert set(actual.chains) == set(expected.chains)

@@ -87,7 +87,10 @@ class TestReport:
         code, output = _run(["report", "--scale", TINY_SCENARIO])
         assert code == 0
         assert "Summary of findings" in output
-        assert "serial single-pass engine" in output
+        # Without --cache the build goes to a scratch directory, writing each
+        # chunk's state as it commits it: the report folds, decodes nothing.
+        assert "out-of-core chunk engine (in-process)" in output
+        assert "/ 0 miss(es)" in output
 
     def test_parallel_report_matches_serial_summary(self, tmp_path, capsys):
         """``--workers 2`` *is* ``--out-of-core --workers 2``: the chunk engine."""
@@ -107,10 +110,20 @@ class TestReport:
         for info in (workers_info, ooc_info):
             assert "out-of-core chunk engine (2 workers)" in info
 
-    def test_workers_without_cache_is_an_error(self, capsys):
-        code = main(["report", "--scale", TINY_SCENARIO, "--workers", "2"])
-        assert code == 2
-        assert "--cache" in capsys.readouterr().err
+    def test_workers_without_cache_builds_into_a_scratch_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        base = ["report", "--scale", TINY_SCENARIO, "--json"]
+        code, serial = _run(base)
+        code_workers, workers = _run(base + ["--workers", "2"])
+        assert code == code_workers == 0
+        assert workers == serial
+        assert "out-of-core chunk engine (2 workers)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # the scratch store is gone
 
     def test_json_output_is_pure_json(self):
         """In --json mode stdout carries only the payload (pipe-friendly)."""
@@ -234,15 +247,15 @@ class TestUnusableCacheMeta:
         meta_path.write_bytes(meta_path.read_bytes()[:100])
         capsys.readouterr()
         assert _run(base)[0] == 0
-        assert "(generated in" in capsys.readouterr().err
+        info = capsys.readouterr().err
+        assert "(generated in" in info
+        # The rebuild writes its own entries as it commits the chunks.
+        assert f"state cache {chunks} hit(s) / 0 miss(es)" in info
+        assert len(list((directory / "cache").iterdir())) == chunks
         code, fsck = _run(["fsck", str(directory)])
         assert code == 0 and "clean: no damage found" in fsck
-        for tally in (
-            f"state cache 0 hit(s) / {chunks} miss(es)",
-            f"state cache {chunks} hit(s) / 0 miss(es)",
-        ):
-            assert _run(base)[0] == 0
-            assert tally in capsys.readouterr().err
+        assert _run(base)[0] == 0
+        assert f"state cache {chunks} hit(s) / 0 miss(es)" in capsys.readouterr().err
 
 
 def _entry_mtimes(cache_dir) -> dict:
@@ -268,21 +281,18 @@ class TestCacheHitSelectsTheChunkEngine:
             return payload, capsys.readouterr().err
 
         cold, info = run()
-        assert "(generated in" in info and "serial single-pass engine" in info
-        assert "state cache" not in info
-        assert not (directory / "cache").exists()
+        assert "(generated in" in info and "chunk engine (in-process)" in info
         chunks = len(list(directory.glob("frame-chunk-*.bin")))
         assert chunks > 1
+        # The build scanned each chunk as it committed it: the report after
+        # it is all hits, and so is the next one, which rewrites no entry.
+        assert f"state cache {chunks} hit(s) / 0 miss(es)" in info
+        written = _entry_mtimes(directory / "cache")
+        assert len(written) == chunks
 
         first, info = run()
         assert first == cold
         assert "(cache in" in info and "chunk engine (in-process)" in info
-        assert f"state cache 0 hit(s) / {chunks} miss(es)" in info
-        written = _entry_mtimes(directory / "cache")
-        assert len(written) == chunks
-
-        second, info = run()
-        assert second == cold
         assert f"state cache {chunks} hit(s) / 0 miss(es)" in info
         assert _entry_mtimes(directory / "cache") == written
 
@@ -293,13 +303,18 @@ class TestCacheHitSelectsTheChunkEngine:
         assert "out-of-core chunk engine (2 workers)" in info
         assert f"state cache {chunks} hit(s) / 0 miss(es)" in info
         single, info = run("--out-of-core", "--workers", "1")
-        assert single == cold and "out-of-core chunk engine (1 worker)" in info
+        assert single == cold and "out-of-core chunk engine (in-process)" in info
         assert _entry_mtimes(directory / "cache") == written
 
         streamed, info = run("--out-of-core", "--workers", "1", cache=tmp_path / "ooc")
         assert streamed == cold
         assert "(generated in" in info
-        assert f"state cache 0 hit(s) / {chunks} miss(es)" in info
+        assert f"state cache {chunks} hit(s) / 0 miss(es)" in info
+
+        # A miss with --no-cache: the build writes its entries, the report
+        # reads none.
+        unkept, info = run("--no-cache", cache=tmp_path / "unkept")
+        assert unkept == cold and "state cache" not in info
 
     def test_a_warm_hit_decodes_no_chunk(self, tmp_path, monkeypatch):
         from repro.collection.store import FrameStore
@@ -590,10 +605,16 @@ register_scenario(TINY_WINDOWED, _tiny_windowed_scenario, overwrite=True)
 class TestOutOfCore:
     """The chunk engine's CLI front door: report --out-of-core."""
 
-    def test_report_out_of_core_requires_cache(self, capsys):
-        code = main(["report", "--scale", TINY_SCENARIO, "--out-of-core"])
-        assert code != 0
-        assert "--cache" in capsys.readouterr().err
+    def test_report_out_of_core_is_accepted_and_changes_nothing(self, capsys):
+        base = ["report", "--scale", TINY_SCENARIO, "--json"]
+        code, plain = _run(base)
+        code_ooc, ooc = _run(base + ["--out-of-core"])
+        assert code == code_ooc == 0
+        assert ooc == plain
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["report", "--help"])
+        assert "--out-of-core" not in capsys.readouterr().out
 
     def test_report_out_of_core_matches_serial_summary(self, tmp_path):
         cache = str(tmp_path)

@@ -246,6 +246,16 @@ def _store_skeleton(store, skeleton: Optional[TxFrame] = None) -> TxFrame:
     return skeleton
 
 
+def fold_targets(
+    store, factories: Dict[str, AccumulatorFactory], skeleton: Optional[TxFrame] = None
+) -> Tuple[TxFrame, Dict[str, List[Accumulator]]]:
+    """``(skeleton, targets)``: the store's pools (``skeleton`` extended when
+    given, see :func:`_store_skeleton`) and one fresh fold target set per
+    chain, bound to them — what :func:`fold_store` folds into."""
+    skeleton = _store_skeleton(store, skeleton)
+    return skeleton, {key: _bound_base(factory, skeleton) for key, factory in factories.items()}
+
+
 def scan_payload(
     payload: Dict, skeleton: TxFrame, factories: Dict[str, AccumulatorFactory]
 ) -> ChainStates:
@@ -274,7 +284,6 @@ def _fold_chunk_range(
     store,
     skeleton: TxFrame,
     payloads: Optional[Dict[int, Dict]] = None,
-    chains: Optional[Sequence[str]] = None,
 ) -> Dict[str, object]:
     """Fold one task's chunks into ``targets``, in chunk order.
 
@@ -283,18 +292,14 @@ def _fold_chunk_range(
     caller still holds it, else decoded) is scanned, and the states come
     back in ``info["fresh"]`` as ``[(EntryKey, chain states), ...]`` for the
     caller to persist.  Hit or miss, the states go through the same
-    :func:`fold_states`.  ``chains`` limits what is folded, never what is
-    scanned: an entry holds every chain of its chunk.  ``info`` also counts
-    cache ``hits`` / ``misses``, the ``rows`` actually scanned and the
-    chains ``present`` in the range.
+    :func:`fold_states`.  ``info`` also counts cache ``hits`` / ``misses``,
+    the ``rows`` actually scanned and the chains ``present`` in the range.
     """
     _tag, _directory, start, stop, factories, context = task
     cache = ChunkStateCache(context.directory) if context is not None else None
     info = {"hits": 0, "misses": 0, "rows": 0, "fresh": [], "present": set()}
 
     def fold(states: ChainStates) -> None:
-        if chains is not None:
-            states = {key: value for key, value in states.items() if key in chains}
         fold_states(states, targets)
         info["present"].update(states)
 
@@ -339,8 +344,7 @@ def _scan_chunk_range(task: ChunkScanTask):
         os._exit(17)  # hard worker death: no exception, no cleanup
     tag, directory, _start, _stop, factories, _context = task
     store = FrameStore.open(directory)
-    skeleton = _store_skeleton(store)
-    carry = {key: _bound_base(factory, skeleton) for key, factory in factories.items()}
+    skeleton, carry = fold_targets(store, factories)
     info = _fold_chunk_range(task, carry, store, skeleton)
     return tag, {
         key: export_states(base) for key, base in carry.items() if key in info["present"]
@@ -395,7 +399,6 @@ def fold_store(
     stop: Optional[int] = None,
     skeleton: Optional[TxFrame] = None,
     payloads: Optional[Dict[int, Dict]] = None,
-    chains: Optional[Sequence[str]] = None,
 ) -> Dict[str, int]:
     """The one route: fold committed chunks ``[first, stop)`` into ``targets``.
 
@@ -440,14 +443,12 @@ def fold_store(
         with context.Pool(processes=stats["workers"]) as pool:
             results = pool.imap(_scan_chunk_range, chunk_tasks)
             for _tag, shipped, info in _drain_imap(pool, results):
-                if chains is not None:
-                    shipped = {key: value for key, value in shipped.items() if key in chains}
                 fold_states(shipped, targets)
                 absorb(info)
     elif chunk_tasks:
         skeleton = _store_skeleton(store) if skeleton is None else skeleton
         for task in chunk_tasks:
-            absorb(_fold_chunk_range(task, targets, store, skeleton, payloads, chains))
+            absorb(_fold_chunk_range(task, targets, store, skeleton, payloads))
     if cache is not None:
         cache.hits += stats["hits"]
         cache.misses += stats["misses"]
@@ -504,8 +505,7 @@ def chunk_scan_states(
     factories = store_factories(store, oracle, clusterer, bin_seconds, top_limit)
     if not store.committed_chunk_count or not factories:
         return totals, {}
-    skeleton = _store_skeleton(store)
-    bases = {key: _bound_base(factory, skeleton) for key, factory in factories.items()}
+    skeleton, bases = fold_targets(store, factories)
     fold_store(store, factories, bases, workers, tasks, cache, skeleton=skeleton)
     return totals, bases
 

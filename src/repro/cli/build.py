@@ -120,12 +120,13 @@ def _write_cache_meta(
 
 
 def _persist(
-    directory: str, scale: str, seed: int, frame: TxFrame, oracle, clusterer
+    directory: str, scale: str, seed: int, frame: TxFrame, oracle, clusterer, states=True
 ) -> Tuple[FrameStore, Dict]:
     """Write a resident dataset into its cache directory: chunks, then meta.
 
-    Each chunk is scanned as it is committed and its state entry written
-    beside it, keyed to the configuration a report reads back from the meta.
+    With ``states``, each chunk is scanned as it is committed and its state
+    entry written beside it, keyed to the configuration a report reads back
+    from the meta.
     """
     _clear_stale_store(directory)
     store = FrameStore(directory=directory)
@@ -136,14 +137,17 @@ def _persist(
     clusters = StaticAccountClusterer.from_clusterer(
         clusterer, _xrp_addresses(frame)
     ).to_mapping()
-    companions = decode_analysis_config({"oracle_rates": oracle_rates, "clusters": clusters})
-    factories = {
-        chain.value: figure_factory(chain, frame.chain_bounds(chain), *companions)
-        for chain in frame.chains()
-    }
-    cache_commits(
-        store, store.iter_frame_commits(frame), factories, ChunkStateCache.for_store(directory)
-    )
+    if states:
+        companions = decode_analysis_config({"oracle_rates": oracle_rates, "clusters": clusters})
+        factories = {
+            chain.value: figure_factory(chain, frame.chain_bounds(chain), *companions)
+            for chain in frame.chains()
+        }
+        cache_commits(
+            store, store.iter_frame_commits(frame), factories, ChunkStateCache.for_store(directory)
+        )
+    else:
+        store.add_frame(frame)
     meta = _write_cache_meta(
         directory, scale, seed, len(frame), oracle_rates, clusters
     )
@@ -151,10 +155,11 @@ def _persist(
 
 
 def build_store(
-    scale: str, seed: int, cache_root: str, gen_workers: Optional[int] = None
+    scale: str, seed: int, cache_root: str, gen_workers: Optional[int] = None, states=True
 ) -> StoredDataset:
     """Generate ``scale`` at ``seed`` into its cache directory (store + meta),
-    with each chunk's state entry unless the scenario is window-sharded."""
+    with each chunk's state entry when ``states`` asks for them, unless the
+    scenario is window-sharded."""
     scenario = get_scenario(scale, seed=seed)
     directory = _cache_directory(cache_root, scale, seed)
     started = time.perf_counter()
@@ -172,7 +177,7 @@ def build_store(
         )
     else:
         frame, oracle, clusterer = generate_dataset(scenario)
-        store, meta = _persist(directory, scale, seed, frame, oracle, clusterer)
+        store, meta = _persist(directory, scale, seed, frame, oracle, clusterer, states)
         del frame  # the report that follows folds states: free the rows first
     oracle, clusterer = decode_analysis_config(meta)
     return StoredDataset(

@@ -129,6 +129,7 @@ def ensure_store(
     seed: int,
     cache_root: str,
     gen_workers: Optional[int] = None,
+    states: bool = True,
 ) -> StoredDataset:
     """Materialise (or reuse) a scenario's dataset as an on-disk FrameStore.
 
@@ -137,13 +138,14 @@ def ensure_store(
     ``generation_windows > 1`` generate shard-parallel across
     ``gen_workers`` processes (content is worker-count independent); cache
     hits validate against the manifest only, so reusing a tens-of-millions
-    row dataset costs one small JSON read.
+    row dataset costs one small JSON read.  A build writes each chunk's
+    state entry unless ``states`` is false (:func:`build.build_store`).
     """
     stored = cached_store(scale, seed, cache_root)
     if stored is None:
         from repro.cli import build
 
-        stored = build.build_store(scale, seed, cache_root, gen_workers)
+        stored = build.build_store(scale, seed, cache_root, gen_workers, states)
     return stored
 
 

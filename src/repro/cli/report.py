@@ -6,7 +6,8 @@ scanning only the chunks no entry covers — in-process, or in a pool with
 ``--workers N``.  A dataset-cache miss builds the store first (into
 ``--cache DIR``, or a scratch directory removed afterwards), and a build
 writes each chunk's state entry as it commits the chunk, so the report that
-follows it decodes nothing.  Rendering is the report's own
+follows it decodes nothing — except under ``--no-cache``, whose build
+writes no entry and whose report scans each chunk once.  Rendering is the report's own
 (:meth:`FullReport.to_dict` / ``format_text``); ``_report_to_dict`` stays
 only because ``bench/`` imports that name.
 """
@@ -76,7 +77,13 @@ def cmd_report(args: argparse.Namespace, out) -> int:
 
         scratch = tempfile.mkdtemp(prefix="repro-dataset-")
     try:
-        stored = ensure_store(args.scale, args.seed, args.cache or scratch, args.gen_workers)
+        stored = ensure_store(
+            args.scale,
+            args.seed,
+            args.cache or scratch,
+            args.gen_workers,
+            states=not args.no_cache,
+        )
         report = _chunk_engine_report(args, stored, info)
     finally:
         if scratch is not None:

@@ -9,9 +9,10 @@ watermark, and :meth:`Pipeline.update` refreshes every figure by folding
 the saved state and scanning only the chunks past the watermark.
 
 The identity guarantee: for any split of a workload into ingestion batches,
-the report produced after the last ``update`` equals the report of a single
-serial :func:`~repro.analysis.report.full_report` over the same rows —
-per accumulator and figure-for-figure.  It rests on three mechanisms:
+the report after the last serial ``update`` is bit-for-bit the chunk
+engine's over the same store and equals a serial
+:func:`~repro.analysis.report.full_report` over the same rows, Figure 12's
+value sums (one subtotal per chunk) within rounding.  It rests on:
 
 * accumulator ``restore_state`` replays the serial scan when saved states
   are folded in row order (checkpointed prefix first, then the chunks past
@@ -21,8 +22,8 @@ per accumulator and figure-for-figure.  It rests on three mechanisms:
   valid as the store grows;
 * :meth:`~repro.analysis.engine.Accumulator.config_signature` gates every
   restore — a configuration drift (new oracle rates, an earlier series
-  anchor caused by out-of-order history) forces a rescan of the affected
-  chain rather than a silently wrong fold.
+  anchor caused by out-of-order history) forces a fold from chunk zero
+  rather than a silently wrong fold.
 
 An update is the same route as a report (:func:`~repro.analysis.parallel.
 fold_store`) with the checkpoint folded first: no process holds the frame,
@@ -38,17 +39,10 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.clustering import StaticAccountClusterer
-from repro.analysis.parallel import (
-    _bound_base,
-    _store_skeleton,
-    fold_states,
-    fold_store,
-    store_factories,
-)
+from repro.analysis.parallel import fold_states, fold_store, fold_targets, store_factories
 from repro.analysis.statecache import ChunkStateCache
 from repro.analysis.report import ChainFigures, FullReport
 from repro.analysis.throughput import DEFAULT_BIN_SECONDS
@@ -117,7 +111,7 @@ class Pipeline:
         #: update, by chunk index: at most ``chunk_rows`` rows, newest kept.
         self._held: Dict[int, Dict] = {}
         #: The store's string pools, extended by each update (see
-        #: :func:`~repro.analysis.parallel._store_skeleton`).
+        #: :func:`~repro.analysis.parallel.fold_targets`).
         self._skeleton: Optional[TxFrame] = None
         self._meta = self._load_meta()
         if self.store.cleaned_paths:
@@ -311,13 +305,13 @@ class Pipeline:
 
         Flushes, folds the durable checkpoint, then :func:`fold_store` over
         the chunks past its watermark (held payloads are scanned, not
-        decoded), saves the new checkpoint and returns the report —
-        identical to a batch ``full_report`` over the same rows.  A
+        decoded), saves the new checkpoint and returns the report.  A
         checkpoint whose watermark is not a chunk boundary of the store (a
-        crash truncated the store under it) is discarded; a chain whose
-        saved state does not restore folds from chunk zero alone, through
-        the chunk-state cache.  ``stats.workers`` is the pool size that ran
-        (0 in-process).
+        crash truncated the store under it) is discarded; when a chain's
+        saved state does not restore, every chain folds from chunk zero
+        through the chunk-state cache, and ``stats.chains_rescanned`` names
+        the chains that failed.  ``stats.workers`` is the pool size that
+        ran (0 in-process).
         """
         started = time.perf_counter()
         store = self.store
@@ -330,33 +324,36 @@ class Pipeline:
             checkpoint = None
         first = boundaries.index(checkpoint.watermark_rows) if checkpoint is not None else 0
         factories = store_factories(store, oracle, clusterer, bin_seconds, top_limit)
-        skeleton = self._skeleton = _store_skeleton(store, self._skeleton)
-        targets = {key: _bound_base(factory, skeleton) for key, factory in factories.items()}
-        behind = store.chain_row_counts(stop=first)
+        skeleton, targets = fold_targets(store, factories, self._skeleton)
+        self._skeleton = skeleton
         rescanned: List[str] = []
-        for key, base in targets.items():
-            if checkpoint is not None and checkpoint.compatible_with(key, base):
-                try:
-                    fold_states({key: checkpoint.states[key]}, {key: base})
-                    continue
-                except Exception:
-                    # States that do not line up (StateMismatch, nothing
-                    # touched) or that carry garbage values (hostile or
-                    # bit-rotted state, partial restores left behind):
-                    # rebuild the chain's accumulators and rescan it.
-                    targets[key] = _bound_base(factories[key], skeleton)
-            if behind.get(key):
-                # A chain that first appeared past the watermark has nothing
-                # saved and nothing to rescan.
-                rescanned.append(key)
-        fold = partial(
-            fold_store, store, factories, targets, workers,
-            cache=ChunkStateCache.for_store(self.frames_dir), skeleton=skeleton,
-        )  # fmt: skip
-        scans = [fold(stop=first, chains=rescanned)] if rescanned else []
+        if checkpoint is not None:
+            behind = store.chain_row_counts(stop=first)
+            for key, base in targets.items():
+                if checkpoint.compatible_with(key, base):
+                    try:
+                        fold_states({key: checkpoint.states[key]}, {key: base})
+                        continue
+                    except Exception:
+                        # States that do not line up (StateMismatch, nothing
+                        # touched) or that carry garbage values (hostile or
+                        # bit-rotted state, partial restores left behind).
+                        rescanned.append(key)
+                elif behind.get(key):
+                    # Nothing saved or a config drift; a chain that first
+                    # appeared past the watermark has nothing to rescan.
+                    rescanned.append(key)
+        if rescanned:
+            # Every chain folds from chunk zero again, through the
+            # chunk-state cache: a cold scan of the store at worst.
+            _, targets = fold_targets(store, factories, skeleton)
+            first = 0
         # No payload is consumed later than its restore, so a failure from
         # here on is a bug, not bad checkpoint state: it surfaces.
-        scans.append(fold(first=first, payloads=self._held))
+        scan = fold_store(
+            store, factories, targets, workers, first=first, skeleton=skeleton,
+            cache=ChunkStateCache.for_store(self.frames_dir), payloads=self._held,
+        )  # fmt: skip
         self._held = {}
         rows_total = boundaries[-1]
         new_checkpoint = PipelineCheckpoint(watermark_rows=rows_total)
@@ -369,12 +366,12 @@ class Pipeline:
             )
         stats = UpdateStats(
             rows_total=rows_total,
-            rows_scanned=sum(scan["rows"] for scan in scans),
+            rows_scanned=scan["rows"],
             watermark_before=checkpoint.watermark_rows if checkpoint is not None else 0,
             watermark_after=rows_total,
             used_checkpoint=checkpoint is not None,
             chains_rescanned=rescanned,
-            workers=max(scan["workers"] for scan in scans),
+            workers=scan["workers"],
             elapsed_seconds=time.perf_counter() - started,
         )
         self.checkpoints.save(new_checkpoint)

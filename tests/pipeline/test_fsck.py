@@ -19,7 +19,7 @@ from repro.collection.store import MANIFEST_NAME, FrameStore
 from repro.pipeline import Pipeline, run_fsck
 from repro.pipeline.fsck import QUARANTINE_DIR, resolve_store_dir
 
-from tests.support.reports import assert_reports_identical
+from tests.support.reports import assert_update_identical
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +205,7 @@ class TestRepair:
         # held string codes that moved with the dropped chunk, so repair
         # quarantined them rather than let the update fold them.
         expected = full_report(pipeline.frame, *pipeline.analysis_config())
-        assert_reports_identical(report, expected, exact_flows=False)
+        assert_update_identical(report, pipeline, expected)
 
     def test_repair_of_a_middle_chunk_quarantines_the_entries_after_it(
         self, pipeline_dir
@@ -221,7 +221,7 @@ class TestRepair:
         pipeline = Pipeline(pipeline_dir, chunk_rows=1_000)
         report, _stats = pipeline.update()
         expected = full_report(pipeline.frame, *pipeline.analysis_config())
-        assert_reports_identical(report, expected, exact_flows=False)
+        assert_update_identical(report, pipeline, expected)
 
     def test_repair_also_quarantines_the_stale_checkpoint(self, pipeline_dir):
         """Dropping a chunk leaves the watermark past the store: both go."""

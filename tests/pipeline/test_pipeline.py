@@ -37,7 +37,7 @@ from repro.pipeline import (
 )
 from repro.scenarios import get_scenario
 
-from tests.support.reports import assert_reports_identical
+from tests.support.reports import assert_reports_identical, assert_update_identical
 
 #: A torn write and a foreign file: what ``fsck`` calls ``meta_unreadable``.
 UNREADABLE_METAS = ('{"version": 1, "oracle', "[]")
@@ -455,6 +455,7 @@ class TestResidentFrameFollowsStore:
             assert_reports_identical(report, expected, exact_flows=False)
             cycles += 1
         assert cycles == 40
+        assert_update_identical(report, pipeline, expected)
 
     @pytest.mark.parametrize("resident", [True, False], ids=["resident", "cold"])
     def test_failing_record_source_never_runs_the_frame_ahead(
@@ -478,10 +479,8 @@ class TestResidentFrameFollowsStore:
         oracle, clusterer = pipeline.analysis_config()
         rehydrated = FrameStore.open(pipeline.frames_dir).to_frame()
         _assert_frames_equal(pipeline.frame, rehydrated)
-        assert_reports_identical(
-            report,
-            full_report(rehydrated, oracle=oracle, clusterer=clusterer),
-            exact_flows=False,
+        assert_update_identical(
+            report, pipeline, full_report(rehydrated, oracle=oracle, clusterer=clusterer)
         )
 
     @pytest.mark.parametrize(
@@ -514,31 +513,44 @@ class TestResidentFrameFollowsStore:
         assert reopened.store.flushed_rows == len(sample_records)
         oracle, clusterer = reopened.analysis_config()
         rehydrated = FrameStore.open(reopened.frames_dir).to_frame()
-        assert_reports_identical(
-            report,
-            full_report(rehydrated, oracle=oracle, clusterer=clusterer),
-            exact_flows=False,
+        assert_update_identical(
+            report, reopened, full_report(rehydrated, oracle=oracle, clusterer=clusterer)
         )
 
+    @pytest.mark.parametrize(
+        "stop, nth", [(2000, 1), (None, 2)], ids=["held", "decoded"]
+    )
     def test_silently_corrupted_chunk_write_still_follows_in_memory(
-        self, tmp_path, sample_records, frozen_oracle, frozen_clusterer
+        self, tmp_path, sample_records, frozen_oracle, frozen_clusterer, stop, nth
     ):
-        """``bitflip`` damages the file, not the commit: the held payload is whole."""
+        """``bitflip`` damages the file, not the commit.  The update scans
+        the payloads it holds — the newest chunk_rows rows — whole, so a
+        flipped chunk among them still counts (``held``); an older flipped
+        chunk is decoded from disk and fails its checksum (``decoded``).
+        Either way fsck reports the chunk."""
         pipeline = _configured(tmp_path, frozen_oracle, frozen_clusterer)
         pipeline.ingest_records(iter(sample_records[:1000]))
         with faults.use_plan(
-            faults.FaultPlan.parse("store.chunk_write:mode=bitflip:nth=1")
+            faults.FaultPlan.parse(f"store.chunk_write:mode=bitflip:nth={nth}")
         ):
-            pipeline.ingest_records(iter(sample_records[1000:2000]))
-        assert list(pipeline._held) == [1]
-        report, stats = pipeline.update()
-        assert stats.rows_scanned == 2000
-        oracle, clusterer = pipeline.analysis_config()
-        expected = full_report(
-            TxFrame.from_records(sample_records[:2000]), oracle=oracle, clusterer=clusterer
-        )
-        assert_reports_identical(report, expected, exact_flows=False)
-        assert [issue.kind for issue in run_fsck(pipeline.root).issues] == ["chunk_corrupt"]
+            pipeline.ingest_records(iter(sample_records[1000:stop]))
+        committed = pipeline.store.committed_chunk_count
+        assert list(pipeline._held) == [committed - 1]
+        if stop is None:
+            with pytest.raises(chunkformat.ChunkFormatError, match="checksum"):
+                pipeline.update()
+        else:
+            report, stats = pipeline.update()
+            assert stats.rows_scanned == 2000
+            oracle, clusterer = pipeline.analysis_config()
+            expected = full_report(
+                TxFrame.from_records(sample_records[:2000]), oracle=oracle, clusterer=clusterer
+            )
+            assert_reports_identical(report, expected, exact_flows=False)
+        issues = run_fsck(pipeline.root).issues
+        assert [(issue.kind, os.path.basename(issue.path)) for issue in issues] == [
+            ("chunk_corrupt", f"frame-chunk-{nth:06d}.bin")
+        ]
 
     def test_sink_commits_are_caught_up_from_disk_before_a_hand_off(
         self, tmp_path, sample_records, frozen_oracle, frozen_clusterer, monkeypatch
@@ -565,7 +577,7 @@ class TestResidentFrameFollowsStore:
         expected = full_report(
             TxFrame.from_records(sample_records[:3000]), oracle=oracle, clusterer=clusterer
         )
-        assert_reports_identical(report, expected, exact_flows=False)
+        assert_update_identical(report, pipeline, expected)
 
 
 class TestColdUpdateDecodesOnlyTheDelta:
@@ -610,7 +622,7 @@ class TestColdUpdateDecodesOnlyTheDelta:
                 if cycle == 31:
                     assert pipeline.store.committed_chunk_count == 31
         expected = full_report(pipeline.frame, *pipeline.analysis_config())
-        assert_reports_identical(report, expected, exact_flows=False)
+        assert_update_identical(report, pipeline, expected)
         # Batches 20 and 40 are one ~4.5k-row chunk each over 28k and 119k
         # rows of history (the first sixteen batches are ~600 rows, so an
         # earlier probe would compare delta sizes, not history).

@@ -1,10 +1,12 @@
 """Incremental update identity: K-batch ingestion == one serial batch run.
 
 The acceptance bar of the incremental pipeline: for every registered
-accumulator and the full figure report, the state after ingesting a
-workload in K batches (K ∈ {1, 2, 7, ragged}) and updating after each
-equals a single-pass :func:`~repro.analysis.report.full_report` over the
-same rows — and each update scans only the chunks past its checkpoint.
+accumulator and the full figure report, the report after ingesting a
+workload in K batches (K ∈ {1, 2, 7, ragged}) and updating after each is
+bit-for-bit the chunk engine's report over the same store and equals a
+single-pass :func:`~repro.analysis.report.full_report` over the same rows
+(Figure 12's value sums within rounding) — and each update scans only the
+chunks past its checkpoint.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.pipeline import (
 from repro.pipeline.checkpoint import PipelineCheckpoint
 from repro.scenarios import get_scenario
 
-from tests.support.reports import assert_reports_identical
+from tests.support.reports import assert_reports_identical, assert_update_identical
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +86,8 @@ def _ingest_in_batches(root, records, boundaries, oracle, clusterer):
 
 def _expected(pipeline, records):
     """The batch oracle.  An update adds one Figure 12 subtotal per chunk,
-    so its value sums are compared to it within rounding (``exact_flows``)."""
+    so its value sums are compared to it within rounding
+    (:func:`~tests.support.reports.assert_update_identical`)."""
     return full_report(TxFrame.from_records(records), *pipeline.analysis_config())
 
 
@@ -97,9 +100,7 @@ class TestBatchIdentity:
         pipeline, report, stats = _ingest_in_batches(
             tmp_path, all_records, boundaries, xrp_oracle, xrp_clusterer
         )
-        assert_reports_identical(
-            report, _expected(pipeline, all_records), exact_flows=False
-        )
+        assert_update_identical(report, pipeline, _expected(pipeline, all_records))
         if batches > 1:
             assert stats.rows_scanned == boundaries[-1] - boundaries[-2]
             assert not stats.chains_rescanned
@@ -113,9 +114,7 @@ class TestBatchIdentity:
         pipeline, report, _ = _ingest_in_batches(
             tmp_path, all_records, boundaries, xrp_oracle, xrp_clusterer
         )
-        assert_reports_identical(
-            report, _expected(pipeline, all_records), exact_flows=False
-        )
+        assert_update_identical(report, pipeline, _expected(pipeline, all_records))
 
     def test_chains_appearing_mid_stream(
         self, tmp_path, all_records, xrp_oracle, xrp_clusterer
@@ -128,9 +127,7 @@ class TestBatchIdentity:
             tmp_path, all_records, boundaries, xrp_oracle, xrp_clusterer
         )
         assert set(report.chains) == {ChainId.EOS, ChainId.TEZOS, ChainId.XRP}
-        assert_reports_identical(
-            report, _expected(pipeline, all_records), exact_flows=False
-        )
+        assert_update_identical(report, pipeline, _expected(pipeline, all_records))
 
     def test_no_new_rows_is_cheap_and_identical(
         self, tmp_path, all_records, xrp_oracle, xrp_clusterer
@@ -161,11 +158,11 @@ class TestBatchIdentity:
         assert stats.rows_scanned == len(xrp_records) - split
         assert not stats.chains_rescanned
         expected = _expected(pipeline, records)
-        assert_reports_identical(report, expected, exact_flows=False)
+        assert_update_identical(report, pipeline, expected)
         # And the new checkpoint drives later updates correctly.
         follow_up, follow_stats = Pipeline(str(tmp_path)).update()
         assert follow_stats.rows_scanned == 0
-        assert_reports_identical(follow_up, expected, exact_flows=False)
+        assert_reports_identical(follow_up, report)
 
 
 class TestParallelCatchUp:
@@ -251,7 +248,7 @@ class TestFallbacks:
         assert stats.chains_rescanned == [ChainId.EOS.value]
         assert stats.rows_scanned == len(eos_records)
         expected = full_report(TxFrame.from_records(later + earlier))
-        assert_reports_identical(report, expected, exact_flows=False)
+        assert_update_identical(report, pipeline, expected)
 
     def test_oracle_drift_forces_xrp_rescan(self, tmp_path, xrp_records, xrp_clusterer):
         half = len(xrp_records) // 2
@@ -266,9 +263,7 @@ class TestFallbacks:
         report, stats = pipeline.update()
         assert stats.chains_rescanned == [ChainId.XRP.value]
         assert stats.rows_scanned == len(xrp_records)
-        assert_reports_identical(
-            report, _expected(pipeline, xrp_records), exact_flows=False
-        )
+        assert_update_identical(report, pipeline, _expected(pipeline, xrp_records))
 
     def test_garbage_chain_payloads_degrade_to_chain_rescan(self, tmp_path, eos_records):
         """States that line up but carry nonsense payloads must rescan.
@@ -294,7 +289,7 @@ class TestFallbacks:
         assert stats.chains_rescanned == [chain]
         assert stats.rows_scanned == 0
         expected = full_report(TxFrame.from_records(eos_records))
-        assert_reports_identical(report, expected, exact_flows=False)
+        assert_update_identical(report, pipeline, expected)
 
     @pytest.mark.parametrize("damage", ["qualname", "length"])
     def test_states_that_do_not_fit_rescan_one_chain(
@@ -324,12 +319,10 @@ class TestFallbacks:
         ChunkStateCache.for_store(pipeline.frames_dir).clear()
         report, stats = pipeline.update()
         assert stats.chains_rescanned == [chain]
-        # A chunk is scanned whole (its entry holds every chain in it), and
-        # only EOS folds from the scan: TEZOS kept its restored state.
+        # Every chain folds from chunk zero again: with no entry left, every
+        # chunk is scanned.
         assert stats.rows_scanned == len(records)
-        assert_reports_identical(
-            report, full_report(TxFrame.from_records(records)), exact_flows=False
-        )
+        assert_update_identical(report, pipeline, full_report(TxFrame.from_records(records)))
 
     def test_a_finalize_bug_surfaces_from_a_restored_checkpoint_too(
         self, tmp_path, eos_records, monkeypatch
@@ -414,7 +407,7 @@ class TestFallbacks:
         assert not stats.used_checkpoint and stats.watermark_before == 0
         assert stats.rows_scanned == half
         expected = full_report(TxFrame.from_records(eos_records[:half]))
-        assert_reports_identical(report, expected, exact_flows=False)
+        assert_update_identical(report, smaller, expected)
 
     def test_watermark_off_a_chunk_boundary_discards_the_checkpoint(
         self, tmp_path, eos_records
@@ -435,7 +428,7 @@ class TestFallbacks:
         # The first update's entries still fold: only the new chunks scan.
         assert stats.rows_scanned == len(eos_records) - 3_000
         expected = full_report(TxFrame.from_records(eos_records))
-        assert_reports_identical(report, expected, exact_flows=False)
+        assert_update_identical(report, pipeline, expected)
 
 
 def _lower_stored_watermark(path):
@@ -475,7 +468,7 @@ class TestSnapshotRot:
         pipeline.ingest_blocks(blocks, skip_rows=skip_rows)
         report, stats = pipeline.update()
         expected = full_report(pipeline.frame, *pipeline.analysis_config())
-        assert_reports_identical(report, expected, exact_flows=False)
+        assert_update_identical(report, pipeline, expected)
         # Unreadable, so folded from chunk zero: the four earlier chunks
         # from the entries their updates wrote, the new one from its scan.
         assert not stats.used_checkpoint

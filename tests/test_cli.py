@@ -311,10 +311,12 @@ class TestCacheHitSelectsTheChunkEngine:
         assert "(generated in" in info
         assert f"state cache {chunks} hit(s) / 0 miss(es)" in info
 
-        # A miss with --no-cache: the build writes its entries, the report
-        # reads none.
+        # A miss with --no-cache: the build writes no entry and the report
+        # reads none, so each chunk is scanned once.
         unkept, info = run("--no-cache", cache=tmp_path / "unkept")
         assert unkept == cold and "state cache" not in info
+        unkept_cache = tmp_path / "unkept" / "small-seed7" / "cache"
+        assert not unkept_cache.exists() or not _entry_mtimes(unkept_cache)
 
     def test_a_warm_hit_decodes_no_chunk(self, tmp_path, monkeypatch):
         from repro.collection.store import FrameStore

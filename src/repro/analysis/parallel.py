@@ -436,11 +436,17 @@ def fold_store(
     if workers > 1 and len(chunk_tasks) > 1:
         # Imported here, not at the top: an in-process scan (a warm
         # ``report``, every one-chunk ``update``) never needs it.
+        import gc
         import multiprocessing
 
         stats["workers"] = min(workers, len(chunk_tasks))
         context = multiprocessing.get_context()
-        with context.Pool(processes=stats["workers"]) as pool:
+        # A forked worker inherits the caller's heap.  ``gc.freeze`` takes
+        # those objects out of the worker's collections, so a full
+        # collection there neither walks them nor copies every page they
+        # sit on (how long that takes depends on where the caller's
+        # collector counts stood at the fork).
+        with context.Pool(processes=stats["workers"], initializer=gc.freeze) as pool:
             results = pool.imap(_scan_chunk_range, chunk_tasks)
             for _tag, shipped, info in _drain_imap(pool, results):
                 fold_states(shipped, targets)

@@ -415,7 +415,7 @@ class TxFrame:
         A still-unparsed :class:`LazyMetadata` block is adopted as-is — no
         parse, no per-dict copy (chunk-decoded dicts are freshly built by
         the decoder and never mutated in place by the frame).  Anything
-        else is copied defensively like the record append path.
+        else is copied: a payload's dicts may still be another frame's rows.
         """
         if isinstance(values, LazyMetadata) and not values.loaded:
             self._meta_runs.append(values)
@@ -443,7 +443,13 @@ class TxFrame:
                 )
 
     def append(self, record: TransactionRecord) -> None:
-        """Append one canonical record (amortised O(1))."""
+        """Append one canonical record (amortised O(1)).
+
+        A non-empty ``metadata`` that is a plain ``dict`` is adopted, not
+        copied: the frame keeps that very object as the row's metadata and
+        never writes to it, so the caller must not either.  Any other
+        mapping is copied into a dict.
+        """
         chain_code = _CHAIN_CODES[record.chain]
         row = len(self.timestamp)
         timestamp = record.timestamp
@@ -462,7 +468,10 @@ class TxFrame:
         self.fee.append(record.fee)
         self.success.append(1 if record.success else 0)
         self.error_code.append(self.errors.intern(record.error_code))
-        self.metadata.append(dict(record.metadata) if record.metadata else None)
+        metadata = record.metadata
+        self.metadata.append(
+            None if not metadata else metadata if metadata.__class__ is dict else dict(metadata)
+        )
 
     def _append_batch(self, batch: List[TransactionRecord]) -> None:
         """Append ``batch`` column by column; row for row what :meth:`append` does.
@@ -473,7 +482,8 @@ class TxFrame:
         ``array.extend`` of a list, sizes itself once).  The four account
         roles are interned through one interleaved pass so the pool assigns
         codes in the row-major order per-row appends would (sender, receiver,
-        contract, issuer of row 0, then of row 1, ...).
+        contract, issuer of row 0, then of row 1, ...).  Metadata dicts are
+        adopted as :meth:`append` adopts them.
         """
         width = len(TransactionRecord._fields)
         cells = list(flatten.from_iterable(batch))
@@ -512,7 +522,12 @@ class TxFrame:
         accounts[2::4], accounts[3::4] = contracts, issuers
         account_codes = self.accounts.intern_many(accounts)
         self.transaction_id.extend(transaction_ids)
-        self.metadata.extend([dict(meta) if meta else None for meta in metadata])
+        self.metadata.extend(
+            [
+                None if not meta else meta if meta.__class__ is dict else dict(meta)
+                for meta in metadata
+            ]
+        )
         for column, values in (
             (self.block_height, block_heights),
             (self.timestamp, timestamps),
@@ -536,7 +551,8 @@ class TxFrame:
         ``stream_records()`` output — nothing is materialised besides the
         columns themselves and one :data:`EXTEND_BATCH_ROWS` batch of record
         references.  Rows drawn before a failing source raised are kept, as
-        they were when every record was appended on its own.
+        they were when every record was appended on its own.  A record's
+        metadata ``dict`` is adopted, as :meth:`append` adopts it.
         """
         source = iter(records)
         count = 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.blocklog import BlockLog
 from repro.common.clock import SimulationClock
@@ -32,18 +32,33 @@ BLOCKS_PER_ROUND = BLOCKS_PER_PRODUCER_TURN * ACTIVE_PRODUCER_COUNT
 SCHEDULE_APPROVAL_QUORUM = 15
 
 
-@dataclass(frozen=True)
-class EosTransaction:
-    """A submitted EOS transaction: an ordered list of actions."""
-
+class _EosTransactionFields(NamedTuple):
     transaction_id: str
     actions: Tuple[EosAction, ...]
     cpu_us: float = 200.0
     net_bytes: float = 100.0
 
-    def __post_init__(self) -> None:
-        if not self.actions:
+
+class EosTransaction(_EosTransactionFields):
+    """A submitted EOS transaction: an ordered list of actions.
+
+    A tuple rather than a frozen dataclass: the workload submits one per
+    transaction, and a frozen dataclass pays one ``object.__setattr__`` per
+    field plus a ``__post_init__`` call.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        transaction_id: str,
+        actions: Tuple[EosAction, ...],
+        cpu_us: float = 200.0,
+        net_bytes: float = 100.0,
+    ) -> "EosTransaction":
+        if not actions:
             raise ChainError("an EOS transaction must carry at least one action")
+        return tuple.__new__(cls, (transaction_id, actions, cpu_us, net_bytes))
 
 
 @dataclass
@@ -140,69 +155,65 @@ class EosChain(BlockLog):
             return ContractResult(applied=True, notes={"unhandled": True})
         return contract.apply(action, self.accounts, timestamp)
 
-    def _record_for_action(
-        self,
-        transaction: EosTransaction,
-        action: EosAction,
-        height: int,
-        timestamp: float,
-        result: ContractResult,
-        inline: bool,
-    ) -> TransactionRecord:
-        data = action.data
-        amount = float(data.get("quantity", data.get("amount", 0.0)) or 0.0)
-        symbol = str(data.get("symbol", ""))
-        # The result is this action's own and is dropped after the record is
-        # built, so its notes become the record's metadata without a copy.
-        metadata = result.notes
-        if inline:
-            metadata["inline"] = True
-        transfer_to = data.get("to")
-        if transfer_to is not None:
-            # The canonical "receiver" for EOS is the account the action is
-            # delivered to (the contract), matching the paper's Figure 4/5
-            # accounting; the token recipient is preserved in metadata.
-            metadata["transfer_to"] = str(transfer_to)
-        return TransactionRecord(
-            ChainId.EOS,
-            transaction.transaction_id,
-            height,
-            timestamp,
-            action.name,
-            action.actor,
-            action.receiver,
-            contract=action.contract,
-            amount=amount,
-            currency=symbol,
-            success=result.applied,
-            metadata=metadata,
-        )
-
     def produce_block(self, transactions: Iterable[EosTransaction]) -> BlockRecord:
         """Assemble, apply and append one block containing ``transactions``."""
         height = self._height + 1
         timestamp = self.clock.now
         producer = self.producer_for_height(height)
         records: List[TransactionRecord] = []
+        records_append = records.append
+        new_record = tuple.__new__
         for transaction in transactions:
-            payer = transaction.actions[0].actor
-            if not self.resources.charge(payer, transaction.cpu_us, transaction.net_bytes):
+            transaction_id, actions, cpu_us, net_bytes = transaction
+            if not self.resources.charge(actions[0].actor, cpu_us, net_bytes):
                 self._rejected_count += 1
                 continue
             # Breadth first: the submitted actions, then whatever they queued
             # inline, so every action past the submitted count is an inline one.
-            pending = deque(transaction.actions)
+            pending = deque(actions)
             submitted = len(pending)
             applied = 0
             while pending:
                 action = pending.popleft()
+                contract, name, actor, receiver, data = action
                 try:
                     result = self._apply_action(action, timestamp)
                 except ChainError as exc:
                     result = ContractResult(applied=False, notes={"error": str(exc)})
-                records.append(
-                    self._record_for_action(
-                        transaction, action, height, timestamp, result, applied >= submitted
+                # The result is this action's own and is dropped after the
+                # record is built, so its notes become the record's metadata
+                # without a copy.
+                metadata = result.notes
+                if applied >= submitted:
+                    metadata["inline"] = True
+                transfer_to = data.get("to")
+                if transfer_to is not None:
+                    # The canonical "receiver" for EOS is the account the
+                    # action is delivered to (the contract), matching the
+                    # paper's Figure 4/5 accounting; the token recipient is
+                    # preserved in metadata.
+                    metadata["transfer_to"] = str(transfer_to)
+                # Positional, in ``TransactionRecord`` field order: one per row.
+                records_append(
+                    new_record(
+                        TransactionRecord,
+                        (
+                            ChainId.EOS,
+                            transaction_id,
+                            height,
+                            timestamp,
+                            name,
+                            actor,
+                            receiver,
+                            contract,
+                            float(data.get("quantity", data.get("amount", 0.0)) or 0.0),
+                            str(data.get("symbol", "")),
+                            "",
+                            0.0,
+                            result.applied,
+                            "",
+                            metadata,
+                        ),
                     )
                 )
                 applied += 1

@@ -27,21 +27,50 @@ Implemented contracts, mirroring the paper's top applications (Figure 4):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.common.errors import ChainError
 from repro.eos.accounts import EosAccountRegistry
 from repro.eos.actions import EosAction, make_transfer
 
 
-@dataclass
 class ContractResult:
-    """Outcome of applying one action to a contract."""
+    """Outcome of applying one action to a contract.
 
-    applied: bool = True
-    inline_actions: List[EosAction] = field(default_factory=list)
-    notes: Dict[str, object] = field(default_factory=dict)
+    A plain class rather than a dataclass: one is built per action, and the
+    chain writes into ``notes`` (it becomes the record's metadata), so each
+    result owns a fresh dict and a fresh ``inline_actions`` list.
+    """
+
+    __slots__ = ("applied", "inline_actions", "notes")
+
+    def __init__(
+        self,
+        applied: bool = True,
+        inline_actions: Optional[List[EosAction]] = None,
+        notes: Optional[Dict[str, object]] = None,
+    ) -> None:
+        self.applied = applied
+        self.inline_actions = [] if inline_actions is None else inline_actions
+        self.notes = {} if notes is None else notes
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.applied, self.inline_actions, self.notes) == (
+            other.applied,
+            other.inline_actions,
+            other.notes,
+        )
+
+    #: Mutable, like the dataclass it replaced: equal results need not hash.
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"ContractResult(applied={self.applied!r}, "
+            f"inline_actions={self.inline_actions!r}, notes={self.notes!r})"
+        )
 
 
 class EosContract:
@@ -98,10 +127,11 @@ class TokenContract(EosContract):
     def _apply_transfer(
         self, action: EosAction, registry: EosAccountRegistry
     ) -> ContractResult:
-        sender = str(action.data.get("from", action.actor))
-        receiver = str(action.data.get("to", action.receiver))
-        amount = float(action.data.get("quantity", 0.0))
-        symbol = str(action.data.get("symbol", self.symbol))
+        data = action.data
+        sender = str(data.get("from", action.actor))
+        receiver = str(data.get("to", action.receiver))
+        amount = float(data.get("quantity", 0.0))
+        symbol = str(data.get("symbol", self.symbol))
         if amount < 0:
             raise ChainError("transfer amount must be non-negative")
         registry.get(sender).debit(amount, symbol)
@@ -131,15 +161,16 @@ class EidosContract(EosContract):
     def apply(
         self, action: EosAction, registry: EosAccountRegistry, timestamp: float
     ) -> ContractResult:
-        sender = str(action.data.get("from", action.actor))
+        data = action.data
+        sender = str(data.get("from", action.actor))
         if sender == self.account:
             # Inline grant issued by the contract itself: move EIDOS to the
             # recipient and stop (no further boomerang).
-            recipient = str(action.data.get("to", action.receiver))
-            amount = float(action.data.get("quantity", 0.0))
+            recipient = str(data.get("to", action.receiver))
+            amount = float(data.get("quantity", 0.0))
             registry.get(recipient).credit(amount, self.symbol)
             return ContractResult(applied=True, notes={"grant": amount})
-        amount = float(action.data.get("quantity", 0.0))
+        amount = float(data.get("quantity", 0.0))
         payout = self.pool * self.PAYOUT_FRACTION
         self.pool -= payout
         self.claims += 1
@@ -195,8 +226,7 @@ class BettingContract(EosContract):
         return ContractResult(applied=True, notes={"bookkeeping": True})
 
 
-@dataclass
-class DexTrade:
+class DexTrade(NamedTuple):
     """One settled trade on the DEX (a ``verifytrade2`` call)."""
 
     buyer: str

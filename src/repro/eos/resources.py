@@ -12,20 +12,35 @@ forced casual users (who stake little) off the chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
-@dataclass
 class ResourceUsage:
-    """CPU/NET consumption of one account inside the current window."""
+    """CPU/NET consumption of one account inside the current window.
 
-    cpu_us: float = 0.0
-    net_bytes: float = 0.0
+    A plain class rather than a dataclass: :meth:`EosResourceMarket.charge`
+    adds to it in place, once per transaction.
+    """
+
+    __slots__ = ("cpu_us", "net_bytes")
+
+    def __init__(self, cpu_us: float = 0.0, net_bytes: float = 0.0) -> None:
+        self.cpu_us = cpu_us
+        self.net_bytes = net_bytes
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cpu_us, self.net_bytes) == (other.cpu_us, other.net_bytes)
+
+    #: Mutable, like the dataclass it replaced: equal usages need not hash.
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ResourceUsage(cpu_us={self.cpu_us!r}, net_bytes={self.net_bytes!r})"
 
 
-@dataclass(frozen=True)
-class CongestionSample:
+class CongestionSample(NamedTuple):
     """Utilisation snapshot taken once per block."""
 
     timestamp: float
@@ -120,7 +135,9 @@ class EosResourceMarket:
         """Charge an execution against ``account``; returns False if rejected."""
         if not self.can_execute(account, cpu_us):
             return False
-        usage = self._usage.setdefault(account, ResourceUsage())
+        usage = self._usage.get(account)
+        if usage is None:
+            usage = self._usage[account] = ResourceUsage()
         usage.cpu_us += cpu_us
         usage.net_bytes += net_bytes
         self._block_cpu_used += cpu_us

@@ -43,7 +43,7 @@ import os
 import shutil
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.statecache import ENTRY_MODE, decode_entry, parse_entry_name
 from repro.analysis.value import decode_analysis_config
@@ -156,11 +156,13 @@ def _quarantine(store_dir: str, path: str) -> str:
     return target
 
 
-def _check_chunks(report: FsckReport, repair: bool) -> Set[str]:
+def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[int]]:
     """Verify the manifest and every committed chunk; repair by quarantine.
 
-    Returns the paths of the chunks a repair kept *after* one it dropped:
-    their string codes moved, so their cache entries are stale.
+    Returns the paths of the chunks a repair kept *after* one it dropped
+    (their string codes moved, so their cache entries are stale) and the
+    first row of the first chunk it dropped, counted in the manifest as it
+    was before the repair (``None`` when nothing was dropped).
     """
     store_dir = report.store_dir
     manifest_path = os.path.join(store_dir, MANIFEST_NAME)
@@ -173,7 +175,7 @@ def _check_chunks(report: FsckReport, repair: bool) -> Set[str]:
                     path=manifest_path,
                 )
             )
-        return set()
+        return set(), None
     try:
         with open(manifest_path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -189,7 +191,7 @@ def _check_chunks(report: FsckReport, repair: bool) -> Set[str]:
                 path=manifest_path,
             )
         )
-        return set()
+        return set(), None
     if manifest.get("version") not in SUPPORTED_MANIFEST_VERSIONS:
         report.issues.append(
             FsckIssue(
@@ -198,7 +200,7 @@ def _check_chunks(report: FsckReport, repair: bool) -> Set[str]:
                 path=manifest_path,
             )
         )
-        return set()
+        return set(), None
     if manifest.get("assembling"):
         report.issues.append(
             FsckIssue(
@@ -208,12 +210,14 @@ def _check_chunks(report: FsckReport, repair: bool) -> Set[str]:
                 path=manifest_path,
             )
         )
-        return set()
+        return set(), None
 
     kept_entries: List[Dict] = []
     recoded: Set[str] = set()
-    dropped_any = False
+    dropped_from: Optional[int] = None
+    start_row = 0
     for index, entry in enumerate(manifest["chunks"]):
+        chunk_start, start_row = start_row, start_row + int(entry["rows"])
         report.chunks_checked += 1
         path = os.path.join(store_dir, entry["file"])
         issue: Optional[FsckIssue] = None
@@ -253,7 +257,7 @@ def _check_chunks(report: FsckReport, repair: bool) -> Set[str]:
                 )
         if issue is None:
             report.chunks_ok += 1
-            if dropped_any:
+            if dropped_from is not None:
                 # A dropped earlier chunk invalidates this chunk's recorded
                 # pool deltas (they are relative to the running pools); the
                 # store recomputes them lazily from the payload.
@@ -268,7 +272,8 @@ def _check_chunks(report: FsckReport, repair: bool) -> Set[str]:
             if issue.path is not None and os.path.exists(issue.path):
                 issue.path = _quarantine(store_dir, issue.path)
             issue.repair = "quarantined"
-            dropped_any = True
+            if dropped_from is None:
+                dropped_from = chunk_start
             for chain, rows in issue.chain_rows.items():
                 report.degraded_rows[chain] = (
                     report.degraded_rows.get(chain, 0) + rows
@@ -294,15 +299,15 @@ def _check_chunks(report: FsckReport, repair: bool) -> Set[str]:
             issue.path = _quarantine(store_dir, path)
             issue.repair = "quarantined"
 
-    if repair and dropped_any:
+    if dropped_from is not None:
         manifest["chunks"] = kept_entries
         manifest["row_count"] = sum(int(entry["rows"]) for entry in kept_entries)
         temp_path = manifest_path + ".tmp"
         with open(temp_path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle)
         os.replace(temp_path, manifest_path)
-        return recoded
-    return set()
+        return recoded, dropped_from
+    return set(), None
 
 
 def _committed_rows(store_dir: str) -> Optional[int]:
@@ -316,8 +321,17 @@ def _committed_rows(store_dir: str) -> Optional[int]:
         return None
 
 
-def _check_checkpoint(report: FsckReport, root: str, repair: bool) -> None:
-    """Verify the checkpoint snapshot decodes and its watermark is in range."""
+def _check_checkpoint(
+    report: FsckReport, root: str, repair: bool, dropped_from: Optional[int]
+) -> None:
+    """Verify the checkpoint snapshot decodes and its watermark is in range.
+
+    ``dropped_from`` is the first row of the first chunk this walk's repair
+    dropped.  A checkpoint whose watermark lies past it folds states that
+    count the dropped rows; with equal-sized chunks its watermark usually
+    still lands on a chunk boundary inside the shrunk store, so the range
+    check alone would keep it.
+    """
     path = os.path.join(root, CHECKPOINT_NAME)
     if not os.path.exists(path):
         return
@@ -342,6 +356,16 @@ def _check_checkpoint(report: FsckReport, root: str, repair: bool) -> None:
             detail=(
                 f"checkpoint watermark {checkpoint.watermark_rows} exceeds the "
                 f"store's {committed} committed rows (store shrank underneath it)"
+            ),
+            path=path,
+        )
+    elif dropped_from is not None and dropped_from < checkpoint.watermark_rows:
+        issue = FsckIssue(
+            kind="checkpoint_stale",
+            detail=(
+                f"checkpoint watermark {checkpoint.watermark_rows} covers rows "
+                f"from {dropped_from} on, which repair just dropped (its states "
+                "count rows that are gone)"
             ),
             path=path,
         )
@@ -498,10 +522,10 @@ def run_fsck(root: str, repair: bool = False) -> FsckReport:
         raise CollectionError(f"{root!r} is not a directory")
     store_dir = resolve_store_dir(root)
     report = FsckReport(root=root, store_dir=store_dir, repaired=repair)
-    recoded = _check_chunks(report, repair)
+    recoded, dropped_from = _check_chunks(report, repair)
     # After the chunk pass: a chunk quarantined above turns its cache
     # entries, and those of every chunk after it, stale in this same walk.
     _check_state_cache(report, repair, recoded)
-    _check_checkpoint(report, root, repair)
+    _check_checkpoint(report, root, repair, dropped_from)
     _check_meta(report, root)
     return report

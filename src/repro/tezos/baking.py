@@ -10,8 +10,7 @@ chain's throughput (82 % of operations, Figure 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.common.errors import ChainError
 from repro.common.rng import DeterministicRng
@@ -24,8 +23,7 @@ ROLL_SIZE_XTZ = 10_000.0
 ENDORSEMENTS_PER_BLOCK = 32
 
 
-@dataclass(frozen=True)
-class BakingRight:
+class BakingRight(NamedTuple):
     """The right to bake (or endorse) a given level."""
 
     level: int

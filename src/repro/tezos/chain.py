@@ -19,6 +19,7 @@ from repro.common.rng import DeterministicRng
 from repro.tezos.accounts import TezosAccountRegistry
 from repro.tezos.baking import BakerSet, ENDORSEMENTS_PER_BLOCK
 from repro.tezos.operations import (
+    OPERATION_CATEGORIES,
     OperationKind,
     TezosOperation,
     make_endorsement,
@@ -106,22 +107,30 @@ class TezosChain(BlockLog):
         success: bool,
         notes: Dict[str, object],
     ) -> TransactionRecord:
-        metadata = dict(operation.data)
+        kind, source, destination, amount_xtz, fee_xtz, data = operation
+        metadata = dict(data)
         metadata.update(notes)
-        metadata["category"] = operation.category.value
-        return TransactionRecord(
-            chain=ChainId.TEZOS,
-            transaction_id=self._next_operation_id(),
-            block_height=level,
-            timestamp=timestamp,
-            type=operation.kind.value,
-            sender=operation.source,
-            receiver=operation.destination,
-            amount=operation.amount_xtz,
-            currency="XTZ" if operation.amount_xtz else "",
-            fee=operation.fee_xtz,
-            success=success,
-            metadata=metadata,
+        metadata["category"] = OPERATION_CATEGORIES[kind].value
+        # Positional, in ``TransactionRecord`` field order: one per row.
+        return tuple.__new__(
+            TransactionRecord,
+            (
+                ChainId.TEZOS,
+                self._next_operation_id(),
+                level,
+                timestamp,
+                kind.value,
+                source,
+                destination,
+                "",
+                amount_xtz,
+                "XTZ" if amount_xtz else "",
+                "",
+                fee_xtz,
+                success,
+                "",
+                metadata,
+            ),
         )
 
     # -- baking --------------------------------------------------------------------

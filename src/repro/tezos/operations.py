@@ -8,8 +8,9 @@ operation kinds observed in the dataset are those of Figure 1's Tezos column.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, NamedTuple
+
+from repro.common.records import EMPTY_MAPPING
 
 
 class OperationKind(str, enum.Enum):
@@ -55,16 +56,15 @@ def category_for(kind: OperationKind) -> OperationCategory:
     return OPERATION_CATEGORIES[kind]
 
 
-@dataclass(frozen=True)
-class TezosOperation:
-    """One operation to be included in a Tezos block."""
+class TezosOperation(NamedTuple):
+    """One operation to be included in a Tezos block (a tuple: one per row)."""
 
     kind: OperationKind
     source: str
     destination: str = ""
     amount_xtz: float = 0.0
     fee_xtz: float = 0.0
-    data: Mapping[str, Any] = field(default_factory=dict)
+    data: Mapping[str, Any] = EMPTY_MAPPING
 
     @property
     def category(self) -> OperationCategory:

@@ -12,8 +12,6 @@ The XRP ledger supports two kinds of value:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.errors import ChainError
 from repro.common.records import XRP_CURRENCY
 
@@ -41,26 +39,51 @@ def drops_to_xrp(drops: int) -> float:
     return drops / DROPS_PER_XRP
 
 
-@dataclass(frozen=True)
 class IouAmount:
     """An amount of an issuer-specific IOU token (or of native XRP).
 
     ``issuer`` is empty for native XRP; for IOUs the same currency code with
     a different issuer is a *different asset* — the distinction on which the
     paper's zero-value analysis rests.
+
+    A value: nothing assigns to an amount after construction, and it hashes
+    and compares by its three fields.  A plain class rather than a frozen
+    dataclass because the workload builds several per XRP transaction and a
+    frozen dataclass pays one ``object.__setattr__`` per field; not a tuple
+    because ``+`` and ``-`` add values, where a tuple's would concatenate.
     """
 
-    currency: str
-    value: float
-    issuer: str = ""
+    __slots__ = ("currency", "value", "issuer")
 
-    def __post_init__(self) -> None:
-        if not self.currency:
+    def __init__(self, currency: str, value: float, issuer: str = "") -> None:
+        if not currency:
             raise ChainError("currency code must not be empty")
-        if self.currency == XRP_CURRENCY and self.issuer:
-            raise ChainError("native XRP cannot have an issuer")
-        if self.currency != XRP_CURRENCY and not self.issuer:
-            raise ChainError(f"IOU amount of {self.currency} requires an issuer")
+        if currency == XRP_CURRENCY:
+            if issuer:
+                raise ChainError("native XRP cannot have an issuer")
+        elif not issuer:
+            raise ChainError(f"IOU amount of {currency} requires an issuer")
+        self.currency = currency
+        self.value = value
+        self.issuer = issuer
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.currency, self.value, self.issuer) == (
+            other.currency,
+            other.value,
+            other.issuer,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.currency, self.value, self.issuer))
+
+    def __repr__(self) -> str:
+        return (
+            f"IouAmount(currency={self.currency!r}, value={self.value!r}, "
+            f"issuer={self.issuer!r})"
+        )
 
     @property
     def is_native(self) -> bool:
@@ -72,7 +95,7 @@ class IouAmount:
         return (self.currency, self.issuer)
 
     def with_value(self, value: float) -> "IouAmount":
-        return IouAmount(currency=self.currency, value=value, issuer=self.issuer)
+        return IouAmount(self.currency, value, self.issuer)
 
     def __add__(self, other: "IouAmount") -> "IouAmount":
         self._check_same_asset(other)

@@ -112,41 +112,42 @@ class XrpLedger(BlockLog):
     def _record_for(
         self, applied: AppliedTransaction, index: int, timestamp: float
     ) -> TransactionRecord:
-        transaction = applied.transaction
-        amount = 0.0
-        currency = ""
-        issuer = ""
-        reference = transaction.amount or transaction.taker_gets
-        if reference is not None:
-            amount = reference.value
-            currency = reference.currency
-            issuer = reference.issuer
+        transaction, result, fee_xrp, executions, offer_id, _ = applied
+        taker_gets = transaction.taker_gets
+        taker_pays = transaction.taker_pays
+        reference = transaction.amount or taker_gets
         metadata: Dict[str, object] = dict(transaction.data)
         if transaction.destination_tag is not None:
             metadata["destination_tag"] = transaction.destination_tag
-        if transaction.taker_gets is not None and transaction.taker_pays is not None:
-            metadata["taker_gets"] = transaction.taker_gets.to_dict()
-            metadata["taker_pays"] = transaction.taker_pays.to_dict()
-        if applied.offer_id:
-            metadata["offer_id"] = applied.offer_id
-        if applied.executions:
+        if taker_gets is not None and taker_pays is not None:
+            metadata["taker_gets"] = taker_gets.to_dict()
+            metadata["taker_pays"] = taker_pays.to_dict()
+        if offer_id:
+            metadata["offer_id"] = offer_id
+        if executions:
             metadata["executed"] = True
-            metadata["execution_count"] = len(applied.executions)
-        return TransactionRecord(
-            chain=ChainId.XRP,
-            transaction_id=self._next_tx_id(),
-            block_height=index,
-            timestamp=timestamp,
-            type=transaction.type.value,
-            sender=transaction.account,
-            receiver=transaction.destination,
-            amount=amount,
-            currency=currency,
-            issuer=issuer,
-            fee=applied.fee_xrp,
-            success=applied.success,
-            error_code="" if applied.success else applied.result.value,
-            metadata=metadata,
+            metadata["execution_count"] = len(executions)
+        success = result.is_success
+        # Positional, in ``TransactionRecord`` field order: one per row.
+        return tuple.__new__(
+            TransactionRecord,
+            (
+                ChainId.XRP,
+                self._next_tx_id(),
+                index,
+                timestamp,
+                transaction.type.value,
+                transaction.account,
+                transaction.destination,
+                "",
+                0.0 if reference is None else reference.value,
+                "" if reference is None else reference.currency,
+                "" if reference is None else reference.issuer,
+                fee_xrp,
+                success,
+                "" if success else result.value,
+                metadata,
+            ),
         )
 
     def close_ledger(self, transactions: Iterable[XrpTransaction]) -> BlockRecord:

@@ -13,29 +13,69 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Tuple
 
 from repro.common.errors import ChainError
 from repro.xrp.amounts import XRP_CURRENCY, IouAmount
 
 
-@dataclass
 class Offer:
     """A resting order: pay ``taker_gets`` to receive ``taker_pays``.
 
     ``taker_gets`` is what the offer owner is selling, ``taker_pays`` what
     they ask in return (the XRP ledger's naming, seen from the taker).
+
+    A plain class rather than a dataclass: one is built per ``OfferCreate``
+    and crossing fills it in place.
     """
 
-    offer_id: int
-    owner: str
-    taker_gets: IouAmount
-    taker_pays: IouAmount
-    created_at: float = 0.0
-    filled_gets: float = 0.0
-    filled_pays: float = 0.0
-    cancelled: bool = False
+    __slots__ = (
+        "offer_id",
+        "owner",
+        "taker_gets",
+        "taker_pays",
+        "created_at",
+        "filled_gets",
+        "filled_pays",
+        "cancelled",
+    )
+
+    def __init__(
+        self,
+        offer_id: int,
+        owner: str,
+        taker_gets: IouAmount,
+        taker_pays: IouAmount,
+        created_at: float = 0.0,
+        filled_gets: float = 0.0,
+        filled_pays: float = 0.0,
+        cancelled: bool = False,
+    ) -> None:
+        self.offer_id = offer_id
+        self.owner = owner
+        self.taker_gets = taker_gets
+        self.taker_pays = taker_pays
+        self.created_at = created_at
+        self.filled_gets = filled_gets
+        self.filled_pays = filled_pays
+        self.cancelled = cancelled
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    #: Mutable, like the dataclass it replaced: equal offers need not hash.
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        )
+        return f"Offer({fields})"
 
     @property
     def price(self) -> float:
@@ -62,8 +102,7 @@ class Offer:
         return (self.taker_gets.asset_key, self.taker_pays.asset_key)
 
 
-@dataclass(frozen=True)
-class ExchangeExecution:
+class ExchangeExecution(NamedTuple):
     """One executed exchange between two offers (or an offer and a taker)."""
 
     timestamp: float
@@ -106,7 +145,13 @@ class OrderBook:
 
     def recent_open_offers(self) -> List[Offer]:
         """The most recently placed offers that are still open (cheap lookup)."""
-        return [offer for offer in self._recent if offer.is_open]
+        # ``Offer.is_open``, inlined: the workload asks on every offer it
+        # cancels or takes, over the whole window.
+        return [
+            offer
+            for offer in self._recent
+            if not offer.cancelled and offer.taker_gets.value - offer.filled_gets > 1e-12
+        ]
 
     def open_offers(self, gets_asset: tuple, pays_asset: tuple) -> List[Offer]:
         """Open offers selling ``gets_asset`` for ``pays_asset``, best price first."""
@@ -140,13 +185,7 @@ class OrderBook:
             raise ChainError("offers must exchange positive amounts")
         if taker_gets.asset_key == taker_pays.asset_key:
             raise ChainError("offers must exchange two distinct assets")
-        offer = Offer(
-            offer_id=self._next_id,
-            owner=owner,
-            taker_gets=taker_gets,
-            taker_pays=taker_pays,
-            created_at=timestamp,
-        )
+        offer = Offer(self._next_id, owner, taker_gets, taker_pays, timestamp)
         self._next_id += 1
         executions = self._cross(offer, timestamp)
         self._offers[offer.offer_id] = offer

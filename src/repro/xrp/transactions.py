@@ -12,8 +12,8 @@ transactions (§3.2).  The two failure codes the paper highlights are
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.errors import ChainError
 from repro.common.records import EMPTY_MAPPING
@@ -99,14 +99,13 @@ class Escrow:
         return not self.finished and not self.cancelled
 
 
-@dataclass
-class AppliedTransaction:
-    """Outcome of applying a transaction to the ledger state."""
+class AppliedTransaction(NamedTuple):
+    """Outcome of applying a transaction to the ledger state (one per row)."""
 
     transaction: XrpTransaction
     result: ResultCode
     fee_xrp: float
-    executions: List[ExchangeExecution] = field(default_factory=list)
+    executions: Sequence[ExchangeExecution] = ()
     offer_id: int = 0
     delivered: Optional[IouAmount] = None
 
@@ -153,14 +152,7 @@ class XrpTransactionEngine:
         handler = self._HANDLERS.get(transaction.type, XrpTransactionEngine._apply_noop)
         result, executions, offer_id, delivered = handler(self, transaction, timestamp)
         self.accounts.get(transaction.account).next_sequence()
-        return AppliedTransaction(
-            transaction=transaction,
-            result=result,
-            fee_xrp=fee_xrp,
-            executions=executions,
-            offer_id=offer_id,
-            delivered=delivered,
-        )
+        return AppliedTransaction(transaction, result, fee_xrp, executions, offer_id, delivered)
 
     _NOOP_RESULT: Tuple[ResultCode, list, int, Optional[IouAmount]] = (
         ResultCode.SUCCESS,

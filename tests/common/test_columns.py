@@ -1,6 +1,9 @@
 """Tests for the columnar transaction frame (the analysis substrate)."""
 
+import copy
 from array import array as stdarray
+from collections import OrderedDict
+from types import MappingProxyType
 from unittest import mock
 
 import numpy as np
@@ -526,3 +529,68 @@ class TestAppendParity:
         assert pool.intern_many(["new", "seen", "newer", "new"]) == [1, 0, 2, 1]
         assert pool.values == ["seen", "new", "newer"]
         assert pool.intern_many([]) == []
+
+
+class TestMetadataAdoption:
+    """``append`` and ``extend`` keep a record's metadata ``dict`` itself;
+    any other mapping is copied into one, and nothing the frame does
+    afterwards writes to an adopted dict."""
+
+    @pytest.mark.parametrize("path", ["append", "extend"])
+    def test_a_dict_is_adopted(self, path):
+        metadata = {"memo": "hi"}
+        frame = TxFrame()
+        record = _record(metadata=metadata)
+        frame.append(record) if path == "append" else frame.extend([record])
+        assert frame.metadata[0] is metadata
+
+    @pytest.mark.parametrize("path", ["append", "extend"])
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            lambda: MappingProxyType({"memo": "hi"}),
+            lambda: OrderedDict(memo="hi"),
+        ],
+        ids=["proxy", "dict-subclass"],
+    )
+    def test_any_other_mapping_is_copied_into_a_dict(self, path, mapping):
+        metadata = mapping()
+        frame = TxFrame()
+        record = _record(metadata=metadata)
+        frame.append(record) if path == "append" else frame.extend([record])
+        stored = frame.metadata[0]
+        assert type(stored) is dict and stored is not metadata
+        assert stored == {"memo": "hi"}
+
+    def test_no_frame_path_writes_to_an_adopted_dict(self, tmp_path, eos_records, xrp_records):
+        from repro.analysis.report import full_report
+        from repro.collection.store import FrameStore
+
+        records = [
+            record._replace(metadata=dict(record.metadata))
+            for record in eos_records[:400] + xrp_records[:400]
+        ]
+        before = copy.deepcopy([record.metadata for record in records])
+        frame = TxFrame()
+        for record in records[:300]:
+            frame.append(record)
+        frame.extend(records[300:])
+        assert all(
+            frame.metadata[row] is record.metadata
+            for row, record in enumerate(records)
+            if record.metadata
+        )
+        for row in range(len(frame)):
+            frame.record(row).metadata["touched"] = True
+        list(frame.iter_records())
+        frame.to_payload(arrays=True)
+        frame.to_payload(rows=frame.chain_view(ChainId.XRP).rows)
+        TxFrame.concat([frame, frame])
+        TxFrame.from_payload(frame.to_payload())
+        full_report(frame)
+        full_report(frame.time_window(0.0, float("inf")))
+        store = FrameStore(directory=str(tmp_path))
+        store.add_frame(frame)
+        store.flush()
+        store.to_frame()
+        assert [record.metadata for record in records] == before

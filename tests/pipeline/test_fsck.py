@@ -233,6 +233,32 @@ class TestRepair:
         assert all(issue.repair == "quarantined" for issue in report.issues)
         assert not os.path.exists(os.path.join(pipeline_dir, "checkpoint.snap"))
 
+    def test_repair_quarantines_a_checkpoint_whose_states_cover_a_dropped_chunk(
+        self, tmp_path, sample_records, frozen_oracle, frozen_clusterer
+    ):
+        """Equal chunks: after dropping chunk 0 the watermark still lands on
+        a chunk boundary inside the store, but the states under it count
+        rows that are gone, so repair must quarantine the checkpoint."""
+        root = str(tmp_path / "data")
+        pipeline = Pipeline(root, chunk_rows=1_000)
+        pipeline.set_analysis_config(frozen_oracle, frozen_clusterer)
+        pipeline.ingest_records(sample_records[:2_000])
+        pipeline.update()
+        pipeline.ingest_records(sample_records[2_000:4_000])
+        pipeline.store.flush()
+        _, manifest = _manifest(root)
+        assert [int(entry["rows"]) for entry in manifest["chunks"]] == [1_000] * 4
+        _flip_byte(_chunk_path(root, 0))
+        report = run_fsck(root, repair=True)
+        stale = [issue for issue in report.issues if issue.kind == "checkpoint_stale"]
+        assert [issue.repair for issue in stale] == ["quarantined"]
+        assert not os.path.exists(os.path.join(root, "checkpoint.snap"))
+        pipeline = Pipeline(root, chunk_rows=1_000)
+        assert pipeline.store.row_count == 3_000
+        report, _stats = pipeline.update()
+        expected = full_report(pipeline.frame, *pipeline.analysis_config())
+        assert_update_identical(report, pipeline, expected)
+
     def test_repair_preserves_uncommitted_files(self, pipeline_dir):
         store_dir = resolve_store_dir(pipeline_dir)
         leftover = os.path.join(store_dir, "frame-chunk-424242.bin")

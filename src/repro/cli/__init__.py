@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -299,6 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
+    # One OpenBLAS thread unless the caller chose a count: no source calls
+    # BLAS, and the second thread only spins (docs/architecture.md).
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -78,7 +78,7 @@ def _load_cache_meta(meta_path: str) -> Optional[Dict]:
     try:
         with open(meta_path, "r", encoding="utf-8") as handle:
             meta = json.load(handle)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(meta, dict) or meta.get("version") != CACHE_VERSION:
         return None

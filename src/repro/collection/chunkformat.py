@@ -45,6 +45,7 @@ backfills never need to iterate rows.
 
 from __future__ import annotations
 
+import gc
 import json
 import struct
 import sys
@@ -153,10 +154,18 @@ def _pack_metadata(metadata: Any) -> Dict[str, Any]:
 
 def _unpack_metadata(segment: Any, rows: int) -> List[Optional[Dict[str, Any]]]:
     raw = _unpack_blob(segment.get("z"), segment.get("r"), segment.get("blob"), "metadata")
+    # A parse allocates one dict per row (119k on ``live_tail``), which sets
+    # off hundreds of collections that can find nothing: JSON builds no
+    # reference cycle.  The caller's collector state is restored as found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         items = json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
+    except (ValueError, UnicodeDecodeError, RecursionError) as error:
         raise ChunkFormatError(f"chunk metadata segment is malformed: {error}") from None
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(items, list) or len(items) != rows:
         raise ChunkFormatError("chunk metadata segment is inconsistent")
     return items

@@ -196,10 +196,10 @@ def _decode_chunk_blob(blob: bytes, chunk_id: int) -> Dict:
         return chunkformat.decode_chunk(blob)
     try:
         return decompress_json(blob)
-    except (OSError, EOFError, ValueError, zlib.error) as error:
+    except (OSError, EOFError, ValueError, RecursionError, zlib.error) as error:
         # gzip.BadGzipFile is an OSError; truncated streams raise EOFError;
         # a damaged deflate stream raises zlib.error; json/unicode failures
-        # are ValueErrors.
+        # are ValueErrors, JSON nested too deeply a RecursionError.
         raise CollectionError(
             f"frame chunk {chunk_id} is corrupt: {error}"
         ) from None
@@ -669,7 +669,7 @@ class FrameStore:
         try:
             with open(manifest_path, "r", encoding="utf-8") as handle:
                 manifest = json.load(handle)
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:
             raise CollectionError(
                 f"frame-store manifest {manifest_path!r} is unreadable: {error}"
             ) from error

@@ -163,7 +163,7 @@ class Pipeline:
         try:
             with open(self.meta_path, "r", encoding="utf-8") as handle:
                 meta = json.load(handle)
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:
             raise CollectionError(
                 f"pipeline meta {self.meta_path!r} is unreadable: {error}"
             ) from error

@@ -183,7 +183,7 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
             manifest.get("chunks"), list
         ):
             raise ValueError("manifest is not a chunk-list mapping")
-    except (OSError, ValueError) as error:
+    except (OSError, ValueError, RecursionError) as error:
         report.issues.append(
             FsckIssue(
                 kind="manifest_unreadable",
@@ -498,7 +498,7 @@ def _check_meta(report: FsckReport, root: str) -> None:
         if not isinstance(meta, dict):
             raise ValueError("meta is not a mapping")
         decode_analysis_config(meta)
-    except (OSError, ValueError, CollectionError) as error:
+    except (OSError, ValueError, RecursionError, CollectionError) as error:
         report.issues.append(
             FsckIssue(
                 kind="meta_unreadable",

@@ -1,5 +1,6 @@
 """Tests for the v2 binary columnar chunk format (written) and v1 (read)."""
 
+import gc
 import json
 import zlib
 from pathlib import Path
@@ -211,6 +212,58 @@ class TestLazyMetadata:
         assert payload["metadata"][1] is not None
 
 
+#: A metadata segment past the JSON decoder's recursion limit.
+_TOO_DEEP = b"[" * 100_000
+
+
+def _metadata_segment(raw: bytes) -> dict:
+    flag, stored = chunkformat._pack_blob(raw)
+    return {"z": flag, "r": len(raw), "blob": stored}
+
+
+class TestMetadataParseCollector:
+    """The metadata parse runs with the collector off and restores it as found."""
+
+    @pytest.mark.parametrize(
+        "raw, rows, error",
+        [
+            (b'[{"memo":"a"},null]', 2, None),
+            (b'[{"memo":', 2, ChunkFormatError),
+            (_TOO_DEEP, 2, ChunkFormatError),
+        ],
+        ids=["good", "malformed", "too_deep"],
+    )
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_is_restored(self, raw, rows, error, collecting):
+        segment = _metadata_segment(raw)
+        was = gc.isenabled()
+        if not collecting:
+            gc.disable()
+        try:
+            if error is None:
+                assert chunkformat._unpack_metadata(segment, rows) == [{"memo": "a"}, None]
+            else:
+                with pytest.raises(error, match="malformed"):
+                    chunkformat._unpack_metadata(segment, rows)
+            assert gc.isenabled() is collecting
+        finally:
+            if was:
+                gc.enable()
+
+    def test_parse_runs_with_the_collector_off(self, monkeypatch):
+        seen, parse = [], json.loads
+
+        def loads(text):
+            seen.append(gc.isenabled())
+            return parse(text)
+
+        monkeypatch.setattr(chunkformat.json, "loads", loads)
+        segment = chunkformat._pack_metadata([{"memo": "a"}, {}])
+        assert chunkformat._unpack_metadata(segment, 2) == [{"memo": "a"}, None]
+        assert seen == [False]
+        assert gc.isenabled()
+
+
 class TestCorruption:
     def _blob(self):
         frame = TxFrame.from_records(_records(30))
@@ -237,6 +290,23 @@ class TestCorruption:
         blob = MAGIC + chunkformat._CHECKSUM.pack(zlib.adler32(body)) + body
         with pytest.raises(ChunkFormatError):
             decode_chunk(blob)
+
+    def test_metadata_nested_past_the_decoder_limit(self, monkeypatch):
+        """A checksum-valid chunk whose metadata JSON is too deep to parse:
+        the read is a ChunkFormatError, never a RecursionError."""
+        segment = _metadata_segment(_TOO_DEEP)
+        monkeypatch.setattr(chunkformat, "_pack_metadata", lambda metadata: segment)
+        blob, _ = encode_chunk(TxFrame.from_records(_records(3)).to_payload(arrays=True))
+        monkeypatch.undo()
+        payload = decode_chunk(blob)  # the checksum and the structure hold
+        with pytest.raises(ChunkFormatError, match="metadata segment is malformed"):
+            payload["metadata"][0]
+
+    def test_v1_chunk_nested_past_the_decoder_limit(self):
+        import gzip
+
+        with pytest.raises(CollectionError, match="frame chunk 0 is corrupt"):
+            _decode_chunk_blob(gzip.compress(_TOO_DEEP), 0)
 
     def test_is_v2_chunk_dispatch(self):
         assert is_v2_chunk(self._blob())

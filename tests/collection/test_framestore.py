@@ -249,7 +249,9 @@ class TestManifest:
             json.dump(json.loads(written), handle)
         assert written == reference.read_text(encoding="utf-8")
 
-    @pytest.mark.parametrize("damage", ["truncated", "not_an_object", "not_utf8"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "not_an_object", "not_utf8", "too_deep"]
+    )
     def test_unparsable_manifest_is_a_collection_error(self, tmp_path, damage):
         store = FrameStore(chunk_rows=5, directory=str(tmp_path))
         store.add_frame(TxFrame.from_records(_records(12)))
@@ -259,6 +261,8 @@ class TestManifest:
                 "truncated": manifest_path.read_bytes()[:100],
                 "not_an_object": b"[1]",
                 "not_utf8": b'{"version": "\xff"}',
+                # Past the decoder's recursion limit: a RecursionError.
+                "too_deep": b"[" * 100_000,
             }[damage]
         )
         with pytest.raises(CollectionError, match="manifest"):

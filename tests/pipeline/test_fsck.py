@@ -130,6 +130,26 @@ class TestDetection:
         report = run_fsck(pipeline_dir)
         assert any(issue.kind == "meta_unreadable" for issue in report.issues)
 
+    def test_meta_nested_past_the_decoder_limit(self, pipeline_dir):
+        with open(
+            os.path.join(pipeline_dir, "meta.json"), "w", encoding="utf-8"
+        ) as handle:
+            handle.write("[" * 100_000)
+        report = run_fsck(pipeline_dir)
+        assert [issue.kind for issue in report.issues] == ["meta_unreadable"]
+
+    def test_manifest_nested_past_the_decoder_limit(self, pipeline_dir):
+        """Every manifest read fsck makes — the chunk walk's, the checkpoint
+        range check's and the state-cache staleness check's — takes a
+        RecursionError as an unreadable manifest, reported once."""
+        store_dir = resolve_store_dir(pipeline_dir)
+        with open(
+            os.path.join(store_dir, MANIFEST_NAME), "w", encoding="utf-8"
+        ) as handle:
+            handle.write("[" * 100_000)
+        report = run_fsck(pipeline_dir)
+        assert [issue.kind for issue in report.issues] == ["manifest_unreadable"]
+
     def test_meta_with_a_malformed_cluster_map(self, pipeline_dir):
         path = os.path.join(pipeline_dir, "meta.json")
         with open(path, "r", encoding="utf-8") as handle:

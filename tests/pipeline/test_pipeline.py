@@ -39,8 +39,13 @@ from repro.scenarios import get_scenario
 
 from tests.support.reports import assert_reports_identical, assert_update_identical
 
-#: A torn write and a foreign file: what ``fsck`` calls ``meta_unreadable``.
-UNREADABLE_METAS = ('{"version": 1, "oracle', "[]")
+#: A torn write, a foreign file and a document nested past the decoder's
+#: recursion limit: what ``fsck`` calls ``meta_unreadable``.
+UNREADABLE_METAS = (
+    '{"version": 1, "oracle',
+    "[]",
+    pytest.param("[" * 100_000, id="too_deep"),
+)
 
 
 @pytest.fixture(scope="module")

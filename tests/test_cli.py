@@ -82,6 +82,37 @@ class TestListAndScenario:
         assert "unknown scenario" in capsys.readouterr().err
 
 
+class TestBlasThreadDefault:
+    """``main`` gives a process that has not loaded numpy one OpenBLAS thread."""
+
+    @pytest.fixture
+    def blas_unset(self, monkeypatch):
+        # Set first so the undo restores the original, removing what ``main`` sets.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+
+    @pytest.fixture
+    def no_numpy_yet(self, monkeypatch):
+        # ``list`` imports no numpy, so the entry can stay out for the call.
+        monkeypatch.delitem(sys.modules, "numpy", raising=False)
+
+    def test_unset_becomes_one(self, blas_unset, no_numpy_yet):
+        assert _run(["list"])[0] == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_an_explicit_count_wins(self, blas_unset, no_numpy_yet, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        assert _run(["list"])[0] == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+
+    def test_a_process_with_numpy_loaded_keeps_its_environment(self, blas_unset):
+        import numpy  # noqa: F401
+
+        before = dict(os.environ)
+        assert _run(["list"])[0] == 0
+        assert dict(os.environ) == before
+
+
 class TestReport:
     def test_serial_report(self):
         code, output = _run(["report", "--scale", TINY_SCENARIO])
@@ -188,6 +219,8 @@ class TestUnusableCacheMeta:
             "another_seed",
             "manifest_truncated",
             "manifest_not_an_object",
+            "too_deep",
+            "manifest_too_deep",
             "oracle_missing",
             "oracle_malformed",
             "clusters_missing",
@@ -211,6 +244,10 @@ class TestUnusableCacheMeta:
             manifest_path.write_bytes(manifest_path.read_bytes()[:100])
         elif damage == "manifest_not_an_object":
             manifest_path.write_text("[1]")
+        elif damage.endswith("too_deep"):  # past the JSON decoder's recursion limit
+            (manifest_path if damage.startswith("manifest") else meta_path).write_text(
+                "[" * 100_000
+            )
         elif damage.startswith(("oracle_", "clusters_")):
             # Version, scenario, seed and rows still match: only the frozen
             # analysis companions are unusable.
@@ -461,7 +498,10 @@ class TestPipelineCommands:
         code, _ = _run(["ingest", "--data", data, "--scale", "small"])
         assert code == 2  # pinned settings mismatch is a clean CLI error
 
-    @pytest.mark.parametrize("content", ['{"version": 1, "oracle', "[]"])
+    @pytest.mark.parametrize(
+        "content",
+        ['{"version": 1, "oracle', "[]", pytest.param("[" * 100_000, id="too_deep")],
+    )
     def test_unreadable_pipeline_meta_is_a_clean_error(
         self, tmp_path, capsys, content
     ):

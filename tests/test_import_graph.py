@@ -265,3 +265,41 @@ def test_no_source_imports_numpy_at_module_level():
                 if target == "numpy" or target.startswith("numpy.")
             ]
     assert offenders == []
+
+
+#: numpy's BLAS-backed entry points.  No source calls one, which is why
+#: :func:`repro.cli.main` can give a CLI process a single OpenBLAS thread
+#: without slowing a real computation.
+BLAS_NAMES = frozenset(
+    ("dot", "matmul", "einsum", "tensordot", "inner", "outer", "vdot", "linalg")
+)
+
+
+def test_no_source_calls_a_blas_routine():
+    """No attribute access to a BLAS entry point (``np.dot``, ``x.dot``,
+    ``np.linalg``), no ``@`` / ``@=``, and no import of one from numpy."""
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(SRC, "repro", "**", "*.py"), recursive=True)):
+        with open(path, "r", encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        where = os.path.relpath(path, SRC)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+                offenders.append(f"{where}:{node.lineno} uses .{node.attr}")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.MatMult
+            ):
+                offenders.append(f"{where}:{node.lineno} uses @")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                names = {node.module.split(".")[-1]} | {alias.name for alias in node.names}
+                offenders += [
+                    f"{where}:{node.lineno} imports {name} from {node.module}"
+                    for name in sorted(names & BLAS_NAMES)
+                ]
+            elif isinstance(node, ast.Import):
+                offenders += [
+                    f"{where}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("numpy.linalg")
+                ]
+    assert offenders == []

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.common.clock import timestamp_from_iso
 from repro.common.columns import CHAIN_CODES, FrameLike, TxFrame, as_frame
@@ -147,12 +147,38 @@ class BoomerangClaimsAccumulator(Accumulator):
 
         return step
 
+    def _grouper(self, frame: TxFrame) -> Callable:
+        """``group(rows)``: :meth:`bind`'s grouping of the EOS transfer rows
+        at ``rows`` (an index ndarray), from the projected columns."""
+        groups = self._groups
+        projected = frame.projected()
+        contract = frame.meta_strings.code(self.contract)
+        names = ("sender_code", "amount", "timestamp", "currency_code")
+        columns = [*map(frame.ndarray, names), projected["transfer_to"], projected["inline"]]
+        accounts, currencies, ids = frame.accounts.values, frame.currencies.values, frame.transaction_id
+
+        def group(rows) -> None:
+            senders, amounts, times, codes, targets, inline = (column[rows] for column in columns)
+            transfers = zip(
+                map(accounts.__getitem__, senders.tolist()),
+                amounts.tolist(),
+                times.tolist(),
+                map(currencies.__getitem__, codes.tolist()),
+                (targets == (-2 if contract is None else contract)).tolist(),
+                (inline == 1).tolist(),
+            )
+            for transaction_id, transfer in zip(map(ids.__getitem__, rows.tolist()), transfers):
+                groups[transaction_id].append(transfer)
+
+        return group
+
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Boolean-mask kernel: only EOS transfer rows pay the grouping."""
-        step = self.bind(frame)
+        self._reset(frame)
         transfer_code = frame.types.code("transfer")
         if transfer_code is None:
             return lambda rows: None
+        group = self._grouper(frame)
         chain_codes = frame.ndarray("chain_code")
         type_codes = frame.ndarray("type_code")
         eos = CHAIN_CODES[ChainId.EOS]
@@ -162,10 +188,8 @@ class BoomerangClaimsAccumulator(Accumulator):
                 return
             chain, types = block_columns(rows, chain_codes, type_codes)
             mask = (chain == eos) & (types == transfer_code)
-            if not mask.any():
-                return
-            for row in matched_rows(rows, mask).tolist():
-                step(row)
+            if mask.any():
+                group(matched_rows(rows, mask))
 
         return consume
 
@@ -285,7 +309,8 @@ class AirdropAccumulator(BoomerangClaimsAccumulator):
         The statistics cover every EOS row, so this cannot reuse the
         parent's transfers-only pre-filter.
         """
-        inner = BoomerangClaimsAccumulator.bind(self, frame)
+        self._reset(frame)
+        group = self._grouper(frame)
         pre = self._pre
         post = self._post
         post_counts = self._post_counts
@@ -332,8 +357,7 @@ class AirdropAccumulator(BoomerangClaimsAccumulator):
                     post_counts[transaction_id] = get(transaction_id, 0) + 1
             transfer_mask = eos_mask & (types == transfer)
             if transfer_mask.any():
-                for row in matched_rows(rows, transfer_mask).tolist():
-                    inner(row)
+                group(matched_rows(rows, transfer_mask))
 
         return consume
 

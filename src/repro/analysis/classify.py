@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, U
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, as_frame
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step, config_digest
-from repro.analysis.vectorized import block_columns, count_codes, matched_rows
+from repro.analysis.vectorized import add_counts, block_columns, count_codes, unique_counts_ordered
 from repro.common.statecodec import (
     pack_code_table,
     pack_str_table,
@@ -476,25 +476,24 @@ class TezosCategoryAccumulator(Accumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        """Mask-prefiltered kernel: only Tezos rows reach :meth:`bind`'s step.
-
-        The category lives in the free-form metadata mapping (an object
-        column), so the tail stays per-row by construction; the win is the
-        C-speed chain filter in front of it.
-        """
-        step = self.bind(frame)
+        """The Tezos rows' projected ``category`` codes, counted in first-seen
+        order (``-1``, no category, is ``manager``)."""
+        self._reset(frame)
+        counts = self._counts
         chain_codes = frame.ndarray("chain_code")
+        categories = frame.projected()["category"]
+        strings = frame.meta_strings.values
         tezos = _TEZOS_CODE
 
         def consume(rows: RowIndices) -> None:
             if not len(rows):
                 return
-            (chain,) = block_columns(rows, chain_codes)
-            mask = chain == tezos
-            if not mask.any():
-                return
-            for row in matched_rows(rows, mask).tolist():
-                step(row)
+            chain, codes = block_columns(rows, chain_codes, categories)
+            codes = codes[chain == tezos]
+            if len(codes):
+                uniques, totals = unique_counts_ordered(codes)
+                names = [strings[code] if code >= 0 else "manager" for code in uniques.tolist()]
+                add_counts(counts, names, totals.tolist())
 
         return consume
 

@@ -24,7 +24,7 @@ from repro.common.records import XRP_CURRENCY, ChainId, TransactionRecord
 from repro.analysis.clustering import StaticAccountClusterer
 from repro.analysis.containers import SortedColumn
 from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step, config_digest
-from repro.analysis.vectorized import block_columns, count_codes, matched_rows
+from repro.analysis.vectorized import block_columns, count_codes
 from repro.common.statecodec import pack_code_table, restore_code_table
 
 if TYPE_CHECKING:
@@ -233,9 +233,8 @@ class XrpDecompositionAccumulator(Accumulator):
         """Vectorized kernel: packed (chain, success, type) histogram plus
         boolean-mask reductions for the value and executed-offer counters.
 
-        Only two per-row tails survive: the oracle check runs once per
-        *distinct* (currency, issuer) pair, and the ``executed`` metadata
-        flag is read only on the (thin) successful-offer slice.
+        The oracle check runs once per *distinct* (currency, issuer) pair;
+        executed offers are a mask over the projected ``executed`` flag.
         """
         import numpy as np
 
@@ -248,7 +247,7 @@ class XrpDecompositionAccumulator(Accumulator):
         amounts = frame.ndarray("amount")
         currency_codes = frame.ndarray("currency_code")
         issuer_codes = frame.ndarray("issuer_code")
-        metadata = frame.metadata
+        executed = frame.projected()["executed"]
         xrp = CHAIN_CODES[ChainId.XRP]
         payment = -1 if self._payment_code is None else self._payment_code
         offer = -1 if self._offer_code is None else self._offer_code
@@ -283,12 +282,8 @@ class XrpDecompositionAccumulator(Accumulator):
                     )
             offer_mask = successful_xrp & (types == offer)
             if offer_mask.any():
-                executed = 0
-                for row in matched_rows(rows, offer_mask).tolist():
-                    meta = metadata[row]
-                    if meta and meta.get("executed"):
-                        executed += 1
-                counters[1] += executed
+                (flags,) = block_columns(rows, executed)
+                counters[1] += int(np.count_nonzero(flags[offer_mask] == 1))
 
         return consume
 

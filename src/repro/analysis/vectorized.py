@@ -15,7 +15,7 @@ factors those patterns into a handful of primitives so each accumulator's
   block, **replayed in first-seen order** into the accumulator's existing
   Counter/dict state;
 * :func:`matched_rows` — boolean mask → global row indices, for kernels
-  whose tail work (metadata lookups, oracle checks) is inherently per-row.
+  whose tail work (grouping by transaction id, oracle checks) is per-row.
 
 The first-seen replay is the load-bearing subtlety: the row-step reference
 kernels (each accumulator's ``bind``) insert counter keys in row order, and

@@ -127,8 +127,10 @@ class TradeExtractionAccumulator(Accumulator):
         return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        """Boolean-mask kernel: only the contract's trade rows pay extraction."""
-        step = self.bind(frame)
+        """Boolean-mask kernel: only the contract's trade rows pay extraction,
+        from the projected ``buyer`` / ``seller`` / ``symbol`` codes."""
+        self._reset(frame)
+        append = self._trades.append
         contract_code = frame.accounts.code(self.contract)
         trade_code = frame.types.code(TRADE_ACTION)
         if contract_code is None or trade_code is None:
@@ -136,6 +138,12 @@ class TradeExtractionAccumulator(Accumulator):
         chain_codes = frame.ndarray("chain_code")
         receiver_codes = frame.ndarray("receiver_code")
         type_codes = frame.ndarray("type_code")
+        projected = frame.projected()
+        columns = [frame.ndarray(name) for name in ("sender_code", "currency_code", "amount", "timestamp")]
+        columns += [projected["buyer"], projected["seller"], projected["symbol"]]
+        strings = frame.meta_strings.values
+        account_values = frame.accounts.values
+        currency_values = frame.currencies.values
         eos = CHAIN_CODES[ChainId.EOS]
 
         def consume(rows: RowIndices) -> None:
@@ -147,8 +155,15 @@ class TradeExtractionAccumulator(Accumulator):
             mask = (chain == eos) & (receiver == contract_code) & (types == trade_code)
             if not mask.any():
                 return
-            for row in matched_rows(rows, mask).tolist():
-                step(row)
+            matched = matched_rows(rows, mask)
+            for sender, currency, amount, timestamp, buyer, seller, symbol in zip(
+                *(column[matched].tolist() for column in columns)
+            ):
+                sender = str(account_values[sender])
+                symbol = strings[symbol] if symbol >= 0 else ""
+                buyer = strings[buyer] if buyer >= 0 else sender
+                seller = strings[seller] if seller >= 0 else sender
+                append(TradeObservation(buyer, seller, currency_values[currency] or symbol, amount, timestamp))
 
         return consume
 

@@ -11,7 +11,7 @@ import json
 import os
 
 from repro.analysis.statecache import ChunkStateCache
-from repro.collection.store import CHUNK_FORMAT_V2, FrameStore, resolve_store_dir
+from repro.collection.store import CHUNK_FORMAT_V3, FrameStore, resolve_store_dir
 from repro.common.errors import ReproError
 
 
@@ -34,13 +34,13 @@ def cmd_migrate_store(args: argparse.Namespace, out) -> int:
     if migrated == 0:
         print(
             f"Nothing to migrate: all {store.committed_chunk_count} chunk(s) "
-            f"in {directory} are already {CHUNK_FORMAT_V2}",
+            f"in {directory} are already {CHUNK_FORMAT_V3}",
             file=out,
         )
         return 0
     print(
         f"Migrated {migrated} of {store.committed_chunk_count} chunk(s) in "
-        f"{directory} to {CHUNK_FORMAT_V2}; on-disk bytes "
+        f"{directory} to {CHUNK_FORMAT_V3}; on-disk bytes "
         f"{before.compressed_bytes:,} -> {after.compressed_bytes:,}",
         file=out,
     )

@@ -1,11 +1,11 @@
-"""Version-2 binary columnar chunk format for the frame store.
+"""Binary columnar chunk formats (v2 read, v3 written) for the frame store.
 
 Version 1 chunks are gzip-compressed JSON: portable, but every decode pays
 ``json.loads`` over hundreds of thousands of number literals and then a
 per-column rebuild into ``array`` buffers — which, since the out-of-core
 engine re-reads chunks in every worker for every task, had become the
-dominant cost of a chunk-range scan.  Version 2 stores what the analysis
-substrate actually wants:
+dominant cost of a chunk-range scan.  The binary formats store what the
+analysis substrate actually wants:
 
 * numeric columns as **raw machine-byte blobs** in the frame's own
   ``array`` typecodes (:data:`repro.common.columns.NUMERIC_TYPECODES`), so
@@ -16,31 +16,32 @@ substrate actually wants:
   per column);
 * the whole chunk body framed by :mod:`repro.common.statecodec` — the
   closed data-only codec already trusted for checkpoints — behind a small
-  header: format magic + version byte, then an adler32 checksum of the
-  body, verified **before** any decoding happens.
+  header: format magic (``RFC``) + version byte, then an adler32 checksum of
+  the body, verified **before** any decoding happens.
 
 Per-column zlib is optional and size-gated: a column blob is stored
 compressed only when compression actually shrinks it (random ids and
 near-random amounts often don't benefit; code columns and heights do).
 The flag is per segment, so mixed chunks stay cheap to decode.
 
-Corruption — a flipped bit, a truncated file, a foreign blob — surfaces as
-:class:`ChunkFormatError` (a :class:`~repro.common.errors.CollectionError`),
-mirroring how a corrupt checkpoint degrades to "no usable snapshot" instead
-of crashing or silently mis-decoding.
+Version 2 keeps each row's ``metadata`` dict whole, in one zlib'd JSON
+sub-blob.  Version 3, the one written, also stores the keys figures read
+(:data:`~repro.common.projection.PROJECTED_KEYS`) as typed columns, returned
+under the payload's ``projected``, and its JSON keeps only the rest: scans
+read the columns and parse no JSON.  Either way ``metadata`` decodes to a
+:class:`~repro.common.columns.LazyMetadata` block, parsed (and for v3 the
+projected keys re-inserted) only when a consumer reads the dicts.
 
-The decoded payload has the same shape :meth:`TxFrame.to_payload` produces
-(``columns`` / ``transaction_id`` / ``metadata`` / ``pools``), so every
-existing consumer — payload extend, the resident-frame tail
-slice, out-of-core workers — works unchanged.  The numeric columns come
-back as **zero-copy read-only ndarrays** wrapping the decoded bytes (one
-``np.frombuffer`` per column; a foreign-endian chunk is byte-swapped into
-``array.array`` columns instead).  Per-row ``metadata`` dicts are stored as one zlib'd
-JSON sub-blob and decode to a :class:`~repro.common.columns.LazyMetadata`
-block: the parse is deferred until a consumer reads the column, so purely
-numeric scans never pay it.  The payload additionally carries the chunk's
-header stats (``rows``, per-chain heights/times/row counts) so metadata
-backfills never need to iterate rows.
+Corruption — a flipped bit, a truncated file, a foreign blob, an unknown
+version — surfaces as :class:`ChunkFormatError` (a
+:class:`~repro.common.errors.CollectionError`) at decode, before any kernel
+could index past a column, mirroring how a corrupt checkpoint degrades to
+"no usable snapshot".  The decoded payload has the shape
+:meth:`TxFrame.to_payload` produces; numeric columns come back as
+**zero-copy read-only ndarrays** over the decoded bytes (``array.array``
+for a foreign-endian chunk), and the header's stats (``rows``, per-chain
+heights/times/row counts) ride along so metadata backfills never iterate
+rows.
 """
 
 from __future__ import annotations
@@ -54,24 +55,40 @@ from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common import statecodec
-from repro.common.columns import NUMERIC_TYPECODES, LazyMetadata
+from repro.common.columns import CHAIN_ORDER, NUMERIC_TYPECODES, LazyMetadata
+from repro.common.projection import (
+    PROJECTED_KEYS,
+    PROJECTED_TYPECODES,
+    Projection,
+    merge_residue,
+    project_metadata,
+    split_residue,
+)
 from repro.common.errors import CollectionError
 
 __all__ = [
     "ChunkFormatError",
     "MAGIC",
+    "VERSIONS",
+    "chunk_version",
     "decode_chunk",
     "encode_chunk",
-    "is_v2_chunk",
 ]
 
 
 class ChunkFormatError(CollectionError):
-    """A v2 chunk blob cannot be decoded (corrupt, truncated, or foreign)."""
+    """A binary chunk blob cannot be decoded (corrupt, truncated, foreign,
+    or of a format version this code does not read)."""
 
 
-#: Format magic; the trailing byte is the chunk-format version.
-MAGIC = b"RFC\x02"
+#: Magic of the binary chunk family; the byte after it is the version.
+FAMILY = b"RFC"
+
+#: The magic :func:`encode_chunk` writes: version 3.
+MAGIC = FAMILY + b"\x03"
+
+#: Versions :func:`decode_chunk` reads.
+VERSIONS = (2, 3)
 
 _CHECKSUM = struct.Struct("<I")
 
@@ -81,6 +98,9 @@ _HEADER_LEN = len(MAGIC) + _CHECKSUM.size
 #: Blobs shorter than this are never worth a zlib attempt.
 _MIN_COMPRESS_BYTES = 64
 
+#: Rows per metadata batch the encoder splits and dumps (see _pack_metadata).
+_RESIDUE_BATCH_ROWS = 4096
+
 #: Fixed zlib level — per-chunk determinism (sharded generation relies on
 #: equal payloads encoding to equal bytes) forbids anything adaptive.
 _ZLIB_LEVEL = 6
@@ -88,10 +108,24 @@ _ZLIB_LEVEL = 6
 _LITTLE = "<"
 _BIG = ">"
 
+#: The string pool each code column indexes.
+_CODE_POOLS = {
+    "type_code": "types",
+    "sender_code": "accounts",
+    "receiver_code": "accounts",
+    "contract_code": "accounts",
+    "currency_code": "currencies",
+    "issuer_code": "accounts",
+    "error_code": "errors",
+}
 
-def is_v2_chunk(blob: bytes) -> bool:
-    """Whether ``blob`` carries the v2 chunk magic (cheap dispatch test)."""
-    return blob[: len(MAGIC)] == MAGIC
+
+def chunk_version(blob: bytes) -> Optional[int]:
+    """The format version of a binary chunk blob, ``None`` for anything else
+    (a v1 gzip chunk); cheap enough to dispatch on."""
+    if len(blob) > len(FAMILY) and blob.startswith(FAMILY):
+        return blob[len(FAMILY)]
+    return None
 
 
 def _pack_blob(raw: bytes) -> Tuple[int, bytes]:
@@ -134,20 +168,27 @@ def _column_raw_bytes(data: Any, typecode: str) -> bytes:
     return array(typecode, data).tobytes()
 
 
-def _pack_metadata(metadata: Any) -> Dict[str, Any]:
+def _pack_metadata(metadata: Any, projection: Optional[Projection] = None) -> Dict[str, Any]:
     """Pack the per-row metadata list as one zlib'd JSON sub-blob.
 
     Metadata dicts are free-form (JSON-able by the record contract), so a
     per-element binary encoding buys nothing and costs a Python-level
     decode per row.  One C-level ``json.dumps``/``json.loads`` over the
     whole column — with empty dicts stored as ``null`` — is both smaller
-    after zlib and an order of magnitude faster to decode.
+    after zlib and an order of magnitude faster to decode.  With the rows'
+    ``projection`` only their residue is stored (:func:`split_residue`),
+    split and dumped :data:`_RESIDUE_BATCH_ROWS` rows at a time so that the
+    copies the split makes never cover a whole chunk at once.
     """
-    raw = json.dumps(
-        [meta if meta else None for meta in metadata],
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+    parts = []
+    for start in range(0, len(metadata), _RESIDUE_BATCH_ROWS):
+        rows = metadata[start : start + _RESIDUE_BATCH_ROWS]
+        if projection is not None:
+            columns = {key: column[start : start + len(rows)] for key, column in projection.columns.items()}
+            rows = split_residue(rows, Projection(columns, projection.strings))
+        text = json.dumps([meta if meta else None for meta in rows], sort_keys=True, separators=(",", ":"))
+        parts.append(text[1:-1])
+    raw = ("[" + ",".join(parts) + "]").encode("utf-8")
     flag, stored = _pack_blob(raw)
     return {"z": flag, "r": len(raw), "blob": stored}
 
@@ -171,17 +212,53 @@ def _unpack_metadata(segment: Any, rows: int) -> List[Optional[Dict[str, Any]]]:
     return items
 
 
-def _lazy_metadata(segment: Any, rows: int) -> LazyMetadata:
+def _lazy_metadata(segment: Any, rows: int, projection: Optional[Projection]) -> LazyMetadata:
     """A :class:`LazyMetadata` block over a chunk's metadata segment.
 
     Structural validation is eager (so a foreign document fails at decode
     time); the zlib + JSON work is deferred to first access — the chunk
-    checksum has already vouched for the bytes, so scans that never read
-    metadata skip what is otherwise the dominant decode cost.
+    checksum has already vouched for the bytes, and no scan reads the dicts.
     """
     if not isinstance(segment, dict) or not isinstance(segment.get("blob"), bytes):
         raise ChunkFormatError("chunk metadata segment is malformed")
-    return LazyMetadata(rows, lambda: _unpack_metadata(segment, rows))
+
+    def load() -> List[Optional[Dict[str, Any]]]:
+        items = _unpack_metadata(segment, rows)
+        if projection is None:
+            return items
+        if not all(item is None or item.__class__ is dict for item in items):
+            raise ChunkFormatError("chunk metadata residue is not a list of mappings")
+        return merge_residue(items, projection)
+
+    return LazyMetadata(rows, load)
+
+
+def _check_codes(column: Any, rows: int, codes: range, what: str) -> None:
+    """``column`` holds ``rows`` values, each in ``codes``."""
+    import numpy as np
+
+    values = np.asarray(column)
+    if len(values) != rows or (rows and not codes.start <= values.min() <= values.max() < codes.stop):
+        raise ChunkFormatError(f"chunk {what} column is inconsistent")
+
+
+def _pack_column(data: Any, typecode: str) -> List[Any]:
+    raw = _column_raw_bytes(data, typecode)
+    flag, stored = _pack_blob(raw)
+    return [typecode, flag, len(raw), stored]
+
+
+def _unpack_projection(doc: Any, rows: int, swap: bool) -> Projection:
+    if not isinstance(doc, dict) or not isinstance(doc.get("columns"), dict) or set(doc["columns"]) != set(PROJECTED_KEYS):
+        raise ChunkFormatError("chunk projected segment is malformed")
+    strings = _unpack_text(doc.get("strings"), "projected strings")
+    columns = {}
+    for key, kind in PROJECTED_KEYS.items():
+        entry, typecode = doc["columns"][key], PROJECTED_TYPECODES[kind]
+        columns[key] = _decode_column(entry, key, swap, typecode)
+        codes = range(-1, 2 if kind == "flag" else len(strings))  # -1: absent
+        _check_codes(columns[key], rows, codes, f"projected {key!r}")
+    return Projection(columns, strings)
 
 
 def _pack_text(values: Any) -> Tuple[Dict[str, Any], int]:
@@ -235,29 +312,37 @@ def encode_chunk(
     payload: Dict[str, Any],
     chain_stats: Optional[Tuple[Dict, Dict, Dict]] = None,
 ) -> Tuple[bytes, int]:
-    """Encode one columnar payload as a v2 chunk blob.
+    """Encode one columnar payload as a v3 chunk blob.
 
     ``payload`` is :meth:`TxFrame.to_payload` output (``arrays=True`` gives
-    the cheapest encode; list columns are converted).  ``chain_stats`` is
-    the ``(heights, times, chain_rows)`` triple the store computes per
-    chunk; embedding it lets metadata backfills decode the header instead
-    of iterating rows.
+    the cheapest encode; list columns are converted), whose ``projected``
+    columns are written as they are; a payload without them (a decoded v1/v2
+    chunk being migrated) is projected here.  ``chain_stats`` is the
+    ``(heights, times, chain_rows)`` triple the store computes per chunk;
+    embedding it lets metadata backfills decode the header instead of
+    iterating rows.
 
     Returns ``(blob, raw_bytes)`` where ``raw_bytes`` is the body size with
     every per-segment compression undone — the uncompressed footprint the
     store's byte accounting reports, computed from the blob lengths already
     in hand rather than by a second serialisation.
     """
-    columns_doc: Dict[str, Any] = {}
-    for name, typecode in NUMERIC_TYPECODES.items():
-        raw = _column_raw_bytes(payload["columns"][name], typecode)
-        flag, stored = _pack_blob(raw)
-        columns_doc[name] = [typecode, flag, len(raw), stored]
+    metadata = payload["metadata"]
+    projection = payload.get("projected") or project_metadata(metadata)
+    columns_doc = {
+        name: _pack_column(payload["columns"][name], typecode)
+        for name, typecode in NUMERIC_TYPECODES.items()
+    }
+    projected_doc = {
+        key: _pack_column(projection.columns[key], PROJECTED_TYPECODES[kind])
+        for key, kind in PROJECTED_KEYS.items()
+    }
+    strings_doc, _ = _pack_text(projection.strings)
     ids_doc, _ = _pack_text(payload["transaction_id"])
     pools_doc: Dict[str, Any] = {}
     for name, values in payload["pools"].items():
         pools_doc[name], _ = _pack_text(values)
-    meta_doc = _pack_metadata(payload["metadata"])
+    meta_doc = _pack_metadata(metadata, projection)
     heights, times, chain_rows = chain_stats if chain_stats else ({}, {}, {})
     doc = {
         "order": _LITTLE if sys.byteorder == "little" else _BIG,
@@ -268,27 +353,28 @@ def encode_chunk(
         "columns": columns_doc,
         "ids": ids_doc,
         "meta": meta_doc,
+        "projected": {"columns": projected_doc, "strings": strings_doc},
         "pools": pools_doc,
     }
     body = statecodec.encode(doc)
     saved = 0
-    for typecode, flag, raw_len, stored in columns_doc.values():
+    for typecode, flag, raw_len, stored in [*columns_doc.values(), *projected_doc.values()]:
         if flag:
             saved += raw_len - len(stored)
-    for segment in [ids_doc, meta_doc] + list(pools_doc.values()):
+    for segment in [ids_doc, meta_doc, strings_doc] + list(pools_doc.values()):
         if segment["z"]:
             saved += segment["r"] - len(segment["blob"])
     blob = MAGIC + _CHECKSUM.pack(zlib.adler32(body) & 0xFFFFFFFF) + body
     return blob, len(body) + saved
 
 
-def _decode_column(entry: Any, name: str, swap: bool):
+def _decode_column(entry: Any, name: str, swap: bool, expected: str):
     import numpy as np
 
     if not (isinstance(entry, list) and len(entry) == 4):
         raise ChunkFormatError(f"chunk column {name!r} is malformed")
     typecode, flag, raw_len, stored = entry
-    if typecode != NUMERIC_TYPECODES.get(name):
+    if typecode != expected:
         raise ChunkFormatError(
             f"chunk column {name!r} has unexpected typecode {typecode!r}"
         )
@@ -314,20 +400,22 @@ def _decode_column(entry: Any, name: str, swap: bool):
 
 
 def decode_chunk(blob: bytes) -> Dict[str, Any]:
-    """Decode a v2 chunk blob back into a columnar payload.
+    """Decode a v2 or v3 chunk blob back into a columnar payload.
 
     The adler32 checksum is verified over the whole body before any
-    structural decoding; any mismatch, truncation or malformed segment
-    raises :class:`ChunkFormatError`.  The returned payload carries the
-    standard ``columns`` / ``transaction_id`` / ``metadata`` / ``pools``
-    keys plus the header's ``rows`` count and ``chain_stats`` triple.
-    ``metadata`` comes back as a :class:`~repro.common.columns.LazyMetadata`
-    block — the JSON parse of the per-row dicts (the dominant decode cost
-    on metadata-heavy workloads) is deferred until a consumer actually
-    reads the column.
+    structural decoding; any mismatch, truncation, malformed segment or
+    unknown version raises :class:`ChunkFormatError`.  The returned payload
+    carries the standard ``columns`` / ``transaction_id`` / ``metadata`` /
+    ``pools`` keys (``projected`` too, for v3) plus the header's ``rows``
+    count and ``chain_stats`` triple.  ``metadata`` comes back as a
+    :class:`~repro.common.columns.LazyMetadata` block — its JSON parse is
+    deferred until a consumer actually reads the dicts.
     """
-    if len(blob) < _HEADER_LEN or not is_v2_chunk(blob):
-        raise ChunkFormatError("chunk blob has no v2 header")
+    version = chunk_version(blob)
+    if len(blob) < _HEADER_LEN or version is None:
+        raise ChunkFormatError("chunk blob has no binary chunk header")
+    if version not in VERSIONS:
+        raise ChunkFormatError(f"chunk format version {version} is not supported")
     (checksum,) = _CHECKSUM.unpack_from(blob, len(MAGIC))
     body = blob[_HEADER_LEN:]
     if zlib.adler32(body) & 0xFFFFFFFF != checksum:
@@ -345,6 +433,7 @@ def decode_chunk(blob: bytes) -> Dict[str, Any]:
         ids_doc = doc["ids"]
         meta_doc = doc["meta"]
         pools_doc = doc["pools"]
+        projected_doc = doc["projected"] if version == 3 else None
     except KeyError as error:
         raise ChunkFormatError(f"chunk body is missing segment {error}") from None
     if order not in (_LITTLE, _BIG) or not isinstance(rows, int):
@@ -356,11 +445,10 @@ def decode_chunk(blob: bytes) -> Dict[str, Any]:
     native = _LITTLE if sys.byteorder == "little" else _BIG
     swap = order != native
     columns = {
-        name: _decode_column(columns_doc[name], name, swap)
-        for name in NUMERIC_TYPECODES
+        name: _decode_column(columns_doc[name], name, swap, typecode)
+        for name, typecode in NUMERIC_TYPECODES.items()
     }
     transaction_ids = _unpack_text(ids_doc, "transaction ids")
-    metadata = _lazy_metadata(meta_doc, rows)
     pools = {name: _unpack_text(segment, f"pool {name!r}") for name, segment in pools_doc.items()}
     if len(transaction_ids) != rows or any(
         len(column) != rows for column in columns.values()
@@ -368,10 +456,14 @@ def decode_chunk(blob: bytes) -> Dict[str, Any]:
         raise ChunkFormatError(
             f"chunk body is inconsistent (header says {rows} rows)"
         )
-    return {
+    if set(pools) != set(_CODE_POOLS.values()):
+        raise ChunkFormatError("chunk body has an unexpected pool set")
+    _check_codes(columns["chain_code"], rows, range(len(CHAIN_ORDER)), "'chain_code'")
+    for name, pool in _CODE_POOLS.items():
+        _check_codes(columns[name], rows, range(len(pools[pool])), repr(name))
+    payload = {
         "columns": columns,
         "transaction_id": transaction_ids,
-        "metadata": metadata,
         "pools": pools,
         "rows": rows,
         "chain_stats": (
@@ -380,3 +472,8 @@ def decode_chunk(blob: bytes) -> Dict[str, Any]:
             doc.get("chain_rows") or {},
         ),
     }
+    projection = None
+    if projected_doc is not None:
+        projection = payload["projected"] = _unpack_projection(projected_doc, rows, swap)
+    payload["metadata"] = _lazy_metadata(meta_doc, rows, projection)
+    return payload

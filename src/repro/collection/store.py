@@ -44,15 +44,15 @@ place the first time the out-of-core metadata is requested: every chunk
 payload is read once, the deltas/bounds/counts are computed, and the
 manifest is rewritten at version 2.
 
-Frame chunks themselves come in two **serialisation formats**: the legacy
-``v1`` gzip-JSON files (``frame-chunk-*.json.gz``) and the binary columnar
-``v2`` files (``frame-chunk-*.bin``, see
-:mod:`repro.collection.chunkformat`).  New chunks are always written as v2;
-v1 is read-only input from archives written by older versions.  Reads
-dispatch on each blob's magic bytes, so a store may freely mix formats —
-e.g. a v1 archive that keeps growing v2 chunks after an upgrade.
-:meth:`FrameStore.migrate_format` rewrites the v1 chunks of a store in place
-behind the same atomic-manifest commit point.
+Frame chunks themselves come in three **serialisation formats**: the
+legacy ``v1`` gzip-JSON files (``frame-chunk-*.json.gz``) and the binary
+columnar ``v2`` (``frame-chunk-*.bin``) and ``v3`` (``frame-chunk-*.v3.bin``)
+files of :mod:`repro.collection.chunkformat`.  New chunks are always written
+as v3; v1 and v2 are read-only input from archives written by older
+versions.  Reads dispatch on each blob's magic bytes, so a store may freely
+mix formats — e.g. a v2 archive that keeps growing v3 chunks after an
+upgrade.  :meth:`FrameStore.migrate_format` rewrites the v1 and v2 chunks of
+a store in place behind the same atomic-manifest commit point.
 """
 
 from __future__ import annotations
@@ -92,20 +92,23 @@ MANIFEST_NAME = "manifest.json"
 POOL_NAMES = ("types", "accounts", "currencies", "errors")
 
 #: Chunk serialisation formats a :class:`FrameStore` can read.  ``v1`` is
-#: gzip-compressed JSON (legacy archives only — never written); ``v2`` is the
-#: binary columnar format of :mod:`repro.collection.chunkformat`, the one
+#: gzip-compressed JSON and ``v2`` the first binary columnar format (legacy
+#: archives only — never written); ``v3`` is the binary columnar format with
+#: projected metadata columns (:mod:`repro.collection.chunkformat`), the one
 #: format written.  Reads dispatch per chunk file, so mixed-format stores
 #: work.
 CHUNK_FORMAT_V1 = "v1"
 CHUNK_FORMAT_V2 = "v2"
+CHUNK_FORMAT_V3 = "v3"
 
 #: Per-format chunk file extensions.  The extension is what makes mixed
 #: stores and in-place migration safe: a chunk's format is visible in the
 #: manifest's file names, and a migrated chunk never collides with the
 #: file it replaces.
-CHUNK_EXTENSIONS = {CHUNK_FORMAT_V1: ".json.gz", CHUNK_FORMAT_V2: ".bin"}
+CHUNK_EXTENSIONS = {CHUNK_FORMAT_V1: ".json.gz", CHUNK_FORMAT_V2: ".bin", CHUNK_FORMAT_V3: ".v3.bin"}
 
-#: Glob patterns matching chunk files of any format (crash cleanup scans).
+#: Glob patterns matching chunk files of any format (crash cleanup scans;
+#: ``*.bin`` covers v2 and v3).
 _CHUNK_GLOBS = ("frame-chunk-*.json.gz", "frame-chunk-*.bin")
 
 #: Sub-directory (inside a directory-backed store) holding memoized
@@ -171,6 +174,8 @@ def invalidate_state_cache(directory: str) -> int:
 
 def _chunk_format_of(path: str) -> str:
     """A chunk file's format, read off its extension."""
+    if path.endswith(CHUNK_EXTENSIONS[CHUNK_FORMAT_V3]):
+        return CHUNK_FORMAT_V3
     return CHUNK_FORMAT_V1 if path.endswith(".json.gz") else CHUNK_FORMAT_V2
 
 
@@ -185,14 +190,16 @@ def _glob_chunk_files(directory: str) -> List[str]:
 def _decode_chunk_blob(blob: bytes, chunk_id: int) -> Dict:
     """Decode one chunk blob, dispatching on the format magic.
 
-    Corruption in either format surfaces as :class:`CollectionError` — the
+    Corruption in any format surfaces as :class:`CollectionError` — the
     same degradation contract checkpoints follow (:class:`CodecError` →
     "no usable snapshot"), so callers can treat a damaged chunk as a
-    recoverable condition instead of a crash.
+    recoverable condition instead of a crash.  Any blob of the binary
+    family goes to its decoder, which names a version it does not read
+    rather than letting the v1 reader call the chunk corrupt.
     """
     from repro.collection import chunkformat
 
-    if chunkformat.is_v2_chunk(blob):
+    if chunkformat.chunk_version(blob) is not None:
         return chunkformat.decode_chunk(blob)
     try:
         return decompress_json(blob)
@@ -411,9 +418,9 @@ def _check_id_runs(payload: Dict) -> None:
 def _payload_stats(
     payload: Dict,
 ) -> Tuple[Dict[str, List[int]], Dict[str, List[float]], Dict[str, int]]:
-    """Per-chain stats of a payload — from the v2 header when present.
+    """Per-chain stats of a payload — from the binary chunk header when present.
 
-    v2 chunks embed their ``(heights, times, chain_rows)`` triple, so
+    v2 and v3 chunks embed their ``(heights, times, chain_rows)`` triple, so
     metadata backfills never iterate rows; v1 payloads fall back to the
     row scan.
     """
@@ -930,7 +937,7 @@ class FrameStore:
             chunk.path = os.path.join(
                 self.directory,
                 f"frame-chunk-{chunk.chunk_id:06d}"
-                f"{CHUNK_EXTENSIONS[CHUNK_FORMAT_V2]}",
+                f"{CHUNK_EXTENSIONS[CHUNK_FORMAT_V3]}",
             )
             action = faults.check("store.chunk_write")
             disk_blob = blob
@@ -1098,11 +1105,8 @@ class FrameStore:
             from repro.collection import chunkformat
 
             blob = chunk.blob
-            fmt = (
-                CHUNK_FORMAT_V2
-                if chunkformat.is_v2_chunk(blob)
-                else CHUNK_FORMAT_V1
-            )
+            version = chunkformat.chunk_version(blob)
+            fmt = CHUNK_FORMAT_V1 if version is None else f"v{version}"
         else:
             raise CollectionError(
                 f"frame chunk {chunk.chunk_id} has no data attached"
@@ -1121,8 +1125,9 @@ class FrameStore:
         is): about half of a ``live_tail`` archive's rows repeat a dict an
         earlier row of their chunk holds, and its forty-batch frame peaks
         ≈17 MB lower.  The dicts are compared (by ``repr``) only when a
-        chunk's metadata is first read; a scan that never reads it pays
-        nothing.
+        chunk's metadata is first read — a v3 scan reads the projected
+        columns and never does; a v1/v2 chunk's columns are projected from
+        the shared dicts.
         """
         frame = TxFrame()
         for chunk in self._chunks:
@@ -1150,7 +1155,7 @@ class FrameStore:
 
     # -- migration ----------------------------------------------------------------
     def migrate_format(self) -> int:
-        """Rewrite every legacy (v1) chunk as v2; returns how many.
+        """Rewrite every legacy (v1 or v2) chunk as v3; returns how many.
 
         The rewrite rides the store's normal commit protocol: new chunk
         files are written beside the old ones (a different extension, so no
@@ -1167,8 +1172,8 @@ class FrameStore:
         for chunk in self._chunks:
             source_path = chunk.path
             # Only a file on disk can be legacy: a chunk held in memory was
-            # written by this process, and this process writes v2.
-            if source_path is None or _chunk_format_of(source_path) == CHUNK_FORMAT_V2:
+            # written by this process, and this process writes v3.
+            if source_path is None or _chunk_format_of(source_path) == CHUNK_FORMAT_V3:
                 continue
             blob, raw_size = chunkformat.encode_chunk(
                 chunk.payload(),
@@ -1179,7 +1184,7 @@ class FrameStore:
             )
             path = os.path.join(
                 self.directory,
-                f"frame-chunk-{chunk.chunk_id:06d}{CHUNK_EXTENSIONS[CHUNK_FORMAT_V2]}",
+                f"frame-chunk-{chunk.chunk_id:06d}{CHUNK_EXTENSIONS[CHUNK_FORMAT_V3]}",
             )
             with open(path, "wb") as handle:
                 handle.write(blob)

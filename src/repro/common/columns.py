@@ -16,7 +16,8 @@ per transaction) and slow (attribute access per field per pass).
 * high-cardinality strings (``transaction_id``) and the free-form
   ``metadata`` mapping stay in plain lists (empty metadata is stored as
   ``None``); metadata loaded from binary chunks additionally defers its
-  JSON parse until first access (see :class:`LazyMetadata`).
+  JSON parse until first access (see :class:`LazyMetadata`), and the keys
+  figures read are typed columns too (:meth:`TxFrame.projected`).
 
 Appending from a generator is amortised O(1) per record, so workload
 generators can stream straight into a frame without ever materialising
@@ -140,12 +141,11 @@ class StringPool:
 class LazyMetadata:
     """A deferred block of per-row metadata from a decoded binary chunk.
 
-    The v2 chunk decoder hands frames one of these instead of a parsed
+    The binary chunk decoder hands frames one of these instead of a parsed
     list: the metadata bytes (already covered by the chunk checksum) are
-    parsed on first element access and memoised.  Chunk-range scans that
-    never read metadata — every purely numeric figure kernel — skip the
-    parse entirely, which on metadata-heavy workloads is most of the
-    chunk-decode cost.
+    parsed on first element access and memoised.  Scans never read the
+    dicts (kernels read :meth:`TxFrame.projected`), so they skip the parse
+    entirely.
 
     ``loader`` returns the parsed ``rows``-long list of dicts-or-``None``
     and raises the decoder's own error type on a malformed segment; that
@@ -346,6 +346,8 @@ class TxFrame:
         "_chain_bounds",
         "_timestamps_sorted",
         "_tx_ids_nd",
+        "meta_strings",
+        "_projected",
     )
 
     def __init__(self) -> None:
@@ -377,6 +379,9 @@ class TxFrame:
         self._chain_bounds: Dict[int, Tuple[float, float]] = {}
         self._timestamps_sorted = True
         self._tx_ids_nd: Optional[Tuple[int, Any]] = None
+        #: The strings projected text codes index (see :meth:`projected`).
+        self.meta_strings = StringPool()
+        self._projected: Optional[Dict[str, array]] = None
 
     # -- metadata ------------------------------------------------------------------
     @property
@@ -421,6 +426,47 @@ class TxFrame:
             self._meta_runs.append(values)
             return
         self.metadata.extend([dict(meta) if meta else None for meta in values])
+
+    def projected(self) -> Dict[str, Any]:
+        """The :data:`~repro.common.projection.PROJECTED_KEYS` columns of every
+        row, as ndarray views (text codes index :attr:`meta_strings`).
+
+        Memoised like :meth:`transaction_ids_ndarray`: rows a payload brought
+        with their columns (a v3 chunk, a frame's slice) were adopted by
+        :meth:`extend_from_payload`; any others — appended records, v1/v2
+        chunk rows — are projected from :attr:`metadata` here, once.
+        """
+        return {key: as_ndarray(column) for key, column in self._projected_arrays().items()}
+
+    def _projected_rows(self) -> int:
+        return len(next(iter(self._projected.values()))) if self._projected else 0
+
+    def _projected_arrays(self) -> Dict[str, array]:
+        from repro.common.projection import project_metadata
+
+        filled = self._projected_rows()
+        if self._projected is None or filled < len(self):
+            self._adopt_projection(project_metadata(self.metadata[filled:]))
+        return self._projected
+
+    def _adopt_projection(self, projection) -> None:
+        """Append a run's projected columns, remapping text codes into
+        :attr:`meta_strings` (``-1`` stays ``-1``)."""
+        import numpy as np
+
+        from repro.common.projection import PROJECTED_KEYS, PROJECTED_TYPECODES
+
+        if self._projected is None:
+            self._projected = {
+                key: array(PROJECTED_TYPECODES[kind]) for key, kind in PROJECTED_KEYS.items()
+            }
+        remap = np.asarray(self.meta_strings.intern_many(projection.strings) + [-1])
+        for key, kind in PROJECTED_KEYS.items():
+            codes = np.asarray(projection.columns[key])
+            if kind != "flag":
+                codes = remap[codes]
+            column = self._projected[key]
+            column.frombytes(codes.astype(np.dtype(column.typecode), copy=False).tobytes())
 
     # -- writing -------------------------------------------------------------------
     def _register_row(self, chain_code: int, timestamp: float, row: int) -> None:
@@ -793,38 +839,41 @@ class TxFrame:
         machine bytes per column).  Both forms are accepted by
         :meth:`from_payload` / :meth:`extend_from_payload`.
         """
+        from repro.common.projection import Projection
+
         contiguous = (
             range(0, len(self))
             if rows is None
             else (rows if isinstance(rows, range) and rows.step == 1 else None)
         )
+
+        def take(column: array) -> Any:
+            if contiguous is not None:
+                sliced = column[contiguous.start : contiguous.stop]
+                return sliced if arrays else list(sliced)
+            # Index-array gather: one C fancy-indexing call per column, never
+            # a per-element Python copy.
+            gathered = gather_np(column, rows)
+            if not arrays:
+                return gathered.tolist()
+            sliced = array(column.typecode)
+            sliced.frombytes(gathered.tobytes())
+            return sliced
+
+        columns = {name: take(getattr(self, name)) for name in self._NUMERIC_COLUMNS}
+        projected = {key: take(column) for key, column in self._projected_arrays().items()}
         if contiguous is not None:
             lo, hi = contiguous.start, contiguous.stop
-            columns: Dict[str, Any] = {}
-            for name in self._NUMERIC_COLUMNS:
-                sliced = getattr(self, name)[lo:hi]
-                columns[name] = sliced if arrays else list(sliced)
             transaction_ids = self.transaction_id[lo:hi]
             metadata = [meta if meta else None for meta in self.metadata[lo:hi]]
         else:
-            # Index-array gather: one C fancy-indexing call per column, never
-            # a per-element Python copy.
-            columns = {}
-            for name in self._NUMERIC_COLUMNS:
-                column = getattr(self, name)
-                gathered = gather_np(column, rows)
-                if arrays:
-                    sliced = array(column.typecode)
-                    sliced.frombytes(gathered.tobytes())
-                    columns[name] = sliced
-                else:
-                    columns[name] = gathered.tolist()
             transaction_ids = list(map(self.transaction_id.__getitem__, rows))
             metadata = list(map(self.metadata.__getitem__, rows))
         return {
             "columns": columns,
             "transaction_id": transaction_ids,
             "metadata": metadata,
+            "projected": Projection(projected, self.meta_strings.values),
             "pools": {
                 "types": self.types.values,
                 "accounts": self.accounts.values,
@@ -933,6 +982,9 @@ class TxFrame:
         append_nd("error_code", error_map[column_nd("error_code")])
         self.transaction_id.extend(payload["transaction_id"])
         self._extend_metadata(payload["metadata"])
+        projection = payload.get("projected")
+        if projection is not None and self._projected_rows() == offset:
+            self._adopt_projection(projection)
         self._register_rows(chain_codes, timestamps, offset)
         return count
 

@@ -9,8 +9,9 @@ it byte-for-byte, and report exactly what is damaged:
 * the frame-store manifest (readable, supported version, no crashed
   partial assembly);
 * every committed chunk (file present, size matches the committed byte
-  count, blob decodes — v2 magic + adler32, v1 gzip/JSON — and the decoded
-  row count matches the manifest);
+  count, blob decodes — v2/v3 magic + adler32, v1 gzip/JSON — and the
+  decoded row count matches the manifest); a chunk of a newer binary format
+  version is ``chunk_version``, left in place like an unsupported manifest;
 * uncommitted chunk files on disk that the manifest never references;
 * the checkpoint snapshot (an intact state entry — magic, adler32, shape —
   whose watermark is within the store's committed rows);
@@ -47,6 +48,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.statecache import ENTRY_MODE, decode_entry, parse_entry_name
 from repro.analysis.value import decode_analysis_config
+from repro.collection import chunkformat
 from repro.collection.store import (
     MANIFEST_NAME,
     STATE_CACHE_DIR,
@@ -72,6 +74,7 @@ class FsckIssue:
 
     #: Machine-readable kind: ``manifest_unreadable``, ``partial_assembly``,
     #: ``chunk_missing``, ``chunk_size_mismatch``, ``chunk_corrupt``,
+    #: ``chunk_version``,
     #: ``chunk_uncommitted``, ``checkpoint_unreadable``, ``checkpoint_stale``,
     #: ``meta_unreadable``, ``cache_entry_corrupt``, ``cache_entry_stale``,
     #: ``cache_entry_orphaned``.
@@ -241,13 +244,23 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
         else:
             try:
                 with open(path, "rb") as handle:
-                    payload = _decode_chunk_blob(handle.read(), index)
-                decoded_rows = len(payload["transaction_id"])
-                if decoded_rows != int(entry["rows"]):
-                    raise CollectionError(
-                        f"decoded {decoded_rows} rows, manifest committed "
-                        f"{entry['rows']}"
+                    blob = handle.read()
+                version = chunkformat.chunk_version(blob)
+                if version is not None and version not in chunkformat.VERSIONS:
+                    issue = FsckIssue(
+                        kind="chunk_version",
+                        detail=f"chunk {index} is in format version {version}, "
+                        "which this version does not read (left in place)",
+                        path=path,
+                        chain_rows=_entry_chain_rows(entry),
                     )
+                else:
+                    decoded_rows = len(_decode_chunk_blob(blob, index)["transaction_id"])
+                    if decoded_rows != int(entry["rows"]):
+                        raise CollectionError(
+                            f"decoded {decoded_rows} rows, manifest committed "
+                            f"{entry['rows']}"
+                        )
             except Exception as error:
                 issue = FsckIssue(
                     kind="chunk_corrupt",
@@ -257,6 +270,11 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
                 )
         if issue is None:
             report.chunks_ok += 1
+        else:
+            report.issues.append(issue)
+        # A newer writer's chunk is not damage: it is kept like a good one,
+        # as a manifest of an unsupported version is.
+        if issue is None or issue.kind == "chunk_version":
             if dropped_from is not None:
                 # A dropped earlier chunk invalidates this chunk's recorded
                 # pool deltas (they are relative to the running pools); the
@@ -267,7 +285,6 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
                 recoded.add(path)
             kept_entries.append(entry)
             continue
-        report.issues.append(issue)
         if repair:
             if issue.path is not None and os.path.exists(issue.path):
                 issue.path = _quarantine(store_dir, issue.path)

@@ -50,7 +50,7 @@ from repro.analysis.statecache import (
 from repro.analysis.value import ExchangeRateOracle
 from repro.collection.store import (
     CHUNK_FORMAT_V1,
-    CHUNK_FORMAT_V2,
+    CHUNK_FORMAT_V3,
     FrameStore,
     state_cache_dir,
 )
@@ -386,7 +386,7 @@ def test_migrate_format_invalidates_cache(v1_store_dir):
 def test_chunk_identity_tracks_bytes_and_format(store_dir, v1_store_dir):
     store = FrameStore.open(store_dir)
     checksum, fmt = store.chunk_identity(0)
-    assert len(checksum) == 8 and fmt == CHUNK_FORMAT_V2
+    assert len(checksum) == 8 and fmt == CHUNK_FORMAT_V3
     assert store.chunk_identity(0) == (checksum, fmt)  # stable
     other_checksum, _ = store.chunk_identity(1)
     assert other_checksum != checksum  # different bytes, different key

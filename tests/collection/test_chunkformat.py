@@ -1,4 +1,4 @@
-"""Tests for the v2 binary columnar chunk format (written) and v1 (read)."""
+"""Tests for the v3 binary columnar chunk format (written) and v1/v2 (read)."""
 
 import gc
 import json
@@ -11,9 +11,9 @@ from repro.collection import chunkformat
 from repro.collection.chunkformat import (
     MAGIC,
     ChunkFormatError,
+    chunk_version,
     decode_chunk,
     encode_chunk,
-    is_v2_chunk,
 )
 from repro.analysis.parallel import parallel_report_from_store
 from repro.analysis.report import full_report
@@ -282,7 +282,7 @@ class TestCorruption:
             decode_chunk(blob[:-5])
 
     def test_foreign_blob_rejected(self):
-        with pytest.raises(ChunkFormatError, match="v2 header"):
+        with pytest.raises(ChunkFormatError, match="no binary chunk header"):
             decode_chunk(b"\x1f\x8b not a v2 chunk at all")
 
     def test_valid_checksum_wrong_document_rejected(self):
@@ -295,7 +295,7 @@ class TestCorruption:
         """A checksum-valid chunk whose metadata JSON is too deep to parse:
         the read is a ChunkFormatError, never a RecursionError."""
         segment = _metadata_segment(_TOO_DEEP)
-        monkeypatch.setattr(chunkformat, "_pack_metadata", lambda metadata: segment)
+        monkeypatch.setattr(chunkformat, "_pack_metadata", lambda metadata, projection: segment)
         blob, _ = encode_chunk(TxFrame.from_records(_records(3)).to_payload(arrays=True))
         monkeypatch.undo()
         payload = decode_chunk(blob)  # the checksum and the structure hold
@@ -308,10 +308,10 @@ class TestCorruption:
         with pytest.raises(CollectionError, match="frame chunk 0 is corrupt"):
             _decode_chunk_blob(gzip.compress(_TOO_DEEP), 0)
 
-    def test_is_v2_chunk_dispatch(self):
-        assert is_v2_chunk(self._blob())
-        assert not is_v2_chunk(b"\x1f\x8b\x08\x00")
-        assert not is_v2_chunk(b"")
+    def test_chunk_version_dispatch(self):
+        assert chunk_version(self._blob()) == 3
+        assert chunk_version(b"\x1f\x8b\x08\x00") is None
+        assert chunk_version(b"") is None
 
 
 class TestStoreIntegration:
@@ -320,7 +320,7 @@ class TestStoreIntegration:
         assert v1.chunk_count == V1_STORE_CHUNKS
         archived = list(v1.to_frame())
         assert len(archived) == V1_STORE_ROWS
-        # Appending to a v1 archive writes v2 beside it: old chunks stay v1.
+        # Appending to a v1 archive writes v3 beside it: old chunks stay v1.
         more = _records(10, start_height=100)
         v1.add_records(iter(more))
         v1.flush()

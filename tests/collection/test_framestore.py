@@ -342,7 +342,7 @@ class TestCrashRecovery:
 
     def test_torn_committed_chunk_truncates_store(self, tmp_path):
         self._write(tmp_path)
-        torn = tmp_path / "frame-chunk-000002.bin"
+        torn = tmp_path / "frame-chunk-000002.v3.bin"
         torn.write_bytes(torn.read_bytes()[:-3])
         reopened = FrameStore.open(str(tmp_path))
         assert str(torn) in reopened.cleaned_paths
@@ -354,13 +354,13 @@ class TestCrashRecovery:
 
     def test_torn_middle_chunk_drops_it_and_everything_after(self, tmp_path):
         self._write(tmp_path)
-        torn = tmp_path / "frame-chunk-000001.bin"
+        torn = tmp_path / "frame-chunk-000001.v3.bin"
         torn.write_bytes(b"x")
         reopened = FrameStore.open(str(tmp_path))
         assert reopened.row_count == 5  # only chunk 0 survives
         assert sorted(os.path.basename(p) for p in reopened.cleaned_paths) == [
-            "frame-chunk-000001.bin",
-            "frame-chunk-000002.bin",
+            "frame-chunk-000001.v3.bin",
+            "frame-chunk-000002.v3.bin",
         ]
         # Appending after recovery reuses the freed chunk ids safely.
         reopened.add_records(iter(_records(3)[:0]))  # no-op append

@@ -28,7 +28,7 @@ from repro.collection.generate import (
     generate_sharded,
     window_day_offsets,
 )
-from repro.collection.store import CHUNK_FORMAT_V1, CHUNK_FORMAT_V2, FrameStore
+from repro.collection.store import CHUNK_FORMAT_V1, CHUNK_FORMAT_V2, CHUNK_FORMAT_V3, FrameStore
 from repro.common import faults
 from repro.common.errors import CollectionError
 from repro.eos.workload import EosWorkloadConfig
@@ -36,7 +36,7 @@ from repro.scenarios import PaperScenario
 from repro.tezos.workload import TezosWorkloadConfig
 from repro.xrp.workload import XrpWorkloadConfig
 
-from tests.fixtures import V1_STORE_ROWS, copy_v1_store
+from tests.fixtures import V1_STORE_ROWS, V2_STORE_ROWS, copy_v1_store, copy_v2_store
 
 
 def _windowed_scenario(seed: int = 7, windows: int = 2) -> PaperScenario:
@@ -180,9 +180,11 @@ class TestAssemble:
         return store
 
     def _shard_in(self, chunk_format, directory, records_frame) -> str:
-        """A flushed shard: the v1 fixture archive, or the frame written (v2)."""
+        """A flushed shard: a fixture archive (v1, v2), or the frame written (v3)."""
         if chunk_format == CHUNK_FORMAT_V1:
             return copy_v1_store(directory)
+        if chunk_format == CHUNK_FORMAT_V2:
+            return copy_v2_store(directory)
         self._shard(directory, records_frame)
         return str(directory)
 
@@ -197,7 +199,9 @@ class TestAssemble:
         with pytest.raises(CollectionError):
             FrameStore.assemble(str(tmp_path / "out"), [str(shard_dir)])
 
-    @pytest.mark.parametrize("chunk_format", [CHUNK_FORMAT_V1, CHUNK_FORMAT_V2])
+    @pytest.mark.parametrize(
+        "chunk_format", [CHUNK_FORMAT_V1, CHUNK_FORMAT_V2, CHUNK_FORMAT_V3]
+    )
     def test_crash_mid_assemble_leaves_a_rejected_target(
         self, tmp_path, eos_records, tezos_records, chunk_format
     ):
@@ -223,14 +227,18 @@ class TestAssemble:
         with pytest.raises(CollectionError, match="partial assembly"):
             FrameStore.open(target)
 
-    @pytest.mark.parametrize("chunk_format", [CHUNK_FORMAT_V1, CHUNK_FORMAT_V2])
+    @pytest.mark.parametrize(
+        "chunk_format", [CHUNK_FORMAT_V1, CHUNK_FORMAT_V2, CHUNK_FORMAT_V3]
+    )
     def test_completed_assembly_opens_clean(self, tmp_path, eos_records, chunk_format):
         from repro.common.columns import TxFrame
 
         shard_dir = self._shard_in(
             chunk_format, tmp_path / "in", TxFrame.from_records(eos_records[:120])
         )
-        rows = V1_STORE_ROWS if chunk_format == CHUNK_FORMAT_V1 else 120
+        rows = {CHUNK_FORMAT_V1: V1_STORE_ROWS, CHUNK_FORMAT_V2: V2_STORE_ROWS}.get(
+            chunk_format, 120
+        )
         target = str(tmp_path / "out")
         FrameStore.assemble(target, [shard_dir], chunk_rows=40)
         reopened = FrameStore.open(target)

@@ -16,7 +16,7 @@ from repro.scenarios import small_scenario
 from repro.tezos.workload import TezosWorkloadGenerator
 from repro.xrp.workload import XrpWorkloadGenerator
 
-from tests.fixtures import copy_v1_store
+from tests.fixtures import copy_v1_store, copy_v2_store
 from tests.support import run_child
 
 
@@ -81,6 +81,12 @@ def xrp_records(xrp_blocks):
 def v1_store_dir(tmp_path):
     """A writable copy of the checked-in v1 (gzip-JSON) fixture store."""
     return copy_v1_store(tmp_path / "store_v1")
+
+
+@pytest.fixture
+def v2_store_dir(tmp_path):
+    """A writable copy of the checked-in v2 (binary, whole-metadata) fixture store."""
+    return copy_v2_store(tmp_path / "store_v2")
 
 
 @pytest.fixture(scope="session")

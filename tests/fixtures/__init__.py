@@ -16,6 +16,18 @@ def copy_v1_store(destination) -> str:
     return shutil.copytree(V1_STORE, str(destination))
 
 
+#: The read-only v2 (binary, whole-metadata JSON) fixture store: 390 rows
+#: (160 EOS, 100 Tezos, 130 XRP) in four chunks.
+V2_STORE = os.path.join(os.path.dirname(__file__), "store_v2")
+V2_STORE_ROWS = 390
+V2_STORE_CHUNKS = 4
+
+
+def copy_v2_store(destination) -> str:
+    """A private, writable copy of the v2 fixture store; returns its path."""
+    return shutil.copytree(V2_STORE, str(destination))
+
+
 #: A pipeline directory whose checkpoint and chunk-state cache entries were
 #: written by the last state-epoch-1 commit: 356 rows in two chunks.
 STATE_EPOCH1 = os.path.join(os.path.dirname(__file__), "state_epoch1")

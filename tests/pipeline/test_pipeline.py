@@ -554,7 +554,7 @@ class TestResidentFrameFollowsStore:
             assert_reports_identical(report, expected, exact_flows=False)
         issues = run_fsck(pipeline.root).issues
         assert [(issue.kind, os.path.basename(issue.path)) for issue in issues] == [
-            ("chunk_corrupt", f"frame-chunk-{nth:06d}.bin")
+            ("chunk_corrupt", f"frame-chunk-{nth:06d}.v3.bin")
         ]
 
     def test_sink_commits_are_caught_up_from_disk_before_a_hand_off(

@@ -1,4 +1,4 @@
-"""Property-based round-trip tests for the v2 binary chunk format.
+"""Property-based round-trip tests for the binary chunk format (v3, written).
 
 The format's contract is stronger than "decodes without error": a chunk
 written from *any* frame — ragged chain mixes, empty columns, unicode

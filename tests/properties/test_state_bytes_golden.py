@@ -1,16 +1,17 @@
 """Golden accumulator state: no payload, key or signature moves unnoticed.
 
 A state-cache entry's *name* carries the chunk digest, the digest of every
-accumulator's ``config_signature()`` and the constant ``exact`` token; its
-*bytes* are the encoded ``export_state()`` payloads of the whole
-``full_report`` accumulator set behind the entry magic.  Pinning both shows
-whether a cache
-written by one commit is a hit on the next: the names have not moved since
-they were first recorded (the commit before ``repro.analysis.containers``
-existed), and the bytes moved exactly once since — state epoch 2, quoted
-below — together with ``ENTRY_MAGIC`` and ``CHECKPOINT_VERSION``, so the older
-entries are misses rather than payloads of the wrong shape.  The report
-digests have never moved.
+accumulator's ``config_signature()``, the constant ``exact`` token and the
+chunk format; its *bytes* are the encoded ``export_state()`` payloads of the
+whole ``full_report`` accumulator set behind the entry magic.  Pinning both
+shows whether a cache written by one commit is a hit on the next.  The bytes
+moved exactly once — state epoch 2, quoted below — together with
+``ENTRY_MAGIC`` and ``CHECKPOINT_VERSION``, so the older entries are misses
+rather than payloads of the wrong shape.  The names moved once since, when
+stores began writing v3 chunks: new chunk bytes and the ``v3`` format token
+give every entry a new name (one miss each), while the bytes stayed put —
+:data:`GOLDEN_STATE_BYTES_SHA256`, over the bytes alone, was recorded from
+the last v2-writing commit.  The report digests have never moved.
 
 Same hash-pinned child as ``tests/collection/test_generation_golden.py``,
 and for that test's reason only: generation forks its streams with
@@ -36,19 +37,37 @@ from tests.collection.test_generation_golden import GOLDEN_REPORT_SHA256, build
 #: set, states are exported before ``finalize`` (no labelled ``bins`` /
 #: ``categories`` echo in ``throughput_series``, ``xrp_decomposition`` keeps
 #: its histogram and only the two tallies the histogram cannot give), and
-#: the entry magic is ``RCS\x02``.  Entry names and the report did not move.
-GOLDEN_STATES_SHA256 = "4037bcd4292eed9dc815823b05359530a2363d514210f10cb496c22188d1a8aa"
+#: the entry magic is ``RCS\x02``.  Entry names and the report did not move
+#: then; the v3 chunk format renamed the entries (was 4037bcd4…c22188d1a8aa).
+GOLDEN_STATES_SHA256 = "a237f7b1a4218414b9738f08f04d04acaaef6bcd3592c65089250214fb7c2de1"
+
+#: The entries' bytes alone, in sorted order: what neither a chunk format nor
+#: a chunk rewrite may move.
+GOLDEN_STATE_BYTES_SHA256 = "5f478d5c2d7e59bb1fa8d78227dde74fb99d8a851a1e3e1ccc74c3969d8f9a17"
+
+
+def _entries(store_dir: str):
+    paths = sorted(glob.glob(os.path.join(store_dir, "cache", "state-*-exact-*")))
+    assert paths, f"no state-cache entries in {store_dir}"
+    for path in paths:
+        with open(path, "rb") as handle:
+            yield os.path.basename(path), handle.read()
 
 
 def state_cache_digest(store_dir: str) -> str:
     """sha-256 over the sorted entry names and their bytes."""
     digest = hashlib.sha256()
-    paths = sorted(glob.glob(os.path.join(store_dir, "cache", "state-*-exact-*")))
-    assert paths, f"no state-cache entries in {store_dir}"
-    for path in paths:
-        digest.update(os.path.basename(path).encode("ascii"))
-        with open(path, "rb") as handle:
-            digest.update(handle.read())
+    for name, blob in _entries(store_dir):
+        digest.update(name.encode("ascii"))
+        digest.update(blob)
+    return digest.hexdigest()
+
+
+def state_bytes_digest(store_dir: str) -> str:
+    """sha-256 over the entries' bytes in sorted order (names left out)."""
+    digest = hashlib.sha256()
+    for blob in sorted(blob for _, blob in _entries(store_dir)):
+        digest.update(blob)
     return digest.hexdigest()
 
 
@@ -60,4 +79,5 @@ def test_live_tail_state_cache_and_reports_match_the_pinned_digests(tmp_path):
     report = build(str(tmp_path), extra=("--out-of-core",))
     assert hashlib.sha256(report).hexdigest() == GOLDEN_REPORT_SHA256
     store_dir = str(tmp_path / "live_tail-seed7")
+    assert state_bytes_digest(store_dir) == GOLDEN_STATE_BYTES_SHA256
     assert state_cache_digest(store_dir) == GOLDEN_STATES_SHA256

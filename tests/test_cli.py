@@ -16,7 +16,7 @@ from repro.scenarios import PaperScenario, register_scenario
 from repro.tezos.workload import TezosWorkloadConfig
 from repro.xrp.workload import XrpWorkloadConfig
 
-from tests.fixtures import V1_STORE_CHUNKS
+from tests.fixtures import V1_STORE_CHUNKS, V2_STORE_CHUNKS
 from tests.support import child_env, run_child
 
 TINY_SCENARIO = "cli-tiny"
@@ -418,7 +418,16 @@ class TestRetiredSurface:
         assert f"Migrated {V1_STORE_CHUNKS} of {V1_STORE_CHUNKS} chunk(s)" in out
         code, out = _run(["migrate-store", v1_store_dir])
         assert code == 0
-        assert "Nothing to migrate" in out and "already v2" in out
+        assert "Nothing to migrate" in out and "already v3" in out
+
+    def test_migrate_store_rewrites_v2_chunks_once(self, v2_store_dir):
+        code, out = _run(["migrate-store", v2_store_dir])
+        assert code == 0
+        assert f"Migrated {V2_STORE_CHUNKS} of {V2_STORE_CHUNKS} chunk(s)" in out
+        assert "to v3; on-disk bytes" in out
+        code, out = _run(["migrate-store", v2_store_dir])
+        assert code == 0
+        assert "Nothing to migrate" in out and "already v3" in out
 
 
 def _summary_lines(output: str):

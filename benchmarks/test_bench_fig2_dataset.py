@@ -1,8 +1,9 @@
 """Figure 2 — characterising the datasets for each blockchain.
 
-Crawls each simulated chain into the gzip block store and regenerates the
-Figure 2 columns (sample period, block range, block count, transaction
-count, compressed storage), benchmarking the store + characterisation pass.
+Streams each simulated chain's blocks through a frame sink into the
+columnar store and regenerates the Figure 2 columns (sample period, block
+range, block count, transaction count, compressed storage), benchmarking
+the store + characterisation pass.
 Absolute sizes differ from the paper's 121 / 0.56 / 76.4 GB because the
 workloads run at a reduced per-day volume; the per-chain ordering
 (EOS >> XRP >> Tezos in transactions and bytes) must hold.
@@ -11,14 +12,20 @@ workloads run at a reduced per-day volume; the per-chain ordering
 import pytest
 
 from repro.collection.dataset import characterize_dataset
-from repro.collection.store import BlockStore
+from repro.collection.store import FrameSink, FrameStore
+
+
+def _store(blocks):
+    store = FrameStore()
+    sink = FrameSink(store)
+    for block in blocks:
+        sink.add(block)
+    sink.flush()
+    return store
 
 
 def _characterize(blocks):
-    store = BlockStore(chunk_size=256)
-    store.add_many(blocks)
-    store.flush()
-    return characterize_dataset(store)
+    return characterize_dataset(_store(blocks))
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +41,7 @@ def figure2_rows(eos_blocks, tezos_blocks, xrp_blocks):
         print(
             f"  {name:5s} {data['sample_start']} -> {data['sample_end']}  "
             f"blocks {data['first_block']}..{data['last_block']} ({data['block_count']}),  "
-            f"{data['transaction_count']:>8d} transactions,  {data['storage_gb']:.6f} GB gzip"
+            f"{data['transaction_count']:>8d} transactions,  {data['storage_gb']:.6f} GB compressed"
         )
     return rows
 
@@ -57,12 +64,6 @@ def test_fig2_ordering_matches_paper(figure2_rows):
 
 
 def test_fig2_storage_accounting(benchmark, tezos_blocks):
-    def build_store():
-        store = BlockStore(chunk_size=256)
-        store.add_many(tezos_blocks)
-        store.flush()
-        return store.compression_stats()
-
-    stats = benchmark(build_store)
+    stats = benchmark(lambda: _store(tezos_blocks).compression_stats())
     assert stats.compressed_bytes < stats.raw_bytes
     assert stats.chunk_count >= 1

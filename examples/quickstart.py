@@ -5,8 +5,9 @@ The script runs the whole pipeline at a small scale:
 1. generate two weeks of calibrated traffic for EOS, Tezos and XRP
    (straddling the EIDOS airdrop launch and the first XRP spam wave);
 2. serve the chains over their simulated RPC endpoints and crawl them in
-   reverse chronological order into a gzip-compressed block store, exactly
-   like the paper's data collection (§3.1);
+   reverse chronological order, exactly like the paper's data collection
+   (§3.1), streaming each block's transactions through a frame sink into a
+   compressed columnar store;
 3. decompress each store straight into a columnar ``TxFrame`` — the
    canonical analysis substrate — and run the single-pass analysis engine:
    one streaming scan per chain produces the summary of findings the
@@ -22,7 +23,7 @@ from repro.analysis.value import ExchangeRateOracle
 from repro.collection.crawler import BlockCrawler
 from repro.collection.dataset import characterize_dataset
 from repro.collection.endpoints import EndpointPool
-from repro.collection.store import BlockStore
+from repro.collection.store import FrameSink, FrameStore
 from repro.common.columns import TxFrame
 from repro.common.records import ChainId
 from repro.eos.rpc import EosRpcEndpoint
@@ -34,10 +35,10 @@ from repro.xrp.rpc import XrpRpcEndpoint
 from repro.xrp.workload import XrpWorkloadGenerator
 
 
-def crawl(endpoint, lowest_height: int) -> BlockStore:
+def crawl(endpoint, lowest_height: int) -> FrameStore:
     """Crawl every block an endpoint serves, newest first, into a store."""
-    store = BlockStore(chunk_size=128)
-    crawler = BlockCrawler(EndpointPool([endpoint]), store=store)
+    store = FrameStore()
+    crawler = BlockCrawler(EndpointPool([endpoint]), FrameSink(store))
     head = crawler.discover_head()
     report = crawler.crawl_range(highest=head, lowest=lowest_height)
     print(
@@ -70,7 +71,7 @@ def main() -> None:
         print(
             f"  {row['chain']:5s}  blocks {row['first_block']}..{row['last_block']}"
             f"  ({row['block_count']} blocks, {row['transaction_count']} transactions,"
-            f" {row['storage_gb']:.6f} GB gzip)"
+            f" {row['storage_gb']:.6f} GB compressed)"
         )
 
     print("\nRunning the single-pass analysis engine (one scan per chain)...")

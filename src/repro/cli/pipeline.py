@@ -83,7 +83,7 @@ def cmd_fsck(args: argparse.Namespace, out) -> int:
         if report.clean:
             print("clean: no damage found", file=out)
         elif args.repair:
-            quarantined = sum(1 for issue in report.issues if issue.repair)
+            quarantined = sum(1 for issue in report.issues if issue.repair == "quarantined")
             degraded = ", ".join(
                 f"{chain}={rows}" for chain, rows in sorted(report.degraded_rows.items())
             )

@@ -40,8 +40,8 @@ could index past a column, mirroring how a corrupt checkpoint degrades to
 :meth:`TxFrame.to_payload` produces; numeric columns come back as
 **zero-copy read-only ndarrays** over the decoded bytes (``array.array``
 for a foreign-endian chunk), and the header's stats (``rows``, per-chain
-heights/times/row counts) ride along so metadata backfills never iterate
-rows.
+heights/times/row counts) ride along, so a reader needs no row pass for
+them.
 """
 
 from __future__ import annotations
@@ -319,8 +319,7 @@ def encode_chunk(
     columns are written as they are; a payload without them (a decoded v1/v2
     chunk being migrated) is projected here.  ``chain_stats`` is the
     ``(heights, times, chain_rows)`` triple the store computes per chunk;
-    embedding it lets metadata backfills decode the header instead of
-    iterating rows.
+    embedding it lets a reader decode the header instead of iterating rows.
 
     Returns ``(blob, raw_bytes)`` where ``raw_bytes`` is the body size with
     every per-segment compression undone — the uncompressed footprint the

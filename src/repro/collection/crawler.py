@@ -26,7 +26,7 @@ from repro.common.errors import (
 from repro.common.records import BlockRecord
 from repro.common.retry import BackoffPolicy, RetryBudget
 from repro.collection.endpoints import BlockEndpoint, EndpointPool
-from repro.collection.store import BlockStore
+from repro.collection.store import FrameSink
 
 
 @dataclass
@@ -111,15 +111,13 @@ class BlockCrawler:
     def __init__(
         self,
         pool: EndpointPool,
-        store: Optional[BlockStore] = None,
+        store: FrameSink,
         backoff: Optional[BackoffPolicy] = None,
         max_attempts_per_block: int = 5,
         clock: Optional[SimulationClock] = None,
     ) -> None:
         self.pool = pool
-        # ``is None`` rather than ``or``: an empty store is falsy but must be
-        # shared with the caller so it can read what the crawl fetched.
-        self.store = store if store is not None else BlockStore()
+        self.store = store
         self.backoff = backoff or BackoffPolicy(base_delay=0.2, multiplier=2.0, max_delay=10.0)
         self.max_attempts_per_block = max_attempts_per_block
         self.clock = clock or SimulationClock(0.0)

@@ -1,25 +1,26 @@
 """Dataset characterisation (Figure 2).
 
 Figure 2 of the paper characterises each chain's dataset by its sample
-period, block index range, block count, transaction count and gzip-compressed
+period, block index range, block count, transaction count and compressed
 storage footprint.  :func:`characterize_dataset` computes the same columns
-from a crawled :class:`~repro.collection.store.BlockStore` **or** directly
-from a columnar :class:`~repro.collection.store.FrameStore` (the ingestion
-pipeline's native substrate — no block-record round-trip required), plus the
-average transactions-per-second figure quoted in the introduction (20 TPS
-for EOS, 0.08 TPS for Tezos, 19 TPS for XRP).
+straight from a columnar :class:`~repro.collection.store.FrameStore` (the
+crawl's and the ingestion pipeline's one store — no block-record round-trip
+required), plus the average transactions-per-second figure quoted in the
+introduction (20 TPS for EOS, 0.08 TPS for Tezos, 19 TPS for XRP).  The
+storage column is the store's compressed chunk bytes, as its manifest
+records them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.common.clock import date_from_timestamp
-from repro.common.compression import estimate_storage_gb
+from repro.common.compression import CompressionStats, estimate_storage_gb
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
-from repro.collection.store import BlockStore, FrameStore
+from repro.collection.store import FrameStore
 
 
 @dataclass(frozen=True)
@@ -69,61 +70,22 @@ class DatasetCharacterization:
 
 
 def characterize_dataset(
-    store: Union[BlockStore, FrameStore],
+    store: FrameStore,
     scale_factor: float = 1.0,
     chain: Optional[ChainId] = None,
 ) -> DatasetCharacterization:
-    """Summarise a crawled block or frame store as one Figure 2 row.
+    """Summarise a frame store as one Figure 2 row, straight from its columns.
 
     ``scale_factor`` is the fraction of the paper's real traffic the workload
     was configured to generate; the full-scale storage estimate divides by it
     so the reproduced table remains comparable to the paper's numbers.
 
-    A :class:`FrameStore` — the ingestion pipeline's native store — is
-    characterised straight from its columns, without materialising a single
-    block record.  Block statistics are derived from the rows, so only
-    transaction-bearing blocks count: an empty block leaves no rows and is
-    invisible here, whereas the :class:`BlockStore` path counts it — the
-    two rows can therefore differ on ``block_count`` for sparse chains.
-    Multi-chain frame stores need an explicit ``chain``; the storage
-    columns then apportion the store's compressed footprint by the chain's
-    share of rows (chunks mix chains, so exact per-chain bytes do not
-    exist).
+    Block statistics are derived from the rows, so only transaction-bearing
+    blocks count: an empty block leaves no rows and is invisible here.
+    Multi-chain stores need an explicit ``chain``; the storage columns then
+    apportion the store's compressed footprint by the chain's share of rows
+    (chunks mix chains, so exact per-chain bytes do not exist).
     """
-    if isinstance(store, FrameStore):
-        return _characterize_frame_store(store, scale_factor, chain)
-    blocks = store.blocks()
-    if not blocks:
-        raise AnalysisError("cannot characterise an empty block store")
-    if chain is None:
-        chain = blocks[0].chain
-    timestamps = [block.timestamp for block in blocks]
-    heights = [block.height for block in blocks]
-    stats = store.compression_stats()
-    duration = max(timestamps) - min(timestamps)
-    return DatasetCharacterization(
-        chain=chain,
-        sample_start=date_from_timestamp(min(timestamps)),
-        sample_end=date_from_timestamp(max(timestamps)),
-        first_block=min(heights),
-        last_block=max(heights),
-        block_count=store.block_count,
-        transaction_count=store.transaction_count,
-        action_count=store.action_count,
-        compressed_gigabytes=stats.compressed_gigabytes,
-        estimated_full_scale_gigabytes=estimate_storage_gb(stats, scale_factor),
-        duration_seconds=duration,
-    )
-
-
-def _characterize_frame_store(
-    store: FrameStore,
-    scale_factor: float,
-    chain: Optional[ChainId],
-) -> DatasetCharacterization:
-    """Figure 2 row computed from columnar rows (no record round-trip)."""
-    from repro.common.compression import CompressionStats
-
     frame = store.to_frame()
     if not len(frame):
         raise AnalysisError("cannot characterise an empty frame store")

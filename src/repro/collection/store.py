@@ -1,58 +1,60 @@
-"""Gzip-compressed block and frame stores.
+"""The columnar frame store: chunked, compressed transaction rows.
 
 The paper stores roughly 200 GB of gzip-compressed raw block data across the
-three chains (Figure 2).  :class:`BlockStore` keeps blocks in fixed-size
-chunks, each serialised to JSON and gzip-compressed, with byte-level
-accounting so the dataset characterisation can report the storage column of
-Figure 2.  :class:`FrameStore` does the same for the columnar analysis
-substrate: rows are chunk-compressed **directly from a**
-:class:`~repro.common.columns.TxFrame` — the columnar payload both skips
-record materialisation entirely and compresses better than per-record
-dictionaries.  Both stores can live purely in memory (the default, used by
-tests and benchmarks) or spill chunks to a directory on disk.
+three chains (Figure 2).  :class:`FrameStore` keeps the columnar analysis
+substrate the same way: rows are chunk-compressed **directly from a**
+:class:`~repro.common.columns.TxFrame` — the columnar payload skips record
+materialisation entirely and compresses better than per-record
+dictionaries — with byte-level accounting, so the dataset characterisation
+reports Figure 2's storage column from the chunks' compressed bytes.  A
+store can live purely in memory (the default, used by tests and benchmarks)
+or spill chunks to a directory on disk.  :class:`FrameSink` adapts a frame
+store to the block crawler's sink protocol, which is how a crawl streams
+straight into the columnar substrate without materialising block-record
+lists.
 
-Directory-backed frame stores additionally maintain a **manifest**
-(``manifest.json``, written atomically after every chunk): the manifest is
-the store's commit point, recording each durable chunk's row count, byte
-size and per-chain height bounds.  A crash mid-chunk leaves a chunk file
-that the manifest never references; :meth:`FrameStore.open` detects such
-stale partials (as well as manifest-listed files whose size no longer
-matches) and cleans them, so the incremental ingestion pipeline can always
-reopen a store at its last durable watermark and re-ingest only what was
-lost.  :class:`FrameSink` adapts a frame store to the block-crawler's store
-protocol, which is how a crawl streams straight into the columnar substrate
-without materialising block-record lists.
+A directory-backed store has exactly one layout: chunk files plus a
+**manifest** (``manifest.json``, version :data:`MANIFEST_VERSION`, written
+atomically).  The manifest is the store's commit point.  A fresh store
+commits an empty manifest before its first chunk file, and every chunk
+commit rewrites it, so a directory this program wrote always has one.  A
+crash mid-chunk leaves a chunk file the manifest never references;
+:meth:`FrameStore.open` cleans such stale partials (as well as
+manifest-listed files whose size no longer matches), so the incremental
+ingestion pipeline can always reopen a store at its last durable watermark
+and re-ingest only what was lost.  A directory holding chunk files but no
+manifest was not written by this program: ``open`` refuses it and leaves
+the files alone (``repro fsck --repair`` quarantines them).
 
-Manifest **version 2** additionally records, per chunk, the out-of-core
-scan metadata the chunk-parallel analysis layer needs without touching any
-chunk payload:
+Every manifest entry records, beside the chunk's file, row count and byte
+sizes, the metadata the chunk-parallel analysis layer needs without
+touching any chunk payload:
 
+* ``heights`` / ``times`` — per-chain ``[min, max]`` block heights (the
+  crawl watermark) and timestamps (the figure window);
+* ``chain_rows`` — per-chain row counts (workers skip chains a chunk does
+  not touch; the parent knows per-chain totals without a scan);
 * ``pools`` — the chunk's *string-pool deltas*: the strings this chunk
   introduced that no earlier chunk had, in first-seen order.  Concatenating
   the deltas in chunk order reproduces exactly the pools
   :meth:`FrameStore.to_frame` would build (every chunk re-interns its
-  payload pools in payload order), so any process can build
-  the store's *global* code space from the manifest alone — which is what
-  lets worker processes scan disjoint chunk ranges and still return
-  accumulator state in one shared code space.
-* ``times`` — per-chain ``[min, max]`` timestamp bounds (the figure window).
-* ``chain_rows`` — per-chain row counts (workers skip chains a chunk does
-  not touch; the parent knows per-chain totals without a scan).
+  payload pools in payload order), so any process can build the store's
+  *global* code space from the manifest alone — which is what lets worker
+  processes scan disjoint chunk ranges and still return accumulator state
+  in one shared code space.
 
-Version-1 manifests (and manifest-less legacy directories) are upgraded in
-place the first time the out-of-core metadata is requested: every chunk
-payload is read once, the deltas/bounds/counts are computed, and the
-manifest is rewritten at version 2.
+An entry that lacks any of these is refused with a :class:`CollectionError`
+naming the chunk; ``repro fsck --repair`` recomputes missing pool deltas.
 
 Frame chunks themselves come in three **serialisation formats**: the
-legacy ``v1`` gzip-JSON files (``frame-chunk-*.json.gz``) and the binary
-columnar ``v2`` (``frame-chunk-*.bin``) and ``v3`` (``frame-chunk-*.v3.bin``)
-files of :mod:`repro.collection.chunkformat`.  New chunks are always written
-as v3; v1 and v2 are read-only input from archives written by older
-versions.  Reads dispatch on each blob's magic bytes, so a store may freely
-mix formats — e.g. a v2 archive that keeps growing v3 chunks after an
-upgrade.  :meth:`FrameStore.migrate_format` rewrites the v1 and v2 chunks of
-a store in place behind the same atomic-manifest commit point.
+``v1`` gzip-JSON files (``frame-chunk-*.json.gz``) and the binary columnar
+``v2`` (``frame-chunk-*.bin``) and ``v3`` (``frame-chunk-*.v3.bin``) files
+of :mod:`repro.collection.chunkformat`.  New chunks are always written as
+v3; v1 and v2 are read-only input from archives written by older versions.
+Reads dispatch on each blob's magic bytes, so a store may freely mix
+formats — e.g. a v2 archive that keeps growing v3 chunks after an upgrade.
+:meth:`FrameStore.migrate_format` rewrites the v1 and v2 chunks of a store
+in place behind the same atomic-manifest commit point.
 """
 
 from __future__ import annotations
@@ -64,26 +66,22 @@ import zlib
 from collections import deque
 from functools import partial
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common import faults
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, LazyMetadata, TxFrame
-from repro.common.compression import (
-    CompressionStats,
-    accumulate,
-    compress_json_measured,
-    decompress_json,
-)
+from repro.common.compression import CompressionStats, accumulate, decompress_json
 from repro.common.errors import CollectionError
 from repro.common.records import BlockRecord, TransactionRecord
 
-#: Manifest schema version; bump when the manifest layout changes.
+#: Manifest schema version, the only one :meth:`FrameStore.open` reads;
+#: bump when the manifest layout changes.
 MANIFEST_VERSION = 2
 
-#: Manifest versions :meth:`FrameStore.open` accepts.  Version 1 lacks the
-#: per-chunk pool deltas / time bounds / chain row counts; those are
-#: backfilled lazily (see :meth:`FrameStore.ensure_chunk_stats`).
-SUPPORTED_MANIFEST_VERSIONS = (1, 2)
+#: The keys every manifest chunk entry carries.
+MANIFEST_ENTRY_KEYS = (
+    "file", "rows", "compressed_bytes", "raw_bytes", "heights", "times", "chain_rows", "pools",
+)
 
 #: Manifest file name inside a directory-backed frame store.
 MANIFEST_NAME = "manifest.json"
@@ -212,152 +210,6 @@ def _decode_chunk_blob(blob: bytes, chunk_id: int) -> Dict:
         ) from None
 
 
-class StoredChunk(NamedTuple):
-    """One compressed chunk of consecutive blocks."""
-
-    chunk_id: int
-    min_height: int
-    max_height: int
-    block_count: int
-    stats: CompressionStats
-    blob: Optional[bytes] = None
-    path: Optional[str] = None
-
-    def load(self) -> List[BlockRecord]:
-        """Decompress and decode the chunk's blocks."""
-        if self.blob is not None:
-            payload = decompress_json(self.blob)
-        elif self.path is not None:
-            with open(self.path, "rb") as handle:
-                payload = decompress_json(handle.read())
-        else:
-            raise CollectionError(f"chunk {self.chunk_id} has no data attached")
-        return [BlockRecord.from_dict(item) for item in payload]
-
-
-class BlockStore:
-    """Append-only store of crawled blocks, chunked and gzip-compressed."""
-
-    def __init__(self, chunk_size: int = 500, directory: Optional[str] = None):
-        if chunk_size <= 0:
-            raise CollectionError("chunk_size must be positive")
-        self.chunk_size = chunk_size
-        self.directory = directory
-        if directory is not None:
-            ensure_directory(directory)
-        self._chunks: List[StoredChunk] = []
-        self._pending: List[BlockRecord] = []
-        self._heights: Dict[int, int] = {}
-        self._block_count = 0
-        self._transaction_count = 0
-        self._action_count = 0
-
-    # -- writing -----------------------------------------------------------------
-    def add(self, block: BlockRecord) -> None:
-        """Append one block; duplicate heights are rejected."""
-        if block.height in self._heights:
-            raise CollectionError(f"block {block.height} already stored")
-        self._heights[block.height] = len(self._chunks)
-        self._pending.append(block)
-        self._block_count += 1
-        self._transaction_count += block.transaction_count
-        self._action_count += block.action_count
-        if len(self._pending) >= self.chunk_size:
-            self.flush()
-
-    def add_many(self, blocks: Iterable[BlockRecord]) -> None:
-        for block in blocks:
-            self.add(block)
-
-    def flush(self) -> Optional[StoredChunk]:
-        """Compress pending blocks into a chunk (no-op when nothing pends)."""
-        if not self._pending:
-            return None
-        payload = [block.to_dict() for block in self._pending]
-        blob, raw_size = compress_json_measured(payload)
-        stats = CompressionStats(
-            raw_bytes=raw_size, compressed_bytes=len(blob), chunk_count=1
-        )
-        chunk_id = len(self._chunks)
-        path = None
-        if self.directory is not None:
-            path = os.path.join(self.directory, f"chunk-{chunk_id:06d}.json.gz")
-            with open(path, "wb") as handle:
-                handle.write(blob)
-        chunk = StoredChunk(
-            chunk_id=chunk_id,
-            min_height=min(block.height for block in self._pending),
-            max_height=max(block.height for block in self._pending),
-            block_count=len(self._pending),
-            stats=stats,
-            blob=None if path is not None else blob,
-            path=path,
-        )
-        for block in self._pending:
-            self._heights[block.height] = chunk.chunk_id
-        self._chunks.append(chunk)
-        self._pending = []
-        return chunk
-
-    # -- reading ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._block_count
-
-    @property
-    def block_count(self) -> int:
-        return self._block_count
-
-    @property
-    def transaction_count(self) -> int:
-        return self._transaction_count
-
-    @property
-    def action_count(self) -> int:
-        return self._action_count
-
-    @property
-    def chunk_count(self) -> int:
-        return len(self._chunks) + (1 if self._pending else 0)
-
-    def heights(self) -> List[int]:
-        return sorted(self._heights)
-
-    def height_range(self) -> Optional[tuple]:
-        if not self._heights:
-            return None
-        heights = self.heights()
-        return heights[0], heights[-1]
-
-    def __contains__(self, height: int) -> bool:
-        return height in self._heights
-
-    def iter_blocks(self) -> Iterator[BlockRecord]:
-        """Iterate over all stored blocks in ascending height order."""
-        blocks: List[BlockRecord] = []
-        for chunk in self._chunks:
-            blocks.extend(chunk.load())
-        blocks.extend(self._pending)
-        for block in sorted(blocks, key=lambda item: item.height):
-            yield block
-
-    def blocks(self) -> List[BlockRecord]:
-        return list(self.iter_blocks())
-
-    def compression_stats(self) -> CompressionStats:
-        """Aggregate byte accounting over all flushed chunks."""
-        return accumulate(chunk.stats for chunk in self._chunks)
-
-    def to_frame(self) -> TxFrame:
-        """Decompress every stored block straight into a columnar frame.
-
-        This is the bridge from the crawl path to the analysis substrate:
-        the frame is the canonical input of the single-pass engine.
-        """
-        frame = TxFrame()
-        frame.extend_from_blocks(self.iter_blocks())
-        return frame
-
-
 def _shared_dicts(metadata: LazyMetadata) -> List[Optional[Dict]]:
     """A chunk's parsed metadata with equal dicts replaced by the first one."""
     items = metadata.materialise()
@@ -415,55 +267,56 @@ def _check_id_runs(payload: Dict) -> None:
             )
 
 
-def _payload_stats(
-    payload: Dict,
-) -> Tuple[Dict[str, List[int]], Dict[str, List[float]], Dict[str, int]]:
-    """Per-chain stats of a payload — from the binary chunk header when present.
+def absorb_pool_deltas(
+    pools: Dict[str, Dict[str, None]], payload_pools: Dict
+) -> Dict[str, List[str]]:
+    """Fold one chunk's payload pools into running global pools.
 
-    v2 and v3 chunks embed their ``(heights, times, chain_rows)`` triple, so
-    metadata backfills never iterate rows; v1 payloads fall back to the
-    row scan.
+    ``pools`` maps each pool name to an insertion-ordered dict of the strings
+    seen so far (the store's code order).  Returns the chunk's deltas: the
+    payload-pool strings not already in ``pools``, in payload order — exactly
+    the order :meth:`TxFrame.extend_from_payload` would intern them, so
+    folding chunks in order reproduces :meth:`FrameStore.to_frame`'s pools.
     """
-    stats = payload.get("chain_stats")
-    if stats is not None:
-        heights, times, chain_rows = stats
-        return dict(heights), dict(times), dict(chain_rows)
-    return _payload_chain_stats(payload)
+    deltas: Dict[str, List[str]] = {}
+    for name in POOL_NAMES:
+        seen = pools[name]
+        deltas[name] = fresh = [value for value in payload_pools[name] if value not in seen]
+        seen.update(dict.fromkeys(fresh))
+    return deltas
 
 
 class StoredFrameChunk:
     """One compressed chunk of consecutive frame rows (a plain class: a
-    store fills in ``path``, ``stats`` and the per-chain fields later)."""
+    store fills in ``path`` or ``blob`` after encoding, and migration
+    replaces ``stats``)."""
 
     def __init__(
         self,
         chunk_id: int,
         row_count: int,
         stats: CompressionStats,
-        blob: Optional[bytes] = None,
+        heights: Dict[str, List[int]],
+        times: Dict[str, List[float]],
+        chain_rows: Dict[str, int],
+        pool_deltas: Dict[str, List[str]],
         path: Optional[str] = None,
-        heights: Optional[Dict[str, List[int]]] = None,
-        times: Optional[Dict[str, List[float]]] = None,
-        chain_rows: Optional[Dict[str, int]] = None,
-        pool_deltas: Optional[Dict[str, List[str]]] = None,
     ):
         self.chunk_id = chunk_id
         self.row_count = row_count
         self.stats = stats
-        self.blob = blob
+        self.blob: Optional[bytes] = None
         self.path = path
         #: Per-chain ``[min_height, max_height]`` of the chunk's rows, keyed by
         #: the chain value string.  Recorded in the manifest so a reopened store
         #: knows its crawl watermark without decompressing anything.
-        self.heights: Dict[str, List[int]] = {} if heights is None else heights
+        self.heights = heights
         #: Per-chain ``[min_timestamp, max_timestamp]`` of the chunk's rows.
-        #: ``None`` until computed (version-1 manifests lack it).
         self.times = times
-        #: Per-chain row counts.  ``None`` until computed.
+        #: Per-chain row counts.
         self.chain_rows = chain_rows
         #: String-pool deltas: the strings this chunk's payload pools introduce
         #: that no earlier chunk did, in first-seen order, keyed by pool name.
-        #: ``None`` until computed.
         self.pool_deltas = pool_deltas
 
     def __repr__(self) -> str:
@@ -488,7 +341,7 @@ class StoredFrameChunk:
 
 
 class FrameStore:
-    """Append-only chunked gzip store of columnar transaction rows.
+    """Append-only chunked store of columnar transaction rows.
 
     Rows are compressed straight from a :class:`TxFrame`'s columns: each
     chunk is the frame's columnar payload for a row slice (typed columns
@@ -512,15 +365,12 @@ class FrameStore:
         self._row_count = 0
         self._height_bounds: Dict[str, List[int]] = {}
         #: Running global string pools over the committed chunks, in the
-        #: exact order :meth:`to_frame` would intern them.  Kept as both a
-        #: list (code order) and a set (membership) per pool name.
-        self._pool_values: Dict[str, List[str]] = {name: [] for name in POOL_NAMES}
-        self._pool_sets: Dict[str, set] = {name: set() for name in POOL_NAMES}
-        #: Whether every committed chunk carries the out-of-core metadata
-        #: (pool deltas, time bounds, chain rows).  Version-1 manifests and
-        #: legacy directories reopen with this False until
-        #: :meth:`ensure_chunk_stats` backfills them.
-        self._stats_complete = True
+        #: exact order :meth:`to_frame` would intern them (see
+        #: :func:`absorb_pool_deltas`).
+        self._pools: Dict[str, Dict[str, None]] = {name: {} for name in POOL_NAMES}
+        #: Whether the directory's manifest describes this store; until it
+        #: does, the first chunk write commits an empty one first.
+        self._manifest_committed = False
         #: Stale partial chunk files removed by :meth:`open` (crash cleanup).
         self.cleaned_paths: List[str] = []
 
@@ -528,8 +378,7 @@ class FrameStore:
     def open(cls, directory: str, chunk_rows: int = 50_000) -> "FrameStore":
         """Reopen a directory-backed store written by an earlier process.
 
-        With a manifest present (every store written by this version has
-        one) the open is **lazy and crash-safe**: only the manifest is read;
+        The open is **lazy and crash-safe**: only the manifest is read;
         chunk payloads stay on disk until :meth:`to_frame` needs them.  The
         manifest is the commit point of every append, so two kinds of stale
         data are detected and cleaned here:
@@ -544,40 +393,22 @@ class FrameStore:
         pipeline can log what a crash cost; the store reopens at its last
         durable watermark and appends continue from there.
 
-        Directories written before the manifest existed fall back to the
-        legacy glob-and-load path (chunks read eagerly, no recovery).
-
-        The raw-byte accounting of the original write is persisted through
-        the manifest; legacy reopened chunks report zero raw bytes, which
-        only affects the compression-ratio statistic.
+        A directory with neither a manifest nor chunk files opens as a new
+        empty store.  Chunk files without a manifest were not written by
+        this program (a store commits its manifest before its first chunk
+        file): that is a :class:`CollectionError`, and the files are left
+        untouched.
         """
         store = cls(chunk_rows=chunk_rows, directory=directory)
         manifest_path = os.path.join(directory, MANIFEST_NAME)
         if os.path.exists(manifest_path):
             store._open_from_manifest(manifest_path)
-            return store
-        paths = _glob_chunk_files(directory)
-        for chunk_id, path in enumerate(paths):
-            with open(path, "rb") as handle:
-                blob = handle.read()
-            payload = _decode_chunk_blob(blob, chunk_id)
-            heights, times, chain_rows = _payload_stats(payload)
-            chunk = StoredFrameChunk(
-                chunk_id=chunk_id,
-                row_count=len(payload["transaction_id"]),
-                stats=CompressionStats(
-                    raw_bytes=0, compressed_bytes=len(blob), chunk_count=1
-                ),
-                blob=blob,
-                path=path,
-                heights=heights,
-                times=times,
-                chain_rows=chain_rows,
-                pool_deltas=store._absorb_pool_deltas(payload["pools"]),
+        elif _glob_chunk_files(directory):
+            raise CollectionError(
+                f"{directory!r} holds chunk files but no manifest commits them "
+                "(not a store this program wrote); `repro fsck --repair` moves "
+                "them into quarantine/"
             )
-            store._chunks.append(chunk)
-            store._row_count += chunk.row_count
-            store._merge_height_bounds(chunk.heights)
         return store
 
     @classmethod
@@ -622,20 +453,7 @@ class FrameStore:
             json.dump(placeholder, handle)
         os.replace(temp_path, manifest_path)
         for source_dir in sources:
-            if not os.path.exists(os.path.join(source_dir, MANIFEST_NAME)):
-                # Every committed append writes the manifest, so a missing
-                # one means the shard's generator died before finishing —
-                # assembling would silently drop its rows.
-                raise CollectionError(
-                    f"shard store {source_dir!r} has no manifest "
-                    "(incomplete or crashed shard)"
-                )
             source = cls.open(source_dir)
-            if len(source._staging):
-                raise CollectionError(
-                    f"shard store {source_dir!r} has unflushed staging rows"
-                )
-            source.ensure_chunk_stats()
             for chunk in source._chunks:
                 chunk_id = len(target._chunks)
                 # The moved file keeps its format (visible in the extension):
@@ -656,7 +474,7 @@ class FrameStore:
                         heights=chunk.heights,
                         times=chunk.times,
                         chain_rows=chunk.chain_rows,
-                        pool_deltas=target._absorb_pool_deltas(chunk.pool_deltas),
+                        pool_deltas=absorb_pool_deltas(target._pools, chunk.pool_deltas),
                     )
                 )
                 target._row_count += chunk.row_count
@@ -684,7 +502,7 @@ class FrameStore:
             raise CollectionError(
                 f"frame-store manifest {manifest_path!r} is not a JSON object"
             )
-        if manifest.get("version") not in SUPPORTED_MANIFEST_VERSIONS:
+        if manifest.get("version") != MANIFEST_VERSION:
             raise CollectionError(
                 f"unsupported frame-store manifest version {manifest.get('version')!r}"
             )
@@ -700,7 +518,14 @@ class FrameStore:
             )
         committed: List[StoredFrameChunk] = []
         truncated = False
-        for entry in manifest["chunks"]:
+        for index, entry in enumerate(manifest["chunks"]):
+            missing = [key for key in MANIFEST_ENTRY_KEYS if key not in entry]
+            if missing:
+                raise CollectionError(
+                    f"manifest entry of chunk {index} ({entry.get('file')!r}) in "
+                    f"{self.directory!r} lacks {', '.join(missing)}; run "
+                    "`repro fsck --repair`"
+                )
             path = os.path.join(self.directory, entry["file"])
             compressed = int(entry["compressed_bytes"])
             if (
@@ -716,39 +541,28 @@ class FrameStore:
                     self.cleaned_paths.append(path)
                     os.remove(path)
                 continue
-            pool_deltas = entry.get("pools")
             committed.append(
                 StoredFrameChunk(
                     chunk_id=len(committed),
                     row_count=int(entry["rows"]),
                     stats=CompressionStats(
-                        raw_bytes=int(entry.get("raw_bytes", 0)),
+                        raw_bytes=int(entry["raw_bytes"]),
                         compressed_bytes=compressed,
                         chunk_count=1,
                     ),
                     path=path,
                     heights={
                         chain: [int(low), int(high)]
-                        for chain, (low, high) in entry.get("heights", {}).items()
+                        for chain, (low, high) in entry["heights"].items()
                     },
                     times={
                         chain: [float(low), float(high)]
                         for chain, (low, high) in entry["times"].items()
-                    }
-                    if entry.get("times") is not None
-                    else None,
+                    },
                     chain_rows={
-                        chain: int(count)
-                        for chain, count in entry["chain_rows"].items()
-                    }
-                    if entry.get("chain_rows") is not None
-                    else None,
-                    pool_deltas={
-                        name: list(pool_deltas.get(name, []))
-                        for name in POOL_NAMES
-                    }
-                    if pool_deltas is not None
-                    else None,
+                        chain: int(count) for chain, count in entry["chain_rows"].items()
+                    },
+                    pool_deltas={name: list(entry["pools"][name]) for name in POOL_NAMES},
                 )
             )
         committed_files = {os.path.basename(chunk.path) for chunk in committed}
@@ -762,38 +576,11 @@ class FrameStore:
             self._chunks.append(chunk)
             self._row_count += chunk.row_count
             self._merge_height_bounds(chunk.heights)
-            if chunk.pool_deltas is None:
-                self._stats_complete = False
-            elif self._stats_complete:
-                self._replay_pool_deltas(chunk.pool_deltas)
+            for name, values in chunk.pool_deltas.items():
+                self._pools[name].update(dict.fromkeys(values))
+        self._manifest_committed = True
         if truncated or self.cleaned_paths:
             self._write_manifest()
-
-    def _replay_pool_deltas(self, deltas: Dict[str, List[str]]) -> None:
-        """Extend the running global pools with one chunk's recorded deltas."""
-        for name in POOL_NAMES:
-            values = deltas.get(name)
-            if values:
-                self._pool_values[name].extend(values)
-                self._pool_sets[name].update(values)
-
-    def _absorb_pool_deltas(self, payload_pools: Dict) -> Dict[str, List[str]]:
-        """Fold one chunk's payload pools into the running global pools.
-
-        Returns the chunk's deltas: the payload-pool strings not already in
-        the global pools, in payload order — exactly the order
-        :meth:`TxFrame.extend_from_payload` would intern them, so replaying
-        deltas in chunk order reproduces :meth:`to_frame`'s pools.
-        """
-        deltas: Dict[str, List[str]] = {}
-        for name in POOL_NAMES:
-            seen = self._pool_sets[name]
-            fresh = [value for value in payload_pools[name] if value not in seen]
-            deltas[name] = fresh
-            if fresh:
-                self._pool_values[name].extend(fresh)
-                seen.update(fresh)
-        return deltas
 
     def _merge_height_bounds(self, heights: Dict[str, List[int]]) -> None:
         for chain, (low, high) in heights.items():
@@ -808,22 +595,19 @@ class FrameStore:
         """Atomically commit the chunk list (write-temp + rename)."""
         if self.directory is None:
             return
-        entries = []
-        for chunk in self._chunks:
-            entry = {
+        entries = [
+            {
                 "file": os.path.basename(chunk.path),
                 "rows": chunk.row_count,
                 "compressed_bytes": chunk.stats.compressed_bytes,
                 "raw_bytes": chunk.stats.raw_bytes,
                 "heights": chunk.heights,
+                "times": chunk.times,
+                "chain_rows": chunk.chain_rows,
+                "pools": chunk.pool_deltas,
             }
-            if chunk.times is not None:
-                entry["times"] = chunk.times
-            if chunk.chain_rows is not None:
-                entry["chain_rows"] = chunk.chain_rows
-            if chunk.pool_deltas is not None:
-                entry["pools"] = chunk.pool_deltas
-            entries.append(entry)
+            for chunk in self._chunks
+        ]
         manifest = {
             "version": MANIFEST_VERSION,
             "chunk_rows": self.chunk_rows,
@@ -840,6 +624,7 @@ class FrameStore:
         # manifest authoritative — exactly what the atomic replace guarantees.
         faults.maybe_crash("store.manifest_commit")
         os.replace(temp_path, path)
+        self._manifest_committed = True
 
     # -- writing -----------------------------------------------------------------
     def add_frame(self, frame: TxFrame) -> None:
@@ -908,13 +693,8 @@ class FrameStore:
         return payload
 
     def _write_chunk(self, frame: TxFrame, rows: Optional[range]) -> Dict:
-        # New chunks always commit with out-of-core metadata; appending to a
-        # store reopened from a version-1 manifest backfills the old chunks
-        # first so the running pools (and therefore this chunk's deltas) are
-        # computed against the full committed prefix.
         from repro.collection import chunkformat
 
-        self.ensure_chunk_stats()
         payload = frame.to_payload(rows, arrays=True)
         _check_id_runs(payload)
         heights, times, chain_rows = _payload_chain_stats(payload)
@@ -931,9 +711,14 @@ class FrameStore:
             heights=heights,
             times=times,
             chain_rows=chain_rows,
-            pool_deltas=self._absorb_pool_deltas(payload["pools"]),
+            pool_deltas=absorb_pool_deltas(self._pools, payload["pools"]),
         )
         if self.directory is not None:
+            if not self._manifest_committed:
+                # A fresh directory gets its (empty) manifest first, so a
+                # crash in this chunk's write leaves an uncommitted partial
+                # that open() cleans, never chunk files without a manifest.
+                self._write_manifest()
             chunk.path = os.path.join(
                 self.directory,
                 f"frame-chunk-{chunk.chunk_id:06d}"
@@ -1010,32 +795,6 @@ class FrameStore:
         return bounds[0], bounds[1]
 
     # -- out-of-core scan metadata -------------------------------------------------
-    def ensure_chunk_stats(self) -> None:
-        """Backfill the out-of-core metadata for chunks that lack it.
-
-        Stores written at manifest version 2 carry pool deltas, time bounds
-        and chain row counts for every chunk; stores reopened from version-1
-        manifests do not.  This reads each stale chunk's payload once (in
-        chunk order — delta computation depends on the running pools),
-        computes the metadata, and commits the upgraded manifest, after
-        which every open is metadata-complete and lazy again.
-        """
-        if self._stats_complete:
-            return
-        # The running pools were only replayed up to the first chunk without
-        # recorded deltas; rebuild from scratch so order stays exact.
-        self._pool_values = {name: [] for name in POOL_NAMES}
-        self._pool_sets = {name: set() for name in POOL_NAMES}
-        for chunk in self._chunks:
-            if chunk.pool_deltas is not None and chunk.times is not None:
-                self._replay_pool_deltas(chunk.pool_deltas)
-                continue
-            payload = chunk.payload()
-            chunk.heights, chunk.times, chunk.chain_rows = _payload_stats(payload)
-            chunk.pool_deltas = self._absorb_pool_deltas(payload["pools"])
-        self._stats_complete = True
-        self._write_manifest()
-
     def pool_values(self) -> Dict[str, List[str]]:
         """The store's global string pools, in code order, keyed by name.
 
@@ -1044,16 +803,14 @@ class FrameStore:
         chunk order.  This is the shared code space out-of-core workers and
         the merging parent scan in.
         """
-        self.ensure_chunk_stats()
-        return {name: list(values) for name, values in self._pool_values.items()}
+        return {name: list(values) for name, values in self._pools.items()}
 
     def time_bounds(self, chain) -> Optional[Tuple[float, float]]:
         """(min, max) committed timestamp for ``chain`` (or its value string)."""
-        self.ensure_chunk_stats()
         key = getattr(chain, "value", chain)
         low = high = None
         for chunk in self._chunks:
-            window = (chunk.times or {}).get(key)
+            window = chunk.times.get(key)
             if window is None:
                 continue
             if low is None:
@@ -1068,10 +825,9 @@ class FrameStore:
     def chain_row_counts(self, stop: Optional[int] = None) -> Dict[str, int]:
         """Committed row totals per chain value string (of the chunks before
         ``stop`` when given)."""
-        self.ensure_chunk_stats()
         totals: Dict[str, int] = {}
         for chunk in self._chunks[:stop]:
-            for chain, count in (chunk.chain_rows or {}).items():
+            for chain, count in chunk.chain_rows.items():
                 totals[chain] = totals.get(chain, 0) + count
         return totals
 
@@ -1167,7 +923,6 @@ class FrameStore:
         """
         from repro.collection import chunkformat
 
-        self.ensure_chunk_stats()
         superseded: List[str] = []
         for chunk in self._chunks:
             source_path = chunk.path
@@ -1201,12 +956,10 @@ class FrameStore:
 
 
 class FrameSink:
-    """Adapts a :class:`FrameStore` to the block-crawler's store protocol.
+    """Adapts a :class:`FrameStore` to the block crawler's sink protocol.
 
-    This is the crawler's frame-sink path: instead of accumulating
-    ``BlockRecord`` lists in a :class:`BlockStore` that must later be
-    converted, each crawled block's transactions flow straight into the
-    columnar store.  The sink buffers at most one crawl window of blocks
+    Each crawled block's transactions flow straight into the columnar
+    store; no block-record list is ever accumulated.  The sink buffers at most one crawl window of blocks
     (the crawler fetches in *reverse* chronological order, so the buffer is
     re-sorted ascending at :meth:`flush` — keeping per-chain rows in
     time order, which is what the analysis engine's sorted fast paths and

@@ -45,7 +45,7 @@ from typing import (
     Union,
 )
 
-from repro.common.records import BlockRecord, ChainId, TransactionRecord
+from repro.common.records import ChainId, TransactionRecord
 
 #: Fixed chain-code order; ``chain_code`` column stores indexes into this.
 CHAIN_ORDER: Tuple[ChainId, ...] = (ChainId.EOS, ChainId.TEZOS, ChainId.XRP)
@@ -613,10 +613,6 @@ class TxFrame:
             if len(batch) < EXTEND_BATCH_ROWS:
                 return count
 
-    def extend_from_blocks(self, blocks: Iterable[BlockRecord]) -> int:
-        """Append every transaction carried by an iterable of blocks."""
-        return self.extend(flatten.from_iterable(block.transactions for block in blocks))
-
     @classmethod
     def from_records(cls, records: Iterable[TransactionRecord]) -> "TxFrame":
         frame = cls()
@@ -645,12 +641,6 @@ class TxFrame:
         frame.accounts = accounts
         frame.currencies = currencies
         frame.errors = errors
-        return frame
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[BlockRecord]) -> "TxFrame":
-        frame = cls()
-        frame.extend_from_blocks(blocks)
         return frame
 
     @classmethod

@@ -1,16 +1,17 @@
-"""Gzip size accounting for the block store.
+"""Compressed-size accounting for the frame store.
 
 Figure 2 of the paper characterises each dataset by the storage its gzip
 compressed blocks occupy (121 GB for EOS, 0.56 GB for Tezos, 76.4 GB for
-XRP).  The block store keeps the same books: every chunk it writes is gzip
-compressed, and the store can report compressed and raw byte totals so the
-dataset characterisation can reproduce the table's storage column.
+XRP).  The frame store keeps the same books: every chunk it commits records
+its compressed and raw byte counts in the manifest, so the dataset
+characterisation can reproduce the table's storage column.  The gzip-JSON
+decoder reads the ``v1`` chunks of archives written by older versions.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, List, Mapping, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 GIGABYTE = 1_000_000_000
 
@@ -41,52 +42,11 @@ class CompressionStats(NamedTuple):
         )
 
 
-def compress_json(payload: Any, level: int = 6) -> bytes:
-    """Serialise ``payload`` as JSON and gzip it.
-
-    ``mtime=0`` pins the gzip header timestamp so equal payloads compress
-    to equal bytes — sharded dataset generation relies on this to make its
-    output byte-for-byte independent of worker count.
-    """
-    import gzip
-
-    raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return gzip.compress(raw, compresslevel=level, mtime=0)
-
-
-def compress_json_measured(payload: Any, level: int = 6) -> "tuple[bytes, int]":
-    """``(gzip blob, raw serialized byte count)`` — one serialisation.
-
-    The store's byte accounting needs both the compressed size and the raw
-    payload size; serialising once and measuring the bytes already in hand
-    replaces the old trick of gzip-compressing the payload a *second* time
-    at level 0 just to read off its length.
-    """
-    import gzip
-
-    raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return gzip.compress(raw, compresslevel=level, mtime=0), len(raw)
-
-
 def decompress_json(blob: bytes) -> Any:
-    """Inverse of :func:`compress_json`."""
+    """Decode a gzip-compressed JSON document (a ``v1`` chunk blob)."""
     import gzip
 
     return json.loads(gzip.decompress(blob).decode("utf-8"))
-
-
-def compress_records(records: Iterable[Mapping[str, Any]], level: int = 6) -> bytes:
-    """Compress a list of JSON-compatible mappings as a single chunk."""
-    return compress_json(list(records), level=level)
-
-
-def measure_chunk(payload: Any, level: int = 6) -> CompressionStats:
-    """Return byte accounting for ``payload`` without keeping the blob."""
-    import gzip
-
-    raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob = gzip.compress(raw, compresslevel=level)
-    return CompressionStats(raw_bytes=len(raw), compressed_bytes=len(blob), chunk_count=1)
 
 
 def accumulate(stats: Iterable[CompressionStats]) -> CompressionStats:
@@ -108,9 +68,3 @@ def estimate_storage_gb(stats: CompressionStats, scale_factor: float = 1.0) -> f
         raise ValueError("scale_factor must be positive")
     return stats.compressed_gigabytes / scale_factor
 
-
-def split_into_chunks(items: List[Any], chunk_size: int) -> List[List[Any]]:
-    """Split ``items`` into consecutive chunks of at most ``chunk_size``."""
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    return [items[start : start + chunk_size] for start in range(0, len(items), chunk_size)]

@@ -6,12 +6,14 @@ the pipeline re-anchors crawl meta after cleanups.  This module is the
 *proactive* side — walk everything a pipeline directory persists, verify
 it byte-for-byte, and report exactly what is damaged:
 
-* the frame-store manifest (readable, supported version, no crashed
-  partial assembly);
+* the frame-store manifest (present wherever chunk files are, readable,
+  the one supported version, no crashed partial assembly);
 * every committed chunk (file present, size matches the committed byte
   count, blob decodes — v2/v3 magic + adler32, v1 gzip/JSON — and the
   decoded row count matches the manifest); a chunk of a newer binary format
   version is ``chunk_version``, left in place like an unsupported manifest;
+* every kept chunk's manifest entry carries the keys
+  :meth:`FrameStore.open` requires (``manifest_entry_incomplete``);
 * uncommitted chunk files on disk that the manifest never references;
 * the checkpoint snapshot (an intact state entry — magic, adler32, shape —
   whose watermark is within the store's committed rows);
@@ -25,13 +27,19 @@ abandoning the whole store:
   the evidence) and their manifest entries dropped.  Chunk payloads are
   self-contained, but a *dropped* chunk invalidates the recorded pool
   deltas of every later chunk (deltas are relative to the running pools),
-  so those entries shed their ``pools`` metadata and the store backfills
-  them lazily on next use (:meth:`FrameStore.ensure_chunk_stats`).  The
-  rows lost this way are reported per chain — explicit degraded-rows
-  accounting instead of an all-or-nothing rescan;
+  so the walk recomputes each kept chunk's deltas from the payload it
+  decodes (:func:`~repro.collection.store.absorb_pool_deltas`, the store's
+  own rule) and the rewritten manifest is complete.  The same walk fills in
+  kept entries that lack their deltas.  A kept chunk the walk cannot decode
+  (``chunk_version``) after a dropped one keeps an incomplete entry, which
+  :meth:`FrameStore.open` refuses by name.  The rows lost this way are
+  reported per chain — explicit degraded-rows accounting instead of an
+  all-or-nothing rescan;
 * an unusable or stale checkpoint snapshot is quarantined too (the next
   update falls back to a full rescan, which is always correct);
-* uncommitted chunk files are quarantined rather than deleted.
+* uncommitted chunk files are quarantined rather than deleted; chunk
+  files with no manifest at all (``manifest_missing``) are quarantined
+  and an empty manifest is committed.
 
 The repaired store must satisfy ``FrameStore.open`` + ``full_report``; the
 fsck test suite gates exactly that.
@@ -50,11 +58,15 @@ from repro.analysis.statecache import ENTRY_MODE, decode_entry, parse_entry_name
 from repro.analysis.value import decode_analysis_config
 from repro.collection import chunkformat
 from repro.collection.store import (
+    MANIFEST_ENTRY_KEYS,
     MANIFEST_NAME,
+    MANIFEST_VERSION,
+    POOL_NAMES,
     STATE_CACHE_DIR,
-    SUPPORTED_MANIFEST_VERSIONS,
+    FrameStore,
     _decode_chunk_blob,
     _glob_chunk_files,
+    absorb_pool_deltas,
     resolve_store_dir,
 )
 from repro.common.errors import CollectionError
@@ -72,9 +84,10 @@ QUARANTINE_DIR = "quarantine"
 class FsckIssue:
     """One verified inconsistency found by the walk."""
 
-    #: Machine-readable kind: ``manifest_unreadable``, ``partial_assembly``,
-    #: ``chunk_missing``, ``chunk_size_mismatch``, ``chunk_corrupt``,
-    #: ``chunk_version``,
+    #: Machine-readable kind: ``manifest_missing``, ``manifest_unreadable``,
+    #: ``manifest_version``, ``partial_assembly``, ``chunk_missing``,
+    #: ``chunk_size_mismatch``, ``chunk_corrupt``, ``chunk_version``,
+    #: ``manifest_entry_incomplete``,
     #: ``chunk_uncommitted``, ``checkpoint_unreadable``, ``checkpoint_stale``,
     #: ``meta_unreadable``, ``cache_entry_corrupt``, ``cache_entry_stale``,
     #: ``cache_entry_orphaned``.
@@ -83,7 +96,8 @@ class FsckIssue:
     path: Optional[str] = None
     #: Rows this issue costs per chain value if the damaged data is dropped.
     chain_rows: Dict[str, int] = field(default_factory=dict)
-    #: What repair did: ``quarantined`` or ``""`` (not repaired / no action).
+    #: What repair did: ``quarantined``, ``completed`` (a manifest entry
+    #: filled in) or ``""`` (not repaired / no action).
     repair: str = ""
 
     def to_dict(self) -> Dict[str, object]:
@@ -133,15 +147,11 @@ class FsckReport:
 
 
 def _entry_chain_rows(entry: Dict) -> Dict[str, int]:
-    """Per-chain row accounting for one manifest entry (best effort)."""
+    """Per-chain row accounting for one manifest entry (an entry damaged
+    down to its row count attributes every row to ``unknown``)."""
     chain_rows = entry.get("chain_rows")
     if chain_rows:
         return {chain: int(count) for chain, count in chain_rows.items()}
-    # Version-1 entries lack per-chain counts; attribute the total to the
-    # chains the height bounds name (split unknown → keyed by "unknown").
-    heights = entry.get("heights") or {}
-    if len(heights) == 1:
-        return {next(iter(heights)): int(entry.get("rows", 0))}
     return {"unknown": int(entry.get("rows", 0))}
 
 
@@ -159,6 +169,27 @@ def _quarantine(store_dir: str, path: str) -> str:
     return target
 
 
+def _check_uncommitted(report: FsckReport, repair: bool, committed_files: Set[str]) -> None:
+    """Report (and under repair quarantine) chunk files no manifest commits.
+
+    A crash between a chunk write and the manifest rename leaves one:
+    :meth:`FrameStore.open` would delete it, fsck preserves it instead.
+    """
+    for path in _glob_chunk_files(report.store_dir):
+        if os.path.basename(path) in committed_files:
+            continue
+        issue = FsckIssue(
+            kind="chunk_uncommitted",
+            detail=f"chunk file {os.path.basename(path)!r} was never "
+            "committed by the manifest (crash leftover)",
+            path=path,
+        )
+        report.issues.append(issue)
+        if repair:
+            issue.path = _quarantine(report.store_dir, path)
+            issue.repair = "quarantined"
+
+
 def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[int]]:
     """Verify the manifest and every committed chunk; repair by quarantine.
 
@@ -171,13 +202,19 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
     manifest_path = os.path.join(store_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         if _glob_chunk_files(store_dir):
-            report.issues.append(
-                FsckIssue(
-                    kind="manifest_missing",
-                    detail="chunk files present but no manifest commits them",
-                    path=manifest_path,
-                )
+            issue = FsckIssue(
+                kind="manifest_missing",
+                detail="chunk files present but no manifest commits them "
+                "(not a store this program wrote)",
+                path=manifest_path,
             )
+            report.issues.append(issue)
+            # Quarantine first: an empty manifest beside the files would
+            # let the next open() delete them.
+            _check_uncommitted(report, repair, set())
+            if repair:
+                FrameStore(directory=store_dir)._write_manifest()
+                issue.repair = "completed"
         return set(), None
     try:
         with open(manifest_path, "r", encoding="utf-8") as handle:
@@ -195,7 +232,7 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
             )
         )
         return set(), None
-    if manifest.get("version") not in SUPPORTED_MANIFEST_VERSIONS:
+    if manifest.get("version") != MANIFEST_VERSION:
         report.issues.append(
             FsckIssue(
                 kind="manifest_version",
@@ -218,12 +255,18 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
     kept_entries: List[Dict] = []
     recoded: Set[str] = set()
     dropped_from: Optional[int] = None
+    completed = False
+    # The running string pools over the kept chunks, as the store builds
+    # them; ``None`` once a kept chunk's deltas can be neither decoded nor
+    # trusted, after which later deltas cannot be recomputed.
+    pools: Optional[Dict[str, Dict[str, None]]] = {name: {} for name in POOL_NAMES}
     start_row = 0
     for index, entry in enumerate(manifest["chunks"]):
         chunk_start, start_row = start_row, start_row + int(entry["rows"])
         report.chunks_checked += 1
         path = os.path.join(store_dir, entry["file"])
         issue: Optional[FsckIssue] = None
+        payload: Optional[Dict] = None
         if not os.path.exists(path):
             issue = FsckIssue(
                 kind="chunk_missing",
@@ -255,7 +298,8 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
                         chain_rows=_entry_chain_rows(entry),
                     )
                 else:
-                    decoded_rows = len(_decode_chunk_blob(blob, index)["transaction_id"])
+                    payload = _decode_chunk_blob(blob, index)
+                    decoded_rows = len(payload["transaction_id"])
                     if decoded_rows != int(entry["rows"]):
                         raise CollectionError(
                             f"decoded {decoded_rows} rows, manifest committed "
@@ -275,14 +319,35 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
         # A newer writer's chunk is not damage: it is kept like a good one,
         # as a manifest of an unsupported version is.
         if issue is None or issue.kind == "chunk_version":
-            if dropped_from is not None:
-                # A dropped earlier chunk invalidates this chunk's recorded
-                # pool deltas (they are relative to the running pools); the
-                # store recomputes them lazily from the payload.
-                entry = {
-                    key: value for key, value in entry.items() if key != "pools"
-                }
-                recoded.add(path)
+            # Recorded pool deltas are relative to the running pools, so a
+            # dropped earlier chunk invalidates them; the walk recomputes
+            # them from the payload, as the store's writer did.
+            stale = dropped_from is not None or "pools" not in entry
+            deltas = None
+            if pools is not None and payload is not None:
+                deltas = absorb_pool_deltas(pools, payload["pools"])
+            elif pools is not None and not stale:
+                absorb_pool_deltas(pools, entry["pools"])
+            else:
+                pools = None
+            missing = [key for key in MANIFEST_ENTRY_KEYS if key not in entry]
+            if repair and stale:
+                entry = {key: value for key, value in entry.items() if key != "pools"}
+                if deltas is not None:
+                    entry["pools"] = deltas
+                completed = True
+                if dropped_from is not None:
+                    recoded.add(path)
+            if missing:
+                incomplete = FsckIssue(
+                    kind="manifest_entry_incomplete",
+                    detail=f"chunk {index}'s manifest entry lacks {', '.join(missing)} "
+                    "(the store refuses to open)",
+                    path=path,
+                )
+                if repair and all(key in entry for key in MANIFEST_ENTRY_KEYS):
+                    incomplete.repair = "completed"
+                report.issues.append(incomplete)
             kept_entries.append(entry)
             continue
         if repair:
@@ -298,33 +363,16 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
         else:
             kept_entries.append(entry)
 
-    # Chunk files the manifest never committed (crash between the chunk
-    # write and the manifest rename) — open() would delete them; fsck
-    # reports them, and repair preserves them in quarantine instead.
-    committed_files = {entry["file"] for entry in manifest["chunks"]}
-    for path in _glob_chunk_files(store_dir):
-        if os.path.basename(path) in committed_files:
-            continue
-        issue = FsckIssue(
-            kind="chunk_uncommitted",
-            detail=f"chunk file {os.path.basename(path)!r} was never "
-            "committed by the manifest (crash leftover)",
-            path=path,
-        )
-        report.issues.append(issue)
-        if repair:
-            issue.path = _quarantine(store_dir, path)
-            issue.repair = "quarantined"
+    _check_uncommitted(report, repair, {entry["file"] for entry in manifest["chunks"]})
 
-    if dropped_from is not None:
+    if dropped_from is not None or completed:
         manifest["chunks"] = kept_entries
         manifest["row_count"] = sum(int(entry["rows"]) for entry in kept_entries)
         temp_path = manifest_path + ".tmp"
         with open(temp_path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle)
         os.replace(temp_path, manifest_path)
-        return recoded, dropped_from
-    return set(), None
+    return recoded, dropped_from
 
 
 def _committed_rows(store_dir: str) -> Optional[int]:

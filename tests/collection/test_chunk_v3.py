@@ -198,8 +198,12 @@ class TestUnknownVersion:
             assert handle.read() == blob
         with open(os.path.join(store_dir, MANIFEST_NAME), encoding="utf-8") as handle:
             entries = json.load(handle)["chunks"]
-        # The kept chunk's pool deltas were relative to the dropped chunk's pools.
+        # The kept chunk's pool deltas were relative to the dropped chunk's
+        # pools, and a chunk this version cannot decode cannot have them
+        # recomputed: the entry stays incomplete, and open says so by name.
         assert entries[0]["file"] == os.path.basename(path) and "pools" not in entries[0]
+        with pytest.raises(CollectionError, match=r"chunk 0 .*frame-chunk-000001.bin.* lacks pools"):
+            FrameStore.open(store_dir)
 
 
 class TestNoJsonOnTheScanPath:

@@ -7,7 +7,7 @@ from repro.common.errors import CollectionError
 from repro.common.rng import DeterministicRng
 from repro.collection.crawler import BlockCrawler, CrawlCheckpoint
 from repro.collection.endpoints import EndpointPool
-from repro.collection.store import BlockStore
+from repro.collection.store import FrameSink, FrameStore
 from repro.eos.actions import make_transfer
 from repro.eos.chain import EosChain, EosChainConfig, EosTransaction
 from repro.eos.contracts import TokenContract
@@ -32,6 +32,16 @@ def build_chain(block_count=10, start_height=100):
     return chain
 
 
+def new_crawler(pool, **options):
+    """A crawler into a fresh in-memory frame store's sink."""
+    return BlockCrawler(pool, FrameSink(FrameStore()), **options)
+
+
+def stored_heights(sink):
+    """The block heights whose rows the sink's store holds, ascending."""
+    return sorted({record.block_height for record in sink.store.iter_records()})
+
+
 def build_pool(chain, profiles=None):
     profiles = profiles or [EndpointProfile(name="e1"), EndpointProfile(name="e2")]
     endpoints = [
@@ -44,45 +54,45 @@ def build_pool(chain, profiles=None):
 class TestCrawlRange:
     def test_fetches_every_block_in_range(self):
         chain = build_chain(10)
-        crawler = BlockCrawler(build_pool(chain))
+        crawler = new_crawler(build_pool(chain))
         report = crawler.crawl_range(highest=109, lowest=100)
         assert report.complete
         assert report.blocks_fetched == 10
-        assert crawler.store.heights() == list(range(100, 110))
+        assert stored_heights(crawler.store) == list(range(100, 110))
         assert report.transactions_fetched == 10
 
     def test_partial_range(self):
         chain = build_chain(10)
-        crawler = BlockCrawler(build_pool(chain))
+        crawler = new_crawler(build_pool(chain))
         report = crawler.crawl_range(highest=105, lowest=103)
-        assert crawler.store.heights() == [103, 104, 105]
+        assert stored_heights(crawler.store) == [103, 104, 105]
         assert report.complete
 
     def test_invalid_range(self):
         chain = build_chain(3)
-        crawler = BlockCrawler(build_pool(chain))
+        crawler = new_crawler(build_pool(chain))
         with pytest.raises(CollectionError):
             crawler.crawl_range(highest=100, lowest=200)
 
     def test_resume_from_checkpoint_skips_fetched_blocks(self):
         chain = build_chain(10)
-        store = BlockStore()
-        crawler = BlockCrawler(build_pool(chain), store=store)
+        store = FrameSink(FrameStore())
+        crawler = BlockCrawler(build_pool(chain), store)
         crawler.crawl_range(highest=109, lowest=105)
         requests_before = crawler.requests_issued
         checkpoint = CrawlCheckpoint(next_height=109, lowest_target=100)
         crawler.crawl_range(highest=109, lowest=100, checkpoint=checkpoint)
-        assert store.heights() == list(range(100, 110))
+        assert stored_heights(store) == list(range(100, 110))
         # Already-stored blocks are skipped without extra requests.
         assert crawler.requests_issued - requests_before == 5
 
     def test_missing_blocks_reported_not_fatal(self):
         chain = build_chain(5, start_height=100)
-        crawler = BlockCrawler(build_pool(chain), max_attempts_per_block=2)
+        crawler = new_crawler(build_pool(chain), max_attempts_per_block=2)
         report = crawler.crawl_range(highest=106, lowest=100)
         assert not report.complete
         assert set(report.failed_blocks) == {105, 106}
-        assert crawler.store.heights() == list(range(100, 105))
+        assert stored_heights(crawler.store) == list(range(100, 105))
 
 
 class TestRateLimitsAndFailures:
@@ -95,7 +105,7 @@ class TestRateLimitsAndFailures:
                 EndpointProfile(name="tight2", requests_per_second=2.0, burst=2.0),
             ],
         )
-        crawler = BlockCrawler(pool, clock=SimulationClock(0.0))
+        crawler = new_crawler(pool, clock=SimulationClock(0.0))
         report = crawler.crawl_range(highest=107, lowest=100)
         assert report.complete
         assert report.rate_limit_hits > 0
@@ -110,14 +120,14 @@ class TestRateLimitsAndFailures:
                 EndpointProfile(name="stable"),
             ],
         )
-        crawler = BlockCrawler(pool)
+        crawler = new_crawler(pool)
         report = crawler.crawl_range(highest=105, lowest=100)
         assert report.complete
         assert crawler.store.block_count == 6
 
     def test_discover_head(self):
         chain = build_chain(4)
-        crawler = BlockCrawler(build_pool(chain))
+        crawler = new_crawler(build_pool(chain))
         assert crawler.discover_head() == chain.head_height
 
 
@@ -125,9 +135,9 @@ class TestCrawlWindow:
     def test_stops_at_window_start(self):
         chain = build_chain(10)
         window_start = chain.block_at(105).timestamp
-        crawler = BlockCrawler(build_pool(chain))
+        crawler = new_crawler(build_pool(chain))
         report = crawler.crawl_window(window_start)
-        assert crawler.store.heights() == list(range(105, 110))
+        assert stored_heights(crawler.store) == list(range(105, 110))
         assert report.blocks_fetched == 5
 
 
@@ -136,7 +146,7 @@ class TestCheckpointPoolState:
 
     def test_checkpoint_carries_pool_health_and_cursor(self):
         chain = build_chain(6)
-        crawler = BlockCrawler(build_pool(chain))
+        crawler = new_crawler(build_pool(chain))
         checkpoint = CrawlCheckpoint(next_height=105, lowest_target=100)
         crawler.crawl_range(highest=105, lowest=100, checkpoint=checkpoint)
         assert checkpoint.finished
@@ -170,7 +180,7 @@ class TestCheckpointPoolState:
                 EndpointProfile(name="good"),
             ],
         )
-        crawler = BlockCrawler(pool)
+        crawler = new_crawler(pool)
         checkpoint = CrawlCheckpoint(next_height=105, lowest_target=103)
         crawler.crawl_range(highest=105, lowest=103, checkpoint=checkpoint)
         assert checkpoint.pool_health["bad"][1] > 0  # failures recorded
@@ -183,7 +193,7 @@ class TestCheckpointPoolState:
             ],
         )
         restored = CrawlCheckpoint.from_dict(checkpoint.to_dict())
-        resumed = BlockCrawler(fresh_pool)
+        resumed = new_crawler(fresh_pool)
         resumed.crawl_range(highest=105, lowest=100, checkpoint=restored)
         # The restored health must weight "bad" below "good" immediately:
         # with the recorded failures its weight drops under the rotation
@@ -195,7 +205,7 @@ class TestCheckpointPoolState:
     def test_inflight_retry_budget_not_refreshed_on_resume(self):
         """A block that exhausted its budget is not hammered again."""
         chain = build_chain(3, start_height=100)
-        crawler = BlockCrawler(build_pool(chain), max_attempts_per_block=4)
+        crawler = new_crawler(build_pool(chain), max_attempts_per_block=4)
         # Height 200 does not exist: fetching burns the whole budget and the
         # checkpoint records the spent attempts along the way.
         checkpoint = CrawlCheckpoint(next_height=200, lowest_target=200)
@@ -204,7 +214,7 @@ class TestCheckpointPoolState:
         assert checkpoint.inflight_attempts == 4
         # Resume in a "new process": the interrupted block's budget arrives
         # already spent, so it is abandoned without issuing new requests.
-        fresh = BlockCrawler(build_pool(chain), max_attempts_per_block=4)
+        fresh = new_crawler(build_pool(chain), max_attempts_per_block=4)
         restored = CrawlCheckpoint.from_dict(checkpoint.to_dict())
         report = fresh.crawl_range(highest=200, lowest=200, checkpoint=restored)
         assert report.failed_blocks == [200]
@@ -212,7 +222,7 @@ class TestCheckpointPoolState:
 
     def test_partially_spent_budget_resumes_with_remainder(self):
         chain = build_chain(3, start_height=100)
-        fresh = BlockCrawler(build_pool(chain), max_attempts_per_block=5)
+        fresh = new_crawler(build_pool(chain), max_attempts_per_block=5)
         checkpoint = CrawlCheckpoint(
             next_height=102, lowest_target=100, inflight_attempts=3
         )
@@ -220,4 +230,4 @@ class TestCheckpointPoolState:
         # Height 102 exists, so the first (remaining) attempt succeeds and
         # the rest of the range crawls normally with full budgets.
         assert report.complete
-        assert fresh.store.heights() == [100, 101, 102]
+        assert stored_heights(fresh.store) == [100, 101, 102]

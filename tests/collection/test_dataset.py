@@ -5,17 +5,18 @@ import pytest
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
 from repro.collection.dataset import characterize_dataset
-from repro.collection.store import BlockStore
+from repro.collection.store import FrameSink, FrameStore
 
-from tests.collection.test_store import make_block
+from tests.support.blocks import make_block
 
 
 class TestCharacterization:
-    def _store(self, heights):
-        store = BlockStore(chunk_size=4)
+    def _store(self, heights, tx_count=3):
+        store = FrameStore(chunk_rows=50)
+        sink = FrameSink(store, chain=ChainId.EOS)
         for height in heights:
-            store.add(make_block(height, tx_count=3))
-        store.flush()
+            sink.add(make_block(height, tx_count=tx_count))
+        sink.flush()
         return store
 
     def test_reports_figure2_columns(self):
@@ -32,6 +33,19 @@ class TestCharacterization:
             characterization.compressed_gigabytes * 100, rel=1e-9
         )
 
+    def test_storage_column_is_the_manifest_s_compressed_bytes(self, tmp_path):
+        store = FrameStore(chunk_rows=50, directory=str(tmp_path))
+        sink = FrameSink(store, chain=ChainId.EOS)
+        for height in range(100, 160):
+            sink.add(make_block(height, tx_count=3))
+        sink.flush()
+        reopened = FrameStore.open(str(tmp_path))
+        characterization = characterize_dataset(reopened)
+        assert characterization.compressed_gigabytes * 1e9 == pytest.approx(
+            reopened.compression_stats().compressed_bytes
+        )
+        assert characterization.to_row() == characterize_dataset(store).to_row()
+
     def test_tps_derived_from_duration(self):
         store = self._store(range(0, 100))
         characterization = characterize_dataset(store)
@@ -47,61 +61,19 @@ class TestCharacterization:
 
     def test_chain_override(self):
         store = self._store(range(3))
-        characterization = characterize_dataset(store, chain=ChainId.XRP)
-        assert characterization.chain is ChainId.XRP
-
-    def test_empty_store_rejected(self):
-        with pytest.raises(AnalysisError):
-            characterize_dataset(BlockStore())
+        with pytest.raises(AnalysisError, match="no xrp rows"):
+            characterize_dataset(store, chain=ChainId.XRP)
+        assert characterize_dataset(store, chain=ChainId.EOS).chain is ChainId.EOS
 
     def test_zero_duration_single_block(self):
-        store = BlockStore()
-        store.add(make_block(5))
-        store.flush()
-        characterization = characterize_dataset(store)
+        characterization = characterize_dataset(self._store([5], tx_count=2))
         assert characterization.transactions_per_second == 0.0
 
 
 class TestFrameStoreCharacterization:
-    """Figure 2 computed straight from the columnar store (no block records)."""
-
-    def _frame_store(self, heights, tx_count=3):
-        from repro.collection.store import FrameSink, FrameStore
-
-        store = FrameStore(chunk_rows=50)
-        sink = FrameSink(store, chain=ChainId.EOS)
-        for height in heights:
-            sink.add(make_block(height, tx_count=tx_count))
-        sink.flush()
-        return store
-
-    def test_matches_block_store_characterization(self):
-        heights = range(100, 160)
-        block_store = BlockStore(chunk_size=8)
-        for height in heights:
-            block_store.add(make_block(height, tx_count=3))
-        block_store.flush()
-        from_blocks = characterize_dataset(block_store, scale_factor=0.5)
-        from_frames = characterize_dataset(self._frame_store(heights), scale_factor=0.5)
-        for field in (
-            "chain",
-            "sample_start",
-            "sample_end",
-            "first_block",
-            "last_block",
-            "block_count",
-            "transaction_count",
-            "action_count",
-            "duration_seconds",
-        ):
-            assert getattr(from_frames, field) == getattr(from_blocks, field), field
-        assert from_frames.compressed_gigabytes > 0.0
-        assert from_frames.transactions_per_second == pytest.approx(
-            from_blocks.transactions_per_second
-        )
+    """Multi-chain stores and empty stores."""
 
     def test_multi_chain_store_requires_chain(self):
-        from repro.collection.store import FrameStore
         from repro.common.columns import TxFrame
         from repro.common.records import TransactionRecord
 
@@ -127,7 +99,5 @@ class TestFrameStoreCharacterization:
         assert row.action_count == 1
 
     def test_empty_frame_store_rejected(self):
-        from repro.collection.store import FrameStore
-
         with pytest.raises(AnalysisError):
             characterize_dataset(FrameStore())

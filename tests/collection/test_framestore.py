@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.common import faults
 from repro.common.columns import TxFrame
 from repro.common.errors import CollectionError
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
-from repro.collection.store import MANIFEST_NAME, FrameSink, FrameStore
+from repro.collection.store import MANIFEST_ENTRY_KEYS, MANIFEST_NAME, FrameSink, FrameStore
 
 from tests.fixtures import V1_STORE_CHUNKS, V1_STORE_ROWS
 
@@ -159,11 +160,14 @@ class TestFrameStore:
         the same gzip-JSON serialiser (the v2 binary chunk format trades a
         little size for decode speed).
         """
-        from repro.common.compression import compress_json, compress_records
+        import gzip
+
+        def gzip_json(payload):
+            return len(gzip.compress(json.dumps(payload, sort_keys=True).encode("utf-8")))
 
         records = _records(200)
-        columnar = len(compress_json(TxFrame.from_records(records).to_payload()))
-        per_record = len(compress_records([record.to_dict() for record in records]))
+        columnar = gzip_json(TxFrame.from_records(records).to_payload())
+        per_record = gzip_json([record.to_dict() for record in records])
         assert columnar < per_record
 
     def test_to_frame_shares_equal_metadata_dicts_within_a_chunk(self, tmp_path):
@@ -211,15 +215,38 @@ class TestFrameStoreOpen:
         assert store.row_count == 0
         assert len(store.to_frame()) == 0
 
-    def test_open_without_manifest_still_loads(self, tmp_path):
-        """Legacy directories (pre-manifest) keep working."""
-        records = _records(10)
+    def test_chunk_files_without_a_manifest_are_refused_and_left_alone(self, tmp_path):
+        """A store commits its manifest before its first chunk file, so chunk
+        files with no manifest were not written by this program."""
         writer = FrameStore(chunk_rows=5, directory=str(tmp_path))
-        writer.add_frame(TxFrame.from_records(records))
+        writer.add_frame(TxFrame.from_records(_records(10)))
         os.remove(tmp_path / MANIFEST_NAME)
-        reopened = FrameStore.open(str(tmp_path))
-        assert reopened.row_count == 10
-        assert list(reopened.to_frame()) == records
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(CollectionError, match="no manifest commits them") as caught:
+            FrameStore.open(str(tmp_path))
+        assert str(tmp_path) in str(caught.value)
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_the_empty_manifest_precedes_the_first_chunk_file(self, tmp_path, monkeypatch):
+        store = FrameStore(chunk_rows=5, directory=str(tmp_path))
+        assert not (tmp_path / MANIFEST_NAME).exists()  # nothing written yet
+        written = []
+        real_open = open
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                written.append(os.path.basename(path))
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        store.add_frame(TxFrame.from_records(_records(7)))
+        assert written == [
+            MANIFEST_NAME + ".tmp",
+            "frame-chunk-000000.v3.bin",
+            MANIFEST_NAME + ".tmp",
+            "frame-chunk-000001.v3.bin",
+            MANIFEST_NAME + ".tmp",
+        ]
 
 
 class TestManifest:
@@ -248,6 +275,17 @@ class TestManifest:
         with open(reference, "w", encoding="utf-8") as handle:
             json.dump(json.loads(written), handle)
         assert written == reference.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("key", MANIFEST_ENTRY_KEYS)
+    def test_an_entry_without_a_key_is_refused_by_name(self, tmp_path, key):
+        store = FrameStore(chunk_rows=5, directory=str(tmp_path))
+        store.add_frame(TxFrame.from_records(_records(12)))
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        del manifest["chunks"][1][key]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CollectionError, match=f"chunk 1 .* lacks {key}; run `repro fsck --repair`"):
+            FrameStore.open(str(tmp_path))
 
     @pytest.mark.parametrize(
         "damage", ["truncated", "not_an_object", "not_utf8", "too_deep"]
@@ -366,6 +404,31 @@ class TestCrashRecovery:
         reopened.add_records(iter(_records(3)[:0]))  # no-op append
         records = list(reopened.to_frame())
         assert len(records) == 5
+
+
+class TestFirstChunkCrash:
+    """A crash in a fresh store's first chunk write: the empty manifest was
+    committed first, so the reopen cleans the partial instead of refusing a
+    directory of chunk files without a manifest."""
+
+    @pytest.mark.parametrize("mode", ["crash", "truncate", "torn"])
+    def test_reopen_cleans_the_partial_and_appends_work(self, tmp_path, mode):
+        records = _records(12)
+        store = FrameStore(chunk_rows=5, directory=str(tmp_path))
+        plan = faults.FaultPlan.parse(f"store.chunk_write:mode={mode}:nth=1")
+        with faults.use_plan(plan), pytest.raises(faults.InjectedCrash):
+            store.add_frame(TxFrame.from_records(records))
+        assert plan.total_fires == 1
+        partial = str(tmp_path / "frame-chunk-000000.v3.bin")
+        assert os.path.exists(partial)
+
+        reopened = FrameStore.open(str(tmp_path))
+        assert reopened.row_count == reopened.flushed_rows == 0
+        assert reopened.cleaned_paths == [partial]
+        reopened.add_frame(TxFrame.from_records(records))
+        final = FrameStore.open(str(tmp_path))
+        assert final.cleaned_paths == []
+        assert list(final.to_frame()) == records
 
 
 class TestFrameSink:

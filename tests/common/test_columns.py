@@ -20,7 +20,7 @@ from repro.common.columns import (
     as_index_rows,
     gather_np,
 )
-from repro.common.records import EMPTY_MAPPING, BlockRecord, ChainId, TransactionRecord
+from repro.common.records import EMPTY_MAPPING, ChainId, TransactionRecord
 
 
 def _record(chain=ChainId.EOS, tx="tx1", ts=100.0, **overrides):
@@ -396,7 +396,7 @@ class TestNdarrayViews:
         assert empty.min_timestamp() is None and empty.max_timestamp() is None
 
 
-# -- append parity: batched extend == extend_from_blocks == per-row append ------------
+# -- append parity: batched extend == per-row append ---------------------------------
 #
 # ``TxFrame.extend`` appends column by column, one batch at a time; whatever the
 # stream looks like it must leave the frame exactly as per-row ``append`` does,
@@ -444,31 +444,13 @@ def _fingerprint(frame):
     }
 
 
-def _blocks_of(records, sizes):
-    blocks, start = [], 0
-    for size in list(sizes) + [len(records)]:
-        chunk = records[start : start + size]
-        start += size
-        blocks.append(
-            BlockRecord(
-                chain=chunk[0].chain if chunk else ChainId.EOS,
-                height=len(blocks),
-                timestamp=0.0,
-                producer="p",
-                transactions=tuple(chunk),
-            )
-        )
-    return blocks
-
-
 class TestAppendParity:
     @settings(max_examples=150, deadline=None)
     @given(
         records=st.lists(_RECORDS, max_size=3 * SMALL_BATCH + 2),
-        sizes=st.lists(st.integers(0, SMALL_BATCH + 1), max_size=6),
         default_metadata=st.booleans(),
     )
-    def test_extend_and_blocks_match_per_row_append(self, records, sizes, default_metadata):
+    def test_extend_matches_per_row_append(self, records, default_metadata):
         if default_metadata:  # the record type's own (shared, read-only) default
             records = [record._replace(metadata=EMPTY_MAPPING) for record in records]
         appended = TxFrame()
@@ -477,10 +459,7 @@ class TestAppendParity:
         with mock.patch.object(columns, "EXTEND_BATCH_ROWS", SMALL_BATCH):
             extended = TxFrame()
             assert extended.extend(iter(records)) == len(records)
-            from_blocks = TxFrame()
-            assert from_blocks.extend_from_blocks(_blocks_of(records, sizes)) == len(records)
         assert _fingerprint(extended) == _fingerprint(appended)
-        assert _fingerprint(from_blocks) == _fingerprint(appended)
 
     @pytest.mark.parametrize(
         "count", [0, 1, SMALL_BATCH - 1, SMALL_BATCH, SMALL_BATCH + 1, 2 * SMALL_BATCH]

@@ -1,35 +1,11 @@
-"""Tests for gzip size accounting."""
+"""Tests for compressed-size accounting."""
 
 import pytest
 
-from repro.common.compression import (
-    CompressionStats,
-    accumulate,
-    compress_json,
-    compress_records,
-    decompress_json,
-    estimate_storage_gb,
-    measure_chunk,
-    split_into_chunks,
-)
+from repro.common.compression import CompressionStats, accumulate, estimate_storage_gb
 
 
 class TestCompression:
-    def test_round_trip(self):
-        payload = {"blocks": [1, 2, 3], "chain": "eos"}
-        assert decompress_json(compress_json(payload)) == payload
-
-    def test_records_round_trip(self):
-        records = [{"height": index} for index in range(10)]
-        assert decompress_json(compress_records(records)) == records
-
-    def test_measure_chunk_accounts_bytes(self):
-        stats = measure_chunk({"data": "x" * 10_000})
-        assert stats.raw_bytes > 0
-        assert 0 < stats.compressed_bytes < stats.raw_bytes
-        assert stats.chunk_count == 1
-        assert 0 < stats.ratio < 1
-
     def test_empty_stats_ratio(self):
         assert CompressionStats().ratio == 0.0
 
@@ -63,15 +39,3 @@ class TestEstimation:
         with pytest.raises(ValueError):
             estimate_storage_gb(CompressionStats(), 0.0)
 
-
-class TestChunking:
-    def test_split_into_chunks(self):
-        chunks = split_into_chunks(list(range(10)), 3)
-        assert chunks == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
-
-    def test_split_empty(self):
-        assert split_into_chunks([], 3) == []
-
-    def test_split_invalid_size(self):
-        with pytest.raises(ValueError):
-            split_into_chunks([1], 0)

@@ -2,9 +2,9 @@
 
 These tests run the entire pipeline exactly the way the paper's measurement
 did — generate chain activity, serve it over the (simulated) RPC endpoints,
-crawl it in reverse chronological order into the gzip block store, and run
-the analyses over the crawled data — and check that the headline findings
-survive the full round trip.
+crawl it in reverse chronological order through a frame sink into the
+columnar store, and run the analyses over the rows read back from it — and
+check that the headline findings survive the full round trip.
 """
 
 import pytest
@@ -14,7 +14,7 @@ from repro.common.rng import DeterministicRng
 from repro.collection.crawler import BlockCrawler
 from repro.collection.dataset import characterize_dataset
 from repro.collection.endpoints import EndpointPool, shortlist_endpoints
-from repro.collection.store import BlockStore
+from repro.collection.store import FrameSink, FrameStore
 from repro.analysis.classify import category_distribution, tezos_category_distribution
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle, XrpValueAnalyzer
@@ -48,17 +48,18 @@ class TestEosPipeline:
         ]
         shortlisted = shortlist_endpoints(advertised, now=0.0, max_selected=4)
         assert all(endpoint.name.startswith("bp") for endpoint in shortlisted)
-        store = BlockStore(chunk_size=64)
-        crawler = BlockCrawler(EndpointPool(shortlisted), store=store)
+        store = FrameStore(chunk_rows=4_096)
+        sink = FrameSink(store)
+        crawler = BlockCrawler(EndpointPool(shortlisted), sink)
         head = crawler.discover_head()
         report = crawler.crawl_range(highest=head, lowest=chain.config.start_height)
         assert report.complete
-        assert store.block_count == len(chain.blocks)
-        records = list(iter_transactions(store.iter_blocks()))
+        assert sink.block_count == len(chain.blocks)
+        records = list(store.iter_records())
         categories = category_distribution(records)
         assert categories["Tokens"] == max(categories.values())
         characterization = characterize_dataset(store, chain=ChainId.EOS)
-        assert characterization.transaction_count == store.transaction_count
+        assert characterization.transaction_count == sink.transaction_count
         assert characterization.compressed_gigabytes > 0.0
 
 
@@ -68,12 +69,12 @@ class TestTezosPipeline:
         generator.generate()
         chain = generator.chain
         endpoint = TezosRpcEndpoint(chain)
-        store = BlockStore(chunk_size=64)
-        crawler = BlockCrawler(EndpointPool([endpoint]), store=store)
+        store = FrameStore(chunk_rows=4_096)
+        crawler = BlockCrawler(EndpointPool([endpoint]), FrameSink(store))
         head = crawler.discover_head()
         report = crawler.crawl_range(highest=head, lowest=chain.config.start_level)
         assert report.complete
-        records = list(iter_transactions(store.iter_blocks()))
+        records = list(store.iter_records())
         categories = tezos_category_distribution(records)
         assert categories["consensus"] > 0.7
 
@@ -84,12 +85,13 @@ class TestXrpPipeline:
         generator.generate()
         ledger = generator.ledger
         endpoint = XrpRpcEndpoint(ledger)
-        store = BlockStore(chunk_size=64)
-        crawler = BlockCrawler(EndpointPool([endpoint]), store=store)
+        store = FrameStore(chunk_rows=4_096)
+        sink = FrameSink(store)
+        crawler = BlockCrawler(EndpointPool([endpoint]), sink)
         head = crawler.discover_head()
         report = crawler.crawl_range(highest=head, lowest=ledger.config.start_index)
         assert report.complete
-        records = list(iter_transactions(store.iter_blocks()))
+        records = list(store.iter_records())
         # The exchange-rate oracle is fed from the endpoint's data API, like
         # the paper's use of the Ripple Data API.
         rates = {}
@@ -97,7 +99,7 @@ class TestXrpPipeline:
             rates[(currency, issuer)] = endpoint.exchange_rate(currency, issuer, now=0.0)
         oracle = ExchangeRateOracle(rates)
         decomposition = XrpValueAnalyzer(oracle).decompose(records)
-        assert decomposition.total == store.action_count
+        assert decomposition.total == sink.action_count
         assert decomposition.failed_share < 0.2
         assert decomposition.economic_value_share < 0.1
 

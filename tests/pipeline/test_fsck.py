@@ -15,7 +15,8 @@ import pytest
 from repro.analysis.clustering import AccountClusterer, StaticAccountClusterer
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
-from repro.collection.store import MANIFEST_NAME, FrameStore
+from repro.collection.store import MANIFEST_NAME, POOL_NAMES, FrameStore, absorb_pool_deltas
+from repro.common.errors import CollectionError
 from repro.pipeline import Pipeline, run_fsck
 from repro.pipeline.fsck import QUARANTINE_DIR, resolve_store_dir
 
@@ -186,8 +187,6 @@ class TestDetection:
         assert sorted(os.listdir(resolve_store_dir(pipeline_dir))) == before
 
     def test_rejects_non_directory(self, tmp_path):
-        from repro.common.errors import CollectionError
-
         with pytest.raises(CollectionError):
             run_fsck(str(tmp_path / "nope"))
 
@@ -290,11 +289,68 @@ class TestRepair:
         quarantined = os.listdir(os.path.join(store_dir, QUARANTINE_DIR))
         assert "frame-chunk-424242.bin" in quarantined
 
-    def test_later_chunks_shed_pool_deltas_after_a_drop(self, pipeline_dir):
+    def test_kept_entries_carry_the_deltas_a_fresh_walk_computes(self, pipeline_dir):
         _flip_byte(_chunk_path(pipeline_dir, 0))
         run_fsck(pipeline_dir, repair=True)
-        _, manifest = _manifest(pipeline_dir)
-        assert all("pools" not in entry for entry in manifest["chunks"])
-        # The store backfills the stats lazily and still answers queries.
-        store = FrameStore.open(resolve_store_dir(pipeline_dir))
+        store_dir, manifest = _manifest(pipeline_dir)
+        assert _fresh_walk_deltas(store_dir) == [entry["pools"] for entry in manifest["chunks"]]
+        # The store opens from the manifest alone and answers.
+        store = FrameStore.open(store_dir)
         assert store.row_count == int(manifest["row_count"])
+        assert store.pool_values() == _frame_pools(store)
+
+    def test_repair_completes_entries_left_without_pool_deltas(self, pipeline_dir):
+        """A store an earlier repair left with delta-less entries: fsck names
+        them, open refuses them, and ``--repair`` fills them in."""
+        store_dir, manifest = _manifest(pipeline_dir)
+        expected = [entry["pools"] for entry in manifest["chunks"]]
+        for entry in manifest["chunks"][2:]:
+            del entry["pools"]
+        with open(os.path.join(store_dir, MANIFEST_NAME), "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(CollectionError, match=r"chunk 2 .* lacks pools; run `repro fsck --repair`"):
+            FrameStore.open(store_dir)
+        found = run_fsck(pipeline_dir)
+        incomplete = len(manifest["chunks"]) - 2
+        assert [issue.kind for issue in found.issues] == ["manifest_entry_incomplete"] * incomplete
+        repaired = run_fsck(pipeline_dir, repair=True)
+        assert {issue.repair for issue in repaired.issues} == {"completed"}
+        assert [entry["pools"] for entry in _manifest(pipeline_dir)[1]["chunks"]] == expected
+        assert run_fsck(pipeline_dir).clean
+        store = FrameStore.open(store_dir)
+        assert store.pool_values() == _frame_pools(store)
+
+    def test_repair_quarantines_chunk_files_without_a_manifest(self, pipeline_dir):
+        store_dir = resolve_store_dir(pipeline_dir)
+        os.remove(os.path.join(store_dir, MANIFEST_NAME))
+        chunk_files = sorted(name for name in os.listdir(store_dir) if name.startswith("frame-chunk-"))
+        with pytest.raises(CollectionError, match="no manifest commits them"):
+            FrameStore.open(store_dir)
+        found = run_fsck(pipeline_dir)
+        assert [issue.kind for issue in found.issues if issue.kind != "checkpoint_stale"] == [
+            "manifest_missing"
+        ] + ["chunk_uncommitted"] * len(chunk_files)
+        report = run_fsck(pipeline_dir, repair=True)
+        assert report.issues[0].kind == "manifest_missing"
+        assert report.issues[0].repair == "completed"
+        quarantined = sorted(os.listdir(os.path.join(store_dir, QUARANTINE_DIR)))
+        assert [name for name in quarantined if name.startswith("frame-chunk-")] == chunk_files
+        _, manifest = _manifest(pipeline_dir)
+        assert manifest["chunks"] == [] and manifest["row_count"] == 0
+        assert FrameStore.open(store_dir).row_count == 0
+        assert run_fsck(pipeline_dir).clean
+
+
+def _fresh_walk_deltas(store_dir):
+    """Each committed chunk's pool deltas, recomputed from the payloads."""
+    pools = {name: {} for name in POOL_NAMES}
+    store = FrameStore.open(store_dir)
+    return [
+        absorb_pool_deltas(pools, store.chunk_payload(index)["pools"])
+        for index in range(store.committed_chunk_count)
+    ]
+
+
+def _frame_pools(store):
+    frame = store.to_frame()
+    return {name: list(getattr(frame, name).values) for name in POOL_NAMES}

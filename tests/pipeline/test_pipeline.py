@@ -170,6 +170,30 @@ class TestCrashRecovery:
         expected = full_report(reopened.frame, oracle=oracle, clusterer=clusterer)
         assert_reports_identical(report, expected, exact_flows=True)
 
+    @pytest.mark.parametrize("mode", ["crash", "truncate", "torn"])
+    def test_a_crash_in_the_first_chunk_write_leaves_a_usable_pipeline(
+        self, tmp_path, sample_records, frozen_oracle, frozen_clusterer, mode
+    ):
+        """The first batch dies writing the store's first chunk; the next
+        process cleans the partial, re-ingests and updates."""
+        pipeline = _configured(tmp_path, frozen_oracle, frozen_clusterer)
+        plan = faults.FaultPlan.parse(f"store.chunk_write:mode={mode}:nth=1")
+        with faults.use_plan(plan), pytest.raises(faults.InjectedCrash):
+            pipeline.ingest_records(iter(sample_records))
+        del pipeline
+
+        reopened = Pipeline(str(tmp_path), chunk_rows=1000)
+        assert reopened.store.flushed_rows == 0
+        assert [os.path.basename(path) for path in reopened.store.cleaned_paths] == [
+            "frame-chunk-000000.v3.bin"
+        ]
+        reopened.ingest_records(iter(sample_records))
+        report, _stats = reopened.update()
+        assert reopened.store.flushed_rows == len(sample_records)
+        oracle, clusterer = reopened.analysis_config()
+        expected = full_report(reopened.frame, oracle=oracle, clusterer=clusterer)
+        assert_update_identical(report, reopened, expected)
+
     def test_torn_committed_chunk_truncates_and_converges(
         self, tmp_path, sample_records, frozen_oracle, frozen_clusterer
     ):

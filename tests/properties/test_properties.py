@@ -5,7 +5,6 @@ import functools
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.compression import compress_json, decompress_json, split_into_chunks
 from repro.common.ratelimit import TokenBucket
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
 from repro.common.retry import BackoffPolicy
@@ -63,24 +62,6 @@ def test_block_record_counts_and_round_trip(records, height):
     assert rebuilt.action_count == len(records)
     assert rebuilt.transaction_count <= rebuilt.action_count
     assert rebuilt.transaction_count == len({record.transaction_id for record in records})
-
-
-@DEFAULT_SETTINGS
-@given(payload=st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=20),
-    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(max_size=5), children, max_size=5),
-    max_leaves=20,
-))
-def test_compression_round_trip(payload):
-    assert decompress_json(compress_json(payload)) == payload
-
-
-@DEFAULT_SETTINGS
-@given(items=st.lists(st.integers(), max_size=200), chunk_size=st.integers(1, 50))
-def test_chunking_preserves_order_and_content(items, chunk_size):
-    chunks = split_into_chunks(items, chunk_size)
-    assert [item for chunk in chunks for item in chunk] == items
-    assert all(len(chunk) <= chunk_size for chunk in chunks)
 
 
 # -- XRP amounts ---------------------------------------------------------------------

@@ -47,7 +47,7 @@ from repro.analysis.value import (
 )
 from repro.analysis.washtrading import TradeObservation, WashTradingReport
 from repro.cli.dataset import Dataset, StoredDataset
-from repro.collection.store import StoredChunk, StoredFrameChunk
+from repro.collection.store import StoredFrameChunk
 from repro.common.compression import CompressionStats
 from repro.common.faults import FaultAction, FaultRule
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
@@ -250,17 +250,11 @@ CASES = {
         "StoredDataset(directory='d', rows=7, oracle=None, clusterer=None, "
         "from_cache=True, build_seconds=0.5, store=None)",
     ),
-    "StoredChunk": Case(
-        lambda: StoredChunk(0, 1, 2, 3, CompressionStats()),
-        "StoredChunk(chunk_id=0, min_height=1, max_height=2, block_count=3, "
-        "stats=CompressionStats(raw_bytes=0, compressed_bytes=0, chunk_count=0), "
-        "blob=None, path=None)",
-    ),
     "StoredFrameChunk": Case(
-        lambda: StoredFrameChunk(0, 10, CompressionStats(5, 3, 1)),
+        lambda: StoredFrameChunk(0, 10, CompressionStats(5, 3, 1), {}, {}, {}, {}),
         "StoredFrameChunk(chunk_id=0, row_count=10, stats=CompressionStats(raw_bytes=5, "
         "compressed_bytes=3, chunk_count=1), blob=None, path=None, heights={}, "
-        "times=None, chain_rows=None, pool_deltas=None)",
+        "times={}, chain_rows={}, pool_deltas={})",
     ),
     "CompressionStats": Case(
         CompressionStats,

@@ -278,12 +278,27 @@ def absorb_pool_deltas(
     the order :meth:`TxFrame.extend_from_payload` would intern them, so
     folding chunks in order reproduces :meth:`FrameStore.to_frame`'s pools.
     """
-    deltas: Dict[str, List[str]] = {}
-    for name in POOL_NAMES:
-        seen = pools[name]
-        deltas[name] = fresh = [value for value in payload_pools[name] if value not in seen]
-        seen.update(dict.fromkeys(fresh))
+    deltas = payload_pool_deltas(pools, payload_pools)
+    fold_pool_deltas(pools, deltas)
     return deltas
+
+
+def payload_pool_deltas(
+    pools: Dict[str, Dict[str, None]], payload_pools: Dict
+) -> Dict[str, List[str]]:
+    """:func:`absorb_pool_deltas`'s deltas, leaving ``pools`` unchanged."""
+    return {
+        name: [value for value in payload_pools[name] if value not in pools[name]]
+        for name in POOL_NAMES
+    }
+
+
+def fold_pool_deltas(
+    pools: Dict[str, Dict[str, None]], deltas: Dict[str, List[str]]
+) -> None:
+    """Append committed deltas to the running pools, in code order."""
+    for name, values in deltas.items():
+        pools[name].update(dict.fromkeys(values))
 
 
 class StoredFrameChunk:
@@ -576,8 +591,7 @@ class FrameStore:
             self._chunks.append(chunk)
             self._row_count += chunk.row_count
             self._merge_height_bounds(chunk.heights)
-            for name, values in chunk.pool_deltas.items():
-                self._pools[name].update(dict.fromkeys(values))
+            fold_pool_deltas(self._pools, chunk.pool_deltas)
         self._manifest_committed = True
         if truncated or self.cleaned_paths:
             self._write_manifest()
@@ -711,7 +725,9 @@ class FrameStore:
             heights=heights,
             times=times,
             chain_rows=chain_rows,
-            pool_deltas=absorb_pool_deltas(self._pools, payload["pools"]),
+            # Folded into the running pools only once the chunk commits: a
+            # failed write must not leave strings no committed chunk carries.
+            pool_deltas=payload_pool_deltas(self._pools, payload["pools"]),
         )
         if self.directory is not None:
             if not self._manifest_committed:
@@ -749,6 +765,7 @@ class FrameStore:
         self._chunks.append(chunk)
         self._row_count += row_count
         self._merge_height_bounds(chunk.heights)
+        fold_pool_deltas(self._pools, chunk.pool_deltas)
         if self.directory is not None:
             # The manifest rename is the commit point: a crash before it
             # leaves an uncommitted chunk file that open() will clean up.

@@ -13,7 +13,9 @@ it byte-for-byte, and report exactly what is damaged:
   decoded row count matches the manifest); a chunk of a newer binary format
   version is ``chunk_version``, left in place like an unsupported manifest;
 * every kept chunk's manifest entry carries the keys
-  :meth:`FrameStore.open` requires (``manifest_entry_incomplete``);
+  :meth:`FrameStore.open` requires (``manifest_entry_incomplete``; an
+  entry without ``rows``, ``file`` or ``compressed_bytes`` leaves its chunk
+  unverifiable, and a repair drops it like a corrupt chunk);
 * uncommitted chunk files on disk that the manifest never references;
 * the checkpoint snapshot (an intact state entry — magic, adler32, shape —
   whose watermark is within the store's committed rows);
@@ -78,6 +80,8 @@ from repro.pipeline.core import PIPELINE_META_NAME
 #: :meth:`FrameStore.open`'s stale-partial cleanup nor a later fsck walk
 #: will ever touch a quarantined file.
 QUARANTINE_DIR = "quarantine"
+#: The manifest-entry keys a chunk is verified against.
+_VERIFY_KEYS = ("rows", "file", "compressed_bytes")
 
 
 @dataclass
@@ -262,12 +266,25 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
     pools: Optional[Dict[str, Dict[str, None]]] = {name: {} for name in POOL_NAMES}
     start_row = 0
     for index, entry in enumerate(manifest["chunks"]):
-        chunk_start, start_row = start_row, start_row + int(entry["rows"])
+        if not isinstance(entry, dict):
+            entry = {}
         report.chunks_checked += 1
-        path = os.path.join(store_dir, entry["file"])
+        unverifiable = [key for key in _VERIFY_KEYS if key not in entry]
+        chunk_start, start_row = start_row, start_row + int(entry.get("rows", 0))
+        path = os.path.join(store_dir, str(entry.get("file", "")))
         issue: Optional[FsckIssue] = None
         payload: Optional[Dict] = None
-        if not os.path.exists(path):
+        if unverifiable:
+            # Nothing to check the chunk against: damage like a corrupt
+            # chunk, dropped (and its file quarantined) by a repair.
+            issue = FsckIssue(
+                kind="manifest_entry_incomplete",
+                detail=f"chunk {index}'s manifest entry lacks "
+                f"{', '.join(unverifiable)}, so its chunk cannot be verified",
+                path=path if "file" in entry else None,
+                chain_rows=_entry_chain_rows(entry),
+            )
+        elif not os.path.exists(path):
             issue = FsckIssue(
                 kind="chunk_missing",
                 detail=f"chunk {index} file {entry['file']!r} is gone",
@@ -363,7 +380,11 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
         else:
             kept_entries.append(entry)
 
-    _check_uncommitted(report, repair, {entry["file"] for entry in manifest["chunks"]})
+    _check_uncommitted(
+        report,
+        repair,
+        {entry["file"] for entry in manifest["chunks"] if isinstance(entry, dict) and "file" in entry},
+    )
 
     if dropped_from is not None or completed:
         manifest["chunks"] = kept_entries

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common import faults
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
 from repro.collection.dataset import characterize_dataset
@@ -64,6 +65,19 @@ class TestCharacterization:
         with pytest.raises(AnalysisError, match="no xrp rows"):
             characterize_dataset(store, chain=ChainId.XRP)
         assert characterize_dataset(store, chain=ChainId.EOS).chain is ChainId.EOS
+
+    def test_empty_store_rejected(self, tmp_path):
+        """A directory store whose first chunk write crashed committed its
+        empty manifest alone: it has no dataset to characterise."""
+        sink = FrameSink(FrameStore(chunk_rows=50, directory=str(tmp_path)), chain=ChainId.EOS)
+        sink.add(make_block(1, tx_count=3))
+        with faults.use_plan(faults.FaultPlan.parse("store.chunk_write:mode=crash:nth=1")):
+            with pytest.raises(faults.InjectedCrash):
+                sink.flush()
+        store = FrameStore.open(str(tmp_path))
+        assert store.row_count == 0 and len(store.cleaned_paths) == 1
+        with pytest.raises(AnalysisError):
+            characterize_dataset(store)
 
     def test_zero_duration_single_block(self):
         characterization = characterize_dataset(self._store([5], tx_count=2))

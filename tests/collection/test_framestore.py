@@ -431,6 +431,32 @@ class TestFirstChunkCrash:
         assert list(final.to_frame()) == records
 
 
+class TestFailedChunkWrite:
+    """A chunk write that raises folds none of its strings into the store's
+    pools, so a caller that retries on the same store object commits them."""
+
+    @pytest.mark.parametrize("mode", ["crash", "truncate"])
+    def test_a_retry_on_the_same_store_commits_the_failed_chunk_s_strings(self, tmp_path, mode):
+        store = FrameStore(chunk_rows=5, directory=str(tmp_path))
+        store.add_frame(TxFrame.from_records(_records(5)))
+        retried = [
+            record._replace(transaction_id=f"n{i}", block_height=10 + i, type=f"kind{i}")
+            for i, record in enumerate(_records(5))
+        ]
+        plan = faults.FaultPlan.parse(f"store.chunk_write:mode={mode}:nth=1")
+        with faults.use_plan(plan), pytest.raises(faults.InjectedCrash):
+            store.add_frame(TxFrame.from_records(retried))
+        assert plan.total_fires == 1
+        assert "kind0" not in store.pool_values()["types"]
+
+        store.add_frame(TxFrame.from_records(retried))
+        reopened = FrameStore.open(str(tmp_path))
+        frame = reopened.to_frame()
+        assert reopened.pool_values()["types"] == list(frame.types.values)
+        assert store.pool_values() == reopened.pool_values()
+        assert list(frame) == _records(5) + retried
+
+
 class TestFrameSink:
     def _block(self, height, tx_count=2):
         return BlockRecord(

@@ -1,11 +1,26 @@
 """Tests for compressed-size accounting."""
 
+import gzip
+import json
+
 import pytest
 
-from repro.common.compression import CompressionStats, accumulate, estimate_storage_gb
+from repro.common.compression import (
+    CompressionStats,
+    accumulate,
+    decompress_json,
+    estimate_storage_gb,
+)
 
 
 class TestCompression:
+    def test_round_trip(self):
+        """The v1 chunk decoder reads what an older version's writer made:
+        compact sorted-key JSON, gzip-compressed with a pinned mtime."""
+        payload = {"blocks": [1, 2, 3], "chain": "eos"}
+        raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert decompress_json(gzip.compress(raw, compresslevel=6, mtime=0)) == payload
+
     def test_empty_stats_ratio(self):
         assert CompressionStats().ratio == 0.0
 

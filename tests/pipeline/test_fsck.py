@@ -320,6 +320,26 @@ class TestRepair:
         store = FrameStore.open(store_dir)
         assert store.pool_values() == _frame_pools(store)
 
+    @pytest.mark.parametrize("key", ["rows", "file", "compressed_bytes"])
+    def test_repair_drops_an_entry_its_chunk_cannot_be_verified_against(self, pipeline_dir, key):
+        store_dir, manifest = _manifest(pipeline_dir)
+        damaged_entry = dict(manifest["chunks"][-1])
+        del manifest["chunks"][-1][key]
+        with open(os.path.join(store_dir, MANIFEST_NAME), "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        found = run_fsck(pipeline_dir)
+        incomplete = [issue for issue in found.issues if issue.kind == "manifest_entry_incomplete"]
+        assert len(incomplete) == 1 and key in incomplete[0].detail
+        report = run_fsck(pipeline_dir, repair=True)
+        assert report.degraded_rows == {
+            chain: int(rows) for chain, rows in damaged_entry["chain_rows"].items()
+        }
+        quarantined = os.listdir(os.path.join(store_dir, QUARANTINE_DIR))
+        assert damaged_entry["file"] in quarantined
+        assert run_fsck(pipeline_dir).clean
+        store = FrameStore.open(store_dir)
+        assert store.row_count == int(manifest["row_count"]) - int(damaged_entry["rows"])
+
     def test_repair_quarantines_chunk_files_without_a_manifest(self, pipeline_dir):
         store_dir = resolve_store_dir(pipeline_dir)
         os.remove(os.path.join(store_dir, MANIFEST_NAME))

@@ -1,10 +1,13 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import functools
+import gzip
+import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.common.compression import decompress_json
 from repro.common.ratelimit import TokenBucket
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
 from repro.common.retry import BackoffPolicy
@@ -62,6 +65,18 @@ def test_block_record_counts_and_round_trip(records, height):
     assert rebuilt.action_count == len(records)
     assert rebuilt.transaction_count <= rebuilt.action_count
     assert rebuilt.transaction_count == len({record.transaction_id for record in records})
+
+
+@DEFAULT_SETTINGS
+@given(payload=st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=20),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(max_size=5), children, max_size=5),
+    max_leaves=20,
+))
+def test_compression_round_trip(payload):
+    """Any JSON document a v1 chunk blob holds decodes back unchanged."""
+    raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert decompress_json(gzip.compress(raw, mtime=0)) == payload
 
 
 # -- XRP amounts ---------------------------------------------------------------------

@@ -230,7 +230,7 @@ def test_corrupt_and_stale_entries_degrade_to_rescan(
     with open(os.path.join(cache_dir, truncated), "r+b") as handle:
         handle.truncate(7)
     key = parse_entry_name(staled)
-    stale_name = staled.replace(key.chunk_checksum, "00000000")
+    stale_name = staled.replace(key.prefix, "00000000")
     os.rename(
         os.path.join(cache_dir, staled), os.path.join(cache_dir, stale_name)
     )

@@ -4,7 +4,7 @@ Chains are independent, and within a chain the accumulators' scanned state
 folds across disjoint row ranges by payload (``export_state`` →
 ``restore_state``, :mod:`repro.analysis.engine`).  The unit of work is a
 **chunk task**, ``(tag, directory, chunk_start, chunk_stop, factories,
-cache context)``: a pointer into an on-disk
+cache entries)``: a pointer into an on-disk
 :class:`~repro.collection.store.FrameStore`, not data.  A chunk is
 rehydrated **one at a time** into a frame sharing the store's global pools
 (version-2 manifests carry them as per-chunk deltas, so no chunk is decoded
@@ -55,9 +55,10 @@ AccumulatorFactory = Callable[[], Sequence[Accumulator]]
 
 #: One unit of out-of-core work: (tag, store directory, chunk_start,
 #: chunk_stop, per-chain factories keyed by chain value string, optional
-#: chunk-state cache context).  No row data crosses the process boundary.
+#: chunk-state cache directory with one entry key per chunk of the range).
+#: No row data crosses the process boundary, and no worker derives a key.
 ChunkScanTask = Tuple[
-    object, str, int, int, Dict[str, AccumulatorFactory], Optional[CacheContext]
+    object, str, int, int, Dict[str, AccumulatorFactory], Optional[Tuple[str, Tuple[EntryKey, ...]]]
 ]
 
 
@@ -287,16 +288,16 @@ def _fold_chunk_range(
 ) -> Dict[str, object]:
     """Fold one task's chunks into ``targets``, in chunk order.
 
-    A chunk folds its chunk-state entry when the task's cache context finds
-    one that fits; otherwise its payload (``payloads[index]`` when the
-    caller still holds it, else decoded) is scanned, and the states come
-    back in ``info["fresh"]`` as ``[(EntryKey, chain states), ...]`` for the
-    caller to persist.  Hit or miss, the states go through the same
+    A chunk folds its chunk-state entry when the task's cache holds one
+    under the chunk's key that fits; otherwise its payload
+    (``payloads[index]`` when the caller still holds it, else decoded) is
+    scanned, and the states come back in ``info["fresh"]`` as
+    ``[(EntryKey, chain states), ...]`` for the caller to persist.  Hit or miss, the states go through the same
     :func:`fold_states`.  ``info`` also counts cache ``hits`` / ``misses``,
     the ``rows`` actually scanned and the chains ``present`` in the range.
     """
-    _tag, _directory, start, stop, factories, context = task
-    cache = ChunkStateCache(context.directory) if context is not None else None
+    _tag, _directory, start, stop, factories, entries = task
+    cache = ChunkStateCache(entries[0]) if entries is not None else None
     info = {"hits": 0, "misses": 0, "rows": 0, "fresh": [], "present": set()}
 
     def fold(states: ChainStates) -> None:
@@ -306,7 +307,7 @@ def _fold_chunk_range(
     for index in range(start, stop):
         key: Optional[EntryKey] = None
         if cache is not None:
-            key = context.key(*store.chunk_identity(index))
+            key = entries[1][index - start]
             loaded = cache.load(key)
             if loaded is not None:
                 try:
@@ -342,7 +343,7 @@ def _scan_chunk_range(task: ChunkScanTask):
     action = faults.check("worker.chunk_task")
     if action is not None and action.mode == faults.MODE_KILL:
         os._exit(17)  # hard worker death: no exception, no cleanup
-    tag, directory, _start, _stop, factories, _context = task
+    tag, directory, _start, _stop, factories, _entries = task
     store = FrameStore.open(directory)
     skeleton, carry = fold_targets(store, factories)
     info = _fold_chunk_range(task, carry, store, skeleton)
@@ -351,22 +352,33 @@ def _scan_chunk_range(task: ChunkScanTask):
     }, info
 
 
+def _task_entries(context: Optional[CacheContext], store, start: int, stop: int):
+    """A task's cache directory and the entry key of each of its chunks
+    (chunk i's state depends on chunks ``[0, i]``); ``None`` without a cache."""
+    if context is None:
+        return None
+    keys = (context.key(store.prefix(i + 1), store.chunk_format(i)) for i in range(start, stop))
+    return context.directory, tuple(keys)
+
+
 def chunk_scan_tasks(
-    directory: str,
-    row_counts: Sequence[int],
+    store,
     factories: Dict[str, AccumulatorFactory],
     parts: int,
     cache: Optional[CacheContext] = None,
     first: int = 0,
+    stop: Optional[int] = None,
 ) -> List[ChunkScanTask]:
-    """Partition chunks ``[first, first + len(row_counts))`` into ``parts``
-    contiguous tasks, tagged in chunk order and balanced by the manifest's
-    per-chunk ``row_counts`` (:func:`row_balanced_ranges`)."""
+    """Partition committed chunks ``[first, stop)`` into ``parts`` contiguous
+    tasks, tagged in chunk order and balanced by the manifest's per-chunk
+    row counts (:func:`row_balanced_ranges`)."""
+    ranges = row_balanced_ranges(store.chunk_row_counts()[first:stop], parts)
     return [
-        (index, directory, first + start, first + stop, factories, cache)
-        for index, (start, stop) in enumerate(row_balanced_ranges(row_counts, parts))
-        if stop > start
-    ]
+        (tag, store.directory, first + start, first + end, factories,
+         _task_entries(cache, store, first + start, first + end))
+        for tag, (start, end) in enumerate(ranges)
+        if end > start
+    ]  # fmt: skip
 
 
 def store_factories(
@@ -418,12 +430,12 @@ def fold_store(
     # factories actually shipped.
     context = cache.context(factories_digest(factories)) if cache is not None else None
     chunk_tasks = chunk_scan_tasks(
-        store.directory,
-        store.chunk_row_counts()[first:stop],
+        store,
         factories,
         tasks if tasks is not None else max(workers, 1),
         cache=context,
         first=first,
+        stop=stop,
     )
     stats = {"hits": 0, "misses": 0, "rows": 0, "workers": 0}
 
@@ -478,7 +490,8 @@ def cache_commits(
     skeleton = None
     for payload in commits:
         skeleton = _store_skeleton(store, skeleton)
-        key = context.key(*store.chunk_identity(store.committed_chunk_count - 1))
+        count = store.committed_chunk_count
+        key = context.key(store.prefix(count), store.chunk_format(count - 1))
         cache.store(key, scan_payload(payload, skeleton, factories))
 
 

@@ -4,7 +4,7 @@ Every committed :class:`~repro.collection.store.FrameStore` chunk is
 immutable and checksummed, and every figure accumulator speaks
 ``export_state`` / ``restore_state`` — which makes a chunk's
 folded accumulator state a *materialized partial aggregate*: computed once,
-reusable by every later report over the same chunk.  This module is that
+reusable by every later report over the same chunks.  This module is that
 cache.  A report over an unchanged store folds cached states instead of
 rescanning, so repeated reports cost O(new data), not O(history).
 
@@ -16,15 +16,16 @@ Entries live in a ``cache/`` directory beside the store's chunk files
 (chunk, configuration) pair.  The **key** — embedded in the file name, so
 a lookup is one ``open`` — is the tuple:
 
-* the chunk's content checksum (adler32 of the raw on-disk blob);
+* the store's key of chunks ``[0, i]`` for chunk ``i``, on all of which
+  its state depends (:meth:`~repro.collection.store.FrameStore.prefix`);
 * a digest of every chain's accumulator ``config_signature`` tuples;
 * the constant :data:`ENTRY_MODE` token;
-* the chunk's serialisation format (``v1`` / ``v2``).
+* the chunk's serialisation format (``v1`` / ``v2`` / ``v3``).
 
-Any drift — a rewritten chunk, a different oracle or clusterer, a format
-switch — changes the key, so incompatible state can never be
-*found*, let alone folded.  Invalidation is therefore mostly free: stale
-entries are dead files, cleared wholesale by format migration
+Any drift — a chunk at or before ``i`` rewritten or dropped, a different
+oracle or clusterer — changes the key, so incompatible state can never be
+*found*, let alone folded.  Invalidation is therefore free: stale entries
+are dead files, cleared wholesale by format migration
 (:func:`~repro.collection.store.invalidate_state_cache`), quarantined by
 ``fsck --repair``, or simply left to miss.
 
@@ -77,14 +78,14 @@ ChainStates = Dict[str, List[Tuple[str, dict]]]
 class EntryKey(NamedTuple):
     """The full cache key of one chunk's folded state (all filename-safe)."""
 
-    chunk_checksum: str
+    prefix: str
     config: str
     mode: str
     chunk_format: str
 
     def filename(self) -> str:
         return (
-            f"state-{self.chunk_checksum}-{self.config}"
+            f"state-{self.prefix}-{self.config}"
             f"-{self.mode}-{self.chunk_format}{ENTRY_SUFFIX}"
         )
 
@@ -99,8 +100,8 @@ class CacheContext(NamedTuple):
     directory: str
     config: str
 
-    def key(self, chunk_checksum: str, chunk_format: str) -> EntryKey:
-        return EntryKey(chunk_checksum, self.config, ENTRY_MODE, chunk_format)
+    def key(self, prefix: str, chunk_format: str) -> EntryKey:
+        return EntryKey(prefix, self.config, ENTRY_MODE, chunk_format)
 
 
 def parse_entry_name(name: str) -> Optional[EntryKey]:
@@ -144,8 +145,8 @@ def encode_entry(states: ChainStates, **header) -> bytes:
     """Frame per-chain states as a durable entry blob.
 
     ``header`` fields ride in the body beside the states, under the same
-    checksum (a checkpoint's ``watermark_rows`` and ``signatures``); a chunk
-    entry has none.
+    checksum (a checkpoint's ``watermark_rows``, ``signatures`` and
+    ``prefix``); a chunk entry has none.
     """
     body = statecodec.encode({"version": ENTRY_VERSION, "chains": states, **header})
     return ENTRY_MAGIC + _CHECKSUM.pack(zlib.adler32(body) & 0xFFFFFFFF) + body

@@ -46,6 +46,10 @@ touching any chunk payload:
 An entry that lacks any of these is refused with a :class:`CollectionError`
 naming the chunk; ``repro fsck --repair`` recomputes missing pool deltas.
 
+Analysis state over a chunk depends on every chunk before it (its string
+codes index their pools), so such state is keyed by :meth:`FrameStore.prefix`,
+a hash chain over the chunks' headers and sizes that no manifest byte records.
+
 Frame chunks themselves come in three **serialisation formats**: the
 ``v1`` gzip-JSON files (``frame-chunk-*.json.gz``) and the binary columnar
 ``v2`` (``frame-chunk-*.bin``) and ``v3`` (``frame-chunk-*.v3.bin``) files
@@ -60,6 +64,7 @@ in place behind the same atomic-manifest commit point.
 from __future__ import annotations
 
 import glob
+import hashlib
 import json
 import os
 import zlib
@@ -153,7 +158,7 @@ def invalidate_state_cache(directory: str) -> int:
     """Drop every chunk-state cache entry under ``directory``'s store.
 
     Used by operations that rewrite chunk bytes in place (format
-    migration): entry keys embed the chunk checksum, so stale entries
+    migration): entry keys chain over the chunk bytes, so stale entries
     could never *hit* — but they would linger as dead weight and show up
     as stale in ``fsck``, so rewrites clear the cache outright.  Returns
     the number of files removed; a missing cache directory is a no-op.
@@ -183,6 +188,24 @@ def _glob_chunk_files(directory: str) -> List[str]:
     for pattern in _CHUNK_GLOBS:
         paths.extend(glob.glob(os.path.join(directory, pattern)))
     return sorted(paths)
+
+
+#: ``prefix(0)``, the key of no chunks (see :meth:`FrameStore.prefix`).
+CHAIN_ROOT = "0" * 16
+
+#: A binary chunk's header: family, version and the adler32 of its body.
+_HEAD_BYTES = 8
+
+
+def chain_link(prefix: str, blob: bytes, fmt: str, size: int) -> str:
+    """``prefix(i + 1)`` from ``prefix(i)`` and chunk i's blob (a binary
+    chunk's header is enough: it checksums the body; a v1 chunk links by its
+    whole-blob adler32), format and committed size, as 16 hex digits."""
+    head = blob[:_HEAD_BYTES]
+    if fmt == CHUNK_FORMAT_V1:
+        head = fmt.encode() + (zlib.adler32(blob) & 0xFFFFFFFF).to_bytes(4, "big")
+    material = bytes.fromhex(prefix) + head + size.to_bytes(8, "big")
+    return hashlib.blake2b(material, digest_size=8).hexdigest()
 
 
 def _decode_chunk_blob(blob: bytes, chunk_id: int) -> Dict:
@@ -383,6 +406,8 @@ class FrameStore:
         #: exact order :meth:`to_frame` would intern them (see
         #: :func:`absorb_pool_deltas`).
         self._pools: Dict[str, Dict[str, None]] = {name: {} for name in POOL_NAMES}
+        #: ``prefix(0..k)``, extended by :meth:`prefix` and chunk writes.
+        self._chain: List[str] = [CHAIN_ROOT]
         #: Whether the directory's manifest describes this store; until it
         #: does, the first chunk write commits an empty one first.
         self._manifest_committed = False
@@ -763,6 +788,7 @@ class FrameStore:
         else:
             chunk.blob = blob
         self._chunks.append(chunk)
+        self._link(chunk.chunk_id, blob)
         self._row_count += row_count
         self._merge_height_bounds(chunk.heights)
         fold_pool_deltas(self._pools, chunk.pool_deltas)
@@ -861,30 +887,35 @@ class FrameStore:
         """
         return [chunk.row_count for chunk in self._chunks]
 
-    def chunk_identity(self, index: int) -> Tuple[str, str]:
-        """``(checksum, format)`` identity of one committed chunk's bytes.
+    def prefix(self, n: int) -> str:
+        """The key of committed chunks ``[0, n)``, which state over them is
+        keyed by: chunk i's entry by ``prefix(i + 1)``, a checkpoint over
+        ``n`` chunks by ``prefix(n)``.  A chunk rewritten, dropped or
+        reordered moves every key from it on (:func:`chain_link`).
 
-        The checksum is the adler32 of the raw on-disk blob as 8 hex
-        digits — exactly what keys a chunk-state cache entry to the chunk
-        *content*: any rewrite (migration, repair, regeneration) changes
-        the checksum and turns old entries into clean misses.
+        Derived once per store: the chunks it writes link from the blob in
+        hand, the others from an 8-byte read (a v1 chunk is read whole).
         """
-        chunk = self._chunks[index]
-        if chunk.path is not None:
-            with open(chunk.path, "rb") as handle:
-                blob = handle.read()
+        chain = self._chain
+        while len(chain) <= n:
+            chunk = self._chunks[len(chain) - 1]
             fmt = _chunk_format_of(chunk.path)
-        elif chunk.blob is not None:
-            from repro.collection import chunkformat
+            with open(chunk.path, "rb") as handle:
+                blob = handle.read() if fmt == CHUNK_FORMAT_V1 else handle.read(_HEAD_BYTES)
+            chain.append(chain_link(chain[-1], blob, fmt, chunk.stats.compressed_bytes))
+        return chain[n]
 
-            blob = chunk.blob
-            version = chunkformat.chunk_version(blob)
-            fmt = CHUNK_FORMAT_V1 if version is None else f"v{version}"
-        else:
-            raise CollectionError(
-                f"frame chunk {chunk.chunk_id} has no data attached"
-            )
-        return f"{zlib.adler32(blob) & 0xFFFFFFFF:08x}", fmt
+    def _link(self, index: int, blob: bytes) -> None:
+        """Link chunk ``index`` from the v3 blob just written for it,
+        dropping every later link (a rewrite moves them all)."""
+        del self._chain[index + 1 :]
+        if len(self._chain) == index + 1:
+            self._chain.append(chain_link(self._chain[index], blob, CHUNK_FORMAT_V3, len(blob)))
+
+    def chunk_format(self, index: int) -> str:
+        """Committed chunk ``index``'s format (one held in memory is v3)."""
+        path = self._chunks[index].path
+        return CHUNK_FORMAT_V3 if path is None else _chunk_format_of(path)
 
     def chunk_payload(self, index: int) -> Dict:
         """Decompress one committed chunk's columnar payload."""
@@ -961,6 +992,7 @@ class FrameStore:
             with open(path, "wb") as handle:
                 handle.write(blob)
             chunk.path = path
+            self._link(chunk.chunk_id, blob)
             superseded.append(source_path)
         if superseded:
             self._write_manifest()  # the commit point for the whole migration

@@ -3,17 +3,17 @@
 A checkpoint freezes the analysis layer's position in the append-only row
 stream: for every chain it stores the **pre-finalize** scanned state of the
 full figure accumulator set together with the row watermark those states
-cover and each accumulator's :meth:`~repro.analysis.engine.Accumulator.
-config_signature`.  An incremental update folds the states into freshly
-bound accumulators, scans only the rows past the watermark and re-finalizes
-— producing figures identical to a from-scratch batch run.
+cover, the store's key of those chunks (:meth:`~repro.collection.store.
+FrameStore.prefix`) and each accumulator's ``config_signature``.  An update
+folds the states only while the key is a prefix key of the store, scans
+the chunks past it and re-finalizes — figures identical to a batch run.
 
 **A checkpoint is a state entry.**  The folded state of the row prefix
 ``[0, watermark)`` is one more row range's :data:`~repro.analysis.statecache.
 ChainStates`, so ``checkpoint.snap`` is written by
 :func:`~repro.analysis.statecache.encode_entry` and read by
 :func:`~repro.analysis.statecache.decode_body` like any chunk entry, with
-``watermark_rows`` and ``signatures`` beside the states in the body.  One
+``watermark_rows``, ``signatures`` and ``prefix`` beside the states in the body.  One
 magic (:data:`~repro.analysis.statecache.ENTRY_MAGIC`, the one epoch marker
 of persisted state) and one adler32 cover every byte of the file.  State is
 codec data — typed columns, never pickle — so decoding a hostile snapshot
@@ -56,6 +56,8 @@ class PipelineCheckpoint:
     #: chain value → the saved accumulators' config signatures: compatibility
     #: is checked before any state is folded.
     signatures: Dict[str, List[tuple]] = field(default_factory=dict)
+    #: The store's key of the chunks covered; ``None`` matches no store.
+    prefix: Optional[str] = None
 
     @classmethod
     def capture(
@@ -109,7 +111,8 @@ def decode_snapshot(blob: bytes) -> Optional[PipelineCheckpoint]:
     signatures = body.get("signatures")
     if not (isinstance(watermark, int) and watermark >= 0 and isinstance(signatures, dict)):
         return None
-    return PipelineCheckpoint(watermark, body["chains"], signatures)
+    prefix = body.get("prefix")  # absent from snapshots older than the key chain
+    return PipelineCheckpoint(watermark, body["chains"], signatures, prefix)
 
 
 class CheckpointStore:
@@ -137,6 +140,7 @@ class CheckpointStore:
             checkpoint.states,
             watermark_rows=checkpoint.watermark_rows,
             signatures=checkpoint.signatures,
+            prefix=checkpoint.prefix,
         )
         temp_path = self.path + ".tmp"
         action = faults.check("checkpoint.save")

@@ -20,6 +20,8 @@ value sums (one subtotal per chunk) within rounding.  It rests on:
 * the store's global string pools are append-only and replayed in
   deterministic order, so interned codes inside checkpointed states stay
   valid as the store grows;
+* state is keyed by the chunks it depends on (:meth:`~repro.collection.
+  store.FrameStore.prefix`): state over a dropped chunk is never found;
 * :meth:`~repro.analysis.engine.Accumulator.config_signature` gates every
   restore — a configuration drift (new oracle rates, an earlier series
   anchor caused by out-of-order history) forces a fold from chunk zero
@@ -90,7 +92,7 @@ class Pipeline:
 
         <root>/
           frames/           chunk-compressed columnar rows + manifest.json
-          checkpoint.snap   one state entry: prefix states + row watermark
+          checkpoint.snap   one state entry: prefix states, row watermark, prefix key
           meta.json         analysis configuration (oracle rates, clusters)
 
     No command holds the frame: :meth:`update` folds the checkpoint and
@@ -304,14 +306,13 @@ class Pipeline:
         """Bring every figure up to date with the rows ingested so far.
 
         Flushes, folds the durable checkpoint, then :func:`fold_store` over
-        the chunks past its watermark (held payloads are scanned, not
-        decoded), saves the new checkpoint and returns the report.  A
-        checkpoint whose watermark is not a chunk boundary of the store (a
-        crash truncated the store under it) is discarded; when a chain's
-        saved state does not restore, every chain folds from chunk zero
-        through the chunk-state cache, and ``stats.chains_rescanned`` names
-        the chains that failed.  ``stats.workers`` is the pool size that
-        ran (0 in-process).
+        the chunks past it (held payloads are scanned, not decoded), saves
+        the new checkpoint and returns the report.  A checkpoint folds only
+        when its key is the store's ``prefix(n)`` for some ``n``, the chunk
+        the fold goes on from; when a chain's saved state does not restore,
+        every chain folds from chunk zero through the chunk-state cache,
+        and ``stats.chains_rescanned`` names the chains that failed.
+        ``stats.workers`` is the pool size that ran (0 in-process).
         """
         started = time.perf_counter()
         store = self.store
@@ -319,10 +320,10 @@ class Pipeline:
         faults.maybe_crash("pipeline.update")
         oracle, clusterer = self.analysis_config()
         checkpoint = self.checkpoints.load()
-        boundaries = [0, *itertools.accumulate(store.chunk_row_counts())]
-        if checkpoint is not None and checkpoint.watermark_rows not in boundaries:
-            checkpoint = None
-        first = boundaries.index(checkpoint.watermark_rows) if checkpoint is not None else 0
+        covered = range(store.committed_chunk_count, -1, -1) if checkpoint is not None else ()
+        first = next((n for n in covered if store.prefix(n) == checkpoint.prefix), None)
+        if first is None:
+            checkpoint, first = None, 0
         factories = store_factories(store, oracle, clusterer, bin_seconds, top_limit)
         skeleton, targets = fold_targets(store, factories, self._skeleton)
         self._skeleton = skeleton
@@ -355,8 +356,8 @@ class Pipeline:
             cache=ChunkStateCache.for_store(self.frames_dir), payloads=self._held,
         )  # fmt: skip
         self._held = {}
-        rows_total = boundaries[-1]
-        new_checkpoint = PipelineCheckpoint(watermark_rows=rows_total)
+        rows_total, prefix = store.flushed_rows, store.prefix(store.committed_chunk_count)
+        new_checkpoint = PipelineCheckpoint(watermark_rows=rows_total, prefix=prefix)
         report = FullReport()
         totals = store.chain_row_counts()
         for key, accumulators in targets.items():  # in ChainId order

@@ -17,8 +17,12 @@ it byte-for-byte, and report exactly what is damaged:
   entry without ``rows``, ``file`` or ``compressed_bytes`` leaves its chunk
   unverifiable, and a repair drops it like a corrupt chunk);
 * uncommitted chunk files on disk that the manifest never references;
-* the checkpoint snapshot (an intact state entry — magic, adler32, shape —
-  whose watermark is within the store's committed rows);
+* every chunk-state cache entry and the checkpoint snapshot: intact state
+  entries (magic, adler32, shape) whose key is in the key chain
+  (:meth:`FrameStore.prefix`) of the store as the walk leaves it, which
+  the chunk walk links from the blobs it reads; any other key is *stale*.
+  Keys are not judged where the chain cannot be derived (a chunk left
+  missing or damaged);
 * the pipeline meta file (readable JSON).
 
 With ``repair=True`` the doctor makes the surviving data usable instead of
@@ -37,8 +41,8 @@ abandoning the whole store:
   :meth:`FrameStore.open` refuses by name.  The rows lost this way are
   reported per chain — explicit degraded-rows accounting instead of an
   all-or-nothing rescan;
-* an unusable or stale checkpoint snapshot is quarantined too (the next
-  update falls back to a full rescan, which is always correct);
+* unusable or stale checkpoints and cache entries are quarantined too
+  (what no key covers is rescanned, which is always correct);
 * uncommitted chunk files are quarantined rather than deleted; chunk
   files with no manifest at all (``manifest_missing``) are quarantined
   and an empty manifest is committed.
@@ -52,7 +56,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -60,15 +63,18 @@ from repro.analysis.statecache import ENTRY_MODE, decode_entry, parse_entry_name
 from repro.analysis.value import decode_analysis_config
 from repro.collection import chunkformat
 from repro.collection.store import (
+    CHAIN_ROOT,
     MANIFEST_ENTRY_KEYS,
     MANIFEST_NAME,
     MANIFEST_VERSION,
     POOL_NAMES,
     STATE_CACHE_DIR,
     FrameStore,
+    _chunk_format_of,
     _decode_chunk_blob,
     _glob_chunk_files,
     absorb_pool_deltas,
+    chain_link,
     resolve_store_dir,
 )
 from repro.common.errors import CollectionError
@@ -82,6 +88,11 @@ from repro.pipeline.core import PIPELINE_META_NAME
 QUARANTINE_DIR = "quarantine"
 #: The manifest-entry keys a chunk is verified against.
 _VERIFY_KEYS = ("rows", "file", "compressed_bytes")
+
+#: The key chain of the store as a walk leaves it: ``(prefix(i + 1), format
+#: of chunk i)`` per kept chunk (see :meth:`FrameStore.prefix`), or ``None``
+#: where it cannot be derived.
+Chain = Optional[List[Tuple[str, str]]]
 
 
 @dataclass
@@ -194,13 +205,12 @@ def _check_uncommitted(report: FsckReport, repair: bool, committed_files: Set[st
             issue.repair = "quarantined"
 
 
-def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[int]]:
+def _check_chunks(report: FsckReport, repair: bool) -> Chain:
     """Verify the manifest and every committed chunk; repair by quarantine.
 
-    Returns the paths of the chunks a repair kept *after* one it dropped
-    (their string codes moved, so their cache entries are stale) and the
-    first row of the first chunk it dropped, counted in the manifest as it
-    was before the repair (``None`` when nothing was dropped).
+    Returns the key chain of the store as the walk leaves it, linked from
+    the blobs it reads; ``None`` when the manifest cannot be walked or a
+    damaged chunk stays (its state is the damage already reported).
     """
     store_dir = report.store_dir
     manifest_path = os.path.join(store_dir, MANIFEST_NAME)
@@ -219,7 +229,8 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
             if repair:
                 FrameStore(directory=store_dir)._write_manifest()
                 issue.repair = "completed"
-        return set(), None
+                return []
+        return None
     try:
         with open(manifest_path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -235,7 +246,7 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
                 path=manifest_path,
             )
         )
-        return set(), None
+        return None
     if manifest.get("version") != MANIFEST_VERSION:
         report.issues.append(
             FsckIssue(
@@ -244,7 +255,7 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
                 path=manifest_path,
             )
         )
-        return set(), None
+        return None
     if manifest.get("assembling"):
         report.issues.append(
             FsckIssue(
@@ -254,25 +265,24 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
                 path=manifest_path,
             )
         )
-        return set(), None
+        return None
 
     kept_entries: List[Dict] = []
-    recoded: Set[str] = set()
+    links: Chain = []
     dropped_from: Optional[int] = None
     completed = False
     # The running string pools over the kept chunks, as the store builds
     # them; ``None`` once a kept chunk's deltas can be neither decoded nor
     # trusted, after which later deltas cannot be recomputed.
     pools: Optional[Dict[str, Dict[str, None]]] = {name: {} for name in POOL_NAMES}
-    start_row = 0
     for index, entry in enumerate(manifest["chunks"]):
         if not isinstance(entry, dict):
             entry = {}
         report.chunks_checked += 1
         unverifiable = [key for key in _VERIFY_KEYS if key not in entry]
-        chunk_start, start_row = start_row, start_row + int(entry.get("rows", 0))
         path = os.path.join(store_dir, str(entry.get("file", "")))
         issue: Optional[FsckIssue] = None
+        blob: Optional[bytes] = None
         payload: Optional[Dict] = None
         if unverifiable:
             # Nothing to check the chunk against: damage like a corrupt
@@ -336,6 +346,10 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
         # A newer writer's chunk is not damage: it is kept like a good one,
         # as a manifest of an unsupported version is.
         if issue is None or issue.kind == "chunk_version":
+            if links is not None:
+                fmt = _chunk_format_of(path)
+                prefix = links[-1][0] if links else CHAIN_ROOT
+                links.append((chain_link(prefix, blob, fmt, int(entry["compressed_bytes"])), fmt))
             # Recorded pool deltas are relative to the running pools, so a
             # dropped earlier chunk invalidates them; the walk recomputes
             # them from the payload, as the store's writer did.
@@ -353,8 +367,6 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
                 if deltas is not None:
                     entry["pools"] = deltas
                 completed = True
-                if dropped_from is not None:
-                    recoded.add(path)
             if missing:
                 incomplete = FsckIssue(
                     kind="manifest_entry_incomplete",
@@ -372,13 +384,14 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
                 issue.path = _quarantine(store_dir, issue.path)
             issue.repair = "quarantined"
             if dropped_from is None:
-                dropped_from = chunk_start
+                dropped_from = index
             for chain, rows in issue.chain_rows.items():
                 report.degraded_rows[chain] = (
                     report.degraded_rows.get(chain, 0) + rows
                 )
         else:
             kept_entries.append(entry)
+            links = None
 
     _check_uncommitted(
         report,
@@ -393,31 +406,12 @@ def _check_chunks(report: FsckReport, repair: bool) -> Tuple[Set[str], Optional[
         with open(temp_path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle)
         os.replace(temp_path, manifest_path)
-    return recoded, dropped_from
+    return links
 
 
-def _committed_rows(store_dir: str) -> Optional[int]:
-    """The manifest's committed row count, or ``None`` when unavailable."""
-    manifest_path = os.path.join(store_dir, MANIFEST_NAME)
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        return sum(int(entry["rows"]) for entry in manifest["chunks"])
-    except Exception:
-        return None
-
-
-def _check_checkpoint(
-    report: FsckReport, root: str, repair: bool, dropped_from: Optional[int]
-) -> None:
-    """Verify the checkpoint snapshot decodes and its watermark is in range.
-
-    ``dropped_from`` is the first row of the first chunk this walk's repair
-    dropped.  A checkpoint whose watermark lies past it folds states that
-    count the dropped rows; with equal-sized chunks its watermark usually
-    still lands on a chunk boundary inside the shrunk store, so the range
-    check alone would keep it.
-    """
+def _check_checkpoint(report: FsckReport, root: str, repair: bool, links: Chain) -> None:
+    """Verify the checkpoint snapshot decodes and is keyed to a prefix of
+    the store as the walk leaves it (``links``; unjudged when ``None``)."""
     path = os.path.join(root, CHECKPOINT_NAME)
     if not os.path.exists(path):
         return
@@ -428,7 +422,6 @@ def _check_checkpoint(
             checkpoint = decode_snapshot(handle.read())
     except OSError:
         checkpoint = None
-    committed = _committed_rows(report.store_dir)
     if checkpoint is None:
         issue = FsckIssue(
             kind="checkpoint_unreadable",
@@ -436,22 +429,14 @@ def _check_checkpoint(
             "checksum or shape; the next update would rescan every chain)",
             path=path,
         )
-    elif committed is not None and checkpoint.watermark_rows > committed:
+    elif links is not None and checkpoint.prefix not in {
+        CHAIN_ROOT, *(prefix for prefix, _fmt in links)
+    }:
         issue = FsckIssue(
             kind="checkpoint_stale",
             detail=(
-                f"checkpoint watermark {checkpoint.watermark_rows} exceeds the "
-                f"store's {committed} committed rows (store shrank underneath it)"
-            ),
-            path=path,
-        )
-    elif dropped_from is not None and dropped_from < checkpoint.watermark_rows:
-        issue = FsckIssue(
-            kind="checkpoint_stale",
-            detail=(
-                f"checkpoint watermark {checkpoint.watermark_rows} covers rows "
-                f"from {dropped_from} on, which repair just dropped (its states "
-                "count rows that are gone)"
+                f"checkpoint key {checkpoint.prefix!r} is no prefix key of the "
+                "store (the next update folds from chunk zero)"
             ),
             path=path,
         )
@@ -463,48 +448,23 @@ def _check_checkpoint(
         issue.repair = "quarantined"
 
 
-def _checksum(path: str) -> str:
-    with open(path, "rb") as handle:
-        return f"{zlib.adler32(handle.read()) & 0xFFFFFFFF:08x}"
+def _check_state_cache(report: FsckReport, repair: bool, links: Chain) -> None:
+    """Verify every chunk-state cache entry against the store's key chain.
 
-
-def _committed_chunk_checksums(store_dir: str) -> Optional[set]:
-    """adler32 hex digests of every committed chunk's bytes, or ``None``.
-
-    ``None`` means the manifest or a chunk file is unreadable — already
-    reported by :func:`_check_chunks` — so cache staleness cannot be judged
-    and only the corrupt/orphan checks apply.
-    """
-    manifest_path = os.path.join(store_dir, MANIFEST_NAME)
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        return {_checksum(os.path.join(store_dir, entry["file"])) for entry in manifest["chunks"]}
-    except Exception:
-        return None
-
-
-def _check_state_cache(report: FsckReport, repair: bool, recoded: Set[str]) -> None:
-    """Verify every chunk-state cache entry against the committed chunks.
-
-    An entry is *stale* when its keyed chunk checksum matches no committed
-    chunk (the chunk was rewritten, quarantined, or regenerated) or its mode
-    token is not :data:`~repro.analysis.statecache.ENTRY_MODE`, *corrupt*
-    when its blob fails the entry checksum or decode, and *orphaned* when
-    the file in ``cache/`` is not a recognisable entry at all (a crashed
-    write's ``.tmp``).  None of these can ever corrupt a figure — the
-    cache's keying and checksums degrade them all to misses — but they are
-    dead weight and evidence of damage, so fsck reports them and repair
-    quarantines them like any other damaged file.
+    An entry is *stale* when its key is not in ``links`` (unjudged when
+    ``None``) or its mode token is not
+    :data:`~repro.analysis.statecache.ENTRY_MODE`, *corrupt* when its blob
+    fails the entry checksum or decode, and *orphaned* when the file in
+    ``cache/`` is not a recognisable entry at all (a crashed write's
+    ``.tmp``).  None of these can ever corrupt a figure — the cache's keying
+    and checksums degrade them all to misses — but they are dead weight and
+    evidence of damage, so fsck reports them and repair quarantines them
+    like any other damaged file.
     """
     cache_dir = os.path.join(report.store_dir, STATE_CACHE_DIR)
     if not os.path.isdir(cache_dir):
         return
-    # A damaged chunk's entry is keyed to its undamaged bytes: the damage
-    # already reported, not a second issue — until repair quarantines it.
-    damaged = {"chunk_size_mismatch", "chunk_corrupt"} & {i.kind for i in report.issues}
-    checksums = None if damaged and not repair else _committed_chunk_checksums(report.store_dir)
-    moved = {_checksum(path) for path in recoded}
+    keys = None if links is None else set(links)
     for name in sorted(os.listdir(cache_dir)):
         path = os.path.join(cache_dir, name)
         if not os.path.isfile(path):
@@ -536,32 +496,15 @@ def _check_state_cache(report: FsckReport, repair: bool, recoded: Set[str]) -> N
                     ),
                     path=path,
                 )
-            elif key.mode != ENTRY_MODE:
+            elif key.mode != ENTRY_MODE or (
+                keys is not None and (key.prefix, key.chunk_format) not in keys
+            ):
                 issue = FsckIssue(
                     kind="cache_entry_stale",
                     detail=(
-                        f"cache entry {name!r} is keyed to statistics mode "
-                        f"{key.mode!r}, which nothing reads (the entry can "
-                        "never hit)"
-                    ),
-                    path=path,
-                )
-            elif key.chunk_checksum in moved:
-                issue = FsckIssue(
-                    kind="cache_entry_stale",
-                    detail=(
-                        f"cache entry {name!r} holds string codes of a chunk "
-                        "kept after a quarantined one (the codes moved)"
-                    ),
-                    path=path,
-                )
-            elif checksums is not None and key.chunk_checksum not in checksums:
-                issue = FsckIssue(
-                    kind="cache_entry_stale",
-                    detail=(
-                        f"cache entry {name!r} is keyed to chunk checksum "
-                        f"{key.chunk_checksum} that no committed chunk "
-                        "carries (superseded bytes; the entry can never hit)"
+                        f"cache entry {name!r} is keyed to {key.prefix} / "
+                        f"{key.mode!r} / {key.chunk_format}, which is no key of "
+                        "the store's chunks (the entry can never hit)"
                     ),
                     path=path,
                 )
@@ -608,10 +551,10 @@ def run_fsck(root: str, repair: bool = False) -> FsckReport:
         raise CollectionError(f"{root!r} is not a directory")
     store_dir = resolve_store_dir(root)
     report = FsckReport(root=root, store_dir=store_dir, repaired=repair)
-    recoded, dropped_from = _check_chunks(report, repair)
-    # After the chunk pass: a chunk quarantined above turns its cache
-    # entries, and those of every chunk after it, stale in this same walk.
-    _check_state_cache(report, repair, recoded)
-    _check_checkpoint(report, root, repair, dropped_from)
+    # After the chunk pass: state keyed to a chunk it quarantined, or to
+    # any chunk after one, is stale in this same walk.
+    links = _check_chunks(report, repair)
+    _check_state_cache(report, repair, links)
+    _check_checkpoint(report, root, repair, links)
     _check_meta(report, root)
     return report

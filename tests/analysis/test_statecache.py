@@ -8,7 +8,9 @@ The cache contract under test, layer by layer:
   raises;
 * **keying** — the file-name key misses cleanly on any drift: a different
   accumulator configuration (oracle, clusterer), rewritten chunk bytes, a
-  migrated chunk format;
+  migrated chunk format; the store's key chain moves every key from a
+  dropped or rewritten chunk on, and every process derives the same keys
+  (an all-hit report reads only chunk headers for them);
 * **writes** — entries commit atomically; injected ``store.cache_write``
   faults (torn, bitflip, truncate) leave only undecodable entries — which
   read back as misses — and an injected crash propagates without
@@ -24,7 +26,12 @@ The cache contract under test, layer by layer:
 
 from __future__ import annotations
 
+import builtins
+import glob
+import io
+import json
 import os
+import shutil
 
 import pytest
 
@@ -49,16 +56,23 @@ from repro.analysis.statecache import (
 )
 from repro.analysis.value import ExchangeRateOracle
 from repro.collection.store import (
+    CHAIN_ROOT,
     CHUNK_FORMAT_V1,
+    CHUNK_FORMAT_V2,
     CHUNK_FORMAT_V3,
+    MANIFEST_NAME,
     FrameStore,
     state_cache_dir,
 )
+from repro.cli import main
 from repro.cli.dataset import cached_store
 from repro.common import faults
 from repro.common.records import ChainId
 from repro.common.statecodec import encode
 
+from repro.pipeline import run_fsck
+
+from tests.fixtures import V2_STORE
 from tests.support.reports import assert_reports_identical
 
 CHUNK_ROWS = 977
@@ -253,9 +267,7 @@ def test_a_task_ships_the_same_bytes_from_a_cold_and_a_warm_cache(
     # A private cache directory: the shared dataset's own stays untouched.
     cache = ChunkStateCache(str(tmp_path / "cache"))
     context = cache.context(factories_digest(factories))
-    (task,) = chunk_scan_tasks(
-        stored.directory, store.chunk_row_counts(), factories, 1, cache=context
-    )
+    (task,) = chunk_scan_tasks(store, factories, 1, cache=context)
     _tag, cold, info = _scan_chunk_range(task)
     assert (info["hits"], info["misses"]) == (0, 3)
     for key, states in info["fresh"]:
@@ -383,14 +395,150 @@ def test_migrate_format_invalidates_cache(v1_store_dir):
     assert_reports_identical(report, before, exact_flows=True)
 
 
-def test_chunk_identity_tracks_bytes_and_format(store_dir, v1_store_dir):
+# -- the key chain -------------------------------------------------------------------
+
+
+def _flip_middle_byte(path):
+    with open(path, "r+b") as handle:
+        blob = handle.read()
+        handle.seek(len(blob) // 2)
+        handle.write(bytes([blob[len(blob) // 2] ^ 0xFF]))
+
+
+def _keys(store):
+    return [store.prefix(n) for n in range(store.committed_chunk_count + 1)]
+
+
+def test_every_process_derives_the_same_keys(tmp_path, sample_records):
+    """The writer links from the blobs in hand, a reopened store from 8-byte
+    header reads, an in-memory store of the same rows from its blobs."""
+    directory = str(tmp_path / "store")
+    writer = FrameStore(chunk_rows=CHUNK_ROWS, directory=directory)
+    writer.add_records(sample_records)
+    writer.flush()
+    in_memory = FrameStore(chunk_rows=CHUNK_ROWS)
+    in_memory.add_records(sample_records)
+    in_memory.flush()
+    keys = _keys(writer)
+    assert keys[0] == CHAIN_ROOT and len(set(keys)) == len(keys) > 3
+    assert all(len(key) == 16 for key in keys)
+    reopened = FrameStore.open(directory)
+    assert _keys(reopened) == _keys(in_memory) == keys
+
+
+def test_a_repair_that_drops_a_chunk_moves_every_later_key(store_dir):
+    keys = _keys(FrameStore.open(store_dir))
+    dropped = 2
+    _flip_middle_byte(sorted(glob.glob(os.path.join(store_dir, "frame-chunk-*")))[dropped])
+    run_fsck(store_dir, repair=True)
+    kept = _keys(FrameStore.open(store_dir))
+    assert len(kept) == len(keys) - 1
+    assert kept[: dropped + 1] == keys[: dropped + 1]  # chunks before the dropped one
+    assert not set(kept[dropped + 1 :]) & set(keys)  # every chunk kept after it
+
+
+def test_migration_moves_every_key_from_the_first_rewritten_chunk_on(
+    store_dir, sample_records
+):
+    """A v3 store that took on a v2 archive chunk, then grew again."""
+    manifest_path = os.path.join(store_dir, MANIFEST_NAME)
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    with open(os.path.join(V2_STORE, MANIFEST_NAME), encoding="utf-8") as handle:
+        legacy = json.load(handle)["chunks"][0]
+    first = len(manifest["chunks"])
+    shutil.copy(
+        os.path.join(V2_STORE, legacy["file"]),
+        os.path.join(store_dir, f"frame-chunk-{first:06d}.bin"),
+    )
+    manifest["chunks"].append(dict(legacy, file=f"frame-chunk-{first:06d}.bin"))
+    manifest["row_count"] += legacy["rows"]
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
     store = FrameStore.open(store_dir)
-    checksum, fmt = store.chunk_identity(0)
-    assert len(checksum) == 8 and fmt == CHUNK_FORMAT_V3
-    assert store.chunk_identity(0) == (checksum, fmt)  # stable
-    other_checksum, _ = store.chunk_identity(1)
-    assert other_checksum != checksum  # different bytes, different key
-    assert FrameStore.open(v1_store_dir).chunk_identity(0)[1] == CHUNK_FORMAT_V1
+    store.add_records(sample_records[:CHUNK_ROWS])
+    store.flush()
+    assert store.chunk_format(first) == CHUNK_FORMAT_V2
+    before = _keys(store)
+    assert store.migrate_format() == 1
+    after = _keys(store)
+    assert after[: first + 1] == before[: first + 1]
+    assert len(after) == len(before) == first + 3
+    assert not set(after[first + 1 :]) & set(before)
+    assert _keys(FrameStore.open(store_dir)) == after
+
+
+def test_a_pool_worker_keys_exactly_as_the_parent(store_dir, xrp_oracle, xrp_clusterer):
+    """Entries a pooled scan writes are the ones a serial report looks up."""
+    pooled = ChunkStateCache.for_store(store_dir)
+    parallel_report_from_store(
+        store_dir, oracle=xrp_oracle, clusterer=xrp_clusterer, workers=2, cache=pooled
+    )
+    store = FrameStore.open(store_dir)
+    chunks = store.committed_chunk_count
+    assert pooled.misses == chunks
+    names = sorted(parse_entry_name(name).prefix for name in os.listdir(pooled.directory))
+    assert names == sorted(_keys(store)[1:])
+    serial = ChunkStateCache.for_store(store_dir)
+    _report(store_dir, xrp_oracle, xrp_clusterer, cache=serial)
+    assert (serial.hits, serial.misses) == (chunks, 0)
+
+
+def test_a_v1_archive_chunk_links_by_its_whole_blob(v1_store_dir, store_dir):
+    """A flipped body byte moves a v1 chunk's key; a binary chunk's key
+    reads its header only, whose checksum the decoder checks the body by."""
+    for directory, fmt in ((v1_store_dir, CHUNK_FORMAT_V1), (store_dir, CHUNK_FORMAT_V3)):
+        store = FrameStore.open(directory)
+        assert store.chunk_format(0) == fmt
+        keys = _keys(store)
+        _flip_middle_byte(sorted(glob.glob(os.path.join(directory, "frame-chunk-*")))[0])
+        moved = _keys(FrameStore.open(directory))
+        assert (moved == keys) is (fmt == CHUNK_FORMAT_V3)
+        assert moved[0] == keys[0]
+
+
+class _CountedFile:
+    """A file handle that adds every byte read through it to ``counts``."""
+
+    def __init__(self, handle, counts, name):
+        self._handle, self._counts, self._name = handle, counts, name
+
+    def read(self, *args):
+        data = self._handle.read(*args)
+        self._counts[self._name] = self._counts.get(self._name, 0) + len(data)
+        return data
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def test_an_all_hit_report_reads_only_chunk_headers(live_tail_cache, monkeypatch, capsys):
+    """The keys cost an 8-byte read per chunk file; nothing else reads one
+    (each was read whole, ≈1.0 MB in all, for its adler32)."""
+    argv = ["report", "--scale", "live_tail", "--cache", live_tail_cache, "--json"]
+    main(argv, out=io.StringIO())  # populates the state cache if no test did yet
+    counts = {}
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        handle = real_open(file, *args, **kwargs)
+        name = os.path.basename(os.fspath(file))
+        return _CountedFile(handle, counts, name) if name.startswith("frame-chunk-") else handle
+
+    capsys.readouterr()
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(argv, out=io.StringIO()) == 0
+    monkeypatch.undo()
+    assert "3 hit(s) / 0 miss(es)" in capsys.readouterr().err
+    chunk_files = glob.glob(os.path.join(live_tail_cache, "live_tail-seed7", "frame-chunk-*"))
+    assert sorted(counts) == sorted(map(os.path.basename, chunk_files))
+    assert all(count <= 8 for count in counts.values()), counts
 
 
 def test_state_cache_dir_is_outside_chunk_globs(store_dir, xrp_oracle):

@@ -7,6 +7,7 @@ The contract under test: fsck detects 100% of injected corruptions, and
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -16,9 +17,12 @@ from repro.analysis.clustering import AccountClusterer, StaticAccountClusterer
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
 from repro.collection.store import MANIFEST_NAME, POOL_NAMES, FrameStore, absorb_pool_deltas
+from repro.common.columns import TxFrame
 from repro.common.errors import CollectionError
+from repro.eos.workload import EosWorkloadGenerator
 from repro.pipeline import Pipeline, run_fsck
 from repro.pipeline.fsck import QUARANTINE_DIR, resolve_store_dir
+from repro.scenarios import get_scenario
 
 from tests.support.reports import assert_update_identical
 
@@ -230,13 +234,15 @@ class TestRepair:
         self, pipeline_dir
     ):
         """Dropping a middle chunk moves the string codes of every chunk
-        after it; their entries still match their bytes and the series
-        anchor, so only repair stands between them and an update."""
+        after it, and the key of every entry from it on: the dropped chunk's
+        entry and those of the chunks kept after it are stale, chunk 0's is
+        not."""
         _flip_byte(_chunk_path(pipeline_dir, 1))
         report = run_fsck(pipeline_dir, repair=True)
-        moved = [issue for issue in report.issues if "codes moved" in issue.detail]
+        stale = [issue for issue in report.issues if issue.kind == "cache_entry_stale"]
         _, manifest = _manifest(pipeline_dir)
-        assert len(moved) == len(manifest["chunks"]) - 1
+        assert len(stale) == len(manifest["chunks"])
+        assert all(issue.repair == "quarantined" for issue in stale)
         pipeline = Pipeline(pipeline_dir, chunk_rows=1_000)
         report, _stats = pipeline.update()
         expected = full_report(pipeline.frame, *pipeline.analysis_config())
@@ -276,6 +282,35 @@ class TestRepair:
         assert pipeline.store.row_count == 3_000
         report, _stats = pipeline.update()
         expected = full_report(pipeline.frame, *pipeline.analysis_config())
+        assert_update_identical(report, pipeline, expected)
+
+    @pytest.mark.parametrize("target", ["frames", "root"])
+    def test_an_update_after_a_middle_chunk_repair_folds_no_stale_checkpoint(
+        self, tmp_path, target
+    ):
+        """Chunk 1 of three is dropped from under a two-chunk checkpoint.
+
+        Given the store directory (``frames``), fsck never sees
+        ``checkpoint.snap``; given the pipeline directory (``root``) it
+        quarantines it.  Either way its key names a chunk the store no
+        longer has, so the update folds from chunk zero.
+        """
+        scenario = get_scenario("live_tail", seed=7)
+        records = list(itertools.islice(EosWorkloadGenerator(scenario.eos).stream_records(), 6_000))
+        root = str(tmp_path / "data")
+        pipeline = Pipeline(root, chunk_rows=2_000)
+        pipeline.ingest_records(records[:4_000])
+        pipeline.update()
+        pipeline.ingest_records(records[4_000:])
+        _flip_byte(_chunk_path(root, 1))
+        run_fsck(pipeline.frames_dir if target == "frames" else root, repair=True)
+        pipeline = Pipeline(root, chunk_rows=2_000)
+        report, stats = pipeline.update()
+        assert not stats.used_checkpoint
+        # Chunk 0 folds from its entry; the chunk kept after the dropped one
+        # moved its string codes, so its entry's key moved too: it is scanned.
+        assert (stats.rows_total, stats.rows_scanned) == (4_000, 2_000)
+        expected = full_report(TxFrame.from_records(records[:2_000] + records[4_000:]))
         assert_update_identical(report, pipeline, expected)
 
     def test_repair_preserves_uncommitted_files(self, pipeline_dir):

@@ -89,7 +89,7 @@ def test_corrupt_entry_detected_and_quarantined(warm_store):
 def test_stale_entry_detected_and_quarantined(warm_store):
     cache_dir, entries = _entries(warm_store)
     key = parse_entry_name(entries[0])
-    stale = entries[0].replace(key.chunk_checksum, "00000000")
+    stale = entries[0].replace(key.prefix, "00000000")
     os.rename(os.path.join(cache_dir, entries[0]), os.path.join(cache_dir, stale))
 
     report = run_fsck(warm_store)

@@ -9,6 +9,7 @@ misadventure, ``update`` converges to the batch-identical report.
 from __future__ import annotations
 
 import glob
+import itertools
 import json
 import os
 import tracemalloc
@@ -432,30 +433,55 @@ def _failing_after(records, count):
     raise RuntimeError("record source died")
 
 
-class TestResidentFrameFollowsStore:
-    """The pipeline holds the payloads of its own commits, not a frame.
+def _batch_records(blocks, skip_rows):
+    records = (record for block in blocks for record in block.transactions)
+    return itertools.islice(records, skip_rows, None)
 
-    (The name predates the one execution model: nothing follows the store
-    any more; an update scans the payloads the store handed back and
-    decodes only chunks some other writer committed.)
+
+class TestCommitHandOff:
+    """An ingest hands the pipeline the payloads of the chunks it committed,
+    and an update scans those: it decodes only chunks another writer
+    committed, and the pipeline holds no frame.
+
+    The forty-batch tests check per cycle what a cycle can change — the
+    chunks it committed, the manifest and the report — against a reference
+    frame built from the batches, and decode the whole store once, at the
+    end.
     """
 
-    def test_follower_equals_per_row_append_and_rehydration(self, tmp_path):
+    def test_store_rows_equal_per_row_append(self, tmp_path):
         """Forty live_tail batches: the store's rows == per-row append."""
         pipeline, batches = _live_tail_pipeline(tmp_path)
         reference = TxFrame()
         cycles = 0
         for _index, _end, blocks, skip_rows in batches:
-            for block in blocks:
-                for record in block.transactions:
-                    reference.append(record)
+            first = pipeline.store.committed_chunk_count
+            start = len(reference)
+            for record in _batch_records(blocks, skip_rows):
+                reference.append(record)
             pipeline.ingest_blocks(blocks, skip_rows=skip_rows)
-            _assert_frames_equal(pipeline.frame, reference)
-            _assert_frames_equal(
-                FrameStore.open(pipeline.frames_dir).to_frame(), reference
+            reopened = FrameStore.open(pipeline.frames_dir)
+            assert reopened.row_count == pipeline.store.row_count == len(reference)
+            assert reopened.chain_row_counts() == {
+                chain.value: len(reference.chain_view(chain).rows)
+                for chain in reference.chains()
+            }
+            assert reopened.pool_values() == {
+                pool: getattr(reference, pool).values
+                for pool in ("types", "accounts", "currencies", "errors")
+            }
+            committed = [
+                TxFrame.from_payload(reopened.chunk_payload(index))
+                for index in range(first, reopened.committed_chunk_count)
+            ]
+            assert list(TxFrame.concat(committed).iter_records()) == list(
+                TxFrame.from_payload(reference.to_payload(range(start, len(reference))))
+                .iter_records()
             )
             cycles += 1
         assert cycles == 40
+        _assert_frames_equal(pipeline.frame, reference)
+        _assert_frames_equal(FrameStore.open(pipeline.frames_dir).to_frame(), reference)
 
     def test_happy_path_appends_no_row_and_rereads_no_chunk(self, tmp_path, monkeypatch):
         """Each cycle touches the new rows once: no per-row append, no decode."""
@@ -473,6 +499,7 @@ class TestResidentFrameFollowsStore:
         monkeypatch.setattr(TxFrame, "append", forbidden)
         monkeypatch.setattr(chunkformat, "decode_chunk", decode_outside_a_cycle)
         pipeline, batches = _live_tail_pipeline(tmp_path)
+        reference = TxFrame()
         cycles = 0
         for _index, _end, blocks, skip_rows in batches:
             cycle_running = True
@@ -480,10 +507,12 @@ class TestResidentFrameFollowsStore:
             report, stats = pipeline.update()
             cycle_running = False
             assert stats.rows_scanned == stats.rows_total - stats.watermark_before
-            expected = full_report(pipeline.frame, *pipeline.analysis_config())
+            reference.extend(_batch_records(blocks, skip_rows))
+            expected = full_report(reference, *pipeline.analysis_config())
             assert_reports_identical(report, expected, exact_flows=False)
             cycles += 1
         assert cycles == 40
+        expected = full_report(pipeline.frame, *pipeline.analysis_config())
         assert_update_identical(report, pipeline, expected)
 
     @pytest.mark.parametrize("resident", [True, False], ids=["resident", "cold"])

@@ -4,9 +4,11 @@ The fixture is a pipeline directory whose ``checkpoint.snap`` and
 ``frames/cache/*.state`` entries were written by the last state-epoch-1
 commit (``tx_stats`` state = the packed transaction-id set).
 Old state is a clean miss: the snapshot loads as ``None`` (one full rescan),
-every entry fails the magic check and is overwritten under its own name —
-never decoded as the wrong shape, never a traceback — and the figures equal
-a from-scratch ``full_report`` of the rows.
+every entry fails the magic check — never decoded as the wrong shape, never
+a traceback — and is named by a chunk checksum, not by the store's key
+chain, so nothing looks it up: the rescan writes each chunk's entry under
+its chained name beside it.  The figures equal a from-scratch
+``full_report`` of the rows.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def test_update_over_old_state_equals_full_report(tmp_path):
     assert_reports_identical(report, expected, exact_flows=True)
 
 
-def test_old_cache_entries_miss_once_and_are_overwritten_in_place(tmp_path):
+def test_old_cache_entries_miss_once_and_new_ones_are_written_beside_them(tmp_path):
     root = copy_state_epoch1(tmp_path / "pipe")
     pipeline = Pipeline(root)
     oracle, clusterer = pipeline.analysis_config()
@@ -72,9 +74,10 @@ def test_old_cache_entries_miss_once_and_are_overwritten_in_place(tmp_path):
         assert (cache.hits, cache.misses) == (hits, misses)
         assert_reports_identical(report, expected, exact_flows=False)
     new = _cache_entries(root)
-    assert sorted(new) == sorted(old)  # same file names, no second generation
-    assert all(new[name] != old[name] for name in old)
-    assert all(decode_entry(blob) is not None for blob in new.values())
+    written = {name: blob for name, blob in new.items() if name not in old}
+    assert len(written) == STATE_EPOCH1_CHUNKS  # one generation, chained names
+    assert all(new[name] == old[name] for name in old)  # never read, never rewritten
+    assert all(decode_entry(blob) is not None for blob in written.values())
 
 
 def test_fsck_flags_the_old_snapshot_and_repair_leaves_an_updatable_directory(

@@ -11,6 +11,7 @@ chunks past its checkpoint.
 
 from __future__ import annotations
 
+import os
 import shutil
 
 import pytest
@@ -28,7 +29,6 @@ from repro.pipeline import (
     run_fsck,
     scenario_generators,
 )
-from repro.pipeline.checkpoint import PipelineCheckpoint
 from repro.scenarios import get_scenario
 
 from tests.support.reports import assert_reports_identical, assert_update_identical
@@ -412,21 +412,25 @@ class TestFallbacks:
     def test_watermark_off_a_chunk_boundary_discards_the_checkpoint(
         self, tmp_path, eos_records
     ):
-        """States over rows ``[0, w)`` with ``w`` inside a chunk cannot be
-        followed by whole chunks: the update folds from chunk zero."""
+        """States over rows ``[0, 2500)``, taken over chunks of 2,000 and 500
+        rows; a torn write then cost the 500-row chunk and the re-ingest cut
+        the rows into whole chunks.  The watermark now falls inside chunk 1
+        and the checkpoint's key names a chunk the store no longer has: the
+        update folds from chunk zero."""
         pipeline = Pipeline(str(tmp_path), chunk_rows=2_000)
-        pipeline.ingest_records(eos_records[:3_000])
+        pipeline.ingest_records(eos_records[:2_500])
         pipeline.update()
-        saved = pipeline.checkpoints.load()
-        pipeline.checkpoints.save(
-            PipelineCheckpoint(2_500, saved.states, saved.signatures)
-        )
-        pipeline.ingest_records(eos_records[3_000:])
+        torn = os.path.join(pipeline.frames_dir, "frame-chunk-000001.v3.bin")
+        with open(torn, "r+b") as handle:
+            handle.truncate(os.path.getsize(torn) // 2)
+        pipeline = Pipeline(str(tmp_path), chunk_rows=2_000)
+        assert pipeline.store.row_count == 2_000
+        pipeline.ingest_records(eos_records[2_000:])
         report, stats = pipeline.update()
         assert not stats.used_checkpoint and stats.watermark_before == 0
         assert not stats.chains_rescanned
-        # The first update's entries still fold: only the new chunks scan.
-        assert stats.rows_scanned == len(eos_records) - 3_000
+        # The first update's entry of chunk 0 still folds: only the new chunks scan.
+        assert stats.rows_scanned == len(eos_records) - 2_000
         expected = full_report(TxFrame.from_records(eos_records))
         assert_update_identical(report, pipeline, expected)
 

@@ -1,6 +1,7 @@
 """Golden accumulator state: no payload, key or signature moves unnoticed.
 
-A state-cache entry's *name* carries the chunk digest, the digest of every
+A state-cache entry's *name* carries the store's key of the chunk and
+every chunk before it (``FrameStore.prefix``), the digest of every
 accumulator's ``config_signature()``, the constant ``exact`` token and the
 chunk format; its *bytes* are the encoded ``export_state()`` payloads of the
 whole ``full_report`` accumulator set behind the entry magic.  Pinning both
@@ -11,7 +12,9 @@ rather than payloads of the wrong shape.  The names moved once since, when
 stores began writing v3 chunks: new chunk bytes and the ``v3`` format token
 give every entry a new name (one miss each), while the bytes stayed put —
 :data:`GOLDEN_STATE_BYTES_SHA256`, over the bytes alone, was recorded from
-the last v2-writing commit.  The report digests have never moved.
+the last v2-writing commit — and once more when the chunk checksum in the
+name gave way to the key chain, the bytes unmoved.  The report
+digests have never moved.
 
 Same hash-pinned child as ``tests/collection/test_generation_golden.py``,
 and for that test's reason only: generation forks its streams with
@@ -38,8 +41,9 @@ from tests.collection.test_generation_golden import GOLDEN_REPORT_SHA256, build
 #: ``categories`` echo in ``throughput_series``, ``xrp_decomposition`` keeps
 #: its histogram and only the two tallies the histogram cannot give), and
 #: the entry magic is ``RCS\x02``.  Entry names and the report did not move
-#: then; the v3 chunk format renamed the entries (was 4037bcd4…c22188d1a8aa).
-GOLDEN_STATES_SHA256 = "a237f7b1a4218414b9738f08f04d04acaaef6bcd3592c65089250214fb7c2de1"
+#: then; the v3 chunk format renamed the entries (was 4037bcd4…c22188d1a8aa),
+#: and so did the key chain (was a237f7b1…50214fb7c2de1).
+GOLDEN_STATES_SHA256 = "0f4ac8a3357539e04b2ff5b0d57d241929d3eeba3456e099c1140e2be09cdd27"
 
 #: The entries' bytes alone, in sorted order: what neither a chunk format nor
 #: a chunk rewrite may move.

@@ -203,7 +203,7 @@ CASES = {
     "FullReport": Case(FullReport, "FullReport(chains={})"),
     "EntryKey": Case(
         lambda: EntryKey("0000abcd", "cfg", "exact", "v2"),
-        "EntryKey(chunk_checksum='0000abcd', config='cfg', mode='exact', "
+        "EntryKey(prefix='0000abcd', config='cfg', mode='exact', "
         "chunk_format='v2')",
     ),
     "CacheContext": Case(

@@ -7,6 +7,11 @@ fault-free oracle, and the event log must be byte-reproducible.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.common.faults import FaultPlan
@@ -94,6 +99,64 @@ class TestFaultedSoak:
         assert result.retries == 0
         assert result.injected_fires == 0
         assert result.event_log == ""
+
+
+#: Crawl faults only: throttles with a ``Retry-After`` hint, outages and a
+#: head timeout.  Every fire records its simulated time, so a changed
+#: latency draw, backoff delay or endpoint rotation moves the event log.
+CRAWL_SPEC = (
+    "seed=11;"
+    "crawler.fetch:mode=rate_limit:every=40:times=3:retry_after=5;"
+    "crawler.fetch:mode=unavailable:p=0.01:times=5;"
+    "crawler.head:mode=timeout:nth=4"
+)
+
+#: sha-256 of ``SoakResult.event_log`` (the ``repro soak --events`` file is
+#: that log plus a newline: 94ca7368…a693ca10), recorded before the endpoint
+#: layer was collapsed onto one base class.
+CRAWL_EVENT_LOG_SHA256 = "b5ffcb749cc9ef5e325e0ce7b6b92c5baeca8facdb983a376b358f8920e57be9"
+
+_PINNED_SOAK = """
+import hashlib, json, sys
+from repro.common.faults import FaultPlan
+from repro.pipeline.soak import run_soak
+result = run_soak(sys.argv[1], days=4, scale="small", seed=7,
+                  plan=FaultPlan.parse(sys.argv[2]), oracle=False)
+print(json.dumps({
+    "event_log_sha256": hashlib.sha256(result.event_log.encode()).hexdigest(),
+    "retries": result.retries,
+    "rate_limit_hits": result.rate_limit_hits,
+    "injected_fires": result.injected_fires,
+    "rows_total": result.rows_total,
+}))
+"""
+
+
+def test_crawl_fault_schedule_is_pinned(tmp_path):
+    """The crawl's fault schedule, retries and rows match the pinned run.
+
+    The soak runs in a ``PYTHONHASHSEED=0`` child, as the generation golden
+    does: ``DeterministicRng.fork`` seeds child streams with ``hash()``.
+    """
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+    env.pop("REPRO_FAULTS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _PINNED_SOAK, str(tmp_path / "soak"), CRAWL_SPEC],
+        env=env,
+        capture_output=True,
+        check=True,
+        timeout=600,
+    )
+    assert json.loads(done.stdout) == {
+        "event_log_sha256": CRAWL_EVENT_LOG_SHA256,
+        "retries": 3,
+        "rate_limit_hits": 2,
+        "injected_fires": 4,
+        "rows_total": 10_309,
+    }
 
 
 class TestMemoryGate:

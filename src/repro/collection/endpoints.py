@@ -1,19 +1,34 @@
-"""Endpoint shortlisting and rotation.
+"""Simulated endpoints, endpoint shortlisting and rotation.
 
-The paper's EOS crawl starts from 32 officially advertised public endpoints
-and shortlists the 6 with "a generous rate limit with stable latency and
-throughput" (§3.1).  :func:`shortlist_endpoints` reproduces that selection by
-probing each endpoint; :class:`EndpointPool` then rotates between the
-shortlisted endpoints during the crawl, demoting endpoints that throttle or
-fail and promoting the healthiest ones.
+The paper crawls each chain through public endpoints (§3.1): 6 of 32
+advertised EOS endpoints, shortlisted for "a generous rate limit with stable
+latency and throughput", a self-hosted Tezos node and XRP's full-history
+API.  :class:`RpcEndpoint` is what every simulated endpoint shares — a
+profile, a token bucket, simulated outages and latency, and a method table
+— and each chain's ``rpc`` module adds only its handlers.
+:func:`shortlist_endpoints` reproduces the selection by probing each
+endpoint; :class:`EndpointPool` then rotates between the shortlisted
+endpoints during the crawl, demoting endpoints that throttle or fail and
+promoting the healthiest ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Sequence
 
-from repro.common.errors import CollectionError, RpcError
+from repro.common.errors import (
+    INTERNAL_ERROR,
+    METHOD_NOT_FOUND,
+    BlockNotFound,
+    ChainError,
+    CollectionError,
+    EndpointUnavailable,
+    RpcError,
+)
+from repro.common.ratelimit import TokenBucket
+from repro.common.records import BlockRecord
+from repro.common.rng import DeterministicRng
 
 
 class BlockEndpoint(Protocol):
@@ -33,6 +48,127 @@ class BlockEndpoint(Protocol):
 
     def latency(self) -> float:  # pragma: no cover
         ...
+
+
+@dataclass
+class EndpointProfile:
+    """Operational characteristics of one endpoint.
+
+    The paper shortlists 6 of 32 advertised EOS endpoints based on rate
+    limits, latency and stability; these knobs are what the crawler's
+    endpoint-selection logic ranks on.
+    """
+
+    name: str
+    requests_per_second: float = 10.0
+    burst: float = 20.0
+    base_latency: float = 0.05
+    failure_rate: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.requests_per_second <= 0:
+            raise ValueError("requests_per_second must be positive")
+        if not 0.0 <= self.failure_rate < 1.0:
+            raise ValueError("failure_rate must be within [0, 1)")
+
+
+Handler = Callable[[Mapping[str, Any]], Any]
+
+
+class RpcEndpoint:
+    """One simulated endpoint over a chain simulator.
+
+    A chain's endpoint names its head and block methods in class
+    attributes, answers the head method with ``_handle_head`` and may add
+    methods in ``_extra_handlers``; serving a block by height is the same
+    on every chain.
+    """
+
+    chain_name: str
+    #: Keyword arguments of the profile an endpoint gets when given none.
+    default_profile: Mapping[str, Any]
+    head_method: str
+    #: The head method's result field holding the head height.
+    head_field: str
+    block_method: str
+    #: The block method's parameter holding the requested height.
+    block_param: str
+
+    def __init__(
+        self,
+        chain: Any,
+        profile: Optional[EndpointProfile] = None,
+        rng: Optional[DeterministicRng] = None,
+    ) -> None:
+        self.chain = chain
+        self.profile = profile or EndpointProfile(**self.default_profile)
+        self.rng = rng or DeterministicRng(0)
+        self._bucket = TokenBucket(
+            rate=self.profile.requests_per_second, capacity=self.profile.burst
+        )
+        self._handlers: Dict[str, Handler] = {
+            self.head_method: self._handle_head,
+            self.block_method: self._handle_block,
+            **self._extra_handlers(),
+        }
+        self.requests_served = 0
+        self.requests_rejected = 0
+
+    @property
+    def name(self) -> str:
+        return self.profile.name
+
+    # -- protocol used by the crawler -------------------------------------------
+    def head_height(self, now: float) -> int:
+        """Current head height (the crawler's starting point)."""
+        return int(self.call(self.head_method, {}, now)[self.head_field])
+
+    def fetch_block(self, height: int, now: float) -> BlockRecord:
+        """Fetch one block and decode it into the canonical record."""
+        return BlockRecord.from_dict(self.call(self.block_method, {self.block_param: height}, now))
+
+    def latency(self) -> float:
+        """Simulated round-trip latency for one request."""
+        return self.profile.base_latency * (1.0 + 0.2 * self.rng.random())
+
+    # -- RPC plumbing --------------------------------------------------------------
+    def call(self, method: str, params: Mapping[str, Any], now: float) -> Any:
+        """Issue one call: rate limit, then simulated outage, then the handler.
+
+        A handler's :class:`RpcError` reaches the caller as raised (a
+        :class:`BlockNotFound` stays one); any other exception becomes an
+        ``INTERNAL_ERROR`` so an endpoint never leaks a traceback to the
+        crawler, as the real public endpoints behave.
+        """
+        self._bucket.acquire_or_raise(now)
+        if self.profile.failure_rate and self.rng.bernoulli(self.profile.failure_rate):
+            self.requests_rejected += 1
+            raise EndpointUnavailable(f"{self.name} transient failure")
+        self.requests_served += 1
+        handler = self._handlers.get(method)
+        if handler is None:
+            raise RpcError(METHOD_NOT_FOUND, f"unknown method {method!r}")
+        try:
+            return handler(params)
+        except RpcError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - endpoints must not leak tracebacks
+            raise RpcError(INTERNAL_ERROR, str(exc)) from exc
+
+    def _extra_handlers(self) -> Dict[str, Handler]:
+        """Methods beyond head and block (none unless a chain adds some)."""
+        return {}
+
+    def _handle_head(self, params: Mapping[str, Any]) -> Mapping[str, Any]:
+        raise NotImplementedError
+
+    def _handle_block(self, params: Mapping[str, Any]) -> Mapping[str, Any]:
+        height = int(params.get(self.block_param, -1))
+        try:
+            block = self.chain.block_at(height)
+        except ChainError as exc:
+            raise BlockNotFound(height) from exc
+        return block.to_dict()
 
 
 @dataclass
@@ -175,47 +311,6 @@ class EndpointPool:
         endpoint = usable[self._cursor % len(usable)]
         self._cursor += 1
         return endpoint
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-compatible rotation state: per-endpoint health plus cursor.
-
-        Persisted by the crawler checkpoint so a resumed crawl starts with
-        the same endpoint weighting it died with — in particular, an
-        endpoint that was throttling or failing when the crawl was
-        interrupted stays demoted instead of being hammered again.
-        """
-        return {
-            "cursor": self._cursor,
-            "health": {
-                name: [
-                    health.successes,
-                    health.failures,
-                    health.throttles,
-                    health.retry_after_until,
-                ]
-                for name, health in self._health.items()
-            },
-        }
-
-    def restore(self, health: Dict[str, Sequence[float]], cursor: int = 0) -> None:
-        """Apply a :meth:`snapshot`'s health counters and rotation cursor.
-
-        Endpoints named in the snapshot but no longer pooled are ignored;
-        endpoints new to the pool keep their fresh (healthy) state.
-        Three-element health lists (snapshots from before ``Retry-After``
-        holds were persisted) restore with no hold active.
-        """
-        for name, counts in health.items():
-            state = self._health.get(name)
-            if state is None:
-                continue
-            state.successes, state.failures, state.throttles = (
-                int(counts[0]),
-                int(counts[1]),
-                int(counts[2]),
-            )
-            state.retry_after_until = float(counts[3]) if len(counts) > 3 else 0.0
-        self._cursor = int(cursor)
 
     def record_success(self, endpoint: BlockEndpoint) -> None:
         self._health[endpoint.name].successes += 1

@@ -6,11 +6,9 @@ The common package provides the vocabulary the rest of the library speaks:
 * :mod:`repro.common.clock` — a deterministic simulation clock.
 * :mod:`repro.common.rng` — seeded random-number helpers (zipf, categorical,
   log-normal) used by the workload generators.
-* :mod:`repro.common.jsonrpc` — a minimal JSON-RPC 2.0 request/response
-  framing layer used by the simulated RPC endpoints.
 * :mod:`repro.common.ratelimit` — token-bucket rate limiting, used to model
   the public endpoints' rate limits.
-* :mod:`repro.common.retry` — retry/backoff policies for the crawler.
+* :mod:`repro.common.retry` — the crawler's exponential backoff policy.
 * :mod:`repro.common.compression` — gzip size accounting for the block store.
 * :mod:`repro.common.errors` — the exception hierarchy.
 """

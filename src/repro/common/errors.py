@@ -20,17 +20,9 @@ class ChainError(ReproError):
     """A chain simulator rejected an operation (invalid block, bad account...)."""
 
 
-class TransactionRejected(ChainError):
-    """A transaction failed validation and was not applied to chain state.
-
-    The simulators mirror the real chains' behaviour: some chains (XRP)
-    record rejected transactions on-ledger with an error code, while others
-    simply drop them.  ``code`` carries the chain-specific error identifier.
-    """
-
-    def __init__(self, code: str, message: str = ""):
-        super().__init__(f"{code}: {message}" if message else code)
-        self.code = code
+#: JSON-RPC error codes an endpoint answers with besides the HTTP-style ones.
+METHOD_NOT_FOUND = -32601
+INTERNAL_ERROR = -32603
 
 
 class RpcError(ReproError):

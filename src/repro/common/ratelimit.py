@@ -1,10 +1,10 @@
 """Token-bucket rate limiting.
 
 The paper shortlists 6 of 32 advertised EOS endpoints because only those had
-"a generous rate limit with stable latency and throughput".  The simulated
-endpoints therefore carry a configurable token-bucket limiter, and the
-crawler has to cope with ``RateLimitExceeded`` responses exactly as the real
-one did.
+"a generous rate limit with stable latency and throughput".  Every simulated
+endpoint therefore holds one :class:`TokenBucket` sized by its profile and
+answers a request that finds the bucket empty with ``RateLimitExceeded``,
+whose ``retry_after`` the crawler honours.
 """
 
 from __future__ import annotations
@@ -69,39 +69,3 @@ class TokenBucket:
             return
         deficit = tokens - self._tokens
         raise RateLimitExceeded(retry_after=deficit / self.rate)
-
-    def time_until_available(self, now: float, tokens: float = 1.0) -> float:
-        """Seconds until ``tokens`` could be acquired (0 if available now)."""
-        self._refill(now)
-        if self._tokens >= tokens:
-            return 0.0
-        return (tokens - self._tokens) / self.rate
-
-
-class SlidingWindowCounter:
-    """Count events within a trailing window of virtual time.
-
-    Used by the endpoint health model to expose a requests-per-window view,
-    which the crawler's endpoint shortlisting consults when ranking
-    endpoints by observed throughput.
-    """
-
-    def __init__(self, window_seconds: float):
-        if window_seconds <= 0:
-            raise ValueError("window must be positive")
-        self.window_seconds = float(window_seconds)
-        self._events: list = []
-
-    def record(self, now: float, count: int = 1) -> None:
-        """Record ``count`` events at virtual time ``now``."""
-        self._events.append((now, count))
-
-    def total(self, now: float) -> int:
-        """Events observed in the window ending at ``now``."""
-        cutoff = now - self.window_seconds
-        self._events = [(when, count) for when, count in self._events if when > cutoff]
-        return sum(count for _, count in self._events)
-
-    def rate(self, now: float) -> float:
-        """Events per second over the trailing window."""
-        return self.total(now) / self.window_seconds

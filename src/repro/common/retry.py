@@ -1,31 +1,15 @@
-"""Retry and backoff policies for the data-collection crawler.
+"""Backoff policy for the data-collection crawler.
 
 The crawler in the paper ran for weeks against rate-limited public
 endpoints; transient failures and throttling responses were routine.  The
-policy objects here are deliberately free of real ``time.sleep`` calls — the
-crawler advances a :class:`~repro.common.clock.SimulationClock` by the delay
-the policy returns, keeping everything deterministic and fast under test.
+policy here is deliberately free of real ``time.sleep`` calls — the crawler
+advances a :class:`~repro.common.clock.SimulationClock` by the delay the
+policy returns, keeping everything deterministic and fast under test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
-
-
-def _jitter_unit(seed: int, attempt: int) -> float:
-    """A deterministic value in ``[0, 1)`` mixed from ``(seed, attempt)``.
-
-    SplitMix64-style finalizer: cheap, stateless, and stable across
-    processes (unlike ``hash()``), so two crawlers with different
-    ``jitter_seed`` values decorrelate while each one's schedule is
-    byte-reproducible.
-    """
-    mixed = (seed * 0x9E3779B97F4A7C15 + attempt + 1) & 0xFFFFFFFFFFFFFFFF
-    mixed = ((mixed ^ (mixed >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    mixed = ((mixed ^ (mixed >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    mixed ^= mixed >> 31
-    return mixed / 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -33,19 +17,13 @@ class BackoffPolicy:
     """Exponential backoff with an upper bound.
 
     ``delay(attempt)`` returns the pause before retry number ``attempt``
-    (0-based).  Jitter is per-attempt and seeded — each attempt's delay is
-    stretched by a different fraction in ``[0, jitter_fraction]`` derived
-    deterministically from ``(jitter_seed, attempt)`` — so concurrent
-    fetches with distinct seeds decorrelate their retries instead of
-    hammering an endpoint in lockstep, while any one schedule stays
-    byte-reproducible.
+    (0-based): ``base_delay * multiplier ** attempt``, capped at
+    ``max_delay``.
     """
 
     base_delay: float = 0.5
     multiplier: float = 2.0
     max_delay: float = 30.0
-    jitter_fraction: float = 0.0
-    jitter_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.base_delay <= 0:
@@ -54,73 +32,9 @@ class BackoffPolicy:
             raise ValueError("multiplier must be >= 1")
         if self.max_delay < self.base_delay:
             raise ValueError("max_delay must be >= base_delay")
-        if not 0.0 <= self.jitter_fraction <= 1.0:
-            raise ValueError("jitter_fraction must be within [0, 1]")
 
     def delay(self, attempt: int) -> float:
         """Delay in seconds before retry ``attempt`` (0-based)."""
         if attempt < 0:
             raise ValueError("attempt must be non-negative")
-        raw = self.base_delay * (self.multiplier ** attempt)
-        bounded = min(raw, self.max_delay)
-        if self.jitter_fraction == 0.0:
-            return bounded
-        unit = _jitter_unit(self.jitter_seed, attempt)
-        return bounded * (1.0 + self.jitter_fraction * unit)
-
-    def delays(self, max_attempts: int) -> Iterator[float]:
-        """Yield the delay schedule for ``max_attempts`` retries."""
-        for attempt in range(max_attempts):
-            yield self.delay(attempt)
-
-
-@dataclass
-class RetryBudget:
-    """Tracks how many retries a single fetch may still consume.
-
-    The crawler gives each block fetch a bounded budget; when it is spent the
-    fetch is abandoned on the current endpoint and handed to the next one.
-    """
-
-    max_attempts: int = 5
-    attempts_used: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts <= 0:
-            raise ValueError("max_attempts must be positive")
-
-    @property
-    def exhausted(self) -> bool:
-        return self.attempts_used >= self.max_attempts
-
-    @property
-    def remaining(self) -> int:
-        return max(0, self.max_attempts - self.attempts_used)
-
-    def consume(self) -> int:
-        """Record one attempt; returns the attempt index just consumed."""
-        if self.exhausted:
-            raise RuntimeError("retry budget exhausted")
-        index = self.attempts_used
-        self.attempts_used += 1
-        return index
-
-    def reset(self) -> None:
-        self.attempts_used = 0
-
-
-def compute_retry_schedule(
-    policy: BackoffPolicy,
-    max_attempts: int,
-    retry_after_hint: Optional[float] = None,
-) -> list:
-    """Full delay schedule, honouring an endpoint's ``Retry-After`` hint.
-
-    When an endpoint tells the crawler how long to wait (HTTP 429 semantics),
-    the first delay is raised to at least that hint; subsequent delays follow
-    the exponential policy.
-    """
-    schedule = list(policy.delays(max_attempts))
-    if retry_after_hint is not None and schedule:
-        schedule[0] = max(schedule[0], float(retry_after_hint))
-    return schedule
+        return min(self.base_delay * (self.multiplier ** attempt), self.max_delay)

@@ -12,8 +12,10 @@ which are implemented here:
 * **Resource model** — CPU/NET staking, RAM purchase, and the network-wide
   congestion mode that the EIDOS airdrop triggered in November 2019
   (:mod:`repro.eos.resources`).
-* **RPC endpoints** — ``get_info`` / ``get_block`` with per-endpoint rate
-  limits (:mod:`repro.eos.rpc`).
+* **RPC endpoints** — the ``get_info`` answer and the ``get_block`` method
+  name (:mod:`repro.eos.rpc`); rate limits, latency and outages come from
+  the endpoint base every chain shares
+  (:class:`repro.collection.endpoints.RpcEndpoint`).
 * **Calibrated workload** — regenerates the traffic mix of Figures 1, 3a,
   4 and 5, including the WhaleEx wash trading and the EIDOS boomerang
   transactions (:mod:`repro.eos.workload`).

@@ -48,13 +48,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.report import FullReport
-from repro.collection.endpoints import EndpointPool
+from repro.collection.endpoints import EndpointPool, EndpointProfile
 from repro.common import faults
 from repro.common.clock import SECONDS_PER_DAY, SimulationClock
 from repro.common.errors import AnalysisError, ReproError
 from repro.common.records import ChainId
 from repro.common.rng import DeterministicRng
-from repro.eos.rpc import EndpointProfile, EosRpcEndpoint
+from repro.eos.rpc import EosRpcEndpoint
 from repro.pipeline.core import Pipeline
 from repro.pipeline.fsck import run_fsck
 from repro.pipeline.live import scenario_generators, stream_block_batches

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.common.clock import SimulationClock
-from repro.common.errors import CollectionError
+from repro.common.errors import ChainError, CollectionError
 from repro.common.rng import DeterministicRng
-from repro.collection.crawler import BlockCrawler, CrawlCheckpoint
-from repro.collection.endpoints import EndpointPool
+from repro.collection.crawler import BlockCrawler
+from repro.collection.endpoints import EndpointPool, EndpointProfile
 from repro.collection.store import FrameSink, FrameStore
 from repro.eos.actions import make_transfer
 from repro.eos.chain import EosChain, EosChainConfig, EosTransaction
 from repro.eos.contracts import TokenContract
-from repro.eos.rpc import EndpointProfile, EosRpcEndpoint
+from repro.eos.rpc import EosRpcEndpoint
 
 
 def build_chain(block_count=10, start_height=100):
@@ -74,14 +74,13 @@ class TestCrawlRange:
         with pytest.raises(CollectionError):
             crawler.crawl_range(highest=100, lowest=200)
 
-    def test_resume_from_checkpoint_skips_fetched_blocks(self):
+    def test_resume_skips_fetched_blocks(self):
         chain = build_chain(10)
         store = FrameSink(FrameStore())
         crawler = BlockCrawler(build_pool(chain), store)
         crawler.crawl_range(highest=109, lowest=105)
         requests_before = crawler.requests_issued
-        checkpoint = CrawlCheckpoint(next_height=109, lowest_target=100)
-        crawler.crawl_range(highest=109, lowest=100, checkpoint=checkpoint)
+        crawler.crawl_range(highest=109, lowest=100)
         assert stored_heights(store) == list(range(100, 110))
         # Already-stored blocks are skipped without extra requests.
         assert crawler.requests_issued - requests_before == 5
@@ -141,93 +140,50 @@ class TestCrawlWindow:
         assert report.blocks_fetched == 5
 
 
-class TestCheckpointPoolState:
-    """A resumed crawl keeps endpoint weighting and the spent retry budget."""
+def above_head(chain):
+    """A height the chain has not produced yet."""
+    return chain.head_height + 1
 
-    def test_checkpoint_carries_pool_health_and_cursor(self):
-        chain = build_chain(6)
-        crawler = new_crawler(build_pool(chain))
-        checkpoint = CrawlCheckpoint(next_height=105, lowest_target=100)
-        crawler.crawl_range(highest=105, lowest=100, checkpoint=checkpoint)
-        assert checkpoint.finished
-        assert checkpoint.pool_health is not None
-        total_successes = sum(
-            counts[0] for counts in checkpoint.pool_health.values()
-        )
-        assert total_successes == 6
-        assert checkpoint.inflight_attempts == 0
 
-    def test_checkpoint_round_trips_through_json(self):
-        checkpoint = CrawlCheckpoint(
-            next_height=42,
-            lowest_target=10,
-            pool_health={"e1": [3, 1, 2]},
-            pool_cursor=5,
-            inflight_attempts=2,
-        )
-        import json
+def refused_by_the_chain(chain):
+    """The head height, which the chain's lookup now refuses."""
 
-        restored = CrawlCheckpoint.from_dict(json.loads(json.dumps(checkpoint.to_dict())))
-        assert restored == checkpoint
+    def block_at(height):
+        raise ChainError(f"block {height} pruned")
 
-    def test_resumed_crawl_restores_endpoint_demotion(self):
-        """The endpoint that caused the interruption stays demoted on resume."""
-        chain = build_chain(6)
-        pool = build_pool(
-            chain,
-            profiles=[
-                EndpointProfile(name="bad", failure_rate=0.99),
-                EndpointProfile(name="good"),
-            ],
-        )
-        crawler = new_crawler(pool)
-        checkpoint = CrawlCheckpoint(next_height=105, lowest_target=103)
-        crawler.crawl_range(highest=105, lowest=103, checkpoint=checkpoint)
-        assert checkpoint.pool_health["bad"][1] > 0  # failures recorded
-        # "New process": a fresh pool + crawler resume from the persisted dict.
-        fresh_pool = build_pool(
-            chain,
-            profiles=[
-                EndpointProfile(name="bad", failure_rate=0.99),
-                EndpointProfile(name="good"),
-            ],
-        )
-        restored = CrawlCheckpoint.from_dict(checkpoint.to_dict())
-        resumed = new_crawler(fresh_pool)
-        resumed.crawl_range(highest=105, lowest=100, checkpoint=restored)
-        # The restored health must weight "bad" below "good" immediately:
-        # with the recorded failures its weight drops under the rotation
-        # threshold, so the resumed crawl prefers the good endpoint.
-        assert (
-            fresh_pool.health("bad").weight < fresh_pool.health("good").weight
-        )
+    chain.block_at = block_at
+    return chain.head_height
 
-    def test_inflight_retry_budget_not_refreshed_on_resume(self):
-        """A block that exhausted its budget is not hammered again."""
-        chain = build_chain(3, start_height=100)
-        crawler = new_crawler(build_pool(chain), max_attempts_per_block=4)
-        # Height 200 does not exist: fetching burns the whole budget and the
-        # checkpoint records the spent attempts along the way.
-        checkpoint = CrawlCheckpoint(next_height=200, lowest_target=200)
+
+class TestUnservedBlock:
+    """A height an endpoint does not serve is rotated past, never retried."""
+
+    @pytest.mark.parametrize("unserved", [above_head, refused_by_the_chain])
+    def test_gives_up_without_retries_or_backoff(self, unserved):
+        chain = build_chain(3)
+        height = unserved(chain)
+        clock = SimulationClock(0.0)
+        crawler = new_crawler(
+            build_pool(chain, profiles=[EndpointProfile(name="only")]),
+            max_attempts_per_block=3,
+            clock=clock,
+        )
         with pytest.raises(CollectionError):
-            crawler.fetch_block(200, checkpoint=checkpoint)
-        assert checkpoint.inflight_attempts == 4
-        # Resume in a "new process": the interrupted block's budget arrives
-        # already spent, so it is abandoned without issuing new requests.
-        fresh = new_crawler(build_pool(chain), max_attempts_per_block=4)
-        restored = CrawlCheckpoint.from_dict(checkpoint.to_dict())
-        report = fresh.crawl_range(highest=200, lowest=200, checkpoint=restored)
-        assert report.failed_blocks == [200]
-        assert fresh.requests_issued == 0
+            crawler.fetch_block(height)
+        assert crawler.requests_issued == 3
+        assert crawler.retries == 0
+        assert clock.now == 0.0
 
-    def test_partially_spent_budget_resumes_with_remainder(self):
-        chain = build_chain(3, start_height=100)
-        fresh = new_crawler(build_pool(chain), max_attempts_per_block=5)
-        checkpoint = CrawlCheckpoint(
-            next_height=102, lowest_target=100, inflight_attempts=3
+    def test_block_arrives_from_the_endpoint_that_serves_it(self):
+        short, full = build_chain(3), build_chain(10)
+        pool = EndpointPool(
+            [
+                EosRpcEndpoint(short, profile=EndpointProfile(name="short")),
+                EosRpcEndpoint(full, profile=EndpointProfile(name="full")),
+            ]
         )
-        report = fresh.crawl_range(highest=102, lowest=100, checkpoint=checkpoint)
-        # Height 102 exists, so the first (remaining) attempt succeeds and
-        # the rest of the range crawls normally with full budgets.
-        assert report.complete
-        assert stored_heights(fresh.store) == [100, 101, 102]
+        crawler = new_crawler(pool, max_attempts_per_block=3)
+        block = crawler.fetch_block(108)
+        assert block.height == 108
+        assert crawler.retries == 0
+        assert pool.health("short").failures > 0

@@ -6,16 +6,24 @@ interface the crawler uses.
 
 import pytest
 
-from repro.common.errors import CollectionError, RateLimitExceeded, RpcError
-from repro.common.jsonrpc import INTERNAL_ERROR
+from repro.common.errors import (
+    INTERNAL_ERROR,
+    METHOD_NOT_FOUND,
+    BlockNotFound,
+    CollectionError,
+    EndpointUnavailable,
+    RateLimitExceeded,
+    RpcError,
+)
 from repro.common.rng import DeterministicRng
 from repro.collection.endpoints import (
     EndpointPool,
+    EndpointProfile,
     probe_endpoint,
     shortlist_endpoints,
 )
 from repro.eos.chain import EosChain
-from repro.eos.rpc import EndpointProfile, EosRpcEndpoint
+from repro.eos.rpc import EosRpcEndpoint
 from repro.tezos.chain import TezosChain
 from repro.tezos.baking import ROLL_SIZE_XTZ
 from repro.tezos.rpc import TezosRpcEndpoint
@@ -139,45 +147,30 @@ class TestEndpointPool:
         pool.record_throttle(endpoints[0], retry_after=60.0, now=0.0)
         assert pool.next_endpoint().name == "held"
 
-    def test_retry_after_survives_snapshot_roundtrip(self):
-        endpoints = [make_eos_endpoint("held"), make_eos_endpoint("free")]
-        pool = EndpointPool(endpoints)
-        pool.record_throttle(endpoints[0], retry_after=45.0, now=5.0)
-        state = pool.snapshot()
-        restored = EndpointPool([make_eos_endpoint("held"), make_eos_endpoint("free")])
-        restored.restore(state["health"], state["cursor"])
-        assert restored.health("held").retry_after_until == 50.0
-        picks = {restored.next_endpoint(now=20.0).name for _ in range(6)}
-        assert picks == {"free"}
 
-    def test_restore_accepts_legacy_three_element_health(self):
-        pool = EndpointPool([make_eos_endpoint("one")])
-        pool.restore({"one": [3, 1, 2]}, 0)
-        health = pool.health("one")
-        assert (health.successes, health.failures, health.throttles) == (3, 1, 2)
-        assert health.retry_after_until == 0.0
-
-
-def _eos_served():
+def _eos_served(profile=None):
     chain = EosChain()
-    return chain, EosRpcEndpoint(chain), lambda: chain.produce_block([])
+    return chain, EosRpcEndpoint(chain, profile), lambda: chain.produce_block([])
 
 
-def _tezos_served():
+def _tezos_served(profile=None):
     chain = TezosChain()
     chain.accounts.create_implicit(balance=5 * ROLL_SIZE_XTZ)
-    return chain, TezosRpcEndpoint(chain), lambda: chain.bake_block([])
+    return chain, TezosRpcEndpoint(chain, profile), lambda: chain.bake_block([])
 
 
-def _xrp_served():
+def _xrp_served(profile=None):
     ledger = XrpLedger()
-    return ledger, XrpRpcEndpoint(ledger), lambda: ledger.close_ledger([])
+    return ledger, XrpRpcEndpoint(ledger, profile), lambda: ledger.close_ledger([])
+
+
+SERVED = [_eos_served, _tezos_served, _xrp_served]
 
 
 class TestBlockLookupErrors:
     """Only a chain's own refusal is a 404; a bug in the lookup is not."""
 
-    @pytest.mark.parametrize("served", [_eos_served, _tezos_served, _xrp_served])
+    @pytest.mark.parametrize("served", SERVED)
     def test_unproduced_and_pruned_are_not_found_a_bug_is_internal(self, served, monkeypatch):
         chain, endpoint, produce = served()
         first = produce().height
@@ -199,6 +192,53 @@ class TestBlockLookupErrors:
             endpoint.fetch_block(head, 0.0)
         assert bug.value.code == INTERNAL_ERROR
         assert "list indices" in bug.value.message
+
+
+class TestEndpointContract:
+    """Every chain's endpoint answers through the same call path."""
+
+    @pytest.mark.parametrize("served", SERVED)
+    def test_unknown_method_is_method_not_found(self, served):
+        _, endpoint, _ = served()
+        with pytest.raises(RpcError) as unknown:
+            endpoint.call("no_such_method", {}, 0.0)
+        assert unknown.value.code == METHOD_NOT_FOUND
+        assert "no_such_method" in unknown.value.message
+
+    @pytest.mark.parametrize("served", SERVED)
+    def test_block_not_found_reaches_the_caller_as_raised(self, served):
+        _, endpoint, produce = served()
+        head = produce().height
+        with pytest.raises(BlockNotFound) as missing:
+            endpoint.fetch_block(head + 1, 0.0)
+        assert missing.value.height == head + 1
+
+    @pytest.mark.parametrize("served", SERVED)
+    def test_a_non_rpc_exception_is_internal_error(self, served, monkeypatch):
+        chain, endpoint, _ = served()
+
+        def broken():
+            raise ValueError("head index out of range")
+
+        monkeypatch.setattr(chain, "head", broken)
+        with pytest.raises(RpcError) as bug:
+            endpoint.head_height(0.0)
+        assert bug.value.code == INTERNAL_ERROR
+        assert bug.value.message == "head index out of range"
+
+    @pytest.mark.parametrize("served", SERVED)
+    def test_requests_served_and_rejected_are_counted(self, served):
+        _, endpoint, produce = served()
+        head = produce().height
+        endpoint.head_height(0.0)
+        endpoint.fetch_block(head, 0.0)
+        with pytest.raises(BlockNotFound):
+            endpoint.fetch_block(head + 1, 0.0)
+        assert (endpoint.requests_served, endpoint.requests_rejected) == (3, 0)
+        _, down, _ = served(EndpointProfile(name="down", failure_rate=0.999))
+        with pytest.raises(EndpointUnavailable):
+            down.head_height(0.0)
+        assert (down.requests_served, down.requests_rejected) == (0, 1)
 
 
 class TestChainEndpoints:

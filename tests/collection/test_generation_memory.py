@@ -19,9 +19,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.collection.endpoints import EndpointProfile
 from repro.collection.store import FrameStore
 from repro.common.columns import TxFrame
-from repro.eos.rpc import EndpointProfile, EosRpcEndpoint
+from repro.eos.rpc import EosRpcEndpoint
 from repro.pipeline import Pipeline, pending_batches, stream_block_batches
 from repro.pipeline.live import scenario_generators
 from repro.scenarios import get_scenario

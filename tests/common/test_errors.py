@@ -12,7 +12,6 @@ from repro.common.errors import (
     RateLimitExceeded,
     ReproError,
     RpcError,
-    TransactionRejected,
 )
 
 
@@ -22,7 +21,6 @@ class TestHierarchy:
         [
             ConfigurationError,
             ChainError,
-            TransactionRejected,
             RpcError,
             RateLimitExceeded,
             EndpointUnavailable,
@@ -32,9 +30,7 @@ class TestHierarchy:
         ],
     )
     def test_everything_derives_from_repro_error(self, exception_type):
-        if exception_type is TransactionRejected:
-            instance = exception_type("tecDUMMY")
-        elif exception_type is RpcError:
+        if exception_type is RpcError:
             instance = exception_type(500, "boom")
         elif exception_type is BlockNotFound:
             instance = exception_type(42)
@@ -60,11 +56,6 @@ class TestHierarchy:
         error = BlockNotFound(1234)
         assert error.height == 1234
         assert error.code == 404
-
-    def test_transaction_rejected_keeps_code(self):
-        error = TransactionRejected("tecPATH_DRY", "no path")
-        assert error.code == "tecPATH_DRY"
-        assert "no path" in str(error)
 
     def test_catching_repro_error_covers_chain_and_rpc_failures(self):
         for raiser in (lambda: (_ for _ in ()).throw(ChainError("x")),):

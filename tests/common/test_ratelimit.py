@@ -1,9 +1,9 @@
-"""Tests for token-bucket rate limiting and the sliding-window counter."""
+"""Tests for token-bucket rate limiting."""
 
 import pytest
 
 from repro.common.errors import RateLimitExceeded
-from repro.common.ratelimit import SlidingWindowCounter, TokenBucket
+from repro.common.ratelimit import TokenBucket
 
 
 class TestTokenBucket:
@@ -26,8 +26,8 @@ class TestTokenBucket:
         bucket = TokenBucket(rate=10.0, capacity=3.0)
         bucket.try_acquire(0.0)
         # A long idle period must not overfill the bucket.
-        assert bucket.time_until_available(100.0, tokens=3.0) == 0.0
-        assert bucket.time_until_available(100.0, tokens=4.0) > 0.0
+        assert not bucket.try_acquire(100.0, tokens=4.0)
+        assert bucket.try_acquire(100.0, tokens=3.0)
 
     def test_acquire_or_raise_reports_retry_after(self):
         bucket = TokenBucket(rate=1.0, capacity=1.0)
@@ -56,26 +56,3 @@ class TestTokenBucket:
         # An earlier timestamp should not crash or mint extra tokens.
         assert bucket.try_acquire(5.0)
         assert not bucket.try_acquire(5.0)
-
-
-class TestSlidingWindowCounter:
-    def test_counts_within_window(self):
-        counter = SlidingWindowCounter(window_seconds=10.0)
-        counter.record(0.0, 3)
-        counter.record(5.0, 2)
-        assert counter.total(9.0) == 5
-
-    def test_expires_old_events(self):
-        counter = SlidingWindowCounter(window_seconds=10.0)
-        counter.record(0.0, 3)
-        counter.record(8.0, 1)
-        assert counter.total(15.0) == 1
-
-    def test_rate(self):
-        counter = SlidingWindowCounter(window_seconds=4.0)
-        counter.record(0.0, 8)
-        assert counter.rate(1.0) == pytest.approx(2.0)
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            SlidingWindowCounter(window_seconds=0.0)

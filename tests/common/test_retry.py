@@ -1,8 +1,8 @@
-"""Tests for retry/backoff policies."""
+"""Tests for the crawler's backoff policy."""
 
 import pytest
 
-from repro.common.retry import BackoffPolicy, RetryBudget, compute_retry_schedule
+from repro.common.retry import BackoffPolicy
 
 
 class TestBackoffPolicy:
@@ -16,45 +16,6 @@ class TestBackoffPolicy:
         policy = BackoffPolicy(base_delay=1.0, multiplier=10.0, max_delay=5.0)
         assert policy.delay(3) == 5.0
 
-    def test_jitter_stretches_delay_within_fraction(self):
-        policy = BackoffPolicy(base_delay=1.0, multiplier=2.0, jitter_fraction=0.5)
-        for attempt in range(6):
-            base = BackoffPolicy(base_delay=1.0, multiplier=2.0).delay(attempt)
-            jittered = policy.delay(attempt)
-            assert base <= jittered < base * 1.5
-
-    def test_jitter_is_per_attempt(self):
-        policy = BackoffPolicy(base_delay=1.0, multiplier=1.0, jitter_fraction=0.5)
-        # With a flat base schedule, distinct per-attempt jitter is the only
-        # thing that can differentiate the delays.
-        stretch = {policy.delay(attempt) / 1.0 for attempt in range(8)}
-        assert len(stretch) > 1
-
-    def test_jitter_is_deterministic_per_seed(self):
-        one = BackoffPolicy(base_delay=1.0, jitter_fraction=0.5, jitter_seed=7)
-        two = BackoffPolicy(base_delay=1.0, jitter_fraction=0.5, jitter_seed=7)
-        assert [one.delay(a) for a in range(5)] == [two.delay(a) for a in range(5)]
-
-    def test_jitter_seeds_decorrelate(self):
-        schedules = [
-            tuple(
-                BackoffPolicy(
-                    base_delay=1.0, jitter_fraction=0.5, jitter_seed=seed
-                ).delay(attempt)
-                for attempt in range(5)
-            )
-            for seed in range(4)
-        ]
-        assert len(set(schedules)) == len(schedules)
-
-    def test_zero_jitter_is_exact(self):
-        policy = BackoffPolicy(base_delay=1.0, multiplier=2.0, jitter_fraction=0.0)
-        assert policy.delay(2) == 4.0
-
-    def test_delays_schedule_length(self):
-        policy = BackoffPolicy()
-        assert len(list(policy.delays(4))) == 4
-
     def test_negative_attempt_rejected(self):
         with pytest.raises(ValueError):
             BackoffPolicy().delay(-1)
@@ -65,46 +26,8 @@ class TestBackoffPolicy:
             {"base_delay": 0.0},
             {"multiplier": 0.5},
             {"base_delay": 10.0, "max_delay": 1.0},
-            {"jitter_fraction": 1.5},
         ],
     )
     def test_invalid_configuration(self, kwargs):
         with pytest.raises(ValueError):
             BackoffPolicy(**kwargs)
-
-
-class TestRetryBudget:
-    def test_consume_until_exhausted(self):
-        budget = RetryBudget(max_attempts=3)
-        assert [budget.consume() for _ in range(3)] == [0, 1, 2]
-        assert budget.exhausted
-        assert budget.remaining == 0
-        with pytest.raises(RuntimeError):
-            budget.consume()
-
-    def test_reset(self):
-        budget = RetryBudget(max_attempts=2)
-        budget.consume()
-        budget.reset()
-        assert budget.remaining == 2
-
-    def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            RetryBudget(max_attempts=0)
-
-
-class TestRetrySchedule:
-    def test_honours_retry_after_hint(self):
-        policy = BackoffPolicy(base_delay=0.5)
-        schedule = compute_retry_schedule(policy, 3, retry_after_hint=4.0)
-        assert schedule[0] == 4.0
-        assert schedule[1] == policy.delay(1)
-
-    def test_hint_ignored_when_smaller(self):
-        policy = BackoffPolicy(base_delay=2.0)
-        schedule = compute_retry_schedule(policy, 2, retry_after_hint=0.1)
-        assert schedule[0] == 2.0
-
-    def test_no_hint(self):
-        policy = BackoffPolicy(base_delay=1.0)
-        assert compute_retry_schedule(policy, 2) == [policy.delay(0), policy.delay(1)]

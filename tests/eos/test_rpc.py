@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.collection.endpoints import EndpointProfile
 from repro.common.errors import EndpointUnavailable, RateLimitExceeded, RpcError
 from repro.eos.chain import EosChain, EosTransaction
 from repro.eos.actions import make_transfer
 from repro.eos.contracts import TokenContract
-from repro.eos.rpc import EndpointProfile, EosRpcEndpoint
+from repro.eos.rpc import EosRpcEndpoint
 
 
 @pytest.fixture

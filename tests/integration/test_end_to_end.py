@@ -13,12 +13,12 @@ from repro.common.records import ChainId, iter_transactions
 from repro.common.rng import DeterministicRng
 from repro.collection.crawler import BlockCrawler
 from repro.collection.dataset import characterize_dataset
-from repro.collection.endpoints import EndpointPool, shortlist_endpoints
+from repro.collection.endpoints import EndpointPool, EndpointProfile, shortlist_endpoints
 from repro.collection.store import FrameSink, FrameStore
 from repro.analysis.classify import category_distribution, tezos_category_distribution
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle, XrpValueAnalyzer
-from repro.eos.rpc import EndpointProfile, EosRpcEndpoint
+from repro.eos.rpc import EosRpcEndpoint
 from repro.eos.workload import EosWorkloadConfig, EosWorkloadGenerator
 from repro.scenarios import small_scenario
 from repro.tezos.rpc import TezosRpcEndpoint

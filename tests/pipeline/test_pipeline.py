@@ -20,14 +20,14 @@ from repro.analysis.clustering import AccountClusterer, StaticAccountClusterer
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
 from repro.collection import chunkformat
-from repro.collection.endpoints import EndpointPool
+from repro.collection.endpoints import EndpointPool, EndpointProfile
 from repro.collection.store import FrameStore
 from repro.common import faults
 from repro.common.columns import NUMERIC_TYPECODES, TxFrame
 from repro.common.errors import CollectionError
 from repro.common.records import ChainId
 from repro.common.rng import DeterministicRng
-from repro.eos.rpc import EndpointProfile, EosRpcEndpoint
+from repro.eos.rpc import EosRpcEndpoint
 from repro.pipeline import (
     Pipeline,
     frozen_analysis_config,

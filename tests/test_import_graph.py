@@ -240,6 +240,34 @@ def test_analysis_and_store_sources_import_no_simulator():
     assert offenders == []
 
 
+def test_no_chain_package_imports_another():
+    """A chain package is one chain: what two chains share lives outside
+    all three (``repro.common``, ``repro.collection``), never in one of them.
+
+    Every import counts, at module level, in a function or under ``if
+    TYPE_CHECKING:``; a relative import stays inside its own package."""
+    offenders = []
+    for package in CHAIN_PACKAGES:
+        root = os.path.join(SRC, *package.split("."))
+        for path in sorted(glob.glob(os.path.join(root, "**", "*.py"), recursive=True)):
+            with open(path, "r", encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                    targets = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                offenders += [
+                    f"{os.path.relpath(path, SRC)}:{node.lineno} imports {target}"
+                    for target in targets
+                    for other in CHAIN_PACKAGES
+                    if other != package and (target == other or target.startswith(other + "."))
+                ]
+    assert offenders == []
+
+
 def test_no_source_imports_numpy_at_module_level():
     """Static twin of the all-hit rule: numpy is imported by the function that
     scans, decodes or encodes rows, at the call — never when a module loads."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common import faults
 from repro.common.clock import SimulationClock
 from repro.common.errors import ChainError, CollectionError
 from repro.common.rng import DeterministicRng
@@ -187,3 +188,62 @@ class TestUnservedBlock:
         assert block.height == 108
         assert crawler.retries == 0
         assert pool.health("short").failures > 0
+
+
+def one_endpoint_crawler(chain, clock):
+    """A crawler over one fault-free endpoint (rng seed 0) with the default backoff."""
+    return new_crawler(
+        build_pool(chain, profiles=[EndpointProfile(name="only")]),
+        max_attempts_per_block=3,
+        clock=clock,
+    )
+
+
+def first_latency():
+    """The latency the seed-0 endpoint draws for its first request."""
+    base_latency = EndpointProfile(name="only").base_latency
+    return base_latency * (1.0 + 0.2 * DeterministicRng(0).random())
+
+
+def fetch_under(spec, height=105):
+    """Fetch ``height`` under the fault plan ``spec``; return the crawler."""
+    chain = build_chain(10)
+    crawler = one_endpoint_crawler(chain, SimulationClock(0.0))
+    with faults.use_plan(faults.FaultPlan.parse(spec)):
+        block = crawler.fetch_block(height)
+    assert block.height == height
+    return crawler
+
+
+class TestRetrySchedule:
+    """A throttle waits ``max(backoff, Retry-After)``; a failure waits the backoff."""
+
+    def test_honours_retry_after_hint(self):
+        crawler = fetch_under("crawler.fetch:mode=rate_limit:nth=1:retry_after=4")
+        assert (crawler.retries, crawler.rate_limit_hits) == (1, 1)
+        assert crawler.clock.now == pytest.approx(4.0 + first_latency())
+
+    def test_hint_ignored_when_smaller(self):
+        crawler = fetch_under("crawler.fetch:mode=rate_limit:nth=1:retry_after=0.05")
+        assert crawler.clock.now == pytest.approx(crawler.backoff.delay(0) + first_latency())
+
+    def test_no_hint(self):
+        crawler = fetch_under("crawler.fetch:mode=rate_limit:nth=1:retry_after=0")
+        assert crawler.clock.now == pytest.approx(crawler.backoff.delay(0) + first_latency())
+
+    def test_transient_failure_costs_a_retry_and_backoff(self):
+        crawler = fetch_under("crawler.fetch:mode=unavailable:nth=1")
+        assert (crawler.retries, crawler.rate_limit_hits) == (1, 0)
+        assert crawler.clock.now == pytest.approx(crawler.backoff.delay(0) + first_latency())
+
+    def test_exhausted_attempts_back_off_exponentially(self):
+        chain = build_chain(10)
+        clock = SimulationClock(0.0)
+        crawler = one_endpoint_crawler(chain, clock)
+        plan = faults.FaultPlan.parse("crawler.fetch:mode=unavailable:every=1")
+        with faults.use_plan(plan), pytest.raises(CollectionError):
+            crawler.fetch_block(105)
+        assert (crawler.requests_issued, crawler.retries) == (3, 3)
+        # 0.2 + 0.4 + 0.8 under the default policy, and no latency: nothing arrived.
+        assert clock.now == pytest.approx(sum(crawler.backoff.delay(n) for n in range(3)))
+        assert clock.now == pytest.approx(1.4)

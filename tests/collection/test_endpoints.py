@@ -15,6 +15,7 @@ from repro.common.errors import (
     RateLimitExceeded,
     RpcError,
 )
+from repro.common.records import BlockRecord
 from repro.common.rng import DeterministicRng
 from repro.collection.endpoints import (
     EndpointPool,
@@ -148,20 +149,20 @@ class TestEndpointPool:
         assert pool.next_endpoint().name == "held"
 
 
-def _eos_served(profile=None):
+def _eos_served(profile=None, rng=None):
     chain = EosChain()
-    return chain, EosRpcEndpoint(chain, profile), lambda: chain.produce_block([])
+    return chain, EosRpcEndpoint(chain, profile, rng), lambda: chain.produce_block([])
 
 
-def _tezos_served(profile=None):
+def _tezos_served(profile=None, rng=None):
     chain = TezosChain()
     chain.accounts.create_implicit(balance=5 * ROLL_SIZE_XTZ)
-    return chain, TezosRpcEndpoint(chain, profile), lambda: chain.bake_block([])
+    return chain, TezosRpcEndpoint(chain, profile, rng), lambda: chain.bake_block([])
 
 
-def _xrp_served(profile=None):
+def _xrp_served(profile=None, rng=None):
     ledger = XrpLedger()
-    return ledger, XrpRpcEndpoint(ledger, profile), lambda: ledger.close_ledger([])
+    return ledger, XrpRpcEndpoint(ledger, profile, rng), lambda: ledger.close_ledger([])
 
 
 SERVED = [_eos_served, _tezos_served, _xrp_served]
@@ -239,6 +240,69 @@ class TestEndpointContract:
         with pytest.raises(EndpointUnavailable):
             down.head_height(0.0)
         assert (down.requests_served, down.requests_rejected) == (0, 1)
+
+    @pytest.mark.parametrize("served", SERVED)
+    def test_registered_method_dispatches_to_its_handler(self, served):
+        _, endpoint, produce = served()
+        head = produce().height
+        result = endpoint.call(endpoint.head_method, {}, 0.0)
+        assert result[endpoint.head_field] == head
+
+    @pytest.mark.parametrize("served", SERVED)
+    def test_rpc_error_code_preserved(self, served, monkeypatch):
+        chain, endpoint, produce = served()
+        head = produce().height
+        raised = RpcError(418, "refused by the handler")
+
+        def refusing(height):
+            raise raised
+
+        monkeypatch.setattr(chain, "block_at", refusing)
+        with pytest.raises(RpcError) as refused:
+            endpoint.fetch_block(head, 0.0)
+        assert refused.value is raised
+        assert refused.value.code == 418
+
+    @pytest.mark.parametrize("served", SERVED)
+    def test_fetch_block_decodes_the_served_block(self, served):
+        chain, endpoint, produce = served()
+        head = produce().height
+        expected = BlockRecord.from_dict(chain.block_at(head).to_dict())
+        assert endpoint.fetch_block(head, 0.0) == expected
+
+    @pytest.mark.parametrize("served", SERVED)
+    def test_rate_limit_is_checked_before_the_outage_draw(self, served):
+        profile = EndpointProfile(
+            name="tight", requests_per_second=1.0, burst=1.0, failure_rate=0.5
+        )
+        _, endpoint, _ = served(profile, DeterministicRng(3))
+        reference = DeterministicRng(3)
+        try:
+            endpoint.head_height(0.0)
+        except EndpointUnavailable:
+            pass
+        reference.random()  # the first call's outage draw
+        with pytest.raises(RateLimitExceeded):
+            endpoint.head_height(0.0)
+        # A throttled call draws nothing and counts as neither served nor rejected.
+        assert endpoint.requests_served + endpoint.requests_rejected == 1
+        assert endpoint.rng.random() == reference.random()
+
+    @pytest.mark.parametrize("served", SERVED)
+    def test_no_outage_draw_when_failure_rate_is_zero(self, served):
+        _, endpoint, produce = served(EndpointProfile(name="steady"), DeterministicRng(5))
+        head = produce().height
+        endpoint.head_height(0.0)
+        endpoint.fetch_block(head, 0.0)
+        assert endpoint.rng.random() == DeterministicRng(5).random()
+
+    @pytest.mark.parametrize("served", SERVED)
+    def test_latency_makes_one_draw(self, served):
+        profile = EndpointProfile(name="timed", base_latency=0.1)
+        _, endpoint, _ = served(profile, DeterministicRng(9))
+        reference = DeterministicRng(9)
+        expected = [0.1 * (1.0 + 0.2 * reference.random()) for _ in range(2)]
+        assert [endpoint.latency(), endpoint.latency()] == expected
 
 
 class TestChainEndpoints:

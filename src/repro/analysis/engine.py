@@ -103,7 +103,6 @@ The surrounding contract has three legs:
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.columns import (
@@ -115,6 +114,7 @@ from repro.common.columns import (
     gather_np,
     view_of,
 )
+from repro.common.digest import sha256
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
 from repro.analysis.containers import IdRuns
@@ -139,7 +139,7 @@ def config_digest(items: Any) -> str:
     if isinstance(items, dict):
         items = sorted(items.items())
     payload = repr(items).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()[:16]
+    return sha256(payload).hexdigest()[:16]
 
 
 def scan_blocks(rows: RowIndices, block_rows: int) -> Iterator[RowIndices]:

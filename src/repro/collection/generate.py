@@ -34,7 +34,6 @@ single generated row, because the window configs fully determine content.
 from __future__ import annotations
 
 import datetime
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -220,6 +219,8 @@ def generate_sharded(
             index, meta = _generate_shard(task)
             metas[index] = meta
     else:
+        import multiprocessing  # only a pooled build pays for it
+
         context = multiprocessing.get_context()
         with context.Pool(processes=min(workers, len(tasks))) as pool:
             for index, meta in pool.imap_unordered(_generate_shard, tasks):

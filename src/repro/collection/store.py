@@ -64,7 +64,6 @@ in place behind the same atomic-manifest commit point.
 from __future__ import annotations
 
 import glob
-import hashlib
 import json
 import os
 import zlib
@@ -76,6 +75,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.common import faults
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, LazyMetadata, TxFrame
 from repro.common.compression import CompressionStats, accumulate, decompress_json
+from repro.common.digest import blake2b
 from repro.common.errors import CollectionError
 from repro.common.records import BlockRecord, TransactionRecord
 
@@ -205,7 +205,7 @@ def chain_link(prefix: str, blob: bytes, fmt: str, size: int) -> str:
     if fmt == CHUNK_FORMAT_V1:
         head = fmt.encode() + (zlib.adler32(blob) & 0xFFFFFFFF).to_bytes(4, "big")
     material = bytes.fromhex(prefix) + head + size.to_bytes(8, "big")
-    return hashlib.blake2b(material, digest_size=8).hexdigest()
+    return blake2b(material, digest_size=8).hexdigest()
 
 
 def _decode_chunk_blob(blob: bytes, chunk_id: int) -> Dict:

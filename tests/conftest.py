@@ -17,7 +17,7 @@ from repro.tezos.workload import TezosWorkloadGenerator
 from repro.xrp.workload import XrpWorkloadGenerator
 
 from tests.fixtures import copy_v1_store, copy_v2_store
-from tests.support import run_child
+from tests.support import ColdChild, run_main
 
 
 @pytest.fixture(scope="session")
@@ -90,16 +90,23 @@ def v2_store_dir(tmp_path):
 
 
 @pytest.fixture(scope="session")
-def live_tail_cache(tmp_path_factory):
+def live_tail_build(tmp_path_factory):
     """A ``--cache`` root holding ``live_tail`` seed 7, built by a cold CLI child.
+
+    The child's ``sys.modules`` rides along, so the import-graph checks of
+    a cold build cost no second build.
+    """
+    root = str(tmp_path_factory.mktemp("live-tail-cache"))
+    modules, stderr = run_main(["report", "--scale", "live_tail", "--cache", root, "--json"])
+    assert "(generated in" in stderr
+    return ColdChild(root, modules)
+
+
+@pytest.fixture(scope="session")
+def live_tail_cache(live_tail_build):
+    """The ``--cache`` root of :func:`live_tail_build`.
 
     The warm-path tests (import graph, per-command smoke) run children over
     it; they may add chunk-state cache entries but must not rewrite the store.
     """
-    root = str(tmp_path_factory.mktemp("live-tail-cache"))
-    built = run_child(
-        ["-m", "repro", "report", "--scale", "live_tail", "--cache", root, "--json"]
-    )
-    assert built.returncode == 0, built.stderr
-    assert "(generated in" in built.stderr
-    return root
+    return live_tail_build.path

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
-from typing import Sequence
+from typing import List, NamedTuple, Sequence, Tuple
 
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src"
@@ -32,3 +33,28 @@ def run_child(argv: Sequence[str], timeout: float = 120) -> subprocess.Completed
         text=True,
         timeout=timeout,
     )
+
+
+_MAIN_CHILD = """
+import io, json, sys
+from repro.cli import main
+code = main({argv!r}, out=io.StringIO())
+print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
+"""
+
+
+def run_main(argv: List[str]) -> Tuple[List[str], str]:
+    """``sys.modules`` of a fresh interpreter after ``repro.cli.main(argv)``,
+    and what the command printed on stderr."""
+    done = run_child(["-c", _MAIN_CHILD.format(argv=argv)])
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["code"] == 0, done.stderr
+    return result["modules"], done.stderr
+
+
+class ColdChild(NamedTuple):
+    """What a CLI child wrote, and its ``sys.modules`` when it was done."""
+
+    path: str
+    modules: List[str]

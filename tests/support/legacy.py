@@ -2,16 +2,13 @@
 
 Before the single-pass engine landed, every public analysis function walked
 the whole ``List[TransactionRecord]`` on its own.  Those seed loops are kept
-here, verbatim, for two purposes:
+here, verbatim, so the **equivalence tests** can assert that each
+accumulator produces exactly the result its record-based predecessor
+produced, and that the one-pass report reproduces the sum of the individual
+passes (``tests/analysis/test_equivalence.py::TestFullReportEquivalence``).
 
-* the **equivalence tests** assert that each accumulator produces exactly
-  the result its record-based predecessor produced;
-* the **engine benchmark** measures the seed's sum-of-individual-passes cost
-  as the baseline the combined single-pass report must beat.
-
-This module lives under ``tests/`` because its only consumers are
-``tests/analysis/test_equivalence.py`` and
-``benchmarks/test_bench_engine_single_pass.py``.  Do not "optimise" these
+This module lives under ``tests/`` because its only consumer is
+``tests/analysis/test_equivalence.py``.  Do not "optimise" these
 functions — their value is being a faithful copy of the seed behaviour.
 """
 

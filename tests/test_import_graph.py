@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import ast
 import glob
-import json
 import os
 import re
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 import pytest
 
-from tests.support import SRC, run_child
+from tests.support import SRC, ColdChild, run_child, run_main
 
 #: The simulators proper: no analysis or store code imports one of these.
 SIMULATORS = (
@@ -42,11 +41,14 @@ NOT_FOR_A_WARM_REPORT = SIMULATORS + (
 #: What a report that folds only cached states loads none of: its record
 #: types are tuples or plain classes (no ``dataclasses``, which pulls in
 #: ``inspect``), the throughput session token comes from ``os.urandom`` (no
-#: ``uuid``), and the chunk codec is imported where a chunk is coded.
+#: ``uuid``), the chunk codec is imported where a chunk is coded, and the
+#: state keys digest with CPython's built-in hash modules (no ``_hashlib``,
+#: which maps OpenSSL's libcrypto).
 NOT_FOR_AN_ALL_HIT_REPORT = (
     "numpy",
     "dataclasses",
     "uuid",
+    "_hashlib",
     "repro.collection.chunkformat",
     "repro.common.rng",
     "repro.common.clock",
@@ -62,22 +64,9 @@ NOT_FOR_A_PIPELINE_READ = SIMULATORS + ("repro.scenarios", "repro.collection.gen
 
 NOT_FOR_THE_REGISTRY = ("numpy", "repro.analysis", "repro.collection", "repro.pipeline")
 
-_CHILD = """
-import io, json, sys
-from repro.cli import main
-code = main({argv!r}, out=io.StringIO())
-print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
-"""
-
-
-def run_main(argv: List[str]) -> Tuple[List[str], str]:
-    """``sys.modules`` of a fresh interpreter after ``repro.cli.main(argv)``,
-    and what the command printed on stderr."""
-    done = run_child(["-c", _CHILD.format(argv=argv)])
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert result["code"] == 0, done.stderr
-    return result["modules"], done.stderr
+#: What a build with one generation window and an in-process scan runs
+#: without: it starts no pool, and it digests without OpenSSL.
+NOT_FOR_A_SERIAL_BUILD = ("multiprocessing", "_hashlib")
 
 
 def modules_after(argv: List[str]) -> List[str]:
@@ -138,23 +127,45 @@ def test_all_hit_report_loads_no_dataclasses_codec_or_chain_module(live_tail_cac
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
-    """A ``live_tail`` pipeline directory with two ingested batches."""
+    """A ``live_tail`` pipeline directory with two ingested batches, and
+    the ingesting child's ``sys.modules``."""
     data = str(tmp_path_factory.mktemp("import-graph") / "pipeline")
-    done = run_child(
-        ["-m", "repro", "ingest", "--data", data, "--scale", "live_tail", "--batches", "2"]
-    )
-    assert done.returncode == 0, done.stderr
-    return data
+    modules, _ = run_main(["ingest", "--data", data, "--scale", "live_tail", "--batches", "2"])
+    return ColdChild(data, modules)
 
 
 @pytest.mark.parametrize("command", [["update", "--data"], ["fsck"]], ids=["update", "fsck"])
 def test_pipeline_reads_load_no_simulator_and_no_scenario_registry(pipeline_dir, command):
     """``update`` and ``fsck`` read what ``ingest`` wrote: the live-tail and
     soak modules behind ``repro.pipeline`` resolve only when a name is used."""
-    modules = modules_after(command + [pipeline_dir])
+    modules = modules_after(command + [pipeline_dir.path])
     assert "repro.pipeline.core" in modules
     assert loaded(modules, NOT_FOR_A_PIPELINE_READ) == []
     assert loaded(modules, ["repro.pipeline.live", "repro.pipeline.soak"]) == []
+
+
+def test_a_serial_cold_build_loads_no_multiprocessing_and_no_openssl(live_tail_build):
+    """``live_tail`` is one generation window: the sharded generator's pool
+    is imported where it starts, and no digest goes through ``hashlib``."""
+    modules = live_tail_build.modules
+    assert "repro.cli.build" in modules and "repro.collection.generate" in modules
+    assert loaded(modules, NOT_FOR_A_SERIAL_BUILD) == []
+
+
+@pytest.mark.parametrize("command", ["miss", "ingest", "update", "fsck", "cache-stat"])
+def test_no_command_loads_openssl(live_tail_cache, pipeline_dir, command):
+    """The store's key chain and the state keys are the only digests, and
+    :mod:`repro.common.digest` takes them from CPython's built-in modules."""
+    argv = {
+        "miss": ["report", "--scale", "live_tail", "--cache", live_tail_cache, "--json"]
+        + ["--out-of-core", "--no-cache", "--workers", "1"],
+        "update": ["update", "--data", pipeline_dir.path],
+        "fsck": ["fsck", pipeline_dir.path],
+        "cache-stat": ["cache", "stat", os.path.join(live_tail_cache, "live_tail-seed7")],
+    }
+    modules = pipeline_dir.modules if command == "ingest" else modules_after(argv[command])
+    assert "repro.common.digest" in modules
+    assert loaded(modules, ["_hashlib"]) == []
 
 
 def test_a_decoding_scan_loads_no_numpy_ma(live_tail_cache):
@@ -265,6 +276,32 @@ def test_no_chain_package_imports_another():
                     for other in CHAIN_PACKAGES
                     if other != package and (target == other or target.startswith(other + "."))
                 ]
+    assert offenders == []
+
+
+def test_only_the_digest_helper_imports_hashlib():
+    """Static twin of the OpenSSL rule: ``hashlib`` is the fallback of
+    :mod:`repro.common.digest`, imported nowhere else in the package, so a
+    command the dynamic cases do not run cannot load libcrypto either."""
+    helper = os.path.join(SRC, "repro", "common", "digest.py")
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(SRC, "repro", "**", "*.py"), recursive=True)):
+        if path == helper:
+            continue
+        with open(path, "r", encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                targets = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{os.path.relpath(path, SRC)}:{node.lineno} imports {target}"
+                for target in targets
+                if target in ("hashlib", "_hashlib")
+            ]
     assert offenders == []
 
 

@@ -31,7 +31,7 @@ is the full-report entry point.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.columns import LazyMetadata, StringPool, TxFrame
 from repro.common import faults
@@ -471,28 +471,6 @@ def fold_store(
         cache.hits += stats["hits"]
         cache.misses += stats["misses"]
     return stats
-
-
-def cache_commits(
-    store,
-    commits: Iterable[Dict],
-    factories: Dict[str, AccumulatorFactory],
-    cache: ChunkStateCache,
-) -> None:
-    """Scan each payload ``commits`` yields, right after its chunk's commit,
-    and write the chunk's state entry: a build scans every chunk once, and
-    the first report over the new store folds states and decodes nothing.
-
-    ``factories`` must configure what a report over the finished store
-    builds (:func:`store_factories`), or the entries miss.
-    """
-    context = cache.context(factories_digest(factories))
-    skeleton = None
-    for payload in commits:
-        skeleton = _store_skeleton(store, skeleton)
-        count = store.committed_chunk_count
-        key = context.key(store.prefix(count), store.chunk_format(count - 1))
-        cache.store(key, scan_payload(payload, skeleton, factories))
 
 
 def chunk_scan_states(

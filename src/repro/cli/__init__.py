@@ -55,7 +55,6 @@ _EXPORTS = {
     "ensure_store": "dataset",
     "load_or_generate": "dataset",
     "_load_cache_meta": "dataset",
-    "generate_dataset": "build",
     "_report_to_dict": "report",
 }
 

@@ -3,7 +3,10 @@
 This is the only part of the ``report`` path that needs the scenario
 registry, the three chain simulators and shard-parallel generation, so
 :mod:`repro.cli.dataset` imports it only when there is something to build;
-a report over a cached store never loads it.
+a report over a cached store never loads it.  Every build streams its rows
+into the store chunk by chunk (:meth:`FrameStore.add_records`), so no
+process holds the whole dataset, and writes no state entry: the report
+that follows writes them as it scans each chunk.
 """
 
 from __future__ import annotations
@@ -15,13 +18,9 @@ import os
 import shutil
 import tempfile
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.clustering import AccountClusterer, StaticAccountClusterer
-from repro.analysis.parallel import cache_commits
-from repro.analysis.report import figure_factory
-from repro.analysis.statecache import ChunkStateCache
-from repro.analysis.value import ExchangeRateOracle, decode_analysis_config
+from repro.analysis.value import decode_analysis_config
 from repro.cli.dataset import (
     CACHE_VERSION,
     META_NAME,
@@ -29,49 +28,49 @@ from repro.cli.dataset import (
     StoredDataset,
     _cache_directory,
 )
-from repro.collection.generate import generate_sharded
+from repro.collection.generate import generate_sharded, xrp_companions
 from repro.collection.store import FrameStore, invalidate_state_cache
-from repro.common.columns import TxFrame
-from repro.common.records import ChainId
+from repro.common.records import TransactionRecord
 from repro.eos.workload import EosWorkloadGenerator
 from repro.scenarios import PaperScenario, get_scenario
 from repro.tezos.workload import TezosWorkloadGenerator
 from repro.xrp.workload import XrpWorkloadGenerator
 
 
-def generate_dataset(scenario: PaperScenario) -> Tuple[TxFrame, ExchangeRateOracle, AccountClusterer]:
-    """Stream all three workloads into one frame; derive oracle + clusters."""
+def _noting_parties(
+    records: Iterable[TransactionRecord], parties: Set[str]
+) -> Iterator[TransactionRecord]:
+    """Pass ``records`` through, adding each one's sender and receiver to ``parties``."""
+    for record in records:
+        parties.add(record.sender)
+        parties.add(record.receiver)
+        yield record
+
+
+def _generate_store(scenario: PaperScenario, directory: str) -> Tuple[FrameStore, List, Dict]:
+    """Stream all three workloads into a store at ``directory``; return it
+    with the meta's oracle rates and frozen cluster map."""
     generators = {
         "eos": EosWorkloadGenerator(scenario.eos),
         "tezos": TezosWorkloadGenerator(scenario.tezos),
         "xrp": XrpWorkloadGenerator(scenario.xrp),
     }
-    frame = TxFrame()
-    # The frame keeps one metadata dict per row (119k at ``live_tail``) and
-    # none is in a cycle: the collector would re-walk them and free nothing.
+    store = FrameStore(directory=directory)
+    xrp_parties: Set[str] = set()
+    # The staging chunk keeps one metadata dict per row and none is in a
+    # cycle: the collector would re-walk them and free nothing.
     gc.disable()
     try:
-        for generator in generators.values():
-            frame.extend(generator.stream_records())
+        store.add_records(generators["eos"].stream_records())
+        store.add_records(generators["tezos"].stream_records())
+        store.add_records(_noting_parties(generators["xrp"].stream_records(), xrp_parties))
+        store.flush()
     finally:
         gc.enable()
-    xrp_ledger = generators["xrp"].ledger
-    oracle = ExchangeRateOracle.from_orderbook(xrp_ledger.orderbook)
-    clusterer = AccountClusterer(xrp_ledger.accounts)
-    return frame, oracle, clusterer
-
-
-def _xrp_addresses(frame: TxFrame) -> List[str]:
-    """Every address appearing as sender or receiver on an XRP row."""
-    view = frame.chain_view(ChainId.XRP)
-    senders = frame.sender_code
-    receivers = frame.receiver_code
-    codes = set()
-    for row in view.rows:
-        codes.add(senders[row])
-        codes.add(receivers[row])
-    values = frame.accounts.values
-    return [values[code] for code in sorted(codes)]
+    # The cluster map is frozen for every XRP sender and receiver, in the
+    # store's code order.
+    addresses = [value for value in store.pool_values()["accounts"] if value in xrp_parties]
+    return (store, *xrp_companions(generators["xrp"].ledger, addresses))
 
 
 def _clear_stale_store(directory: str) -> None:
@@ -119,66 +118,21 @@ def _write_cache_meta(
     return meta
 
 
-def _persist(
-    directory: str, scale: str, seed: int, frame: TxFrame, oracle, clusterer, states=True
-) -> Tuple[FrameStore, Dict]:
-    """Write a resident dataset into its cache directory: chunks, then meta.
-
-    With ``states``, each chunk is scanned as it is committed and its state
-    entry written beside it, keyed to the configuration a report reads back
-    from the meta.
-    """
-    _clear_stale_store(directory)
-    store = FrameStore(directory=directory)
-    oracle_rates = [
-        [currency, issuer, oracle.rate(currency, issuer)]
-        for currency, issuer in oracle.known_assets()
-    ]
-    clusters = StaticAccountClusterer.from_clusterer(
-        clusterer, _xrp_addresses(frame)
-    ).to_mapping()
-    if states:
-        companions = decode_analysis_config({"oracle_rates": oracle_rates, "clusters": clusters})
-        factories = {
-            chain.value: figure_factory(chain, frame.chain_bounds(chain), *companions)
-            for chain in frame.chains()
-        }
-        cache_commits(
-            store, store.iter_frame_commits(frame), factories, ChunkStateCache.for_store(directory)
-        )
-    else:
-        store.add_frame(frame)
-    meta = _write_cache_meta(
-        directory, scale, seed, len(frame), oracle_rates, clusters
-    )
-    return store, meta
-
-
 def build_store(
-    scale: str, seed: int, cache_root: str, gen_workers: Optional[int] = None, states=True
+    scale: str, seed: int, cache_root: str, gen_workers: Optional[int] = None
 ) -> StoredDataset:
-    """Generate ``scale`` at ``seed`` into its cache directory (store + meta),
-    with each chunk's state entry when ``states`` asks for them, unless the
-    scenario is window-sharded."""
+    """Generate ``scale`` at ``seed`` into its cache directory: store, then meta."""
     scenario = get_scenario(scale, seed=seed)
     directory = _cache_directory(cache_root, scale, seed)
     started = time.perf_counter()
+    _clear_stale_store(directory)
     if scenario.generation_windows > 1:
-        _clear_stale_store(directory)
         generated = generate_sharded(scenario, directory, workers=gen_workers)
         store = FrameStore.open(directory)
-        meta = _write_cache_meta(
-            directory,
-            scale,
-            seed,
-            generated.rows,
-            generated.oracle_rates,
-            generated.clusters,
-        )
+        oracle_rates, clusters = generated.oracle_rates, generated.clusters
     else:
-        frame, oracle, clusterer = generate_dataset(scenario)
-        store, meta = _persist(directory, scale, seed, frame, oracle, clusterer, states)
-        del frame  # the report that follows folds states: free the rows first
+        store, oracle_rates, clusters = _generate_store(scenario, directory)
+    meta = _write_cache_meta(directory, scale, seed, store.row_count, oracle_rates, clusters)
     oracle, clusterer = decode_analysis_config(meta)
     return StoredDataset(
         directory=directory,
@@ -197,37 +151,20 @@ def build_dataset(
     cache_root: Optional[str] = None,
     gen_workers: Optional[int] = None,
 ) -> Dataset:
-    """Generate ``scale`` at ``seed`` as a resident frame, caching it if asked."""
-    scenario = get_scenario(scale, seed=seed)
-    if scenario.generation_windows > 1:
-        # Windowed scenarios are *defined* by their sharded generation;
-        # build the store (cache dir or a scratch dir) and rehydrate.
-        scratch = None if cache_root else tempfile.mkdtemp(prefix="repro-dataset-")
-        try:
-            stored = build_store(scale, seed, cache_root or scratch, gen_workers)
-            started = time.perf_counter()
-            frame = stored.store.to_frame()
-            return Dataset(
-                frame=frame,
-                oracle=stored.oracle,
-                clusterer=stored.clusterer,
-                from_cache=False,
-                build_seconds=stored.build_seconds
-                + (time.perf_counter() - started),
-            )
-        finally:
-            if scratch is not None:
-                shutil.rmtree(scratch, ignore_errors=True)
-    started = time.perf_counter()
-    frame, oracle, clusterer = generate_dataset(scenario)
-    elapsed = time.perf_counter() - started
-    if cache_root:
-        directory = _cache_directory(cache_root, scale, seed)
-        _persist(directory, scale, seed, frame, oracle, clusterer)
-    return Dataset(
-        frame=frame,
-        oracle=oracle,
-        clusterer=clusterer,
-        from_cache=False,
-        build_seconds=elapsed,
-    )
+    """Generate ``scale`` at ``seed`` into a store — ``cache_root``'s, or a
+    scratch one removed afterwards — and rehydrate it as a resident frame."""
+    scratch = None if cache_root else tempfile.mkdtemp(prefix="repro-dataset-")
+    try:
+        stored = build_store(scale, seed, cache_root or scratch, gen_workers)
+        started = time.perf_counter()
+        frame = stored.store.to_frame()
+        return Dataset(
+            frame=frame,
+            oracle=stored.oracle,
+            clusterer=stored.clusterer,
+            from_cache=False,
+            build_seconds=stored.build_seconds + (time.perf_counter() - started),
+        )
+    finally:
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)

@@ -1,6 +1,6 @@
 """The dataset cache behind ``report``: look a scenario + seed up, open a hit.
 
-With ``--cache DIR`` a generated dataset is chunk-compressed into a
+With ``--cache DIR`` a generated dataset is streamed chunk by chunk into a
 :class:`~repro.collection.store.FrameStore` directory together with a
 ``meta.json`` carrying the exchange-rate oracle and the frozen account
 cluster map.  Repeat runs with the same scenario + seed skip workload
@@ -129,7 +129,6 @@ def ensure_store(
     seed: int,
     cache_root: str,
     gen_workers: Optional[int] = None,
-    states: bool = True,
 ) -> StoredDataset:
     """Materialise (or reuse) a scenario's dataset as an on-disk FrameStore.
 
@@ -138,14 +137,14 @@ def ensure_store(
     ``generation_windows > 1`` generate shard-parallel across
     ``gen_workers`` processes (content is worker-count independent); cache
     hits validate against the manifest only, so reusing a tens-of-millions
-    row dataset costs one small JSON read.  A build writes each chunk's
-    state entry unless ``states`` is false (:func:`build.build_store`).
+    row dataset costs one small JSON read.  A build writes no state entry:
+    the first report over the store writes them.
     """
     stored = cached_store(scale, seed, cache_root)
     if stored is None:
         from repro.cli import build
 
-        stored = build.build_store(scale, seed, cache_root, gen_workers, states)
+        stored = build.build_store(scale, seed, cache_root, gen_workers)
     return stored
 
 
@@ -157,11 +156,10 @@ def load_or_generate(
 ) -> Dataset:
     """Build the dataset for a registered scenario, cache-aware.
 
-    With ``cache_root`` set, the first build persists the frame (FrameStore
-    chunks) and its analysis companions (``meta.json``); later calls with
-    the same scale + seed rehydrate from disk and skip generation.
-    Scenarios with ``generation_windows > 1`` generate shard-parallel into a
-    store before rehydrating.
+    Every build generates into a store — under ``cache_root`` with its
+    analysis companions (``meta.json``), or a scratch directory — and
+    rehydrates the frame from it; later calls with the same scale + seed
+    and ``cache_root`` rehydrate from disk and skip generation.
     """
     started = time.perf_counter()
     stored = cached_store(scale, seed, cache_root)

@@ -4,10 +4,9 @@ Every report takes one route: the chunk engine over the dataset's store,
 folding each chunk's memoized state from ``cache/`` and decoding and
 scanning only the chunks no entry covers — in-process, or in a pool with
 ``--workers N``.  A dataset-cache miss builds the store first (into
-``--cache DIR``, or a scratch directory removed afterwards), and a build
-writes each chunk's state entry as it commits the chunk, so the report that
-follows it decodes nothing — except under ``--no-cache``, whose build
-writes no entry and whose report scans each chunk once.  Rendering is the report's own
+``--cache DIR``, or a scratch directory removed afterwards); a build writes
+no state entry, so the report that follows it scans each chunk once and
+writes the entries (none under ``--no-cache``).  Rendering is the report's own
 (:meth:`FullReport.to_dict` / ``format_text``); ``_report_to_dict`` stays
 only because ``bench/`` imports that name.
 """
@@ -82,7 +81,6 @@ def cmd_report(args: argparse.Namespace, out) -> int:
             args.seed,
             args.cache or scratch,
             args.gen_workers,
-            states=not args.no_cache,
         )
         report = _chunk_engine_report(args, stored, info)
     finally:

@@ -48,8 +48,8 @@ from repro.scenarios.paper import PaperScenario
 #: rendered width fixed.
 ID_STRIDE = 1_000_000_000
 
-#: Canonical chain order of the combined dataset — the same order
-#: ``generate_dataset`` streams the three generators in.
+#: Canonical chain order of the combined dataset — the same order a
+#: one-window build streams the three generators in.
 CHAIN_ORDER = ("eos", "tezos", "xrp")
 
 
@@ -98,7 +98,7 @@ def chain_window_configs(scenario: PaperScenario) -> List[ShardSpec]:
     """Every ``(chain, window)`` workload config, in canonical shard order.
 
     Canonical order is all EOS windows, then all Tezos windows, then all
-    XRP windows — the windowed generalisation of ``generate_dataset``'s
+    XRP windows — the windowed generalisation of a one-window build's
     eos → tezos → xrp streaming order.  Each chain's window boundaries are
     computed independently because the chains' observation windows differ.
     """
@@ -174,20 +174,28 @@ def _generate_shard(task: Tuple[ShardSpec, str, int]) -> Tuple[int, Dict]:
     store.flush()
     meta: Dict = {"rows": store.row_count}
     if spec.chain == "xrp":
-        from repro.analysis.clustering import AccountClusterer, StaticAccountClusterer
-        from repro.analysis.value import ExchangeRateOracle
-
         ledger = generator.ledger
-        oracle = ExchangeRateOracle.from_orderbook(ledger.orderbook)
-        meta["oracle_rates"] = [
-            [currency, issuer, oracle.rate(currency, issuer)]
-            for currency, issuer in oracle.known_assets()
-        ]
-        clusterer = AccountClusterer(ledger.accounts)
-        meta["clusters"] = StaticAccountClusterer.from_clusterer(
-            clusterer, ledger.accounts.addresses()
-        ).to_mapping()
+        meta["oracle_rates"], meta["clusters"] = xrp_companions(
+            ledger, ledger.accounts.addresses()
+        )
     return spec.index, meta
+
+
+def xrp_companions(ledger, addresses) -> Tuple[List[List[object]], Dict[str, str]]:
+    """An XRP ledger's exchange-rate oracle as ``[currency, issuer, rate]``
+    triples and its account-cluster map frozen for ``addresses`` (meta.json's
+    formats)."""
+    from repro.analysis.clustering import AccountClusterer, StaticAccountClusterer
+    from repro.analysis.value import ExchangeRateOracle
+
+    oracle = ExchangeRateOracle.from_orderbook(ledger.orderbook)
+    oracle_rates = [
+        [currency, issuer, oracle.rate(currency, issuer)]
+        for currency, issuer in oracle.known_assets()
+    ]
+    clusterer = AccountClusterer(ledger.accounts)
+    clusters = StaticAccountClusterer.from_clusterer(clusterer, addresses).to_mapping()
+    return oracle_rates, clusters
 
 
 def generate_sharded(

@@ -290,6 +290,50 @@ def _check_id_runs(payload: Dict) -> None:
             )
 
 
+#: Each pool's code columns, read row-major in this order (a fresh frame
+#: interns a row's four account roles in it).
+_POOL_COLUMNS = {
+    "types": ("type_code",),
+    "accounts": ("sender_code", "receiver_code", "contract_code", "issuer_code"),
+    "currencies": ("currency_code",),
+    "errors": ("error_code",),
+}
+
+
+def _local_strings(values: List, columns: Dict, names: Sequence[str]) -> List:
+    """The ``values`` that ``columns[names]`` use, in first-seen row-major
+    order; the columns are recoded to index the result (``-1`` stays)."""
+    import numpy as np
+
+    codes = np.stack([np.asarray(columns[name]) for name in names], axis=1).ravel()
+    used, first = np.unique(codes[codes >= 0], return_index=True)
+    order = used[np.argsort(first)]
+    remap = np.full(len(values) + 1, -1, np.int32)  # remap[-1]: absent stays -1
+    remap[order] = np.arange(len(order), dtype=np.int32)
+    for name in names:
+        columns[name] = remap[np.asarray(columns[name])]
+    return [values[code] for code in order.tolist()]
+
+
+def _localise(payload: Dict) -> Dict:
+    """``payload`` with only the strings its rows use, in the order a fresh
+    frame of those rows would intern them, so a chunk's bytes depend on its
+    rows alone, whichever writer cut them."""
+    from repro.common.projection import PROJECTED_KEYS, Projection
+
+    columns = payload["columns"] = dict(payload["columns"])
+    payload["pools"] = {
+        name: _local_strings(payload["pools"][name], columns, _POOL_COLUMNS[name])
+        for name in POOL_NAMES
+    }
+    projection = payload["projected"]
+    texts = [key for key, kind in PROJECTED_KEYS.items() if kind != "flag"]
+    projected = dict(projection.columns)
+    strings = _local_strings(projection.strings, projected, texts)
+    payload["projected"] = Projection(projected, strings)
+    return payload
+
+
 def absorb_pool_deltas(
     pools: Dict[str, Dict[str, None]], payload_pools: Dict
 ) -> Dict[str, List[str]]:
@@ -466,9 +510,9 @@ class FrameStore:
         and chain rows pass through unchanged.  The only recomputation is
         the pool deltas: each shard records deltas relative to *its own*
         running pools, so every shard delta is re-filtered against the
-        combined store's running pool set — correct because a chunk's
-        payload pools are its shard's cumulative pools, whose earlier
-        entries have all been absorbed by the time the chunk is reached.
+        combined store's running pool set — correct because by the time a
+        chunk is reached the combined pools hold every string of its
+        shard's earlier chunks.
 
         The sources are **consumed**: their chunk files move away and their
         directories (now holding only a stale manifest) are removed.
@@ -667,16 +711,11 @@ class FrameStore:
 
     # -- writing -----------------------------------------------------------------
     def add_frame(self, frame: TxFrame) -> None:
-        """Chunk-compress every row of ``frame`` directly from its columns."""
-        deque(self.iter_frame_commits(frame), maxlen=0)
-
-    def iter_frame_commits(self, frame: TxFrame) -> Iterator[Dict]:
-        """:meth:`add_frame` as a generator of what it committed: each
-        chunk's columnar payload, right after that chunk's manifest commit."""
+        """Chunk-compress every row of ``frame`` directly from its columns:
+        the same chunks :meth:`add_records` writes for its records."""
         total = len(frame)
         for start in range(0, total, self.chunk_rows):
-            stop = min(start + self.chunk_rows, total)
-            yield self._write_chunk(frame, range(start, stop))
+            self._write_chunk(frame, range(start, min(start + self.chunk_rows, total)))
 
     def add_records(self, records: Iterable[TransactionRecord]) -> None:
         """Buffer a record stream, flushing a chunk whenever one fills up."""
@@ -735,6 +774,11 @@ class FrameStore:
         from repro.collection import chunkformat
 
         payload = frame.to_payload(rows, arrays=True)
+        if rows is not None:
+            # A slice of a caller's frame carries that frame's whole pools; a
+            # staging frame holds only this chunk's rows, so its pools are
+            # already what _localise would make them.
+            payload = _localise(payload)
         _check_id_runs(payload)
         heights, times, chain_rows = _payload_chain_stats(payload)
         blob, raw_size = chunkformat.encode_chunk(

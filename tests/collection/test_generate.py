@@ -6,8 +6,8 @@ into its own store, and assembles the shards into one canonical store.
 These tests pin the determinism contract:
 
 * worker count never changes a byte of the assembled store;
-* a single-window sharded run equals the classic serial
-  ``generate_dataset`` stream exactly;
+* a single-window sharded run equals the one-window ``build_store``
+  stream exactly;
 * window configs continue heights/levels/ledger indices precisely and
   keep id ranges disjoint;
 * ``FrameStore.assemble`` refuses unflushed shards and keeps row/pool
@@ -21,7 +21,6 @@ import os
 
 import pytest
 
-from repro.cli import generate_dataset
 from repro.collection.generate import (
     ID_STRIDE,
     chain_window_configs,
@@ -117,10 +116,15 @@ class TestChainWindowConfigs:
 
 
 class TestGenerateSharded:
-    def test_single_window_equals_serial_stream(self, tmp_path):
+    def test_single_window_equals_serial_stream(self, tmp_path, monkeypatch):
+        from repro.cli.build import build_store
+        from repro.scenarios import registry
+
         scenario = _windowed_scenario(windows=1)
+        monkeypatch.setitem(registry._REGISTRY, scenario.name, lambda seed: scenario)
         dataset = generate_sharded(scenario, str(tmp_path / "store"), workers=1)
-        serial_frame, serial_oracle, _ = generate_dataset(scenario)
+        serial = build_store(scenario.name, 7, str(tmp_path / "serial"))
+        serial_frame = serial.store.to_frame()
         stored = FrameStore.open(str(tmp_path / "store")).to_frame()
         assert dataset.rows == len(serial_frame)
         assert stored.to_payload() == serial_frame.to_payload()
@@ -128,8 +132,8 @@ class TestGenerateSharded:
             (currency, issuer): rate
             for currency, issuer, rate in dataset.oracle_rates
         }
-        for currency, issuer in serial_oracle.known_assets():
-            assert rates[(currency, issuer)] == serial_oracle.rate(
+        for currency, issuer in serial.oracle.known_assets():
+            assert rates[(currency, issuer)] == serial.oracle.rate(
                 currency, issuer
             )
 

@@ -6,7 +6,7 @@ tuple records, incremental order book) and committed ahead of any ``src/``
 edit, so this test proves identity with that commit rather than re-pinning
 whatever the code does today.  ``live_tail`` exercises every rewritten path:
 the EIDOS boomerang, an XRP spam wave, offer crossing, the chunk cut of
-``add_frame`` and the per-chunk chain statistics.
+the streamed build and the per-chunk chain statistics.
 
 The build runs in a ``PYTHONHASHSEED=0`` child because
 ``DeterministicRng.fork`` derives child streams with ``hash()``: the figures
@@ -28,10 +28,14 @@ SRC = os.path.join(
 )
 
 #: Re-pinned once, when stores began writing v3 chunks (projected metadata
-#: columns beside a residue JSON; the v2 digest was 192b6451…cce976a7faa4e).
-#: The rows did not move: ``iter_records`` of the two stores is equal, record
-#: for record and metadata key order included, and the report digest holds.
-GOLDEN_STORE_SHA256 = "e2cfe5e9fe716adce5cd866fc2bf08091d638db47ae2bccdc94aaafc0eedfb6f"
+#: columns beside a residue JSON; the v2 digest was 192b6451…cce976a7faa4e),
+#: and once when each chunk began carrying only the strings its rows use
+#: (the cold build streams its rows; the v3 digest was
+#: e2cfe5e9…aaafc0eedfb6f).  The rows did not move either time:
+#: ``iter_records`` of the two stores is equal, record for record and
+#: metadata key order included, ``pool_values()`` is equal, and the report
+#: digest holds.
+GOLDEN_STORE_SHA256 = "81e5a11f196be60150eff11f05f004eb218ca16d022d484d0c2494d52519773c"
 GOLDEN_REPORT_SHA256 = "a7ea27a28d0fe1d8c3283b3360f88c6b3fb5a2ec3cf1cdda32a0d8a65c17776a"
 
 

@@ -12,8 +12,10 @@ rather than payloads of the wrong shape.  The names moved once since, when
 stores began writing v3 chunks: new chunk bytes and the ``v3`` format token
 give every entry a new name (one miss each), while the bytes stayed put —
 :data:`GOLDEN_STATE_BYTES_SHA256`, over the bytes alone, was recorded from
-the last v2-writing commit — and once more when the chunk checksum in the
-name gave way to the key chain, the bytes unmoved.  The report
+the last v2-writing commit — once more when the chunk checksum in the
+name gave way to the key chain, and once when each chunk began carrying
+only the strings its rows use (new chunk bytes, so new keys), the bytes
+unmoved both times.  The report
 digests have never moved.
 
 Same hash-pinned child as ``tests/collection/test_generation_golden.py``,
@@ -42,8 +44,10 @@ from tests.collection.test_generation_golden import GOLDEN_REPORT_SHA256, build
 #: its histogram and only the two tallies the histogram cannot give), and
 #: the entry magic is ``RCS\x02``.  Entry names and the report did not move
 #: then; the v3 chunk format renamed the entries (was 4037bcd4…c22188d1a8aa),
-#: and so did the key chain (was a237f7b1…50214fb7c2de1).
-GOLDEN_STATES_SHA256 = "0f4ac8a3357539e04b2ff5b0d57d241929d3eeba3456e099c1140e2be09cdd27"
+#: and so did the key chain (was a237f7b1…50214fb7c2de1) and chunks that
+#: carry only the strings their rows use (was 0f4ac8a3…be09cdd27; the
+#: entries' bytes did not move).
+GOLDEN_STATES_SHA256 = "02f048105f11c506d73be1f6079c3cf5ea7ab307514d305956e484efd01474eb"
 
 #: The entries' bytes alone, in sorted order: what neither a chunk format nor
 #: a chunk rewrite may move.

@@ -118,10 +118,10 @@ class TestReport:
         code, output = _run(["report", "--scale", TINY_SCENARIO])
         assert code == 0
         assert "Summary of findings" in output
-        # Without --cache the build goes to a scratch directory, writing each
-        # chunk's state as it commits it: the report folds, decodes nothing.
+        # Without --cache the build goes to a scratch directory and writes no
+        # state entry: the report scans its one chunk.
         assert "out-of-core chunk engine (in-process)" in output
-        assert "/ 0 miss(es)" in output
+        assert "state cache 0 hit(s) / 1 miss(es)" in output
 
     def test_parallel_report_matches_serial_summary(self, tmp_path, capsys):
         """``--workers 2`` *is* ``--out-of-core --workers 2``: the chunk engine."""
@@ -286,8 +286,9 @@ class TestUnusableCacheMeta:
         assert _run(base)[0] == 0
         info = capsys.readouterr().err
         assert "(generated in" in info
-        # The rebuild writes its own entries as it commits the chunks.
-        assert f"state cache {chunks} hit(s) / 0 miss(es)" in info
+        # The rebuild writes no entry: its report scans every chunk and
+        # writes their entries.
+        assert f"state cache 0 hit(s) / {chunks} miss(es)" in info
         assert len(list((directory / "cache").iterdir())) == chunks
         code, fsck = _run(["fsck", str(directory)])
         assert code == 0 and "clean: no damage found" in fsck
@@ -321,9 +322,9 @@ class TestCacheHitSelectsTheChunkEngine:
         assert "(generated in" in info and "chunk engine (in-process)" in info
         chunks = len(list(directory.glob("frame-chunk-*.bin")))
         assert chunks > 1
-        # The build scanned each chunk as it committed it: the report after
-        # it is all hits, and so is the next one, which rewrites no entry.
-        assert f"state cache {chunks} hit(s) / 0 miss(es)" in info
+        # The build writes no entry: the report after it scans every chunk
+        # and writes their entries; the next one is all hits and rewrites none.
+        assert f"state cache 0 hit(s) / {chunks} miss(es)" in info
         written = _entry_mtimes(directory / "cache")
         assert len(written) == chunks
 
@@ -346,7 +347,7 @@ class TestCacheHitSelectsTheChunkEngine:
         streamed, info = run("--out-of-core", "--workers", "1", cache=tmp_path / "ooc")
         assert streamed == cold
         assert "(generated in" in info
-        assert f"state cache {chunks} hit(s) / 0 miss(es)" in info
+        assert f"state cache 0 hit(s) / {chunks} miss(es)" in info
 
         # A miss with --no-cache: the build writes no entry and the report
         # reads none, so each chunk is scanned once.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.common.clock import timestamp_from_iso
 from repro.common.columns import CHAIN_CODES, FrameLike, TxFrame, as_frame

@@ -11,7 +11,7 @@ Figure 12 value-flow aggregation.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Tuple, Union
 
 from repro.common.columns import FrameLike, TxFrame, as_frame
 from repro.common.records import TransactionRecord

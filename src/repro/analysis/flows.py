@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Tuple, Union
 
 from repro.common.columns import CHAIN_CODES, FrameLike, TxFrame, as_frame
 from repro.common.records import XRP_CURRENCY, ChainId, TransactionRecord

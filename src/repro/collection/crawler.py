@@ -150,30 +150,6 @@ class BlockCrawler:
         self.store.flush()
         return self._report(highest, lowest, failed, started_at)
 
-    def crawl_window(self, window_start_timestamp: float) -> CrawlReport:
-        """Crawl from the head down to the first block before ``window_start``.
-
-        This is the paper's actual strategy: the crawl stops once blocks
-        older than the observation window start are reached.
-        """
-        head = self.discover_head()
-        started_at = self.clock.now
-        failed: List[int] = []
-        height = head
-        while height >= 0:
-            if height not in self.store:
-                try:
-                    block = self.fetch_block(height)
-                except CollectionError:
-                    failed.append(height)
-                else:
-                    if block.timestamp < window_start_timestamp:
-                        break
-                    self.store.add(block)
-            height -= 1
-        self.store.flush()
-        return self._report(head, height + 1, failed, started_at)
-
     def _report(
         self, start_height: int, end_height: int, failed: List[int], started_at: float
     ) -> CrawlReport:

@@ -5,7 +5,7 @@ advertised EOS endpoints, shortlisted for "a generous rate limit with stable
 latency and throughput", a self-hosted Tezos node and XRP's full-history
 API.  :class:`RpcEndpoint` is what every simulated endpoint shares — a
 profile, a token bucket, simulated outages and latency, and a method table
-— and each chain's ``rpc`` module adds only its handlers.
+— and each chain's ``rpc`` module adds only its head handler.
 :func:`shortlist_endpoints` reproduces the selection by probing each
 endpoint; :class:`EndpointPool` then rotates between the shortlisted
 endpoints during the crawl, demoting endpoints that throttle or fail and
@@ -79,9 +79,9 @@ class RpcEndpoint:
     """One simulated endpoint over a chain simulator.
 
     A chain's endpoint names its head and block methods in class
-    attributes, answers the head method with ``_handle_head`` and may add
-    methods in ``_extra_handlers``; serving a block by height is the same
-    on every chain.
+    attributes and answers the head method with ``_handle_head``; serving a
+    block by height is the same on every chain.  Those two methods are all
+    the crawl calls, so they are all an endpoint serves.
     """
 
     chain_name: str
@@ -109,7 +109,6 @@ class RpcEndpoint:
         self._handlers: Dict[str, Handler] = {
             self.head_method: self._handle_head,
             self.block_method: self._handle_block,
-            **self._extra_handlers(),
         }
         self.requests_served = 0
         self.requests_rejected = 0
@@ -154,10 +153,6 @@ class RpcEndpoint:
             raise
         except Exception as exc:  # noqa: BLE001 - endpoints must not leak tracebacks
             raise RpcError(INTERNAL_ERROR, str(exc)) from exc
-
-    def _extra_handlers(self) -> Dict[str, Handler]:
-        """Methods beyond head and block (none unless a chain adds some)."""
-        return {}
 
     def _handle_head(self, params: Mapping[str, Any]) -> Mapping[str, Any]:
         raise NotImplementedError

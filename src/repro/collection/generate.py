@@ -36,7 +36,7 @@ from __future__ import annotations
 import datetime
 import os
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.collection.store import FrameStore
 from repro.common.errors import CollectionError

@@ -73,7 +73,7 @@ from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common import faults
-from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, LazyMetadata, TxFrame
+from repro.common.columns import CHAIN_ORDER, LazyMetadata, TxFrame
 from repro.common.compression import CompressionStats, accumulate, decompress_json
 from repro.common.digest import blake2b
 from repro.common.errors import CollectionError

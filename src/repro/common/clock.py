@@ -78,7 +78,3 @@ class SimulationClock:
     def elapsed(self) -> float:
         """Seconds elapsed since the clock was created."""
         return self._now - float(self.start)
-
-    def iso(self) -> str:
-        """Current time as an ISO string."""
-        return iso_from_timestamp(self._now)

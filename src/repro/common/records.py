@@ -13,7 +13,7 @@ extras (destination tags, wash-trade markers, vote choices, ...).
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, NamedTuple
 
 
 class ChainId(str, enum.Enum):
@@ -86,10 +86,6 @@ class TransactionRecord(NamedTuple):
     success: bool = True
     error_code: str = ""
     metadata: Mapping[str, Any] = EMPTY_MAPPING
-
-    def with_metadata(self, **extra: Any) -> "TransactionRecord":
-        """Return a copy with additional metadata entries."""
-        return self._replace(metadata={**self.metadata, **extra})
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialise to a JSON-compatible dictionary."""
@@ -192,16 +188,6 @@ def iter_transactions(blocks: Iterable[BlockRecord]) -> Iterable[TransactionReco
             yield record
 
 
-def count_transactions(blocks: Iterable[BlockRecord]) -> int:
-    """Total number of top-level transactions across ``blocks``."""
-    return sum(block.transaction_count for block in blocks)
-
-
 def count_actions(blocks: Iterable[BlockRecord]) -> int:
     """Total number of actions/operations across ``blocks``."""
     return sum(block.action_count for block in blocks)
-
-
-def sort_blocks(blocks: Iterable[BlockRecord]) -> List[BlockRecord]:
-    """Return blocks sorted by ascending height (the crawler fetches in reverse)."""
-    return sorted(blocks, key=lambda block: block.height)

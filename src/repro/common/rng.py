@@ -161,17 +161,6 @@ class DeterministicRng:
         """Draw a heavy-tailed positive amount (Pareto), scaled by ``scale``."""
         return scale * self._random.paretovariate(alpha)
 
-    def pick_weighted_pairs(
-        self, weights: Dict[T, float], count: int
-    ) -> List[Tuple[T, T]]:
-        """Draw ``count`` ordered (sender, receiver) pairs from one population."""
-        pairs: List[Tuple[T, T]] = []
-        for _ in range(count):
-            sender = self.categorical(weights)
-            receiver = self.categorical(weights)
-            pairs.append((sender, receiver))
-        return pairs
-
     def hex_string(self, length: int = 64) -> str:
         """Produce a deterministic pseudo-hash hex string of ``length`` chars."""
         # ``random.choice`` over 16 items draws ``getrandbits(5)`` until the

@@ -111,23 +111,6 @@ class EosAction(NamedTuple):
     receiver: str
     data: Mapping[str, Any] = EMPTY_MAPPING
 
-    @property
-    def is_system(self) -> bool:
-        return self.contract.startswith("eosio")
-
-    @property
-    def group(self) -> SystemActionGroup:
-        return classify_system_action(self.name, self.contract)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "contract": self.contract,
-            "name": self.name,
-            "actor": self.actor,
-            "receiver": self.receiver,
-            "data": dict(self.data),
-        }
-
 
 def make_transfer(
     token_contract: str,
@@ -150,48 +133,4 @@ def make_transfer(
         sender,
         token_contract,
         {"from": sender, "to": receiver, "quantity": amount, "symbol": symbol, "memo": memo},
-    )
-
-
-def make_newaccount(creator: str, new_name: str) -> EosAction:
-    """Build the system ``newaccount`` action."""
-    return EosAction(
-        contract="eosio",
-        name="newaccount",
-        actor=creator,
-        receiver="eosio",
-        data={"creator": creator, "name": new_name},
-    )
-
-
-def make_delegatebw(staker: str, receiver: str, cpu: float, net: float) -> EosAction:
-    """Build the system ``delegatebw`` (stake CPU/NET) action."""
-    return EosAction(
-        contract="eosio",
-        name="delegatebw",
-        actor=staker,
-        receiver="eosio",
-        data={"from": staker, "receiver": receiver, "stake_cpu": cpu, "stake_net": net},
-    )
-
-
-def make_buyram(payer: str, receiver: str, bytes_purchased: int) -> EosAction:
-    """Build the system ``buyrambytes`` action."""
-    return EosAction(
-        contract="eosio",
-        name="buyrambytes",
-        actor=payer,
-        receiver="eosio",
-        data={"payer": payer, "receiver": receiver, "bytes": bytes_purchased},
-    )
-
-
-def make_voteproducer(voter: str, producers: tuple) -> EosAction:
-    """Build the system ``voteproducer`` action."""
-    return EosAction(
-        contract="eosio",
-        name="voteproducer",
-        actor=voter,
-        receiver="eosio",
-        data={"voter": voter, "producers": list(producers)},
     )

@@ -3,7 +3,8 @@
 EOS produces one block every 0.5 seconds.  The 21 block producers with the
 highest stake take turns in rounds of 126 blocks (6 consecutive blocks per
 producer); the schedule for a round is fixed before the round starts
-(§2.2).  The simulator reproduces that schedule, applies submitted
+(§2.2).  The simulator rotates its 21 configured producers in that
+order (no producer vote moves a row, so none is modelled), applies submitted
 transactions through the contract registry and the resource market, and
 emits canonical :class:`~repro.common.records.BlockRecord` objects that the
 collection and analysis layers consume.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.blocklog import BlockLog
 from repro.common.clock import SimulationClock
@@ -29,7 +30,6 @@ BLOCK_INTERVAL_SECONDS = 0.5
 BLOCKS_PER_PRODUCER_TURN = 6
 ACTIVE_PRODUCER_COUNT = 21
 BLOCKS_PER_ROUND = BLOCKS_PER_PRODUCER_TURN * ACTIVE_PRODUCER_COUNT
-SCHEDULE_APPROVAL_QUORUM = 15
 
 
 class _EosTransactionFields(NamedTuple):
@@ -95,33 +95,10 @@ class EosChain(BlockLog):
         self.resources = EosResourceMarket()
         super().__init__(self.config.start_height, "EOS block {} has not been produced")
         self._height = self.config.start_height - 1
-        self._producer_votes: Dict[str, float] = {
-            name: 0.0 for name in self.config.producers
-        }
         self._schedule: List[str] = list(self.config.producers[:ACTIVE_PRODUCER_COUNT])
         self._rejected_count = 0
 
     # -- producer schedule ---------------------------------------------------
-    def vote_producer(self, producer: str, stake: float) -> None:
-        """Add voting stake to ``producer`` (affects the next schedule)."""
-        self._producer_votes[producer] = self._producer_votes.get(producer, 0.0) + stake
-
-    def compute_schedule(self) -> List[str]:
-        """The 21 producers with the highest stake, ties broken by name."""
-        ranked = sorted(
-            self._producer_votes.items(), key=lambda item: (-item[1], item[0])
-        )
-        return [name for name, _ in ranked[:ACTIVE_PRODUCER_COUNT]]
-
-    def rotate_schedule(self, approvals: int = SCHEDULE_APPROVAL_QUORUM) -> List[str]:
-        """Adopt a new schedule if at least 15 producers approve it (§2.2)."""
-        if approvals < SCHEDULE_APPROVAL_QUORUM:
-            raise ChainError(
-                f"schedule change requires {SCHEDULE_APPROVAL_QUORUM} approvals, got {approvals}"
-            )
-        self._schedule = self.compute_schedule()
-        return list(self._schedule)
-
     def producer_for_height(self, height: int) -> str:
         """Scheduled producer for ``height`` under the round-robin DPoS order."""
         offset = (height - self.config.start_height) % BLOCKS_PER_ROUND

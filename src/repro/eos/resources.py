@@ -12,7 +12,7 @@ forced casual users (who stake little) off the chain.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 
 class ResourceUsage:
@@ -99,15 +99,6 @@ class EosResourceMarket:
         self._stakes[account] = self._stakes.get(account, 0.0) + amount
         self._total_staked = None
 
-    def unstake_cpu(self, account: str, amount: float) -> None:
-        """Remove up to ``amount`` of CPU stake from ``account``."""
-        current = self._stakes.get(account, 0.0)
-        self._stakes[account] = max(0.0, current - amount)
-        self._total_staked = None
-
-    def staked(self, account: str) -> float:
-        return self._stakes.get(account, 0.0)
-
     def total_staked(self) -> float:
         if self._total_staked is None:
             self._total_staked = sum(self._stakes.values())
@@ -180,19 +171,3 @@ class EosResourceMarket:
 
     def history(self) -> List[CongestionSample]:
         return list(self._history)
-
-    def congestion_periods(self) -> List[Tuple[float, float]]:
-        """(start, end) timestamp pairs during which the network was congested."""
-        periods: List[Tuple[float, float]] = []
-        start: float = 0.0
-        in_period = False
-        for sample in self._history:
-            if sample.congested and not in_period:
-                start = sample.timestamp
-                in_period = True
-            elif not sample.congested and in_period:
-                periods.append((start, sample.timestamp))
-                in_period = False
-        if in_period and self._history:
-            periods.append((start, self._history[-1].timestamp))
-        return periods

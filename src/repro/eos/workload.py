@@ -23,13 +23,12 @@ analysis verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional
 
 from repro.common.clock import SECONDS_PER_DAY, timestamp_from_iso
 from repro.common.records import BlockRecord, TransactionRecord
 from repro.common.rng import DeterministicRng
-from repro.eos.accounts import EosAccountKind
 from repro.eos.actions import (
     APPLICATION_CATEGORIES,
     CATEGORY_BETTING,
@@ -447,10 +446,7 @@ class EosWorkloadGenerator:
             yield from block.transactions
             self.chain.prune()
 
-    # -- ground truth the tests compare against --------------------------------------
-    def expected_category(self, contract: str) -> str:
-        return APPLICATION_CATEGORIES.get(contract, CATEGORY_OTHERS)
-
+    # -- the deployed contracts, for tests to inspect --------------------------------
     def dex_contract(self) -> DexContract:
         contract = self.chain.contracts.get("whaleextrust")
         assert isinstance(contract, DexContract)

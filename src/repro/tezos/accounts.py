@@ -12,7 +12,7 @@ Tezos has two account kinds (§2.3.2):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.common.errors import ChainError

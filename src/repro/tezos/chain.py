@@ -8,7 +8,7 @@ chain's measured throughput (Figure 1, Figure 3b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.common.blocklog import BlockLog

@@ -1,4 +1,4 @@
-"""Tezos on-chain governance: voting periods and the amendment process.
+"""Tezos on-chain governance vocabulary and the Babylon 2.0 timeline.
 
 Tezos governance runs in four consecutive periods (§4.2):
 
@@ -10,19 +10,20 @@ Tezos governance runs in four consecutive periods (§4.2):
 4. **Promotion** — a second ``yay``/``nay``/``pass`` vote; success deploys
    the proposal to the main network.
 
-The module also ships the Babylon 2.0 timeline the paper analyses in
-Figure 9 (proposed 2019-08-02, promoted 2019-10-18), so the governance
-analysis and its benchmark can regenerate the three vote-evolution series.
+No row depends on the outcome of a period, so the simulator keeps no
+amendment state machine: the Tezos workload emits ballots and proposals as
+rows and draws Figure 9's vote events from the Babylon 2.0 timeline shipped
+here (proposed 2019-08-02, promoted 2019-10-18), from which the governance
+analysis and its benchmark regenerate the three vote-evolution series.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.common.clock import SECONDS_PER_DAY, timestamp_from_iso
-from repro.common.errors import ChainError
 
 
 class VotingPeriodKind(str, enum.Enum):
@@ -36,15 +37,6 @@ class BallotChoice(str, enum.Enum):
     YAY = "yay"
     NAY = "nay"
     PASS = "pass"
-
-
-#: Period order; after a successful promotion the cycle restarts.
-PERIOD_SEQUENCE: Tuple[VotingPeriodKind, ...] = (
-    VotingPeriodKind.PROPOSAL,
-    VotingPeriodKind.EXPLORATION,
-    VotingPeriodKind.TESTING,
-    VotingPeriodKind.PROMOTION,
-)
 
 
 @dataclass
@@ -72,107 +64,6 @@ class BallotTally:
         if total_rolls <= 0:
             return 0.0
         return min(1.0, self.total / total_rolls)
-
-
-@dataclass
-class AmendmentProcess:
-    """State machine for one amendment cycle.
-
-    Parameters
-    ----------
-    total_rolls:
-        Size of the electorate (number of rolls across all bakers).
-    quorum:
-        Minimum participation rate for ballot periods.
-    supermajority:
-        Minimum yay share among non-pass ballots.
-    """
-
-    total_rolls: int
-    quorum: float = 0.5
-    supermajority: float = 0.8
-    period: VotingPeriodKind = VotingPeriodKind.PROPOSAL
-    proposal_votes: Dict[str, int] = field(default_factory=dict)
-    selected_proposal: Optional[str] = None
-    exploration_tally: BallotTally = field(default_factory=BallotTally)
-    promotion_tally: BallotTally = field(default_factory=BallotTally)
-    promoted: bool = False
-    failed: bool = False
-    _voters: Dict[str, set] = field(default_factory=dict)
-
-    # -- proposal period ---------------------------------------------------
-    def submit_proposal(self, baker: str, proposal: str, rolls: int = 1) -> None:
-        """Submit or upvote ``proposal`` with ``rolls`` voting weight."""
-        if self.period is not VotingPeriodKind.PROPOSAL:
-            raise ChainError("proposals are only accepted during the proposal period")
-        self.proposal_votes[proposal] = self.proposal_votes.get(proposal, 0) + rolls
-        self._voters.setdefault("proposal", set()).add(baker)
-
-    def close_proposal_period(self) -> Optional[str]:
-        """Select the winning proposal and advance to exploration."""
-        if self.period is not VotingPeriodKind.PROPOSAL:
-            raise ChainError("not in the proposal period")
-        if not self.proposal_votes:
-            self.failed = True
-            return None
-        winner = max(self.proposal_votes.items(), key=lambda item: (item[1], item[0]))
-        self.selected_proposal = winner[0]
-        self.period = VotingPeriodKind.EXPLORATION
-        return self.selected_proposal
-
-    # -- ballot periods ------------------------------------------------------
-    def _tally_for_period(self) -> BallotTally:
-        if self.period is VotingPeriodKind.EXPLORATION:
-            return self.exploration_tally
-        if self.period is VotingPeriodKind.PROMOTION:
-            return self.promotion_tally
-        raise ChainError(f"no ballots are cast during the {self.period.value} period")
-
-    def cast_ballot(self, baker: str, choice: BallotChoice, rolls: int = 1) -> None:
-        """Cast a ballot in the current exploration/promotion period."""
-        voters = self._voters.setdefault(self.period.value, set())
-        if baker in voters:
-            raise ChainError(f"baker {baker} already voted in the {self.period.value} period")
-        voters.add(baker)
-        tally = self._tally_for_period()
-        if choice is BallotChoice.YAY:
-            tally.yay += rolls
-        elif choice is BallotChoice.NAY:
-            tally.nay += rolls
-        else:
-            tally.passes += rolls
-
-    def _ballot_period_passes(self, tally: BallotTally) -> bool:
-        return (
-            tally.participation(self.total_rolls) >= self.quorum
-            and tally.approval_rate >= self.supermajority
-        )
-
-    def close_exploration_period(self) -> bool:
-        """Evaluate the exploration vote; advance to testing on success."""
-        if self.period is not VotingPeriodKind.EXPLORATION:
-            raise ChainError("not in the exploration period")
-        if self._ballot_period_passes(self.exploration_tally):
-            self.period = VotingPeriodKind.TESTING
-            return True
-        self.failed = True
-        return False
-
-    def close_testing_period(self) -> None:
-        """Testing involves no votes; simply advance to promotion."""
-        if self.period is not VotingPeriodKind.TESTING:
-            raise ChainError("not in the testing period")
-        self.period = VotingPeriodKind.PROMOTION
-
-    def close_promotion_period(self) -> bool:
-        """Evaluate the promotion vote; mark the amendment promoted on success."""
-        if self.period is not VotingPeriodKind.PROMOTION:
-            raise ChainError("not in the promotion period")
-        if self._ballot_period_passes(self.promotion_tally):
-            self.promoted = True
-            return True
-        self.failed = True
-        return False
 
 
 @dataclass(frozen=True)

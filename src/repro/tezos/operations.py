@@ -51,11 +51,6 @@ OPERATION_CATEGORIES: Dict[OperationKind, OperationCategory] = {
 }
 
 
-def category_for(kind: OperationKind) -> OperationCategory:
-    """Paper category for an operation kind."""
-    return OPERATION_CATEGORIES[kind]
-
-
 class TezosOperation(NamedTuple):
     """One operation to be included in a Tezos block (a tuple: one per row)."""
 
@@ -65,20 +60,6 @@ class TezosOperation(NamedTuple):
     amount_xtz: float = 0.0
     fee_xtz: float = 0.0
     data: Mapping[str, Any] = EMPTY_MAPPING
-
-    @property
-    def category(self) -> OperationCategory:
-        return category_for(self.kind)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind.value,
-            "source": self.source,
-            "destination": self.destination,
-            "amount_xtz": self.amount_xtz,
-            "fee_xtz": self.fee_xtz,
-            "data": dict(self.data),
-        }
 
 
 def make_endorsement(baker: str, endorsed_level: int, slots: int = 1) -> TezosOperation:

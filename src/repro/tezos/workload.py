@@ -20,19 +20,14 @@ Regenerates the shape of the Tezos traffic the paper observed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.common.clock import SECONDS_PER_DAY, timestamp_from_iso
 from repro.common.records import BlockRecord, TransactionRecord
 from repro.common.rng import DeterministicRng
 from repro.tezos.baking import ROLL_SIZE_XTZ
 from repro.tezos.chain import TezosChain, TezosChainConfig
-from repro.tezos.governance import (
-    BabylonTimeline,
-    BallotChoice,
-    VoteEvent,
-    VotingPeriodKind,
-)
+from repro.tezos.governance import BabylonTimeline, VoteEvent, VotingPeriodKind
 from repro.tezos.operations import (
     OperationKind,
     TezosOperation,

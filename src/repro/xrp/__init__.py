@@ -12,9 +12,10 @@ The paper's XRP measurement depends on:
 * **Decentralised exchange** — OfferCreate / OfferCancel and offer crossing
   (:mod:`repro.xrp.orderbook`).
 * **Transaction engine** — Payment, OfferCreate, OfferCancel, TrustSet,
-  AccountSet, escrows and the result codes the paper cites (``PATH_DRY``,
-  ``tecUNFUNDED_OFFER``); unsuccessful transactions are recorded on-ledger
-  with only the fee deducted (:mod:`repro.xrp.transactions`).
+  EscrowCreate, the settings no-ops and the result codes the paper cites
+  (``PATH_DRY``, ``tecUNFUNDED_OFFER``); unsuccessful transactions are
+  recorded on-ledger with only the fee deducted
+  (:mod:`repro.xrp.transactions`).
 * **Ledger close loop and RPC** (:mod:`repro.xrp.ledger`,
   :mod:`repro.xrp.rpc`) and the calibrated workload with the Huobi-linked
   offer bots, the payment-spam waves and the self-dealt BTC IOU trades

@@ -9,7 +9,7 @@ paper uses (via XRP Scan metadata) to cluster exchange-controlled accounts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.common.errors import ChainError
@@ -49,13 +49,6 @@ class XrpAccount:
     username: str = ""
     activated_at: float = 0.0
     sequence: int = 1
-    domain: str = ""
-    regular_key: str = ""
-    signer_list: tuple = ()
-
-    @property
-    def is_special(self) -> bool:
-        return is_special_address(self.address)
 
     @property
     def spendable_xrp(self) -> float:
@@ -96,10 +89,6 @@ class XrpAccountRegistry:
 
     def __contains__(self, address: str) -> bool:
         return address in self._accounts
-
-    def addresses(self) -> List[str]:
-        """Every known address, in creation order."""
-        return list(self._accounts)
 
     def get(self, address: str) -> XrpAccount:
         account = self._accounts.get(address)
@@ -150,6 +139,7 @@ class XrpAccountRegistry:
         return account
 
     def addresses(self) -> List[str]:
+        """Every known address, sorted."""
         return sorted(self._accounts)
 
     def accounts(self) -> Iterable[XrpAccount]:

@@ -11,8 +11,8 @@ ledger together with its result code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.common.blocklog import BlockLog
 from repro.common.clock import SimulationClock
@@ -20,14 +20,8 @@ from repro.common.errors import ChainError
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
 from repro.common.rng import DeterministicRng
 from repro.xrp.accounts import XrpAccountRegistry
-from repro.xrp.amounts import XRP_CURRENCY
 from repro.xrp.orderbook import OrderBook
-from repro.xrp.transactions import (
-    AppliedTransaction,
-    TransactionType,
-    XrpTransaction,
-    XrpTransactionEngine,
-)
+from repro.xrp.transactions import AppliedTransaction, XrpTransaction, XrpTransactionEngine
 from repro.xrp.trustlines import TrustLineTable
 
 #: Average ledger close interval in late 2019 (~4 seconds).

@@ -12,19 +12,12 @@ transactions (§3.2).  The two failure codes the paper highlights are
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.errors import ChainError
 from repro.common.records import EMPTY_MAPPING
 from repro.xrp.accounts import XrpAccountRegistry, is_special_address
-from repro.xrp.amounts import (
-    ACCOUNT_RESERVE_XRP,
-    STANDARD_FEE_DROPS,
-    XRP_CURRENCY,
-    IouAmount,
-    drops_to_xrp,
-)
+from repro.xrp.amounts import STANDARD_FEE_DROPS, IouAmount, drops_to_xrp
 from repro.xrp.orderbook import ExchangeExecution, OrderBook
 from repro.xrp.trustlines import TrustLineTable
 
@@ -82,23 +75,6 @@ class XrpTransaction(NamedTuple):
     data: Mapping[str, Any] = EMPTY_MAPPING
 
 
-@dataclass
-class Escrow:
-    """An XRP amount locked until ``finish_after`` (EscrowCreate/Finish/Cancel)."""
-
-    escrow_id: int
-    owner: str
-    destination: str
-    amount_xrp: float
-    finish_after: float
-    finished: bool = False
-    cancelled: bool = False
-
-    @property
-    def is_open(self) -> bool:
-        return not self.finished and not self.cancelled
-
-
 class AppliedTransaction(NamedTuple):
     """Outcome of applying a transaction to the ledger state (one per row)."""
 
@@ -115,7 +91,7 @@ class AppliedTransaction(NamedTuple):
 
 
 class XrpTransactionEngine:
-    """Applies transactions to the ledger state (accounts, lines, DEX, escrows)."""
+    """Applies transactions to the ledger state (accounts, lines, DEX)."""
 
     def __init__(
         self,
@@ -128,7 +104,6 @@ class XrpTransactionEngine:
         # defines __len__) but must still be shared with the caller.
         self.trustlines = trustlines if trustlines is not None else TrustLineTable()
         self.orderbook = orderbook if orderbook is not None else OrderBook()
-        self.escrows: Dict[int, Escrow] = {}
         self._next_escrow_id = 1
         self.fees_burned_xrp = 0.0
 
@@ -256,6 +231,11 @@ class XrpTransactionEngine:
 
     # -- Escrows ------------------------------------------------------------------
     def _apply_escrow_create(self, transaction: XrpTransaction, timestamp: float):
+        """Lock the amount away under the next escrow id.
+
+        No workload finishes or cancels an escrow, so the locked amount is
+        simply debited; the id numbers the row's ``offer_id``.
+        """
         amount = transaction.amount
         if amount is None or not amount.is_native or amount.value <= 0:
             return ResultCode.BAD_AMOUNT, [], 0, None
@@ -263,37 +243,9 @@ class XrpTransactionEngine:
         if sender.spendable_xrp + 1e-9 < amount.value:
             return ResultCode.UNFUNDED_PAYMENT, [], 0, None
         sender.debit_xrp(amount.value)
-        escrow = Escrow(
-            escrow_id=self._next_escrow_id,
-            owner=transaction.account,
-            destination=transaction.destination or transaction.account,
-            amount_xrp=amount.value,
-            finish_after=transaction.finish_after,
-        )
-        self.escrows[escrow.escrow_id] = escrow
+        escrow_id = self._next_escrow_id
         self._next_escrow_id += 1
-        return ResultCode.SUCCESS, [], escrow.escrow_id, None
-
-    def _apply_escrow_finish(self, transaction: XrpTransaction, timestamp: float):
-        escrow = self.escrows.get(transaction.escrow_id)
-        if escrow is None or not escrow.is_open:
-            return ResultCode.NO_ENTRY, [], 0, None
-        if timestamp < escrow.finish_after:
-            return ResultCode.NO_ENTRY, [], 0, None
-        escrow.finished = True
-        destination = escrow.destination
-        if destination in self.accounts:
-            self.accounts.get(destination).credit_xrp(escrow.amount_xrp)
-        delivered = IouAmount.native(escrow.amount_xrp)
-        return ResultCode.SUCCESS, [], escrow.escrow_id, delivered
-
-    def _apply_escrow_cancel(self, transaction: XrpTransaction, timestamp: float):
-        escrow = self.escrows.get(transaction.escrow_id)
-        if escrow is None or not escrow.is_open:
-            return ResultCode.NO_ENTRY, [], 0, None
-        escrow.cancelled = True
-        self.accounts.get(escrow.owner).credit_xrp(escrow.amount_xrp)
-        return ResultCode.SUCCESS, [], escrow.escrow_id, None
+        return ResultCode.SUCCESS, [], escrow_id, None
 
     #: Handler per transaction type; every other type is a no-op that succeeds.
     _HANDLERS = {
@@ -302,6 +254,4 @@ class XrpTransactionEngine:
         TransactionType.OFFER_CANCEL: _apply_offer_cancel,
         TransactionType.TRUST_SET: _apply_trust_set,
         TransactionType.ESCROW_CREATE: _apply_escrow_create,
-        TransactionType.ESCROW_FINISH: _apply_escrow_finish,
-        TransactionType.ESCROW_CANCEL: _apply_escrow_cancel,
     }

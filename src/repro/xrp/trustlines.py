@@ -11,7 +11,7 @@ dataset (§3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.errors import ChainError
 from repro.xrp.amounts import XRP_CURRENCY, IouAmount
@@ -86,9 +86,6 @@ class TrustLineTable:
 
     def lines_towards(self, issuer: str) -> List[TrustLine]:
         return [line for line in self._lines.values() if line.issuer == issuer]
-
-    def all_lines(self) -> Iterable[TrustLine]:
-        return self._lines.values()
 
     # -- IOU movement ---------------------------------------------------------
     def can_receive(self, holder: str, amount: IouAmount) -> bool:

@@ -22,13 +22,12 @@ Regenerates the shape of the XRP traffic the paper observed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.clock import SECONDS_PER_DAY, timestamp_from_iso
 from repro.common.records import BlockRecord, TransactionRecord
 from repro.common.rng import DeterministicRng
-from repro.xrp.accounts import generate_address
 from repro.xrp.amounts import IouAmount
 from repro.xrp.ledger import XrpLedger, XrpLedgerConfig
 from repro.xrp.transactions import TransactionType, XrpTransaction

@@ -131,16 +131,6 @@ class TestRateLimitsAndFailures:
         assert crawler.discover_head() == chain.head_height
 
 
-class TestCrawlWindow:
-    def test_stops_at_window_start(self):
-        chain = build_chain(10)
-        window_start = chain.block_at(105).timestamp
-        crawler = new_crawler(build_pool(chain))
-        report = crawler.crawl_window(window_start)
-        assert stored_heights(crawler.store) == list(range(105, 110))
-        assert report.blocks_fetched == 5
-
-
 def above_head(chain):
     """A height the chain has not produced yet."""
     return chain.head_height + 1

@@ -318,20 +318,20 @@ class TestChainEndpoints:
         with pytest.raises(RpcError):
             endpoint.fetch_block(head + 10, 0.0)
 
-    def test_xrp_endpoint_serves_blocks_and_metadata(self):
+    def test_xrp_endpoint_serves_blocks_and_nothing_else(self):
         ledger = XrpLedger()
-        parent = ledger.accounts.create_genesis(balance=1_000.0, username="Binance")
-        child = ledger.accounts.activate(parent.address, initial_xrp=50.0)
         ledger.close_ledger([])
         endpoint = XrpRpcEndpoint(ledger)
         assert endpoint.chain_name == "xrp"
         head = endpoint.head_height(0.0)
         block = endpoint.fetch_block(head, 0.0)
         assert block.height == head
-        info = endpoint.account_info(child.address, 0.0)
-        assert info["parent"] == parent.address
-        assert endpoint.account_info("rUnknownAccount", 0.0)["username"] == ""
-        assert endpoint.exchange_rate("BTC", "rNoTrades", 0.0) == 0.0
+        # The crawl reads heads and blocks only; explorer and data-API
+        # methods are not served.
+        for method in ("account_info", "exchange_rate"):
+            with pytest.raises(RpcError) as unknown:
+                endpoint.call(method, {}, 0.0)
+            assert unknown.value.code == METHOD_NOT_FOUND
 
     def test_xrp_endpoint_rate_limit(self):
         ledger = XrpLedger()

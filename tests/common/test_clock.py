@@ -63,7 +63,3 @@ class TestSimulationClock:
         assert clock.now == 80.0
         clock.advance_to(10.0)  # moving backwards is a no-op
         assert clock.now == 80.0
-
-    def test_iso_rendering(self):
-        clock = SimulationClock("2019-12-31")
-        assert clock.iso().startswith("2019-12-31")

@@ -11,9 +11,7 @@ from repro.common.records import (
     ChainId,
     TransactionRecord,
     count_actions,
-    count_transactions,
     iter_transactions,
-    sort_blocks,
 )
 
 
@@ -48,13 +46,6 @@ class TestTransactionRecord:
         rebuilt = TransactionRecord.from_dict(record.to_dict())
         assert rebuilt == record
 
-    def test_with_metadata_merges(self):
-        record = make_record(metadata={"a": 1})
-        updated = record.with_metadata(b=2)
-        assert updated.metadata == {"a": 1, "b": 2}
-        assert record.metadata == {"a": 1}
-        assert updated.transaction_id == record.transaction_id
-
     def test_defaults(self):
         record = make_record()
         assert record.success is True
@@ -70,9 +61,6 @@ class TestTransactionRecord:
             first.metadata["leak"] = 1
         assert second.metadata == {}
         assert first == make_record("tx1", metadata={})
-        updated = first.with_metadata(note="x")
-        assert updated.metadata == {"note": "x"}
-        assert first.metadata == {} and second.metadata == {}
 
     def test_default_metadata_round_trips_and_copies(self):
         record = make_record()
@@ -136,12 +124,7 @@ class TestHelpers:
             make_block(1, records=[make_record("tx1"), make_record("tx1")]),
             make_block(2, records=[make_record("tx2")]),
         ]
-        assert count_transactions(blocks) == 2
         assert count_actions(blocks) == 3
-
-    def test_sort_blocks(self):
-        blocks = [make_block(5), make_block(1), make_block(3)]
-        assert [block.height for block in sort_blocks(blocks)] == [1, 3, 5]
 
     def test_chain_id_values(self):
         assert ChainId("eos") is ChainId.EOS

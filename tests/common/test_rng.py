@@ -121,12 +121,6 @@ class TestDistributions:
         rng = DeterministicRng(23)
         assert all(rng.pareto_amount(10.0) > 0 for _ in range(100))
 
-    def test_pick_weighted_pairs_count(self):
-        rng = DeterministicRng(29)
-        pairs = rng.pick_weighted_pairs({"x": 1.0, "y": 2.0}, 7)
-        assert len(pairs) == 7
-        assert all(left in ("x", "y") and right in ("x", "y") for left, right in pairs)
-
 
 # -- draw parity with the pre-table implementations ----------------------------------
 #

@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro.eos.actions import (
-    EosAction,
-    SystemActionGroup,
-    classify_system_action,
-    make_buyram,
-    make_delegatebw,
-    make_newaccount,
-    make_transfer,
-    make_voteproducer,
-)
+from repro.eos.actions import SystemActionGroup, classify_system_action, make_transfer
 
 
 class TestClassification:
@@ -53,32 +44,7 @@ class TestBuilders:
         assert action.receiver == "eosio.token"
         assert action.data["to"] == "bob"
         assert action.data["quantity"] == 2.5
-        assert action.group is SystemActionGroup.P2P_TRANSACTION
-        assert action.is_system
-
-    def test_make_newaccount(self):
-        action = make_newaccount("eosio", "fresh")
-        assert action.name == "newaccount"
-        assert action.data["name"] == "fresh"
-
-    def test_make_delegatebw(self):
-        action = make_delegatebw("alice", "alice", cpu=5.0, net=1.0)
-        assert action.data["stake_cpu"] == 5.0
-
-    def test_make_buyram(self):
-        action = make_buyram("alice", "alice", 8192)
-        assert action.data["bytes"] == 8192
-
-    def test_make_voteproducer(self):
-        action = make_voteproducer("alice", ("producer01a", "producer02a"))
-        assert action.data["producers"] == ["producer01a", "producer02a"]
-
-    def test_to_dict(self):
-        action = EosAction(contract="c", name="n", actor="a", receiver="r", data={"k": 1})
-        assert action.to_dict() == {
-            "contract": "c",
-            "name": "n",
-            "actor": "a",
-            "receiver": "r",
-            "data": {"k": 1},
-        }
+        assert (
+            classify_system_action(action.name, action.contract)
+            is SystemActionGroup.P2P_TRANSACTION
+        )

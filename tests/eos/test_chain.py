@@ -59,19 +59,6 @@ class TestSchedule:
         }
         assert len(producers) == ACTIVE_PRODUCER_COUNT
 
-    def test_schedule_rotation_requires_quorum(self, chain):
-        chain.vote_producer("producer01a", 100.0)
-        with pytest.raises(ChainError):
-            chain.rotate_schedule(approvals=10)
-        assert chain.rotate_schedule(approvals=15)
-
-    def test_compute_schedule_ranks_by_stake(self, chain):
-        for index, name in enumerate(chain.config.producers):
-            chain.vote_producer(name, float(index))
-        schedule = chain.compute_schedule()
-        assert schedule[0] == chain.config.producers[-1]
-        assert len(schedule) == ACTIVE_PRODUCER_COUNT
-
     def test_too_few_producers_rejected(self):
         with pytest.raises(ChainError):
             EosChainConfig(producers=("producer01a",))

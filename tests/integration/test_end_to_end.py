@@ -92,11 +92,11 @@ class TestXrpPipeline:
         report = crawler.crawl_range(highest=head, lowest=ledger.config.start_index)
         assert report.complete
         records = list(store.iter_records())
-        # The exchange-rate oracle is fed from the endpoint's data API, like
-        # the paper's use of the Ripple Data API.
+        # The exchange-rate oracle is fed from the ledger's order book, the
+        # simulated counterpart of the paper's Ripple Data API.
         rates = {}
         for currency, issuer in generator.valued_assets():
-            rates[(currency, issuer)] = endpoint.exchange_rate(currency, issuer, now=0.0)
+            rates[(currency, issuer)] = ledger.orderbook.average_rate_vs_xrp(currency, issuer)
         oracle = ExchangeRateOracle(rates)
         decomposition = XrpValueAnalyzer(oracle).decompose(records)
         assert decomposition.total == sink.action_count

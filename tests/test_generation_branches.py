@@ -2,12 +2,14 @@
 
 ``tests/collection/test_generation_golden.py`` pins the bytes of a whole
 ``live_tail`` store, but no registered scenario produces a failed EOS
-contract action, an action to an undeployed contract or a CPU rejection, so
-the digest cannot see how those records are built.  Each case here drives
-one such branch through the public block-production call and compares every
-field of every record it yields — metadata keys in order included, since the
-store writes them in that order — with the values the simulators produced
-before their record types stopped being dataclasses.
+contract action, an action to an undeployed contract or a CPU rejection, and
+``live_tail`` emits no Tezos ballot or proposal (only the 92-day scenarios
+do), so the digest cannot see how those records are built.  Each case here
+drives one such branch through the public block-production call and compares
+every field of every record it yields — metadata keys in order included,
+since the store writes them in that order — with the values the simulators
+produced before their record types stopped being dataclasses (the Tezos
+governance rows: before the amendment state machine was deleted).
 """
 
 from __future__ import annotations
@@ -23,7 +25,12 @@ from repro.eos.chain import EosChain, EosTransaction
 from repro.eos.contracts import EidosContract, TokenContract
 from repro.tezos.baking import ROLL_SIZE_XTZ
 from repro.tezos.chain import TezosChain
-from repro.tezos.operations import make_reveal, make_transaction
+from repro.tezos.operations import (
+    make_ballot,
+    make_proposal,
+    make_reveal,
+    make_transaction,
+)
 from repro.xrp.amounts import IouAmount
 from repro.xrp.ledger import XrpLedger
 from repro.xrp.transactions import TransactionType, XrpTransaction
@@ -217,10 +224,16 @@ def test_xrp_crossing_offer_records_its_execution():
     ]
 
 
-def test_tezos_failed_operation_and_endorsement():
+def _tezos_chain() -> TezosChain:
+    """A chain with three bakers to fill a block's 32 endorsement slots."""
     chain = TezosChain(rng=DeterministicRng(5))
     for _ in range(3):
         chain.accounts.create_implicit(balance=5 * ROLL_SIZE_XTZ)
+    return chain
+
+
+def test_tezos_failed_operation_and_endorsement():
+    chain = _tezos_chain()
     chain.accounts.create_implicit(balance=500.0, address="tz1alicealicealice")
     chain.accounts.create_implicit(balance=100.0, address="tz1bobbobbobbobbob")
     block = chain.bake_block(
@@ -249,4 +262,26 @@ def test_tezos_failed_operation_and_endorsement():
             [("category", "manager")],
         ),
         tezos_row(35, "Reveal", "tz1bobbobbobbobbob", "", 0.0, True, [("category", "manager")]),
+    ]
+
+
+def test_tezos_ballot_and_proposal():
+    chain = _tezos_chain()
+    chain.accounts.create_implicit(balance=500.0, address="tz1bakerbakerbaker1")
+    block = chain.bake_block(
+        [
+            make_ballot("tz1bakerbakerbaker1", "PsBabyM1", "nay"),
+            make_proposal("tz1bakerbakerbaker1", ("PsBabyM1",)),
+        ]
+    )
+    assert len(block.transactions) == 34
+    assert [fields(record) for record in block.transactions[-2:]] == [
+        tezos_row(
+            33, "Ballot", "tz1bakerbakerbaker1", "", 0.0, True,
+            [("proposal", "PsBabyM1"), ("ballot", "nay"), ("category", "governance")],
+        ),
+        tezos_row(
+            34, "Proposals", "tz1bakerbakerbaker1", "", 0.0, True,
+            [("proposals", ["PsBabyM1"]), ("category", "governance")],
+        ),
     ]

@@ -1,115 +1,12 @@
-"""Tests for the Tezos governance state machine and the Babylon timeline."""
-
-import pytest
+"""Tests for the Babylon timeline and the Figure 9 vote series."""
 
 from repro.common.clock import timestamp_from_iso
-from repro.common.errors import ChainError
 from repro.tezos.governance import (
-    AmendmentProcess,
     BabylonTimeline,
-    BallotChoice,
     VoteEvent,
     VotingPeriodKind,
     cumulative_vote_series,
 )
-
-
-@pytest.fixture
-def process():
-    return AmendmentProcess(total_rolls=100, quorum=0.5, supermajority=0.8)
-
-
-class TestProposalPeriod:
-    def test_highest_voted_proposal_wins(self, process):
-        process.submit_proposal("baker1", "Babylon", rolls=10)
-        process.submit_proposal("baker2", "Babylon 2.0", rolls=15)
-        process.submit_proposal("baker3", "Babylon 2.0", rolls=5)
-        winner = process.close_proposal_period()
-        assert winner == "Babylon 2.0"
-        assert process.period is VotingPeriodKind.EXPLORATION
-
-    def test_no_proposals_fails_the_cycle(self, process):
-        assert process.close_proposal_period() is None
-        assert process.failed
-
-    def test_proposals_rejected_outside_period(self, process):
-        process.submit_proposal("baker1", "Babylon", rolls=10)
-        process.close_proposal_period()
-        with pytest.raises(ChainError):
-            process.submit_proposal("baker1", "Other", rolls=1)
-
-
-class TestBallotPeriods:
-    def _reach_exploration(self, process):
-        process.submit_proposal("baker1", "Babylon 2.0", rolls=10)
-        process.close_proposal_period()
-
-    def test_successful_exploration_advances_to_testing(self, process):
-        self._reach_exploration(process)
-        for index in range(60):
-            process.cast_ballot(f"baker{index}", BallotChoice.YAY)
-        assert process.close_exploration_period()
-        assert process.period is VotingPeriodKind.TESTING
-
-    def test_quorum_failure(self, process):
-        self._reach_exploration(process)
-        for index in range(10):
-            process.cast_ballot(f"baker{index}", BallotChoice.YAY)
-        assert not process.close_exploration_period()
-        assert process.failed
-
-    def test_supermajority_failure(self, process):
-        self._reach_exploration(process)
-        for index in range(30):
-            process.cast_ballot(f"yay{index}", BallotChoice.YAY)
-        for index in range(30):
-            process.cast_ballot(f"nay{index}", BallotChoice.NAY)
-        assert not process.close_exploration_period()
-
-    def test_pass_counts_for_quorum_but_not_approval(self, process):
-        self._reach_exploration(process)
-        for index in range(40):
-            process.cast_ballot(f"yay{index}", BallotChoice.YAY)
-        for index in range(20):
-            process.cast_ballot(f"pass{index}", BallotChoice.PASS)
-        assert process.exploration_tally.participation(100) == pytest.approx(0.6)
-        assert process.exploration_tally.approval_rate == 1.0
-        assert process.close_exploration_period()
-
-    def test_double_voting_rejected(self, process):
-        self._reach_exploration(process)
-        process.cast_ballot("baker1", BallotChoice.YAY)
-        with pytest.raises(ChainError):
-            process.cast_ballot("baker1", BallotChoice.NAY)
-
-    def test_full_cycle_promotes_amendment(self, process):
-        self._reach_exploration(process)
-        for index in range(60):
-            process.cast_ballot(f"baker{index}", BallotChoice.YAY)
-        process.close_exploration_period()
-        process.close_testing_period()
-        for index in range(55):
-            process.cast_ballot(f"baker{index}", BallotChoice.YAY)
-        for index in range(5):
-            process.cast_ballot(f"late{index}", BallotChoice.NAY)
-        assert process.close_promotion_period()
-        assert process.promoted
-
-    def test_ballots_rejected_during_testing(self, process):
-        self._reach_exploration(process)
-        for index in range(60):
-            process.cast_ballot(f"baker{index}", BallotChoice.YAY)
-        process.close_exploration_period()
-        with pytest.raises(ChainError):
-            process.cast_ballot("baker1", BallotChoice.YAY)
-
-    def test_period_closures_require_matching_period(self, process):
-        with pytest.raises(ChainError):
-            process.close_exploration_period()
-        with pytest.raises(ChainError):
-            process.close_testing_period()
-        with pytest.raises(ChainError):
-            process.close_promotion_period()
 
 
 class TestBabylonTimeline:

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.tezos.operations import (
+    OPERATION_CATEGORIES,
     OperationCategory,
     OperationKind,
-    category_for,
     make_activation,
     make_ballot,
     make_delegation,
@@ -19,13 +19,13 @@ from repro.tezos.operations import (
 
 class TestCategories:
     def test_consensus_operations(self):
-        assert category_for(OperationKind.ENDORSEMENT) is OperationCategory.CONSENSUS
-        assert category_for(OperationKind.REVEAL_NONCE) is OperationCategory.CONSENSUS
-        assert category_for(OperationKind.DOUBLE_BAKING_EVIDENCE) is OperationCategory.CONSENSUS
+        assert OPERATION_CATEGORIES[OperationKind.ENDORSEMENT] is OperationCategory.CONSENSUS
+        assert OPERATION_CATEGORIES[OperationKind.REVEAL_NONCE] is OperationCategory.CONSENSUS
+        assert OPERATION_CATEGORIES[OperationKind.DOUBLE_BAKING_EVIDENCE] is OperationCategory.CONSENSUS
 
     def test_governance_operations(self):
-        assert category_for(OperationKind.BALLOT) is OperationCategory.GOVERNANCE
-        assert category_for(OperationKind.PROPOSALS) is OperationCategory.GOVERNANCE
+        assert OPERATION_CATEGORIES[OperationKind.BALLOT] is OperationCategory.GOVERNANCE
+        assert OPERATION_CATEGORIES[OperationKind.PROPOSALS] is OperationCategory.GOVERNANCE
 
     def test_manager_operations(self):
         for kind in (
@@ -35,11 +35,11 @@ class TestCategories:
             OperationKind.ACTIVATE,
             OperationKind.DELEGATION,
         ):
-            assert category_for(kind) is OperationCategory.MANAGER
+            assert OPERATION_CATEGORIES[kind] is OperationCategory.MANAGER
 
     def test_every_kind_has_a_category(self):
         for kind in OperationKind:
-            assert category_for(kind) in OperationCategory
+            assert OPERATION_CATEGORIES[kind] in OperationCategory
 
 
 class TestBuilders:
@@ -48,7 +48,7 @@ class TestBuilders:
         assert operation.kind is OperationKind.ENDORSEMENT
         assert operation.data["level"] == 42
         assert operation.data["slots"] == 3
-        assert operation.category is OperationCategory.CONSENSUS
+        assert OPERATION_CATEGORIES[operation.kind] is OperationCategory.CONSENSUS
 
     def test_transaction_carries_amount_and_fee(self):
         operation = make_transaction("tz1alice", "tz1bob", 12.5, fee=0.01)
@@ -80,9 +80,3 @@ class TestBuilders:
     def test_proposal(self):
         operation = make_proposal("tz1baker", ("Babylon", "Babylon 2.0"))
         assert operation.data["proposals"] == ["Babylon", "Babylon 2.0"]
-
-    def test_to_dict(self):
-        operation = make_transaction("tz1a", "tz1b", 1.0)
-        payload = operation.to_dict()
-        assert payload["kind"] == "Transaction"
-        assert payload["amount_xtz"] == 1.0

@@ -249,51 +249,23 @@ class TestTrustSetAndSettings:
 
 
 class TestEscrows:
-    def test_escrow_lifecycle(self, engine):
-        created = engine.apply(
-            XrpTransaction(
-                type=TransactionType.ESCROW_CREATE,
-                account="rAlice",
-                destination="rBob",
-                amount=IouAmount.native(100.0),
-                finish_after=50.0,
-            ),
-            timestamp=0.0,
-        )
-        assert created.success
-        escrow_id = created.offer_id
-        # Too early to finish.
-        early = engine.apply(
-            XrpTransaction(type=TransactionType.ESCROW_FINISH, account="rBob", escrow_id=escrow_id),
-            timestamp=10.0,
-        )
-        assert early.result is ResultCode.NO_ENTRY
-        done = engine.apply(
-            XrpTransaction(type=TransactionType.ESCROW_FINISH, account="rBob", escrow_id=escrow_id),
-            timestamp=60.0,
-        )
-        assert done.success
-        assert engine.accounts.get("rBob").xrp_balance > 500.0
-
-    def test_escrow_cancel_returns_funds(self, engine):
-        created = engine.apply(
-            XrpTransaction(
-                type=TransactionType.ESCROW_CREATE,
-                account="rAlice",
-                destination="rBob",
-                amount=IouAmount.native(100.0),
-                finish_after=50.0,
-            )
-        )
-        balance_after_create = engine.accounts.get("rAlice").xrp_balance
-        cancelled = engine.apply(
-            XrpTransaction(
-                type=TransactionType.ESCROW_CANCEL, account="rAlice", escrow_id=created.offer_id
-            )
-        )
-        assert cancelled.success
+    def test_escrow_create_locks_the_amount_and_numbers_escrows(self, engine):
+        before = engine.accounts.get("rAlice").xrp_balance
+        ids = [
+            engine.apply(
+                XrpTransaction(
+                    type=TransactionType.ESCROW_CREATE,
+                    account="rAlice",
+                    destination="rBob",
+                    amount=IouAmount.native(100.0),
+                    finish_after=50.0,
+                )
+            ).offer_id
+            for _ in range(2)
+        ]
+        assert ids == [1, 2]
         assert engine.accounts.get("rAlice").xrp_balance == pytest.approx(
-            balance_after_create + 100.0 - drops_to_xrp(10)
+            before - 2 * (100.0 + drops_to_xrp(10))
         )
 
     def test_escrow_unfunded(self, engine):

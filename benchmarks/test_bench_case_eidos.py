@@ -8,12 +8,16 @@ magnitude (paper: +10,000 %), squeezing out low-stake users.  Benchmarks the
 boomerang detector and the congestion summary.
 """
 
-from repro.analysis.airdrop import analyze_airdrop, analyze_congestion, detect_boomerang_claims
+from repro.analysis.airdrop import (
+    AirdropAccumulator,
+    BoomerangClaimsAccumulator,
+    analyze_congestion,
+)
 
 
 def test_case_eidos_boomerang_detection(benchmark, eos_frame, bench_scenario):
-    claims = benchmark(detect_boomerang_claims, eos_frame)
-    report = analyze_airdrop(eos_frame, launch_date=bench_scenario.eos.eidos_launch_date)
+    claims = benchmark(BoomerangClaimsAccumulator().run, eos_frame)
+    report = AirdropAccumulator(bench_scenario.eos.eidos_launch_date).run(eos_frame)
     print("\n§4.1 — EIDOS airdrop:")
     print(f"  boomerang claims detected:        {len(claims)}")
     print(f"  unique claimer accounts:          {report.unique_claimers}")

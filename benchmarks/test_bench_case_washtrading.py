@@ -8,11 +8,15 @@ gross volume (paper: <0.7 % for almost every currency).  Benchmarks the
 detector over the full benchmark-scale EOS stream.
 """
 
-from repro.analysis.washtrading import analyze_wash_trading, extract_trades, relative_balance_change
+from repro.analysis.washtrading import (
+    TradeExtractionAccumulator,
+    WashTradeAccumulator,
+    relative_balance_change,
+)
 
 
 def test_case_washtrading_report(benchmark, eos_frame, bench_scenario):
-    report = benchmark(analyze_wash_trading, eos_frame)
+    report = benchmark(WashTradeAccumulator().run, eos_frame)
     print("\n§4.1 — WhaleEx wash trading:")
     print(f"  settled trades:                     {report.trade_count}")
     print(f"  trades involving the top 5 accounts: {report.top_accounts_trade_share:.1%}")
@@ -28,8 +32,8 @@ def test_case_washtrading_report(benchmark, eos_frame, bench_scenario):
 
 
 def test_case_washtrading_balance_changes(benchmark, eos_frame):
-    report = analyze_wash_trading(eos_frame)
-    trades = benchmark(extract_trades, eos_frame)
+    report = WashTradeAccumulator().run(eos_frame)
+    trades = benchmark(TradeExtractionAccumulator().run, eos_frame)
     print("\n§4.1 — net balance change of the top wash-trading accounts:")
     small_net_accounts = 0
     for account in report.top_accounts:

@@ -7,14 +7,14 @@ tiny fraction of payments move tokens with a positive XRP exchange rate.
 Benchmarks the per-payment value attribution over the full stream.
 """
 
-from repro.analysis.throughput import DEFAULT_BIN_SECONDS, bin_throughput
-from repro.analysis.value import XrpValueAnalyzer
+from repro.analysis.throughput import DEFAULT_BIN_SECONDS, ThroughputSeriesAccumulator
+from repro.analysis.value import ValueDistributionAccumulator, XrpDecompositionAccumulator
 from repro.common.clock import timestamp_from_iso
+from repro.common.columns import TxFrame
 from repro.xrp.workload import SPAM_PARENT
 
 
 def test_case_spam_wave_payments_carry_no_value(benchmark, xrp_records, xrp_generator, xrp_oracle):
-    analyzer = XrpValueAnalyzer(xrp_oracle)
     spam_accounts = set(xrp_generator.spam_accounts)
     spam_payments = [
         record
@@ -22,10 +22,11 @@ def test_case_spam_wave_payments_carry_no_value(benchmark, xrp_records, xrp_gene
         if record.type == "Payment" and record.success and record.sender in spam_accounts
     ]
 
-    def count_valued(payments):
-        return sum(1 for record in payments if analyzer.payment_has_value(record))
-
-    valued = benchmark(count_valued, spam_payments)
+    # The per-payment value attribution: a payment is counted when its asset
+    # has a positive XRP rate.
+    valued = benchmark(
+        ValueDistributionAccumulator(xrp_oracle).run, TxFrame.from_records(spam_payments)
+    ).count
     print("\n§4.3 — XRP payment spam:")
     print(f"  spam swarm size:                   {len(spam_accounts)} accounts")
     print(f"  spam payments recorded:            {len(spam_payments)}")
@@ -37,12 +38,16 @@ def test_case_spam_wave_payments_carry_no_value(benchmark, xrp_records, xrp_gene
     assert all(registry.get(address).parent == SPAM_PARENT for address in spam_accounts)
 
 
+def payment_keys(frame):
+    """Every row of a payments-only frame is one category, ``Payment``."""
+    return (frame.type_code,), lambda code: "Payment"
+
+
 def test_case_spam_waves_visible_in_payment_series(xrp_records, bench_scenario):
-    series = bin_throughput(
-        [record for record in xrp_records if record.type == "Payment"],
-        lambda record: "Payment",
-        DEFAULT_BIN_SECONDS,
-    )
+    frame = TxFrame.from_records([record for record in xrp_records if record.type == "Payment"])
+    series = ThroughputSeriesAccumulator(
+        payment_keys, DEFAULT_BIN_SECONDS, frame.min_timestamp(), frame.max_timestamp()
+    ).run(frame)
     payments = series.series_for("Payment")
     wave_bins = []
     calm_bins = []
@@ -60,9 +65,8 @@ def test_case_spam_waves_visible_in_payment_series(xrp_records, bench_scenario):
     assert wave_avg > 1.8 * calm_avg
 
 
-def test_case_one_in_n_payments_with_value(benchmark, xrp_records, xrp_oracle):
-    analyzer = XrpValueAnalyzer(xrp_oracle)
-    decomposition = benchmark(analyzer.decompose, xrp_records)
+def test_case_one_in_n_payments_with_value(benchmark, xrp_frame, xrp_oracle):
+    decomposition = benchmark(XrpDecompositionAccumulator(xrp_oracle).run, xrp_frame)
     one_in_n = (
         1.0 / decomposition.value_bearing_payment_fraction
         if decomposition.value_bearing_payment_fraction

@@ -8,11 +8,11 @@ exchange clusters dominate both ends, and the top clusters cover about half
 of the volume.  Benchmarks the aggregation pass and the clustering ablation.
 """
 
-from repro.analysis.flows import aggregate_value_flows
+from repro.analysis.flows import ValueFlowAccumulator
 
 
 def test_fig12_value_flow(benchmark, xrp_frame, xrp_clusterer, xrp_oracle):
-    report = benchmark(aggregate_value_flows, xrp_frame, xrp_clusterer, xrp_oracle)
+    report = benchmark(ValueFlowAccumulator(xrp_clusterer, xrp_oracle).run, xrp_frame)
     print("\nFigure 12 — XRP value flow (XRP-denominated):")
     print(f"  total: {report.total_xrp_value:,.0f} XRP")
     print("  top senders:   " + ", ".join(f"{name} ({value:,.0f})" for name, value in report.top_senders(5)))
@@ -32,15 +32,17 @@ def test_fig12_value_flow(benchmark, xrp_frame, xrp_clusterer, xrp_oracle):
     assert report.top_sender_concentration(10) > 0.4
 
 
-def test_fig12_clustering_ablation(benchmark, xrp_records, xrp_clusterer, xrp_oracle):
+def test_fig12_clustering_ablation(benchmark, xrp_frame, xrp_clusterer, xrp_oracle):
     """Ablation: address-level flows are strictly more fragmented than clustered ones."""
 
     class IdentityClusterer:
         def cluster_of(self, address):
             return address
 
-    clustered = aggregate_value_flows(xrp_records, xrp_clusterer, xrp_oracle)
-    unclustered = benchmark(aggregate_value_flows, xrp_records, IdentityClusterer(), xrp_oracle)
+    clustered = ValueFlowAccumulator(xrp_clusterer, xrp_oracle).run(xrp_frame)
+    unclustered = benchmark(
+        ValueFlowAccumulator(IdentityClusterer(), xrp_oracle).run, xrp_frame
+    )
     print(
         f"\nFigure 12 ablation — sender entities: clustered {len(clustered.by_sender)}, "
         f"address-level {len(unclustered.by_sender)}"
@@ -49,12 +51,12 @@ def test_fig12_clustering_ablation(benchmark, xrp_records, xrp_clusterer, xrp_or
     assert abs(unclustered.total_xrp_value - clustered.total_xrp_value) < 1e-6
 
 
-def test_fig12_value_attribution_ablation(xrp_records, xrp_clusterer, xrp_oracle):
+def test_fig12_value_attribution_ablation(xrp_frame, xrp_clusterer, xrp_oracle):
     """Ablation: the face-value rule wildly overstates flows vs the paper's rule."""
-    paper_rule = aggregate_value_flows(xrp_records, xrp_clusterer, xrp_oracle)
-    face_value = aggregate_value_flows(
-        xrp_records, xrp_clusterer, xrp_oracle, include_valueless=True
-    )
+    paper_rule = ValueFlowAccumulator(xrp_clusterer, xrp_oracle).run(xrp_frame)
+    face_value = ValueFlowAccumulator(
+        xrp_clusterer, xrp_oracle, include_valueless=True
+    ).run(xrp_frame)
     paper_payments = sum(flow.payment_count for flow in paper_rule.flows)
     face_payments = sum(flow.payment_count for flow in face_value.flows)
     print(

@@ -8,7 +8,7 @@ endorsements ~82 % with transactions ~16 %, XRP OfferCreate and Payment
 around 50 % and 46 %.
 """
 
-from repro.analysis.classify import distribution_as_mapping, type_distribution
+from repro.analysis.classify import TypeDistributionAccumulator, distribution_as_mapping
 from repro.common.records import ChainId
 
 
@@ -20,7 +20,7 @@ def _print_column(rows, chain):
 
 
 def test_fig1_eos_action_distribution(benchmark, eos_frame):
-    rows = benchmark(type_distribution, eos_frame)
+    rows = benchmark(TypeDistributionAccumulator().run, eos_frame)
     shares = distribution_as_mapping(rows, ChainId.EOS)
     _print_column(rows, ChainId.EOS)
     # Paper: transfer 91.6%, user-defined Others 8.3%, system actions ~0%.
@@ -30,7 +30,7 @@ def test_fig1_eos_action_distribution(benchmark, eos_frame):
 
 
 def test_fig1_tezos_operation_distribution(benchmark, tezos_frame):
-    rows = benchmark(type_distribution, tezos_frame)
+    rows = benchmark(TypeDistributionAccumulator().run, tezos_frame)
     shares = distribution_as_mapping(rows, ChainId.TEZOS)
     _print_column(rows, ChainId.TEZOS)
     # Paper: Endorsement 81.7%, Transaction 16.2%, everything else ~1%.
@@ -40,7 +40,7 @@ def test_fig1_tezos_operation_distribution(benchmark, tezos_frame):
 
 
 def test_fig1_xrp_type_distribution(benchmark, xrp_frame):
-    rows = benchmark(type_distribution, xrp_frame)
+    rows = benchmark(TypeDistributionAccumulator().run, xrp_frame)
     shares = distribution_as_mapping(rows, ChainId.XRP)
     _print_column(rows, ChainId.XRP)
     # Paper: OfferCreate 50.4%, Payment 46.2%, TrustSet 1.9%, OfferCancel 1.5%.

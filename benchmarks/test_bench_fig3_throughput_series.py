@@ -6,15 +6,38 @@ endorsement floor, (c) XRP Payment/OfferCreate with the two payment-spam
 waves.  Benchmarks the binning pass over the full benchmark-scale streams.
 """
 
-from repro.analysis.classify import classify_eos_category
-from repro.analysis.throughput import DEFAULT_BIN_SECONDS, bin_throughput, spike_ratio
+from repro.analysis.report import FIGURE3_CATEGORIZERS
+from repro.analysis.throughput import (
+    DEFAULT_BIN_SECONDS,
+    ThroughputSeriesAccumulator,
+    spike_ratio,
+)
 from repro.common.clock import date_from_timestamp, timestamp_from_iso
+from repro.common.columns import TxFrame
+from repro.common.records import ChainId
 
 
-def test_fig3a_eos_throughput_series(benchmark, eos_records, bench_scenario):
-    series = benchmark(
-        bin_throughput, eos_records, classify_eos_category, DEFAULT_BIN_SECONDS
+def figure3_over(frame, key_columns):
+    """A Figure 3 series accumulator anchored to ``frame``'s time window."""
+    return ThroughputSeriesAccumulator(
+        key_columns, DEFAULT_BIN_SECONDS, frame.min_timestamp(), frame.max_timestamp()
     )
+
+
+def tezos_endorsement_keys(frame):
+    """Endorsement / Transaction / Others, by operation kind."""
+    kinds = frame.types.values
+
+    def label(code):
+        kind = kinds[code]
+        return kind if kind in ("Endorsement", "Transaction") else "Others"
+
+    return (frame.type_code,), label
+
+
+def test_fig3a_eos_throughput_series(benchmark, eos_frame, eos_records, bench_scenario):
+    figure = figure3_over(eos_frame, FIGURE3_CATEGORIZERS[ChainId.EOS])
+    series = benchmark(figure.run, eos_frame)
     launch = bench_scenario.eos.eidos_launch_timestamp
     ratio = spike_ratio(series, launch)
     peak_index, peak_count = series.peak_bin()
@@ -30,24 +53,17 @@ def test_fig3a_eos_throughput_series(benchmark, eos_records, bench_scenario):
     totals = series.totals()
     assert totals["Tokens"] == max(totals.values())
     # Before the launch, betting is the largest category (Figure 3a).
-    pre_launch = bin_throughput(
-        [record for record in eos_records if record.timestamp < launch],
-        classify_eos_category,
-        DEFAULT_BIN_SECONDS,
+    organic = TxFrame.from_records(
+        [record for record in eos_records if record.timestamp < launch]
     )
+    pre_launch = figure3_over(organic, FIGURE3_CATEGORIZERS[ChainId.EOS]).run(organic)
     pre_totals = pre_launch.totals()
     assert pre_totals["Betting"] == max(pre_totals.values())
 
 
-def test_fig3b_tezos_throughput_series(benchmark, tezos_records):
-    series = benchmark(
-        bin_throughput,
-        tezos_records,
-        lambda record: "Endorsement" if record.type == "Endorsement" else (
-            "Transaction" if record.type == "Transaction" else "Others"
-        ),
-        DEFAULT_BIN_SECONDS,
-    )
+def test_fig3b_tezos_throughput_series(benchmark, tezos_frame):
+    figure = figure3_over(tezos_frame, tezos_endorsement_keys)
+    series = benchmark(figure.run, tezos_frame)
     totals = series.totals()
     print(f"\nFigure 3b — Tezos totals per category: {totals}")
     assert totals["Endorsement"] > totals["Transaction"] > totals["Others"]
@@ -57,17 +73,9 @@ def test_fig3b_tezos_throughput_series(benchmark, tezos_records):
     assert positive and max(positive) <= 2 * min(positive)
 
 
-def test_fig3c_xrp_throughput_series(benchmark, xrp_records, bench_scenario):
-    series = benchmark(
-        bin_throughput,
-        xrp_records,
-        lambda record: (
-            "Unsuccessful" if not record.success else (
-                record.type if record.type in ("Payment", "OfferCreate") else "Others"
-            )
-        ),
-        DEFAULT_BIN_SECONDS,
-    )
+def test_fig3c_xrp_throughput_series(benchmark, xrp_frame, bench_scenario):
+    figure = figure3_over(xrp_frame, FIGURE3_CATEGORIZERS[ChainId.XRP])
+    series = benchmark(figure.run, xrp_frame)
     totals = series.totals()
     print(f"\nFigure 3c — XRP totals per category: {totals}")
     assert totals["OfferCreate"] > 0 and totals["Payment"] > 0

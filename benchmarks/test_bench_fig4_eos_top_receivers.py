@@ -6,12 +6,12 @@ together with their per-action breakdown (``transfer`` ~100 % for
 contracts), and benchmarks the ranking pass.
 """
 
-from repro.analysis.accounts import top_receivers
-from repro.analysis.classify import action_breakdown_by_contract
+from repro.analysis.accounts import AccountActivityAccumulator
+from repro.analysis.classify import ContractBreakdownAccumulator
 
 
 def test_fig4_top_receivers(benchmark, eos_frame):
-    receivers = benchmark(top_receivers, eos_frame, 10)
+    receivers = benchmark(AccountActivityAccumulator("receiver", 10).run, eos_frame)
     print("\nFigure 4 — EOS top applications by received actions:")
     for activity in receivers:
         top_name, _, top_share = activity.top_type()
@@ -27,14 +27,15 @@ def test_fig4_top_receivers(benchmark, eos_frame):
 
 
 def test_fig4_token_contract_breakdown(benchmark, eos_frame):
-    breakdown = benchmark(action_breakdown_by_contract, eos_frame, "eosio.token")
+    breakdown = benchmark(ContractBreakdownAccumulator("eosio.token").run, eos_frame)
     name, _, share = breakdown[0]
     assert name == "transfer"
     assert share > 0.999  # paper: 99.999%
 
 
 def test_fig4_betting_contract_breakdown(eos_frame):
-    breakdown = {name: share for name, _, share in action_breakdown_by_contract(eos_frame, "betdicetasks")}
+    rows = ContractBreakdownAccumulator("betdicetasks").run(eos_frame)
+    breakdown = {name: share for name, _, share in rows}
     print(f"\nFigure 4 — betdicetasks action mix: { {k: round(v, 3) for k, v in breakdown.items()} }")
     # Paper: removetask 68%, log ~12%; bets are a small minority.
     assert breakdown["removetask"] == max(breakdown.values())
@@ -43,6 +44,7 @@ def test_fig4_betting_contract_breakdown(eos_frame):
 
 
 def test_fig4_dex_contract_breakdown(eos_frame):
-    breakdown = {name: share for name, _, share in action_breakdown_by_contract(eos_frame, "whaleextrust")}
+    rows = ContractBreakdownAccumulator("whaleextrust").run(eos_frame)
+    breakdown = {name: share for name, _, share in rows}
     # Paper: verifytrade2 is the most used WhaleEx action (29.8%).
     assert breakdown["verifytrade2"] == max(breakdown.values())

@@ -6,17 +6,18 @@ of its actions to ``betdicetasks``, ``mykeypostman`` relays transfers to
 ``eosio.token``.  Benchmarks the sender/receiver-pair aggregation.
 """
 
-from repro.analysis.accounts import top_sender_receiver_pairs
+from repro.analysis.accounts import SenderReceiverPairsAccumulator
+from repro.common.columns import TxFrame
 
 
-def _organic_records(eos_records, bench_scenario):
+def _organic_frame(eos_records, bench_scenario):
     launch = bench_scenario.eos.eidos_launch_timestamp
-    return [record for record in eos_records if record.timestamp < launch]
+    return TxFrame.from_records([record for record in eos_records if record.timestamp < launch])
 
 
 def test_fig5_top_sender_pairs(benchmark, eos_records, bench_scenario):
-    organic = _organic_records(eos_records, bench_scenario)
-    profiles = benchmark(top_sender_receiver_pairs, organic, 8, 5)
+    organic = _organic_frame(eos_records, bench_scenario)
+    profiles = benchmark(SenderReceiverPairsAccumulator(8, 5).run, organic)
     print("\nFigure 5 — EOS top senders (pre-launch organic traffic):")
     for profile in profiles:
         top_receiver, count, share = profile.top_receivers[0]
@@ -36,8 +37,8 @@ def test_fig5_top_sender_pairs(benchmark, eos_records, bench_scenario):
 
 
 def test_fig5_operator_accounts_concentrate_on_few_receivers(eos_records, bench_scenario):
-    organic = _organic_records(eos_records, bench_scenario)
-    profiles = top_sender_receiver_pairs(organic, limit_senders=8)
+    organic = _organic_frame(eos_records, bench_scenario)
+    profiles = SenderReceiverPairsAccumulator(limit_senders=8).run(organic)
     operators = [profile for profile in profiles if profile.sender in ("betdicegroup", "mykeypostman")]
     assert operators
     for profile in operators:

@@ -7,7 +7,8 @@ distributors send exactly one transaction to each of thousands of distinct
 addresses (mean ~1, stdev ~0).  Benchmarks the aggregation pass.
 """
 
-from repro.analysis.accounts import top_sender_receiver_pairs
+from repro.analysis.accounts import SenderReceiverPairsAccumulator
+from repro.common.columns import TxFrame
 
 
 def _transactions_only(tezos_records):
@@ -15,8 +16,8 @@ def _transactions_only(tezos_records):
 
 
 def test_fig6_top_senders_fanout(benchmark, tezos_records, tezos_generator):
-    transactions = _transactions_only(tezos_records)
-    profiles = benchmark(top_sender_receiver_pairs, transactions, 6, 3)
+    transactions = TxFrame.from_records(_transactions_only(tezos_records))
+    profiles = benchmark(SenderReceiverPairsAccumulator(6, 3).run, transactions)
     print("\nFigure 6 — Tezos top senders (Transaction operations only):")
     for profile in profiles:
         print(
@@ -42,7 +43,8 @@ def test_fig6_top_senders_fanout(benchmark, tezos_records, tezos_generator):
 
 def test_fig6_top_senders_are_a_small_set(tezos_records):
     transactions = _transactions_only(tezos_records)
-    profiles = top_sender_receiver_pairs(transactions, limit_senders=5)
+    frame = TxFrame.from_records(transactions)
+    profiles = SenderReceiverPairsAccumulator(limit_senders=5).run(frame)
     top_share = sum(profile.sent_count for profile in profiles) / len(transactions)
     # A handful of automated senders account for a large share of manager
     # transactions (the paper's Figure 6 observation).

@@ -7,12 +7,11 @@ lead to an exchange (0.2 %), and the headline economic-value share (~2.3 %).
 Benchmarks the decomposition pass.
 """
 
-from repro.analysis.value import XrpValueAnalyzer
+from repro.analysis.value import FailureCodeAccumulator, XrpDecompositionAccumulator
 
 
 def test_fig7_decomposition(benchmark, xrp_frame, xrp_oracle):
-    analyzer = XrpValueAnalyzer(xrp_oracle)
-    decomposition = benchmark(analyzer.decompose, xrp_frame)
+    decomposition = benchmark(XrpDecompositionAccumulator(xrp_oracle).run, xrp_frame)
     print("\nFigure 7 — XRP throughput decomposition:")
     print(f"  total transactions:        {decomposition.total}")
     print(f"  failed:                    {decomposition.failed} ({decomposition.failed_share:.1%})")
@@ -31,9 +30,8 @@ def test_fig7_decomposition(benchmark, xrp_frame, xrp_oracle):
     assert decomposition.offers > 0 and decomposition.payments > 0
 
 
-def test_fig7_failure_codes(benchmark, xrp_frame, xrp_oracle):
-    analyzer = XrpValueAnalyzer(xrp_oracle)
-    table = benchmark(analyzer.failure_code_distribution, xrp_frame)
+def test_fig7_failure_codes(benchmark, xrp_frame):
+    table = benchmark(FailureCodeAccumulator().run, xrp_frame)
     print(f"\nFigure 7 — most frequent failure codes: "
           f"{ {tx: max(codes, key=codes.get) for tx, codes in table.items()} }")
     # Paper: PATH_DRY dominates Payment failures, tecUNFUNDED_OFFER dominates

@@ -7,13 +7,17 @@ payments, and together they carry a large share of total traffic.
 Benchmarks the top-sender ranking and the common-control evidence pass.
 """
 
-from repro.analysis.accounts import top_senders, traffic_concentration
+from repro.analysis.accounts import (
+    AccountActivityAccumulator,
+    SenderCountsAccumulator,
+    traffic_concentration,
+)
 from repro.analysis.clustering import common_control_evidence, shared_destination_tags
 from repro.xrp.workload import HUOBI_DESTINATION_TAG
 
 
 def test_fig8_top_accounts(benchmark, xrp_frame, xrp_generator, xrp_clusterer):
-    senders = benchmark(top_senders, xrp_frame, 10)
+    senders = benchmark(AccountActivityAccumulator("sender", 10).run, xrp_frame)
     bots = set(xrp_generator.offer_bots)
     print("\nFigure 8 — most active XRP accounts:")
     for activity in senders:
@@ -49,7 +53,10 @@ def test_fig8_common_control_evidence(benchmark, xrp_records, xrp_generator, xrp
 
 
 def test_fig8_traffic_concentration(benchmark, xrp_frame):
-    concentration = benchmark(traffic_concentration, xrp_frame, 18)
+    def concentration_of(frame):
+        return traffic_concentration(SenderCountsAccumulator().run(frame), 18)
+
+    concentration = benchmark(concentration_of, xrp_frame)
     print(f"\nFigure 8 — share of traffic from the 18 most active accounts: {concentration:.1%}")
     # Paper (§3.3): the 18 most active accounts produce half of the traffic.
     assert concentration > 0.35

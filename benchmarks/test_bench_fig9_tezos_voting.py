@@ -33,9 +33,9 @@ def test_fig9_vote_series(benchmark, tezos_generator):
             assert counts == sorted(counts)
 
 
-def test_fig9_governance_report(benchmark, tezos_generator, tezos_records):
+def test_fig9_governance_report(benchmark, tezos_generator, tezos_frame):
     events = tezos_generator.generate_babylon_votes()
-    report = benchmark(analyze_governance, events, tezos_records)
+    report = benchmark(analyze_governance, events, tezos_frame)
     print(
         f"\n§4.2 — winning proposal: {report.winning_proposal}; "
         f"proposal participation {report.proposal_participation:.0%}; "
@@ -52,7 +52,7 @@ def test_fig9_governance_report(benchmark, tezos_generator, tezos_records):
     assert report.exploration.participation > report.proposal_participation
     # Governance operations are a negligible share of the chain's throughput
     # (245 operations in the paper's three-month window).
-    assert report.governance_operation_count < 0.005 * len(tezos_records)
+    assert report.governance_operation_count < 0.005 * len(tezos_frame)
     assert report.could_merge_periods
 
 

@@ -15,12 +15,12 @@ Run with:  python examples/eos_eidos_congestion.py
 
 from __future__ import annotations
 
-from repro.analysis.airdrop import analyze_airdrop, analyze_congestion
-from repro.analysis.classify import classify_eos_category
-from repro.analysis.throughput import bin_throughput, spike_ratio
-from repro.analysis.washtrading import analyze_wash_trading
+from repro.analysis.airdrop import AirdropAccumulator, analyze_congestion
+from repro.analysis.report import full_report
+from repro.analysis.throughput import spike_ratio
 from repro.common.clock import date_from_timestamp
-from repro.common.records import iter_transactions
+from repro.common.columns import TxFrame
+from repro.common.records import ChainId, iter_transactions
 from repro.eos.workload import EosWorkloadConfig, EosWorkloadGenerator
 
 
@@ -38,9 +38,11 @@ def main() -> None:
     blocks = generator.generate()
     records = list(iter_transactions(blocks))
     print(f"  {len(blocks)} blocks, {len(records)} actions")
+    frame = TxFrame.from_records(records)
+    figures = full_report(frame).chains[ChainId.EOS]
 
     # Figure 3a: throughput per 6-hour bin by application category.
-    series = bin_throughput(records, classify_eos_category)
+    series = figures["throughput_series"]
     launch = config.eidos_launch_timestamp
     print("\nThroughput across time (Figure 3a shape):")
     print(f"  traffic after / before the EIDOS launch: {spike_ratio(series, launch):.1f}x")
@@ -51,7 +53,7 @@ def main() -> None:
     )
 
     # Boomerang claims (§4.1).
-    airdrop = analyze_airdrop(records, launch_date=config.eidos_launch_date)
+    airdrop = AirdropAccumulator(config.eidos_launch_date).run(frame)
     print("\nEIDOS boomerang transactions:")
     print(f"  detected claims:                {airdrop.claim_count}")
     print(f"  unique claimer accounts:        {airdrop.unique_claimers}")
@@ -66,7 +68,7 @@ def main() -> None:
     print(f"  transactions rejected for lack of CPU: {generator.chain.rejected_transactions}")
 
     # WhaleEx wash trading (§4.1).
-    wash = analyze_wash_trading(records)
+    wash = figures["wash_trading"]
     print("\nWhaleEx wash trading:")
     print(f"  settled trades:                       {wash.trade_count}")
     print(f"  share involving the top-5 accounts:   {wash.top_accounts_trade_share:.1%}")

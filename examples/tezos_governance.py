@@ -14,14 +14,12 @@ Run with:  python examples/tezos_governance.py
 
 from __future__ import annotations
 
-from repro.analysis.accounts import top_sender_receiver_pairs
-from repro.analysis.classify import (
-    distribution_as_mapping,
-    tezos_category_distribution,
-    type_distribution,
-)
+from repro.analysis.accounts import SenderReceiverPairsAccumulator
+from repro.analysis.classify import distribution_as_mapping
 from repro.analysis.governance import analyze_governance, figure9_series
+from repro.analysis.report import full_report
 from repro.common.clock import date_from_timestamp
+from repro.common.columns import TxFrame
 from repro.common.records import ChainId, iter_transactions
 from repro.tezos.workload import TezosWorkloadConfig, TezosWorkloadGenerator
 
@@ -40,19 +38,23 @@ def main() -> None:
     blocks = generator.generate()
     records = list(iter_transactions(blocks))
     print(f"  {len(blocks)} blocks, {len(records)} operations")
+    frame = TxFrame.from_records(records)
+    figures = full_report(frame).chains[ChainId.TEZOS]
 
     print("\nOperation kinds (Figure 1, Tezos column):")
-    shares = distribution_as_mapping(type_distribution(records), ChainId.TEZOS)
+    shares = distribution_as_mapping(figures["type_distribution"], ChainId.TEZOS)
     for kind, share in sorted(shares.items(), key=lambda item: -item[1]):
         print(f"  {kind:24s} {share:6.1%}")
-    categories = tezos_category_distribution(records)
+    categories = figures["tezos_category_distribution"]
     print("Consensus / governance / manager split:")
     for category, share in sorted(categories.items(), key=lambda item: -item[1]):
         print(f"  {category:12s} {share:6.1%}")
 
     print("\nTop senders and their fan-out (Figure 6):")
-    transactions_only = [record for record in records if record.type == "Transaction"]
-    for profile in top_sender_receiver_pairs(transactions_only, limit_senders=5):
+    transactions = TxFrame.from_records(
+        [record for record in records if record.type == "Transaction"]
+    )
+    for profile in SenderReceiverPairsAccumulator(limit_senders=5).run(transactions):
         print(
             f"  {profile.sender[:22]:24s} sent {profile.sent_count:6d} to "
             f"{profile.unique_receivers:5d} receivers "
@@ -61,7 +63,7 @@ def main() -> None:
 
     print("\nBabylon 2.0 amendment (Figure 9, §4.2):")
     events = generator.generate_babylon_votes()
-    report = analyze_governance(events, records=records)
+    report = analyze_governance(events, frame)
     print(f"  proposal-period votes: {report.proposal_votes}")
     print(f"  winning proposal:      {report.winning_proposal}")
     print(f"  proposal participation:   {report.proposal_participation:.0%}")

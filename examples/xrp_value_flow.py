@@ -16,15 +16,16 @@ Run with:  python examples/xrp_value_flow.py
 from __future__ import annotations
 
 from repro.analysis.clustering import AccountClusterer
-from repro.analysis.flows import aggregate_value_flows
+from repro.analysis.report import full_report
 from repro.analysis.value import (
     ExchangeRateOracle,
-    XrpValueAnalyzer,
+    FailureCodeAccumulator,
     detect_self_dealing,
     iou_rate_table,
     rate_history,
 )
-from repro.common.records import iter_transactions
+from repro.common.columns import TxFrame
+from repro.common.records import ChainId, iter_transactions
 from repro.xrp.workload import (
     BITSTAMP_ISSUER,
     GATEHUB_ISSUER,
@@ -50,9 +51,11 @@ def main() -> None:
     records = list(iter_transactions(blocks))
     print(f"  {len(blocks)} ledgers, {len(records)} transactions")
 
+    frame = TxFrame.from_records(records)
     oracle = ExchangeRateOracle.from_orderbook(generator.ledger.orderbook)
-    analyzer = XrpValueAnalyzer(oracle)
-    decomposition = analyzer.decompose(records)
+    clusterer = AccountClusterer(generator.ledger.accounts)
+    figures = full_report(frame, oracle, clusterer).chains[ChainId.XRP]
+    decomposition = figures["xrp_decomposition"]
 
     print("\nThroughput decomposition (Figure 7):")
     print(f"  failed transactions:         {decomposition.failed_share:.1%}")
@@ -63,7 +66,7 @@ def main() -> None:
     print(f"    ... leading to exchange:   {decomposition.offers_exchanged}"
           f"  ({decomposition.offer_fill_fraction:.2%})")
     print(f"  economic-value share of all throughput: {decomposition.economic_value_share:.2%}")
-    print(f"  failure codes: {analyzer.failure_code_distribution(records)}")
+    print(f"  failure codes: {FailureCodeAccumulator().run(frame)}")
 
     print("\nBTC IOU exchange rates by issuer (Figure 11a):")
     rows = iou_rate_table(
@@ -89,8 +92,7 @@ def main() -> None:
           f" (buyer had received the IOU straight from its issuer)")
 
     print("\nValue flow between clusters (Figure 12):")
-    clusterer = AccountClusterer(generator.ledger.accounts)
-    flows = aggregate_value_flows(records, clusterer, oracle)
+    flows = figures["value_flows"]
     print(f"  total value moved: {flows.total_xrp_value:,.0f} XRP-equivalent")
     print("  top sender clusters:")
     for name, value in flows.top_senders(5):

@@ -4,10 +4,12 @@ The analysis package consumes the columnar transaction substrate
 (:class:`~repro.common.columns.TxFrame`, built from the crawler's block
 store or streamed straight out of a workload generator) and computes every
 table and figure in the paper's evaluation.  Each module exposes its logic
-as a single-pass :class:`~repro.analysis.engine.Accumulator`; the
+as a single-pass :class:`~repro.analysis.engine.Accumulator`, and there is
+one way to compute a figure: run its accumulator on a frame or view
+(``AccountActivityAccumulator("sender", 10).run(frame)``; the
 :class:`~repro.analysis.engine.AnalysisEngine` fans any number of them out
-over **one** iteration per chain, and every seed-era public function remains
-available as a thin wrapper.
+over **one** iteration per chain), or read it from the report by name
+(``full_report(frame).chains[chain]["top_senders"]``).
 
 * :mod:`repro.analysis.engine` — the accumulator protocol and the
   single-pass engine.

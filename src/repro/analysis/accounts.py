@@ -16,10 +16,10 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from typing import Dict, Iterable, List, NamedTuple, Tuple, Union
+from typing import Dict, List, NamedTuple, Tuple
 
-from repro.common.columns import CHAIN_ORDER, FrameLike, TxFrame, as_frame
-from repro.common.records import ChainId, TransactionRecord
+from repro.common.columns import CHAIN_ORDER, TxFrame
+from repro.common.records import ChainId
 from repro.analysis.containers import ExactCounts
 from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step
 from repro.analysis.vectorized import block_columns
@@ -168,20 +168,6 @@ TOP_RECEIVERS_FIGURE = FigureSpec(
 )
 
 
-def top_receivers(
-    records: Union[FrameLike, Iterable[TransactionRecord]], limit: int = 10
-) -> List[AccountActivity]:
-    """Accounts ranked by received transactions, with action breakdown (Figure 4)."""
-    return AccountActivityAccumulator("receiver", limit).run(as_frame(records))
-
-
-def top_senders(
-    records: Union[FrameLike, Iterable[TransactionRecord]], limit: int = 10
-) -> List[AccountActivity]:
-    """Accounts ranked by sent transactions, with type breakdown (Figure 8)."""
-    return AccountActivityAccumulator("sender", limit).run(as_frame(records))
-
-
 class SenderProfile(NamedTuple):
     """One row of Figure 6: fan-out statistics of a top sender."""
 
@@ -194,7 +180,14 @@ class SenderProfile(NamedTuple):
 
 
 class SenderReceiverPairsAccumulator(_TallyState, Accumulator):
-    """Single-pass Figure 5/6 profiles: top senders and their receiver fan-out."""
+    """Single-pass Figure 5/6 profiles: top senders and their receiver fan-out.
+
+    For each of the ``limit_senders`` most active senders the profile lists
+    the top receivers (Figure 5's pair table) and the mean / standard
+    deviation of transactions per unique receiver (Figure 6's fan-out
+    statistics, which tell baker payouts from airdrop-style
+    one-transaction-per-receiver distributions).
+    """
 
     name = "top_sender_receiver_pairs"
 
@@ -290,23 +283,6 @@ class SenderReceiverPairsAccumulator(_TallyState, Accumulator):
         return profiles
 
 
-def top_sender_receiver_pairs(
-    records: Union[FrameLike, Iterable[TransactionRecord]],
-    limit_senders: int = 5,
-    limit_receivers_per_sender: int = 5,
-) -> List[SenderProfile]:
-    """Figure 5 / Figure 6: top senders with their receiver distribution.
-
-    For each of the ``limit_senders`` most active senders the profile lists
-    the top receivers (Figure 5's pair table) and the mean / standard
-    deviation of transactions per unique receiver (Figure 6's fan-out
-    statistics, which distinguish baker-payout patterns from airdrop-style
-    one-transaction-per-receiver distributions).
-    """
-    accumulator = SenderReceiverPairsAccumulator(limit_senders, limit_receivers_per_sender)
-    return accumulator.run(as_frame(records))
-
-
 class SenderCountsAccumulator(_TallyState, Accumulator):
     """Single-pass per-sender transaction counts (§3.3 statistics)."""
 
@@ -342,35 +318,24 @@ class SenderCountsAccumulator(_TallyState, Accumulator):
         return {account_values[code]: count for code, count in self.tally.items()}
 
 
-def traffic_concentration(
-    records: Union[FrameLike, Iterable[TransactionRecord]], top_n: int = 18
-) -> float:
+def traffic_concentration(sender_counts: Dict[str, int], top_n: int = 18) -> float:
     """Share of all transactions sent by the ``top_n`` most active senders.
 
-    The paper observes that the 18 most active XRP accounts are responsible
-    for half of the total traffic (§3.3).
+    ``sender_counts`` is a :class:`SenderCountsAccumulator` result.  The
+    paper observes that the 18 most active XRP accounts are responsible for
+    half of the total traffic (§3.3).
     """
-    distribution = SenderCountsAccumulator().run(as_frame(records))
-    total = sum(distribution.values())
+    total = sum(sender_counts.values())
     if total == 0:
         return 0.0
-    top = sum(heapq.nlargest(top_n, distribution.values()))
+    top = sum(heapq.nlargest(top_n, sender_counts.values()))
     return top / total
 
 
-def transactions_per_account_distribution(
-    records: Union[FrameLike, Iterable[TransactionRecord]],
-) -> Dict[str, int]:
-    """Number of transactions initiated per account (sender side)."""
-    return SenderCountsAccumulator().run(as_frame(records))
-
-
-def single_transaction_account_share(
-    records: Union[FrameLike, Iterable[TransactionRecord]]
-) -> float:
-    """Share of accounts that transacted exactly once in the window (§3.3)."""
-    distribution = SenderCountsAccumulator().run(as_frame(records))
-    if not distribution:
+def single_transaction_account_share(sender_counts: Dict[str, int]) -> float:
+    """Share of accounts that transacted exactly once in the window (§3.3),
+    from a :class:`SenderCountsAccumulator` result."""
+    if not sender_counts:
         return 0.0
-    singles = sum(1 for count in distribution.values() if count == 1)
-    return singles / len(distribution)
+    singles = sum(1 for count in sender_counts.values() if count == 1)
+    return singles / len(sender_counts)

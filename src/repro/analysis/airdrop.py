@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.common.clock import timestamp_from_iso
-from repro.common.columns import CHAIN_CODES, FrameLike, TxFrame, as_frame
-from repro.common.records import ChainId, TransactionRecord
+from repro.common.columns import CHAIN_CODES, TxFrame
+from repro.common.records import ChainId
 from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
 from repro.analysis.vectorized import block_columns, matched_rows
 from repro.common.statecodec import pack_str_table, pack_strings, restore_str_table, unpack_strings
@@ -419,28 +419,6 @@ class AirdropAccumulator(BoomerangClaimsAccumulator):
             traffic_multiplier=multiplier,
             unique_claimers=len({claim.claimer for claim in claims}),
         )
-
-
-def detect_boomerang_claims(
-    records: Union[FrameLike, Iterable[TransactionRecord]],
-    contract: str = EIDOS_CONTRACT,
-) -> List[BoomerangClaim]:
-    """Find transactions whose EOS leaves and returns within the same transaction.
-
-    A claim is a transaction that (1) transfers EOS from an account to the
-    airdrop contract, (2) transfers the same EOS amount straight back, and
-    (3) grants the claimer some amount of the airdropped token.
-    """
-    return BoomerangClaimsAccumulator(contract).run(as_frame(records))
-
-
-def analyze_airdrop(
-    records: Union[FrameLike, Iterable[TransactionRecord]],
-    launch_date: str = "2019-11-01",
-    contract: str = EIDOS_CONTRACT,
-) -> AirdropReport:
-    """Compute the §4.1 airdrop statistics from an EOS record stream (one pass)."""
-    return AirdropAccumulator(launch_date, contract).run(as_frame(records))
 
 
 class CongestionReport(NamedTuple):

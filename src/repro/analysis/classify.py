@@ -12,18 +12,18 @@ Two classification layers are implemented:
   Betting, Games, Pornography, Tokens, Others).  The same label table drives
   :func:`classify_eos_category`.
 
-Both layers are implemented as single-pass accumulators over the columnar
-:class:`~repro.common.columns.TxFrame`; the public functions are thin
-backward-compatible wrappers that accept either a frame/view or any iterable
-of canonical records.
+Both layers are single-pass accumulators over the columnar
+:class:`~repro.common.columns.TxFrame`: run one on a frame or view
+(``TypeDistributionAccumulator().run(frame)``), or read its figure from a
+report by name (``full_report(frame).chains[chain]["type_distribution"]``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, as_frame
+from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, TxFrame
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step, config_digest
 from repro.analysis.vectorized import add_counts, block_columns, count_codes, unique_counts_ordered
@@ -81,7 +81,6 @@ XRP_FIGURE1_GROUPS: Dict[str, str] = {
 
 _EOS_CODE = CHAIN_CODES[ChainId.EOS]
 _TEZOS_CODE = CHAIN_CODES[ChainId.TEZOS]
-_XRP_CODE = CHAIN_CODES[ChainId.XRP]
 
 
 class TypeDistributionRow(NamedTuple):
@@ -94,14 +93,17 @@ class TypeDistributionRow(NamedTuple):
     share: float
 
 
-def figure1_group(record: TransactionRecord) -> str:
-    """The Figure 1 group a record belongs to."""
-    if record.chain is ChainId.EOS:
-        group = classify_system_action(record.type, record.contract)
-        return EOS_FIGURE1_GROUPS[group]
-    if record.chain is ChainId.TEZOS:
-        return TEZOS_FIGURE1_GROUPS.get(record.type, "Other actions")
-    return XRP_FIGURE1_GROUPS.get(record.type, "Other actions")
+def figure1_group(chain: ChainId, type_name: str, contract: str) -> str:
+    """The Figure 1 group of a row's chain, type and contract.
+
+    Only the EOS grouping depends on the contract: system actions group by
+    name, and every action on a user contract is "Others".
+    """
+    if chain is ChainId.EOS:
+        return EOS_FIGURE1_GROUPS[classify_system_action(type_name, contract)]
+    if chain is ChainId.TEZOS:
+        return TEZOS_FIGURE1_GROUPS.get(type_name, "Other actions")
+    return XRP_FIGURE1_GROUPS.get(type_name, "Other actions")
 
 
 class TypeDistributionAccumulator(Accumulator):
@@ -166,18 +168,11 @@ class TypeDistributionAccumulator(Accumulator):
         for (chain_code, type_code, contract_code), count in self._counts.items():
             chain = CHAIN_ORDER[chain_code]
             type_name = type_values[type_code]
-            # Only the EOS grouping depends on the contract; the non-EOS
-            # contract codes are simply merged away here.
-            if chain_code == _EOS_CODE:
-                group = EOS_FIGURE1_GROUPS[
-                    classify_system_action(type_name, account_values[contract_code])
-                ]
-                if group == "Others":
-                    type_name = "Others"
-            elif chain_code == _TEZOS_CODE:
-                group = TEZOS_FIGURE1_GROUPS.get(type_name, "Other actions")
-            else:
-                group = XRP_FIGURE1_GROUPS.get(type_name, "Other actions")
+            group = figure1_group(chain, type_name, account_values[contract_code])
+            # EOS user-defined actions collapse into one "Others" row, as in
+            # the paper: their names are contract-specific.
+            if chain is ChainId.EOS and group == "Others":
+                type_name = "Others"
             merged[(chain, group, type_name)] += count
             totals[chain] += count
         rows = [
@@ -222,22 +217,10 @@ TYPE_DISTRIBUTION_FIGURE = FigureSpec(
 )
 
 
-def type_distribution(
-    records: Union[FrameLike, Iterable[TransactionRecord]]
-) -> List[TypeDistributionRow]:
-    """Figure 1: count and share of every (group, type) pair, per chain.
-
-    EOS user-defined actions are collapsed into a single "Others" row exactly
-    as the paper does, because their names are contract-specific.  Thin
-    wrapper over :class:`TypeDistributionAccumulator` (one pass).
-    """
-    return TypeDistributionAccumulator().run(as_frame(records))
-
-
 def distribution_as_mapping(
     rows: Iterable[TypeDistributionRow], chain: ChainId
 ) -> Dict[str, float]:
-    """Type-name → share mapping for one chain (convenient for assertions)."""
+    """Type-name → share mapping of one chain's Figure 1 rows."""
     return {row.type_name: row.share for row in rows if row.chain is chain}
 
 
@@ -355,14 +338,6 @@ CATEGORY_DISTRIBUTION_FIGURE = FigureSpec(
 )
 
 
-def category_distribution(
-    records: Union[FrameLike, Iterable[TransactionRecord]],
-    label_table: Optional[Mapping[str, str]] = None,
-) -> Dict[str, float]:
-    """Share of EOS actions per application category (one pass)."""
-    return CategoryDistributionAccumulator(label_table).run(as_frame(records))
-
-
 class ContractBreakdownAccumulator(Accumulator):
     """Single-pass per-action breakdown of one EOS contract (Figure 4 rows)."""
 
@@ -440,17 +415,6 @@ class ContractBreakdownAccumulator(Accumulator):
         return breakdown
 
 
-def action_breakdown_by_contract(
-    records: Union[FrameLike, Iterable[TransactionRecord]], contract: str
-) -> List[Tuple[str, int, float]]:
-    """Per-action (name, count, share) breakdown for one EOS contract.
-
-    This is the right-hand column of Figure 4 (for instance ``transfer``
-    99.999 % for ``eosio.token``; ``removetask`` 68 % for ``betdicetasks``).
-    """
-    return ContractBreakdownAccumulator(contract).run(as_frame(records))
-
-
 class TezosCategoryAccumulator(Accumulator):
     """Single-pass Tezos category shares (consensus/governance/manager)."""
 
@@ -516,10 +480,3 @@ TEZOS_CATEGORY_FIGURE = FigureSpec(
     chains=(ChainId.TEZOS,),
     factory=lambda chain, config: TezosCategoryAccumulator(),
 )
-
-
-def tezos_category_distribution(
-    records: Union[FrameLike, Iterable[TransactionRecord]]
-) -> Dict[str, float]:
-    """Share of Tezos operations per paper category (one pass)."""
-    return TezosCategoryAccumulator().run(as_frame(records))

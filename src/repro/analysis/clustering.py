@@ -11,9 +11,9 @@ Figure 12 value-flow aggregation.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Tuple
 
-from repro.common.columns import FrameLike, TxFrame, as_frame
+from repro.common.columns import TxFrame
 from repro.common.records import TransactionRecord
 from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, config_digest
 from repro.analysis.vectorized import block_columns, count_codes
@@ -189,15 +189,6 @@ class ClusterCountsAccumulator(Accumulator):
             label = cluster_of(account_values[code])
             counts[label] = counts.get(label, 0) + count
         return counts
-
-
-def cluster_transaction_counts(
-    records: Union[FrameLike, Iterable[TransactionRecord]],
-    clusterer: AccountClusterer,
-    side: str = "sender",
-) -> Dict[str, int]:
-    """Transactions per cluster, on the sender or receiver side (one pass)."""
-    return ClusterCountsAccumulator(clusterer, side).run(as_frame(records))
 
 
 def shared_destination_tags(

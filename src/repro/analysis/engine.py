@@ -41,8 +41,7 @@ The accumulator protocol — every accumulator has at most two scan kernels:
     for every registered accumulator.
 
 ``finalize() -> result``
-    Called once after the scan; returns the analysis result (the same
-    object the module's legacy public function returns).
+    Called once after the scan; returns the figure's result.
 
 Accumulators are one-shot: binding resets state, so an instance can be
 reused across engine runs but not shared between concurrent passes.
@@ -80,8 +79,8 @@ one accumulator before a single ``finalize``:
     counts transaction-id *runs*
     (:class:`~repro.analysis.containers.IdRuns`), so a source whose rows
     interleave two transactions' ids over-counts.  Stores check that where
-    they encode a chunk; ``full_report(records)`` over caller-ordered
-    records takes it as a precondition.
+    they encode a chunk; ``full_report(frame)`` over a frame built from
+    caller-ordered records takes it as a precondition.
 
 The surrounding contract has three legs:
 

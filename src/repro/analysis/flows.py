@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from typing import Dict, Iterable, List, NamedTuple, Tuple, Union
+from typing import Dict, List, NamedTuple, Tuple
 
-from repro.common.columns import CHAIN_CODES, FrameLike, TxFrame, as_frame
-from repro.common.records import XRP_CURRENCY, ChainId, TransactionRecord
+from repro.common.columns import CHAIN_CODES, TxFrame
+from repro.common.records import XRP_CURRENCY, ChainId
 from repro.analysis.clustering import AccountClusterer
 from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step
 from repro.analysis.vectorized import block_columns, matched_rows
@@ -292,20 +292,3 @@ VALUE_FLOWS_FIGURE = FigureSpec(
         else None
     ),
 )
-
-
-def aggregate_value_flows(
-    records: Union[FrameLike, Iterable[TransactionRecord]],
-    clusterer: AccountClusterer,
-    oracle: ExchangeRateOracle,
-    include_valueless: bool = False,
-) -> ValueFlowReport:
-    """Aggregate successful Payment transactions into Figure 12 flows.
-
-    ``include_valueless`` keeps payments of tokens with no XRP rate (at zero
-    value) in the payment counts — useful for the ablation comparing the
-    paper's value-attribution rule against a face-value rule.  Thin wrapper
-    over :class:`ValueFlowAccumulator` (one pass).
-    """
-    accumulator = ValueFlowAccumulator(clusterer, oracle, include_valueless)
-    return accumulator.run(as_frame(records))

@@ -11,10 +11,10 @@ that the proposal and exploration periods could be merged.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, as_frame
-from repro.common.records import ChainId, TransactionRecord
+from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame
+from repro.common.records import ChainId
 from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
 from repro.analysis.vectorized import block_columns, count_codes
 from repro.common.statecodec import pack_code_table, restore_code_table
@@ -146,19 +146,14 @@ class GovernanceOpsAccumulator(Accumulator):
         )
 
 
-def count_governance_operations(
-    records: Union[FrameLike, Iterable[TransactionRecord]]
-) -> int:
-    """Number of Ballot/Proposals operations in a record stream (one pass)."""
-    return GovernanceOpsAccumulator().run(as_frame(records))
-
-
 def analyze_governance(
     events: Sequence[VoteEvent],
-    records: Optional[Union[FrameLike, Iterable[TransactionRecord]]] = None,
+    frame: Optional[FrameLike] = None,
     electorate_rolls: int = 460,
 ) -> GovernanceReport:
-    """Compute the §4.2 governance statistics."""
+    """Compute the §4.2 governance statistics from the vote events; the
+    governance-operation count comes from ``frame`` (a frame or view of the
+    Tezos rows) when one is given."""
     from repro.tezos.governance import VotingPeriodKind
 
     proposal_votes: Counter = Counter()
@@ -168,9 +163,7 @@ def analyze_governance(
             proposal_votes[event.proposal] += event.rolls
             proposal_voters += 1
     winning = max(proposal_votes.items(), key=lambda item: item[1])[0] if proposal_votes else ""
-    governance_ops = 0
-    if records is not None:
-        governance_ops = count_governance_operations(records)
+    governance_ops = 0 if frame is None else GovernanceOpsAccumulator().run(frame)
     return GovernanceReport(
         proposal_votes=dict(proposal_votes),
         winning_proposal=winning,

@@ -12,16 +12,16 @@ the JSON and text renderings.  :meth:`FullReport.summary` is the paper's
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional
-from typing import Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.common.columns import CHAIN_ORDER, FrameLike, TxFrame, TxView, as_frame
-from repro.common.records import ChainId, TransactionRecord
+from repro.common.columns import CHAIN_ORDER, FrameLike, TxFrame, TxView
+from repro.common.records import ChainId
 from repro.analysis.accounts import TOP_RECEIVERS_FIGURE, TOP_SENDERS_FIGURE
 from repro.analysis.classify import (
     CATEGORY_DISTRIBUTION_FIGURE,
     TEZOS_CATEGORY_FIGURE,
     TYPE_DISTRIBUTION_FIGURE,
+    distribution_as_mapping,
     eos_category_lookup,
 )
 from repro.analysis.clustering import AccountClusterer
@@ -259,7 +259,7 @@ class ChainFigures:
         stats = self["tx_stats"]
         if self.chain is ChainId.XRP:
             kind = "type"
-            shares = [(row.type_name, row.share) for row in self["type_distribution"]]
+            shares = distribution_as_mapping(self["type_distribution"], self.chain).items()
         else:
             kind = "category"
             shares = (
@@ -284,12 +284,12 @@ class ChainFigures:
         )
 
 
-def chain_window(coerced: FrameLike, view: TxView, chain: ChainId) -> Optional[tuple]:
-    """(min, max) timestamp of the chain's rows within ``coerced``."""
-    if isinstance(coerced, TxFrame):
+def chain_window(source: FrameLike, view: TxView, chain: ChainId) -> Optional[tuple]:
+    """(min, max) timestamp of the chain's rows within ``source``."""
+    if isinstance(source, TxFrame):
         # Whole-frame source: the per-chain bounds are tracked at append
         # time, so anchoring the Figure 3 series costs nothing.
-        return coerced.chain_bounds(chain)
+        return source.chain_bounds(chain)
     # Sub-view source (e.g. a time window): anchor to the view's own
     # window, not the full frame's, so the series has no phantom bins.
     low = view.min_timestamp()
@@ -346,25 +346,25 @@ class FullReport:
 
 
 def full_report(
-    source: Union[FrameLike, Iterable[TransactionRecord]],
+    source: FrameLike,
     oracle: Optional[ExchangeRateOracle] = None,
     clusterer: Optional[AccountClusterer] = None,
     bin_seconds: float = DEFAULT_BIN_SECONDS,
     top_limit: int = 10,
 ) -> FullReport:
-    """Every figure for every chain in ``source``, one pass per chain."""
-    coerced = as_frame(source)
-    frame = coerced.frame if isinstance(coerced, TxView) else coerced
+    """Every figure for every chain in ``source`` (a frame or a view of
+    one), one pass per chain."""
+    frame = source.frame if isinstance(source, TxView) else source
     report = FullReport()
     for chain in frame.chains():
-        view = coerced.chain_view(chain)
+        view = source.chain_view(chain)
         # Only report chains actually present in the source: a view may
         # deliberately exclude chains the underlying frame contains.
         if not len(view):
             continue
         factory = figure_factory(
             chain,
-            chain_window(coerced, view, chain),
+            chain_window(source, view, chain),
             oracle,
             clusterer,
             bin_seconds,

@@ -5,22 +5,19 @@ broken down by category; the introduction quotes the average throughput as
 20 TPS for EOS, 0.08 TPS for Tezos and 19 TPS for XRP.  Both views are
 computed here from the columnar transaction frame: the binning is a
 single-pass :class:`ThroughputSeriesAccumulator` so it can share the
-engine's one iteration with every other figure, and the public
-:func:`bin_throughput` stays a backward-compatible wrapper.
+engine's one iteration with every other figure.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from collections import Counter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from array import array
 
-from repro.common.columns import FrameLike, TxFrame, as_frame, as_ndarray, view_of
+from repro.common.columns import TxFrame, as_ndarray
 from repro.common.errors import AnalysisError
-from repro.common.records import TransactionRecord
 from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
 from repro.analysis.vectorized import (
     block_columns,
@@ -29,22 +26,16 @@ from repro.analysis.vectorized import (
     unique_counts_ordered,
     unpack_codes,
 )
-from repro.common.statecodec import pack_str_table, restore_str_table
 
 #: Figure 3 uses 6-hour bins.  An int: it is part of every series'
 #: ``config_signature``, so a float here would miss every state-cache entry.
 DEFAULT_BIN_SECONDS = 6 * 3600
 
-#: A categorizer factory: given the bound frame, returns a row → category
-#: label function.  Working on row indexes (codes) instead of materialised
-#: records is what keeps the binning cheap inside the shared pass.
-RowCategorizerFactory = Callable[[TxFrame], Callable[[int], str]]
-
 #: A key-column categorizer factory: given the bound frame, returns the
 #: integer column(s) whose values identify a category plus a labeler mapping
-#: a column value (or tuple of values) to its display label.  This is the
-#: vectorised form — bins are counted with one packed (bin, key) histogram
-#: per block and labels are resolved once per distinct key.
+#: a column value (or tuple of values) to its display label.  Bins are
+#: counted with one packed (bin, key) histogram per block and labels are
+#: resolved once per distinct key.
 KeyColumnsFactory = Callable[[TxFrame], Tuple[Tuple[Sequence, ...], Callable]]
 
 
@@ -120,26 +111,13 @@ _SESSION_TOKEN = os.urandom(16).hex()
 def _categorizer_id(factory) -> str:
     """Identity of a categorizer factory for config signatures.
 
-    Order of preference: an explicit ``signature_id`` attribute (set by
-    wrappers like :func:`record_categorizer`), a ``functools.partial``
-    expanded into its wrapped function plus arguments, then — for plain
-    module-level functions only — the module-qualified name.
-
-    Closures (and anything else whose behaviour the name cannot prove:
-    two closures returned by the same maker share one ``__qualname__``
-    while behaving differently) get a session-unique identity instead.
-    That makes them deliberately *unmergeable* across checkpoints — a
-    restore falls back to a rescan, which is over-conservative but never
-    silently wrong.  Attach a ``signature_id`` to a closure factory to
-    opt into cross-session checkpoint reuse.
+    A plain module-level function is its module-qualified name.  Closures
+    (and anything else whose behaviour the name cannot prove: two closures
+    returned by the same maker share one ``__qualname__`` while behaving
+    differently) get a session-unique identity instead.  That makes them
+    deliberately *unmergeable* across checkpoints — a restore falls back to
+    a rescan, which is over-conservative but never silently wrong.
     """
-    explicit = getattr(factory, "signature_id", None)
-    if explicit is not None:
-        return str(explicit)
-    if isinstance(factory, functools.partial):
-        inner = _categorizer_id(factory.func)
-        keywords = tuple(sorted(factory.keywords.items())) if factory.keywords else ()
-        return f"partial({inner}, args={factory.args!r}, keywords={keywords!r})"
     module = getattr(factory, "__module__", None)
     qualname = getattr(factory, "__qualname__", None)
     if (
@@ -152,32 +130,6 @@ def _categorizer_id(factory) -> str:
     return f"unprovable:{module}.{qualname}@{id(factory):x}:{_SESSION_TOKEN}"
 
 
-def record_categorizer(
-    categorizer: Callable[[TransactionRecord], str]
-) -> RowCategorizerFactory:
-    """Adapt a legacy record-level categorizer to the row-level protocol.
-
-    The compatibility path materialises one record per row, so prefer a
-    native row categorizer (e.g. :func:`type_name_categorizer`) in new code.
-    """
-
-    def factory(frame: TxFrame) -> Callable[[int], str]:
-        record = frame.record
-        return lambda row: categorizer(record(row))
-
-    # Distinct wrapped categorizers must yield distinct config signatures;
-    # the closure's own __qualname__ is shared by every wrap.
-    factory.signature_id = f"record_categorizer({_categorizer_id(categorizer)})"
-    return factory
-
-
-def type_name_categorizer(frame: TxFrame) -> Callable[[int], str]:
-    """Row categorizer: the record's type string (Tezos operation kinds)."""
-    type_codes = frame.type_code
-    type_values = frame.types.values
-    return lambda row: type_values[type_codes[row]]
-
-
 class ThroughputSeriesAccumulator(Accumulator):
     """Single-pass Figure 3 binning: counts per time bin per category.
 
@@ -185,12 +137,9 @@ class ThroughputSeriesAccumulator(Accumulator):
     the pass starts (the frame tracks per-chain timestamp bounds at append
     time), so the accumulator never needs a pre-scan of its own.
 
-    Two categorizer forms are accepted: a ``categorizer`` factory producing
-    a row → label callable (the flexible form, used by the
-    :func:`bin_throughput` compatibility wrapper) or ``key_columns``
-    producing integer key column(s) plus a labeler.  With buffer-backed
-    key columns the batch kernel is vectorised (see :meth:`bind_batch`).
-
+    ``key_columns`` (a :data:`KeyColumnsFactory`) yields the integer key
+    column(s) of a category plus a labeler; the scan counts keys per bin
+    and labels resolve once per distinct key at :meth:`finalize`.
     ``ThroughputSeries.categories`` lists labels in first-seen order over
     the bins in *time* order, whatever order the scan visited rows in.
     """
@@ -199,35 +148,27 @@ class ThroughputSeriesAccumulator(Accumulator):
 
     def __init__(
         self,
-        categorizer: Optional[RowCategorizerFactory] = None,
+        key_columns: KeyColumnsFactory,
         bin_seconds: float = DEFAULT_BIN_SECONDS,
         start: float = 0.0,
         end: Optional[float] = None,
-        key_columns: Optional[KeyColumnsFactory] = None,
     ):
         if bin_seconds <= 0:
             raise AnalysisError("bin_seconds must be positive")
         if end is not None and end < start:
             raise AnalysisError("end must not precede start")
-        if categorizer is None and key_columns is None:
-            raise AnalysisError("a categorizer or key_columns factory is required")
-        self.categorizer = categorizer
         self.key_columns = key_columns
         self.bin_seconds = bin_seconds
         self.start = start
         self.end = end
 
     def _reset(self, frame: TxFrame) -> None:
-        #: Labelled bins (categorizer mode): bin index → {label: count}.
-        self._bins: Dict[int, Dict[str, int]] = {}
-        #: Raw bins (key-columns mode): bin index → Counter of unresolved
-        #: keys; labels resolve once per distinct key at :meth:`finalize`.
+        #: Bin index → Counter of unresolved keys; labels resolve once per
+        #: distinct key at :meth:`finalize`.
         self._raw_bins: Dict[int, Counter] = {}
         # The factory may build per-frame lookups (e.g. the EOS category
         # table), so it runs once per bind and feeds whichever kernel binds.
-        self._columns, self._labeler = (
-            self.key_columns(frame) if self.key_columns is not None else ((), None)
-        )
+        self._columns, self._labeler = self.key_columns(frame)
 
     def bind(self, frame: TxFrame) -> Step:
         self._reset(frame)
@@ -235,36 +176,22 @@ class ThroughputSeriesAccumulator(Accumulator):
         start = self.start
         end = self.end
         bin_seconds = self.bin_seconds
-        if self.key_columns is None:
-            categorize = self.categorizer(frame)
-            bins = self._bins
-
-            def count(index: int, row: int) -> None:
-                category = categorize(row)
-                bin_counts = bins.get(index)
-                if bin_counts is None:
-                    bin_counts = bins[index] = {}
-                bin_counts[category] = bin_counts.get(category, 0) + 1
-
-        else:
-            columns = self._columns
-            single = columns[0] if len(columns) == 1 else None
-            raw_bins = self._raw_bins
-
-            def count(index: int, row: int) -> None:
-                counter = raw_bins.get(index)
-                if counter is None:
-                    counter = raw_bins[index] = Counter()
-                if single is not None:
-                    counter[single[row]] += 1
-                else:
-                    counter[tuple(column[row] for column in columns)] += 1
+        columns = self._columns
+        single = columns[0] if len(columns) == 1 else None
+        raw_bins = self._raw_bins
 
         def step(row: int) -> None:
             timestamp = timestamps[row]
             if timestamp < start or (end is not None and timestamp > end):
                 return
-            count(int((timestamp - start) // bin_seconds), row)
+            index = int((timestamp - start) // bin_seconds)
+            counter = raw_bins.get(index)
+            if counter is None:
+                counter = raw_bins[index] = Counter()
+            if single is not None:
+                counter[single[row]] += 1
+            else:
+                counter[tuple(column[row] for column in columns)] += 1
 
         return step
 
@@ -273,23 +200,15 @@ class ThroughputSeriesAccumulator(Accumulator):
 
         The bin index, the window mask and the key packing are all ndarray
         operations; labels still resolve once per *distinct* key at
-        finalisation.  Row categorizers, and key columns that are not
-        buffer-backed (a custom factory yielding a plain list), take the
-        row-step default instead.
+        finalisation.
         """
         import numpy as np
 
-        if self.key_columns is None:
-            return super().bind_batch(frame)
         self._reset(frame)
-        nd_columns = []
-        for column in self._columns:
-            if isinstance(column, np.ndarray):
-                nd_columns.append(column)
-            elif isinstance(column, array):
-                nd_columns.append(as_ndarray(column))
-            else:
-                return super().bind_batch(frame)
+        nd_columns = [
+            column if isinstance(column, np.ndarray) else as_ndarray(column)
+            for column in self._columns
+        ]
         raw_bins = self._raw_bins
         single = len(nd_columns) == 1
         timestamps = frame.ndarray("timestamp")
@@ -340,78 +259,67 @@ class ThroughputSeriesAccumulator(Accumulator):
     def export_state(self) -> Dict:
         """Columnar snapshot of the binning state.
 
-        The raw (key-columns) bins flatten into whole int64 columns — bin
-        indices and per-bin entry counts plus the concatenated key/count
-        columns — so export cost is a handful of C ``extend`` calls per
-        bin, not per entry.  Labelled (categorizer-mode) bins export as
-        string tables.  Both keep insertion order, because :meth:`finalize`
-        derives the category tuple from first-seen order within
-        time-sorted bins.
+        The bins flatten into whole int64 columns — bin indices and per-bin
+        entry counts plus the concatenated key/count columns — so export
+        cost is a handful of C ``extend`` calls per bin, not per entry.
+        They keep insertion order, because :meth:`finalize` derives the
+        category tuple from first-seen order within time-sorted bins.
+        ``"bins"`` is always empty: the state bytes keep the key until the
+        next state re-pin.
         """
-        raw_payload = None
-        if self.key_columns is not None:
-            raw = self._raw_bins
-            # Key shape is fixed by the key-columns factory: scalar ints
-            # for a single column, tuples of a fixed width otherwise (and
-            # width 1 while no key has been seen).
-            first = next((key for counter in raw.values() for key in counter), None)
-            width = len(first) if isinstance(first, tuple) else 1
-            key_columns = [array("q") for _ in range(width)]
-            counts = array("q")
-            if width == 1:
-                column = key_columns[0]
-                for counter in raw.values():
-                    column.extend(counter.keys())
-                    counts.extend(counter.values())
-            else:
-                for counter in raw.values():
-                    for column, values in zip(key_columns, zip(*counter.keys())):
-                        column.extend(values)
-                    counts.extend(counter.values())
-            raw_payload = {
+        raw = self._raw_bins
+        # Key shape is fixed by the key-columns factory: scalar ints for a
+        # single column, tuples of a fixed width otherwise (and width 1
+        # while no key has been seen).
+        first = next((key for counter in raw.values() for key in counter), None)
+        width = len(first) if isinstance(first, tuple) else 1
+        key_columns = [array("q") for _ in range(width)]
+        counts = array("q")
+        if width == 1:
+            column = key_columns[0]
+            for counter in raw.values():
+                column.extend(counter.keys())
+                counts.extend(counter.values())
+        else:
+            for counter in raw.values():
+                for column, values in zip(key_columns, zip(*counter.keys())):
+                    column.extend(values)
+                counts.extend(counter.values())
+        return {
+            "raw": {
                 "w": width,
                 "indices": array("q", raw.keys()),
                 "sizes": array("q", map(len, raw.values())),
                 "keys": key_columns,
                 "counts": counts,
-            }
-        return {
-            "raw": raw_payload,
-            "bins": [
-                [index, pack_str_table(counts)] for index, counts in self._bins.items()
-            ],
+            },
+            "bins": [],
         }
 
     def restore_state(self, payload: Dict) -> None:
         raw_payload = payload["raw"]
-        if raw_payload is not None:
-            mine = self._raw_bins
-            width = raw_payload["w"]
-            key_columns = raw_payload["keys"]
-            counts = raw_payload["counts"]
-            position = 0
-            for index, size in zip(raw_payload["indices"], raw_payload["sizes"]):
-                chunk = slice(position, position + size)
-                position += size
-                if width == 1:
-                    pairs = zip(key_columns[0][chunk], counts[chunk])
-                else:
-                    pairs = zip(
-                        zip(*(column[chunk] for column in key_columns)),
-                        counts[chunk],
-                    )
-                counter = mine.get(index)
-                if counter is None:
-                    mine[index] = Counter(dict(pairs))
-                    continue
-                get = counter.get
-                for key, count in pairs:
-                    counter[key] = get(key, 0) + count
-        for index, table in payload["bins"]:
-            target = self._bins.get(index)
-            if target is None:
-                target = self._bins[index] = {}
-            restore_str_table(target, table)
+        mine = self._raw_bins
+        width = raw_payload["w"]
+        key_columns = raw_payload["keys"]
+        counts = raw_payload["counts"]
+        position = 0
+        for index, size in zip(raw_payload["indices"], raw_payload["sizes"]):
+            chunk = slice(position, position + size)
+            position += size
+            if width == 1:
+                pairs = zip(key_columns[0][chunk], counts[chunk])
+            else:
+                pairs = zip(
+                    zip(*(column[chunk] for column in key_columns)),
+                    counts[chunk],
+                )
+            counter = mine.get(index)
+            if counter is None:
+                mine[index] = Counter(dict(pairs))
+                continue
+            get = counter.get
+            for key, count in pairs:
+                counter[key] = get(key, 0) + count
 
     def config_signature(self) -> tuple:
         """Bin geometry plus the categorizer identity.
@@ -423,19 +331,22 @@ class ThroughputSeriesAccumulator(Accumulator):
         change the signature, which is what forces the incremental reporter
         to fall back to a full rescan in that case.
         """
-        factory = self.key_columns if self.key_columns is not None else self.categorizer
         return (
             type(self).__qualname__,
             self.name,
             self.bin_seconds,
             self.start,
-            _categorizer_id(factory),
+            _categorizer_id(self.key_columns),
         )
 
     def finalize(self) -> ThroughputSeries:
-        # Resolve raw keys to labels once per distinct key, into a local
-        # copy: finalize reads state, it never writes it.
-        bins = dict(self._bins)
+        # Resolve raw keys to labels once per distinct key, into local
+        # dicts: finalize reads state, it never writes it.  The category
+        # tuple is first-seen order over bins in *time* order (and insertion
+        # order within a bin): independent of how the scan or the shard
+        # folds interleaved the bins.
+        bins: Dict[int, Dict[str, int]] = {}
+        categories: Dict[str, None] = {}
         labeler = self._labeler
         label_cache: Dict = {}
         for index in sorted(self._raw_bins):
@@ -446,12 +357,7 @@ class ThroughputSeriesAccumulator(Accumulator):
                     label = label_cache[key] = labeler(key)
                 merged[label] = merged.get(label, 0) + count
             bins[index] = merged
-        # The category tuple is first-seen order over bins in *time* order
-        # (and insertion order within a bin): independent of how the scan
-        # or the shard folds interleaved the bins.
-        categories: Dict[str, None] = {}
-        for index in sorted(bins):
-            categories.update(dict.fromkeys(bins[index]))
+            categories.update(dict.fromkeys(merged))
         if self.end is not None:
             bin_count = int((self.end - self.start) // self.bin_seconds) + 1
         else:
@@ -460,40 +366,8 @@ class ThroughputSeriesAccumulator(Accumulator):
             bin_seconds=self.bin_seconds,
             start=self.start,
             categories=tuple(categories),
-            bins=[dict(bins.get(index, {})) for index in range(bin_count)],
+            bins=[bins.get(index, {}) for index in range(bin_count)],
         )
-
-
-def bin_throughput(
-    records: Union[FrameLike, Iterable[TransactionRecord]],
-    categorizer: Callable[[TransactionRecord], str],
-    bin_seconds: float = DEFAULT_BIN_SECONDS,
-    start: Optional[float] = None,
-    end: Optional[float] = None,
-) -> ThroughputSeries:
-    """Build a Figure 3-style series: counts per ``bin_seconds`` per category.
-
-    ``categorizer`` maps a record to its plotted category (an application
-    category for EOS, the operation kind for Tezos, the transaction type and
-    success flag for XRP).  Thin wrapper over
-    :class:`ThroughputSeriesAccumulator`.
-    """
-    if bin_seconds <= 0:
-        raise AnalysisError("bin_seconds must be positive")
-    view = view_of(as_frame(records))
-    if len(view) == 0:
-        raise AnalysisError("cannot bin an empty record stream")
-    series_start = start if start is not None else view.min_timestamp()
-    series_end = end if end is not None else view.max_timestamp()
-    if series_end < series_start:
-        raise AnalysisError("end must not precede start")
-    accumulator = ThroughputSeriesAccumulator(
-        record_categorizer(categorizer),
-        bin_seconds=bin_seconds,
-        start=series_start,
-        end=series_end,
-    )
-    return accumulator.run(view)
 
 
 def transactions_per_second(

@@ -16,9 +16,9 @@ implemented here:
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame, as_frame
+from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, TxFrame
 from repro.common.errors import CollectionError
 from repro.common.records import XRP_CURRENCY, ChainId, TransactionRecord
 from repro.analysis.clustering import StaticAccountClusterer
@@ -536,14 +536,6 @@ VALUE_DISTRIBUTION_FIGURE = FigureSpec(
 )
 
 
-def value_distribution(
-    records: Union[FrameLike, Iterable[TransactionRecord]],
-    oracle: ExchangeRateOracle,
-) -> ValueDistribution:
-    """§4.3 distribution of XRP-denominated payment values (one pass)."""
-    return ValueDistributionAccumulator(oracle).run(as_frame(records))
-
-
 class FailureCodeAccumulator(Accumulator):
     """Single-pass §3.2 error-code table for failed XRP transactions."""
 
@@ -613,43 +605,6 @@ class FailureCodeAccumulator(Accumulator):
         for (type_code, error_code), count in self._table.items():
             result.setdefault(type_values[type_code], {})[error_values[error_code]] = count
         return result
-
-
-class XrpValueAnalyzer:
-    """Computes the Figure 7 decomposition and related value statistics."""
-
-    def __init__(self, oracle: ExchangeRateOracle):
-        self.oracle = oracle
-
-    # -- record-level predicates ------------------------------------------------------
-    def payment_has_value(self, record: TransactionRecord) -> bool:
-        """A successful payment carries value iff its asset has an XRP rate."""
-        if record.type != "Payment" or not record.success:
-            return False
-        if record.amount <= 0:
-            return False
-        return self.oracle.has_value(record.currency, record.issuer)
-
-    def payment_xrp_value(self, record: TransactionRecord) -> float:
-        """XRP-denominated value moved by a payment (0 for valueless tokens)."""
-        if not self.payment_has_value(record):
-            return 0.0
-        return self.oracle.xrp_value(record.currency, record.issuer, record.amount)
-
-    # -- Figure 7 --------------------------------------------------------------------
-    def decompose(
-        self, records: Union[FrameLike, Iterable[TransactionRecord]]
-    ) -> ThroughputDecomposition:
-        """Thin wrapper over :class:`XrpDecompositionAccumulator` (one pass)."""
-        return XrpDecompositionAccumulator(self.oracle).run(as_frame(records))
-
-    # -- error codes (§3.2) ---------------------------------------------------------
-    @staticmethod
-    def failure_code_distribution(
-        records: Union[FrameLike, Iterable[TransactionRecord]],
-    ) -> Dict[str, Dict[str, int]]:
-        """Error-code counts per transaction type for failed transactions."""
-        return FailureCodeAccumulator().run(as_frame(records))
 
 
 class IouRateRow(NamedTuple):

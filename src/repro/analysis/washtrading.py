@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.common.columns import CHAIN_CODES, FrameLike, TxFrame, as_frame
-from repro.common.records import ChainId, TransactionRecord
+from repro.common.columns import CHAIN_CODES, TxFrame
+from repro.common.records import ChainId
 from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step
 from repro.analysis.vectorized import block_columns, matched_rows
 from repro.common.statecodec import pack_strings, unpack_strings
@@ -240,14 +240,6 @@ WASH_TRADING_FIGURE = FigureSpec(
 )
 
 
-def extract_trades(
-    records: Union[FrameLike, Iterable[TransactionRecord]],
-    contract: str = WHALEEX_CONTRACT,
-) -> List[TradeObservation]:
-    """Pull the settled trades of ``contract`` out of an EOS record stream."""
-    return TradeExtractionAccumulator(contract).run(as_frame(records))
-
-
 def _report_from_trades(
     trades: List[TradeObservation], contract: str, top_n: int
 ) -> WashTradingReport:
@@ -292,15 +284,6 @@ def _report_from_trades(
         self_trade_share_by_account=self_by_account,
         net_balance_change_by_account=net_changes,
     )
-
-
-def analyze_wash_trading(
-    records: Union[FrameLike, Iterable[TransactionRecord]],
-    contract: str = WHALEEX_CONTRACT,
-    top_n: int = 5,
-) -> WashTradingReport:
-    """Compute the §4.1 wash-trading statistics for ``contract`` (one pass)."""
-    return WashTradeAccumulator(contract, top_n).run(as_frame(records))
 
 
 def net_balance_changes(

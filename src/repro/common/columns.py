@@ -982,18 +982,6 @@ class TxFrame:
 FrameLike = Union[TxFrame, TxView]
 
 
-def as_frame(records: Union[FrameLike, Iterable[TransactionRecord]]) -> FrameLike:
-    """Coerce any record source into a frame or view.
-
-    Frames and views pass through untouched (the zero-copy fast path);
-    iterables of canonical records are ingested into a fresh frame, which is
-    the backward-compatibility path for the legacy analysis signatures.
-    """
-    if isinstance(records, (TxFrame, TxView)):
-        return records
-    return TxFrame.from_records(records)
-
-
 def view_of(source: FrameLike) -> TxView:
     """Normalise a frame-or-view into a view over its rows."""
     if isinstance(source, TxFrame):

@@ -39,33 +39,6 @@ class BallotChoice(str, enum.Enum):
     PASS = "pass"
 
 
-@dataclass
-class BallotTally:
-    """Running tally of one ballot-based period."""
-
-    yay: int = 0
-    nay: int = 0
-    passes: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.yay + self.nay + self.passes
-
-    @property
-    def approval_rate(self) -> float:
-        """Yay share among non-pass ballots (the super-majority criterion)."""
-        decided = self.yay + self.nay
-        if decided == 0:
-            return 0.0
-        return self.yay / decided
-
-    def participation(self, total_rolls: int) -> float:
-        """Participation rate given the electorate size in rolls."""
-        if total_rolls <= 0:
-            return 0.0
-        return min(1.0, self.total / total_rolls)
-
-
 @dataclass(frozen=True)
 class BabylonTimeline:
     """Calendar of the Babylon 2.0 amendment process analysed in §4.2."""

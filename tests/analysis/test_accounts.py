@@ -4,13 +4,13 @@ import pytest
 
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.accounts import (
+    AccountActivityAccumulator,
+    SenderCountsAccumulator,
+    SenderReceiverPairsAccumulator,
     single_transaction_account_share,
-    top_receivers,
-    top_sender_receiver_pairs,
-    top_senders,
     traffic_concentration,
-    transactions_per_account_distribution,
 )
+from tests.support import run_on_records
 
 
 def record(sender, receiver, type_="transfer"):
@@ -35,24 +35,25 @@ SIMPLE = (
 
 class TestTopReceivers:
     def test_ranking_and_shares(self):
-        receivers = top_receivers(SIMPLE, limit=2)
+        receivers = run_on_records(AccountActivityAccumulator("receiver", 2), SIMPLE)
         assert receivers[0].account == "token"
         assert receivers[0].total == 8
         assert receivers[0].share_of_chain == pytest.approx(8 / 12)
         assert receivers[1].account == "dex"
 
     def test_type_breakdown(self):
-        receivers = top_receivers(SIMPLE, limit=1)
+        receivers = run_on_records(AccountActivityAccumulator("receiver", 1), SIMPLE)
         name, count, share = receivers[0].top_type()
         assert name == "transfer"
         assert count == 8
         assert share == 1.0
 
     def test_empty(self):
-        assert top_receivers([]) == []
+        assert run_on_records(AccountActivityAccumulator("receiver"), []) == []
 
-    def test_generated_eos_top_receivers_match_figure4(self, eos_records):
-        receivers = [activity.account for activity in top_receivers(eos_records, limit=6)]
+    def test_generated_eos_top_receivers_match_figure4(self, eos_frame):
+        top = AccountActivityAccumulator("receiver", 6).run(eos_frame)
+        receivers = [activity.account for activity in top]
         assert "eosio.token" in receivers[:3]
         assert "betdicetasks" in receivers
         assert "eidosonecoin" in receivers
@@ -60,12 +61,12 @@ class TestTopReceivers:
 
 class TestTopSenders:
     def test_ranking(self):
-        senders = top_senders(SIMPLE, limit=2)
+        senders = run_on_records(AccountActivityAccumulator("sender", 2), SIMPLE)
         assert senders[0].account == "b"
         assert senders[0].total == 6
 
-    def test_generated_xrp_top_senders_are_offer_bots(self, xrp_records, xrp_generator):
-        senders = top_senders(xrp_records, limit=6)
+    def test_generated_xrp_top_senders_are_offer_bots(self, xrp_frame, xrp_generator):
+        senders = AccountActivityAccumulator("sender", 6).run(xrp_frame)
         bots = set(xrp_generator.offer_bots)
         assert sum(1 for activity in senders if activity.account in bots) >= 3
         for activity in senders:
@@ -79,7 +80,7 @@ class TestSenderReceiverPairs:
     def test_profiles_report_fanout_statistics(self):
         records = [record("payer", f"user{i}") for i in range(10)]
         records += [record("payer", "user0") for _ in range(10)]
-        profiles = top_sender_receiver_pairs(records, limit_senders=1)
+        profiles = run_on_records(SenderReceiverPairsAccumulator(1), records)
         profile = profiles[0]
         assert profile.sender == "payer"
         assert profile.sent_count == 20
@@ -90,7 +91,7 @@ class TestSenderReceiverPairs:
 
     def test_airdrop_pattern_has_unit_mean(self):
         records = [record("airdrop", f"user{i}") for i in range(50)]
-        profile = top_sender_receiver_pairs(records, limit_senders=1)[0]
+        profile = run_on_records(SenderReceiverPairsAccumulator(1), records)[0]
         assert profile.mean_per_receiver == pytest.approx(1.0)
         assert profile.stdev_per_receiver == pytest.approx(0.0)
 
@@ -99,7 +100,7 @@ class TestSenderReceiverPairs:
         # dominate; after the launch the claimer accounts swamp the ranking.
         launch = scenario.eos.eidos_launch_timestamp
         organic = [record for record in eos_records if record.timestamp < launch]
-        profiles = top_sender_receiver_pairs(organic, limit_senders=5)
+        profiles = run_on_records(SenderReceiverPairsAccumulator(5), organic)
         betdice = next((p for p in profiles if p.sender == "betdicegroup"), None)
         assert betdice is not None
         assert betdice.top_receivers[0][0] == "betdicetasks"
@@ -109,20 +110,24 @@ class TestConcentration:
     def test_traffic_concentration(self):
         records = [record("whale", "x") for _ in range(90)]
         records += [record(f"small{i}", "x") for i in range(10)]
-        assert traffic_concentration(records, top_n=1) == pytest.approx(0.9)
+        counts = run_on_records(SenderCountsAccumulator(), records)
+        assert traffic_concentration(counts, top_n=1) == pytest.approx(0.9)
 
     def test_single_transaction_share(self):
         records = [record("once", "x"), record("twice", "x"), record("twice", "y")]
-        assert single_transaction_account_share(records) == pytest.approx(0.5)
+        counts = run_on_records(SenderCountsAccumulator(), records)
+        assert single_transaction_account_share(counts) == pytest.approx(0.5)
 
     def test_distribution(self):
         records = [record("a", "x"), record("a", "y"), record("b", "x")]
-        assert transactions_per_account_distribution(records) == {"a": 2, "b": 1}
+        assert run_on_records(SenderCountsAccumulator(), records) == {"a": 2, "b": 1}
 
     def test_empty_inputs(self):
-        assert traffic_concentration([]) == 0.0
-        assert single_transaction_account_share([]) == 0.0
+        assert run_on_records(SenderCountsAccumulator(), []) == {}
+        assert traffic_concentration({}) == 0.0
+        assert single_transaction_account_share({}) == 0.0
 
-    def test_generated_xrp_traffic_is_concentrated(self, xrp_records):
+    def test_generated_xrp_traffic_is_concentrated(self, xrp_frame):
         # The paper: the 18 most active accounts produce half the traffic.
-        assert traffic_concentration(xrp_records, top_n=18) > 0.4
+        counts = SenderCountsAccumulator().run(xrp_frame)
+        assert traffic_concentration(counts, top_n=18) > 0.4

@@ -5,11 +5,12 @@ import pytest
 from repro.common.clock import timestamp_from_iso
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.airdrop import (
-    analyze_airdrop,
+    AirdropAccumulator,
+    BoomerangClaimsAccumulator,
     analyze_congestion,
-    detect_boomerang_claims,
 )
 from repro.eos.resources import CongestionSample
+from tests.support import run_on_records
 
 
 def transfer(tx_id, sender, receiver_contract, amount, timestamp, currency="EOS", inline=False, transfer_to=None):
@@ -49,7 +50,7 @@ LAUNCH = timestamp_from_iso("2019-11-01")
 class TestDetection:
     def test_detects_synthetic_boomerang(self):
         records = boomerang_claim("claim1", "alice", LAUNCH + 10.0)
-        claims = detect_boomerang_claims(records)
+        claims = run_on_records(BoomerangClaimsAccumulator(), records)
         assert len(claims) == 1
         claim = claims[0]
         assert claim.claimer == "alice"
@@ -58,17 +59,17 @@ class TestDetection:
 
     def test_ordinary_transfer_not_a_claim(self):
         records = [transfer("tx1", "alice", "eosio.token", 5.0, LAUNCH, transfer_to="bob")]
-        assert detect_boomerang_claims(records) == []
+        assert run_on_records(BoomerangClaimsAccumulator(), records) == []
 
     def test_refund_amount_must_match(self):
         records = [
             transfer("tx1", "alice", "eosio.token", 1.0, LAUNCH, transfer_to="eidosonecoin"),
             transfer("tx1", "eidosonecoin", "eosio.token", 0.5, LAUNCH, inline=True, transfer_to="alice"),
         ]
-        assert detect_boomerang_claims(records) == []
+        assert run_on_records(BoomerangClaimsAccumulator(), records) == []
 
-    def test_detects_claims_in_generated_traffic(self, eos_records, eos_generator):
-        claims = detect_boomerang_claims(eos_records)
+    def test_detects_claims_in_generated_traffic(self, eos_frame, eos_generator):
+        claims = BoomerangClaimsAccumulator().run(eos_frame)
         assert claims
         # Every detected claim corresponds to a contract-recorded claim.
         assert len(claims) <= eos_generator.eidos_contract().claims
@@ -80,14 +81,14 @@ class TestAirdropReport:
         post = []
         for index in range(20):
             post.extend(boomerang_claim(f"claim{index}", "alice", LAUNCH + index))
-        report = analyze_airdrop(pre + post)
+        report = run_on_records(AirdropAccumulator(), pre + post)
         assert report.claim_count == 20
         assert report.boomerang_action_share_post_launch == 1.0
         assert report.dominates_post_launch_traffic
         assert report.unique_claimers == 1
 
-    def test_generated_traffic_report(self, eos_records, scenario):
-        report = analyze_airdrop(eos_records, launch_date=scenario.eos.eidos_launch_date)
+    def test_generated_traffic_report(self, eos_frame, scenario):
+        report = AirdropAccumulator(scenario.eos.eidos_launch_date).run(eos_frame)
         assert report.claim_count > 0
         assert report.boomerang_action_share_post_launch > 0.6
         assert report.traffic_multiplier > 3.0
@@ -95,7 +96,7 @@ class TestAirdropReport:
         assert report.dominates_post_launch_traffic
 
     def test_empty_stream(self):
-        report = analyze_airdrop([])
+        report = run_on_records(AirdropAccumulator(), [])
         assert report.claim_count == 0
         assert report.total_actions == 0
 

@@ -4,15 +4,15 @@ import pytest
 
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.classify import (
-    action_breakdown_by_contract,
-    category_distribution,
+    ContractBreakdownAccumulator,
+    TezosCategoryAccumulator,
+    TypeDistributionAccumulator,
     classify_eos_category,
     distribution_as_mapping,
     figure1_group,
-    tezos_category_distribution,
-    type_distribution,
 )
 from repro.eos.workload import CATEGORY_BETTING, CATEGORY_OTHERS, CATEGORY_TOKENS
+from tests.support import run_on_records
 
 
 def eos_record(type_="transfer", contract="eosio.token", receiver=None):
@@ -28,15 +28,19 @@ def eos_record(type_="transfer", contract="eosio.token", receiver=None):
     )
 
 
+def group_of(record):
+    return figure1_group(record.chain, record.type, record.contract)
+
+
 class TestFigure1Groups:
     def test_eos_transfer_is_p2p(self):
-        assert figure1_group(eos_record("transfer", "eosio.token")) == "P2P transaction"
+        assert group_of(eos_record("transfer", "eosio.token")) == "P2P transaction"
 
     def test_eos_user_defined_goes_to_others(self):
-        assert figure1_group(eos_record("verifytrade2", "whaleextrust")) == "Others"
+        assert group_of(eos_record("verifytrade2", "whaleextrust")) == "Others"
 
     def test_eos_system_account_action(self):
-        assert figure1_group(eos_record("newaccount", "eosio")) == "Account actions"
+        assert group_of(eos_record("newaccount", "eosio")) == "Account actions"
 
     def test_tezos_groups(self):
         endorsement = TransactionRecord(
@@ -47,8 +51,8 @@ class TestFigure1Groups:
             chain=ChainId.TEZOS, transaction_id="op", block_height=1, timestamp=0.0,
             type="Transaction", sender="tz1a", receiver="tz1b",
         )
-        assert figure1_group(endorsement) == "Other actions"
-        assert figure1_group(transaction) == "P2P transaction"
+        assert group_of(endorsement) == "Other actions"
+        assert group_of(transaction) == "P2P transaction"
 
     def test_xrp_groups(self):
         offer = TransactionRecord(
@@ -63,22 +67,23 @@ class TestFigure1Groups:
             chain=ChainId.XRP, transaction_id="t", block_height=1, timestamp=0.0,
             type="TrustSet", sender="rA", receiver="",
         )
-        assert figure1_group(offer) == "Other actions"
-        assert figure1_group(payment) == "P2P transaction"
-        assert figure1_group(trust) == "Account actions"
+        assert group_of(offer) == "Other actions"
+        assert group_of(payment) == "P2P transaction"
+        assert group_of(trust) == "Account actions"
 
 
 class TestTypeDistribution:
     def test_counts_and_shares(self):
         records = [eos_record("transfer")] * 3 + [eos_record("doit", "somedapp")] * 1
-        rows = type_distribution(records)
+        rows = run_on_records(TypeDistributionAccumulator(), records)
         shares = distribution_as_mapping(rows, ChainId.EOS)
         assert shares["transfer"] == pytest.approx(0.75)
         assert shares["Others"] == pytest.approx(0.25)
 
     def test_user_defined_actions_collapsed_into_others(self):
         records = [eos_record("actionone", "dappone"), eos_record("actiontwo", "dapptwo")]
-        rows = [row for row in type_distribution(records) if row.chain is ChainId.EOS]
+        rows = run_on_records(TypeDistributionAccumulator(), records)
+        rows = [row for row in rows if row.chain is ChainId.EOS]
         assert len(rows) == 1
         assert rows[0].type_name == "Others"
         assert rows[0].count == 2
@@ -91,30 +96,31 @@ class TestTypeDistribution:
                 type="Payment", sender="rA", receiver="rB",
             ),
         ]
-        rows = type_distribution(records)
+        rows = run_on_records(TypeDistributionAccumulator(), records)
         eos_share = distribution_as_mapping(rows, ChainId.EOS)
         xrp_share = distribution_as_mapping(rows, ChainId.XRP)
         assert eos_share["transfer"] == 1.0
         assert xrp_share["Payment"] == 1.0
 
     def test_empty_input(self):
-        assert type_distribution([]) == []
+        assert run_on_records(TypeDistributionAccumulator(), []) == []
 
-    def test_paper_shape_on_generated_eos_traffic(self, eos_records, scenario):
+    def test_paper_shape_on_generated_eos_traffic(self, eos_figures):
         # Over the full post-launch window the paper reports 91.6% transfers.
         # In the two-week test window (half pre-launch) the share is lower but
         # transfers must still dominate every other named type.
-        shares = distribution_as_mapping(type_distribution(eos_records), ChainId.EOS)
+        shares = distribution_as_mapping(eos_figures["type_distribution"], ChainId.EOS)
         assert shares["transfer"] > 0.6
         assert shares["transfer"] == max(shares.values())
 
-    def test_paper_shape_on_generated_tezos_traffic(self, tezos_records):
-        shares = distribution_as_mapping(type_distribution(tezos_records), ChainId.TEZOS)
+    def test_paper_shape_on_generated_tezos_traffic(self, tezos_figures):
+        rows = tezos_figures["type_distribution"]
+        shares = distribution_as_mapping(rows, ChainId.TEZOS)
         assert 0.70 <= shares["Endorsement"] <= 0.92
         assert shares["Transaction"] > 0.05
 
-    def test_paper_shape_on_generated_xrp_traffic(self, xrp_records):
-        shares = distribution_as_mapping(type_distribution(xrp_records), ChainId.XRP)
+    def test_paper_shape_on_generated_xrp_traffic(self, xrp_figures):
+        shares = distribution_as_mapping(xrp_figures["type_distribution"], ChainId.XRP)
         assert shares["Payment"] + shares["OfferCreate"] > 0.85
         assert shares.get("TrustSet", 0.0) < 0.1
 
@@ -139,33 +145,32 @@ class TestEosCategories:
         with pytest.raises(ValueError):
             classify_eos_category(record)
 
-    def test_category_distribution_sums_to_one(self, eos_records):
-        distribution = category_distribution(eos_records)
+    def test_category_distribution_sums_to_one(self, eos_figures):
+        distribution = eos_figures["category_distribution"]
         assert sum(distribution.values()) == pytest.approx(1.0)
         assert distribution[CATEGORY_TOKENS] == max(distribution.values())
 
-    def test_action_breakdown_for_token_contract(self, eos_records):
-        breakdown = action_breakdown_by_contract(eos_records, "eosio.token")
+    def test_action_breakdown_for_token_contract(self, eos_frame):
+        breakdown = ContractBreakdownAccumulator("eosio.token").run(eos_frame)
         assert breakdown
         name, count, share = breakdown[0]
         assert name == "transfer"
         assert share > 0.99
 
-    def test_action_breakdown_for_betting_contract(self, eos_records):
-        breakdown = dict(
-            (name, share) for name, _, share in action_breakdown_by_contract(eos_records, "betdicetasks")
-        )
+    def test_action_breakdown_for_betting_contract(self, eos_frame):
+        rows = ContractBreakdownAccumulator("betdicetasks").run(eos_frame)
+        breakdown = {name: share for name, _, share in rows}
         assert breakdown["removetask"] > breakdown.get("betrecord", 0.0)
 
     def test_action_breakdown_unknown_contract(self):
-        assert action_breakdown_by_contract([], "ghost") == []
+        assert run_on_records(ContractBreakdownAccumulator("ghost"), []) == []
 
 
 class TestTezosCategories:
-    def test_consensus_dominates(self, tezos_records):
-        distribution = tezos_category_distribution(tezos_records)
+    def test_consensus_dominates(self, tezos_figures):
+        distribution = tezos_figures["tezos_category_distribution"]
         assert distribution["consensus"] > 0.7
         assert sum(distribution.values()) == pytest.approx(1.0)
 
     def test_empty(self):
-        assert tezos_category_distribution([]) == {}
+        assert run_on_records(TezosCategoryAccumulator(), []) == {}

@@ -6,11 +6,12 @@ from repro.common.records import ChainId, TransactionRecord
 from repro.common.rng import DeterministicRng
 from repro.analysis.clustering import (
     AccountClusterer,
-    cluster_transaction_counts,
+    ClusterCountsAccumulator,
     common_control_evidence,
     shared_destination_tags,
 )
 from repro.xrp.accounts import XrpAccountRegistry
+from tests.support import run_on_records
 
 
 @pytest.fixture
@@ -69,13 +70,13 @@ class TestHelpers:
     def test_cluster_transaction_counts(self, registry):
         clusterer = AccountClusterer(registry)
         records = [xrp_record("rHuobiBot1"), xrp_record("rHuobiBot2"), xrp_record("rLoner")]
-        counts = cluster_transaction_counts(records, clusterer, side="sender")
+        counts = run_on_records(ClusterCountsAccumulator(clusterer, "sender"), records)
         assert counts["Huobi Global -- descendant"] == 2
         assert counts["rLoner"] == 1
 
     def test_cluster_counts_invalid_side(self, registry):
         with pytest.raises(ValueError):
-            cluster_transaction_counts([], AccountClusterer(registry), side="middle")
+            ClusterCountsAccumulator(AccountClusterer(registry), side="middle")
 
     def test_shared_destination_tags(self):
         records = [

@@ -114,7 +114,9 @@ def test_a_spec_appended_to_the_table_is_reported_on_every_path(
     assert failed[ChainId.XRP] > 0
 
     # Resident single pass.
-    serial = full_report(sample_records, oracle=oracle, clusterer=clusterer)
+    serial = full_report(
+        TxFrame.from_records(sample_records), oracle=oracle, clusterer=clusterer
+    )
     assert "failed_rows" not in serial.chains[ChainId.EOS]
     for chain, count in failed.items():
         assert serial.chains[chain]["failed_rows"] == count

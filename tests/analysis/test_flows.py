@@ -5,10 +5,11 @@ import pytest
 from repro.common.records import ChainId, TransactionRecord
 from repro.common.rng import DeterministicRng
 from repro.analysis.clustering import AccountClusterer
-from repro.analysis.flows import aggregate_value_flows
+from repro.analysis.flows import ValueFlowAccumulator
 from repro.analysis.value import ExchangeRateOracle
 from repro.xrp.accounts import XrpAccountRegistry
 from repro.xrp.workload import RIPPLE_ACCOUNT
+from tests.support import run_on_records
 
 
 def payment(sender, receiver, amount, currency="XRP", issuer="", success=True):
@@ -45,7 +46,7 @@ class TestAggregation:
             payment("rRipple", "rBinanceHot", 50.0),
             payment("rBinanceHot", "rNobody", 10.0, currency="USD", issuer="rGateway"),
         ]
-        report = aggregate_value_flows(records, clusterer, oracle)
+        report = run_on_records(ValueFlowAccumulator(clusterer, oracle), records)
         assert report.total_xrp_value == pytest.approx(200.0)
         assert report.by_sender["Ripple"] == pytest.approx(150.0)
         assert report.by_sender["Binance -- descendant"] == pytest.approx(50.0)
@@ -59,14 +60,14 @@ class TestAggregation:
     def test_valueless_tokens_excluded_by_default(self, clusterer):
         oracle = ExchangeRateOracle()
         records = [payment("rRipple", "rNobody", 1_000_000.0, currency="BTC", issuer="rJunk")]
-        report = aggregate_value_flows(records, clusterer, oracle)
+        report = run_on_records(ValueFlowAccumulator(clusterer, oracle), records)
         assert report.total_xrp_value == 0.0
         assert report.flows == []
 
     def test_valueless_tokens_counted_when_requested(self, clusterer):
         oracle = ExchangeRateOracle()
         records = [payment("rRipple", "rNobody", 5.0, currency="BTC", issuer="rJunk")]
-        report = aggregate_value_flows(records, clusterer, oracle, include_valueless=True)
+        report = run_on_records(ValueFlowAccumulator(clusterer, oracle, True), records)
         assert report.total_xrp_value == 0.0
         assert report.flows[0].payment_count == 1
         assert report.currency_face_value["BTC"] == pytest.approx(5.0)
@@ -78,13 +79,13 @@ class TestAggregation:
             type="OfferCreate", sender="rRipple", receiver="", amount=10.0, currency="XRP",
         )
         records = [offer, payment("rRipple", "rNobody", 10.0, success=False)]
-        report = aggregate_value_flows(records, clusterer, oracle)
+        report = run_on_records(ValueFlowAccumulator(clusterer, oracle), records)
         assert report.total_xrp_value == 0.0
 
     def test_concentration_and_tops(self, clusterer):
         oracle = ExchangeRateOracle()
         records = [payment("rRipple", "rBinanceHot", 90.0), payment("rNobody", "rRipple", 10.0)]
-        report = aggregate_value_flows(records, clusterer, oracle)
+        report = run_on_records(ValueFlowAccumulator(clusterer, oracle), records)
         assert report.top_senders(1)[0][0] == "Ripple"
         assert report.top_receivers(1)[0][0] == "Binance -- descendant"
         assert report.sender_share("Ripple") == pytest.approx(0.9)
@@ -92,10 +93,8 @@ class TestAggregation:
 
 
 class TestGeneratedFlows:
-    def test_figure12_shape(self, xrp_records, xrp_generator):
-        clusterer = AccountClusterer(xrp_generator.ledger.accounts)
-        oracle = ExchangeRateOracle.from_orderbook(xrp_generator.ledger.orderbook)
-        report = aggregate_value_flows(xrp_records, clusterer, oracle)
+    def test_figure12_shape(self, xrp_figures):
+        report = xrp_figures["value_flows"]
         assert report.total_xrp_value > 0.0
         # XRP is by far the most used currency by value.
         currencies = dict(report.top_currencies(10))

@@ -61,8 +61,8 @@ class TestGovernanceReport:
         assert report.promotion.nay_share == pytest.approx(6 / 40)
         assert report.exploration.participation > report.proposal_participation
 
-    def test_governance_operation_count_from_records(self, tezos_records):
-        report = analyze_governance(self._events(), records=tezos_records)
+    def test_governance_operation_count_from_records(self, tezos_records, tezos_frame):
+        report = analyze_governance(self._events(), frame=tezos_frame)
         governance_records = [
             record for record in tezos_records if record.type in ("Ballot", "Proposals")
         ]

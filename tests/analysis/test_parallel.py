@@ -47,7 +47,7 @@ from repro.analysis.value import (
     XrpDecompositionAccumulator,
 )
 from repro.analysis.washtrading import TradeExtractionAccumulator, WashTradeAccumulator
-from repro.common.columns import TxFrame, TxView, as_frame, view_of
+from repro.common.columns import TxFrame, TxView, view_of
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
 
@@ -73,7 +73,7 @@ def _serial(factory, source):
 
 def run_sharded(source, factory, shards):
     """Scan ``source`` in contiguous shards, fold in shard order, finalise."""
-    view = view_of(as_frame(source))
+    view = view_of(source)
     rows = view.rows
     base = _bound_base(factory, view.frame)
     # ``shards`` near-equal contiguous cuts of the view's rows, in row order.
@@ -137,14 +137,14 @@ class TestShardMergeEquivalence:
         ]
         self._check(factory, view)
 
-    def test_throughput_series_row_categorizer(self, combined_frame):
-        from repro.analysis.throughput import type_name_categorizer
-
+    def test_throughput_series_tezos_type_keys(self, combined_frame):
         bounds = combined_frame.chain_bounds(ChainId.TEZOS)
         view = combined_frame.chain_view(ChainId.TEZOS)
         factory = lambda: [
             ThroughputSeriesAccumulator(
-                categorizer=type_name_categorizer, start=bounds[0], end=bounds[1]
+                key_columns=FIGURE3_CATEGORIZERS[ChainId.TEZOS],
+                start=bounds[0],
+                end=bounds[1],
             )
         ]
         self._check(factory, view)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.columns import TxFrame
 from repro.common.records import ChainId
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
@@ -9,12 +10,12 @@ from repro.analysis.value import ExchangeRateOracle
 
 class TestSummaryReport:
     def test_empty_report(self):
-        report = full_report([]).summary()
+        report = full_report(TxFrame()).summary()
         assert report.chains == {}
         assert report.to_rows() == []
 
-    def test_single_chain_report(self, eos_records):
-        report = full_report(eos_records).summary()
+    def test_single_chain_report(self, eos_frame):
+        report = full_report(eos_frame).summary()
         assert set(report.chains) == {ChainId.EOS}
         summary = report.chains[ChainId.EOS]
         assert summary.transaction_count > 0
@@ -26,9 +27,8 @@ class TestSummaryReport:
         self, eos_records, tezos_records, xrp_records, xrp_generator
     ):
         oracle = ExchangeRateOracle.from_orderbook(xrp_generator.ledger.orderbook)
-        report = full_report(
-            eos_records + tezos_records + xrp_records, oracle=oracle
-        ).summary()
+        frame = TxFrame.from_records(eos_records + tezos_records + xrp_records)
+        report = full_report(frame, oracle=oracle).summary()
         assert set(report.chains) == {ChainId.EOS, ChainId.TEZOS, ChainId.XRP}
         eos = report.chains[ChainId.EOS]
         tezos = report.chains[ChainId.TEZOS]
@@ -44,15 +44,15 @@ class TestSummaryReport:
         assert {row["chain"] for row in rows} == {"eos", "tezos", "xrp"}
 
     def test_format_text_mentions_every_chain(self, eos_records, tezos_records):
-        report = full_report(eos_records + tezos_records).summary()
+        report = full_report(TxFrame.from_records(eos_records + tezos_records)).summary()
         text = report.format_text()
         assert "EOS" in text
         assert "TEZOS" in text
         assert "dominant" in text
 
-    def test_xrp_without_oracle_defaults_to_zero_value_for_ious(self, xrp_records):
+    def test_xrp_without_oracle_defaults_to_zero_value_for_ious(self, xrp_frame):
         # An oracle with no rates: IOU payments carry no value, XRP ones do.
-        report = full_report(xrp_records, oracle=ExchangeRateOracle()).summary()
+        report = full_report(xrp_frame, oracle=ExchangeRateOracle()).summary()
         xrp = report.chains[ChainId.XRP]
         assert xrp.value_share is not None
         assert 0.0 <= xrp.value_share <= 1.0

@@ -5,7 +5,9 @@ import pytest
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.value import (
     ExchangeRateOracle,
-    XrpValueAnalyzer,
+    FailureCodeAccumulator,
+    ValueDistributionAccumulator,
+    XrpDecompositionAccumulator,
     detect_self_dealing,
     iou_rate_table,
     rate_history,
@@ -13,6 +15,7 @@ from repro.analysis.value import (
 from repro.xrp.amounts import IouAmount
 from repro.xrp.orderbook import OrderBook
 from repro.xrp.workload import LIQUID_LINKED_ISSUER, MYRONE_ACCOUNT, XrpWorkloadConfig, XrpWorkloadGenerator
+from tests.support import run_on_records
 
 
 def xrp_record(type_="Payment", success=True, amount=1.0, currency="XRP", issuer="", executed=False, error=""):
@@ -63,7 +66,6 @@ class TestOracle:
 class TestDecomposition:
     def test_synthetic_decomposition(self):
         oracle = ExchangeRateOracle({("USD", "rGateway"): 5.0})
-        analyzer = XrpValueAnalyzer(oracle)
         records = (
             [xrp_record("Payment", amount=10.0) for _ in range(2)]                      # valued (XRP)
             + [xrp_record("Payment", currency="USD", issuer="rGateway")]                # valued IOU
@@ -73,7 +75,7 @@ class TestDecomposition:
             + [xrp_record("TrustSet")]
             + [xrp_record("Payment", success=False, error="tecPATH_DRY") for _ in range(2)]
         )
-        decomposition = analyzer.decompose(records)
+        decomposition = run_on_records(XrpDecompositionAccumulator(oracle), records)
         assert decomposition.total == 22
         assert decomposition.failed == 2
         assert decomposition.payments == 10
@@ -86,40 +88,38 @@ class TestDecomposition:
 
     def test_non_xrp_records_ignored(self):
         oracle = ExchangeRateOracle()
-        analyzer = XrpValueAnalyzer(oracle)
         eos = TransactionRecord(
             chain=ChainId.EOS, transaction_id="t", block_height=1, timestamp=0.0,
             type="transfer", sender="a", receiver="b",
         )
-        assert analyzer.decompose([eos]).total == 0
+        assert run_on_records(XrpDecompositionAccumulator(oracle), [eos]).total == 0
 
     def test_payment_value_predicates(self):
+        # A successful payment carries value iff its asset has an XRP rate;
+        # its XRP value is the amount at that rate.
         oracle = ExchangeRateOracle({("USD", "rGateway"): 5.0})
-        analyzer = XrpValueAnalyzer(oracle)
         valued = xrp_record("Payment", currency="USD", issuer="rGateway", amount=3.0)
         junk = xrp_record("Payment", currency="USD", issuer="rJunk", amount=3.0)
         failed = xrp_record("Payment", success=False)
-        assert analyzer.payment_has_value(valued)
-        assert analyzer.payment_xrp_value(valued) == pytest.approx(15.0)
-        assert not analyzer.payment_has_value(junk)
-        assert analyzer.payment_xrp_value(junk) == 0.0
-        assert not analyzer.payment_has_value(failed)
+        cases = ((valued, 1, 15.0), (junk, 0, 0.0), (failed, 0, 0.0))
+        for record, with_value, xrp_value in cases:
+            decomposition = run_on_records(XrpDecompositionAccumulator(oracle), [record])
+            assert decomposition.payments_with_value == with_value
+            values = run_on_records(ValueDistributionAccumulator(oracle), [record])
+            assert (values.count, values.total_xrp) == (with_value, pytest.approx(xrp_value))
 
     def test_failure_code_distribution(self):
-        analyzer = XrpValueAnalyzer(ExchangeRateOracle())
         records = [
             xrp_record("Payment", success=False, error="tecPATH_DRY"),
             xrp_record("Payment", success=False, error="tecPATH_DRY"),
             xrp_record("OfferCreate", success=False, error="tecUNFUNDED_OFFER"),
         ]
-        table = analyzer.failure_code_distribution(records)
+        table = run_on_records(FailureCodeAccumulator(), records)
         assert table["Payment"]["tecPATH_DRY"] == 2
         assert table["OfferCreate"]["tecUNFUNDED_OFFER"] == 1
 
-    def test_generated_traffic_decomposition_matches_paper_shape(self, xrp_records, xrp_generator):
-        oracle = ExchangeRateOracle.from_orderbook(xrp_generator.ledger.orderbook)
-        analyzer = XrpValueAnalyzer(oracle)
-        decomposition = analyzer.decompose(xrp_records)
+    def test_generated_traffic_decomposition_matches_paper_shape(self, xrp_figures):
+        decomposition = xrp_figures["xrp_decomposition"]
         # ~10% of recorded transactions fail.
         assert 0.05 < decomposition.failed_share < 0.2
         # Only a small fraction of throughput carries economic value (§3.4: ~2%).

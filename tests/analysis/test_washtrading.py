@@ -4,12 +4,13 @@ import pytest
 
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.washtrading import (
+    TradeExtractionAccumulator,
     TradeObservation,
-    analyze_wash_trading,
-    extract_trades,
+    WashTradeAccumulator,
     net_balance_changes,
     relative_balance_change,
 )
+from tests.support import run_on_records
 
 
 def trade_record(buyer, seller, symbol="USDT", amount=10.0, contract="whaleextrust"):
@@ -37,7 +38,7 @@ class TestExtraction:
                 type="transfer", sender="a", receiver="eosio.token", contract="eosio.token",
             ),
         ]
-        trades = extract_trades(records)
+        trades = run_on_records(TradeExtractionAccumulator(), records)
         assert len(trades) == 1
         assert trades[0].is_self_trade
 
@@ -46,14 +47,14 @@ class TestExtraction:
             chain=ChainId.XRP, transaction_id="x", block_height=1, timestamp=0.0,
             type="verifytrade2", sender="a", receiver="whaleextrust",
         )
-        assert extract_trades([record]) == []
+        assert run_on_records(TradeExtractionAccumulator(), [record]) == []
 
 
 class TestAnalysis:
     def test_detects_concentrated_self_trading(self):
         records = [trade_record("washer", "washer") for _ in range(90)]
         records += [trade_record("alice", "bob") for _ in range(10)]
-        report = analyze_wash_trading(records, top_n=1)
+        report = run_on_records(WashTradeAccumulator(top_n=1), records)
         assert report.trade_count == 100
         assert report.top_accounts == ("washer",)
         assert report.top_accounts_trade_share == pytest.approx(0.9)
@@ -62,17 +63,17 @@ class TestAnalysis:
 
     def test_honest_market_not_flagged(self):
         records = [trade_record(f"buyer{i}", f"seller{i}") for i in range(50)]
-        report = analyze_wash_trading(records, top_n=5)
+        report = run_on_records(WashTradeAccumulator(top_n=5), records)
         assert report.self_trade_share_overall == 0.0
         assert not report.is_wash_trading_suspected()
 
     def test_empty_stream(self):
-        report = analyze_wash_trading([])
+        report = run_on_records(WashTradeAccumulator(), [])
         assert report.trade_count == 0
         assert not report.is_wash_trading_suspected()
 
-    def test_generated_whaleex_traffic_is_flagged(self, eos_records, scenario):
-        report = analyze_wash_trading(eos_records)
+    def test_generated_whaleex_traffic_is_flagged(self, eos_figures, scenario):
+        report = eos_figures["wash_trading"]
         assert report.trade_count > 0
         # The top five accounts carry most of the trades and mostly self-trade,
         # as §4.1 reports (>70% of trades, >85% self-trades).
@@ -81,9 +82,9 @@ class TestAnalysis:
         assert min_self_share > scenario.eos.wash_trade_self_fraction - 0.25
         assert report.is_wash_trading_suspected()
 
-    def test_net_balance_change_near_zero_for_wash_traders(self, eos_records):
-        report = analyze_wash_trading(eos_records)
-        trades = extract_trades(eos_records)
+    def test_net_balance_change_near_zero_for_wash_traders(self, eos_frame, eos_figures):
+        report = eos_figures["wash_trading"]
+        trades = TradeExtractionAccumulator().run(eos_frame)
         near_zero = 0
         for account, changes in report.net_balance_change_by_account.items():
             gross = sum(

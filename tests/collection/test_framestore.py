@@ -201,14 +201,15 @@ class TestFrameStoreOpen:
 
     def test_open_preserves_analysis_results(self, tmp_path):
         """Worker-style rehydration: analyses over the reopened frame match."""
-        from repro.analysis.classify import type_distribution
+        from repro.analysis.classify import TypeDistributionAccumulator
 
         records = _records(30)
         frame = TxFrame.from_records(records)
         writer = FrameStore(chunk_rows=10, directory=str(tmp_path))
         writer.add_frame(frame)
         rehydrated = FrameStore.open(str(tmp_path)).to_frame()
-        assert type_distribution(rehydrated) == type_distribution(frame)
+        figure = TypeDistributionAccumulator()
+        assert figure.run(rehydrated) == figure.run(frame)
 
     def test_open_empty_directory(self, tmp_path):
         store = FrameStore.open(str(tmp_path))

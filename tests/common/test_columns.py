@@ -16,9 +16,9 @@ from repro.common.columns import (
     StringPool,
     TxFrame,
     TxView,
-    as_frame,
     as_index_rows,
     gather_np,
+    view_of,
 )
 from repro.common.records import EMPTY_MAPPING, ChainId, TransactionRecord
 
@@ -185,13 +185,12 @@ class TestTxFrame:
         assert target.record(1).transaction_id == "tx2"
         assert target.record(2).type == "transfer"
 
-    def test_as_frame_passthrough(self):
+    def test_view_of_passthrough(self):
         frame = TxFrame.from_records([_record()])
-        assert as_frame(frame) is frame
         view = frame.all_rows()
-        assert as_frame(view) is view
-        built = as_frame([_record()])
-        assert isinstance(built, TxFrame) and len(built) == 1
+        assert view_of(view) is view
+        whole = view_of(frame)
+        assert whole.frame is frame and list(whole.rows) == [0]
 
     def test_extend_from_generator_counts(self):
         def stream():

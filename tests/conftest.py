@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.records import iter_transactions
+from repro.analysis.clustering import AccountClusterer
+from repro.analysis.report import full_report
+from repro.analysis.value import ExchangeRateOracle
+from repro.common.columns import TxFrame
+from repro.common.records import ChainId, iter_transactions
 from repro.eos.workload import EosWorkloadGenerator
 from repro.scenarios import small_scenario
 from repro.tezos.workload import TezosWorkloadGenerator
@@ -75,6 +79,42 @@ def xrp_blocks(xrp_generator):
 @pytest.fixture(scope="session")
 def xrp_records(xrp_blocks):
     return list(iter_transactions(xrp_blocks))
+
+
+@pytest.fixture(scope="session")
+def eos_frame(eos_records):
+    """The EOS stream as a columnar frame: what every accumulator runs on."""
+    return TxFrame.from_records(eos_records)
+
+
+@pytest.fixture(scope="session")
+def tezos_frame(tezos_records):
+    return TxFrame.from_records(tezos_records)
+
+
+@pytest.fixture(scope="session")
+def xrp_frame(xrp_records):
+    return TxFrame.from_records(xrp_records)
+
+
+@pytest.fixture(scope="session")
+def eos_figures(eos_frame):
+    """The report's EOS figures, read by name (``eos_figures["top_senders"]``)."""
+    return full_report(eos_frame).chains[ChainId.EOS]
+
+
+@pytest.fixture(scope="session")
+def tezos_figures(tezos_frame):
+    return full_report(tezos_frame).chains[ChainId.TEZOS]
+
+
+@pytest.fixture(scope="session")
+def xrp_figures(xrp_frame, xrp_generator):
+    """The report's XRP figures, with the ledger's oracle and cluster map."""
+    ledger = xrp_generator.ledger
+    oracle = ExchangeRateOracle.from_orderbook(ledger.orderbook)
+    report = full_report(xrp_frame, oracle, AccountClusterer(ledger.accounts))
+    return report.chains[ChainId.XRP]
 
 
 @pytest.fixture

@@ -9,15 +9,16 @@ check that the headline findings survive the full round trip.
 
 import pytest
 
+from repro.common.columns import TxFrame
 from repro.common.records import ChainId, iter_transactions
 from repro.common.rng import DeterministicRng
 from repro.collection.crawler import BlockCrawler
 from repro.collection.dataset import characterize_dataset
 from repro.collection.endpoints import EndpointPool, EndpointProfile, shortlist_endpoints
 from repro.collection.store import FrameSink, FrameStore
-from repro.analysis.classify import category_distribution, tezos_category_distribution
+from repro.analysis.classify import CategoryDistributionAccumulator, TezosCategoryAccumulator
 from repro.analysis.report import full_report
-from repro.analysis.value import ExchangeRateOracle, XrpValueAnalyzer
+from repro.analysis.value import ExchangeRateOracle, XrpDecompositionAccumulator
 from repro.eos.rpc import EosRpcEndpoint
 from repro.eos.workload import EosWorkloadConfig, EosWorkloadGenerator
 from repro.scenarios import small_scenario
@@ -55,8 +56,7 @@ class TestEosPipeline:
         report = crawler.crawl_range(highest=head, lowest=chain.config.start_height)
         assert report.complete
         assert sink.block_count == len(chain.blocks)
-        records = list(store.iter_records())
-        categories = category_distribution(records)
+        categories = CategoryDistributionAccumulator().run(store.to_frame())
         assert categories["Tokens"] == max(categories.values())
         characterization = characterize_dataset(store, chain=ChainId.EOS)
         assert characterization.transaction_count == sink.transaction_count
@@ -74,8 +74,7 @@ class TestTezosPipeline:
         head = crawler.discover_head()
         report = crawler.crawl_range(highest=head, lowest=chain.config.start_level)
         assert report.complete
-        records = list(store.iter_records())
-        categories = tezos_category_distribution(records)
+        categories = TezosCategoryAccumulator().run(store.to_frame())
         assert categories["consensus"] > 0.7
 
 
@@ -91,14 +90,13 @@ class TestXrpPipeline:
         head = crawler.discover_head()
         report = crawler.crawl_range(highest=head, lowest=ledger.config.start_index)
         assert report.complete
-        records = list(store.iter_records())
         # The exchange-rate oracle is fed from the ledger's order book, the
         # simulated counterpart of the paper's Ripple Data API.
         rates = {}
         for currency, issuer in generator.valued_assets():
             rates[(currency, issuer)] = ledger.orderbook.average_rate_vs_xrp(currency, issuer)
         oracle = ExchangeRateOracle(rates)
-        decomposition = XrpValueAnalyzer(oracle).decompose(records)
+        decomposition = XrpDecompositionAccumulator(oracle).run(store.to_frame())
         assert decomposition.total == sink.action_count
         assert decomposition.failed_share < 0.2
         assert decomposition.economic_value_share < 0.1
@@ -111,9 +109,8 @@ class TestCrossChainSummary:
         xrp = XrpWorkloadGenerator(pipeline_scenario.xrp)
         eos_blocks, tezos_blocks, xrp_blocks = eos.generate(), tezos.generate(), xrp.generate()
         oracle = ExchangeRateOracle.from_orderbook(xrp.ledger.orderbook)
-        report = full_report(
-            iter_transactions(eos_blocks + tezos_blocks + xrp_blocks), oracle=oracle
-        ).summary()
+        frame = TxFrame.from_records(iter_transactions(eos_blocks + tezos_blocks + xrp_blocks))
+        report = full_report(frame, oracle=oracle).summary()
         assert len(report.chains) == 3
         text = report.format_text()
         assert "EOS" in text and "TEZOS" in text and "XRP" in text

@@ -9,7 +9,7 @@ whose records and figures are identical.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.classify import type_distribution
+from repro.analysis.classify import TypeDistributionAccumulator
 from repro.collection.chunkformat import decode_chunk, encode_chunk
 from repro.common.columns import TxFrame
 from repro.common.records import ChainId, TransactionRecord
@@ -62,14 +62,16 @@ nullable_record_strategy = _record_strategy(st.one_of(st.none(), st.text(max_siz
 def test_encode_decode_round_trip_is_figure_identical(records):
     frame = TxFrame.from_records(records)
     expected_figures = {
-        chain: type_distribution(frame.chain_view(chain)) for chain in frame.chains()
+        chain: TypeDistributionAccumulator().run(frame.chain_view(chain))
+        for chain in frame.chains()
     }
     blob, _ = encode_chunk(frame.to_payload(arrays=True))
     rebuilt = TxFrame.from_payload(decode_chunk(blob))
     assert list(rebuilt) == records
     assert rebuilt.chains() == frame.chains()
     for chain in frame.chains():
-        assert type_distribution(rebuilt.chain_view(chain)) == expected_figures[chain]
+        figure = TypeDistributionAccumulator().run(rebuilt.chain_view(chain))
+        assert figure == expected_figures[chain]
     # Equal payloads encode to equal bytes (sharded generation relies on it),
     # whether the columns arrive as arrays or as the decoder's ndarrays.
     assert encode_chunk(rebuilt.to_payload(arrays=True))[0] == blob

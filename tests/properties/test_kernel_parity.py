@@ -40,10 +40,6 @@ from repro.analysis.clustering import AccountClusterer, ClusterCountsAccumulator
 from repro.analysis.engine import Accumulator, scan_blocks
 from repro.analysis.governance import GovernanceOpsAccumulator
 from repro.analysis.report import FIGURES, FigureConfig
-from repro.analysis.throughput import (
-    ThroughputSeriesAccumulator,
-    type_name_categorizer,
-)
 from repro.analysis.value import ExchangeRateOracle, FailureCodeAccumulator
 from repro.analysis.washtrading import TradeExtractionAccumulator
 from repro.common.columns import TxFrame, TxView
@@ -77,11 +73,6 @@ def parity_clusterer(xrp_generator):
     return AccountClusterer(xrp_generator.ledger.accounts)
 
 
-def _list_key_columns(frame):
-    """Key columns that are not buffer-backed: takes the row-step default."""
-    return (list(frame.type_code),), frame.types.values.__getitem__
-
-
 def _all_accumulators(frame, oracle, clusterer):
     """A fresh instance of every accumulator: every figure spec on each of
     its chains, plus the accumulators no spec names."""
@@ -90,12 +81,9 @@ def _all_accumulators(frame, oracle, clusterer):
     accumulators = [
         spec.factory(chain, config) for spec in FIGURES for chain in spec.chains
     ]
-    series = {"bin_seconds": 6 * 3600.0, "start": bounds[0], "end": bounds[1]}
     accumulators.extend(
         [
             ContractBreakdownAccumulator("eosio.token"),
-            ThroughputSeriesAccumulator(type_name_categorizer, **series),
-            ThroughputSeriesAccumulator(key_columns=_list_key_columns, **series),
             SenderReceiverPairsAccumulator(),
             SenderCountsAccumulator(),
             ClusterCountsAccumulator(clusterer, "sender"),

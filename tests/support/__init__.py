@@ -13,6 +13,13 @@ SRC = os.path.join(
 )
 
 
+def run_on_records(accumulator, records):
+    """``accumulator``'s figure over a frame built from ``records``."""
+    from repro.common.columns import TxFrame
+
+    return accumulator.run(TxFrame.from_records(records))
+
+
 def child_env() -> dict:
     """The environment of a test child: this checkout, pinned hash seed."""
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=SRC)

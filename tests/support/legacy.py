@@ -2,8 +2,10 @@
 
 Before the single-pass engine landed, every public analysis function walked
 the whole ``List[TransactionRecord]`` on its own.  Those seed loops are kept
-here, verbatim, so the **equivalence tests** can assert that each
-accumulator produces exactly the result its record-based predecessor
+here, verbatim (only :func:`~repro.analysis.classify.figure1_group` now
+takes a row's chain, type and contract instead of the record), so the
+**equivalence tests** can assert that each accumulator, run on a frame of
+the same rows, produces exactly the result its record-based predecessor
 produced, and that the one-pass report reproduces the sum of the individual
 passes (``tests/analysis/test_equivalence.py::TestFullReportEquivalence``).
 
@@ -52,7 +54,7 @@ def type_distribution(records: Iterable[TransactionRecord]) -> List[TypeDistribu
     counts: Counter = Counter()
     totals: Counter = Counter()
     for record in records:
-        group = figure1_group(record)
+        group = figure1_group(record.chain, record.type, record.contract)
         type_name = record.type
         if record.chain is ChainId.EOS and group == "Others":
             type_name = "Others"

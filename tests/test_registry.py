@@ -61,7 +61,7 @@ class TestEidosFlood:
 
     def test_flood_dominates_generated_traffic(self):
         from repro.eos.workload import EosWorkloadConfig, EosWorkloadGenerator
-        from repro.analysis.airdrop import analyze_airdrop
+        from repro.analysis.airdrop import AirdropAccumulator
 
         config = eidos_flood(seed=5).eos
         # Shrink the per-day volume so the test stays fast while keeping the
@@ -79,7 +79,7 @@ class TestEidosFlood:
         generator = EosWorkloadGenerator(small)
         frame = TxFrame()
         frame.extend(generator.stream_records())
-        report = analyze_airdrop(frame)
+        report = AirdropAccumulator().run(frame)
         assert report.dominates_post_launch_traffic
         assert report.traffic_multiplier > 20.0
 

@@ -122,9 +122,10 @@ Step = Callable[[int], None]
 BatchStep = Callable[[RowIndices], None]
 
 #: Rows per scan block.  Large enough that per-block Python overhead is
-#: negligible, small enough that the working set of gathered column slices
-#: stays cache-friendly and memory stays bounded on huge frames.
-BLOCK_ROWS = 65_536
+#: negligible, small enough that the column slices the kernels gather for
+#: one block stay cache-friendly and a few MB at most, however many rows the
+#: scanned view holds.
+BLOCK_ROWS = 16_384
 
 
 def config_digest(items: Any) -> str:

@@ -257,11 +257,10 @@ def fold_targets(
     return skeleton, {key: _bound_base(factory, skeleton) for key, factory in factories.items()}
 
 
-def scan_payload(
-    payload: Dict, skeleton: TxFrame, factories: Dict[str, AccumulatorFactory]
-) -> ChainStates:
-    """One committed chunk's states: each chain's rows scanned by fresh
-    accumulators in a throwaway frame sharing ``skeleton``'s pools."""
+def payload_frame(payload: Dict, skeleton: TxFrame) -> TxFrame:
+    """A committed chunk's rows in a throwaway frame sharing ``skeleton``'s
+    pools.  The payload is read, never written, and its columns are copied,
+    so a decoded payload can go before :func:`scan_frame` runs."""
     metadata = payload["metadata"]
     if not isinstance(metadata, LazyMetadata):
         # A held payload's dicts: the frame only reads them, so it adopts
@@ -269,6 +268,11 @@ def scan_payload(
         payload = dict(payload, metadata=LazyMetadata(len(metadata), lambda: metadata))
     chunk = TxFrame.with_pools(*(getattr(skeleton, name) for name in _POOLS))
     chunk.extend_from_payload(payload)
+    return chunk
+
+
+def scan_frame(chunk: TxFrame, factories: Dict[str, AccumulatorFactory]) -> ChainStates:
+    """One chunk's states: each chain's rows scanned by fresh accumulators."""
     states: ChainStates = {}
     for chain in chunk.chains():
         factory = factories.get(chain.value)
@@ -318,11 +322,13 @@ def _fold_chunk_range(
                     info["hits"] += 1
                     continue
             info["misses"] += 1
-        payload = payloads.get(index) if payloads else None
-        if payload is None:
-            payload = store.chunk_payload(index)
-        chunk_states = scan_payload(payload, skeleton, factories)
-        info["rows"] += len(payload["transaction_id"])
+        held = payloads.get(index) if payloads else None
+        # A decoded payload is a temporary: it is freed once the frame has
+        # copied it, before the kernels run.
+        chunk = payload_frame(held if held is not None else store.chunk_payload(index), skeleton)
+        info["rows"] += len(chunk)
+        chunk_states = scan_frame(chunk, factories)
+        del chunk
         fold(chunk_states)
         if key is not None:
             info["fresh"].append((key, chunk_states))

@@ -212,23 +212,27 @@ def _unpack_metadata(segment: Any, rows: int) -> List[Optional[Dict[str, Any]]]:
     return items
 
 
-def _lazy_metadata(segment: Any, rows: int, projection: Optional[Projection]) -> LazyMetadata:
+def _lazy_metadata(segment: Any, rows: int, projected: Any, swap: bool) -> LazyMetadata:
     """A :class:`LazyMetadata` block over a chunk's metadata segment.
 
     Structural validation is eager (so a foreign document fails at decode
     time); the zlib + JSON work is deferred to first access — the chunk
     checksum has already vouched for the bytes, and no scan reads the dicts.
+    A v3 chunk's ``projected`` segment is kept as stored and decoded again
+    at that access to re-insert the projected keys: the decoded columns
+    belong to the payload, which a frame copies and drops, so the block
+    must not keep a second copy of them alive beside the frame's.
     """
     if not isinstance(segment, dict) or not isinstance(segment.get("blob"), bytes):
         raise ChunkFormatError("chunk metadata segment is malformed")
 
     def load() -> List[Optional[Dict[str, Any]]]:
         items = _unpack_metadata(segment, rows)
-        if projection is None:
+        if projected is None:
             return items
         if not all(item is None or item.__class__ is dict for item in items):
             raise ChunkFormatError("chunk metadata residue is not a list of mappings")
-        return merge_residue(items, projection)
+        return merge_residue(items, _unpack_projection(projected, rows, swap))
 
     return LazyMetadata(rows, load)
 
@@ -448,6 +452,10 @@ def decode_chunk(blob: bytes) -> Dict[str, Any]:
         for name, typecode in NUMERIC_TYPECODES.items()
     }
     transaction_ids = _unpack_text(ids_doc, "transaction ids")
+    # Every action of an EOS transaction carries its id: equal ids of a
+    # chunk share one ``str``.
+    shared: Dict[Optional[str], Optional[str]] = {}
+    transaction_ids = list(map(shared.setdefault, transaction_ids, transaction_ids))
     pools = {name: _unpack_text(segment, f"pool {name!r}") for name, segment in pools_doc.items()}
     if len(transaction_ids) != rows or any(
         len(column) != rows for column in columns.values()
@@ -471,8 +479,7 @@ def decode_chunk(blob: bytes) -> Dict[str, Any]:
             doc.get("chain_rows") or {},
         ),
     }
-    projection = None
     if projected_doc is not None:
-        projection = payload["projected"] = _unpack_projection(projected_doc, rows, swap)
-    payload["metadata"] = _lazy_metadata(meta_doc, rows, projection)
+        payload["projected"] = _unpack_projection(projected_doc, rows, swap)
+    payload["metadata"] = _lazy_metadata(meta_doc, rows, projected_doc, swap)
     return payload

@@ -968,14 +968,16 @@ class FrameStore:
     def to_frame(self) -> TxFrame:
         """Decompress every chunk back into one columnar frame.
 
-        Every row is resident at once here, so within a chunk equal metadata
-        dicts become one shared object (read-only, as every frame's metadata
-        is): about half of a ``live_tail`` archive's rows repeat a dict an
-        earlier row of their chunk holds, and its forty-batch frame peaks
-        ≈17 MB lower.  The dicts are compared (by ``repr``) only when a
-        chunk's metadata is first read — a v3 scan reads the projected
-        columns and never does; a v1/v2 chunk's columns are projected from
-        the shared dicts.
+        Every row is resident at once here, so the frame holds each value
+        once (the memory paragraph of ``docs/architecture.md``): a chunk's
+        decoded columns are copied into the frame and dropped before the
+        next chunk decodes.  Within a chunk equal metadata dicts become one
+        shared object (read-only, as every frame's metadata is): about half
+        of a ``live_tail`` archive's rows repeat a dict an earlier row of
+        their chunk holds, and its forty-batch frame peaks ≈17 MB lower.
+        The dicts are compared (by ``repr``) only when a chunk's metadata is
+        first read — a v3 scan reads the projected columns and never does;
+        a v1/v2 chunk's columns are projected from the shared dicts.
         """
         frame = TxFrame()
         for chunk in self._chunks:
@@ -986,6 +988,7 @@ class FrameStore:
                     len(metadata), partial(_shared_dicts, metadata)
                 )
             frame.extend_from_payload(payload)
+            del payload  # the frame has copied its columns
         if len(self._staging):
             frame.extend_from_payload(self._staging.to_payload())
         return frame

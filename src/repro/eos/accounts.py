@@ -171,10 +171,6 @@ class EosAccountRegistry:
         self._accounts[name] = account
         return account
 
-    def names(self) -> List[str]:
-        """All account names, sorted."""
-        return sorted(self._accounts)
-
     def accounts(self) -> Iterable[EosAccount]:
         return self._accounts.values()
 

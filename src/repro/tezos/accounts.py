@@ -155,9 +155,6 @@ class TezosAccountRegistry:
             raise ChainError("delegation target must be an implicit account")
         self.get(delegator).delegate = baker
 
-    def addresses(self) -> List[str]:
-        return sorted(self._accounts)
-
     def accounts(self) -> Iterable[TezosAccount]:
         return self._accounts.values()
 

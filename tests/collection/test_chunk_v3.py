@@ -27,7 +27,8 @@ import pytest
 from repro.analysis.parallel import (
     fold_targets,
     parallel_report_from_store,
-    scan_payload,
+    payload_frame,
+    scan_frame,
     store_factories,
 )
 from repro.analysis.report import full_report
@@ -237,5 +238,5 @@ class TestNoJsonOnTheScanPath:
         payloads = [*store.iter_commits(records), store.flush()]
         skeleton, _ = fold_targets(store, {})
         for payload in payloads:
-            assert scan_payload(payload, skeleton, factories)
+            assert scan_frame(payload_frame(payload, skeleton), factories)
         assert sum(projected) == len(records) == V2_STORE_ROWS

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import time
+from itertools import chain
 
 import pytest
 
@@ -46,8 +47,8 @@ CHUNK_ROWS = 25_000
 
 
 @pytest.fixture(scope="module")
-def combined_frame(eos_frame, tezos_frame, xrp_frame):
-    return TxFrame.concat([eos_frame, tezos_frame, xrp_frame])
+def combined_frame(eos_records, tezos_records, xrp_records):
+    return TxFrame.from_records(chain(eos_records, tezos_records, xrp_records))
 
 
 @pytest.fixture(scope="module")

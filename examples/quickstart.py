@@ -8,8 +8,8 @@ The script runs the whole pipeline at a small scale:
    reverse chronological order, exactly like the paper's data collection
    (§3.1), streaming each block's transactions through a frame sink into a
    compressed columnar store;
-3. decompress each store straight into a columnar ``TxFrame`` — the
-   canonical analysis substrate — and run the single-pass analysis engine:
+3. read the stores' records into one columnar ``TxFrame`` — the canonical
+   analysis substrate — and run the single-pass analysis engine:
    one streaming scan per chain produces the summary of findings the
    paper's introduction quotes.
 
@@ -17,6 +17,8 @@ Run with:  python examples/quickstart.py
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle
@@ -76,10 +78,10 @@ def main() -> None:
 
     print("\nRunning the single-pass analysis engine (one scan per chain)...")
     oracle = ExchangeRateOracle.from_orderbook(xrp.ledger.orderbook)
-    # Each store decompresses straight into a columnar frame; the report is
-    # then a single engine pass per chain — no per-figure re-iteration.
-    frame = TxFrame.concat(
-        [store.to_frame() for store in (eos_store, tezos_store, xrp_store)]
+    # The three stores' records fill one columnar frame; the report is then
+    # a single engine pass per chain — no per-figure re-iteration.
+    frame = TxFrame.from_records(
+        chain.from_iterable(store.iter_records() for store in (eos_store, tezos_store, xrp_store))
     )
     report = full_report(frame, oracle=oracle)
     print()

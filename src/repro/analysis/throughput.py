@@ -95,13 +95,6 @@ class ThroughputSeries:
         index = max(range(len(totals)), key=totals.__getitem__)
         return index, totals[index]
 
-    def average_per_bin(self, category: Optional[str] = None) -> float:
-        if not self.bins:
-            return 0.0
-        if category is None:
-            return sum(self.total_series()) / len(self.bins)
-        return sum(self.series_for(category)) / len(self.bins)
-
 
 #: Session-unique token embedded in unprovable factory identities, so a
 #: checkpoint written by another process can never accidentally match one.

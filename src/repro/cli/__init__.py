@@ -54,7 +54,6 @@ _EXPORTS = {
     "Dataset": "dataset",
     "ensure_store": "dataset",
     "load_or_generate": "dataset",
-    "_load_cache_meta": "dataset",
     "_report_to_dict": "report",
 }
 

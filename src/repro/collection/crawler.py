@@ -46,11 +46,6 @@ class CrawlReport:
     failed_blocks: List[int] = field(default_factory=list)
     elapsed_virtual_seconds: float = 0.0
 
-    @property
-    def complete(self) -> bool:
-        """Whether every block in the requested range was fetched."""
-        return not self.failed_blocks
-
 
 class BlockCrawler:
     """Crawls a block range in reverse chronological order into a store."""

@@ -1,4 +1,4 @@
-"""Simulated endpoints, endpoint shortlisting and rotation.
+"""Simulated endpoints and endpoint rotation.
 
 The paper crawls each chain through public endpoints (§3.1): 6 of 32
 advertised EOS endpoints, shortlisted for "a generous rate limit with stable
@@ -6,10 +6,8 @@ latency and throughput", a self-hosted Tezos node and XRP's full-history
 API.  :class:`RpcEndpoint` is what every simulated endpoint shares — a
 profile, a token bucket, simulated outages and latency, and a method table
 — and each chain's ``rpc`` module adds only its head handler.
-:func:`shortlist_endpoints` reproduces the selection by probing each
-endpoint; :class:`EndpointPool` then rotates between the shortlisted
-endpoints during the crawl, demoting endpoints that throttle or fail and
-promoting the healthiest ones.
+:class:`EndpointPool` rotates between the crawl's endpoints, demoting
+endpoints that throttle or fail and promoting the healthiest ones.
 """
 
 from __future__ import annotations
@@ -55,8 +53,7 @@ class EndpointProfile:
     """Operational characteristics of one endpoint.
 
     The paper shortlists 6 of 32 advertised EOS endpoints based on rate
-    limits, latency and stability; these knobs are what the crawler's
-    endpoint-selection logic ranks on.
+    limits, latency and stability; these knobs model those properties.
     """
 
     name: str
@@ -167,72 +164,6 @@ class RpcEndpoint:
 
 
 @dataclass
-class EndpointProbe:
-    """Result of probing one endpoint during shortlisting."""
-
-    endpoint: BlockEndpoint
-    reachable: bool
-    observed_latency: float
-    successful_probes: int
-    throttled_probes: int
-
-    @property
-    def score(self) -> float:
-        """Higher is better: favour reachable, low-latency, unthrottled endpoints."""
-        if not self.reachable or self.successful_probes == 0:
-            return 0.0
-        throttle_penalty = 1.0 + self.throttled_probes
-        return self.successful_probes / (self.observed_latency * throttle_penalty + 1e-9)
-
-
-def probe_endpoint(endpoint: BlockEndpoint, now: float, probes: int = 5) -> EndpointProbe:
-    """Issue ``probes`` head requests against ``endpoint`` and measure them."""
-    successes = 0
-    throttled = 0
-    total_latency = 0.0
-    reachable = False
-    clock = now
-    for _ in range(probes):
-        try:
-            endpoint.head_height(clock)
-            successes += 1
-            reachable = True
-        except RpcError as exc:
-            if getattr(exc, "code", None) == 429:
-                throttled += 1
-                reachable = True
-            # Unreachable endpoints simply accumulate no successes.
-        latency = endpoint.latency()
-        total_latency += latency
-        clock += latency
-    average_latency = total_latency / probes if probes else 0.0
-    return EndpointProbe(
-        endpoint=endpoint,
-        reachable=reachable,
-        observed_latency=average_latency,
-        successful_probes=successes,
-        throttled_probes=throttled,
-    )
-
-
-def shortlist_endpoints(
-    endpoints: Sequence[BlockEndpoint],
-    now: float,
-    max_selected: int = 6,
-    probes_per_endpoint: int = 5,
-) -> List[BlockEndpoint]:
-    """Probe all advertised endpoints and keep the ``max_selected`` best ones."""
-    if not endpoints:
-        raise CollectionError("no endpoints advertised for shortlisting")
-    probed = [probe_endpoint(endpoint, now, probes_per_endpoint) for endpoint in endpoints]
-    usable = [probe for probe in probed if probe.score > 0.0]
-    if not usable:
-        raise CollectionError("no usable endpoints: every probe failed")
-    usable.sort(key=lambda probe: (-probe.score, probe.endpoint.name))
-    return [probe.endpoint for probe in usable[:max_selected]]
-
-
-@dataclass
 class EndpointHealth:
     """Running health statistics for one pooled endpoint."""
 
@@ -256,7 +187,7 @@ class EndpointHealth:
 
 
 class EndpointPool:
-    """Rotates between shortlisted endpoints, avoiding unhealthy ones."""
+    """Rotates between the crawl's endpoints, avoiding unhealthy ones."""
 
     def __init__(self, endpoints: Sequence[BlockEndpoint]):
         if not endpoints:
@@ -273,9 +204,6 @@ class EndpointPool:
     @property
     def endpoints(self) -> List[BlockEndpoint]:
         return list(self._endpoints)
-
-    def health(self, name: str) -> EndpointHealth:
-        return self._health[name]
 
     def next_endpoint(self, now: Optional[float] = None) -> BlockEndpoint:
         """Pick the next endpoint, skipping over the least healthy ones.

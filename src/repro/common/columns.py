@@ -21,17 +21,15 @@ per transaction) and slow (attribute access per field per pass).
 
 Appending from a generator is amortised O(1) per record, so workload
 generators can stream straight into a frame without ever materialising
-intermediate block lists.  :class:`TxView` provides zero-copy chain and
-time-window views: a view shares the frame's column buffers and only carries
-a row-index sequence, which is what the single-pass analysis engine iterates.
+intermediate block lists.  :class:`TxView` provides zero-copy chain views: a
+view shares the frame's column buffers and only carries a row-index
+sequence, which is what the single-pass analysis engine iterates.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from itertools import chain as flatten, groupby, islice
-from operator import le
 from typing import (
     Any,
     Dict,
@@ -262,9 +260,9 @@ class TxView:
     """A zero-copy view over a subset of a :class:`TxFrame`'s rows.
 
     The view shares the parent frame's column buffers; it only owns the row
-    index sequence (a ``range`` for contiguous windows, an ``array`` of
+    index sequence (a ``range`` for contiguous rows, an ``array`` of
     indexes for per-chain selections).  All analysis runs on (frame, rows)
-    pairs, so slicing by chain or time window costs nothing per transaction.
+    pairs, so slicing by chain costs nothing per transaction.
     """
 
     __slots__ = ("frame", "rows")
@@ -284,10 +282,6 @@ class TxView:
         record = self.frame.record
         for index in self.rows:
             yield record(index)
-
-    def time_window(self, start: float, end: float) -> "TxView":
-        """Sub-view of rows with ``start <= timestamp < end`` (zero-copy)."""
-        return self.frame.time_window(start, end, rows=self.rows)
 
     def chain_view(self, chain: ChainId) -> "TxView":
         """Sub-view of this view's rows that belong to ``chain``."""
@@ -344,7 +338,6 @@ class TxFrame:
         "errors",
         "_chain_rows",
         "_chain_bounds",
-        "_timestamps_sorted",
         "_tx_ids_nd",
         "meta_strings",
         "_projected",
@@ -377,7 +370,6 @@ class TxFrame:
         self.errors = StringPool()
         self._chain_rows: Dict[int, array] = {}
         self._chain_bounds: Dict[int, Tuple[float, float]] = {}
-        self._timestamps_sorted = True
         self._tx_ids_nd: Optional[Tuple[int, Any]] = None
         #: The strings projected text codes index (see :meth:`projected`).
         self.meta_strings = StringPool()
@@ -470,9 +462,7 @@ class TxFrame:
 
     # -- writing -------------------------------------------------------------------
     def _register_row(self, chain_code: int, timestamp: float, row: int) -> None:
-        """Shared per-row bookkeeping: sort flag, chain index, time bounds."""
-        if self._timestamps_sorted and row and timestamp < self.timestamp[row - 1]:
-            self._timestamps_sorted = False
+        """Shared per-row bookkeeping: chain index, time bounds."""
         rows = self._chain_rows.get(chain_code)
         if rows is None:
             rows = self._chain_rows[chain_code] = array("q")
@@ -540,11 +530,6 @@ class TxFrame:
             senders, receivers, contracts, amounts, currencies, issuers,
             fees, successes, error_codes, metadata,
         ) = (cells[field::width] for field in range(width))  # fmt: skip
-        if self._timestamps_sorted and (
-            (len(self.timestamp) and timestamps[0] < self.timestamp[-1])
-            or not all(map(le, timestamps, islice(timestamps, 1, None)))
-        ):
-            self._timestamps_sorted = False
         # Per-chain row indexes and time bounds, one single-chain run at a time.
         start = len(self.timestamp)
         offset = 0
@@ -643,19 +628,6 @@ class TxFrame:
         frame.errors = errors
         return frame
 
-    @classmethod
-    def concat(cls, frames: Iterable["TxFrame"]) -> "TxFrame":
-        """Concatenate frames into a new frame, remapping string pools.
-
-        Rows keep the order of the input frames; each frame's interned codes
-        are translated into the combined frame's pools, so the result is
-        indistinguishable from having appended every record to one frame.
-        """
-        combined = cls()
-        for frame in frames:
-            combined.extend_from_payload(frame.to_payload(arrays=True))
-        return combined
-
     # -- reading -------------------------------------------------------------------
     def ndarray(self, name: str):
         """Zero-copy, read-only ndarray view of one numeric column.
@@ -696,11 +668,6 @@ class TxFrame:
             buffer[filled:length] = ids[filled:] if filled else ids  # no list copy
             self._tx_ids_nd = (length, buffer)
         return buffer[:length]
-
-    @property
-    def timestamps_sorted(self) -> bool:
-        """Whether rows were appended in non-decreasing timestamp order."""
-        return self._timestamps_sorted
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -765,12 +732,6 @@ class TxFrame:
         """(min, max) timestamp of one chain's rows, tracked at append time."""
         return self._chain_bounds.get(_CHAIN_CODES[chain])
 
-    def chain_duration(self, chain: ChainId) -> float:
-        bounds = self.chain_bounds(chain)
-        if bounds is None:
-            return 0.0
-        return bounds[1] - bounds[0]
-
     def min_timestamp(self) -> Optional[float]:
         if not self._chain_bounds:
             return None
@@ -780,35 +741,6 @@ class TxFrame:
         if not self._chain_bounds:
             return None
         return max(high for _, high in self._chain_bounds.values())
-
-    def time_window(
-        self,
-        start: float,
-        end: float,
-        rows: Optional[RowIndices] = None,
-    ) -> TxView:
-        """View of rows with ``start <= timestamp < end``.
-
-        When timestamps are appended in non-decreasing order (the common case
-        for generated workloads and height-ordered crawls) the window is
-        located by bisection and returned as a ``range`` — zero copies.
-        Otherwise rows are filtered into a fresh index array (still sharing
-        every column buffer).
-        """
-        timestamps = self.timestamp
-        if rows is None:
-            if self._timestamps_sorted:
-                lo = bisect_left(timestamps, start)
-                hi = bisect_left(timestamps, end, lo=lo)
-                return TxView(self, range(lo, hi))
-            rows = range(len(self))
-        selected = array("q")
-        if len(rows):
-            indices = _index_ndarray(rows)
-            block = gather_np(timestamps, indices)
-            matched = indices[(block >= start) & (block < end)]
-            selected.frombytes(matched.tobytes())
-        return TxView(self, selected)
 
     # -- serialisation -------------------------------------------------------------
     _NUMERIC_COLUMNS = tuple(NUMERIC_TYPECODES)
@@ -887,15 +819,10 @@ class TxFrame:
 
     def _register_rows(self, chain_codes, timestamps, offset: int) -> None:
         """Bulk twin of :meth:`_register_row` for rows appended at ``offset``:
-        sort flag, per-chain row indexes and timestamp bounds, from the
-        appended rows' own ``chain_codes`` / ``timestamps`` ndarrays."""
+        per-chain row indexes and timestamp bounds, from the appended rows'
+        own ``chain_codes`` / ``timestamps`` ndarrays."""
         import numpy as np
 
-        if self._timestamps_sorted:
-            self._timestamps_sorted = bool(
-                (not offset or timestamps[0] >= self.timestamp[offset - 1])
-                and np.all(timestamps[1:] >= timestamps[:-1])
-            )
         # One mask per known chain, not ``np.unique``: without an index or
         # count output that imports ``numpy.ma`` (numpy 2.x) for three codes.
         for code in range(len(CHAIN_ORDER)):

@@ -44,9 +44,9 @@ Example::
     store.chunk_write:nth=3:mode=torn;checkpoint.save:nth=2:mode=bitflip
 
 Activation: :func:`use_plan` scopes a plan to a ``with`` block (tests, the
-soak harness); :func:`install` sets it process-wide; with neither, the
-first :func:`check` parses ``REPRO_FAULTS`` if set — which is how worker
-processes (spawned pools) inherit the fault schedule.
+soak harness); without one, the first :func:`check` parses ``REPRO_FAULTS``
+if set — which is how worker processes (spawned pools) inherit the fault
+schedule.
 
 An injected *crash* raises :class:`InjectedCrash`: the simulated equivalent
 of the process dying at that exact instruction.  Consumers (the soak
@@ -70,8 +70,8 @@ from repro.common.errors import (
     RpcError,
 )
 
-#: Environment variable a fault plan is picked up from when none is
-#: installed explicitly — the cross-process activation channel.
+#: Environment variable a fault plan is picked up from when no
+#: :func:`use_plan` block is active — the cross-process activation channel.
 FAULTS_ENV = "REPRO_FAULTS"
 
 #: Crash-style modes: the faultpoint simulates the process dying there.
@@ -390,14 +390,6 @@ _active: Optional[FaultPlan] = None
 _env_loaded = False
 
 
-def install(plan: Optional[FaultPlan]) -> None:
-    """Set (or with ``None`` clear) the process-wide active plan."""
-    global _active, _env_loaded
-    _active = plan
-    # An explicit install decision overrides any future env pickup.
-    _env_loaded = True
-
-
 @contextmanager
 def use_plan(plan: Optional[FaultPlan]):
     """Scope ``plan`` (or fault-free ``None``) to a ``with`` block."""
@@ -411,7 +403,7 @@ def use_plan(plan: Optional[FaultPlan]):
 
 
 def active_plan() -> Optional[FaultPlan]:
-    """The active plan: installed explicitly, or parsed once from the env."""
+    """The active plan: the enclosing :func:`use_plan`'s, or parsed once from the env."""
     global _active, _env_loaded
     if _active is None and not _env_loaded:
         _env_loaded = True

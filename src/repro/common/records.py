@@ -186,8 +186,3 @@ def iter_transactions(blocks: Iterable[BlockRecord]) -> Iterable[TransactionReco
     for block in blocks:
         for record in block.transactions:
             yield record
-
-
-def count_actions(blocks: Iterable[BlockRecord]) -> int:
-    """Total number of actions/operations across ``blocks``."""
-    return sum(block.action_count for block in blocks)

@@ -92,9 +92,6 @@ class DeterministicRng:
     def sample(self, items: Sequence[T], k: int) -> List[T]:
         return self._random.sample(items, k)
 
-    def shuffle(self, items: List[T]) -> None:
-        self._random.shuffle(items)
-
     def bernoulli(self, probability: float) -> bool:
         """Return True with the given probability."""
         if probability <= 0.0:
@@ -131,12 +128,6 @@ class DeterministicRng:
     def lognormal(self, mean: float, sigma: float) -> float:
         """Draw from a log-normal distribution (used for payment amounts)."""
         return self._random.lognormvariate(mean, sigma)
-
-    def exponential(self, rate: float) -> float:
-        """Draw an exponential inter-arrival time with the given rate."""
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        return self._random.expovariate(rate)
 
     def poisson(self, mean: float) -> int:
         """Draw a Poisson-distributed count (Knuth's algorithm, small means)."""

@@ -75,14 +75,6 @@ class EosAccount:
         if not is_valid_eos_name(self.name):
             raise ChainError(f"invalid EOS account name: {self.name!r}")
 
-    @property
-    def is_system(self) -> bool:
-        return self.kind in (EosAccountKind.SYSTEM, EosAccountKind.SYSTEM_PRIVILEGED)
-
-    @property
-    def is_privileged(self) -> bool:
-        return self.kind is EosAccountKind.SYSTEM_PRIVILEGED
-
     # -- balances ---------------------------------------------------------
     def credit(self, amount: float, symbol: str = "EOS") -> None:
         """Add ``amount`` of ``symbol`` to this account."""
@@ -174,16 +166,6 @@ class EosAccountRegistry:
     def accounts(self) -> Iterable[EosAccount]:
         return self._accounts.values()
 
-    def system_accounts(self) -> List[EosAccount]:
-        return [account for account in self._accounts.values() if account.is_system]
-
-    def regular_accounts(self) -> List[EosAccount]:
-        return [account for account in self._accounts.values() if not account.is_system]
-
     def contracts(self) -> List[EosAccount]:
         """Accounts that have a contract deployed (system or user)."""
         return [account for account in self._accounts.values() if account.is_contract]
-
-    def total_supply(self, symbol: str = "EOS") -> float:
-        """Sum of all balances for ``symbol`` — conserved by transfers."""
-        return sum(account.balance(symbol) for account in self._accounts.values())

@@ -388,17 +388,16 @@ class EosWorkloadGenerator:
         )
 
     _CATEGORY_BUILDERS = {
-        CATEGORY_BETTING: "_betting_transaction",
-        CATEGORY_EXCHANGE: "_dex_transaction",
-        CATEGORY_PORNOGRAPHY: "_content_transaction",
-        CATEGORY_GAMES: "_game_transaction",
-        CATEGORY_TOKENS: "_token_transaction",
-        CATEGORY_OTHERS: "_other_transaction",
+        CATEGORY_BETTING: _betting_transaction,
+        CATEGORY_EXCHANGE: _dex_transaction,
+        CATEGORY_PORNOGRAPHY: _content_transaction,
+        CATEGORY_GAMES: _game_transaction,
+        CATEGORY_TOKENS: _token_transaction,
+        CATEGORY_OTHERS: _other_transaction,
     }
 
     def _build_transaction(self, category: str) -> EosTransaction:
-        builder = getattr(self, self._CATEGORY_BUILDERS[category])
-        return builder()
+        return self._CATEGORY_BUILDERS[category](self)
 
     # -- block generation -----------------------------------------------------------
     def _transactions_for_block(self, block_timestamp: float) -> List[EosTransaction]:
@@ -445,14 +444,3 @@ class EosWorkloadGenerator:
         for block in self.generate_blocks():
             yield from block.transactions
             self.chain.prune()
-
-    # -- the deployed contracts, for tests to inspect --------------------------------
-    def dex_contract(self) -> DexContract:
-        contract = self.chain.contracts.get("whaleextrust")
-        assert isinstance(contract, DexContract)
-        return contract
-
-    def eidos_contract(self) -> EidosContract:
-        contract = self.chain.contracts.get("eidosonecoin")
-        assert isinstance(contract, EidosContract)
-        return contract

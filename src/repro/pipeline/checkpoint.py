@@ -59,16 +59,6 @@ class PipelineCheckpoint:
     #: The store's key of the chunks covered; ``None`` matches no store.
     prefix: Optional[str] = None
 
-    @classmethod
-    def capture(
-        cls, watermark_rows: int, chain_accumulators: Dict[str, Sequence[Accumulator]]
-    ) -> "PipelineCheckpoint":
-        """Snapshot scanned accumulators per chain."""
-        checkpoint = cls(watermark_rows=watermark_rows)
-        for chain_value, accumulators in chain_accumulators.items():
-            checkpoint.capture_chain(chain_value, accumulators)
-        return checkpoint
-
     def capture_chain(
         self, chain_value: str, accumulators: Sequence[Accumulator]
     ) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.common.errors import ChainError
 from repro.common.rng import DeterministicRng
@@ -158,27 +158,11 @@ class TezosAccountRegistry:
     def accounts(self) -> Iterable[TezosAccount]:
         return self._accounts.values()
 
-    def implicit_accounts(self) -> List[TezosAccount]:
-        return [acc for acc in self._accounts.values() if acc.kind is TezosAccountKind.IMPLICIT]
-
-    def originated_accounts(self) -> List[TezosAccount]:
-        return [acc for acc in self._accounts.values() if acc.kind is TezosAccountKind.ORIGINATED]
-
-    def staking_balance(self, baker: str) -> float:
-        """Baker's own balance plus everything delegated to it."""
-        own = self.get(baker).balance_xtz
-        delegated = sum(
-            account.balance_xtz
-            for account in self._accounts.values()
-            if account.delegate == baker and account.address != baker
-        )
-        return own + delegated
-
     def staking_balances(self) -> Dict[str, float]:
-        """Staking balance of every implicit account, computed in one pass.
+        """Staking balance of every implicit account: its own balance plus
+        everything delegated to it, computed in one pass.
 
-        Equivalent to calling :meth:`staking_balance` for each implicit
-        account but O(accounts) overall, which matters once airdrop-style
+        One pass is O(accounts) overall, which matters once airdrop-style
         workloads have created tens of thousands of accounts.
         """
         balances: Dict[str, float] = {
@@ -191,6 +175,3 @@ class TezosAccountRegistry:
             if delegate and delegate != account.address and delegate in balances:
                 balances[delegate] += account.balance_xtz
         return balances
-
-    def total_supply(self) -> float:
-        return sum(account.balance_xtz for account in self._accounts.values())

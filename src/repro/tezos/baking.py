@@ -40,17 +40,6 @@ class BakerSet:
         self._weights_cache: Dict[str, float] = {}
         self._weights_cache_key: int = -1
 
-    def eligible_bakers(self) -> List[str]:
-        """Addresses allowed to bake: implicit accounts holding >= one roll."""
-        balances = self.registry.staking_balances()
-        return sorted(
-            address for address, balance in balances.items() if balance >= ROLL_SIZE_XTZ
-        )
-
-    def rolls(self, baker: str) -> int:
-        """Number of rolls backing ``baker`` (drives selection probability)."""
-        return int(self.registry.staking_balance(baker) // ROLL_SIZE_XTZ)
-
     def _weights(self) -> Dict[str, float]:
         # One pass over the registry per account-set change; the two slot
         # selections a block performs (baker + endorsers) share the result.

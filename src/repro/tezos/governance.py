@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.common.clock import SECONDS_PER_DAY, timestamp_from_iso
+from repro.common.clock import timestamp_from_iso
 
 
 class VotingPeriodKind(str, enum.Enum):
@@ -67,10 +67,6 @@ class BabylonTimeline:
         }
         start, end = mapping[period]
         return timestamp_from_iso(start), timestamp_from_iso(end)
-
-    def period_days(self, period: VotingPeriodKind) -> int:
-        start, end = self.period_bounds(period)
-        return int((end - start) // SECONDS_PER_DAY)
 
 
 @dataclass(frozen=True)

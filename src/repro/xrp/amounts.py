@@ -25,13 +25,6 @@ STANDARD_FEE_DROPS = 10
 ACCOUNT_RESERVE_XRP = 20.0
 
 
-def xrp_to_drops(xrp: float) -> int:
-    """Convert an XRP amount to integer drops."""
-    if xrp < 0:
-        raise ChainError("XRP amounts must be non-negative")
-    return int(round(xrp * DROPS_PER_XRP))
-
-
 def drops_to_xrp(drops: int) -> float:
     """Convert integer drops to an XRP amount."""
     if drops < 0:

@@ -140,9 +140,6 @@ class OrderBook:
     def __len__(self) -> int:
         return self._open_count
 
-    def all_offers(self) -> List[Offer]:
-        return list(self._offers.values())
-
     def recent_open_offers(self) -> List[Offer]:
         """The most recently placed offers that are still open (cheap lookup)."""
         # ``Offer.is_open``, inlined: the workload asks on every offer it

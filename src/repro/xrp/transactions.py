@@ -70,8 +70,6 @@ class XrpTransaction(NamedTuple):
     limit: Optional[IouAmount] = None
     destination_tag: Optional[int] = None
     fee_drops: int = STANDARD_FEE_DROPS
-    finish_after: float = 0.0
-    escrow_id: int = 0
     data: Mapping[str, Any] = EMPTY_MAPPING
 
 

@@ -11,7 +11,7 @@ dataset (§3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.common.errors import ChainError
 from repro.xrp.amounts import XRP_CURRENCY, IouAmount
@@ -80,12 +80,6 @@ class TrustLineTable:
     def balance(self, holder: str, currency: str, issuer: str) -> float:
         line = self._lines.get(self._key(holder, currency, issuer))
         return line.balance if line else 0.0
-
-    def lines_of(self, holder: str) -> List[TrustLine]:
-        return [line for line in self._lines.values() if line.holder == holder]
-
-    def lines_towards(self, issuer: str) -> List[TrustLine]:
-        return [line for line in self._lines.values() if line.issuer == issuer]
 
     # -- IOU movement ---------------------------------------------------------
     def can_receive(self, holder: str, amount: IouAmount) -> bool:

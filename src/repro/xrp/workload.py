@@ -517,7 +517,7 @@ class XrpWorkloadGenerator:
             type=TransactionType.ACCOUNT_SET, account=self._random_ordinary()
         )
 
-    def _other_transaction(self, timestamp: float) -> XrpTransaction:
+    def _other_transaction(self) -> XrpTransaction:
         kind = self.rng.categorical(OTHER_TYPE_MIX)
         if kind is TransactionType.ESCROW_CREATE:
             return XrpTransaction(
@@ -525,7 +525,6 @@ class XrpWorkloadGenerator:
                 account=RIPPLE_ACCOUNT,
                 destination=RIPPLE_ACCOUNT,
                 amount=IouAmount.native(round(self.rng.uniform(1_000.0, 5_000.0), 2)),
-                finish_after=timestamp + 30 * SECONDS_PER_DAY,
             )
         return XrpTransaction(type=kind, account=self._random_ordinary())
 
@@ -552,23 +551,22 @@ class XrpWorkloadGenerator:
         return [issue, sell, buy]
 
     _BUILDERS = {
-        "offer_bot": "_offer_bot_transaction",
-        "offer_user": "_offer_user_transaction",
-        "offer_taker": "_offer_taker_transaction",
-        "payment_value": "_value_payment_transaction",
-        "payment_failed": "_failed_payment_transaction",
-        "offer_failed": "_failed_offer_transaction",
-        "offer_cancel": "_offer_cancel_transaction",
-        "trust_set": "_trust_set_transaction",
-        "account_set": "_account_set_transaction",
+        "offer_bot": _offer_bot_transaction,
+        "offer_user": _offer_user_transaction,
+        "offer_taker": _offer_taker_transaction,
+        "payment_value": _value_payment_transaction,
+        "payment_failed": _failed_payment_transaction,
+        "offer_failed": _failed_offer_transaction,
+        "offer_cancel": _offer_cancel_transaction,
+        "trust_set": _trust_set_transaction,
+        "account_set": _account_set_transaction,
+        "other": _other_transaction,
     }
 
     def _build_transaction(self, kind: str, timestamp: float) -> XrpTransaction:
         if kind == "payment_no_value":
             return self._no_value_payment_transaction(timestamp)
-        if kind == "other":
-            return self._other_transaction(timestamp)
-        return getattr(self, self._BUILDERS[kind])()
+        return self._BUILDERS[kind](self)
 
     # -- ledger generation -----------------------------------------------------------------
     def _transactions_for_ledger(self, timestamp: float) -> List[XrpTransaction]:
@@ -617,8 +615,3 @@ class XrpWorkloadGenerator:
         for block in self.generate_blocks():
             yield from block.transactions
             self.ledger.prune()
-
-    # -- ground truth for tests ------------------------------------------------------
-    def valued_assets(self) -> List[Tuple[str, str]]:
-        """(currency, issuer) pairs that have a genuine XRP exchange rate."""
-        return [(asset.currency, asset.issuer) for asset in self._valued_ious]

@@ -72,7 +72,7 @@ class TestDetection:
         claims = BoomerangClaimsAccumulator().run(eos_frame)
         assert claims
         # Every detected claim corresponds to a contract-recorded claim.
-        assert len(claims) <= eos_generator.eidos_contract().claims
+        assert len(claims) <= eos_generator.chain.contracts.get("eidosonecoin").claims
 
 
 class TestAirdropReport:

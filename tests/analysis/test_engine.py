@@ -1,8 +1,10 @@
 """Tests for the single-pass analysis engine and its orchestration."""
 
+from array import array
+
 import pytest
 
-from repro.common.columns import TxFrame
+from repro.common.columns import TxFrame, TxView
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId, TransactionRecord
 from repro.analysis.classify import (
@@ -147,7 +149,10 @@ class TestChainFigures:
         frame = small_frames[0]
         bounds = frame.chain_bounds(ChainId.EOS)
         mid = (bounds[0] + bounds[1]) / 2
-        window = frame.time_window(mid, bounds[1] + 1.0)
+        window = TxView(
+            frame,
+            array("q", (row for row, stamp in enumerate(frame.timestamp) if stamp >= mid)),
+        )
         figures = full_report(window).chains[ChainId.EOS]
         # The series starts at the window's first row, not the frame's, so
         # there are no leading phantom bins diluting per-bin averages.

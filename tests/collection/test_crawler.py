@@ -57,7 +57,7 @@ class TestCrawlRange:
         chain = build_chain(10)
         crawler = new_crawler(build_pool(chain))
         report = crawler.crawl_range(highest=109, lowest=100)
-        assert report.complete
+        assert not report.failed_blocks
         assert report.blocks_fetched == 10
         assert stored_heights(crawler.store) == list(range(100, 110))
         assert report.transactions_fetched == 10
@@ -67,7 +67,7 @@ class TestCrawlRange:
         crawler = new_crawler(build_pool(chain))
         report = crawler.crawl_range(highest=105, lowest=103)
         assert stored_heights(crawler.store) == [103, 104, 105]
-        assert report.complete
+        assert not report.failed_blocks
 
     def test_invalid_range(self):
         chain = build_chain(3)
@@ -90,7 +90,7 @@ class TestCrawlRange:
         chain = build_chain(5, start_height=100)
         crawler = new_crawler(build_pool(chain), max_attempts_per_block=2)
         report = crawler.crawl_range(highest=106, lowest=100)
-        assert not report.complete
+        assert report.failed_blocks
         assert set(report.failed_blocks) == {105, 106}
         assert stored_heights(crawler.store) == list(range(100, 105))
 
@@ -107,7 +107,7 @@ class TestRateLimitsAndFailures:
         )
         crawler = new_crawler(pool, clock=SimulationClock(0.0))
         report = crawler.crawl_range(highest=107, lowest=100)
-        assert report.complete
+        assert not report.failed_blocks
         assert report.rate_limit_hits > 0
         assert report.elapsed_virtual_seconds > 0.0
 
@@ -122,7 +122,7 @@ class TestRateLimitsAndFailures:
         )
         crawler = new_crawler(pool)
         report = crawler.crawl_range(highest=105, lowest=100)
-        assert report.complete
+        assert not report.failed_blocks
         assert crawler.store.block_count == 6
 
     def test_discover_head(self):
@@ -177,7 +177,7 @@ class TestUnservedBlock:
         block = crawler.fetch_block(108)
         assert block.height == 108
         assert crawler.retries == 0
-        assert pool.health("short").failures > 0
+        assert pool._health["short"].failures > 0
 
 
 def one_endpoint_crawler(chain, clock):

@@ -1,4 +1,4 @@
-"""Tests for endpoint shortlisting and the endpoint pool.
+"""Tests for the simulated endpoints and the endpoint pool.
 
 Also exercises the Tezos and XRP RPC endpoints through the chain-agnostic
 interface the crawler uses.
@@ -17,12 +17,7 @@ from repro.common.errors import (
 )
 from repro.common.records import BlockRecord
 from repro.common.rng import DeterministicRng
-from repro.collection.endpoints import (
-    EndpointPool,
-    EndpointProfile,
-    probe_endpoint,
-    shortlist_endpoints,
-)
+from repro.collection.endpoints import EndpointPool, EndpointProfile
 from repro.eos.chain import EosChain
 from repro.eos.rpc import EosRpcEndpoint
 from repro.tezos.chain import TezosChain
@@ -45,46 +40,6 @@ def make_eos_endpoint(name, rps=100.0, failure_rate=0.0, latency=0.05):
         ),
         rng=DeterministicRng(1),
     )
-
-
-class TestProbing:
-    def test_probe_healthy_endpoint(self):
-        probe = probe_endpoint(make_eos_endpoint("good"), now=0.0)
-        assert probe.reachable
-        assert probe.successful_probes == 5
-        assert probe.score > 0.0
-
-    def test_probe_rate_limited_endpoint(self):
-        probe = probe_endpoint(make_eos_endpoint("limited", rps=1.0), now=0.0)
-        assert probe.reachable
-        assert probe.throttled_probes > 0
-
-    def test_probe_flaky_endpoint_scores_lower(self):
-        healthy = probe_endpoint(make_eos_endpoint("good"), now=0.0)
-        flaky = probe_endpoint(make_eos_endpoint("flaky", failure_rate=0.9), now=0.0)
-        assert flaky.score < healthy.score
-
-
-class TestShortlisting:
-    def test_keeps_the_best_endpoints(self):
-        endpoints = (
-            [make_eos_endpoint(f"fast{i}", latency=0.02) for i in range(6)]
-            + [make_eos_endpoint(f"slow{i}", latency=2.0) for i in range(6)]
-            + [make_eos_endpoint(f"limited{i}", rps=0.5) for i in range(20)]
-        )
-        shortlisted = shortlist_endpoints(endpoints, now=0.0, max_selected=6)
-        assert len(shortlisted) == 6
-        assert all(endpoint.name.startswith("fast") for endpoint in shortlisted)
-
-    def test_requires_at_least_one_endpoint(self):
-        with pytest.raises(CollectionError):
-            shortlist_endpoints([], now=0.0)
-
-    def test_all_unusable_raises(self):
-        # failure_rate close to 1 makes every probe fail deterministically.
-        endpoints = [make_eos_endpoint("dead", failure_rate=0.999)]
-        with pytest.raises(CollectionError):
-            shortlist_endpoints(endpoints, now=0.0)
 
 
 class TestEndpointPool:
@@ -113,7 +68,7 @@ class TestEndpointPool:
         pool = EndpointPool(endpoints)
         pool.record_success(endpoints[0])
         pool.record_throttle(endpoints[0])
-        health = pool.health("one")
+        health = pool._health["one"]
         assert health.successes == 1
         assert health.throttles == 1
 

@@ -492,7 +492,7 @@ class TestFrameSink:
         assert sink.action_count == 8
         sink.flush()
         frame = store.to_frame()
-        assert frame.timestamps_sorted
+        assert list(frame.timestamp) == sorted(frame.timestamp)
         assert list(frame.block_height) == [102, 102, 103, 103, 104, 104, 105, 105]
 
     def test_duplicate_height_rejected(self, tmp_path):

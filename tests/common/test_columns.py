@@ -126,24 +126,8 @@ class TestTxFrame:
             [_record(tx="a", ts=50.0), _record(tx="b", ts=10.0), _record(tx="c", ts=30.0)]
         )
         assert frame.chain_bounds(ChainId.EOS) == (10.0, 50.0)
-        assert frame.chain_duration(ChainId.EOS) == 40.0
         assert frame.chain_bounds(ChainId.XRP) is None
         assert frame.min_timestamp() == 10.0 and frame.max_timestamp() == 50.0
-
-    def test_time_window_sorted_uses_bisection(self):
-        frame = TxFrame.from_records(
-            [_record(tx=f"tx{i}", ts=float(i * 10)) for i in range(10)]
-        )
-        window = frame.time_window(20.0, 50.0)
-        assert isinstance(window.rows, range)
-        assert [record.timestamp for record in window] == [20.0, 30.0, 40.0]
-
-    def test_time_window_unsorted_filters(self):
-        frame = TxFrame.from_records(
-            [_record(tx="a", ts=50.0), _record(tx="b", ts=10.0), _record(tx="c", ts=30.0)]
-        )
-        window = frame.time_window(10.0, 40.0)
-        assert sorted(record.timestamp for record in window) == [10.0, 30.0]
 
     def test_chain_view_is_a_snapshot(self):
         frame = TxFrame.from_records(
@@ -210,19 +194,6 @@ class TestShardAndConcat:
             records.append(_record(chain=chain, tx=f"tx{i}", ts=float(i)))
         return TxFrame.from_records(records), records
 
-    def test_concat_equals_single_frame(self):
-        frame, records = self._mixed_frame(15)
-        parts = [
-            TxFrame.from_records(records[:5]),
-            TxFrame.from_records(records[5:9]),
-            TxFrame.from_records(records[9:]),
-        ]
-        combined = TxFrame.concat(parts)
-        assert list(combined) == records
-        assert combined.chains() == frame.chains()
-        for chain in frame.chains():
-            assert combined.chain_bounds(chain) == frame.chain_bounds(chain)
-
     def test_array_payload_round_trip(self):
         frame, records = self._mixed_frame(9)
         rows = range(5, 9)
@@ -240,19 +211,11 @@ class TestShardAndConcat:
         appended = TxFrame()
         appended.extend_from_payload(payload)
         assert list(bulk) == list(appended)
-        assert bulk.timestamps_sorted == appended.timestamps_sorted
         for chain in appended.chains():
             assert list(bulk.chain_view(chain).rows) == list(
                 appended.chain_view(chain).rows
             )
             assert bulk.chain_bounds(chain) == appended.chain_bounds(chain)
-
-    def test_from_payload_detects_unsorted_timestamps(self):
-        records = [_record(tx="a", ts=5.0), _record(tx="b", ts=3.0)]
-        frame = TxFrame.from_records(records)
-        rebuilt = TxFrame.from_payload(frame.to_payload(arrays=True))
-        assert rebuilt.timestamps_sorted is False
-        assert list(rebuilt) == records
 
 
 class TestNdarrayViews:
@@ -350,12 +313,11 @@ class TestNdarrayViews:
         }
         rebuilt = TxFrame.from_payload(payload)
         assert list(rebuilt) == list(frame)
-        assert rebuilt.timestamps_sorted == frame.timestamps_sorted
         for chain in frame.chains():
             assert rebuilt.chain_bounds(chain) == frame.chain_bounds(chain)
 
     def test_extend_from_payload_matches_per_row_append(self):
-        # Unsorted tail exercises the sortedness bookkeeping.
+        # An out-of-order tail exercises the bounds bookkeeping.
         late = [
             _record(chain=ChainId.XRP, tx="late", ts=50.0),
             _record(chain=ChainId.EOS, tx="later", ts=60.0),
@@ -366,7 +328,6 @@ class TestNdarrayViews:
         for record in late:
             reference.append(record)
         assert list(extended) == list(reference)
-        assert extended.timestamps_sorted == reference.timestamps_sorted is False
         for chain in reference.chains():
             assert list(extended.chain_view(chain).rows) == list(
                 reference.chain_view(chain).rows
@@ -383,15 +344,11 @@ class TestNdarrayViews:
         assert list(view.chain_view(ChainId.EOS).rows) == [
             i for i in rows if frame.chain(i) is ChainId.EOS
         ]
-        assert list(frame.time_window(102.0, 108.0, rows=rows).rows) == [
-            i for i in rows if 102.0 <= frame.timestamp[i] < 108.0
-        ]
         assert view.min_timestamp() == min(frame.timestamp[i] for i in rows)
         assert view.max_timestamp() == max(frame.timestamp[i] for i in rows)
         # Empty selections take the explicit empty guards.
         empty = TxView(frame, stdarray("q"))
         assert list(empty.chain_view(ChainId.EOS).rows) == []
-        assert list(frame.time_window(0.0, 1e9, rows=stdarray("q")).rows) == []
         assert empty.min_timestamp() is None and empty.max_timestamp() is None
 
 
@@ -437,7 +394,6 @@ def _fingerprint(frame):
         "transaction_id": payload["transaction_id"],
         "metadata": payload["metadata"],
         "pools": {name: list(values) for name, values in payload["pools"].items()},
-        "sorted": frame.timestamps_sorted,
         "chain_rows": [(code, rows.tobytes()) for code, rows in frame._chain_rows.items()],
         "chain_bounds": list(frame._chain_bounds.items()),
     }
@@ -483,12 +439,10 @@ class TestAppendParity:
             extended = TxFrame.from_records(iter(records))
         assert _fingerprint(extended) == _fingerprint(appended)
 
-    def test_extend_on_top_of_existing_rows_keeps_sortedness_and_bounds(self):
+    def test_extend_on_top_of_existing_rows_keeps_bounds(self):
         frame = TxFrame.from_records([_record(tx="a", ts=50.0)])
         frame.extend([_record(tx="b", ts=60.0), _record(tx="c", ts=70.0)])
-        assert frame.timestamps_sorted
         frame.extend([_record(tx="d", ts=65.0)])
-        assert not frame.timestamps_sorted
         assert frame.chain_bounds(ChainId.EOS) == (50.0, 70.0)
 
     def test_rows_drawn_before_a_failing_source_raised_are_kept(self):
@@ -563,10 +517,10 @@ class TestMetadataAdoption:
         list(frame.iter_records())
         frame.to_payload(arrays=True)
         frame.to_payload(rows=frame.chain_view(ChainId.XRP).rows)
-        TxFrame.concat([frame, frame])
+        TxFrame().extend_from_payload(frame.to_payload(arrays=True))
         TxFrame.from_payload(frame.to_payload())
         full_report(frame)
-        full_report(frame.time_window(0.0, float("inf")))
+        full_report(frame.all_rows())
         store = FrameStore(directory=str(tmp_path))
         store.add_frame(frame)
         store.flush()

@@ -240,12 +240,8 @@ class TestRegistry:
         monkeypatch.setenv(faults.FAULTS_ENV, "pipeline.update:mode=crash:nth=1")
         monkeypatch.setattr(faults, "_active", None)
         monkeypatch.setattr(faults, "_env_loaded", False)
-        faults.install(None)
-        try:
+        with faults.use_plan(None):
             assert faults.active_plan() is None
-        finally:
-            monkeypatch.setattr(faults, "_active", None)
-            monkeypatch.setattr(faults, "_env_loaded", False)
 
     def test_raise_endpoint_fault_crash_mode(self):
         plan = FaultPlan.parse("crawler.head:mode=crash:nth=1")

@@ -10,7 +10,6 @@ from repro.common.records import (
     BlockRecord,
     ChainId,
     TransactionRecord,
-    count_actions,
     iter_transactions,
 )
 
@@ -124,7 +123,7 @@ class TestHelpers:
             make_block(1, records=[make_record("tx1"), make_record("tx1")]),
             make_block(2, records=[make_record("tx2")]),
         ]
-        assert count_actions(blocks) == 3
+        assert sum(block.action_count for block in blocks) == 3
 
     def test_chain_id_values(self):
         assert ChainId("eos") is ChainId.EOS

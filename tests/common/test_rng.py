@@ -106,11 +106,6 @@ class TestDistributions:
         share = sum(draws) / len(draws)
         assert 0.2 < share < 0.3
 
-    def test_exponential_rejects_nonpositive_rate(self):
-        rng = DeterministicRng(17)
-        with pytest.raises(ValueError):
-            rng.exponential(0.0)
-
     def test_hex_string_length_and_charset(self):
         rng = DeterministicRng(19)
         value = rng.hex_string(40)

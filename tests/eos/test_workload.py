@@ -79,12 +79,12 @@ class TestGeneratedTraffic:
         assert all(record.sender == "betdicegroup" for record in betting)
 
     def test_wash_traders_dominate_dex_trades(self, eos_generator, eos_records):
-        dex = eos_generator.dex_contract()
+        dex = eos_generator.chain.contracts.get("whaleextrust")
         assert dex.trades
         assert dex.self_trade_fraction() > 0.5
 
     def test_eidos_claims_recorded_by_contract(self, eos_generator):
-        assert eos_generator.eidos_contract().claims > 0
+        assert eos_generator.chain.contracts.get("eidosonecoin").claims > 0
 
     def test_congestion_mode_reached_after_launch(self, eos_generator, scenario):
         launch = scenario.eos.eidos_launch_timestamp

@@ -14,7 +14,7 @@ from repro.common.records import ChainId, iter_transactions
 from repro.common.rng import DeterministicRng
 from repro.collection.crawler import BlockCrawler
 from repro.collection.dataset import characterize_dataset
-from repro.collection.endpoints import EndpointPool, EndpointProfile, shortlist_endpoints
+from repro.collection.endpoints import EndpointPool, EndpointProfile
 from repro.collection.store import FrameSink, FrameStore
 from repro.analysis.classify import CategoryDistributionAccumulator, TezosCategoryAccumulator
 from repro.analysis.report import full_report
@@ -38,23 +38,18 @@ class TestEosPipeline:
         generator = EosWorkloadGenerator(pipeline_scenario.eos)
         generator.generate()
         chain = generator.chain
-        # The paper shortlists 6 of 32 advertised endpoints; model a smaller
-        # advertised set with a few rate-limited stragglers.
+        # The paper crawls through 6 of 32 advertised endpoints; model a
+        # smaller set of block producers' endpoints with generous limits.
         advertised = [
             EosRpcEndpoint(chain, profile=EndpointProfile(name=f"bp{i}", requests_per_second=200.0, burst=400.0), rng=DeterministicRng(i))
             for i in range(4)
-        ] + [
-            EosRpcEndpoint(chain, profile=EndpointProfile(name=f"slow{i}", requests_per_second=0.5, burst=1.0), rng=DeterministicRng(10 + i))
-            for i in range(4)
         ]
-        shortlisted = shortlist_endpoints(advertised, now=0.0, max_selected=4)
-        assert all(endpoint.name.startswith("bp") for endpoint in shortlisted)
         store = FrameStore(chunk_rows=4_096)
         sink = FrameSink(store)
-        crawler = BlockCrawler(EndpointPool(shortlisted), sink)
+        crawler = BlockCrawler(EndpointPool(advertised), sink)
         head = crawler.discover_head()
         report = crawler.crawl_range(highest=head, lowest=chain.config.start_height)
-        assert report.complete
+        assert not report.failed_blocks
         assert sink.block_count == len(chain.blocks)
         categories = CategoryDistributionAccumulator().run(store.to_frame())
         assert categories["Tokens"] == max(categories.values())
@@ -73,7 +68,7 @@ class TestTezosPipeline:
         crawler = BlockCrawler(EndpointPool([endpoint]), FrameSink(store))
         head = crawler.discover_head()
         report = crawler.crawl_range(highest=head, lowest=chain.config.start_level)
-        assert report.complete
+        assert not report.failed_blocks
         categories = TezosCategoryAccumulator().run(store.to_frame())
         assert categories["consensus"] > 0.7
 
@@ -89,13 +84,10 @@ class TestXrpPipeline:
         crawler = BlockCrawler(EndpointPool([endpoint]), sink)
         head = crawler.discover_head()
         report = crawler.crawl_range(highest=head, lowest=ledger.config.start_index)
-        assert report.complete
+        assert not report.failed_blocks
         # The exchange-rate oracle is fed from the ledger's order book, the
         # simulated counterpart of the paper's Ripple Data API.
-        rates = {}
-        for currency, issuer in generator.valued_assets():
-            rates[(currency, issuer)] = ledger.orderbook.average_rate_vs_xrp(currency, issuer)
-        oracle = ExchangeRateOracle(rates)
+        oracle = ExchangeRateOracle.from_orderbook(ledger.orderbook)
         decomposition = XrpDecompositionAccumulator(oracle).run(store.to_frame())
         assert decomposition.total == sink.action_count
         assert decomposition.failed_share < 0.2

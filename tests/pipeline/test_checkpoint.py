@@ -272,6 +272,12 @@ def _restored_results(checkpoint, chain_value, frame):
     return [accumulator.finalize() for accumulator in accumulators]
 
 
+def _eos_checkpoint(combined_frame):
+    checkpoint = PipelineCheckpoint(watermark_rows=len(combined_frame))
+    checkpoint.capture_chain("eos", _scanned_accumulators(combined_frame))
+    return checkpoint
+
+
 def _snapshot_bytes(store):
     with open(store.path, "rb") as handle:
         return handle.read()
@@ -279,9 +285,7 @@ def _snapshot_bytes(store):
 
 class TestCheckpointStore:
     def _capture(self, combined_frame):
-        return PipelineCheckpoint.capture(
-            len(combined_frame), {"eos": _scanned_accumulators(combined_frame)}
-        )
+        return _eos_checkpoint(combined_frame)
 
     def test_save_load_round_trip(self, tmp_path, combined_frame):
         store = CheckpointStore(str(tmp_path))
@@ -450,9 +454,7 @@ class TestLegacyMigration:
     def test_snapshot_shadows_a_stale_legacy_file(self, tmp_path, combined_frame):
         """A leftover pickle beside a snapshot changes nothing and is kept."""
         store = CheckpointStore(str(tmp_path))
-        checkpoint = PipelineCheckpoint.capture(
-            len(combined_frame), {"eos": _scanned_accumulators(combined_frame)}
-        )
+        checkpoint = _eos_checkpoint(combined_frame)
         store.save(checkpoint)
         stale = tmp_path / LEGACY_PICKLE_NAME
         stale.write_bytes(b"stale garbage that would fail to unpickle")

@@ -87,4 +87,4 @@ def test_extend_from_decoded_payload_matches_direct_extend(records):
     grown = TxFrame()
     grown.extend_from_payload(decode_chunk(blob))
     assert list(grown) == records
-    assert grown.timestamps_sorted == direct.timestamps_sorted
+    assert grown.timestamp == direct.timestamp

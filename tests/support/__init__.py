@@ -20,6 +20,15 @@ def run_on_records(accumulator, records):
     return accumulator.run(TxFrame.from_records(records))
 
 
+def eligible_bakers(registry) -> List[str]:
+    """Addresses allowed to bake: implicit accounts whose staking balance
+    (own funds plus delegations) reaches one roll, sorted."""
+    from repro.tezos.baking import ROLL_SIZE_XTZ
+
+    balances = registry.staking_balances()
+    return sorted(address for address, balance in balances.items() if balance >= ROLL_SIZE_XTZ)
+
+
 def child_env() -> dict:
     """The environment of a test child: this checkout, pinned hash seed."""
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=SRC)

@@ -35,6 +35,8 @@ from repro.xrp.amounts import IouAmount
 from repro.xrp.ledger import XrpLedger
 from repro.xrp.transactions import TransactionType, XrpTransaction
 
+from tests.support import eligible_bakers
+
 
 def fields(record: TransactionRecord) -> Tuple:
     """Every field of ``record``, its metadata as an ordered item list."""
@@ -247,7 +249,7 @@ def test_tezos_failed_operation_and_endorsement():
     assert len(records) == 35
     # Baker addresses are drawn per process, so the endorser is checked by role.
     endorser = records[0].sender
-    assert endorser in chain.bakers.eligible_bakers()
+    assert endorser in eligible_bakers(chain.accounts)
     assert fields(records[0]) == tezos_row(
         1, "Endorsement", endorser, "", 0.0, True,
         [("level", 0), ("slots", 1), ("category", "consensus")],

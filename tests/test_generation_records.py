@@ -106,8 +106,8 @@ CASES = {
         "AppliedTransaction(transaction=XrpTransaction(type=<TransactionType.PAYMENT: "
         "'Payment'>, account='rA', destination='rB', amount=IouAmount(currency='USD', "
         "value=2.0, issuer='rGateway'), taker_gets=None, taker_pays=None, offer_sequence=0, "
-        "limit=None, destination_tag=None, fee_drops=10, finish_after=0.0, escrow_id=0, "
-        "data={}), result=<ResultCode.PATH_DRY: 'tecPATH_DRY'>, fee_xrp=1e-05, "
+        "limit=None, destination_tag=None, fee_drops=10, data={}), result="
+        "<ResultCode.PATH_DRY: 'tecPATH_DRY'>, fee_xrp=1e-05, "
         "executions=[ExchangeExecution(timestamp=0.0, buyer='rB', seller='rA', "
         "sold=IouAmount(currency='USD', value=2.0, issuer='rGateway'), "
         "bought=IouAmount(currency='XRP', value=4.0, issuer=''))], offer_id=3, "

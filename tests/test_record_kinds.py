@@ -294,9 +294,7 @@ XRP_CASES = [
         id="trust-set-native-limit",
     ),
     pytest.param(
-        XrpTransaction(
-            TransactionType.ESCROW_CREATE, "rAlice", "rBob", XRP(40.0), finish_after=3600.0
-        ),
+        XrpTransaction(TransactionType.ESCROW_CREATE, "rAlice", "rBob", XRP(40.0)),
         xrp_row("EscrowCreate", "rAlice", "rBob", 40.0, "XRP", metadata=[("offer_id", 1)]),
         id="escrow-create",
     ),

@@ -80,14 +80,15 @@ class TestRegistry:
         baker = registry.create_implicit(balance=10_000.0)
         delegator = registry.create_implicit(balance=5_000.0)
         registry.delegate(delegator.address, baker.address)
-        assert registry.staking_balance(baker.address) == pytest.approx(15_000.0)
+        assert registry.staking_balances()[baker.address] == pytest.approx(15_000.0)
 
     def test_partitions_and_totals(self, registry):
         implicit = registry.create_implicit(balance=7.0)
         registry.originate(implicit.address, balance=3.0)
-        assert len(registry.implicit_accounts()) == 1
-        assert len(registry.originated_accounts()) == 1
-        assert registry.total_supply() == pytest.approx(10.0)
+        kinds = [account.kind for account in registry.accounts()]
+        assert kinds.count(TezosAccountKind.IMPLICIT) == 1
+        assert kinds.count(TezosAccountKind.ORIGINATED) == 1
+        assert sum(account.balance_xtz for account in registry.accounts()) == pytest.approx(10.0)
 
     def test_unknown_account(self, registry):
         with pytest.raises(ChainError):

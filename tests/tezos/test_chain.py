@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ChainError
 from repro.common.records import ChainId
 from repro.common.rng import DeterministicRng
+from repro.tezos.accounts import TezosAccountKind
 from repro.tezos.baking import ENDORSEMENTS_PER_BLOCK, ROLL_SIZE_XTZ
 from repro.tezos.chain import TezosChain, TezosChainConfig
 from repro.tezos.operations import (
@@ -13,6 +14,7 @@ from repro.tezos.operations import (
     make_reveal,
     make_transaction,
 )
+from tests.support import eligible_bakers
 from tests.support.pruning import check_prune_contract
 
 
@@ -30,6 +32,10 @@ def chain():
     return make_chain()
 
 
+def originated_count(registry):
+    return sum(account.kind is TezosAccountKind.ORIGINATED for account in registry.accounts())
+
+
 class TestBaking:
     def test_block_carries_32_endorsements(self, chain):
         block = chain.bake_block([])
@@ -43,7 +49,7 @@ class TestBaking:
             chain.bake_block([], endorsers=["tz1somebaker"] * 10)
 
     def test_producer_is_an_eligible_baker(self, chain):
-        eligible = set(chain.bakers.eligible_bakers())
+        eligible = set(eligible_bakers(chain.accounts))
         block = chain.bake_block([])
         assert block.producer in eligible
 
@@ -74,15 +80,15 @@ class TestOperations:
         assert "error" in record.metadata
 
     def test_origination_creates_contract_account(self, chain):
-        before = len(chain.accounts.originated_accounts())
+        before = originated_count(chain.accounts)
         block = chain.bake_block([make_origination("tz1alicealicealice", balance=0.0)])
         record = [item for item in block.transactions if item.type == "Origination"][0]
         assert record.success
-        assert len(chain.accounts.originated_accounts()) == before + 1
+        assert originated_count(chain.accounts) == before + 1
         assert record.metadata["originated"].startswith("KT1")
 
     def test_delegation_and_reveal(self, chain):
-        baker = chain.bakers.eligible_bakers()[0]
+        baker = eligible_bakers(chain.accounts)[0]
         block = chain.bake_block(
             [
                 make_delegation("tz1alicealicealice", baker),

@@ -1,6 +1,6 @@
 """Tests for the Babylon timeline and the Figure 9 vote series."""
 
-from repro.common.clock import timestamp_from_iso
+from repro.common.clock import SECONDS_PER_DAY, timestamp_from_iso
 from repro.tezos.governance import (
     BabylonTimeline,
     VoteEvent,
@@ -31,7 +31,8 @@ class TestBabylonTimeline:
 
     def test_period_days(self):
         timeline = BabylonTimeline()
-        assert timeline.period_days(VotingPeriodKind.PROPOSAL) >= 20
+        start, end = timeline.period_bounds(VotingPeriodKind.PROPOSAL)
+        assert (end - start) // SECONDS_PER_DAY >= 20
 
 
 class TestVoteSeries:

@@ -10,13 +10,11 @@ from repro.xrp.amounts import (
     STANDARD_FEE_DROPS,
     XRP_CURRENCY,
     drops_to_xrp,
-    xrp_to_drops,
 )
 
 
 class TestDrops:
     def test_conversion_round_trip(self):
-        assert xrp_to_drops(1.5) == 1_500_000
         assert drops_to_xrp(1_500_000) == 1.5
 
     def test_constants(self):
@@ -25,8 +23,6 @@ class TestDrops:
         assert ACCOUNT_RESERVE_XRP == 20.0
 
     def test_negative_amounts_rejected(self):
-        with pytest.raises(ChainError):
-            xrp_to_drops(-1.0)
         with pytest.raises(ChainError):
             drops_to_xrp(-1)
 

@@ -157,7 +157,7 @@ class TestIncrementalBook:
         assert not resting.is_open
         assert book.open_offers(*asset) == []
         assert len(book) == 0
-        assert len(book.all_offers()) == 3
+        assert len(book._offers) == 3
 
     def test_cancel_then_cross_skips_the_cancelled_offer(self):
         book = OrderBook()
@@ -195,10 +195,10 @@ class TestIncrementalBook:
                 book.place(f"rS{step}", btc(rng.uniform(0.5, 2.0)), xrp(rng.uniform(20_000, 40_000)))
             elif roll < 0.9:
                 book.place(f"rB{step}", xrp(rng.uniform(20_000, 40_000)), btc(rng.uniform(0.5, 2.0)))
-            elif book.all_offers():
-                target = rng.choice(book.all_offers())
+            elif book._offers:
+                target = rng.choice(list(book._offers.values()))
                 book.cancel(target.offer_id, target.owner)
-        open_offers = [offer for offer in book.all_offers() if offer.is_open]
+        open_offers = [offer for offer in book._offers.values() if offer.is_open]
         assert len(book) == len(open_offers)
         for gets, pays in [(btc(0), xrp(0)), (xrp(0), btc(0))]:
             side = book.open_offers(gets.asset_key, pays.asset_key)

@@ -258,7 +258,6 @@ class TestEscrows:
                     account="rAlice",
                     destination="rBob",
                     amount=IouAmount.native(100.0),
-                    finish_after=50.0,
                 )
             ).offer_id
             for _ in range(2)

@@ -115,8 +115,8 @@ class TestGeneratedTraffic:
 
     def test_valued_assets_have_positive_dex_rates(self, xrp_generator):
         book = xrp_generator.ledger.orderbook
-        for currency, issuer in xrp_generator.valued_assets():
-            assert book.average_rate_vs_xrp(currency, issuer) > 0.0
+        for asset in xrp_generator._valued_ious:
+            assert book.average_rate_vs_xrp(asset.currency, asset.issuer) > 0.0
 
     def test_worthless_btc_never_traded_against_xrp_before_myrone(self, xrp_generator, scenario):
         # In the two-week test window (before mid-December) the Liquid-linked

@@ -9,23 +9,27 @@ workloads run at a reduced per-day volume; the per-chain ordering
 (EOS >> XRP >> Tezos in transactions and bytes) must hold.
 """
 
+import tempfile
+
 import pytest
 
 from repro.collection.dataset import characterize_dataset
 from repro.collection.store import FrameSink, FrameStore
 
 
-def _store(blocks):
-    store = FrameStore()
-    sink = FrameSink(store)
-    for block in blocks:
-        sink.add(block)
-    sink.flush()
-    return store
+def _stored(blocks, measure):
+    """``measure`` of a store of ``blocks`` written to a temporary directory."""
+    with tempfile.TemporaryDirectory(prefix="repro-fig2-") as directory:
+        store = FrameStore(directory=directory)
+        sink = FrameSink(store)
+        for block in blocks:
+            sink.add(block)
+        sink.flush()
+        return measure(store)
 
 
 def _characterize(blocks):
-    return characterize_dataset(_store(blocks))
+    return _stored(blocks, characterize_dataset)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +68,6 @@ def test_fig2_ordering_matches_paper(figure2_rows):
 
 
 def test_fig2_storage_accounting(benchmark, tezos_blocks):
-    stats = benchmark(lambda: _store(tezos_blocks).compression_stats())
+    stats = benchmark(_stored, tezos_blocks, FrameStore.compression_stats)
     assert stats.compressed_bytes < stats.raw_bytes
     assert stats.chunk_count >= 1

@@ -7,10 +7,7 @@ the measured TPS scaled back up must land near the paper's numbers, and the
 ordering EOS ≈ XRP >> Tezos must hold even before scaling.
 """
 
-import pytest
-
 from repro.analysis.throughput import scaled_tps, transactions_per_second
-from repro.scenarios.paper import REAL_TRANSACTIONS_PER_DAY
 
 
 def _window_seconds(records):

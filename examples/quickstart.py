@@ -7,7 +7,7 @@ The script runs the whole pipeline at a small scale:
 2. serve the chains over their simulated RPC endpoints and crawl them in
    reverse chronological order, exactly like the paper's data collection
    (§3.1), streaming each block's transactions through a frame sink into a
-   compressed columnar store;
+   compressed columnar store in a temporary directory;
 3. read the stores' records into one columnar ``TxFrame`` — the canonical
    analysis substrate — and run the single-pass analysis engine:
    one streaming scan per chain produces the summary of findings the
@@ -18,6 +18,8 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
+import os
+import tempfile
 from itertools import chain
 
 from repro.analysis.report import full_report
@@ -37,9 +39,10 @@ from repro.xrp.rpc import XrpRpcEndpoint
 from repro.xrp.workload import XrpWorkloadGenerator
 
 
-def crawl(endpoint, lowest_height: int) -> FrameStore:
-    """Crawl every block an endpoint serves, newest first, into a store."""
-    store = FrameStore()
+def crawl(endpoint, lowest_height: int, directory: str) -> FrameStore:
+    """Crawl every block an endpoint serves, newest first, into a store at
+    ``directory``."""
+    store = FrameStore(directory=directory)
     crawler = BlockCrawler(EndpointPool([endpoint]), FrameSink(store))
     head = crawler.discover_head()
     report = crawler.crawl_range(highest=head, lowest=lowest_height)
@@ -52,6 +55,12 @@ def crawl(endpoint, lowest_height: int) -> FrameStore:
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-quickstart-") as scratch:
+        run(scratch)
+
+
+def run(scratch: str) -> None:
+    """The walkthrough, with each chain's store in a directory under ``scratch``."""
     scenario = small_scenario(seed=7)
 
     print("Generating calibrated workloads (two weeks around 2019-11-01)...")
@@ -63,9 +72,17 @@ def main() -> None:
     xrp.generate()
 
     print("Crawling the simulated RPC endpoints (reverse chronological)...")
-    eos_store = crawl(EosRpcEndpoint(eos.chain), eos.chain.config.start_height)
-    tezos_store = crawl(TezosRpcEndpoint(tezos.chain), tezos.chain.config.start_level)
-    xrp_store = crawl(XrpRpcEndpoint(xrp.ledger), xrp.ledger.config.start_index)
+    eos_store = crawl(
+        EosRpcEndpoint(eos.chain), eos.chain.config.start_height, os.path.join(scratch, "eos")
+    )
+    tezos_store = crawl(
+        TezosRpcEndpoint(tezos.chain),
+        tezos.chain.config.start_level,
+        os.path.join(scratch, "tezos"),
+    )
+    xrp_store = crawl(
+        XrpRpcEndpoint(xrp.ledger), xrp.ledger.config.start_index, os.path.join(scratch, "xrp")
+    )
 
     print("\nDataset characterisation (Figure 2 columns, at simulation scale):")
     for store in (eos_store, tezos_store, xrp_store):

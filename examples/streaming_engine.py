@@ -10,8 +10,8 @@ is ever materialised per record.  This example shows the streaming path:
 3. run the single-pass engine: one scan per chain yields Figure 1, the
    Figure 2 statistics with the headline TPS, the Figure 3 series and the
    chain's case studies;
-4. chunk-compress the frame directly into a ``FrameStore`` and report the
-   storage accounting.
+4. chunk-compress the frame directly into a ``FrameStore`` in a temporary
+   directory and report the storage accounting.
 
 Run with:  python examples/streaming_engine.py [scenario-name]
 """
@@ -19,6 +19,7 @@ Run with:  python examples/streaming_engine.py [scenario-name]
 from __future__ import annotations
 
 import sys
+import tempfile
 import time
 
 from repro.analysis.clustering import AccountClusterer
@@ -74,8 +75,9 @@ def main() -> None:
             f"{figures['throughput_series'].bin_count} throughput bins"
         )
 
-    store = FrameStore(chunk_rows=50_000)
-    store.add_frame(frame)
+    with tempfile.TemporaryDirectory(prefix="repro-streaming-") as directory:
+        store = FrameStore(chunk_rows=50_000, directory=directory)
+        store.add_frame(frame)
     stats = store.compression_stats()
     print(
         f"\nFrameStore: {store.row_count:,} rows chunk-compressed directly from the "

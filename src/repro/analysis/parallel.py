@@ -363,7 +363,7 @@ def _task_entries(context: Optional[CacheContext], store, start: int, stop: int)
     (chunk i's state depends on chunks ``[0, i]``); ``None`` without a cache."""
     if context is None:
         return None
-    keys = (context.key(store.prefix(i + 1), store.chunk_format(i)) for i in range(start, stop))
+    keys = (context.key(store.prefix(i + 1)) for i in range(start, stop))
     return context.directory, tuple(keys)
 
 

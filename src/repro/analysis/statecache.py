@@ -20,7 +20,8 @@ a lookup is one ``open`` — is the tuple:
   its state depends (:meth:`~repro.collection.store.FrameStore.prefix`);
 * a digest of every chain's accumulator ``config_signature`` tuples;
 * the constant :data:`ENTRY_MODE` token;
-* the chunk's serialisation format (``v1`` / ``v2`` / ``v3``).
+* the constant :data:`ENTRY_FORMAT` token, the one chunk format a store
+  reads.
 
 Any drift — a chunk at or before ``i`` rewritten or dropped, a different
 oracle or clusterer — changes the key, so incompatible state can never be
@@ -68,6 +69,10 @@ ENTRY_SUFFIX = ".state"
 #: token can never be read, so fsck reports them as stale.
 ENTRY_MODE = "exact"
 
+#: The fourth token of every entry name, the one chunk format a store reads
+#: (entries were once keyed by their chunk's format: no entry name moves).
+ENTRY_FORMAT = "v3"
+
 _CHECKSUM = struct.Struct(">I")
 
 #: Per-chain shipped accumulator states, exactly as the out-of-core workers
@@ -100,8 +105,8 @@ class CacheContext(NamedTuple):
     directory: str
     config: str
 
-    def key(self, prefix: str, chunk_format: str) -> EntryKey:
-        return EntryKey(prefix, self.config, ENTRY_MODE, chunk_format)
+    def key(self, prefix: str) -> EntryKey:
+        return EntryKey(prefix, self.config, ENTRY_MODE, ENTRY_FORMAT)
 
 
 def parse_entry_name(name: str) -> Optional[EntryKey]:

@@ -29,7 +29,7 @@ from repro.cli.dataset import (
     _cache_directory,
 )
 from repro.collection.generate import generate_sharded, xrp_companions
-from repro.collection.store import FrameStore, invalidate_state_cache
+from repro.collection.store import FrameStore, _glob_chunk_files, invalidate_state_cache
 from repro.common.records import TransactionRecord
 from repro.eos.workload import EosWorkloadGenerator
 from repro.scenarios import PaperScenario, get_scenario
@@ -86,9 +86,8 @@ def _clear_stale_store(directory: str) -> None:
     if not os.path.isdir(directory):
         return
     invalidate_state_cache(directory)
-    for pattern in ("frame-chunk-*.json.gz", "frame-chunk-*.bin"):
-        for stale in glob.glob(os.path.join(directory, pattern)):
-            os.remove(stale)
+    for stale in _glob_chunk_files(directory):
+        os.remove(stale)
     for stale in glob.glob(os.path.join(directory, "shard-*")):
         if os.path.isdir(stale):
             shutil.rmtree(stale)

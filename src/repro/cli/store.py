@@ -24,26 +24,22 @@ def _store_dir(args: argparse.Namespace) -> str:
 def cmd_migrate_store(args: argparse.Namespace, out) -> int:
     """Rewrite a frame store's legacy-format chunks to the current format."""
     directory = _store_dir(args)
-    store = FrameStore.open(directory)
-    if store.committed_chunk_count == 0:
+    migration = FrameStore.migrate_format(directory)
+    if migration.chunks == 0:
         print(f"Nothing to migrate: {directory} has no committed chunks", file=out)
-        return 0
-    before = store.compression_stats()
-    migrated = store.migrate_format()
-    after = store.compression_stats()
-    if migrated == 0:
+    elif migration.migrated == 0:
         print(
-            f"Nothing to migrate: all {store.committed_chunk_count} chunk(s) "
+            f"Nothing to migrate: all {migration.chunks} chunk(s) "
             f"in {directory} are already {CHUNK_FORMAT_V3}",
             file=out,
         )
-        return 0
-    print(
-        f"Migrated {migrated} of {store.committed_chunk_count} chunk(s) in "
-        f"{directory} to {CHUNK_FORMAT_V3}; on-disk bytes "
-        f"{before.compressed_bytes:,} -> {after.compressed_bytes:,}",
-        file=out,
-    )
+    else:
+        print(
+            f"Migrated {migration.migrated} of {migration.chunks} chunk(s) in "
+            f"{directory} to {CHUNK_FORMAT_V3}; on-disk bytes "
+            f"{migration.bytes_before:,} -> {migration.bytes_after:,}",
+            file=out,
+        )
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Binary columnar chunk formats (v2 read, v3 written) for the frame store.
+"""Binary columnar chunk formats (v3 written and read, v2 migrated) for the frame store.
 
 Version 1 chunks are gzip-compressed JSON: portable, but every decode pays
 ``json.loads`` over hundreds of thousands of number literals and then a
@@ -25,8 +25,11 @@ near-random amounts often don't benefit; code columns and heights do).
 The flag is per segment, so mixed chunks stay cheap to decode.
 
 Version 2 keeps each row's ``metadata`` dict whole, in one zlib'd JSON
-sub-blob.  Version 3, the one written, also stores the keys figures read
-(:data:`~repro.common.projection.PROJECTED_KEYS`) as typed columns, returned
+sub-blob; a store refuses to open a v2 file, and only ``repro
+migrate-store`` (:meth:`~repro.collection.store.FrameStore.migrate_format`)
+decodes one, to rewrite it.  Version 3, the one written, also stores the
+keys figures read (:data:`~repro.common.projection.PROJECTED_KEYS`) as
+typed columns, returned
 under the payload's ``projected``, and its JSON keeps only the rest: scans
 read the columns and parse no JSON.  Either way ``metadata`` decodes to a
 :class:`~repro.common.columns.LazyMetadata` block, parsed (and for v3 the

@@ -7,13 +7,12 @@ substrate the same way: rows are chunk-compressed **directly from a**
 materialisation entirely and compresses better than per-record
 dictionaries — with byte-level accounting, so the dataset characterisation
 reports Figure 2's storage column from the chunks' compressed bytes.  A
-store can live purely in memory (the default, used by tests and benchmarks)
-or spill chunks to a directory on disk.  :class:`FrameSink` adapts a frame
+store lives in a directory on disk.  :class:`FrameSink` adapts a frame
 store to the block crawler's sink protocol, which is how a crawl streams
 straight into the columnar substrate without materialising block-record
 lists.
 
-A directory-backed store has exactly one layout: chunk files plus a
+A store has exactly one layout: chunk files plus a
 **manifest** (``manifest.json``, version :data:`MANIFEST_VERSION`, written
 atomically).  The manifest is the store's commit point.  A fresh store
 commits an empty manifest before its first chunk file, and every chunk
@@ -50,15 +49,14 @@ Analysis state over a chunk depends on every chunk before it (its string
 codes index their pools), so such state is keyed by :meth:`FrameStore.prefix`,
 a hash chain over the chunks' headers and sizes that no manifest byte records.
 
-Frame chunks themselves come in three **serialisation formats**: the
-``v1`` gzip-JSON files (``frame-chunk-*.json.gz``) and the binary columnar
-``v2`` (``frame-chunk-*.bin``) and ``v3`` (``frame-chunk-*.v3.bin``) files
-of :mod:`repro.collection.chunkformat`.  New chunks are always written as
-v3; v1 and v2 are read-only input from archives written by older versions.
-Reads dispatch on each blob's magic bytes, so a store may freely mix
-formats — e.g. a v2 archive that keeps growing v3 chunks after an upgrade.
-:meth:`FrameStore.migrate_format` rewrites the v1 and v2 chunks of a store
-in place behind the same atomic-manifest commit point.
+Frame chunks are ``v3`` files (``frame-chunk-*.v3.bin``) of
+:mod:`repro.collection.chunkformat`, the one format written and read.
+Archives written by older versions hold ``v1`` gzip-JSON
+(``frame-chunk-*.json.gz``) or ``v2`` binary (``frame-chunk-*.bin``)
+chunks: :meth:`FrameStore.open` refuses them by their manifest's file names
+alone, naming ``repro migrate-store``, and :meth:`FrameStore.migrate_format`
+— the one reader of legacy chunk bytes — rewrites them as v3 in place behind
+the same atomic-manifest commit point.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ import zlib
 from collections import deque
 from functools import partial
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common import faults
 from repro.common.columns import CHAIN_ORDER, LazyMetadata, TxFrame
@@ -94,24 +92,17 @@ MANIFEST_NAME = "manifest.json"
 #: The string pools every frame payload carries, in canonical order.
 POOL_NAMES = ("types", "accounts", "currencies", "errors")
 
-#: Chunk serialisation formats a :class:`FrameStore` can read.  ``v1`` is
-#: gzip-compressed JSON and ``v2`` the first binary columnar format (legacy
-#: archives only — never written); ``v3`` is the binary columnar format with
-#: projected metadata columns (:mod:`repro.collection.chunkformat`), the one
-#: format written.  Reads dispatch per chunk file, so mixed-format stores
-#: work.
-CHUNK_FORMAT_V1 = "v1"
-CHUNK_FORMAT_V2 = "v2"
+#: The one chunk format a :class:`FrameStore` writes and reads
+#: (:mod:`repro.collection.chunkformat`), and its file extension: a legacy
+#: chunk's format shows in the manifest's file names (v1 ``.json.gz``, v2
+#: ``.bin``), which :meth:`FrameStore.open` refuses, and a migrated chunk
+#: never collides with the file it replaces.
 CHUNK_FORMAT_V3 = "v3"
-
-#: Per-format chunk file extensions.  The extension is what makes mixed
-#: stores and in-place migration safe: a chunk's format is visible in the
-#: manifest's file names, and a migrated chunk never collides with the
-#: file it replaces.
-CHUNK_EXTENSIONS = {CHUNK_FORMAT_V1: ".json.gz", CHUNK_FORMAT_V2: ".bin", CHUNK_FORMAT_V3: ".v3.bin"}
+CHUNK_EXTENSION = ".v3.bin"
 
 #: Glob patterns matching chunk files of any format (crash cleanup scans;
-#: ``*.bin`` covers v2 and v3).
+#: ``*.bin`` covers v2 and v3).  The legacy patterns stay: a crash after a
+#: migration's commit leaves superseded legacy files that open deletes.
 _CHUNK_GLOBS = ("frame-chunk-*.json.gz", "frame-chunk-*.bin")
 
 #: Sub-directory (inside a directory-backed store) holding memoized
@@ -175,11 +166,9 @@ def invalidate_state_cache(directory: str) -> int:
     return removed
 
 
-def _chunk_format_of(path: str) -> str:
-    """A chunk file's format, read off its extension."""
-    if path.endswith(CHUNK_EXTENSIONS[CHUNK_FORMAT_V3]):
-        return CHUNK_FORMAT_V3
-    return CHUNK_FORMAT_V1 if path.endswith(".json.gz") else CHUNK_FORMAT_V2
+def _chunk_path(directory: str, chunk_id: int) -> str:
+    """Where a store writes its v3 chunk ``chunk_id``."""
+    return os.path.join(directory, f"frame-chunk-{chunk_id:06d}{CHUNK_EXTENSION}")
 
 
 def _glob_chunk_files(directory: str) -> List[str]:
@@ -197,27 +186,17 @@ CHAIN_ROOT = "0" * 16
 _HEAD_BYTES = 8
 
 
-def chain_link(prefix: str, blob: bytes, fmt: str, size: int) -> str:
-    """``prefix(i + 1)`` from ``prefix(i)`` and chunk i's blob (a binary
-    chunk's header is enough: it checksums the body; a v1 chunk links by its
-    whole-blob adler32), format and committed size, as 16 hex digits."""
-    head = blob[:_HEAD_BYTES]
-    if fmt == CHUNK_FORMAT_V1:
-        head = fmt.encode() + (zlib.adler32(blob) & 0xFFFFFFFF).to_bytes(4, "big")
-    material = bytes.fromhex(prefix) + head + size.to_bytes(8, "big")
+def chain_link(prefix: str, blob: bytes, size: int) -> str:
+    """``prefix(i + 1)`` from ``prefix(i)``, chunk i's blob (its header is
+    enough: it checksums the body) and committed size, as 16 hex digits."""
+    material = bytes.fromhex(prefix) + blob[:_HEAD_BYTES] + size.to_bytes(8, "big")
     return blake2b(material, digest_size=8).hexdigest()
 
 
-def _decode_chunk_blob(blob: bytes, chunk_id: int) -> Dict:
-    """Decode one chunk blob, dispatching on the format magic.
-
-    Corruption in any format surfaces as :class:`CollectionError` — the
-    same degradation contract checkpoints follow (:class:`CodecError` →
-    "no usable snapshot"), so callers can treat a damaged chunk as a
-    recoverable condition instead of a crash.  Any blob of the binary
-    family goes to its decoder, which names a version it does not read
-    rather than letting the v1 reader call the chunk corrupt.
-    """
+def _decode_legacy_chunk(blob: bytes, chunk_id: int) -> Dict:
+    """Decode a legacy archive's chunk for :meth:`FrameStore.migrate_format`:
+    a binary (v2) blob by its decoder, which names a version it does not
+    read, anything else as v1 gzip-JSON; damage is a :class:`CollectionError`."""
     from repro.collection import chunkformat
 
     if chunkformat.chunk_version(blob) is not None:
@@ -369,9 +348,8 @@ def fold_pool_deltas(
 
 
 class StoredFrameChunk:
-    """One compressed chunk of consecutive frame rows (a plain class: a
-    store fills in ``path`` or ``blob`` after encoding, and migration
-    replaces ``stats``)."""
+    """One compressed chunk file of consecutive frame rows (a plain class:
+    migration replaces ``path`` and ``stats``)."""
 
     def __init__(
         self,
@@ -382,12 +360,11 @@ class StoredFrameChunk:
         times: Dict[str, List[float]],
         chain_rows: Dict[str, int],
         pool_deltas: Dict[str, List[str]],
-        path: Optional[str] = None,
+        path: str,
     ):
         self.chunk_id = chunk_id
         self.row_count = row_count
         self.stats = stats
-        self.blob: Optional[bytes] = None
         self.path = path
         #: Per-chain ``[min_height, max_height]`` of the chunk's rows, keyed by
         #: the chain value string.  Recorded in the manifest so a reopened store
@@ -411,15 +388,22 @@ class StoredFrameChunk:
         return vars(self) == vars(other)
 
     def payload(self) -> Dict:
-        """Decode the chunk's columnar payload (format read off the blob)."""
-        if self.blob is not None:
-            blob = self.blob
-        elif self.path is not None:
-            with open(self.path, "rb") as handle:
-                blob = handle.read()
-        else:
-            raise CollectionError(f"frame chunk {self.chunk_id} has no data attached")
-        return _decode_chunk_blob(blob, self.chunk_id)
+        """Decode the chunk's columnar payload; damage is a
+        :class:`~repro.collection.chunkformat.ChunkFormatError`."""
+        from repro.collection import chunkformat
+
+        with open(self.path, "rb") as handle:
+            return chunkformat.decode_chunk(handle.read())
+
+
+class Migration(NamedTuple):
+    """:meth:`FrameStore.migrate_format`'s chunks rewritten of those
+    committed, and the store's chunk bytes before and after."""
+
+    migrated: int
+    chunks: int
+    bytes_before: int
+    bytes_after: int
 
 
 class FrameStore:
@@ -431,17 +415,12 @@ class FrameStore:
     materialises a single :class:`TransactionRecord`.
     """
 
-    def __init__(
-        self,
-        chunk_rows: int = 50_000,
-        directory: Optional[str] = None,
-    ):
+    def __init__(self, directory: str, chunk_rows: int = 50_000):
         if chunk_rows <= 0:
             raise CollectionError("chunk_rows must be positive")
         self.chunk_rows = chunk_rows
         self.directory = directory
-        if directory is not None:
-            ensure_directory(directory)
+        ensure_directory(directory)
         self._chunks: List[StoredFrameChunk] = []
         self._staging = TxFrame()
         self._row_count = 0
@@ -481,12 +460,19 @@ class FrameStore:
         empty store.  Chunk files without a manifest were not written by
         this program (a store commits its manifest before its first chunk
         file): that is a :class:`CollectionError`, and the files are left
-        untouched.
+        untouched.  So is a manifest that names a legacy (v1 or v2) chunk
+        file: the error names ``repro migrate-store``, no chunk is read and
+        no file is cleaned or rewritten.
         """
-        store = cls(chunk_rows=chunk_rows, directory=directory)
+        return cls._load(directory, chunk_rows)
+
+    @classmethod
+    def _load(cls, directory: str, chunk_rows: int = 50_000, legacy: bool = False):
+        """:meth:`open`, accepting legacy chunk files when ``legacy``."""
+        store = cls(directory, chunk_rows)
         manifest_path = os.path.join(directory, MANIFEST_NAME)
         if os.path.exists(manifest_path):
-            store._open_from_manifest(manifest_path)
+            store._open_from_manifest(manifest_path, legacy)
         elif _glob_chunk_files(directory):
             raise CollectionError(
                 f"{directory!r} holds chunk files but no manifest commits them "
@@ -540,13 +526,9 @@ class FrameStore:
             source = cls.open(source_dir)
             for chunk in source._chunks:
                 chunk_id = len(target._chunks)
-                # The moved file keeps its format (visible in the extension):
-                # chunk bytes pass through assembly untouched, which is what
+                # Chunk bytes pass through assembly untouched, which is what
                 # keeps sharded generation byte-deterministic per worker count.
-                extension = CHUNK_EXTENSIONS[_chunk_format_of(chunk.path)]
-                path = os.path.join(
-                    directory, f"frame-chunk-{chunk_id:06d}{extension}"
-                )
+                path = _chunk_path(directory, chunk_id)
                 faults.maybe_crash("store.assemble")
                 os.replace(chunk.path, path)
                 target._chunks.append(
@@ -574,7 +556,7 @@ class FrameStore:
         return target
 
     # -- manifest ----------------------------------------------------------------
-    def _open_from_manifest(self, manifest_path: str) -> None:
+    def _open_from_manifest(self, manifest_path: str, legacy: bool) -> None:
         try:
             with open(manifest_path, "r", encoding="utf-8") as handle:
                 manifest = json.load(handle)
@@ -599,6 +581,17 @@ class FrameStore:
             raise CollectionError(
                 f"store {self.directory!r} is a crashed partial assembly; "
                 "re-run the assembly from its shard sources"
+            )
+        archived = [
+            entry["file"]
+            for entry in manifest["chunks"]
+            if "file" in entry and not str(entry["file"]).endswith(CHUNK_EXTENSION)
+        ]
+        if archived and not legacy:
+            raise CollectionError(
+                f"store {self.directory!r} is a legacy archive ({len(archived)} v1/v2 "
+                f"chunk(s), first {archived[0]!r}); run `repro migrate-store "
+                f"{self.directory}` to rewrite it as v3"
             )
         committed: List[StoredFrameChunk] = []
         truncated = False
@@ -676,8 +669,6 @@ class FrameStore:
 
     def _write_manifest(self) -> None:
         """Atomically commit the chunk list (write-temp + rename)."""
-        if self.directory is None:
-            return
         entries = [
             {
                 "file": os.path.basename(chunk.path),
@@ -797,55 +788,47 @@ class FrameStore:
             # Folded into the running pools only once the chunk commits: a
             # failed write must not leave strings no committed chunk carries.
             pool_deltas=payload_pool_deltas(self._pools, payload["pools"]),
+            path=_chunk_path(self.directory, len(self._chunks)),
         )
-        if self.directory is not None:
-            if not self._manifest_committed:
-                # A fresh directory gets its (empty) manifest first, so a
-                # crash in this chunk's write leaves an uncommitted partial
-                # that open() cleans, never chunk files without a manifest.
-                self._write_manifest()
-            chunk.path = os.path.join(
-                self.directory,
-                f"frame-chunk-{chunk.chunk_id:06d}"
-                f"{CHUNK_EXTENSIONS[CHUNK_FORMAT_V3]}",
+        if not self._manifest_committed:
+            # A fresh directory gets its (empty) manifest first, so a
+            # crash in this chunk's write leaves an uncommitted partial
+            # that open() cleans, never chunk files without a manifest.
+            self._write_manifest()
+        action = faults.check("store.chunk_write")
+        disk_blob = blob
+        if action is not None and action.mode in (
+            faults.MODE_TORN,
+            faults.MODE_BITFLIP,
+            faults.MODE_TRUNCATE,
+        ):
+            disk_blob = action.corrupt(blob)
+        with open(chunk.path, "wb") as handle:
+            handle.write(disk_blob)
+        if action is not None and action.mode in (
+            faults.MODE_CRASH,
+            faults.MODE_TRUNCATE,
+        ):
+            # Death between the chunk write and the manifest commit: the
+            # file (whole for ``crash``, half for ``truncate``) is never
+            # referenced by the manifest and open() cleans it up.
+            raise faults.InjectedCrash(
+                f"injected {action.mode} at store.chunk_write"
             )
-            action = faults.check("store.chunk_write")
-            disk_blob = blob
-            if action is not None and action.mode in (
-                faults.MODE_TORN,
-                faults.MODE_BITFLIP,
-                faults.MODE_TRUNCATE,
-            ):
-                disk_blob = action.corrupt(blob)
-            with open(chunk.path, "wb") as handle:
-                handle.write(disk_blob)
-            if action is not None and action.mode in (
-                faults.MODE_CRASH,
-                faults.MODE_TRUNCATE,
-            ):
-                # Death between the chunk write and the manifest commit: the
-                # file (whole for ``crash``, half for ``truncate``) is never
-                # referenced by the manifest and open() cleans it up.
-                raise faults.InjectedCrash(
-                    f"injected {action.mode} at store.chunk_write"
-                )
-        else:
-            chunk.blob = blob
         self._chunks.append(chunk)
         self._link(chunk.chunk_id, blob)
         self._row_count += row_count
         self._merge_height_bounds(chunk.heights)
         fold_pool_deltas(self._pools, chunk.pool_deltas)
-        if self.directory is not None:
-            # The manifest rename is the commit point: a crash before it
-            # leaves an uncommitted chunk file that open() will clean up.
-            self._write_manifest()
-            if action is not None and action.mode == faults.MODE_TORN:
-                # A torn write: the manifest committed the full byte count
-                # but only half the blob reached the platter before power
-                # loss.  open() detects the size mismatch and truncates the
-                # store at this chunk.
-                raise faults.InjectedCrash("injected torn write at store.chunk_write")
+        # The manifest rename is the commit point: a crash before it
+        # leaves an uncommitted chunk file that open() will clean up.
+        self._write_manifest()
+        if action is not None and action.mode == faults.MODE_TORN:
+            # A torn write: the manifest committed the full byte count
+            # but only half the blob reached the platter before power
+            # loss.  open() detects the size mismatch and truncates the
+            # store at this chunk.
+            raise faults.InjectedCrash("injected torn write at store.chunk_write")
         return payload
 
     # -- reading ------------------------------------------------------------------
@@ -938,15 +921,14 @@ class FrameStore:
         reordered moves every key from it on (:func:`chain_link`).
 
         Derived once per store: the chunks it writes link from the blob in
-        hand, the others from an 8-byte read (a v1 chunk is read whole).
+        hand, the others from an 8-byte read.
         """
         chain = self._chain
         while len(chain) <= n:
             chunk = self._chunks[len(chain) - 1]
-            fmt = _chunk_format_of(chunk.path)
             with open(chunk.path, "rb") as handle:
-                blob = handle.read() if fmt == CHUNK_FORMAT_V1 else handle.read(_HEAD_BYTES)
-            chain.append(chain_link(chain[-1], blob, fmt, chunk.stats.compressed_bytes))
+                head = handle.read(_HEAD_BYTES)
+            chain.append(chain_link(chain[-1], head, chunk.stats.compressed_bytes))
         return chain[n]
 
     def _link(self, index: int, blob: bytes) -> None:
@@ -954,12 +936,7 @@ class FrameStore:
         dropping every later link (a rewrite moves them all)."""
         del self._chain[index + 1 :]
         if len(self._chain) == index + 1:
-            self._chain.append(chain_link(self._chain[index], blob, CHUNK_FORMAT_V3, len(blob)))
-
-    def chunk_format(self, index: int) -> str:
-        """Committed chunk ``index``'s format (one held in memory is v3)."""
-        path = self._chunks[index].path
-        return CHUNK_FORMAT_V3 if path is None else _chunk_format_of(path)
+            self._chain.append(chain_link(self._chain[index], blob, len(blob)))
 
     def chunk_payload(self, index: int) -> Dict:
         """Decompress one committed chunk's columnar payload."""
@@ -976,17 +953,13 @@ class FrameStore:
         of a ``live_tail`` archive's rows repeat a dict an earlier row of
         their chunk holds, and its forty-batch frame peaks ≈17 MB lower.
         The dicts are compared (by ``repr``) only when a chunk's metadata is
-        first read — a v3 scan reads the projected columns and never does;
-        a v1/v2 chunk's columns are projected from the shared dicts.
+        first read — a scan reads the projected columns and never does.
         """
         frame = TxFrame()
         for chunk in self._chunks:
             payload = chunk.payload()
             metadata = payload["metadata"]
-            if isinstance(metadata, LazyMetadata):
-                payload["metadata"] = LazyMetadata(
-                    len(metadata), partial(_shared_dicts, metadata)
-                )
+            payload["metadata"] = LazyMetadata(len(metadata), partial(_shared_dicts, metadata))
             frame.extend_from_payload(payload)
             del payload  # the frame has copied its columns
         if len(self._staging):
@@ -1005,50 +978,55 @@ class FrameStore:
         return accumulate(chunk.stats for chunk in self._chunks)
 
     # -- migration ----------------------------------------------------------------
-    def migrate_format(self) -> int:
-        """Rewrite every legacy (v1 or v2) chunk as v3; returns how many.
+    @classmethod
+    def migrate_format(cls, directory: str) -> "Migration":
+        """Rewrite every legacy (v1 or v2) chunk of the store at ``directory``
+        as v3: the one reader of legacy chunk bytes.
 
-        The rewrite rides the store's normal commit protocol: new chunk
-        files are written beside the old ones (a different extension, so no
-        collision), then one atomic manifest rename commits the whole
-        migration, then the superseded files are deleted.  A crash before
-        the rename leaves uncommitted new files (cleaned by :meth:`open`);
-        a crash after it leaves unreferenced old files (same cleanup) — at
-        no point does the manifest reference a chunk that is not durable.
+        The manifest is read as :meth:`open` reads it, crash cleanup
+        included, but legacy file names are accepted.  The rewrite rides the
+        store's normal commit protocol: new chunk files are written beside
+        the old ones (a different extension, so no collision), then one
+        atomic manifest rename commits the whole migration, then the
+        superseded files are deleted.  A crash before the rename leaves
+        uncommitted new files (cleaned by the next migration); a crash after
+        it leaves unreferenced old files (cleaned by :meth:`open`) — at no
+        point does the manifest reference a chunk that is not durable.
         """
         from repro.collection import chunkformat
 
+        store = cls._load(directory, legacy=True)
+        before = store.compression_stats().compressed_bytes
         superseded: List[str] = []
-        for chunk in self._chunks:
+        for chunk in store._chunks:
             source_path = chunk.path
-            # Only a file on disk can be legacy: a chunk held in memory was
-            # written by this process, and this process writes v3.
-            if source_path is None or _chunk_format_of(source_path) == CHUNK_FORMAT_V3:
+            if source_path.endswith(CHUNK_EXTENSION):
                 continue
+            with open(source_path, "rb") as handle:
+                payload = _decode_legacy_chunk(handle.read(), chunk.chunk_id)
             blob, raw_size = chunkformat.encode_chunk(
-                chunk.payload(),
-                chain_stats=(chunk.heights, chunk.times, chunk.chain_rows),
+                payload, chain_stats=(chunk.heights, chunk.times, chunk.chain_rows)
             )
             chunk.stats = CompressionStats(
                 raw_bytes=raw_size, compressed_bytes=len(blob), chunk_count=1
             )
-            path = os.path.join(
-                self.directory,
-                f"frame-chunk-{chunk.chunk_id:06d}{CHUNK_EXTENSIONS[CHUNK_FORMAT_V3]}",
-            )
-            with open(path, "wb") as handle:
+            chunk.path = _chunk_path(directory, chunk.chunk_id)
+            with open(chunk.path, "wb") as handle:
                 handle.write(blob)
-            chunk.path = path
-            self._link(chunk.chunk_id, blob)
             superseded.append(source_path)
         if superseded:
-            self._write_manifest()  # the commit point for the whole migration
+            store._write_manifest()  # the commit point for the whole migration
             for path in superseded:
                 os.remove(path)
             # Rewritten chunk bytes orphan every keyed state-cache entry;
             # clear them instead of leaving stale files for fsck to flag.
-            invalidate_state_cache(self.directory)
-        return len(superseded)
+            invalidate_state_cache(directory)
+        return Migration(
+            migrated=len(superseded),
+            chunks=store.committed_chunk_count,
+            bytes_before=before,
+            bytes_after=store.compression_stats().compressed_bytes,
+        )
 
 
 class FrameSink:

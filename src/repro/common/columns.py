@@ -425,8 +425,8 @@ class TxFrame:
 
         Memoised like :meth:`transaction_ids_ndarray`: rows a payload brought
         with their columns (a v3 chunk, a frame's slice) were adopted by
-        :meth:`extend_from_payload`; any others — appended records, v1/v2
-        chunk rows — are projected from :attr:`metadata` here, once.
+        :meth:`extend_from_payload`; any others — appended records — are
+        projected from :attr:`metadata` here, once.
         """
         return {key: as_ndarray(column) for key, column in self._projected_arrays().items()}
 

@@ -5,7 +5,8 @@ compressed blocks occupy (121 GB for EOS, 0.56 GB for Tezos, 76.4 GB for
 XRP).  The frame store keeps the same books: every chunk it commits records
 its compressed and raw byte counts in the manifest, so the dataset
 characterisation can reproduce the table's storage column.  The gzip-JSON
-decoder reads the ``v1`` chunks of archives written by older versions.
+decoder reads the ``v1`` chunks of archives written by older versions, and
+only ``repro migrate-store`` calls it.
 """
 
 from __future__ import annotations

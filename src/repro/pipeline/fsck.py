@@ -9,9 +9,10 @@ it byte-for-byte, and report exactly what is damaged:
 * the frame-store manifest (present wherever chunk files are, readable,
   the one supported version, no crashed partial assembly);
 * every committed chunk (file present, size matches the committed byte
-  count, blob decodes — v2/v3 magic + adler32, v1 gzip/JSON — and the
-  decoded row count matches the manifest); a chunk of a newer binary format
-  version is ``chunk_version``, left in place like an unsupported manifest;
+  count, blob decodes — magic + adler32 — and the decoded row count matches
+  the manifest); a chunk of a newer binary format version, or a legacy
+  (v1 / v2) archive chunk that only ``repro migrate-store`` reads, is
+  ``chunk_version``, left in place like an unsupported manifest;
 * every kept chunk's manifest entry carries the keys
   :meth:`FrameStore.open` requires (``manifest_entry_incomplete``; an
   entry without ``rows``, ``file`` or ``compressed_bytes`` leaves its chunk
@@ -22,7 +23,7 @@ it byte-for-byte, and report exactly what is damaged:
   (:meth:`FrameStore.prefix`) of the store as the walk leaves it, which
   the chunk walk links from the blobs it reads; any other key is *stale*.
   Keys are not judged where the chain cannot be derived (a chunk left
-  missing or damaged);
+  missing, damaged or legacy);
 * the pipeline meta file (readable JSON).
 
 With ``repair=True`` the doctor makes the surviving data usable instead of
@@ -57,21 +58,20 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.analysis.statecache import ENTRY_MODE, decode_entry, parse_entry_name
+from repro.analysis.statecache import ENTRY_FORMAT, ENTRY_MODE, decode_entry, parse_entry_name
 from repro.analysis.value import decode_analysis_config
 from repro.collection import chunkformat
 from repro.collection.store import (
     CHAIN_ROOT,
+    CHUNK_EXTENSION,
     MANIFEST_ENTRY_KEYS,
     MANIFEST_NAME,
     MANIFEST_VERSION,
     POOL_NAMES,
     STATE_CACHE_DIR,
     FrameStore,
-    _chunk_format_of,
-    _decode_chunk_blob,
     _glob_chunk_files,
     absorb_pool_deltas,
     chain_link,
@@ -89,10 +89,10 @@ QUARANTINE_DIR = "quarantine"
 #: The manifest-entry keys a chunk is verified against.
 _VERIFY_KEYS = ("rows", "file", "compressed_bytes")
 
-#: The key chain of the store as a walk leaves it: ``(prefix(i + 1), format
-#: of chunk i)`` per kept chunk (see :meth:`FrameStore.prefix`), or ``None``
-#: where it cannot be derived.
-Chain = Optional[List[Tuple[str, str]]]
+#: The key chain of the store as a walk leaves it: ``prefix(i + 1)`` per kept
+#: chunk i (see :meth:`FrameStore.prefix`), or ``None`` where it cannot be
+#: derived.
+Chain = Optional[List[str]]
 
 
 @dataclass
@@ -311,6 +311,14 @@ def _check_chunks(report: FsckReport, repair: bool) -> Chain:
                 path=path,
                 chain_rows=_entry_chain_rows(entry),
             )
+        elif not path.endswith(CHUNK_EXTENSION):
+            issue = FsckIssue(
+                kind="chunk_version",
+                detail=f"chunk {index} ({entry['file']!r}) is a legacy archive chunk, "
+                "which only `repro migrate-store` reads (left in place)",
+                path=path,
+                chain_rows=_entry_chain_rows(entry),
+            )
         else:
             try:
                 with open(path, "rb") as handle:
@@ -325,7 +333,7 @@ def _check_chunks(report: FsckReport, repair: bool) -> Chain:
                         chain_rows=_entry_chain_rows(entry),
                     )
                 else:
-                    payload = _decode_chunk_blob(blob, index)
+                    payload = chunkformat.decode_chunk(blob)
                     decoded_rows = len(payload["transaction_id"])
                     if decoded_rows != int(entry["rows"]):
                         raise CollectionError(
@@ -343,13 +351,15 @@ def _check_chunks(report: FsckReport, repair: bool) -> Chain:
             report.chunks_ok += 1
         else:
             report.issues.append(issue)
-        # A newer writer's chunk is not damage: it is kept like a good one,
-        # as a manifest of an unsupported version is.
+        # A newer writer's or a legacy archive's chunk is not damage: it is
+        # kept like a good one, as a manifest of an unsupported version is.
         if issue is None or issue.kind == "chunk_version":
-            if links is not None:
-                fmt = _chunk_format_of(path)
-                prefix = links[-1][0] if links else CHAIN_ROOT
-                links.append((chain_link(prefix, blob, fmt, int(entry["compressed_bytes"])), fmt))
+            if blob is None:
+                # A legacy chunk is never read, so no key past it is judged.
+                links = None
+            elif links is not None:
+                prefix = links[-1] if links else CHAIN_ROOT
+                links.append(chain_link(prefix, blob, int(entry["compressed_bytes"])))
             # Recorded pool deltas are relative to the running pools, so a
             # dropped earlier chunk invalidates them; the walk recomputes
             # them from the payload, as the store's writer did.
@@ -429,9 +439,7 @@ def _check_checkpoint(report: FsckReport, root: str, repair: bool, links: Chain)
             "checksum or shape; the next update would rescan every chain)",
             path=path,
         )
-    elif links is not None and checkpoint.prefix not in {
-        CHAIN_ROOT, *(prefix for prefix, _fmt in links)
-    }:
+    elif links is not None and checkpoint.prefix not in {CHAIN_ROOT, *links}:
         issue = FsckIssue(
             kind="checkpoint_stale",
             detail=(
@@ -464,7 +472,7 @@ def _check_state_cache(report: FsckReport, repair: bool, links: Chain) -> None:
     cache_dir = os.path.join(report.store_dir, STATE_CACHE_DIR)
     if not os.path.isdir(cache_dir):
         return
-    keys = None if links is None else set(links)
+    keys = None if links is None else {(prefix, ENTRY_FORMAT) for prefix in links}
     for name in sorted(os.listdir(cache_dir)):
         path = os.path.join(cache_dir, name)
         if not os.path.isfile(path):

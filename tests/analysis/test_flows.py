@@ -8,7 +8,6 @@ from repro.analysis.clustering import AccountClusterer
 from repro.analysis.flows import ValueFlowAccumulator
 from repro.analysis.value import ExchangeRateOracle
 from repro.xrp.accounts import XrpAccountRegistry
-from repro.xrp.workload import RIPPLE_ACCOUNT
 from tests.support import run_on_records
 
 

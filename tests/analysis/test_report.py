@@ -1,7 +1,5 @@
 """Tests for the cross-chain summary report."""
 
-import pytest
-
 from repro.common.columns import TxFrame
 from repro.common.records import ChainId
 from repro.analysis.report import full_report

@@ -8,9 +8,9 @@ The cache contract under test, layer by layer:
   raises;
 * **keying** — the file-name key misses cleanly on any drift: a different
   accumulator configuration (oracle, clusterer), rewritten chunk bytes, a
-  migrated chunk format; the store's key chain moves every key from a
-  dropped or rewritten chunk on, and every process derives the same keys
-  (an all-hit report reads only chunk headers for them);
+  migrated archive; the store's key chain moves every key from a dropped
+  or rewritten chunk on, and every process derives the same keys (an
+  all-hit report reads only chunk headers for them);
 * **writes** — entries commit atomically; injected ``store.cache_write``
   faults (torn, bitflip, truncate) leave only undecodable entries — which
   read back as misses — and an injected crash propagates without
@@ -55,13 +55,12 @@ from repro.analysis.statecache import (
     parse_entry_name,
 )
 from repro.analysis.value import ExchangeRateOracle
+from repro.analysis.report import full_report
 from repro.collection.store import (
     CHAIN_ROOT,
-    CHUNK_FORMAT_V1,
-    CHUNK_FORMAT_V2,
-    CHUNK_FORMAT_V3,
     MANIFEST_NAME,
     FrameStore,
+    chain_link,
     state_cache_dir,
 )
 from repro.cli import main
@@ -72,7 +71,7 @@ from repro.common.statecodec import encode
 
 from repro.pipeline import run_fsck
 
-from tests.fixtures import V2_STORE
+from tests.fixtures import V2_STORE, legacy_frame
 from tests.support.reports import assert_reports_identical
 
 CHUNK_ROWS = 977
@@ -374,18 +373,18 @@ def test_an_entry_under_another_mode_token_is_never_read(
     assert (warm.hits, warm.misses) == (chunks, 0)
 
 
-def test_migrate_format_invalidates_cache(v1_store_dir):
-    store = FrameStore.open(v1_store_dir)
-    chunks = store.committed_chunk_count
-    cache = ChunkStateCache.for_store(v1_store_dir)
-    before = _report(v1_store_dir, None, None, cache=cache)
-    assert cache.stat()["entries"] == chunks
-    # The legacy-format archive serves warm reports like any other store.
-    warm = ChunkStateCache.for_store(v1_store_dir)
-    _report(v1_store_dir, None, None, cache=warm)
-    assert (warm.hits, warm.misses) == (chunks, 0)
+def test_migrate_format_invalidates_cache(v1_store_dir, store_dir):
+    """State entries beside an archive (another store's, standing in for
+    those a version that still read archives wrote) leave with the chunk
+    bytes the migration rewrites."""
+    before = full_report(legacy_frame(v1_store_dir))
+    with open(os.path.join(v1_store_dir, MANIFEST_NAME), encoding="utf-8") as handle:
+        chunks = len(json.load(handle)["chunks"])
+    _report(store_dir, None, None, cache=ChunkStateCache.for_store(store_dir))
+    shutil.copytree(state_cache_dir(store_dir), state_cache_dir(v1_store_dir))
+    assert ChunkStateCache.for_store(v1_store_dir).stat()["entries"] > 0
 
-    assert store.migrate_format() == chunks
+    assert FrameStore.migrate_format(v1_store_dir).migrated == chunks
     assert ChunkStateCache.for_store(v1_store_dir).stat()["entries"] == 0
 
     # Post-migration reports rebuild the cache under the new format's keys.
@@ -411,19 +410,19 @@ def _keys(store):
 
 def test_every_process_derives_the_same_keys(tmp_path, sample_records):
     """The writer links from the blobs in hand, a reopened store from 8-byte
-    header reads, an in-memory store of the same rows from its blobs."""
+    header reads, a second store of the same rows from its own blobs."""
     directory = str(tmp_path / "store")
     writer = FrameStore(chunk_rows=CHUNK_ROWS, directory=directory)
     writer.add_records(sample_records)
     writer.flush()
-    in_memory = FrameStore(chunk_rows=CHUNK_ROWS)
-    in_memory.add_records(sample_records)
-    in_memory.flush()
+    second = FrameStore(chunk_rows=CHUNK_ROWS, directory=str(tmp_path / "second"))
+    second.add_records(sample_records)
+    second.flush()
     keys = _keys(writer)
     assert keys[0] == CHAIN_ROOT and len(set(keys)) == len(keys) > 3
     assert all(len(key) == 16 for key in keys)
     reopened = FrameStore.open(directory)
-    assert _keys(reopened) == _keys(in_memory) == keys
+    assert _keys(reopened) == _keys(second) == keys
 
 
 def test_a_repair_that_drops_a_chunk_moves_every_later_key(store_dir):
@@ -437,35 +436,30 @@ def test_a_repair_that_drops_a_chunk_moves_every_later_key(store_dir):
     assert not set(kept[dropped + 1 :]) & set(keys)  # every chunk kept after it
 
 
-def test_migration_moves_every_key_from_the_first_rewritten_chunk_on(
-    store_dir, sample_records
-):
-    """A v3 store that took on a v2 archive chunk, then grew again."""
+def test_migration_moves_every_key_from_the_first_rewritten_chunk_on(store_dir):
+    """A v3 store that took on two v2 archive chunks.  Their keys before the
+    migration link their headers, as a version that still read v2 did."""
     manifest_path = os.path.join(store_dir, MANIFEST_NAME)
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
     with open(os.path.join(V2_STORE, MANIFEST_NAME), encoding="utf-8") as handle:
-        legacy = json.load(handle)["chunks"][0]
+        archived = json.load(handle)["chunks"][:2]
+    before = _keys(FrameStore.open(store_dir))
     first = len(manifest["chunks"])
-    shutil.copy(
-        os.path.join(V2_STORE, legacy["file"]),
-        os.path.join(store_dir, f"frame-chunk-{first:06d}.bin"),
-    )
-    manifest["chunks"].append(dict(legacy, file=f"frame-chunk-{first:06d}.bin"))
-    manifest["row_count"] += legacy["rows"]
+    for index, entry in enumerate(archived, start=first):
+        name = f"frame-chunk-{index:06d}.bin"
+        shutil.copy(os.path.join(V2_STORE, entry["file"]), os.path.join(store_dir, name))
+        with open(os.path.join(store_dir, name), "rb") as handle:
+            before.append(chain_link(before[-1], handle.read(), entry["compressed_bytes"]))
+        manifest["chunks"].append(dict(entry, file=name))
+        manifest["row_count"] += entry["rows"]
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle)
-    store = FrameStore.open(store_dir)
-    store.add_records(sample_records[:CHUNK_ROWS])
-    store.flush()
-    assert store.chunk_format(first) == CHUNK_FORMAT_V2
-    before = _keys(store)
-    assert store.migrate_format() == 1
-    after = _keys(store)
+    assert FrameStore.migrate_format(store_dir).migrated == 2
+    after = _keys(FrameStore.open(store_dir))
     assert after[: first + 1] == before[: first + 1]
     assert len(after) == len(before) == first + 3
     assert not set(after[first + 1 :]) & set(before)
-    assert _keys(FrameStore.open(store_dir)) == after
 
 
 def test_a_pool_worker_keys_exactly_as_the_parent(store_dir, xrp_oracle, xrp_clusterer):
@@ -484,17 +478,12 @@ def test_a_pool_worker_keys_exactly_as_the_parent(store_dir, xrp_oracle, xrp_clu
     assert (serial.hits, serial.misses) == (chunks, 0)
 
 
-def test_a_v1_archive_chunk_links_by_its_whole_blob(v1_store_dir, store_dir):
-    """A flipped body byte moves a v1 chunk's key; a binary chunk's key
-    reads its header only, whose checksum the decoder checks the body by."""
-    for directory, fmt in ((v1_store_dir, CHUNK_FORMAT_V1), (store_dir, CHUNK_FORMAT_V3)):
-        store = FrameStore.open(directory)
-        assert store.chunk_format(0) == fmt
-        keys = _keys(store)
-        _flip_middle_byte(sorted(glob.glob(os.path.join(directory, "frame-chunk-*")))[0])
-        moved = _keys(FrameStore.open(directory))
-        assert (moved == keys) is (fmt == CHUNK_FORMAT_V3)
-        assert moved[0] == keys[0]
+def test_a_chunk_links_by_its_header_alone(store_dir):
+    """A chunk's key reads its header only, whose checksum the decoder
+    checks the body by: a flipped body byte moves no key."""
+    keys = _keys(FrameStore.open(store_dir))
+    _flip_middle_byte(sorted(glob.glob(os.path.join(store_dir, "frame-chunk-*")))[0])
+    assert _keys(FrameStore.open(store_dir)) == keys
 
 
 class _CountedFile:

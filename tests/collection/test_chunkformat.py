@@ -1,7 +1,10 @@
-"""Tests for the v3 binary columnar chunk format (written) and v1/v2 (read)."""
+"""Tests for the v3 binary columnar chunk format (written and read) and the
+v1/v2 decoders that migration reads legacy archives with."""
 
 import gc
 import json
+import os
+import shutil
 import zlib
 from pathlib import Path
 
@@ -15,17 +18,16 @@ from repro.collection.chunkformat import (
     decode_chunk,
     encode_chunk,
 )
-from repro.analysis.parallel import parallel_report_from_store
 from repro.analysis.report import full_report
 from repro.analysis.statecache import ChunkStateCache
 from repro.cli import _report_to_dict
-from repro.collection.store import FrameStore, _decode_chunk_blob
+from repro.collection.store import FrameStore, _decode_legacy_chunk
 from repro.common.columns import LazyMetadata, TxFrame
 from repro.common.errors import CollectionError
 from repro.common.records import ChainId, TransactionRecord
 from repro.pipeline import run_fsck
 
-from tests.fixtures import V1_STORE_CHUNKS, V1_STORE_ROWS
+from tests.fixtures import STATE_EPOCH1, V1_STORE_CHUNKS, legacy_frame
 
 
 def _records(count, chain=ChainId.EOS, start_height=0):
@@ -306,7 +308,7 @@ class TestCorruption:
         import gzip
 
         with pytest.raises(CollectionError, match="frame chunk 0 is corrupt"):
-            _decode_chunk_blob(gzip.compress(_TOO_DEEP), 0)
+            _decode_legacy_chunk(gzip.compress(_TOO_DEEP), 0)
 
     def test_chunk_version_dispatch(self):
         assert chunk_version(self._blob()) == 3
@@ -315,19 +317,6 @@ class TestCorruption:
 
 
 class TestStoreIntegration:
-    def test_mixed_format_store_reads_both(self, v1_store_dir):
-        v1 = FrameStore.open(v1_store_dir)
-        assert v1.chunk_count == V1_STORE_CHUNKS
-        archived = list(v1.to_frame())
-        assert len(archived) == V1_STORE_ROWS
-        # Appending to a v1 archive writes v3 beside it: old chunks stay v1.
-        more = _records(10, start_height=100)
-        v1.add_records(iter(more))
-        v1.flush()
-        names = sorted(path.name for path in Path(v1_store_dir).glob("frame-chunk-*"))
-        assert [name.rsplit(".", 1)[-1] for name in names] == ["gz", "gz", "gz", "bin"]
-        assert list(FrameStore.open(v1_store_dir).to_frame()) == archived + more
-
     def test_corrupt_v2_chunk_degrades_like_corrupt_checkpoint(self, tmp_path):
         store = FrameStore(chunk_rows=10, directory=str(tmp_path))
         store.add_frame(TxFrame.from_records(_records(10)))
@@ -342,14 +331,18 @@ class TestStoreIntegration:
             reopened.to_frame()
 
     def test_migrate_store_round_trips(self, v1_store_dir, monkeypatch):
-        """v1 → v2 in place: same rows, same figures, one commit, clean fsck."""
-        assert run_fsck(v1_store_dir).clean
-        store = FrameStore.open(v1_store_dir)
-        payload = store.to_frame().to_payload()
-        figures = json.dumps(_report_to_dict(full_report(store.to_frame())))
+        """v1 → v3 in place: the legacy-decoded rows and their figures, one
+        commit, no state entry left, clean fsck."""
+        fsck = run_fsck(v1_store_dir)
+        assert [issue.kind for issue in fsck.issues] == ["chunk_version"] * V1_STORE_CHUNKS
+        archived = legacy_frame(v1_store_dir)
+        payload = archived.to_payload()
+        figures = json.dumps(_report_to_dict(full_report(archived)))
+        # State entries an older version wrote beside its archive.
+        old_cache = os.path.join(STATE_EPOCH1, "frames", "cache")
+        shutil.copytree(old_cache, os.path.join(v1_store_dir, "cache"))
         cache = ChunkStateCache.for_store(v1_store_dir)
-        parallel_report_from_store(v1_store_dir, workers=1, cache=cache)
-        assert cache.stat()["entries"] == V1_STORE_CHUNKS
+        assert cache.stat()["entries"] == len(os.listdir(old_cache)) > 0
         commits = []
         write_manifest = FrameStore._write_manifest
         monkeypatch.setattr(
@@ -358,7 +351,7 @@ class TestStoreIntegration:
             lambda self: (commits.append(1), write_manifest(self))[1],
         )
 
-        assert store.migrate_format() == V1_STORE_CHUNKS
+        assert FrameStore.migrate_format(v1_store_dir).migrated == V1_STORE_CHUNKS
         assert len(commits) == 1  # the whole migration is one manifest rename
         assert not list(Path(v1_store_dir).glob("frame-chunk-*.json.gz"))
         assert ChunkStateCache.for_store(v1_store_dir).stat()["entries"] == 0
@@ -368,28 +361,28 @@ class TestStoreIntegration:
             json.dumps(_report_to_dict(full_report(migrated.to_frame()))) == figures
         )
         assert run_fsck(v1_store_dir).clean
-        assert migrated.migrate_format() == 0
+        assert FrameStore.migrate_format(v1_store_dir).migrated == 0
 
     def test_migrate_is_a_noop_on_matching_format(self, tmp_path):
         store = FrameStore(chunk_rows=10, directory=str(tmp_path))
         store.add_frame(TxFrame.from_records(_records(10)))
-        assert store.migrate_format() == 0
+        assert FrameStore.migrate_format(str(tmp_path)).migrated == 0
 
     @pytest.mark.parametrize("bit", [0x01, 0x40, 0xFF])
     def test_damaged_v1_blob_raises_collection_error(self, v1_store_dir, bit):
         """Never a crash, never a silent mis-decode — only ``CollectionError``."""
         blob = next(Path(v1_store_dir).glob("frame-chunk-*.json.gz")).read_bytes()
-        intact = _decode_chunk_blob(blob, 0)
+        intact = _decode_legacy_chunk(blob, 0)
         for cut in (1, 10, len(blob) // 2, len(blob) - 1):
             with pytest.raises(CollectionError, match="corrupt"):
-                _decode_chunk_blob(blob[:cut], 0)
+                _decode_legacy_chunk(blob[:cut], 0)
         rejected = 0
         for index in range(0, len(blob), 7):
             damaged = blob[:index] + bytes([blob[index] ^ bit]) + blob[index + 1 :]
             try:
                 # A flip gzip cannot see (header mtime/OS bytes, deflate
                 # padding, unused Huffman codes) must leave the rows intact.
-                assert _decode_chunk_blob(damaged, 0) == intact
+                assert _decode_legacy_chunk(damaged, 0) == intact
             except CollectionError as error:
                 assert "corrupt" in str(error)
                 rejected += 1

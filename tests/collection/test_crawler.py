@@ -33,9 +33,9 @@ def build_chain(block_count=10, start_height=100):
     return chain
 
 
-def new_crawler(pool, **options):
-    """A crawler into a fresh in-memory frame store's sink."""
-    return BlockCrawler(pool, FrameSink(FrameStore()), **options)
+def new_crawler(directory, pool, **options):
+    """A crawler into the sink of a fresh frame store at ``directory``."""
+    return BlockCrawler(pool, FrameSink(FrameStore(directory=str(directory))), **options)
 
 
 def stored_heights(sink):
@@ -53,31 +53,31 @@ def build_pool(chain, profiles=None):
 
 
 class TestCrawlRange:
-    def test_fetches_every_block_in_range(self):
+    def test_fetches_every_block_in_range(self, tmp_path):
         chain = build_chain(10)
-        crawler = new_crawler(build_pool(chain))
+        crawler = new_crawler(tmp_path, build_pool(chain))
         report = crawler.crawl_range(highest=109, lowest=100)
         assert not report.failed_blocks
         assert report.blocks_fetched == 10
         assert stored_heights(crawler.store) == list(range(100, 110))
         assert report.transactions_fetched == 10
 
-    def test_partial_range(self):
+    def test_partial_range(self, tmp_path):
         chain = build_chain(10)
-        crawler = new_crawler(build_pool(chain))
+        crawler = new_crawler(tmp_path, build_pool(chain))
         report = crawler.crawl_range(highest=105, lowest=103)
         assert stored_heights(crawler.store) == [103, 104, 105]
         assert not report.failed_blocks
 
-    def test_invalid_range(self):
+    def test_invalid_range(self, tmp_path):
         chain = build_chain(3)
-        crawler = new_crawler(build_pool(chain))
+        crawler = new_crawler(tmp_path, build_pool(chain))
         with pytest.raises(CollectionError):
             crawler.crawl_range(highest=100, lowest=200)
 
-    def test_resume_skips_fetched_blocks(self):
+    def test_resume_skips_fetched_blocks(self, tmp_path):
         chain = build_chain(10)
-        store = FrameSink(FrameStore())
+        store = FrameSink(FrameStore(directory=str(tmp_path)))
         crawler = BlockCrawler(build_pool(chain), store)
         crawler.crawl_range(highest=109, lowest=105)
         requests_before = crawler.requests_issued
@@ -86,9 +86,9 @@ class TestCrawlRange:
         # Already-stored blocks are skipped without extra requests.
         assert crawler.requests_issued - requests_before == 5
 
-    def test_missing_blocks_reported_not_fatal(self):
+    def test_missing_blocks_reported_not_fatal(self, tmp_path):
         chain = build_chain(5, start_height=100)
-        crawler = new_crawler(build_pool(chain), max_attempts_per_block=2)
+        crawler = new_crawler(tmp_path, build_pool(chain), max_attempts_per_block=2)
         report = crawler.crawl_range(highest=106, lowest=100)
         assert report.failed_blocks
         assert set(report.failed_blocks) == {105, 106}
@@ -96,7 +96,7 @@ class TestCrawlRange:
 
 
 class TestRateLimitsAndFailures:
-    def test_rate_limited_endpoints_trigger_backoff(self):
+    def test_rate_limited_endpoints_trigger_backoff(self, tmp_path):
         chain = build_chain(8)
         pool = build_pool(
             chain,
@@ -105,13 +105,13 @@ class TestRateLimitsAndFailures:
                 EndpointProfile(name="tight2", requests_per_second=2.0, burst=2.0),
             ],
         )
-        crawler = new_crawler(pool, clock=SimulationClock(0.0))
+        crawler = new_crawler(tmp_path, pool, clock=SimulationClock(0.0))
         report = crawler.crawl_range(highest=107, lowest=100)
         assert not report.failed_blocks
         assert report.rate_limit_hits > 0
         assert report.elapsed_virtual_seconds > 0.0
 
-    def test_flaky_endpoint_retried_on_other_endpoint(self):
+    def test_flaky_endpoint_retried_on_other_endpoint(self, tmp_path):
         chain = build_chain(6)
         pool = build_pool(
             chain,
@@ -120,14 +120,14 @@ class TestRateLimitsAndFailures:
                 EndpointProfile(name="stable"),
             ],
         )
-        crawler = new_crawler(pool)
+        crawler = new_crawler(tmp_path, pool)
         report = crawler.crawl_range(highest=105, lowest=100)
         assert not report.failed_blocks
         assert crawler.store.block_count == 6
 
-    def test_discover_head(self):
+    def test_discover_head(self, tmp_path):
         chain = build_chain(4)
-        crawler = new_crawler(build_pool(chain))
+        crawler = new_crawler(tmp_path, build_pool(chain))
         assert crawler.discover_head() == chain.head_height
 
 
@@ -150,11 +150,12 @@ class TestUnservedBlock:
     """A height an endpoint does not serve is rotated past, never retried."""
 
     @pytest.mark.parametrize("unserved", [above_head, refused_by_the_chain])
-    def test_gives_up_without_retries_or_backoff(self, unserved):
+    def test_gives_up_without_retries_or_backoff(self, tmp_path, unserved):
         chain = build_chain(3)
         height = unserved(chain)
         clock = SimulationClock(0.0)
         crawler = new_crawler(
+            tmp_path,
             build_pool(chain, profiles=[EndpointProfile(name="only")]),
             max_attempts_per_block=3,
             clock=clock,
@@ -165,7 +166,7 @@ class TestUnservedBlock:
         assert crawler.retries == 0
         assert clock.now == 0.0
 
-    def test_block_arrives_from_the_endpoint_that_serves_it(self):
+    def test_block_arrives_from_the_endpoint_that_serves_it(self, tmp_path):
         short, full = build_chain(3), build_chain(10)
         pool = EndpointPool(
             [
@@ -173,16 +174,17 @@ class TestUnservedBlock:
                 EosRpcEndpoint(full, profile=EndpointProfile(name="full")),
             ]
         )
-        crawler = new_crawler(pool, max_attempts_per_block=3)
+        crawler = new_crawler(tmp_path, pool, max_attempts_per_block=3)
         block = crawler.fetch_block(108)
         assert block.height == 108
         assert crawler.retries == 0
         assert pool._health["short"].failures > 0
 
 
-def one_endpoint_crawler(chain, clock):
+def one_endpoint_crawler(directory, chain, clock):
     """A crawler over one fault-free endpoint (rng seed 0) with the default backoff."""
     return new_crawler(
+        directory,
         build_pool(chain, profiles=[EndpointProfile(name="only")]),
         max_attempts_per_block=3,
         clock=clock,
@@ -195,10 +197,10 @@ def first_latency():
     return base_latency * (1.0 + 0.2 * DeterministicRng(0).random())
 
 
-def fetch_under(spec, height=105):
+def fetch_under(directory, spec, height=105):
     """Fetch ``height`` under the fault plan ``spec``; return the crawler."""
     chain = build_chain(10)
-    crawler = one_endpoint_crawler(chain, SimulationClock(0.0))
+    crawler = one_endpoint_crawler(directory, chain, SimulationClock(0.0))
     with faults.use_plan(faults.FaultPlan.parse(spec)):
         block = crawler.fetch_block(height)
     assert block.height == height
@@ -208,28 +210,28 @@ def fetch_under(spec, height=105):
 class TestRetrySchedule:
     """A throttle waits ``max(backoff, Retry-After)``; a failure waits the backoff."""
 
-    def test_honours_retry_after_hint(self):
-        crawler = fetch_under("crawler.fetch:mode=rate_limit:nth=1:retry_after=4")
+    def test_honours_retry_after_hint(self, tmp_path):
+        crawler = fetch_under(tmp_path, "crawler.fetch:mode=rate_limit:nth=1:retry_after=4")
         assert (crawler.retries, crawler.rate_limit_hits) == (1, 1)
         assert crawler.clock.now == pytest.approx(4.0 + first_latency())
 
-    def test_hint_ignored_when_smaller(self):
-        crawler = fetch_under("crawler.fetch:mode=rate_limit:nth=1:retry_after=0.05")
+    def test_hint_ignored_when_smaller(self, tmp_path):
+        crawler = fetch_under(tmp_path, "crawler.fetch:mode=rate_limit:nth=1:retry_after=0.05")
         assert crawler.clock.now == pytest.approx(crawler.backoff.delay(0) + first_latency())
 
-    def test_no_hint(self):
-        crawler = fetch_under("crawler.fetch:mode=rate_limit:nth=1:retry_after=0")
+    def test_no_hint(self, tmp_path):
+        crawler = fetch_under(tmp_path, "crawler.fetch:mode=rate_limit:nth=1:retry_after=0")
         assert crawler.clock.now == pytest.approx(crawler.backoff.delay(0) + first_latency())
 
-    def test_transient_failure_costs_a_retry_and_backoff(self):
-        crawler = fetch_under("crawler.fetch:mode=unavailable:nth=1")
+    def test_transient_failure_costs_a_retry_and_backoff(self, tmp_path):
+        crawler = fetch_under(tmp_path, "crawler.fetch:mode=unavailable:nth=1")
         assert (crawler.retries, crawler.rate_limit_hits) == (1, 0)
         assert crawler.clock.now == pytest.approx(crawler.backoff.delay(0) + first_latency())
 
-    def test_exhausted_attempts_back_off_exponentially(self):
+    def test_exhausted_attempts_back_off_exponentially(self, tmp_path):
         chain = build_chain(10)
         clock = SimulationClock(0.0)
-        crawler = one_endpoint_crawler(chain, clock)
+        crawler = one_endpoint_crawler(tmp_path, chain, clock)
         plan = faults.FaultPlan.parse("crawler.fetch:mode=unavailable:every=1")
         with faults.use_plan(plan), pytest.raises(CollectionError):
             crawler.fetch_block(105)

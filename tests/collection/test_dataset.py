@@ -12,16 +12,16 @@ from tests.support.blocks import make_block
 
 
 class TestCharacterization:
-    def _store(self, heights, tx_count=3):
-        store = FrameStore(chunk_rows=50)
+    def _store(self, directory, heights, tx_count=3):
+        store = FrameStore(chunk_rows=50, directory=str(directory))
         sink = FrameSink(store, chain=ChainId.EOS)
         for height in heights:
             sink.add(make_block(height, tx_count=tx_count))
         sink.flush()
         return store
 
-    def test_reports_figure2_columns(self):
-        store = self._store(range(100, 200))
+    def test_reports_figure2_columns(self, tmp_path):
+        store = self._store(tmp_path, range(100, 200))
         characterization = characterize_dataset(store, scale_factor=0.01)
         row = characterization.to_row()
         assert row["chain"] == "eos"
@@ -47,21 +47,21 @@ class TestCharacterization:
         )
         assert characterization.to_row() == characterize_dataset(store).to_row()
 
-    def test_tps_derived_from_duration(self):
-        store = self._store(range(0, 100))
+    def test_tps_derived_from_duration(self, tmp_path):
+        store = self._store(tmp_path, range(0, 100))
         characterization = characterize_dataset(store)
         # Timestamps are one second apart: 300 transactions over 99 seconds.
         assert characterization.transactions_per_second == pytest.approx(300 / 99.0)
         assert characterization.blocks_per_day == pytest.approx(100 * 86_400 / 99.0)
 
-    def test_dates_rendered(self):
-        store = self._store([1_000_000, 1_086_400])
+    def test_dates_rendered(self, tmp_path):
+        store = self._store(tmp_path, [1_000_000, 1_086_400])
         characterization = characterize_dataset(store)
         assert characterization.sample_start == "1970-01-12"
         assert characterization.duration_seconds == pytest.approx(86_400.0)
 
-    def test_chain_override(self):
-        store = self._store(range(3))
+    def test_chain_override(self, tmp_path):
+        store = self._store(tmp_path, range(3))
         with pytest.raises(AnalysisError, match="no xrp rows"):
             characterize_dataset(store, chain=ChainId.XRP)
         assert characterize_dataset(store, chain=ChainId.EOS).chain is ChainId.EOS
@@ -79,15 +79,15 @@ class TestCharacterization:
         with pytest.raises(AnalysisError):
             characterize_dataset(store)
 
-    def test_zero_duration_single_block(self):
-        characterization = characterize_dataset(self._store([5], tx_count=2))
+    def test_zero_duration_single_block(self, tmp_path):
+        characterization = characterize_dataset(self._store(tmp_path, [5], tx_count=2))
         assert characterization.transactions_per_second == 0.0
 
 
 class TestFrameStoreCharacterization:
     """Multi-chain stores and empty stores."""
 
-    def test_multi_chain_store_requires_chain(self):
+    def test_multi_chain_store_requires_chain(self, tmp_path):
         from repro.common.columns import TxFrame
         from repro.common.records import TransactionRecord
 
@@ -104,7 +104,7 @@ class TestFrameStoreCharacterization:
                     receiver="bob",
                 )
             )
-        store = FrameStore(chunk_rows=10)
+        store = FrameStore(chunk_rows=10, directory=str(tmp_path))
         store.add_frame(TxFrame.from_records(records))
         with pytest.raises(AnalysisError):
             characterize_dataset(store)
@@ -112,6 +112,6 @@ class TestFrameStoreCharacterization:
         assert row.chain is ChainId.XRP
         assert row.action_count == 1
 
-    def test_empty_frame_store_rejected(self):
+    def test_empty_frame_store_rejected(self, tmp_path):
         with pytest.raises(AnalysisError):
-            characterize_dataset(FrameStore())
+            characterize_dataset(FrameStore(directory=str(tmp_path)))

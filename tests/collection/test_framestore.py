@@ -10,9 +10,10 @@ from repro.common import faults
 from repro.common.columns import TxFrame
 from repro.common.errors import CollectionError
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
+from repro.collection import chunkformat
 from repro.collection.store import MANIFEST_ENTRY_KEYS, MANIFEST_NAME, FrameSink, FrameStore
 
-from tests.fixtures import V1_STORE_CHUNKS, V1_STORE_ROWS
+from tests.fixtures import V1_STORE_CHUNKS, V1_STORE_ROWS, legacy_frame
 
 
 def _records(count, chain=ChainId.EOS):
@@ -34,24 +35,28 @@ def _records(count, chain=ChainId.EOS):
     ]
 
 
-class TestFrameStore:
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(CollectionError):
-            FrameStore(chunk_rows=0)
+def _never_decoded(blob):
+    raise AssertionError("a chunk was decoded")
 
-    def test_add_frame_chunks_and_round_trips(self):
+
+class TestFrameStore:
+    def test_rejects_bad_chunk_size(self, tmp_path):
+        with pytest.raises(CollectionError):
+            FrameStore(chunk_rows=0, directory=str(tmp_path))
+
+    def test_add_frame_chunks_and_round_trips(self, tmp_path):
         records = _records(25)
         frame = TxFrame.from_records(records)
-        store = FrameStore(chunk_rows=10)
+        store = FrameStore(chunk_rows=10, directory=str(tmp_path))
         store.add_frame(frame)
         assert store.row_count == 25
         assert store.chunk_count == 3
         assert list(store.to_frame()) == records
         assert list(store.iter_records()) == records
 
-    def test_add_records_streams_through_staging(self):
+    def test_add_records_streams_through_staging(self, tmp_path):
         records = _records(12)
-        store = FrameStore(chunk_rows=5)
+        store = FrameStore(chunk_rows=5, directory=str(tmp_path))
         store.add_records(iter(records))
         # Two full chunks flushed, two rows still staged.
         assert store.chunk_count == 3
@@ -61,26 +66,26 @@ class TestFrameStore:
         assert store.compression_stats().chunk_count == 3
 
     @pytest.mark.parametrize("count", [4, 5, 6, 9, 10, 11, 23])
-    def test_add_records_cuts_chunks_at_exactly_chunk_rows(self, count):
-        store = FrameStore(chunk_rows=5)
+    def test_add_records_cuts_chunks_at_exactly_chunk_rows(self, tmp_path, count):
+        store = FrameStore(chunk_rows=5, directory=str(tmp_path))
         store.add_records(iter(_records(count)))
         full, staged = divmod(count, 5)
         assert store.chunk_row_counts() == [5] * full
         assert store.staged_rows == staged
         assert list(store.to_frame()) == _records(count)
 
-    def test_add_records_resumes_a_partly_filled_staging_frame(self):
-        store = FrameStore(chunk_rows=5)
+    def test_add_records_resumes_a_partly_filled_staging_frame(self, tmp_path):
+        store = FrameStore(chunk_rows=5, directory=str(tmp_path))
         store.add_records(_records(3))
         store.add_records(_records(10)[3:])
         assert store.chunk_row_counts() == [5, 5]
         assert store.staged_rows == 0
 
-    def test_add_records_cuts_an_over_full_staging_frame_after_one_more_row(self):
+    def test_add_records_cuts_an_over_full_staging_frame_after_one_more_row(self, tmp_path):
         # stage_records may run past chunk_rows (block-aligned commits); the
         # next streamed row joins that chunk and the cut follows it.
         records = _records(12)
-        store = FrameStore(chunk_rows=5)
+        store = FrameStore(chunk_rows=5, directory=str(tmp_path))
         store.stage_records(records[:7])
         store.add_records(iter(records[7:]))
         assert store.chunk_row_counts() == [8]
@@ -130,8 +135,8 @@ class TestFrameStore:
         empty = TxFrame().to_payload(arrays=True)
         assert _payload_chain_stats(empty) == ({}, {}, {})
 
-    def test_compression_accounting(self):
-        store = FrameStore(chunk_rows=50)
+    def test_compression_accounting(self, tmp_path):
+        store = FrameStore(chunk_rows=50, directory=str(tmp_path))
         store.add_frame(TxFrame.from_records(_records(50)))
         stats = store.compression_stats()
         assert stats.chunk_count == 1
@@ -146,11 +151,17 @@ class TestFrameStore:
         assert list(store.to_frame()) == records
 
     def test_disk_spill_v1(self, v1_store_dir):
-        """A v1 (gzip-JSON) archive written by an older version still reads."""
+        """A v1 (gzip-JSON) archive written by an older version reads once
+        ``migrate-store`` has rewritten it: every row, in v3 chunk files."""
+        archived = list(legacy_frame(v1_store_dir))
+        with pytest.raises(CollectionError, match="migrate-store"):
+            FrameStore.open(v1_store_dir)
+        FrameStore.migrate_format(v1_store_dir)
         store = FrameStore.open(v1_store_dir)
-        stored_files = list(Path(v1_store_dir).glob("frame-chunk-*.json.gz"))
+        stored_files = list(Path(v1_store_dir).glob("frame-chunk-*.v3.bin"))
         assert len(stored_files) == store.chunk_count == V1_STORE_CHUNKS
         assert len(store.to_frame()) == store.row_count == V1_STORE_ROWS
+        assert list(store.to_frame()) == archived
         assert store.chain_row_counts() == {"eos": 150, "tezos": 100, "xrp": 130}
 
     def test_columnar_beats_per_record_compression(self):
@@ -311,9 +322,10 @@ class TestManifest:
         writer = FrameStore(chunk_rows=5, directory=str(tmp_path))
         writer.add_frame(TxFrame.from_records(_records(12)))
         written = writer.compression_stats()
-        reopened = FrameStore.open(str(tmp_path))
         # Lazy: chunk payloads stay on disk until asked for.
-        assert all(chunk.blob is None for chunk in reopened._chunks)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chunkformat, "decode_chunk", _never_decoded)
+            reopened = FrameStore.open(str(tmp_path))
         stats = reopened.compression_stats()
         assert stats.compressed_bytes == written.compressed_bytes
         assert stats.raw_bytes == written.raw_bytes
@@ -570,8 +582,8 @@ class TestTransactionContiguity:
             store.add_records(stream)
         self._assert_nothing_committed(directory, rows=4)  # the clean first chunk
 
-    def test_other_chains_rows_between_a_transactions_rows_are_fine(self):
-        store = FrameStore(chunk_rows=100)
+    def test_other_chains_rows_between_a_transactions_rows_are_fine(self, tmp_path):
+        store = FrameStore(chunk_rows=100, directory=str(tmp_path))
         store.add_records(
             self._actions(["a"])
             + self._actions(["a"], chain=ChainId.XRP)  # ids are per chain

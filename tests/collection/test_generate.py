@@ -27,15 +27,13 @@ from repro.collection.generate import (
     generate_sharded,
     window_day_offsets,
 )
-from repro.collection.store import CHUNK_FORMAT_V1, CHUNK_FORMAT_V2, CHUNK_FORMAT_V3, FrameStore
+from repro.collection.store import FrameStore
 from repro.common import faults
 from repro.common.errors import CollectionError
 from repro.eos.workload import EosWorkloadConfig
 from repro.scenarios import PaperScenario
 from repro.tezos.workload import TezosWorkloadConfig
 from repro.xrp.workload import XrpWorkloadConfig
-
-from tests.fixtures import V1_STORE_ROWS, V2_STORE_ROWS, copy_v1_store, copy_v2_store
 
 
 def _windowed_scenario(seed: int = 7, windows: int = 2) -> PaperScenario:
@@ -183,15 +181,6 @@ class TestAssemble:
         store.flush()
         return store
 
-    def _shard_in(self, chunk_format, directory, records_frame) -> str:
-        """A flushed shard: a fixture archive (v1, v2), or the frame written (v3)."""
-        if chunk_format == CHUNK_FORMAT_V1:
-            return copy_v1_store(directory)
-        if chunk_format == CHUNK_FORMAT_V2:
-            return copy_v2_store(directory)
-        self._shard(directory, records_frame)
-        return str(directory)
-
     def test_rejects_crashed_shard_without_manifest(self, tmp_path, eos_records):
         from repro.common.columns import TxFrame
 
@@ -203,22 +192,17 @@ class TestAssemble:
         with pytest.raises(CollectionError):
             FrameStore.assemble(str(tmp_path / "out"), [str(shard_dir)])
 
-    @pytest.mark.parametrize(
-        "chunk_format", [CHUNK_FORMAT_V1, CHUNK_FORMAT_V2, CHUNK_FORMAT_V3]
-    )
     def test_crash_mid_assemble_leaves_a_rejected_target(
-        self, tmp_path, eos_records, tezos_records, chunk_format
+        self, tmp_path, eos_records, tezos_records
     ):
         """An assembly that dies between chunk moves must never be mistaken
-        for a complete store — for either chunk serialisation format."""
+        for a complete store."""
         from repro.common.columns import TxFrame
 
-        shard_dirs = [
-            self._shard_in(
-                chunk_format, tmp_path / f"in-{index}", TxFrame.from_records(rows)
-            )
-            for index, rows in enumerate([eos_records[:200], tezos_records[:200]])
-        ]
+        shard_dirs = []
+        for index, rows in enumerate([eos_records[:200], tezos_records[:200]]):
+            self._shard(tmp_path / f"in-{index}", TxFrame.from_records(rows))
+            shard_dirs.append(str(tmp_path / f"in-{index}"))
         target = str(tmp_path / "out")
         plan = faults.FaultPlan.parse("store.assemble:mode=crash:nth=3")
         with faults.use_plan(plan):
@@ -231,22 +215,20 @@ class TestAssemble:
         with pytest.raises(CollectionError, match="partial assembly"):
             FrameStore.open(target)
 
-    @pytest.mark.parametrize(
-        "chunk_format", [CHUNK_FORMAT_V1, CHUNK_FORMAT_V2, CHUNK_FORMAT_V3]
-    )
-    def test_completed_assembly_opens_clean(self, tmp_path, eos_records, chunk_format):
+    def test_completed_assembly_opens_clean(self, tmp_path, eos_records):
         from repro.common.columns import TxFrame
 
-        shard_dir = self._shard_in(
-            chunk_format, tmp_path / "in", TxFrame.from_records(eos_records[:120])
-        )
-        rows = {CHUNK_FORMAT_V1: V1_STORE_ROWS, CHUNK_FORMAT_V2: V2_STORE_ROWS}.get(
-            chunk_format, 120
-        )
+        self._shard(tmp_path / "in", TxFrame.from_records(eos_records[:120]))
         target = str(tmp_path / "out")
-        FrameStore.assemble(target, [shard_dir], chunk_rows=40)
+        FrameStore.assemble(target, [str(tmp_path / "in")], chunk_rows=40)
         reopened = FrameStore.open(target)
-        assert reopened.row_count == len(reopened.to_frame()) == rows
+        assert reopened.row_count == len(reopened.to_frame()) == 120
+
+    def test_a_legacy_shard_is_refused_untouched(self, tmp_path, v2_store_dir):
+        names = sorted(os.listdir(v2_store_dir))
+        with pytest.raises(CollectionError, match="migrate-store"):
+            FrameStore.assemble(str(tmp_path / "out"), [v2_store_dir], chunk_rows=40)
+        assert sorted(os.listdir(v2_store_dir)) == names
 
     def test_assembled_store_equals_concatenated_frames(
         self, tmp_path, eos_records, tezos_records, xrp_records

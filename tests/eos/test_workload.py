@@ -7,7 +7,6 @@ applications, the wash-trading DEX pattern) at the reduced test scale.
 
 import pytest
 
-from repro.common.clock import timestamp_from_iso
 from repro.common.records import ChainId, iter_transactions
 from repro.eos.workload import (
     APPLICATION_CATEGORIES,

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
+
+from repro.collection import chunkformat
+from repro.collection.store import MANIFEST_NAME
+from repro.common.columns import TxFrame
+from repro.common.compression import decompress_json
 
 #: The read-only v1 (gzip-JSON) fixture store: 380 rows in three chunks.
 V1_STORE = os.path.join(os.path.dirname(__file__), "store_v1")
@@ -26,6 +32,22 @@ V2_STORE_CHUNKS = 4
 def copy_v2_store(destination) -> str:
     """A private, writable copy of the v2 fixture store; returns its path."""
     return shutil.copytree(V2_STORE, str(destination))
+
+
+def legacy_frame(directory) -> TxFrame:
+    """A legacy archive's rows as its writer stored them, decoded chunk by
+    chunk with the two legacy decoders (v1 ``*.json.gz`` gzip-JSON, v2
+    ``*.bin`` binary) and no :class:`~repro.collection.store.FrameStore`,
+    which refuses to open a legacy archive."""
+    with open(os.path.join(str(directory), MANIFEST_NAME), encoding="utf-8") as handle:
+        entries = json.load(handle)["chunks"]
+    frame = TxFrame()
+    for entry in entries:
+        with open(os.path.join(str(directory), entry["file"]), "rb") as handle:
+            blob = handle.read()
+        legacy_v1 = entry["file"].endswith(".json.gz")
+        frame.extend_from_payload(decompress_json(blob) if legacy_v1 else chunkformat.decode_chunk(blob))
+    return frame
 
 
 #: A pipeline directory whose checkpoint and chunk-state cache entries were

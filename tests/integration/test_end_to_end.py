@@ -20,12 +20,12 @@ from repro.analysis.classify import CategoryDistributionAccumulator, TezosCatego
 from repro.analysis.report import full_report
 from repro.analysis.value import ExchangeRateOracle, XrpDecompositionAccumulator
 from repro.eos.rpc import EosRpcEndpoint
-from repro.eos.workload import EosWorkloadConfig, EosWorkloadGenerator
+from repro.eos.workload import EosWorkloadGenerator
 from repro.scenarios import small_scenario
 from repro.tezos.rpc import TezosRpcEndpoint
-from repro.tezos.workload import TezosWorkloadConfig, TezosWorkloadGenerator
+from repro.tezos.workload import TezosWorkloadGenerator
 from repro.xrp.rpc import XrpRpcEndpoint
-from repro.xrp.workload import XrpWorkloadConfig, XrpWorkloadGenerator
+from repro.xrp.workload import XrpWorkloadGenerator
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def pipeline_scenario():
 
 
 class TestEosPipeline:
-    def test_crawl_and_classify(self, pipeline_scenario):
+    def test_crawl_and_classify(self, tmp_path, pipeline_scenario):
         generator = EosWorkloadGenerator(pipeline_scenario.eos)
         generator.generate()
         chain = generator.chain
@@ -44,7 +44,7 @@ class TestEosPipeline:
             EosRpcEndpoint(chain, profile=EndpointProfile(name=f"bp{i}", requests_per_second=200.0, burst=400.0), rng=DeterministicRng(i))
             for i in range(4)
         ]
-        store = FrameStore(chunk_rows=4_096)
+        store = FrameStore(chunk_rows=4_096, directory=str(tmp_path))
         sink = FrameSink(store)
         crawler = BlockCrawler(EndpointPool(advertised), sink)
         head = crawler.discover_head()
@@ -59,12 +59,12 @@ class TestEosPipeline:
 
 
 class TestTezosPipeline:
-    def test_crawl_and_classify(self, pipeline_scenario):
+    def test_crawl_and_classify(self, tmp_path, pipeline_scenario):
         generator = TezosWorkloadGenerator(pipeline_scenario.tezos)
         generator.generate()
         chain = generator.chain
         endpoint = TezosRpcEndpoint(chain)
-        store = FrameStore(chunk_rows=4_096)
+        store = FrameStore(chunk_rows=4_096, directory=str(tmp_path))
         crawler = BlockCrawler(EndpointPool([endpoint]), FrameSink(store))
         head = crawler.discover_head()
         report = crawler.crawl_range(highest=head, lowest=chain.config.start_level)
@@ -74,12 +74,12 @@ class TestTezosPipeline:
 
 
 class TestXrpPipeline:
-    def test_crawl_and_value_analysis(self, pipeline_scenario):
+    def test_crawl_and_value_analysis(self, tmp_path, pipeline_scenario):
         generator = XrpWorkloadGenerator(pipeline_scenario.xrp)
         generator.generate()
         ledger = generator.ledger
         endpoint = XrpRpcEndpoint(ledger)
-        store = FrameStore(chunk_rows=4_096)
+        store = FrameStore(chunk_rows=4_096, directory=str(tmp_path))
         sink = FrameSink(store)
         crawler = BlockCrawler(EndpointPool([endpoint]), sink)
         head = crawler.discover_head()

@@ -12,8 +12,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from repro.common.faults import FaultPlan
 from repro.pipeline.soak import SoakResult, _check_memory_flat, run_soak
 from repro.pipeline.soak import SoakCycle

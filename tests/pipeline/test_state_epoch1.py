@@ -9,20 +9,45 @@ a traceback — and is named by a chunk checksum, not by the store's key
 chain, so nothing looks it up: the rescan writes each chunk's entry under
 its chained name beside it.  The figures equal a from-scratch
 ``full_report`` of the rows.
+
+The fixture's chunks are v2, which a store opens only once ``repro
+migrate-store`` has rewritten them; the migration clears ``cache/``, so each
+test migrates a copy and puts the fixture's epoch-1 entries back.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 
 from repro.analysis.parallel import parallel_report_from_store
 from repro.analysis.report import full_report
 from repro.analysis.statecache import ChunkStateCache, decode_entry
 from repro.cli import main
+from repro.collection.store import FrameStore
 from repro.pipeline import Pipeline, run_fsck
 
-from tests.fixtures import STATE_EPOCH1_CHUNKS, STATE_EPOCH1_ROWS, copy_state_epoch1
+from tests.fixtures import (
+    STATE_EPOCH1,
+    STATE_EPOCH1_CHUNKS,
+    STATE_EPOCH1_ROWS,
+    copy_state_epoch1,
+)
 from tests.support.reports import assert_reports_identical
+
+
+def _migrated_copy(destination) -> str:
+    """A copy of the fixture with its chunks migrated to v3 and its epoch-1
+    entries back in ``frames/cache/``."""
+    root = copy_state_epoch1(destination)
+    frames = os.path.join(root, "frames")
+    assert FrameStore.migrate_format(frames).migrated == STATE_EPOCH1_CHUNKS
+    shutil.copytree(
+        os.path.join(STATE_EPOCH1, "frames", "cache"),
+        os.path.join(frames, "cache"),
+        dirs_exist_ok=True,
+    )
+    return root
 
 
 def _cache_entries(root):
@@ -34,7 +59,7 @@ def _cache_entries(root):
 
 
 def test_fixture_shape(tmp_path):
-    root = copy_state_epoch1(tmp_path / "pipe")
+    root = _migrated_copy(tmp_path / "pipe")
     pipeline = Pipeline(root)
     assert pipeline.store.row_count == STATE_EPOCH1_ROWS
     assert pipeline.store.committed_chunk_count == STATE_EPOCH1_CHUNKS
@@ -45,7 +70,7 @@ def test_fixture_shape(tmp_path):
 
 
 def test_update_over_old_state_equals_full_report(tmp_path):
-    root = copy_state_epoch1(tmp_path / "pipe")
+    root = _migrated_copy(tmp_path / "pipe")
     pipeline = Pipeline(root)
     assert pipeline.checkpoints.load() is None
     report, stats = pipeline.update()
@@ -60,7 +85,7 @@ def test_update_over_old_state_equals_full_report(tmp_path):
 
 
 def test_old_cache_entries_miss_once_and_new_ones_are_written_beside_them(tmp_path):
-    root = copy_state_epoch1(tmp_path / "pipe")
+    root = _migrated_copy(tmp_path / "pipe")
     pipeline = Pipeline(root)
     oracle, clusterer = pipeline.analysis_config()
     old = _cache_entries(root)
@@ -83,7 +108,7 @@ def test_old_cache_entries_miss_once_and_new_ones_are_written_beside_them(tmp_pa
 def test_fsck_flags_the_old_snapshot_and_repair_leaves_an_updatable_directory(
     tmp_path, capsys
 ):
-    root = copy_state_epoch1(tmp_path / "pipe")
+    root = _migrated_copy(tmp_path / "pipe")
     found = run_fsck(root)
     assert [issue.kind for issue in found.issues].count("checkpoint_unreadable") == 1
     repaired = run_fsck(root, repair=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -16,7 +17,8 @@ from repro.scenarios import PaperScenario, register_scenario
 from repro.tezos.workload import TezosWorkloadConfig
 from repro.xrp.workload import XrpWorkloadConfig
 
-from tests.fixtures import V1_STORE_CHUNKS, V2_STORE_CHUNKS
+from tests.collection.test_generate import _directory_bytes
+from tests.fixtures import V1_STORE_CHUNKS, V2_STORE, V2_STORE_CHUNKS, V2_STORE_ROWS, copy_v1_store
 from tests.support import child_env, run_child
 
 TINY_SCENARIO = "cli-tiny"
@@ -225,6 +227,7 @@ class TestUnusableCacheMeta:
             "oracle_malformed",
             "clusters_missing",
             "clusters_malformed",
+            "legacy_store",
         ],
     )
     @pytest.mark.parametrize("flags", [[], ["--out-of-core"]], ids=["resident", "ooc"])
@@ -258,6 +261,12 @@ class TestUnusableCacheMeta:
             else:
                 meta[field] = [["XRP"]] if field == "oracle_rates" else [1, 2]
             meta_path.write_text(json.dumps(meta))
+        elif damage == "legacy_store":  # an archive an older version read, meta intact
+            for chunk in meta_path.parent.glob("frame-chunk-*"):
+                chunk.unlink()
+            shutil.copytree(V2_STORE, str(meta_path.parent), dirs_exist_ok=True)
+            meta = json.loads(meta_path.read_text())
+            meta_path.write_text(json.dumps(dict(meta, rows=V2_STORE_ROWS)))
         else:  # a directory copied from another run, row count and all
             rows = json.loads(meta_path.read_text())["rows"]
             assert _run(base + ["--seed", "8"])[0] == 0
@@ -532,6 +541,22 @@ class TestPipelineCommands:
             error = capsys.readouterr().err
             assert error.startswith("error: pipeline meta") and str(meta_path) in error
         assert meta_path.read_text() == content  # never reset silently
+
+    def test_a_legacy_store_is_a_clean_error_naming_migrate_store(self, tmp_path):
+        """From a cold interpreter: exit 2, no traceback, no file touched."""
+        data = tmp_path / "pipe"
+        frames = copy_v1_store(data / "frames")
+        before = _directory_bytes(data)
+        for command, extra in (
+            ("update", []),
+            ("ingest", ["--batches", "1"]),
+            ("watch", ["--batches", "1"]),
+        ):
+            done = run_child(["-m", "repro", command, "--data", str(data), *extra])
+            assert done.returncode == 2, done.stderr
+            assert "Traceback" not in done.stderr
+            assert f"`repro migrate-store {frames}`" in done.stderr
+        assert _directory_bytes(data) == before
 
     @pytest.mark.parametrize(
         "field, value",

@@ -47,7 +47,7 @@ from repro.analysis.value import (
 )
 from repro.analysis.washtrading import TradeObservation, WashTradingReport
 from repro.cli.dataset import Dataset, StoredDataset
-from repro.collection.store import StoredFrameChunk
+from repro.collection.store import Migration, StoredFrameChunk
 from repro.common.compression import CompressionStats
 from repro.common.faults import FaultAction, FaultRule
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
@@ -251,10 +251,14 @@ CASES = {
         "from_cache=True, build_seconds=0.5, store=None)",
     ),
     "StoredFrameChunk": Case(
-        lambda: StoredFrameChunk(0, 10, CompressionStats(5, 3, 1), {}, {}, {}, {}),
+        lambda: StoredFrameChunk(0, 10, CompressionStats(5, 3, 1), {}, {}, {}, {}, "p"),
         "StoredFrameChunk(chunk_id=0, row_count=10, stats=CompressionStats(raw_bytes=5, "
-        "compressed_bytes=3, chunk_count=1), blob=None, path=None, heights={}, "
+        "compressed_bytes=3, chunk_count=1), path='p', heights={}, "
         "times={}, chain_rows={}, pool_deltas={})",
+    ),
+    "Migration": Case(
+        lambda: Migration(1, 3, 100, 120),
+        "Migration(migrated=1, chunks=3, bytes_before=100, bytes_after=120)",
     ),
     "CompressionStats": Case(
         CompressionStats,

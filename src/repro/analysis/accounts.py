@@ -61,6 +61,10 @@ class _TallyState:
         self.tally.restore_state(payload)
 
 
+#: How many accounts the top-sender and top-receiver figures rank.
+TOP_ACCOUNTS = 10
+
+
 class AccountActivityAccumulator(_TallyState, Accumulator):
     """Single-pass account ranking with per-type breakdowns.
 
@@ -71,7 +75,7 @@ class AccountActivityAccumulator(_TallyState, Accumulator):
     heap at finalise time.
     """
 
-    def __init__(self, side: str = "sender", limit: int = 10):
+    def __init__(self, side: str = "sender", limit: int = TOP_ACCOUNTS):
         if side not in ("sender", "receiver"):
             raise ValueError("side must be 'sender' or 'receiver'")
         self.side = side
@@ -158,13 +162,13 @@ class AccountActivityAccumulator(_TallyState, Accumulator):
 TOP_SENDERS_FIGURE = FigureSpec(
     name="top_senders",
     chains=CHAIN_ORDER,
-    factory=lambda chain, config: AccountActivityAccumulator("sender", config.top_limit),
+    factory=lambda chain, config: AccountActivityAccumulator("sender", TOP_ACCOUNTS),
 )
 
 TOP_RECEIVERS_FIGURE = FigureSpec(
     name="top_receivers",
     chains=(ChainId.EOS,),
-    factory=lambda chain, config: AccountActivityAccumulator("receiver", config.top_limit),
+    factory=lambda chain, config: AccountActivityAccumulator("receiver", TOP_ACCOUNTS),
 )
 
 

@@ -46,7 +46,6 @@ from repro.analysis.statecache import (
     EntryKey,
     factories_digest,
 )
-from repro.analysis.throughput import DEFAULT_BIN_SECONDS
 
 #: A factory producing a fresh, unbound accumulator set.  It is invoked once
 #: per chunk (in the worker) and once in the parent, so it must be picklable:
@@ -387,20 +386,12 @@ def chunk_scan_tasks(
     ]  # fmt: skip
 
 
-def store_factories(
-    store,
-    oracle=None,
-    clusterer=None,
-    bin_seconds: float = DEFAULT_BIN_SECONDS,
-    top_limit: int = 10,
-) -> Dict[str, AccumulatorFactory]:
+def store_factories(store, oracle=None, clusterer=None) -> Dict[str, AccumulatorFactory]:
     """One figure factory per chain in the store's committed chunks,
     configured from the manifest alone (no chunk is decoded)."""
     totals = store.chain_row_counts()
     return {
-        chain.value: figure_factory(
-            chain, store.time_bounds(chain), oracle, clusterer, bin_seconds, top_limit
-        )
+        chain.value: figure_factory(chain, store.time_bounds(chain), oracle, clusterer)
         for chain in ChainId
         if chain.value in totals
     }
@@ -485,8 +476,6 @@ def chunk_scan_states(
     clusterer=None,
     workers: Optional[int] = None,
     tasks: Optional[int] = None,
-    bin_seconds: float = DEFAULT_BIN_SECONDS,
-    top_limit: int = 10,
     cache: Optional[ChunkStateCache] = None,
     store=None,
 ) -> Tuple[Dict[str, int], Dict[str, List[Accumulator]]]:
@@ -505,7 +494,7 @@ def chunk_scan_states(
     # Backfills and commits chunk metadata once, in the parent, so every
     # worker's reopen is manifest-only.
     totals = store.chain_row_counts()
-    factories = store_factories(store, oracle, clusterer, bin_seconds, top_limit)
+    factories = store_factories(store, oracle, clusterer)
     if not store.committed_chunk_count or not factories:
         return totals, {}
     skeleton, bases = fold_targets(store, factories)

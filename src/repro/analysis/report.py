@@ -153,8 +153,6 @@ class FigureConfig(NamedTuple):
     bounds: Optional[tuple] = None
     oracle: Optional[ExchangeRateOracle] = None
     clusterer: Optional[AccountClusterer] = None
-    bin_seconds: float = DEFAULT_BIN_SECONDS
-    top_limit: int = 10
 
 
 THROUGHPUT_SERIES_FIGURE = FigureSpec(
@@ -162,7 +160,7 @@ THROUGHPUT_SERIES_FIGURE = FigureSpec(
     chains=CHAIN_ORDER,
     factory=lambda chain, config: ThroughputSeriesAccumulator(
         key_columns=FIGURE3_CATEGORIZERS[chain],
-        bin_seconds=config.bin_seconds,
+        bin_seconds=DEFAULT_BIN_SECONDS,
         start=config.bounds[0] if config.bounds else 0.0,
         end=config.bounds[1] if config.bounds else None,
     ),
@@ -199,15 +197,13 @@ def figure_factory(
     bounds: Optional[tuple],
     oracle: Optional[ExchangeRateOracle] = None,
     clusterer: Optional[AccountClusterer] = None,
-    bin_seconds: float = DEFAULT_BIN_SECONDS,
-    top_limit: int = 10,
 ) -> Callable[[], List[Accumulator]]:
     """Picklable zero-argument factory of one chain's accumulator set.
 
     Every execution path builds its accumulators from this (the parallel
     layer ships it to workers), so all configure identical accumulators.
     """
-    config = FigureConfig(bounds, oracle, clusterer, bin_seconds, top_limit)
+    config = FigureConfig(bounds, oracle, clusterer)
     return partial(figure_accumulators, chain, config)
 
 
@@ -349,8 +345,6 @@ def full_report(
     source: FrameLike,
     oracle: Optional[ExchangeRateOracle] = None,
     clusterer: Optional[AccountClusterer] = None,
-    bin_seconds: float = DEFAULT_BIN_SECONDS,
-    top_limit: int = 10,
 ) -> FullReport:
     """Every figure for every chain in ``source`` (a frame or a view of
     one), one pass per chain."""
@@ -362,13 +356,6 @@ def full_report(
         # deliberately exclude chains the underlying frame contains.
         if not len(view):
             continue
-        factory = figure_factory(
-            chain,
-            chain_window(source, view, chain),
-            oracle,
-            clusterer,
-            bin_seconds,
-            top_limit,
-        )
+        factory = figure_factory(chain, chain_window(source, view, chain), oracle, clusterer)
         report.chains[chain] = ChainFigures(chain, AnalysisEngine(factory()).run(view))
     return report

@@ -34,9 +34,8 @@ Entry encoding is the one framing of persisted accumulator state (the
 pipeline's ``checkpoint.snap`` is an entry too): a
 :mod:`~repro.common.statecodec` body carrying each chain's
 ``(qualname, export_state())`` pairs, framed by magic bytes and an adler32
-of the body, written atomically (temp file + ``os.replace``).  A failed
-checksum, a codec error, an unexpected shape, or a qualname mismatch all
-degrade to a **miss** — the consumer rescans that one chunk and overwrites
+of the body.  A failed checksum, a codec error, an unexpected shape, or a
+qualname mismatch all degrade to a **miss** — the consumer rescans that one chunk and overwrites
 the bad entry; corruption never surfaces as an error and never changes a
 figure.  The ``store.cache_read`` / ``store.cache_write`` faultpoints
 (:mod:`repro.common.faults`) exercise exactly those paths.
@@ -50,7 +49,8 @@ import zlib
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.engine import config_digest
-from repro.common import faults, statecodec
+from repro.common import statecodec
+from repro.common.durable import commit, read_bytes
 
 #: Entry framing magic — the one epoch marker of persisted accumulator state
 #: (chunk entries here, the pipeline's ``checkpoint.snap``).  Bump the trailing
@@ -239,50 +239,23 @@ class ChunkStateCache:
         recounted as a miss (see the scan loop in
         :mod:`repro.analysis.parallel`).
         """
-        try:
-            with open(self.entry_path(key), "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            return None
-        action = faults.check("store.cache_read")
-        if action is not None:
-            blob = action.corrupt(blob)
-        return decode_entry(blob)
+        return decode_entry(read_bytes(self.entry_path(key), "store.cache_read"))
 
     def store(self, key: EntryKey, states: ChainStates) -> None:
-        """Atomically persist one chunk's states; best-effort, never raises.
+        """Commit one chunk's states (under the ``store.cache_write``
+        faultpoint); best-effort.
 
-        Rides the manifest-commit idiom: full write to this process's own
-        temp file (a plain ``open``, so an entry gets the umask-derived mode
-        of the chunks beside it), then one ``os.replace`` — a reader sees
-        the old entry or the new one, never a torn half.  Real I/O errors
-        are swallowed (the cache is an optimisation; a read-only disk must
-        not fail the report).  An injected ``crash`` propagates as
-        :class:`~repro.common.faults.InjectedCrash` — the simulated process
-        death the soak harness recovers from.
+        The temp file is this process's own: two reports may write one
+        entry.  Real I/O errors are swallowed (the cache is an optimisation;
+        a read-only disk must not fail the report); an injected ``crash``
+        propagates as :class:`~repro.common.faults.InjectedCrash`.
         """
-        blob = encode_entry(states)
-        action = faults.check("store.cache_write")
-        disk_blob = blob
-        if action is not None and action.mode in (
-            faults.MODE_TORN,
-            faults.MODE_BITFLIP,
-            faults.MODE_TRUNCATE,
-        ):
-            disk_blob = action.corrupt(blob)
-        temp_path = f"{self.entry_path(key)}.{os.getpid()}.tmp"
+        path = self.entry_path(key)
         try:
             os.makedirs(self.directory, exist_ok=True)
-            with open(temp_path, "wb") as handle:
-                handle.write(disk_blob)
-            if action is not None and action.mode == faults.MODE_CRASH:
-                raise faults.InjectedCrash("injected crash before cache entry rename")
-            os.replace(temp_path, self.entry_path(key))
+            commit(path, encode_entry(states), "store.cache_write", f"{path}.{os.getpid()}.tmp")
         except OSError:
-            try:
-                os.remove(temp_path)
-            except OSError:
-                pass
+            pass
 
     def clear(self) -> int:
         """Remove every entry (and temp leftover); returns files removed."""

@@ -30,6 +30,7 @@ from repro.cli.dataset import (
 )
 from repro.collection.generate import generate_sharded, xrp_companions
 from repro.collection.store import FrameStore, _glob_chunk_files, invalidate_state_cache
+from repro.common.durable import commit
 from repro.common.records import TransactionRecord
 from repro.eos.workload import EosWorkloadGenerator
 from repro.scenarios import PaperScenario, get_scenario
@@ -96,11 +97,7 @@ def _clear_stale_store(directory: str) -> None:
 def _write_cache_meta(
     directory: str, scale: str, seed: int, rows: int, oracle_rates, clusters
 ) -> Dict:
-    """Commit a cache directory: write its meta atomically and return it.
-
-    Temp file + ``os.replace``, like the store manifest: a crash mid-write
-    leaves the previous meta (or none), never a torn one.
-    """
+    """Commit a cache directory: write its meta and return it."""
     meta = {
         "version": CACHE_VERSION,
         "scenario": scale,
@@ -109,11 +106,7 @@ def _write_cache_meta(
         "oracle_rates": oracle_rates,
         "clusters": clusters,
     }
-    meta_path = os.path.join(directory, META_NAME)
-    temp_path = meta_path + ".tmp"
-    with open(temp_path, "w", encoding="utf-8") as handle:
-        json.dump(meta, handle)
-    os.replace(temp_path, meta_path)
+    commit(os.path.join(directory, META_NAME), json.dumps(meta).encode("utf-8"))
     return meta
 
 

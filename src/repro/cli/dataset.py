@@ -20,14 +20,14 @@ is imported only when a dataset actually has to be built.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.analysis.value import ExchangeRateOracle, decode_analysis_config
 from repro.collection.store import FrameStore
 from repro.common.columns import TxFrame
+from repro.common.durable import read_json
 from repro.common.errors import CollectionError
 
 #: Cache layout version; bump when the payload or meta schema changes.
@@ -68,21 +68,26 @@ def _cache_directory(cache_root: str, scale: str, seed: int) -> str:
     return os.path.join(cache_root, f"{scale}-seed{seed}")
 
 
-def _load_cache_meta(meta_path: str) -> Optional[Dict]:
-    """The meta document at ``meta_path``, or ``None`` when it cannot be used.
+def read_cache_meta(path: str) -> Tuple[Dict, Tuple[ExchangeRateOracle, object]]:
+    """The dataset-cache meta at ``path`` and its decoded oracle and cluster
+    map, or a ``meta_unreadable`` :class:`CollectionError`.
 
     Missing, torn (a crash mid-write under an older writer), not a JSON
-    object or of another layout version: each is a cache miss, never an
-    error — the dataset is regenerated and the meta rewritten.
+    object, of another layout version or without analysis companions:
+    :func:`cached_store` takes each as a miss.
     """
+    meta = read_json(path, "dataset-cache meta", "meta_unreadable")
     try:
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-    except (OSError, ValueError, RecursionError):
-        return None
-    if not isinstance(meta, dict) or meta.get("version") != CACHE_VERSION:
-        return None
-    return meta
+        if meta.get("version") != CACHE_VERSION:
+            raise CollectionError(f"unsupported version {meta.get('version')!r}")
+        companions = decode_analysis_config(meta)
+        if companions is None:
+            raise CollectionError("no oracle_rates or clusters")
+    except CollectionError as error:
+        raise CollectionError(
+            f"dataset-cache meta {path!r} is unreadable: {error}", "meta_unreadable"
+        ) from None
+    return meta, companions
 
 
 def cached_store(
@@ -102,17 +107,15 @@ def cached_store(
         return None
     started = time.perf_counter()
     directory = _cache_directory(cache_root, scale, seed)
-    meta = _load_cache_meta(os.path.join(directory, META_NAME))
-    if meta is None or meta.get("scenario") != scale or meta.get("seed") != seed:
-        return None
     try:
-        companions = decode_analysis_config(meta)
+        meta, (oracle, clusterer) = read_cache_meta(os.path.join(directory, META_NAME))
+        if meta.get("scenario") != scale or meta.get("seed") != seed:
+            return None
         store = FrameStore.open(directory)
     except CollectionError:
         return None
-    if companions is None or store.row_count != meta.get("rows"):
+    if store.row_count != meta.get("rows"):
         return None
-    oracle, clusterer = companions
     return StoredDataset(
         directory=directory,
         rows=store.row_count,

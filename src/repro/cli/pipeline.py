@@ -93,11 +93,13 @@ def cmd_fsck(args: argparse.Namespace, out) -> int:
                 file=out,
             )
         else:
-            print(
-                f"DAMAGED: {len(report.issues)} issue(s) found "
-                "(re-run with --repair to quarantine)",
-                file=out,
+            # --repair leaves chunk_version chunks in place: only a migration reads them.
+            hint = (
+                f"run `repro migrate-store {report.store_dir}` to rewrite legacy chunks"
+                if all(issue.kind == "chunk_version" for issue in report.issues)
+                else "re-run with --repair to quarantine"
             )
+            print(f"DAMAGED: {len(report.issues)} issue(s) found ({hint})", file=out)
     if report.clean:
         return 0
     return 0 if args.repair else 1

@@ -42,8 +42,10 @@ touching any chunk payload:
   processes scan disjoint chunk ranges and still return accumulator state
   in one shared code space.
 
-An entry that lacks any of these is refused with a :class:`CollectionError`
-naming the chunk; ``repro fsck --repair`` recomputes missing pool deltas.
+:func:`read_manifest` is the one reader of the manifest: an entry that
+lacks any of these, or holds one in a shape the store does not read, is
+refused with a :class:`CollectionError` naming the chunk; ``repro fsck
+--repair`` recomputes missing pool deltas.
 
 Analysis state over a chunk depends on every chunk before it (its string
 codes index their pools), so such state is keyed by :meth:`FrameStore.prefix`,
@@ -74,6 +76,7 @@ from repro.common import faults
 from repro.common.columns import CHAIN_ORDER, LazyMetadata, TxFrame
 from repro.common.compression import CompressionStats, accumulate, decompress_json
 from repro.common.digest import blake2b
+from repro.common.durable import commit, read_json
 from repro.common.errors import CollectionError
 from repro.common.records import BlockRecord, TransactionRecord
 
@@ -177,6 +180,116 @@ def _glob_chunk_files(directory: str) -> List[str]:
     for pattern in _CHUNK_GLOBS:
         paths.extend(glob.glob(os.path.join(directory, pattern)))
     return sorted(paths)
+
+
+def _count(value: object) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _chunk_name(value: object) -> bool:
+    """A chunk file name of any format (:data:`_CHUNK_GLOBS`) inside the store."""
+    return (
+        isinstance(value, str)
+        and value.startswith("frame-chunk-")
+        and value.endswith((".bin", ".json.gz"))
+        and os.sep not in value
+    )
+
+
+def _bounds(value: object, types: tuple) -> bool:
+    """A ``{chain: [low, high]}`` mapping of ``types`` values."""
+    return isinstance(value, dict) and all(
+        type(pair) is list and len(pair) == 2 and type(pair[0]) in types and type(pair[1]) in types
+        for pair in value.values()
+    )
+
+
+#: Per manifest entry key, whether a value has the shape the store reads.
+_ENTRY_SHAPES = {
+    "file": _chunk_name,
+    "rows": _count,
+    "compressed_bytes": _count,
+    "raw_bytes": _count,
+    "heights": lambda value: _bounds(value, (int,)),
+    "times": lambda value: _bounds(value, (int, float)),
+    "chain_rows": lambda value: isinstance(value, dict) and all(map(_count, value.values())),
+    "pools": lambda value: isinstance(value, dict)
+    and all(
+        type(value.get(name)) is list and all(type(s) is str for s in value[name])
+        for name in POOL_NAMES
+    ),
+}
+
+
+def entry_defects(entry: object) -> List[str]:
+    """The :data:`MANIFEST_ENTRY_KEYS` a manifest entry lacks or holds in a
+    shape the store does not read (every key for an entry that is no object)."""
+    if not isinstance(entry, dict):
+        return list(MANIFEST_ENTRY_KEYS)
+    return [
+        key for key in MANIFEST_ENTRY_KEYS if key not in entry or not _ENTRY_SHAPES[key](entry[key])
+    ]
+
+
+def defect_text(entry: object, keys: Sequence[str]) -> str:
+    """``lacks a, b`` / ``holds a malformed c``: the :func:`entry_defects` keys in words."""
+    missing = [key for key in keys if not isinstance(entry, dict) or key not in entry]
+    malformed = [key for key in keys if key not in missing]
+    return " and ".join(
+        f"{verb} {', '.join(named)}"
+        for verb, named in (("lacks", missing), ("holds a malformed", malformed))
+        if named
+    )
+
+
+def legacy_entry(entry: object) -> bool:
+    """Whether a manifest entry names a legacy (v1 or v2) chunk file, which
+    only :meth:`FrameStore.migrate_format` reads."""
+    return (
+        isinstance(entry, dict)
+        and _chunk_name(entry.get("file"))
+        and not entry["file"].endswith(CHUNK_EXTENSION)
+    )
+
+
+def read_manifest(path: str, entries: bool = True) -> Dict:
+    """The store manifest at ``path``, or a :class:`CollectionError` whose
+    ``kind`` names the failed check.
+
+    ``manifest_unreadable`` (no JSON object holding a ``chunks`` list),
+    ``manifest_version``, ``partial_assembly`` (the placeholder
+    :meth:`FrameStore.assemble` commits before it moves a chunk: the
+    directory holds an arbitrary prefix of the shards) and, with ``entries``,
+    ``manifest_entry_incomplete`` for the first entry :func:`entry_defects`
+    faults.  fsck passes ``entries=False`` and judges each entry itself.
+    """
+    manifest = read_json(path, "frame-store manifest", "manifest_unreadable")
+    if not isinstance(manifest.get("chunks"), list):
+        raise CollectionError(
+            f"frame-store manifest {path!r} holds no chunk list", "manifest_unreadable"
+        )
+    if manifest.get("version") != MANIFEST_VERSION:
+        raise CollectionError(
+            f"unsupported frame-store manifest version {manifest.get('version')!r}",
+            "manifest_version",
+        )
+    directory = os.path.dirname(path)
+    if manifest.get("assembling"):
+        raise CollectionError(
+            f"store {directory!r} is a crashed partial assembly; "
+            "re-run the assembly from its shard sources",
+            "partial_assembly",
+        )
+    for index, entry in enumerate(manifest["chunks"] if entries else ()):
+        defects = entry_defects(entry)
+        if defects:
+            name = entry.get("file") if isinstance(entry, dict) else entry
+            raise CollectionError(
+                f"manifest entry of chunk {index} ({name!r}) in {directory!r} "
+                f"{defect_text(entry, defects)}; run `repro fsck --repair`",
+                "manifest_entry_incomplete",
+            )
+    return manifest
 
 
 #: ``prefix(0)``, the key of no chunks (see :meth:`FrameStore.prefix`).
@@ -517,11 +630,7 @@ class FrameStore:
             "row_count": 0,
             "chunks": [],
         }
-        manifest_path = os.path.join(directory, MANIFEST_NAME)
-        temp_path = manifest_path + ".tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(placeholder, handle)
-        os.replace(temp_path, manifest_path)
+        commit(os.path.join(directory, MANIFEST_NAME), json.dumps(placeholder).encode("utf-8"))
         for source_dir in sources:
             source = cls.open(source_dir)
             for chunk in source._chunks:
@@ -557,36 +666,8 @@ class FrameStore:
 
     # -- manifest ----------------------------------------------------------------
     def _open_from_manifest(self, manifest_path: str, legacy: bool) -> None:
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (ValueError, RecursionError) as error:
-            raise CollectionError(
-                f"frame-store manifest {manifest_path!r} is unreadable: {error}"
-            ) from error
-        if not isinstance(manifest, dict):
-            raise CollectionError(
-                f"frame-store manifest {manifest_path!r} is not a JSON object"
-            )
-        if manifest.get("version") != MANIFEST_VERSION:
-            raise CollectionError(
-                f"unsupported frame-store manifest version {manifest.get('version')!r}"
-            )
-        if manifest.get("assembling"):
-            # The placeholder manifest :meth:`assemble` writes before moving
-            # any shard chunk: its presence means an assembly died mid-move.
-            # Refusing to open is the only safe answer — the directory holds
-            # an arbitrary prefix of the shards, and loading it would look
-            # like a complete store with silently missing rows.
-            raise CollectionError(
-                f"store {self.directory!r} is a crashed partial assembly; "
-                "re-run the assembly from its shard sources"
-            )
-        archived = [
-            entry["file"]
-            for entry in manifest["chunks"]
-            if "file" in entry and not str(entry["file"]).endswith(CHUNK_EXTENSION)
-        ]
+        entries = read_manifest(manifest_path)["chunks"]
+        archived = [entry["file"] for entry in entries if legacy_entry(entry)]
         if archived and not legacy:
             raise CollectionError(
                 f"store {self.directory!r} is a legacy archive ({len(archived)} v1/v2 "
@@ -595,16 +676,9 @@ class FrameStore:
             )
         committed: List[StoredFrameChunk] = []
         truncated = False
-        for index, entry in enumerate(manifest["chunks"]):
-            missing = [key for key in MANIFEST_ENTRY_KEYS if key not in entry]
-            if missing:
-                raise CollectionError(
-                    f"manifest entry of chunk {index} ({entry.get('file')!r}) in "
-                    f"{self.directory!r} lacks {', '.join(missing)}; run "
-                    "`repro fsck --repair`"
-                )
+        for entry in entries:
             path = os.path.join(self.directory, entry["file"])
-            compressed = int(entry["compressed_bytes"])
+            compressed = entry["compressed_bytes"]
             if (
                 truncated
                 or not os.path.exists(path)
@@ -621,25 +695,20 @@ class FrameStore:
             committed.append(
                 StoredFrameChunk(
                     chunk_id=len(committed),
-                    row_count=int(entry["rows"]),
+                    row_count=entry["rows"],
                     stats=CompressionStats(
-                        raw_bytes=int(entry["raw_bytes"]),
+                        raw_bytes=entry["raw_bytes"],
                         compressed_bytes=compressed,
                         chunk_count=1,
                     ),
                     path=path,
-                    heights={
-                        chain: [int(low), int(high)]
-                        for chain, (low, high) in entry["heights"].items()
-                    },
+                    heights=entry["heights"],
                     times={
                         chain: [float(low), float(high)]
                         for chain, (low, high) in entry["times"].items()
                     },
-                    chain_rows={
-                        chain: int(count) for chain, count in entry["chain_rows"].items()
-                    },
-                    pool_deltas={name: list(entry["pools"][name]) for name in POOL_NAMES},
+                    chain_rows=entry["chain_rows"],
+                    pool_deltas={name: entry["pools"][name] for name in POOL_NAMES},
                 )
             )
         committed_files = {os.path.basename(chunk.path) for chunk in committed}
@@ -688,16 +757,13 @@ class FrameStore:
             "row_count": self._row_count,
             "chunks": entries,
         }
-        path = os.path.join(self.directory, MANIFEST_NAME)
-        temp_path = path + ".tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            # dumps, not dump: one C-encoder call instead of the pure-Python
-            # streaming encoder over a document that grows with every chunk.
-            handle.write(json.dumps(manifest))
-        # A crash here (temp written, rename pending) must leave the previous
-        # manifest authoritative — exactly what the atomic replace guarantees.
-        faults.maybe_crash("store.manifest_commit")
-        os.replace(temp_path, path)
+        # dumps, not dump: one C-encoder call instead of the pure-Python
+        # streaming encoder over a document that grows with every chunk.
+        commit(
+            os.path.join(self.directory, MANIFEST_NAME),
+            json.dumps(manifest).encode("utf-8"),
+            "store.manifest_commit",
+        )
         self._manifest_committed = True
 
     # -- writing -----------------------------------------------------------------
@@ -797,11 +863,7 @@ class FrameStore:
             self._write_manifest()
         action = faults.check("store.chunk_write")
         disk_blob = blob
-        if action is not None and action.mode in (
-            faults.MODE_TORN,
-            faults.MODE_BITFLIP,
-            faults.MODE_TRUNCATE,
-        ):
+        if action is not None and action.mode in faults.CORRUPT_MODES:
             disk_blob = action.corrupt(blob)
         with open(chunk.path, "wb") as handle:
             handle.write(disk_blob)

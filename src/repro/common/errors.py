@@ -58,7 +58,13 @@ class BlockNotFound(RpcError):
 
 
 class CollectionError(ReproError):
-    """The crawler failed to make progress (all endpoints exhausted, ...)."""
+    """The crawler failed to make progress (all endpoints exhausted, ...), or
+    a persisted document failed its reader's check ``kind`` (an fsck issue
+    kind such as ``manifest_version``; empty for any other failure)."""
+
+    def __init__(self, message: str = "", kind: str = ""):
+        super().__init__(message)
+        self.kind = kind
 
 
 class AnalysisError(ReproError):

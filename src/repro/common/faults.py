@@ -82,6 +82,7 @@ MODE_KILL = "kill"
 MODE_TORN = "torn"
 MODE_BITFLIP = "bitflip"
 MODE_TRUNCATE = "truncate"
+CORRUPT_MODES = (MODE_TORN, MODE_BITFLIP, MODE_TRUNCATE)
 
 #: Endpoint-failure modes for the crawler-facing faultpoints.
 MODE_RATE_LIMIT = "rate_limit"

@@ -19,12 +19,9 @@ of persisted state) and one adler32 cover every byte of the file.  State is
 codec data — typed columns, never pickle — so decoding a hostile snapshot
 can yield garbage values but cannot instantiate objects or execute anything.
 
-Persistence is a single file written atomically (temp file + rename), so a
-crash can never leave a torn checkpoint: either the previous checkpoint
-survives intact or the new one is fully committed.  An unreadable, corrupt
-or foreign-format snapshot (any earlier life of this file included) loads
-as ``None`` — the reporter then falls back to a full rescan, which is
-always correct, and overwrites it in place.
+An unreadable, corrupt or foreign-format snapshot (any earlier life of this
+file included) loads as ``None`` — the reporter then falls back to a full
+rescan, which is always correct, and overwrites it in place.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from repro.analysis.engine import Accumulator
 from repro.analysis.parallel import export_states
 from repro.analysis.statecache import ChainStates, decode_body, encode_entry
 from repro.collection.store import ensure_directory
-from repro.common import faults
+from repro.common.durable import commit, read_bytes
 
 #: File name of the durable snapshot inside a pipeline directory.
 CHECKPOINT_NAME = "checkpoint.snap"
@@ -124,7 +121,7 @@ class CheckpointStore:
         return os.path.join(self.directory, CHECKPOINT_NAME)
 
     def save(self, checkpoint: PipelineCheckpoint) -> None:
-        """Commit ``checkpoint`` atomically (write-temp + rename)."""
+        """Commit ``checkpoint`` (under the ``checkpoint.save`` faultpoint)."""
         started = time.perf_counter()
         blob = encode_entry(
             checkpoint.states,
@@ -132,18 +129,7 @@ class CheckpointStore:
             signatures=checkpoint.signatures,
             prefix=checkpoint.prefix,
         )
-        temp_path = self.path + ".tmp"
-        action = faults.check("checkpoint.save")
-        if action is not None and action.mode == faults.MODE_BITFLIP:
-            # Flip a byte inside the committed snapshot: the next load must
-            # reject it and degrade to a rescan, never crash.
-            blob = action.corrupt(blob)
-        with open(temp_path, "wb") as handle:
-            handle.write(blob)
-        if action is not None and action.mode == faults.MODE_CRASH:
-            # Death before the rename: the previous snapshot stays committed.
-            raise faults.InjectedCrash("injected crash at checkpoint.save")
-        os.replace(temp_path, self.path)
+        commit(self.path, blob, "checkpoint.save")
         self.last_save_seconds = time.perf_counter() - started
 
     def load(self) -> Optional[PipelineCheckpoint]:
@@ -153,16 +139,7 @@ class CheckpointStore:
         degrades to a full rescan instead of failing the update.
         """
         started = time.perf_counter()
-        try:
-            with open(self.path, "rb") as handle:
-                raw = handle.read()
-        except OSError:
-            checkpoint = None
-        else:
-            action = faults.check("checkpoint.load")
-            if action is not None:
-                raw = action.corrupt(raw)
-            checkpoint = decode_snapshot(raw)
+        checkpoint = decode_snapshot(read_bytes(self.path, "checkpoint.load"))
         self.last_load_seconds = time.perf_counter() - started
         return checkpoint
 

@@ -47,11 +47,11 @@ from repro.analysis.clustering import StaticAccountClusterer
 from repro.analysis.parallel import fold_states, fold_store, fold_targets, store_factories
 from repro.analysis.statecache import ChunkStateCache
 from repro.analysis.report import ChainFigures, FullReport
-from repro.analysis.throughput import DEFAULT_BIN_SECONDS
 from repro.analysis.value import ExchangeRateOracle, decode_analysis_config
 from repro.collection.store import FRAMES_DIR, FrameSink, FrameStore, ensure_directory
 from repro.common.columns import TxFrame
 from repro.common import faults
+from repro.common.durable import commit, read_json
 from repro.common.errors import CollectionError
 from repro.common.records import BlockRecord, ChainId, TransactionRecord
 from repro.pipeline.checkpoint import CheckpointStore, PipelineCheckpoint
@@ -61,6 +61,26 @@ PIPELINE_META_VERSION = 1
 
 #: Meta file name inside a pipeline directory.
 PIPELINE_META_NAME = "meta.json"
+
+
+def read_pipeline_meta(path: str) -> Dict:
+    """The pipeline meta at ``path``: a JSON object of
+    :data:`PIPELINE_META_VERSION` whose oracle and cluster map decode, or a
+    ``meta_unreadable`` :class:`CollectionError`.
+
+    An unreadable meta is never reset: it holds the frozen oracle / cluster
+    configuration and the crawl's missing heights.
+    """
+    meta = read_json(path, "pipeline meta", "meta_unreadable")
+    try:
+        if meta.get("version") != PIPELINE_META_VERSION:
+            raise CollectionError(f"unsupported version {meta.get('version')!r}")
+        decode_analysis_config(meta)
+    except CollectionError as error:
+        raise CollectionError(
+            f"pipeline meta {path!r} is unreadable: {error}", "meta_unreadable"
+        ) from None
+    return meta
 
 
 @dataclass
@@ -97,10 +117,8 @@ class Pipeline:
 
     No command holds the frame: :meth:`update` folds the checkpoint and
     scans only the chunks committed since, so a long-lived process (the
-    ``watch`` loop) and a cold one do the same work per update.  All writes
-    are append-only and every commit point (chunk manifest, checkpoint,
-    meta) is atomic, so the pipeline reopens cleanly after a crash at any
-    instant — at worst re-ingesting the rows of one uncommitted chunk.
+    ``watch`` loop) and a cold one do the same work per update.  A crash at
+    any instant costs at most the rows of one uncommitted chunk.
     """
 
     def __init__(self, root: str, chunk_rows: int = 50_000):
@@ -115,7 +133,11 @@ class Pipeline:
         #: The store's string pools, extended by each update (see
         #: :func:`~repro.analysis.parallel.fold_targets`).
         self._skeleton: Optional[TxFrame] = None
-        self._meta = self._load_meta()
+        self._meta = (
+            read_pipeline_meta(self.meta_path)
+            if os.path.exists(self.meta_path)
+            else {"version": PIPELINE_META_VERSION}
+        )
         if self.store.cleaned_paths:
             self._reconcile_after_cleanup()
 
@@ -157,40 +179,6 @@ class Pipeline:
     def meta_path(self) -> str:
         return os.path.join(self.root, PIPELINE_META_NAME)
 
-    def _load_meta(self) -> Dict:
-        if not os.path.exists(self.meta_path):
-            return {"version": PIPELINE_META_VERSION}
-        # Never reset an unreadable meta silently: it holds the frozen
-        # oracle / cluster configuration and the crawl's missing heights.
-        try:
-            with open(self.meta_path, "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
-        except (ValueError, RecursionError) as error:
-            raise CollectionError(
-                f"pipeline meta {self.meta_path!r} is unreadable: {error}"
-            ) from error
-        if not isinstance(meta, dict):
-            raise CollectionError(
-                f"pipeline meta {self.meta_path!r} is not a JSON object"
-            )
-        if meta.get("version") != PIPELINE_META_VERSION:
-            raise CollectionError(
-                f"unsupported pipeline meta version {meta.get('version')!r}"
-            )
-        try:
-            decode_analysis_config(meta)
-        except CollectionError as error:
-            raise CollectionError(
-                f"pipeline meta {self.meta_path!r} is unreadable: {error}"
-            ) from None
-        return meta
-
-    def _save_meta(self) -> None:
-        temp_path = self.meta_path + ".tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(self._meta, handle)
-        os.replace(temp_path, self.meta_path)
-
     @property
     def meta(self) -> Dict:
         return self._meta
@@ -198,7 +186,7 @@ class Pipeline:
     def set_meta(self, **entries) -> None:
         """Merge entries into the pipeline meta and persist atomically."""
         self._meta.update(entries)
-        self._save_meta()
+        commit(self.meta_path, json.dumps(self._meta).encode("utf-8"))
 
     def set_analysis_config(
         self, oracle: ExchangeRateOracle, clusterer: StaticAccountClusterer
@@ -297,12 +285,7 @@ class Pipeline:
         checkpoint = self.checkpoints.load()
         return checkpoint.watermark_rows if checkpoint is not None else 0
 
-    def update(
-        self,
-        workers: int = 0,
-        bin_seconds: float = DEFAULT_BIN_SECONDS,
-        top_limit: int = 10,
-    ) -> Tuple[FullReport, UpdateStats]:
+    def update(self, workers: int = 0) -> Tuple[FullReport, UpdateStats]:
         """Bring every figure up to date with the rows ingested so far.
 
         Flushes, folds the durable checkpoint, then :func:`fold_store` over
@@ -324,7 +307,7 @@ class Pipeline:
         first = next((n for n in covered if store.prefix(n) == checkpoint.prefix), None)
         if first is None:
             checkpoint, first = None, 0
-        factories = store_factories(store, oracle, clusterer, bin_seconds, top_limit)
+        factories = store_factories(store, oracle, clusterer)
         skeleton, targets = fold_targets(store, factories, self._skeleton)
         self._skeleton = skeleton
         rescanned: List[str] = []

@@ -24,7 +24,14 @@ it byte-for-byte, and report exactly what is damaged:
   the chunk walk links from the blobs it reads; any other key is *stale*.
   Keys are not judged where the chain cannot be derived (a chunk left
   missing, damaged or legacy);
-* the pipeline meta file (readable JSON).
+* the ``meta.json`` beside the store: a pipeline's, or a dataset cache's in
+  a bare store directory.
+
+Every document is judged by the reader the commands use
+(:func:`~repro.collection.store.read_manifest` and its entry checks,
+:func:`~repro.pipeline.core.read_pipeline_meta`,
+:func:`~repro.cli.dataset.read_cache_meta`), so fsck calls a document
+damaged exactly when a command would refuse it.
 
 With ``repair=True`` the doctor makes the surviving data usable instead of
 abandoning the whole store:
@@ -57,29 +64,31 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.statecache import ENTRY_FORMAT, ENTRY_MODE, decode_entry, parse_entry_name
-from repro.analysis.value import decode_analysis_config
+from repro.cli.dataset import read_cache_meta
 from repro.collection import chunkformat
 from repro.collection.store import (
     CHAIN_ROOT,
-    CHUNK_EXTENSION,
-    MANIFEST_ENTRY_KEYS,
     MANIFEST_NAME,
-    MANIFEST_VERSION,
     POOL_NAMES,
     STATE_CACHE_DIR,
     FrameStore,
     _glob_chunk_files,
     absorb_pool_deltas,
     chain_link,
+    defect_text,
+    entry_defects,
+    legacy_entry,
+    read_manifest,
     resolve_store_dir,
 )
+from repro.common.durable import commit, read_bytes
 from repro.common.errors import CollectionError
 from repro.pipeline.checkpoint import CHECKPOINT_NAME, decode_snapshot
-from repro.pipeline.core import PIPELINE_META_NAME
+from repro.pipeline.core import PIPELINE_META_NAME, read_pipeline_meta
 
 #: Sub-directory (inside the store directory) corrupt files move into.
 #: Deliberately outside the ``frame-chunk-*`` glob patterns: neither
@@ -115,15 +124,6 @@ class FsckIssue:
     #: filled in) or ``""`` (not repaired / no action).
     repair: str = ""
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "detail": self.detail,
-            "path": self.path,
-            "chain_rows": dict(self.chain_rows),
-            "repair": self.repair,
-        }
-
 
 @dataclass
 class FsckReport:
@@ -146,28 +146,15 @@ class FsckReport:
         return not self.issues
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "root": self.root,
-            "store_dir": self.store_dir,
-            "clean": self.clean,
-            "chunks_checked": self.chunks_checked,
-            "chunks_ok": self.chunks_ok,
-            "checkpoint_checked": self.checkpoint_checked,
-            "cache_entries_checked": self.cache_entries_checked,
-            "cache_entries_ok": self.cache_entries_ok,
-            "issues": [issue.to_dict() for issue in self.issues],
-            "degraded_rows": dict(self.degraded_rows),
-            "repaired": self.repaired,
-        }
+        return {**asdict(self), "clean": self.clean}
 
 
-def _entry_chain_rows(entry: Dict) -> Dict[str, int]:
+def _entry_chain_rows(entry: Dict, defects: List[str]) -> Dict[str, int]:
     """Per-chain row accounting for one manifest entry (an entry damaged
     down to its row count attributes every row to ``unknown``)."""
-    chain_rows = entry.get("chain_rows")
-    if chain_rows:
-        return {chain: int(count) for chain, count in chain_rows.items()}
-    return {"unknown": int(entry.get("rows", 0))}
+    if "chain_rows" not in defects and entry["chain_rows"]:
+        return dict(entry["chain_rows"])
+    return {"unknown": entry["rows"] if "rows" not in defects else 0}
 
 
 def _quarantine(store_dir: str, path: str) -> str:
@@ -232,42 +219,13 @@ def _check_chunks(report: FsckReport, repair: bool) -> Chain:
                 return []
         return None
     try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        if not isinstance(manifest, dict) or not isinstance(
-            manifest.get("chunks"), list
-        ):
-            raise ValueError("manifest is not a chunk-list mapping")
-    except (OSError, ValueError, RecursionError) as error:
-        report.issues.append(
-            FsckIssue(
-                kind="manifest_unreadable",
-                detail=f"manifest does not parse: {error}",
-                path=manifest_path,
-            )
-        )
-        return None
-    if manifest.get("version") != MANIFEST_VERSION:
-        report.issues.append(
-            FsckIssue(
-                kind="manifest_version",
-                detail=f"unsupported manifest version {manifest.get('version')!r}",
-                path=manifest_path,
-            )
-        )
-        return None
-    if manifest.get("assembling"):
-        report.issues.append(
-            FsckIssue(
-                kind="partial_assembly",
-                detail="manifest is an assembly placeholder: the store is a "
-                "crashed partial assembly and must be re-assembled",
-                path=manifest_path,
-            )
-        )
+        manifest = read_manifest(manifest_path, entries=False)
+    except CollectionError as error:
+        report.issues.append(FsckIssue(kind=error.kind, detail=str(error), path=manifest_path))
         return None
 
     kept_entries: List[Dict] = []
+    committed_files: Set[str] = set()
     links: Chain = []
     dropped_from: Optional[int] = None
     completed = False
@@ -276,11 +234,15 @@ def _check_chunks(report: FsckReport, repair: bool) -> Chain:
     # trusted, after which later deltas cannot be recomputed.
     pools: Optional[Dict[str, Dict[str, None]]] = {name: {} for name in POOL_NAMES}
     for index, entry in enumerate(manifest["chunks"]):
+        report.chunks_checked += 1
+        defects = entry_defects(entry)
         if not isinstance(entry, dict):
             entry = {}
-        report.chunks_checked += 1
-        unverifiable = [key for key in _VERIFY_KEYS if key not in entry]
-        path = os.path.join(store_dir, str(entry.get("file", "")))
+        unverifiable = [key for key in _VERIFY_KEYS if key in defects]
+        path = None if "file" in defects else os.path.join(store_dir, entry["file"])
+        if path is not None:
+            committed_files.add(entry["file"])
+        chain_rows = _entry_chain_rows(entry, defects)
         issue: Optional[FsckIssue] = None
         blob: Optional[bytes] = None
         payload: Optional[Dict] = None
@@ -289,19 +251,19 @@ def _check_chunks(report: FsckReport, repair: bool) -> Chain:
             # chunk, dropped (and its file quarantined) by a repair.
             issue = FsckIssue(
                 kind="manifest_entry_incomplete",
-                detail=f"chunk {index}'s manifest entry lacks "
-                f"{', '.join(unverifiable)}, so its chunk cannot be verified",
-                path=path if "file" in entry else None,
-                chain_rows=_entry_chain_rows(entry),
+                detail=f"chunk {index}'s manifest entry {defect_text(entry, unverifiable)}, "
+                "so its chunk cannot be verified",
+                path=path,
+                chain_rows=chain_rows,
             )
         elif not os.path.exists(path):
             issue = FsckIssue(
                 kind="chunk_missing",
                 detail=f"chunk {index} file {entry['file']!r} is gone",
                 path=path,
-                chain_rows=_entry_chain_rows(entry),
+                chain_rows=chain_rows,
             )
-        elif os.path.getsize(path) != int(entry["compressed_bytes"]):
+        elif os.path.getsize(path) != entry["compressed_bytes"]:
             issue = FsckIssue(
                 kind="chunk_size_mismatch",
                 detail=(
@@ -309,15 +271,15 @@ def _check_chunks(report: FsckReport, repair: bool) -> Chain:
                     f"manifest committed {entry['compressed_bytes']} (torn write)"
                 ),
                 path=path,
-                chain_rows=_entry_chain_rows(entry),
+                chain_rows=chain_rows,
             )
-        elif not path.endswith(CHUNK_EXTENSION):
+        elif legacy_entry(entry):
             issue = FsckIssue(
                 kind="chunk_version",
                 detail=f"chunk {index} ({entry['file']!r}) is a legacy archive chunk, "
                 "which only `repro migrate-store` reads (left in place)",
                 path=path,
-                chain_rows=_entry_chain_rows(entry),
+                chain_rows=chain_rows,
             )
         else:
             try:
@@ -330,12 +292,12 @@ def _check_chunks(report: FsckReport, repair: bool) -> Chain:
                         detail=f"chunk {index} is in format version {version}, "
                         "which this version does not read (left in place)",
                         path=path,
-                        chain_rows=_entry_chain_rows(entry),
+                        chain_rows=chain_rows,
                     )
                 else:
                     payload = chunkformat.decode_chunk(blob)
                     decoded_rows = len(payload["transaction_id"])
-                    if decoded_rows != int(entry["rows"]):
+                    if decoded_rows != entry["rows"]:
                         raise CollectionError(
                             f"decoded {decoded_rows} rows, manifest committed "
                             f"{entry['rows']}"
@@ -345,7 +307,7 @@ def _check_chunks(report: FsckReport, repair: bool) -> Chain:
                     kind="chunk_corrupt",
                     detail=f"chunk {index} does not verify: {error}",
                     path=path,
-                    chain_rows=_entry_chain_rows(entry),
+                    chain_rows=chain_rows,
                 )
         if issue is None:
             report.chunks_ok += 1
@@ -359,11 +321,11 @@ def _check_chunks(report: FsckReport, repair: bool) -> Chain:
                 links = None
             elif links is not None:
                 prefix = links[-1] if links else CHAIN_ROOT
-                links.append(chain_link(prefix, blob, int(entry["compressed_bytes"])))
+                links.append(chain_link(prefix, blob, entry["compressed_bytes"]))
             # Recorded pool deltas are relative to the running pools, so a
             # dropped earlier chunk invalidates them; the walk recomputes
             # them from the payload, as the store's writer did.
-            stale = dropped_from is not None or "pools" not in entry
+            stale = dropped_from is not None or "pools" in defects
             deltas = None
             if pools is not None and payload is not None:
                 deltas = absorb_pool_deltas(pools, payload["pools"])
@@ -371,20 +333,20 @@ def _check_chunks(report: FsckReport, repair: bool) -> Chain:
                 absorb_pool_deltas(pools, entry["pools"])
             else:
                 pools = None
-            missing = [key for key in MANIFEST_ENTRY_KEYS if key not in entry]
+            described = defect_text(entry, defects)
             if repair and stale:
                 entry = {key: value for key, value in entry.items() if key != "pools"}
                 if deltas is not None:
                     entry["pools"] = deltas
                 completed = True
-            if missing:
+            if defects:
                 incomplete = FsckIssue(
                     kind="manifest_entry_incomplete",
-                    detail=f"chunk {index}'s manifest entry lacks {', '.join(missing)} "
+                    detail=f"chunk {index}'s manifest entry {described} "
                     "(the store refuses to open)",
                     path=path,
                 )
-                if repair and all(key in entry for key in MANIFEST_ENTRY_KEYS):
+                if repair and not entry_defects(entry):
                     incomplete.repair = "completed"
                 report.issues.append(incomplete)
             kept_entries.append(entry)
@@ -403,19 +365,14 @@ def _check_chunks(report: FsckReport, repair: bool) -> Chain:
             kept_entries.append(entry)
             links = None
 
-    _check_uncommitted(
-        report,
-        repair,
-        {entry["file"] for entry in manifest["chunks"] if isinstance(entry, dict) and "file" in entry},
-    )
+    _check_uncommitted(report, repair, committed_files)
 
     if dropped_from is not None or completed:
+        # Kept entries may be incomplete (a kept chunk_version chunk after a
+        # dropped one), which only this rewrite, not the store's, carries.
         manifest["chunks"] = kept_entries
-        manifest["row_count"] = sum(int(entry["rows"]) for entry in kept_entries)
-        temp_path = manifest_path + ".tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
-        os.replace(temp_path, manifest_path)
+        manifest["row_count"] = sum(entry["rows"] for entry in kept_entries)
+        commit(manifest_path, json.dumps(manifest).encode("utf-8"))
     return links
 
 
@@ -427,11 +384,7 @@ def _check_checkpoint(report: FsckReport, root: str, repair: bool, links: Chain)
         return
     report.checkpoint_checked = True
     issue: Optional[FsckIssue] = None
-    try:
-        with open(path, "rb") as handle:
-            checkpoint = decode_snapshot(handle.read())
-    except OSError:
-        checkpoint = None
+    checkpoint = decode_snapshot(read_bytes(path))
     if checkpoint is None:
         issue = FsckIssue(
             kind="checkpoint_unreadable",
@@ -490,12 +443,7 @@ def _check_state_cache(report: FsckReport, repair: bool, links: Chain) -> None:
                 path=path,
             )
         else:
-            try:
-                with open(path, "rb") as handle:
-                    states = decode_entry(handle.read())
-            except OSError:
-                states = None
-            if states is None:
+            if decode_entry(read_bytes(path)) is None:
                 issue = FsckIssue(
                     kind="cache_entry_corrupt",
                     detail=(
@@ -526,23 +474,16 @@ def _check_state_cache(report: FsckReport, repair: bool, links: Chain) -> None:
 
 
 def _check_meta(report: FsckReport, root: str) -> None:
+    """Judge ``meta.json`` with its command's reader: a dataset cache's in a
+    bare store directory, a pipeline's beside ``frames/``."""
     path = os.path.join(root, PIPELINE_META_NAME)
     if not os.path.exists(path):
         return
+    reader = read_cache_meta if report.store_dir == root else read_pipeline_meta
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-        if not isinstance(meta, dict):
-            raise ValueError("meta is not a mapping")
-        decode_analysis_config(meta)
-    except (OSError, ValueError, RecursionError, CollectionError) as error:
-        report.issues.append(
-            FsckIssue(
-                kind="meta_unreadable",
-                detail=f"pipeline meta does not parse: {error}",
-                path=path,
-            )
-        )
+        reader(path)
+    except CollectionError as error:
+        report.issues.append(FsckIssue(kind=error.kind, detail=str(error), path=path))
 
 
 def run_fsck(root: str, repair: bool = False) -> FsckReport:

@@ -35,6 +35,11 @@ def _records(count, chain=ChainId.EOS):
     ]
 
 
+def _entry(manifest, **fields):
+    """``manifest`` with its last chunk entry's ``fields`` replaced."""
+    return dict(manifest, chunks=manifest["chunks"][:-1] + [dict(manifest["chunks"][-1], **fields)])
+
+
 def _never_decoded(blob):
     raise AssertionError("a chunk was decoded")
 
@@ -298,6 +303,40 @@ class TestManifest:
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(CollectionError, match=f"chunk 1 .* lacks {key}; run `repro fsck --repair`"):
             FrameStore.open(str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "damage, kind",
+        [
+            (lambda manifest: dict(manifest, chunks=[1]), "manifest_entry_incomplete"),
+            (lambda manifest: {"version": 2}, "manifest_unreadable"),
+            (lambda manifest: dict(manifest, chunks="abc"), "manifest_unreadable"),
+            (lambda manifest: dict(manifest, chunks={"a": 1}), "manifest_unreadable"),
+            (lambda manifest: _entry(manifest, compressed_bytes="x"), "manifest_entry_incomplete"),
+            (lambda manifest: _entry(manifest, rows=True), "manifest_entry_incomplete"),
+            (lambda manifest: _entry(manifest, file=5), "manifest_entry_incomplete"),
+            (lambda manifest: _entry(manifest, file="../manifest.json"), "manifest_entry_incomplete"),
+            (lambda manifest: _entry(manifest, heights=[1, 2]), "manifest_entry_incomplete"),
+            (lambda manifest: _entry(manifest, pools={"types": []}), "manifest_entry_incomplete"),
+        ],
+        ids=[
+            "entry_not_an_object", "no_chunks", "chunks_a_string", "chunks_an_object",
+            "size_a_string", "rows_a_bool", "file_a_number", "file_outside_the_store",
+            "heights_a_list", "pools_incomplete",
+        ],
+    )
+    def test_a_malformed_manifest_is_refused_by_its_check(self, tmp_path, damage, kind):
+        """Only the designed error leaves open, naming the check fsck reports,
+        and no file is touched (not even one an entry names outside the store)."""
+        store = FrameStore(chunk_rows=5, directory=str(tmp_path))
+        store.add_frame(TxFrame.from_records(_records(12)))
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest_path.write_text(json.dumps(damage(json.loads(manifest_path.read_text()))))
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(CollectionError) as refusal:
+            FrameStore.open(str(tmp_path))
+        assert refusal.value.kind == kind
+        assert "legacy" not in str(refusal.value)
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize(
         "damage", ["truncated", "not_an_object", "not_utf8", "too_deep"]

@@ -143,6 +143,27 @@ class TestDetection:
         report = run_fsck(pipeline_dir)
         assert [issue.kind for issue in report.issues] == ["meta_unreadable"]
 
+    def test_meta_of_another_version(self, pipeline_dir):
+        """fsck refuses the meta ``Pipeline`` refuses: the reader is one."""
+        path = os.path.join(pipeline_dir, "meta.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"version": 99}')
+        report = run_fsck(pipeline_dir)
+        assert [issue.kind for issue in report.issues] == ["meta_unreadable"]
+        assert "99" in report.issues[0].detail
+        with pytest.raises(CollectionError, match="pipeline meta .*meta.json.*99"):
+            Pipeline(pipeline_dir)
+
+    def test_a_store_directory_s_meta_is_judged_as_a_dataset_cache_s(self, pipeline_dir):
+        """Beside a manifest, ``meta.json`` is a dataset cache's, which must
+        carry its oracle and cluster map (a pipeline's may not yet)."""
+        store_dir = resolve_store_dir(pipeline_dir)
+        with open(os.path.join(store_dir, "meta.json"), "w", encoding="utf-8") as handle:
+            handle.write('{"version": 1}')
+        report = run_fsck(store_dir)
+        assert [issue.kind for issue in report.issues] == ["meta_unreadable"]
+        assert "dataset-cache meta" in report.issues[0].detail
+
     def test_manifest_nested_past_the_decoder_limit(self, pipeline_dir):
         """Every manifest read fsck makes — the chunk walk's, the checkpoint
         range check's and the state-cache staleness check's — takes a

@@ -18,7 +18,14 @@ from repro.tezos.workload import TezosWorkloadConfig
 from repro.xrp.workload import XrpWorkloadConfig
 
 from tests.collection.test_generate import _directory_bytes
-from tests.fixtures import V1_STORE_CHUNKS, V2_STORE, V2_STORE_CHUNKS, V2_STORE_ROWS, copy_v1_store
+from tests.fixtures import (
+    V1_STORE_CHUNKS,
+    V2_STORE,
+    V2_STORE_CHUNKS,
+    V2_STORE_ROWS,
+    copy_v1_store,
+    copy_v2_store,
+)
 from tests.support import child_env, run_child
 
 TINY_SCENARIO = "cli-tiny"
@@ -557,6 +564,46 @@ class TestPipelineCommands:
             assert "Traceback" not in done.stderr
             assert f"`repro migrate-store {frames}`" in done.stderr
         assert _directory_bytes(data) == before
+
+    @pytest.mark.parametrize(
+        "document, content",
+        [
+            ("frames/manifest.json", '{"version": 2, "chunks": [1]}'),
+            ("meta.json", '{"version": 99}'),
+        ],
+        ids=["manifest_entry_a_number", "meta_of_another_version"],
+    )
+    def test_what_fsck_flags_update_refuses_cleanly(self, tmp_path, capsys, document, content):
+        data = str(tmp_path / "pipe")
+        assert _run(
+            ["ingest", "--data", data, "--scale", TINY_SCENARIO, "--batches", "1"]
+        )[0] == 0
+        (tmp_path / "pipe" / document).write_text(content)
+        code, out = _run(["fsck", data])
+        assert code == 1 and "DAMAGED" in out
+        capsys.readouterr()
+        code, _ = _run(["update", "--data", data])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert (tmp_path / "pipe" / document).read_text() == content
+
+    def test_fsck_of_a_legacy_archive_names_migrate_store(self, tmp_path):
+        store = copy_v2_store(tmp_path / "store")
+        code, out = _run(["fsck", store])
+        assert code == 1
+        assert (
+            f"DAMAGED: {V2_STORE_CHUNKS} issue(s) found "
+            f"(run `repro migrate-store {store}` to rewrite legacy chunks)"
+        ) in out
+        # Damage of another kind beside them is --repair's again.
+        with open(os.path.join(store, "frame-chunk-000009.bin"), "wb") as handle:
+            handle.write(b"partial")
+        code, out = _run(["fsck", store])
+        assert code == 1 and "(re-run with --repair to quarantine)" in out
+        os.remove(os.path.join(store, "frame-chunk-000009.bin"))
+        assert _run(["migrate-store", store])[0] == 0
+        assert _run(["fsck", store]) == (0, f"Checked {V2_STORE_CHUNKS} chunk(s) in {store} "
+                                             f"({V2_STORE_CHUNKS} ok)\nclean: no damage found\n")
 
     @pytest.mark.parametrize(
         "field, value",

@@ -191,8 +191,7 @@ CASES = {
     "SummaryReport": Case(SummaryReport, "SummaryReport(chains={})"),
     "FigureConfig": Case(
         FigureConfig,
-        "FigureConfig(bounds=None, oracle=None, clusterer=None, bin_seconds=21600, "
-        "top_limit=10)",
+        "FigureConfig(bounds=None, oracle=None, clusterer=None)",
     ),
     "ChainFigures": Case(
         lambda: ChainFigures(ChainId.TEZOS, {"tx_stats": TxStats(1, 1, 0.0, 1.0)}),

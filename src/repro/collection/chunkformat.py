@@ -29,9 +29,12 @@ sub-blob; a store refuses to open a v2 file, and only ``repro
 migrate-store`` (:meth:`~repro.collection.store.FrameStore.migrate_format`)
 decodes one, to rewrite it.  Version 3, the one written, also stores the
 keys figures read (:data:`~repro.common.projection.PROJECTED_KEYS`) as
-typed columns, returned
-under the payload's ``projected``, and its JSON keeps only the rest: scans
-read the columns and parse no JSON.  Either way ``metadata`` decodes to a
+typed columns, returned under the payload's ``projected``, and its JSON
+keeps only the allow-listed
+:data:`~repro.common.projection.RESIDUE_KEYS` (and any projected value its
+column would not give back exactly); the encoder drops every other key, and
+the decoder reads whatever residue a chunk holds.  Scans read the columns
+and parse no JSON.  Either way ``metadata`` decodes to a
 :class:`~repro.common.columns.LazyMetadata` block, parsed (and for v3 the
 projected keys re-inserted) only when a consumer reads the dicts.
 
@@ -101,9 +104,6 @@ _HEADER_LEN = len(MAGIC) + _CHECKSUM.size
 #: Blobs shorter than this are never worth a zlib attempt.
 _MIN_COMPRESS_BYTES = 64
 
-#: Rows per metadata batch the encoder splits and dumps (see _pack_metadata).
-_RESIDUE_BATCH_ROWS = 4096
-
 #: Fixed zlib level — per-chunk determinism (sharded generation relies on
 #: equal payloads encoding to equal bytes) forbids anything adaptive.
 _ZLIB_LEVEL = 6
@@ -171,27 +171,17 @@ def _column_raw_bytes(data: Any, typecode: str) -> bytes:
     return array(typecode, data).tobytes()
 
 
-def _pack_metadata(metadata: Any, projection: Optional[Projection] = None) -> Dict[str, Any]:
-    """Pack the per-row metadata list as one zlib'd JSON sub-blob.
+def _pack_metadata(metadata: Any, projection: Projection) -> Dict[str, Any]:
+    """Pack the rows' residue (:func:`split_residue`) as one zlib'd JSON sub-blob.
 
     Metadata dicts are free-form (JSON-able by the record contract), so a
     per-element binary encoding buys nothing and costs a Python-level
     decode per row.  One C-level ``json.dumps``/``json.loads`` over the
-    whole column — with empty dicts stored as ``null`` — is both smaller
-    after zlib and an order of magnitude faster to decode.  With the rows'
-    ``projection`` only their residue is stored (:func:`split_residue`),
-    split and dumped :data:`_RESIDUE_BATCH_ROWS` rows at a time so that the
-    copies the split makes never cover a whole chunk at once.
+    whole column — with a row that keeps no key stored as ``null`` — is
+    both smaller after zlib and an order of magnitude faster to decode.
     """
-    parts = []
-    for start in range(0, len(metadata), _RESIDUE_BATCH_ROWS):
-        rows = metadata[start : start + _RESIDUE_BATCH_ROWS]
-        if projection is not None:
-            columns = {key: column[start : start + len(rows)] for key, column in projection.columns.items()}
-            rows = split_residue(rows, Projection(columns, projection.strings))
-        text = json.dumps([meta if meta else None for meta in rows], sort_keys=True, separators=(",", ":"))
-        parts.append(text[1:-1])
-    raw = ("[" + ",".join(parts) + "]").encode("utf-8")
+    residue = split_residue(metadata, projection)
+    raw = json.dumps(residue, sort_keys=True, separators=(",", ":")).encode("utf-8")
     flag, stored = _pack_blob(raw)
     return {"z": flag, "r": len(raw), "blob": stored}
 

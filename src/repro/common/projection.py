@@ -3,14 +3,17 @@
 Three of the paper's findings read seven keys of the free-form per-row
 metadata.  :func:`project_metadata` turns them into columns, so scans read
 codes and never parse or walk a dict: frames project the rows they were
-given as records (``TxFrame.projected``), and v3 chunks store the columns
-beside the rest of each row's metadata (:func:`split_residue` /
-:func:`merge_residue`).  Only code that scans or encodes rows imports this.
+given as records (``TxFrame.projected``), and v3 chunks store the columns.
+Beside them a chunk stores, as JSON, only the :data:`RESIDUE_KEYS` and any
+projected value its column would not give back exactly; every other key is
+dropped at encode (:func:`split_residue` / :func:`merge_residue`).  Only
+code that scans or encodes rows imports this.
 """
 
 from __future__ import annotations
 
 from itertools import compress, repeat
+from operator import contains, is_not, itemgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 #: The metadata keys figures read, projected into typed columns so that no
@@ -30,8 +33,13 @@ PROJECTED_KEYS: Dict[str, str] = {
 }
 PROJECTED_TYPECODES = {"flag": "b", "text": "i", "name": "i"}
 
-#: The type a column gives back: only a value of it leaves the stored JSON.
-_PROJECTED_EXACT = {"flag": bool, "text": str, "name": str}
+#: The other metadata keys a chunk stores, in its residue JSON: Figure 8's
+#: common control and an offer's two legs.  A chunk keeps no other key.
+RESIDUE_KEYS = frozenset({"destination_tag", "taker_gets", "taker_pays"})
+
+#: The type a ``flag`` or ``text`` column gives back: only a value of it
+#: leaves the stored JSON (a ``name`` column codes only a ``str``).
+_PROJECTED_EXACT = {"flag": bool, "text": str}
 
 
 class Projection(NamedTuple):
@@ -97,25 +105,38 @@ def project_metadata(dicts: Sequence[Optional[Dict[str, Any]]]) -> Projection:
 
 
 def split_residue(dicts: Sequence[Optional[Dict]], projection: Projection) -> List[Optional[Dict]]:
-    """The rows' metadata without the projected keys that re-insert exactly
-    (``projection`` is theirs); a row left without keys is ``{}``."""
+    """The rows' metadata as a chunk stores it (``projection`` is theirs):
+    the :data:`RESIDUE_KEYS` a row holds, and each projected key whose value
+    would not re-insert exactly from its column; a row left without keys is
+    ``None``."""
     import numpy as np
 
-    residue = list(dicts)
+    empty: Dict = {}
+    metas = [meta or empty for meta in dicts]
+    holding = {key: compress(range(len(metas)), map(contains, metas, repeat(key))) for key in RESIDUE_KEYS}
     for key, kind in PROJECTED_KEYS.items():
-        exact = _PROJECTED_EXACT[kind]
-        for row in np.flatnonzero(np.asarray(projection.columns[key]) >= 0).tolist():
-            meta = residue[row]
-            if meta[key].__class__ is exact:
-                if meta is dicts[row]:  # copied once, on the first key it drops
-                    meta = residue[row] = dict(meta)
-                del meta[key]
+        column = np.asarray(projection.columns[key])
+        if kind == "name":  # only a ``str`` has a code: any other value stays
+            rows = np.flatnonzero(column < 0).tolist()
+            holding[key] = compress(rows, map(contains, map(metas.__getitem__, rows), repeat(key)))
+        else:
+            rows = np.flatnonzero(column >= 0).tolist()
+            values = map(itemgetter(key), map(metas.__getitem__, rows))
+            holding[key] = compress(rows, map(is_not, map(type, values), repeat(_PROJECTED_EXACT[kind])))
+    kept: Dict[int, List[str]] = {}
+    for key, rows in holding.items():
+        for row in rows:
+            kept.setdefault(row, []).append(key)
+    residue: List[Optional[Dict]] = [None] * len(metas)
+    for row, keys in kept.items():
+        residue[row] = {key: metas[row][key] for key in keys}
     return residue
 
 
 def merge_residue(residue: List[Optional[Dict]], projection: Projection) -> List[Optional[Dict]]:
-    """Invert :func:`split_residue` in place; a key the residue kept wins,
-    and a touched row's keys are sorted (as a v2 chunk's JSON gives them)."""
+    """Re-insert the projected keys into a :func:`split_residue` residue, in
+    place; a key the residue kept wins, and a touched row's keys are sorted
+    (as the residue's ``sort_keys`` JSON gives them)."""
     import numpy as np
 
     touched = set()

@@ -65,8 +65,9 @@ PIPELINE_META_NAME = "meta.json"
 
 def read_pipeline_meta(path: str) -> Dict:
     """The pipeline meta at ``path``: a JSON object of
-    :data:`PIPELINE_META_VERSION` whose oracle and cluster map decode, or a
-    ``meta_unreadable`` :class:`CollectionError`.
+    :data:`PIPELINE_META_VERSION` whose oracle and cluster map decode, whose
+    batch cursor and crawled heads are ints and whose missing heights are
+    lists of ints, or a ``meta_unreadable`` :class:`CollectionError`.
 
     An unreadable meta is never reset: it holds the frozen oracle / cluster
     configuration and the crawl's missing heights.
@@ -76,6 +77,13 @@ def read_pipeline_meta(path: str) -> Dict:
         if meta.get("version") != PIPELINE_META_VERSION:
             raise CollectionError(f"unsupported version {meta.get('version')!r}")
         decode_analysis_config(meta)
+        for key, value in meta.items():
+            if key == "next_batch_index" or key.startswith("crawled_head_"):
+                value = [value]
+            elif not key.startswith("missing_heights_"):
+                continue
+            if type(value) is not list or any(type(height) is not int for height in value):
+                raise CollectionError(f"{key!r} is not an int or a list of ints")
     except CollectionError as error:
         raise CollectionError(
             f"pipeline meta {path!r} is unreadable: {error}", "meta_unreadable"

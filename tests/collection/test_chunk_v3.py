@@ -1,8 +1,8 @@
 """The v3 chunk format: projected metadata columns, legacy archives, versions.
 
 A v3 chunk stores the metadata keys figures read as typed columns
-(:data:`repro.common.projection.PROJECTED_KEYS`) and keeps only the residue of
-each row's metadata as JSON.  What is pinned here:
+(:data:`repro.common.projection.PROJECTED_KEYS`) and, as JSON, only the
+allow-listed others (``RESIDUE_KEYS``).  What is pinned here:
 
 * a store opens only v3 chunks: ``FrameStore.open`` refuses each checked-in
   legacy archive (``tests/fixtures/store_v1`` / ``store_v2``, written by the
@@ -10,8 +10,8 @@ each row's metadata as JSON.  What is pinned here:
   reports its chunks as ``chunk_version`` and leaves them under ``--repair``;
 * after ``migrate_format`` rewrites an archive as v3 it reads back record for
   record — metadata key order included — as the legacy decoders read the
-  archive, and reports over it are byte-identical to ``full_report`` over
-  those rows;
+  archive, restricted to the keys a chunk stores, and reports over it are
+  byte-identical to ``full_report`` over the archive's rows;
 * a crash at either side of a migration's manifest commit leaves the archive
   or its migration whole, and the next ``migrate_format`` finishes the job;
 * a chunk of an unknown binary format version is named as such by the
@@ -35,23 +35,30 @@ from repro.analysis.parallel import (
     store_factories,
 )
 from repro.analysis.report import full_report
+from repro.analysis.statecache import ChunkStateCache
 from repro.cli import _report_to_dict
 from repro.collection import chunkformat
 from repro.collection.store import MANIFEST_NAME, FrameStore
 from repro.common import faults, projection
+from repro.common.columns import TxFrame
 from repro.common.errors import CollectionError
+from repro.common.records import ChainId, TransactionRecord
 from repro.pipeline import Pipeline, run_fsck
 from repro.pipeline.core import FRAMES_DIR
 
 from tests.collection.test_generate import _directory_bytes
 from tests.fixtures import (
     V1_STORE_CHUNKS,
+    V2_STORE,
     V2_STORE_CHUNKS,
     V2_STORE_ROWS,
+    V3_FULL_STORE_ROWS,
     copy_v1_store,
     copy_v2_store,
+    copy_v3_full_store,
     legacy_frame,
 )
+from tests.support.stored import STORED_KEYS, stored_metadata, stored_records
 
 _COPY = {"v1": copy_v1_store, "v2": copy_v2_store}
 _CHUNKS = {"v1": V1_STORE_CHUNKS, "v2": V2_STORE_CHUNKS}
@@ -65,6 +72,11 @@ def _record_lines(records):
 def _archived_lines(archive):
     """The archive's records as the legacy decoders read them."""
     return _record_lines(legacy_frame(archive).iter_records())
+
+
+def _kept_lines(archive):
+    """The archive's records restricted to the metadata keys a chunk stores."""
+    return _record_lines(stored_records(legacy_frame(archive).iter_records()))
 
 
 def _stored_lines(store_dir):
@@ -109,15 +121,15 @@ class TestLegacyArchives:
 
     def test_v2_fixture_records_equal_its_v3_rewrite(self, tmp_path):
         archive = copy_v2_store(tmp_path / "v2")
-        before = _archived_lines(archive)
-        assert len(before) == V2_STORE_ROWS
-        assert {key for _, keys in before for key in keys} >= set(projection.PROJECTED_KEYS)
+        kept = _kept_lines(archive)
+        assert len(kept) == V2_STORE_ROWS
+        assert {key for _, keys in kept for key in keys} >= set(projection.PROJECTED_KEYS)
         assert FrameStore.migrate_format(archive).migrated == V2_STORE_CHUNKS
         assert sorted(os.listdir(archive)) == sorted(
             [f"frame-chunk-{index:06d}.v3.bin" for index in range(V2_STORE_CHUNKS)]
             + [MANIFEST_NAME]
         )
-        assert _stored_lines(archive) == before
+        assert _stored_lines(archive) == kept
         assert FrameStore.migrate_format(archive).migrated == 0  # idempotent
 
     def test_reports_are_byte_identical_across_formats(self, tmp_path, legacy_format):
@@ -135,7 +147,7 @@ class TestLegacyArchives:
 
     def test_crash_before_the_migration_commit_keeps_the_archive(self, tmp_path, legacy_format):
         archive = _COPY[legacy_format](tmp_path / "store")
-        before = _archived_lines(archive)
+        before, kept = _archived_lines(archive), _kept_lines(archive)
         plan = faults.FaultPlan.parse("store.manifest_commit:mode=crash:nth=1")
         with faults.use_plan(plan), pytest.raises(faults.InjectedCrash):
             FrameStore.migrate_format(archive)
@@ -147,13 +159,13 @@ class TestLegacyArchives:
         # The rerun cleans the uncommitted v3 files and writes them again.
         assert FrameStore.migrate_format(archive).migrated == _CHUNKS[legacy_format]
         assert _chunk_files(archive) == uncommitted
-        assert _stored_lines(archive) == before
+        assert _stored_lines(archive) == kept
 
     def test_crash_after_the_migration_commit_cleans_the_old_files(
         self, tmp_path, legacy_format, monkeypatch
     ):
         archive = _COPY[legacy_format](tmp_path / "store")
-        before = _archived_lines(archive)
+        kept = _kept_lines(archive)
 
         def crash(path):
             raise faults.InjectedCrash(f"died before removing {path}")
@@ -165,7 +177,7 @@ class TestLegacyArchives:
         reopened = FrameStore.open(archive)
         assert len(reopened.cleaned_paths) == _CHUNKS[legacy_format]  # the superseded files
         assert FrameStore.migrate_format(archive).migrated == 0
-        assert _stored_lines(archive) == before
+        assert _stored_lines(archive) == kept
         assert run_fsck(archive).clean
 
 
@@ -269,3 +281,106 @@ class TestNoJsonOnTheScanPath:
         for payload in payloads:
             assert scan_frame(payload_frame(payload, skeleton), factories)
         assert sum(projected) == len(records) == V2_STORE_ROWS
+
+
+def _record(index, metadata):
+    return TransactionRecord(
+        chain=ChainId.EOS,
+        transaction_id=f"t{index}",
+        block_height=index,
+        timestamp=float(index),
+        type="transfer",
+        sender="alice",
+        receiver="bob",
+        contract="eosio.token",
+        amount=1.0,
+        currency="EOS",
+        metadata=metadata,
+    )
+
+
+class TestStoredKeys:
+    """A chunk stores the projected keys, the allow-listed ``RESIDUE_KEYS``
+    and nothing else; the decoder still reads a chunk written before that."""
+
+    def test_decoded_metadata_holds_only_stored_keys(self, tmp_path):
+        records = list(legacy_frame(V2_STORE).iter_records())
+        dropped = {key for record in records for key in record.metadata} - STORED_KEYS
+        assert {"payout", "level", "slots", "offer_id"} <= dropped
+        store = FrameStore(chunk_rows=128, directory=str(tmp_path))
+        store.add_records(records)
+        store.flush()
+        reopened = FrameStore.open(str(tmp_path))
+        for index in range(reopened.committed_chunk_count):
+            metadata = reopened.chunk_payload(index)["metadata"]
+            assert {key for meta in metadata if meta for key in meta} <= STORED_KEYS
+        assert list(reopened.iter_records()) == stored_records(records)
+
+    def test_allow_listed_and_inexact_projected_values_round_trip_exactly(self):
+        rows = [
+            {"destination_tag": 7, "memo": "dropped"},
+            {"taker_gets": {"currency": "XRP", "value": 2.5}, "taker_pays": [1, "USD"], "grant": 3},
+            {"transfer_to": 5, "inline": True, "payout": 1.5},  # a name that is no str
+            {"transfer_to": None, "symbol": 7, "executed": 1},  # kept as they are
+            {"transfer_to": "bob", "category": "manager", "bookkeeping": True},
+            {"memo": "dropped"},
+            {},
+        ]
+        frame = TxFrame.from_records([_record(index, meta) for index, meta in enumerate(rows)])
+        decoded = chunkformat.decode_chunk(chunkformat.encode_chunk(frame.to_payload(arrays=True))[0])
+        metadata = list(decoded["metadata"])
+        assert [json.dumps(meta) for meta in metadata] == [
+            json.dumps(stored_metadata(meta)) for meta in rows
+        ]
+        assert metadata == [
+            {"destination_tag": 7},
+            {"taker_gets": {"currency": "XRP", "value": 2.5}, "taker_pays": [1, "USD"]},
+            {"inline": True, "transfer_to": 5},
+            {"executed": 1, "symbol": 7, "transfer_to": None},
+            {"category": "manager", "transfer_to": "bob"},
+            None,
+            None,
+        ]
+
+    def test_a_store_written_before_the_allow_list_mixes_with_new_chunks(self, tmp_path, monkeypatch):
+        """Open a fixture whose chunks keep every key, append a chunk: the old
+        chunks keep their full residue, the new one keeps only the stored
+        keys, the old chunks' state entries still hit, and the report is a
+        fresh build's over the same rows and cut."""
+        root = tmp_path / "pipeline"
+        frames = copy_v3_full_store(root / FRAMES_DIR)
+        old = list(FrameStore.open(frames).iter_records())
+        assert len(old) == V3_FULL_STORE_ROWS
+        assert {key for record in old for key in record.metadata} - STORED_KEYS
+        appended = [record._replace(transaction_id=f"{record.transaction_id}-b") for record in old[:100]]
+        pipeline = Pipeline(str(root), chunk_rows=128)
+        pipeline.update()
+        cache = os.path.join(frames, "cache")
+        entries = set(os.listdir(cache))
+        assert len(entries) == 2
+        pipeline.ingest_records(appended)
+        report, stats = pipeline.update()
+        assert stats.incremental and stats.rows_scanned == len(appended)
+        assert entries < set(os.listdir(cache))
+
+        mixed = FrameStore.open(frames)
+        assert mixed.chunk_row_counts() == [128, 102, 100]
+        assert list(mixed.iter_records())[: len(old)] == old
+        assert list(mixed.iter_records())[len(old) :] == stored_records(appended)
+        fresh_dir = str(tmp_path / "fresh")
+        fresh = FrameStore(chunk_rows=128, directory=fresh_dir)
+        for rows in (old, appended):
+            fresh.add_records(rows)
+            fresh.flush()
+        assert fresh.chunk_row_counts() == [128, 102, 100]
+        expected = _report_bytes(parallel_report_from_store(fresh_dir, workers=1))
+        assert _report_bytes(report) == expected
+
+        def never_decoded(blob):
+            raise AssertionError("a chunk whose state entry exists was decoded")
+
+        monkeypatch.setattr(chunkformat, "decode_chunk", never_decoded)
+        cached = parallel_report_from_store(frames, workers=1, cache=ChunkStateCache.for_store(frames))
+        assert _report_bytes(cached) == expected
+        monkeypatch.undo()
+        assert expected == _report_bytes(full_report(TxFrame.from_records(old + appended)))

@@ -24,10 +24,12 @@ from repro.cli import _report_to_dict
 from repro.collection.store import FrameStore, _decode_legacy_chunk
 from repro.common.columns import LazyMetadata, TxFrame
 from repro.common.errors import CollectionError
+from repro.common.projection import project_metadata
 from repro.common.records import ChainId, TransactionRecord
 from repro.pipeline import run_fsck
 
 from tests.fixtures import STATE_EPOCH1, V1_STORE_CHUNKS, legacy_frame
+from tests.support.stored import stored_metadata, stored_records
 
 
 def _records(count, chain=ChainId.EOS, start_height=0):
@@ -43,7 +45,7 @@ def _records(count, chain=ChainId.EOS, start_height=0):
             contract="eosio.token",
             amount=float(i) * 1.5,
             currency="EOS",
-            metadata={"memo": f"note {i}", "inline": True} if i % 2 else {},
+            metadata={"memo": f"note {i}", "inline": True, "destination_tag": i} if i % 2 else {},
         )
         for i in range(count)
     ]
@@ -62,7 +64,7 @@ def _unicode_records(count=10):
             contract="",
             amount=1.0,
             currency="XTZ",
-            metadata={"memo": f"мемо-{i}-✓", "category": "manager"},
+            metadata={"destination_tag": f"мемо-{i}-✓", "category": "manager"},
         )
         for i in range(count)
     ]
@@ -78,19 +80,19 @@ class TestRoundTrip:
         records = _records(40)
         frame = TxFrame.from_records(records)
         payload, _, _ = _roundtrip(frame)
-        assert list(TxFrame.from_payload(payload)) == records
+        assert list(TxFrame.from_payload(payload)) == stored_records(records)
 
     def test_round_trip_from_list_payload(self):
         records = _records(12)
         frame = TxFrame.from_records(records)
         payload, _, _ = _roundtrip(frame, arrays=False)
-        assert list(TxFrame.from_payload(payload)) == records
+        assert list(TxFrame.from_payload(payload)) == stored_records(records)
 
     def test_unicode_ids_and_memos_survive(self):
         records = _unicode_records()
         frame = TxFrame.from_records(records)
         payload, _, _ = _roundtrip(frame)
-        assert list(TxFrame.from_payload(payload)) == records
+        assert list(TxFrame.from_payload(payload)) == stored_records(records) == records
 
     def test_ragged_multi_chain_frame(self):
         records = (
@@ -100,7 +102,7 @@ class TestRoundTrip:
         )
         frame = TxFrame.from_records(records)
         payload, _, _ = _roundtrip(frame)
-        assert list(TxFrame.from_payload(payload)) == records
+        assert list(TxFrame.from_payload(payload)) == stored_records(records)
 
     def test_empty_frame(self):
         payload, _, _ = _roundtrip(TxFrame())
@@ -166,7 +168,7 @@ class TestLazyMetadata:
         assert isinstance(metadata, LazyMetadata)
         assert not metadata.loaded
         assert len(metadata) == 20
-        assert metadata[1] == {"memo": "note 1", "inline": True}
+        assert metadata[1] == {"destination_tag": 1, "inline": True}
         assert metadata.loaded
 
     def test_frame_defers_parse_until_metadata_read(self):
@@ -175,7 +177,7 @@ class TestLazyMetadata:
         block = payload["metadata"]
         rebuilt = TxFrame.from_payload(payload)
         assert not block.loaded  # numeric load did not force the parse
-        assert rebuilt.metadata[1] == {"memo": "note 1", "inline": True}
+        assert rebuilt.metadata[1] == {"destination_tag": 1, "inline": True}
         assert block.loaded
 
     def test_lazy_extends_grow_one_list_in_place(self):
@@ -191,7 +193,7 @@ class TestLazyMetadata:
             eager.extend(batch)
             assert len(column) == start  # the tail waits for the next read
             assert follower.metadata is column
-            assert column == eager.metadata
+            assert column == list(map(stored_metadata, eager.metadata))
 
     def test_malformed_lazy_block_leaves_the_column_as_it_was(self):
         def broken():
@@ -260,8 +262,9 @@ class TestMetadataParseCollector:
             return parse(text)
 
         monkeypatch.setattr(chunkformat.json, "loads", loads)
-        segment = chunkformat._pack_metadata([{"memo": "a"}, {}])
-        assert chunkformat._unpack_metadata(segment, 2) == [{"memo": "a"}, None]
+        metadata = [{"memo": "a"}, {"memo": "b", "destination_tag": 1}]
+        segment = chunkformat._pack_metadata(metadata, project_metadata(metadata))
+        assert chunkformat._unpack_metadata(segment, 2) == [None, {"destination_tag": 1}]
         assert seen == [False]
         assert gc.isenabled()
 
@@ -337,6 +340,7 @@ class TestStoreIntegration:
         assert [issue.kind for issue in fsck.issues] == ["chunk_version"] * V1_STORE_CHUNKS
         archived = legacy_frame(v1_store_dir)
         payload = archived.to_payload()
+        payload["metadata"] = list(map(stored_metadata, payload["metadata"]))
         figures = json.dumps(_report_to_dict(full_report(archived)))
         # State entries an older version wrote beside its archive.
         old_cache = os.path.join(STATE_EPOCH1, "frames", "cache")

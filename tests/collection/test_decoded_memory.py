@@ -30,6 +30,7 @@ from repro.pipeline.live import scenario_generators
 
 from tests.collection.test_generate import _windowed_scenario
 from tests.fixtures import V2_STORE, V2_STORE_CHUNKS
+from tests.support.stored import stored_metadata
 
 #: 5,137 EOS, 639 Tezos and 702 XRP rows.
 SCENARIO = _windowed_scenario(windows=1)
@@ -117,13 +118,13 @@ class TestNoSecondProjection:
         del payload
         gc.collect()
         assert column() is None
-        expected = [record.metadata or None for record in records[:CHUNK_ROWS]]
+        expected = [stored_metadata(record.metadata) for record in records[:CHUNK_ROWS]]
         assert [meta or None for meta in metadata.materialise()] == expected
 
     def test_frame_metadata_equals_the_records(self, store_dir, records):
         frame = FrameStore.open(store_dir).to_frame()
         assert [meta or None for meta in frame.metadata] == [
-            record.metadata or None for record in records
+            stored_metadata(record.metadata) for record in records
         ]
 
 

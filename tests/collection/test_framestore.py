@@ -14,6 +14,7 @@ from repro.collection import chunkformat
 from repro.collection.store import MANIFEST_ENTRY_KEYS, MANIFEST_NAME, FrameSink, FrameStore
 
 from tests.fixtures import V1_STORE_CHUNKS, V1_STORE_ROWS, legacy_frame
+from tests.support.stored import stored_records
 
 
 def _records(count, chain=ChainId.EOS):
@@ -29,7 +30,7 @@ def _records(count, chain=ChainId.EOS):
             contract="eosio.token",
             amount=float(i) / 10,
             currency="EOS",
-            metadata={"memo": "x"} if i % 3 == 0 else {},
+            metadata={"memo": "x", "destination_tag": 7} if i % 3 == 0 else {},
         )
         for i in range(count)
     ]
@@ -56,8 +57,8 @@ class TestFrameStore:
         store.add_frame(frame)
         assert store.row_count == 25
         assert store.chunk_count == 3
-        assert list(store.to_frame()) == records
-        assert list(store.iter_records()) == records
+        assert list(store.to_frame()) == stored_records(records)
+        assert list(store.iter_records()) == stored_records(records)
 
     def test_add_records_streams_through_staging(self, tmp_path):
         records = _records(12)
@@ -66,7 +67,8 @@ class TestFrameStore:
         # Two full chunks flushed, two rows still staged.
         assert store.chunk_count == 3
         assert store.row_count == 12
-        assert list(store.to_frame()) == records
+        # Committed rows keep the stored keys; staged ones are still whole.
+        assert list(store.to_frame()) == stored_records(records[:10]) + records[10:]
         store.flush()
         assert store.compression_stats().chunk_count == 3
 
@@ -77,7 +79,8 @@ class TestFrameStore:
         full, staged = divmod(count, 5)
         assert store.chunk_row_counts() == [5] * full
         assert store.staged_rows == staged
-        assert list(store.to_frame()) == _records(count)
+        records = _records(count)
+        assert list(store.to_frame()) == stored_records(records[: 5 * full]) + records[5 * full :]
 
     def test_add_records_resumes_a_partly_filled_staging_frame(self, tmp_path):
         store = FrameStore(chunk_rows=5, directory=str(tmp_path))
@@ -95,11 +98,12 @@ class TestFrameStore:
         store.add_records(iter(records[7:]))
         assert store.chunk_row_counts() == [8]
         assert store.staged_rows == 4
-        assert list(store.to_frame()) == records
+        assert list(store.to_frame()) == stored_records(records[:8]) + records[8:]
 
     def test_commits_are_reported_after_the_manifest_has_them(self, tmp_path):
         """``iter_commits`` / ``flush`` hand out each chunk's payload once it is
-        durable; a frame extended with them is the rehydrated store."""
+        durable; a frame extended with them is the rehydrated store on the
+        metadata keys a chunk stores."""
         records = _records(23)
         store = FrameStore(chunk_rows=5, directory=str(tmp_path))
         follower = TxFrame()
@@ -112,7 +116,10 @@ class TestFrameStore:
         follower.extend_from_payload(store.flush())
         assert store.flush() is None  # nothing staged: nothing committed
         rehydrated = FrameStore.open(str(tmp_path)).to_frame()
-        assert list(follower) == list(rehydrated) == records
+        # The handed-out payloads are the staged rows, whole; the chunks
+        # keep the stored keys.
+        assert list(follower) == records
+        assert stored_records(follower) == list(rehydrated) == stored_records(records)
         for pool in ("types", "accounts", "currencies", "errors"):
             assert getattr(follower, pool).values == getattr(rehydrated, pool).values
 
@@ -153,7 +160,7 @@ class TestFrameStore:
         store.add_frame(TxFrame.from_records(records))
         stored_files = list(tmp_path.glob("frame-chunk-*.bin"))
         assert len(stored_files) == 2
-        assert list(store.to_frame()) == records
+        assert list(store.to_frame()) == stored_records(records)
 
     def test_disk_spill_v1(self, v1_store_dir):
         """A v1 (gzip-JSON) archive written by an older version reads once
@@ -166,7 +173,7 @@ class TestFrameStore:
         stored_files = list(Path(v1_store_dir).glob("frame-chunk-*.v3.bin"))
         assert len(stored_files) == store.chunk_count == V1_STORE_CHUNKS
         assert len(store.to_frame()) == store.row_count == V1_STORE_ROWS
-        assert list(store.to_frame()) == archived
+        assert list(store.to_frame()) == stored_records(archived)
         assert store.chain_row_counts() == {"eos": 150, "tezos": 100, "xrp": 130}
 
     def test_columnar_beats_per_record_compression(self):
@@ -196,7 +203,7 @@ class TestFrameStore:
         store.add_records(iter(records))
         store.flush()
         frame = FrameStore.open(str(tmp_path)).to_frame()
-        assert list(frame) == records
+        assert list(frame) == stored_records(records)
         metadata = list(frame.metadata)
         for start in (0, 10, 20):
             memos = [meta for meta in metadata[start : start + 10] if meta]
@@ -213,7 +220,7 @@ class TestFrameStoreOpen:
         reopened = FrameStore.open(str(tmp_path))
         assert reopened.row_count == 12
         assert reopened.chunk_count == 3
-        assert list(reopened.to_frame()) == records
+        assert list(reopened.to_frame()) == stored_records(records)
 
     def test_open_preserves_analysis_results(self, tmp_path):
         """Worker-style rehydration: analyses over the reopened frame match."""
@@ -480,7 +487,7 @@ class TestFirstChunkCrash:
         reopened.add_frame(TxFrame.from_records(records))
         final = FrameStore.open(str(tmp_path))
         assert final.cleaned_paths == []
-        assert list(final.to_frame()) == records
+        assert list(final.to_frame()) == stored_records(records)
 
 
 class TestFailedChunkWrite:
@@ -506,7 +513,7 @@ class TestFailedChunkWrite:
         frame = reopened.to_frame()
         assert reopened.pool_values()["types"] == list(frame.types.values)
         assert store.pool_values() == reopened.pool_values()
-        assert list(frame) == _records(5) + retried
+        assert list(frame) == stored_records(_records(5) + retried)
 
 
 class TestFrameSink:

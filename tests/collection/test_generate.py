@@ -35,6 +35,8 @@ from repro.scenarios import PaperScenario
 from repro.tezos.workload import TezosWorkloadConfig
 from repro.xrp.workload import XrpWorkloadConfig
 
+from tests.support.stored import stored_records
+
 
 def _windowed_scenario(seed: int = 7, windows: int = 2) -> PaperScenario:
     """Four days around the EIDOS launch, split into generation windows."""
@@ -242,7 +244,7 @@ class TestAssemble:
             self._shard(shard_dir, TxFrame.from_records(rows))
             shard_dirs.append(str(shard_dir))
         combined = FrameStore.assemble(str(tmp_path / "out"), shard_dirs)
-        expected = TxFrame.from_records([row for rows in slices for row in rows])
+        expected = TxFrame.from_records(stored_records(row for rows in slices for row in rows))
         assert combined.row_count == len(expected)
         reopened = FrameStore.open(str(tmp_path / "out"))
         assert reopened.to_frame().to_payload() == expected.to_payload()

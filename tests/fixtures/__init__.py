@@ -50,6 +50,19 @@ def legacy_frame(directory) -> TxFrame:
     return frame
 
 
+#: A v3 store written before chunks dropped the metadata keys outside the
+#: allow-list: 230 rows (90 EOS, 60 Tezos, 80 XRP) in two chunks whose
+#: residue JSON holds every key.
+V3_FULL_STORE = os.path.join(os.path.dirname(__file__), "store_v3_full")
+V3_FULL_STORE_ROWS = 230
+V3_FULL_STORE_CHUNKS = 2
+
+
+def copy_v3_full_store(destination) -> str:
+    """A private, writable copy of the full-residue v3 fixture store."""
+    return shutil.copytree(V3_FULL_STORE, str(destination))
+
+
 #: A pipeline directory whose checkpoint and chunk-state cache entries were
 #: written by the last state-epoch-1 commit: 356 rows in two chunks.
 STATE_EPOCH1 = os.path.join(os.path.dirname(__file__), "state_epoch1")

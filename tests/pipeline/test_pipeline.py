@@ -39,6 +39,7 @@ from repro.pipeline import (
 from repro.scenarios import get_scenario
 
 from tests.support.reports import assert_reports_identical, assert_update_identical
+from tests.support.stored import stored_record
 
 #: A torn write, a foreign file and a document nested past the decoder's
 #: recursion limit: what ``fsck`` calls ``meta_unreadable``.
@@ -449,7 +450,8 @@ class TestCommitHandOff:
     """
 
     def test_store_rows_equal_per_row_append(self, tmp_path):
-        """Forty live_tail batches: the store's rows == per-row append."""
+        """Forty live_tail batches: the store's rows == per-row append of the
+        records restricted to the metadata keys a chunk stores."""
         pipeline, batches = _live_tail_pipeline(tmp_path)
         reference = TxFrame()
         cycles = 0
@@ -457,7 +459,7 @@ class TestCommitHandOff:
             first = pipeline.store.committed_chunk_count
             start = len(reference)
             for record in _batch_records(blocks, skip_rows):
-                reference.append(record)
+                reference.append(stored_record(record))
             pipeline.ingest_blocks(blocks, skip_rows=skip_rows)
             reopened = FrameStore.open(pipeline.frames_dir)
             assert reopened.row_count == pipeline.store.row_count == len(reference)

@@ -2,8 +2,9 @@
 
 The format's contract is stronger than "decodes without error": a chunk
 written from *any* frame — ragged chain mixes, empty columns, unicode
-memos and transaction ids, ``None``-bearing pools — must rebuild a frame
-whose records and figures are identical.
+metadata and transaction ids, ``None``-bearing pools — must rebuild a frame
+whose records equal the input's on the metadata keys a chunk stores, and
+whose figures are identical.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -14,11 +15,13 @@ from repro.collection.chunkformat import decode_chunk, encode_chunk
 from repro.common.columns import TxFrame
 from repro.common.records import ChainId, TransactionRecord
 
+from tests.support.stored import STORED_KEYS, stored_records
+
 DEFAULT_SETTINGS = settings(
     max_examples=50, suppress_health_check=[HealthCheck.too_slow], deadline=None
 )
 
-# JSON-able metadata values (the record contract); includes unicode memos.
+# JSON-able metadata values (the record contract); includes unicode text.
 _metadata_value = st.one_of(
     st.booleans(),
     st.integers(min_value=-(10**12), max_value=10**12),
@@ -45,7 +48,9 @@ def _record_strategy(contract):
         error_code=st.one_of(
             st.none(), st.sampled_from(["", "tecPATH_DRY", "tecUNFUNDED_OFFER"])
         ),
-        metadata=st.dictionaries(st.text(max_size=8), _metadata_value, max_size=3),
+        metadata=st.dictionaries(
+            st.one_of(st.text(max_size=8), st.sampled_from(sorted(STORED_KEYS))), _metadata_value, max_size=3
+        ),
     )
 
 
@@ -67,7 +72,7 @@ def test_encode_decode_round_trip_is_figure_identical(records):
     }
     blob, _ = encode_chunk(frame.to_payload(arrays=True))
     rebuilt = TxFrame.from_payload(decode_chunk(blob))
-    assert list(rebuilt) == records
+    assert list(rebuilt) == stored_records(records)
     assert rebuilt.chains() == frame.chains()
     for chain in frame.chains():
         figure = TypeDistributionAccumulator().run(rebuilt.chain_view(chain))
@@ -86,5 +91,5 @@ def test_extend_from_decoded_payload_matches_direct_extend(records):
     blob, _ = encode_chunk(direct.to_payload(arrays=True))
     grown = TxFrame()
     grown.extend_from_payload(decode_chunk(blob))
-    assert list(grown) == records
+    assert list(grown) == stored_records(records)
     assert grown.timestamp == direct.timestamp

@@ -16,6 +16,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +49,9 @@ ENTRY = {
 }
 MANIFEST = {"version": 2, "chunk_rows": 5, "row_count": 1, "chunks": [ENTRY]}
 ANALYSIS = {"oracle_rates": [["USD", "rIssuer", 0.5]], "clusters": {"rAlice": "exchange"}}
-PIPELINE_META = {"version": 1, **ANALYSIS}
+#: The crawl and batch cursors the commands read as ints.
+CURSORS = {"next_batch_index": 3, "crawled_head_eos": 10, "missing_heights_eos": [4, 5]}
+PIPELINE_META = {"version": 1, **ANALYSIS, **CURSORS}
 CACHE_META = {"version": 1, "scenario": "tiny", "seed": 7, "rows": 0, **ANALYSIS}
 
 
@@ -133,6 +136,28 @@ def test_a_pipeline_meta_is_refused_by_the_pipeline_and_flagged_by_fsck_alike(co
             assert refusal is not None and str(error) == str(refusal)
         else:
             assert refusal is None
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("next_batch_index", "x"),
+        ("next_batch_index", 1.5),
+        ("next_batch_index", True),
+        ("crawled_head_xrp", None),
+        ("missing_heights_eos", 4),
+        ("missing_heights_eos", [4, "5"]),
+    ],
+)
+def test_a_cursor_the_commands_read_as_an_int_must_be_one(key, value):
+    with tempfile.TemporaryDirectory() as root:
+        FrameStore(directory=os.path.join(root, "frames"))._write_manifest()
+        path = os.path.join(root, PIPELINE_META_NAME)
+        _write(path, json.dumps({**PIPELINE_META, key: value}).encode())
+        refusal = _refusal(read_pipeline_meta, path)
+        assert refusal is not None and refusal.kind == "meta_unreadable"
+        assert repr(key) in str(refusal)
+        assert [issue.kind for issue in run_fsck(root).issues] == ["meta_unreadable"]
 
 
 @SETTINGS

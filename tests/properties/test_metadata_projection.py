@@ -7,8 +7,8 @@ those keys — absent, ``None``, ``False`` / ``0`` / ``""``, a non-string
 ``category`` or ``transfer_to``, nested lists and mappings — every kernel
 that reads one must export the state its reference exports, on the frame
 the records built and on the frame a v3 chunk of them decodes to; and the
-v3 round trip must give back every metadata value with its JSON type, in
-the key order a v2 chunk gives (sorted).
+v3 round trip must give back every metadata value of a key a chunk stores
+(projected or allow-listed) with its JSON type, keys sorted, and no other.
 """
 
 from __future__ import annotations
@@ -26,8 +26,10 @@ from repro.analysis.washtrading import TRADE_ACTION, WHALEEX_CONTRACT, TradeExtr
 from repro.collection.chunkformat import decode_chunk, encode_chunk
 from repro.common import statecodec
 from repro.common.columns import TxFrame
-from repro.common.projection import PROJECTED_KEYS
+from repro.common.projection import PROJECTED_KEYS, RESIDUE_KEYS
 from repro.common.records import ChainId, TransactionRecord
+
+from tests.support.stored import stored_metadata
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -46,7 +48,7 @@ _JSON = st.recursive(
     max_leaves=6,
 )
 _METADATA = st.dictionaries(
-    st.sampled_from(sorted(PROJECTED_KEYS) + ["amount", "memo"]),
+    st.sampled_from(sorted(PROJECTED_KEYS) + sorted(RESIDUE_KEYS) + ["amount", "memo"]),
     st.one_of(_SPECIAL, _JSON),
     max_size=5,
 )
@@ -134,5 +136,5 @@ def test_projected_kernels_equal_their_references_and_v3_is_lossless(rows):
         record._replace(metadata={}) for record in records
     ]
     assert [json.dumps(record.metadata) for record in rebuilt] == [
-        json.dumps(_json_normal(record.metadata)) for record in records
+        json.dumps(_json_normal(stored_metadata(record.metadata))) for record in records
     ]

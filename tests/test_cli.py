@@ -549,6 +549,21 @@ class TestPipelineCommands:
             assert error.startswith("error: pipeline meta") and str(meta_path) in error
         assert meta_path.read_text() == content  # never reset silently
 
+    def test_a_cursor_that_is_no_int_is_flagged_by_fsck_and_refused_by_watch(self, tmp_path, capsys):
+        data = str(tmp_path / "pipe")
+        assert _run(["ingest", "--data", data, "--scale", TINY_SCENARIO, "--batches", "1"])[0] == 0
+        meta_path = tmp_path / "pipe" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta["next_batch_index"] == 1
+        meta_path.write_text(json.dumps({**meta, "next_batch_index": "x"}))
+        code, out = _run(["fsck", data])
+        assert code == 1 and "meta_unreadable" in out
+        capsys.readouterr()
+        code, _ = _run(["watch", "--data", data, "--batches", "1"])
+        assert code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: pipeline meta") and "'next_batch_index'" in error
+
     def test_a_legacy_store_is_a_clean_error_naming_migrate_store(self, tmp_path):
         """From a cold interpreter: exit 2, no traceback, no file touched."""
         data = tmp_path / "pipe"

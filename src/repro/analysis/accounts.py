@@ -21,7 +21,7 @@ from typing import Dict, List, NamedTuple, Tuple
 from repro.common.columns import CHAIN_ORDER, TxFrame
 from repro.common.records import ChainId
 from repro.analysis.containers import ExactCounts
-from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step
+from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices
 from repro.analysis.vectorized import block_columns
 
 
@@ -82,17 +82,6 @@ class AccountActivityAccumulator(_TallyState, Accumulator):
         self.limit = limit
         self.name = f"top_{side}s"
         self.tally = ExactCounts("pairs", 2)
-
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        add = self.tally.row_adder()
-        codes = frame.sender_code if self.side == "sender" else frame.receiver_code
-        type_codes = frame.type_code
-
-        def step(row: int) -> None:
-            add((codes[row], type_codes[row]))
-
-        return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: (account, type) packed-code histogram.
@@ -204,17 +193,6 @@ class SenderReceiverPairsAccumulator(_TallyState, Accumulator):
         self.limit_receivers_per_sender = limit_receivers_per_sender
         self.tally = ExactCounts("pairs", 2)
 
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        add = self.tally.row_adder()
-        sender_codes = frame.sender_code
-        receiver_codes = frame.receiver_code
-
-        def step(row: int) -> None:
-            add((sender_codes[row], receiver_codes[row]))
-
-        return step
-
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: (sender, receiver) packed-code histogram.
 
@@ -294,16 +272,6 @@ class SenderCountsAccumulator(_TallyState, Accumulator):
 
     def __init__(self):
         self.tally = ExactCounts("counts", 1)
-
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        add = self.tally.row_adder()
-        sender_codes = frame.sender_code
-
-        def step(row: int) -> None:
-            add(sender_codes[row])
-
-        return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: per-sender histogram via one unique per block."""

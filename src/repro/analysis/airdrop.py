@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Sequence, Tu
 from repro.common.clock import timestamp_from_iso
 from repro.common.columns import CHAIN_CODES, TxFrame
 from repro.common.records import ChainId
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
+from repro.analysis.engine import Accumulator, BatchStep, RowIndices
 from repro.analysis.vectorized import block_columns, matched_rows
 from repro.common.statecodec import pack_str_table, pack_strings, restore_str_table, unpack_strings
 
@@ -108,48 +108,9 @@ class BoomerangClaimsAccumulator(Accumulator):
     def _reset(self, frame: TxFrame) -> None:
         self._groups = defaultdict(list)
 
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        groups = self._groups
-        chain_codes = frame.chain_code
-        type_codes = frame.type_code
-        sender_codes = frame.sender_code
-        amounts = frame.amount
-        timestamps = frame.timestamp
-        currency_codes = frame.currency_code
-        metadata = frame.metadata
-        transaction_ids = frame.transaction_id
-        account_values = frame.accounts.values
-        currency_values = frame.currencies.values
-        eos = CHAIN_CODES[ChainId.EOS]
-        transfer_code = frame.types.code("transfer")
-        contract = self.contract
-
-        if transfer_code is None:
-            def step(row: int) -> None:  # no transfers at all in this frame
-                return
-            return step
-
-        def step(row: int) -> None:
-            if chain_codes[row] != eos or type_codes[row] != transfer_code:
-                return
-            meta = metadata[row]
-            groups[transaction_ids[row]].append(
-                (
-                    account_values[sender_codes[row]],
-                    amounts[row],
-                    timestamps[row],
-                    currency_values[currency_codes[row]],
-                    bool(meta) and meta.get("transfer_to") == contract,
-                    bool(meta) and bool(meta.get("inline")),
-                )
-            )
-
-        return step
-
     def _grouper(self, frame: TxFrame) -> Callable:
-        """``group(rows)``: :meth:`bind`'s grouping of the EOS transfer rows
-        at ``rows`` (an index ndarray), from the projected columns."""
+        """``group(rows)``: group the EOS transfer rows at ``rows`` (an index
+        ndarray) by transaction id, from the projected columns."""
         groups = self._groups
         projected = frame.projected()
         contract = frame.meta_strings.code(self.contract)
@@ -267,38 +228,6 @@ class AirdropAccumulator(BoomerangClaimsAccumulator):
         # transaction may carry non-transfer actions, and the paper's share
         # counts those rows too.
         self._post_counts: Dict[str, int] = {}
-
-    def bind(self, frame: TxFrame) -> Step:
-        inner = super().bind(frame)
-        pre = self._pre
-        post = self._post
-        post_counts = self._post_counts
-        chain_codes = frame.chain_code
-        timestamps = frame.timestamp
-        transaction_ids = frame.transaction_id
-        eos = CHAIN_CODES[ChainId.EOS]
-        launch = self.launch_timestamp
-
-        def step(row: int) -> None:
-            if chain_codes[row] != eos:
-                return
-            timestamp = timestamps[row]
-            if timestamp >= launch:
-                side = post
-                transaction_id = transaction_ids[row]
-                post_counts[transaction_id] = post_counts.get(transaction_id, 0) + 1
-            else:
-                side = pre
-            side[0] += 1
-            if side[1] is None:
-                side[1] = side[2] = timestamp
-            elif timestamp < side[1]:
-                side[1] = timestamp
-            elif timestamp > side[2]:
-                side[2] = timestamp
-            inner(row)
-
-        return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized pre/post-launch statistics over every EOS row.

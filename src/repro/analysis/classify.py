@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, TxFrame
 from repro.common.records import ChainId, TransactionRecord
-from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step, config_digest
+from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, config_digest
 from repro.analysis.vectorized import add_counts, block_columns, count_codes, unique_counts_ordered
 from repro.common.statecodec import (
     pack_code_table,
@@ -120,18 +120,6 @@ class TypeDistributionAccumulator(Accumulator):
     def _reset(self, frame: TxFrame) -> None:
         self._frame = frame
         self._counts: Counter = Counter()
-
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        counts = self._counts
-        chain_codes = frame.chain_code
-        type_codes = frame.type_code
-        contract_codes = frame.contract_code
-
-        def step(row: int) -> None:
-            counts[(chain_codes[row], type_codes[row], contract_codes[row])] += 1
-
-        return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: packed-code histogram per block."""
@@ -273,17 +261,6 @@ class CategoryDistributionAccumulator(Accumulator):
         self._frame = frame
         self._counts: Counter = Counter()
 
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        counts = self._counts
-        chain_codes = frame.chain_code
-        contract_codes = frame.contract_code
-
-        def step(row: int) -> None:
-            counts[(chain_codes[row], contract_codes[row])] += 1
-
-        return step
-
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: (chain, contract) packed-code histogram."""
         self._reset(frame)
@@ -350,26 +327,6 @@ class ContractBreakdownAccumulator(Accumulator):
         self._frame = frame
         self._counts: Dict[int, int] = {}
 
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        counts = self._counts
-        chain_codes = frame.chain_code
-        receiver_codes = frame.receiver_code
-        type_codes = frame.type_code
-        contract_code = frame.accounts.code(self.contract)
-        eos = _EOS_CODE
-
-        if contract_code is None:
-            def step(row: int) -> None:  # contract never appears in the frame
-                return
-        else:
-            def step(row: int) -> None:
-                if chain_codes[row] == eos and receiver_codes[row] == contract_code:
-                    code = type_codes[row]
-                    counts[code] = counts.get(code, 0) + 1
-
-        return step
-
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: mask the contract's rows, histogram the types."""
         self._reset(frame)
@@ -422,22 +379,6 @@ class TezosCategoryAccumulator(Accumulator):
 
     def _reset(self, frame: TxFrame) -> None:
         self._counts: Dict[str, int] = {}
-
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        counts = self._counts
-        chain_codes = frame.chain_code
-        metadata = frame.metadata
-        tezos = _TEZOS_CODE
-
-        def step(row: int) -> None:
-            if chain_codes[row] != tezos:
-                return
-            meta = metadata[row]
-            category = str(meta.get("category", "manager")) if meta else "manager"
-            counts[category] = counts.get(category, 0) + 1
-
-        return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """The Tezos rows' projected ``category`` codes, counted in first-seen

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Tup
 
 from repro.common.columns import TxFrame
 from repro.common.records import TransactionRecord
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step, config_digest
+from repro.analysis.engine import Accumulator, BatchStep, RowIndices, config_digest
 from repro.analysis.vectorized import block_columns, count_codes
 from repro.common.statecodec import pack_code_table, restore_code_table
 
@@ -135,16 +135,6 @@ class ClusterCountsAccumulator(Accumulator):
         self._frame = frame
         self._code_counts: Counter = Counter()
 
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        counts = self._code_counts
-        codes = frame.sender_code if self.side == "sender" else frame.receiver_code
-
-        def step(row: int) -> None:
-            counts[codes[row]] += 1
-
-        return step
-
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: per-account histogram via one unique per block."""
         self._reset(frame)
@@ -167,12 +157,11 @@ class ClusterCountsAccumulator(Accumulator):
         restore_code_table(self._code_counts, payload["counts"])
 
     def config_signature(self) -> tuple:
-        clusterer_signature = getattr(self.clusterer, "signature", None)
         return (
             type(self).__qualname__,
             self.name,
             self.side,
-            clusterer_signature() if clusterer_signature else type(self.clusterer).__qualname__,
+            self.clusterer.signature(),
         )
 
     def finalize(self) -> Dict[str, int]:

@@ -17,8 +17,8 @@ to it.  Every container offers:
 
 ``fresh(frame)``
     an empty twin bound to ``frame`` (what ``Accumulator._reset`` installs);
-``row_adder()`` / ``block_adder(...)``
-    the adders of the row-step reference and of the NumPy block kernel;
+``block_adder(...)``
+    the adder of the accumulator's NumPy block kernel;
 ``export_state()`` / ``restore_state(payload)``
     the accumulator contract of :mod:`repro.analysis.engine`, delegated —
     the one way two containers' states combine.  ``export_state`` returns
@@ -100,15 +100,6 @@ class IdRuns(_Container):
         self._runs += runs - (self._last == first)
         self._last = last
 
-    def row_adder(self) -> Callable[[int], None]:
-        transaction_ids = self._frame.transaction_id
-        append = self._append
-
-        def add(row: int) -> None:
-            append(1, transaction_ids[row], transaction_ids[row])
-
-        return add
-
     def block_adder(self) -> Callable[[RowIndices], None]:
         # One slice (or fancy index) of the frame's cached id ndarray per
         # block, built on first use; run boundaries are one elementwise !=.
@@ -167,14 +158,6 @@ class ExactCounts(_Container):
 
     def fresh(self, frame: TxFrame) -> "ExactCounts":
         return ExactCounts(self.field, self.width, frame)
-
-    def row_adder(self) -> Callable[[Any], None]:
-        counts = self._counts
-
-        def add(key) -> None:
-            counts[key] += 1
-
-        return add
 
     def block_adder(
         self, sizes: Sequence[int], ordered: bool = True
@@ -242,9 +225,6 @@ class SortedColumn(_Container):
 
     def __init__(self, frame: Optional[TxFrame] = None):
         self._values = array("d")
-
-    def row_adder(self) -> Callable[[float], None]:
-        return self._values.append
 
     def block_adder(self) -> Callable[[Any], None]:
         import numpy as np

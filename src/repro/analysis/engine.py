@@ -17,28 +17,24 @@ masks, min/max reductions — see :mod:`repro.analysis.vectorized`) instead
 of per-row Python dispatch — that is where the engine's speed over the
 seed's per-figure passes comes from.
 
-The accumulator protocol — every accumulator has at most two scan kernels:
+The accumulator protocol — every accumulator has one scan kernel:
 
-``bind(frame) -> step``
-    The row-step **reference**.  Called once before the pass; the
-    accumulator resets its state (``_reset(frame)``), captures the column
-    buffers it needs and returns a ``step(row)`` callable.  This is the
-    simplest way to write a new accumulator, and the definition of what its
-    figure means.
+``_reset(frame)``
+    Initialises empty state against ``frame``: what the kernel starts
+    from, and all a fold target needs before ``restore_state``.  It must
+    not touch a scan kernel, so folding cached states never imports numpy.
 
 ``bind_batch(frame) -> consume``
-    The kernel the engine runs.  Returns a ``consume(rows)`` callable
-    invoked with each block (a ``range`` for contiguous scans, an ``int64``
-    index ndarray for filtered views).  The default implementation drives
-    ``bind``'s step row by row, so implementing ``bind`` alone is always
-    enough; override ``bind_batch`` with NumPy block operations only when
-    the figure is hot.  An override must reset through the same
-    ``_reset(frame)`` as ``bind`` — one state shape, so ``export_state`` /
-    ``restore_state`` / ``finalize`` never ask which kernel ran — and must
-    be result-identical to the reference:
-    ``tests/properties/test_kernel_parity.py`` compares
-    ``acc.bind_batch(frame)`` with ``Accumulator.bind_batch(acc, frame)``
-    for every registered accumulator.
+    The scan kernel.  Called once before the pass; it resets through
+    ``_reset(frame)`` (one state shape, so ``export_state`` /
+    ``restore_state`` / ``finalize`` never ask how the state was built),
+    captures the column buffers it needs and returns a ``consume(rows)``
+    callable invoked with each block (a ``range`` for contiguous scans, an
+    ``int64`` index ndarray for filtered views).  A figure that is not hot
+    may consume with a plain loop over ``rows``; a hot one uses NumPy block
+    operations.  Each kernel equals the plain reference of its figure in
+    ``tests/support/reference.py`` (``tests/properties/test_kernel_parity.py``
+    compares them for every accumulator).
 
 ``finalize() -> result``
     Called once after the scan; returns the figure's result.
@@ -65,7 +61,7 @@ one accumulator before a single ``finalize``:
 ``restore_state(payload) -> None``
     Folds an exported payload into this accumulator, leaving the payload
     untouched (the same payload may be folded elsewhere and persisted).
-    The target must be initialised (``_reset``, or either kernel's bind)
+    The target must be initialised (``_reset``, or ``bind_batch``)
     against a frame with **identical string pools** to the exporting
     side's (the guarantee :meth:`TxFrame.with_pools` provides for chunks
     rehydrated against a store's global pools), the exporting side must
@@ -118,7 +114,6 @@ from repro.common.errors import AnalysisError
 from repro.common.records import ChainId
 from repro.analysis.containers import IdRuns
 
-Step = Callable[[int], None]
 BatchStep = Callable[[RowIndices], None]
 
 #: Rows per scan block.  Large enough that per-block Python overhead is
@@ -186,26 +181,15 @@ class Accumulator:
     name: str = "accumulator"
 
     def _reset(self, frame: TxFrame) -> None:
-        """Initialise empty state against ``frame``: what :meth:`bind` and
-        :meth:`bind_batch` start with, and all a fold target needs before
-        :meth:`restore_state`.  Overrides must not touch a scan kernel (so
-        folding cached states never imports numpy); the default binds, so
-        an accumulator that implements :meth:`bind` alone still folds."""
-        self.bind(frame)
-
-    def bind(self, frame: TxFrame) -> Step:
-        """Capture column references and return the per-row step callable."""
+        """Initialise empty state against ``frame``: what :meth:`bind_batch`
+        starts with, and all a fold target needs before :meth:`restore_state`.
+        Must not touch a scan kernel (so folding cached states never imports
+        numpy)."""
         raise NotImplementedError
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
-        """Return a per-block consumer; defaults to driving :meth:`bind`."""
-        step = self.bind(frame)
-
-        def consume(rows: RowIndices) -> None:
-            for row in rows:
-                step(row)
-
-        return consume
+        """Reset through :meth:`_reset` and return the per-block consumer."""
+        raise NotImplementedError
 
     def finalize(self) -> Any:
         """Return the analysis result after the pass completes."""
@@ -397,18 +381,6 @@ class TxStatsAccumulator(Accumulator):
             state[1] = low
         if state[2] is None or high > state[2]:
             state[2] = high
-
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        timestamps = frame.timestamp
-        add_id = self.ids.row_adder()
-        widen = self._widen
-
-        def step(row: int) -> None:
-            add_id(row)
-            widen(1, timestamps[row], timestamps[row])
-
-        return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: ndarray min/max over the block's timestamps."""

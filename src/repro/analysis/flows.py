@@ -19,7 +19,7 @@ from typing import Dict, List, NamedTuple, Tuple
 from repro.common.columns import CHAIN_CODES, TxFrame
 from repro.common.records import XRP_CURRENCY, ChainId
 from repro.analysis.clustering import AccountClusterer
-from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step
+from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices
 from repro.analysis.vectorized import block_columns, matched_rows
 from repro.common.statecodec import pack_strings, unpack_strings
 from repro.analysis.value import ExchangeRateOracle
@@ -90,7 +90,15 @@ class ValueFlowAccumulator(Accumulator):
         self._face_value = defaultdict(float)
         self._totals = [0.0]
 
-    def bind(self, frame: TxFrame) -> Step:
+    def bind_batch(self, frame: TxFrame) -> BatchStep:
+        """Boolean-mask kernel in front of the ordered per-row aggregation.
+
+        The prefilter (chain, type, success, positive amount) is one mask
+        per block; the surviving payments are then summed one row at a
+        time **in row order**, which keeps the Figure 12 float sums
+        bit-for-bit those of a serial scan.  Exchange rates and cluster
+        labels resolve once per interned code.
+        """
         self._reset(frame)
         flows = self._flows
         by_sender = self._by_sender
@@ -98,89 +106,30 @@ class ValueFlowAccumulator(Accumulator):
         by_currency = self._by_currency
         face_value = self._face_value
         totals = self._totals
-        chain_codes = frame.chain_code
-        type_codes = frame.type_code
-        success = frame.success
-        amounts = frame.amount
-        sender_codes = frame.sender_code
-        receiver_codes = frame.receiver_code
-        currency_codes = frame.currency_code
-        issuer_codes = frame.issuer_code
+        chain_codes = frame.ndarray("chain_code")
+        type_codes = frame.ndarray("type_code")
+        success = frame.ndarray("success")
+        amounts = frame.ndarray("amount")
+        columns = [
+            frame.ndarray(name)
+            for name in ("currency_code", "issuer_code", "sender_code", "receiver_code")
+        ]
         currency_values = frame.currencies.values
         account_values = frame.accounts.values
         xrp = CHAIN_CODES[ChainId.XRP]
         payment_code = frame.types.code("Payment")
+        payment = -1 if payment_code is None else payment_code
         include_valueless = self.include_valueless
         rate_of = self.oracle.rate
         cluster_of = self.clusterer.cluster_of
         rate_cache: Dict[Tuple[int, int], float] = {}
         cluster_cache: Dict[int, str] = {}
-        currency_cache: Dict[int, str] = {}
 
-        def step(row: int) -> None:
-            if chain_codes[row] != xrp:
-                return
-            if type_codes[row] != payment_code or not success[row]:
-                return
-            amount = amounts[row]
-            if amount <= 0:
-                return
-            currency_code = currency_codes[row]
-            key = (currency_code, issuer_codes[row])
-            rate = rate_cache.get(key)
-            if rate is None:
-                rate = rate_cache[key] = rate_of(
-                    currency_values[currency_code] or XRP_CURRENCY,
-                    account_values[key[1]],
-                )
-            if rate <= 0 and not include_valueless:
-                return
-            sender_code = sender_codes[row]
-            sender_cluster = cluster_cache.get(sender_code)
-            if sender_cluster is None:
-                sender_cluster = cluster_cache[sender_code] = cluster_of(
-                    account_values[sender_code]
-                )
-            receiver_code = receiver_codes[row]
-            receiver_cluster = cluster_cache.get(receiver_code)
-            if receiver_cluster is None:
-                receiver_cluster = cluster_cache[receiver_code] = cluster_of(
-                    account_values[receiver_code]
-                )
-            currency = currency_cache.get(currency_code)
-            if currency is None:
-                currency = currency_cache[currency_code] = (
-                    currency_values[currency_code] or XRP_CURRENCY
-                )
-            xrp_value = amount * rate
-            flow = flows[(sender_cluster, receiver_cluster, currency)]
-            flow[0] += xrp_value
-            flow[1] += 1
-            by_sender[sender_cluster] += xrp_value
-            by_receiver[receiver_cluster] += xrp_value
-            by_currency[currency] += xrp_value
-            face_value[currency] += amount
-            totals[0] += xrp_value
-
-        return step
-
-    def bind_batch(self, frame: TxFrame) -> BatchStep:
-        """Boolean-mask kernel in front of the ordered per-row aggregation.
-
-        The prefilter (chain, type, success, positive amount) is one mask
-        per block; the surviving value payments then flow through the exact
-        per-row float accumulation of :meth:`bind` **in row order**, which
-        is what keeps the Figure 12 sums bit-for-bit identical to the
-        row-step reference on the serial path.
-        """
-        step = self.bind(frame)
-        chain_codes = frame.ndarray("chain_code")
-        type_codes = frame.ndarray("type_code")
-        success = frame.ndarray("success")
-        amounts = frame.ndarray("amount")
-        xrp = CHAIN_CODES[ChainId.XRP]
-        payment_code = frame.types.code("Payment")
-        payment = -1 if payment_code is None else payment_code
+        def cluster(code: int) -> str:
+            label = cluster_cache.get(code)
+            if label is None:
+                label = cluster_cache[code] = cluster_of(account_values[code])
+            return label
 
         def consume(rows: RowIndices) -> None:
             if not len(rows):
@@ -196,19 +145,41 @@ class ValueFlowAccumulator(Accumulator):
             )
             if not mask.any():
                 return
-            for row in matched_rows(rows, mask).tolist():
-                step(row)
+            matched = matched_rows(rows, mask)
+            for amount, currency_code, issuer_code, sender_code, receiver_code in zip(
+                block_amounts[mask].tolist(), *(column[matched].tolist() for column in columns)
+            ):
+                key = (currency_code, issuer_code)
+                rate = rate_cache.get(key)
+                if rate is None:
+                    rate = rate_cache[key] = rate_of(
+                        currency_values[currency_code] or XRP_CURRENCY,
+                        account_values[issuer_code],
+                    )
+                if rate <= 0 and not include_valueless:
+                    continue
+                sender_cluster = cluster(sender_code)
+                receiver_cluster = cluster(receiver_code)
+                currency = currency_values[currency_code] or XRP_CURRENCY
+                xrp_value = amount * rate
+                flow = flows[(sender_cluster, receiver_cluster, currency)]
+                flow[0] += xrp_value
+                flow[1] += 1
+                by_sender[sender_cluster] += xrp_value
+                by_receiver[receiver_cluster] += xrp_value
+                by_currency[currency] += xrp_value
+                face_value[currency] += amount
+                totals[0] += xrp_value
 
         return consume
 
     def config_signature(self) -> tuple:
-        clusterer_signature = getattr(self.clusterer, "signature", None)
         return (
             type(self).__qualname__,
             self.name,
             self.include_valueless,
             self.oracle.signature(),
-            clusterer_signature() if clusterer_signature else type(self.clusterer).__qualname__,
+            self.clusterer.signature(),
         )
 
     @staticmethod

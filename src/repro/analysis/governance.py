@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 from repro.common.columns import CHAIN_CODES, CHAIN_ORDER, FrameLike, TxFrame
 from repro.common.records import ChainId
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
+from repro.analysis.engine import Accumulator, BatchStep, RowIndices
 from repro.analysis.vectorized import block_columns, count_codes
 from repro.common.statecodec import pack_code_table, restore_code_table
 
@@ -97,17 +97,6 @@ class GovernanceOpsAccumulator(Accumulator):
         self._bulk: Counter = Counter()
         #: Already-tallied operations carried by restored payloads.
         self._count = 0
-
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        bulk = self._bulk
-        chain_codes = frame.chain_code
-        type_codes = frame.type_code
-
-        def step(row: int) -> None:
-            bulk[(chain_codes[row], type_codes[row])] += 1
-
-        return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: (chain, type) packed-code histogram."""

@@ -18,7 +18,7 @@ from array import array
 
 from repro.common.columns import TxFrame, as_ndarray
 from repro.common.errors import AnalysisError
-from repro.analysis.engine import Accumulator, BatchStep, RowIndices, Step
+from repro.analysis.engine import Accumulator, BatchStep, RowIndices
 from repro.analysis.vectorized import (
     block_columns,
     dense_space,
@@ -160,33 +160,8 @@ class ThroughputSeriesAccumulator(Accumulator):
         #: distinct key at :meth:`finalize`.
         self._raw_bins: Dict[int, Counter] = {}
         # The factory may build per-frame lookups (e.g. the EOS category
-        # table), so it runs once per bind and feeds whichever kernel binds.
+        # table), so it runs once per bind.
         self._columns, self._labeler = self.key_columns(frame)
-
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        timestamps = frame.timestamp
-        start = self.start
-        end = self.end
-        bin_seconds = self.bin_seconds
-        columns = self._columns
-        single = columns[0] if len(columns) == 1 else None
-        raw_bins = self._raw_bins
-
-        def step(row: int) -> None:
-            timestamp = timestamps[row]
-            if timestamp < start or (end is not None and timestamp > end):
-                return
-            index = int((timestamp - start) // bin_seconds)
-            counter = raw_bins.get(index)
-            if counter is None:
-                counter = raw_bins[index] = Counter()
-            if single is not None:
-                counter[single[row]] += 1
-            else:
-                counter[tuple(column[row] for column in columns)] += 1
-
-        return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized binning: one packed (bin, key) histogram per block.

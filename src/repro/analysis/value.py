@@ -23,7 +23,7 @@ from repro.common.errors import CollectionError
 from repro.common.records import XRP_CURRENCY, ChainId, TransactionRecord
 from repro.analysis.clustering import StaticAccountClusterer
 from repro.analysis.containers import SortedColumn
-from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step, config_digest
+from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, config_digest
 from repro.analysis.vectorized import block_columns, count_codes
 from repro.common.statecodec import pack_code_table, restore_code_table
 
@@ -196,39 +196,6 @@ class XrpDecompositionAccumulator(Accumulator):
         self._payment_code = frame.types.code("Payment")
         self._offer_code = frame.types.code("OfferCreate")
 
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        bulk = self._bulk
-        counters = self._counters
-        chain_codes = frame.chain_code
-        type_codes = frame.type_code
-        success = frame.success
-        amounts = frame.amount
-        currency_codes = frame.currency_code
-        issuer_codes = frame.issuer_code
-        metadata = frame.metadata
-        xrp = CHAIN_CODES[ChainId.XRP]
-        payment_code = self._payment_code
-        offer_code = self._offer_code
-        valued = _cached_by_asset(frame, self.oracle.has_value)
-
-        def step(row: int) -> None:
-            chain = chain_codes[row]
-            ok = success[row]
-            type_code = type_codes[row]
-            bulk[(chain, ok, type_code)] += 1
-            if chain != xrp or not ok:
-                return
-            if type_code == payment_code:
-                if amounts[row] > 0 and valued(currency_codes[row], issuer_codes[row]):
-                    counters[0] += 1
-            elif type_code == offer_code:
-                meta = metadata[row]
-                if meta and meta.get("executed"):
-                    counters[1] += 1
-
-        return step
-
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: packed (chain, success, type) histogram plus
         boolean-mask reductions for the value and executed-offer counters.
@@ -400,35 +367,6 @@ class ValueDistributionAccumulator(Accumulator):
     def _reset(self, frame: TxFrame) -> None:
         self.values = self.values.fresh(frame)
 
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        add_value = self.values.row_adder()
-        chain_codes = frame.chain_code
-        type_codes = frame.type_code
-        success = frame.success
-        amounts = frame.amount
-        currency_codes = frame.currency_code
-        issuer_codes = frame.issuer_code
-        xrp = CHAIN_CODES[ChainId.XRP]
-        payment_code = frame.types.code("Payment")
-        rate = _cached_by_asset(frame, self.oracle.rate)
-
-        def step(row: int) -> None:
-            if (
-                chain_codes[row] != xrp
-                or type_codes[row] != payment_code
-                or not success[row]
-            ):
-                return
-            amount = amounts[row]
-            if amount <= 0:
-                return
-            asset_rate = rate(currency_codes[row], issuer_codes[row])
-            if asset_rate > 0.0:
-                add_value(amount * asset_rate)
-
-        return step
-
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: mask value-bearing payments, rate per distinct
         asset pair, one multiply for the whole block.
@@ -544,27 +482,6 @@ class FailureCodeAccumulator(Accumulator):
     def _reset(self, frame: TxFrame) -> None:
         self._frame = frame
         self._table: Dict[Tuple[int, int], int] = {}
-
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        table = self._table
-        chain_codes = frame.chain_code
-        success = frame.success
-        type_codes = frame.type_code
-        error_codes = frame.error_code
-        empty_error = frame.errors.code("")
-        xrp = CHAIN_CODES[ChainId.XRP]
-
-        def step(row: int) -> None:
-            if chain_codes[row] != xrp or success[row]:
-                return
-            error = error_codes[row]
-            if error == empty_error:
-                return
-            key = (type_codes[row], error)
-            table[key] = table.get(key, 0) + 1
-
-        return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Vectorized kernel: mask failed XRP rows, histogram (type, error)."""

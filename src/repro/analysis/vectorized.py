@@ -17,14 +17,14 @@ factors those patterns into a handful of primitives so each accumulator's
 * :func:`matched_rows` — boolean mask → global row indices, for kernels
   whose tail work (grouping by transaction id, oracle checks) is per-row.
 
-The first-seen replay is the load-bearing subtlety: the row-step reference
-kernels (each accumulator's ``bind``) insert counter keys in row order, and
-several finalizers resolve ties by insertion order
-(``Counter.most_common``, the per-bin category order of the throughput
-series).  ``np.unique`` returns keys sorted by value, so :func:`count_codes`
-re-orders them by each key's first block position before touching the
-counter — making the block kernel's counter state (content *and* iteration
-order) indistinguishable from the reference's.
+The first-seen replay is the load-bearing subtlety: several finalizers
+resolve ties by insertion order (``Counter.most_common``, the per-bin
+category order of the throughput series), so a counter must hold its keys
+in row order, as a plain per-row scan would insert them.  ``np.unique``
+returns keys sorted by value, so :func:`count_codes` re-orders them by each
+key's first block position before touching the counter — making the block
+kernel's counter state (content *and* iteration order) that of a row-order
+scan.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def add_counts(target: Counts, keys: List, counts: List[int]) -> None:
     """Fold (key, count) pairs into a Counter/dict, preserving key order.
 
     Assignment order is insertion order, so folding first-seen-ordered keys
-    replays exactly the insertion order a per-row reference scan produces.
+    replays exactly the insertion order a per-row scan produces.
     """
     get = target.get
     for key, count in zip(keys, counts):
@@ -153,7 +153,7 @@ def count_codes(target: Counts, blocks: Sequence, sizes: Sequence[int]) -> None:
     """One block's packed-key histogram, folded into ``target``.
 
     ``target`` keys are plain ints for a single column and tuples of ints
-    for several — identical to what the row-step reference kernels produce.
+    for several.
     """
     if len(blocks) == 1:
         uniques, counts = unique_counts_ordered(blocks[0])

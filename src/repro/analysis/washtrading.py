@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.common.columns import CHAIN_CODES, TxFrame
 from repro.common.records import ChainId
-from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices, Step
+from repro.analysis.engine import Accumulator, BatchStep, FigureSpec, RowIndices
 from repro.analysis.vectorized import block_columns, matched_rows
 from repro.common.statecodec import pack_strings, unpack_strings
 
@@ -78,53 +78,6 @@ class TradeExtractionAccumulator(Accumulator):
 
     def _reset(self, frame: TxFrame) -> None:
         self._trades: List[TradeObservation] = []
-
-    def bind(self, frame: TxFrame) -> Step:
-        self._reset(frame)
-        trades = self._trades
-        chain_codes = frame.chain_code
-        receiver_codes = frame.receiver_code
-        type_codes = frame.type_code
-        sender_codes = frame.sender_code
-        currency_codes = frame.currency_code
-        amounts = frame.amount
-        timestamps = frame.timestamp
-        metadata = frame.metadata
-        currency_values = frame.currencies.values
-        account_values = frame.accounts.values
-        eos = CHAIN_CODES[ChainId.EOS]
-        contract_code = frame.accounts.code(self.contract)
-        trade_code = frame.types.code(TRADE_ACTION)
-        append = trades.append
-
-        if contract_code is None or trade_code is None:
-            def step(row: int) -> None:  # the contract never traded here
-                return
-            return step
-
-        def step(row: int) -> None:
-            if (
-                chain_codes[row] != eos
-                or receiver_codes[row] != contract_code
-                or type_codes[row] != trade_code
-            ):
-                return
-            meta = metadata[row] or {}
-            sender = account_values[sender_codes[row]]
-            buyer = str(meta.get("buyer", sender))
-            seller = str(meta.get("seller", sender))
-            append(
-                TradeObservation(
-                    buyer=buyer,
-                    seller=seller,
-                    symbol=currency_values[currency_codes[row]]
-                    or str(meta.get("symbol", "")),
-                    amount=amounts[row],
-                    timestamp=timestamps[row],
-                )
-            )
-
-        return step
 
     def bind_batch(self, frame: TxFrame) -> BatchStep:
         """Boolean-mask kernel: only the contract's trade rows pay extraction,

@@ -188,15 +188,15 @@ class FaultRule:
             return NotImplemented
         return vars(self) == vars(other)
 
-    def bind(self, seed: int, index: int) -> None:
+    def seed_rng(self, seed: int, index: int) -> None:
         """Seed the rule's private RNG from the plan seed and rule identity."""
         self._rng = random.Random(
             _stable_hash(seed, index, self.point, self.mode)
         )
 
     def rng(self) -> random.Random:
-        if self._rng is None:  # pragma: no cover - bind() always runs first
-            self.bind(0, 0)
+        if self._rng is None:  # pragma: no cover - seed_rng() always runs first
+            self.seed_rng(0, 0)
         return self._rng
 
     @property
@@ -349,7 +349,7 @@ class FaultPlan:
         for index, rule in enumerate(self.rules):
             rule.hits = 0
             rule.fires = 0
-            rule.bind(self.seed, index)
+            rule.seed_rng(self.seed, index)
 
     def check(self, point: str, now: Optional[float] = None) -> Optional[FaultAction]:
         """Count one hit on ``point``; return the fired action, if any.

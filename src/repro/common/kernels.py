@@ -1,11 +1,9 @@
 """The name of the scan-kernel backend, for run metadata.
 
-There is one backend.  Every accumulator's ``bind_batch`` is a vectorized
-NumPy kernel over zero-copy ndarray views of the columnar frame, and its
-row-step ``bind`` is the reference the parity suite compares it against
-(``tests/properties/test_kernel_parity.py``) — no switch selects between
-them.  What remains here is the name benchmark harnesses record in their
-``env`` stanza.
+There is one backend.  Every accumulator has one scan kernel, its
+``bind_batch``, over zero-copy ndarray views of the columnar frame.  What
+remains here is the name benchmark harnesses record in their ``env``
+stanza.
 """
 
 from __future__ import annotations

@@ -32,16 +32,20 @@ def _record(chain=ChainId.EOS, tx="tx1", ts=100.0, **overrides):
 
 
 class CountingAccumulator(Accumulator):
-    """Counts rows and how many times bind() ran (pass-count witness)."""
+    """Lists the rows it saw and counts how many times it bound (pass-count
+    witness); its kernel is a plain row loop."""
 
     def __init__(self, name):
         self.name = name
         self.bind_calls = 0
 
-    def bind(self, frame):
-        self.bind_calls += 1
+    def _reset(self, frame):
         self._rows = []
-        return self._rows.append
+
+    def bind_batch(self, frame):
+        self.bind_calls += 1
+        self._reset(frame)
+        return self._rows.extend
 
     def finalize(self):
         return list(self._rows)

@@ -1,8 +1,8 @@
 """Each state container against an independent reference answer.
 
-``test_containers`` checks the containers against each other (row adder vs
-block adder, one scan vs folded pieces); this checks them against what the
-paper's figures need, computed another way: ``len(set(ids))`` for the
+``test_containers`` checks the containers' contract (payload round trips,
+one scan vs folded pieces); this checks them against what the paper's
+figures need, computed another way: ``len(set(ids))`` for the
 distinct count, ``collections.Counter`` for the top-k tallies, and a
 selection (``heapq.nsmallest``) and ``math.fsum`` for the distributions.
 
@@ -17,6 +17,7 @@ answer is exact at any size, so the streams stay small.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from array import array
 from collections import Counter
@@ -105,13 +106,12 @@ class TestIdRuns:
         # Grouped: a transaction's rows are one run, as committed history is.
         ids = [f"tx{key}" for key in sorted(KEYS[name](STREAM))]
         frame = _id_frame(ids)
-        by_row, by_block = IdRuns(frame), IdRuns(frame)
-        add_row, add_block = by_row.row_adder(), by_block.block_adder()
+        container = IdRuns(frame)
+        add = container.block_adder()
         for rows in _blocks(len(ids)):
-            for row in rows:
-                add_row(row)
-            add_block(rows)
-        assert by_row.count() == by_block.count() == len(set(ids))
+            add(rows)
+        runs = sum(1 for _ in itertools.groupby(ids))
+        assert container.count() == runs == len(set(ids))
 
     def test_a_repeated_id_never_inflates(self):
         ids = [f"dup{index}" for index in range(500) for _ in range(20)]
@@ -142,12 +142,18 @@ class TestIdRuns:
 
 class TestExactCounts:
     @pytest.mark.parametrize("name", sorted(KEYS))
-    def test_row_adder_tally_is_the_counter(self, name):
+    def test_tiny_block_tally_is_the_counter(self, name):
         keys = KEYS[name](STREAM)
+        codes = np.asarray(keys, dtype=np.int64)
         container = ExactCounts("senders", 1)
-        add = container.row_adder()
-        for key in keys:
-            add(key)
+        add = container.block_adder((len(keys) + 1,))
+        # Blocks of 1 and 7 keys: first-seen order must hold across blocks.
+        start = 0
+        for size in itertools.cycle((1, 7)):
+            if start >= len(keys):
+                break
+            add((codes[start : start + size],))
+            start += size
         # Same counts *and* the same first-seen order most_common tie-breaks on.
         assert list(container.items()) == list(Counter(keys).items())
         assert container.total == len(keys)
@@ -177,10 +183,7 @@ class TestExactCounts:
     @pytest.mark.parametrize("name", sorted(KEYS))
     def test_sharded_restore_is_the_counter(self, name):
         keys = KEYS[name](STREAM)
-        shards = [ExactCounts("senders", 1) for _ in range(4)]
-        adders = [shard.row_adder() for shard in shards]
-        for index, key in enumerate(keys):
-            adders[index % 4](key)
+        shards = [_counts(keys[offset::4]) for offset in range(4)]
         merged = ExactCounts("senders", 1)
         for shard in reversed(shards):
             merged.restore_state(shard.export_state())
@@ -203,10 +206,9 @@ class TestExactCounts:
             for index, sender in enumerate(senders)
         )
         container = ExactCounts("senders", width, frame)
-        add = container.row_adder()
-        for row in range(len(senders)):
-            code = frame.sender_code[row]
-            add(code if width == 1 else (code, frame.type_code[row]))
+        columns = (frame.ndarray("sender_code"), frame.ndarray("type_code"))[:width]
+        sizes = (len(frame.accounts), len(frame.types))[:width]
+        container.block_adder(sizes)(columns)
         named = Counter(sender for sender in senders if sender)
         counted = {
             frame.accounts.values[key if width == 1 else key[0]]: count
@@ -288,19 +290,16 @@ def _shards(items, seed: int, count: int):
 
 
 def _counts(keys) -> ExactCounts:
+    """``keys`` tallied by the ordered block adder, as one block."""
     container = ExactCounts("senders", 1)
-    add = container.row_adder()
-    for key in keys:
-        add(key)
+    if keys:
+        codes = np.asarray(keys, dtype=np.int64)
+        container.block_adder((max(keys) + 1,))((codes,))
     return container
 
 
 def _values(values) -> SortedColumn:
-    container = SortedColumn()
-    add = container.row_adder()
-    for value in values:
-        add(value)
-    return container
+    return _column(values)
 
 
 @PROPERTY_SETTINGS

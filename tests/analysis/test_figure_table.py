@@ -28,21 +28,24 @@ from tests.support.reports import assert_reports_identical
 
 
 class FailedRowsAccumulator(Accumulator):
-    """Toy figure: how many of the chain's rows failed, written as ``bind``
-    alone — the chunk engine's fold targets reach it through the base
-    ``_reset``."""
+    """Toy figure: how many of the chain's rows failed — a figure that is
+    not hot, so its kernel is a plain row loop."""
 
     name = "failed_rows"
 
-    def bind(self, frame: TxFrame):
+    def _reset(self, frame: TxFrame) -> None:
         self._failed = 0
+
+    def bind_batch(self, frame: TxFrame):
+        self._reset(frame)
         success = frame.success
 
-        def step(row: int) -> None:
-            if not success[row]:
-                self._failed += 1
+        def consume(rows) -> None:
+            for row in rows:
+                if not success[row]:
+                    self._failed += 1
 
-        return step
+        return consume
 
     def export_state(self):
         return {"failed": self._failed}

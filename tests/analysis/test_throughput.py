@@ -6,7 +6,6 @@ from repro.common.clock import SECONDS_PER_HOUR, timestamp_from_iso
 from repro.common.columns import TxFrame
 from repro.common.errors import AnalysisError
 from repro.common.records import ChainId, TransactionRecord
-from repro.analysis.engine import Accumulator
 from repro.analysis.report import FIGURE3_CATEGORIZERS
 from repro.analysis.throughput import (
     _SESSION_TOKEN,
@@ -18,7 +17,7 @@ from repro.analysis.throughput import (
     spike_ratio,
     transactions_per_second,
 )
-from tests.support import run_on_records
+from tests.support import reference, run_on_records
 
 
 def record_at(timestamp, type_="transfer", chain=ChainId.EOS):
@@ -114,21 +113,21 @@ class TestCategoryOrder:
         assert series.categories == ("a", "b", "c")
         assert series.bins == [{"a": 1, "b": 1}, {"b": 1}, {"c": 1, "a": 1}]
 
-    def test_both_kernels_agree_when_unsorted(self):
+    def test_kernel_matches_the_reference_when_unsorted(self):
         frame = TxFrame.from_records(self.UNSORTED)
         assert list(frame.timestamp) != sorted(frame.timestamp)
-        results = []
-        for bind in (
-            ThroughputSeriesAccumulator.bind_batch,
-            Accumulator.bind_batch,  # the row-step reference
-        ):
+        expected = reference.throughput_series(
+            self.UNSORTED, lambda record: record.type, 3_600.0, 10.0, 7_400.0
+        )
+        assert expected.categories == ("a", "b", "c")
+        for blocks in ([range(len(frame))], [range(row, row + 1) for row in range(len(frame))]):
             accumulator = ThroughputSeriesAccumulator(
                 by_type, bin_seconds=3_600.0, start=10.0, end=7_400.0
             )
-            bind(accumulator, frame)(range(len(frame)))
-            results.append(accumulator.finalize())
-        assert results[0] == results[1]
-        assert results[0].categories == ("a", "b", "c")
+            consume = accumulator.bind_batch(frame)
+            for rows in blocks:
+                consume(rows)
+            assert accumulator.finalize() == expected
 
     def test_merge_order_does_not_reorder_categories(self):
         frame = TxFrame.from_records(self.UNSORTED)

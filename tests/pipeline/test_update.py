@@ -344,13 +344,16 @@ class TestFallbacks:
             name = "broken"
             armed = False
 
-            def bind(self, frame):
+            def _reset(self, frame):
                 self._rows = 0
 
-                def step(row):
-                    self._rows += 1
+            def bind_batch(self, frame):
+                self._reset(frame)
 
-                return step
+                def consume(rows):
+                    self._rows += len(rows)
+
+                return consume
 
             def export_state(self):
                 return {"rows": self._rows}

@@ -1,21 +1,22 @@
-"""Differential property tests: every ``bind_batch`` kernel ≡ its row-step ``bind``.
+"""Differential property tests: every scan kernel ≡ its plain reference.
 
-Each accumulator has at most two scan kernels: ``bind``, the row-step
-reference, and ``bind_batch``, the vectorized kernel the engine runs.  No
-switch in ``src/`` selects between them — the reference is reached here
-through the unbound base-class default, ``Accumulator.bind_batch(acc,
-frame)``, which drives ``acc.bind``'s step row by row.  The contract is
-figure-for-figure identity, bit-for-bit for the float sums.
+Each accumulator has one scan kernel, its ``bind_batch``.  Its figure's
+meaning lives in ``tests/support/reference.py``: a plain loop over the
+selected records that reads ``record.metadata`` dicts and shares no code
+with the kernel.  The contract is figure-for-figure identity, bit-for-bit
+for the float sums (the references add in row order, as a serial scan does).
 
 The sweep is built from :data:`repro.analysis.report.FIGURES` (every spec's
 factory on every chain it declares, so a newly listed figure is compared
-against its own ``bind`` automatically) plus the accumulators no spec
-names.  Hypothesis drives both kernels over
-random slices of a generated multi-chain frame whose rows are **not**
-time-sorted (the chains are concatenated): full scans, contiguous windows,
-filtered ``TxView`` row arrays, single-chain views (which leave the other
-chains empty for the chain-specific accumulators), fully empty selections,
-and ragged block sizes down to one row per block.
+against its reference automatically — and fails until it has one) plus the
+accumulators no spec names.  Hypothesis drives the kernels over random
+slices of a generated multi-chain frame whose rows are **not** time-sorted
+(the chains are concatenated): full scans, contiguous windows, filtered
+``TxView`` row arrays, single-chain views (which leave the other chains
+empty for the chain-specific accumulators), fully empty selections, and
+ragged block sizes down to one row per block.  The configurations no sweep
+instance uses, and every figure of a report, are compared over whole chains
+in ``tests/analysis/test_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.analysis
-from repro.analysis.accounts import (
-    SenderCountsAccumulator,
-    SenderReceiverPairsAccumulator,
-)
+from repro.analysis.accounts import SenderCountsAccumulator, SenderReceiverPairsAccumulator
 from repro.analysis.airdrop import AirdropAccumulator, BoomerangClaimsAccumulator
 from repro.analysis.classify import ContractBreakdownAccumulator
 from repro.analysis.clustering import AccountClusterer, ClusterCountsAccumulator
@@ -43,7 +41,9 @@ from repro.analysis.report import FIGURES, FigureConfig
 from repro.analysis.value import ExchangeRateOracle, FailureCodeAccumulator
 from repro.analysis.washtrading import TradeExtractionAccumulator
 from repro.common.columns import TxFrame, TxView
-from repro.common.records import ChainId
+from repro.common.records import XRP_CURRENCY, ChainId
+
+from tests.support.reference import REFERENCES, reference_of
 
 PARITY_SETTINGS = settings(
     max_examples=25,
@@ -53,12 +53,48 @@ PARITY_SETTINGS = settings(
 
 
 @pytest.fixture(scope="module")
-def parity_frame(eos_records, tezos_records, xrp_records):
-    """A strided multi-chain sample: small enough for many examples, varied
-    enough to hit every accumulator's interesting rows (trades, claims,
-    failed transactions, valueless payments)."""
-    records = eos_records[::40] + tezos_records[::10] + xrp_records[::20]
-    frame = TxFrame.from_records(records)
+def parity_records(eos_records, tezos_records, xrp_records, parity_oracle):
+    """A multi-chain sample: small enough for many examples, varied enough
+    to hit every accumulator's interesting rows.
+
+    * EOS keeps every 40th *transaction* whole, so deposits meet their
+      refunds (EIDOS claims) and trades keep their rows;
+    * Tezos keeps every 10th row, and — the two-week window holds no
+      governance operation — a few are relabelled ballots and proposals,
+      so the governance kernel has rows to count;
+    * XRP keeps every 20th row plus the nine successful payments in a
+      valued IOU, so Figure 12 converts a face value that is not XRP.
+    """
+    order = {}
+    eos = [
+        record
+        for record in eos_records
+        if order.setdefault(record.transaction_id, len(order)) % 40 == 0
+    ]
+    governance = ("Ballot", "Proposals")
+    tezos = [
+        record._replace(type=governance[index // 20 % 2]) if index % 20 == 7 else record
+        for index, record in enumerate(tezos_records[::10])
+    ]
+    def valued_iou_payment(record):
+        return (
+            record.type == "Payment"
+            and record.success
+            and record.currency not in ("", XRP_CURRENCY)
+            and parity_oracle.has_value(record.currency, record.issuer)
+        )
+
+    xrp = [
+        record
+        for index, record in enumerate(xrp_records)
+        if index % 20 == 0 or valued_iou_payment(record)
+    ]
+    return eos + tezos + xrp
+
+
+@pytest.fixture(scope="module")
+def parity_frame(parity_records):
+    frame = TxFrame.from_records(parity_records)
     assert list(frame.timestamp) != sorted(frame.timestamp)
     return frame
 
@@ -110,11 +146,12 @@ def _accumulator_classes():
     return found
 
 
-def test_sweep_names_every_accumulator_with_two_kernels(
+def test_sweep_names_every_accumulator_with_one_kernel(
     parity_frame, parity_oracle, parity_clusterer
 ):
-    """The sweep below covers every accumulator class in ``src/``, and none
-    defines a scan kernel other than ``bind`` and ``bind_batch``."""
+    """The sweep below covers every accumulator class in ``src/``; each has
+    a reference, resets and scans through its own ``_reset`` and
+    ``bind_batch``, and defines no other scan kernel."""
     classes = _accumulator_classes()
     swept = {
         type(accumulator)
@@ -122,10 +159,12 @@ def test_sweep_names_every_accumulator_with_two_kernels(
     }
     assert classes - swept == set()
     assert len(classes) == 19
+    assert set(REFERENCES) == classes
     for cls in classes:
         kernels = {name for name in vars(cls) if "bind" in name}
-        assert kernels <= {"bind", "bind_batch"}, cls
-        assert hasattr(cls, "_reset"), cls
+        assert kernels <= {"bind_batch"}, cls
+        assert cls._reset is not Accumulator._reset, cls
+        assert cls.bind_batch is not Accumulator.bind_batch, cls
 
 
 @st.composite
@@ -170,18 +209,17 @@ def _scan(view: TxView, consumers, block_rows: int) -> None:
 @PARITY_SETTINGS
 @given(params=selections())
 def test_every_accumulator_parity_on_random_slices(
-    parity_frame, parity_oracle, parity_clusterer, params
+    parity_records, parity_frame, parity_oracle, parity_clusterer, params
 ):
     view = _select_view(parity_frame, params)
-    shipped = _all_accumulators(parity_frame, parity_oracle, parity_clusterer)
-    reference = _all_accumulators(parity_frame, parity_oracle, parity_clusterer)
-    consumers = [acc.bind_batch(parity_frame) for acc in shipped]
-    consumers += [Accumulator.bind_batch(acc, parity_frame) for acc in reference]
-    _scan(view, consumers, params["block_rows"])
-    for vectorized, rowstep in zip(shipped, reference):
+    accumulators = _all_accumulators(parity_frame, parity_oracle, parity_clusterer)
+    _scan(view, [acc.bind_batch(parity_frame) for acc in accumulators], params["block_rows"])
+    selected = [parity_records[row] for row in view.rows]
+    for accumulator in accumulators:
         # Exact equality — for the float-summing figures (value_flows,
         # airdrop rates) this asserts bit-for-bit serial-path identity.
-        assert vectorized.finalize() == rowstep.finalize(), (vectorized.name, params)
+        expected = reference_of(accumulator)(selected)
+        assert accumulator.finalize() == expected, (accumulator.name, params)
 
 
 @PARITY_SETTINGS

@@ -1,14 +1,15 @@
 """Property: the projected metadata columns stand in for the dicts exactly.
 
 Seven metadata keys are read by figures; scans read them from typed columns
-(:func:`repro.common.projection.project_metadata`), while each accumulator's
-row-step ``bind`` still reads the dicts.  Over arbitrary JSON values for
-those keys — absent, ``None``, ``False`` / ``0`` / ``""``, a non-string
-``category`` or ``transfer_to``, nested lists and mappings — every kernel
-that reads one must export the state its reference exports, on the frame
-the records built and on the frame a v3 chunk of them decodes to; and the
-v3 round trip must give back every metadata value of a key a chunk stores
-(projected or allow-listed) with its JSON type, keys sorted, and no other.
+(:func:`repro.common.projection.project_metadata`), while each figure's
+reference (``tests/support/reference.py``) reads the dicts.  Over arbitrary
+JSON values for those keys — absent, ``None``, ``False`` / ``0`` / ``""``, a
+non-string ``category`` or ``transfer_to``, nested lists and mappings —
+every kernel that reads one must finalize to its reference over the records,
+and export the same state on the frame the records built and on the frame a
+v3 chunk of them decodes to; and the v3 round trip must give back every
+metadata value of a key a chunk stores (projected or allow-listed) with its
+JSON type, keys sorted, and no other.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.airdrop import EIDOS_CONTRACT, AirdropAccumulator, BoomerangClaimsAccumulator
 from repro.analysis.classify import TezosCategoryAccumulator
-from repro.analysis.engine import Accumulator
 from repro.analysis.value import ExchangeRateOracle, XrpDecompositionAccumulator
 from repro.analysis.washtrading import TRADE_ACTION, WHALEEX_CONTRACT, TradeExtractionAccumulator
 from repro.collection.chunkformat import decode_chunk, encode_chunk
@@ -29,6 +29,7 @@ from repro.common.columns import TxFrame
 from repro.common.projection import PROJECTED_KEYS, RESIDUE_KEYS
 from repro.common.records import ChainId, TransactionRecord
 
+from tests.support.reference import reference_of
 from tests.support.stored import stored_metadata
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -104,12 +105,14 @@ def _accumulators():
     ]
 
 
-def _states(accumulators, frame, reference: bool):
+def _scanned(frame):
+    accumulators = _accumulators()
     for accumulator in accumulators:
-        consume = (
-            Accumulator.bind_batch(accumulator, frame) if reference else accumulator.bind_batch(frame)
-        )
-        consume(range(len(frame)))
+        accumulator.bind_batch(frame)(range(len(frame)))
+    return accumulators
+
+
+def _states(accumulators):
     return [statecodec.encode(accumulator.export_state()) for accumulator in accumulators]
 
 
@@ -123,12 +126,13 @@ def _json_normal(metadata):
 def test_projected_kernels_equal_their_references_and_v3_is_lossless(rows):
     records = _records(rows)
     frame = TxFrame.from_records(records)
-    expected = _states(_accumulators(), frame, reference=True)
-    assert _states(_accumulators(), frame, reference=False) == expected
+    scanned = _scanned(frame)
+    for accumulator in scanned:
+        assert accumulator.finalize() == reference_of(accumulator)(records), accumulator.name
 
     blob, _ = encode_chunk(frame.to_payload(arrays=True))
     decoded = decode_chunk(blob)
-    assert _states(_accumulators(), TxFrame.from_payload(decoded), reference=False) == expected
+    assert _states(_scanned(TxFrame.from_payload(decoded))) == _states(scanned)
     # Re-encoding what was decoded reproduces the blob byte for byte.
     assert encode_chunk(decoded)[0] == blob
     rebuilt = list(TxFrame.from_payload(decode_chunk(blob)))

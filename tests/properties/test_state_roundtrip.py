@@ -6,9 +6,7 @@ round-tripping the pre-finalize state through the snapshot codec
 (:mod:`repro.common.statecodec`), restoring it into freshly bound
 accumulators and scanning the suffix must produce figures identical to one
 uninterrupted pass — bit-for-bit for the float-summing figures (the serial
-Figure 12 contract).  Both scan kernels initialise one state shape, so the
-prefix may be scanned by either (the vectorized ``bind_batch`` or the
-row-step reference) and restore into the other.
+Figure 12 contract).
 
 This is the end-to-end guarantee the versioned checkpoint format rests on;
 the checkpoint store tests cover the durable-file half.  The accumulators
@@ -35,7 +33,6 @@ from repro.analysis.accounts import (
 from repro.analysis.clustering import AccountClusterer
 from repro.analysis.engine import (
     BLOCK_ROWS,
-    Accumulator,
     TxStatsAccumulator,
     bind_scan,
     scan_blocks,
@@ -49,14 +46,6 @@ from tests.properties.test_kernel_parity import (
     _select_view,
     selections,
 )
-
-#: How a test binds an accumulator: the shipped kernel, or the reference
-#: reached through the unbound base-class default.
-KERNELS = {
-    "batch": lambda accumulator, frame: accumulator.bind_batch(frame),
-    "rowstep": lambda accumulator, frame: Accumulator.bind_batch(accumulator, frame),
-}
-
 
 @pytest.fixture(scope="module")
 def parity_frame(eos_records, tezos_records, xrp_records):
@@ -85,13 +74,12 @@ def roundtrip_cases(draw):
     return {
         "selection": draw(selections()),
         "split": draw(st.floats(0.0, 1.0)),
-        "prefix_kernel": draw(st.sampled_from(sorted(KERNELS))),
     }
 
 
-def _scan(accumulators, frame, rows, kernel="batch") -> None:
+def _scan(accumulators, frame, rows) -> None:
     """Scan ``rows`` without finalizing — snapshots must be pre-finalize."""
-    consumers = [KERNELS[kernel](accumulator, frame) for accumulator in accumulators]
+    consumers = [accumulator.bind_batch(frame) for accumulator in accumulators]
     for block in scan_blocks(rows, BLOCK_ROWS):
         for consume in consumers:
             consume(block)
@@ -121,7 +109,7 @@ def test_codec_roundtrip_equals_serial_pass(
     serial = fresh()
     _scan(serial, parity_frame, rows)
     prefix = fresh()
-    _scan(prefix, parity_frame, rows[:split], case["prefix_kernel"])
+    _scan(prefix, parity_frame, rows[:split])
     base = fresh()
     drive = bind_scan(base, parity_frame)
     for target, payload in zip(base, _snapshot(prefix)):
@@ -148,7 +136,7 @@ def test_double_restore_equals_serial_pass(
     segments = []
     for segment_rows in (rows[:split], rows[split:]):
         scanned = fresh()
-        _scan(scanned, parity_frame, segment_rows, case["prefix_kernel"])
+        _scan(scanned, parity_frame, segment_rows)
         segments.append(_snapshot(scanned))
     base = fresh()
     for accumulator in base:

@@ -10,9 +10,7 @@ so ``export_state()`` is byte-equal on either side of it for every figure.
 
 A fold target is initialised by ``_reset`` alone — no scan kernel, so an
 all-hit report never loads numpy — and must fold states exactly as a target
-bound by ``bind_batch`` does (an accumulator that implements ``bind`` alone
-gets its fold target through the base ``_reset``: the toy figure of
-``tests/analysis/test_figure_table.py`` is one).
+bound by ``bind_batch`` does.
 """
 
 from __future__ import annotations
